@@ -26,14 +26,14 @@ const ageRetention = 8
 // ageCompactEvery is how often (in generations) a compaction scan runs.
 const ageCompactEvery = 4
 
-// ageABRuns is how many times each restore path runs in the final A/B;
-// the best run is reported (the bench shares cores with the servers, so
-// the max is the least noisy estimator).
-const ageABRuns = 2
+// ageFinalRuns is how many times the fully aged stream is restored at
+// the end; the best run is reported (the bench shares cores with the
+// servers, so the max is the least noisy estimator).
+const ageFinalRuns = 2
 
 // ageReport records one aging run: restore throughput generation by
 // generation as churn fragments the image across containers, plus a
-// final batched-vs-per-chunk A/B of the same aged stream.
+// final best-of restore of the fully aged stream.
 type ageReport struct {
 	Experiment   string  `json:"experiment"`
 	Nodes        int     `json:"nodes"`
@@ -51,13 +51,10 @@ type ageReport struct {
 	// slowed down as the stream aged (1.0 = no decay; restore-aware
 	// compaction and the read-ahead cache keep it near 1).
 	DecayRatio float64 `json:"decay_ratio"`
-	// Final A/B on the fully aged stream: the windowed batch scheduler
-	// against the one-RPC-per-chunk path (best of ageABRuns each).
+	// Final restore of the fully aged stream (best of ageFinalRuns) and
+	// the read RPCs the backend's restores issued over the whole run.
 	BatchedMBps      float64 `json:"batched_restore_mb_s"`
-	PerChunkMBps     float64 `json:"per_chunk_restore_mb_s"`
-	BatchSpeedup     float64 `json:"batch_speedup"`
 	BatchedRPCs      int64   `json:"batched_restore_rpcs"`
-	PerChunkRPCs     int64   `json:"per_chunk_restore_rpcs"`
 	DedupRatio       float64 `json:"dedup_ratio"`
 	CacheHits        uint64  `json:"read_cache_hits"`
 	CacheMisses      uint64  `json:"read_cache_misses"`
@@ -71,8 +68,7 @@ func (r *ageReport) print(w *os.File) {
 		r.Generations, r.ImageMB, 100*r.ChurnPercent, r.Nodes, r.Retention, r.CompactEvery)
 	fmt.Fprintf(w, "  restore: gen1 %.1f MB/s -> gen%d %.1f MB/s (decay %.2fx)\n",
 		r.Gen1MBps, r.Generations, r.GenNMBps, r.DecayRatio)
-	fmt.Fprintf(w, "  aged-stream A/B: batched %.1f MB/s (%d RPCs) vs per-chunk %.1f MB/s (%d RPCs): %.2fx\n",
-		r.BatchedMBps, r.BatchedRPCs, r.PerChunkMBps, r.PerChunkRPCs, r.BatchSpeedup)
+	fmt.Fprintf(w, "  aged stream: %.1f MB/s (%d restore RPCs over the run)\n", r.BatchedMBps, r.BatchedRPCs)
 	fmt.Fprintf(w, "  read cache: %d hits, %d misses, %d evictions; dedup %.2f; %d containers compacted away\n\n",
 		r.CacheHits, r.CacheMisses, r.CacheEvictions, r.DedupRatio, r.CompactedRetired)
 }
@@ -107,7 +103,7 @@ func restoreOnce(ctx context.Context, be *sigmadedupe.Remote, name string, wantB
 // sockets), deleting generations past the retention window and
 // compacting periodically — the access pattern that fragments an aged
 // backup across containers — and measures restore throughput per
-// generation, ending with a batched-vs-per-chunk A/B of the aged stream.
+// generation, ending with a best-of restore of the aged stream.
 func runAge(cfg ageConfig) (*ageReport, error) {
 	if cfg.Nodes <= 0 {
 		cfg.Nodes = 4
@@ -212,41 +208,17 @@ func runAge(cfg ageConfig) (*ageReport, error) {
 		rep.DecayRatio = rep.Gen1MBps / rep.GenNMBps
 	}
 
-	// Final A/B on the aged stream: batched scheduler vs the per-chunk
-	// path, each through its own backend so the A/B switch is honest, both
-	// against the same warmed node caches (best of ageABRuns).
 	last := ageName(cfg.Generations - 1)
-	perChunkBE, err := sigmadedupe.NewRemote(ctx, sigmadedupe.RemoteConfig{
-		Name:            "age-bench-perchunk",
-		Director:        dir,
-		Nodes:           addrs,
-		SuperChunkSize:  256 << 10,
-		PerChunkRestore: true,
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer perChunkBE.Close()
-	for i := 0; i < ageABRuns; i++ {
+	for i := 0; i < ageFinalRuns; i++ {
 		mbps, err := restoreOnce(ctx, be, last, imageBytes)
 		if err != nil {
-			return nil, fmt.Errorf("A/B batched: %w", err)
+			return nil, fmt.Errorf("aged-stream restore: %w", err)
 		}
 		if mbps > rep.BatchedMBps {
 			rep.BatchedMBps = mbps
 		}
-		if mbps, err = restoreOnce(ctx, perChunkBE, last, imageBytes); err != nil {
-			return nil, fmt.Errorf("A/B per-chunk: %w", err)
-		}
-		if mbps > rep.PerChunkMBps {
-			rep.PerChunkMBps = mbps
-		}
-	}
-	if rep.PerChunkMBps > 0 {
-		rep.BatchSpeedup = rep.BatchedMBps / rep.PerChunkMBps
 	}
 	rep.BatchedRPCs = be.BackupStats().RestoreRPCs
-	rep.PerChunkRPCs = perChunkBE.BackupStats().RestoreRPCs
 
 	for _, s := range servers {
 		cs := s.ReadCacheStats()

@@ -1672,25 +1672,19 @@ func runStreamWith(mb, nNodes, inflight int, workloadName string, seed int64, op
 	}, nil
 }
 
-// wireAllocAB is a pooling-off-vs-on allocation A/B of the same ingest:
-// one unique stream through the prototype client against loopback
-// servers, heap deltas via runtime.ReadMemStats. The pooled run must
-// show the allocation cliff: MallocsPerMB collapses and ChunkBufAllocs
-// plateaus near the in-flight window while ChunkBufReuses carries the
-// stream.
-type wireAllocAB struct {
+// wireAlloc is the allocation profile of one ingest: one unique stream
+// through the prototype client against loopback servers, heap deltas
+// via runtime.ReadMemStats. The run must show the allocation cliff:
+// ChunkBufAllocs plateaus near the in-flight window while
+// ChunkBufReuses carries the stream.
+type wireAlloc struct {
 	DataMB int `json:"data_mb"`
 	// Heap deltas across the whole process (client + in-process servers).
-	MallocsUnpooled    uint64  `json:"mallocs_unpooled"`
-	MallocsPooled      uint64  `json:"mallocs_pooled"`
-	AllocMBUnpooled    float64 `json:"alloc_mb_unpooled"`
-	AllocMBPooled      float64 `json:"alloc_mb_pooled"`
-	MallocReduction    float64 `json:"malloc_reduction"`
-	AllocMBReduction   float64 `json:"alloc_mb_reduction"`
-	ChunkBufAllocs     int64   `json:"chunk_buf_allocs"`
-	ChunkBufReuses     int64   `json:"chunk_buf_reuses"`
-	ThroughputUnpooled float64 `json:"throughput_mb_s_unpooled"`
-	ThroughputPooled   float64 `json:"throughput_mb_s_pooled"`
+	Mallocs        uint64  `json:"mallocs"`
+	AllocMB        float64 `json:"alloc_mb"`
+	ChunkBufAllocs int64   `json:"chunk_buf_allocs"`
+	ChunkBufReuses int64   `json:"chunk_buf_reuses"`
+	ThroughputMBps float64 `json:"throughput_mb_s"`
 }
 
 // wireWorkloadRun is the wire report's generational-dataset leg.
@@ -1705,7 +1699,7 @@ type wireWorkloadRun struct {
 // wireReport is the binary-codec headline benchmark: the same 4-node
 // unique-stream configuration BENCH_streaming.json tracks (so the two
 // top-level throughput_mb_s values compare apples-to-apples), plus a
-// workload leg with real dedup numbers and the pooling alloc A/B.
+// workload leg with real dedup numbers and the allocation profile.
 type wireReport struct {
 	Experiment     string          `json:"experiment"`
 	DataMB         int             `json:"data_mb"`
@@ -1718,7 +1712,7 @@ type wireReport struct {
 	TCPLoopbackMBs float64         `json:"tcp_loopback_mb_s"`
 	Bounded        bool            `json:"bounded"`
 	Workload       wireWorkloadRun `json:"workload"`
-	Alloc          wireAllocAB     `json:"alloc_ab"`
+	Alloc          wireAlloc       `json:"alloc"`
 }
 
 func (r *wireReport) print(w *os.File) {
@@ -1728,16 +1722,15 @@ func (r *wireReport) print(w *os.File) {
 		r.ThroughputMBps, r.Seconds, r.Bounded, r.TCPLoopbackMBs)
 	fmt.Fprintf(w, "  workload %s (%d MB): %.1f MB/s, dedup %.2f, bandwidth saving %.2f\n",
 		r.Workload.Name, r.Workload.DataMB, r.Workload.ThroughputMBps, r.Workload.DedupRatio, r.Workload.BandwidthSaving)
-	fmt.Fprintf(w, "  alloc A/B (%d MB): mallocs %d -> %d (%.1fx), heap %.1f MB -> %.1f MB (%.1fx)\n",
-		r.Alloc.DataMB, r.Alloc.MallocsUnpooled, r.Alloc.MallocsPooled, r.Alloc.MallocReduction,
-		r.Alloc.AllocMBUnpooled, r.Alloc.AllocMBPooled, r.Alloc.AllocMBReduction)
+	fmt.Fprintf(w, "  alloc (%d MB): %d mallocs, heap %.1f MB, %.1f MB/s\n",
+		r.Alloc.DataMB, r.Alloc.Mallocs, r.Alloc.AllocMB, r.Alloc.ThroughputMBps)
 	fmt.Fprintf(w, "  pool: %d fresh chunk buffers, %d reuses\n\n", r.Alloc.ChunkBufAllocs, r.Alloc.ChunkBufReuses)
 }
 
 // measureAlloc ingests one mb-MB unique stream through the prototype
-// client (pooling on or off) and reports process heap deltas plus pool
-// counters and throughput.
-func measureAlloc(mb, nNodes int, disablePool bool) (mallocs uint64, allocMB float64, st client.Stats, mbps float64, err error) {
+// client and reports process heap deltas plus pool counters and
+// throughput.
+func measureAlloc(mb, nNodes int) (wireAlloc, error) {
 	servers := make([]*rpc.Server, 0, nNodes)
 	defer func() {
 		for _, s := range servers {
@@ -1747,24 +1740,23 @@ func measureAlloc(mb, nNodes int, disablePool bool) (mallocs uint64, allocMB flo
 	}()
 	addrs := make([]string, nNodes)
 	for i := range addrs {
-		nd, nerr := node.New(node.Config{ID: i, KeepPayloads: true})
-		if nerr != nil {
-			return 0, 0, st, 0, nerr
+		nd, err := node.New(node.Config{ID: i, KeepPayloads: true})
+		if err != nil {
+			return wireAlloc{}, err
 		}
-		srv, serr := rpc.NewServer(nd, "127.0.0.1:0")
-		if serr != nil {
-			return 0, 0, st, 0, serr
+		srv, err := rpc.NewServer(nd, "127.0.0.1:0")
+		if err != nil {
+			return wireAlloc{}, err
 		}
 		servers = append(servers, srv)
 		addrs[i] = srv.Addr()
 	}
 	c, err := client.New(context.Background(), client.Config{
-		Name:             "alloc-bench",
-		SuperChunkSize:   256 << 10,
-		DisableChunkPool: disablePool,
+		Name:           "alloc-bench",
+		SuperChunkSize: 256 << 10,
 	}, director.New(), client.DenseNodes(addrs))
 	if err != nil {
-		return 0, 0, st, 0, err
+		return wireAlloc{}, err
 	}
 	defer c.Close()
 
@@ -1781,19 +1773,23 @@ func measureAlloc(mb, nNodes int, disablePool bool) (mallocs uint64, allocMB flo
 	elapsed := time.Since(start)
 	runtime.ReadMemStats(&m1)
 	if err != nil {
-		return 0, 0, st, 0, err
+		return wireAlloc{}, err
 	}
-	mallocs = m1.Mallocs - m0.Mallocs
-	allocMB = float64(m1.TotalAlloc-m0.TotalAlloc) / (1 << 20)
-	st = c.Stats()
-	mbps = float64(size) / (1 << 20) / elapsed.Seconds()
-	return mallocs, allocMB, st, mbps, nil
+	st := c.Stats()
+	return wireAlloc{
+		DataMB:         mb,
+		Mallocs:        m1.Mallocs - m0.Mallocs,
+		AllocMB:        float64(m1.TotalAlloc-m0.TotalAlloc) / (1 << 20),
+		ChunkBufAllocs: st.ChunkBufAllocs,
+		ChunkBufReuses: st.ChunkBufReuses,
+		ThroughputMBps: float64(size) / (1 << 20) / elapsed.Seconds(),
+	}, nil
 }
 
 // runWire measures the binary wire format end to end: the headline
 // unique-stream run (same shape as BENCH_streaming.json for direct
 // comparison), a vm-workload run with meaningful dedup numbers, and the
-// buffer-pooling allocation A/B.
+// pooled hot path's allocation profile.
 func runWire(mb, nNodes, inflight int, seed int64) (*wireReport, error) {
 	if mb <= 0 {
 		mb = 64
@@ -1841,30 +1837,9 @@ func runWire(mb, nNodes, inflight int, seed int64) (*wireReport, error) {
 	if allocMB < 8 {
 		allocMB = 8
 	}
-	mallocsOff, heapOff, _, mbpsOff, err := measureAlloc(allocMB, nNodes, true)
+	alloc, err := measureAlloc(allocMB, nNodes)
 	if err != nil {
 		return nil, err
-	}
-	mallocsOn, heapOn, stOn, mbpsOn, err := measureAlloc(allocMB, nNodes, false)
-	if err != nil {
-		return nil, err
-	}
-	ab := wireAllocAB{
-		DataMB:             allocMB,
-		MallocsUnpooled:    mallocsOff,
-		MallocsPooled:      mallocsOn,
-		AllocMBUnpooled:    heapOff,
-		AllocMBPooled:      heapOn,
-		ChunkBufAllocs:     stOn.ChunkBufAllocs,
-		ChunkBufReuses:     stOn.ChunkBufReuses,
-		ThroughputUnpooled: mbpsOff,
-		ThroughputPooled:   mbpsOn,
-	}
-	if mallocsOn > 0 {
-		ab.MallocReduction = float64(mallocsOff) / float64(mallocsOn)
-	}
-	if heapOn > 0 {
-		ab.AllocMBReduction = heapOff / heapOn
 	}
 	return &wireReport{
 		Experiment:     "wire",
@@ -1884,6 +1859,6 @@ func runWire(mb, nNodes, inflight int, seed int64) (*wireReport, error) {
 			DedupRatio:      wl.DedupRatio,
 			BandwidthSaving: wl.BandwidthSaving,
 		},
-		Alloc: ab,
+		Alloc: alloc,
 	}, nil
 }

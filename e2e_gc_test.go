@@ -70,6 +70,7 @@ func TestDeleteCompactUnderConcurrentIngest(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer dir.Close()
+	ctx := context.Background()
 
 	// Generation 1: half the backups are doomed.
 	surviving := map[string][]byte{}
@@ -81,32 +82,33 @@ func TestDeleteCompactUnderConcurrentIngest(t *testing.T) {
 		doomed[fmt.Sprintf("/doomed/%d", i)] = d
 		doomedBytes += int64(len(d))
 	}
-	bc, err := NewBackupClient(BackupClientConfig{Name: "gen1", SuperChunkSize: 32 << 10}, dir, addrs)
+	bc, err := NewRemote(ctx, RemoteConfig{Name: "gen1", SuperChunkSize: 32 << 10, Director: dir, Nodes: addrs})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer bc.Close()
 	for path, data := range surviving {
-		if err := bc.BackupFile(path, bytes.NewReader(data)); err != nil {
+		if err := bc.Backup(ctx, path, bytes.NewReader(data)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for path, data := range doomed {
-		if err := bc.BackupFile(path, bytes.NewReader(data)); err != nil {
+		if err := bc.Backup(ctx, path, bytes.NewReader(data)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := bc.Flush(); err != nil {
+	if err := bc.Flush(ctx); err != nil {
 		t.Fatal(err)
 	}
 	diskBefore := diskBytes(t, nodeDirs...)
 
 	// Delete the doomed half.
 	for path := range doomed {
-		if err := bc.DeleteBackup(path); err != nil {
+		if err := bc.Delete(ctx, path); err != nil {
 			t.Fatalf("delete %s: %v", path, err)
 		}
 	}
-	gc, err := bc.GCStats()
+	gc, err := bc.GCStats(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,23 +131,23 @@ func TestDeleteCompactUnderConcurrentIngest(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		c2, err := NewBackupClient(BackupClientConfig{Name: "gen2", SuperChunkSize: 32 << 10}, dir, addrs)
+		c2, err := bc.NewSession(ctx, WithSessionName("gen2"))
 		if err != nil {
 			ingestErr = err
 			return
 		}
 		defer c2.Close()
 		for path, data := range ingested {
-			if err := c2.BackupFile(path, bytes.NewReader(data)); err != nil {
+			if err := c2.Backup(ctx, path, bytes.NewReader(data)); err != nil {
 				ingestErr = fmt.Errorf("concurrent ingest %s: %w", path, err)
 				return
 			}
 		}
-		ingestErr = c2.Flush()
+		ingestErr = c2.Flush(ctx)
 	}()
 	var reclaimed int64
 	for i := 0; i < 8; i++ {
-		res, err := bc.Compact(0.95)
+		res, err := bc.Compact(ctx, 0.95)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,7 +159,7 @@ func TestDeleteCompactUnderConcurrentIngest(t *testing.T) {
 		t.Fatal(ingestErr)
 	}
 	// One final pass sweeps anything that died after the last scan.
-	res, err := bc.Compact(0.95)
+	res, err := bc.Compact(ctx, 0.95)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +180,7 @@ func TestDeleteCompactUnderConcurrentIngest(t *testing.T) {
 	}
 
 	// Every surviving and newly ingested backup restores byte-identically.
-	rc, err := NewBackupClient(BackupClientConfig{Name: "verify"}, dir, addrs)
+	rc, err := NewRemote(ctx, RemoteConfig{Name: "verify", Director: dir, Nodes: addrs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +189,7 @@ func TestDeleteCompactUnderConcurrentIngest(t *testing.T) {
 		t.Helper()
 		for path, data := range all {
 			var out bytes.Buffer
-			if err := rc.Restore(path, &out); err != nil {
+			if err := rc.Restore(ctx, path, &out); err != nil {
 				t.Fatalf("restore %s: %v", path, err)
 			}
 			if !bytes.Equal(out.Bytes(), data) {
@@ -199,11 +201,11 @@ func TestDeleteCompactUnderConcurrentIngest(t *testing.T) {
 	check(ingested)
 	for path := range doomed {
 		var out bytes.Buffer
-		if err := rc.Restore(path, &out); err == nil {
+		if err := rc.Restore(ctx, path, &out); err == nil {
 			t.Fatalf("deleted backup %s still restorable", path)
 		}
 	}
-	if gc, err := rc.GCStats(); err != nil || gc.RetiredContainers == 0 {
+	if gc, err := rc.GCStats(ctx); err != nil || gc.RetiredContainers == 0 {
 		t.Fatalf("GCStats = %+v, %v: compaction retired nothing", gc, err)
 	}
 }
@@ -222,25 +224,25 @@ func TestBackgroundCompactorReclaims(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	dir := NewDirector()
-	bc, err := NewBackupClient(BackupClientConfig{Name: "bg", SuperChunkSize: 32 << 10}, dir, []string{srv.Addr()})
+	ctx := context.Background()
+	bc, err := NewRemote(ctx, RemoteConfig{Name: "bg", SuperChunkSize: 32 << 10, Director: NewDirector(), Nodes: []string{srv.Addr()}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer bc.Close()
 	keep := gcRandBytes(840, 100<<10)
 	drop := gcRandBytes(841, 100<<10)
-	if err := bc.BackupFile("/keep", bytes.NewReader(keep)); err != nil {
+	if err := bc.Backup(ctx, "/keep", bytes.NewReader(keep)); err != nil {
 		t.Fatal(err)
 	}
-	if err := bc.BackupFile("/drop", bytes.NewReader(drop)); err != nil {
+	if err := bc.Backup(ctx, "/drop", bytes.NewReader(drop)); err != nil {
 		t.Fatal(err)
 	}
-	if err := bc.Flush(); err != nil {
+	if err := bc.Flush(ctx); err != nil {
 		t.Fatal(err)
 	}
 	before := srv.StorageUsage()
-	if err := bc.DeleteBackup("/drop"); err != nil {
+	if err := bc.Delete(ctx, "/drop"); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(10 * time.Second)
@@ -252,14 +254,14 @@ func TestBackgroundCompactorReclaims(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	var out bytes.Buffer
-	if err := bc.Restore("/keep", &out); err != nil || !bytes.Equal(out.Bytes(), keep) {
+	if err := bc.Restore(ctx, "/keep", &out); err != nil || !bytes.Equal(out.Bytes(), keep) {
 		t.Fatalf("survivor lost to background compaction: %v", err)
 	}
 }
 
 // TestSimulatorDeleteAndCompact exercises the deletion path through the
-// simulated-cluster facade: recipe-tracked backups, DeleteBackup,
-// Compact, GCStats.
+// simulated-cluster facade: recipe-tracked backups, Delete, Compact,
+// GCStats.
 func TestSimulatorDeleteAndCompact(t *testing.T) {
 	c, err := NewCluster(ClusterConfig{Nodes: 3, KeepPayloads: true, SuperChunkSize: 32 << 10})
 	if err != nil {
@@ -281,7 +283,7 @@ func TestSimulatorDeleteAndCompact(t *testing.T) {
 	}
 	before := c.SimStats().PhysicalBytes
 	for i := 1; i < 6; i += 2 {
-		if err := c.DeleteBackup(fmt.Sprintf("file%d", i)); err != nil {
+		if err := c.Delete(context.Background(), fmt.Sprintf("file%d", i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -298,10 +300,10 @@ func TestSimulatorDeleteAndCompact(t *testing.T) {
 	if got := c.SimStats().PhysicalBytes; got > before-doomedBytes {
 		t.Fatalf("physical bytes after compaction = %d, want <= %d", got, before-doomedBytes)
 	}
-	if err := c.DeleteBackup("file1"); err == nil {
+	if err := c.Delete(context.Background(), "file1"); err == nil {
 		t.Fatal("double delete must fail")
 	}
-	if err := c.DeleteBackup("never-backed-up"); err == nil {
+	if err := c.Delete(context.Background(), "never-backed-up"); err == nil {
 		t.Fatal("deleting an unknown backup must fail")
 	}
 }

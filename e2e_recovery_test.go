@@ -77,6 +77,7 @@ func TestClusterCrashRestartRecovery(t *testing.T) {
 		}
 	}
 
+	ctx := context.Background()
 	servers := start(false)
 	dir := NewDirector()
 
@@ -92,17 +93,16 @@ func TestClusterCrashRestartRecovery(t *testing.T) {
 		}
 		mu.Unlock()
 	}
-	addrs := addrsOf(servers)
+	be, err := NewRemote(ctx, RemoteConfig{Name: "streams", Director: dir, Nodes: addrsOf(servers), SuperChunkSize: 32 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for s := 0; s < streams; s++ {
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
-			bc, err := NewBackupClient(BackupClientConfig{
-				Name:                fmt.Sprintf("stream%d", s),
-				SuperChunkSize:      32 << 10,
-				Workers:             2,
-				InflightSuperChunks: 2,
-			}, dir, addrs)
+			bc, err := be.NewSession(ctx, WithSessionName(fmt.Sprintf("stream%d", s)),
+				WithWorkers(2), WithInflightSuperChunks(2))
 			if err != nil {
 				fail(err)
 				return
@@ -110,12 +110,12 @@ func TestClusterCrashRestartRecovery(t *testing.T) {
 			defer bc.Close()
 			for f, data := range content[s] {
 				path := fmt.Sprintf("/stream%d/file%d", s, f)
-				if err := bc.BackupFile(path, bytes.NewReader(data)); err != nil {
+				if err := bc.Backup(ctx, path, bytes.NewReader(data)); err != nil {
 					fail(fmt.Errorf("backup %s: %w", path, err))
 					return
 				}
 			}
-			if err := bc.Flush(); err != nil {
+			if err := bc.Flush(ctx); err != nil {
 				fail(fmt.Errorf("flush stream %d: %w", s, err))
 			}
 		}(s)
@@ -123,6 +123,9 @@ func TestClusterCrashRestartRecovery(t *testing.T) {
 	wg.Wait()
 	if firstErr != nil {
 		t.Fatal(firstErr)
+	}
+	if err := be.Close(); err != nil {
+		t.Fatal(err)
 	}
 
 	var wantPhysical int64
@@ -142,7 +145,7 @@ func TestClusterCrashRestartRecovery(t *testing.T) {
 		t.Fatalf("recovered physical bytes = %d, want %d", gotPhysical, wantPhysical)
 	}
 
-	rc, err := NewBackupClient(BackupClientConfig{Name: "restorer"}, dir, addrsOf(servers))
+	rc, err := NewRemote(ctx, RemoteConfig{Name: "restorer", Director: dir, Nodes: addrsOf(servers)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +153,7 @@ func TestClusterCrashRestartRecovery(t *testing.T) {
 		for f, data := range content[s] {
 			path := fmt.Sprintf("/stream%d/file%d", s, f)
 			var out bytes.Buffer
-			if err := rc.Restore(path, &out); err != nil {
+			if err := rc.Restore(ctx, path, &out); err != nil {
 				t.Fatalf("restore %s after restart: %v", path, err)
 			}
 			if !bytes.Equal(out.Bytes(), data) {
@@ -224,6 +227,7 @@ func TestCompactionCrashFidelity(t *testing.T) {
 		return out
 	}
 
+	ctx := context.Background()
 	// Durable director: the recipe catalog must survive the crashes too.
 	dir, err := OpenDirectorAt(filepath.Join(base, "director"))
 	if err != nil {
@@ -249,26 +253,26 @@ func TestCompactionCrashFidelity(t *testing.T) {
 	// when the doomed originals go.
 	surviving["/keep/a-again"] = surviving["/keep/a"]
 
-	bc, err := NewBackupClient(BackupClientConfig{Name: "w", SuperChunkSize: 32 << 10}, dir, addrsOf(servers))
+	bc, err := NewRemote(ctx, RemoteConfig{Name: "w", SuperChunkSize: 32 << 10, Director: dir, Nodes: addrsOf(servers)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for path, data := range surviving {
-		if err := bc.BackupFile(path, bytes.NewReader(data)); err != nil {
+		if err := bc.Backup(ctx, path, bytes.NewReader(data)); err != nil {
 			t.Fatalf("backup %s: %v", path, err)
 		}
 	}
 	for path, data := range doomed {
-		if err := bc.BackupFile(path, bytes.NewReader(data)); err != nil {
+		if err := bc.Backup(ctx, path, bytes.NewReader(data)); err != nil {
 			t.Fatalf("backup %s: %v", path, err)
 		}
 	}
-	if err := bc.Flush(); err != nil {
+	if err := bc.Flush(ctx); err != nil {
 		t.Fatal(err)
 	}
 	usageFull := servers[0].StorageUsage() + servers[1].StorageUsage()
 	for path := range doomed {
-		if err := bc.DeleteBackup(path); err != nil {
+		if err := bc.Delete(ctx, path); err != nil {
 			t.Fatalf("delete %s: %v", path, err)
 		}
 	}
@@ -288,7 +292,7 @@ func TestCompactionCrashFidelity(t *testing.T) {
 				}
 				return nil
 			})
-			if _, err := s.Compact(context.Background(), 0.99); err == nil {
+			if _, err := s.Compact(ctx, 0.99); err == nil {
 				// Nothing below the threshold on this node is possible for
 				// later stages after earlier partial passes; only fail the
 				// test if no node ever faulted.
@@ -306,13 +310,13 @@ func TestCompactionCrashFidelity(t *testing.T) {
 		}
 		servers = start(true)
 
-		rc, err := NewBackupClient(BackupClientConfig{Name: "verify-" + string(stage)}, dir, addrsOf(servers))
+		rc, err := NewRemote(ctx, RemoteConfig{Name: "verify-" + string(stage), Director: dir, Nodes: addrsOf(servers)})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for path, data := range surviving {
 			var out bytes.Buffer
-			if err := rc.Restore(path, &out); err != nil {
+			if err := rc.Restore(ctx, path, &out); err != nil {
 				t.Fatalf("crash at %s: restore %s: %v", stage, path, err)
 			}
 			if !bytes.Equal(out.Bytes(), data) {
@@ -322,7 +326,7 @@ func TestCompactionCrashFidelity(t *testing.T) {
 		// The deleted backups stay deleted.
 		for path := range doomed {
 			var out bytes.Buffer
-			if err := rc.Restore(path, &out); err == nil {
+			if err := rc.Restore(ctx, path, &out); err == nil {
 				t.Fatalf("crash at %s: deleted backup %s restored", stage, path)
 			}
 		}
@@ -332,7 +336,7 @@ func TestCompactionCrashFidelity(t *testing.T) {
 	// Convergence: a clean compaction pass reclaims the doomed space.
 	for _, s := range servers {
 		s.inner.Node().Engine().SetCompactFault(nil)
-		if _, err := s.Compact(context.Background(), 0.99); err != nil {
+		if _, err := s.Compact(ctx, 0.99); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -344,13 +348,13 @@ func TestCompactionCrashFidelity(t *testing.T) {
 	if reclaimed := usageFull - usageAfter; reclaimed < doomedBytes {
 		t.Fatalf("reclaimed %d bytes after convergence, want >= %d (the deleted share)", reclaimed, doomedBytes)
 	}
-	rc, err := NewBackupClient(BackupClientConfig{Name: "final"}, dir, addrsOf(servers))
+	rc, err := NewRemote(ctx, RemoteConfig{Name: "final", Director: dir, Nodes: addrsOf(servers)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for path, data := range surviving {
 		var out bytes.Buffer
-		if err := rc.Restore(path, &out); err != nil || !bytes.Equal(out.Bytes(), data) {
+		if err := rc.Restore(ctx, path, &out); err != nil || !bytes.Equal(out.Bytes(), data) {
 			t.Fatalf("final: %s lost after converged compaction: %v", path, err)
 		}
 	}

@@ -267,3 +267,61 @@ func TestKillNodeDuringIngest(t *testing.T) {
 		}
 	}
 }
+
+// TestRepairSingleCopyDeploymentIsNoOp: Repair on an R=1 deployment of
+// either kind has nothing to re-replicate — it must not quietly hand a
+// single-copy cluster second copies (and double its physical bytes).
+func TestRepairSingleCopyDeploymentIsNoOp(t *testing.T) {
+	ctx := context.Background()
+	sim, err := NewCluster(ClusterConfig{Nodes: 3, KeepPayloads: true, SuperChunkSize: 32 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sim.Close()
+	remote, err := NewRemote(ctx, RemoteConfig{
+		Name:           "r1",
+		Director:       NewDirector(),
+		Nodes:          startServers(t, 3),
+		SuperChunkSize: 32 << 10,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer remote.Close()
+
+	for _, tc := range []struct {
+		name string
+		be   Backend
+	}{{"simulator", sim}, {"remote", remote}} {
+		t.Run(tc.name, func(t *testing.T) {
+			for i := 0; i < 4; i++ {
+				data := make([]byte, 96<<10)
+				rand.New(rand.NewSource(int64(300 + i))).Read(data)
+				if err := tc.be.Backup(ctx, fmt.Sprintf("/r1/file%d", i), bytes.NewReader(data)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := tc.be.Flush(ctx); err != nil {
+				t.Fatal(err)
+			}
+			before, err := tc.be.Stats(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := tc.be.Repair(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.RereplicatedChunks != 0 {
+				t.Fatalf("Repair on an R=1 backend re-replicated %d chunks: %+v", rep.RereplicatedChunks, rep)
+			}
+			after, err := tc.be.Stats(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if after.PhysicalBytes != before.PhysicalBytes {
+				t.Fatalf("Repair on an R=1 backend changed physical bytes %d -> %d", before.PhysicalBytes, after.PhysicalBytes)
+			}
+		})
+	}
+}

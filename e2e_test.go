@@ -2,6 +2,7 @@ package sigmadedupe
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -9,7 +10,7 @@ import (
 )
 
 // TestConcurrentStreamsRoundTrip is the end-to-end exercise of the
-// concurrent ingest engine: several backup clients (one per stream, as in
+// concurrent ingest engine: several backup sessions (one per stream, as in
 // the paper — every stream owns its own pipeline) back up overlapping
 // generations of files against the same server cluster and director
 // concurrently, with multi-chunk files, in-flight super-chunk windows and
@@ -34,7 +35,13 @@ func TestConcurrentStreamsRoundTrip(t *testing.T) {
 		servers[i] = srv
 		addrs[i] = srv.Addr()
 	}
+	ctx := context.Background()
 	dir := NewDirector()
+	be, err := NewRemote(ctx, RemoteConfig{Name: "streams", Director: dir, Nodes: addrs, SuperChunkSize: 32 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer be.Close()
 
 	// Content: per-stream files, where half of each stream's later files
 	// duplicate earlier content so source dedup and the query/store
@@ -72,12 +79,8 @@ func TestConcurrentStreamsRoundTrip(t *testing.T) {
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
-			bc, err := NewBackupClient(BackupClientConfig{
-				Name:                fmt.Sprintf("stream%d", s),
-				SuperChunkSize:      32 << 10,
-				Workers:             2,
-				InflightSuperChunks: 3,
-			}, dir, addrs)
+			bc, err := be.NewSession(ctx, WithSessionName(fmt.Sprintf("stream%d", s)),
+				WithWorkers(2), WithInflightSuperChunks(3))
 			if err != nil {
 				fail(err)
 				return
@@ -85,17 +88,17 @@ func TestConcurrentStreamsRoundTrip(t *testing.T) {
 			defer bc.Close()
 			for f, data := range content[s] {
 				path := fmt.Sprintf("/stream%d/file%d", s, f)
-				if err := bc.BackupFile(path, bytes.NewReader(data)); err != nil {
+				if err := bc.Backup(ctx, path, bytes.NewReader(data)); err != nil {
 					fail(fmt.Errorf("backup %s: %w", path, err))
 					return
 				}
 			}
-			if err := bc.Flush(); err != nil {
+			if err := bc.Flush(ctx); err != nil {
 				fail(fmt.Errorf("flush stream %d: %w", s, err))
 				return
 			}
 			mu.Lock()
-			totalLogical += bc.LogicalBytes()
+			totalLogical += bc.Stats().LogicalBytes
 			mu.Unlock()
 		}(s)
 	}
@@ -104,9 +107,9 @@ func TestConcurrentStreamsRoundTrip(t *testing.T) {
 		t.Fatal(firstErr)
 	}
 
-	// Every file restores byte-identically — through a fresh client, so
+	// Every file restores byte-identically — through a fresh backend, so
 	// the recipes alone must suffice.
-	rc, err := NewBackupClient(BackupClientConfig{Name: "restorer"}, dir, addrs)
+	rc, err := NewRemote(ctx, RemoteConfig{Name: "restorer", Director: dir, Nodes: addrs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +118,7 @@ func TestConcurrentStreamsRoundTrip(t *testing.T) {
 		for f, data := range content[s] {
 			path := fmt.Sprintf("/stream%d/file%d", s, f)
 			var out bytes.Buffer
-			if err := rc.Restore(path, &out); err != nil {
+			if err := rc.Restore(ctx, path, &out); err != nil {
 				t.Fatalf("restore %s: %v", path, err)
 			}
 			if !bytes.Equal(out.Bytes(), data) {

@@ -17,12 +17,11 @@ import (
 // sync.Pool boxes the slice header, costing one heap allocation per
 // released chunk — exactly the per-chunk churn the pool exists to kill.
 type bufPool struct {
-	mu      sync.Mutex
-	free    [][]byte
-	bufCap  int // capacity every pooled buffer is provisioned with
-	disable bool
-	allocs  atomic.Int64 // buffers newly made (pool miss or pooling off)
-	reuses  atomic.Int64 // buffers served from the pool
+	mu     sync.Mutex
+	free   [][]byte
+	bufCap int          // capacity every pooled buffer is provisioned with
+	allocs atomic.Int64 // buffers newly made (pool miss)
+	reuses atomic.Int64 // buffers served from the pool
 }
 
 // bufPoolRetain bounds the free stack. The steady-state population is
@@ -30,14 +29,10 @@ type bufPool struct {
 // from a draining burst and can go to the GC.
 const bufPoolRetain = 1024
 
-func newBufPool(bufCap int, disable bool) *bufPool {
-	return &bufPool{bufCap: bufCap, disable: disable}
-}
-
 // alloc implements chunker.Allocator: a slice of length n, drawn from
 // the pool when possible.
 func (p *bufPool) alloc(n int) []byte {
-	if !p.disable && n <= p.bufCap {
+	if n <= p.bufCap {
 		p.mu.Lock()
 		if last := len(p.free) - 1; last >= 0 {
 			b := p.free[last]
@@ -59,7 +54,7 @@ func (p *bufPool) alloc(n int) []byte {
 // release returns a chunk buffer for reuse once nothing references it.
 // Buffers that lost their provisioned capacity are dropped for the GC.
 func (p *bufPool) release(b []byte) {
-	if p.disable || cap(b) < p.bufCap {
+	if cap(b) < p.bufCap {
 		return
 	}
 	p.mu.Lock()

@@ -35,6 +35,7 @@ import (
 	"sigmadedupe/internal/core"
 	"sigmadedupe/internal/director"
 	"sigmadedupe/internal/fingerprint"
+	"sigmadedupe/internal/migrate"
 	"sigmadedupe/internal/pipeline"
 	"sigmadedupe/internal/rpc"
 	"sigmadedupe/internal/sderr"
@@ -78,14 +79,6 @@ type Config struct {
 	// in-flight-session guarantee of elastic membership: node adds and
 	// removals become visible to new clients, never to this one.
 	Epoch uint64
-	// DisableChunkPool turns off chunk payload buffer recycling, making
-	// every chunk a fresh heap allocation — the pre-pooling behavior,
-	// kept as an A/B switch for allocation benchmarking.
-	DisableChunkPool bool
-	// PerChunkRestore selects the one-RPC-per-chunk restore path instead
-	// of the default windowed batch scheduler — the pre-batching
-	// behavior, kept as an A/B switch for restore benchmarking.
-	PerChunkRestore bool
 	// RestoreWindowBytes bounds the payload bytes of one restore window,
 	// the unit of batched read scheduling: each window becomes one
 	// OpReadBatch RPC per node it touches, and up to InflightSuperChunks
@@ -189,18 +182,15 @@ type Stats struct {
 	// memory, bounded by the window configuration, never by stream size.
 	PeakBufferedBytes int64
 	// ChunkBufAllocs counts chunk payload buffers newly allocated from
-	// the heap; with pooling on it plateaus at roughly the in-flight
-	// window's chunk count — the allocation-cliff proof — while
-	// ChunkBufReuses grows with the stream. Restore contributes too: the
-	// per-chunk path copies every payload out of its response frame (one
-	// alloc per chunk), while the batched path writes straight from the
-	// pooled receive frames (one reuse per chunk).
+	// the heap; it plateaus at roughly the in-flight window's chunk count
+	// — the allocation-cliff proof — while ChunkBufReuses grows with the
+	// stream. Restore contributes reuses too: payloads are written
+	// straight from the pooled receive frames (one reuse per chunk).
 	ChunkBufAllocs int64
 	ChunkBufReuses int64
 	// RestoredBytes and RestoreRPCs instrument the restore path: payload
 	// bytes written back, and read RPCs issued to serve them (one per
-	// chunk on the per-chunk path; one per node touched per window on the
-	// batched path).
+	// node touched per window).
 	RestoredBytes int64
 	RestoreRPCs   int64
 	// FailoverReads counts restore chunk reads served by a replica after
@@ -364,16 +354,15 @@ func New(ctx context.Context, cfg Config, dir director.Metadata, nodes []NodeAdd
 		}
 	}
 	c := &Client{
-		cfg:     cfg,
-		conns:   conns,
-		byID:    byID,
-		members: core.NewMembership(cfg.Epoch, ids),
-		dir:     dir,
-		session: session,
-		part:    part,
-		routes:  pipeline.NewWindow(cfg.InflightSuperChunks),
-		bufs: newBufPool(chunker.MaxChunkSize(cfg.ChunkMethod, cfg.ChunkSize),
-			cfg.DisableChunkPool),
+		cfg:        cfg,
+		conns:      conns,
+		byID:       byID,
+		members:    core.NewMembership(cfg.Epoch, ids),
+		dir:        dir,
+		session:    session,
+		part:       part,
+		routes:     pipeline.NewWindow(cfg.InflightSuperChunks),
+		bufs:       &bufPool{bufCap: chunker.MaxChunkSize(cfg.ChunkMethod, cfg.ChunkSize)},
 		wrotePaths: make(map[string]struct{}),
 		headroom:   headroom,
 	}
@@ -703,13 +692,20 @@ func (c *Client) accountTransfer(ctx context.Context) error {
 // replicateSession runs the Flush-time replication pass: every recipe
 // finalized this session is mirrored onto the rendezvous replica owners
 // of its super-chunk runs, one journaled transaction per run (see
-// Migrator.ReplicateRecipe).
+// migrate.Engine.ReplicateRecipe).
 func (c *Client) replicateSession(ctx context.Context) error {
 	cm, ok := c.dir.(director.ClusterMeta)
 	if !ok {
 		return fmt.Errorf("client: Config.Replicas >= 2 requires a director exposing membership metadata")
 	}
-	m := &Migrator{Meta: cm, Conns: c.byID, HandprintK: c.cfg.HandprintK}
+	eng := &migrate.Engine{
+		Catalog: cm,
+		Nodes: func(id int) (migrate.Node, bool) {
+			conn, ok := c.byID[id]
+			return conn, ok
+		},
+		HandprintK: c.cfg.HandprintK,
+	}
 	paths := make([]string, 0, len(c.wrotePaths))
 	for p := range c.wrotePaths {
 		paths = append(paths, p)
@@ -724,7 +720,7 @@ func (c *Client) replicateSession(ctx context.Context) error {
 			}
 			return fmt.Errorf("client: replicate %s: %w", p, err)
 		}
-		if _, err := m.ReplicateRecipe(ctx, r, c.members); err != nil {
+		if _, err := eng.ReplicateRecipe(ctx, r, c.members); err != nil {
 			return fmt.Errorf("client: replicate %s: %w", p, err)
 		}
 		delete(c.wrotePaths, p)
@@ -1102,12 +1098,11 @@ func (c *Client) restoreWorkers() int {
 }
 
 // Restore streams a backed-up file to w, reading ahead of the writer
-// while writing strictly in stream order. The default scheduler
-// partitions the recipe into byte-bounded windows (RestoreWindowBytes)
-// and fetches each window with one OpReadBatch RPC per node it touches —
-// the node reads every container once, sequentially — keeping up to
-// InflightSuperChunks windows in flight. Config.PerChunkRestore selects
-// the one-RPC-per-chunk path instead. Canceling ctx aborts the
+// while writing strictly in stream order. The scheduler partitions the
+// recipe into byte-bounded windows (RestoreWindowBytes) and fetches
+// each window with one OpReadBatch RPC per node it touches — the node
+// reads every container once, sequentially — keeping up to
+// InflightSuperChunks windows in flight. Canceling ctx aborts the
 // read-ahead and every RPC in flight.
 func (c *Client) Restore(ctx context.Context, path string, w io.Writer) error {
 	if err := tenant.ValidateBackupName(path); err != nil {
@@ -1117,82 +1112,13 @@ func (c *Client) Restore(ctx context.Context, path string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if c.cfg.PerChunkRestore {
-		err = c.restorePerChunk(ctx, path, recipe.Chunks, w)
-	} else {
-		err = c.restoreBatched(ctx, path, recipe.Chunks, w)
-	}
+	err = c.restoreBatched(ctx, path, recipe.Chunks, w)
 	if err == nil {
 		// Best-effort gauge update: a failed accounting call must not
 		// fail a restore that already delivered every byte.
 		c.accountTransfer(ctx)
 	}
 	return err
-}
-
-// restorePerChunk is the pre-batching restore scheduler: one OpReadChunk
-// RPC per recipe entry, prefetched by a bounded worker pool.
-func (c *Client) restorePerChunk(ctx context.Context, path string, entries []director.ChunkEntry, w io.Writer) error {
-	type job struct {
-		idx   int
-		entry director.ChunkEntry
-	}
-	g := pipeline.NewGroupCtx(ctx)
-	workers := c.restoreWorkers()
-	jobs := pipeline.Produce(g, workers, func(yield func(job) bool) error {
-		for i, entry := range entries {
-			if !yield(job{idx: i, entry: entry}) {
-				return nil
-			}
-		}
-		return nil
-	})
-	datas := pipeline.Map(g, jobs, workers, 2*workers, func(j job) ([]byte, error) {
-		data, err := c.readChunkFailover(ctx, j.entry)
-		if err != nil {
-			return nil, fmt.Errorf("client: restore %s chunk %d: %w", path, j.idx, err)
-		}
-		return data, nil
-	})
-	for data := range datas {
-		if _, err := w.Write(data); err != nil {
-			g.Fail(fmt.Errorf("client: restore %s: %w", path, err))
-			break
-		}
-		c.stats.RestoredBytes += int64(len(data))
-		c.stats.RestoreRPCs++
-		// ReadChunk hands back a fresh heap copy of the payload.
-		c.stats.ChunkBufAllocs++
-	}
-	return g.Wait()
-}
-
-// readChunkFailover reads one chunk from its primary node, failing over
-// to the entry's replica when the primary is out of the epoch (killed),
-// unreachable, or answers with an error — the chunk vanished with a
-// crashed disk, say. Both errors surface together when the replica
-// cannot serve either.
-func (c *Client) readChunkFailover(ctx context.Context, e director.ChunkEntry) ([]byte, error) {
-	conn, err := c.connByID(int(e.Node))
-	if err == nil {
-		var data []byte
-		if data, err = conn.ReadChunk(ctx, e.FP); err == nil {
-			return data, nil
-		}
-	}
-	if e.Replica < 0 {
-		return nil, err
-	}
-	rconn, rerr := c.connByID(int(e.Replica))
-	if rerr != nil {
-		return nil, fmt.Errorf("%w (failover: %v)", err, rerr)
-	}
-	data, rerr := rconn.ReadChunk(ctx, e.FP)
-	if rerr != nil {
-		return nil, fmt.Errorf("%w (failover: %v)", err, rerr)
-	}
-	c.failoverReads.Add(1)
-	return data, nil
 }
 
 // restoreWindow is one contiguous run of recipe entries scheduled as a
@@ -1366,7 +1292,7 @@ func (c *Client) failoverFetch(ctx context.Context, entries []director.ChunkEntr
 	return out, batches, rpcs, nil
 }
 
-// restoreBatched is the windowed batch scheduler: the recipe is cut into
+// restoreBatched is the windowed restore scheduler: the recipe is cut into
 // byte-bounded windows, up to InflightSuperChunks windows are fetched
 // ahead of the writer (fetchWindow), and payloads are written strictly
 // in stream order straight out of the pooled receive frames — no

@@ -12,16 +12,14 @@ import (
 )
 
 // benchRestore backs up size bytes once, then restores it repeatedly,
-// reporting restore MB/s and allocations per op — the per-chunk path
-// allocates a payload buffer per chunk; the batched path aliases pooled
-// RPC frames.
-func benchRestore(b *testing.B, addrs []string, perChunk bool, delay time.Duration, size int) {
+// reporting restore MB/s and allocations per op (payloads alias pooled
+// RPC frames).
+func benchRestore(b *testing.B, addrs []string, size int) {
 	b.Helper()
 	dir := director.New()
 	c, err := New(context.Background(), Config{
-		Name:            "bench",
-		SuperChunkSize:  128 << 10,
-		PerChunkRestore: perChunk,
+		Name:           "bench",
+		SuperChunkSize: 128 << 10,
 	}, dir, DenseNodes(addrs))
 	if err != nil {
 		b.Fatal(err)
@@ -45,21 +43,15 @@ func benchRestore(b *testing.B, addrs []string, perChunk bool, delay time.Durati
 	}
 }
 
-// BenchmarkRestore compares the batched scheduler against the
-// one-RPC-per-chunk path, with and without emulated node service time
-// (loopback hides the latency batching amortizes).
+// BenchmarkRestore measures the windowed restore scheduler with and
+// without emulated node service time (loopback hides the latency
+// batching amortizes).
 func BenchmarkRestore(b *testing.B) {
 	const size = 8 << 20
 	for _, delay := range []time.Duration{0, 200 * time.Microsecond} {
 		addrs := benchServers(b, 2, delay)
-		for _, perChunk := range []bool{false, true} {
-			mode := "batched"
-			if perChunk {
-				mode = "perchunk"
-			}
-			b.Run(fmt.Sprintf("%s/delay=%s", mode, delay), func(b *testing.B) {
-				benchRestore(b, addrs, perChunk, delay, size)
-			})
-		}
+		b.Run(fmt.Sprintf("delay=%s", delay), func(b *testing.B) {
+			benchRestore(b, addrs, size)
+		})
 	}
 }

@@ -91,50 +91,40 @@ func TestRestoreCancellationUnwinds(t *testing.T) {
 	}
 }
 
-// TestRestorePerChunkMatchesBatched restores the same backup through
-// both schedulers and requires byte-identical output plus the expected
-// RPC accounting (batched: one call per node per window; per-chunk: one
-// call per chunk).
-func TestRestorePerChunkMatchesBatched(t *testing.T) {
+// TestRestoreBatchedMatchesSource restores a backup through the windowed
+// scheduler and requires byte-identical output plus the expected
+// accounting: every byte counted once, at most one read RPC per node
+// per window.
+func TestRestoreBatchedMatchesSource(t *testing.T) {
 	addrs := startCluster(t, 2)
 	dir := director.New()
 	content := randBytes(91, 1<<20)
 
-	batched, err := New(context.Background(), Config{Name: "t", SuperChunkSize: 64 << 10}, dir, DenseNodes(addrs))
+	c, err := New(context.Background(), Config{Name: "t", SuperChunkSize: 64 << 10}, dir, DenseNodes(addrs))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer batched.Close()
-	if err := batched.BackupFile(context.Background(), "/img", bytes.NewReader(content)); err != nil {
+	defer c.Close()
+	if err := c.BackupFile(context.Background(), "/img", bytes.NewReader(content)); err != nil {
 		t.Fatal(err)
 	}
-	if err := batched.Flush(context.Background()); err != nil {
+	if err := c.Flush(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 
-	var a bytes.Buffer
-	if err := batched.Restore(context.Background(), "/img", &a); err != nil {
+	var out bytes.Buffer
+	if err := c.Restore(context.Background(), "/img", &out); err != nil {
 		t.Fatal(err)
 	}
-	perChunk, err := New(context.Background(), Config{Name: "t2", SuperChunkSize: 64 << 10, PerChunkRestore: true}, dir, DenseNodes(addrs))
-	if err != nil {
-		t.Fatal(err)
+	if !bytes.Equal(out.Bytes(), content) {
+		t.Fatal("restore disagrees with the backup content")
 	}
-	defer perChunk.Close()
-	var b bytes.Buffer
-	if err := perChunk.Restore(context.Background(), "/img", &b); err != nil {
-		t.Fatal(err)
+	st := c.Stats()
+	if st.RestoredBytes != int64(len(content)) {
+		t.Fatalf("RestoredBytes = %d, want %d", st.RestoredBytes, len(content))
 	}
-	if !bytes.Equal(a.Bytes(), content) || !bytes.Equal(b.Bytes(), content) {
-		t.Fatal("restore paths disagree with the backup content")
-	}
-
-	bst, pst := batched.Stats(), perChunk.Stats()
-	if bst.RestoredBytes != int64(len(content)) || pst.RestoredBytes != int64(len(content)) {
-		t.Fatalf("RestoredBytes = %d / %d, want %d", bst.RestoredBytes, pst.RestoredBytes, len(content))
-	}
-	if bst.RestoreRPCs >= pst.RestoreRPCs {
-		t.Fatalf("batched restore used %d RPCs, per-chunk %d: batching saved nothing",
-			bst.RestoreRPCs, pst.RestoreRPCs)
+	windows := (int64(len(content)) + c.Config().RestoreWindowBytes - 1) / c.Config().RestoreWindowBytes
+	if max := int64(len(addrs)) * windows; st.RestoreRPCs < 1 || st.RestoreRPCs > max {
+		t.Fatalf("restore used %d read RPCs, want 1..%d (nodes x windows)", st.RestoreRPCs, max)
 	}
 }

@@ -30,6 +30,7 @@ import (
 	"sync/atomic"
 
 	"sigmadedupe/internal/core"
+	"sigmadedupe/internal/director"
 	"sigmadedupe/internal/fingerprint"
 	"sigmadedupe/internal/metrics"
 	"sigmadedupe/internal/migrate"
@@ -83,9 +84,9 @@ type Config struct {
 	// retention). Incompatible with the Extreme Binning scheme, whose
 	// bin-scoped stores bypass the refcounted chunk index.
 	TrackRecipes bool
-	// Replicas >= 2 enables R=2 replica placement: every routed
-	// super-chunk is also stored on the rendezvous replica owner of its
-	// first fingerprint, restores fail over to the replica when the
+	// Replicas >= 2 enables R=2 replica placement: every completed item's
+	// super-chunk runs are also stored on the rendezvous replica owner of
+	// their first fingerprint, restores fail over to the replica when the
 	// primary is gone, and Repair re-converges placement after a node
 	// crash. Requires TrackRecipes and payload-carrying nodes. The
 	// default (0) keeps the single-copy behavior.
@@ -179,10 +180,11 @@ type Cluster struct {
 	// items (guarded by memberMu; pruned by waitEpochQuiesce).
 	epochs []*epochState
 
-	// Pending super-chunk migrations (see membership.go): transactions
-	// opened but not yet closed, the crash-recovery work list. Guarded
-	// by recMu together with the recipes they reference.
-	pendingMigs  map[uint64]simMigration
+	// Pending migration/replication transactions (see catalog.go):
+	// opened but not yet closed, the crash-recovery work list — the in-RAM
+	// counterpart of the director's MEMBERS journal. Guarded by recMu
+	// together with the recipes they reference.
+	pendingMigs  map[uint64]director.Migration
 	nextMig      uint64
 	migrateFault migrate.Fault
 
@@ -194,9 +196,11 @@ type Cluster struct {
 	base Stats
 
 	// recipes holds, per tracked backup item, the chunk references it
-	// took and where they were routed (Config.TrackRecipes).
-	recMu   sync.Mutex
-	recipes map[uint64][]RecipeEntry
+	// took and where they were routed (Config.TrackRecipes). recipeSeq
+	// numbers the recipes ever created (simRecipe.session).
+	recMu     sync.Mutex
+	recipes   map[uint64]simRecipe
+	recipeSeq uint64
 
 	// failoverReads counts restore reads served by a replica after the
 	// primary failed — the simulator mirror of client Stats.FailoverReads.
@@ -206,16 +210,19 @@ type Cluster struct {
 	def *Stream
 }
 
-// RecipeEntry is one tracked chunk reference of a backup item: the chunk
-// fingerprint, its size, the node it was routed to, and the replica node
-// holding its second copy (-1 when the entry has none — node 0 is a
-// valid replica site, so the zero value must never be used to mean
-// "no replica").
-type RecipeEntry struct {
-	FP      fingerprint.Fingerprint
-	Size    int
-	Node    int
-	Replica int
+// RecipeEntry is one tracked chunk reference of a backup item — the
+// director's recipe entry, so the migration engine reads and rewrites
+// the simulator's catalog without conversion.
+type RecipeEntry = director.ChunkEntry
+
+// simRecipe is one tracked item's recipe. session is unique per recipe
+// ever created and gen counts its modifications — the director's
+// (Session, Gen) pair, so the migration engine's conditional rewrites
+// detect an item appended to, rewritten, or deleted and re-created
+// under a reused ID since they planned from it.
+type simRecipe struct {
+	session, gen uint64
+	entries      []RecipeEntry
 }
 
 // epochState is one committed membership epoch: the member list plus an
@@ -280,8 +287,8 @@ func New(cfg Config) (*Cluster, error) {
 		nodes:       nodes,
 		maxID:       cfg.N - 1,
 		rt:          rt,
-		recipes:     make(map[uint64][]RecipeEntry),
-		pendingMigs: make(map[uint64]simMigration),
+		recipes:     make(map[uint64]simRecipe),
+		pendingMigs: make(map[uint64]director.Migration),
 	}
 	c.commitEpochLocked(core.DenseMembership(cfg.N))
 	// The default stream keeps the seed's container naming ("client0") so
@@ -572,6 +579,8 @@ type Stream struct {
 	// took the cluster-wide write lock per backup item, which at 64
 	// concurrent streams serialized the whole ingest.
 	st *epochState
+	// item is the fileID of the item BeginItem opened.
+	item uint64
 	// retired guards against double-folding; protected by c.shardMu.
 	retired bool
 }
@@ -658,7 +667,7 @@ func (s *Stream) BackupItem(fileID uint64, refs []core.ChunkRef) error {
 			}
 		}
 	}
-	return nil
+	return s.replicateItem(context.TODO(), fileID)
 }
 
 // Flush routes the stream's final partial super-chunk. It does not seal
@@ -684,6 +693,7 @@ func (s *Stream) BeginItem(fileID uint64) {
 	s.ctr.files.Add(1)
 	s.acquirePin()
 	s.part.SetFileID(fileID)
+	s.item = fileID
 }
 
 // AddChunk feeds one fingerprinted chunk of the current item, returning
@@ -714,20 +724,24 @@ func (s *Stream) AddChunk(ctx context.Context, ref core.ChunkRef) (RouteOutcome,
 // boundary cut. With recipe tracking on, the partial super-chunk is
 // cut and routed at the item boundary so no super-chunk can carry one
 // item's chunks into the next item's attribution — the same invariant
-// BackupItem maintains.
+// BackupItem maintains — and on an R=2 cluster the completed item is
+// replicated before the call returns.
 func (s *Stream) EndItem(ctx context.Context) (RouteOutcome, error) {
 	defer s.releasePin()
 	if err := ctx.Err(); err != nil {
 		return RouteOutcome{}, err
 	}
+	var out RouteOutcome
 	if s.c.cfg.TrackRecipes {
 		if sc := s.part.Flush(); sc != nil {
-			routed := sc.Size()
-			stored, err := s.routeAndStore(sc)
-			return RouteOutcome{RoutedBytes: routed, StoredBytes: stored}, err
+			out.RoutedBytes = sc.Size()
+			var err error
+			if out.StoredBytes, err = s.routeAndStore(sc); err != nil {
+				return out, err
+			}
 		}
 	}
-	return RouteOutcome{}, nil
+	return out, s.replicateItem(ctx, s.item)
 }
 
 // AbortItem discards the partial super-chunk of a failed item so its
@@ -793,20 +807,18 @@ func (s *Stream) routeAndStore(sc *core.SuperChunk) (int64, error) {
 		if c.cfg.TrackRecipes && sc.FileID != 0 {
 			entries := make([]RecipeEntry, len(target.Chunks))
 			for i, ch := range target.Chunks {
-				entries[i] = RecipeEntry{FP: ch.FP, Size: ch.Size, Node: a.Node, Replica: -1}
+				entries[i] = RecipeEntry{FP: ch.FP, Size: int32(ch.Size), Node: int32(a.Node), Replica: -1}
 			}
 			c.recMu.Lock()
-			start := len(c.recipes[sc.FileID])
-			c.recipes[sc.FileID] = append(c.recipes[sc.FileID], entries...)
-			c.recMu.Unlock()
-			// R=2: mirror the super-chunk onto its rendezvous replica owner
-			// while the payloads are still in hand (replication is migration
-			// that doesn't decref the source; see replication.go).
-			if c.cfg.Replicas >= 2 && len(target.Chunks) > 0 && target.Chunks[0].Data != nil {
-				if err := s.replicate(sc.FileID, target, a.Node, start, len(entries)); err != nil {
-					return stored, err
-				}
+			r := c.recipes[sc.FileID]
+			if r.gen == 0 {
+				c.recipeSeq++
+				r.session = c.recipeSeq
 			}
+			r.gen++
+			r.entries = append(r.entries, entries...)
+			c.recipes[sc.FileID] = r
+			c.recMu.Unlock()
 		}
 	}
 	return stored, nil
@@ -909,9 +921,7 @@ func (c *Cluster) Recipe(fileID uint64) ([]RecipeEntry, bool) {
 	if !ok {
 		return nil, false
 	}
-	out := make([]RecipeEntry, len(r))
-	copy(out, r)
-	return out, true
+	return append([]RecipeEntry(nil), r.entries...), true
 }
 
 // DeleteBackup deletes a tracked backup item: its recipe is dropped and
@@ -924,7 +934,7 @@ func (c *Cluster) DeleteBackup(fileID uint64) error {
 		return fmt.Errorf("cluster: DeleteBackup requires Config.TrackRecipes")
 	}
 	c.recMu.Lock()
-	entries, ok := c.recipes[fileID]
+	r, ok := c.recipes[fileID]
 	if ok {
 		delete(c.recipes, fileID)
 	}
@@ -932,15 +942,15 @@ func (c *Cluster) DeleteBackup(fileID uint64) error {
 	if !ok {
 		return fmt.Errorf("cluster: no tracked backup %d: %w", fileID, sderr.ErrNotFound)
 	}
-	byNode := make(map[int][]fingerprint.Fingerprint)
-	for _, e := range entries {
+	byNode := make(map[int32][]fingerprint.Fingerprint)
+	for _, e := range r.entries {
 		byNode[e.Node] = append(byNode[e.Node], e.FP)
 		if e.Replica >= 0 {
 			byNode[e.Replica] = append(byNode[e.Replica], e.FP)
 		}
 	}
 	for id, fps := range byNode {
-		nd, err := c.nodeByID(id)
+		nd, err := c.nodeByID(int(id))
 		if err != nil {
 			if errors.Is(err, sderr.ErrNotFound) {
 				// A crashed node took its references with it; nothing to
@@ -955,6 +965,15 @@ func (c *Cluster) DeleteBackup(fileID uint64) error {
 		}
 	}
 	return nil
+}
+
+// restoreReq is one node's share of a restore window: the deduplicated
+// fingerprints to fetch, their first-occurrence index, and the payloads
+// scattered back into request order.
+type restoreReq struct {
+	fps  []fingerprint.Fingerprint
+	idx  map[fingerprint.Fingerprint]int
+	data [][]byte
 }
 
 // restoreWindowBytes is the payload budget of one simulator restore
@@ -993,7 +1012,7 @@ func (c *Cluster) RestoreBackup(ctx context.Context, fileID uint64, w io.Writer)
 // per node with repeated fingerprints deduplicated, and writes the
 // payloads in stream order.
 func (c *Cluster) restoreWindow(fileID uint64, entries []RecipeEntry, first int, w io.Writer) error {
-	reqs := make(map[int]*restoreReq)
+	reqs := make(map[int32]*restoreReq)
 	for _, e := range entries {
 		nr := reqs[e.Node]
 		if nr == nil {
@@ -1008,7 +1027,7 @@ func (c *Cluster) restoreWindow(fileID uint64, entries []RecipeEntry, first int,
 	for id, nr := range reqs {
 		var out [][]byte
 		var idx []int
-		nd, err := c.nodeByID(id)
+		nd, err := c.nodeByID(int(id))
 		if err == nil {
 			out, idx, err = nd.ReadChunkBatch(nr.fps)
 		}
@@ -1032,6 +1051,45 @@ func (c *Cluster) restoreWindow(fileID uint64, entries []RecipeEntry, first int,
 		if _, err := w.Write(nr.data[nr.idx[e.FP]]); err != nil {
 			return fmt.Errorf("cluster: restore backup %d: %w", fileID, err)
 		}
+	}
+	return nil
+}
+
+// failoverGroup serves one failed node's share of a restore window from
+// the entries' replica owners: each fingerprint maps to the replica its
+// recipe entry recorded, the group re-batches per replica node, and the
+// payloads scatter into the request's slots as if the primary had
+// answered.
+func (c *Cluster) failoverGroup(failed int32, nr *restoreReq, entries []RecipeEntry) error {
+	replicaOf := make(map[fingerprint.Fingerprint]int32, len(nr.fps))
+	for _, e := range entries {
+		if e.Node == failed && e.Replica >= 0 {
+			replicaOf[e.FP] = e.Replica
+		}
+	}
+	groups := make(map[int32][]fingerprint.Fingerprint)
+	for _, fp := range nr.fps {
+		rep, ok := replicaOf[fp]
+		if !ok {
+			return fmt.Errorf("cluster: chunk %s on failed node %d has no replica: %w",
+				fp.Short(), failed, sderr.ErrNotFound)
+		}
+		groups[rep] = append(groups[rep], fp)
+	}
+	nr.data = make([][]byte, len(nr.fps))
+	for rep, fps := range groups {
+		nd, err := c.nodeByID(int(rep))
+		if err != nil {
+			return fmt.Errorf("cluster: failover to replica node %d: %w", rep, err)
+		}
+		out, idx, err := nd.ReadChunkBatch(fps)
+		if err != nil {
+			return fmt.Errorf("cluster: failover read on replica node %d: %w", rep, err)
+		}
+		for i, d := range out {
+			nr.data[nr.idx[fps[idx[i]]]] = d
+		}
+		c.failoverReads.Add(int64(len(fps)))
 	}
 	return nil
 }

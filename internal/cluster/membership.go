@@ -1,58 +1,45 @@
-// Elastic membership for the simulated cluster: online node add/remove
-// and recipe-driven super-chunk migration — the in-process mirror of the
-// prototype's director-journaled membership engine, with the exact
-// tracking the simulator exists for.
-//
-// The commit protocol per moved segment follows package migrate: open a
-// pending transaction, copy the payloads to the target through the
-// normal dedup store path (references + similarity-index entries),
-// flush the target (durable commit), repoint the recipe, release the
-// source's references, close the transaction. A migration aborted at
-// any stage (SetMigrateFault emulates the crash) leaves its transaction
-// pending; RecoverMigrations reconciles the involved chunks' reference
-// counts against the recipe catalog and converges to old-or-new
-// placement with zero leaked references.
+// Elastic membership, R=2 replication and repair for the simulated
+// cluster. The algorithms are package migrate's single engine; this
+// file owns what is genuinely simulator-side: membership epochs and
+// their grace period, the configuration guard, node creation and
+// death, and handing the engine the in-process node transport
+// (migrate.Local) and the recipe tracker as its catalog (catalog.go).
 package cluster
 
 import (
 	"context"
 	"fmt"
-	"sort"
 	"time"
 
 	"sigmadedupe/internal/core"
-	"sigmadedupe/internal/fingerprint"
 	"sigmadedupe/internal/migrate"
 	"sigmadedupe/internal/router"
 )
 
-// simMigration is one pending migration transaction of the simulator —
-// the in-RAM mirror of the director's journaled "mig" record.
-type simMigration struct {
-	id           uint64
-	fileID       uint64
-	from, to     int
-	start, count int
-	fps          []fingerprint.Fingerprint
-}
-
 // MigrationResult summarizes the super-chunk migration behind one
-// membership change or rebalance pass (shared shape with the prototype
-// engine).
+// membership change or rebalance pass.
 type MigrationResult = migrate.Result
 
 // SetMigrateFault installs a fault-injection hook invoked at each stage
-// of each segment's migration; a non-nil return aborts the migration
-// mid-flight, emulating a crash at that point (the membership analogue
-// of store.SetCompactFault). Tests only; not safe to call while a
+// of each segment's transaction; a non-nil return aborts it mid-flight,
+// emulating a crash at that point (the membership analogue of
+// store.SetCompactFault). Tests only; not safe to call while a
 // migration runs.
 func (c *Cluster) SetMigrateFault(fn migrate.Fault) { c.migrateFault = fn }
 
-func (c *Cluster) faultAt(stage migrate.Stage, fileID uint64) error {
-	if c.migrateFault != nil {
-		return c.migrateFault(stage, fmt.Sprintf("item %d", fileID))
+// engine builds the migration engine over the live node registry and
+// the recipe tracker.
+func (c *Cluster) engine() *migrate.Engine {
+	return &migrate.Engine{
+		Catalog: catalog{c},
+		Nodes: func(id int) (migrate.Node, bool) {
+			n, err := c.nodeByID(id)
+			return migrate.Local(n), err == nil
+		},
+		HandprintK: c.cfg.HandprintK,
+		Replicas:   c.cfg.Replicas,
+		Fault:      c.migrateFault,
 	}
-	return nil
 }
 
 // elasticGuard rejects membership operations on configurations that
@@ -141,33 +128,13 @@ func (c *Cluster) RemoveNode(ctx context.Context, id int) (MigrationResult, erro
 		return res, err
 	}
 
-	// Clear replica attributions off the departing node before the drain
-	// (clear-then-decref: a crash in between strands surplus references
-	// that anti-entropy repair releases, never dangling attributions).
-	// Repair restores R=2 for the affected runs on the survivors.
-	if err := c.stripReplicas(id); err != nil {
+	// Drain: migrate every segment placed on the node (replica
+	// attributions on it are cleared first; Repair restores R=2 for those
+	// runs on the survivors).
+	res, err := c.engine().Drain(ctx, id, remaining)
+	if err != nil {
 		return res, err
 	}
-
-	// Drain passes: migrate every segment placed on the node. In-flight
-	// items pinned to the old epoch may still land chunks on it for one
-	// item's duration; rescan until clean. touched counts each backup
-	// item once no matter how many passes move pieces of it.
-	touched := make(map[uint64]struct{})
-	for pass := 0; ; pass++ {
-		moved, clean, err := c.drainPass(ctx, id, remaining, touched)
-		res.Add(moved)
-		if err != nil {
-			return res, err
-		}
-		if clean {
-			break
-		}
-		if pass >= 8 {
-			return res, fmt.Errorf("cluster: node %d keeps receiving traffic; quiesce backup streams before RemoveNode", id)
-		}
-	}
-	res.Backups = len(touched)
 
 	c.memberMu.Lock()
 	n := c.nodes[id]
@@ -179,467 +146,63 @@ func (c *Cluster) RemoveNode(ctx context.Context, id int) (MigrationResult, erro
 	return res, nil
 }
 
-// stripReplicas clears every replica attribution pointing at node id
-// and releases the corresponding references there. Attribution clears
-// before the decref so no recipe ever points at references that are
-// gone — the failure mode is a leak, and leaks are what repair's
-// reconciliation exists to erase.
-func (c *Cluster) stripReplicas(id int) error {
-	c.recMu.Lock()
-	var fps []fingerprint.Fingerprint
-	for _, entries := range c.recipes {
-		for i := range entries {
-			if entries[i].Replica == id {
-				fps = append(fps, entries[i].FP)
-				entries[i].Replica = -1
-			}
+// KillNode hard-kills node id: it leaves the membership immediately —
+// no drain, no migration, its chunks are unreachable from the cluster's
+// perspective and only replicas keep its backups restorable. In-process
+// resources are released best-effort (a kill models loss of
+// reachability, not an orderly shutdown, so close errors are moot).
+// Refuses to kill the last member.
+func (c *Cluster) KillNode(id int) error {
+	c.memberMu.Lock()
+	n := c.nodes[id]
+	if n == nil {
+		c.memberMu.Unlock()
+		return fmt.Errorf("cluster: no node %d", id)
+	}
+	if members := c.cur.Load().members; members.Contains(id) {
+		if members.Len() == 1 {
+			c.memberMu.Unlock()
+			return fmt.Errorf("cluster: cannot kill the last node")
 		}
+		c.commitEpochLocked(core.NewMembership(members.Epoch+1, members.Without(id).Nodes))
 	}
-	c.recMu.Unlock()
-	if len(fps) == 0 {
-		return nil
-	}
-	nd, err := c.nodeByID(id)
-	if err != nil {
-		return err
-	}
-	order, ns := core.AggregateRefs(fps)
-	if err := nd.DecRef(order, ns); err != nil {
-		return fmt.Errorf("cluster: strip replicas off node %d: %w", id, err)
-	}
+	delete(c.nodes, id)
+	c.memberMu.Unlock()
+	_ = n.Close()
 	return nil
-}
-
-// drainPass migrates every recipe segment currently placed on node id,
-// reporting whether the node ended the pass clean. Items that moved are
-// recorded in touched (the distinct-backup count lives with the
-// caller, not the pass).
-func (c *Cluster) drainPass(ctx context.Context, id int, members core.Membership, touched map[uint64]struct{}) (MigrationResult, bool, error) {
-	var res MigrationResult
-	c.recMu.Lock()
-	ids := make([]uint64, 0, len(c.recipes))
-	for fid := range c.recipes {
-		ids = append(ids, fid)
-	}
-	c.recMu.Unlock()
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-
-	clean := true
-	for _, fid := range ids {
-		if err := ctx.Err(); err != nil {
-			return res, false, err
-		}
-		moved, err := c.migrateItemOff(ctx, fid, id, members)
-		if err != nil {
-			return res, false, err
-		}
-		if moved.Segments > 0 {
-			clean = false
-			res.Add(moved)
-			touched[fid] = struct{}{}
-		}
-	}
-	return res, clean, nil
-}
-
-// migrateItemOff moves every segment of one tracked item off node from,
-// choosing each segment's target by similarity bids among members.
-func (c *Cluster) migrateItemOff(ctx context.Context, fileID uint64, from int, members core.Membership) (MigrationResult, error) {
-	var res MigrationResult
-	for {
-		if err := ctx.Err(); err != nil {
-			return res, err
-		}
-		// Segments shift as earlier ones migrate; re-derive from the live
-		// recipe each round and move the first remaining one.
-		c.recMu.Lock()
-		entries := c.recipes[fileID]
-		segs := entrySegments(entries, from)
-		c.recMu.Unlock()
-		if len(segs) == 0 {
-			return res, nil
-		}
-		seg := segs[0]
-		to := c.pickTarget(segmentRefs(entries, seg), from, members)
-		n, bytes, err := c.migrateSegment(fileID, seg, from, to)
-		if err != nil {
-			return res, err
-		}
-		res.Segments++
-		res.Chunks += int64(n)
-		res.Bytes += bytes
-	}
-}
-
-// entrySegments returns the movable runs of a recipe placed on node.
-func entrySegments(entries []RecipeEntry, node int) []migrate.Segment {
-	nodes := make([]int32, len(entries))
-	for i, e := range entries {
-		nodes[i] = int32(e.Node)
-	}
-	return migrate.Segments(nodes, int32(node), 0)
-}
-
-// segmentRefs snapshots one segment's chunk references.
-func segmentRefs(entries []RecipeEntry, seg migrate.Segment) []RecipeEntry {
-	out := make([]RecipeEntry, seg.Count)
-	copy(out, entries[seg.Start:seg.Start+seg.Count])
-	return out
-}
-
-// pickTarget selects a migration target for one segment: the similarity
-// bid among the segment's epoch candidates (excluding the source), with
-// the usual least-loaded fallback — the same Algorithm 1 selection that
-// routed the segment originally, restricted to the surviving members.
-func (c *Cluster) pickTarget(refs []RecipeEntry, from int, members core.Membership) int {
-	fps := make([]fingerprint.Fingerprint, len(refs))
-	for i, r := range refs {
-		fps[i] = r.FP
-	}
-	hp := core.NewHandprint(fps, c.cfg.HandprintK)
-	var seed uint64
-	if len(fps) > 0 {
-		seed = fps[0].Uint64()
-	}
-	cands := members.Without(from).Candidates(hp, seed)
-	if len(cands) == 0 {
-		cands = members.Without(from).Nodes
-	}
-	counts := make([]int, len(cands))
-	usage := make([]int64, len(cands))
-	for i, cand := range cands {
-		counts[i] = c.BidHandprint(cand, hp)
-		usage[i] = c.Usage(cand)
-	}
-	return core.SelectTarget(cands, counts, usage).Node
-}
-
-// migrateSegment moves one recipe segment from → to under the commit
-// protocol, returning the chunk occurrences and payload bytes moved.
-func (c *Cluster) migrateSegment(fileID uint64, seg migrate.Segment, from, to int) (int, int64, error) {
-	src, err := c.nodeByID(from)
-	if err != nil {
-		return 0, 0, err
-	}
-	dst, err := c.nodeByID(to)
-	if err != nil {
-		return 0, 0, err
-	}
-
-	// Open the transaction: snapshot the segment under recMu and record
-	// it pending. From here on, an abort at any point leaves the pending
-	// record behind for RecoverMigrations to reconcile.
-	c.recMu.Lock()
-	entries := c.recipes[fileID]
-	if !segmentStillOn(entries, seg, from) {
-		c.recMu.Unlock()
-		return 0, 0, nil // superseded or deleted under us: nothing to move
-	}
-	refs := segmentRefs(entries, seg)
-	c.nextMig++
-	mig := simMigration{id: c.nextMig, fileID: fileID, from: from, to: to,
-		start: seg.Start, count: seg.Count, fps: make([]fingerprint.Fingerprint, len(refs))}
-	for i, r := range refs {
-		mig.fps[i] = r.FP
-	}
-	c.pendingMigs[mig.id] = mig
-	c.recMu.Unlock()
-
-	// Read the payloads off the source.
-	sc := &core.SuperChunk{}
-	var bytes int64
-	for _, r := range refs {
-		data, err := src.ReadChunk(r.FP)
-		if err != nil {
-			return 0, 0, fmt.Errorf("cluster: migrate item %d: read chunk %s from node %d: %w",
-				fileID, r.FP.Short(), from, err)
-		}
-		sc.Chunks = append(sc.Chunks, core.ChunkRef{FP: r.FP, Size: r.Size, Data: data})
-		bytes += int64(r.Size)
-	}
-	if err := c.faultAt(migrate.StageRead, fileID); err != nil {
-		return 0, 0, err
-	}
-
-	// Store on the target through the normal dedup path: one reference
-	// per occurrence, similarity-index entries for the segment's
-	// representative fingerprints.
-	if _, err := dst.StoreSuperChunk(migrateStream, sc); err != nil {
-		return 0, 0, fmt.Errorf("cluster: migrate item %d to node %d: %w", fileID, to, err)
-	}
-	if err := c.faultAt(migrate.StageStored, fileID); err != nil {
-		return 0, 0, err
-	}
-
-	// Commit the target: the migration stream's container seals and the
-	// manifest fsyncs — the chunks and their references survive a
-	// target restart, and concurrent backup streams' open containers
-	// are left undisturbed.
-	if err := dst.SealStream(migrateStream); err != nil {
-		return 0, 0, fmt.Errorf("cluster: migrate item %d: commit node %d: %w", fileID, to, err)
-	}
-	if err := c.faultAt(migrate.StageCommitted, fileID); err != nil {
-		return 0, 0, err
-	}
-
-	// Repoint the recipe — THE commit point. A recipe that changed under
-	// us (concurrent delete or re-backup) wins; roll our target refs
-	// back and give way.
-	c.recMu.Lock()
-	entries = c.recipes[fileID]
-	if !segmentStillOn(entries, seg, from) {
-		c.recMu.Unlock()
-		order, ns := aggregateEntryRefs(refs)
-		if err := dst.DecRef(order, ns); err != nil {
-			return 0, 0, fmt.Errorf("cluster: migrate item %d: roll back node %d: %w", fileID, to, err)
-		}
-		// Close the transaction only after the rollback landed; an abort
-		// in between leaves the pending record for recovery.
-		c.recMu.Lock()
-		delete(c.pendingMigs, mig.id)
-		c.recMu.Unlock()
-		return 0, 0, nil
-	}
-	var dupFPs []fingerprint.Fingerprint
-	for i := seg.Start; i < seg.Start+seg.Count; i++ {
-		entries[i].Node = to
-		// A segment migrating onto the node that already holds its replica
-		// collapses to one attribution: clear the replica (repair restores
-		// R=2 elsewhere) and remember the now-duplicate reference.
-		if entries[i].Replica == to {
-			entries[i].Replica = -1
-			dupFPs = append(dupFPs, entries[i].FP)
-		}
-	}
-	c.recMu.Unlock()
-	if err := c.faultAt(migrate.StageUpdated, fileID); err != nil {
-		return 0, 0, err
-	}
-
-	// Release the source's references; the old copies become dead
-	// container space for compaction.
-	order, ns := aggregateEntryRefs(refs)
-	if err := src.DecRef(order, ns); err != nil {
-		return 0, 0, fmt.Errorf("cluster: migrate item %d: decref node %d: %w", fileID, from, err)
-	}
-	// Release the target's now-duplicate replica references (cleared
-	// above; a crash in between strands them as surplus for recovery).
-	if len(dupFPs) > 0 {
-		order, ns := core.AggregateRefs(dupFPs)
-		if err := dst.DecRef(order, ns); err != nil {
-			return 0, 0, fmt.Errorf("cluster: migrate item %d: decref duplicate replicas on node %d: %w", fileID, to, err)
-		}
-	}
-	if err := c.faultAt(migrate.StageDecreffed, fileID); err != nil {
-		return 0, 0, err
-	}
-
-	// Close the transaction.
-	c.recMu.Lock()
-	delete(c.pendingMigs, mig.id)
-	c.recMu.Unlock()
-	return len(refs), bytes, nil
-}
-
-// migrateStream is the node stream that receives migrated segments.
-const migrateStream = "\x00migrate"
-
-// segmentStillOn reports whether the recipe's [Start, Start+Count)
-// entries are all still placed on node — the conflict check of the
-// migration commit.
-func segmentStillOn(entries []RecipeEntry, seg migrate.Segment, node int) bool {
-	if seg.Start+seg.Count > len(entries) {
-		return false
-	}
-	for i := seg.Start; i < seg.Start+seg.Count; i++ {
-		if entries[i].Node != node {
-			return false
-		}
-	}
-	return true
-}
-
-// aggregateEntryRefs folds segment entries into (fp, count) decref
-// batches.
-func aggregateEntryRefs(refs []RecipeEntry) ([]fingerprint.Fingerprint, []int64) {
-	fps := make([]fingerprint.Fingerprint, len(refs))
-	for i, r := range refs {
-		fps[i] = r.FP
-	}
-	return core.AggregateRefs(fps)
 }
 
 // Rebalance migrates super-chunk segments from overloaded members onto
-// underloaded ones (typically a freshly added node): a segment moves to
-// the rendezvous owner of its representative fingerprint when that
-// owner sits below the cluster's mean usage and the segment's current
-// home sits above it. Placement remains discoverable by future backups
-// — the owner is by construction one of the segment's routing
-// candidates, and the migrated similarity-index entries make it win
-// their bids.
+// underloaded rendezvous owners (typically a freshly added node); see
+// migrate.Engine.Rebalance for the policy.
 func (c *Cluster) Rebalance(ctx context.Context) (MigrationResult, error) {
-	var res MigrationResult
 	if err := c.elasticGuard(true); err != nil {
-		return res, err
+		return MigrationResult{}, err
 	}
 	if err := c.guardNoPendingMigrations(); err != nil {
-		return res, err
+		return MigrationResult{}, err
 	}
-	members := c.Membership()
-	if members.Len() < 2 {
-		return res, nil
-	}
-
-	// Usage snapshot, maintained as moves are planned so one pass cannot
-	// overshoot the balance point.
-	usage := make(map[int]int64, members.Len())
-	var total int64
-	for _, id := range members.Nodes {
-		usage[id] = c.Usage(id)
-		total += usage[id]
-	}
-	mean := total / int64(members.Len())
-
-	c.recMu.Lock()
-	ids := make([]uint64, 0, len(c.recipes))
-	for fid := range c.recipes {
-		ids = append(ids, fid)
-	}
-	c.recMu.Unlock()
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-
-	for _, fid := range ids {
-		if err := ctx.Err(); err != nil {
-			return res, err
-		}
-		c.recMu.Lock()
-		entries := c.recipes[fid]
-		type plan struct {
-			seg  migrate.Segment
-			from int
-			to   int
-		}
-		var plans []plan
-		i := 0
-		for i < len(entries) {
-			from := entries[i].Node
-			start := i
-			for i < len(entries) && entries[i].Node == from && i-start < migrate.DefaultSegmentChunks {
-				i++
-			}
-			seg := migrate.Segment{Start: start, Count: i - start}
-			if !migrate.Overloaded(usage[from], mean) {
-				continue
-			}
-			refs := entries[seg.Start : seg.Start+seg.Count]
-			fps := make([]fingerprint.Fingerprint, len(refs))
-			var segBytes int64
-			for j, r := range refs {
-				fps[j] = r.FP
-				segBytes += int64(r.Size)
-			}
-			owner := members.Owner(core.NewHandprint(fps, c.cfg.HandprintK)[0])
-			if owner == from || !migrate.Underloaded(usage[owner], mean) {
-				continue
-			}
-			plans = append(plans, plan{seg: seg, from: from, to: owner})
-			usage[from] -= segBytes
-			usage[owner] += segBytes
-		}
-		c.recMu.Unlock()
-		touched := false
-		for _, p := range plans {
-			n, bytes, err := c.migrateSegment(fid, p.seg, p.from, p.to)
-			if err != nil {
-				return res, err
-			}
-			if n > 0 {
-				res.Segments++
-				res.Chunks += int64(n)
-				res.Bytes += bytes
-				touched = true
-			}
-		}
-		if touched {
-			res.Backups++
-		}
-	}
-	return res, nil
+	return c.engine().Rebalance(ctx, c.Membership())
 }
 
-// RecoverMigrations settles every pending migration transaction by
-// reference reconciliation: for each involved chunk, the expected
-// per-node reference count is recomputed from the recipe catalog (the
-// sole source of references on a tracked cluster), the node's actual
-// count is probed, and exactly the surplus is released. Idempotent —
-// recovery may itself be interrupted and rerun. Callers must quiesce
-// backups, deletes and other migrations first.
+// Repair is the anti-entropy pass that re-converges the cluster after a
+// node crash (or any interrupted replication/migration); see
+// migrate.Engine.Repair. Like migration recovery it assumes quiesced
+// traffic and a fully tracked catalog (every backup stored with a
+// non-zero fileID): recipes are the sole source of references it
+// reconciles against.
+func (c *Cluster) Repair(ctx context.Context) (migrate.RepairResult, error) {
+	if err := c.elasticGuard(true); err != nil {
+		return migrate.RepairResult{}, err
+	}
+	return c.engine().Repair(ctx, c.Membership())
+}
+
+// RecoverMigrations settles every pending transaction by reference
+// reconciliation (migrate.Engine.Recover). Callers must quiesce backups,
+// deletes and other migrations first.
 func (c *Cluster) RecoverMigrations() error {
-	c.recMu.Lock()
-	pending := make([]simMigration, 0, len(c.pendingMigs))
-	for _, m := range c.pendingMigs {
-		pending = append(pending, m)
-	}
-	c.recMu.Unlock()
-	sort.Slice(pending, func(i, j int) bool { return pending[i].id < pending[j].id })
-
-	for _, m := range pending {
-		if err := c.reconcileMigration(m); err != nil {
-			return err
-		}
-		c.recMu.Lock()
-		delete(c.pendingMigs, m.id)
-		c.recMu.Unlock()
-	}
-	return nil
-}
-
-// reconcileMigration erases one half-done migration's stranded
-// references on both its endpoints (the shared migrate.Reconcile
-// algorithm over the simulator's recipe map and in-process nodes).
-func (c *Cluster) reconcileMigration(m simMigration) error {
-	return migrate.Reconcile(m.fps, int32(m.from), int32(m.to),
-		func(want map[fingerprint.Fingerprint]struct{}) map[int32]map[fingerprint.Fingerprint]int64 {
-			expected := map[int32]map[fingerprint.Fingerprint]int64{int32(m.from): {}, int32(m.to): {}}
-			c.recMu.Lock()
-			for _, entries := range c.recipes {
-				for _, e := range entries {
-					if _, wanted := want[e.FP]; !wanted {
-						continue
-					}
-					if exp, ok := expected[int32(e.Node)]; ok {
-						exp[e.FP]++
-					}
-					// Replica attributions hold references too: a crashed
-					// replication either set the attribution (the reference
-					// counts) or didn't (it reads as surplus and is released).
-					if e.Replica >= 0 {
-						if exp, ok := expected[int32(e.Replica)]; ok {
-							exp[e.FP]++
-						}
-					}
-				}
-			}
-			c.recMu.Unlock()
-			return expected
-		},
-		func(node int32, fps []fingerprint.Fingerprint) ([]int64, bool, error) {
-			nd, err := c.nodeByID(int(node))
-			if err != nil {
-				return nil, false, nil // endpoint already gone; its refs went with it
-			}
-			return nd.RefCounts(fps), true, nil
-		},
-		func(node int32, fps []fingerprint.Fingerprint, ns []int64) error {
-			nd, err := c.nodeByID(int(node))
-			if err != nil {
-				return err
-			}
-			if err := nd.DecRef(fps, ns); err != nil {
-				return fmt.Errorf("cluster: recover migration %d: node %d: %w", m.id, node, err)
-			}
-			return nil
-		})
+	return c.engine().Recover(context.TODO())
 }
 
 // PendingMigrations reports the open migration transactions (tests and
@@ -648,6 +211,39 @@ func (c *Cluster) PendingMigrations() int {
 	c.recMu.Lock()
 	defer c.recMu.Unlock()
 	return len(c.pendingMigs)
+}
+
+// replicateItem gives a just-completed item its second copy on an R=2
+// cluster: the stream's containers on the item's primaries seal (the
+// copy is read back off them), then every run replicates under the
+// engine's journaled transaction. A failure fails the backup, so no
+// committed item is ever left without a replica while two members are
+// live.
+func (s *Stream) replicateItem(ctx context.Context, fileID uint64) error {
+	c := s.c
+	if c.cfg.Replicas < 2 || fileID == 0 || c.elasticGuard(true) != nil {
+		return nil
+	}
+	r, ok := catalog{c}.recipe(fileID)
+	if !ok {
+		return nil
+	}
+	sealed := make(map[int32]bool)
+	for _, e := range r.Chunks {
+		if sealed[e.Node] {
+			continue
+		}
+		sealed[e.Node] = true
+		nd, err := c.nodeByID(int(e.Node))
+		if err != nil {
+			return err
+		}
+		if err := nd.SealStream(s.name); err != nil {
+			return fmt.Errorf("cluster: replicate item %d: seal node %d: %w", fileID, e.Node, err)
+		}
+	}
+	_, err := c.engine().ReplicateRecipe(ctx, r, s.st.members)
+	return err
 }
 
 // waitEpochQuiesce blocks until no backup item is in flight against an

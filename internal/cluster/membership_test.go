@@ -3,13 +3,11 @@ package cluster
 import (
 	"bytes"
 	"context"
-	"fmt"
 	"math/rand"
 	"testing"
 
 	"sigmadedupe/internal/core"
 	"sigmadedupe/internal/fingerprint"
-	"sigmadedupe/internal/migrate"
 	"sigmadedupe/internal/node"
 	"sigmadedupe/internal/router"
 )
@@ -283,85 +281,5 @@ func TestMembershipGuards(t *testing.T) {
 	defer c2.Close()
 	if _, err := c2.RemoveNode(context.Background(), 0); err == nil {
 		t.Fatal("RemoveNode without TrackRecipes/payloads must fail")
-	}
-}
-
-// TestMigrationFaultLeavesPendingAndRecovers exercises the crash matrix
-// at engine level: abort a RemoveNode drain at every stage, verify the
-// transaction stays pending, reconcile, and finish the removal — every
-// item restores byte-identically and nothing leaks.
-func TestMigrationFaultLeavesPendingAndRecovers(t *testing.T) {
-	for _, stage := range []migrate.Stage{
-		migrate.StageRead, migrate.StageStored, migrate.StageCommitted,
-		migrate.StageUpdated, migrate.StageDecreffed,
-	} {
-		stage := stage
-		t.Run(string(stage), func(t *testing.T) {
-			const items = 6
-			c := elasticCluster(t, 3)
-			defer c.Close()
-			contents := make([][]core.ChunkRef, items)
-			for i := range contents {
-				contents[i] = membershipItem(int64(3000+i), 24)
-				if err := c.BackupItem(uint64(1+i), contents[i]); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := c.Flush(); err != nil {
-				t.Fatal(err)
-			}
-
-			boom := fmt.Errorf("injected crash at %s", stage)
-			c.SetMigrateFault(func(s migrate.Stage, _ string) error {
-				if s == stage {
-					return boom
-				}
-				return nil
-			})
-			if _, err := c.RemoveNode(context.Background(), 2); err == nil {
-				t.Fatal("fault did not abort the removal")
-			}
-			if c.PendingMigrations() == 0 && stage != migrate.StageDecreffed {
-				// The decreffed stage aborts after the whole protocol ran;
-				// earlier stages must leave the transaction open.
-				t.Fatalf("no pending migration after crash at %s", stage)
-			}
-
-			// Recover and retry without the fault: removal completes.
-			c.SetMigrateFault(nil)
-			if err := c.RecoverMigrations(); err != nil {
-				t.Fatal(err)
-			}
-			if c.PendingMigrations() != 0 {
-				t.Fatal("recovery left transactions pending")
-			}
-			if _, err := c.RemoveNode(context.Background(), 2); err != nil {
-				t.Fatalf("retry after recovery: %v", err)
-			}
-			for i := range contents {
-				var out bytes.Buffer
-				if err := c.RestoreBackup(context.Background(), uint64(1+i), &out); err != nil {
-					t.Fatalf("restore item %d: %v", i, err)
-				}
-				var want bytes.Buffer
-				for _, r := range contents[i] {
-					want.Write(r.Data)
-				}
-				if !bytes.Equal(out.Bytes(), want.Bytes()) {
-					t.Fatalf("item %d corrupted across crash at %s", i, stage)
-				}
-			}
-			for i := 0; i < items; i++ {
-				if err := c.DeleteBackup(uint64(1 + i)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if _, err := c.Compact(context.Background(), 0.999); err != nil {
-				t.Fatal(err)
-			}
-			if gc := c.GCStats(); gc.LiveBytes != 0 {
-				t.Fatalf("crash at %s leaked %d live bytes", stage, gc.LiveBytes)
-			}
-		})
 	}
 }

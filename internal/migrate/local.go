@@ -1,0 +1,49 @@
+package migrate
+
+import (
+	"context"
+
+	"sigmadedupe/internal/core"
+	"sigmadedupe/internal/fingerprint"
+	"sigmadedupe/internal/node"
+)
+
+// Local is the in-process Node transport: direct calls into a
+// *node.Node, the same ones the RPC server makes on the wire verbs'
+// behalf.
+func Local(n *node.Node) Node { return local{n} }
+
+type local struct{ n *node.Node }
+
+func (l local) Bid(_ context.Context, hp core.Handprint) (int, int64, error) {
+	return l.n.CountHandprintMatches(hp), l.n.StorageUsage(), nil
+}
+
+func (l local) MigrateRead(_ context.Context, fps []fingerprint.Fingerprint) ([][]byte, error) {
+	out := make([][]byte, len(fps))
+	for i, fp := range fps {
+		data, err := l.n.ReadChunk(fp)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = data
+	}
+	return out, nil
+}
+
+func (l local) MigrateWrite(_ context.Context, stream string, sc *core.SuperChunk) error {
+	_, err := l.n.StoreSuperChunk(stream, sc)
+	return err
+}
+
+func (l local) MigrateCommit(_ context.Context, stream string) error {
+	return l.n.SealStream(stream)
+}
+
+func (l local) DecRef(_ context.Context, fps []fingerprint.Fingerprint, ns []int64) error {
+	return l.n.DecRef(fps, ns)
+}
+
+func (l local) RefCounts(_ context.Context, fps []fingerprint.Fingerprint) ([]int64, error) {
+	return l.n.RefCounts(fps), nil
+}

@@ -1,19 +1,22 @@
-// Package migrate holds the deployment-independent pieces of the
-// super-chunk migration engine behind online membership changes: the
-// recipe segmentation that turns a flat recipe into movable super-chunk
-// units, the crash fault-injection stages shared by the simulator and
-// the TCP prototype, and the reference-reconciliation arithmetic that
-// recovery uses to converge a half-done migration to old-or-new
-// placement with zero leaked references.
+// Package migrate is the super-chunk migration engine behind online
+// membership changes, R=2 replication and anti-entropy repair — the
+// only implementation, shared by the simulator and the TCP prototype.
+// The algorithm lives here; a deployment supplies two narrow
+// interfaces: a Node transport per deduplication node (*rpc.Client over
+// the wire, Local over an in-process *node.Node) and a Catalog of
+// recipes and journaled transactions (the director, in process or over
+// TCP; the simulator's in-RAM recipe tracker).
 //
-// The migration commit protocol (both deployments) per moved segment:
+// Every elastic verb is the same journaled transaction over one recipe
+// segment, run as a move or as a replication:
 //
 //	journal mig-begin (fsynced)              — the transaction opens
 //	→ read payloads from the source node
 //	→ store on the target node               — refs + sim-index entries
 //	→ commit target (seal/fsync manifest)    — target durably holds refs
 //	→ rewrite the recipe (fsynced put)       — THE COMMIT POINT
-//	→ decref the source (fsynced)            — old copies become dead
+//	→ decref the source (fsynced)            — move only; a replication
+//	                                           keeps both copies
 //	→ journal mig-end (fsynced)              — the transaction closes
 //
 // A crash before the recipe rewrite leaves the backup on its old
@@ -22,17 +25,20 @@
 // references stranded on the source. Either way, recovery recomputes
 // each involved chunk's expected per-node reference count from the
 // recipe catalog — recipes are the sole source of references, one per
-// stored occurrence — queries the node's actual count, and releases
-// exactly the surplus. That reconciliation is idempotent, so recovery
-// itself may crash and rerun.
+// stored occurrence per attribution (primary and replica) — queries
+// the node's actual count, and releases exactly the surplus. That
+// reconciliation is idempotent, so recovery itself may crash and rerun.
 package migrate
 
 import (
+	"sigmadedupe/internal/director"
 	"sigmadedupe/internal/fingerprint"
 )
 
-// Stage names a point in one segment's migration at which a fault can be
-// injected (tests) — the membership analogue of store.CompactStage.
+// Stage names a point in one segment's transaction at which a fault can
+// be injected (tests) — the membership analogue of store.CompactStage.
+// A replication passes the same five points; it just has nothing to
+// release before StageDecreffed.
 type Stage string
 
 // Migration fault-injection points, in commit order.
@@ -67,6 +73,11 @@ type Fault func(stage Stage, path string) error
 // moves in bounded-memory super-chunk-sized units.
 const DefaultSegmentChunks = 1024
 
+// Stream is the node stream that receives migrated and replicated
+// segments: its container seals per transaction without disturbing the
+// open containers of concurrent backup streams.
+const Stream = "\x00migrate"
+
 // Result summarizes the super-chunk migration behind one membership
 // change or rebalance pass.
 type Result struct {
@@ -94,52 +105,40 @@ type RepairResult struct {
 	ReleasedRefs int64 // surplus references released by reconciliation
 }
 
-// Add folds another repair result in.
-func (r *RepairResult) Add(o RepairResult) {
-	r.Promoted += o.Promoted
-	r.Rereplicated += o.Rereplicated
-	r.Bytes += o.Bytes
-	r.ReleasedRefs += o.ReleasedRefs
+// segment is one movable run of a recipe: count consecutive chunks
+// starting at start, all placed on the same node.
+type segment struct {
+	start, count int
 }
 
-// Segment is one movable run of a recipe: Count consecutive chunks
-// starting at Start, all placed on the same node.
-type Segment struct {
-	Start, Count int
-}
-
-// Segments returns the maximal runs of consecutive chunks placed on
-// node within the recipe's per-chunk node attribution, split into runs
-// of at most maxChunks (DefaultSegmentChunks when <= 0). These runs are
-// the original routing's super-chunk granularity — the minimal movable
-// units of a membership change.
-func Segments(nodes []int32, node int32, maxChunks int) []Segment {
-	if maxChunks <= 0 {
-		maxChunks = DefaultSegmentChunks
-	}
-	var out []Segment
-	i := 0
-	for i < len(nodes) {
-		if nodes[i] != node {
-			i++
+// nextRun finds, at or after index at, the first maximal run of
+// consecutive chunks on one node that all satisfy want, cut at
+// DefaultSegmentChunks. Such runs are the original routing's
+// super-chunk granularity — the minimal movable units of a drain
+// (want: placed on the departing node), a rebalance (want: anything)
+// and a re-replication (want: no replica yet).
+func nextRun(chunks []director.ChunkEntry, at int, want func(director.ChunkEntry) bool) (segment, bool) {
+	for i := at; i < len(chunks); i++ {
+		if !want(chunks[i]) {
 			continue
 		}
-		start := i
-		for i < len(nodes) && nodes[i] == node && i-start < maxChunks {
-			i++
+		end := i + 1
+		for end < len(chunks) && end-i < DefaultSegmentChunks &&
+			chunks[end].Node == chunks[i].Node && want(chunks[end]) {
+			end++
 		}
-		out = append(out, Segment{Start: start, Count: i - start})
+		return segment{start: i, count: end - i}, true
 	}
-	return out
+	return segment{}, false
 }
 
-// Surplus computes, per fingerprint, how many references a node holds
+// surplus computes, per fingerprint, how many references a node holds
 // beyond what the recipe catalog accounts for: actual[i] - expected[i],
 // clamped at zero (a node can legitimately hold references the caller's
 // expected-count scan has not attributed — never release those).
 // Fingerprints with zero surplus are dropped. The result is exactly what
 // recovery must decref on that node to erase a half-done migration.
-func Surplus(fps []fingerprint.Fingerprint, actual, expected []int64) ([]fingerprint.Fingerprint, []int64) {
+func surplus(fps []fingerprint.Fingerprint, actual, expected []int64) ([]fingerprint.Fingerprint, []int64) {
 	var outFP []fingerprint.Fingerprint
 	var outN []int64
 	for i, fp := range fps {
@@ -151,62 +150,15 @@ func Surplus(fps []fingerprint.Fingerprint, actual, expected []int64) ([]fingerp
 	return outFP, outN
 }
 
-// Reconcile erases one half-done migration's stranded references on
-// both of its endpoints — the recovery algorithm shared by the
-// simulator and the TCP prototype. migFPs are the transaction's
-// journaled fingerprints; from/to its endpoints. expected recomputes,
-// from the caller's recipe catalog, the per-node reference counts of
-// the given want-set (recipes are the sole source of references on a
-// tracked cluster). probe returns a node's actual counts, with ok =
-// false when the endpoint no longer exists (its references went with
-// it). release decrefs exactly the computed surplus. Idempotent:
-// recovery may itself be interrupted and rerun.
-func Reconcile(migFPs []fingerprint.Fingerprint, from, to int32,
-	expected func(want map[fingerprint.Fingerprint]struct{}) map[int32]map[fingerprint.Fingerprint]int64,
-	probe func(node int32, fps []fingerprint.Fingerprint) ([]int64, bool, error),
-	release func(node int32, fps []fingerprint.Fingerprint, ns []int64) error,
-) error {
-	want := make(map[fingerprint.Fingerprint]struct{}, len(migFPs))
-	uniq := make([]fingerprint.Fingerprint, 0, len(migFPs))
-	for _, fp := range migFPs {
-		if _, ok := want[fp]; !ok {
-			want[fp] = struct{}{}
-			uniq = append(uniq, fp)
-		}
-	}
-	exp := expected(want)
-	for _, id := range []int32{to, from} {
-		actual, ok, err := probe(id, uniq)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			continue
-		}
-		e := make([]int64, len(uniq))
-		for i, fp := range uniq {
-			e[i] = exp[id][fp]
-		}
-		fps, ns := Surplus(uniq, actual, e)
-		if len(fps) == 0 {
-			continue
-		}
-		if err := release(id, fps, ns); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Rebalance policy: a segment moves only from a member above the
 // cluster's mean storage usage onto one below it, with a ±5% dead band
 // so one pass cannot thrash around the balance point.
 const rebalanceSlackDivisor = 20
 
-// Overloaded reports whether a rebalance pass may move data off a node
+// overloaded reports whether a rebalance pass may move data off a node
 // with the given usage.
-func Overloaded(usage, mean int64) bool { return usage > mean+mean/rebalanceSlackDivisor }
+func overloaded(usage, mean int64) bool { return usage > mean+mean/rebalanceSlackDivisor }
 
-// Underloaded reports whether a rebalance pass may move data onto a
+// underloaded reports whether a rebalance pass may move data onto a
 // node with the given usage.
-func Underloaded(usage, mean int64) bool { return usage < mean-mean/rebalanceSlackDivisor }
+func underloaded(usage, mean int64) bool { return usage < mean-mean/rebalanceSlackDivisor }

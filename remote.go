@@ -51,10 +51,6 @@ type RemoteConfig struct {
 	// FingerprintSHA1; FingerprintSHA256 is faster on CPUs with SHA
 	// extensions). All of a backend's clients must agree on it.
 	Fingerprint FingerprintAlgorithm
-	// PerChunkRestore selects the one-RPC-per-chunk restore path instead
-	// of the default windowed batch scheduler — the pre-batching
-	// behavior, kept as an A/B switch for restore benchmarking.
-	PerChunkRestore bool
 	// Replicas ≥ 2 keeps a second copy of every super-chunk run on the
 	// rendezvous replica owner: after each Flush the session's recipes
 	// are walked and every replica-less run is streamed to its replica
@@ -314,7 +310,6 @@ func (r *Remote) newClient(ctx context.Context, cfg sessionConfig) (*client.Clie
 		InflightSuperChunks: cfg.inflight,
 		Algorithm:           r.cfg.Fingerprint.internal(),
 		Epoch:               epoch,
-		PerChunkRestore:     r.cfg.PerChunkRestore,
 		RestoreWindowBytes:  r.cfg.RestoreWindowBytes,
 		Replicas:            r.cfg.Replicas,
 		Tenant:              cfg.tenant,
@@ -553,11 +548,11 @@ func (r *Remote) AddNode(ctx context.Context, addr string) (int, error) {
 	return id, nil
 }
 
-// migrator builds the migration engine over one consistent registry
+// engine builds the migration engine over one consistent registry
 // snapshot: the returned membership covers exactly the node IDs the
-// migrator holds connections for, so a topology change landing between
-// two registry reads cannot hand the engine a member it cannot dial.
-func (r *Remote) migrator(ctx context.Context) (*client.Migrator, core.Membership, error) {
+// engine holds connections for, so a topology change landing between
+// two registry reads cannot hand it a member it cannot dial.
+func (r *Remote) engine(ctx context.Context) (*migrate.Engine, core.Membership, error) {
 	epoch, nodes := r.reg.snapshot()
 	conns := make(map[int]*rpc.Client, len(nodes))
 	ids := make([]int, 0, len(nodes))
@@ -569,13 +564,17 @@ func (r *Remote) migrator(ctx context.Context) (*client.Migrator, core.Membershi
 		conns[n.id] = conn
 		ids = append(ids, n.id)
 	}
-	m := &client.Migrator{
-		Meta:       r.clusterMeta,
-		Conns:      conns,
+	e := &migrate.Engine{
+		Catalog: r.clusterMeta,
+		Nodes: func(id int) (migrate.Node, bool) {
+			conn, ok := conns[id]
+			return conn, ok
+		},
 		HandprintK: r.cfg.HandprintSize,
+		Replicas:   r.cfg.Replicas,
 		Fault:      r.migrateFault,
 	}
-	return m, core.NewMembership(epoch, ids), nil
+	return e, core.NewMembership(epoch, ids), nil
 }
 
 // guardNoPendingMigrations refuses a new membership operation while
@@ -615,56 +614,65 @@ func (r *Remote) RemoveNode(ctx context.Context, id int) (MigrationResult, error
 	if err := r.Flush(ctx); err != nil {
 		return res, err
 	}
-	m, members, err := r.migrator(ctx)
+	e, members, err := r.engine(ctx)
 	if err != nil {
 		return res, err
 	}
-	if m.Conns[id] == nil {
+	if !members.Contains(id) {
 		return res, fmt.Errorf("sigmadedupe: no node %d in the current epoch", id)
 	}
-	if len(m.Conns) == 1 {
+	if members.Len() == 1 {
 		return res, fmt.Errorf("sigmadedupe: cannot remove the last node")
 	}
 	// Drain, then commit. The epoch commits only after the node is
 	// empty, so a crash mid-drain leaves the node in the membership —
 	// its address stays discoverable and a rerun finishes the job.
-	moved, err := m.DrainNode(ctx, id, members.Without(id))
+	moved, err := e.Drain(ctx, id, members)
 	res = toMigrationResult(moved)
 	if err != nil {
 		return res, err
 	}
-	// Commit the shrunken epoch: the director round trip runs outside
-	// the registry lock (memberOp serializes local membership ops, the
-	// director's epoch CAS catches remote ones), then the registry
-	// applies the committed epoch.
+	return res, r.dropNode(ctx, id)
+}
+
+// dropNode commits the membership epoch without node id and applies it
+// to the registry, closing the node's control connection (best effort:
+// a killed node's peer may already be gone). The director round trip
+// runs outside the registry lock — memberOp serializes local membership
+// ops, the director's epoch CAS catches remote ones. Caller holds
+// memberOp.
+func (r *Remote) dropNode(ctx context.Context, id int) error {
 	epoch, nodes := r.reg.snapshot()
-	infos := make([]director.NodeInfo, 0, len(nodes)-1)
-	for _, n := range nodes {
-		if n.id != id {
-			infos = append(infos, director.NodeInfo{ID: n.id, Addr: n.addr})
-		}
-	}
-	committed, err := r.clusterMeta.SetMembers(ctx, epoch, infos)
-	if err != nil {
-		return res, err
-	}
-	r.reg.Lock()
-	keep := make([]*registryNode, 0, len(r.reg.nodes)-1)
+	infos := make([]director.NodeInfo, 0, len(nodes))
+	keep := make([]*registryNode, 0, len(nodes))
 	var removed *registryNode
-	for _, n := range r.reg.nodes {
+	for _, n := range nodes {
 		if n.id == id {
 			removed = n
 			continue
 		}
+		infos = append(infos, director.NodeInfo{ID: n.id, Addr: n.addr})
 		keep = append(keep, n)
 	}
+	if removed == nil {
+		return fmt.Errorf("sigmadedupe: no node %d in the current epoch: %w", id, ErrNotFound)
+	}
+	if len(keep) == 0 {
+		return fmt.Errorf("sigmadedupe: cannot drop the last node")
+	}
+	committed, err := r.clusterMeta.SetMembers(ctx, epoch, infos)
+	if err != nil {
+		return err
+	}
+	r.reg.Lock()
 	r.reg.epoch = committed.Epoch
 	r.reg.nodes = keep
+	conn := removed.conn
 	r.reg.Unlock()
-	if removed != nil && removed.conn != nil {
-		removed.conn.Close()
+	if conn != nil {
+		_ = conn.Close()
 	}
-	return res, nil
+	return nil
 }
 
 // Rebalance implements Backend: super-chunk segments migrate from
@@ -680,11 +688,11 @@ func (r *Remote) Rebalance(ctx context.Context) (MigrationResult, error) {
 	if err := r.guardNoPendingMigrations(ctx); err != nil {
 		return res, err
 	}
-	m, members, err := r.migrator(ctx)
+	e, members, err := r.engine(ctx)
 	if err != nil {
 		return res, err
 	}
-	moved, err := m.Rebalance(ctx, members)
+	moved, err := e.Rebalance(ctx, members)
 	return toMigrationResult(moved), err
 }
 
@@ -700,41 +708,8 @@ func (r *Remote) Rebalance(ctx context.Context) (MigrationResult, error) {
 func (r *Remote) KillNode(ctx context.Context, id int) error {
 	r.memberOp.Lock()
 	defer r.memberOp.Unlock()
-	epoch, nodes := r.reg.snapshot()
-	if len(nodes) <= 1 {
-		return fmt.Errorf("sigmadedupe: cannot kill the last node")
-	}
-	infos := make([]director.NodeInfo, 0, len(nodes)-1)
-	found := false
-	for _, n := range nodes {
-		if n.id == id {
-			found = true
-			continue
-		}
-		infos = append(infos, director.NodeInfo{ID: n.id, Addr: n.addr})
-	}
-	if !found {
-		return fmt.Errorf("sigmadedupe: no node %d in the current epoch: %w", id, ErrNotFound)
-	}
-	committed, err := r.clusterMeta.SetMembers(ctx, epoch, infos)
-	if err != nil {
+	if err := r.dropNode(ctx, id); err != nil {
 		return err
-	}
-	r.reg.Lock()
-	keep := make([]*registryNode, 0, len(r.reg.nodes)-1)
-	var removed *registryNode
-	for _, n := range r.reg.nodes {
-		if n.id == id {
-			removed = n
-			continue
-		}
-		keep = append(keep, n)
-	}
-	r.reg.epoch = committed.Epoch
-	r.reg.nodes = keep
-	r.reg.Unlock()
-	if removed != nil && removed.conn != nil {
-		_ = removed.conn.Close() // best effort: its peer may already be gone
 	}
 	// Retire the default stream (it may hold connections to the dead
 	// node); the next one-shot verb re-dials against the new epoch.
@@ -755,11 +730,11 @@ func (r *Remote) KillNode(ctx context.Context, id int) error {
 func (r *Remote) Repair(ctx context.Context) (RepairResult, error) {
 	r.memberOp.Lock()
 	defer r.memberOp.Unlock()
-	m, members, err := r.migrator(ctx)
+	e, members, err := r.engine(ctx)
 	if err != nil {
 		return RepairResult{}, err
 	}
-	res, err := m.Repair(ctx, members)
+	res, err := e.Repair(ctx, members)
 	return toRepairResult(res), err
 }
 
@@ -771,11 +746,11 @@ func (r *Remote) Repair(ctx context.Context) (RepairResult, error) {
 func (r *Remote) RecoverMigrations(ctx context.Context) error {
 	r.memberOp.Lock()
 	defer r.memberOp.Unlock()
-	m, _, err := r.migrator(ctx)
+	e, _, err := r.engine(ctx)
 	if err != nil {
 		return err
 	}
-	return m.Recover(ctx)
+	return e.Recover(ctx)
 }
 
 // setMigrateFault installs the migration crash-injection hook (tests).
@@ -865,108 +840,3 @@ func sessionStatsOf(c *client.Client) SessionStats {
 		FailoverReads:     st.FailoverReads,
 	}
 }
-
-// BackupClient performs source inline deduplicated backup over TCP.
-//
-// Deprecated: BackupClient is the v1 prototype surface, kept as a thin
-// wrapper for one release. Use NewRemote (the Backend interface) and
-// NewSession instead; see the migration table in README.md.
-type BackupClient struct {
-	r *Remote
-}
-
-// BackupClientConfig parameterizes a backup client.
-//
-// Deprecated: use RemoteConfig with NewRemote.
-type BackupClientConfig struct {
-	// Name identifies the client in sessions (default "client").
-	Name string
-	// SuperChunkSize is the routing granularity (default 1MB).
-	SuperChunkSize int64
-	// HandprintSize is k (default 8).
-	HandprintSize int
-	// Workers sizes the chunk-fingerprint worker pool of the ingest
-	// pipeline (default: GOMAXPROCS). 1 fingerprints serially.
-	Workers int
-	// InflightSuperChunks bounds the window of asynchronous Store RPCs a
-	// stream keeps in flight (default 4; 1 restores the fully serial
-	// store path).
-	InflightSuperChunks int
-}
-
-// NewBackupClient connects a backup client to a set of deduplication
-// servers and a director.
-//
-// Deprecated: use NewRemote.
-func NewBackupClient(cfg BackupClientConfig, dir *Director, nodeAddrs []string) (*BackupClient, error) {
-	r, err := NewRemote(context.Background(), RemoteConfig{
-		Name:                cfg.Name,
-		Director:            dir,
-		Nodes:               nodeAddrs,
-		SuperChunkSize:      cfg.SuperChunkSize,
-		HandprintSize:       cfg.HandprintSize,
-		Workers:             cfg.Workers,
-		InflightSuperChunks: cfg.InflightSuperChunks,
-	})
-	if err != nil {
-		return nil, err
-	}
-	// v1 dialed eagerly; keep that so connection errors surface here.
-	if _, err := r.defaultClient(context.Background()); err != nil {
-		r.Close()
-		return nil, err
-	}
-	return &BackupClient{r: r}, nil
-}
-
-// BackupFile deduplicates and stores one file.
-//
-// Deprecated: use Remote.Backup or Session.Backup with a context.
-func (b *BackupClient) BackupFile(path string, r io.Reader) error {
-	return b.r.Backup(context.Background(), path, r)
-}
-
-// Flush completes the backup session.
-//
-// Deprecated: use Remote.Flush with a context.
-func (b *BackupClient) Flush() error { return b.r.Flush(context.Background()) }
-
-// Restore streams a backed-up file to w.
-//
-// Deprecated: use Remote.Restore with a context.
-func (b *BackupClient) Restore(path string, w io.Writer) error {
-	return b.r.Restore(context.Background(), path, w)
-}
-
-// DeleteBackup deletes one backed-up file.
-//
-// Deprecated: use Remote.Delete with a context.
-func (b *BackupClient) DeleteBackup(path string) error {
-	return b.r.Delete(context.Background(), path)
-}
-
-// Compact asks every connected node to run one compaction scan (≤0
-// threshold selects each node's configured live-ratio floor).
-//
-// Deprecated: use Remote.Compact with a context.
-func (b *BackupClient) Compact(threshold float64) (GCResult, error) {
-	return b.r.Compact(context.Background(), threshold)
-}
-
-// GCStats sums the garbage-collection counters of every connected node.
-//
-// Deprecated: use Remote.GCStats with a context.
-func (b *BackupClient) GCStats() (GCStats, error) {
-	return b.r.GCStats(context.Background())
-}
-
-// Close releases connections, propagating the first close failure (v1
-// silently swallowed them).
-func (b *BackupClient) Close() error { return b.r.Close() }
-
-// BandwidthSaving reports the fraction of payload bytes source dedup kept
-// off the network.
-func (b *BackupClient) BandwidthSaving() float64 { return b.r.BackupStats().BandwidthSaving() }
-
-// LogicalBytes reports bytes presented for backup.
-func (b *BackupClient) LogicalBytes() int64 { return b.r.BackupStats().LogicalBytes }

@@ -21,8 +21,7 @@
 //
 // Errors are typed end to end: errors.Is(err, ErrNotFound) (and the rest
 // of the taxonomy in errors.go) holds across the TCP wire. See DESIGN.md
-// for the system inventory and README.md for the v2 quickstart and the
-// v1→v2 migration table.
+// for the system inventory and README.md for the quickstart.
 package sigmadedupe
 
 import (
@@ -491,13 +490,6 @@ func (c *Cluster) deleteTenant(ctx context.Context, tn, name string) error {
 	return nil
 }
 
-// DeleteBackup deletes a named backup.
-//
-// Deprecated: use Delete, which takes a context.
-func (c *Cluster) DeleteBackup(name string) error {
-	return c.Delete(context.Background(), name)
-}
-
 // GCResult summarizes one compaction pass across the cluster.
 type GCResult struct {
 	ContainersScanned int
@@ -688,8 +680,8 @@ func (c *Cluster) Stats(ctx context.Context) (BackendStats, error) {
 
 // SimStats returns the simulator-specific effectiveness metrics of the
 // paper's evaluation: normalized and effective dedup ratios, storage
-// skew and fingerprint-lookup message counts. (This was Stats() in v1;
-// Stats now serves the Backend-portable snapshot.)
+// skew and fingerprint-lookup message counts (Stats serves the
+// Backend-portable snapshot).
 func (c *Cluster) SimStats() ClusterStats {
 	st := c.inner.Stats()
 	return ClusterStats{

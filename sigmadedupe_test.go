@@ -68,9 +68,9 @@ func TestPrototypeFacadeBackupRestore(t *testing.T) {
 	}
 	defer srv2.Close()
 
-	dir := NewDirector()
-	bc, err := NewBackupClient(BackupClientConfig{Name: "t", SuperChunkSize: 32 << 10},
-		dir, []string{srv1.Addr(), srv2.Addr()})
+	ctx := context.Background()
+	bc, err := NewRemote(ctx, RemoteConfig{Name: "t", SuperChunkSize: 32 << 10,
+		Director: NewDirector(), Nodes: []string{srv1.Addr(), srv2.Addr()}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,20 +79,20 @@ func TestPrototypeFacadeBackupRestore(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	content := make([]byte, 200<<10)
 	rng.Read(content)
-	if err := bc.BackupFile("/doc", bytes.NewReader(content)); err != nil {
+	if err := bc.Backup(ctx, "/doc", bytes.NewReader(content)); err != nil {
 		t.Fatal(err)
 	}
-	if err := bc.BackupFile("/doc-copy", bytes.NewReader(content)); err != nil {
+	if err := bc.Backup(ctx, "/doc-copy", bytes.NewReader(content)); err != nil {
 		t.Fatal(err)
 	}
-	if err := bc.Flush(); err != nil {
+	if err := bc.Flush(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if bc.BandwidthSaving() < 0.4 {
-		t.Fatalf("bandwidth saving = %v, want >= 0.4", bc.BandwidthSaving())
+	if saving := bc.BackupStats().BandwidthSaving(); saving < 0.4 {
+		t.Fatalf("bandwidth saving = %v, want >= 0.4", saving)
 	}
 	var out bytes.Buffer
-	if err := bc.Restore("/doc-copy", &out); err != nil {
+	if err := bc.Restore(ctx, "/doc-copy", &out); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(out.Bytes(), content) {
