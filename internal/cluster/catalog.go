@@ -16,19 +16,13 @@ import (
 // fileID.
 type catalog struct{ c *Cluster }
 
+func itemPath(id uint64) string { return strconv.FormatUint(id, 10) }
+
 // snapshot copies one tracked recipe into the engine's shape; caller
 // holds recMu.
 func snapshot(id uint64, r simRecipe) director.Recipe {
-	return director.Recipe{Path: strconv.FormatUint(id, 10), Session: r.session, Gen: r.gen,
+	return director.Recipe{Path: itemPath(id), Session: r.session, Gen: r.gen,
 		Chunks: append([]RecipeEntry(nil), r.entries...)}
-}
-
-// recipe snapshots one item's recipe.
-func (k catalog) recipe(id uint64) (director.Recipe, bool) {
-	k.c.recMu.Lock()
-	defer k.c.recMu.Unlock()
-	r, ok := k.c.recipes[id]
-	return snapshot(id, r), ok
 }
 
 // Recipes implements migrate.Catalog, ascending by item ID.
@@ -49,6 +43,14 @@ func (k catalog) Recipes(context.Context) ([]director.Recipe, error) {
 
 // ReplaceRecipe implements migrate.Catalog.
 func (k catalog) ReplaceRecipe(_ context.Context, path string, ifSession, ifGen uint64, chunks []director.ChunkEntry) error {
+	return k.replace(path, ifSession, ifGen, func(r *simRecipe) {
+		r.entries = append([]RecipeEntry(nil), chunks...)
+	})
+}
+
+// replace applies edit to the recipe at path iff it is still the session
+// and generation given, and bumps the generation.
+func (k catalog) replace(path string, ifSession, ifGen uint64, edit func(*simRecipe)) error {
 	id, err := strconv.ParseUint(path, 10, 64)
 	if err != nil {
 		return fmt.Errorf("cluster: recipe path %q is not an item ID: %w", path, err)
@@ -60,9 +62,27 @@ func (k catalog) ReplaceRecipe(_ context.Context, path string, ifSession, ifGen 
 		return fmt.Errorf("cluster: item %d changed since read: %w", id, sderr.ErrConflict)
 	}
 	r.gen++
-	r.entries = append([]RecipeEntry(nil), chunks...)
+	edit(&r)
 	k.c.recipes[id] = r
 	return nil
+}
+
+// runCatalog is the catalog as write-path replication sees it: the
+// recipe at hand is only the run just appended at entry base of its
+// item, so the engine's per-run rewrite costs the run, not the whole
+// item (an item of S super-chunks would otherwise copy S² entries).
+// Transactions it journals carry run-relative segment positions;
+// recovery goes by their endpoints and fingerprints only.
+type runCatalog struct {
+	catalog
+	base int
+}
+
+// ReplaceRecipe rewrites the run in place inside its item's recipe.
+func (k runCatalog) ReplaceRecipe(_ context.Context, path string, ifSession, ifGen uint64, chunks []director.ChunkEntry) error {
+	return k.replace(path, ifSession, ifGen, func(r *simRecipe) {
+		copy(r.entries[k.base:], chunks)
+	})
 }
 
 // BeginMigration implements migrate.Catalog.

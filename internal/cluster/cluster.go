@@ -84,12 +84,13 @@ type Config struct {
 	// retention). Incompatible with the Extreme Binning scheme, whose
 	// bin-scoped stores bypass the refcounted chunk index.
 	TrackRecipes bool
-	// Replicas >= 2 enables R=2 replica placement: every completed item's
-	// super-chunk runs are also stored on the rendezvous replica owner of
-	// their first fingerprint, restores fail over to the replica when the
-	// primary is gone, and Repair re-converges placement after a node
-	// crash. Requires TrackRecipes and payload-carrying nodes. The
-	// default (0) keeps the single-copy behavior.
+	// Replicas >= 2 enables R=2 replica placement: every routed
+	// super-chunk of a tracked item is also stored on the rendezvous
+	// replica owner of its first fingerprint, restores fail over to the
+	// replica when the primary is gone, and Repair re-converges placement
+	// after a node crash. Requires the Sigma scheme, TrackRecipes and
+	// payload-carrying nodes (New rejects anything else). The default (0)
+	// keeps the single-copy behavior.
 	Replicas int
 	// Node is the per-node configuration template; ID is overridden.
 	Node node.Config
@@ -273,6 +274,12 @@ func New(cfg Config) (*Cluster, error) {
 	case *router.StatefulRouter:
 		r.Parallel = cfg.ParallelBids
 		r.UseSummaries = cfg.BidSummaries
+	}
+	if cfg.Replicas >= 2 {
+		// Replication runs on the migration engine and needs what it needs.
+		if err := (&Cluster{cfg: cfg, rt: rt}).elasticGuard(true); err != nil {
+			return nil, fmt.Errorf("cluster: Replicas=%d: %w", cfg.Replicas, err)
+		}
 	}
 	nodes := make(map[int]*node.Node, cfg.N)
 	for i := 0; i < cfg.N; i++ {
@@ -579,8 +586,6 @@ type Stream struct {
 	// took the cluster-wide write lock per backup item, which at 64
 	// concurrent streams serialized the whole ingest.
 	st *epochState
-	// item is the fileID of the item BeginItem opened.
-	item uint64
 	// retired guards against double-folding; protected by c.shardMu.
 	retired bool
 }
@@ -634,6 +639,8 @@ func (s *Stream) BackupItem(fileID uint64, refs []core.ChunkRef) error {
 	s.ctr.files.Add(1)
 	s.acquirePin()
 	defer s.releasePin()
+	// The batch feed takes no context: it runs to completion in process.
+	ctx := context.Background()
 
 	fileScoped := s.c.cfg.Scheme == router.ExtremeBinning && fileID != 0
 	var fileMin fingerprint.Fingerprint
@@ -651,7 +658,7 @@ func (s *Stream) BackupItem(fileID uint64, refs []core.ChunkRef) error {
 		s.ctr.logicalBytes.Add(int64(r.Size))
 		if sc := s.part.AddRef(r); sc != nil {
 			sc.FileMinFP = fileMin
-			if _, err := s.routeAndStore(sc); err != nil {
+			if _, err := s.routeAndStore(ctx, sc); err != nil {
 				return err
 			}
 		}
@@ -662,12 +669,12 @@ func (s *Stream) BackupItem(fileID uint64, refs []core.ChunkRef) error {
 		// can carry one item's chunks into the next item's attribution.
 		if sc := s.part.Flush(); sc != nil {
 			sc.FileMinFP = fileMin
-			if _, err := s.routeAndStore(sc); err != nil {
+			if _, err := s.routeAndStore(ctx, sc); err != nil {
 				return err
 			}
 		}
 	}
-	return s.replicateItem(context.TODO(), fileID)
+	return nil
 }
 
 // Flush routes the stream's final partial super-chunk. It does not seal
@@ -676,7 +683,7 @@ func (s *Stream) Flush() error {
 	s.acquirePin()
 	defer s.releasePin()
 	if sc := s.part.Flush(); sc != nil {
-		if _, err := s.routeAndStore(sc); err != nil {
+		if _, err := s.routeAndStore(context.Background(), sc); err != nil {
 			return err
 		}
 	}
@@ -693,7 +700,6 @@ func (s *Stream) BeginItem(fileID uint64) {
 	s.ctr.files.Add(1)
 	s.acquirePin()
 	s.part.SetFileID(fileID)
-	s.item = fileID
 }
 
 // AddChunk feeds one fingerprinted chunk of the current item, returning
@@ -714,7 +720,7 @@ func (s *Stream) AddChunk(ctx context.Context, ref core.ChunkRef) (RouteOutcome,
 	s.ctr.logicalBytes.Add(int64(ref.Size))
 	if sc := s.part.AddRef(ref); sc != nil {
 		routed := sc.Size()
-		stored, err := s.routeAndStore(sc)
+		stored, err := s.routeAndStore(ctx, sc)
 		return RouteOutcome{RoutedBytes: routed, StoredBytes: stored}, err
 	}
 	return RouteOutcome{}, nil
@@ -724,24 +730,20 @@ func (s *Stream) AddChunk(ctx context.Context, ref core.ChunkRef) (RouteOutcome,
 // boundary cut. With recipe tracking on, the partial super-chunk is
 // cut and routed at the item boundary so no super-chunk can carry one
 // item's chunks into the next item's attribution — the same invariant
-// BackupItem maintains — and on an R=2 cluster the completed item is
-// replicated before the call returns.
+// BackupItem maintains.
 func (s *Stream) EndItem(ctx context.Context) (RouteOutcome, error) {
 	defer s.releasePin()
 	if err := ctx.Err(); err != nil {
 		return RouteOutcome{}, err
 	}
-	var out RouteOutcome
 	if s.c.cfg.TrackRecipes {
 		if sc := s.part.Flush(); sc != nil {
-			out.RoutedBytes = sc.Size()
-			var err error
-			if out.StoredBytes, err = s.routeAndStore(sc); err != nil {
-				return out, err
-			}
+			routed := sc.Size()
+			stored, err := s.routeAndStore(ctx, sc)
+			return RouteOutcome{RoutedBytes: routed, StoredBytes: stored}, err
 		}
 	}
-	return out, s.replicateItem(ctx, s.item)
+	return RouteOutcome{}, nil
 }
 
 // AbortItem discards the partial super-chunk of a failed item so its
@@ -761,7 +763,7 @@ type RouteOutcome struct {
 	StoredBytes int64
 }
 
-func (s *Stream) routeAndStore(sc *core.SuperChunk) (int64, error) {
+func (s *Stream) routeAndStore(ctx context.Context, sc *core.SuperChunk) (int64, error) {
 	c := s.c
 	d := c.rt.Route(sc, pinnedView{st: s.st})
 	s.ctr.superChunks.Add(1)
@@ -816,9 +818,16 @@ func (s *Stream) routeAndStore(sc *core.SuperChunk) (int64, error) {
 				r.session = c.recipeSeq
 			}
 			r.gen++
+			base := len(r.entries)
 			r.entries = append(r.entries, entries...)
 			c.recipes[sc.FileID] = r
 			c.recMu.Unlock()
+			if c.cfg.Replicas >= 2 && len(entries) > 0 {
+				run := director.Recipe{Path: itemPath(sc.FileID), Session: r.session, Gen: r.gen, Chunks: entries}
+				if err := s.replicateRun(ctx, target, run, base); err != nil {
+					return stored, err
+				}
+			}
 		}
 	}
 	return stored, nil

@@ -12,8 +12,11 @@ import (
 	"time"
 
 	"sigmadedupe/internal/core"
+	"sigmadedupe/internal/director"
+	"sigmadedupe/internal/fingerprint"
 	"sigmadedupe/internal/migrate"
 	"sigmadedupe/internal/router"
+	"sigmadedupe/internal/sderr"
 )
 
 // MigrationResult summarizes the super-chunk migration behind one
@@ -201,8 +204,8 @@ func (c *Cluster) Repair(ctx context.Context) (migrate.RepairResult, error) {
 // RecoverMigrations settles every pending transaction by reference
 // reconciliation (migrate.Engine.Recover). Callers must quiesce backups,
 // deletes and other migrations first.
-func (c *Cluster) RecoverMigrations() error {
-	return c.engine().Recover(context.TODO())
+func (c *Cluster) RecoverMigrations(ctx context.Context) error {
+	return c.engine().Recover(ctx)
 }
 
 // PendingMigrations reports the open migration transactions (tests and
@@ -213,38 +216,64 @@ func (c *Cluster) PendingMigrations() int {
 	return len(c.pendingMigs)
 }
 
-// replicateItem gives a just-completed item its second copy on an R=2
-// cluster: the stream's containers on the item's primaries seal (the
-// copy is read back off them), then every run replicates under the
-// engine's journaled transaction. A failure fails the backup, so no
-// committed item is ever left without a replica while two members are
-// live.
-func (s *Stream) replicateItem(ctx context.Context, fileID uint64) error {
+// replicateRun gives one just-routed run — the super-chunk in hand and
+// the recipe entries appended for it at entry base of its item — its
+// second copy (R=2) under the engine's journaled transaction. The
+// primary's side of the transport reads the payloads from hand, so its
+// open container need not seal to be read back. A failure fails the
+// backup, so no committed item is ever left without a replica while two
+// members are live.
+func (s *Stream) replicateRun(ctx context.Context, sc *core.SuperChunk, run director.Recipe, base int) error {
 	c := s.c
-	if c.cfg.Replicas < 2 || fileID == 0 || c.elasticGuard(true) != nil {
-		return nil
-	}
-	r, ok := catalog{c}.recipe(fileID)
-	if !ok {
-		return nil
-	}
-	sealed := make(map[int32]bool)
-	for _, e := range r.Chunks {
-		if sealed[e.Node] {
-			continue
+	primary := int(run.Chunks[0].Node)
+	e := c.engine()
+	e.Catalog = runCatalog{catalog{c}, base}
+	nodes := e.Nodes
+	e.Nodes = func(id int) (migrate.Node, bool) {
+		n, ok := nodes(id)
+		w := writePath{Node: n}
+		if id == primary {
+			w.inHand = sc
 		}
-		sealed[e.Node] = true
-		nd, err := c.nodeByID(int(e.Node))
-		if err != nil {
-			return err
-		}
-		if err := nd.SealStream(s.name); err != nil {
-			return fmt.Errorf("cluster: replicate item %d: seal node %d: %w", fileID, e.Node, err)
-		}
+		return w, ok
 	}
-	_, err := c.engine().ReplicateRecipe(ctx, r, s.st.members)
+	_, err := e.ReplicateRecipe(ctx, run, s.st.members)
 	return err
 }
+
+// writePath is the node transport of write-path replication. Reads of a
+// run's primary come from the super-chunk in hand, and the commit is
+// deferred: replicas land in the migrate stream's open container and
+// seal at Cluster.Flush together with the primaries' — the catalog they
+// are attributed in lives in this process's RAM, so sealing per run
+// would buy no crash safety, only one small container per run.
+type writePath struct {
+	migrate.Node
+	inHand *core.SuperChunk
+}
+
+func (w writePath) MigrateRead(ctx context.Context, fps []fingerprint.Fingerprint) ([][]byte, error) {
+	if w.inHand == nil {
+		return w.Node.MigrateRead(ctx, fps)
+	}
+	// The engine asks for a contiguous stretch of the run, in run order.
+	chunks := w.inHand.Chunks
+	out := make([][]byte, len(fps))
+	at := 0
+	for i, fp := range fps {
+		for at < len(chunks) && chunks[at].FP != fp {
+			at++
+		}
+		if at == len(chunks) {
+			return nil, fmt.Errorf("cluster: chunk %s is not in the run in hand: %w", fp.Short(), sderr.ErrNotFound)
+		}
+		out[i] = chunks[at].Data
+		at++
+	}
+	return out, nil
+}
+
+func (writePath) MigrateCommit(context.Context, string) error { return nil }
 
 // waitEpochQuiesce blocks until no backup item is in flight against an
 // epoch older than epoch — the membership change's grace period. An

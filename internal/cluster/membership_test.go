@@ -283,3 +283,62 @@ func TestMembershipGuards(t *testing.T) {
 		t.Fatal("RemoveNode without TrackRecipes/payloads must fail")
 	}
 }
+
+// TestReplicasGuard: an R=2 configuration the engine cannot serve is
+// rejected at construction rather than silently keeping single copies.
+func TestReplicasGuard(t *testing.T) {
+	for name, cfg := range map[string]Config{
+		"stateless scheme": {N: 2, Scheme: router.Stateless, TrackRecipes: true, Replicas: 2, Node: nodeCfgKeepPayloads()},
+		"no recipes":       {N: 2, Replicas: 2, Node: nodeCfgKeepPayloads()},
+		"no payloads":      {N: 2, TrackRecipes: true, Replicas: 2},
+	} {
+		if c, err := New(cfg); err == nil {
+			c.Close()
+			t.Errorf("%s: New accepted Replicas=2", name)
+		}
+	}
+}
+
+// TestWritePathReplicationSealsNothing pins the cost shape of R=2
+// ingest: every run is replicated from the payloads in hand as it is
+// routed — each recipe entry carries its replica the moment the item
+// returns — and neither primaries nor replicas seal a container per
+// item; containers fill and seal as under single-copy ingest.
+func TestWritePathReplicationSealsNothing(t *testing.T) {
+	c, err := New(Config{N: 4, TrackRecipes: true, SuperChunkSize: 32 << 10, Replicas: 2, Node: nodeCfgKeepPayloads()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	const items = 40
+	var logical int64
+	for i := 0; i < items; i++ {
+		refs := membershipItem(int64(500+i), 24) // 96KB → 3 super-chunks
+		if err := c.BackupItem(uint64(i+1), refs); err != nil {
+			t.Fatal(err)
+		}
+		logical += 24 * 4096
+		entries, _ := c.Recipe(uint64(i + 1))
+		if len(entries) != len(refs) {
+			t.Fatalf("item %d: recipe has %d entries, want %d", i, len(entries), len(refs))
+		}
+		for j, e := range entries {
+			if e.FP != refs[j].FP || e.Replica < 0 || e.Replica == e.Node {
+				t.Fatalf("item %d entry %d: %+v, want chunk %s with a replica off its primary", i, j, e, refs[j].FP.Short())
+			}
+		}
+	}
+	sealed := 0
+	for _, n := range c.Nodes() {
+		sealed += n.NumSealedContainers()
+	}
+	if sealed != 0 {
+		t.Fatalf("%d containers sealed by %d items (%d KB) before Flush, want 0", sealed, items, logical>>10)
+	}
+	if got := c.PhysicalBytes(); got != 2*logical {
+		t.Fatalf("physical bytes %d, want %d (two copies)", got, 2*logical)
+	}
+	if n := c.PendingMigrations(); n != 0 {
+		t.Fatalf("%d transactions left open by a clean ingest", n)
+	}
+}

@@ -419,8 +419,9 @@ func (e *Engine) Recover(ctx context.Context) error {
 	if len(pending) == 0 {
 		return nil
 	}
-	// Reconciliation releases references, never rewrites recipes: one
-	// catalog snapshot serves every transaction.
+	// One catalog snapshot serves every transaction: reconciliation
+	// releases references and never rewrites recipes, and the callers'
+	// quiescence means nobody else rewrites them meanwhile.
 	recipes, err := e.Catalog.Recipes(ctx)
 	if err != nil {
 		return err
@@ -437,28 +438,38 @@ func (e *Engine) Recover(ctx context.Context) error {
 }
 
 // releaseSurplus compares each listed node's actual reference counts
-// over fps (duplicates allowed) against what the recipes' primary and
-// replica attributions account for, and decrefs exactly the surplus,
-// returning the references released. A node the deployment no longer
-// has is skipped when skipGone, an error otherwise.
-func (e *Engine) releaseSurplus(ctx context.Context, recipes []director.Recipe, nodes []int, fps []fingerprint.Fingerprint, skipGone bool) (int64, error) {
-	uniq, _ := core.AggregateRefs(fps)
-	if len(uniq) == 0 {
-		return 0, nil
+// against what the recipes' primary and replica attributions account
+// for and decrefs exactly the surplus, returning the references
+// released. The comparison covers the fingerprints in only (duplicates
+// allowed) — or, when only is nil, every fingerprint the recipes hold.
+// A node the deployment no longer has is skipped when skipGone, an
+// error otherwise.
+func (e *Engine) releaseSurplus(ctx context.Context, recipes []director.Recipe, nodes []int, only []fingerprint.Fingerprint, skipGone bool) (int64, error) {
+	var uniq []fingerprint.Fingerprint
+	idx := make(map[fingerprint.Fingerprint]int, len(only))
+	for _, fp := range only {
+		if _, ok := idx[fp]; !ok {
+			idx[fp] = len(uniq)
+			uniq = append(uniq, fp)
+		}
 	}
-	idx := make(map[fingerprint.Fingerprint]int, len(uniq))
-	for i, fp := range uniq {
-		idx[fp] = i
-	}
-	expected := make(map[int32][]int64, len(nodes))
+	// Expected counts stay sparse — per node, only the fingerprints
+	// attributed to it — so memory follows the catalog's size, not
+	// nodes × catalog.
+	expected := make(map[int32]map[int]int64, len(nodes))
 	for _, id := range nodes {
-		expected[int32(id)] = make([]int64, len(uniq))
+		expected[int32(id)] = make(map[int]int64)
 	}
 	for _, r := range recipes {
 		for _, en := range r.Chunks {
 			i, ok := idx[en.FP]
 			if !ok {
-				continue
+				if only != nil {
+					continue
+				}
+				i = len(uniq)
+				idx[en.FP] = i
+				uniq = append(uniq, en.FP)
 			}
 			if exp := expected[en.Node]; exp != nil {
 				exp[i]++
@@ -468,6 +479,10 @@ func (e *Engine) releaseSurplus(ctx context.Context, recipes []director.Recipe, 
 			}
 		}
 	}
+	if len(uniq) == 0 {
+		return 0, nil
+	}
+	exp := make([]int64, len(uniq))
 	var released int64
 	for _, id := range nodes {
 		if err := ctx.Err(); err != nil {
@@ -487,7 +502,11 @@ func (e *Engine) releaseSurplus(ctx context.Context, recipes []director.Recipe, 
 		if len(actual) != len(uniq) {
 			return released, fmt.Errorf("refcounts of node %d: got %d counts, want %d", id, len(actual), len(uniq))
 		}
-		over, ns := surplus(uniq, actual, expected[int32(id)])
+		clear(exp)
+		for i, n := range expected[int32(id)] {
+			exp[i] = n
+		}
+		over, ns := surplus(uniq, actual, exp)
 		if len(over) == 0 {
 			continue
 		}

@@ -170,11 +170,11 @@ func (e *Engine) Repair(ctx context.Context, members core.Membership) (RepairRes
 
 	// Phase 2: re-replication of every run still missing its second copy
 	// (a fresh catalog read picks up phase 1's rewrites).
-	recipes, err := e.Catalog.Recipes(ctx)
-	if err != nil {
-		return res, err
-	}
 	if e.Replicas >= 2 && members.Len() >= 2 {
+		recipes, err := e.Catalog.Recipes(ctx)
+		if err != nil {
+			return res, err
+		}
 		for _, r := range recipes {
 			rr, err := e.ReplicateRecipe(ctx, r, members)
 			res.Rereplicated += rr.Rereplicated
@@ -183,22 +183,17 @@ func (e *Engine) Repair(ctx context.Context, members core.Membership) (RepairRes
 				return res, err
 			}
 		}
-		if res.Rereplicated > 0 {
-			if recipes, err = e.Catalog.Recipes(ctx); err != nil {
-				return res, err
-			}
-		}
 	}
 
-	// Phase 3: global reconciliation over the full catalog fingerprint
-	// universe — it catches strands no journal record points at (a killed
-	// node's promoted-away primaries, clear-then-decref orderings
-	// interrupted mid-way).
-	var all []fingerprint.Fingerprint
-	for _, r := range recipes {
-		all = append(all, entryFPs(r.Chunks)...)
+	// Phase 3: global reconciliation over every fingerprint of the catalog
+	// as phases 1 and 2 left it — it catches strands no journal record
+	// points at (a killed node's promoted-away primaries,
+	// clear-then-decref orderings interrupted mid-way).
+	recipes, err := e.Catalog.Recipes(ctx)
+	if err != nil {
+		return res, err
 	}
-	res.ReleasedRefs, err = e.releaseSurplus(ctx, recipes, members.Nodes, all, false)
+	res.ReleasedRefs, err = e.releaseSurplus(ctx, recipes, members.Nodes, nil, false)
 	if err != nil {
 		err = fmt.Errorf("migrate: repair reconcile: %w", err)
 	}

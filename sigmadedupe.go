@@ -120,9 +120,10 @@ type ClusterConfig struct {
 	// Replicas ≥ 2 keeps a second copy of every super-chunk on the
 	// rendezvous replica owner (the second-highest similarity bid), so
 	// one node can crash without losing a byte: restores fail over to
-	// the replica and Repair re-establishes R=2. Requires SchemeSigma,
-	// KeepPayloads (or Dir) and at least two nodes; 0 or 1 keeps the
-	// single-copy behavior. Values above 2 are capped at 2.
+	// the replica and Repair re-establishes R=2. Requires SchemeSigma and
+	// KeepPayloads (or Dir) — NewCluster rejects anything else — and at
+	// least two nodes; 0 or 1 keeps the single-copy behavior. Values
+	// above 2 are capped at 2.
 	Replicas int
 	// IngestCapacityBytes, when positive, bounds the payload bytes
 	// concurrently inside the routing stage across all sessions; the
@@ -636,7 +637,9 @@ func toRepairResult(res migrate.RepairResult) RepairResult {
 // crash mid-migration: reference counts reconcile against the recipe
 // catalog, converging every backup to old-or-new placement with zero
 // leaked references. Quiesce backups first.
-func (c *Cluster) RecoverMigrations() error { return c.inner.RecoverMigrations() }
+func (c *Cluster) RecoverMigrations() error {
+	return c.inner.RecoverMigrations(context.Background())
+}
 
 // setMigrateFault installs the migration crash-injection hook (tests).
 func (c *Cluster) setMigrateFault(fn migrate.Fault) { c.inner.SetMigrateFault(fn) }
