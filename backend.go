@@ -295,7 +295,6 @@ type ChunkSpec struct {
 type sessionConfig struct {
 	name           string
 	tenant         string
-	admin          bool // control-plane session: skip quota admission
 	chunk          ChunkSpec
 	superChunkSize int64
 	handprintK     int

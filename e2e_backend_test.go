@@ -124,6 +124,7 @@ func runBackendScenario(t *testing.T, be Backend, nodes int) {
 			t.Fatalf("%s corrupted by delete+compact", name)
 		}
 	}
+	assertCatalogConsistent(t, be)
 }
 
 // TestBackendScenarioSimulator runs the shared scenario on the

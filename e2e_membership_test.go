@@ -99,6 +99,7 @@ func runMembershipScenario(t *testing.T, be Backend, nodes int, addAddr func() s
 		t.Fatalf("Nodes after RemoveNode = %d, want %d", st.Nodes, nodes)
 	}
 	restoreAll("after RemoveNode")
+	assertCatalogConsistent(t, be)
 
 	// Zero leaked references end to end: delete everything, compact,
 	// nothing stays live.

@@ -98,6 +98,7 @@ func runKillScenario(t *testing.T, be Backend, victim int, kill func(), failover
 	if n := failoverReads(); n != before {
 		t.Fatalf("%d restores still failed over after repair; promotion incomplete", n-before)
 	}
+	assertCatalogConsistent(t, be)
 
 	// Zero leaked references: deleting every backup releases primary and
 	// replica refs alike, and compaction drives live bytes to zero.

@@ -11,8 +11,8 @@
 // being read, per-super-chunk routing bids fan out to all candidate
 // nodes at once, and a bounded window of super-chunks is routed, queried
 // and stored concurrently so fingerprinting of super-chunk n+1 overlaps
-// the network transfer of n. Restore symmetrically prefetches chunks
-// with a bounded worker pool while writing them back in stream order.
+// the network transfer of n. Restore and delete are the shared verbs of
+// package migrate, run over this session's connections.
 //
 // Every blocking operation takes a context.Context. Cancellation
 // propagates through the chunking pipeline (the stage group), the
@@ -39,17 +39,12 @@ import (
 	"sigmadedupe/internal/pipeline"
 	"sigmadedupe/internal/rpc"
 	"sigmadedupe/internal/sderr"
-	"sigmadedupe/internal/store"
 	"sigmadedupe/internal/tenant"
 )
 
 // DefaultInflightSuperChunks is the default window of Store RPCs kept in
 // flight per backup stream.
 const DefaultInflightSuperChunks = 4
-
-// DefaultRestoreWindowBytes is the default payload budget of one restore
-// window — the unit of batched read scheduling (Config.RestoreWindowBytes).
-const DefaultRestoreWindowBytes = 8 << 20
 
 // Config parameterizes a backup client.
 type Config struct {
@@ -79,12 +74,6 @@ type Config struct {
 	// in-flight-session guarantee of elastic membership: node adds and
 	// removals become visible to new clients, never to this one.
 	Epoch uint64
-	// RestoreWindowBytes bounds the payload bytes of one restore window,
-	// the unit of batched read scheduling: each window becomes one
-	// OpReadBatch RPC per node it touches, and up to InflightSuperChunks
-	// windows are read ahead of the writer (default
-	// DefaultRestoreWindowBytes).
-	RestoreWindowBytes int64
 	// Replicas >= 2 enables R=2 replica placement: after a session's
 	// containers seal, every recipe written this session is mirrored onto
 	// the rendezvous replica owners of its super-chunk runs (piggybacked
@@ -103,17 +92,6 @@ type Config struct {
 	// route/query/store stage and releases on completion, so concurrent
 	// sessions split node bandwidth by tenant weight.
 	Scheduler *tenant.Scheduler
-	// AdminSession opens the session without quota admission: the director
-	// session is begun under the default tenant while recipe keys stay
-	// scoped to Tenant. The control plane's restore/delete verbs use it —
-	// a tenant already over quota must still be able to restore and
-	// delete (deleting is how it gets back under).
-	AdminSession bool
-
-	// workersDefaulted records whether Pipeline.Workers was left zero by
-	// the caller: a defaulted pool may be widened for network-bound
-	// stages (restore prefetch), an explicit setting is authoritative.
-	workersDefaulted bool
 }
 
 func (c Config) withDefaults() Config {
@@ -135,13 +113,9 @@ func (c Config) withDefaults() Config {
 	if c.Algorithm == 0 {
 		c.Algorithm = fingerprint.SHA1
 	}
-	c.workersDefaulted = c.Pipeline.Workers <= 0
 	c.Pipeline = c.Pipeline.WithDefaults()
 	if c.InflightSuperChunks <= 0 {
 		c.InflightSuperChunks = DefaultInflightSuperChunks
-	}
-	if c.RestoreWindowBytes <= 0 {
-		c.RestoreWindowBytes = DefaultRestoreWindowBytes
 	}
 	if c.Epoch == 0 {
 		c.Epoch = 1
@@ -184,18 +158,9 @@ type Stats struct {
 	// ChunkBufAllocs counts chunk payload buffers newly allocated from
 	// the heap; it plateaus at roughly the in-flight window's chunk count
 	// — the allocation-cliff proof — while ChunkBufReuses grows with the
-	// stream. Restore contributes reuses too: payloads are written
-	// straight from the pooled receive frames (one reuse per chunk).
+	// stream.
 	ChunkBufAllocs int64
 	ChunkBufReuses int64
-	// RestoredBytes and RestoreRPCs instrument the restore path: payload
-	// bytes written back, and read RPCs issued to serve them (one per
-	// node touched per window).
-	RestoredBytes int64
-	RestoreRPCs   int64
-	// FailoverReads counts restore chunk reads served by a replica after
-	// the primary failed (R=2 deployments).
-	FailoverReads int64
 }
 
 // BandwidthSaving returns the fraction of payload bytes the source dedup
@@ -223,8 +188,13 @@ type Client struct {
 	// conns holds one connection per node of the client's pinned epoch,
 	// ordered like members.Nodes; byID resolves a node's stable cluster
 	// ID (the value recipes carry) to its connection.
-	conns   []*rpc.Client
-	byID    map[int]*rpc.Client
+	conns []*rpc.Client
+	byID  map[int]*rpc.Client
+	// joined holds connections to nodes that joined the cluster after the
+	// session pinned its epoch, dialed only to release superseded
+	// references there (dialJoined). Touched only on the goroutine
+	// driving the backup; the route stage never sees them.
+	joined  map[int]*rpc.Client
 	members core.Membership
 	dir     director.Metadata
 	session uint64
@@ -274,13 +244,9 @@ type Client struct {
 	salt     [32]byte
 	salted   bool
 	headroom int64
-	// reportedStored/reportedRestored track transfer bytes already
-	// accounted to the director, so repeated Flushes report deltas.
-	reportedStored   int64
-	reportedRestored int64
-	// failoverReads counts restore reads served by a replica after the
-	// primary failed. Atomic: restore prefetch closures run concurrently.
-	failoverReads atomic.Int64
+	// reportedStored tracks transferred bytes already accounted to the
+	// director, so repeated Flushes report deltas.
+	reportedStored int64
 }
 
 // routeResult is the outcome of the concurrent route/query/store stage
@@ -330,13 +296,8 @@ func New(ctx context.Context, cfg Config, dir director.Metadata, nodes []NodeAdd
 	}
 	// Session admission: the director's hard quota check runs here, and
 	// the tenant's domain and headroom come back for the client's salt
-	// and soft mid-stream check. Admin sessions admit as the default
-	// tenant (never quota-limited) but keep Tenant-scoped keys.
-	admitAs := cfg.Tenant
-	if cfg.AdminSession {
-		admitAs = tenant.Default
-	}
-	session, err := dir.BeginSession(ctx, cfg.Name, admitAs)
+	// and soft mid-stream check.
+	session, err := dir.BeginSession(ctx, cfg.Name, cfg.Tenant)
 	if err != nil {
 		closeAll()
 		return nil, fmt.Errorf("client: begin session: %w", err)
@@ -347,7 +308,7 @@ func New(ctx context.Context, cfg Config, dir director.Metadata, nodes []NodeAdd
 		return nil, fmt.Errorf("client: tenant %s: %w", cfg.Tenant, err)
 	}
 	headroom := int64(-1)
-	if st.Info.QuotaBytes > 0 && !cfg.AdminSession {
+	if st.Info.QuotaBytes > 0 {
 		headroom = st.Info.QuotaBytes - st.Usage.LiveBytes
 		if headroom < 0 {
 			headroom = 0
@@ -388,6 +349,13 @@ func (c *Client) saltFP(fp fingerprint.Fingerprint) fingerprint.Fingerprint {
 
 // key composes the tenant-scoped recipe key of a backup name.
 func (c *Client) key(path string) string { return tenant.Key(c.cfg.Tenant, path) }
+
+// node resolves a node's stable cluster ID to its transport within the
+// session's pinned epoch (the migrate.Engine.Nodes shape).
+func (c *Client) node(id int) (migrate.Node, bool) {
+	conn, ok := c.byID[id]
+	return conn, ok
+}
 
 // connByID resolves a node's stable cluster ID to its connection.
 func (c *Client) connByID(id int) (*rpc.Client, error) {
@@ -674,18 +642,16 @@ func (c *Client) Flush(ctx context.Context) error {
 }
 
 // accountTransfer reports the session's not-yet-reported post-dedup
-// stored bytes and restored bytes to the director's tenant accounting.
+// stored bytes to the director's tenant accounting.
 func (c *Client) accountTransfer(ctx context.Context) error {
 	stored := c.stats.TransferredBytes - c.reportedStored
-	restored := c.stats.RestoredBytes - c.reportedRestored
-	if stored == 0 && restored == 0 {
+	if stored == 0 {
 		return nil
 	}
-	if err := c.dir.AccountTransfer(ctx, c.cfg.Tenant, stored, restored); err != nil {
+	if err := c.dir.AccountTransfer(ctx, c.cfg.Tenant, stored, 0); err != nil {
 		return fmt.Errorf("client: account transfer: %w", err)
 	}
 	c.reportedStored += stored
-	c.reportedRestored += restored
 	return nil
 }
 
@@ -699,11 +665,8 @@ func (c *Client) replicateSession(ctx context.Context) error {
 		return fmt.Errorf("client: Config.Replicas >= 2 requires a director exposing membership metadata")
 	}
 	eng := &migrate.Engine{
-		Catalog: cm,
-		Nodes: func(id int) (migrate.Node, bool) {
-			conn, ok := c.byID[id]
-			return conn, ok
-		},
+		Catalog:    cm,
+		Nodes:      c.node,
 		HandprintK: c.cfg.HandprintK,
 	}
 	paths := make([]string, 0, len(c.wrotePaths))
@@ -740,6 +703,11 @@ func (c *Client) Close() error {
 			first = err
 		}
 	}
+	for _, conn := range c.joined {
+		if err := conn.Close(); first == nil {
+			first = err
+		}
+	}
 	c.routes.Wait()
 	return first
 }
@@ -749,11 +717,8 @@ func (c *Client) Close() error {
 func (c *Client) Stats() Stats {
 	st := c.stats
 	st.PeakBufferedBytes = c.peakBuffered.Load()
-	st.FailoverReads = c.failoverReads.Load()
-	// The pool counts the ingest side; restore's contributions accumulate
-	// directly in c.stats, so the two simply add.
-	st.ChunkBufAllocs += c.bufs.allocs.Load()
-	st.ChunkBufReuses += c.bufs.reuses.Load()
+	st.ChunkBufAllocs = c.bufs.allocs.Load()
+	st.ChunkBufReuses = c.bufs.reuses.Load()
 	return st
 }
 
@@ -929,32 +894,28 @@ func (c *Client) nextPending() *pendingFile {
 
 // finalizeRecipes registers recipes for files whose chunks are all
 // routed. A new recipe supersedes any previous backup of the same path:
-// after the new recipe is committed, the superseded recipe's chunk
-// references are released on the nodes — it can no longer be restored
-// (the director keeps only the latest recipe per path), so keeping its
-// references would leak every superseded generation's unique chunks
-// forever. Ordering is leak-safe: put-new first, decref-old second, so a
-// failure in between strands references but never frees a chunk the new
-// recipe needs (the new backup's stores took their own references).
+// the director swaps it in and hands the superseded generation back in
+// one step, and that generation's chunk references are then released on
+// the nodes — it can no longer be restored (the director keeps only the
+// latest recipe per path), so keeping its references would leak every
+// superseded generation's unique chunks forever. Ordering is leak-safe:
+// put-new first, decref-old second, so a failure in between strands
+// references but never frees a chunk the new recipe needs (the new
+// backup's stores took their own references).
 func (c *Client) finalizeRecipes(ctx context.Context) error {
 	remaining := c.pending[:0]
 	for _, pf := range c.pending {
 		if pf.done && len(pf.entries) == pf.want {
-			prev, prevErr := c.dir.GetRecipe(ctx, pf.path)
-			if prevErr != nil && !errors.Is(prevErr, director.ErrNoRecipe) {
-				// A transport failure is not "no previous recipe": silently
-				// skipping the supersede decref would leak the old
-				// generation's references forever.
-				return &sderr.BackupError{Name: pf.path, Stage: "finalize", Err: prevErr}
-			}
-			if err := c.dir.PutRecipe(ctx, c.session, pf.path, pf.entries); err != nil {
+			prev, err := c.dir.SwapRecipe(ctx, c.session, pf.path, pf.entries)
+			if err != nil {
 				return &sderr.BackupError{Name: pf.path, Stage: "finalize", Err: err}
 			}
 			c.wrotePaths[pf.path] = struct{}{}
-			if prevErr == nil {
-				if err := c.decRefRecipe(ctx, pf.path, prev.Chunks); err != nil {
-					return err
-				}
+			if err := c.dialJoined(ctx, prev.Chunks); err != nil {
+				return fmt.Errorf("client: supersede %s: %w", pf.path, err)
+			}
+			if err := migrate.Release(ctx, c.releaseNode, prev.Chunks); err != nil {
+				return fmt.Errorf("client: supersede %s: %w", pf.path, err)
 			}
 			continue
 		}
@@ -964,392 +925,60 @@ func (c *Client) finalizeRecipes(ctx context.Context) error {
 	return nil
 }
 
-// DeleteBackup deletes one backed-up file end to end: the recipe is
-// removed from the director (journaled first on a durable director — the
-// deletion's commit point), then each node that holds the file's chunks
-// is told to drop the recipe's references on them. Chunks whose last
-// reference goes become dead weight in their containers until node-side
-// compaction reclaims the space. Crash ordering is leak-safe: failing
-// after the recipe is gone but before every decref lands can only leave
-// references behind (space), never free a chunk another backup needs.
-// Canceling ctx between the recipe delete and the decrefs likewise only
-// strands space.
-//
-// Deletion is independent of the backup session: it works on a client
-// whose session has already ended and does not touch the sticky backup
-// error state.
-func (c *Client) DeleteBackup(ctx context.Context, path string) error {
-	if err := tenant.ValidateBackupName(path); err != nil {
-		return fmt.Errorf("client: delete: %w", err)
-	}
-	recipe, err := c.dir.DeleteRecipe(ctx, c.key(path))
-	if err != nil {
-		return fmt.Errorf("client: delete %s: %w", path, err)
-	}
-	return c.decRefRecipe(ctx, path, recipe.Chunks)
-}
-
-// decRefRecipe releases one recipe's chunk references — primary and
-// replica attributions alike — on the owning nodes, one batch per node,
-// counts grouped per fingerprint. On an R=2 deployment a node missing
-// from the session's epoch is skipped rather than failed: a crashed
-// node took its references with it, and making its absence fatal would
-// make every delete impossible after a kill.
-func (c *Client) decRefRecipe(ctx context.Context, path string, entries []director.ChunkEntry) error {
-	byNode := make(map[int32][]fingerprint.Fingerprint)
+// dialJoined makes sure the session holds a connection to every current
+// member a superseded generation's entries name. The session dialed its
+// pinned epoch; a node that joined since (AddNode, then Rebalance or
+// another session placed chunks there) is looked up in the director's
+// current membership and dialed for the rest of the session — release
+// only, the session still routes within its epoch. What is in neither
+// left the cluster, and migrate.Release skips it.
+func (c *Client) dialJoined(ctx context.Context, entries []director.ChunkEntry) error {
+	var current map[int]string // current members' addresses, fetched on first need
 	for _, e := range entries {
-		byNode[e.Node] = append(byNode[e.Node], e.FP)
-		if e.Replica >= 0 {
-			byNode[e.Replica] = append(byNode[e.Replica], e.FP)
-		}
-	}
-	for nd, fps := range byNode {
-		conn, err := c.connByID(int(nd))
-		if err != nil {
-			if c.cfg.Replicas >= 2 {
+		for _, id := range [2]int{int(e.Node), int(e.Replica)} {
+			if id < 0 || c.byID[id] != nil || c.joined[id] != nil {
 				continue
 			}
-			return fmt.Errorf("client: delete %s: %w", path, err)
-		}
-		order, ns := core.AggregateRefs(fps)
-		if err := conn.DecRef(ctx, order, ns); err != nil {
-			return fmt.Errorf("client: delete %s: decref node %d: %w", path, nd, err)
+			if current == nil {
+				cm, ok := c.dir.(director.ClusterMeta)
+				if !ok {
+					return fmt.Errorf("node %d is outside this session's epoch %d and the director exposes no membership", id, c.members.Epoch)
+				}
+				members, err := cm.Members(ctx)
+				if err != nil {
+					return err
+				}
+				if members.Epoch == 0 {
+					return fmt.Errorf("node %d is outside this session's epoch %d and the director tracks no membership", id, c.members.Epoch)
+				}
+				current = make(map[int]string, len(members.Nodes))
+				for _, n := range members.Nodes {
+					current[n.ID] = n.Addr
+				}
+			}
+			addr, ok := current[id]
+			if !ok {
+				continue // left the cluster
+			}
+			conn, err := rpc.DialContext(ctx, addr)
+			if err != nil {
+				return fmt.Errorf("node %d: %w", id, err)
+			}
+			if c.joined == nil {
+				c.joined = make(map[int]*rpc.Client)
+			}
+			c.joined[id] = conn
 		}
 	}
 	return nil
 }
 
-// Compact asks every node to run one compaction scan (≤0 threshold
-// selects each node's configured live-ratio floor) and returns the
-// summed results. A canceled ctx stops between nodes and aborts the
-// in-flight node's scan between containers.
-func (c *Client) Compact(ctx context.Context, threshold float64) (store.CompactResult, error) {
-	var total store.CompactResult
-	for i, conn := range c.conns {
-		res, err := conn.Compact(ctx, threshold)
-		if err != nil {
-			return total, fmt.Errorf("client: compact node %d: %w", i, err)
-		}
-		total.Scanned += res.Scanned
-		total.Rewritten += res.Rewritten
-		total.Retired += res.Retired
-		total.CopiedBytes += res.CopiedBytes
-		total.ReclaimedBytes += res.ReclaimedBytes
-		total.SkippedNoPayload += res.SkippedNoPayload
+// releaseNode resolves a release target: a node of the pinned epoch, or
+// one dialJoined connected.
+func (c *Client) releaseNode(id int) (migrate.Node, bool) {
+	if conn, ok := c.byID[id]; ok {
+		return conn, true
 	}
-	return total, nil
-}
-
-// GCStats sums the deletion/compaction counters of every node.
-func (c *Client) GCStats(ctx context.Context) (store.GCStats, error) {
-	var total store.GCStats
-	for i, conn := range c.conns {
-		gc, _, err := conn.GCStats(ctx)
-		if err != nil {
-			return total, fmt.Errorf("client: gc stats node %d: %w", i, err)
-		}
-		total.StoredBytes += gc.StoredBytes
-		total.DeadBytes += gc.DeadBytes
-		total.LiveBytes += gc.LiveBytes
-		total.Containers += gc.Containers
-		total.RetiredContainers += gc.RetiredContainers
-		total.ReclaimedBytes += gc.ReclaimedBytes
-		total.CopiedBytes += gc.CopiedBytes
-		total.CompactRuns += gc.CompactRuns
-		total.CompactErrors += gc.CompactErrors
-		if gc.LastCompactErr != "" {
-			total.LastCompactErr = fmt.Sprintf("node %d: %s", i, gc.LastCompactErr)
-		}
-	}
-	return total, nil
-}
-
-// NodeUsage fetches one node's logical/physical byte counters and
-// storage usage over the wire (observability for backends aggregating
-// cluster-wide stats).
-func (c *Client) NodeUsage(ctx context.Context, i int) (logical, physical, usage int64, err error) {
-	st, usage, err := c.conns[i].Stats(ctx)
-	if err != nil {
-		return 0, 0, 0, fmt.Errorf("client: stats node %d: %w", i, err)
-	}
-	return st.LogicalBytes, st.PhysicalBytes, usage, nil
-}
-
-// Nodes returns the number of node connections.
-func (c *Client) Nodes() int { return len(c.conns) }
-
-// restoreWorkers sizes the restore prefetch pool. A defaulted pool is
-// widened to keep every node connection busy even when the CPU count is
-// small (restore is network-bound, not compute-bound); an explicitly
-// configured Workers value is honored as-is, so concurrency can be
-// bounded all the way down to a serial restore.
-func (c *Client) restoreWorkers() int {
-	w := c.cfg.Pipeline.Workers
-	if !c.cfg.workersDefaulted {
-		return w
-	}
-	if n := 2 * len(c.conns); w < n {
-		w = n
-	}
-	if w < 4 {
-		w = 4
-	}
-	return w
-}
-
-// Restore streams a backed-up file to w, reading ahead of the writer
-// while writing strictly in stream order. The scheduler partitions the
-// recipe into byte-bounded windows (RestoreWindowBytes) and fetches
-// each window with one OpReadBatch RPC per node it touches — the node
-// reads every container once, sequentially — keeping up to
-// InflightSuperChunks windows in flight. Canceling ctx aborts the
-// read-ahead and every RPC in flight.
-func (c *Client) Restore(ctx context.Context, path string, w io.Writer) error {
-	if err := tenant.ValidateBackupName(path); err != nil {
-		return fmt.Errorf("client: restore: %w", err)
-	}
-	recipe, err := c.dir.GetRecipe(ctx, c.key(path))
-	if err != nil {
-		return err
-	}
-	err = c.restoreBatched(ctx, path, recipe.Chunks, w)
-	if err == nil {
-		// Best-effort gauge update: a failed accounting call must not
-		// fail a restore that already delivered every byte.
-		c.accountTransfer(ctx)
-	}
-	return err
-}
-
-// restoreWindow is one contiguous run of recipe entries scheduled as a
-// single round of per-node batched reads.
-type restoreWindow struct {
-	first   int // stream index of entries[0], for error attribution
-	entries []director.ChunkEntry
-}
-
-// windowResult is one fetched restore window: datas[i] is the payload of
-// entries[i], aliasing the pooled receive frames owned by batches. The
-// writer releases the batches after the last alias is written.
-type windowResult struct {
-	datas   [][]byte
-	batches []*rpc.ChunkBatch
-	bytes   int64
-	rpcs    int64
-}
-
-// fetchWindow issues one window's batched reads, one concurrent
-// OpReadBatch per node, deduplicating repeated fingerprints so a chunk
-// that recurs within the window crosses the wire once, and reassembles
-// the payloads in stream order. A node that fails — out of the epoch,
-// unreachable, or erroring mid-batch — has its whole share of the
-// window failed over to the entries' replica owners.
-func (c *Client) fetchWindow(ctx context.Context, path string, win restoreWindow) (windowResult, error) {
-	type nodeReq struct {
-		conn *rpc.Client
-		fps  []fingerprint.Fingerprint
-		idx  map[fingerprint.Fingerprint]int
-	}
-	reqs := make(map[int32]*nodeReq)
-	failed := make(map[int32]error)
-	for _, e := range win.entries {
-		nr := reqs[e.Node]
-		if nr == nil {
-			nr = &nodeReq{idx: make(map[fingerprint.Fingerprint]int)}
-			if conn, err := c.connByID(int(e.Node)); err != nil {
-				failed[e.Node] = err // killed node: fail over below
-			} else {
-				nr.conn = conn
-			}
-			reqs[e.Node] = nr
-		}
-		if _, ok := nr.idx[e.FP]; !ok {
-			nr.idx[e.FP] = len(nr.fps)
-			nr.fps = append(nr.fps, e.FP)
-		}
-	}
-
-	var (
-		mu      sync.Mutex
-		wg      sync.WaitGroup
-		batches = make(map[int32]*rpc.ChunkBatch, len(reqs))
-	)
-	for nd, nr := range reqs {
-		if nr.conn == nil {
-			continue
-		}
-		wg.Add(1)
-		go func(nd int32, nr *nodeReq) {
-			defer wg.Done()
-			b, err := nr.conn.ReadBatch(ctx, nr.fps)
-			mu.Lock()
-			if err != nil {
-				failed[nd] = err
-			} else {
-				batches[nd] = b
-			}
-			mu.Unlock()
-		}(nd, nr)
-	}
-	wg.Wait()
-
-	res := windowResult{
-		datas: make([][]byte, len(win.entries)),
-		rpcs:  int64(len(reqs) - len(failed)),
-	}
-	release := func() {
-		for _, b := range batches {
-			b.Release()
-		}
-		for _, b := range res.batches {
-			b.Release()
-		}
-	}
-
-	// Failover: each failed node's share is regrouped by the entries'
-	// replica owners and refetched. fodata carries the rescued payloads.
-	var fodata map[fingerprint.Fingerprint][]byte
-	for nd, ferr := range failed {
-		out, fb, rpcs, err := c.failoverFetch(ctx, win.entries, nd)
-		if err != nil {
-			release()
-			return windowResult{}, fmt.Errorf("client: restore %s chunks %d..%d: node %d: %w (failover: %v)",
-				path, win.first, win.first+len(win.entries)-1, nd, ferr, err)
-		}
-		if fodata == nil {
-			fodata = out
-		} else {
-			for fp, d := range out {
-				fodata[fp] = d
-			}
-		}
-		res.batches = append(res.batches, fb...)
-		res.rpcs += rpcs
-	}
-
-	for _, b := range batches {
-		res.batches = append(res.batches, b)
-	}
-	for i, e := range win.entries {
-		var d []byte
-		if b, ok := batches[e.Node]; ok {
-			d = b.Data[reqs[e.Node].idx[e.FP]]
-		} else {
-			d = fodata[e.FP]
-		}
-		res.datas[i] = d
-		res.bytes += int64(len(d))
-	}
-	return res, nil
-}
-
-// failoverFetch serves one failed node's share of a restore window from
-// the entries' replica owners: each of the failed node's fingerprints
-// maps to the replica its recipe entry recorded, the share re-batches
-// per replica node, and the rescued payloads come back keyed by
-// fingerprint together with their pooled receive frames.
-func (c *Client) failoverFetch(ctx context.Context, entries []director.ChunkEntry, failed int32) (map[fingerprint.Fingerprint][]byte, []*rpc.ChunkBatch, int64, error) {
-	groups := make(map[int32][]fingerprint.Fingerprint)
-	seen := make(map[fingerprint.Fingerprint]struct{})
-	for _, e := range entries {
-		if e.Node != failed {
-			continue
-		}
-		if _, ok := seen[e.FP]; ok {
-			continue
-		}
-		seen[e.FP] = struct{}{}
-		if e.Replica < 0 {
-			return nil, nil, 0, fmt.Errorf("chunk %s has no replica: %w", e.FP.Short(), sderr.ErrNotFound)
-		}
-		groups[e.Replica] = append(groups[e.Replica], e.FP)
-	}
-	out := make(map[fingerprint.Fingerprint][]byte, len(seen))
-	var batches []*rpc.ChunkBatch
-	var rpcs int64
-	fail := func(err error) (map[fingerprint.Fingerprint][]byte, []*rpc.ChunkBatch, int64, error) {
-		for _, b := range batches {
-			b.Release()
-		}
-		return nil, nil, 0, err
-	}
-	for rep, fps := range groups {
-		conn, err := c.connByID(int(rep))
-		if err != nil {
-			return fail(err)
-		}
-		b, err := conn.ReadBatch(ctx, fps)
-		if err != nil {
-			return fail(fmt.Errorf("replica node %d: %w", rep, err))
-		}
-		batches = append(batches, b)
-		rpcs++
-		for i, fp := range fps {
-			out[fp] = b.Data[i]
-		}
-		c.failoverReads.Add(int64(len(fps)))
-	}
-	return out, batches, rpcs, nil
-}
-
-// restoreBatched is the windowed restore scheduler: the recipe is cut into
-// byte-bounded windows, up to InflightSuperChunks windows are fetched
-// ahead of the writer (fetchWindow), and payloads are written strictly
-// in stream order straight out of the pooled receive frames — no
-// per-chunk copy on the client.
-func (c *Client) restoreBatched(ctx context.Context, path string, entries []director.ChunkEntry, w io.Writer) error {
-	g := pipeline.NewGroupCtx(ctx)
-	workers := c.restoreWorkers()
-	if workers > c.cfg.InflightSuperChunks {
-		workers = c.cfg.InflightSuperChunks
-	}
-	budget := c.cfg.RestoreWindowBytes
-	wins := pipeline.Produce(g, workers, func(yield func(restoreWindow) bool) error {
-		start, size := 0, int64(0)
-		for i, e := range entries {
-			if i > start && size+int64(e.Size) > budget {
-				if !yield(restoreWindow{first: start, entries: entries[start:i]}) {
-					return nil
-				}
-				start, size = i, 0
-			}
-			size += int64(e.Size)
-		}
-		if start < len(entries) {
-			yield(restoreWindow{first: start, entries: entries[start:]})
-		}
-		return nil
-	})
-	results := pipeline.Map(g, wins, workers, workers, func(win restoreWindow) (windowResult, error) {
-		return c.fetchWindow(ctx, path, win)
-	})
-	for res := range results {
-		// The window's payloads are pinned (pooled frames) until written;
-		// account them like the backup window so PeakBufferedBytes keeps
-		// meaning "bytes the pipeline holds live at once".
-		c.addBuffered(res.bytes)
-		var werr error
-		for _, d := range res.datas {
-			if _, err := w.Write(d); err != nil {
-				werr = fmt.Errorf("client: restore %s: %w", path, err)
-				break
-			}
-		}
-		if werr == nil {
-			c.stats.RestoredBytes += res.bytes
-			c.stats.RestoreRPCs += res.rpcs
-			// Batched payloads are written straight out of the recycled
-			// receive frames: one buffer reuse per chunk delivered.
-			c.stats.ChunkBufReuses += int64(len(res.datas))
-		}
-		for _, b := range res.batches {
-			b.Release()
-		}
-		c.buffered.Add(-res.bytes)
-		if werr != nil {
-			g.Fail(werr)
-			break
-		}
-	}
-	return g.Wait()
+	conn, ok := c.joined[id]
+	return conn, ok
 }

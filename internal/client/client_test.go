@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"sigmadedupe/internal/director"
+	"sigmadedupe/internal/migrate"
 	"sigmadedupe/internal/node"
 	"sigmadedupe/internal/rpc"
 	"sigmadedupe/internal/tenant"
@@ -32,6 +33,17 @@ func startCluster(t *testing.T, n int) []string {
 		addrs[i] = srv.Addr()
 	}
 	return addrs
+}
+
+// restore reads a backup back through the shared restore scheduler over
+// the session's connections (the client itself is ingest-only).
+func restore(t testing.TB, c *Client, path string) []byte {
+	t.Helper()
+	var out bytes.Buffer
+	if _, err := migrate.Restore(context.Background(), c.dir, c.node, c.key(path), DefaultInflightSuperChunks, &out); err != nil {
+		t.Fatalf("restore %s: %v", path, err)
+	}
+	return out.Bytes()
 }
 
 func randBytes(seed int64, n int) []byte {
@@ -58,11 +70,8 @@ func TestBackupAndRestoreSingleNode(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var out bytes.Buffer
-	if err := c.Restore(context.Background(), "/data/a.bin", &out); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(out.Bytes(), content) {
+	out := restore(t, c, "/data/a.bin")
+	if !bytes.Equal(out, content) {
 		t.Fatal("restored content differs from backup")
 	}
 }
@@ -97,11 +106,8 @@ func TestSourceDedupSavesBandwidth(t *testing.T) {
 	if st.BandwidthSaving() < 0.45 {
 		t.Fatalf("bandwidth saving = %.2f, want >= 0.45 (second copy dedups)", st.BandwidthSaving())
 	}
-	var out bytes.Buffer
-	if err := c.Restore(context.Background(), "/gen2", &out); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(out.Bytes(), content) {
+	out := restore(t, c, "/gen2")
+	if !bytes.Equal(out, content) {
 		t.Fatal("deduplicated restore corrupted")
 	}
 }
@@ -129,11 +135,8 @@ func TestMultiFileMultiNodeRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for path, content := range files {
-		var out bytes.Buffer
-		if err := c.Restore(context.Background(), path, &out); err != nil {
-			t.Fatalf("restore %s: %v", path, err)
-		}
-		if !bytes.Equal(out.Bytes(), content) {
+		out := restore(t, c, path)
+		if !bytes.Equal(out, content) {
 			t.Fatalf("%s corrupted through multi-node cycle", path)
 		}
 	}
@@ -186,11 +189,8 @@ func TestBackupEmptyFile(t *testing.T) {
 	if len(r.Chunks) != 0 {
 		t.Fatalf("empty file recipe has %d chunks", len(r.Chunks))
 	}
-	var out bytes.Buffer
-	if err := c.Restore(context.Background(), "/empty", &out); err != nil {
-		t.Fatal(err)
-	}
-	if out.Len() != 0 {
+	out := restore(t, c, "/empty")
+	if len(out) != 0 {
 		t.Fatal("empty file restored with content")
 	}
 }
@@ -336,15 +336,12 @@ func TestRebackupSupersedesAndReleasesOldReferences(t *testing.T) {
 	if _, err := nd.Compact(context.Background(), 0.99); err != nil {
 		t.Fatal(err)
 	}
-	var out bytes.Buffer
-	if err := c.Restore(context.Background(), "/data", &out); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(out.Bytes(), v2) {
+	out := restore(t, c, "/data")
+	if !bytes.Equal(out, v2) {
 		t.Fatal("latest generation corrupted after superseded space was reclaimed")
 	}
 	// Deleting the path releases v2's references too; nothing leaks.
-	if err := c.DeleteBackup(context.Background(), "/data"); err != nil {
+	if err := migrate.Delete(context.Background(), dir, c.node, c.key("/data")); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := nd.Compact(context.Background(), 0.99); err != nil {

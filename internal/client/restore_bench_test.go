@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"sigmadedupe/internal/director"
+	"sigmadedupe/internal/migrate"
 )
 
 // benchRestore backs up size bytes once, then restores it repeatedly,
@@ -37,7 +38,7 @@ func benchRestore(b *testing.B, addrs []string, size int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := c.Restore(context.Background(), "/bench", io.Discard); err != nil {
+		if _, err := migrate.Restore(context.Background(), dir, c.node, c.key("/bench"), DefaultInflightSuperChunks, io.Discard); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -18,13 +18,20 @@
 // one global mutex), and BackupItems replays many trace streams in
 // parallel. The single-stream BackupItem path is unchanged and
 // deterministic.
+//
+// Named backups (tracked items: Stream.BeginItem … EndItem) are what the
+// public Backend feeds; their recipes, like the tenant table and the
+// journal of open migration transactions, live in the cluster's in-RAM
+// director — the same director.Director the prototype talks to — and
+// everything that reads them (restore, delete, compaction, migration,
+// repair) is package migrate's code over the in-process node transport.
+// What is left here is trace driving, message counting and the
+// simulation of membership epochs.
 package cluster
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"io"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -77,18 +84,11 @@ type Config struct {
 	// recovers dedup lost to candidate-set churn as N grows. Stats
 	// gains the summary counters.
 	BidSummaries bool
-	// TrackRecipes records, for every backup item with a non-zero fileID,
-	// which chunk fingerprints it routed to which node, enabling
-	// DeleteBackup. Tracking cuts super-chunks at item boundaries so the
-	// attribution is exact (a small routing-granularity cost, the price of
-	// retention). Incompatible with the Extreme Binning scheme, whose
-	// bin-scoped stores bypass the refcounted chunk index.
-	TrackRecipes bool
 	// Replicas >= 2 enables R=2 replica placement: every routed
-	// super-chunk of a tracked item is also stored on the rendezvous
-	// replica owner of its first fingerprint, restores fail over to the
-	// replica when the primary is gone, and Repair re-converges placement
-	// after a node crash. Requires the Sigma scheme, TrackRecipes and
+	// super-chunk of a tracked item (BeginItem…EndItem) is also stored on
+	// the rendezvous replica owner of its first fingerprint, restores fail
+	// over to the replica when the primary is gone, and Repair re-converges
+	// placement after a node crash. Requires the Sigma scheme and
 	// payload-carrying nodes (New rejects anything else). The default (0)
 	// keeps the single-copy behavior.
 	Replicas int
@@ -181,12 +181,12 @@ type Cluster struct {
 	// items (guarded by memberMu; pruned by waitEpochQuiesce).
 	epochs []*epochState
 
-	// Pending migration/replication transactions (see catalog.go):
-	// opened but not yet closed, the crash-recovery work list — the in-RAM
-	// counterpart of the director's MEMBERS journal. Guarded by recMu
-	// together with the recipes they reference.
-	pendingMigs  map[uint64]director.Migration
-	nextMig      uint64
+	// dir is the cluster's metadata plane: an in-RAM director holding the
+	// recipes of tracked items, the tenant table and the journal of open
+	// migration/replication transactions — the migration engine's catalog.
+	// It never fsyncs and lives exactly as long as the Cluster, so node
+	// restarts (RestartNode, Restart) keep it.
+	dir          *director.Director
 	migrateFault migrate.Fault
 
 	shardMu sync.Mutex
@@ -196,34 +196,8 @@ type Cluster struct {
 	// bound.
 	base Stats
 
-	// recipes holds, per tracked backup item, the chunk references it
-	// took and where they were routed (Config.TrackRecipes). recipeSeq
-	// numbers the recipes ever created (simRecipe.session).
-	recMu     sync.Mutex
-	recipes   map[uint64]simRecipe
-	recipeSeq uint64
-
-	// failoverReads counts restore reads served by a replica after the
-	// primary failed — the simulator mirror of client Stats.FailoverReads.
-	failoverReads atomic.Int64
-
 	// def is the default stream backing the single-stream BackupItem API.
 	def *Stream
-}
-
-// RecipeEntry is one tracked chunk reference of a backup item — the
-// director's recipe entry, so the migration engine reads and rewrites
-// the simulator's catalog without conversion.
-type RecipeEntry = director.ChunkEntry
-
-// simRecipe is one tracked item's recipe. session is unique per recipe
-// ever created and gen counts its modifications — the director's
-// (Session, Gen) pair, so the migration engine's conditional rewrites
-// detect an item appended to, rewritten, or deleted and re-created
-// under a reused ID since they planned from it.
-type simRecipe struct {
-	session, gen uint64
-	entries      []RecipeEntry
 }
 
 // epochState is one committed membership epoch: the member list plus an
@@ -259,9 +233,6 @@ var _ router.View = (*Cluster)(nil)
 // New builds a cluster of cfg.N nodes.
 func New(cfg Config) (*Cluster, error) {
 	cfg = cfg.withDefaults()
-	if cfg.TrackRecipes && cfg.Scheme == router.ExtremeBinning {
-		return nil, fmt.Errorf("cluster: recipe tracking is incompatible with Extreme Binning (bin stores bypass the refcounted chunk index)")
-	}
 	rt, err := router.New(cfg.Scheme, cfg.HandprintK, cfg.SampleRate)
 	if err != nil {
 		return nil, err
@@ -289,14 +260,7 @@ func New(cfg Config) (*Cluster, error) {
 		}
 		nodes[i] = n
 	}
-	c := &Cluster{
-		cfg:         cfg,
-		nodes:       nodes,
-		maxID:       cfg.N - 1,
-		rt:          rt,
-		recipes:     make(map[uint64]simRecipe),
-		pendingMigs: make(map[uint64]director.Migration),
-	}
+	c := &Cluster{cfg: cfg, nodes: nodes, maxID: cfg.N - 1, rt: rt, dir: director.New()}
 	c.commitEpochLocked(core.DenseMembership(cfg.N))
 	// The default stream keeps the seed's container naming ("client0") so
 	// single-stream results are bit-identical to the serial simulator.
@@ -586,6 +550,13 @@ type Stream struct {
 	// took the cluster-wide write lock per backup item, which at 64
 	// concurrent streams serialized the whole ingest.
 	st *epochState
+	// tracked is set between BeginItem and EndItem/AbortItem: the item is
+	// a named backup whose routed chunks accumulate in entries — where
+	// each went, and its replica under R=2 — which EndItem commits as the
+	// item's recipe under path. The trace feed (BackupItem) never tracks.
+	tracked bool
+	path    string
+	entries []director.ChunkEntry
 	// retired guards against double-folding; protected by c.shardMu.
 	retired bool
 }
@@ -663,10 +634,7 @@ func (s *Stream) BackupItem(fileID uint64, refs []core.ChunkRef) error {
 			}
 		}
 	}
-	if fileScoped || s.c.cfg.TrackRecipes {
-		// Recipe tracking cuts the super-chunk at every item boundary —
-		// including untracked (fileID 0) items — so no partial super-chunk
-		// can carry one item's chunks into the next item's attribution.
+	if fileScoped {
 		if sc := s.part.Flush(); sc != nil {
 			sc.FileMinFP = fileMin
 			if _, err := s.routeAndStore(ctx, sc); err != nil {
@@ -682,24 +650,38 @@ func (s *Stream) BackupItem(fileID uint64, refs []core.ChunkRef) error {
 func (s *Stream) Flush() error {
 	s.acquirePin()
 	defer s.releasePin()
-	if sc := s.part.Flush(); sc != nil {
-		if _, err := s.routeAndStore(context.Background(), sc); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err := s.cut(context.Background())
+	return err
 }
 
-// BeginItem starts one backup item on the stream: chunks fed with
-// AddChunk until the next BeginItem/EndItem belong to it. Together with
-// AddChunk and EndItem this is the streaming feed of the simulator —
-// chunks arrive one at a time and completed super-chunks route
-// immediately, so an arbitrarily large item is simulated with memory
-// bounded by the pending super-chunk, never the item size.
-func (s *Stream) BeginItem(fileID uint64) {
+// cut routes the pending partial super-chunk, if any.
+func (s *Stream) cut(ctx context.Context) (RouteOutcome, error) {
+	sc := s.part.Flush()
+	if sc == nil {
+		return RouteOutcome{}, nil
+	}
+	stored, err := s.routeAndStore(ctx, sc)
+	return RouteOutcome{RoutedBytes: sc.Size(), StoredBytes: stored}, err
+}
+
+// BeginItem starts one tracked backup item on the stream — a named
+// backup, to be committed under the recipe key path: chunks fed with
+// AddChunk until EndItem belong to it, and where each was routed
+// accumulates as its recipe. Together with AddChunk and EndItem this is
+// the streaming feed of the simulator — chunks arrive one at a time and
+// completed super-chunks route immediately, so an arbitrarily large
+// item is simulated with memory bounded by the pending super-chunk,
+// never the item size. Whatever an earlier untracked feed left pending
+// is routed first, so it cannot leak into this item's attribution.
+func (s *Stream) BeginItem(ctx context.Context, path string) error {
 	s.ctr.files.Add(1)
 	s.acquirePin()
-	s.part.SetFileID(fileID)
+	if _, err := s.cut(ctx); err != nil {
+		s.releasePin()
+		return err
+	}
+	s.tracked, s.path, s.entries = true, path, s.entries[:0]
+	return nil
 }
 
 // AddChunk feeds one fingerprinted chunk of the current item, returning
@@ -726,32 +708,47 @@ func (s *Stream) AddChunk(ctx context.Context, ref core.ChunkRef) (RouteOutcome,
 	return RouteOutcome{}, nil
 }
 
-// EndItem closes the current item, returning the route outcome of the
-// boundary cut. With recipe tracking on, the partial super-chunk is
-// cut and routed at the item boundary so no super-chunk can carry one
-// item's chunks into the next item's attribution — the same invariant
-// BackupItem maintains.
-func (s *Stream) EndItem(ctx context.Context) (RouteOutcome, error) {
-	defer s.releasePin()
+// EndItem closes the current tracked item and commits it: the partial
+// super-chunk is cut and routed at the item boundary (so no super-chunk
+// can carry one item's chunks into the next item's attribution — a small
+// routing-granularity cost, the price of retention), then the item's
+// entries become the recipe of its key in the cluster's director under
+// session. It returns the route outcome of the boundary cut and the
+// generation the commit superseded, whose references the caller
+// releases. The epoch pin is dropped only once the recipe is in the
+// director: a RemoveNode waiting out this item then finds everything it
+// stored in the catalog it drains. On an error the item is still open
+// (and pinned); the caller must AbortItem.
+func (s *Stream) EndItem(ctx context.Context, session uint64) (RouteOutcome, director.Recipe, error) {
 	if err := ctx.Err(); err != nil {
-		return RouteOutcome{}, err
+		return RouteOutcome{}, director.Recipe{}, err
 	}
-	if s.c.cfg.TrackRecipes {
-		if sc := s.part.Flush(); sc != nil {
-			routed := sc.Size()
-			stored, err := s.routeAndStore(ctx, sc)
-			return RouteOutcome{RoutedBytes: routed, StoredBytes: stored}, err
-		}
+	out, err := s.cut(ctx)
+	if err != nil {
+		return out, director.Recipe{}, err
 	}
-	return RouteOutcome{}, nil
+	prev, err := s.c.dir.SwapRecipe(ctx, session, s.path, s.entries)
+	if err != nil {
+		return out, prev, err
+	}
+	s.tracked = false
+	s.releasePin()
+	return out, prev, nil
 }
 
-// AbortItem discards the partial super-chunk of a failed item so its
-// chunks cannot leak into the next item's routing or attribution. The
-// stream stays usable.
-func (s *Stream) AbortItem() {
+// AbortItem abandons a failed item: its partial super-chunk is discarded
+// so its chunks cannot leak into the next item's routing or attribution,
+// and the references its already-routed super-chunks took are released —
+// under the item's pin, and even when a canceled ctx is why it failed —
+// leaving the cluster exactly as before the attempt. A failed release
+// strands references and is returned. The stream stays usable.
+func (s *Stream) AbortItem(ctx context.Context) error {
 	_ = s.part.Flush()
+	s.tracked = false
+	err := migrate.Release(context.WithoutCancel(ctx), s.c.Node, s.entries)
+	s.entries = s.entries[:0]
 	s.releasePin()
+	return err
 }
 
 // RouteOutcome reports what one chunk feed did: payload bytes routed
@@ -806,25 +803,13 @@ func (s *Stream) routeAndStore(ctx context.Context, sc *core.SuperChunk) (int64,
 			return stored, err
 		}
 		stored += res.UniqueBytes
-		if c.cfg.TrackRecipes && sc.FileID != 0 {
-			entries := make([]RecipeEntry, len(target.Chunks))
-			for i, ch := range target.Chunks {
-				entries[i] = RecipeEntry{FP: ch.FP, Size: int32(ch.Size), Node: int32(a.Node), Replica: -1}
+		if s.tracked {
+			base := len(s.entries)
+			for _, ch := range target.Chunks {
+				s.entries = append(s.entries, director.ChunkEntry{FP: ch.FP, Size: int32(ch.Size), Node: int32(a.Node), Replica: -1})
 			}
-			c.recMu.Lock()
-			r := c.recipes[sc.FileID]
-			if r.gen == 0 {
-				c.recipeSeq++
-				r.session = c.recipeSeq
-			}
-			r.gen++
-			base := len(r.entries)
-			r.entries = append(r.entries, entries...)
-			c.recipes[sc.FileID] = r
-			c.recMu.Unlock()
-			if c.cfg.Replicas >= 2 && len(entries) > 0 {
-				run := director.Recipe{Path: itemPath(sc.FileID), Session: r.session, Gen: r.gen, Chunks: entries}
-				if err := s.replicateRun(ctx, target, run, base); err != nil {
+			if c.cfg.Replicas >= 2 && len(target.Chunks) > 0 {
+				if err := s.replicateRun(ctx, target, s.entries[base:]); err != nil {
 					return stored, err
 				}
 			}
@@ -920,233 +905,6 @@ func (c *Cluster) NormalizedDR(exactPhysical int64) float64 {
 	sdr := metrics.DedupRatio(c.Stats().LogicalBytes, exactPhysical)
 	return metrics.NormalizedDR(c.DedupRatio(), sdr)
 }
-
-// Recipe returns the tracked chunk references of a backup item
-// (Config.TrackRecipes), or false when the item is unknown.
-func (c *Cluster) Recipe(fileID uint64) ([]RecipeEntry, bool) {
-	c.recMu.Lock()
-	defer c.recMu.Unlock()
-	r, ok := c.recipes[fileID]
-	if !ok {
-		return nil, false
-	}
-	return append([]RecipeEntry(nil), r.entries...), true
-}
-
-// DeleteBackup deletes a tracked backup item: its recipe is dropped and
-// every node that holds its chunks releases the recipe's references on
-// them. Chunks whose last reference goes become dead space that Compact
-// reclaims. Requires Config.TrackRecipes and a non-zero fileID at backup
-// time.
-func (c *Cluster) DeleteBackup(fileID uint64) error {
-	if !c.cfg.TrackRecipes {
-		return fmt.Errorf("cluster: DeleteBackup requires Config.TrackRecipes")
-	}
-	c.recMu.Lock()
-	r, ok := c.recipes[fileID]
-	if ok {
-		delete(c.recipes, fileID)
-	}
-	c.recMu.Unlock()
-	if !ok {
-		return fmt.Errorf("cluster: no tracked backup %d: %w", fileID, sderr.ErrNotFound)
-	}
-	byNode := make(map[int32][]fingerprint.Fingerprint)
-	for _, e := range r.entries {
-		byNode[e.Node] = append(byNode[e.Node], e.FP)
-		if e.Replica >= 0 {
-			byNode[e.Replica] = append(byNode[e.Replica], e.FP)
-		}
-	}
-	for id, fps := range byNode {
-		nd, err := c.nodeByID(int(id))
-		if err != nil {
-			if errors.Is(err, sderr.ErrNotFound) {
-				// A crashed node took its references with it; nothing to
-				// release there.
-				continue
-			}
-			return fmt.Errorf("cluster: delete backup %d: %w", fileID, err)
-		}
-		order, ns := core.AggregateRefs(fps)
-		if err := nd.DecRef(order, ns); err != nil {
-			return fmt.Errorf("cluster: delete backup %d: %w", fileID, err)
-		}
-	}
-	return nil
-}
-
-// restoreReq is one node's share of a restore window: the deduplicated
-// fingerprints to fetch, their first-occurrence index, and the payloads
-// scattered back into request order.
-type restoreReq struct {
-	fps  []fingerprint.Fingerprint
-	idx  map[fingerprint.Fingerprint]int
-	data [][]byte
-}
-
-// restoreWindowBytes is the payload budget of one simulator restore
-// window — the batch granularity of RestoreBackup's node reads.
-const restoreWindowBytes = 4 << 20
-
-// RestoreBackup streams a tracked backup item to w in stream order,
-// batching the recipe into byte-bounded windows and fetching each
-// window's chunks with one ReadChunkBatch per node — the node groups
-// them by container and reads each container once, sequentially.
-// Requires Config.TrackRecipes and nodes that retain payloads
-// (KeepPayloads or a durable Dir). A canceled ctx stops between windows.
-func (c *Cluster) RestoreBackup(ctx context.Context, fileID uint64, w io.Writer) error {
-	entries, ok := c.Recipe(fileID)
-	if !ok {
-		return fmt.Errorf("cluster: no tracked backup %d: %w", fileID, sderr.ErrNotFound)
-	}
-	for start := 0; start < len(entries); {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		end, size := start, int64(0)
-		for end < len(entries) && (end == start || size+int64(entries[end].Size) <= restoreWindowBytes) {
-			size += int64(entries[end].Size)
-			end++
-		}
-		if err := c.restoreWindow(fileID, entries[start:end], start, w); err != nil {
-			return err
-		}
-		start = end
-	}
-	return nil
-}
-
-// restoreWindow fetches one window of recipe entries, one batched read
-// per node with repeated fingerprints deduplicated, and writes the
-// payloads in stream order.
-func (c *Cluster) restoreWindow(fileID uint64, entries []RecipeEntry, first int, w io.Writer) error {
-	reqs := make(map[int32]*restoreReq)
-	for _, e := range entries {
-		nr := reqs[e.Node]
-		if nr == nil {
-			nr = &restoreReq{idx: make(map[fingerprint.Fingerprint]int)}
-			reqs[e.Node] = nr
-		}
-		if _, ok := nr.idx[e.FP]; !ok {
-			nr.idx[e.FP] = len(nr.fps)
-			nr.fps = append(nr.fps, e.FP)
-		}
-	}
-	for id, nr := range reqs {
-		var out [][]byte
-		var idx []int
-		nd, err := c.nodeByID(int(id))
-		if err == nil {
-			out, idx, err = nd.ReadChunkBatch(nr.fps)
-		}
-		if err != nil {
-			// Primary failed (crashed node, or its chunks are gone): fail
-			// the whole node group over to the entries' replica owners.
-			if ferr := c.failoverGroup(id, nr, entries); ferr != nil {
-				return fmt.Errorf("cluster: restore backup %d chunks %d..%d: node %d: %w (failover: %v)",
-					fileID, first, first+len(entries)-1, id, err, ferr)
-			}
-			continue
-		}
-		// Scatter the container-read-order results back to request order.
-		nr.data = make([][]byte, len(nr.fps))
-		for i, d := range out {
-			nr.data[idx[i]] = d
-		}
-	}
-	for _, e := range entries {
-		nr := reqs[e.Node]
-		if _, err := w.Write(nr.data[nr.idx[e.FP]]); err != nil {
-			return fmt.Errorf("cluster: restore backup %d: %w", fileID, err)
-		}
-	}
-	return nil
-}
-
-// failoverGroup serves one failed node's share of a restore window from
-// the entries' replica owners: each fingerprint maps to the replica its
-// recipe entry recorded, the group re-batches per replica node, and the
-// payloads scatter into the request's slots as if the primary had
-// answered.
-func (c *Cluster) failoverGroup(failed int32, nr *restoreReq, entries []RecipeEntry) error {
-	replicaOf := make(map[fingerprint.Fingerprint]int32, len(nr.fps))
-	for _, e := range entries {
-		if e.Node == failed && e.Replica >= 0 {
-			replicaOf[e.FP] = e.Replica
-		}
-	}
-	groups := make(map[int32][]fingerprint.Fingerprint)
-	for _, fp := range nr.fps {
-		rep, ok := replicaOf[fp]
-		if !ok {
-			return fmt.Errorf("cluster: chunk %s on failed node %d has no replica: %w",
-				fp.Short(), failed, sderr.ErrNotFound)
-		}
-		groups[rep] = append(groups[rep], fp)
-	}
-	nr.data = make([][]byte, len(nr.fps))
-	for rep, fps := range groups {
-		nd, err := c.nodeByID(int(rep))
-		if err != nil {
-			return fmt.Errorf("cluster: failover to replica node %d: %w", rep, err)
-		}
-		out, idx, err := nd.ReadChunkBatch(fps)
-		if err != nil {
-			return fmt.Errorf("cluster: failover read on replica node %d: %w", rep, err)
-		}
-		for i, d := range out {
-			nr.data[nr.idx[fps[idx[i]]]] = d
-		}
-		c.failoverReads.Add(int64(len(fps)))
-	}
-	return nil
-}
-
-// Compact runs one compaction scan on every node (≤0 threshold selects
-// each node's configured live-ratio floor) and returns the summed
-// results. A canceled ctx stops between nodes and between containers.
-func (c *Cluster) Compact(ctx context.Context, threshold float64) (store.CompactResult, error) {
-	var total store.CompactResult
-	for _, n := range c.liveNodes() {
-		res, err := n.Compact(ctx, threshold)
-		if err != nil {
-			return total, fmt.Errorf("cluster: compact node %d: %w", n.ID(), err)
-		}
-		total.Scanned += res.Scanned
-		total.Rewritten += res.Rewritten
-		total.Retired += res.Retired
-		total.CopiedBytes += res.CopiedBytes
-		total.ReclaimedBytes += res.ReclaimedBytes
-		total.SkippedNoPayload += res.SkippedNoPayload
-	}
-	return total, nil
-}
-
-// GCStats sums the deletion/compaction counters of every node.
-func (c *Cluster) GCStats() store.GCStats {
-	var total store.GCStats
-	for _, n := range c.liveNodes() {
-		gc := n.GCStats()
-		total.StoredBytes += gc.StoredBytes
-		total.DeadBytes += gc.DeadBytes
-		total.LiveBytes += gc.LiveBytes
-		total.Containers += gc.Containers
-		total.RetiredContainers += gc.RetiredContainers
-		total.ReclaimedBytes += gc.ReclaimedBytes
-		total.CopiedBytes += gc.CopiedBytes
-		total.CompactRuns += gc.CompactRuns
-		total.CompactErrors += gc.CompactErrors
-		if gc.LastCompactErr != "" {
-			total.LastCompactErr = gc.LastCompactErr
-		}
-	}
-	return total
-}
-
-// FailoverReads reports how many restore reads were served by a replica
-// after their primary failed.
-func (c *Cluster) FailoverReads() int64 { return c.failoverReads.Load() }
 
 // RestartNode stops node i — sealing its open containers and closing its
 // manifest — and re-opens it from its durable directory, replaying the

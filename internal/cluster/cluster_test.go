@@ -1,12 +1,14 @@
 package cluster
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
 
 	"sigmadedupe/internal/core"
 	"sigmadedupe/internal/fingerprint"
+	"sigmadedupe/internal/migrate"
 	"sigmadedupe/internal/node"
 	"sigmadedupe/internal/router"
 	"sigmadedupe/internal/workload"
@@ -311,12 +313,12 @@ func TestRestartNodeRequiresDir(t *testing.T) {
 	}
 }
 
-// TestTrackedRecipesExactWithUntrackedItems: an untracked (fileID 0)
-// item interleaved before a tracked one must not leak its chunks into
-// the tracked item's recipe — super-chunks are cut at every item
-// boundary while tracking.
+// TestTrackedRecipesExactWithUntrackedItems: an untracked trace item
+// fed before a tracked one on the same stream must not leak its pending
+// chunks into the tracked item's recipe — BeginItem routes whatever the
+// untracked feed left pending first.
 func TestTrackedRecipesExactWithUntrackedItems(t *testing.T) {
-	c, err := New(Config{N: 2, TrackRecipes: true, Node: node.Config{KeepPayloads: true}})
+	c, err := New(Config{N: 2, Node: node.Config{KeepPayloads: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,16 +328,11 @@ func TestTrackedRecipesExactWithUntrackedItems(t *testing.T) {
 	if err := c.BackupItem(0, refsA); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.BackupItem(7, refsB); err != nil {
-		t.Fatal(err)
-	}
+	backupTracked(t, c, 7, refsB)
 	if err := c.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	rec, ok := c.Recipe(7)
-	if !ok {
-		t.Fatal("tracked item has no recipe")
-	}
+	rec := recipeOf(t, c, 7)
 	want := make(map[string]bool, len(refsB))
 	for _, r := range refsB {
 		want[r.FP.String()] = true
@@ -349,7 +346,7 @@ func TestTrackedRecipesExactWithUntrackedItems(t *testing.T) {
 		}
 	}
 	// Deleting item 7 must not touch the untracked item's chunks.
-	if err := c.DeleteBackup(7); err != nil {
+	if err := migrate.Delete(context.Background(), c.Director(), c.Node, itemName(7)); err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range refsA {

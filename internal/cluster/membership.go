@@ -3,7 +3,7 @@
 // file owns what is genuinely simulator-side: membership epochs and
 // their grace period, the configuration guard, node creation and
 // death, and handing the engine the in-process node transport
-// (migrate.Local) and the recipe tracker as its catalog (catalog.go).
+// (migrate.Local) and the cluster's director as its catalog.
 package cluster
 
 import (
@@ -30,15 +30,23 @@ type MigrationResult = migrate.Result
 // migration runs.
 func (c *Cluster) SetMigrateFault(fn migrate.Fault) { c.migrateFault = fn }
 
+// Director returns the cluster's metadata plane (see Cluster.dir).
+func (c *Cluster) Director() *director.Director { return c.dir }
+
+// Node resolves a node of the live registry to its in-process transport
+// (the migrate.Engine.Nodes shape); false once the node was removed or
+// killed.
+func (c *Cluster) Node(id int) (migrate.Node, bool) {
+	n, err := c.nodeByID(id)
+	return migrate.Local(n), err == nil
+}
+
 // engine builds the migration engine over the live node registry and
-// the recipe tracker.
+// the director's catalog.
 func (c *Cluster) engine() *migrate.Engine {
 	return &migrate.Engine{
-		Catalog: catalog{c},
-		Nodes: func(id int) (migrate.Node, bool) {
-			n, err := c.nodeByID(id)
-			return migrate.Local(n), err == nil
-		},
+		Catalog:    c.dir,
+		Nodes:      c.Node,
 		HandprintK: c.cfg.HandprintK,
 		Replicas:   c.cfg.Replicas,
 		Fault:      c.migrateFault,
@@ -47,19 +55,14 @@ func (c *Cluster) engine() *migrate.Engine {
 
 // elasticGuard rejects membership operations on configurations that
 // cannot support them: only the Sigma scheme's similarity routing is
-// membership-aware, and migration is recipe-driven, so recipes must be
-// tracked and payloads retained.
+// membership-aware, and migration copies payloads, so they must be
+// retained.
 func (c *Cluster) elasticGuard(needPayloads bool) error {
 	if c.cfg.Scheme != router.Sigma {
 		return fmt.Errorf("cluster: membership changes require the Sigma routing scheme (have %s)", c.rt.Name())
 	}
-	if needPayloads {
-		if !c.cfg.TrackRecipes {
-			return fmt.Errorf("cluster: migration requires Config.TrackRecipes (recipe-driven)")
-		}
-		if !c.cfg.Node.KeepPayloads && c.cfg.Node.Dir == "" {
-			return fmt.Errorf("cluster: migration requires payload-carrying nodes (KeepPayloads or a durable Dir)")
-		}
+	if needPayloads && !c.cfg.Node.KeepPayloads && c.cfg.Node.Dir == "" {
+		return fmt.Errorf("cluster: migration requires payload-carrying nodes (KeepPayloads or a durable Dir)")
 	}
 	return nil
 }
@@ -99,7 +102,7 @@ func (c *Cluster) RemoveNode(ctx context.Context, id int) (MigrationResult, erro
 	if err := c.elasticGuard(true); err != nil {
 		return res, err
 	}
-	if err := c.guardNoPendingMigrations(); err != nil {
+	if err := migrate.GuardNoPending(ctx, c.dir); err != nil {
 		return res, err
 	}
 	c.memberMu.Lock()
@@ -182,7 +185,7 @@ func (c *Cluster) Rebalance(ctx context.Context) (MigrationResult, error) {
 	if err := c.elasticGuard(true); err != nil {
 		return MigrationResult{}, err
 	}
-	if err := c.guardNoPendingMigrations(); err != nil {
+	if err := migrate.GuardNoPending(ctx, c.dir); err != nil {
 		return MigrationResult{}, err
 	}
 	return c.engine().Rebalance(ctx, c.Membership())
@@ -191,9 +194,9 @@ func (c *Cluster) Rebalance(ctx context.Context) (MigrationResult, error) {
 // Repair is the anti-entropy pass that re-converges the cluster after a
 // node crash (or any interrupted replication/migration); see
 // migrate.Engine.Repair. Like migration recovery it assumes quiesced
-// traffic and a fully tracked catalog (every backup stored with a
-// non-zero fileID): recipes are the sole source of references it
-// reconciles against.
+// traffic and a fully tracked catalog (every backup fed as a tracked
+// item and committed to the director): recipes are the sole source of
+// references it reconciles against.
 func (c *Cluster) Repair(ctx context.Context) (migrate.RepairResult, error) {
 	if err := c.elasticGuard(true); err != nil {
 		return migrate.RepairResult{}, err
@@ -208,43 +211,50 @@ func (c *Cluster) RecoverMigrations(ctx context.Context) error {
 	return c.engine().Recover(ctx)
 }
 
-// PendingMigrations reports the open migration transactions (tests and
-// diagnostics).
-func (c *Cluster) PendingMigrations() int {
-	c.recMu.Lock()
-	defer c.recMu.Unlock()
-	return len(c.pendingMigs)
-}
-
 // replicateRun gives one just-routed run — the super-chunk in hand and
-// the recipe entries appended for it at entry base of its item — its
-// second copy (R=2) under the engine's journaled transaction. The
-// primary's side of the transport reads the payloads from hand, so its
-// open container need not seal to be read back. A failure fails the
-// backup, so no committed item is ever left without a replica while two
-// members are live.
-func (s *Stream) replicateRun(ctx context.Context, sc *core.SuperChunk, run director.Recipe, base int) error {
-	c := s.c
-	primary := int(run.Chunks[0].Node)
-	e := c.engine()
-	e.Catalog = runCatalog{catalog{c}, base}
-	nodes := e.Nodes
+// the tracked item's entries just appended for it — its second copy
+// (R=2) under the engine's journaled transaction. The primary's side of
+// the transport reads the payloads from hand, so its open container
+// need not seal to be read back. A failure fails the backup, so no
+// committed item is ever left without a replica while two members are
+// live.
+func (s *Stream) replicateRun(ctx context.Context, sc *core.SuperChunk, run []director.ChunkEntry) error {
+	primary := int(run[0].Node)
+	e := s.c.engine()
+	e.Catalog = runCatalog{e.Catalog, run}
 	e.Nodes = func(id int) (migrate.Node, bool) {
-		n, ok := nodes(id)
+		n, ok := s.c.Node(id)
 		w := writePath{Node: n}
 		if id == primary {
 			w.inHand = sc
 		}
 		return w, ok
 	}
-	_, err := e.ReplicateRecipe(ctx, run, s.st.members)
+	_, err := e.ReplicateRecipe(ctx, director.Recipe{Path: s.path, Chunks: run}, s.st.members)
 	return err
+}
+
+// runCatalog is the catalog as write-path replication sees it: the
+// director journals the transaction, but the "recipe" is only the run
+// just appended to the stream's pending entries, which nobody else can
+// see until the item commits — so the engine's rewrite is an
+// unconditional copy that costs the run, not the whole item.
+// Transactions it journals carry run-relative segment positions;
+// recovery goes by their endpoints and fingerprints only.
+type runCatalog struct {
+	migrate.Catalog
+	run []director.ChunkEntry
+}
+
+func (k runCatalog) ReplaceRecipe(_ context.Context, _ string, _, _ uint64, chunks []director.ChunkEntry) error {
+	copy(k.run, chunks)
+	return nil
 }
 
 // writePath is the node transport of write-path replication. Reads of a
 // run's primary come from the super-chunk in hand, and the commit is
 // deferred: replicas land in the migrate stream's open container and
-// seal at Cluster.Flush together with the primaries' — the catalog they
+// seal at Cluster.Flush together with the primaries' — the director they
 // are attributed in lives in this process's RAM, so sealing per run
 // would buy no crash safety, only one small container per run.
 type writePath struct {
@@ -311,18 +321,4 @@ func (c *Cluster) waitEpochQuiesce(ctx context.Context, epoch uint64) error {
 		}
 		time.Sleep(time.Millisecond)
 	}
-}
-
-// guardNoPendingMigrations refuses a new membership operation while
-// crash-leftover transactions are open: their reconciliation assumes
-// quiesced backups (an in-flight backup's uncommitted references would
-// read as surplus), so the operator quiesces and runs
-// RecoverMigrations explicitly rather than having a routine membership
-// change do it under live traffic.
-func (c *Cluster) guardNoPendingMigrations() error {
-	if n := c.PendingMigrations(); n > 0 {
-		return fmt.Errorf(
-			"cluster: %d migration transactions left pending by a crash; quiesce backups and run RecoverMigrations first", n)
-	}
-	return nil
 }

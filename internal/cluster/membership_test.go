@@ -3,11 +3,15 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 
 	"sigmadedupe/internal/core"
+	"sigmadedupe/internal/director"
 	"sigmadedupe/internal/fingerprint"
+	"sigmadedupe/internal/migrate"
 	"sigmadedupe/internal/node"
 	"sigmadedupe/internal/router"
 )
@@ -27,12 +31,75 @@ func membershipItem(seed int64, chunks int) []core.ChunkRef {
 	return refs
 }
 
+// backupTracked feeds refs as one tracked item through the cluster's
+// default stream — the streaming feed a backup session drives — and
+// commits its recipe to the cluster's director under the item's name.
+func backupTracked(t *testing.T, c *Cluster, id int, refs []core.ChunkRef) {
+	t.Helper()
+	ctx := context.Background()
+	s := c.Default()
+	if err := s.BeginItem(ctx, itemName(id)); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range refs {
+		if _, err := s.AddChunk(ctx, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sess, err := c.Director().BeginSession(ctx, "test", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := s.EndItem(ctx, sess); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func itemName(id int) string { return fmt.Sprintf("/item%d", id) }
+
+// recipeOf returns the committed recipe entries of a tracked item.
+func recipeOf(t *testing.T, c *Cluster, id int) []director.ChunkEntry {
+	t.Helper()
+	r, err := c.Director().GetRecipe(context.Background(), itemName(id))
+	if err != nil {
+		t.Fatalf("item %d: %v", id, err)
+	}
+	return r.Chunks
+}
+
+// restoreItem restores a tracked item through the shared scheduler.
+func restoreItem(t *testing.T, c *Cluster, id int) []byte {
+	t.Helper()
+	var out bytes.Buffer
+	if _, err := migrate.Restore(context.Background(), c.Director(), c.Node, itemName(id), 2, &out); err != nil {
+		t.Fatalf("restore item %d: %v", id, err)
+	}
+	return out.Bytes()
+}
+
+// payload is the byte stream refs describe.
+func payload(refs []core.ChunkRef) []byte {
+	var want bytes.Buffer
+	for _, r := range refs {
+		want.Write(r.Data)
+	}
+	return want.Bytes()
+}
+
+func pendingMigrations(t *testing.T, c *Cluster) int {
+	t.Helper()
+	p, err := c.Director().PendingMigrations(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return len(p)
+}
+
 func elasticCluster(t *testing.T, n int) *Cluster {
 	t.Helper()
 	c, err := New(Config{
 		N:              n,
 		Scheme:         router.Sigma,
-		TrackRecipes:   true,
 		SuperChunkSize: 32 << 10,
 		Node:           nodeCfgKeepPayloads(),
 	})
@@ -60,9 +127,7 @@ func TestRoutingStabilityOnGrowth(t *testing.T) {
 		contents[i] = membershipItem(int64(100+i), 24) // 96KB → ~3 super-chunks
 	}
 	for i, refs := range contents {
-		if err := c.BackupItem(uint64(1+i), refs); err != nil {
-			t.Fatal(err)
-		}
+		backupTracked(t, c, 1+i, refs)
 	}
 	if err := c.Flush(); err != nil {
 		t.Fatal(err)
@@ -79,9 +144,7 @@ func TestRoutingStabilityOnGrowth(t *testing.T) {
 
 	// Re-backup identical content under fresh item IDs.
 	for i, refs := range contents {
-		if err := c.BackupItem(uint64(1000+i), refs); err != nil {
-			t.Fatal(err)
-		}
+		backupTracked(t, c, 1000+i, refs)
 	}
 	if err := c.Flush(); err != nil {
 		t.Fatal(err)
@@ -91,10 +154,9 @@ func TestRoutingStabilityOnGrowth(t *testing.T) {
 	// generations.
 	var total, moved int
 	for i := range contents {
-		before, ok1 := c.Recipe(uint64(1 + i))
-		after, ok2 := c.Recipe(uint64(1000 + i))
-		if !ok1 || !ok2 || len(before) != len(after) {
-			t.Fatalf("item %d recipes missing or diverged (%v/%v)", i, ok1, ok2)
+		before, after := recipeOf(t, c, 1+i), recipeOf(t, c, 1000+i)
+		if len(before) != len(after) {
+			t.Fatalf("item %d recipes diverged (%d/%d chunks)", i, len(before), len(after))
 		}
 		for j := range before {
 			total++
@@ -126,18 +188,14 @@ func TestAddNodeReceivesNewData(t *testing.T) {
 	c := elasticCluster(t, 2)
 	defer c.Close()
 	for i := 0; i < 8; i++ {
-		if err := c.BackupItem(uint64(1+i), membershipItem(int64(i), 16)); err != nil {
-			t.Fatal(err)
-		}
+		backupTracked(t, c, 1+i, membershipItem(int64(i), 16))
 	}
 	id, err := c.AddNode()
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 24; i++ {
-		if err := c.BackupItem(uint64(100+i), membershipItem(int64(500+i), 16)); err != nil {
-			t.Fatal(err)
-		}
+		backupTracked(t, c, 100+i, membershipItem(int64(500+i), 16))
 	}
 	if err := c.Flush(); err != nil {
 		t.Fatal(err)
@@ -158,9 +216,7 @@ func TestRemoveNodeMigratesAndRestores(t *testing.T) {
 	contents := make([][]core.ChunkRef, items)
 	for i := range contents {
 		contents[i] = membershipItem(int64(9000+i), 24)
-		if err := c.BackupItem(uint64(1+i), contents[i]); err != nil {
-			t.Fatal(err)
-		}
+		backupTracked(t, c, 1+i, contents[i])
 	}
 	if err := c.Flush(); err != nil {
 		t.Fatal(err)
@@ -178,39 +234,104 @@ func TestRemoveNodeMigratesAndRestores(t *testing.T) {
 		t.Fatalf("RemoveNode moved nothing: %+v", res)
 	}
 	for i := range contents {
-		entries, ok := c.Recipe(uint64(1 + i))
-		if !ok {
-			t.Fatalf("item %d recipe lost", i)
-		}
-		for _, e := range entries {
+		for _, e := range recipeOf(t, c, 1+i) {
 			if e.Node == 1 {
 				t.Fatalf("item %d still placed on removed node 1", i)
 			}
 		}
-		var out bytes.Buffer
-		if err := c.RestoreBackup(context.Background(), uint64(1+i), &out); err != nil {
-			t.Fatalf("restore item %d after RemoveNode: %v", i, err)
-		}
-		var want bytes.Buffer
-		for _, r := range contents[i] {
-			want.Write(r.Data)
-		}
-		if !bytes.Equal(out.Bytes(), want.Bytes()) {
+		if !bytes.Equal(restoreItem(t, c, 1+i), payload(contents[i])) {
 			t.Fatalf("item %d corrupted by migration", i)
 		}
 	}
 
 	// Zero leaked references: delete everything, compact, nothing live.
+	ctx := context.Background()
 	for i := 0; i < items; i++ {
-		if err := c.DeleteBackup(uint64(1 + i)); err != nil {
+		if err := migrate.Delete(ctx, c.Director(), c.Node, itemName(1+i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := c.Compact(context.Background(), 0.999); err != nil {
+	if _, err := migrate.Compact(ctx, c.Membership().Nodes, c.Node, 0.999); err != nil {
 		t.Fatal(err)
 	}
-	if gc := c.GCStats(); gc.LiveBytes != 0 {
-		t.Fatalf("live bytes = %d after deleting every backup; migration leaked references", gc.LiveBytes)
+	if gc, err := migrate.GCStats(ctx, c.Membership().Nodes, c.Node); err != nil || gc.LiveBytes != 0 {
+		t.Fatalf("live bytes = %d (%v) after deleting every backup; migration leaked references", gc.LiveBytes, err)
+	}
+}
+
+// TestRemoveNodeWaitsForItemCommit: an item whose super-chunks are
+// stored but whose recipe is not yet in the director holds its epoch
+// pin, so a RemoveNode of a node it stored to cannot scan the catalog,
+// find nothing and close the node under it. The drain runs after the
+// commit, moves the item, and the backup restores.
+func TestRemoveNodeWaitsForItemCommit(t *testing.T) {
+	// Fixed boundaries: a 96KB item is three whole super-chunks, all
+	// routed by AddChunk — EndItem stores nothing more.
+	c, err := New(Config{N: 3, Scheme: router.Sigma, SuperChunkSize: 32 << 10, FixedBoundaries: true, Node: nodeCfgKeepPayloads()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx := context.Background()
+	seed := membershipItem(7000, 24)
+	backupTracked(t, c, 1, seed)
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	s, err := c.Stream("second")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	refs := membershipItem(7001, 24)
+	if err := s.BeginItem(ctx, itemName(2)); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range refs {
+		if _, err := s.AddChunk(ctx, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(s.entries) != len(refs) {
+		t.Fatalf("%d of %d chunks routed before EndItem; the test needs the whole item stored and uncommitted", len(s.entries), len(refs))
+	}
+	victim := int(s.entries[0].Node)
+	// Seal what the item stored, as a session's Flush would: the drain
+	// reads sealed containers only.
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	done := make(chan error, 1)
+	go func() {
+		_, err := c.RemoveNode(ctx, victim)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		t.Fatalf("RemoveNode(%d) returned (%v) while an item stored on the node was uncommitted", victim, err)
+	case <-time.After(100 * time.Millisecond):
+	}
+	sess, err := c.Director().BeginSession(ctx, "test", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := s.EndItem(ctx, sess); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	for id, want := range map[int][]core.ChunkRef{1: seed, 2: refs} {
+		for _, e := range recipeOf(t, c, id) {
+			if int(e.Node) == victim {
+				t.Fatalf("item %d still placed on removed node %d", id, victim)
+			}
+		}
+		if !bytes.Equal(restoreItem(t, c, id), payload(want)) {
+			t.Fatalf("item %d does not restore after RemoveNode", id)
+		}
 	}
 }
 
@@ -223,9 +344,7 @@ func TestRebalanceFillsNewNode(t *testing.T) {
 	contents := make([][]core.ChunkRef, items)
 	for i := range contents {
 		contents[i] = membershipItem(int64(7000+i), 24)
-		if err := c.BackupItem(uint64(1+i), contents[i]); err != nil {
-			t.Fatal(err)
-		}
+		backupTracked(t, c, 1+i, contents[i])
 	}
 	if err := c.Flush(); err != nil {
 		t.Fatal(err)
@@ -244,19 +363,11 @@ func TestRebalanceFillsNewNode(t *testing.T) {
 	if c.Usage(id) == 0 {
 		t.Fatal("fresh node still empty after rebalance")
 	}
-	if c.PendingMigrations() != 0 {
-		t.Fatalf("%d migrations left pending after a clean rebalance", c.PendingMigrations())
+	if n := pendingMigrations(t, c); n != 0 {
+		t.Fatalf("%d migrations left pending after a clean rebalance", n)
 	}
 	for i := range contents {
-		var out bytes.Buffer
-		if err := c.RestoreBackup(context.Background(), uint64(1+i), &out); err != nil {
-			t.Fatalf("restore item %d after rebalance: %v", i, err)
-		}
-		var want bytes.Buffer
-		for _, r := range contents[i] {
-			want.Write(r.Data)
-		}
-		if !bytes.Equal(out.Bytes(), want.Bytes()) {
+		if !bytes.Equal(restoreItem(t, c, 1+i), payload(contents[i])) {
 			t.Fatalf("item %d corrupted by rebalance", i)
 		}
 	}
@@ -280,7 +391,7 @@ func TestMembershipGuards(t *testing.T) {
 	}
 	defer c2.Close()
 	if _, err := c2.RemoveNode(context.Background(), 0); err == nil {
-		t.Fatal("RemoveNode without TrackRecipes/payloads must fail")
+		t.Fatal("RemoveNode without payloads must fail")
 	}
 }
 
@@ -288,9 +399,8 @@ func TestMembershipGuards(t *testing.T) {
 // rejected at construction rather than silently keeping single copies.
 func TestReplicasGuard(t *testing.T) {
 	for name, cfg := range map[string]Config{
-		"stateless scheme": {N: 2, Scheme: router.Stateless, TrackRecipes: true, Replicas: 2, Node: nodeCfgKeepPayloads()},
-		"no recipes":       {N: 2, Replicas: 2, Node: nodeCfgKeepPayloads()},
-		"no payloads":      {N: 2, TrackRecipes: true, Replicas: 2},
+		"stateless scheme": {N: 2, Scheme: router.Stateless, Replicas: 2, Node: nodeCfgKeepPayloads()},
+		"no payloads":      {N: 2, Replicas: 2},
 	} {
 		if c, err := New(cfg); err == nil {
 			c.Close()
@@ -305,7 +415,7 @@ func TestReplicasGuard(t *testing.T) {
 // returns — and neither primaries nor replicas seal a container per
 // item; containers fill and seal as under single-copy ingest.
 func TestWritePathReplicationSealsNothing(t *testing.T) {
-	c, err := New(Config{N: 4, TrackRecipes: true, SuperChunkSize: 32 << 10, Replicas: 2, Node: nodeCfgKeepPayloads()})
+	c, err := New(Config{N: 4, SuperChunkSize: 32 << 10, Replicas: 2, Node: nodeCfgKeepPayloads()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,11 +424,9 @@ func TestWritePathReplicationSealsNothing(t *testing.T) {
 	var logical int64
 	for i := 0; i < items; i++ {
 		refs := membershipItem(int64(500+i), 24) // 96KB → 3 super-chunks
-		if err := c.BackupItem(uint64(i+1), refs); err != nil {
-			t.Fatal(err)
-		}
+		backupTracked(t, c, i+1, refs)
 		logical += 24 * 4096
-		entries, _ := c.Recipe(uint64(i + 1))
+		entries := recipeOf(t, c, i+1)
 		if len(entries) != len(refs) {
 			t.Fatalf("item %d: recipe has %d entries, want %d", i, len(entries), len(refs))
 		}
@@ -338,7 +446,7 @@ func TestWritePathReplicationSealsNothing(t *testing.T) {
 	if got := c.PhysicalBytes(); got != 2*logical {
 		t.Fatalf("physical bytes %d, want %d (two copies)", got, 2*logical)
 	}
-	if n := c.PendingMigrations(); n != 0 {
+	if n := pendingMigrations(t, c); n != 0 {
 		t.Fatalf("%d transactions left open by a clean ingest", n)
 	}
 }

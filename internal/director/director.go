@@ -231,7 +231,7 @@ func OpenAt(dir string) (*Director, error) {
 	// set (superseded history is not replayed).
 	d.tenants.ResetUsage()
 	for _, r := range d.recipes {
-		d.tenants.AccountPut(r.Tenant(), r.Size(), 0, true, false)
+		d.tenants.AccountPut(r.Tenant(), r.Size(), 0, true)
 	}
 	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
 	if err != nil {
@@ -391,25 +391,37 @@ func (d *Director) EndSession(ctx context.Context, id uint64) error {
 	return nil
 }
 
-// PutRecipe records the recipe of one backed-up file within a session.
-// A later backup of the same path supersedes the previous recipe. On a
-// durable director the recipe is journaled (fsynced) before it becomes
-// visible.
+// PutRecipe is SwapRecipe for callers with no use for the superseded
+// generation (fresh paths, tests, replays).
 func (d *Director) PutRecipe(ctx context.Context, session uint64, path string, chunks []ChunkEntry) error {
+	_, err := d.SwapRecipe(ctx, session, path, chunks)
+	return err
+}
+
+// SwapRecipe records the recipe of one backed-up file within a session
+// and returns the recipe it superseded (Gen 0 when the path was fresh).
+// Install and hand-back are one critical section, so every generation
+// leaves the catalog exactly once — through the swap that supersedes it
+// or the DeleteRecipe that removes it — and whoever receives it releases
+// its chunk references exactly once, however re-backups and deletes of
+// one name interleave. On a durable director the recipe is journaled
+// (fsynced) before it becomes visible.
+func (d *Director) SwapRecipe(ctx context.Context, session uint64, path string, chunks []ChunkEntry) (Recipe, error) {
 	if err := ctx.Err(); err != nil {
-		return err
+		return Recipe{}, err
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	s, ok := d.sessions[session]
 	if !ok {
-		return fmt.Errorf("%w: %d", ErrNoSession, session)
+		return Recipe{}, fmt.Errorf("%w: %d", ErrNoSession, session)
 	}
 	path = normKey(path)
 	gen := uint64(1)
+	var prev Recipe
 	var prevSize int64
-	prev, existed := d.recipes[path]
-	if existed {
+	if p, existed := d.recipes[path]; existed {
+		prev = *p
 		gen = prev.Gen + 1
 		prevSize = prev.Size()
 	}
@@ -420,10 +432,10 @@ func (d *Director) PutRecipe(ctx context.Context, session uint64, path string, c
 	}
 	// Hard quota enforcement at the commit point: the recipe is what
 	// makes bytes live, so an over-quota put is refused before it is
-	// journaled. (The client's soft mid-stream check normally fails the
+	// journaled. (The session's soft mid-stream check normally fails the
 	// stream long before this.)
 	if err := d.tenants.CheckPut(tn, size, prevSize); err != nil {
-		return err
+		return Recipe{}, err
 	}
 	if d.journal != nil {
 		js := make([]chunkJSON, len(chunks))
@@ -431,15 +443,15 @@ func (d *Director) PutRecipe(ctx context.Context, session uint64, path string, c
 			js[i] = chunkJSON{FP: c.FP.String(), Size: c.Size, Node: c.Node, R: c.Replica + 1}
 		}
 		if err := d.appendJournal(recipeRecord{T: "put", Tenant: tn, Path: name, Session: session, Gen: gen, Chunks: js}); err != nil {
-			return err
+			return Recipe{}, err
 		}
 	}
 	s.Files = append(s.Files, path)
 	cp := make([]ChunkEntry, len(chunks))
 	copy(cp, chunks)
 	d.recipes[path] = &Recipe{Path: path, Session: session, Gen: gen, Chunks: cp}
-	d.tenants.AccountPut(tn, size, prevSize, !existed, false)
-	return nil
+	d.tenants.AccountPut(tn, size, prevSize, prev.Gen == 0)
+	return prev, nil
 }
 
 // DeleteRecipe removes a backup's recipe and returns it so the caller

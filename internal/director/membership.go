@@ -381,7 +381,7 @@ func (d *Director) ReplaceRecipe(ctx context.Context, path string, ifSession, if
 	// this is normally a zero delta; account it anyway so live bytes
 	// stay exact if a rewrite ever resizes.
 	if newSize := d.recipes[path].Size(); newSize != prevSize {
-		d.tenants.AccountPut(tn, newSize, prevSize, false, false)
+		d.tenants.AccountPut(tn, newSize, prevSize, false)
 	}
 	return nil
 }

@@ -22,7 +22,10 @@ import (
 type Metadata interface {
 	BeginSession(ctx context.Context, client, tenantName string) (uint64, error)
 	EndSession(ctx context.Context, id uint64) error
-	PutRecipe(ctx context.Context, session uint64, path string, chunks []ChunkEntry) error
+	// SwapRecipe installs a path's recipe and returns the generation it
+	// superseded (Gen 0: none) — atomically, so the caller releases the
+	// old generation's chunk references exactly once.
+	SwapRecipe(ctx context.Context, session uint64, path string, chunks []ChunkEntry) (Recipe, error)
 	GetRecipe(ctx context.Context, path string) (Recipe, error)
 	DeleteRecipe(ctx context.Context, path string) (Recipe, error)
 	TenantStatus(ctx context.Context, name string) (TenantStatus, error)
@@ -203,7 +206,8 @@ func (s *Service) serveConn(conn net.Conn) {
 		case opEnd:
 			resp.Err = sderr.Encode(s.dir.EndSession(context.Background(), req.Session))
 		case opPut:
-			resp.Err = sderr.Encode(s.dir.PutRecipe(context.Background(), req.Session, req.Path, req.Chunks))
+			prev, err := s.dir.SwapRecipe(context.Background(), req.Session, req.Path, req.Chunks)
+			resp.Recipe, resp.Err = prev, sderr.Encode(err)
 		case opGet:
 			r, err := s.dir.GetRecipe(context.Background(), req.Path)
 			if err != nil {
@@ -412,10 +416,13 @@ func (r *Remote) EndSession(ctx context.Context, id uint64) error {
 	return err
 }
 
-// PutRecipe implements Metadata.
-func (r *Remote) PutRecipe(ctx context.Context, session uint64, path string, chunks []ChunkEntry) error {
-	_, err := r.call(ctx, dirRequest{Op: opPut, Session: session, Path: path, Chunks: chunks})
-	return err
+// SwapRecipe implements Metadata.
+func (r *Remote) SwapRecipe(ctx context.Context, session uint64, path string, chunks []ChunkEntry) (Recipe, error) {
+	resp, err := r.call(ctx, dirRequest{Op: opPut, Session: session, Path: path, Chunks: chunks})
+	if err != nil {
+		return Recipe{}, err
+	}
+	return resp.Recipe, nil
 }
 
 // GetRecipe implements Metadata.

@@ -28,8 +28,12 @@ func TestServiceRoundTrip(t *testing.T) {
 	chunks := []ChunkEntry{
 		{FP: fingerprint.Sum([]byte("x")), Size: 4096, Node: 1},
 	}
-	if err := r.PutRecipe(context.Background(), id, "/remote/file", chunks); err != nil {
-		t.Fatal(err)
+	if prev, err := r.SwapRecipe(context.Background(), id, "/remote/file", chunks[:0]); err != nil || prev.Gen != 0 {
+		t.Fatalf("first swap = %+v, %v; want no previous generation", prev, err)
+	}
+	// A re-put hands the superseded generation back across the wire.
+	if prev, err := r.SwapRecipe(context.Background(), id, "/remote/file", chunks); err != nil || prev.Gen != 1 || len(prev.Chunks) != 0 {
+		t.Fatalf("second swap = %+v, %v; want generation 1 back", prev, err)
 	}
 	got, err := r.GetRecipe(context.Background(), "/remote/file")
 	if err != nil {
@@ -46,7 +50,7 @@ func TestServiceRoundTrip(t *testing.T) {
 	if _, err := r.GetRecipe(context.Background(), "/missing"); err == nil {
 		t.Fatal("missing recipe should error over the wire")
 	}
-	if err := r.PutRecipe(context.Background(), 9999, "/x", nil); err == nil {
+	if _, err := r.SwapRecipe(context.Background(), 9999, "/x", nil); err == nil {
 		t.Fatal("bad session should error over the wire")
 	}
 }
@@ -73,7 +77,7 @@ func TestServiceMultipleClients(t *testing.T) {
 	if id1 == id2 {
 		t.Fatal("sessions must be distinct across connections")
 	}
-	if err := r1.PutRecipe(context.Background(), id1, "/f1", nil); err != nil {
+	if _, err := r1.SwapRecipe(context.Background(), id1, "/f1", nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := r2.GetRecipe(context.Background(), "/f1"); err != nil {

@@ -8,15 +8,23 @@ import (
 	"sigmadedupe/internal/core"
 	"sigmadedupe/internal/director"
 	"sigmadedupe/internal/fingerprint"
+	"sigmadedupe/internal/rpc"
 	"sigmadedupe/internal/sderr"
+	"sigmadedupe/internal/store"
 )
 
-// Node is the transport to one deduplication node: the verbs the engine
-// needs, with the signatures *rpc.Client already has. Bid answers a
+// Node is the transport to one deduplication node — the one interface
+// the migration engine and the restore/delete/reclaim verbs (restore.go,
+// reclaim.go) reach a node through, with the signatures *rpc.Client
+// already has; Local is the in-process implementation. Bid answers a
 // handprint with the node's similarity match count and its storage
 // usage; an empty handprint is the plain usage probe.
 type Node interface {
 	Bid(ctx context.Context, hp core.Handprint) (count int, usage int64, err error)
+	// ReadBatch returns one payload per fingerprint, in request order, the
+	// node reading each container once; the caller Releases the batch
+	// once the payloads are written out.
+	ReadBatch(ctx context.Context, fps []fingerprint.Fingerprint) (*rpc.ChunkBatch, error)
 	// MigrateRead returns one payload per fingerprint, in order.
 	MigrateRead(ctx context.Context, fps []fingerprint.Fingerprint) ([][]byte, error)
 	// MigrateWrite stores a super-chunk through the dedup path: one
@@ -27,6 +35,11 @@ type Node interface {
 	MigrateCommit(ctx context.Context, stream string) error
 	DecRef(ctx context.Context, fps []fingerprint.Fingerprint, ns []int64) error
 	RefCounts(ctx context.Context, fps []fingerprint.Fingerprint) ([]int64, error)
+	// Compact runs one compaction scan (≤0 threshold selects the node's
+	// configured live-ratio floor).
+	Compact(ctx context.Context, threshold float64) (store.CompactResult, error)
+	// GCStats returns the deletion/compaction counters and storage usage.
+	GCStats(ctx context.Context) (store.GCStats, int64, error)
 }
 
 // Catalog is the recipe and transaction metadata the engine runs
@@ -65,6 +78,20 @@ type Engine struct {
 	Replicas int
 	// Fault is the crash-injection hook (tests; see Stage).
 	Fault Fault
+}
+
+// GuardNoPending refuses a new membership operation while
+// crash-leftover transactions are open in the catalog's journal: their
+// reconciliation (Recover) assumes quiesced backups — the references of
+// an in-flight, not-yet-committed backup would read as surplus and be
+// released — so the operator quiesces and recovers explicitly rather
+// than having a routine membership change do it under live traffic.
+func GuardNoPending(ctx context.Context, cat Catalog) error {
+	pending, err := cat.PendingMigrations(ctx)
+	if err == nil && len(pending) > 0 {
+		err = fmt.Errorf("migrate: %d migration transactions left pending by a crash; quiesce backups and run RecoverMigrations first", len(pending))
+	}
+	return err
 }
 
 func (e *Engine) k() int {

@@ -6,6 +6,8 @@ import (
 	"sigmadedupe/internal/core"
 	"sigmadedupe/internal/fingerprint"
 	"sigmadedupe/internal/node"
+	"sigmadedupe/internal/rpc"
+	"sigmadedupe/internal/store"
 )
 
 // Local is the in-process Node transport: direct calls into a
@@ -17,6 +19,22 @@ type local struct{ n *node.Node }
 
 func (l local) Bid(_ context.Context, hp core.Handprint) (int, int64, error) {
 	return l.n.CountHandprintMatches(hp), l.n.StorageUsage(), nil
+}
+
+// ReadBatch scatters the node's container-read-order results back to
+// request order. The payloads alias node memory, not a pooled frame, so
+// the batch's Release is a no-op.
+func (l local) ReadBatch(_ context.Context, fps []fingerprint.Fingerprint) (*rpc.ChunkBatch, error) {
+	out, idx, err := l.n.ReadChunkBatch(fps)
+	if err != nil {
+		return nil, err
+	}
+	b := &rpc.ChunkBatch{Data: make([][]byte, len(fps))}
+	for i, data := range out {
+		b.Data[idx[i]] = data
+		b.Bytes += int64(len(data))
+	}
+	return b, nil
 }
 
 func (l local) MigrateRead(_ context.Context, fps []fingerprint.Fingerprint) ([][]byte, error) {
@@ -46,4 +64,12 @@ func (l local) DecRef(_ context.Context, fps []fingerprint.Fingerprint, ns []int
 
 func (l local) RefCounts(_ context.Context, fps []fingerprint.Fingerprint) ([]int64, error) {
 	return l.n.RefCounts(fps), nil
+}
+
+func (l local) Compact(ctx context.Context, threshold float64) (store.CompactResult, error) {
+	return l.n.Compact(ctx, threshold)
+}
+
+func (l local) GCStats(context.Context) (store.GCStats, int64, error) {
+	return l.n.GCStats(), l.n.StorageUsage(), nil
 }

@@ -1,11 +1,15 @@
-// Package migrate is the super-chunk migration engine behind online
-// membership changes, R=2 replication and anti-entropy repair — the
-// only implementation, shared by the simulator and the TCP prototype.
-// The algorithm lives here; a deployment supplies two narrow
-// interfaces: a Node transport per deduplication node (*rpc.Client over
-// the wire, Local over an in-process *node.Node) and a Catalog of
-// recipes and journaled transactions (the director, in process or over
-// TCP; the simulator's in-RAM recipe tracker).
+// Package migrate holds everything a deployment does to data it has
+// already stored, written once for the simulator and the TCP prototype:
+// the super-chunk migration engine behind online membership changes, R=2
+// replication and anti-entropy repair (this file, engine.go, repair.go),
+// the windowed restore scheduler with replica failover (restore.go), and
+// backup deletion, compaction and the GC counters (reclaim.go). The
+// algorithms live here; a deployment supplies a Node transport per
+// deduplication node (*rpc.Client over the wire, Local over an
+// in-process *node.Node) and the director as metadata — its Catalog of
+// recipes and journaled transactions for the engine, its
+// director.Metadata for the read and reclaim verbs — in process, over
+// TCP, or the simulator's in-RAM one.
 //
 // Every elastic verb is the same journaled transaction over one recipe
 // segment, run as a move or as a replication:

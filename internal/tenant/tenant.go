@@ -141,9 +141,10 @@ func Salt(name string) [32]byte {
 }
 
 // Registry holds the tenant table and its usage accounting. It is safe
-// for concurrent use. Durability is the embedder's problem: the
+// for concurrent use. Durability is the embedder's problem: a durable
 // director journals mutations to its TENANTS journal and replays them
-// into a fresh Registry on restart; the simulator keeps it in memory.
+// into a fresh Registry on restart; an in-RAM one (the simulator's)
+// just keeps it in memory.
 type Registry struct {
 	mu      sync.Mutex
 	tenants map[string]*Info
@@ -323,10 +324,9 @@ func (r *Registry) Headroom(name string) int64 {
 }
 
 // AccountPut records a finished backup of size bytes that superseded a
-// previous generation of prevSize bytes (0 for a fresh name). When
-// enforce is set and the put would push the tenant over quota, it is
-// refused with ErrQuotaExceeded and nothing is accounted.
-func (r *Registry) AccountPut(name string, size, prevSize int64, newBackup, enforce bool) error {
+// previous generation of prevSize bytes (0 for a fresh name). The quota
+// was enforced before the recipe was journaled (CheckPut).
+func (r *Registry) AccountPut(name string, size, prevSize int64, newBackup bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	u, ok := r.usage[name]
@@ -334,18 +334,11 @@ func (r *Registry) AccountPut(name string, size, prevSize int64, newBackup, enfo
 		u = &Usage{}
 		r.usage[name] = u
 	}
-	if enforce {
-		if t, ok := r.tenants[name]; ok && t.QuotaBytes > 0 && u.LiveBytes-prevSize+size > t.QuotaBytes {
-			return fmt.Errorf("tenant %s: backup of %d bytes exceeds quota %d (live %d): %w",
-				name, size, t.QuotaBytes, u.LiveBytes, sderr.ErrQuotaExceeded)
-		}
-	}
 	u.LiveBytes += size - prevSize
 	u.LogicalBytes += size
 	if newBackup {
 		u.Backups++
 	}
-	return nil
 }
 
 // AccountDelete records a deleted backup of size bytes.

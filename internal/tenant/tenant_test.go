@@ -94,9 +94,7 @@ func TestRegistryCreate(t *testing.T) {
 		t.Errorf("Get = %+v", got)
 	}
 	// Same domain: idempotent, updates quota/weight, keeps usage.
-	if err := r.AccountPut("acme", 50, 0, true, false); err != nil {
-		t.Fatal(err)
-	}
+	r.AccountPut("acme", 50, 0, true)
 	if err := r.Create(Info{Name: "acme", Domain: DomainIsolated, QuotaBytes: 200, Weight: 1}); err != nil {
 		t.Fatalf("idempotent create: %v", err)
 	}
@@ -145,17 +143,8 @@ func TestRegistryQuota(t *testing.T) {
 	if err := r.CheckPut("capped", 1000, 0); err != nil {
 		t.Errorf("CheckPut at quota = %v", err)
 	}
-	// Enforced AccountPut over quota refuses and accounts nothing.
-	if err := r.AccountPut("capped", 1500, 0, true, true); !errors.Is(err, sderr.ErrQuotaExceeded) {
-		t.Errorf("AccountPut over = %v", err)
-	}
-	if u := r.GetUsage("capped"); u.LiveBytes != 0 || u.Backups != 0 {
-		t.Errorf("refused put leaked accounting: %+v", u)
-	}
 	// Fill to quota: admission now refuses with the typed error.
-	if err := r.AccountPut("capped", 1000, 0, true, true); err != nil {
-		t.Fatal(err)
-	}
+	r.AccountPut("capped", 1000, 0, true)
 	if err := r.Admit("capped"); !errors.Is(err, sderr.ErrQuotaExceeded) {
 		t.Errorf("Admit at quota = %v", err)
 	}
@@ -229,9 +218,7 @@ func TestRegistryResetUsage(t *testing.T) {
 	if err := r.Create(Info{Name: "acme"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.AccountPut("acme", 10, 0, true, false); err != nil {
-		t.Fatal(err)
-	}
+	r.AccountPut("acme", 10, 0, true)
 	r.ResetUsage()
 	if u := r.GetUsage("acme"); u != (Usage{}) {
 		t.Errorf("usage after reset = %+v", u)

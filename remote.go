@@ -59,12 +59,6 @@ type RemoteConfig struct {
 	// survive a node crash without losing a byte. 0 or 1 keeps the
 	// single-copy behavior. Values above 2 are capped at 2.
 	Replicas int
-	// RestoreWindowBytes bounds the payload bytes of one restore window,
-	// the unit of batched read scheduling: each window becomes one
-	// batched read RPC per node it touches, and up to
-	// InflightSuperChunks windows are read ahead of the writer
-	// (default 8MB).
-	RestoreWindowBytes int64
 	// IngestCapacityBytes, when positive, bounds the payload bytes this
 	// backend's sessions keep in the route/query/store stage at once; the
 	// weighted-fair scheduler splits that capacity between tenants by
@@ -81,10 +75,9 @@ type RemoteConfig struct {
 // stream and are therefore single-goroutine, like any backup stream;
 // open explicit Sessions for concurrent streams.
 type Remote struct {
+	plane
 	cfg         RemoteConfig
-	meta        director.Metadata
 	clusterMeta director.ClusterMeta
-	tenantMeta  director.TenantAdmin
 	localMeta   *Director
 	remoteMeta  *director.Remote
 
@@ -152,6 +145,11 @@ func NewRemote(ctx context.Context, cfg RemoteConfig) (*Remote, error) {
 		cfg.Name = "client"
 	}
 	r := &Remote{cfg: cfg}
+	r.live = r.liveNodes
+	r.ahead = cfg.InflightSuperChunks
+	if r.ahead <= 0 {
+		r.ahead = client.DefaultInflightSuperChunks
+	}
 	if cfg.IngestCapacityBytes > 0 {
 		r.sched = tenant.NewScheduler(cfg.IngestCapacityBytes, r.tenantWeight)
 	}
@@ -159,13 +157,13 @@ func NewRemote(ctx context.Context, cfg RemoteConfig) (*Remote, error) {
 	case cfg.Director != nil && cfg.DirectorAddr != "":
 		return nil, fmt.Errorf("sigmadedupe: set either Director or DirectorAddr, not both")
 	case cfg.Director != nil:
-		r.meta, r.localMeta, r.clusterMeta, r.tenantMeta = cfg.Director, cfg.Director, cfg.Director, cfg.Director
+		r.meta, r.localMeta, r.clusterMeta, r.tenants = cfg.Director, cfg.Director, cfg.Director, cfg.Director
 	case cfg.DirectorAddr != "":
 		rem, err := director.DialRemoteContext(ctx, cfg.DirectorAddr)
 		if err != nil {
 			return nil, err
 		}
-		r.meta, r.remoteMeta, r.clusterMeta, r.tenantMeta = rem, rem, rem, rem
+		r.meta, r.remoteMeta, r.clusterMeta, r.tenants = rem, rem, rem, rem
 	default:
 		return nil, fmt.Errorf("sigmadedupe: remote backend needs a Director or DirectorAddr")
 	}
@@ -278,6 +276,25 @@ func (r *Remote) tenantWeight(name string) int {
 	return 1
 }
 
+// CreateTenant implements TenantAdmin, keeping the scheduler's weight
+// cache current with what this backend commits.
+func (r *Remote) CreateTenant(ctx context.Context, cfg TenantConfig) error {
+	if err := r.plane.CreateTenant(ctx, cfg); err != nil {
+		return err
+	}
+	r.weights.Store(cfg.Name, max(cfg.Weight, 1))
+	return nil
+}
+
+// SetTenantWeight implements TenantAdmin (see CreateTenant).
+func (r *Remote) SetTenantWeight(ctx context.Context, tn string, weight int) error {
+	if err := r.plane.SetTenantWeight(ctx, tn, weight); err != nil {
+		return err
+	}
+	r.weights.Store(tn, weight)
+	return nil
+}
+
 // primeWeight refreshes the scheduler's weight cache for one tenant from
 // the director (best effort; a miss just means weight 1 until the next
 // session or mutation).
@@ -285,7 +302,7 @@ func (r *Remote) primeWeight(ctx context.Context, name string) {
 	if r.sched == nil || name == "" {
 		return
 	}
-	if st, err := r.tenantMeta.TenantStatus(ctx, name); err == nil {
+	if st, err := r.tenants.TenantStatus(ctx, name); err == nil {
 		r.weights.Store(name, st.Info.Weight)
 	}
 }
@@ -310,11 +327,9 @@ func (r *Remote) newClient(ctx context.Context, cfg sessionConfig) (*client.Clie
 		InflightSuperChunks: cfg.inflight,
 		Algorithm:           r.cfg.Fingerprint.internal(),
 		Epoch:               epoch,
-		RestoreWindowBytes:  r.cfg.RestoreWindowBytes,
 		Replicas:            r.cfg.Replicas,
 		Tenant:              cfg.tenant,
 		Scheduler:           r.sched,
-		AdminSession:        cfg.admin,
 	}, r.meta, addrs)
 	return c, epoch, err
 }
@@ -398,79 +413,10 @@ func (r *Remote) Flush(ctx context.Context) error {
 	return c.Flush(ctx)
 }
 
-// Restore streams a backed-up name to w, prefetching chunks from the
-// nodes recorded in its recipe. An unknown name fails with ErrNotFound.
-func (r *Remote) Restore(ctx context.Context, name string, w io.Writer) error {
-	c, err := r.defaultClient(ctx)
-	if err != nil {
-		return err
-	}
-	return c.Restore(ctx, name, w)
-}
-
-// Delete deletes one backup end to end: the recipe leaves the director
-// (journaled first on a durable director), then every node holding the
-// backup's chunks releases its references on them. The freed chunks
-// become dead container space until compaction reclaims it.
-func (r *Remote) Delete(ctx context.Context, name string) error {
-	c, err := r.defaultClient(ctx)
-	if err != nil {
-		return err
-	}
-	return c.DeleteBackup(ctx, name)
-}
-
-// Compact asks every live node to run one compaction scan (≤0
-// threshold selects each node's configured live-ratio floor). The node
-// set is one epoch-consistent registry snapshot.
-func (r *Remote) Compact(ctx context.Context, threshold float64) (GCResult, error) {
-	var total GCResult
-	_, nodes := r.reg.snapshot()
-	for _, n := range nodes {
-		conn, err := r.nodeConn(ctx, n)
-		if err != nil {
-			return total, err
-		}
-		res, err := conn.Compact(ctx, threshold)
-		if err != nil {
-			return total, fmt.Errorf("sigmadedupe: compact node %d: %w", n.id, err)
-		}
-		total.ContainersScanned += res.Scanned
-		total.ContainersRetired += res.Retired
-		total.CopiedBytes += res.CopiedBytes
-		total.ReclaimedBytes += res.ReclaimedBytes
-	}
-	return total, nil
-}
-
 // GCStats sums the garbage-collection counters of every live node over
 // one epoch-consistent registry snapshot: a concurrent topology change
 // commits before or after the snapshot, never in the middle of it.
-func (r *Remote) GCStats(ctx context.Context) (GCStats, error) {
-	var total GCStats
-	_, nodes := r.reg.snapshot()
-	for _, n := range nodes {
-		conn, err := r.nodeConn(ctx, n)
-		if err != nil {
-			return total, err
-		}
-		gc, _, err := conn.GCStats(ctx)
-		if err != nil {
-			return total, fmt.Errorf("sigmadedupe: gc stats node %d: %w", n.id, err)
-		}
-		total.StoredBytes += gc.StoredBytes
-		total.DeadBytes += gc.DeadBytes
-		total.LiveBytes += gc.LiveBytes
-		total.Containers += gc.Containers
-		total.RetiredContainers += gc.RetiredContainers
-		total.ReclaimedBytes += gc.ReclaimedBytes
-		total.CompactErrors += gc.CompactErrors
-		if gc.LastCompactErr != "" {
-			total.LastCompactErr = fmt.Sprintf("node %d: %s", n.id, gc.LastCompactErr)
-		}
-	}
-	return total, nil
-}
+func (r *Remote) GCStats(ctx context.Context) (GCStats, error) { return r.gcStats(ctx) }
 
 // Stats implements Backend: cluster-wide counters aggregated over the
 // wire from one epoch-consistent registry snapshot, plus the director's
@@ -548,52 +494,45 @@ func (r *Remote) AddNode(ctx context.Context, addr string) (int, error) {
 	return id, nil
 }
 
-// engine builds the migration engine over one consistent registry
-// snapshot: the returned membership covers exactly the node IDs the
-// engine holds connections for, so a topology change landing between
-// two registry reads cannot hand it a member it cannot dial.
-func (r *Remote) engine(ctx context.Context) (*migrate.Engine, core.Membership, error) {
-	epoch, nodes := r.reg.snapshot()
+// liveNodes is the plane's membership snapshot: the member IDs of one
+// consistent registry read and their (lazily dialed) control
+// connections — a topology change landing between two registry reads
+// cannot hand the caller a member it holds no connection for.
+func (r *Remote) liveNodes(ctx context.Context) ([]int, func(int) (migrate.Node, bool), error) {
+	_, nodes := r.reg.snapshot()
 	conns := make(map[int]*rpc.Client, len(nodes))
 	ids := make([]int, 0, len(nodes))
 	for _, n := range nodes {
 		conn, err := r.nodeConn(ctx, n)
 		if err != nil {
-			return nil, core.Membership{}, err
+			return nil, nil, err
 		}
 		conns[n.id] = conn
 		ids = append(ids, n.id)
 	}
+	return ids, func(id int) (migrate.Node, bool) {
+		conn, ok := conns[id]
+		return conn, ok
+	}, nil
+}
+
+// engine builds the migration engine over one membership snapshot; the
+// returned membership covers exactly the nodes the engine can reach
+// (callers hold memberOp, so the epoch cannot move under the snapshot).
+func (r *Remote) engine(ctx context.Context) (*migrate.Engine, core.Membership, error) {
+	epoch, _ := r.reg.snapshot()
+	ids, nodes, err := r.liveNodes(ctx)
+	if err != nil {
+		return nil, core.Membership{}, err
+	}
 	e := &migrate.Engine{
-		Catalog: r.clusterMeta,
-		Nodes: func(id int) (migrate.Node, bool) {
-			conn, ok := conns[id]
-			return conn, ok
-		},
+		Catalog:    r.clusterMeta,
+		Nodes:      nodes,
 		HandprintK: r.cfg.HandprintSize,
 		Replicas:   r.cfg.Replicas,
 		Fault:      r.migrateFault,
 	}
 	return e, core.NewMembership(epoch, ids), nil
-}
-
-// guardNoPendingMigrations refuses a new membership operation while
-// crash-leftover migration transactions are open: their reconciliation
-// (RecoverMigrations) assumes quiesced backups — references of an
-// in-flight, not-yet-committed backup would read as surplus and be
-// released — so the operator must quiesce and recover explicitly
-// rather than have a routine Rebalance do it under live traffic.
-func (r *Remote) guardNoPendingMigrations(ctx context.Context) error {
-	pending, err := r.clusterMeta.PendingMigrations(ctx)
-	if err != nil {
-		return err
-	}
-	if len(pending) > 0 {
-		return fmt.Errorf(
-			"sigmadedupe: %d migration transactions left pending by a crash; quiesce backups and run RecoverMigrations first",
-			len(pending))
-	}
-	return nil
 }
 
 // RemoveNode implements Backend: every super-chunk on the node migrates
@@ -605,7 +544,7 @@ func (r *Remote) RemoveNode(ctx context.Context, id int) (MigrationResult, error
 	var res MigrationResult
 	r.memberOp.Lock()
 	defer r.memberOp.Unlock()
-	if err := r.guardNoPendingMigrations(ctx); err != nil {
+	if err := migrate.GuardNoPending(ctx, r.clusterMeta); err != nil {
 		return res, err
 	}
 	// Settle the default stream's buffered tail before planning: an
@@ -685,7 +624,7 @@ func (r *Remote) Rebalance(ctx context.Context) (MigrationResult, error) {
 	var res MigrationResult
 	r.memberOp.Lock()
 	defer r.memberOp.Unlock()
-	if err := r.guardNoPendingMigrations(ctx); err != nil {
+	if err := migrate.GuardNoPending(ctx, r.clusterMeta); err != nil {
 		return res, err
 	}
 	e, members, err := r.engine(ctx)
@@ -757,15 +696,23 @@ func (r *Remote) RecoverMigrations(ctx context.Context) error {
 func (r *Remote) setMigrateFault(fn migrate.Fault) { r.migrateFault = fn }
 
 // BackupStats returns the default backup stream's session counters
-// (zero before the first one-shot Backup).
+// (zero before the first one-shot Backup) plus the restore counters of
+// this backend's Restore and RestoreTenant calls.
 func (r *Remote) BackupStats() SessionStats {
 	r.mu.Lock()
 	c := r.def
 	r.mu.Unlock()
-	if c == nil {
-		return SessionStats{}
+	var st SessionStats
+	if c != nil {
+		st = sessionStatsOf(c)
 	}
-	return sessionStatsOf(c)
+	st.RestoredBytes = r.restoredBytes.Load()
+	st.RestoreRPCs = r.readBatches.Load()
+	st.FailoverReads = r.failoverReads.Load()
+	// Restored payloads are written straight out of the recycled receive
+	// frames: one buffer reuse per chunk delivered.
+	st.ChunkBufReuses += r.restoredChunks.Load()
+	return st
 }
 
 // RPCMessages returns the RPC requests issued by the default stream —
@@ -835,8 +782,5 @@ func sessionStatsOf(c *client.Client) SessionStats {
 		PeakBufferedBytes: st.PeakBufferedBytes,
 		ChunkBufAllocs:    st.ChunkBufAllocs,
 		ChunkBufReuses:    st.ChunkBufReuses,
-		RestoredBytes:     st.RestoredBytes,
-		RestoreRPCs:       st.RestoreRPCs,
-		FailoverReads:     st.FailoverReads,
 	}
 }

@@ -26,13 +26,12 @@ package sigmadedupe
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
-	"sync"
 	"time"
 
 	"sigmadedupe/internal/chunker"
+	"sigmadedupe/internal/client"
 	"sigmadedupe/internal/cluster"
 	"sigmadedupe/internal/core"
 	"sigmadedupe/internal/director"
@@ -151,30 +150,19 @@ type ClusterStats struct {
 // on an implicit default stream (single-goroutine, like a real backup
 // stream); concurrent streams go through NewSession.
 type Cluster struct {
+	plane
 	cfg       ClusterConfig
 	inner     *cluster.Cluster
 	exact     *cluster.ExactTracker
 	algorithm fingerprint.Algorithm
 
-	// tenants is the simulator's in-memory tenant control plane (the
-	// prototype's lives behind the director journal), and sched the
-	// weighted-fair ingest scheduler shared by every session (nil when
-	// IngestCapacityBytes is 0).
-	tenants *tenant.Registry
-	sched   *tenant.Scheduler
+	// sched is the weighted-fair ingest scheduler shared by every
+	// session (nil when IngestCapacityBytes is 0); it reads tenant
+	// weights from the director's registry.
+	sched *tenant.Scheduler
 
-	// mu guards the backup-name tracker: nextFile, fileIDs and
-	// fileSizes. Sessions may run concurrently; each reserves its IDs
-	// here. Keys are tenant-scoped (tenant.Key; the default tenant's
-	// stay flat).
-	mu        sync.Mutex
-	nextFile  uint64
-	fileIDs   map[string]uint64 // composite recipe key → tracked item ID
-	fileSizes map[string]int64  // composite recipe key → logical bytes
-
-	// defSess is the lazily created default session backing the one-shot
-	// Backup verb.
-	defSess *Session
+	// def is the default session backing the one-shot Backup verb.
+	def *clusterSession
 }
 
 // NewCluster builds a simulated cluster. Backups fed through Backup or a
@@ -193,7 +181,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		Scheme:         cfg.Scheme.internal(),
 		HandprintK:     cfg.HandprintSize,
 		SuperChunkSize: cfg.SuperChunkSize,
-		TrackRecipes:   cfg.Scheme != SchemeExtremeBinning,
 		Replicas:       cfg.Replicas,
 		Node: node.Config{
 			Dir:              cfg.Dir,
@@ -205,17 +192,39 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
+	dir, transport := inner.Director(), inner.Node
 	c := &Cluster{
+		plane: plane{
+			meta:    dir,
+			tenants: dir,
+			live: func(context.Context) ([]int, func(int) (migrate.Node, bool), error) {
+				return inner.Membership().Nodes, transport, nil
+			},
+			ahead: client.DefaultInflightSuperChunks,
+		},
 		cfg:       cfg,
 		inner:     inner,
 		exact:     cluster.NewExactTracker(),
 		algorithm: cfg.Fingerprint.internal(),
-		tenants:   tenant.NewRegistry(),
-		fileIDs:   make(map[string]uint64),
-		fileSizes: make(map[string]int64),
+	}
+	if cfg.Scheme == SchemeExtremeBinning {
+		// EB's bin stores bypass the refcounted chunk index, so an existing
+		// backup must not masquerade as ErrNotFound — the operations are
+		// unsupported, full stop.
+		c.recipeless = fmt.Errorf("sigmadedupe: Restore and Delete are not supported for Extreme Binning (no recipe tracking)")
 	}
 	if cfg.IngestCapacityBytes > 0 {
-		c.sched = tenant.NewScheduler(cfg.IngestCapacityBytes, c.tenants.Weight)
+		c.sched = tenant.NewScheduler(cfg.IngestCapacityBytes, dir.Registry().Weight)
+	}
+	// The default session is bound to the simulator's default stream for
+	// bit-compatible container attribution with earlier releases.
+	session, err := dir.BeginSession(context.Background(), "client0", tenant.Default)
+	if err != nil {
+		return nil, err
+	}
+	c.def = &clusterSession{
+		c: c, stream: inner.Default(), cfg: c.sessionDefaults(),
+		tenant: tenant.Default, session: session, headroom: -1,
 	}
 	return c, nil
 }
@@ -225,70 +234,6 @@ func (c *Cluster) sessionDefaults() sessionConfig {
 	return sessionConfig{
 		chunk: ChunkSpec{Method: ChunkFixed, Size: c.cfg.ChunkSize},
 	}
-}
-
-// reserveID hands out the next backup item ID.
-func (c *Cluster) reserveID() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.nextFile++
-	return c.nextFile
-}
-
-// commitBackup points the tenant-scoped name at the completed backup id.
-// Only a completed backup takes the name: a failed re-backup must not
-// repoint the name at a partial recipe (nor strand the previous one). A
-// re-backup of the same name supersedes the previous generation: only
-// the latest is restorable/deletable by name, so the superseded recipe's
-// references are released (the new backup took its own). The whole
-// commit — quota check, lookup, repoint, supersede-delete — runs under
-// mu, so a concurrent Delete of the same name serializes before or
-// after it, never between. The hard quota check runs here (enforced
-// accounting): a backup that would push the tenant over quota is rolled
-// back and refused with ErrQuotaExceeded, matching the director's
-// PutRecipe-time check on the prototype.
-func (c *Cluster) commitBackup(tn, name string, id uint64, size int64) error {
-	key := tenant.Key(tn, name)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	prev, hadPrev := c.fileIDs[key]
-	prevSize := c.fileSizes[key]
-	if err := c.tenants.AccountPut(tn, size, prevSize, !hadPrev, true); err != nil {
-		if c.cfg.Scheme != SchemeExtremeBinning {
-			if delErr := c.inner.DeleteBackup(id); delErr != nil && !errors.Is(delErr, sderr.ErrNotFound) {
-				return fmt.Errorf("%w (cleanup failed: %v)", err, delErr)
-			}
-		}
-		return err
-	}
-	c.fileIDs[key] = id
-	c.fileSizes[key] = size
-	if hadPrev && c.cfg.Scheme != SchemeExtremeBinning {
-		return c.inner.DeleteBackup(prev)
-	}
-	return nil
-}
-
-// abortBackup cleans up after a failed backup: any partially routed
-// super-chunks release their references and tracked recipe entries, and
-// the reserved ID rolls back — the tracker is exactly as before the
-// attempt (the satellite invariant a failed backup must preserve). A
-// cleanup failure is returned (it means references may be stranded and
-// the caller must not claim a clean abort); "not found" is expected —
-// it just means nothing was routed before the failure.
-func (c *Cluster) abortBackup(id uint64) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var cleanupErr error
-	if c.cfg.Scheme != SchemeExtremeBinning {
-		if err := c.inner.DeleteBackup(id); err != nil && !errors.Is(err, sderr.ErrNotFound) {
-			cleanupErr = fmt.Errorf("releasing partial backup %d: %w", id, err)
-		}
-	}
-	if c.nextFile == id {
-		c.nextFile--
-	}
-	return cleanupErr
 }
 
 // NewSession opens an explicit backup stream on the simulator: its own
@@ -311,56 +256,39 @@ func (c *Cluster) NewSession(ctx context.Context, opts ...SessionOption) (*Sessi
 	if err != nil {
 		return nil, err
 	}
-	name := cfg.name
-	if name == "" {
-		name = fmt.Sprintf("session%d", c.reserveID())
-	}
-	// Tenant admission: an unknown tenant fails with ErrNotFound, one at
-	// or over quota with ErrQuotaExceeded — the hard check. The quota
-	// headroom and dedup-domain salt are resolved once, here.
+	// Tenant admission runs on the director, as on the prototype: an
+	// unknown tenant fails with ErrNotFound, one at or over quota with
+	// ErrQuotaExceeded — the hard check. The quota headroom and
+	// dedup-domain salt are resolved once, here.
 	tn := cfg.tenant
 	if tn == "" {
 		tn = tenant.Default
 	}
-	info, err := c.tenants.Get(tn)
+	session, err := c.inner.Director().BeginSession(ctx, cfg.name, tn)
 	if err != nil {
 		return nil, err
 	}
-	if err := c.tenants.Admit(tn); err != nil {
+	st, err := c.inner.Director().TenantStatus(ctx, tn)
+	if err != nil {
 		return nil, err
+	}
+	name := cfg.name
+	if name == "" {
+		name = fmt.Sprintf("session%d", session)
 	}
 	stream, err := c.inner.StreamSized(name, cfg.superChunkSize)
 	if err != nil {
 		return nil, err
 	}
-	sess := &clusterSession{c: c, stream: stream, cfg: cfg, tenant: tn, headroom: -1}
-	if info.QuotaBytes > 0 {
-		sess.headroom = info.QuotaBytes - c.tenants.GetUsage(tn).LiveBytes
-		if sess.headroom < 0 {
-			sess.headroom = 0
-		}
+	sess := &clusterSession{c: c, stream: stream, cfg: cfg, tenant: tn, session: session, headroom: -1}
+	if st.Info.QuotaBytes > 0 {
+		sess.headroom = max(st.Info.QuotaBytes-st.Usage.LiveBytes, 0)
 	}
-	if info.Domain == tenant.DomainIsolated {
+	if st.Info.Domain == tenant.DomainIsolated {
 		sess.salt = tenant.Salt(tn)
 		sess.salted = true
 	}
 	return &Session{impl: sess}, nil
-}
-
-// defaultSession returns the session backing the one-shot Backup verb,
-// bound to the simulator's default stream for bit-compatible container
-// attribution with earlier releases.
-func (c *Cluster) defaultSession() *Session {
-	if c.defSess == nil {
-		c.defSess = &Session{impl: &clusterSession{
-			c:        c,
-			stream:   c.inner.Default(),
-			cfg:      c.sessionDefaults(),
-			tenant:   tenant.Default,
-			headroom: -1,
-		}}
-	}
-	return c.defSess
 }
 
 // Backup chunks and deduplicates one named stream into the cluster,
@@ -371,13 +299,13 @@ func (c *Cluster) defaultSession() *Session {
 // file's representative fingerprint; that is the scheme's nature, not an
 // implementation shortcut.
 //
-// A failed backup leaves the tracker untouched: the name keeps pointing
+// A failed backup leaves the catalog untouched: the name keeps pointing
 // at its previous generation (if any) and nothing is stranded.
 func (c *Cluster) Backup(ctx context.Context, name string, r io.Reader) error {
 	if c.cfg.Scheme == SchemeExtremeBinning {
 		return c.backupBuffered(ctx, name, r)
 	}
-	return c.defaultSession().Backup(ctx, name, r)
+	return c.def.backup(ctx, name, r)
 }
 
 // backupBuffered is the whole-file path for Extreme Binning.
@@ -396,99 +324,24 @@ func (c *Cluster) backupBuffered(ctx context.Context, name string, r io.Reader) 
 	if err != nil {
 		return &BackupError{Name: name, Stage: "chunk", Err: err}
 	}
+	// The name is cataloged for Stats and tenant accounting only: bin
+	// stores bypass the refcounted chunk index, so the entries address no
+	// node (-1) and Restore/Delete refuse the scheme outright.
 	refs := make([]core.ChunkRef, len(chunks))
-	var size int64
+	entries := make([]director.ChunkEntry, len(chunks))
 	for i, ch := range chunks {
 		refs[i] = core.ChunkRef{FP: c.algorithm.Sum(ch.Data), Size: ch.Len()}
-		size += int64(ch.Len())
+		entries[i] = director.ChunkEntry{FP: refs[i].FP, Size: int32(ch.Len()), Node: -1, Replica: -1}
 		if c.cfg.KeepPayloads {
 			refs[i].Data = ch.Data
 		}
 	}
 	c.exact.Add(refs)
-	id := c.reserveID()
-	if err := c.inner.BackupItem(id, refs); err != nil {
-		berr := error(&BackupError{Name: name, Stage: "store", Err: err})
-		if cleanupErr := c.abortBackup(id); cleanupErr != nil {
-			berr = fmt.Errorf("%w (cleanup failed: %v)", berr, cleanupErr)
-		}
-		return berr
+	// Any non-zero item ID marks the item file-scoped for the router.
+	if err := c.inner.BackupItem(1, refs); err != nil {
+		return &BackupError{Name: name, Stage: "store", Err: err}
 	}
-	return c.commitBackup(tenant.Default, name, id, size)
-}
-
-// Restore streams the named backup back to w, reading each chunk of its
-// tracked recipe from the owning simulated node. Requires KeepPayloads
-// (or a durable Dir). An unknown name fails with ErrNotFound.
-func (c *Cluster) Restore(ctx context.Context, name string, w io.Writer) error {
-	return c.restoreTenant(ctx, tenant.Default, name, w)
-}
-
-// restoreTenant is the tenant-scoped restore shared by Restore (default
-// tenant) and RestoreTenant.
-func (c *Cluster) restoreTenant(ctx context.Context, tn, name string, w io.Writer) error {
-	if c.cfg.Scheme == SchemeExtremeBinning {
-		// EB keeps no recipes (bin stores bypass the refcounted chunk
-		// index), so an existing backup must not masquerade as
-		// ErrNotFound — the operation is unsupported, full stop.
-		return fmt.Errorf("sigmadedupe: Restore is not supported for Extreme Binning (no recipe tracking)")
-	}
-	if err := tenant.ValidateBackupName(name); err != nil {
-		return fmt.Errorf("sigmadedupe: %w", err)
-	}
-	key := tenant.Key(tn, name)
-	c.mu.Lock()
-	id, ok := c.fileIDs[key]
-	size := c.fileSizes[key]
-	c.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("sigmadedupe: no backup named %q: %w", name, sderr.ErrNotFound)
-	}
-	if err := c.inner.RestoreBackup(ctx, id, w); err != nil {
-		return err
-	}
-	c.tenants.AccountTransfer(tn, 0, size)
-	return nil
-}
-
-// Delete deletes a named backup: its tracked recipe is dropped and the
-// owning nodes release its chunk references. The freed chunks become
-// dead container space until Compact (or the background compactor)
-// reclaims it. An unknown name fails with ErrNotFound.
-func (c *Cluster) Delete(ctx context.Context, name string) error {
-	return c.deleteTenant(ctx, tenant.Default, name)
-}
-
-// deleteTenant is the tenant-scoped delete shared by Delete (default
-// tenant) and DeleteTenant.
-func (c *Cluster) deleteTenant(ctx context.Context, tn, name string) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if c.cfg.Scheme == SchemeExtremeBinning {
-		return fmt.Errorf("sigmadedupe: Delete is not supported for Extreme Binning (no recipe tracking)")
-	}
-	if err := tenant.ValidateBackupName(name); err != nil {
-		return fmt.Errorf("sigmadedupe: %w", err)
-	}
-	// Lookup, inner delete and name removal form one critical section:
-	// interleaving with a concurrent re-backup's commit would otherwise
-	// delete the superseded generation out from under the commit (or
-	// strand the new one nameless).
-	key := tenant.Key(tn, name)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	id, ok := c.fileIDs[key]
-	if !ok {
-		return fmt.Errorf("sigmadedupe: no backup named %q: %w", name, sderr.ErrNotFound)
-	}
-	if err := c.inner.DeleteBackup(id); err != nil {
-		return err
-	}
-	c.tenants.AccountDelete(tn, c.fileSizes[key])
-	delete(c.fileIDs, key)
-	delete(c.fileSizes, key)
-	return nil
+	return c.inner.Director().PutRecipe(ctx, c.def.session, name, entries)
 }
 
 // GCResult summarizes one compaction pass across the cluster.
@@ -497,15 +350,6 @@ type GCResult struct {
 	ContainersRetired int
 	CopiedBytes       int64
 	ReclaimedBytes    int64
-}
-
-// Compact runs one compaction scan on every node, rewriting containers
-// whose live-chunk ratio fell below threshold (≤0 selects the configured
-// default, 0.5) and reclaiming the dead space of deleted backups. A
-// canceled ctx stops between containers.
-func (c *Cluster) Compact(ctx context.Context, threshold float64) (GCResult, error) {
-	res, err := c.inner.Compact(ctx, threshold)
-	return toGCResult(res), err
 }
 
 // toGCResult converts the storage engine's compaction summary to the
@@ -551,7 +395,10 @@ type GCStats struct {
 }
 
 // GCStats returns the cluster's garbage-collection counters.
-func (c *Cluster) GCStats() GCStats { return toGCStats(c.inner.GCStats()) }
+func (c *Cluster) GCStats() GCStats {
+	st, _ := c.gcStats(context.Background()) // in-process nodes cannot fail it
+	return st
+}
 
 // Flush completes the default backup stream (routes the final partial
 // super-chunk and seals containers). Explicit sessions flush themselves.
@@ -620,7 +467,7 @@ func (c *Cluster) Repair(ctx context.Context) (RepairResult, error) {
 
 // FailoverReads counts restore reads served by a replica after the
 // primary's node was killed.
-func (c *Cluster) FailoverReads() int64 { return c.inner.FailoverReads() }
+func (c *Cluster) FailoverReads() int64 { return c.failoverReads.Load() }
 
 // toRepairResult converts the repair engine's summary to the public
 // shape (shared by both backends).
@@ -667,15 +514,11 @@ func (c *Cluster) Stats(ctx context.Context) (BackendStats, error) {
 	if err := ctx.Err(); err != nil {
 		return BackendStats{}, err
 	}
-	st := c.inner.Stats()
-	c.mu.Lock()
-	backups := len(c.fileIDs)
-	c.mu.Unlock()
 	return BackendStats{
-		LogicalBytes:  st.LogicalBytes,
+		LogicalBytes:  c.inner.Stats().LogicalBytes,
 		PhysicalBytes: c.inner.PhysicalBytes(),
 		DedupRatio:    c.inner.DedupRatio(),
-		Backups:       backups,
+		Backups:       len(c.inner.Director().Files()),
 		Nodes:         c.inner.N(),
 		StorageSkew:   c.inner.Skew(),
 	}, nil
@@ -708,12 +551,13 @@ type clusterSession struct {
 	stream *cluster.Stream
 	cfg    sessionConfig
 	st     SessionStats
-	// Tenant state, resolved at session admission: the tenant the
-	// session's backups belong to, the fingerprint salt of an isolated
-	// dedup domain, and the quota headroom captured at admission for the
-	// soft mid-stream check (-1 = unlimited). reportedStored tracks
-	// transferred bytes already accounted to the tenant registry so each
-	// commit reports a delta.
+	// Tenant state, resolved at session admission: the director session
+	// and the tenant the session's backups belong to, the fingerprint
+	// salt of an isolated dedup domain, and the quota headroom captured at
+	// admission for the soft mid-stream check (-1 = unlimited).
+	// reportedStored tracks transferred bytes already accounted to the
+	// director so each commit reports a delta.
+	session        uint64
 	tenant         string
 	salt           [32]byte
 	salted         bool
@@ -793,18 +637,19 @@ func (s *clusterSession) backup(ctx context.Context, name string, r io.Reader) e
 		return err
 	}
 	keep := s.c.cfg.KeepPayloads || s.c.cfg.Dir != ""
-	id := s.c.reserveID()
+	key := tenant.Key(s.tenant, name)
 	defer s.releaseSched()
-	s.stream.BeginItem(id)
+	if err := s.stream.BeginItem(ctx, key); err != nil {
+		return &BackupError{Name: name, Stage: "store", Err: err}
+	}
 	s.st.Files++
-	var size int64
 	for {
 		chunk, err := ck.Next()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
-			return s.abort(id, &BackupError{Name: name, Stage: "chunk", Err: err})
+			return s.abort(ctx, &BackupError{Name: name, Stage: "chunk", Err: err})
 		}
 		ref := core.ChunkRef{FP: s.saltFP(s.c.algorithm.Sum(chunk.Data)), Size: chunk.Len()}
 		if keep {
@@ -820,12 +665,11 @@ func (s *clusterSession) backup(ctx context.Context, name string, r io.Reader) e
 			s.flushExact()
 		}
 		s.st.LogicalBytes += int64(ref.Size)
-		size += int64(ref.Size)
 		// Soft mid-stream quota check against the headroom captured at
 		// admission: the stream is cut off long before the hard check at
 		// commit would refuse the whole backup.
 		if s.headroom >= 0 && s.st.LogicalBytes > s.headroom {
-			return s.abort(id, &BackupError{Name: name, Stage: "quota", Err: fmt.Errorf(
+			return s.abort(ctx, &BackupError{Name: name, Stage: "quota", Err: fmt.Errorf(
 				"tenant %s: stream exceeds quota headroom %d bytes: %w",
 				s.tenant, s.headroom, sderr.ErrQuotaExceeded)})
 		}
@@ -835,24 +679,31 @@ func (s *clusterSession) backup(ctx context.Context, name string, r io.Reader) e
 		}
 		out, err := s.addScheduled(ctx, ref)
 		if err != nil {
-			return s.abort(id, &BackupError{Name: name, Stage: "store", Err: err})
+			return s.abort(ctx, &BackupError{Name: name, Stage: "store", Err: err})
 		}
 		s.applyRouted(out)
 	}
-	out, err := s.stream.EndItem(ctx)
-	if err != nil {
-		return s.abort(id, &BackupError{Name: name, Stage: "store", Err: err})
-	}
+	// Commit: only a completed backup takes the name. EndItem cuts the
+	// boundary super-chunk and swaps the recipe into the director, which
+	// hands the superseded generation back in one critical section (its
+	// hard quota check included), so a concurrent Delete or re-backup of
+	// the same name serializes before or after it, never between; the
+	// references of whichever generation left the catalog here are then
+	// released — the new backup took its own.
+	out, prev, err := s.stream.EndItem(ctx, s.session)
 	s.applyRouted(out)
+	if err != nil {
+		return s.abort(ctx, &BackupError{Name: name, Stage: "finalize", Err: err})
+	}
 	s.flushExact()
-	if err := s.c.commitBackup(s.tenant, name, id, size); err != nil {
+	if err := migrate.Release(ctx, s.c.inner.Node, prev.Chunks); err != nil {
 		return err
 	}
 	// Account the post-dedup transfer delta to the tenant's cumulative
 	// stored-bytes gauge (the simulator's "transfer" is its storage).
 	if d := s.st.TransferredBytes - s.reportedStored; d > 0 {
-		s.c.tenants.AccountTransfer(s.tenant, d, 0)
 		s.reportedStored = s.st.TransferredBytes
+		return s.c.inner.Director().AccountTransfer(ctx, s.tenant, d, 0)
 	}
 	return nil
 }
@@ -925,17 +776,16 @@ func (s *clusterSession) applyRouted(out cluster.RouteOutcome) {
 	s.st.TransferredBytes += out.StoredBytes
 }
 
-// abort discards the failed item's partial super-chunk and unwinds the
-// tracker, returning cause (annotated with any cleanup failure — a
-// failed cleanup strands references, which the caller must hear about);
-// the session stays usable for further backups. The presented bytes
-// stay accounted in the exact tracker, as they were in v1.
-func (s *clusterSession) abort(id uint64, cause error) error {
-	s.stream.AbortItem()
+// abort abandons the failed item (Stream.AbortItem: the cluster is left
+// exactly as before the attempt) and returns cause, annotated with any
+// cleanup failure — that strands references, which the caller must hear
+// about. The session stays usable for further backups. The presented
+// bytes stay accounted in the exact tracker.
+func (s *clusterSession) abort(ctx context.Context, cause error) error {
 	s.pending = 0
 	s.flushExact()
-	if cleanupErr := s.c.abortBackup(id); cleanupErr != nil {
-		return fmt.Errorf("%w (cleanup failed: %v)", cause, cleanupErr)
+	if err := s.stream.AbortItem(ctx); err != nil {
+		return fmt.Errorf("%w (cleanup failed: %v)", cause, err)
 	}
 	return cause
 }
