@@ -332,16 +332,14 @@ func WithSuperChunkSize(n int64) SessionOption {
 	return func(c *sessionConfig) { c.superChunkSize = n }
 }
 
-// WithWorkers sizes the fingerprint worker pool (default GOMAXPROCS; 1
-// fingerprints serially).
+// WithWorkers sizes the fingerprint worker pool (default GOMAXPROCS).
 func WithWorkers(n int) SessionOption {
 	return func(c *sessionConfig) { c.workers = n }
 }
 
 // WithInflightSuperChunks bounds the window of super-chunks concurrently
-// in the route/query/store stage (default 4; 1 restores the fully serial
-// path). Together with the super-chunk size this caps the session's peak
-// buffered payload.
+// in the route/query/store stage (default 4). Together with the
+// super-chunk size this caps the session's peak buffered payload.
 func WithInflightSuperChunks(n int) SessionOption {
 	return func(c *sessionConfig) { c.inflight = n }
 }

@@ -1,35 +1,27 @@
 // Command sigma-bench regenerates the tables and figures of the paper's
-// evaluation section and benchmarks the prototype ingest and storage
-// paths. With no arguments it lists the available experiments; "all" runs
-// every paper experiment; "ingest" runs the serial-vs-pipelined prototype
-// ingest comparison on loopback servers (add -disk for disk-backed
-// nodes); "nodeconc" measures multi-stream single-node store-path scaling
-// with the single store lock vs fingerprint-sharded locking; "recovery"
-// measures the durable stop/restart/restore cycle; "gc" measures backup
-// deletion, reference-counting GC and container compaction under
-// concurrent ingest.
+// evaluation section (internal/experiments) and runs the four scenario
+// benchmarks the repo benchmark (bench/, BENCHMARK.json) has no workload
+// for yet: "rebalance" (elastic membership: migration under concurrent
+// ingest), "kill" (R=2 failover restore and repair), "tenants"
+// (weighted-fair scheduling, dedup domains, quotas) and "scaleout" (the
+// bid-summary routing sweep). Throughput, memory, GC, recovery and wire
+// measurements live in bench/ — see EXPERIMENTS.md for the successor
+// metric of each retired mode. With no arguments it lists what it can
+// run; "all" runs every paper experiment.
 //
 // Usage:
 //
 //	sigma-bench [-scale 1.0] [-quick] [-json] all|fig1|...|table2|ram ...
-//	sigma-bench [-json] [-nodes 4] [-mb 32] [-workers N] [-inflight 4] \
-//	            [-latency 0] [-disk] [-workload vm] ingest
-//	sigma-bench [-json] [-mb 64] [-nodes 4] [-workload vm] -mode stream
-//	sigma-bench [-json] [-mb 64] [-nodes 4] -mode wire
-//	sigma-bench [-json] [-mb 64] [-streams 8] nodeconc
-//	sigma-bench [-json] [-mb 64] [-streams 4] recovery
-//	sigma-bench [-json] [-mb 32] [-streams 8] gc
 //	sigma-bench [-json] [-mb 32] [-nodes 3] -mode rebalance
 //	sigma-bench [-json] [-mb 32] [-nodes 3] -mode kill
-//	sigma-bench [-json] [-mb 32] [-nodes 4] [-generations 100] -mode age
+//	sigma-bench [-json] [-nodes 4] [-streams 240] -mode tenants
 //	sigma-bench [-json] [-scale 1.0] [-nodes N] [-sc KB] [-schemes csv] -mode scaleout
 //
-// With -json every result is emitted as one JSON object per line
-// (machine-readable; suitable for tracking BENCH_*.json trajectories).
+// With -json every result is emitted as one JSON object per line (the
+// shape of the checked-in BENCH_{rebalance,failover,tenants,scaleout}.json).
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
@@ -37,24 +29,12 @@ import (
 	"io"
 	"math/rand"
 	"os"
-	"path/filepath"
-	"runtime"
 	"runtime/pprof"
-	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"sigmadedupe"
-	"sigmadedupe/internal/client"
-	"sigmadedupe/internal/core"
-	"sigmadedupe/internal/director"
 	"sigmadedupe/internal/experiments"
-	"sigmadedupe/internal/fingerprint"
-	"sigmadedupe/internal/node"
-	"sigmadedupe/internal/pipeline"
-	"sigmadedupe/internal/rpc"
-	"sigmadedupe/internal/workload"
 )
 
 func main() {
@@ -64,32 +44,88 @@ func main() {
 	}
 }
 
+// options are the parsed flags a benchmark may read.
+type options struct {
+	scale    float64
+	quick    bool
+	nodes    int
+	nodesSet bool // -nodes given explicitly (scaleout: one grid point)
+	mb       int
+	streams  int
+	scKB     int64
+	workload string
+	schemes  string
+	seed     int64
+}
+
+// report is one benchmark result: JSON-encodable, or printed as text.
+type report interface{ print(*os.File) }
+
+// benchmark is one runnable name.
+type benchmark struct {
+	name string
+	run  func(o options) (report, error)
+}
+
+// benchmarks is the one table of everything sigma-bench can run — the
+// paper experiments, then the scenario modes. The dispatcher and the
+// "available" listing both read it.
+func benchmarks() []benchmark {
+	var t []benchmark
+	for _, name := range experiments.Names() {
+		name := name
+		t = append(t, benchmark{name, func(o options) (report, error) { return runPaper(name, o) }})
+	}
+	return append(t,
+		benchmark{"rebalance", func(o options) (report, error) { return runRebalance(o.mb, o.nodes) }},
+		benchmark{"kill", func(o options) (report, error) { return runKill(o.mb, o.nodes) }},
+		benchmark{"tenants", func(o options) (report, error) {
+			return runTenants(tenantsConfig{Nodes: o.nodes, Sessions: o.streams, Seed: o.seed})
+		}},
+		benchmark{"scaleout", func(o options) (report, error) {
+			// -nodes/-sc narrow the sweep grid to one point each when
+			// set; -schemes narrows the scheme axis.
+			cfg := scaleoutConfig{Workload: o.workload, Scale: o.scale, Seed: o.seed}
+			if o.nodesSet {
+				cfg.NodeCounts = []int{o.nodes}
+			}
+			if o.scKB > 0 {
+				cfg.SCKBs = []int64{o.scKB}
+			}
+			if o.schemes != "" {
+				cfg.Schemes = strings.Split(o.schemes, ",")
+			}
+			return runScaleout(cfg)
+		}},
+	)
+}
+
+// available renders the table's names for the listing and the
+// unknown-name error.
+func available(table []benchmark) string {
+	names := make([]string, len(table))
+	for i, b := range table {
+		names[i] = b.name
+	}
+	return "available experiments: " + strings.Join(names, ", ") + ", all"
+}
+
 func run(args []string) error {
+	var o options
 	fs := flag.NewFlagSet("sigma-bench", flag.ContinueOnError)
-	scale := fs.Float64("scale", 1.0, "dataset scale multiplier (smaller = faster)")
-	quick := fs.Bool("quick", false, "trim sweeps to a few points")
+	fs.Float64Var(&o.scale, "scale", 1.0, "dataset scale multiplier (smaller = faster)")
+	fs.BoolVar(&o.quick, "quick", false, "trim sweeps to a few points")
 	jsonOut := fs.Bool("json", false, "emit machine-readable JSON, one object per line")
-	nodes := fs.Int("nodes", 4, "ingest: number of loopback dedup servers")
-	mb := fs.Int("mb", 32, "ingest: logical MB backed up per run")
-	workers := fs.Int("workers", 0, "ingest: fingerprint workers for the pipelined run (0 = GOMAXPROCS)")
-	inflight := fs.Int("inflight", client.DefaultInflightSuperChunks,
-		"ingest: in-flight super-chunk window for the pipelined run")
-	latency := fs.Duration("latency", 0,
-		"ingest: injected per-request server latency (e.g. 2ms emulates a disk-bound remote node)")
-	workloadName := fs.String("workload", "",
-		"ingest/stream: drive with a generational dataset (linux|vm|mail|web) instead of unique random bytes")
-	seed := fs.Int64("seed", 7, "ingest/stream/wire: workload generator seed")
+	fs.IntVar(&o.nodes, "nodes", 4, "rebalance/kill/tenants: number of nodes; scaleout: the one cluster size to run")
+	fs.IntVar(&o.mb, "mb", 32, "rebalance/kill: logical MB backed up per generation")
+	fs.StringVar(&o.workload, "workload", "", "scaleout: generational dataset (linux|vm|mail|web; default linux)")
+	fs.Int64Var(&o.seed, "seed", 7, "tenants/scaleout: workload generator seed")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 	memprofile := fs.String("memprofile", "", "write an allocation profile of the whole run to this file")
-	scKB := fs.Int64("sc", 0, "stream: super-chunk size in KB (0 = the bench's 256KB default)")
-	fpName := fs.String("fp", "", "stream: fingerprint hash (sha1|sha256|md5; default sha1)")
-	transport := fs.String("transport", "tcp", "stream: node transport (tcp|unix)")
-	chunkSpec := fs.String("chunk", "", "stream: chunking as method:avgbytes (fixed|rabin|tttd|fastcdc; default fixed:4096)")
-	disk := fs.Bool("disk", false, "ingest: give every server a durable spill directory (containers + manifest on disk)")
-	streamsFlag := fs.Int("streams", 8, "nodeconc/recovery: maximum concurrent backup streams")
-	generations := fs.Int("generations", 100, "age: generational backups of the churning image")
-	schemes := fs.String("schemes", "", "scaleout: comma-separated routing schemes (default sigma,stateless,stateful,eb)")
-	mode := fs.String("mode", "", "run one experiment by name (alias for the positional argument, e.g. -mode stream)")
+	fs.Int64Var(&o.scKB, "sc", 0, "scaleout: the one super-chunk size in KB to run (0 = the full grid)")
+	fs.IntVar(&o.streams, "streams", 240, "tenants: concurrent backup sessions across all tenants")
+	fs.StringVar(&o.schemes, "schemes", "", "scaleout: comma-separated routing schemes (default sigma,stateless,stateful,eb)")
+	mode := fs.String("mode", "", "run one experiment by name (alias for the positional argument, e.g. -mode kill)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -97,39 +133,29 @@ func run(args []string) error {
 	if *mode != "" {
 		names = append(names, *mode)
 	}
+	table := benchmarks()
 	if len(names) == 0 {
-		fmt.Printf("available experiments: %s, ingest, nodeconc, recovery, gc, stream, wire, rebalance, kill, age, scaleout, all\n", strings.Join(experiments.Names(), ", "))
+		fmt.Println(available(table))
 		return nil
-	}
-	// The wire bench's headline number is defined at 64MB (the figure the
-	// codec work is tracked against); honor -mb only when explicitly set.
-	mbExplicit, streamsExplicit := false, false
-	nodesExplicit, scExplicit := false, false
-	fs.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "mb":
-			mbExplicit = true
-		case "streams":
-			streamsExplicit = true
-		case "nodes":
-			nodesExplicit = true
-		case "sc":
-			scExplicit = true
-		}
-	})
-	wireMB := *mb
-	if !mbExplicit {
-		wireMB = 64
-	}
-	// The tenants bench is about contention: default to hundreds of
-	// concurrent sessions unless -streams was given explicitly.
-	tenantSessions := *streamsFlag
-	if !streamsExplicit {
-		tenantSessions = 240
 	}
 	if len(names) == 1 && names[0] == "all" {
 		names = experiments.Names()
 	}
+	byName := make(map[string]benchmark, len(table))
+	for _, b := range table {
+		byName[b.name] = b
+	}
+	for _, name := range names {
+		if _, ok := byName[name]; !ok {
+			fmt.Fprintln(os.Stderr, available(table))
+			return fmt.Errorf("unknown experiment %q", name)
+		}
+	}
+	fs.Visit(func(f *flag.Flag) {
+		if f.Name == "nodes" {
+			o.nodesSet = true
+		}
+	})
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
@@ -152,189 +178,18 @@ func run(args []string) error {
 		}()
 	}
 	enc := json.NewEncoder(os.Stdout)
-	emit := func(rep interface{ print(*os.File) }) error {
-		if *jsonOut {
-			return enc.Encode(rep)
-		}
-		rep.print(os.Stdout)
-		return nil
-	}
 	for _, name := range names {
-		switch name {
-		case "ingest":
-			rep, err := runIngest(ingestConfig{
-				Nodes:    *nodes,
-				DataMB:   *mb,
-				Workers:  *workers,
-				Inflight: *inflight,
-				Latency:  *latency,
-				Disk:     *disk,
-				Workload: *workloadName,
-				Seed:     *seed,
-			})
-			if err != nil {
-				return fmt.Errorf("ingest: %w", err)
-			}
-			if err := emit(rep); err != nil {
-				return err
-			}
-			continue
-		case "nodeconc":
-			rep, err := runNodeConcurrency(*mb, *streamsFlag)
-			if err != nil {
-				return fmt.Errorf("nodeconc: %w", err)
-			}
-			if err := emit(rep); err != nil {
-				return err
-			}
-			continue
-		case "recovery":
-			rep, err := runRecovery(*mb, *streamsFlag)
-			if err != nil {
-				return fmt.Errorf("recovery: %w", err)
-			}
-			if err := emit(rep); err != nil {
-				return err
-			}
-			continue
-		case "gc":
-			rep, err := runGC(*mb, *streamsFlag)
-			if err != nil {
-				return fmt.Errorf("gc: %w", err)
-			}
-			if err := emit(rep); err != nil {
-				return err
-			}
-			continue
-		case "stream":
-			var fp sigmadedupe.FingerprintAlgorithm
-			switch *fpName {
-			case "", "sha1":
-			case "sha256":
-				fp = sigmadedupe.FingerprintSHA256
-			case "md5":
-				fp = sigmadedupe.FingerprintMD5
-			default:
-				return fmt.Errorf("stream: unknown fingerprint %q", *fpName)
-			}
-			if *transport != "tcp" && *transport != "unix" {
-				return fmt.Errorf("stream: unknown transport %q", *transport)
-			}
-			spec, err := parseChunkSpec(*chunkSpec)
-			if err != nil {
-				return fmt.Errorf("stream: %w", err)
-			}
-			rep, err := runStreamWith(*mb, *nodes, *inflight, *workloadName, *seed,
-				streamOptions{superChunkSize: *scKB << 10, fingerprint: fp, unixSockets: *transport == "unix", chunk: spec})
-			if err != nil {
-				return fmt.Errorf("stream: %w", err)
-			}
-			if err := emit(rep); err != nil {
-				return err
-			}
-			continue
-		case "wire":
-			rep, err := runWire(wireMB, *nodes, *inflight, *seed)
-			if err != nil {
-				return fmt.Errorf("wire: %w", err)
-			}
-			if err := emit(rep); err != nil {
-				return err
-			}
-			continue
-		case "rebalance":
-			rep, err := runRebalance(*mb, *nodes)
-			if err != nil {
-				return fmt.Errorf("rebalance: %w", err)
-			}
-			if err := emit(rep); err != nil {
-				return err
-			}
-			continue
-		case "kill":
-			rep, err := runKill(*mb, *nodes)
-			if err != nil {
-				return fmt.Errorf("kill: %w", err)
-			}
-			if err := emit(rep); err != nil {
-				return err
-			}
-			continue
-		case "tenants":
-			rep, err := runTenants(tenantsConfig{
-				Nodes:    *nodes,
-				Sessions: tenantSessions,
-				Seed:     *seed,
-			})
-			if err != nil {
-				return fmt.Errorf("tenants: %w", err)
-			}
-			if err := emit(rep); err != nil {
-				return err
-			}
-			continue
-		case "scaleout":
-			// -nodes/-sc narrow the sweep grid to one point each when set
-			// explicitly; -schemes narrows the scheme axis.
-			cfg := scaleoutConfig{
-				Workload: *workloadName,
-				Scale:    *scale,
-				Seed:     *seed,
-			}
-			if nodesExplicit {
-				cfg.NodeCounts = []int{*nodes}
-			}
-			if scExplicit && *scKB > 0 {
-				cfg.SCKBs = []int64{*scKB}
-			}
-			if *schemes != "" {
-				cfg.Schemes = strings.Split(*schemes, ",")
-			}
-			rep, err := runScaleout(cfg)
-			if err != nil {
-				return fmt.Errorf("scaleout: %w", err)
-			}
-			if err := emit(rep); err != nil {
-				return err
-			}
-			continue
-		case "age":
-			rep, err := runAge(ageConfig{
-				Nodes:       *nodes,
-				ImageMB:     *mb,
-				Generations: *generations,
-				Seed:        *seed,
-			})
-			if err != nil {
-				return fmt.Errorf("age: %w", err)
-			}
-			if err := emit(rep); err != nil {
-				return err
-			}
-			continue
-		}
-		start := time.Now()
-		tab, err := experiments.Run(name, experiments.Options{Scale: *scale, Quick: *quick})
+		rep, err := byName[name].run(o)
 		if err != nil {
 			return fmt.Errorf("%s: %w", name, err)
 		}
-		elapsed := time.Since(start)
 		if *jsonOut {
-			err = enc.Encode(tableReport{
-				Experiment: tab.Name,
-				Title:      tab.Title,
-				Headers:    tab.Headers,
-				Rows:       tab.Rows,
-				Notes:      tab.Notes,
-				ElapsedMS:  elapsed.Milliseconds(),
-			})
-			if err != nil {
+			if err := enc.Encode(rep); err != nil {
 				return err
 			}
-		} else {
-			tab.Fprint(os.Stdout)
-			fmt.Printf("  [%s completed in %v]\n\n", name, elapsed.Round(time.Millisecond))
+			continue
 		}
+		rep.print(os.Stdout)
 	}
 	return nil
 }
@@ -347,805 +202,31 @@ type tableReport struct {
 	Rows       [][]string `json:"rows"`
 	Notes      []string   `json:"notes,omitempty"`
 	ElapsedMS  int64      `json:"elapsed_ms"`
+
+	tab *experiments.Table
 }
 
-type ingestConfig struct {
-	Nodes    int           `json:"nodes"`
-	DataMB   int           `json:"data_mb"`
-	Workers  int           `json:"workers"`
-	Inflight int           `json:"inflight_super_chunks"`
-	Disk     bool          `json:"disk"`
-	Workload string        `json:"workload,omitempty"`
-	Seed     int64         `json:"-"`
-	Latency  time.Duration `json:"-"`
+func (r *tableReport) print(w *os.File) {
+	r.tab.Fprint(w)
+	fmt.Fprintf(w, "  [%s completed in %v]\n\n", r.Experiment, time.Duration(r.ElapsedMS)*time.Millisecond)
 }
 
-// benchFile is one named backup input of an ingest run.
-type benchFile struct {
-	name string
-	data []byte
-}
-
-// workloadFiles materializes a generational dataset scaled to about
-// targetMB logical MB. Scaling goes through the generator's own scale
-// knob — never by truncating the item stream, which would drop the later
-// backup generations that carry all the duplicate (dedupable) data.
-func workloadFiles(name string, targetMB int, seed int64) ([]benchFile, error) {
-	items, err := workloadItems(name, targetMB, seed)
-	if err != nil {
-		return nil, err
-	}
-	files := make([]benchFile, len(items))
-	for i, it := range items {
-		files[i] = benchFile{name: "/" + name + "/" + it.Name, data: workload.Materialize(it)}
-	}
-	return files, nil
-}
-
-// workloadItems generates `name` at whatever generator scale lands its
-// total logical size near targetMB.
-func workloadItems(name string, targetMB int, seed int64) ([]workload.Item, error) {
-	g, err := workload.ByName(name, 1, seed)
-	if err != nil {
-		return nil, err
-	}
-	items, err := workload.Collect(g)
-	if err != nil {
-		return nil, err
-	}
-	total := workload.TotalBytes(items)
-	target := int64(targetMB) << 20
-	if total <= 0 || target <= 0 {
-		return items, nil
-	}
-	scale := float64(target) / float64(total)
-	if scale > 0.98 && scale < 1.02 {
-		return items, nil
-	}
-	g, err = workload.ByName(name, scale, seed)
-	if err != nil {
-		return nil, err
-	}
-	return workload.Collect(g)
-}
-
-// ingestRun is one measured configuration of the prototype ingest path.
-type ingestRun struct {
-	Mode            string  `json:"mode"`
-	Workers         int     `json:"workers"`
-	Inflight        int     `json:"inflight_super_chunks"`
-	Seconds         float64 `json:"seconds"`
-	ThroughputMBps  float64 `json:"throughput_mb_s"`
-	Msgs            int64   `json:"msgs"`
-	BandwidthSaving float64 `json:"bandwidth_saving"`
-	DedupRatio      float64 `json:"dedup_ratio"`
-}
-
-// ingestReport compares the serial ingest path against the pipeline.
-type ingestReport struct {
-	Experiment string       `json:"experiment"`
-	Config     ingestConfig `json:"config"`
-	LatencyMS  float64      `json:"latency_ms"`
-	Serial     ingestRun    `json:"serial"`
-	Pipelined  ingestRun    `json:"pipelined"`
-	Speedup    float64      `json:"speedup"`
-}
-
-func (r *ingestReport) print(w *os.File) {
-	mode := "RAM"
-	if r.Config.Disk {
-		mode = "disk-backed"
-	}
-	fmt.Fprintf(w, "== ingest: prototype backup path, %d %s nodes, %d MB, %.2fms server latency\n",
-		r.Config.Nodes, mode, r.Config.DataMB, r.LatencyMS)
-	fmt.Fprintf(w, "  %-10s %8s %8s %12s %10s %8s\n", "mode", "workers", "inflight", "MB/s", "msgs", "dedup")
-	for _, run := range []ingestRun{r.Serial, r.Pipelined} {
-		fmt.Fprintf(w, "  %-10s %8d %8d %12.1f %10d %8.2f\n",
-			run.Mode, run.Workers, run.Inflight, run.ThroughputMBps, run.Msgs, run.DedupRatio)
-	}
-	fmt.Fprintf(w, "  speedup: %.2fx\n\n", r.Speedup)
-}
-
-// runIngest backs the same synthetic dataset up twice against fresh
-// loopback clusters: once with the serial client (1 fingerprint worker, 1
-// super-chunk in flight — the pre-pipeline behavior) and once with the
-// concurrent pipeline, and reports both throughputs.
-func runIngest(cfg ingestConfig) (*ingestReport, error) {
-	if cfg.Nodes <= 0 {
-		cfg.Nodes = 4
-	}
-	if cfg.DataMB <= 0 {
-		cfg.DataMB = 32
-	}
-	if cfg.Inflight <= 0 {
-		cfg.Inflight = client.DefaultInflightSuperChunks
-	}
-	var contents []benchFile
-	if cfg.Workload != "" {
-		// A generational dataset: later backup generations repeat most of
-		// the earlier ones, so dedup_ratio and bandwidth_saving report the
-		// real source-dedup behavior instead of the unique-data floor.
-		var err error
-		if contents, err = workloadFiles(cfg.Workload, cfg.DataMB, cfg.Seed); err != nil {
-			return nil, err
-		}
-	} else {
-		// Four files of fresh pseudo-random content: unique data, so every
-		// chunk payload crosses the wire — the heaviest ingest path.
-		const files = 4
-		rng := rand.New(rand.NewSource(7))
-		for i := 0; i < files; i++ {
-			data := make([]byte, cfg.DataMB<<20/files)
-			rng.Read(data)
-			contents = append(contents, benchFile{name: fmt.Sprintf("/bench/file%d", i), data: data})
-		}
-	}
-
-	serial, err := measureIngest(cfg, contents, 1, 1)
-	if err != nil {
-		return nil, err
-	}
-	serial.Mode = "serial"
-	pipelined, err := measureIngest(cfg, contents, cfg.Workers, cfg.Inflight)
-	if err != nil {
-		return nil, err
-	}
-	pipelined.Mode = "pipelined"
-
-	rep := &ingestReport{
-		Experiment: "ingest",
-		Config:     cfg,
-		LatencyMS:  float64(cfg.Latency) / float64(time.Millisecond),
-		Serial:     *serial,
-		Pipelined:  *pipelined,
-	}
-	if serial.ThroughputMBps > 0 {
-		rep.Speedup = pipelined.ThroughputMBps / serial.ThroughputMBps
-	}
-	return rep, nil
-}
-
-func measureIngest(cfg ingestConfig, contents []benchFile, workers, inflight int) (*ingestRun, error) {
-	servers := make([]*rpc.Server, cfg.Nodes)
-	addrs := make([]string, cfg.Nodes)
-	defer func() {
-		for _, s := range servers {
-			if s != nil {
-				s.Close()
-				s.Node().Close() // release durable manifests in -disk mode
-			}
-		}
-	}()
-	var diskBase string
-	if cfg.Disk {
-		var err error
-		if diskBase, err = os.MkdirTemp("", "sigma-bench-ingest-"); err != nil {
-			return nil, err
-		}
-		defer os.RemoveAll(diskBase)
-	}
-	for i := range servers {
-		ncfg := node.Config{ID: i, KeepPayloads: true}
-		if cfg.Disk {
-			ncfg.Dir = filepath.Join(diskBase, fmt.Sprintf("node%d", i))
-		}
-		nd, err := node.New(ncfg)
-		if err != nil {
-			return nil, err
-		}
-		var opts []rpc.ServerOption
-		if cfg.Latency > 0 {
-			opts = append(opts, rpc.WithHandlerDelay(cfg.Latency))
-		}
-		srv, err := rpc.NewServer(nd, "127.0.0.1:0", opts...)
-		if err != nil {
-			return nil, err
-		}
-		servers[i] = srv
-		addrs[i] = srv.Addr()
-	}
-	dir := director.New()
-	c, err := client.New(context.Background(), client.Config{
-		Name:                "bench",
-		SuperChunkSize:      256 << 10,
-		Pipeline:            pipeline.Config{Workers: workers},
-		InflightSuperChunks: inflight,
-	}, dir, client.DenseNodes(addrs))
-	if err != nil {
-		return nil, err
-	}
-	defer c.Close()
-
+// runPaper runs one internal/experiments table.
+func runPaper(name string, o options) (*tableReport, error) {
 	start := time.Now()
-	var logical int64
-	for _, f := range contents {
-		logical += int64(len(f.data))
-		if err := c.BackupFile(context.Background(), f.name, bytes.NewReader(f.data)); err != nil {
-			return nil, err
-		}
-	}
-	if err := c.Flush(context.Background()); err != nil {
-		return nil, err
-	}
-	elapsed := time.Since(start)
-
-	var nodeLogical, nodePhysical int64
-	for _, s := range servers {
-		st := s.Node().Stats()
-		nodeLogical += st.LogicalBytes
-		nodePhysical += st.PhysicalBytes
-	}
-	run := &ingestRun{
-		Workers:         c.Config().Pipeline.Workers,
-		Inflight:        c.Config().InflightSuperChunks,
-		Seconds:         elapsed.Seconds(),
-		ThroughputMBps:  float64(logical) / (1 << 20) / elapsed.Seconds(),
-		Msgs:            c.RPCMessages(),
-		BandwidthSaving: c.Stats().BandwidthSaving(),
-	}
-	if nodePhysical > 0 {
-		run.DedupRatio = float64(nodeLogical) / float64(nodePhysical)
-	}
-	return run, nil
-}
-
-// nodeConcRun is one measured (shards × streams) store-path configuration.
-type nodeConcRun struct {
-	Shards         int     `json:"shards"`
-	Streams        int     `json:"streams"`
-	Seconds        float64 `json:"seconds"`
-	ThroughputMBps float64 `json:"throughput_mb_s"`
-}
-
-// nodeConcReport records multi-stream single-node store-path scaling:
-// the single store lock (shards=1, the pre-engine behavior) against
-// fingerprint-sharded locking, at growing stream counts.
-type nodeConcReport struct {
-	Experiment string `json:"experiment"`
-	DataMB     int    `json:"data_mb"`
-	ChunkKB    int    `json:"chunk_kb"`
-	MaxStreams int    `json:"max_streams"`
-	// GOMAXPROCS interprets the scaling numbers: on a single-core host
-	// streams cannot scale wall-clock throughput, so serial and sharded
-	// read as parity; multicore hosts show the sharded speedup.
-	GOMAXPROCS int           `json:"gomaxprocs"`
-	Runs       []nodeConcRun `json:"runs"`
-	// Speedup is sharded vs single-lock throughput at the highest stream
-	// count.
-	Speedup float64 `json:"speedup_at_max_streams"`
-}
-
-func (r *nodeConcReport) print(w *os.File) {
-	fmt.Fprintf(w, "== nodeconc: single-node store path, %d MB unique data, %dKB chunks, GOMAXPROCS=%d\n",
-		r.DataMB, r.ChunkKB, r.GOMAXPROCS)
-	fmt.Fprintf(w, "  %8s %8s %10s %12s\n", "shards", "streams", "seconds", "MB/s")
-	for _, run := range r.Runs {
-		fmt.Fprintf(w, "  %8d %8d %10.3f %12.1f\n", run.Shards, run.Streams, run.Seconds, run.ThroughputMBps)
-	}
-	fmt.Fprintf(w, "  sharded vs single-lock at %d streams: %.2fx\n\n", r.MaxStreams, r.Speedup)
-}
-
-// runNodeConcurrency stores the same pre-fingerprinted unique dataset
-// into fresh single nodes, varying the stream count and the store-path
-// lock sharding. Chunks carry no payload (metadata-only store), so the
-// measurement isolates the lookup-or-append path the old node-wide store
-// mutex serialized.
-func runNodeConcurrency(mb, maxStreams int) (*nodeConcReport, error) {
-	if mb <= 0 {
-		mb = 64
-	}
-	if maxStreams <= 0 {
-		maxStreams = 8
-	}
-	const chunkSize = 8 << 10
-	const scChunks = 128 // 1MB super-chunks
-	nChunks := mb << 20 / chunkSize
-
-	// Pre-generate unique random fingerprints and memoize handprints so
-	// every measured run does identical non-store work.
-	rng := rand.New(rand.NewSource(21))
-	scs := make([]*core.SuperChunk, 0, nChunks/scChunks)
-	for len(scs)*scChunks < nChunks {
-		sc := &core.SuperChunk{}
-		for i := 0; i < scChunks; i++ {
-			var fp fingerprint.Fingerprint
-			rng.Read(fp[:])
-			sc.Chunks = append(sc.Chunks, core.ChunkRef{FP: fp, Size: chunkSize})
-		}
-		sc.Handprint(core.DefaultHandprintSize)
-		scs = append(scs, sc)
-	}
-
-	measure := func(shards, streams int) (nodeConcRun, error) {
-		nd, err := node.New(node.Config{StoreShards: shards})
-		if err != nil {
-			return nodeConcRun{}, err
-		}
-		run := nodeConcRun{Shards: nd.Config().StoreShards, Streams: streams}
-		var wg sync.WaitGroup
-		errs := make(chan error, streams)
-		start := time.Now()
-		for s := 0; s < streams; s++ {
-			wg.Add(1)
-			go func(s int) {
-				defer wg.Done()
-				stream := fmt.Sprintf("stream%d", s)
-				for i := s; i < len(scs); i += streams {
-					if _, err := nd.StoreSuperChunk(stream, scs[i]); err != nil {
-						errs <- err
-						return
-					}
-				}
-			}(s)
-		}
-		wg.Wait()
-		if err := nd.Flush(); err != nil {
-			return run, err
-		}
-		run.Seconds = time.Since(start).Seconds()
-		select {
-		case err := <-errs:
-			return run, err
-		default:
-		}
-		logical := float64(len(scs)*scChunks*chunkSize) / (1 << 20)
-		run.ThroughputMBps = logical / run.Seconds
-		return run, nil
-	}
-
-	// Cold-start warmup so the first measured configuration is not
-	// charged for page faults and allocator growth.
-	if _, err := measure(0, 1); err != nil {
-		return nil, err
-	}
-	const trials = 3
-	rep := &nodeConcReport{
-		Experiment: "node_concurrency",
-		DataMB:     mb,
-		ChunkKB:    chunkSize >> 10,
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-	}
-	var serialAtMax, shardedAtMax float64
-	for _, shards := range []int{1, 0} { // 0 = engine default sharding
-		for streams := 1; streams <= maxStreams; streams *= 2 {
-			var run nodeConcRun
-			for tr := 0; tr < trials; tr++ {
-				r, err := measure(shards, streams)
-				if err != nil {
-					return nil, err
-				}
-				if tr == 0 || r.Seconds < run.Seconds {
-					run = r
-				}
-			}
-			rep.Runs = append(rep.Runs, run)
-			// The last measured stream count is the comparison point, so a
-			// non-power-of-two -streams still yields a real speedup figure.
-			rep.MaxStreams = run.Streams
-			if shards == 1 {
-				serialAtMax = run.ThroughputMBps
-			} else {
-				shardedAtMax = run.ThroughputMBps
-			}
-		}
-	}
-	if serialAtMax > 0 {
-		rep.Speedup = shardedAtMax / serialAtMax
-	}
-	return rep, nil
-}
-
-// recoveryReport records one durable ingest → shutdown → recover cycle.
-type recoveryReport struct {
-	Experiment     string  `json:"experiment"`
-	DataMB         int     `json:"data_mb"`
-	Streams        int     `json:"streams"`
-	IngestSeconds  float64 `json:"ingest_seconds"`
-	Containers     int     `json:"containers"`
-	UniqueChunks   int64   `json:"unique_chunks"`
-	PhysicalMB     float64 `json:"physical_mb"`
-	RecoverSeconds float64 `json:"recover_seconds"`
-	RecoverMBps    float64 `json:"recover_mb_s"`
-	VerifiedChunks int     `json:"verified_chunks"`
-}
-
-func (r *recoveryReport) print(w *os.File) {
-	fmt.Fprintf(w, "== recovery: durable node, %d MB over %d streams\n", r.DataMB, r.Streams)
-	fmt.Fprintf(w, "  ingest: %.3fs  sealed containers: %d  unique chunks: %d  physical: %.1f MB\n",
-		r.IngestSeconds, r.Containers, r.UniqueChunks, r.PhysicalMB)
-	fmt.Fprintf(w, "  recover: %.3fs (%.1f MB/s), %d chunks restore-verified byte-identical\n\n",
-		r.RecoverSeconds, r.RecoverMBps, r.VerifiedChunks)
-}
-
-// gcReport records one delete → compact-under-ingest → verify cycle.
-type gcReport struct {
-	Experiment     string `json:"experiment"`
-	DataMB         int    `json:"data_mb"`
-	Streams        int    `json:"streams"`
-	Backups        int    `json:"backups"`
-	DeletedBackups int    `json:"deleted_backups"`
-	// Space accounting (bytes of container files on disk).
-	DiskBytesBefore      int64 `json:"disk_bytes_before"`
-	DiskBytesAfter       int64 `json:"disk_bytes_after"`
-	DeadShareBytes       int64 `json:"dead_share_bytes"`
-	ReclaimedBytes       int64 `json:"reclaimed_bytes"`
-	RetiredOldContainers int64 `json:"retired_containers"`
-	// Ingest throughput, same workload shape, without and with the
-	// compactor running concurrently.
-	IngestMBps           float64 `json:"ingest_mb_s"`
-	IngestMBpsCompacting float64 `json:"ingest_mb_s_compacting"`
-	CompactSeconds       float64 `json:"compact_seconds"`
-	VerifiedChunks       int     `json:"verified_chunks"`
-}
-
-func (r *gcReport) print(w *os.File) {
-	fmt.Fprintf(w, "== gc: durable node, %d MB over %d backups, %d deleted\n",
-		r.DataMB, r.Backups, r.DeletedBackups)
-	fmt.Fprintf(w, "  disk: %.1f MB -> %.1f MB  (dead share %.1f MB, reclaimed %.1f MB, %d containers retired)\n",
-		float64(r.DiskBytesBefore)/(1<<20), float64(r.DiskBytesAfter)/(1<<20),
-		float64(r.DeadShareBytes)/(1<<20), float64(r.ReclaimedBytes)/(1<<20), r.RetiredOldContainers)
-	fmt.Fprintf(w, "  ingest: %.1f MB/s alone, %.1f MB/s with compactor running (compaction %.3fs)\n",
-		r.IngestMBps, r.IngestMBpsCompacting, r.CompactSeconds)
-	fmt.Fprintf(w, "  %d surviving chunks restore-verified byte-identical\n\n", r.VerifiedChunks)
-}
-
-// gcDiskBytes sums the sizes of the container files under dir.
-func gcDiskBytes(dir string) (int64, error) {
-	matches, err := filepath.Glob(filepath.Join(dir, "container-*.bin"))
-	if err != nil {
-		return 0, err
-	}
-	var total int64
-	for _, m := range matches {
-		fi, err := os.Stat(m)
-		if err != nil {
-			return 0, err
-		}
-		total += fi.Size()
-	}
-	return total, nil
-}
-
-// runGC measures the deletion/compaction subsystem end to end on a
-// durable node: `streams` backups of unique payload data are stored
-// (each on its own stream), half are deleted (recipe-driven decrefs),
-// and compaction reclaims their containers while a second ingest
-// generation runs concurrently. Reports on-disk space before/after,
-// ingest throughput with and without the concurrent compactor, and
-// restore-verifies sampled surviving chunks.
-func runGC(mb, streams int) (*gcReport, error) {
-	if mb <= 0 {
-		mb = 32
-	}
-	if streams <= 0 {
-		streams = 4
-	}
-	backups := 2 * streams // half will be deleted
-	dir, err := os.MkdirTemp("", "sigma-bench-gc-")
+	tab, err := experiments.Run(name, experiments.Options{Scale: o.scale, Quick: o.quick})
 	if err != nil {
 		return nil, err
 	}
-	defer os.RemoveAll(dir)
-
-	nd, err := node.New(node.Config{Dir: dir, KeepPayloads: true})
-	if err != nil {
-		return nil, err
-	}
-	defer nd.Close()
-
-	const chunkSize = 8 << 10
-	const scChunks = 128
-	perBackup := mb << 20 / backups / (scChunks * chunkSize)
-	if perBackup == 0 {
-		perBackup = 1
-	}
-	type sample struct {
-		fp   fingerprint.Fingerprint
-		data []byte
-	}
-	type recipe struct {
-		fps []fingerprint.Fingerprint
-		ns  []int64
-	}
-
-	// ingestGen stores one generation of `backups` backups concurrently
-	// (streams at a time), returning per-backup recipes, per-backup
-	// payload samples (one per super-chunk), and the measured throughput.
-	ingestGen := func(gen int) ([]recipe, [][]sample, float64, error) {
-		recipes := make([]recipe, backups)
-		samples := make([][]sample, backups)
-		var wg sync.WaitGroup
-		errs := make(chan error, backups)
-		start := time.Now()
-		sem := make(chan struct{}, streams)
-		for b := 0; b < backups; b++ {
-			wg.Add(1)
-			go func(b int) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				rng := rand.New(rand.NewSource(int64(1000*gen + b)))
-				stream := fmt.Sprintf("gen%d-backup%d", gen, b)
-				var fps []fingerprint.Fingerprint
-				var ns []int64
-				for i := 0; i < perBackup; i++ {
-					sc := &core.SuperChunk{}
-					for j := 0; j < scChunks; j++ {
-						data := make([]byte, chunkSize)
-						rng.Read(data)
-						fp := fingerprint.Sum(data)
-						sc.Chunks = append(sc.Chunks, core.ChunkRef{FP: fp, Size: chunkSize, Data: data})
-						fps = append(fps, fp)
-						ns = append(ns, 1)
-					}
-					if _, err := nd.StoreSuperChunk(stream, sc); err != nil {
-						errs <- err
-						return
-					}
-					samples[b] = append(samples[b], sample{sc.Chunks[0].FP, sc.Chunks[0].Data})
-				}
-				recipes[b] = recipe{fps: fps, ns: ns}
-			}(b)
-		}
-		wg.Wait()
-		select {
-		case err := <-errs:
-			return nil, nil, 0, err
-		default:
-		}
-		if err := nd.Flush(); err != nil {
-			return nil, nil, 0, err
-		}
-		elapsed := time.Since(start).Seconds()
-		logical := float64(backups*perBackup*scChunks*chunkSize) / (1 << 20)
-		return recipes, samples, logical / elapsed, nil
-	}
-
-	// Generation 1: baseline ingest throughput, then delete half.
-	recipes, samples1, mbpsAlone, err := ingestGen(1)
-	if err != nil {
-		return nil, err
-	}
-	diskBefore, err := gcDiskBytes(dir)
-	if err != nil {
-		return nil, err
-	}
-	var deadShare int64
-	for b := 0; b < backups/2; b++ {
-		if err := nd.DecRef(recipes[b].fps, recipes[b].ns); err != nil {
-			return nil, err
-		}
-		deadShare += int64(len(recipes[b].fps) * chunkSize)
-	}
-	// Surviving samples: generation-1 super-chunks of the kept backups.
-	var surviving []sample
-	for b := backups / 2; b < backups; b++ {
-		surviving = append(surviving, samples1[b]...)
-	}
-
-	// Generation 2 ingests while the compactor runs concurrently.
-	stopCompact := make(chan struct{})
-	var compactWG sync.WaitGroup
-	var compactSeconds float64
-	compactWG.Add(1)
-	go func() {
-		defer compactWG.Done()
-		start := time.Now()
-		for {
-			select {
-			case <-stopCompact:
-				compactSeconds = time.Since(start).Seconds()
-				return
-			default:
-			}
-			if _, err := nd.Compact(context.Background(), 0.95); err != nil {
-				compactSeconds = time.Since(start).Seconds()
-				return
-			}
-		}
-	}()
-	_, samples2, mbpsCompacting, err := ingestGen(2)
-	if err != nil {
-		return nil, err
-	}
-	close(stopCompact)
-	compactWG.Wait()
-	// Final sweep for anything that died after the last concurrent scan.
-	if _, err := nd.Compact(context.Background(), 0.95); err != nil {
-		return nil, err
-	}
-	diskAfter, err := gcDiskBytes(dir)
-	if err != nil {
-		return nil, err
-	}
-
-	// Verify every surviving sampled chunk restores byte-identically.
-	for _, per := range samples2 {
-		surviving = append(surviving, per...)
-	}
-	verified := 0
-	for _, s := range surviving {
-		got, err := nd.ReadChunk(s.fp)
-		if err != nil {
-			return nil, fmt.Errorf("verify: %w", err)
-		}
-		if !bytes.Equal(got, s.data) {
-			return nil, fmt.Errorf("verify: chunk %s corrupted across delete+compact", s.fp.Short())
-		}
-		verified++
-	}
-	gcStats := nd.GCStats()
-	return &gcReport{
-		Experiment:           "gc",
-		DataMB:               mb,
-		Streams:              streams,
-		Backups:              backups,
-		DeletedBackups:       backups / 2,
-		DiskBytesBefore:      diskBefore,
-		DiskBytesAfter:       diskAfter,
-		DeadShareBytes:       deadShare,
-		ReclaimedBytes:       gcStats.ReclaimedBytes,
-		RetiredOldContainers: gcStats.RetiredContainers,
-		IngestMBps:           mbpsAlone,
-		IngestMBpsCompacting: mbpsCompacting,
-		CompactSeconds:       compactSeconds,
-		VerifiedChunks:       verified,
+	return &tableReport{
+		Experiment: tab.Name,
+		Title:      tab.Title,
+		Headers:    tab.Headers,
+		Rows:       tab.Rows,
+		Notes:      tab.Notes,
+		ElapsedMS:  time.Since(start).Milliseconds(),
+		tab:        tab,
 	}, nil
-}
-
-// runRecovery ingests payload-carrying data into a disk-backed node from
-// several concurrent streams, shuts the node down, re-opens it from its
-// directory via manifest replay, and verifies sampled chunks restore
-// byte-identically from the recovered chunk index and containers.
-func runRecovery(mb, streams int) (*recoveryReport, error) {
-	if mb <= 0 {
-		mb = 64
-	}
-	if streams <= 0 {
-		streams = 4
-	}
-	dir, err := os.MkdirTemp("", "sigma-bench-recovery-")
-	if err != nil {
-		return nil, err
-	}
-	defer os.RemoveAll(dir)
-
-	cfg := node.Config{Dir: dir, KeepPayloads: true}
-	nd, err := node.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-
-	const chunkSize = 8 << 10
-	const scChunks = 128
-	perStream := mb << 20 / streams / (scChunks * chunkSize)
-	if perStream == 0 {
-		perStream = 1
-	}
-	type sample struct {
-		fp   fingerprint.Fingerprint
-		data []byte
-	}
-	var (
-		mu      sync.Mutex
-		samples []sample
-		wg      sync.WaitGroup
-	)
-	errs := make(chan error, streams)
-	start := time.Now()
-	for s := 0; s < streams; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(31 + s)))
-			stream := fmt.Sprintf("stream%d", s)
-			for i := 0; i < perStream; i++ {
-				sc := &core.SuperChunk{}
-				for j := 0; j < scChunks; j++ {
-					data := make([]byte, chunkSize)
-					rng.Read(data)
-					sc.Chunks = append(sc.Chunks, core.ChunkRef{
-						FP: fingerprint.Sum(data), Size: chunkSize, Data: data,
-					})
-				}
-				if _, err := nd.StoreSuperChunk(stream, sc); err != nil {
-					errs <- err
-					return
-				}
-				mu.Lock()
-				samples = append(samples, sample{sc.Chunks[0].FP, sc.Chunks[0].Data})
-				mu.Unlock()
-			}
-		}(s)
-	}
-	wg.Wait()
-	select {
-	case err := <-errs:
-		return nil, err
-	default:
-	}
-	if err := nd.Close(); err != nil {
-		return nil, err
-	}
-	ingest := time.Since(start).Seconds()
-	st := nd.Stats()
-
-	rcfg := cfg
-	rcfg.Recover = true
-	start = time.Now()
-	rec, err := node.New(rcfg)
-	if err != nil {
-		return nil, err
-	}
-	recover := time.Since(start).Seconds()
-	defer rec.Close()
-
-	for _, s := range samples {
-		got, err := rec.ReadChunk(s.fp)
-		if err != nil {
-			return nil, fmt.Errorf("verify: %w", err)
-		}
-		if !bytes.Equal(got, s.data) {
-			return nil, fmt.Errorf("verify: chunk %s corrupted across recovery", s.fp.Short())
-		}
-	}
-
-	physicalMB := float64(st.PhysicalBytes) / (1 << 20)
-	rep := &recoveryReport{
-		Experiment:     "recovery",
-		DataMB:         mb,
-		Streams:        streams,
-		IngestSeconds:  ingest,
-		Containers:     rec.NumSealedContainers(),
-		UniqueChunks:   st.UniqueChunks,
-		PhysicalMB:     physicalMB,
-		RecoverSeconds: recover,
-		VerifiedChunks: len(samples),
-	}
-	if recover > 0 {
-		rep.RecoverMBps = physicalMB / recover
-	}
-	return rep, nil
-}
-
-// streamReport records one bounded-memory streaming-session smoke: a
-// single large unique stream backed up through the public v2 Session
-// API, with the counter-instrumented peak buffered payload against the
-// in-flight window bound. Compare throughput_mb_s with the pipelined
-// run of BENCH_ingest.json (same super-chunk size and node count): the
-// streaming session is the same pipeline behind the new surface, so it
-// must hold equal-or-better throughput while bounding memory.
-type streamReport struct {
-	Experiment        string  `json:"experiment"`
-	DataMB            int     `json:"data_mb"`
-	Nodes             int     `json:"nodes"`
-	Workload          string  `json:"workload,omitempty"`
-	Transport         string  `json:"transport"`
-	Fingerprint       string  `json:"fingerprint"`
-	SuperChunkKB      int64   `json:"super_chunk_kb"`
-	Inflight          int     `json:"inflight_super_chunks"`
-	Seconds           float64 `json:"seconds"`
-	ThroughputMBps    float64 `json:"throughput_mb_s"`
-	DedupRatio        float64 `json:"dedup_ratio"`
-	BandwidthSaving   float64 `json:"bandwidth_saving"`
-	PeakBufferedBytes int64   `json:"peak_buffered_bytes"`
-	WindowBoundBytes  int64   `json:"window_bound_bytes"`
-	// Bounded is true when peak buffered payload stayed within 2× the
-	// window bound — the acceptance criterion for O(window) memory.
-	Bounded bool `json:"bounded"`
-}
-
-func (r *streamReport) print(w *os.File) {
-	source := "unique stream"
-	if r.Workload != "" {
-		source = r.Workload + " workload"
-	}
-	fmt.Fprintf(w, "== stream: v2 session, %d MB %s, %d nodes, %dKB super-chunks, window %d\n",
-		r.DataMB, source, r.Nodes, r.SuperChunkKB, r.Inflight)
-	fmt.Fprintf(w, "  throughput: %.1f MB/s in %.3fs  dedup %.2f  bandwidth saving %.2f\n",
-		r.ThroughputMBps, r.Seconds, r.DedupRatio, r.BandwidthSaving)
-	fmt.Fprintf(w, "  peak buffered payload: %.2f MB (window bound %.2f MB, bounded=%v)\n\n",
-		float64(r.PeakBufferedBytes)/(1<<20), float64(r.WindowBoundBytes)/(1<<20), r.Bounded)
 }
 
 // streamSource yields exactly n pseudo-random bytes — a stream, not a
@@ -1481,384 +562,4 @@ func runKill(mb, nNodes int) (*killReport, error) {
 		return nil, fmt.Errorf("post-repair restore: %w", err)
 	}
 	return rep, nil
-}
-
-// itemReader streams one workload item's blocks without materializing
-// the item, reusing a single block buffer.
-type itemReader struct {
-	blocks []uint64
-	buf    [workload.BlockSize]byte
-	off    int // valid bytes already consumed from buf; BlockSize = empty
-}
-
-func newItemReader(it workload.Item) *itemReader {
-	return &itemReader{blocks: it.Blocks, off: workload.BlockSize}
-}
-
-func (r *itemReader) Read(p []byte) (int, error) {
-	if r.off >= workload.BlockSize {
-		if len(r.blocks) == 0 {
-			return 0, io.EOF
-		}
-		workload.FillBlock(r.blocks[0], r.buf[:])
-		r.blocks = r.blocks[1:]
-		r.off = 0
-	}
-	n := copy(p, r.buf[r.off:])
-	r.off += n
-	return n, nil
-}
-
-// runStream backs mb MB up through the public streaming Session API
-// against nNodes loopback servers and reports throughput plus the
-// instrumented peak buffered payload. With workloadName empty the input
-// is one unique pseudo-random stream (the heaviest wire path); with a
-// generational dataset the report's dedup_ratio and bandwidth_saving
-// carry the real source-dedup behavior.
-func runStream(mb, nNodes, inflight int, workloadName string, seed int64) (*streamReport, error) {
-	return runStreamWith(mb, nNodes, inflight, workloadName, seed, streamOptions{})
-}
-
-// streamOptions are the wire bench's knobs over the base stream bench.
-type streamOptions struct {
-	superChunkSize int64                            // 0 = the 256KB BENCH_streaming granularity
-	fingerprint    sigmadedupe.FingerprintAlgorithm // 0 = SHA-1
-	unixSockets    bool                             // serve nodes over Unix domain sockets instead of loopback TCP
-	chunk          sigmadedupe.ChunkSpec            // zero = the session default (fixed 4KB)
-}
-
-// parseChunkSpec parses "method:avgbytes" (e.g. "fastcdc:8192"). Empty
-// input selects the session default.
-func parseChunkSpec(s string) (sigmadedupe.ChunkSpec, error) {
-	if s == "" {
-		return sigmadedupe.ChunkSpec{}, nil
-	}
-	method, sizeStr, ok := strings.Cut(s, ":")
-	var spec sigmadedupe.ChunkSpec
-	switch method {
-	case "fixed":
-		spec.Method = sigmadedupe.ChunkFixed
-	case "rabin", "cdc":
-		spec.Method = sigmadedupe.ChunkCDC
-	case "tttd":
-		spec.Method = sigmadedupe.ChunkTTTD
-	case "fastcdc":
-		spec.Method = sigmadedupe.ChunkFastCDC
-	default:
-		return spec, fmt.Errorf("unknown chunk method %q", method)
-	}
-	if ok {
-		n, err := strconv.Atoi(sizeStr)
-		if err != nil || n <= 0 {
-			return spec, fmt.Errorf("bad chunk size %q", sizeStr)
-		}
-		spec.Size = n
-	}
-	return spec, nil
-}
-
-func runStreamWith(mb, nNodes, inflight int, workloadName string, seed int64, opts streamOptions) (*streamReport, error) {
-	if mb <= 0 {
-		mb = 64
-	}
-	if nNodes <= 0 {
-		nNodes = 4
-	}
-	if inflight <= 0 {
-		inflight = client.DefaultInflightSuperChunks
-	}
-	scSize := opts.superChunkSize
-	if scSize <= 0 {
-		scSize = 256 << 10 // match the ingest bench's granularity
-	}
-	var sockDir string
-	if opts.unixSockets {
-		dir, err := os.MkdirTemp("", "sigma-bench-uds")
-		if err != nil {
-			return nil, err
-		}
-		defer os.RemoveAll(dir)
-		sockDir = dir
-	}
-	addrs := make([]string, nNodes)
-	for i := range addrs {
-		scfg := sigmadedupe.ServerConfig{ID: i}
-		if opts.unixSockets {
-			scfg.Addr = fmt.Sprintf("unix:%s/n%d.sock", sockDir, i)
-		}
-		srv, err := sigmadedupe.StartServer(scfg)
-		if err != nil {
-			return nil, err
-		}
-		defer srv.Close()
-		addrs[i] = srv.Addr()
-	}
-	ctx := context.Background()
-	be, err := sigmadedupe.NewRemote(ctx, sigmadedupe.RemoteConfig{
-		Name:        "stream-bench",
-		Director:    sigmadedupe.NewDirector(),
-		Nodes:       addrs,
-		Fingerprint: opts.fingerprint,
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer be.Close()
-	sessOpts := []sigmadedupe.SessionOption{
-		sigmadedupe.WithSuperChunkSize(scSize),
-		sigmadedupe.WithInflightSuperChunks(inflight),
-	}
-	if opts.chunk.Method != 0 {
-		sessOpts = append(sessOpts, sigmadedupe.WithChunkSpec(opts.chunk))
-	}
-	sess, err := be.NewSession(ctx, sessOpts...)
-	if err != nil {
-		return nil, err
-	}
-	defer sess.Close()
-
-	var items []workload.Item
-	if workloadName != "" {
-		if items, err = workloadItems(workloadName, mb, seed); err != nil {
-			return nil, err
-		}
-	}
-	var size int64
-	start := time.Now()
-	if workloadName == "" {
-		size = int64(mb) << 20
-		if err := sess.Backup(ctx, "/stream/big", &streamSource{rng: rand.New(rand.NewSource(11)), left: int(size)}); err != nil {
-			return nil, err
-		}
-	} else {
-		for _, it := range items {
-			size += it.Size()
-			if err := sess.Backup(ctx, "/"+workloadName+"/"+it.Name, newItemReader(it)); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if err := sess.Flush(ctx); err != nil {
-		return nil, err
-	}
-	elapsed := time.Since(start)
-
-	st := sess.Stats()
-	bst, err := be.Stats(ctx)
-	if err != nil {
-		return nil, err
-	}
-	windowBound := int64(inflight) * 2 * scSize
-	transport := "tcp"
-	if opts.unixSockets {
-		transport = "unix"
-	}
-	return &streamReport{
-		Experiment:        "streaming",
-		DataMB:            int(size >> 20),
-		Nodes:             nNodes,
-		Workload:          workloadName,
-		Transport:         transport,
-		Fingerprint:       opts.fingerprint.String(),
-		SuperChunkKB:      scSize >> 10,
-		Inflight:          inflight,
-		Seconds:           elapsed.Seconds(),
-		ThroughputMBps:    float64(size) / (1 << 20) / elapsed.Seconds(),
-		DedupRatio:        bst.DedupRatio,
-		BandwidthSaving:   st.BandwidthSaving(),
-		PeakBufferedBytes: st.PeakBufferedBytes,
-		WindowBoundBytes:  windowBound,
-		Bounded:           st.PeakBufferedBytes <= 2*windowBound,
-	}, nil
-}
-
-// wireAlloc is the allocation profile of one ingest: one unique stream
-// through the prototype client against loopback servers, heap deltas
-// via runtime.ReadMemStats. The run must show the allocation cliff:
-// ChunkBufAllocs plateaus near the in-flight window while
-// ChunkBufReuses carries the stream.
-type wireAlloc struct {
-	DataMB int `json:"data_mb"`
-	// Heap deltas across the whole process (client + in-process servers).
-	Mallocs        uint64  `json:"mallocs"`
-	AllocMB        float64 `json:"alloc_mb"`
-	ChunkBufAllocs int64   `json:"chunk_buf_allocs"`
-	ChunkBufReuses int64   `json:"chunk_buf_reuses"`
-	ThroughputMBps float64 `json:"throughput_mb_s"`
-}
-
-// wireWorkloadRun is the wire report's generational-dataset leg.
-type wireWorkloadRun struct {
-	Name            string  `json:"name"`
-	DataMB          int     `json:"data_mb"`
-	ThroughputMBps  float64 `json:"throughput_mb_s"`
-	DedupRatio      float64 `json:"dedup_ratio"`
-	BandwidthSaving float64 `json:"bandwidth_saving"`
-}
-
-// wireReport is the binary-codec headline benchmark: the same 4-node
-// unique-stream configuration BENCH_streaming.json tracks (so the two
-// top-level throughput_mb_s values compare apples-to-apples), plus a
-// workload leg with real dedup numbers and the allocation profile.
-type wireReport struct {
-	Experiment     string          `json:"experiment"`
-	DataMB         int             `json:"data_mb"`
-	Nodes          int             `json:"nodes"`
-	Inflight       int             `json:"inflight_super_chunks"`
-	Transport      string          `json:"transport"`
-	Runs           int             `json:"runs"`
-	Seconds        float64         `json:"seconds"`
-	ThroughputMBps float64         `json:"throughput_mb_s"`
-	TCPLoopbackMBs float64         `json:"tcp_loopback_mb_s"`
-	Bounded        bool            `json:"bounded"`
-	Workload       wireWorkloadRun `json:"workload"`
-	Alloc          wireAlloc       `json:"alloc"`
-}
-
-func (r *wireReport) print(w *os.File) {
-	fmt.Fprintf(w, "== wire: binary codec, %d MB unique stream, %d nodes, window %d, %s transport (best of %d)\n",
-		r.DataMB, r.Nodes, r.Inflight, r.Transport, r.Runs)
-	fmt.Fprintf(w, "  throughput: %.1f MB/s in %.3fs (bounded=%v); tcp loopback %.1f MB/s\n",
-		r.ThroughputMBps, r.Seconds, r.Bounded, r.TCPLoopbackMBs)
-	fmt.Fprintf(w, "  workload %s (%d MB): %.1f MB/s, dedup %.2f, bandwidth saving %.2f\n",
-		r.Workload.Name, r.Workload.DataMB, r.Workload.ThroughputMBps, r.Workload.DedupRatio, r.Workload.BandwidthSaving)
-	fmt.Fprintf(w, "  alloc (%d MB): %d mallocs, heap %.1f MB, %.1f MB/s\n",
-		r.Alloc.DataMB, r.Alloc.Mallocs, r.Alloc.AllocMB, r.Alloc.ThroughputMBps)
-	fmt.Fprintf(w, "  pool: %d fresh chunk buffers, %d reuses\n\n", r.Alloc.ChunkBufAllocs, r.Alloc.ChunkBufReuses)
-}
-
-// measureAlloc ingests one mb-MB unique stream through the prototype
-// client and reports process heap deltas plus pool counters and
-// throughput.
-func measureAlloc(mb, nNodes int) (wireAlloc, error) {
-	servers := make([]*rpc.Server, 0, nNodes)
-	defer func() {
-		for _, s := range servers {
-			s.Close()
-			s.Node().Close()
-		}
-	}()
-	addrs := make([]string, nNodes)
-	for i := range addrs {
-		nd, err := node.New(node.Config{ID: i, KeepPayloads: true})
-		if err != nil {
-			return wireAlloc{}, err
-		}
-		srv, err := rpc.NewServer(nd, "127.0.0.1:0")
-		if err != nil {
-			return wireAlloc{}, err
-		}
-		servers = append(servers, srv)
-		addrs[i] = srv.Addr()
-	}
-	c, err := client.New(context.Background(), client.Config{
-		Name:           "alloc-bench",
-		SuperChunkSize: 256 << 10,
-	}, director.New(), client.DenseNodes(addrs))
-	if err != nil {
-		return wireAlloc{}, err
-	}
-	defer c.Close()
-
-	size := mb << 20
-	runtime.GC()
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	start := time.Now()
-	err = c.BackupFile(context.Background(), "/alloc/stream",
-		&streamSource{rng: rand.New(rand.NewSource(17)), left: size})
-	if err == nil {
-		err = c.Flush(context.Background())
-	}
-	elapsed := time.Since(start)
-	runtime.ReadMemStats(&m1)
-	if err != nil {
-		return wireAlloc{}, err
-	}
-	st := c.Stats()
-	return wireAlloc{
-		DataMB:         mb,
-		Mallocs:        m1.Mallocs - m0.Mallocs,
-		AllocMB:        float64(m1.TotalAlloc-m0.TotalAlloc) / (1 << 20),
-		ChunkBufAllocs: st.ChunkBufAllocs,
-		ChunkBufReuses: st.ChunkBufReuses,
-		ThroughputMBps: float64(size) / (1 << 20) / elapsed.Seconds(),
-	}, nil
-}
-
-// runWire measures the binary wire format end to end: the headline
-// unique-stream run (same shape as BENCH_streaming.json for direct
-// comparison), a vm-workload run with meaningful dedup numbers, and the
-// pooled hot path's allocation profile.
-func runWire(mb, nNodes, inflight int, seed int64) (*wireReport, error) {
-	if mb <= 0 {
-		mb = 64
-	}
-	if nNodes <= 0 {
-		nNodes = 4
-	}
-	// The headline runs the wire stack at system defaults — 1MB
-	// super-chunks (RemoteConfig's default routing granularity), the
-	// hardware-accelerated SHA-256 fingerprint the README recommends for
-	// throughput-bound ingest — over Unix domain sockets, the right
-	// transport for the bench's co-located in-process node deployment.
-	// Throughput is the best of three runs (the bench is CPU-bound and
-	// shares its cores with the servers, so the max is the least noisy
-	// estimator); a single TCP-loopback run is recorded alongside for
-	// comparison against networked deployments.
-	wireOpts := streamOptions{
-		superChunkSize: 1 << 20,
-		fingerprint:    sigmadedupe.FingerprintSHA256,
-		unixSockets:    true,
-	}
-	const headlineRuns = 3
-	var headline *streamReport
-	for i := 0; i < headlineRuns; i++ {
-		rep, err := runStreamWith(mb, nNodes, inflight, "", seed, wireOpts)
-		if err != nil {
-			return nil, err
-		}
-		if headline == nil || rep.ThroughputMBps > headline.ThroughputMBps {
-			headline = rep
-		}
-	}
-	tcpOpts := wireOpts
-	tcpOpts.unixSockets = false
-	tcpRun, err := runStreamWith(mb, nNodes, inflight, "", seed, tcpOpts)
-	if err != nil {
-		return nil, err
-	}
-	wl, err := runStreamWith(mb, nNodes, inflight, "vm", seed, wireOpts)
-	if err != nil {
-		return nil, err
-	}
-
-	allocMB := mb / 2
-	if allocMB < 8 {
-		allocMB = 8
-	}
-	alloc, err := measureAlloc(allocMB, nNodes)
-	if err != nil {
-		return nil, err
-	}
-	return &wireReport{
-		Experiment:     "wire",
-		DataMB:         headline.DataMB,
-		Nodes:          nNodes,
-		Inflight:       headline.Inflight,
-		Transport:      headline.Transport,
-		Runs:           headlineRuns,
-		Seconds:        headline.Seconds,
-		ThroughputMBps: headline.ThroughputMBps,
-		TCPLoopbackMBs: tcpRun.ThroughputMBps,
-		Bounded:        headline.Bounded,
-		Workload: wireWorkloadRun{
-			Name:            "vm",
-			DataMB:          wl.DataMB,
-			ThroughputMBps:  wl.ThroughputMBps,
-			DedupRatio:      wl.DedupRatio,
-			BandwidthSaving: wl.BandwidthSaving,
-		},
-		Alloc: alloc,
-	}, nil
 }

@@ -9,6 +9,7 @@
 //	sigma-client -director 127.0.0.1:7700 -nodes 127.0.0.1:7701,127.0.0.1:7702 backup FILE...
 //	sigma-client -director 127.0.0.1:7700 -nodes ... restore PATH -out FILE
 //	sigma-client -director 127.0.0.1:7700 -nodes ... delete PATH
+//	sigma-client -director 127.0.0.1:7700 -nodes ... compact
 //	sigma-client -director 127.0.0.1:7700 -nodes "" add-node 127.0.0.1:7703
 //	sigma-client -director 127.0.0.1:7700 -nodes "" rebalance
 //	sigma-client -director 127.0.0.1:7700 -nodes "" remove-node 1
@@ -68,7 +69,7 @@ func run() error {
 
 	args := flag.Args()
 	if len(args) < 1 {
-		return fmt.Errorf("usage: sigma-client [flags] backup FILE... | restore PATH -out FILE | delete PATH")
+		return fmt.Errorf("usage: sigma-client [flags] backup FILE... | restore PATH -out FILE | delete PATH | compact")
 	}
 	chunk := sigmadedupe.ChunkSpec{Method: sigmadedupe.ChunkFixed}
 	if *cdc {
@@ -148,6 +149,15 @@ func run() error {
 			return err
 		}
 		fmt.Printf("deleted %s\n", args[1])
+		return nil
+
+	case "compact":
+		res, err := be.Compact(ctx, 0)
+		if err != nil {
+			return err
+		}
+		fmt.Printf("compacted: %d containers scanned, %d retired, %d bytes reclaimed\n",
+			res.ContainersScanned, res.ContainersRetired, res.ReclaimedBytes)
 		return nil
 
 	case "tenant-create":

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"sigmadedupe/internal/director"
+	"sigmadedupe/internal/fingerprint"
 	"sigmadedupe/internal/node"
 	"sigmadedupe/internal/rpc"
 )
@@ -305,10 +306,10 @@ func TestTypedErrorsSurviveTCPWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rc.Close()
-	var fp [20]byte
+	var fp fingerprint.Fingerprint
 	copy(fp[:], "no-such-fingerprint!")
-	if _, err := rc.ReadChunk(ctx, fp); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("ReadChunk of missing chunk over TCP = %v, want ErrNotFound", err)
+	if _, err := rc.ReadBatch(ctx, []fingerprint.Fingerprint{fp}); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("ReadBatch of missing chunk over TCP = %v, want ErrNotFound", err)
 	}
 
 	// A backup that works end to end over the TCP director proves the
@@ -403,6 +404,53 @@ func TestSessionBackupBoundedMemory(t *testing.T) {
 	}
 	if st.PeakBufferedBytes >= int64(size)/4 {
 		t.Fatalf("peak buffered = %d scales with file size %d, not the window", st.PeakBufferedBytes, size)
+	}
+}
+
+// TestWindowOfOneWorkerOfOne pins the narrowest configuration to the one
+// ingest path: a single fingerprint worker and a single in-flight
+// super-chunk go through the same pipeline window as the defaults, and
+// multi-super-chunk, single-chunk and empty files all restore
+// byte-identically with the peak buffer bounded by the window of one.
+func TestWindowOfOneWorkerOfOne(t *testing.T) {
+	const scSize = int64(128 << 10)
+	ctx := context.Background()
+	be, err := NewRemote(ctx, RemoteConfig{Name: "narrow", Director: NewDirector(), Nodes: startServers(t, 2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer be.Close()
+	sess, err := be.NewSession(ctx, WithSuperChunkSize(scSize), WithInflightSuperChunks(1), WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+
+	files := map[string][]byte{"/big": make([]byte, 3<<20+123), "/one-chunk": make([]byte, 100), "/empty": nil}
+	rng := rand.New(rand.NewSource(99))
+	for name, data := range files {
+		rng.Read(data)
+		if err := sess.Backup(ctx, name, bytes.NewReader(data)); err != nil {
+			t.Fatalf("backup %s: %v", name, err)
+		}
+	}
+	if err := sess.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range files {
+		var got bytes.Buffer
+		if err := be.Restore(ctx, name, &got); err != nil {
+			t.Fatalf("restore %s: %v", name, err)
+		}
+		if !bytes.Equal(got.Bytes(), data) {
+			t.Fatalf("%s restored %d bytes, differs from the %d backed up", name, got.Len(), len(data))
+		}
+	}
+	// One super-chunk in flight, one completed but unapplied, one just
+	// cut and waiting for the slot — each at most 2× the target (the
+	// partitioner's hard cut).
+	if peak, bound := sess.Stats().PeakBufferedBytes, 3*2*scSize; peak <= 0 || peak > bound {
+		t.Fatalf("peak buffered = %d, want within the window-of-one bound %d", peak, bound)
 	}
 }
 

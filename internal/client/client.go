@@ -66,8 +66,7 @@ type Config struct {
 	Pipeline pipeline.Config
 	// InflightSuperChunks bounds how many super-chunks may be in the
 	// route/query/store stage concurrently (default
-	// DefaultInflightSuperChunks; 1 restores the fully serial
-	// route-and-transfer path).
+	// DefaultInflightSuperChunks).
 	InflightSuperChunks int
 	// Epoch is the membership epoch this client's node set belongs to
 	// (default 1). A Client pins its epoch for its whole life — the
@@ -446,17 +445,17 @@ func (c *Client) BackupFile(ctx context.Context, path string, r io.Reader) error
 		return core.ChunkRef{FP: c.saltFP(c.cfg.Algorithm.Sum(ch.Data)), Size: ch.Len(), Data: ch.Data}
 	}
 
-	// A fully serial configuration (1 worker, 1 in-flight super-chunk)
-	// runs the direct pre-pipeline loop: no goroutines, no channels. This
-	// is both the honest benchmark baseline and the cheapest path when
-	// concurrency is deliberately disabled. With a single worker on a
-	// single-P runtime the same inline loop wins for ANY in-flight window:
-	// a separate fingerprint goroutine cannot overlap with chunking on one
-	// processor, so its per-chunk channel hops are pure overhead, while
-	// routing concurrency is preserved — consume hands completed
-	// super-chunks to the bounded async window either way.
-	if c.cfg.Pipeline.Workers == 1 &&
-		(c.cfg.InflightSuperChunks <= 1 || runtime.GOMAXPROCS(0) == 1) {
+	// On a single-P runtime the fingerprint stage cannot overlap with
+	// chunking, so the pipeline's per-chunk channel hops are pure
+	// overhead: chunk and fingerprint inline. Routing concurrency is
+	// unaffected — consume hands completed super-chunks to the same
+	// in-flight window. Selected from what the runtime reports, not from
+	// an option, and kept on evidence: ten alternating pairs of
+	// GOMAXPROCS=1 bench/run.sh -workload incremental-ram, with vs
+	// without this loop, ingest_cpu_s_per_gb median 2.47 vs 3.09 (IQRs
+	// 0.25 / 0.28), ingest_mb_s 401 vs 319, 10/10 pairs (CHANGES.md,
+	// PR 20).
+	if runtime.GOMAXPROCS(0) == 1 {
 		for {
 			if err := ctx.Err(); err != nil {
 				return c.fail(chunkErr(err))
@@ -544,15 +543,11 @@ func (c *Client) fail(err error) error {
 	return err
 }
 
-// enqueueSuperChunk hands one super-chunk to the route/query/store stage.
-// With InflightSuperChunks <= 1 the stage runs inline (the serial path);
-// otherwise up to InflightSuperChunks super-chunks are in flight at once
-// and results are applied in stream order as they complete.
+// enqueueSuperChunk hands one super-chunk to the route/query/store stage:
+// up to InflightSuperChunks super-chunks are in flight at once and
+// results are applied in stream order as they complete.
 func (c *Client) enqueueSuperChunk(ctx context.Context, sc *core.SuperChunk) error {
 	c.addBuffered(sc.Size())
-	if c.cfg.InflightSuperChunks <= 1 {
-		return c.apply(c.routeScheduled(ctx, sc))
-	}
 	// Bound the queue of completed-but-unapplied results (each pins its
 	// super-chunk payloads in memory) to twice the in-flight window.
 	if err := c.applyCompleted(2*c.cfg.InflightSuperChunks - 1); err != nil {
@@ -776,23 +771,15 @@ func (c *Client) routeSuperChunk(ctx context.Context, sc *core.SuperChunk) route
 		}
 		counts[i], usage[i], errs[i] = conn.Bid(ctx, hp)
 	}
-	if c.cfg.InflightSuperChunks <= 1 {
-		// Fully serial path: one bid round trip after another, the
-		// pre-pipeline behavior (and the benchmark baseline).
-		for i, cand := range cands {
+	var wg sync.WaitGroup
+	for i, cand := range cands {
+		wg.Add(1)
+		go func(i, cand int) {
+			defer wg.Done()
 			bid(i, cand)
-		}
-	} else {
-		var wg sync.WaitGroup
-		for i, cand := range cands {
-			wg.Add(1)
-			go func(i, cand int) {
-				defer wg.Done()
-				bid(i, cand)
-			}(i, cand)
-		}
-		wg.Wait()
+		}(i, cand)
 	}
+	wg.Wait()
 	routeErr := func(stage string, node int, err error) routeResult {
 		return routeResult{sc: sc, err: &sderr.BackupError{
 			Name:  c.cfg.Name,

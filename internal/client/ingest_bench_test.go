@@ -9,14 +9,13 @@ import (
 
 	"sigmadedupe/internal/director"
 	"sigmadedupe/internal/node"
-	"sigmadedupe/internal/pipeline"
 	"sigmadedupe/internal/rpc"
 )
 
 // benchServers starts n loopback dedup servers, optionally with injected
 // per-request handler latency (emulating remote-node service time:
 // loopback RPC hides the latency a real deployment pays, and latency is
-// exactly what the pipelined client overlaps).
+// exactly what the client's pipeline overlaps).
 func benchServers(b *testing.B, n int, delay time.Duration) []string {
 	b.Helper()
 	addrs := make([]string, n)
@@ -42,14 +41,9 @@ func benchServers(b *testing.B, n int, delay time.Duration) []string {
 // benchIngest backs up size bytes of fresh pseudo-random content per
 // iteration (unique data: every chunk payload crosses the wire — the
 // heaviest ingest path) and reports MB/s of logical backup throughput.
-func benchIngest(b *testing.B, addrs []string, workers, inflight int, size int) {
+func benchIngest(b *testing.B, addrs []string, size int) {
 	b.Helper()
-	cfg := Config{
-		Name:                "bench",
-		SuperChunkSize:      128 << 10,
-		Pipeline:            pipeline.Config{Workers: workers},
-		InflightSuperChunks: inflight,
-	}
+	cfg := Config{Name: "bench", SuperChunkSize: 128 << 10}
 	b.SetBytes(int64(size))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -73,26 +67,19 @@ func benchIngest(b *testing.B, addrs []string, workers, inflight int, size int) 
 	}
 }
 
-// BenchmarkIngest compares the serial ingest path (1 fingerprint worker,
-// 1 in-flight store — the pre-pipeline behavior) against the concurrent
-// pipeline on pure loopback. The gap here comes from fingerprinting
-// parallelism and compute/transfer overlap, so it grows with core count.
+// BenchmarkIngest times the ingest pipeline on pure loopback:
+// fingerprinting parallelism and compute/transfer overlap set the
+// number, so it grows with core count.
 func BenchmarkIngest(b *testing.B) {
-	addrs := benchServers(b, 4, 0)
-	b.Run("serial", func(b *testing.B) { benchIngest(b, addrs, 1, 1, 8<<20) })
-	b.Run("pipelined", func(b *testing.B) { benchIngest(b, addrs, 0, 0, 8<<20) })
+	benchIngest(b, benchServers(b, 4, 0), 8<<20)
 }
 
-// BenchmarkIngestRemoteLatency repeats the comparison with 2ms of
-// injected per-request service latency — roughly one disk seek at the
-// node, the regime the paper's disk-bound deduplication servers live in.
-// The serial client pays every round trip back-to-back (bids, query,
-// store, one after another per super-chunk); the pipeline fans bids out,
-// overlaps stores with the next super-chunk's fingerprinting, and wins
-// even on a single-core host since latency, unlike compute, overlaps
-// freely.
+// BenchmarkIngestRemoteLatency repeats it with 2ms of injected
+// per-request service latency — roughly one disk seek at the node, the
+// regime the paper's disk-bound deduplication servers live in. The
+// pipeline fans bids out and overlaps stores with the next super-chunk's
+// fingerprinting; latency, unlike compute, overlaps freely even on a
+// single-core host.
 func BenchmarkIngestRemoteLatency(b *testing.B) {
-	addrs := benchServers(b, 4, 2*time.Millisecond)
-	b.Run("serial", func(b *testing.B) { benchIngest(b, addrs, 1, 1, 4<<20) })
-	b.Run("pipelined", func(b *testing.B) { benchIngest(b, addrs, 0, 0, 4<<20) })
+	benchIngest(b, benchServers(b, 4, 2*time.Millisecond), 4<<20)
 }

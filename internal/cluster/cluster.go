@@ -67,11 +67,6 @@ type Config struct {
 	FixedBoundaries bool
 	// IgnoreUsage disables Sigma routing's load discount (ablation).
 	IgnoreUsage bool
-	// ParallelBids fans each routing decision's per-candidate bids out to
-	// goroutines (Sigma and Stateful schemes). Off by default: in-process
-	// bids are memory lookups, so the fan-out only pays off when many
-	// streams contend for cores or bids become genuinely remote.
-	ParallelBids bool
 	// BidSummaries routes bids through each node's compact Bloom summary
 	// of its similarity index (Sigma and Stateful schemes). Summaries
 	// are cheap enough to probe for every live node, so Sigma upgrades
@@ -228,8 +223,6 @@ func (c *Cluster) commitEpochLocked(m core.Membership) {
 	c.cur.Store(st)
 }
 
-var _ router.View = (*Cluster)(nil)
-
 // New builds a cluster of cfg.N nodes.
 func New(cfg Config) (*Cluster, error) {
 	cfg = cfg.withDefaults()
@@ -240,10 +233,8 @@ func New(cfg Config) (*Cluster, error) {
 	switch r := rt.(type) {
 	case *router.SigmaRouter:
 		r.IgnoreUsage = cfg.IgnoreUsage
-		r.Parallel = cfg.ParallelBids
 		r.UseSummaries = cfg.BidSummaries
 	case *router.StatefulRouter:
-		r.Parallel = cfg.ParallelBids
 		r.UseSummaries = cfg.BidSummaries
 	}
 	if cfg.Replicas >= 2 {
@@ -391,61 +382,14 @@ func (c *Cluster) nodeByID(id int) (*node.Node, error) {
 	return n, nil
 }
 
-// N implements router.View: the live node count of the current epoch.
+// N is the live node count of the current epoch.
 func (c *Cluster) N() int {
 	return c.cur.Load().members.Len()
 }
 
-// Membership implements router.View: the current epoch's live node set.
+// Membership is the current epoch's live node set.
 func (c *Cluster) Membership() core.Membership {
 	return c.cur.Load().members
-}
-
-// BidHandprint implements router.View. A bid against a node that left
-// the epoch mid-decision scores zero rather than panicking: the epoch
-// the caller pinned decides placement, and a departed node simply loses.
-func (c *Cluster) BidHandprint(nodeID int, hp core.Handprint) int {
-	c.memberMu.RLock()
-	n := c.nodes[nodeID]
-	c.memberMu.RUnlock()
-	if n == nil {
-		return 0
-	}
-	return n.CountHandprintMatches(hp)
-}
-
-// BidChunks implements router.View.
-func (c *Cluster) BidChunks(nodeID int, fps []fingerprint.Fingerprint) int {
-	c.memberMu.RLock()
-	n := c.nodes[nodeID]
-	c.memberMu.RUnlock()
-	if n == nil {
-		return 0
-	}
-	return n.CountStoredChunks(fps)
-}
-
-// Usage implements router.View.
-func (c *Cluster) Usage(nodeID int) int64 {
-	c.memberMu.RLock()
-	n := c.nodes[nodeID]
-	c.memberMu.RUnlock()
-	if n == nil {
-		return 0
-	}
-	return n.StorageUsage()
-}
-
-// SummaryMayContain implements router.SummaryView over the live
-// registry (migration's pickTarget path; streams use their pinned view).
-func (c *Cluster) SummaryMayContain(nodeID int, hp core.Handprint) bool {
-	c.memberMu.RLock()
-	n := c.nodes[nodeID]
-	c.memberMu.RUnlock()
-	if n == nil {
-		return false
-	}
-	return n.SummaryMayContain(hp)
 }
 
 // Scheme returns the active routing scheme name.

@@ -95,6 +95,18 @@ func pendingMigrations(t *testing.T, c *Cluster) int {
 	return len(p)
 }
 
+// nodeUsage returns the bytes the live node with cluster ID id stores.
+func nodeUsage(t *testing.T, c *Cluster, id int) int64 {
+	t.Helper()
+	for _, n := range c.Nodes() {
+		if n.ID() == id {
+			return n.StorageUsage()
+		}
+	}
+	t.Fatalf("no live node %d", id)
+	return 0
+}
+
 func elasticCluster(t *testing.T, n int) *Cluster {
 	t.Helper()
 	c, err := New(Config{
@@ -200,7 +212,7 @@ func TestAddNodeReceivesNewData(t *testing.T) {
 	if err := c.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if u := c.Usage(id); u == 0 {
+	if nodeUsage(t, c, id) == 0 {
 		t.Fatal("fresh node received no data from post-join backups")
 	}
 }
@@ -360,7 +372,7 @@ func TestRebalanceFillsNewNode(t *testing.T) {
 	if res.Bytes == 0 {
 		t.Fatalf("rebalance moved nothing onto the fresh node: %+v", res)
 	}
-	if c.Usage(id) == 0 {
+	if nodeUsage(t, c, id) == 0 {
 		t.Fatal("fresh node still empty after rebalance")
 	}
 	if n := pendingMigrations(t, c); n != 0 {

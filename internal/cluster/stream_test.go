@@ -35,7 +35,7 @@ func splitStreams(t *testing.T, name string, scale float64, n int) (map[string][
 
 func TestBackupItemsMultiStream(t *testing.T) {
 	streams, exact := splitStreams(t, "linux", 0.4, 4)
-	c, err := New(Config{N: 8, Scheme: router.Sigma, ParallelBids: true})
+	c, err := New(Config{N: 8, Scheme: router.Sigma})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestMultiStreamMatchesSingleStreamDedup(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	multi, err := New(Config{N: 8, Scheme: router.Sigma, ParallelBids: true})
+	multi, err := New(Config{N: 8, Scheme: router.Sigma})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,43 +183,5 @@ func TestStreamHandlesAreIndependent(t *testing.T) {
 	st := c.Stats()
 	if st.Files != 2 || st.SuperChunks != 2 || st.LogicalBytes != 150 {
 		t.Fatalf("stats = %+v", st)
-	}
-}
-
-func TestParallelBidsSameDecisionAsSerial(t *testing.T) {
-	// The bid fan-out must not change routing decisions: replay the same
-	// stream through serial-bid and parallel-bid clusters and compare
-	// per-node usage vectors exactly.
-	for _, scheme := range []router.Scheme{router.Sigma, router.Stateful} {
-		g, err := workload.ByName("web", 0.3, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		items, err := workload.Collect(g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		corpus := workload.NewCorpus(0)
-		run := func(parallel bool) []int64 {
-			c, err := New(Config{N: 8, Scheme: scheme, ParallelBids: parallel})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, it := range items {
-				if err := c.BackupItem(it.FileID, corpus.ChunkRefs(it, false)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := c.Flush(); err != nil {
-				t.Fatal(err)
-			}
-			return c.UsageVector()
-		}
-		serial, parallel := run(false), run(true)
-		for i := range serial {
-			if serial[i] != parallel[i] {
-				t.Fatalf("%v: node %d usage differs: serial=%d parallel=%d", scheme, i, serial[i], parallel[i])
-			}
-		}
 	}
 }

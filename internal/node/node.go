@@ -51,10 +51,6 @@ type Config struct {
 	// Dir, when set, makes the node durable: sealed containers spill to
 	// disk and a manifest journals recovery state.
 	Dir string
-	// StoreShards is the fingerprint lock-stripe count of the store path
-	// (default store.DefaultShards; 1 restores the single-store-lock
-	// behavior for A/B benchmarking).
-	StoreShards int
 	// ReadCacheBytes is the byte budget of the container read-region
 	// cache that serves restore reads of spilled containers. Zero selects
 	// the default (store/container defaults table).
@@ -83,7 +79,6 @@ func (c Config) storeConfig() store.Config {
 		DisablePrefetch:   c.DisablePrefetch,
 		KeepPayloads:      c.KeepPayloads,
 		Dir:               c.Dir,
-		Shards:            c.StoreShards,
 		ReadCacheBytes:    c.ReadCacheBytes,
 		CompactEvery:      c.CompactEvery,
 		CompactThreshold:  c.CompactThreshold,
@@ -91,25 +86,7 @@ func (c Config) storeConfig() store.Config {
 }
 
 // Stats aggregates a node's deduplication counters.
-type Stats struct {
-	LogicalBytes  int64  // bytes presented for backup
-	PhysicalBytes int64  // unique bytes actually stored
-	LogicalChunks int64  // chunks presented
-	UniqueChunks  int64  // chunks stored
-	SuperChunks   int64  // super-chunks processed
-	CacheHits     uint64 // duplicate verdicts served from the fp cache
-	DiskIndexHits uint64 // duplicate verdicts served from the chunk index
-	Prefetches    uint64 // container metadata prefetches
-}
-
-// DedupRatio returns logical/physical for this node (∞-free: returns 0
-// when nothing is stored).
-func (s Stats) DedupRatio() float64 {
-	if s.PhysicalBytes == 0 {
-		return 0
-	}
-	return float64(s.LogicalBytes) / float64(s.PhysicalBytes)
-}
+type Stats = store.Stats
 
 // StoreResult describes the outcome of storing one super-chunk.
 type StoreResult = store.Result
@@ -145,7 +122,6 @@ func New(cfg Config) (*Node, error) {
 	cfg.CacheContainers = eff.CacheContainers
 	cfg.ContainerCapacity = eff.ContainerCapacity
 	cfg.ExpectedChunks = eff.ExpectedChunks
-	cfg.StoreShards = eff.Shards
 	cfg.ReadCacheBytes = eff.ReadCacheBytes
 	cfg.CompactThreshold = eff.CompactThreshold
 	return &Node{cfg: cfg, eng: eng}, nil
@@ -269,19 +245,7 @@ func (n *Node) SealStream(stream string) error { return n.eng.SealStream(stream)
 func (n *Node) Close() error { return n.eng.Close() }
 
 // Stats returns a snapshot of the node's counters.
-func (n *Node) Stats() Stats {
-	st := n.eng.Stats()
-	return Stats{
-		LogicalBytes:  st.LogicalBytes,
-		PhysicalBytes: st.PhysicalBytes,
-		LogicalChunks: st.LogicalChunks,
-		UniqueChunks:  st.UniqueChunks,
-		SuperChunks:   st.SuperChunks,
-		CacheHits:     st.CacheHits,
-		DiskIndexHits: st.DiskIndexHits,
-		Prefetches:    st.Prefetches,
-	}
-}
+func (n *Node) Stats() Stats { return n.eng.Stats() }
 
 // NumSealedContainers returns the node's sealed-container count.
 func (n *Node) NumSealedContainers() int { return n.eng.Manager().NumSealed() }

@@ -272,7 +272,7 @@ func TestConfigDefaults(t *testing.T) {
 	if cfg.SimIndexLocks <= 0 || cfg.CacheContainers <= 0 || cfg.ContainerCapacity <= 0 {
 		t.Fatal("defaults must be positive")
 	}
-	if cfg.StoreShards <= 0 || cfg.ReadCacheBytes <= 0 {
+	if cfg.ReadCacheBytes <= 0 {
 		t.Fatal("store defaults must be echoed")
 	}
 }

@@ -12,7 +12,6 @@ package router
 
 import (
 	"fmt"
-	"sync"
 
 	"sigmadedupe/internal/core"
 	"sigmadedupe/internal/fingerprint"
@@ -180,27 +179,6 @@ func all(node int) Decision {
 	return Decision{Assignments: []Assignment{{Node: node}}}
 }
 
-// eachCandidate runs bid(i) for i in [0, n), fanning out to one goroutine
-// per candidate when parallel is set (each bid writes only its own slice
-// index, so no further synchronization is needed).
-func eachCandidate(parallel bool, n int, bid func(i int)) {
-	if !parallel || n <= 1 {
-		for i := 0; i < n; i++ {
-			bid(i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(n)
-	for i := 0; i < n; i++ {
-		go func(i int) {
-			defer wg.Done()
-			bid(i)
-		}(i)
-	}
-	wg.Wait()
-}
-
 // SigmaRouter is the paper's similarity-based stateful data routing
 // (Algorithm 1): candidates are the handprint fingerprints mod N; each
 // candidate bids its similarity-index match count; bids are discounted by
@@ -211,10 +189,6 @@ type SigmaRouter struct {
 	// IgnoreUsage disables the storage-usage discount of Algorithm 1
 	// step 3 (ablation: raw resemblance wins regardless of load).
 	IgnoreUsage bool
-	// Parallel issues the per-candidate bids concurrently instead of
-	// looping, mirroring the prototype client's bid fan-out. The decision
-	// and message accounting are unchanged; only wall-clock latency is.
-	Parallel bool
 	// UseSummaries routes through the view's bid summaries (when it
 	// implements SummaryView): every live node's compact summary is
 	// probed locally — summaries are tiny and replicated to the router,
@@ -274,12 +248,12 @@ func (r *SigmaRouter) Route(sc *core.SuperChunk, v View) Decision {
 		// Classic Algorithm 1: bid at every rendezvous candidate.
 		counts := make([]int, len(cands))
 		usage := make([]int64, len(cands))
-		eachCandidate(r.Parallel, len(cands), func(i int) {
-			counts[i] = v.BidHandprint(cands[i], hp)
+		for i, c := range cands {
+			counts[i] = v.BidHandprint(c, hp)
 			if !r.IgnoreUsage {
-				usage[i] = v.Usage(cands[i])
+				usage[i] = v.Usage(c)
 			}
-		})
+		}
 		sel := core.SelectTarget(cands, counts, usage)
 		d := all(sel.Node)
 		d.BidsSent = int64(len(cands))
@@ -323,9 +297,9 @@ func (r *SigmaRouter) Route(sc *core.SuperChunk, v View) Decision {
 	}
 	counts := cntbuf[:len(nodes)]
 	usage := usebuf[:len(nodes)]
-	eachCandidate(r.Parallel, bidTo, func(i int) {
+	for i := 0; i < bidTo; i++ {
 		counts[i] = v.BidHandprint(nodes[i], hp)
-	})
+	}
 	if !r.IgnoreUsage {
 		for i := range nodes {
 			usage[i] = v.Usage(nodes[i])
@@ -370,9 +344,6 @@ func (r *StatelessRouter) Route(sc *core.SuperChunk, v View) Decision {
 type StatefulRouter struct {
 	// SampleRate subsamples chunk fingerprints 1/SampleRate for the bid.
 	SampleRate int
-	// Parallel issues the 1-to-all bids concurrently (see
-	// SigmaRouter.Parallel).
-	Parallel bool
 	// UseSummaries pre-filters the 1-to-all fan-out through the view's
 	// bid summaries, probing each node with the super-chunk's handprint
 	// before paying the chunk-sample bid. Unlike Sigma's filtering this
@@ -425,14 +396,14 @@ func (r *StatefulRouter) Route(sc *core.SuperChunk, v View) Decision {
 		}
 	}
 	sent := make([]bool, n)
-	eachCandidate(r.Parallel, n, func(i int) {
-		cands[i] = members[i]
-		if sv == nil || sv.SummaryMayContain(members[i], hp) {
+	for i, id := range members {
+		cands[i] = id
+		if sv == nil || sv.SummaryMayContain(id, hp) {
 			sent[i] = true
-			counts[i] = v.BidChunks(members[i], sample)
+			counts[i] = v.BidChunks(id, sample)
 		}
-		usage[i] = v.Usage(members[i])
-	})
+		usage[i] = v.Usage(id)
+	}
 	sel := core.SelectTarget(cands, counts, usage)
 	d := all(sel.Node)
 	for i := range sent {

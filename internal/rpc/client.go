@@ -385,21 +385,6 @@ func (c *Client) Store(ctx context.Context, stream string, sc *core.SuperChunk, 
 	return err
 }
 
-// ReadChunk fetches one chunk payload by fingerprint (restore path). The
-// returned slice is owned by the caller (copied out of the receive
-// frame); batched restores use ReadBatch, which avoids the copy.
-func (c *Client) ReadChunk(ctx context.Context, fp fingerprint.Fingerprint) ([]byte, error) {
-	resp, err := c.Call(ctx, Request{Op: OpReadChunk, Chunks: []ChunkWire{{FP: fp}}})
-	defer resp.ReleaseFrame()
-	if err != nil {
-		return nil, err
-	}
-	if len(resp.Chunks) != 1 {
-		return nil, fmt.Errorf("rpc: read chunk: got %d payloads", len(resp.Chunks))
-	}
-	return append([]byte(nil), resp.Chunks[0].Data...), nil
-}
-
 // ChunkBatch is the result of one ReadBatch call: Data[i] is the payload
 // of the i-th requested fingerprint. The payloads alias the pooled
 // receive frame — the caller must invoke Release exactly once, after the

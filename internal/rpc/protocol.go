@@ -34,8 +34,10 @@ const (
 	OpStore
 	// OpStoreRefs delivers a fingerprint-only super-chunk (trace mode).
 	OpStoreRefs
-	// OpReadChunk fetches one chunk payload (restore path).
-	OpReadChunk
+	// Op 5 was the single-chunk read verb, retired for OpReadBatch. The
+	// slot stays reserved so the later ops keep their wire numbers and a
+	// stale peer sending it gets "unknown op", not another verb.
+	_
 	// OpFlush seals open containers.
 	OpFlush
 	// OpStats fetches node statistics.
@@ -89,8 +91,8 @@ type Request struct {
 	Handprint []fingerprint.Fingerprint
 	// Chunks carries the super-chunk membership for OpQuery (sizes and
 	// fingerprints only), the unique chunks for OpStore (with payloads),
-	// the single fingerprint for OpReadChunk, or the fingerprints losing
-	// references for OpDecRef.
+	// the fingerprints to fetch for OpReadBatch/OpMigrateRead, or the
+	// fingerprints losing references for OpDecRef.
 	Chunks []ChunkWire
 	// Counts carries per-fingerprint reference counts for OpDecRef
 	// (parallel to Chunks).
@@ -115,7 +117,7 @@ type Response struct {
 	Usage int64
 	// Dup holds per-chunk duplicate verdicts for OpQuery.
 	Dup []bool
-	// Chunks returns payloads for OpReadChunk.
+	// Chunks returns payloads for OpReadBatch and OpMigrateRead.
 	Chunks []ChunkWire
 	// Counts carries per-fingerprint reference counts for OpRefCounts
 	// (parallel to the request's Chunks).

@@ -1,7 +1,6 @@
 package rpc
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"math/rand"
@@ -93,29 +92,6 @@ func TestBidQueryStoreCycle(t *testing.T) {
 		if !d {
 			t.Fatalf("chunk %d not reported duplicate after store", i)
 		}
-	}
-}
-
-func TestReadChunkRestore(t *testing.T) {
-	_, c := startServer(t, node.Config{KeepPayloads: true})
-	sc := makeSC(2, 4)
-	if err := c.Store(context.Background(), "s", sc, true); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Flush(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	for i, ch := range sc.Chunks {
-		data, err := c.ReadChunk(context.Background(), ch.FP)
-		if err != nil {
-			t.Fatalf("chunk %d: %v", i, err)
-		}
-		if !bytes.Equal(data, ch.Data) {
-			t.Fatalf("chunk %d corrupted over the wire", i)
-		}
-	}
-	if _, err := c.ReadChunk(context.Background(), fingerprint.Sum([]byte("missing"))); err == nil {
-		t.Fatal("reading a missing chunk should fail")
 	}
 }
 
@@ -276,7 +252,7 @@ func TestRemoteErrorPropagates(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Flush(context.Background())
-	if _, err := c.ReadChunk(context.Background(), sc.Chunks[0].FP); err == nil {
+	if _, err := c.ReadBatch(context.Background(), sc.Fingerprints()[:1]); err == nil {
 		t.Fatal("restore without payloads should surface a remote error")
 	}
 }

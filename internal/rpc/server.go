@@ -362,7 +362,7 @@ func (s *Server) handle(ctx context.Context, req Request) Response {
 			resp.Err = sderr.Encode(err)
 		}
 
-	case OpReadChunk, OpMigrateRead:
+	case OpMigrateRead:
 		for _, ch := range req.Chunks {
 			data, err := s.node.ReadChunk(ch.FP)
 			if err != nil {

@@ -44,9 +44,9 @@ import (
 	"sigmadedupe/internal/simindex"
 )
 
-// DefaultShards is the default fingerprint lock-stripe count of the
-// lookup-or-append path.
-const DefaultShards = 512
+// numShards is the fingerprint lock-stripe count of the lookup-or-append
+// path (a power of two: shardFor masks with numShards-1).
+const numShards = 512
 
 // DefaultCompactThreshold is the live-ratio floor below which the
 // compactor rewrites a sealed container: at 0.5, a container is rewritten
@@ -85,10 +85,6 @@ type Config struct {
 	// Dir, when set, makes the engine durable: sealed containers are
 	// spilled there and a manifest journals recovery state.
 	Dir string
-	// Shards is the fingerprint lock-stripe count of the store path,
-	// rounded up to a power of two. 1 degenerates to a single store lock
-	// (the pre-engine behavior, kept for A/B benchmarking).
-	Shards int
 	// ReadCacheBytes is the byte budget of the read-region cache that
 	// serves restore reads of spilled containers (replaces the old
 	// whole-container LRU). Zero selects the default.
@@ -119,9 +115,6 @@ func (c Config) withDefaults() Config {
 	if c.ExpectedChunks <= 0 {
 		c.ExpectedChunks = 1 << 20
 	}
-	if c.Shards <= 0 {
-		c.Shards = DefaultShards
-	}
 	if c.ReadCacheBytes <= 0 {
 		c.ReadCacheBytes = container.DefaultReadCacheBytes
 	}
@@ -141,6 +134,15 @@ type Stats struct {
 	CacheHits     uint64 // duplicate verdicts served from the fp cache
 	DiskIndexHits uint64 // duplicate verdicts served from the chunk index
 	Prefetches    uint64 // container metadata prefetches
+}
+
+// DedupRatio returns logical/physical (∞-free: returns 0 when nothing is
+// stored).
+func (s Stats) DedupRatio() float64 {
+	if s.PhysicalBytes == 0 {
+		return 0
+	}
+	return float64(s.LogicalBytes) / float64(s.PhysicalBytes)
 }
 
 // Result describes the outcome of storing one super-chunk.
@@ -180,8 +182,7 @@ type Engine struct {
 	containers *container.Manager
 	man        *manifest // nil when not durable
 
-	shards    []shard
-	shardMask uint64
+	shards [numShards]shard
 
 	// touchSeq is the engine-wide recency clock behind shard.touch.
 	touchSeq atomic.Uint64
@@ -253,18 +254,12 @@ func newEngine(cfg Config) (*Engine, error) {
 			return nil, fmt.Errorf("store node %d: %w", cfg.NodeID, err)
 		}
 	}
-	n := 1
-	for n < cfg.Shards {
-		n <<= 1
-	}
 	e := &Engine{
-		cfg:       cfg,
-		sim:       sim,
-		cache:     cache,
-		cidx:      cidx,
-		shards:    make([]shard, n),
-		shardMask: uint64(n - 1),
-		dead:      make(map[uint64]int64),
+		cfg:   cfg,
+		sim:   sim,
+		cache: cache,
+		cidx:  cidx,
+		dead:  make(map[uint64]int64),
 	}
 	for i := range e.shards {
 		e.shards[i].refs = make(map[fingerprint.Fingerprint]int64)
@@ -371,7 +366,7 @@ func (e *Engine) Config() Config { return e.cfg }
 func (e *Engine) Manager() *container.Manager { return e.containers }
 
 func (e *Engine) shardFor(fp fingerprint.Fingerprint) *shard {
-	return &e.shards[fp.Uint64()&e.shardMask]
+	return &e.shards[fp.Uint64()&(numShards-1)]
 }
 
 // prefetch pulls the fingerprint sets of the named containers into the

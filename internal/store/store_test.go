@@ -42,7 +42,7 @@ func cloneSC(sc *core.SuperChunk) *core.SuperChunk {
 // the losers must take duplicate verdicts via the shard-serialized
 // chunk-index lookup.
 func TestSameNewChunkRace(t *testing.T) {
-	e, err := New(Config{Shards: 8}) // few shards = high collision pressure
+	e, err := New(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -110,8 +110,7 @@ func (p *plane) gcStats(ctx context.Context) (GCStats, error) {
 	if err != nil {
 		return GCStats{}, err
 	}
-	gc, err := migrate.GCStats(ctx, ids, nodes)
-	return toGCStats(gc), err
+	return migrate.GCStats(ctx, ids, nodes)
 }
 
 // CreateTenant implements TenantAdmin: the director registers (and

@@ -39,13 +39,12 @@ type RemoteConfig struct {
 	// session.
 	Chunk ChunkSpec
 	// Workers sizes the chunk-fingerprint worker pool of the ingest
-	// pipeline (default GOMAXPROCS; 1 fingerprints serially).
+	// pipeline (default GOMAXPROCS).
 	Workers int
 	// InflightSuperChunks bounds the window of asynchronous Store RPCs a
 	// stream keeps in flight, so fingerprinting of super-chunk n+1
-	// overlaps the network transfer of n (default 4; 1 restores the fully
-	// serial store path). Together with SuperChunkSize this caps a
-	// stream's peak buffered payload.
+	// overlaps the network transfer of n (default 4). Together with
+	// SuperChunkSize this caps a stream's peak buffered payload.
 	InflightSuperChunks int
 	// Fingerprint selects the chunk fingerprint hash (default
 	// FingerprintSHA1; FingerprintSHA256 is faster on CPUs with SHA

@@ -33,6 +33,7 @@ import (
 	"sigmadedupe/internal/chunker"
 	"sigmadedupe/internal/client"
 	"sigmadedupe/internal/cluster"
+	"sigmadedupe/internal/container"
 	"sigmadedupe/internal/core"
 	"sigmadedupe/internal/director"
 	"sigmadedupe/internal/experiments"
@@ -363,36 +364,13 @@ func toGCResult(res store.CompactResult) GCResult {
 	}
 }
 
-// toGCStats converts the storage engine's GC counters to the public
-// shape.
-func toGCStats(gc store.GCStats) GCStats {
-	return GCStats{
-		StoredBytes:       gc.StoredBytes,
-		LiveBytes:         gc.LiveBytes,
-		DeadBytes:         gc.DeadBytes,
-		Containers:        gc.Containers,
-		RetiredContainers: gc.RetiredContainers,
-		ReclaimedBytes:    gc.ReclaimedBytes,
-		CompactErrors:     gc.CompactErrors,
-		LastCompactErr:    gc.LastCompactErr,
-	}
-}
-
-// GCStats reports the cluster-wide deletion/compaction state.
-type GCStats struct {
-	StoredBytes       int64 // physical payload bytes currently held
-	LiveBytes         int64 // bytes still referenced by some backup
-	DeadBytes         int64 // bytes awaiting compaction
-	Containers        int   // sealed containers
-	RetiredContainers int64 // containers removed by compaction, ever
-	ReclaimedBytes    int64 // payload bytes freed by compaction, ever
-	// CompactErrors counts failed background-compaction passes across
-	// the cluster, and LastCompactErr is the most recent failure's
-	// message — a persistently failing compactor (disk full, permission
-	// change) is visible here instead of silently leaving dead space.
-	CompactErrors  int64
-	LastCompactErr string
-}
+// GCStats reports the deletion/compaction state of a node, or summed over
+// a cluster: stored / live / dead payload bytes, sealed and retired
+// containers, bytes reclaimed and rewritten by compaction, and the
+// background compactor's failure count with its most recent message — a
+// persistently failing compactor (disk full, permission change) is
+// visible here instead of silently leaving dead space.
+type GCStats = store.GCStats
 
 // GCStats returns the cluster's garbage-collection counters.
 func (c *Cluster) GCStats() GCStats {
@@ -908,31 +886,16 @@ func (s *Server) Compact(ctx context.Context, threshold float64) (GCResult, erro
 }
 
 // GCStats returns the node's garbage-collection counters.
-func (s *Server) GCStats() GCStats { return toGCStats(s.inner.Node().GCStats()) }
+func (s *Server) GCStats() GCStats { return s.inner.Node().GCStats() }
 
 // ReadCacheStats reports a node's container read-region cache counters:
 // restore reads served from cached container ranges (Hits) versus disk
 // (Misses), ranges evicted under the byte budget, and current occupancy.
-type ReadCacheStats struct {
-	Hits      uint64
-	Misses    uint64
-	Evictions uint64
-	UsedBytes int64
-	Budget    int64
-}
+type ReadCacheStats = container.CacheStats
 
 // ReadCacheStats snapshots the server node's read-region cache counters
 // (restore instrumentation; see ServerConfig.ReadCacheBytes).
-func (s *Server) ReadCacheStats() ReadCacheStats {
-	cs := s.inner.Node().ReadCacheStats()
-	return ReadCacheStats{
-		Hits:      cs.Hits,
-		Misses:    cs.Misses,
-		Evictions: cs.Evictions,
-		UsedBytes: cs.UsedBytes,
-		Budget:    cs.Budget,
-	}
-}
+func (s *Server) ReadCacheStats() ReadCacheStats { return s.inner.Node().ReadCacheStats() }
 
 // Director is the metadata service: backup sessions and file recipes.
 type Director = director.Director
