@@ -7,6 +7,7 @@ import (
 
 	"sigmadedupe/internal/chunker"
 	"sigmadedupe/internal/fingerprint"
+	"sigmadedupe/internal/ingest"
 )
 
 // Backend is the single service surface of a Σ-Dedupe deployment. Both
@@ -39,8 +40,8 @@ type Backend interface {
 	Compact(ctx context.Context, threshold float64) (GCResult, error)
 	// Stats reports backend-wide counters.
 	Stats(ctx context.Context) (BackendStats, error)
-	// Flush completes outstanding backup work: the final partial
-	// super-chunk routes and node containers seal.
+	// Flush completes outstanding backup work: backups still in flight
+	// commit (or report their failure) and node containers seal.
 	Flush(ctx context.Context) error
 	// NewSession opens an explicit backup stream with its own pipeline.
 	NewSession(ctx context.Context, opts ...SessionOption) (*Session, error)
@@ -348,8 +349,9 @@ func WithInflightSuperChunks(n int) SessionOption {
 type SessionStats struct {
 	// LogicalBytes is bytes presented for backup on this session.
 	LogicalBytes int64
-	// TransferredBytes is unique payload bytes that crossed the network
-	// (always equal to stored bytes on the in-process simulator).
+	// TransferredBytes is payload bytes of the chunks the target node did
+	// not already hold — what crossed the network (on the in-process
+	// simulator: what was stored).
 	TransferredBytes int64
 	// SuperChunks is the number of routed super-chunks.
 	SuperChunks int64
@@ -391,40 +393,67 @@ func (s SessionStats) BandwidthSaving() float64 {
 	return 1 - float64(s.TransferredBytes)/float64(s.LogicalBytes)
 }
 
-// sessionBackend is the per-deployment session implementation.
-type sessionBackend interface {
-	backup(ctx context.Context, name string, r io.Reader) error
-	flush(ctx context.Context) error
-	stats() SessionStats
-	close() error
-}
-
 // Session is one backup stream: its own chunking pipeline, fingerprint
-// worker pool and in-flight super-chunk window. Streams from any Backend
-// look identical here. A Session is single-stream (not safe for
-// concurrent use); open one Session per concurrent backup stream — that
-// is the paper's design, one pipeline per stream.
+// worker pool and in-flight super-chunk window — the same ingest session
+// on every Backend. A Session is single-stream (not safe for concurrent
+// use); open one Session per concurrent backup stream — that is the
+// paper's design, one pipeline per stream.
 type Session struct {
-	impl sessionBackend
+	impl *ingest.Session
+	// close settles impl and releases what the backend holds for it.
+	close func() error
 }
 
 // Backup chunks, fingerprints, routes and dedup-stores one named stream,
 // reading r incrementally with memory bounded by the in-flight window.
-// Canceling ctx aborts within about one super-chunk of work.
+// The backup may still be committing when Backup returns; Flush (or a
+// later Backup) settles it and reports its failure, if any. A Backup
+// that itself returns an error left the name as it was — nothing
+// stranded — and the session usable. Canceling ctx aborts within about
+// one super-chunk of work.
 func (s *Session) Backup(ctx context.Context, name string, r io.Reader) error {
-	return s.impl.backup(ctx, name, r)
+	return s.impl.Backup(ctx, name, r)
 }
 
-// Flush completes the session's outstanding work: the final partial
-// super-chunk routes and in-flight transfers drain.
-func (s *Session) Flush(ctx context.Context) error { return s.impl.flush(ctx) }
+// Flush completes the session's outstanding work: in-flight transfers
+// drain, backups commit and node containers seal.
+func (s *Session) Flush(ctx context.Context) error { return s.impl.Flush(ctx) }
 
 // Stats returns the session's counters, including the peak buffered
 // payload high-water mark.
-func (s *Session) Stats() SessionStats { return s.impl.stats() }
+func (s *Session) Stats() SessionStats { return toSessionStats(s.impl.Stats()) }
 
 // Close releases the session. Flush first to complete a backup.
-func (s *Session) Close() error { return s.impl.close() }
+func (s *Session) Close() error { return s.close() }
+
+// toSessionStats converts the ingest session's counters to the public
+// shape.
+func toSessionStats(st ingest.Stats) SessionStats {
+	return SessionStats{
+		LogicalBytes:      st.LogicalBytes,
+		TransferredBytes:  st.TransferredBytes,
+		SuperChunks:       st.SuperChunks,
+		Files:             st.Files,
+		PeakBufferedBytes: st.PeakBufferedBytes,
+		ChunkBufAllocs:    st.ChunkBufAllocs,
+		ChunkBufReuses:    st.ChunkBufReuses,
+	}
+}
+
+// ingest is the part of an ingest session's configuration the session
+// options decide; the backend adds its router, transport and seams.
+func (c sessionConfig) ingest(algo fingerprint.Algorithm) ingest.Config {
+	return ingest.Config{
+		Name:           c.name,
+		Tenant:         c.tenant,
+		ChunkMethod:    c.chunk.Method.internal(),
+		ChunkSize:      c.chunk.Size,
+		SuperChunkSize: c.superChunkSize,
+		Algorithm:      algo,
+		Workers:        c.workers,
+		Inflight:       c.inflight,
+	}
+}
 
 // resolveSessionConfig applies options over backend defaults.
 func resolveSessionConfig(defaults sessionConfig, opts []SessionOption) (sessionConfig, error) {

@@ -217,9 +217,19 @@ func TestCancelMidBackupStopsPromptly(t *testing.T) {
 	case <-time.After(15 * time.Second):
 		t.Fatal("canceled backup never returned")
 	}
-	// The session is sticky-failed; further backups refuse fast.
-	if err := sess.Backup(context.Background(), "/after", bytes.NewReader([]byte("x"))); err == nil {
-		t.Fatal("session must be failed after a canceled backup")
+	// Only the canceled item was aborted: the session stays usable.
+	if err := sess.Backup(context.Background(), "/after", bytes.NewReader([]byte("x"))); err != nil {
+		t.Fatalf("backup after a canceled one: %v", err)
+	}
+	if err := sess.Flush(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	var after bytes.Buffer
+	if err := be.Restore(context.Background(), "/after", &after); err != nil || after.String() != "x" {
+		t.Fatalf("restore after a canceled backup = %q, %v", after.String(), err)
+	}
+	if err := be.Restore(context.Background(), "/endless", io.Discard); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("the canceled backup is in the catalog: %v", err)
 	}
 
 	sess.Close()
@@ -474,88 +484,106 @@ func (r *failingReader) Read(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// TestFailedBackupLeavesTrackerUntouched is the regression test for the
-// tracker-state bug: a backup that fails mid-stream must leave the
-// cluster's name tracker exactly as before — the name still restores its
-// previous generation, nothing is stranded (the partial super-chunks'
-// references are released and reclaimable), and later backups work.
+// TestFailedBackupLeavesTrackerUntouched: a backup that fails mid-stream
+// is aborted as a whole, on both backends — the name still restores its
+// previous generation, nothing is stranded (the references its already
+// stored super-chunks took are released and reclaimable), the session
+// backs up again, and Flush ends the director session.
 func TestFailedBackupLeavesTrackerUntouched(t *testing.T) {
-	ctx := context.Background()
-	c, err := NewCluster(ClusterConfig{Nodes: 2, KeepPayloads: true, SuperChunkSize: 16 << 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	eachBackend(t, 0, func(t *testing.T, be Backend) {
+		ctx := context.Background()
+		v1 := make([]byte, 100<<10)
+		rand.New(rand.NewSource(41)).Read(v1)
+		if err := be.Backup(ctx, "/a", bytes.NewReader(v1)); err != nil {
+			t.Fatal(err)
+		}
+		if err := be.Flush(ctx); err != nil {
+			t.Fatal(err)
+		}
+		before, err := be.Stats(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		liveBefore, err := gcStatsOf(ctx, be)
+		if err != nil {
+			t.Fatal(err)
+		}
 
-	v1 := make([]byte, 100<<10)
-	rand.New(rand.NewSource(41)).Read(v1)
-	if err := c.Backup(ctx, "/a", bytes.NewReader(v1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Flush(ctx); err != nil {
-		t.Fatal(err)
-	}
-	before, err := c.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+		// Re-backup of the same name dies mid-stream, after several
+		// super-chunks have already been stored.
+		err = be.Backup(ctx, "/a", &failingReader{rng: rand.New(rand.NewSource(42)), left: 200 << 10})
+		if !errors.Is(err, errInjectedRead) {
+			t.Fatalf("failed backup = %v, want the injected read error", err)
+		}
+		var berr *BackupError
+		if !errors.As(err, &berr) || berr.Name != "/a" || berr.Stage != "chunk" {
+			t.Fatalf("failed backup not typed: %v (parsed %+v)", err, berr)
+		}
 
-	// Re-backup of the same name dies mid-stream, after several
-	// super-chunks have already routed.
-	err = c.Backup(ctx, "/a", &failingReader{rng: rand.New(rand.NewSource(42)), left: 80 << 10})
-	if !errors.Is(err, errInjectedRead) {
-		t.Fatalf("failed backup = %v, want the injected read error", err)
-	}
-	var be *BackupError
-	if !errors.As(err, &be) || be.Name != "/a" || be.Stage != "chunk" {
-		t.Fatalf("failed backup not typed: %v (parsed %+v)", err, be)
-	}
+		// The name still points at v1.
+		var out bytes.Buffer
+		if err := be.Restore(ctx, "/a", &out); err != nil || !bytes.Equal(out.Bytes(), v1) {
+			t.Fatalf("previous generation lost after failed re-backup: %v", err)
+		}
+		after, err := be.Stats(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if after.Backups != before.Backups {
+			t.Fatalf("backup count changed by a failed backup: %d -> %d", before.Backups, after.Backups)
+		}
 
-	// The name still points at v1.
-	var out bytes.Buffer
-	if err := c.Restore(ctx, "/a", &out); err != nil || !bytes.Equal(out.Bytes(), v1) {
-		t.Fatalf("previous generation lost after failed re-backup: %v", err)
-	}
-	after, err := c.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if after.Backups != before.Backups {
-		t.Fatalf("backup count changed by a failed backup: %d -> %d", before.Backups, after.Backups)
-	}
+		// Nothing stranded: the failed attempt's references were released,
+		// so compaction returns live storage to the v1 level.
+		if err := be.Flush(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := be.Compact(ctx, 0.99); err != nil {
+			t.Fatal(err)
+		}
+		if gc, err := gcStatsOf(ctx, be); err != nil || gc.LiveBytes != liveBefore.LiveBytes {
+			t.Fatalf("live bytes = %d (%v) after failed backup + compact, want %d (v1 only)",
+				gc.LiveBytes, err, liveBefore.LiveBytes)
+		}
+		assertCatalogConsistent(t, be)
 
-	// Nothing stranded: the failed attempt's partial references were
-	// released, so compaction returns physical storage to the v1 level.
-	if _, err := c.Compact(ctx, 0.99); err != nil {
-		t.Fatal(err)
-	}
-	gc := c.GCStats()
-	if gc.LiveBytes != before.PhysicalBytes {
-		t.Fatalf("live bytes = %d after failed backup + compact, want %d (v1 only)",
-			gc.LiveBytes, before.PhysicalBytes)
-	}
+		// The session is intact: a successful re-backup supersedes v1.
+		v2 := make([]byte, 60<<10)
+		rand.New(rand.NewSource(43)).Read(v2)
+		if err := be.Backup(ctx, "/a", bytes.NewReader(v2)); err != nil {
+			t.Fatal(err)
+		}
+		if err := be.Flush(ctx); err != nil {
+			t.Fatal(err)
+		}
+		out.Reset()
+		if err := be.Restore(ctx, "/a", &out); err != nil || !bytes.Equal(out.Bytes(), v2) {
+			t.Fatalf("re-backup after failure broken: %v", err)
+		}
+		assertCatalogConsistent(t, be)
 
-	// The tracker is intact: a successful re-backup supersedes v1.
-	v2 := make([]byte, 60<<10)
-	rand.New(rand.NewSource(43)).Read(v2)
-	if err := c.Backup(ctx, "/a", bytes.NewReader(v2)); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Flush(ctx); err != nil {
-		t.Fatal(err)
-	}
-	out.Reset()
-	if err := c.Restore(ctx, "/a", &out); err != nil || !bytes.Equal(out.Bytes(), v2) {
-		t.Fatalf("re-backup after failure broken: %v", err)
-	}
-	// Delete everything; all references release and compact to zero live.
-	if err := c.Delete(ctx, "/a"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Compact(ctx, 0.99); err != nil {
-		t.Fatal(err)
-	}
-	if gc := c.GCStats(); gc.LiveBytes != 0 {
-		t.Fatalf("live bytes = %d after deleting every backup, want 0 (no leaked references)", gc.LiveBytes)
-	}
+		// Flush ended the director session of the default stream.
+		var dir *Director
+		var session uint64
+		switch b := be.(type) {
+		case *Cluster:
+			dir, session = b.inner.Director(), b.def.ID()
+		case *Remote:
+			dir, session = b.localMeta, b.def.ID()
+		}
+		if ds, err := dir.GetSession(session); err != nil || ds.Finished.IsZero() {
+			t.Fatalf("director session %d not finished after Flush: %+v, %v", session, ds, err)
+		}
+
+		// Delete everything; all references release and compact to zero live.
+		if err := be.Delete(ctx, "/a"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := be.Compact(ctx, 0.99); err != nil {
+			t.Fatal(err)
+		}
+		if gc, err := gcStatsOf(ctx, be); err != nil || gc.LiveBytes != 0 {
+			t.Fatalf("live bytes = %d (%v) after deleting every backup, want 0 (no leaked references)", gc.LiveBytes, err)
+		}
+	})
 }

@@ -22,8 +22,8 @@ func tenantBlob(seed int64, n int) []byte {
 }
 
 // tenantBackup opens a session scoped to tn, backs up one named stream
-// and flushes. A fresh session per backup keeps sticky session failure
-// out of the scenario's way.
+// and flushes. A fresh session per backup re-reads the tenant's quota
+// headroom, which a session captures at admission.
 func tenantBackup(ctx context.Context, be Backend, tn, name string, data []byte) error {
 	sess, err := be.NewSession(ctx, WithTenant(tn), WithSuperChunkSize(32<<10))
 	if err != nil {

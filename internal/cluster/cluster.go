@@ -19,18 +19,18 @@
 // parallel. The single-stream BackupItem path is unchanged and
 // deterministic.
 //
-// Named backups (tracked items: Stream.BeginItem … EndItem) are what the
-// public Backend feeds; their recipes, like the tenant table and the
-// journal of open migration transactions, live in the cluster's in-RAM
-// director — the same director.Director the prototype talks to — and
-// everything that reads them (restore, delete, compaction, migration,
-// repair) is package migrate's code over the in-process node transport.
-// What is left here is trace driving, message counting and the
-// simulation of membership epochs.
+// Named backups are fed by the public Backend through package ingest —
+// the same session the prototype runs — over the in-process node
+// transport (Node), routing against an epoch pinned per item (Pin);
+// their recipes, like the tenant table and the journal of open migration
+// transactions, live in the cluster's in-RAM director — the same
+// director.Director the prototype talks to — and everything that reads
+// them (restore, delete, compaction, migration, repair) is package
+// migrate's code over that transport. What is left here is trace
+// driving, message counting and the simulation of membership epochs.
 package cluster
 
 import (
-	"context"
 	"fmt"
 	"path/filepath"
 	"sync"
@@ -45,7 +45,6 @@ import (
 	"sigmadedupe/internal/pipeline"
 	"sigmadedupe/internal/router"
 	"sigmadedupe/internal/sderr"
-	"sigmadedupe/internal/store"
 )
 
 // Config parameterizes a simulated cluster.
@@ -80,8 +79,8 @@ type Config struct {
 	// gains the summary counters.
 	BidSummaries bool
 	// Replicas >= 2 enables R=2 replica placement: every routed
-	// super-chunk of a tracked item (BeginItem…EndItem) is also stored on
-	// the rendezvous replica owner of its first fingerprint, restores fail
+	// super-chunk of a named backup is also stored on the rendezvous
+	// replica owner of its first fingerprint (ReplicateRun), restores fail
 	// over to the replica when the primary is gone, and Repair re-converges
 	// placement after a node crash. Requires the Sigma scheme and
 	// payload-carrying nodes (New rejects anything else). The default (0)
@@ -177,7 +176,7 @@ type Cluster struct {
 	epochs []*epochState
 
 	// dir is the cluster's metadata plane: an in-RAM director holding the
-	// recipes of tracked items, the tenant table and the journal of open
+	// recipes of named backups, the tenant table and the journal of open
 	// migration/replication transactions — the migration engine's catalog.
 	// It never fsyncs and lives exactly as long as the Cluster, so node
 	// restarts (RestartNode, Restart) keep it.
@@ -268,21 +267,11 @@ func New(cfg Config) (*Cluster, error) {
 // Stream is single-goroutine (one backup stream = one pipeline), but
 // distinct Streams may run concurrently.
 func (c *Cluster) Stream(name string) (*Stream, error) {
-	return c.StreamSized(name, 0)
-}
-
-// StreamSized opens a named backup stream with its own routing
-// granularity (0 selects the cluster's SuperChunkSize) — per-stream
-// super-chunk sizing for the session API.
-func (c *Cluster) StreamSized(name string, superChunkSize int64) (*Stream, error) {
-	if superChunkSize <= 0 {
-		superChunkSize = c.cfg.SuperChunkSize
-	}
 	var popts []core.PartitionerOption
 	if c.cfg.FixedBoundaries {
 		popts = append(popts, core.WithFixedBoundaries())
 	}
-	part, err := core.NewPartitioner(superChunkSize, fingerprint.SHA1, c.cfg.Node.KeepPayloads, popts...)
+	part, err := core.NewPartitioner(c.cfg.SuperChunkSize, fingerprint.SHA1, c.cfg.Node.KeepPayloads, popts...)
 	if err != nil {
 		return nil, err
 	}
@@ -404,10 +393,6 @@ func (c *Cluster) BackupItem(fileID uint64, refs []core.ChunkRef) error {
 	return c.def.BackupItem(fileID, refs)
 }
 
-// Default returns the cluster's default stream (the one BackupItem
-// feeds), for callers that stream chunks into it incrementally.
-func (c *Cluster) Default() *Stream { return c.def }
-
 // Item is one backup item of a trace stream: an optional file identity
 // plus its fingerprinted chunk references.
 type Item struct {
@@ -489,28 +474,17 @@ type Stream struct {
 	// list, and a membership change becomes visible to the stream at
 	// its next item. While an item is in flight the snapshot's use
 	// count is held, so RemoveNode can wait out every item that could
-	// still store to the departing node. Pinning is lock-free (one
-	// atomic increment plus a validation reload) — the old protocol
-	// took the cluster-wide write lock per backup item, which at 64
-	// concurrent streams serialized the whole ingest.
+	// still store to the departing node.
 	st *epochState
-	// tracked is set between BeginItem and EndItem/AbortItem: the item is
-	// a named backup whose routed chunks accumulate in entries — where
-	// each went, and its replica under R=2 — which EndItem commits as the
-	// item's recipe under path. The trace feed (BackupItem) never tracks.
-	tracked bool
-	path    string
-	entries []director.ChunkEntry
 	// retired guards against double-folding; protected by c.shardMu.
 	retired bool
 }
 
-// acquirePin re-pins the stream to the current epoch and registers the
-// in-flight item against it.
-func (s *Stream) acquirePin() {
-	s.releasePin()
+// pin registers one in-flight backup item against the current epoch and
+// returns it. Lock-free: one atomic increment plus a validation reload.
+func (c *Cluster) pin() *epochState {
 	for {
-		st := s.c.cur.Load()
+		st := c.cur.Load()
 		st.uses.Add(1)
 		// Validate after the increment: a membership change that swapped
 		// the current epoch between our load and increment may already
@@ -518,12 +492,31 @@ func (s *Stream) acquirePin() {
 		// protected — drop it and pin the new epoch instead. Once the
 		// reload still shows st, the increment happened-before any later
 		// swap, and the change's grace period will observe it.
-		if s.c.cur.Load() == st {
-			s.st = st
-			return
+		if c.cur.Load() == st {
+			return st
 		}
 		st.uses.Add(-1)
 	}
+}
+
+// Pin pins the current epoch for one backup item of an ingest session:
+// the router view of that epoch, and the release to call once the item's
+// recipe is in the director (or the item was aborted and released).
+// Until then a RemoveNode waits, so its drain finds everything the item
+// stored.
+func (c *Cluster) Pin() (router.View, func()) {
+	st := c.pin()
+	return pinnedView{st: st}, func() { st.uses.Add(-1) }
+}
+
+// Router returns the cluster's routing scheme instance.
+func (c *Cluster) Router() router.Router { return c.rt }
+
+// acquirePin re-pins the stream to the current epoch and registers the
+// in-flight item against it.
+func (s *Stream) acquirePin() {
+	s.releasePin()
+	s.st = s.c.pin()
 }
 
 // releasePin deregisters the stream's in-flight item (item boundary or
@@ -546,16 +539,11 @@ func (s *Stream) Close() {
 	s.c.retire(s)
 }
 
-// Name returns the stream name (container attribution on nodes).
-func (s *Stream) Name() string { return s.name }
-
 // BackupItem feeds one backup item into this stream's pipeline.
 func (s *Stream) BackupItem(fileID uint64, refs []core.ChunkRef) error {
 	s.ctr.files.Add(1)
 	s.acquirePin()
 	defer s.releasePin()
-	// The batch feed takes no context: it runs to completion in process.
-	ctx := context.Background()
 
 	fileScoped := s.c.cfg.Scheme == router.ExtremeBinning && fileID != 0
 	var fileMin fingerprint.Fingerprint
@@ -573,7 +561,7 @@ func (s *Stream) BackupItem(fileID uint64, refs []core.ChunkRef) error {
 		s.ctr.logicalBytes.Add(int64(r.Size))
 		if sc := s.part.AddRef(r); sc != nil {
 			sc.FileMinFP = fileMin
-			if _, err := s.routeAndStore(ctx, sc); err != nil {
+			if err := s.routeAndStore(sc); err != nil {
 				return err
 			}
 		}
@@ -581,7 +569,7 @@ func (s *Stream) BackupItem(fileID uint64, refs []core.ChunkRef) error {
 	if fileScoped {
 		if sc := s.part.Flush(); sc != nil {
 			sc.FileMinFP = fileMin
-			if _, err := s.routeAndStore(ctx, sc); err != nil {
+			if err := s.routeAndStore(sc); err != nil {
 				return err
 			}
 		}
@@ -594,117 +582,13 @@ func (s *Stream) BackupItem(fileID uint64, refs []core.ChunkRef) error {
 func (s *Stream) Flush() error {
 	s.acquirePin()
 	defer s.releasePin()
-	_, err := s.cut(context.Background())
-	return err
-}
-
-// cut routes the pending partial super-chunk, if any.
-func (s *Stream) cut(ctx context.Context) (RouteOutcome, error) {
-	sc := s.part.Flush()
-	if sc == nil {
-		return RouteOutcome{}, nil
+	if sc := s.part.Flush(); sc != nil {
+		return s.routeAndStore(sc)
 	}
-	stored, err := s.routeAndStore(ctx, sc)
-	return RouteOutcome{RoutedBytes: sc.Size(), StoredBytes: stored}, err
-}
-
-// BeginItem starts one tracked backup item on the stream — a named
-// backup, to be committed under the recipe key path: chunks fed with
-// AddChunk until EndItem belong to it, and where each was routed
-// accumulates as its recipe. Together with AddChunk and EndItem this is
-// the streaming feed of the simulator — chunks arrive one at a time and
-// completed super-chunks route immediately, so an arbitrarily large
-// item is simulated with memory bounded by the pending super-chunk,
-// never the item size. Whatever an earlier untracked feed left pending
-// is routed first, so it cannot leak into this item's attribution.
-func (s *Stream) BeginItem(ctx context.Context, path string) error {
-	s.ctr.files.Add(1)
-	s.acquirePin()
-	if _, err := s.cut(ctx); err != nil {
-		s.releasePin()
-		return err
-	}
-	s.tracked, s.path, s.entries = true, path, s.entries[:0]
 	return nil
 }
 
-// AddChunk feeds one fingerprinted chunk of the current item, returning
-// the route outcome (non-zero RoutedBytes when this chunk completed a
-// super-chunk, which routes and stores synchronously). A canceled ctx
-// stops the feed at the next super-chunk boundary.
-//
-// Not supported for the Extreme Binning scheme, whose file-level routing
-// needs the whole item's minimum fingerprint before any chunk can be
-// placed — use BackupItem there.
-func (s *Stream) AddChunk(ctx context.Context, ref core.ChunkRef) (RouteOutcome, error) {
-	if s.c.cfg.Scheme == router.ExtremeBinning {
-		return RouteOutcome{}, fmt.Errorf("cluster: streaming feed is not supported for Extreme Binning; use BackupItem")
-	}
-	if err := ctx.Err(); err != nil {
-		return RouteOutcome{}, err
-	}
-	s.ctr.logicalBytes.Add(int64(ref.Size))
-	if sc := s.part.AddRef(ref); sc != nil {
-		routed := sc.Size()
-		stored, err := s.routeAndStore(ctx, sc)
-		return RouteOutcome{RoutedBytes: routed, StoredBytes: stored}, err
-	}
-	return RouteOutcome{}, nil
-}
-
-// EndItem closes the current tracked item and commits it: the partial
-// super-chunk is cut and routed at the item boundary (so no super-chunk
-// can carry one item's chunks into the next item's attribution — a small
-// routing-granularity cost, the price of retention), then the item's
-// entries become the recipe of its key in the cluster's director under
-// session. It returns the route outcome of the boundary cut and the
-// generation the commit superseded, whose references the caller
-// releases. The epoch pin is dropped only once the recipe is in the
-// director: a RemoveNode waiting out this item then finds everything it
-// stored in the catalog it drains. On an error the item is still open
-// (and pinned); the caller must AbortItem.
-func (s *Stream) EndItem(ctx context.Context, session uint64) (RouteOutcome, director.Recipe, error) {
-	if err := ctx.Err(); err != nil {
-		return RouteOutcome{}, director.Recipe{}, err
-	}
-	out, err := s.cut(ctx)
-	if err != nil {
-		return out, director.Recipe{}, err
-	}
-	prev, err := s.c.dir.SwapRecipe(ctx, session, s.path, s.entries)
-	if err != nil {
-		return out, prev, err
-	}
-	s.tracked = false
-	s.releasePin()
-	return out, prev, nil
-}
-
-// AbortItem abandons a failed item: its partial super-chunk is discarded
-// so its chunks cannot leak into the next item's routing or attribution,
-// and the references its already-routed super-chunks took are released —
-// under the item's pin, and even when a canceled ctx is why it failed —
-// leaving the cluster exactly as before the attempt. A failed release
-// strands references and is returned. The stream stays usable.
-func (s *Stream) AbortItem(ctx context.Context) error {
-	_ = s.part.Flush()
-	s.tracked = false
-	err := migrate.Release(context.WithoutCancel(ctx), s.c.Node, s.entries)
-	s.entries = s.entries[:0]
-	s.releasePin()
-	return err
-}
-
-// RouteOutcome reports what one chunk feed did: payload bytes routed
-// (non-zero when a super-chunk completed) and the unique payload bytes
-// those routes actually stored (the simulator's analogue of transferred
-// bytes — duplicates cost nothing).
-type RouteOutcome struct {
-	RoutedBytes int64
-	StoredBytes int64
-}
-
-func (s *Stream) routeAndStore(ctx context.Context, sc *core.SuperChunk) (int64, error) {
+func (s *Stream) routeAndStore(sc *core.SuperChunk) error {
 	c := s.c
 	d := c.rt.Route(sc, pinnedView{st: s.st})
 	s.ctr.superChunks.Add(1)
@@ -715,51 +599,34 @@ func (s *Stream) routeAndStore(ctx context.Context, sc *core.SuperChunk) (int64,
 		s.ctr.summaryHits.Add(d.SummaryHits)
 		s.ctr.summaryFalsePos.Add(d.SummaryFalsePos)
 	}
-	var stored int64
 	for _, a := range d.Assignments {
 		target := sc
-		nChunks := len(sc.Chunks)
 		if a.Chunks != nil {
-			sub := &core.SuperChunk{FileID: sc.FileID, FileMinFP: sc.FileMinFP}
+			target = &core.SuperChunk{FileID: sc.FileID, FileMinFP: sc.FileMinFP}
 			for _, i := range a.Chunks {
-				sub.Chunks = append(sub.Chunks, sc.Chunks[i])
+				target.Chunks = append(target.Chunks, sc.Chunks[i])
 			}
-			target = sub
-			nChunks = len(sub.Chunks)
 		}
 		// After-routing: the batched fingerprint query carries one lookup
 		// per chunk to the target node. Stores serialize per node (inside
 		// node.Node); different nodes store in parallel, and routing bids
 		// read node state lock-free.
-		s.ctr.afterRoutingMsgs.Add(int64(nChunks))
+		s.ctr.afterRoutingMsgs.Add(int64(len(target.Chunks)))
 		nd, err := c.nodeByID(a.Node)
 		if err != nil {
-			return stored, err
+			return err
 		}
-		var res store.Result
 		if c.cfg.Scheme == router.ExtremeBinning && !sc.FileMinFP.IsZero() {
 			// Extreme Binning dedups the file only against its bin.
-			res, err = nd.StoreFileInBin(s.name, sc.FileMinFP, target)
+			_, err = nd.StoreFileInBin(s.name, sc.FileMinFP, target)
 		} else {
-			res, err = nd.StoreSuperChunk(s.name, target)
+			_, err = nd.StoreSuperChunk(s.name, target)
 		}
 		if err != nil {
-			return stored, err
-		}
-		stored += res.UniqueBytes
-		if s.tracked {
-			base := len(s.entries)
-			for _, ch := range target.Chunks {
-				s.entries = append(s.entries, director.ChunkEntry{FP: ch.FP, Size: int32(ch.Size), Node: int32(a.Node), Replica: -1})
-			}
-			if c.cfg.Replicas >= 2 && len(target.Chunks) > 0 {
-				if err := s.replicateRun(ctx, target, s.entries[base:]); err != nil {
-					return stored, err
-				}
-			}
+			return err
 		}
 	}
-	return stored, nil
+	return nil
 }
 
 // retire folds a finished stream's shard into the base totals and drops

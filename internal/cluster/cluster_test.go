@@ -313,10 +313,10 @@ func TestRestartNodeRequiresDir(t *testing.T) {
 	}
 }
 
-// TestTrackedRecipesExactWithUntrackedItems: an untracked trace item
-// fed before a tracked one on the same stream must not leak its pending
-// chunks into the tracked item's recipe — BeginItem routes whatever the
-// untracked feed left pending first.
+// TestTrackedRecipesExactWithUntrackedItems: an anonymous trace item
+// fed before a named backup under the same stream name must not leak its
+// pending chunks into the backup's recipe, and deleting the backup must
+// leave the trace item's references alone.
 func TestTrackedRecipesExactWithUntrackedItems(t *testing.T) {
 	c, err := New(Config{N: 2, Node: node.Config{KeepPayloads: true}})
 	if err != nil {

@@ -194,9 +194,9 @@ func (c *Cluster) Rebalance(ctx context.Context) (MigrationResult, error) {
 // Repair is the anti-entropy pass that re-converges the cluster after a
 // node crash (or any interrupted replication/migration); see
 // migrate.Engine.Repair. Like migration recovery it assumes quiesced
-// traffic and a fully tracked catalog (every backup fed as a tracked
-// item and committed to the director): recipes are the sole source of
-// references it reconciles against.
+// traffic and a catalog that accounts for every reference (every backup
+// fed through an ingest session, none through the trace feed): recipes
+// are the sole source of references it reconciles against.
 func (c *Cluster) Repair(ctx context.Context) (migrate.RepairResult, error) {
 	if err := c.elasticGuard(true); err != nil {
 		return migrate.RepairResult{}, err
@@ -211,26 +211,27 @@ func (c *Cluster) RecoverMigrations(ctx context.Context) error {
 	return c.engine().Recover(ctx)
 }
 
-// replicateRun gives one just-routed run — the super-chunk in hand and
-// the tracked item's entries just appended for it — its second copy
-// (R=2) under the engine's journaled transaction. The primary's side of
-// the transport reads the payloads from hand, so its open container
-// need not seal to be read back. A failure fails the backup, so no
-// committed item is ever left without a replica while two members are
-// live.
-func (s *Stream) replicateRun(ctx context.Context, sc *core.SuperChunk, run []director.ChunkEntry) error {
+// ReplicateRun is the simulator's R=2 write strategy (the Run of an
+// ingest session's Replication): it gives one just-routed run — the
+// super-chunk in hand and the recipe entries of the uncommitted item at
+// path just made for it, routed within members — its second copy under
+// the engine's journaled transaction. The primary's side of the
+// transport reads the payloads from hand, so its open container need
+// not seal to be read back. A failure fails the backup, so no committed
+// item is ever left without a replica while two members are live.
+func (c *Cluster) ReplicateRun(ctx context.Context, members core.Membership, path string, sc *core.SuperChunk, run []director.ChunkEntry) error {
 	primary := int(run[0].Node)
-	e := s.c.engine()
+	e := c.engine()
 	e.Catalog = runCatalog{e.Catalog, run}
 	e.Nodes = func(id int) (migrate.Node, bool) {
-		n, ok := s.c.Node(id)
+		n, ok := c.Node(id)
 		w := writePath{Node: n}
 		if id == primary {
 			w.inHand = sc
 		}
 		return w, ok
 	}
-	_, err := e.ReplicateRecipe(ctx, director.Recipe{Path: s.path, Chunks: run}, s.st.members)
+	_, err := e.ReplicateRecipe(ctx, director.Recipe{Path: path, Chunks: run}, members)
 	return err
 }
 
@@ -287,8 +288,8 @@ func (writePath) MigrateCommit(context.Context, string) error { return nil }
 
 // waitEpochQuiesce blocks until no backup item is in flight against an
 // epoch older than epoch — the membership change's grace period. An
-// item abandoned mid-flight (BeginItem without EndItem/Abort/Close)
-// fails the wait after a bounded delay rather than hanging forever.
+// item whose session went idle without settling it (no further Backup,
+// Flush or Close) fails the wait after a bounded delay rather than hanging forever.
 func (c *Cluster) waitEpochQuiesce(ctx context.Context, epoch uint64) error {
 	deadline := time.Now().Add(10 * time.Second)
 	for {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"math/rand"
 	"testing"
 	"time"
@@ -11,6 +12,7 @@ import (
 	"sigmadedupe/internal/core"
 	"sigmadedupe/internal/director"
 	"sigmadedupe/internal/fingerprint"
+	"sigmadedupe/internal/ingest"
 	"sigmadedupe/internal/migrate"
 	"sigmadedupe/internal/node"
 	"sigmadedupe/internal/router"
@@ -31,33 +33,44 @@ func membershipItem(seed int64, chunks int) []core.ChunkRef {
 	return refs
 }
 
-// backupTracked feeds refs as one tracked item through the cluster's
-// default stream — the streaming feed a backup session drives — and
-// commits its recipe to the cluster's director under the item's name.
-func backupTracked(t *testing.T, c *Cluster, id int, refs []core.ChunkRef) {
+// openSession opens an ingest session over c the way the public
+// simulator backend does: in-process transport, epochs pinned per item,
+// R=2 replicated in hand.
+func openSession(t *testing.T, c *Cluster, name string) *ingest.Session {
 	t.Helper()
-	ctx := context.Background()
-	s := c.Default()
-	if err := s.BeginItem(ctx, itemName(id)); err != nil {
-		t.Fatal(err)
+	cfg := ingest.Config{
+		Name: name, SuperChunkSize: c.cfg.SuperChunkSize, Router: c.Router(), KeepPayloads: true,
+		Pin: func(context.Context) (ingest.Epoch, error) {
+			view, release := c.Pin()
+			return ingest.Epoch{View: func() router.View { return view }, Node: c.Node, Release: release}, nil
+		},
 	}
-	for _, r := range refs {
-		if _, err := s.AddChunk(ctx, r); err != nil {
-			t.Fatal(err)
-		}
+	if c.cfg.Replicas >= 2 {
+		cfg.Replicate.Run = c.ReplicateRun
 	}
-	sess, err := c.Director().BeginSession(ctx, "test", "")
+	s, err := ingest.New(context.Background(), cfg, c.Director())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s.EndItem(ctx, sess); err != nil {
+	return s
+}
+
+// backupTracked backs refs' payload up as one named item through an
+// ingest session — 4KB fixed chunking reproduces refs — and commits its
+// recipe to the cluster's director without sealing anything (Close
+// settles; only Flush seals).
+func backupTracked(t *testing.T, c *Cluster, id int, refs []core.ChunkRef) {
+	t.Helper()
+	s := openSession(t, c, "client0")
+	if err := s.Backup(context.Background(), itemName(id), bytes.NewReader(payload(refs))); err != nil {
 		t.Fatal(err)
 	}
+	s.Close()
 }
 
 func itemName(id int) string { return fmt.Sprintf("/item%d", id) }
 
-// recipeOf returns the committed recipe entries of a tracked item.
+// recipeOf returns the committed recipe entries of a named item.
 func recipeOf(t *testing.T, c *Cluster, id int) []director.ChunkEntry {
 	t.Helper()
 	r, err := c.Director().GetRecipe(context.Background(), itemName(id))
@@ -67,7 +80,7 @@ func recipeOf(t *testing.T, c *Cluster, id int) []director.ChunkEntry {
 	return r.Chunks
 }
 
-// restoreItem restores a tracked item through the shared scheduler.
+// restoreItem restores a named item through the shared scheduler.
 func restoreItem(t *testing.T, c *Cluster, id int) []byte {
 	t.Helper()
 	var out bytes.Buffer
@@ -145,7 +158,7 @@ func TestRoutingStabilityOnGrowth(t *testing.T) {
 		t.Fatal(err)
 	}
 	physBefore := c.PhysicalBytes()
-	logical := c.Stats().LogicalBytes
+	const logical = items * 24 * 4096
 
 	if _, err := c.AddNode(); err != nil {
 		t.Fatal(err)
@@ -277,12 +290,7 @@ func TestRemoveNodeMigratesAndRestores(t *testing.T) {
 // find nothing and close the node under it. The drain runs after the
 // commit, moves the item, and the backup restores.
 func TestRemoveNodeWaitsForItemCommit(t *testing.T) {
-	// Fixed boundaries: a 96KB item is three whole super-chunks, all
-	// routed by AddChunk — EndItem stores nothing more.
-	c, err := New(Config{N: 3, Scheme: router.Sigma, SuperChunkSize: 32 << 10, FixedBoundaries: true, Node: nodeCfgKeepPayloads()})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := elasticCluster(t, 3)
 	defer c.Close()
 	ctx := context.Background()
 	seed := membershipItem(7000, 24)
@@ -291,24 +299,44 @@ func TestRemoveNodeWaitsForItemCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s, err := c.Stream("second")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	refs := membershipItem(7001, 24)
-	if err := s.BeginItem(ctx, itemName(2)); err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range refs {
-		if _, err := s.AddChunk(ctx, r); err != nil {
+	// An item whose last chunk closes a super-chunk: everything is stored
+	// while the stream is still open, the end of the stream stores nothing
+	// more.
+	var refs []core.ChunkRef
+	for itemSeed := int64(7001); refs == nil; itemSeed++ {
+		cand := membershipItem(itemSeed, 64)
+		part, err := core.NewPartitioner(c.cfg.SuperChunkSize, fingerprint.SHA1, false)
+		if err != nil {
 			t.Fatal(err)
 		}
+		for _, r := range cand {
+			part.AddRef(r)
+		}
+		if part.Flush() == nil {
+			refs = cand
+		}
 	}
-	if len(s.entries) != len(refs) {
-		t.Fatalf("%d of %d chunks routed before EndItem; the test needs the whole item stored and uncommitted", len(s.entries), len(refs))
+	before := c.UsageVector()
+	stored := c.PhysicalBytes() + int64(len(payload(refs)))
+	s := openSession(t, c, "second")
+	defer s.Close()
+	pr, pw := io.Pipe()
+	backedUp := make(chan error, 1)
+	go func() { backedUp <- s.Backup(ctx, itemName(2), pr) }()
+	if _, err := pw.Write(payload(refs)); err != nil {
+		t.Fatal(err)
 	}
-	victim := int(s.entries[0].Node)
+	for deadline := time.Now().Add(10 * time.Second); c.PhysicalBytes() != stored; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("stored %d bytes, want %d: the test needs the whole item stored and uncommitted", c.PhysicalBytes(), stored)
+		}
+	}
+	victim := -1
+	for i, u := range c.UsageVector() {
+		if u > before[i] {
+			victim = i
+		}
+	}
 	// Seal what the item stored, as a session's Flush would: the drain
 	// reads sealed containers only.
 	if err := c.Flush(); err != nil {
@@ -325,11 +353,8 @@ func TestRemoveNodeWaitsForItemCommit(t *testing.T) {
 		t.Fatalf("RemoveNode(%d) returned (%v) while an item stored on the node was uncommitted", victim, err)
 	case <-time.After(100 * time.Millisecond):
 	}
-	sess, err := c.Director().BeginSession(ctx, "test", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := s.EndItem(ctx, sess); err != nil {
+	pw.Close()
+	if err := <-backedUp; err != nil {
 		t.Fatal(err)
 	}
 	if err := <-done; err != nil {

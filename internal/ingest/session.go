@@ -1,0 +1,795 @@
+// Package ingest is the one backup path of the Σ-Dedupe system (paper
+// §3.1), written once for the simulator and the TCP prototype: tenant
+// admission, chunking into pooled buffers, fingerprinting, super-chunk
+// partitioning, similarity routing (Algorithm 1, through router.Router
+// over a router.View), the batched duplicate query at the winner, the
+// transfer of the unique chunks only, recipe attribution and the recipe
+// swap. A deployment supplies the node transport (migrate.Node:
+// *rpc.Client over the wire, migrate.Local in process), the director,
+// and three seams — how a membership epoch is pinned (Config.Pin), how
+// the second copy is written at R=2 (Config.Replicate) and who wants to
+// see every presented chunk (Config.Observe) — plus whether the nodes
+// keep payloads.
+//
+// Every backup stream owns a concurrent pipeline: a worker pool
+// fingerprints chunks while the stream is still being read, and a
+// bounded window of super-chunks is routed, queried and stored
+// concurrently, so fingerprinting of super-chunk n+1 overlaps the
+// transfer of n and peak buffered payload is bounded by the window,
+// never by stream size. Results are applied in stream order on the
+// goroutine driving the session, so only the counters need a lock.
+//
+// A backup item is a transaction. Its partial super-chunk is cut at the
+// item boundary and its recipe entries attach to the item. It commits —
+// recipe swapped in, the superseded generation released — once all of
+// its super-chunks are stored, which may trail Backup's return by at
+// most the window (one item's tail overlaps the next item's head); Flush
+// settles everything. An item that fails is aborted: its in-flight
+// super-chunks are drained, what they stored is released, the catalog is
+// untouched, and the session stays usable.
+package ingest
+
+import (
+	"context"
+	"fmt"
+	"io"
+	"math"
+	"runtime"
+	"sync"
+
+	"sigmadedupe/internal/chunker"
+	"sigmadedupe/internal/core"
+	"sigmadedupe/internal/director"
+	"sigmadedupe/internal/fingerprint"
+	"sigmadedupe/internal/migrate"
+	"sigmadedupe/internal/pipeline"
+	"sigmadedupe/internal/router"
+	"sigmadedupe/internal/sderr"
+	"sigmadedupe/internal/tenant"
+)
+
+// DefaultInflight is the default window of super-chunks a session keeps
+// in the route/query/store stage.
+const DefaultInflight = 4
+
+// Epoch is one pinned membership epoch: what a backup item routes
+// against and stores through.
+type Epoch struct {
+	// View returns the router's window onto the epoch — member list,
+	// bids, usage — for one routing decision. A view whose bids can fail
+	// also has an Err() error method reporting the first failure; a
+	// decision made on a failed view fails the item.
+	View func() router.View
+	// Node resolves a node's stable cluster ID to its transport — for the
+	// stores of this item, the release of what it stored should it abort,
+	// and the release of the generation it supersedes, which may sit on
+	// nodes that joined after the epoch. False means the node left the
+	// cluster.
+	Node func(id int) (migrate.Node, bool)
+	// Release drops the pin; called once the item committed or aborted.
+	Release func()
+}
+
+// Replication is the deployment's R=2 write strategy; at most one field
+// is set. Which one depends on where the director lives, not on taste:
+// a journaled transaction per super-chunk over TCP is two fsyncs per MB,
+// and sealing and reading back in process is several times slower than
+// copying the payloads already in hand.
+type Replication struct {
+	// Run gives one just-routed run — the super-chunk in hand and its
+	// recipe entries — its second copy before the item commits, filling
+	// in the entries' Replica. For a director in this process's RAM.
+	Run func(ctx context.Context, members core.Membership, path string, sc *core.SuperChunk, run []director.ChunkEntry) error
+	// AtFlush replicates the recipes committed since the last Flush, once
+	// the primaries' containers are sealed, deleting from wrote what it
+	// finished. For a journaled director.
+	AtFlush func(ctx context.Context, wrote map[string]struct{}) error
+}
+
+// Config parameterizes a session.
+type Config struct {
+	// Name is the backup stream's name: container attribution on the
+	// nodes and the client name of the director session.
+	Name string
+	// Tenant scopes the session (default tenant.Default): recipe keys,
+	// quota admission and accounting, the fair-share weight and — for an
+	// isolated-domain tenant — the fingerprint salt.
+	Tenant string
+	// ChunkMethod and ChunkSize select the chunker (default Fixed, 4KB).
+	ChunkMethod chunker.Method
+	ChunkSize   int
+	// SuperChunkSize is the routing granularity (default 1MB).
+	SuperChunkSize int64
+	// Algorithm selects the fingerprint hash (default SHA-1).
+	Algorithm fingerprint.Algorithm
+	// Workers sizes the fingerprint worker pool (default GOMAXPROCS).
+	Workers int
+	// Inflight bounds the super-chunks concurrently in the
+	// route/query/store stage (default DefaultInflight).
+	Inflight int
+	// Router places super-chunks (required).
+	Router router.Router
+	// Scheduler, when set, is the backend-wide weighted-fair scheduler:
+	// every super-chunk acquires its size before any node traffic and
+	// releases when its round trip completes.
+	Scheduler *tenant.Scheduler
+	// KeepPayloads says the nodes store chunk payloads. Without it
+	// (metadata-only simulation) a payload is dead once fingerprinted.
+	KeepPayloads bool
+	// Pin pins the membership epoch of one backup item (required).
+	Pin func(ctx context.Context) (Epoch, error)
+	// Replicate is the R=2 strategy; the zero value keeps single copies.
+	Replicate Replication
+	// Observe, when set, sees every presented chunk (payload-free, in
+	// batches) — the simulator's exact-dedup tracker.
+	Observe func([]core.ChunkRef)
+}
+
+// Stats are a session's counters.
+type Stats struct {
+	LogicalBytes     int64 // bytes presented for backup
+	TransferredBytes int64 // payload bytes of chunks the target did not already hold
+	SuperChunks      int64 // super-chunks routed and stored
+	Files            int64 // Backup calls
+	// PeakBufferedBytes is the maximum payload bytes pinned by
+	// super-chunks in the window or awaiting in-order apply.
+	PeakBufferedBytes int64
+	// ChunkBufAllocs plateaus at roughly the window's chunk count while
+	// ChunkBufReuses grows with the stream.
+	ChunkBufAllocs int64
+	ChunkBufReuses int64
+	// The Fig. 7 message accounting, summed over router.Decisions;
+	// AfterRoutingMsgs is one lookup per chunk per assignment.
+	PreRoutingMsgs   int64
+	AfterRoutingMsgs int64
+	BidsSent         int64
+	SummaryChecks    int64
+	SummaryHits      int64
+	SummaryFalsePos  int64
+}
+
+// item is one backup in flight: begun by Backup, finished — committed or
+// aborted — once its last super-chunk has been applied.
+type item struct {
+	name, key string
+	// ctx bounds the item's routes and its commit. It follows the Backup
+	// call's context while the call runs and is cut loose when the call
+	// returns, so the tail outlives a caller that cancels on return.
+	ctx    context.Context
+	detach func()
+	epoch  Epoch
+	// entries accumulate in stream order as routes are applied; an entry
+	// whose Node is -1 was never stored.
+	entries []director.ChunkEntry
+	pending int  // routes submitted and not yet applied
+	done    bool // every chunk has been submitted
+	err     error
+}
+
+func (it *item) fail(err error) {
+	if it.err == nil {
+		it.err = err
+	}
+}
+
+// routed is the outcome of the route/query/store stage for one
+// super-chunk. entries is set on errors too, so an abort releases what a
+// half-done route did store.
+type routed struct {
+	it      *item
+	sc      *core.SuperChunk
+	entries []director.ChunkEntry
+	dec     router.Decision
+	unique  int64 // payload bytes the targets did not already hold
+	err     error
+}
+
+// Session is one backup stream. Not safe for concurrent use — one
+// Session per stream, as in the paper — except Stats, which may be read
+// from anywhere.
+type Session struct {
+	cfg  Config
+	dir  director.Metadata
+	id   uint64
+	part *core.Partitioner
+	bufs bufPool
+	// mu guards st: the driving goroutine writes it, anyone may read it.
+	mu sync.Mutex
+	st Stats
+	// buffered is the payload bytes pinned by super-chunks in the window
+	// or awaiting apply; its high-water mark is st.PeakBufferedBytes.
+	buffered int64
+
+	// window is the counting semaphore of the route/query/store stage.
+	window chan struct{}
+	// order holds, in stream order, the 1-slot result channel of every
+	// routed-but-not-yet-applied super-chunk.
+	order []chan routed
+	// open lists the unfinished items, oldest first; cur is the one the
+	// running Backup call is feeding, which only that call finishes.
+	open []*item
+	cur  *item
+
+	observed []core.ChunkRef
+	// wrote is the work list of Replicate.AtFlush.
+	wrote map[string]struct{}
+
+	// Tenant state resolved at admission: the fingerprint salt of an
+	// isolated dedup domain, and the live bytes the tenant may still add
+	// before quota (-1 = unlimited) for the soft mid-stream check.
+	salt     [32]byte
+	salted   bool
+	headroom int64
+	// reported is the transferred bytes already accounted to the director.
+	reported int64
+}
+
+// observeBatch bounds the deferred Observe batch, so concurrent sessions
+// reach a shared observer once per few thousand chunks.
+const observeBatch = 4096
+
+// New opens a backup session with the director: the hard quota check
+// runs here, and the tenant's domain and headroom come back for the
+// salt and the soft mid-stream check.
+func New(ctx context.Context, cfg Config, dir director.Metadata) (*Session, error) {
+	if cfg.Tenant == "" {
+		cfg.Tenant = tenant.Default
+	}
+	if cfg.ChunkMethod == 0 {
+		cfg.ChunkMethod = chunker.Fixed
+	}
+	if cfg.ChunkSize <= 0 {
+		cfg.ChunkSize = 4096
+	}
+	if cfg.SuperChunkSize <= 0 {
+		cfg.SuperChunkSize = core.DefaultSuperChunkSize
+	}
+	if cfg.Algorithm == 0 {
+		cfg.Algorithm = fingerprint.SHA1
+	}
+	if cfg.Inflight <= 0 {
+		cfg.Inflight = DefaultInflight
+	}
+	part, err := core.NewPartitioner(cfg.SuperChunkSize, cfg.Algorithm, cfg.KeepPayloads)
+	if err != nil {
+		return nil, err
+	}
+	id, err := dir.BeginSession(ctx, cfg.Name, cfg.Tenant)
+	if err != nil {
+		return nil, fmt.Errorf("ingest: begin session: %w", err)
+	}
+	st, err := dir.TenantStatus(ctx, cfg.Tenant)
+	if err != nil {
+		return nil, fmt.Errorf("ingest: tenant %s: %w", cfg.Tenant, err)
+	}
+	s := &Session{
+		cfg:      cfg,
+		dir:      dir,
+		id:       id,
+		part:     part,
+		bufs:     bufPool{bufCap: chunker.MaxChunkSize(cfg.ChunkMethod, cfg.ChunkSize)},
+		window:   make(chan struct{}, cfg.Inflight),
+		headroom: -1,
+	}
+	if st.Info.QuotaBytes > 0 {
+		s.headroom = max(st.Info.QuotaBytes-st.Usage.LiveBytes, 0)
+	}
+	if st.Info.Domain == tenant.DomainIsolated {
+		s.salt, s.salted = tenant.Salt(cfg.Tenant), true
+	}
+	if cfg.Replicate.AtFlush != nil {
+		s.wrote = make(map[string]struct{})
+	}
+	return s, nil
+}
+
+// ID returns the director session of this stream.
+func (s *Session) ID() uint64 { return s.id }
+
+// Stats snapshots the counters. Super-chunk counters are attributed when
+// a route is applied, so after Flush they cover the whole session.
+func (s *Session) Stats() Stats {
+	s.mu.Lock()
+	st := s.st
+	s.mu.Unlock()
+	st.ChunkBufAllocs, st.ChunkBufReuses = s.bufs.allocs.Load(), s.bufs.reuses.Load()
+	return st
+}
+
+// Backup chunks, fingerprints, routes and dedup-stores one named stream.
+// It may return while the item's tail super-chunks are still in flight;
+// a later call or Flush commits the item, or aborts it and returns its
+// error. Whenever Backup itself returns an error, name has not been
+// backed up: the item was aborted, what it had stored released, and the
+// catalog still holds name's previous generation, if any.
+//
+// Canceling ctx stops the chunking pipeline and the window's admission
+// and aborts the item's in-flight calls: Backup returns within about one
+// super-chunk of work. Cancellation after Backup returned does not reach
+// the item's tail.
+func (s *Session) Backup(ctx context.Context, name string, r io.Reader) error {
+	if err := tenant.ValidateBackupName(name); err != nil {
+		return &sderr.BackupError{Name: name, Stage: "chunk", Err: err}
+	}
+	ck, err := chunker.New(s.cfg.ChunkMethod, r, s.cfg.ChunkSize, chunker.WithAllocator(s.bufs.alloc))
+	if err != nil {
+		return fmt.Errorf("ingest: %w", err)
+	}
+	// A trailing item that failed surfaces before this one starts.
+	if err := s.settle(ctx, math.MaxInt); err != nil {
+		return err
+	}
+	it, err := s.begin(ctx, name)
+	if err != nil {
+		return &sderr.BackupError{Name: name, Stage: "route", Err: err}
+	}
+	err = s.feed(it, ck)
+	s.flushObserved()
+	if err == nil {
+		it.done = true
+		// Apply what has completed, but do not wait for the tail.
+		if err = s.settle(ctx, math.MaxInt); err == nil {
+			err = it.err
+		}
+	}
+	s.cur = nil
+	if err != nil {
+		return s.abandon(it, err)
+	}
+	if it.pending == 0 && s.open[0] == it {
+		s.open = s.open[:0]
+		return s.finish(it)
+	}
+	it.detach()
+	return nil
+}
+
+// begin pins an epoch and opens the item.
+func (s *Session) begin(ctx context.Context, name string) (*item, error) {
+	it := &item{name: name, key: tenant.Key(s.cfg.Tenant, name), ctx: ctx, detach: func() {}}
+	if ctx.Done() != nil {
+		ictx, cancel := context.WithCancel(context.WithoutCancel(ctx))
+		stop := context.AfterFunc(ctx, cancel)
+		it.ctx, it.detach = ictx, func() { stop() }
+	}
+	epoch, err := s.cfg.Pin(it.ctx)
+	if err != nil {
+		it.detach()
+		return nil, err
+	}
+	it.epoch = epoch
+	s.open = append(s.open, it)
+	s.cur = it
+	s.mu.Lock()
+	s.st.Files++
+	s.mu.Unlock()
+	return it, nil
+}
+
+// feed runs the item's stream through chunker → fingerprint →
+// partitioner, handing completed super-chunks to the window, and cuts the
+// partial super-chunk at the item boundary.
+func (s *Session) feed(it *item, ck chunker.Chunker) error {
+	chunkErr := func(err error) error {
+		return &sderr.BackupError{Name: it.name, Stage: "chunk", Err: err}
+	}
+	// An item that ends inside its first super-chunk — the bulk of a
+	// typical backup tree — is chunked and fingerprinted right here: the
+	// pipeline's goroutines and channels would cost more than they
+	// overlap. On a single-P runtime fingerprinting cannot overlap
+	// chunking at all, so the whole item stays inline (routing stays
+	// concurrent: super-chunks go to the same window). Selected from the
+	// input and the runtime, not from an option; the single-P case was
+	// kept on evidence: ten alternating pairs of GOMAXPROCS=1 bench/run.sh
+	// -workload incremental-ram, ingest_cpu_s_per_gb median 2.47 inline
+	// vs 3.09 piped, 10/10 pairs (CHANGES.md, PR 20).
+	inline := runtime.GOMAXPROCS(0) == 1
+	for {
+		if err := it.ctx.Err(); err != nil {
+			return chunkErr(err)
+		}
+		chunk, err := ck.Next()
+		if err == io.EOF {
+			return s.cut(it)
+		}
+		if err != nil {
+			return chunkErr(err)
+		}
+		cut, err := s.consume(it, s.fingerprint(chunk))
+		if err != nil {
+			return err
+		}
+		if cut && !inline {
+			break
+		}
+	}
+	pc := pipeline.Config{Workers: s.cfg.Workers}.WithDefaults()
+	g := pipeline.NewGroupCtx(it.ctx)
+	raw := pipeline.Produce(g, pc.Depth, func(yield func(chunker.Chunk) bool) error {
+		for {
+			chunk, err := ck.Next()
+			if err == io.EOF {
+				return nil
+			}
+			if err != nil {
+				return chunkErr(err)
+			}
+			if !yield(chunk) {
+				return nil
+			}
+		}
+	})
+	refs := pipeline.Map(g, raw, pc.Workers, pc.Depth,
+		func(ch chunker.Chunk) (core.ChunkRef, error) { return s.fingerprint(ch), nil })
+	for ref := range refs {
+		if _, err := s.consume(it, ref); err != nil {
+			g.Fail(err)
+			break
+		}
+	}
+	if err := g.Wait(); err != nil {
+		if err == it.ctx.Err() {
+			err = chunkErr(err)
+		}
+		return err
+	}
+	return s.cut(it)
+}
+
+// fingerprint hashes one chunk, folding in the tenant's domain salt
+// right after hashing so every downstream consumer — similarity index,
+// chunk index, handprints, recipes, restores — sees only the salted
+// value. Safe for concurrent use.
+func (s *Session) fingerprint(ch chunker.Chunk) core.ChunkRef {
+	fp := s.cfg.Algorithm.Sum(ch.Data)
+	if s.salted {
+		for i := range fp {
+			fp[i] ^= s.salt[i%len(s.salt)]
+		}
+	}
+	ref := core.ChunkRef{FP: fp, Size: ch.Len(), Data: ch.Data}
+	if !s.cfg.KeepPayloads {
+		ref.Data = nil
+		s.bufs.release(ch.Data)
+	}
+	return ref
+}
+
+// consume feeds one fingerprinted chunk to the partitioner, on the
+// driving goroutine: super-chunk boundaries depend on stream order. It
+// reports whether the chunk completed a super-chunk. The soft quota
+// check lives here: once the session's logical bytes exceed the headroom
+// captured at admission the stream fails with the typed quota error,
+// long before the director's hard check at the recipe swap would refuse
+// the whole backup.
+func (s *Session) consume(it *item, ref core.ChunkRef) (bool, error) {
+	s.mu.Lock()
+	s.st.LogicalBytes += int64(ref.Size)
+	logical := s.st.LogicalBytes
+	s.mu.Unlock()
+	if s.cfg.Observe != nil {
+		s.observed = append(s.observed, core.ChunkRef{FP: ref.FP, Size: ref.Size})
+		if len(s.observed) >= observeBatch {
+			s.flushObserved()
+		}
+	}
+	if s.headroom >= 0 && logical > s.headroom {
+		return false, &sderr.BackupError{Name: it.name, Stage: "quota", Err: fmt.Errorf(
+			"tenant %s: session bytes %d exceed quota headroom %d: %w",
+			s.cfg.Tenant, logical, s.headroom, sderr.ErrQuotaExceeded)}
+	}
+	if sc := s.part.AddRef(ref); sc != nil {
+		return true, s.enqueue(it, sc)
+	}
+	return false, nil
+}
+
+func (s *Session) flushObserved() {
+	if len(s.observed) > 0 {
+		s.cfg.Observe(s.observed)
+		s.observed = s.observed[:0]
+	}
+}
+
+// cut routes the partial super-chunk at the item boundary.
+func (s *Session) cut(it *item) error {
+	if sc := s.part.Flush(); sc != nil {
+		return s.enqueue(it, sc)
+	}
+	return nil
+}
+
+// enqueue hands one super-chunk to the route/query/store stage: up to
+// Inflight run at once, and results are applied in stream order as they
+// complete.
+func (s *Session) enqueue(it *item, sc *core.SuperChunk) error {
+	s.buffered += sc.Size()
+	s.mu.Lock()
+	s.st.PeakBufferedBytes = max(s.st.PeakBufferedBytes, s.buffered)
+	s.mu.Unlock()
+	// Bound the queue of completed-but-unapplied results (each pins its
+	// super-chunk's payloads) to twice the window. Applying them may
+	// reveal that one of this item's earlier super-chunks failed.
+	err := s.settle(it.ctx, 2*s.cfg.Inflight-1)
+	if err == nil {
+		err = it.err
+	}
+	if err == nil {
+		select {
+		case s.window <- struct{}{}:
+		case <-it.ctx.Done():
+			err = it.ctx.Err()
+		}
+	}
+	if err != nil {
+		s.recycle(sc) // never entered the window
+		if err == it.ctx.Err() {
+			err = &sderr.BackupError{Name: it.name, Stage: "route", Err: err}
+		}
+		return err
+	}
+	slot := make(chan routed, 1)
+	it.pending++
+	s.order = append(s.order, slot)
+	go func() {
+		defer func() { <-s.window }()
+		slot <- s.route(it, sc)
+	}()
+	return nil
+}
+
+// route runs one super-chunk through the scheduler, the router and, per
+// assignment, the batched duplicate query and the store of what the
+// target lacks. It runs concurrently for several super-chunks and touches
+// only the transports, never session state. A query that races the
+// in-flight store of a neighboring super-chunk can miss a brand-new
+// duplicate — that costs bandwidth (the node re-checks on arrival),
+// never correctness.
+func (s *Session) route(it *item, sc *core.SuperChunk) routed {
+	res := routed{it: it, sc: sc, entries: make([]director.ChunkEntry, len(sc.Chunks))}
+	for i, ch := range sc.Chunks {
+		res.entries[i] = director.ChunkEntry{FP: ch.FP, Size: int32(ch.Size), Node: -1, Replica: -1}
+	}
+	fail := func(stage string, err error) routed {
+		res.err = &sderr.BackupError{Name: it.name, Stage: stage, Err: err}
+		return res
+	}
+	if s.cfg.Scheduler != nil {
+		release, err := s.cfg.Scheduler.Acquire(it.ctx, s.cfg.Tenant, sc.Size())
+		if err != nil {
+			return fail("route", err)
+		}
+		defer release()
+	}
+	view := it.epoch.View()
+	res.dec = s.cfg.Router.Route(sc, view)
+	if v, ok := view.(interface{ Err() error }); ok && v.Err() != nil {
+		return fail("route", v.Err())
+	}
+	for _, a := range res.dec.Assignments {
+		// target is what this assignment sends; at[i] is the super-chunk
+		// position of its i-th chunk.
+		target, at := sc, a.Chunks
+		if at != nil {
+			target = &core.SuperChunk{Chunks: make([]core.ChunkRef, len(at))}
+			for i, pos := range at {
+				target.Chunks[i] = sc.Chunks[pos]
+			}
+		}
+		nd, ok := it.epoch.Node(a.Node)
+		if !ok {
+			return fail("query", fmt.Errorf("node %d is not in the cluster: %w", a.Node, sderr.ErrNotFound))
+		}
+		// Batched fingerprint query: learn which chunks are duplicates so
+		// their payloads never cross the network.
+		dup, err := nd.Query(it.ctx, target)
+		if err != nil {
+			return fail("query", fmt.Errorf("node %d: %w", a.Node, err))
+		}
+		send := &core.SuperChunk{Chunks: make([]core.ChunkRef, len(target.Chunks))}
+		for i, ch := range target.Chunks {
+			send.Chunks[i] = core.ChunkRef{FP: ch.FP, Size: ch.Size}
+			if i >= len(dup) || !dup[i] {
+				send.Chunks[i].Data = ch.Data
+				res.unique += int64(ch.Size)
+			}
+		}
+		if err := nd.Store(it.ctx, s.cfg.Name, send, s.cfg.KeepPayloads); err != nil {
+			return fail("store", fmt.Errorf("node %d: %w", a.Node, err))
+		}
+		for i := range target.Chunks {
+			pos := i
+			if at != nil {
+				pos = at[i]
+			}
+			res.entries[pos].Node = int32(a.Node)
+		}
+		// Only a whole-super-chunk assignment is a run of the recipe.
+		if s.cfg.Replicate.Run != nil && at == nil && len(sc.Chunks) > 0 {
+			if err := s.cfg.Replicate.Run(it.ctx, view.Membership(), it.key, sc, res.entries); err != nil {
+				return fail("store", err)
+			}
+		}
+	}
+	return res
+}
+
+// recycle takes a super-chunk out of the buffered count and returns its
+// payload buffers to the pool. By now nothing references them: the node
+// copied what it stored, and the RPC layer finished with them before the
+// store returned.
+func (s *Session) recycle(sc *core.SuperChunk) {
+	s.buffered -= sc.Size()
+	s.release(sc)
+}
+
+func (s *Session) release(sc *core.SuperChunk) {
+	for i := range sc.Chunks {
+		if d := sc.Chunks[i].Data; d != nil {
+			sc.Chunks[i].Data = nil
+			s.bufs.release(d)
+		}
+	}
+}
+
+// apply folds one route result into its item and the counters.
+func (s *Session) apply(res routed) {
+	s.recycle(res.sc)
+	it := res.it
+	it.pending--
+	it.entries = append(it.entries, res.entries...)
+	if res.err != nil {
+		it.fail(res.err)
+		return
+	}
+	s.mu.Lock()
+	s.st.SuperChunks++
+	s.st.TransferredBytes += res.unique
+	s.st.PreRoutingMsgs += res.dec.PreRoutingMsgs
+	s.st.BidsSent += res.dec.BidsSent
+	s.st.SummaryChecks += res.dec.SummaryChecks
+	s.st.SummaryHits += res.dec.SummaryHits
+	s.st.SummaryFalsePos += res.dec.SummaryFalsePos
+	// After-routing: the batched query carries one lookup per chunk to
+	// its target.
+	s.st.AfterRoutingMsgs += int64(len(res.sc.Chunks))
+	s.mu.Unlock()
+}
+
+// settle applies queued route results in stream order — blocking (under
+// ctx) while more than max remain queued, then taking whatever else has
+// completed — and finishes, oldest first, every item this completes
+// except the one a running Backup is feeding. It returns the first error
+// of an item it finished.
+func (s *Session) settle(ctx context.Context, max int) error {
+	for len(s.order) > 0 {
+		var res routed
+		select {
+		case res = <-s.order[0]:
+		default:
+			if len(s.order) <= max {
+				return s.finishReady()
+			}
+			select {
+			case res = <-s.order[0]:
+			case <-ctx.Done():
+				return ctx.Err()
+			}
+		}
+		s.order = s.order[1:]
+		s.apply(res)
+	}
+	return s.finishReady()
+}
+
+func (s *Session) finishReady() (err error) {
+	for len(s.open) > 0 {
+		it := s.open[0]
+		if it == s.cur || !it.done || it.pending > 0 {
+			break
+		}
+		s.open = s.open[1:]
+		if ferr := s.finish(it); err == nil {
+			err = ferr
+		}
+	}
+	return err
+}
+
+// finish commits an item whose super-chunks are all applied, or aborts
+// it if one of them (or the commit) failed, and drops its epoch pin —
+// only now: a membership change waiting out the pin finds everything the
+// item stored in the catalog it drains, or released.
+func (s *Session) finish(it *item) error {
+	defer it.epoch.Release()
+	defer it.detach()
+	if it.err == nil {
+		// Only a completed backup takes the name. The director swaps the
+		// recipe in and hands the superseded generation back in one
+		// critical section (hard quota check included), so a concurrent
+		// Delete or re-backup of the name serializes before or after, never
+		// between. Put-new first, release-old second: a failure in between
+		// strands references, never frees a chunk the new recipe needs.
+		prev, err := s.dir.SwapRecipe(it.ctx, s.id, it.key, it.entries)
+		if err == nil {
+			if s.wrote != nil {
+				s.wrote[it.key] = struct{}{}
+			}
+			if err := migrate.Release(it.ctx, it.epoch.Node, prev.Chunks); err != nil {
+				return fmt.Errorf("ingest: supersede %s: %w", it.name, err)
+			}
+			return nil
+		}
+		it.err = &sderr.BackupError{Name: it.name, Stage: "finalize", Err: err}
+	}
+	// Abort: release what the item stored — even when a canceled ctx is
+	// why it failed — leaving the cluster as before the attempt. A failed
+	// release strands references, which the caller must hear about.
+	if err := migrate.Release(context.WithoutCancel(it.ctx), it.epoch.Node, it.entries); err != nil {
+		return fmt.Errorf("%w (cleanup failed: %v)", it.err, err)
+	}
+	return it.err
+}
+
+// abandon fails the item the running Backup was feeding: its buffered
+// chunks are dropped, its own in-flight super-chunks — the tail of the
+// queue — are drained without waiting on earlier items', and it aborts.
+func (s *Session) abandon(it *item, cause error) error {
+	it.fail(cause)
+	if sc := s.part.Flush(); sc != nil {
+		s.release(sc) // never counted as buffered
+	}
+	tail := len(s.order) - it.pending
+	for _, slot := range s.order[tail:] {
+		s.apply(<-slot)
+	}
+	s.order = s.order[:tail]
+	s.open = s.open[:len(s.open)-1]
+	return s.finish(it)
+}
+
+// Flush settles every item, seals the nodes' open containers, runs the
+// flush-time replication pass, reports the transferred bytes to the
+// tenant's accounting and ends the director session. The session stays
+// usable; a later Flush ends it again.
+func (s *Session) Flush(ctx context.Context) error {
+	if err := s.settle(ctx, 0); err != nil {
+		return err
+	}
+	epoch, err := s.cfg.Pin(ctx)
+	if err != nil {
+		return err
+	}
+	defer epoch.Release()
+	for _, id := range epoch.View().Membership().Nodes {
+		nd, ok := epoch.Node(id)
+		if !ok {
+			return fmt.Errorf("ingest: flush: node %d is not in the cluster: %w", id, sderr.ErrNotFound)
+		}
+		if err := nd.Flush(ctx); err != nil {
+			return fmt.Errorf("ingest: flush node %d: %w", id, err)
+		}
+	}
+	// The replica of a chunk never becomes durable before the chunk.
+	if len(s.wrote) > 0 {
+		if err := s.cfg.Replicate.AtFlush(ctx, s.wrote); err != nil {
+			return err
+		}
+	}
+	if d := s.Stats().TransferredBytes - s.reported; d != 0 {
+		if err := s.dir.AccountTransfer(ctx, s.cfg.Tenant, d, 0); err != nil {
+			return fmt.Errorf("ingest: account transfer: %w", err)
+		}
+		s.reported += d
+	}
+	return s.dir.EndSession(ctx, s.id)
+}
+
+// Close settles what is still in flight — items whose super-chunks all
+// arrived commit, the rest abort — and drops every pin. Call Flush first
+// to complete a backup. A deployment whose transports can wedge closes
+// them before calling Close: that fails the pending calls, so the wait
+// here is prompt.
+func (s *Session) Close() {
+	_ = s.settle(context.Background(), 0)
+}

@@ -8,28 +8,37 @@ import (
 	"sigmadedupe/internal/core"
 	"sigmadedupe/internal/director"
 	"sigmadedupe/internal/fingerprint"
+	"sigmadedupe/internal/router"
 	"sigmadedupe/internal/rpc"
 	"sigmadedupe/internal/sderr"
 	"sigmadedupe/internal/store"
 )
 
 // Node is the transport to one deduplication node — the one interface
-// the migration engine and the restore/delete/reclaim verbs (restore.go,
-// reclaim.go) reach a node through, with the signatures *rpc.Client
-// already has; Local is the in-process implementation. Bid answers a
-// handprint with the node's similarity match count and its storage
-// usage; an empty handprint is the plain usage probe.
+// the ingest session (package ingest), the migration engine and the
+// restore/delete/reclaim verbs (restore.go, reclaim.go) reach a node
+// through, with the signatures *rpc.Client already has; Local is the
+// in-process implementation. Bid answers a handprint with the node's
+// similarity match count and its storage usage; an empty handprint is
+// the plain usage probe.
 type Node interface {
 	Bid(ctx context.Context, hp core.Handprint) (count int, usage int64, err error)
+	// Query is the batched duplicate check: per chunk of sc, whether the
+	// node already stores it.
+	Query(ctx context.Context, sc *core.SuperChunk) ([]bool, error)
+	// Store deduplicates and stores a routed (or migrated) super-chunk on
+	// the stream's open container — one reference per occurrence,
+	// similarity-index entries registered; withData says payloads travel
+	// (for the chunks that carry one).
+	Store(ctx context.Context, stream string, sc *core.SuperChunk, withData bool) error
+	// Flush seals the node's open containers.
+	Flush(ctx context.Context) error
 	// ReadBatch returns one payload per fingerprint, in request order, the
 	// node reading each container once; the caller Releases the batch
 	// once the payloads are written out.
 	ReadBatch(ctx context.Context, fps []fingerprint.Fingerprint) (*rpc.ChunkBatch, error)
 	// MigrateRead returns one payload per fingerprint, in order.
 	MigrateRead(ctx context.Context, fps []fingerprint.Fingerprint) ([][]byte, error)
-	// MigrateWrite stores a super-chunk through the dedup path: one
-	// reference per occurrence, similarity-index entries registered.
-	MigrateWrite(ctx context.Context, stream string, sc *core.SuperChunk) error
 	// MigrateCommit makes the stream's writes durable (container sealed,
 	// manifest fsynced).
 	MigrateCommit(ctx context.Context, stream string) error
@@ -178,7 +187,7 @@ func (e *Engine) moveSegment(ctx context.Context, r director.Recipe, seg segment
 		sc.Chunks[i] = core.ChunkRef{FP: en.FP, Size: int(en.Size), Data: datas[i]}
 		bytes += int64(en.Size)
 	}
-	if err := dst.MigrateWrite(ctx, Stream, sc); err != nil {
+	if err := dst.Store(ctx, Stream, sc, true); err != nil {
 		return fail("write", to, err)
 	}
 	if err := e.faultAt(StageStored, r.Path); err != nil {
@@ -328,29 +337,21 @@ func (e *Engine) drainRecipe(ctx context.Context, r director.Recipe, from int, m
 	}
 }
 
-// pickTarget selects a migration target for one segment: similarity
-// bids among the segment's epoch candidates (excluding the source),
-// least-loaded fallback — Algorithm 1 restricted to the survivors.
+// pickTarget selects a migration target for one segment: Algorithm 1
+// over the survivors — the segment routed as a super-chunk by the Sigma
+// router (seed: its first fingerprint), bids going out through the node
+// transport, the source never a candidate.
 func (e *Engine) pickTarget(ctx context.Context, entries []director.ChunkEntry, from int, members core.Membership) (int, error) {
-	fps := entryFPs(entries)
-	hp := core.NewHandprint(fps, e.k())
-	survivors := members.Without(from)
-	cands := survivors.Candidates(hp, fps[0].Uint64())
-	if len(cands) == 0 {
-		cands = survivors.Nodes
+	sc := &core.SuperChunk{Chunks: make([]core.ChunkRef, len(entries))}
+	for i, en := range entries {
+		sc.Chunks[i] = core.ChunkRef{FP: en.FP, Size: int(en.Size)}
 	}
-	counts := make([]int, len(cands))
-	usage := make([]int64, len(cands))
-	for i, cand := range cands {
-		nd, err := e.node(cand)
-		if err != nil {
-			return 0, err
-		}
-		if counts[i], usage[i], err = nd.Bid(ctx, hp); err != nil {
-			return 0, fmt.Errorf("migrate: bid node %d: %w", cand, err)
-		}
+	v := NewView(ctx, members.Without(from), e.Nodes)
+	d := (&router.SigmaRouter{K: e.k()}).Route(sc, v)
+	if err := v.Err(); err != nil {
+		return 0, fmt.Errorf("migrate: %w", err)
 	}
-	return core.SelectTarget(cands, counts, usage).Node, nil
+	return d.Assignments[0].Node, nil
 }
 
 // Rebalance migrates segments from members above the cluster's mean

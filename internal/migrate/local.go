@@ -21,6 +21,17 @@ func (l local) Bid(_ context.Context, hp core.Handprint) (int, int64, error) {
 	return l.n.CountHandprintMatches(hp), l.n.StorageUsage(), nil
 }
 
+func (l local) Query(_ context.Context, sc *core.SuperChunk) ([]bool, error) {
+	return l.n.QuerySuperChunk(sc), nil
+}
+
+func (l local) Store(_ context.Context, stream string, sc *core.SuperChunk, _ bool) error {
+	_, err := l.n.StoreSuperChunk(stream, sc)
+	return err
+}
+
+func (l local) Flush(context.Context) error { return l.n.Flush() }
+
 // ReadBatch scatters the node's container-read-order results back to
 // request order. The payloads alias node memory, not a pooled frame, so
 // the batch's Release is a no-op.
@@ -47,11 +58,6 @@ func (l local) MigrateRead(_ context.Context, fps []fingerprint.Fingerprint) ([]
 		out[i] = data
 	}
 	return out, nil
-}
-
-func (l local) MigrateWrite(_ context.Context, stream string, sc *core.SuperChunk) error {
-	_, err := l.n.StoreSuperChunk(stream, sc)
-	return err
 }
 
 func (l local) MigrateCommit(_ context.Context, stream string) error {

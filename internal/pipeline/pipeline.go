@@ -15,9 +15,8 @@
 //     delivers results strictly in input order — exactly what chunk
 //     fingerprinting needs, since super-chunk partitioning and file
 //     recipes depend on stream order.
-//   - Window: a bounded set of in-flight asynchronous calls. The client
-//     keeps up to InflightSuperChunks Store RPCs outstanding so
-//     fingerprinting of super-chunk n+1 overlaps the transfer of n.
+//   - Produce: a generator feeding a bounded channel, stopped by the
+//     group's cancellation.
 //
 // All stage channels are bounded, so an arbitrarily large input stream is
 // processed with memory proportional to Workers + window sizes, never to
@@ -34,8 +33,7 @@ import (
 // per available CPU.
 func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
 
-// Config carries the ingest-pipeline concurrency knobs shared by the
-// client and the facade.
+// Config carries the concurrency knobs of the fingerprint stage.
 type Config struct {
 	// Workers is the fingerprint worker-pool size (default GOMAXPROCS).
 	Workers int
@@ -249,69 +247,4 @@ func Produce[T any](g *Group, depth int, gen func(yield func(T) bool) error) <-c
 		})
 	})
 	return ch
-}
-
-// Window bounds a set of in-flight asynchronous calls. Submit blocks
-// while the window is full, so at most n calls run concurrently; errors
-// are sticky — after any call fails, Submit and Wait return that first
-// error and new work is refused. The zero value is not usable; call
-// NewWindow.
-type Window struct {
-	sem chan struct{}
-	wg  sync.WaitGroup
-
-	mu  sync.Mutex
-	err error
-}
-
-// NewWindow returns a window admitting up to n concurrent calls
-// (minimum 1).
-func NewWindow(n int) *Window {
-	if n < 1 {
-		n = 1
-	}
-	return &Window{sem: make(chan struct{}, n)}
-}
-
-// Submit runs fn asynchronously once a window slot is free. It returns
-// immediately after acquiring the slot; the returned error is the sticky
-// first error of previously completed calls (in which case fn does not
-// run). A canceled ctx unblocks the slot wait and is returned without
-// running fn — this is the backpressure point where a caller's
-// cancellation stops admitting new work while the window is full.
-func (w *Window) Submit(ctx context.Context, fn func() error) error {
-	select {
-	case w.sem <- struct{}{}:
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-	w.mu.Lock()
-	err := w.err
-	w.mu.Unlock()
-	if err != nil {
-		<-w.sem
-		return err
-	}
-	w.wg.Add(1)
-	go func() {
-		defer w.wg.Done()
-		defer func() { <-w.sem }()
-		if err := fn(); err != nil {
-			w.mu.Lock()
-			if w.err == nil {
-				w.err = err
-			}
-			w.mu.Unlock()
-		}
-	}()
-	return nil
-}
-
-// Wait blocks for all in-flight calls and returns the sticky first error.
-// The window stays usable after Wait (errors remain sticky).
-func (w *Window) Wait() error {
-	w.wg.Wait()
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.err
 }

@@ -40,29 +40,6 @@ func TestGroupCtxCleanCompletion(t *testing.T) {
 	}
 }
 
-// TestWindowSubmitCtxCanceledWhileFull: a Submit blocked on a full
-// window must unblock with ctx.Err() when the context is canceled.
-func TestWindowSubmitCtxCanceledWhileFull(t *testing.T) {
-	w := NewWindow(1)
-	release := make(chan struct{})
-	if err := w.Submit(context.Background(), func() error { <-release; return nil }); err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(10 * time.Millisecond)
-		cancel()
-	}()
-	err := w.Submit(ctx, func() error { return nil })
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("Submit on full window = %v, want context.Canceled", err)
-	}
-	close(release)
-	if err := w.Wait(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestMapPreservesOrder(t *testing.T) {
 	g := NewGroup()
 	in := Produce(g, 8, func(yield func(int) bool) error {
@@ -192,60 +169,6 @@ func TestMapBoundedConcurrency(t *testing.T) {
 	if p := peak.Load(); p > 3 {
 		t.Fatalf("peak concurrency %d exceeds 3 workers", p)
 	}
-}
-
-func TestWindowLimitsInflight(t *testing.T) {
-	w := NewWindow(2)
-	var cur, peak atomic.Int64
-	for i := 0; i < 50; i++ {
-		err := w.Submit(context.Background(), func() error {
-			c := cur.Add(1)
-			for {
-				p := peak.Load()
-				if c <= p || peak.CompareAndSwap(p, c) {
-					break
-				}
-			}
-			time.Sleep(100 * time.Microsecond)
-			cur.Add(-1)
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if p := peak.Load(); p > 2 {
-		t.Fatalf("peak in-flight %d exceeds window 2", p)
-	}
-}
-
-func TestWindowStickyError(t *testing.T) {
-	w := NewWindow(1)
-	boom := errors.New("store failed")
-	if err := w.Submit(context.Background(), func() error { return boom }); err != nil {
-		t.Fatalf("first submit failed early: %v", err)
-	}
-	// The failure surfaces on a later Submit or on Wait; later calls are
-	// refused.
-	var ran atomic.Bool
-	for i := 0; i < 10; i++ {
-		if err := w.Submit(context.Background(), func() error { ran.Store(true); return nil }); err != nil {
-			if !errors.Is(err, boom) {
-				t.Fatalf("submit error = %v, want sticky boom", err)
-			}
-			break
-		}
-	}
-	if err := w.Wait(); !errors.Is(err, boom) {
-		t.Fatalf("Wait = %v, want boom", err)
-	}
-	if err := w.Wait(); !errors.Is(err, boom) {
-		t.Fatal("error must stay sticky across Wait calls")
-	}
-	_ = ran.Load() // calls admitted before the failure was recorded may run
 }
 
 func TestGroupFirstErrorWins(t *testing.T) {

@@ -482,14 +482,6 @@ func (c *Client) MigrateRead(ctx context.Context, fps []fingerprint.Fingerprint)
 	return out, nil
 }
 
-// MigrateWrite delivers one migrated super-chunk (payloads included) to
-// the target node, which stores it through the normal dedup path —
-// references taken, similarity-index entries registered.
-func (c *Client) MigrateWrite(ctx context.Context, stream string, sc *core.SuperChunk) error {
-	_, err := c.Call(ctx, Request{Op: OpMigrateWrite, Stream: stream, Chunks: superChunkToWire(sc, true)})
-	return err
-}
-
 // MigrateCommit makes the migration stream's writes durable on the
 // node (its container sealed, manifest fsynced): the target-side
 // commit that must land before the recipe repoints at the node.

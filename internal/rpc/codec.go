@@ -33,7 +33,7 @@ const vectoredMin = 64 << 10
 // beyond the ID, making it safe to acknowledge via a batched-ack frame.
 func ackEligible(op Op) bool {
 	switch op {
-	case OpStore, OpStoreRefs, OpDecRef, OpFlush, OpMigrateWrite, OpMigrateCommit:
+	case OpStore, OpStoreRefs, OpDecRef, OpFlush, OpMigrateCommit:
 		return true
 	}
 	return false

@@ -52,11 +52,9 @@ const (
 	// OpMigrateRead streams a batch of chunk payloads off a migration
 	// source node (container contents, fingerprint-addressed).
 	OpMigrateRead
-	// OpMigrateWrite delivers a migrated super-chunk to its target node:
-	// the chunks are stored through the normal dedup path, taking one
-	// reference per occurrence and registering the segment's
-	// representative fingerprints in the target's similarity index.
-	OpMigrateWrite
+	// Op 13 was the migration write verb; a migrated super-chunk is stored
+	// with OpStore, which it duplicated. Reserved like op 5.
+	_
 	// OpMigrateCommit makes everything a migration wrote to the node
 	// durable (containers sealed, manifest fsynced) — the target-side
 	// commit that must land before the recipe may be repointed.

@@ -394,12 +394,6 @@ func (s *Server) handle(ctx context.Context, req Request) Response {
 			resp.Idx[i] = uint32(idxs[i])
 		}
 
-	case OpMigrateWrite:
-		sc := wireToSuperChunk(req.Chunks)
-		if _, err := s.node.StoreSuperChunk(req.Stream, sc); err != nil {
-			resp.Err = sderr.Encode(err)
-		}
-
 	case OpFlush:
 		if err := s.node.Flush(); err != nil {
 			resp.Err = sderr.Encode(err)

@@ -5,14 +5,15 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sort"
 	"sync"
 
-	"sigmadedupe/internal/client"
 	"sigmadedupe/internal/core"
 	"sigmadedupe/internal/director"
+	"sigmadedupe/internal/ingest"
 	"sigmadedupe/internal/metrics"
 	"sigmadedupe/internal/migrate"
-	"sigmadedupe/internal/pipeline"
+	"sigmadedupe/internal/router"
 	"sigmadedupe/internal/rpc"
 	"sigmadedupe/internal/tenant"
 )
@@ -101,9 +102,8 @@ type Remote struct {
 	// in-memory work, never across a dial or a director round trip.
 	memberOp sync.Mutex
 
-	mu       sync.Mutex
-	def      *client.Client // lazy default-stream client
-	defEpoch uint64         // epoch def was dialed against
+	mu  sync.Mutex
+	def *stream // lazy default stream
 
 	migrateFault migrate.Fault
 }
@@ -147,7 +147,7 @@ func NewRemote(ctx context.Context, cfg RemoteConfig) (*Remote, error) {
 	r.live = r.liveNodes
 	r.ahead = cfg.InflightSuperChunks
 	if r.ahead <= 0 {
-		r.ahead = client.DefaultInflightSuperChunks
+		r.ahead = ingest.DefaultInflight
 	}
 	if cfg.IngestCapacityBytes > 0 {
 		r.sched = tenant.NewScheduler(cfg.IngestCapacityBytes, r.tenantWeight)
@@ -306,42 +306,136 @@ func (r *Remote) primeWeight(ctx context.Context, name string) {
 	}
 }
 
-// newClient dials one backup-stream client against the current
-// membership epoch. The client pins that epoch for its whole life —
-// sessions opened before a membership change keep their node set.
-func (r *Remote) newClient(ctx context.Context, cfg sessionConfig) (*client.Client, uint64, error) {
-	epoch, nodes := r.reg.snapshot()
-	addrs := make([]client.NodeAddr, len(nodes))
-	for i, n := range nodes {
-		addrs[i] = client.NodeAddr{ID: n.id, Addr: n.addr}
-	}
-	r.primeWeight(ctx, cfg.tenant)
-	c, err := client.New(ctx, client.Config{
-		Name:                cfg.name,
-		ChunkMethod:         cfg.chunk.Method.internal(),
-		ChunkSize:           cfg.chunk.Size,
-		SuperChunkSize:      cfg.superChunkSize,
-		HandprintK:          cfg.handprintK,
-		Pipeline:            pipeline.Config{Workers: cfg.workers},
-		InflightSuperChunks: cfg.inflight,
-		Algorithm:           r.cfg.Fingerprint.internal(),
-		Epoch:               epoch,
-		Replicas:            r.cfg.Replicas,
-		Tenant:              cfg.tenant,
-		Scheduler:           r.sched,
-	}, r.meta, addrs)
-	return c, epoch, err
+// stream is one ingest session of the Remote and the connections it
+// dialed: one per node of the membership epoch current when it opened,
+// which it routes within for life — node adds and removals become
+// visible to new sessions, never to this one.
+type stream struct {
+	*ingest.Session
+	epoch uint64
+	conns []*rpc.Client
 }
 
-// defaultClient returns (dialing lazily) the client behind the one-shot
-// verbs. A default client pinned to a superseded epoch is retired first
+// close releases the stream. Connections close before the session
+// settles its in-flight super-chunks, so a wedged server cannot hang it:
+// closing the transport fails the pending calls.
+func (st *stream) close() error {
+	var first error
+	for _, conn := range st.conns {
+		if err := conn.Close(); first == nil {
+			first = err
+		}
+	}
+	if st.Session != nil {
+		st.Session.Close()
+	}
+	return first
+}
+
+// newStream dials the current membership epoch and opens an ingest
+// session over those connections and the director, with the prototype's
+// seams: the epoch is the one dialed (bids travel as Bid calls, usage
+// comes back on the reply), and R=2 replicates at Flush under the
+// director's journaled transactions.
+func (r *Remote) newStream(ctx context.Context, cfg sessionConfig) (*stream, error) {
+	epoch, nodes := r.reg.snapshot()
+	st := &stream{epoch: epoch}
+	byID := make(map[int]*rpc.Client, len(nodes))
+	ids := make([]int, len(nodes))
+	for i, n := range nodes {
+		conn, err := rpc.DialContext(ctx, n.addr)
+		if err != nil {
+			st.close()
+			return nil, fmt.Errorf("sigmadedupe: node %d: %w", n.id, err)
+		}
+		st.conns = append(st.conns, conn)
+		byID[n.id], ids[i] = conn, n.id
+	}
+	members := core.NewMembership(epoch, ids)
+	dialed := func(id int) (migrate.Node, bool) {
+		conn, ok := byID[id]
+		return conn, ok
+	}
+	r.primeWeight(ctx, cfg.tenant)
+	rt, err := router.New(router.Sigma, cfg.handprintK, 0)
+	if err != nil {
+		st.close()
+		return nil, err
+	}
+	icfg := cfg.ingest(r.cfg.Fingerprint.internal())
+	icfg.Router = rt
+	icfg.Scheduler = r.sched
+	icfg.KeepPayloads = true
+	icfg.Pin = func(ctx context.Context) (ingest.Epoch, error) {
+		// A generation this session supersedes may have been rebalanced onto
+		// a node that joined since it dialed — "not in my epoch" is not "left
+		// the cluster" — so releases also reach the current members.
+		_, live, err := r.liveNodes(ctx)
+		if err != nil {
+			return ingest.Epoch{}, err
+		}
+		return ingest.Epoch{
+			View: func() router.View { return migrate.NewView(ctx, members, dialed) },
+			Node: func(id int) (migrate.Node, bool) {
+				if nd, ok := dialed(id); ok {
+					return nd, true
+				}
+				return live(id)
+			},
+			Release: func() {},
+		}, nil
+	}
+	if r.cfg.Replicas >= 2 {
+		icfg.Replicate.AtFlush = func(ctx context.Context, wrote map[string]struct{}) error {
+			return r.replicateSession(ctx, wrote, members, dialed, cfg.handprintK)
+		}
+	}
+	if st.Session, err = ingest.New(ctx, icfg, r.meta); err != nil {
+		st.close()
+		return nil, err
+	}
+	return st, nil
+}
+
+// replicateSession is the Flush-time replication pass of one stream:
+// every recipe it committed since the last pass is mirrored onto the
+// rendezvous replica owners of its super-chunk runs, one journaled
+// transaction per run (see migrate.Engine.ReplicateRecipe), now that the
+// primaries' containers are sealed.
+func (r *Remote) replicateSession(ctx context.Context, wrote map[string]struct{}, members core.Membership,
+	nodes func(int) (migrate.Node, bool), handprintK int) error {
+	eng := &migrate.Engine{Catalog: r.clusterMeta, Nodes: nodes, HandprintK: handprintK}
+	paths := make([]string, 0, len(wrote))
+	for p := range wrote {
+		paths = append(paths, p)
+	}
+	sort.Strings(paths)
+	for _, p := range paths {
+		rec, err := r.meta.GetRecipe(ctx, p)
+		if err != nil {
+			if errors.Is(err, director.ErrNoRecipe) {
+				delete(wrote, p) // deleted since; nothing to replicate
+				continue
+			}
+			return fmt.Errorf("sigmadedupe: replicate %s: %w", p, err)
+		}
+		if _, err := eng.ReplicateRecipe(ctx, rec, members); err != nil {
+			return fmt.Errorf("sigmadedupe: replicate %s: %w", p, err)
+		}
+		delete(wrote, p)
+	}
+	return nil
+}
+
+// defaultStream returns (dialing lazily) the stream behind the one-shot
+// verbs. A default stream pinned to a superseded epoch is retired first
 // — flushed, closed, and re-dialed against the current member set — so
 // one-shot verbs always see the membership the last change committed.
-func (r *Remote) defaultClient(ctx context.Context) (*client.Client, error) {
+func (r *Remote) defaultStream(ctx context.Context) (*stream, error) {
 	epoch, _ := r.reg.snapshot()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.def != nil && r.defEpoch == epoch {
+	if r.def != nil && r.def.epoch == epoch {
 		return r.def, nil
 	}
 	if r.def != nil {
@@ -350,7 +444,7 @@ func (r *Remote) defaultClient(ctx context.Context) (*client.Client, error) {
 		if err := r.def.Flush(ctx); err != nil {
 			return nil, err
 		}
-		if err := r.def.Close(); err != nil {
+		if err := r.def.close(); err != nil {
 			return nil, err
 		}
 		r.def = nil
@@ -360,12 +454,12 @@ func (r *Remote) defaultClient(ctx context.Context) (*client.Client, error) {
 		return nil, err
 	}
 	cfg.name = r.cfg.Name
-	c, cEpoch, err := r.newClient(ctx, cfg)
+	st, err := r.newStream(ctx, cfg)
 	if err != nil {
 		return nil, err
 	}
-	r.def, r.defEpoch = c, cEpoch
-	return c, nil
+	r.def = st
+	return st, nil
 }
 
 // NewSession opens an explicit backup stream: its own node connections,
@@ -378,30 +472,28 @@ func (r *Remote) NewSession(ctx context.Context, opts ...SessionOption) (*Sessio
 	if cfg.name == "" {
 		cfg.name = fmt.Sprintf("%s-session", r.cfg.Name)
 	}
-	c, _, err := r.newClient(ctx, cfg)
+	st, err := r.newStream(ctx, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &Session{impl: &remoteSession{c: c}}, nil
+	return &Session{impl: st.Session, close: st.close}, nil
 }
 
 // Backup deduplicates and stores one named stream on the default backup
 // stream, reading r incrementally with peak buffered payload bounded by
 // the in-flight window. Canceling ctx aborts within about one
-// super-chunk of work; the default stream is then failed (recipe
-// attribution cannot survive a dropped super-chunk) and further one-shot
-// backups report the same error.
+// super-chunk of work; the failed backup is released and the default
+// stream stays usable.
 func (r *Remote) Backup(ctx context.Context, name string, rd io.Reader) error {
-	c, err := r.defaultClient(ctx)
+	st, err := r.defaultStream(ctx)
 	if err != nil {
 		return err
 	}
-	return c.BackupFile(ctx, name, rd)
+	return st.Backup(ctx, name, rd)
 }
 
-// Flush completes the default backup stream: the final partial
-// super-chunk routes, in-flight transfers drain, recipes complete and
-// remote containers seal.
+// Flush completes the default backup stream: in-flight transfers drain,
+// backups commit and remote containers seal.
 func (r *Remote) Flush(ctx context.Context) error {
 	r.mu.Lock()
 	c := r.def
@@ -653,7 +745,7 @@ func (r *Remote) KillNode(ctx context.Context, id int) error {
 	// node); the next one-shot verb re-dials against the new epoch.
 	r.mu.Lock()
 	if r.def != nil {
-		_ = r.def.Close()
+		_ = r.def.close()
 		r.def = nil
 	}
 	r.mu.Unlock()
@@ -703,7 +795,7 @@ func (r *Remote) BackupStats() SessionStats {
 	r.mu.Unlock()
 	var st SessionStats
 	if c != nil {
-		st = sessionStatsOf(c)
+		st = toSessionStats(c.Stats())
 	}
 	st.RestoredBytes = r.restoredBytes.Load()
 	st.RestoreRPCs = r.readBatches.Load()
@@ -714,8 +806,9 @@ func (r *Remote) BackupStats() SessionStats {
 	return st
 }
 
-// RPCMessages returns the RPC requests issued by the default stream —
-// the prototype-side Fig. 7 overhead accounting.
+// RPCMessages returns the RPC requests the default stream has issued
+// across its node connections — bids, queries and stores, plus the
+// per-node flush — the prototype-side Fig. 7 overhead accounting.
 func (r *Remote) RPCMessages() int64 {
 	r.mu.Lock()
 	c := r.def
@@ -723,7 +816,11 @@ func (r *Remote) RPCMessages() int64 {
 	if c == nil {
 		return 0
 	}
-	return c.RPCMessages()
+	var n int64
+	for _, conn := range c.conns {
+		n += conn.Calls()
+	}
+	return n
 }
 
 // Close releases the default stream's connections, the registry's
@@ -736,7 +833,7 @@ func (r *Remote) Close() error {
 	r.mu.Unlock()
 	var first error
 	if c != nil {
-		first = c.Close()
+		first = c.close()
 	}
 	r.reg.Lock()
 	for _, n := range r.reg.nodes {
@@ -754,32 +851,4 @@ func (r *Remote) Close() error {
 		}
 	}
 	return first
-}
-
-// remoteSession implements sessionBackend over one client.Client.
-type remoteSession struct {
-	c *client.Client
-}
-
-func (s *remoteSession) backup(ctx context.Context, name string, r io.Reader) error {
-	return s.c.BackupFile(ctx, name, r)
-}
-
-func (s *remoteSession) flush(ctx context.Context) error { return s.c.Flush(ctx) }
-
-func (s *remoteSession) stats() SessionStats { return sessionStatsOf(s.c) }
-
-func (s *remoteSession) close() error { return s.c.Close() }
-
-func sessionStatsOf(c *client.Client) SessionStats {
-	st := c.Stats()
-	return SessionStats{
-		LogicalBytes:      st.LogicalBytes,
-		TransferredBytes:  st.TransferredBytes,
-		SuperChunks:       st.SuperChunks,
-		Files:             st.Files,
-		PeakBufferedBytes: st.PeakBufferedBytes,
-		ChunkBufAllocs:    st.ChunkBufAllocs,
-		ChunkBufReuses:    st.ChunkBufReuses,
-	}
 }

@@ -37,8 +37,10 @@ func TestSimSessionTransferredBytes(t *testing.T) {
 	if s := st.BandwidthSaving(); s < 0.4 || s > 0.6 {
 		t.Fatalf("saving=%.2f, want ~0.5 for one duplicate generation", s)
 	}
-	// Peak buffered stays within the pending super-chunk bound (2x target + one chunk).
-	if st.PeakBufferedBytes > 2*(32<<10)+4096 {
-		t.Fatalf("peak=%d exceeds pending super-chunk bound", st.PeakBufferedBytes)
+	// Peak buffered stays within the window bound — in flight, completed
+	// but unapplied, and the one just cut, each at most 2x the target —
+	// as on the prototype.
+	if bound := int64(2*4+1) * 2 * (32 << 10); st.PeakBufferedBytes <= 0 || st.PeakBufferedBytes > bound {
+		t.Fatalf("peak=%d outside the window bound %d", st.PeakBufferedBytes, bound)
 	}
 }

@@ -28,21 +28,23 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"sigmadedupe/internal/chunker"
-	"sigmadedupe/internal/client"
 	"sigmadedupe/internal/cluster"
 	"sigmadedupe/internal/container"
 	"sigmadedupe/internal/core"
 	"sigmadedupe/internal/director"
 	"sigmadedupe/internal/experiments"
 	"sigmadedupe/internal/fingerprint"
+	"sigmadedupe/internal/ingest"
+	"sigmadedupe/internal/metrics"
 	"sigmadedupe/internal/migrate"
 	"sigmadedupe/internal/node"
 	"sigmadedupe/internal/router"
 	"sigmadedupe/internal/rpc"
-	"sigmadedupe/internal/sderr"
 	"sigmadedupe/internal/store"
 	"sigmadedupe/internal/tenant"
 	"sigmadedupe/internal/workload"
@@ -163,7 +165,25 @@ type Cluster struct {
 	sched *tenant.Scheduler
 
 	// def is the default session backing the one-shot Backup verb.
-	def *clusterSession
+	def *ingest.Session
+
+	// live holds the open sessions and routed the folded counters of the
+	// closed ones: SimStats and Stats sum the sessions' counters.
+	sessMu   sync.Mutex
+	live     map[*ingest.Session]struct{}
+	routed   simCounters
+	sessions atomic.Int64 // names sessions opened without one
+}
+
+// simCounters are the session counters the cluster-wide stats sum.
+type simCounters struct {
+	logicalBytes, superChunks, lookups int64
+}
+
+func (a *simCounters) add(st ingest.Stats) {
+	a.logicalBytes += st.LogicalBytes
+	a.superChunks += st.SuperChunks
+	a.lookups += st.PreRoutingMsgs + st.AfterRoutingMsgs
 }
 
 // NewCluster builds a simulated cluster. Backups fed through Backup or a
@@ -201,12 +221,13 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 			live: func(context.Context) ([]int, func(int) (migrate.Node, bool), error) {
 				return inner.Membership().Nodes, transport, nil
 			},
-			ahead: client.DefaultInflightSuperChunks,
+			ahead: ingest.DefaultInflight,
 		},
 		cfg:       cfg,
 		inner:     inner,
 		exact:     cluster.NewExactTracker(),
 		algorithm: cfg.Fingerprint.internal(),
+		live:      make(map[*ingest.Session]struct{}),
 	}
 	if cfg.Scheme == SchemeExtremeBinning {
 		// EB's bin stores bypass the refcounted chunk index, so an existing
@@ -217,15 +238,12 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.IngestCapacityBytes > 0 {
 		c.sched = tenant.NewScheduler(cfg.IngestCapacityBytes, dir.Registry().Weight)
 	}
-	// The default session is bound to the simulator's default stream for
-	// bit-compatible container attribution with earlier releases.
-	session, err := dir.BeginSession(context.Background(), "client0", tenant.Default)
-	if err != nil {
+	// The default session shares the trace feed's default stream name, so
+	// one-shot backups keep their container attribution.
+	def := c.sessionDefaults()
+	def.name = "client0"
+	if c.def, err = c.openSession(context.Background(), def); err != nil {
 		return nil, err
-	}
-	c.def = &clusterSession{
-		c: c, stream: inner.Default(), cfg: c.sessionDefaults(),
-		tenant: tenant.Default, session: session, headroom: -1,
 	}
 	return c, nil
 }
@@ -233,19 +251,74 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 // sessionDefaults derives the cluster's default session configuration.
 func (c *Cluster) sessionDefaults() sessionConfig {
 	return sessionConfig{
-		chunk: ChunkSpec{Method: ChunkFixed, Size: c.cfg.ChunkSize},
+		chunk:          ChunkSpec{Method: ChunkFixed, Size: c.cfg.ChunkSize},
+		superChunkSize: c.cfg.SuperChunkSize,
 	}
 }
 
-// NewSession opens an explicit backup stream on the simulator: its own
-// super-chunk partitioner (WithSuperChunkSize is honored per stream)
-// and stats, streaming chunk-by-chunk with memory bounded by the
-// pending super-chunk. The compute knobs — WithWorkers,
-// WithInflightSuperChunks — have no effect here: the simulator
-// fingerprints on the calling goroutine and routes each super-chunk
-// synchronously (an in-process store is a memory operation, there is no
-// transfer to overlap). Not supported for SchemeExtremeBinning, whose
-// file-level routing needs whole files.
+// openSession opens an ingest session over the in-process node transport
+// and the cluster's director, with the simulator's three seams: epochs
+// pinned through the grace-period protocol, R=2 replicated in hand per
+// routed run, and every chunk shown to the exact-dedup tracker.
+func (c *Cluster) openSession(ctx context.Context, cfg sessionConfig) (*ingest.Session, error) {
+	icfg := cfg.ingest(c.algorithm)
+	icfg.Router = c.inner.Router()
+	icfg.Scheduler = c.sched
+	icfg.KeepPayloads = c.cfg.KeepPayloads || c.cfg.Dir != ""
+	icfg.Pin = func(context.Context) (ingest.Epoch, error) {
+		view, release := c.inner.Pin()
+		return ingest.Epoch{View: func() router.View { return view }, Node: c.inner.Node, Release: release}, nil
+	}
+	icfg.Observe = c.exact.Add
+	if c.cfg.Replicas >= 2 {
+		icfg.Replicate.Run = c.inner.ReplicateRun
+	}
+	s, err := ingest.New(ctx, icfg, c.inner.Director())
+	if err != nil {
+		return nil, err
+	}
+	c.sessMu.Lock()
+	c.live[s] = struct{}{}
+	c.sessMu.Unlock()
+	return s, nil
+}
+
+// closeSession settles a session and folds its counters into the totals.
+func (c *Cluster) closeSession(s *ingest.Session) error {
+	s.Close()
+	c.sessMu.Lock()
+	defer c.sessMu.Unlock()
+	if _, ok := c.live[s]; ok {
+		delete(c.live, s)
+		c.routed.add(s.Stats())
+	}
+	return nil
+}
+
+// counters sums the sessions' counters, open and closed, with the trace
+// feed's (Extreme Binning's whole-file path).
+func (c *Cluster) counters() simCounters {
+	c.sessMu.Lock()
+	total := c.routed
+	for s := range c.live {
+		total.add(s.Stats())
+	}
+	c.sessMu.Unlock()
+	st := c.inner.Stats()
+	total.logicalBytes += st.LogicalBytes
+	total.superChunks += st.SuperChunks
+	total.lookups += st.TotalMsgs()
+	return total
+}
+
+// NewSession opens an explicit backup stream on the simulator: the same
+// ingest session the prototype runs — its own partitioner
+// (WithSuperChunkSize), fingerprint worker pool (WithWorkers), in-flight
+// super-chunk window (WithInflightSuperChunks) and stats — over the
+// in-process nodes. Tenant admission runs on the director, as on the
+// prototype: an unknown tenant fails with ErrNotFound, one at or over
+// quota with ErrQuotaExceeded. Not supported for SchemeExtremeBinning,
+// whose file-level routing needs whole files.
 func (c *Cluster) NewSession(ctx context.Context, opts ...SessionOption) (*Session, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -257,39 +330,14 @@ func (c *Cluster) NewSession(ctx context.Context, opts ...SessionOption) (*Sessi
 	if err != nil {
 		return nil, err
 	}
-	// Tenant admission runs on the director, as on the prototype: an
-	// unknown tenant fails with ErrNotFound, one at or over quota with
-	// ErrQuotaExceeded — the hard check. The quota headroom and
-	// dedup-domain salt are resolved once, here.
-	tn := cfg.tenant
-	if tn == "" {
-		tn = tenant.Default
+	if cfg.name == "" {
+		cfg.name = fmt.Sprintf("session%d", c.sessions.Add(1))
 	}
-	session, err := c.inner.Director().BeginSession(ctx, cfg.name, tn)
+	s, err := c.openSession(ctx, cfg)
 	if err != nil {
 		return nil, err
 	}
-	st, err := c.inner.Director().TenantStatus(ctx, tn)
-	if err != nil {
-		return nil, err
-	}
-	name := cfg.name
-	if name == "" {
-		name = fmt.Sprintf("session%d", session)
-	}
-	stream, err := c.inner.StreamSized(name, cfg.superChunkSize)
-	if err != nil {
-		return nil, err
-	}
-	sess := &clusterSession{c: c, stream: stream, cfg: cfg, tenant: tn, session: session, headroom: -1}
-	if st.Info.QuotaBytes > 0 {
-		sess.headroom = max(st.Info.QuotaBytes-st.Usage.LiveBytes, 0)
-	}
-	if st.Info.Domain == tenant.DomainIsolated {
-		sess.salt = tenant.Salt(tn)
-		sess.salted = true
-	}
-	return &Session{impl: sess}, nil
+	return &Session{impl: s, close: func() error { return c.closeSession(s) }}, nil
 }
 
 // Backup chunks and deduplicates one named stream into the cluster,
@@ -306,7 +354,7 @@ func (c *Cluster) Backup(ctx context.Context, name string, r io.Reader) error {
 	if c.cfg.Scheme == SchemeExtremeBinning {
 		return c.backupBuffered(ctx, name, r)
 	}
-	return c.def.backup(ctx, name, r)
+	return c.def.Backup(ctx, name, r)
 }
 
 // backupBuffered is the whole-file path for Extreme Binning.
@@ -342,7 +390,7 @@ func (c *Cluster) backupBuffered(ctx context.Context, name string, r io.Reader) 
 	if err := c.inner.BackupItem(1, refs); err != nil {
 		return &BackupError{Name: name, Stage: "store", Err: err}
 	}
-	return c.inner.Director().PutRecipe(ctx, c.def.session, name, entries)
+	return c.inner.Director().PutRecipe(ctx, c.def.ID(), name, entries)
 }
 
 // GCResult summarizes one compaction pass across the cluster.
@@ -378,18 +426,21 @@ func (c *Cluster) GCStats() GCStats {
 	return st
 }
 
-// Flush completes the default backup stream (routes the final partial
-// super-chunk and seals containers). Explicit sessions flush themselves.
+// Flush completes the default backup stream (settles its in-flight
+// items and seals containers). Explicit sessions flush themselves.
 func (c *Cluster) Flush(ctx context.Context) error {
-	if err := ctx.Err(); err != nil {
+	if err := c.def.Flush(ctx); err != nil {
 		return err
 	}
-	return c.inner.Flush()
+	return c.inner.Flush() // the trace feed's default stream (Extreme Binning)
 }
 
 // Close shuts every node down, releasing durable manifests. A durable
 // cluster directory can be re-opened later.
-func (c *Cluster) Close() error { return c.inner.Close() }
+func (c *Cluster) Close() error {
+	c.def.Close()
+	return c.inner.Close()
+}
 
 // AddNode implements Backend: a fresh in-process node joins the next
 // membership epoch and its ID is returned. addr must be empty on the
@@ -411,6 +462,11 @@ func (c *Cluster) AddNode(ctx context.Context, addr string) (int, error) {
 // closed. Pre-existing backups restore byte-identically afterwards.
 // Quiesce backup sessions first.
 func (c *Cluster) RemoveNode(ctx context.Context, id int) (MigrationResult, error) {
+	// Settle the default stream first: a one-shot backup still committing
+	// holds its epoch pin, and the drain reads sealed containers.
+	if err := c.Flush(ctx); err != nil {
+		return MigrationResult{}, err
+	}
 	res, err := c.inner.RemoveNode(ctx, id)
 	return toMigrationResult(res), err
 }
@@ -492,10 +548,11 @@ func (c *Cluster) Stats(ctx context.Context) (BackendStats, error) {
 	if err := ctx.Err(); err != nil {
 		return BackendStats{}, err
 	}
+	logical, physical := c.counters().logicalBytes, c.inner.PhysicalBytes()
 	return BackendStats{
-		LogicalBytes:  c.inner.Stats().LogicalBytes,
-		PhysicalBytes: c.inner.PhysicalBytes(),
-		DedupRatio:    c.inner.DedupRatio(),
+		LogicalBytes:  logical,
+		PhysicalBytes: physical,
+		DedupRatio:    metrics.DedupRatio(logical, physical),
 		Backups:       len(c.inner.Director().Files()),
 		Nodes:         c.inner.N(),
 		StorageSkew:   c.inner.Skew(),
@@ -507,288 +564,22 @@ func (c *Cluster) Stats(ctx context.Context) (BackendStats, error) {
 // skew and fingerprint-lookup message counts (Stats serves the
 // Backend-portable snapshot).
 func (c *Cluster) SimStats() ClusterStats {
-	st := c.inner.Stats()
+	st, usage, exact := c.counters(), c.inner.UsageVector(), c.exact.Physical()
+	var physical int64
+	for _, u := range usage {
+		physical += u
+	}
+	dr := metrics.DedupRatio(st.logicalBytes, physical)
 	return ClusterStats{
-		LogicalBytes:       st.LogicalBytes,
-		PhysicalBytes:      c.inner.PhysicalBytes(),
-		SuperChunks:        st.SuperChunks,
-		DedupRatio:         c.inner.DedupRatio(),
-		NormalizedDR:       c.inner.NormalizedDR(c.exact.Physical()),
-		EffectiveDR:        c.inner.EDR(c.exact.Physical()),
-		StorageSkew:        c.inner.Skew(),
-		FingerprintLookups: st.TotalMsgs(),
+		LogicalBytes:       st.logicalBytes,
+		PhysicalBytes:      physical,
+		SuperChunks:        st.superChunks,
+		DedupRatio:         dr,
+		NormalizedDR:       metrics.NormalizedDR(dr, metrics.DedupRatio(st.logicalBytes, exact)),
+		EffectiveDR:        metrics.EDRFromBytes(st.logicalBytes, usage, exact),
+		StorageSkew:        metrics.Skew(usage),
+		FingerprintLookups: st.lookups,
 	}
-}
-
-// clusterSession implements sessionBackend on the simulator: chunks are
-// fed to the stream one at a time and completed super-chunks route
-// synchronously, so peak buffered payload is the pending super-chunk
-// (≤ 2× the super-chunk target), never the stream size.
-type clusterSession struct {
-	c      *Cluster
-	stream *cluster.Stream
-	cfg    sessionConfig
-	st     SessionStats
-	// Tenant state, resolved at session admission: the director session
-	// and the tenant the session's backups belong to, the fingerprint
-	// salt of an isolated dedup domain, and the quota headroom captured at
-	// admission for the soft mid-stream check (-1 = unlimited).
-	// reportedStored tracks transferred bytes already accounted to the
-	// director so each commit reports a delta.
-	session        uint64
-	tenant         string
-	salt           [32]byte
-	salted         bool
-	headroom       int64
-	reportedStored int64
-	// schedLeft/schedRelease are the session's current weighted-fair
-	// scheduler quantum: bytes still drawable from the outstanding grant
-	// and the function returning it (see addScheduled).
-	schedLeft    int64
-	schedRelease func()
-	// pending tracks payload bytes buffered in the partitioner; its
-	// high-water mark is the session's PeakBufferedBytes.
-	pending int64
-	// exactBatch accumulates payload-free chunk refs for the cluster's
-	// shared exact-dedup tracker, flushed in batches so concurrent
-	// sessions take its mutex once per few thousand chunks instead of
-	// once per chunk.
-	exactBatch []core.ChunkRef
-	// bufs recycles chunk payload buffers on the metadata-only path
-	// (payloads are dead the moment they are fingerprinted); sessions
-	// run single-goroutine, so a plain free list suffices.
-	bufs simBufPool
-}
-
-// simBufPool is the simulator session's chunk buffer free list, with the
-// same alloc/reuse counters the prototype client reports.
-type simBufPool struct {
-	free   [][]byte
-	bufCap int
-	allocs int64
-	reuses int64
-}
-
-func (p *simBufPool) alloc(n int) []byte {
-	if n <= p.bufCap {
-		if k := len(p.free); k > 0 {
-			b := p.free[k-1]
-			p.free = p.free[:k-1]
-			p.reuses++
-			return b[:n]
-		}
-	}
-	p.allocs++
-	if n > p.bufCap {
-		return make([]byte, n)
-	}
-	return make([]byte, n, p.bufCap)
-}
-
-func (p *simBufPool) release(b []byte) {
-	if cap(b) >= p.bufCap && len(p.free) < 64 {
-		p.free = append(p.free, b[:0])
-	}
-}
-
-// exactBatchMax bounds the deferred exact-tracker batch (~4K refs,
-// metadata only — chunk payloads are never pinned by it).
-const exactBatchMax = 4096
-
-func (s *clusterSession) flushExact() {
-	if len(s.exactBatch) > 0 {
-		s.c.exact.Add(s.exactBatch)
-		s.exactBatch = s.exactBatch[:0]
-	}
-}
-
-func (s *clusterSession) backup(ctx context.Context, name string, r io.Reader) error {
-	if err := tenant.ValidateBackupName(name); err != nil {
-		return &BackupError{Name: name, Stage: "chunk", Err: err}
-	}
-	if s.bufs.bufCap == 0 {
-		s.bufs.bufCap = chunker.MaxChunkSize(s.cfg.chunk.Method.internal(), s.cfg.chunk.Size)
-	}
-	ck, err := chunker.New(s.cfg.chunk.Method.internal(), r, s.cfg.chunk.Size,
-		chunker.WithAllocator(s.bufs.alloc))
-	if err != nil {
-		return err
-	}
-	keep := s.c.cfg.KeepPayloads || s.c.cfg.Dir != ""
-	key := tenant.Key(s.tenant, name)
-	defer s.releaseSched()
-	if err := s.stream.BeginItem(ctx, key); err != nil {
-		return &BackupError{Name: name, Stage: "store", Err: err}
-	}
-	s.st.Files++
-	for {
-		chunk, err := ck.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return s.abort(ctx, &BackupError{Name: name, Stage: "chunk", Err: err})
-		}
-		ref := core.ChunkRef{FP: s.saltFP(s.c.algorithm.Sum(chunk.Data)), Size: chunk.Len()}
-		if keep {
-			// The stream retains the payload until its super-chunk is
-			// routed; the buffer cannot be recycled here.
-			ref.Data = chunk.Data
-		} else {
-			// Metadata-only simulation: the payload is dead once hashed.
-			s.bufs.release(chunk.Data)
-		}
-		s.exactBatch = append(s.exactBatch, core.ChunkRef{FP: ref.FP, Size: ref.Size})
-		if len(s.exactBatch) >= exactBatchMax {
-			s.flushExact()
-		}
-		s.st.LogicalBytes += int64(ref.Size)
-		// Soft mid-stream quota check against the headroom captured at
-		// admission: the stream is cut off long before the hard check at
-		// commit would refuse the whole backup.
-		if s.headroom >= 0 && s.st.LogicalBytes > s.headroom {
-			return s.abort(ctx, &BackupError{Name: name, Stage: "quota", Err: fmt.Errorf(
-				"tenant %s: stream exceeds quota headroom %d bytes: %w",
-				s.tenant, s.headroom, sderr.ErrQuotaExceeded)})
-		}
-		s.pending += int64(ref.Size)
-		if s.pending > s.st.PeakBufferedBytes {
-			s.st.PeakBufferedBytes = s.pending
-		}
-		out, err := s.addScheduled(ctx, ref)
-		if err != nil {
-			return s.abort(ctx, &BackupError{Name: name, Stage: "store", Err: err})
-		}
-		s.applyRouted(out)
-	}
-	// Commit: only a completed backup takes the name. EndItem cuts the
-	// boundary super-chunk and swaps the recipe into the director, which
-	// hands the superseded generation back in one critical section (its
-	// hard quota check included), so a concurrent Delete or re-backup of
-	// the same name serializes before or after it, never between; the
-	// references of whichever generation left the catalog here are then
-	// released — the new backup took its own.
-	out, prev, err := s.stream.EndItem(ctx, s.session)
-	s.applyRouted(out)
-	if err != nil {
-		return s.abort(ctx, &BackupError{Name: name, Stage: "finalize", Err: err})
-	}
-	s.flushExact()
-	if err := migrate.Release(ctx, s.c.inner.Node, prev.Chunks); err != nil {
-		return err
-	}
-	// Account the post-dedup transfer delta to the tenant's cumulative
-	// stored-bytes gauge (the simulator's "transfer" is its storage).
-	if d := s.st.TransferredBytes - s.reportedStored; d > 0 {
-		s.reportedStored = s.st.TransferredBytes
-		return s.c.inner.Director().AccountTransfer(ctx, s.tenant, d, 0)
-	}
-	return nil
-}
-
-// saltFP folds the tenant's dedup-domain salt into a fingerprint (no-op
-// for shared-domain tenants), making an isolated tenant's chunk index,
-// similarity index and handprints disjoint from every other tenant's.
-func (s *clusterSession) saltFP(fp fingerprint.Fingerprint) fingerprint.Fingerprint {
-	if s.salted {
-		for i := 0; i < len(fp); i++ {
-			fp[i] ^= s.salt[i%len(s.salt)]
-		}
-	}
-	return fp
-}
-
-// schedQuantum is the byte batch one simulator session acquires from
-// the weighted-fair scheduler at a time. Acquiring per 4KB chunk would
-// make grant hold times so short that contending sessions pile up on
-// the scheduler mutex instead of its fair queue, degrading grant order
-// to a mutex race; a 64KB quantum keeps the grant held across a
-// meaningful stretch of chunking work, so backlog accumulates in the
-// queue and start-time fair queuing decides who proceeds.
-const schedQuantum = 64 << 10
-
-// addScheduled feeds one chunk to the stream under the weighted-fair
-// scheduler (when configured): the session draws chunk bytes from its
-// current quantum grant, re-acquiring when it runs dry, so concurrent
-// tenant sessions split the cluster's ingest capacity by weight.
-func (s *clusterSession) addScheduled(ctx context.Context, ref core.ChunkRef) (cluster.RouteOutcome, error) {
-	if s.c.sched != nil {
-		need := int64(ref.Size)
-		if s.schedLeft < need {
-			s.releaseSched()
-			quantum := int64(schedQuantum)
-			if need > quantum {
-				quantum = need
-			}
-			release, err := s.c.sched.Acquire(ctx, s.tenant, quantum)
-			if err != nil {
-				return cluster.RouteOutcome{}, err
-			}
-			s.schedRelease = release
-			s.schedLeft = quantum
-		}
-		s.schedLeft -= need
-	}
-	return s.stream.AddChunk(ctx, ref)
-}
-
-// releaseSched returns the session's outstanding quantum grant (if any)
-// to the scheduler. Called at the end of every backup so an idle
-// session never sits on in-flight budget.
-func (s *clusterSession) releaseSched() {
-	if s.schedRelease != nil {
-		s.schedRelease()
-		s.schedRelease = nil
-	}
-	s.schedLeft = 0
-}
-
-func (s *clusterSession) applyRouted(out cluster.RouteOutcome) {
-	if out.RoutedBytes > 0 {
-		s.pending -= out.RoutedBytes
-		s.st.SuperChunks++
-	}
-	// The simulator's "transferred" bytes are the unique bytes actually
-	// stored: an in-process deployment has no network, so transfer cost
-	// equals storage cost.
-	s.st.TransferredBytes += out.StoredBytes
-}
-
-// abort abandons the failed item (Stream.AbortItem: the cluster is left
-// exactly as before the attempt) and returns cause, annotated with any
-// cleanup failure — that strands references, which the caller must hear
-// about. The session stays usable for further backups. The presented
-// bytes stay accounted in the exact tracker.
-func (s *clusterSession) abort(ctx context.Context, cause error) error {
-	s.pending = 0
-	s.flushExact()
-	if err := s.stream.AbortItem(ctx); err != nil {
-		return fmt.Errorf("%w (cleanup failed: %v)", cause, err)
-	}
-	return cause
-}
-
-func (s *clusterSession) flush(ctx context.Context) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if err := s.stream.Flush(); err != nil {
-		return err
-	}
-	s.pending = 0
-	return nil
-}
-
-func (s *clusterSession) stats() SessionStats {
-	st := s.st
-	st.ChunkBufAllocs = s.bufs.allocs
-	st.ChunkBufReuses = s.bufs.reuses
-	return st
-}
-
-func (s *clusterSession) close() error {
-	s.stream.Close()
-	return nil
 }
 
 // Server is a socket-served deduplication server node (TCP, or a Unix

@@ -143,3 +143,52 @@ func TestWorkloadFilesFacade(t *testing.T) {
 		t.Fatal("unknown workload should error")
 	}
 }
+
+// TestChunkDHTRestoresInStreamOrder: a scheme that splits one
+// super-chunk across nodes (chunk-level DHT) still records its recipe in
+// stream order — entries are attributed by chunk position, not in the
+// order the per-node assignments were stored — so the backup restores
+// byte-identically.
+func TestChunkDHTRestoresInStreamOrder(t *testing.T) {
+	ctx := context.Background()
+	c, err := NewCluster(ClusterConfig{Nodes: 4, Scheme: SchemeChunkDHT, KeepPayloads: true, SuperChunkSize: 64 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	data := make([]byte, 300<<10)
+	rand.New(rand.NewSource(3)).Read(data)
+	if err := c.Backup(ctx, "/dht", bytes.NewReader(data)); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := c.Restore(ctx, "/dht", &out); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out.Bytes(), data) {
+		t.Fatalf("restored %d bytes differ from the %d backed up", out.Len(), len(data))
+	}
+}
+
+// TestRemoteValidation: a Remote needs node addresses, and a stream
+// whose node cannot be dialed fails to open instead of failing later.
+func TestRemoteValidation(t *testing.T) {
+	ctx := context.Background()
+	if _, err := NewRemote(ctx, RemoteConfig{Director: NewDirector()}); err == nil {
+		t.Fatal("no node addresses should error")
+	}
+	be, err := NewRemote(ctx, RemoteConfig{Director: NewDirector(), Nodes: []string{"127.0.0.1:1"}})
+	if err != nil {
+		t.Fatal(err) // node connections are dialed per stream
+	}
+	defer be.Close()
+	if _, err := be.NewSession(ctx); err == nil {
+		t.Fatal("session against an unreachable node should error")
+	}
+	if err := be.Backup(ctx, "/x", strings.NewReader("x")); err == nil {
+		t.Fatal("one-shot backup against an unreachable node should error")
+	}
+}
