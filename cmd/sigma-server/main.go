@@ -15,6 +15,7 @@ import (
 	"os/signal"
 	"syscall"
 
+	"sigmadedupe/internal/fingerprint"
 	"sigmadedupe/internal/node"
 	"sigmadedupe/internal/rpc"
 )
@@ -59,6 +60,7 @@ func run() error {
 		return err
 	}
 	fmt.Printf("sigma-server: node %d listening on %s\n", *id, srv.Addr())
+	fmt.Printf("sigma-server: SHA-1 implementation %s\n", fingerprint.SHA1Impl())
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

@@ -2,11 +2,14 @@ package ingest_test
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"testing"
 	"time"
 
+	"sigmadedupe/internal/core"
+	"sigmadedupe/internal/director"
 	"sigmadedupe/internal/ingest"
 	"sigmadedupe/internal/migrate"
 	"sigmadedupe/internal/rpc"
@@ -48,6 +51,39 @@ func BenchmarkIngest(b *testing.B) { benchIngest(b, 0, 8<<20) }
 // window overlaps stores with the next super-chunk's fingerprinting;
 // latency, unlike compute, overlaps freely even on a single-core host.
 func BenchmarkIngestRemoteLatency(b *testing.B) { benchIngest(b, 2*time.Millisecond, 4<<20) }
+
+// discard is a node transport that never bids, holds no duplicate and
+// drops what it is sent.
+type discard struct{ migrate.Node }
+
+func (discard) Bid(context.Context, core.Handprint) (int, int64, error)     { return 0, 0, nil }
+func (discard) Query(context.Context, *core.SuperChunk) ([]bool, error)     { return nil, nil }
+func (discard) Store(context.Context, string, *core.SuperChunk, bool) error { return nil }
+func (discard) Flush(context.Context) error                                 { return nil }
+
+// BenchmarkHashStage is the client-side cost of a backup with the nodes
+// taken out: 64MB of fixed 4KB chunks through chunk → SHA-1 → partition
+// → window, every verb answered by a discard transport. What is left
+// beside the hash is the per-chunk hand-off between the stages — the
+// number a batch-granular hand-off has to beat (ROADMAP item 5).
+func BenchmarkHashStage(b *testing.B) {
+	const size = 64 << 20
+	r := &rig{dir: director.New(), members: core.DenseMembership(1), byID: []migrate.Node{discard{}}}
+	// Distinct chunks at no set-up cost, so a CPU profile of the benchmark
+	// is a profile of the stages.
+	content := make([]byte, size)
+	for off := 0; off < size; off += 4096 {
+		binary.LittleEndian.PutUint64(content[off:], uint64(off))
+	}
+	s := r.session(b, ingest.Config{Name: "bench"})
+	b.SetBytes(size)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		mustBackup(b, s, fmt.Sprintf("/bench/%d", i), content)
+		mustFlush(b, s)
+	}
+}
 
 // BenchmarkRestore backs 8MB up once, then restores it repeatedly
 // through the windowed restore scheduler, with and without emulated node

@@ -182,6 +182,9 @@ type routed struct {
 	dec     router.Decision
 	unique  int64 // payload bytes the targets did not already hold
 	err     error
+	// rep and stored are the super-chunk's entry in Session.storing.
+	rep    fingerprint.Fingerprint
+	stored chan struct{}
 }
 
 // Session is one backup stream. Not safe for concurrent use — one
@@ -205,6 +208,10 @@ type Session struct {
 	// order holds, in stream order, the 1-slot result channel of every
 	// routed-but-not-yet-applied super-chunk.
 	order []chan routed
+	// storing maps the representative (smallest) fingerprint of every
+	// such super-chunk to the channel closed once its route has returned
+	// — what a later look-alike waits on before it bids (see enqueue).
+	storing map[fingerprint.Fingerprint]chan struct{}
 	// open lists the unfinished items, oldest first; cur is the one the
 	// running Backup call is feeding, which only that call finishes.
 	open []*item
@@ -269,6 +276,7 @@ func New(ctx context.Context, cfg Config, dir director.Metadata) (*Session, erro
 		part:     part,
 		bufs:     bufPool{bufCap: chunker.MaxChunkSize(cfg.ChunkMethod, cfg.ChunkSize)},
 		window:   make(chan struct{}, cfg.Inflight),
+		storing:  make(map[fingerprint.Fingerprint]chan struct{}),
 		headroom: -1,
 	}
 	if st.Info.QuotaBytes > 0 {
@@ -502,6 +510,16 @@ func (s *Session) cut(it *item) error {
 // enqueue hands one super-chunk to the route/query/store stage: up to
 // Inflight run at once, and results are applied in stream order as they
 // complete.
+//
+// One ordering rule holds inside the window: a super-chunk whose
+// representative fingerprint equals that of an earlier one still in
+// flight — a copy backed up on the heels of its original — is routed only
+// after the earlier one has been stored. Bidding any sooner it would find
+// the nodes as empty as the original did, may well land elsewhere, and
+// the stream would be stored twice: a dedup loss, not just bandwidth. The
+// earlier one already holds its window slot and waits only on ones older
+// still, so the wait cannot deadlock; a nightly incremental's counterpart
+// left the window a generation ago, so there it never waits.
 func (s *Session) enqueue(it *item, sc *core.SuperChunk) error {
 	s.buffered += sc.Size()
 	s.mu.Lock()
@@ -531,9 +549,21 @@ func (s *Session) enqueue(it *item, sc *core.SuperChunk) error {
 	slot := make(chan routed, 1)
 	it.pending++
 	s.order = append(s.order, slot)
+	rep, stored := sc.MinFingerprint(), make(chan struct{})
+	earlier := s.storing[rep]
+	s.storing[rep] = stored
 	go func() {
 		defer func() { <-s.window }()
-		slot <- s.route(it, sc)
+		if earlier != nil {
+			select {
+			case <-earlier:
+			case <-it.ctx.Done(): // the route below fails on it
+			}
+		}
+		res := s.route(it, sc)
+		res.rep, res.stored = rep, stored
+		close(stored)
+		slot <- res
 	}()
 	return nil
 }
@@ -544,7 +574,8 @@ func (s *Session) enqueue(it *item, sc *core.SuperChunk) error {
 // only the transports, never session state. A query that races the
 // in-flight store of a neighboring super-chunk can miss a brand-new
 // duplicate — that costs bandwidth (the node re-checks on arrival),
-// never correctness.
+// never correctness. Bids racing the store of a look-alike super-chunk
+// would cost dedup; enqueue's ordering rule keeps those apart.
 func (s *Session) route(it *item, sc *core.SuperChunk) routed {
 	res := routed{it: it, sc: sc, entries: make([]director.ChunkEntry, len(sc.Chunks))}
 	for i, ch := range sc.Chunks {
@@ -635,6 +666,9 @@ func (s *Session) release(sc *core.SuperChunk) {
 // apply folds one route result into its item and the counters.
 func (s *Session) apply(res routed) {
 	s.recycle(res.sc)
+	if s.storing[res.rep] == res.stored { // not superseded by a later look-alike
+		delete(s.storing, res.rep)
+	}
 	it := res.it
 	it.pending--
 	it.entries = append(it.entries, res.entries...)

@@ -12,6 +12,7 @@ import (
 
 	"sigmadedupe/internal/core"
 	"sigmadedupe/internal/director"
+	"sigmadedupe/internal/fingerprint"
 	"sigmadedupe/internal/ingest"
 	"sigmadedupe/internal/migrate"
 	"sigmadedupe/internal/node"
@@ -244,6 +245,62 @@ func TestSourceDedupSavesBandwidth(t *testing.T) {
 		}
 		if got := r.restore(t, "/gen2"); !bytes.Equal(got, content) {
 			t.Fatal("deduplicated restore corrupted")
+		}
+	})
+}
+
+// slowFirstStore is a node transport that makes the cluster's first Store
+// — the original's — slow, and grows that node by a filler super-chunk
+// first: by the time a copy bids, the node the original chose is no
+// longer the least loaded, so a copy that finds no resemblance anywhere
+// goes somewhere else.
+type slowFirstStore struct {
+	migrate.Node
+	first  *atomic.Bool
+	filler *core.SuperChunk
+	delay  time.Duration
+}
+
+func (f slowFirstStore) Store(ctx context.Context, stream string, sc *core.SuperChunk, withData bool) error {
+	if f.first.CompareAndSwap(false, true) {
+		if err := f.Node.Store(ctx, "filler", f.filler, true); err != nil {
+			return err
+		}
+		time.Sleep(f.delay)
+	}
+	return f.Node.Store(ctx, stream, sc, withData)
+}
+
+// TestCopyOnHeelsOfOriginalDedupes: a copy backed up while its original's
+// super-chunk is still in the window is routed only after the original
+// is stored, so it finds it, lands on the same node and sends nothing.
+// Without that ordering the copy bids against nodes that have not seen
+// the original, lands on a less loaded one and is stored a second time.
+func TestCopyOnHeelsOfOriginalDedupes(t *testing.T) {
+	eachTransport(t, func(t *testing.T, transport string) {
+		r := newRig(t, transport, 4, rigOpt{})
+		fill := randBytes(71, 64<<10)
+		filler := &core.SuperChunk{Chunks: []core.ChunkRef{{FP: fingerprint.Sum(fill), Size: len(fill), Data: fill}}}
+		first := new(atomic.Bool)
+		for i, nd := range r.byID {
+			r.byID[i] = slowFirstStore{Node: nd, first: first, filler: filler, delay: 50 * time.Millisecond}
+		}
+		s := r.session(t, ingest.Config{SuperChunkSize: 1 << 20})
+		content := randBytes(70, 128<<10) // one super-chunk, cut at the item boundary
+		mustBackup(t, s, "/original", content)
+		mustBackup(t, s, "/copy", content)
+		mustFlush(t, s)
+		if st := s.Stats(); st.SuperChunks != 2 || st.TransferredBytes != int64(len(content)) {
+			t.Fatalf("%d super-chunks, %d bytes transferred; want 2 and %d: the copy did not dedup against its original",
+				st.SuperChunks, st.TransferredBytes, len(content))
+		}
+		if got, want := r.liveBytes(), int64(len(content)+len(fill)); got != want {
+			t.Fatalf("nodes hold %d live bytes, want %d (one copy of the content plus the filler)", got, want)
+		}
+		for _, name := range []string{"/original", "/copy"} {
+			if !bytes.Equal(r.restore(t, name), content) {
+				t.Fatalf("%s does not restore", name)
+			}
 		}
 	})
 }
