@@ -46,19 +46,23 @@ type Backend interface {
 	// NewSession opens an explicit backup stream with its own pipeline.
 	NewSession(ctx context.Context, opts ...SessionOption) (*Session, error)
 	// AddNode commits a new membership epoch containing one fresh
-	// deduplication node and returns its stable ID. On the simulator the
-	// node is created in process and addr must be empty; on the Remote
-	// backend addr is the TCP address of an already-running server. The
-	// node joins empty: new backups start filling it immediately (it
-	// wins the least-loaded fallback of every zero-resemblance bid);
-	// existing placements move only when Rebalance asks. In-flight
-	// sessions keep the epoch they started on.
+	// deduplication node and returns its stable ID (IDs are never reused).
+	// On the simulator the node is created in process and addr must be
+	// empty; on the Remote backend addr is the address of an
+	// already-running server, and one that is already a member is refused
+	// with ErrConflict. The node joins empty: every backup item begun
+	// after AddNode returns — on any session, however long open — bids it
+	// in (it wins the least-loaded fallback of every zero-resemblance
+	// bid); existing placements move only when Rebalance asks.
 	AddNode(ctx context.Context, addr string) (int, error)
 	// RemoveNode migrates every super-chunk off the node — recipe by
 	// recipe, under the journaled migration commit protocol — and
 	// commits a membership epoch without it. All pre-existing backups
-	// restore byte-identically afterwards. Quiesce backup sessions
-	// first; a node that keeps receiving traffic fails the drain.
+	// restore byte-identically afterwards. Open sessions need not close:
+	// new items route to the survivors at once and items in flight are
+	// waited out, but an item its session left unsettled (no later
+	// Backup, Flush or Close) fails the call after a grace period. An
+	// unknown ID fails with ErrNotFound.
 	RemoveNode(ctx context.Context, id int) (MigrationResult, error)
 	// Rebalance migrates super-chunk segments from members above the
 	// cluster's mean storage usage onto underloaded rendezvous owners —
@@ -70,7 +74,9 @@ type Backend interface {
 	// RemoveNode. Nothing moves: the node's data is simply gone from the
 	// cluster's point of view. With replication enabled (Replicas ≥ 2)
 	// every backup keeps restoring byte-identically through failover
-	// reads; run Repair afterwards to restore R=2 and release strays.
+	// reads; run Repair afterwards to restore R=2 and release strays. A
+	// backup item in flight to the node fails with ErrNotFound; its
+	// session stays usable. An unknown ID fails with ErrNotFound.
 	KillNode(ctx context.Context, id int) error
 	// Repair is the anti-entropy pass after a crash: it settles pending
 	// migration/replication transactions, promotes replicas of dead

@@ -310,6 +310,15 @@ func TestTypedErrorsSurviveTCPWire(t *testing.T) {
 		t.Fatalf("delete of unknown name over TCP = %v, want ErrNotFound", err)
 	}
 
+	// The membership verbs' "no such node" is typed too, with the epoch
+	// they would have committed a TCP hop away.
+	if _, err := be.RemoveNode(ctx, 7); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("RemoveNode of an unknown node over TCP = %v, want ErrNotFound", err)
+	}
+	if err := be.KillNode(ctx, 7); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("KillNode of an unknown node over TCP = %v, want ErrNotFound", err)
+	}
+
 	// Node RPC wire: reading a chunk no node holds.
 	rc, err := rpc.Dial(addrs[0])
 	if err != nil {

@@ -102,8 +102,13 @@ func assertCatalogConsistent(t *testing.T, be Backend) {
 // eachBackend runs fn against a fresh 3-node simulator and a fresh
 // 3-server TCP prototype with the given replica count.
 func eachBackend(t *testing.T, replicas int, fn func(t *testing.T, be Backend)) {
+	eachBackendOf(t, 3, replicas, fn)
+}
+
+// eachBackendOf is eachBackend over nodes nodes.
+func eachBackendOf(t *testing.T, nodes, replicas int, fn func(t *testing.T, be Backend)) {
 	t.Run("simulator", func(t *testing.T) {
-		c, err := NewCluster(ClusterConfig{Nodes: 3, KeepPayloads: true, SuperChunkSize: 32 << 10, Replicas: replicas})
+		c, err := NewCluster(ClusterConfig{Nodes: nodes, KeepPayloads: true, SuperChunkSize: 32 << 10, Replicas: replicas})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,7 +117,7 @@ func eachBackend(t *testing.T, replicas int, fn func(t *testing.T, be Backend)) 
 	})
 	t.Run("remote", func(t *testing.T) {
 		be, err := NewRemote(context.Background(), RemoteConfig{
-			Name: "consistency", Director: NewDirector(), Nodes: startServers(t, 3),
+			Name: "consistency", Director: NewDirector(), Nodes: startServers(t, nodes),
 			SuperChunkSize: 32 << 10, Replicas: replicas,
 		})
 		if err != nil {

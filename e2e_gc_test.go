@@ -290,7 +290,10 @@ func TestSimulatorDeleteAndCompact(t *testing.T) {
 	if gc := c.GCStats(); gc.DeadBytes < doomedBytes {
 		t.Fatalf("DeadBytes = %d, want >= %d", gc.DeadBytes, doomedBytes)
 	}
-	res, err := c.Compact(context.Background(), 0.95)
+	// 0.999, the crash-fidelity tests' threshold: how the doomed chunks
+	// spread over containers is placement, which is timing-dependent, and a
+	// container left only a few percent dead must be rewritten all the same.
+	res, err := c.Compact(context.Background(), 0.999)
 	if err != nil {
 		t.Fatal(err)
 	}

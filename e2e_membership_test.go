@@ -3,6 +3,7 @@ package sigmadedupe
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -79,6 +80,15 @@ func runMembershipScenario(t *testing.T, be Backend, nodes int, addAddr func() s
 		t.Fatal(err)
 	}
 	restoreAll("after Rebalance")
+
+	// An ID outside the membership is refused with a typed error by both
+	// verbs, on both constructors.
+	if _, err := be.RemoveNode(ctx, 99); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("RemoveNode of an unknown node = %v, want ErrNotFound", err)
+	}
+	if err := be.KillNode(ctx, 99); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("KillNode of an unknown node = %v, want ErrNotFound", err)
+	}
 
 	// Shrink: drain an original member. Everything must survive on the
 	// remaining nodes.
@@ -344,72 +354,74 @@ func TestRemoteMigrationFaultRecovers(t *testing.T) {
 }
 
 // TestStatsRaceWithTopologyChange is the regression test for the node
-// registry: Stats and GCStats iterate an epoch-consistent snapshot, so
-// hammering them while nodes join must be race-free (run under -race)
-// and observe only whole epochs.
+// registry, on both constructors: Stats and GCStats iterate one
+// immutable snapshot, so hammering them while nodes join must be
+// race-free (run under -race) and observe only whole epochs.
 func TestStatsRaceWithTopologyChange(t *testing.T) {
-	ctx := context.Background()
-	addrs := startServers(t, 2)
-	be, err := NewRemote(ctx, RemoteConfig{
-		Name:     "race",
-		Director: NewDirector(),
-		Nodes:    addrs,
+	eachBackend(t, 0, func(t *testing.T, be Backend) {
+		ctx := context.Background()
+		if err := be.Backup(ctx, "/race/seed", bytes.NewReader(bytes.Repeat([]byte("r"), 64<<10))); err != nil {
+			t.Fatal(err)
+		}
+		if err := be.Flush(ctx); err != nil {
+			t.Fatal(err)
+		}
+
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		errs := make(chan error, 4)
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					st, err := be.Stats(ctx)
+					if err != nil {
+						errs <- err
+						return
+					}
+					if st.Nodes < 3 || st.Nodes > 6 {
+						errs <- fmt.Errorf("torn epoch: Nodes = %d", st.Nodes)
+						return
+					}
+					if _, err := gcStatsOf(ctx, be); err != nil {
+						errs <- err
+						return
+					}
+				}
+			}()
+		}
+		for i := 0; i < 3; i++ {
+			if _, err := be.AddNode(ctx, joinAddr(t, be, 3+i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		close(stop)
+		wg.Wait()
+		select {
+		case err := <-errs:
+			t.Fatal(err)
+		default:
+		}
 	})
+}
+
+// joinAddr is the address AddNode takes for the next node of be: a fresh
+// server's on the prototype, empty on the simulator.
+func joinAddr(t *testing.T, be Backend, id int) string {
+	t.Helper()
+	if _, ok := be.(*Remote); !ok {
+		return ""
+	}
+	srv, err := StartServer(ServerConfig{ID: id})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer be.Close()
-	if err := be.Backup(ctx, "/race/seed", bytes.NewReader(bytes.Repeat([]byte("r"), 64<<10))); err != nil {
-		t.Fatal(err)
-	}
-	if err := be.Flush(ctx); err != nil {
-		t.Fatal(err)
-	}
-
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	errs := make(chan error, 4)
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				st, err := be.Stats(ctx)
-				if err != nil {
-					errs <- err
-					return
-				}
-				if st.Nodes < 2 || st.Nodes > 5 {
-					errs <- fmt.Errorf("torn epoch: Nodes = %d", st.Nodes)
-					return
-				}
-				if _, err := be.GCStats(ctx); err != nil {
-					errs <- err
-					return
-				}
-			}
-		}()
-	}
-	for i := 0; i < 3; i++ {
-		srv, err := StartServer(ServerConfig{ID: 2 + i})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { srv.Close() })
-		if _, err := be.AddNode(ctx, srv.Addr()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	close(stop)
-	wg.Wait()
-	select {
-	case err := <-errs:
-		t.Fatal(err)
-	default:
-	}
+	t.Cleanup(func() { srv.Close() })
+	return srv.Addr()
 }

@@ -21,17 +21,19 @@
 //
 // Named backups are fed by the public Backend through package ingest —
 // the same session the prototype runs — over the in-process node
-// transport (Node), routing against an epoch pinned per item (Pin);
-// their recipes, like the tenant table and the journal of open migration
-// transactions, live in the cluster's in-RAM director — the same
-// director.Director the prototype talks to — and everything that reads
-// them (restore, delete, compaction, migration, repair) is package
-// migrate's code over that transport. What is left here is trace
-// driving, message counting and the simulation of membership epochs.
+// transport, routing against a View of the members; their recipes, like
+// the tenant table, the membership epochs and the journal of open
+// migration transactions, live in the cluster's in-RAM director — the
+// same director.Director the prototype talks to — and everything that
+// reads them (restore, delete, compaction, migration, repair, membership
+// changes) is the backend's and package migrate's code over that
+// transport. What is left here is the simulated hardware — the node
+// objects and that director — trace driving and message counting.
 package cluster
 
 import (
 	"fmt"
+	"maps"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -78,14 +80,6 @@ type Config struct {
 	// recovers dedup lost to candidate-set churn as N grows. Stats
 	// gains the summary counters.
 	BidSummaries bool
-	// Replicas >= 2 enables R=2 replica placement: every routed
-	// super-chunk of a named backup is also stored on the rendezvous
-	// replica owner of its first fingerprint (ReplicateRun), restores fail
-	// over to the replica when the primary is gone, and Repair re-converges
-	// placement after a node crash. Requires the Sigma scheme and
-	// payload-carrying nodes (New rejects anything else). The default (0)
-	// keeps the single-copy behavior.
-	Replicas int
 	// Node is the per-node configuration template; ID is overridden.
 	Node node.Config
 }
@@ -148,40 +142,26 @@ type shard struct {
 	summaryFalsePos  atomic.Int64
 }
 
-// Cluster is a simulated deduplication cluster. The node set is
-// elastic: AddNode/RemoveNode commit membership epochs, node IDs are
-// stable for a node's lifetime, and every backup item pins the epoch it
-// started on so routing never observes a torn member list.
+// Cluster is a simulated deduplication cluster: the node objects, the
+// router, the in-RAM director and the trace feed. Its own member list is
+// fixed at cfg.N; the public simulator backend, which owns membership,
+// hands it every node set it commits (SetView).
 type Cluster struct {
 	cfg Config
 	rt  router.Router
 
-	// memberMu guards the canonical node registry and serializes
-	// membership mutations. The routing/stats hot paths do NOT take it:
-	// they read the current epochState snapshot through cur. Store-path
-	// node resolution (nodeByID) still reads the registry under the read
-	// lock so a killed node fails loudly instead of accepting writes
-	// through a stale snapshot.
-	memberMu sync.RWMutex
-	nodes    map[int]*node.Node
-	maxID    int
-	// cur is the current epoch snapshot. Mutations build a fresh
-	// epochState and swap the pointer; readers (bids, usage, stats,
-	// stream pins) load it without any lock. At 128 nodes × 64 streams
-	// this is what keeps the per-super-chunk bid fan-out and the
-	// per-item epoch pinning off a shared mutex.
-	cur atomic.Pointer[epochState]
-	// epochs is the commit history still potentially pinned by in-flight
-	// items (guarded by memberMu; pruned by waitEpochQuiesce).
-	epochs []*epochState
+	// view is the node set the feed routes over and the stats read. It is
+	// immutable and swapped whole, so bids, usage reads and stats take no
+	// lock: at 128 nodes × 64 streams that keeps the per-super-chunk bid
+	// fan-out off a shared mutex.
+	view atomic.Pointer[View]
 
 	// dir is the cluster's metadata plane: an in-RAM director holding the
-	// recipes of named backups, the tenant table and the journal of open
-	// migration/replication transactions — the migration engine's catalog.
-	// It never fsyncs and lives exactly as long as the Cluster, so node
-	// restarts (RestartNode, Restart) keep it.
-	dir          *director.Director
-	migrateFault migrate.Fault
+	// recipes of named backups, the tenant table, the membership epochs and
+	// the journal of open migration/replication transactions. It never
+	// fsyncs and lives exactly as long as the Cluster, so node restarts
+	// (RestartNode, Restart) keep it.
+	dir *director.Director
 
 	shardMu sync.Mutex
 	shards  []*shard
@@ -192,34 +172,6 @@ type Cluster struct {
 
 	// def is the default stream backing the single-stream BackupItem API.
 	def *Stream
-}
-
-// epochState is one committed membership epoch: the member list plus an
-// immutable snapshot of the node objects live in it. Streams pin the
-// state for the duration of one backup item by bumping uses; membership
-// changes swap in a new state and wait out the old one's uses — the
-// same grace period the epochUses map used to provide, without a write
-// lock per backup item.
-type epochState struct {
-	members core.Membership
-	// nodes maps the epoch's member IDs to their node objects. The map
-	// is never mutated after commit, so pinned views read it lock-free.
-	nodes map[int]*node.Node
-	// uses counts backup items currently pinned to this epoch.
-	uses atomic.Int64
-}
-
-// commitEpochLocked snapshots the registry for membership m, makes it
-// the current epoch and appends it to the pin history. Caller holds
-// memberMu (write).
-func (c *Cluster) commitEpochLocked(m core.Membership) {
-	snap := make(map[int]*node.Node, m.Len())
-	for _, id := range m.Nodes {
-		snap[id] = c.nodes[id]
-	}
-	st := &epochState{members: m, nodes: snap}
-	c.epochs = append(c.epochs, st)
-	c.cur.Store(st)
 }
 
 // New builds a cluster of cfg.N nodes.
@@ -236,22 +188,14 @@ func New(cfg Config) (*Cluster, error) {
 	case *router.StatefulRouter:
 		r.UseSummaries = cfg.BidSummaries
 	}
-	if cfg.Replicas >= 2 {
-		// Replication runs on the migration engine and needs what it needs.
-		if err := (&Cluster{cfg: cfg, rt: rt}).elasticGuard(true); err != nil {
-			return nil, fmt.Errorf("cluster: Replicas=%d: %w", cfg.Replicas, err)
-		}
-	}
+	c := &Cluster{cfg: cfg, rt: rt, dir: director.New()}
 	nodes := make(map[int]*node.Node, cfg.N)
 	for i := 0; i < cfg.N; i++ {
-		n, err := newClusterNode(cfg, i)
-		if err != nil {
+		if nodes[i], err = c.NewNode(i); err != nil {
 			return nil, err
 		}
-		nodes[i] = n
 	}
-	c := &Cluster{cfg: cfg, nodes: nodes, maxID: cfg.N - 1, rt: rt, dir: director.New()}
-	c.commitEpochLocked(core.DenseMembership(cfg.N))
+	c.view.Store(&View{Members: core.DenseMembership(cfg.N), Nodes: nodes})
 	// The default stream keeps the seed's container naming ("client0") so
 	// single-stream results are bit-identical to the serial simulator.
 	def, err := c.Stream("client0")
@@ -282,76 +226,57 @@ func (c *Cluster) Stream(name string) (*Stream, error) {
 	return s, nil
 }
 
-// pinnedView is the cluster's router view pinned to one membership
-// epoch: bids and usage reads are live node state, but the member list
-// — and with it the candidate set — is the one the backup item started
-// on. All reads go through the epoch's immutable node snapshot, so a
-// routing decision takes no cluster-wide lock at all; only the store
-// path resolves nodes through the registry (nodeByID), where a killed
-// node must fail loudly.
-type pinnedView struct {
-	st *epochState
+// View is the in-process router view of one node set: bids and usage
+// reads are live node state, but the member list — and with it the
+// candidate set — is fixed, so a backup item routing against one View
+// never observes a torn member list. Nodes holds every member (the
+// router asks about no one else) and possibly more — a node being
+// drained — and is never mutated after the View is built, so a routing
+// decision takes no lock at all.
+type View struct {
+	Members core.Membership
+	Nodes   map[int]*node.Node
 }
 
 var (
-	_ router.View        = pinnedView{}
-	_ router.SummaryView = pinnedView{}
+	_ router.View        = (*View)(nil)
+	_ router.SummaryView = (*View)(nil)
 )
 
-func (v pinnedView) N() int { return v.st.members.Len() }
+func (v *View) N() int { return v.Members.Len() }
 
-func (v pinnedView) Membership() core.Membership { return v.st.members }
+func (v *View) Membership() core.Membership { return v.Members }
 
-// BidHandprint implements router.View against the pinned epoch. A node
-// that has since been killed still answers from its frozen in-RAM index
-// (engine state stays readable after Close); the store path is where a
-// dead node fails.
-func (v pinnedView) BidHandprint(nodeID int, hp core.Handprint) int {
-	n := v.st.nodes[nodeID]
-	if n == nil {
-		return 0
-	}
-	return n.CountHandprintMatches(hp)
+// BidHandprint implements router.View. A node that has since been killed
+// still answers from its frozen in-RAM index (engine state stays readable
+// after Close); the store path is where a dead node fails.
+func (v *View) BidHandprint(nodeID int, hp core.Handprint) int {
+	return v.Nodes[nodeID].CountHandprintMatches(hp)
 }
 
-// BidChunks implements router.View against the pinned epoch.
-func (v pinnedView) BidChunks(nodeID int, fps []fingerprint.Fingerprint) int {
-	n := v.st.nodes[nodeID]
-	if n == nil {
-		return 0
-	}
-	return n.CountStoredChunks(fps)
+// BidChunks implements router.View.
+func (v *View) BidChunks(nodeID int, fps []fingerprint.Fingerprint) int {
+	return v.Nodes[nodeID].CountStoredChunks(fps)
 }
 
-// Usage implements router.View against the pinned epoch.
-func (v pinnedView) Usage(nodeID int) int64 {
-	n := v.st.nodes[nodeID]
-	if n == nil {
-		return 0
-	}
-	return n.StorageUsage()
+// Usage implements router.View.
+func (v *View) Usage(nodeID int) int64 { return v.Nodes[nodeID].StorageUsage() }
+
+// SummaryMayContain implements router.SummaryView: the node's bid summary
+// answers whether any RFP of hp may be in its similarity index.
+func (v *View) SummaryMayContain(nodeID int, hp core.Handprint) bool {
+	return v.Nodes[nodeID].SummaryMayContain(hp)
 }
 
-// SummaryMayContain implements router.SummaryView against the pinned
-// epoch: the node's bid summary answers whether any RFP of hp may be in
-// its similarity index.
-func (v pinnedView) SummaryMayContain(nodeID int, hp core.Handprint) bool {
-	n := v.st.nodes[nodeID]
-	if n == nil {
-		return false
-	}
-	return n.SummaryMayContain(hp)
-}
-
-// newClusterNode builds one node from the cluster template. Each
-// durable node owns a subdirectory so container files and manifests
-// never collide and a node restarts independently.
-func newClusterNode(cfg Config, id int) (*node.Node, error) {
-	ncfg := cfg.Node
+// NewNode builds one node from the cluster template. Each durable node
+// owns a subdirectory so container files and manifests never collide and
+// a node restarts independently.
+func (c *Cluster) NewNode(id int) (*node.Node, error) {
+	ncfg := c.cfg.Node
 	ncfg.ID = id
-	ncfg.HandprintSize = cfg.HandprintK
+	ncfg.HandprintSize = c.cfg.HandprintK
 	if ncfg.Dir != "" {
-		ncfg.Dir = filepath.Join(cfg.Node.Dir, fmt.Sprintf("node%02d", id))
+		ncfg.Dir = filepath.Join(ncfg.Dir, fmt.Sprintf("node%02d", id))
 	}
 	n, err := node.New(ncfg)
 	if err != nil {
@@ -360,25 +285,27 @@ func newClusterNode(cfg Config, id int) (*node.Node, error) {
 	return n, nil
 }
 
-// nodeByID returns a live node by its cluster ID.
-func (c *Cluster) nodeByID(id int) (*node.Node, error) {
-	c.memberMu.RLock()
-	n := c.nodes[id]
-	c.memberMu.RUnlock()
+// View returns the node set the feed currently routes over.
+func (c *Cluster) View() *View { return c.view.Load() }
+
+// SetView replaces the node set: the backend that owns membership calls
+// it with every set it commits, so the feed, the stats and Close follow.
+func (c *Cluster) SetView(v *View) { c.view.Store(v) }
+
+// Director returns the cluster's metadata plane (see Cluster.dir).
+func (c *Cluster) Director() *director.Director { return c.dir }
+
+// Router returns the cluster's routing scheme instance.
+func (c *Cluster) Router() router.Router { return c.rt }
+
+// Node resolves a node of the current view to its in-process transport
+// (the migrate.Engine.Nodes shape); false for a node outside it.
+func (c *Cluster) Node(id int) (migrate.Node, bool) {
+	n := c.view.Load().Nodes[id]
 	if n == nil {
-		return nil, fmt.Errorf("cluster: no node %d in the current epoch: %w", id, sderr.ErrNotFound)
+		return nil, false
 	}
-	return n, nil
-}
-
-// N is the live node count of the current epoch.
-func (c *Cluster) N() int {
-	return c.cur.Load().members.Len()
-}
-
-// Membership is the current epoch's live node set.
-func (c *Cluster) Membership() core.Membership {
-	return c.cur.Load().members
+	return migrate.Local(n), true
 }
 
 // Scheme returns the active routing scheme name.
@@ -433,14 +360,14 @@ func (c *Cluster) BackupItems(streams map[string][]Item) error {
 	return g.Wait()
 }
 
-// liveNodes snapshots the live nodes of the current epoch, ascending by
-// ID — lock-free through the epoch snapshot, so stats readers
-// (UsageVector, Skew) never contend with membership or ingest locks.
+// liveNodes lists the members' nodes, ascending by ID — lock-free through
+// the view, so stats readers (UsageVector, Skew) never contend with
+// membership or ingest locks.
 func (c *Cluster) liveNodes() []*node.Node {
-	st := c.cur.Load()
-	out := make([]*node.Node, 0, st.members.Len())
-	for _, id := range st.members.Nodes {
-		out = append(out, st.nodes[id])
+	v := c.view.Load()
+	out := make([]*node.Node, 0, v.Members.Len())
+	for _, id := range v.Members.Nodes {
+		out = append(out, v.Nodes[id])
 	}
 	return out
 }
@@ -469,81 +396,22 @@ type Stream struct {
 	name string
 	part *core.Partitioner
 	ctr  *shard
-	// st is the epoch snapshot this stream routes against, re-pinned at
-	// every item boundary: a backup item never observes a torn member
-	// list, and a membership change becomes visible to the stream at
-	// its next item. While an item is in flight the snapshot's use
-	// count is held, so RemoveNode can wait out every item that could
-	// still store to the departing node.
-	st *epochState
+	// v is the view this stream routes against, re-read at every item
+	// boundary: a backup item never observes a torn member list.
+	v *View
 	// retired guards against double-folding; protected by c.shardMu.
 	retired bool
 }
 
-// pin registers one in-flight backup item against the current epoch and
-// returns it. Lock-free: one atomic increment plus a validation reload.
-func (c *Cluster) pin() *epochState {
-	for {
-		st := c.cur.Load()
-		st.uses.Add(1)
-		// Validate after the increment: a membership change that swapped
-		// the current epoch between our load and increment may already
-		// have scanned this state's uses and moved on, so the pin isn't
-		// protected — drop it and pin the new epoch instead. Once the
-		// reload still shows st, the increment happened-before any later
-		// swap, and the change's grace period will observe it.
-		if c.cur.Load() == st {
-			return st
-		}
-		st.uses.Add(-1)
-	}
-}
-
-// Pin pins the current epoch for one backup item of an ingest session:
-// the router view of that epoch, and the release to call once the item's
-// recipe is in the director (or the item was aborted and released).
-// Until then a RemoveNode waits, so its drain finds everything the item
-// stored.
-func (c *Cluster) Pin() (router.View, func()) {
-	st := c.pin()
-	return pinnedView{st: st}, func() { st.uses.Add(-1) }
-}
-
-// Router returns the cluster's routing scheme instance.
-func (c *Cluster) Router() router.Router { return c.rt }
-
-// acquirePin re-pins the stream to the current epoch and registers the
-// in-flight item against it.
-func (s *Stream) acquirePin() {
-	s.releasePin()
-	s.st = s.c.pin()
-}
-
-// releasePin deregisters the stream's in-flight item (item boundary or
-// abort).
-func (s *Stream) releasePin() {
-	if s.st == nil {
-		return
-	}
-	s.st.uses.Add(-1)
-	s.st = nil
-}
-
 // Close retires the stream: its counters fold into the cluster's base
-// totals, its shard is released, and any still-held epoch pin is
-// dropped (an abandoned item must not stall RemoveNode's grace period
-// forever). The stream must not be used again. Safe to call more than
-// once.
-func (s *Stream) Close() {
-	s.releasePin()
-	s.c.retire(s)
-}
+// totals and its shard is released. The stream must not be used again.
+// Safe to call more than once.
+func (s *Stream) Close() { s.c.retire(s) }
 
 // BackupItem feeds one backup item into this stream's pipeline.
 func (s *Stream) BackupItem(fileID uint64, refs []core.ChunkRef) error {
 	s.ctr.files.Add(1)
-	s.acquirePin()
-	defer s.releasePin()
+	s.v = s.c.view.Load()
 
 	fileScoped := s.c.cfg.Scheme == router.ExtremeBinning && fileID != 0
 	var fileMin fingerprint.Fingerprint
@@ -580,8 +448,7 @@ func (s *Stream) BackupItem(fileID uint64, refs []core.ChunkRef) error {
 // Flush routes the stream's final partial super-chunk. It does not seal
 // node containers; Cluster.Flush does that once per session.
 func (s *Stream) Flush() error {
-	s.acquirePin()
-	defer s.releasePin()
+	s.v = s.c.view.Load()
 	if sc := s.part.Flush(); sc != nil {
 		return s.routeAndStore(sc)
 	}
@@ -590,7 +457,7 @@ func (s *Stream) Flush() error {
 
 func (s *Stream) routeAndStore(sc *core.SuperChunk) error {
 	c := s.c
-	d := c.rt.Route(sc, pinnedView{st: s.st})
+	d := c.rt.Route(sc, s.v)
 	s.ctr.superChunks.Add(1)
 	s.ctr.preRoutingMsgs.Add(d.PreRoutingMsgs)
 	s.ctr.bidsSent.Add(d.BidsSent)
@@ -612,10 +479,11 @@ func (s *Stream) routeAndStore(sc *core.SuperChunk) error {
 		// node.Node); different nodes store in parallel, and routing bids
 		// read node state lock-free.
 		s.ctr.afterRoutingMsgs.Add(int64(len(target.Chunks)))
-		nd, err := c.nodeByID(a.Node)
-		if err != nil {
-			return err
+		nd := s.v.Nodes[a.Node]
+		if nd == nil {
+			return fmt.Errorf("cluster: no node %d: %w", a.Node, sderr.ErrNotFound)
 		}
+		var err error
 		if c.cfg.Scheme == router.ExtremeBinning && !sc.FileMinFP.IsZero() {
 			// Extreme Binning dedups the file only against its bin.
 			_, err = nd.StoreFileInBin(s.name, sc.FileMinFP, target)
@@ -677,8 +545,8 @@ func (c *Cluster) Stats() Stats {
 	return st
 }
 
-// UsageVector returns per-node physical storage usage over the live
-// members of the current epoch, ascending by node ID.
+// UsageVector returns per-node physical storage usage over the members,
+// ascending by node ID.
 func (c *Cluster) UsageVector() []int64 {
 	nodes := c.liveNodes()
 	out := make([]int64, len(nodes))
@@ -720,12 +588,16 @@ func (c *Cluster) NormalizedDR(exactPhysical int64) float64 {
 // RestartNode stops node i — sealing its open containers and closing its
 // manifest — and re-opens it from its durable directory, replaying the
 // manifest to restore the chunk index, similarity index and container
-// directory. The node must have been configured with a durable Dir. Not
-// safe to call while backups are in flight; quiesce streams first.
+// directory. The node must have been configured with a durable Dir. The
+// view is swapped for one referencing the restarted node object, not the
+// closed one; the member list is unchanged, so routing behavior is
+// identical. Not safe to call while backups are in flight; quiesce
+// streams first.
 func (c *Cluster) RestartNode(i int) error {
-	nd, err := c.nodeByID(i)
-	if err != nil {
-		return err
+	v := c.view.Load()
+	nd := v.Nodes[i]
+	if nd == nil {
+		return fmt.Errorf("cluster: no node %d: %w", i, sderr.ErrNotFound)
 	}
 	ncfg := nd.Config()
 	if ncfg.Dir == "" {
@@ -739,14 +611,9 @@ func (c *Cluster) RestartNode(i int) error {
 	if err != nil {
 		return fmt.Errorf("cluster: restart node %d: %w", i, err)
 	}
-	c.memberMu.Lock()
-	c.nodes[i] = n
-	// Re-commit the current membership so the epoch snapshot references
-	// the restarted node object, not the closed one. The member list and
-	// epoch number are unchanged — only the snapshot refreshes — so
-	// routing behavior (candidate widths are epoch-driven) is identical.
-	c.commitEpochLocked(c.cur.Load().members)
-	c.memberMu.Unlock()
+	nodes := maps.Clone(v.Nodes)
+	nodes[i] = n
+	c.view.Store(&View{Members: v.Members, Nodes: nodes})
 	return nil
 }
 
@@ -754,7 +621,7 @@ func (c *Cluster) RestartNode(i int) error {
 // stop/restart/restore cycle against durable storage. Same quiescence
 // requirement as RestartNode.
 func (c *Cluster) Restart() error {
-	for _, id := range c.Membership().Nodes {
+	for _, id := range c.view.Load().Members.Nodes {
 		if err := c.RestartNode(id); err != nil {
 			return err
 		}
@@ -762,12 +629,12 @@ func (c *Cluster) Restart() error {
 	return nil
 }
 
-// Close shuts every node down, sealing open containers and releasing
-// durable manifests. Durable nodes can be re-opened by a future cluster
-// with Node.Recover set. The cluster must not be used afterwards.
+// Close shuts every node of the view down, sealing open containers and
+// releasing durable manifests. Durable nodes can be re-opened by a future
+// cluster with Node.Recover set. The cluster must not be used afterwards.
 func (c *Cluster) Close() error {
 	var err error
-	for _, n := range c.liveNodes() {
+	for _, n := range c.view.Load().Nodes {
 		if cerr := n.Close(); err == nil {
 			err = cerr
 		}
@@ -775,8 +642,8 @@ func (c *Cluster) Close() error {
 	return err
 }
 
-// Nodes exposes the live nodes of the current epoch, ascending by ID
-// (read-only use: stats inspection).
+// Nodes exposes the members' nodes, ascending by ID (read-only use: stats
+// inspection).
 func (c *Cluster) Nodes() []*node.Node { return c.liveNodes() }
 
 // exactShards is the stripe count of ExactTracker's seen-set: enough

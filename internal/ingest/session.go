@@ -61,10 +61,8 @@ type Epoch struct {
 	// decision made on a failed view fails the item.
 	View func() router.View
 	// Node resolves a node's stable cluster ID to its transport — for the
-	// stores of this item, the release of what it stored should it abort,
-	// and the release of the generation it supersedes, which may sit on
-	// nodes that joined after the epoch. False means the node left the
-	// cluster.
+	// stores of this item and the release of what it stored should it
+	// abort. False means the node left the cluster.
 	Node func(id int) (migrate.Node, bool)
 	// Release drops the pin; called once the item committed or aborted.
 	Release func()
@@ -749,7 +747,7 @@ func (s *Session) finish(it *item) error {
 			if s.wrote != nil {
 				s.wrote[it.key] = struct{}{}
 			}
-			if err := migrate.Release(it.ctx, it.epoch.Node, prev.Chunks); err != nil {
+			if err := s.supersede(it.ctx, prev.Chunks); err != nil {
 				return fmt.Errorf("ingest: supersede %s: %w", it.name, err)
 			}
 			return nil
@@ -763,6 +761,21 @@ func (s *Session) finish(it *item) error {
 		return fmt.Errorf("%w (cleanup failed: %v)", it.err, err)
 	}
 	return it.err
+}
+
+// supersede releases the generation an item's commit replaced, through
+// an epoch pinned now rather than the item's: a rebalance may have moved
+// that generation onto a node that joined after the item began.
+func (s *Session) supersede(ctx context.Context, prev []director.ChunkEntry) error {
+	if len(prev) == 0 {
+		return nil // a fresh name superseded nothing
+	}
+	epoch, err := s.cfg.Pin(ctx)
+	if err != nil {
+		return err
+	}
+	defer epoch.Release()
+	return migrate.Release(ctx, epoch.Node, prev)
 }
 
 // abandon fails the item the running Backup was feeding: its buffered

@@ -4,32 +4,276 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"sync"
 	"sync/atomic"
 
 	"sigmadedupe/internal/director"
+	"sigmadedupe/internal/fingerprint"
+	"sigmadedupe/internal/ingest"
+	"sigmadedupe/internal/metrics"
 	"sigmadedupe/internal/migrate"
 	"sigmadedupe/internal/tenant"
 )
 
-// plane is the half of a Backend that reads and edits the recipe
-// catalog: restore, delete, compaction, the GC counters and the tenant
-// control plane — written once, over the director's interfaces and the
-// node-transport interface, and embedded by both deployments. Cluster
-// runs it on its in-RAM director and in-process nodes, Remote on a
-// director that may be a TCP hop away and nodes over the wire.
+// plane is the one Backend implementation: everything above the node
+// transport, written once and embedded by both deployments. It holds the
+// node registry and the membership verbs over it (registry.go,
+// elastic.go), the session lifecycle and the statistics (below), and
+// everything that reads and edits the recipe catalog — restore, delete,
+// compaction, the GC counters, the tenant control plane. Cluster
+// constructs it over its in-RAM director and in-process nodes, Remote
+// over a director that may be a TCP hop away and nodes over the wire;
+// what they add is the transport interface and their own extras
+// (SimStats, Restart; BackupStats, RPCMessages).
 type plane struct {
-	meta    director.Metadata
-	tenants director.TenantAdmin
-	// live snapshots the current membership: the member IDs and the
-	// transport resolving each (false for a node that has since left).
-	live func(ctx context.Context) ([]int, func(id int) (migrate.Node, bool), error)
+	t           transport
+	meta        director.Metadata
+	tenants     director.TenantAdmin
+	clusterMeta director.ClusterMeta
+	registry
+
+	// scheme, payloads and replicas say what the deployment can do:
+	// membership changes need Sigma routing, migration needs payloads.
+	scheme       Scheme
+	payloads     bool
+	replicas     int
+	migrateFault migrate.Fault
+
+	// name, algorithm, defaults and sched configure sessions: the default
+	// session's stream name (and the prefix of unnamed ones), the
+	// fingerprint hash, the option defaults and the backend-wide
+	// weighted-fair ingest scheduler (nil when IngestCapacityBytes is 0).
+	name      string
+	algorithm fingerprint.Algorithm
+	defaults  sessionConfig
+	sched     *tenant.Scheduler
 	// ahead is how many restore windows are fetched ahead of the writer.
 	ahead int
-	// recipeless, when set, is what Restore and Delete fail with: the
-	// deployment keeps no restorable recipes (Extreme Binning).
+	// recipeless, when set, is what Restore, Delete and NewSession fail
+	// with: the deployment keeps no restorable recipes (Extreme Binning).
 	recipeless error
 
+	// def is the default session behind the one-shot Backup verb, opened
+	// on first use.
+	defMu sync.Mutex
+	def   *ingest.Session
+	// sessions maps every open session to what its transport holds for
+	// it; folded sums the counters of the closed ones; feed, when set,
+	// reports what reached the nodes past the sessions (the simulator's
+	// Extreme Binning whole-file path); opened numbers the sessions opened
+	// without a name.
+	sessMu   sync.Mutex
+	sessions map[*ingest.Session]io.Closer
+	folded   counters
+	feed     func() ingest.Stats
+	opened   atomic.Int64
+
 	restoredBytes, restoredChunks, readBatches, failoverReads atomic.Int64
+}
+
+// counters are the session counters the backend-wide stats sum.
+type counters struct {
+	logicalBytes, superChunks, lookups int64
+}
+
+func (a *counters) add(st ingest.Stats) {
+	a.logicalBytes += st.LogicalBytes
+	a.superChunks += st.SuperChunks
+	a.lookups += st.PreRoutingMsgs + st.AfterRoutingMsgs
+}
+
+// openSession opens an ingest session over the director and the node
+// transport: what the options decided, the backend's hash, scheduler and
+// payload policy, and the transport's router, epoch pin and R=2 strategy.
+func (p *plane) openSession(ctx context.Context, cfg sessionConfig) (*ingest.Session, error) {
+	icfg := cfg.ingest(p.algorithm)
+	icfg.Scheduler = p.sched
+	icfg.KeepPayloads = p.payloads
+	held, err := p.t.wire(ctx, cfg, &icfg)
+	if err != nil {
+		return nil, err
+	}
+	s, err := ingest.New(ctx, icfg, p.meta)
+	if err != nil {
+		if held != nil {
+			held.Close()
+		}
+		return nil, err
+	}
+	p.sessMu.Lock()
+	p.sessions[s] = held
+	p.sessMu.Unlock()
+	return s, nil
+}
+
+// closeSession releases a session and folds its counters into the
+// totals. What the transport holds closes before the session settles its
+// in-flight super-chunks, so a wedged server cannot hang it: closing the
+// connections fails the pending calls.
+func (p *plane) closeSession(s *ingest.Session) (err error) {
+	p.sessMu.Lock()
+	held, ok := p.sessions[s]
+	delete(p.sessions, s)
+	p.sessMu.Unlock()
+	if !ok {
+		return nil
+	}
+	if held != nil {
+		err = held.Close()
+	}
+	s.Close()
+	p.sessMu.Lock()
+	p.folded.add(s.Stats())
+	p.sessMu.Unlock()
+	return err
+}
+
+// counters sums the sessions' counters, open and closed, with the
+// feed's.
+func (p *plane) counters() counters {
+	p.sessMu.Lock()
+	total := p.folded
+	for s := range p.sessions {
+		total.add(s.Stats())
+	}
+	p.sessMu.Unlock()
+	if p.feed != nil {
+		total.add(p.feed())
+	}
+	return total
+}
+
+// NewSession implements Backend: its own partitioner
+// (WithSuperChunkSize), fingerprint worker pool (WithWorkers), in-flight
+// super-chunk window (WithInflightSuperChunks) and stats — the same
+// ingest session on either deployment. Tenant admission runs on the
+// director: an unknown tenant fails with ErrNotFound, one at or over
+// quota with ErrQuotaExceeded.
+func (p *plane) NewSession(ctx context.Context, opts ...SessionOption) (*Session, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if p.recipeless != nil {
+		return nil, p.recipeless
+	}
+	cfg, err := resolveSessionConfig(p.defaults, opts)
+	if err != nil {
+		return nil, err
+	}
+	if cfg.name == "" {
+		cfg.name = fmt.Sprintf("%s-session%d", p.name, p.opened.Add(1))
+	}
+	s, err := p.openSession(ctx, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return &Session{impl: s, close: func() error { return p.closeSession(s) }}, nil
+}
+
+// defaultSession returns (opening it on first use) the session behind
+// the one-shot verbs.
+func (p *plane) defaultSession(ctx context.Context) (*ingest.Session, error) {
+	p.defMu.Lock()
+	defer p.defMu.Unlock()
+	if p.def == nil {
+		cfg, err := resolveSessionConfig(p.defaults, []SessionOption{WithSessionName(p.name)})
+		if err != nil {
+			return nil, err
+		}
+		if p.def, err = p.openSession(ctx, cfg); err != nil {
+			return nil, err
+		}
+	}
+	return p.def, nil
+}
+
+// defaultIfOpen returns the default session, nil before its first use.
+func (p *plane) defaultIfOpen() *ingest.Session {
+	p.defMu.Lock()
+	defer p.defMu.Unlock()
+	return p.def
+}
+
+// Backup implements Backend on the default session. Canceling ctx aborts
+// within about one super-chunk of work; the failed backup is released,
+// the name keeps pointing at its previous generation (if any) and the
+// default session stays usable.
+func (p *plane) Backup(ctx context.Context, name string, r io.Reader) error {
+	s, err := p.defaultSession(ctx)
+	if err != nil {
+		return err
+	}
+	return s.Backup(ctx, name, r)
+}
+
+// Flush implements Backend: the default session's in-flight items
+// settle, its backups commit and node containers seal. Explicit sessions
+// flush themselves.
+func (p *plane) Flush(ctx context.Context) error {
+	if s := p.defaultIfOpen(); s != nil {
+		return s.Flush(ctx)
+	}
+	return nil // nothing backed up yet
+}
+
+// close releases the default session and every node handle.
+func (p *plane) close() (err error) {
+	if s := p.defaultIfOpen(); s != nil {
+		err = p.closeSession(s)
+	}
+	if e := p.cur.Load(); e != nil { // nil when the constructor failed early
+		for _, m := range e.nodes {
+			if cerr := m.close(); err == nil {
+				err = cerr
+			}
+		}
+	}
+	return err
+}
+
+// usage reads every member's stored bytes (ascending by node ID) over
+// one registry snapshot: a concurrent topology change commits before or
+// after it, never in the middle.
+func (p *plane) usage(ctx context.Context) ([]int64, error) {
+	ids, nodes, err := p.live(ctx)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]int64, len(ids))
+	for i, id := range ids {
+		nd, _ := nodes(id)
+		// An empty handprint is the plain usage probe. Live storage usage,
+		// not a cumulative stored-bytes counter: it shrinks when compaction
+		// reclaims space.
+		if _, out[i], err = nd.Bid(ctx, nil); err != nil {
+			return nil, fmt.Errorf("sigmadedupe: stats node %d: %w", id, err)
+		}
+	}
+	return out, nil
+}
+
+// Stats implements Backend: the bytes this backend's sessions were
+// handed, the bytes the members store, and the director's count of
+// retained backups (its tenant accounting keeps one per name).
+func (p *plane) Stats(ctx context.Context) (BackendStats, error) {
+	usage, err := p.usage(ctx)
+	if err != nil {
+		return BackendStats{}, err
+	}
+	st := BackendStats{
+		LogicalBytes: p.counters().logicalBytes,
+		Nodes:        len(usage),
+		StorageSkew:  metrics.Skew(usage),
+	}
+	for _, u := range usage {
+		st.PhysicalBytes += u
+	}
+	st.DedupRatio = metrics.DedupRatio(st.LogicalBytes, st.PhysicalBytes)
+	tenants, err := p.tenants.Tenants(ctx)
+	for _, t := range tenants {
+		st.Backups += int(t.Usage.Backups)
+	}
+	return st, err
 }
 
 // resolve composes the recipe key of a tenant's backup name and
@@ -104,7 +348,7 @@ func (p *plane) Compact(ctx context.Context, threshold float64) (GCResult, error
 }
 
 // gcStats sums the garbage-collection counters of every live node over
-// one membership snapshot.
+// one registry snapshot.
 func (p *plane) gcStats(ctx context.Context) (GCStats, error) {
 	ids, nodes, err := p.live(ctx)
 	if err != nil {

@@ -11,7 +11,6 @@ import (
 	"sigmadedupe/internal/core"
 	"sigmadedupe/internal/director"
 	"sigmadedupe/internal/ingest"
-	"sigmadedupe/internal/metrics"
 	"sigmadedupe/internal/migrate"
 	"sigmadedupe/internal/router"
 	"sigmadedupe/internal/rpc"
@@ -67,70 +66,24 @@ type RemoteConfig struct {
 	IngestCapacityBytes int64
 }
 
-// Remote is the TCP-prototype Backend: source inline deduplication
-// against real deduplication servers and a director, over the batched,
-// pipelined, cancelable RPC protocol.
+// Remote is the TCP-prototype Backend deployment: the one backend
+// (plane) doing source inline deduplication against real deduplication
+// servers and a director, over the batched, pipelined, cancelable RPC
+// protocol.
 //
 // The one-shot Backup/Restore/Delete verbs share one implicit default
 // stream and are therefore single-goroutine, like any backup stream;
 // open explicit Sessions for concurrent streams.
 type Remote struct {
 	plane
-	cfg         RemoteConfig
-	clusterMeta director.ClusterMeta
-	localMeta   *Director
-	remoteMeta  *director.Remote
+	localMeta  *Director
+	remoteMeta *director.Remote
 
-	// sched is the backend-wide weighted-fair ingest scheduler (nil when
-	// IngestCapacityBytes is 0); weights caches tenant weights for its
-	// lock-held lookups — primed at session creation and on every tenant
-	// mutation through this backend, so the scheduler never blocks on a
-	// director round trip.
-	sched   *tenant.Scheduler
+	// weights caches tenant weights for the scheduler's lock-held lookups
+	// — primed at session creation and on every tenant mutation through
+	// this backend, so the scheduler never blocks on a director round
+	// trip.
 	weights sync.Map // tenant name → int weight
-
-	// reg is the epoch-consistent node registry: the live node set of
-	// the current membership epoch plus one lazily dialed control
-	// connection per node (stats, compaction, migration). Readers take a
-	// snapshot under the read lock; membership changes hold the write
-	// lock, so Stats/GCStats can never race a topology change.
-	reg registry
-
-	// memberOp serializes membership operations (AddNode, RemoveNode,
-	// Rebalance, RecoverMigrations) against each other without blocking
-	// registry readers: the registry's own lock is only ever held for
-	// in-memory work, never across a dial or a director round trip.
-	memberOp sync.Mutex
-
-	mu  sync.Mutex
-	def *stream // lazy default stream
-
-	migrateFault migrate.Fault
-}
-
-// registry is the Remote's live node set.
-type registry struct {
-	sync.RWMutex
-	epoch uint64
-	nodes []*registryNode // ascending by ID
-}
-
-// registryNode is one live node: stable ID, dial address, and the
-// shared control connection (nil until first use).
-type registryNode struct {
-	id   int
-	addr string
-	conn *rpc.Client
-}
-
-// snapshot returns the epoch and the node list (the slice is a copy;
-// the *registryNode entries are shared).
-func (r *registry) snapshot() (uint64, []*registryNode) {
-	r.RLock()
-	defer r.RUnlock()
-	out := make([]*registryNode, len(r.nodes))
-	copy(out, r.nodes)
-	return r.epoch, out
 }
 
 // NewRemote connects a Remote backend. ctx bounds the director dial;
@@ -143,9 +96,24 @@ func NewRemote(ctx context.Context, cfg RemoteConfig) (*Remote, error) {
 	if cfg.Name == "" {
 		cfg.Name = "client"
 	}
-	r := &Remote{cfg: cfg}
-	r.live = r.liveNodes
-	r.ahead = cfg.InflightSuperChunks
+	r := &Remote{}
+	r.plane = plane{
+		t:         r,
+		scheme:    SchemeSigma,
+		payloads:  true,
+		replicas:  cfg.Replicas,
+		name:      cfg.Name,
+		algorithm: cfg.Fingerprint.internal(),
+		defaults: sessionConfig{
+			chunk:          cfg.Chunk,
+			superChunkSize: cfg.SuperChunkSize,
+			handprintK:     cfg.HandprintSize,
+			workers:        cfg.Workers,
+			inflight:       cfg.InflightSuperChunks,
+		},
+		ahead:    cfg.InflightSuperChunks,
+		sessions: make(map[*ingest.Session]io.Closer),
+	}
 	if r.ahead <= 0 {
 		r.ahead = ingest.DefaultInflight
 	}
@@ -166,17 +134,19 @@ func NewRemote(ctx context.Context, cfg RemoteConfig) (*Remote, error) {
 	default:
 		return nil, fmt.Errorf("sigmadedupe: remote backend needs a Director or DirectorAddr")
 	}
-	members, err := r.clusterMeta.Members(ctx)
-	if err != nil {
+	fail := func(err error) (*Remote, error) {
 		r.Close()
 		return nil, err
+	}
+	members, err := r.clusterMeta.Members(ctx)
+	if err != nil {
+		return fail(err)
 	}
 	switch {
 	case members.Epoch == 0:
 		// First contact: register the configured node set as epoch 1.
 		if len(cfg.Nodes) == 0 {
-			r.Close()
-			return nil, fmt.Errorf("sigmadedupe: remote backend needs at least one node address")
+			return fail(fmt.Errorf("sigmadedupe: remote backend needs at least one node address"))
 		}
 		infos := make([]director.NodeInfo, len(cfg.Nodes))
 		for i, addr := range cfg.Nodes {
@@ -188,8 +158,7 @@ func NewRemote(ctx context.Context, cfg RemoteConfig) (*Remote, error) {
 			members, err = r.clusterMeta.Members(ctx)
 		}
 		if err != nil {
-			r.Close()
-			return nil, err
+			return fail(err)
 		}
 	case len(cfg.Nodes) == 0:
 		// Membership is director-managed; use its node set as-is.
@@ -205,65 +174,55 @@ func NewRemote(ctx context.Context, cfg RemoteConfig) (*Remote, error) {
 		}
 		if changed {
 			if members, err = r.clusterMeta.SetMembers(ctx, members.Epoch, infos); err != nil {
-				r.Close()
-				return nil, err
+				return fail(err)
 			}
 		}
 	default:
-		r.Close()
-		return nil, fmt.Errorf(
+		return fail(fmt.Errorf(
 			"sigmadedupe: the director tracks %d member nodes (epoch %d) but RemoteConfig.Nodes lists %d; pass every member's current address, or none to use the director's",
-			len(members.Nodes), members.Epoch, len(cfg.Nodes))
+			len(members.Nodes), members.Epoch, len(cfg.Nodes)))
 	}
-	r.reg.epoch = members.Epoch
+	nodes := make(map[int]*member, len(members.Nodes))
 	for _, n := range members.Nodes {
-		r.reg.nodes = append(r.reg.nodes, &registryNode{id: n.ID, addr: n.Addr})
+		nodes[n.ID] = &member{id: n.ID, addr: n.Addr}
+		r.nextID = max(r.nextID, n.ID+1)
 	}
+	r.director = members.Epoch
+	r.commit(core.NewMembership(members.Epoch, members.IDs()), nodes)
 	if err := ctx.Err(); err != nil {
-		r.Close()
-		return nil, err
+		return fail(err)
 	}
 	return r, nil
 }
 
-// nodeConn returns (dialing lazily) the control connection of one
-// registry node. The dial happens outside the registry lock — an
-// unreachable node must not stall every Stats/Backup behind a blocked
-// mutex — and the loser of a concurrent dial race closes its spare.
-func (r *Remote) nodeConn(ctx context.Context, n *registryNode) (*rpc.Client, error) {
-	r.reg.RLock()
-	conn := n.conn
-	r.reg.RUnlock()
-	if conn != nil {
-		return conn, nil
+// join implements transport: the already-running server at addr. An
+// address that is already a member is refused — a second ID for one
+// server would count its bytes twice in Stats, and draining either ID
+// would "migrate" into the same store.
+func (r *Remote) join(id int, addr string, members map[int]*member) (*member, error) {
+	if addr == "" {
+		return nil, fmt.Errorf("sigmadedupe: AddNode needs the new server's address")
 	}
-	c, err := rpc.DialContext(ctx, n.addr)
+	for _, m := range members {
+		if m.addr == addr {
+			return nil, fmt.Errorf("sigmadedupe: the server at %s is already member %d: %w", addr, m.id, ErrConflict)
+		}
+	}
+	return &member{id: id, addr: addr}, nil
+}
+
+// open implements transport: the node's control connection.
+func (r *Remote) open(ctx context.Context, m *member) (migrate.Node, error) {
+	conn, err := rpc.DialContext(ctx, m.addr)
 	if err != nil {
-		return nil, fmt.Errorf("sigmadedupe: node %d: %w", n.id, err)
-	}
-	r.reg.Lock()
-	if n.conn == nil {
-		n.conn = c
-		c = nil
-	}
-	conn = n.conn
-	r.reg.Unlock()
-	if c != nil {
-		c.Close()
+		return nil, err // not a nil *rpc.Client in a non-nil interface
 	}
 	return conn, nil
 }
 
-// sessionDefaults derives the backend's default session configuration.
-func (r *Remote) sessionDefaults() sessionConfig {
-	return sessionConfig{
-		chunk:          r.cfg.Chunk,
-		superChunkSize: r.cfg.SuperChunkSize,
-		handprintK:     r.cfg.HandprintSize,
-		workers:        r.cfg.Workers,
-		inflight:       r.cfg.InflightSuperChunks,
-	}
-}
+// committed implements transport; a snapshot's views are built per
+// routing decision, over the deciding session's connections.
+func (r *Remote) committed(*epoch) {}
 
 // tenantWeight is the scheduler's weight lookup, served from the local
 // cache (the scheduler calls it under its mutex, so it must never block
@@ -306,95 +265,118 @@ func (r *Remote) primeWeight(ctx context.Context, name string) {
 	}
 }
 
-// stream is one ingest session of the Remote and the connections it
-// dialed: one per node of the membership epoch current when it opened,
-// which it routes within for life — node adds and removals become
-// visible to new sessions, never to this one.
-type stream struct {
-	*ingest.Session
-	epoch uint64
-	conns []*rpc.Client
+// conns are the connections one session dialed: one per node it has
+// pinned, so a session's transfers neither queue behind another's nor
+// hang it when a server wedges.
+type conns struct {
+	r *Remote
+	// pinned is the snapshot whose nodes were last dialed (driving
+	// goroutine only).
+	pinned *epoch
+	mu     sync.Mutex
+	byNode map[*member]*rpc.Client
 }
 
-// close releases the stream. Connections close before the session
-// settles its in-flight super-chunks, so a wedged server cannot hang it:
-// closing the transport fails the pending calls.
-func (st *stream) close() error {
-	var first error
-	for _, conn := range st.conns {
+// dial closes the connections to nodes that left since the session last
+// pinned and connects to every node of e it has not dialed yet. An item
+// still in flight cannot be using a connection closed here: a drained
+// node leaves only after every earlier pin is released, and an item in
+// flight to a killed one fails regardless.
+func (c *conns) dial(ctx context.Context, e *epoch) error {
+	if c.pinned == e {
+		return nil
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for m, conn := range c.byNode {
+		if e.nodes[m.id] != m {
+			conn.Close()
+			delete(c.byNode, m)
+		}
+	}
+	for _, m := range e.nodes {
+		if c.byNode[m] != nil {
+			continue
+		}
+		conn, err := rpc.DialContext(ctx, m.addr)
+		if err != nil {
+			return fmt.Errorf("sigmadedupe: node %d: %w", m.id, err)
+		}
+		c.byNode[m] = conn
+	}
+	c.pinned = e
+	return nil
+}
+
+// node resolves a node of the current snapshot to this session's
+// connection: a killed node does not resolve, so an item in flight to it
+// fails loudly.
+func (c *conns) node(id int) (migrate.Node, bool) {
+	m := c.r.cur.Load().nodes[id]
+	c.mu.Lock()
+	conn := c.byNode[m]
+	c.mu.Unlock()
+	return conn, conn != nil
+}
+
+// calls sums the RPC requests issued over the connections.
+func (c *conns) calls() (n int64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, conn := range c.byNode {
+		n += conn.Calls()
+	}
+	return n
+}
+
+// Close implements io.Closer.
+func (c *conns) Close() (first error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for m, conn := range c.byNode {
 		if err := conn.Close(); first == nil {
 			first = err
 		}
-	}
-	if st.Session != nil {
-		st.Session.Close()
+		delete(c.byNode, m)
 	}
 	return first
 }
 
-// newStream dials the current membership epoch and opens an ingest
-// session over those connections and the director, with the prototype's
-// seams: the epoch is the one dialed (bids travel as Bid calls, usage
-// comes back on the reply), and R=2 replicates at Flush under the
-// director's journaled transactions.
-func (r *Remote) newStream(ctx context.Context, cfg sessionConfig) (*stream, error) {
-	epoch, nodes := r.reg.snapshot()
-	st := &stream{epoch: epoch}
-	byID := make(map[int]*rpc.Client, len(nodes))
-	ids := make([]int, len(nodes))
-	for i, n := range nodes {
-		conn, err := rpc.DialContext(ctx, n.addr)
-		if err != nil {
-			st.close()
-			return nil, fmt.Errorf("sigmadedupe: node %d: %w", n.id, err)
-		}
-		st.conns = append(st.conns, conn)
-		byID[n.id], ids[i] = conn, n.id
-	}
-	members := core.NewMembership(epoch, ids)
-	dialed := func(id int) (migrate.Node, bool) {
-		conn, ok := byID[id]
-		return conn, ok
-	}
-	r.primeWeight(ctx, cfg.tenant)
+// wire implements transport: the session dials its own connections, to
+// the nodes of every snapshot an item of its pins (bids travel as Bid
+// calls, usage comes back on the reply), and R=2 replicates at Flush
+// under the director's journaled transactions.
+func (r *Remote) wire(ctx context.Context, cfg sessionConfig, icfg *ingest.Config) (io.Closer, error) {
 	rt, err := router.New(router.Sigma, cfg.handprintK, 0)
 	if err != nil {
-		st.close()
 		return nil, err
 	}
-	icfg := cfg.ingest(r.cfg.Fingerprint.internal())
+	// A session whose node cannot be dialed fails to open instead of
+	// failing at its first item.
+	c := &conns{r: r, byNode: make(map[*member]*rpc.Client)}
+	if err := c.dial(ctx, r.cur.Load()); err != nil {
+		c.Close()
+		return nil, err
+	}
 	icfg.Router = rt
-	icfg.Scheduler = r.sched
-	icfg.KeepPayloads = true
 	icfg.Pin = func(ctx context.Context) (ingest.Epoch, error) {
-		// A generation this session supersedes may have been rebalanced onto
-		// a node that joined since it dialed — "not in my epoch" is not "left
-		// the cluster" — so releases also reach the current members.
-		_, live, err := r.liveNodes(ctx)
-		if err != nil {
+		e := r.pin()
+		if err := c.dial(ctx, e); err != nil {
+			e.release()
 			return ingest.Epoch{}, err
 		}
 		return ingest.Epoch{
-			View: func() router.View { return migrate.NewView(ctx, members, dialed) },
-			Node: func(id int) (migrate.Node, bool) {
-				if nd, ok := dialed(id); ok {
-					return nd, true
-				}
-				return live(id)
-			},
-			Release: func() {},
+			View:    func() router.View { return migrate.NewView(ctx, e.members, c.node) },
+			Node:    c.node,
+			Release: e.release,
 		}, nil
 	}
-	if r.cfg.Replicas >= 2 {
+	if r.replicas >= 2 {
 		icfg.Replicate.AtFlush = func(ctx context.Context, wrote map[string]struct{}) error {
-			return r.replicateSession(ctx, wrote, members, dialed, cfg.handprintK)
+			return r.replicateSession(ctx, wrote, c.node, cfg.handprintK)
 		}
 	}
-	if st.Session, err = ingest.New(ctx, icfg, r.meta); err != nil {
-		st.close()
-		return nil, err
-	}
-	return st, nil
+	return c, nil
 }
 
 // replicateSession is the Flush-time replication pass of one stream:
@@ -402,8 +384,9 @@ func (r *Remote) newStream(ctx context.Context, cfg sessionConfig) (*stream, err
 // rendezvous replica owners of its super-chunk runs, one journaled
 // transaction per run (see migrate.Engine.ReplicateRecipe), now that the
 // primaries' containers are sealed.
-func (r *Remote) replicateSession(ctx context.Context, wrote map[string]struct{}, members core.Membership,
+func (r *Remote) replicateSession(ctx context.Context, wrote map[string]struct{},
 	nodes func(int) (migrate.Node, bool), handprintK int) error {
+	members := r.cur.Load().members
 	eng := &migrate.Engine{Catalog: r.clusterMeta, Nodes: nodes, HandprintK: handprintK}
 	paths := make([]string, 0, len(wrote))
 	for p := range wrote {
@@ -427,375 +410,18 @@ func (r *Remote) replicateSession(ctx context.Context, wrote map[string]struct{}
 	return nil
 }
 
-// defaultStream returns (dialing lazily) the stream behind the one-shot
-// verbs. A default stream pinned to a superseded epoch is retired first
-// — flushed, closed, and re-dialed against the current member set — so
-// one-shot verbs always see the membership the last change committed.
-func (r *Remote) defaultStream(ctx context.Context) (*stream, error) {
-	epoch, _ := r.reg.snapshot()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.def != nil && r.def.epoch == epoch {
-		return r.def, nil
-	}
-	if r.def != nil {
-		// Epoch moved: settle the old stream (its tail may still be in
-		// flight) before retiring its connections.
-		if err := r.def.Flush(ctx); err != nil {
-			return nil, err
-		}
-		if err := r.def.close(); err != nil {
-			return nil, err
-		}
-		r.def = nil
-	}
-	cfg, err := resolveSessionConfig(r.sessionDefaults(), nil)
-	if err != nil {
-		return nil, err
-	}
-	cfg.name = r.cfg.Name
-	st, err := r.newStream(ctx, cfg)
-	if err != nil {
-		return nil, err
-	}
-	r.def = st
-	return st, nil
-}
-
-// NewSession opens an explicit backup stream: its own node connections,
-// fingerprint worker pool and in-flight super-chunk window.
-func (r *Remote) NewSession(ctx context.Context, opts ...SessionOption) (*Session, error) {
-	cfg, err := resolveSessionConfig(r.sessionDefaults(), opts)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.name == "" {
-		cfg.name = fmt.Sprintf("%s-session", r.cfg.Name)
-	}
-	st, err := r.newStream(ctx, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &Session{impl: st.Session, close: st.close}, nil
-}
-
-// Backup deduplicates and stores one named stream on the default backup
-// stream, reading r incrementally with peak buffered payload bounded by
-// the in-flight window. Canceling ctx aborts within about one
-// super-chunk of work; the failed backup is released and the default
-// stream stays usable.
-func (r *Remote) Backup(ctx context.Context, name string, rd io.Reader) error {
-	st, err := r.defaultStream(ctx)
-	if err != nil {
-		return err
-	}
-	return st.Backup(ctx, name, rd)
-}
-
-// Flush completes the default backup stream: in-flight transfers drain,
-// backups commit and remote containers seal.
-func (r *Remote) Flush(ctx context.Context) error {
-	r.mu.Lock()
-	c := r.def
-	r.mu.Unlock()
-	if c == nil {
-		return nil // nothing backed up yet
-	}
-	return c.Flush(ctx)
-}
-
 // GCStats sums the garbage-collection counters of every live node over
-// one epoch-consistent registry snapshot: a concurrent topology change
-// commits before or after the snapshot, never in the middle of it.
+// one registry snapshot: a concurrent topology change commits before or
+// after the snapshot, never in the middle of it.
 func (r *Remote) GCStats(ctx context.Context) (GCStats, error) { return r.gcStats(ctx) }
-
-// Stats implements Backend: cluster-wide counters aggregated over the
-// wire from one epoch-consistent registry snapshot, plus the director's
-// retained-backup count.
-func (r *Remote) Stats(ctx context.Context) (BackendStats, error) {
-	var st BackendStats
-	_, nodes := r.reg.snapshot()
-	st.Nodes = len(nodes)
-	usage := make([]int64, 0, len(nodes))
-	for _, n := range nodes {
-		conn, err := r.nodeConn(ctx, n)
-		if err != nil {
-			return st, err
-		}
-		nst, u, err := conn.Stats(ctx)
-		if err != nil {
-			return st, fmt.Errorf("sigmadedupe: stats node %d: %w", n.id, err)
-		}
-		st.LogicalBytes += nst.LogicalBytes
-		// Live storage usage, not the cumulative stored-bytes counter:
-		// usage shrinks when compaction reclaims space, matching the
-		// simulator's PhysicalBytes semantics.
-		st.PhysicalBytes += u
-		usage = append(usage, u)
-	}
-	st.DedupRatio = metrics.DedupRatio(st.LogicalBytes, st.PhysicalBytes)
-	st.StorageSkew = metrics.Skew(usage)
-	switch {
-	case r.localMeta != nil:
-		st.Backups = len(r.localMeta.Files())
-	case r.remoteMeta != nil:
-		files, err := r.remoteMeta.Files(ctx)
-		if err != nil {
-			return st, err
-		}
-		st.Backups = len(files)
-	}
-	return st, nil
-}
-
-// AddNode implements Backend: the already-running deduplication server
-// at addr joins the cluster. The director journals the new membership
-// epoch (fsynced on a durable director) before the registry applies it;
-// sessions opened after AddNode returns bid the node in, sessions
-// already open keep their pinned epoch.
-func (r *Remote) AddNode(ctx context.Context, addr string) (int, error) {
-	if addr == "" {
-		return 0, fmt.Errorf("sigmadedupe: AddNode needs the new server's address")
-	}
-	r.memberOp.Lock()
-	defer r.memberOp.Unlock()
-	epoch, nodes := r.reg.snapshot()
-	id := 0
-	infos := make([]director.NodeInfo, 0, len(nodes)+1)
-	for _, n := range nodes {
-		if n.id >= id {
-			id = n.id + 1
-		}
-		infos = append(infos, director.NodeInfo{ID: n.id, Addr: n.addr})
-	}
-	infos = append(infos, director.NodeInfo{ID: id, Addr: addr})
-	// The CAS on the registry's epoch: if another client changed the
-	// membership since this backend last saw it, fail loudly instead of
-	// overwriting that change (or double-allocating the node ID). The
-	// director round trip runs outside the registry lock; memberOp keeps
-	// local membership ops from interleaving.
-	members, err := r.clusterMeta.SetMembers(ctx, epoch, infos)
-	if err != nil {
-		return 0, err
-	}
-	r.reg.Lock()
-	r.reg.epoch = members.Epoch
-	r.reg.nodes = append(r.reg.nodes, &registryNode{id: id, addr: addr})
-	r.reg.Unlock()
-	return id, nil
-}
-
-// liveNodes is the plane's membership snapshot: the member IDs of one
-// consistent registry read and their (lazily dialed) control
-// connections — a topology change landing between two registry reads
-// cannot hand the caller a member it holds no connection for.
-func (r *Remote) liveNodes(ctx context.Context) ([]int, func(int) (migrate.Node, bool), error) {
-	_, nodes := r.reg.snapshot()
-	conns := make(map[int]*rpc.Client, len(nodes))
-	ids := make([]int, 0, len(nodes))
-	for _, n := range nodes {
-		conn, err := r.nodeConn(ctx, n)
-		if err != nil {
-			return nil, nil, err
-		}
-		conns[n.id] = conn
-		ids = append(ids, n.id)
-	}
-	return ids, func(id int) (migrate.Node, bool) {
-		conn, ok := conns[id]
-		return conn, ok
-	}, nil
-}
-
-// engine builds the migration engine over one membership snapshot; the
-// returned membership covers exactly the nodes the engine can reach
-// (callers hold memberOp, so the epoch cannot move under the snapshot).
-func (r *Remote) engine(ctx context.Context) (*migrate.Engine, core.Membership, error) {
-	epoch, _ := r.reg.snapshot()
-	ids, nodes, err := r.liveNodes(ctx)
-	if err != nil {
-		return nil, core.Membership{}, err
-	}
-	e := &migrate.Engine{
-		Catalog:    r.clusterMeta,
-		Nodes:      nodes,
-		HandprintK: r.cfg.HandprintSize,
-		Replicas:   r.cfg.Replicas,
-		Fault:      r.migrateFault,
-	}
-	return e, core.NewMembership(epoch, ids), nil
-}
-
-// RemoveNode implements Backend: every super-chunk on the node migrates
-// to a surviving member under the journaled commit protocol (recipes
-// repointed, references released), then the shrunken membership epoch
-// commits and the node's connection closes. Quiesce backup sessions
-// first — an actively written node fails the drain.
-func (r *Remote) RemoveNode(ctx context.Context, id int) (MigrationResult, error) {
-	var res MigrationResult
-	r.memberOp.Lock()
-	defer r.memberOp.Unlock()
-	if err := migrate.GuardNoPending(ctx, r.clusterMeta); err != nil {
-		return res, err
-	}
-	// Settle the default stream's buffered tail before planning: an
-	// unflushed one-shot backup could otherwise route its final
-	// super-chunk to the node after the drain scanned it.
-	if err := r.Flush(ctx); err != nil {
-		return res, err
-	}
-	e, members, err := r.engine(ctx)
-	if err != nil {
-		return res, err
-	}
-	if !members.Contains(id) {
-		return res, fmt.Errorf("sigmadedupe: no node %d in the current epoch", id)
-	}
-	if members.Len() == 1 {
-		return res, fmt.Errorf("sigmadedupe: cannot remove the last node")
-	}
-	// Drain, then commit. The epoch commits only after the node is
-	// empty, so a crash mid-drain leaves the node in the membership —
-	// its address stays discoverable and a rerun finishes the job.
-	moved, err := e.Drain(ctx, id, members)
-	res = toMigrationResult(moved)
-	if err != nil {
-		return res, err
-	}
-	return res, r.dropNode(ctx, id)
-}
-
-// dropNode commits the membership epoch without node id and applies it
-// to the registry, closing the node's control connection (best effort:
-// a killed node's peer may already be gone). The director round trip
-// runs outside the registry lock — memberOp serializes local membership
-// ops, the director's epoch CAS catches remote ones. Caller holds
-// memberOp.
-func (r *Remote) dropNode(ctx context.Context, id int) error {
-	epoch, nodes := r.reg.snapshot()
-	infos := make([]director.NodeInfo, 0, len(nodes))
-	keep := make([]*registryNode, 0, len(nodes))
-	var removed *registryNode
-	for _, n := range nodes {
-		if n.id == id {
-			removed = n
-			continue
-		}
-		infos = append(infos, director.NodeInfo{ID: n.id, Addr: n.addr})
-		keep = append(keep, n)
-	}
-	if removed == nil {
-		return fmt.Errorf("sigmadedupe: no node %d in the current epoch: %w", id, ErrNotFound)
-	}
-	if len(keep) == 0 {
-		return fmt.Errorf("sigmadedupe: cannot drop the last node")
-	}
-	committed, err := r.clusterMeta.SetMembers(ctx, epoch, infos)
-	if err != nil {
-		return err
-	}
-	r.reg.Lock()
-	r.reg.epoch = committed.Epoch
-	r.reg.nodes = keep
-	conn := removed.conn
-	r.reg.Unlock()
-	if conn != nil {
-		_ = conn.Close()
-	}
-	return nil
-}
-
-// Rebalance implements Backend: super-chunk segments migrate from
-// members above the cluster's mean storage usage onto underloaded
-// rendezvous owners — the follow-up that spreads existing data onto a
-// node AddNode just joined. Safe to run while backup sessions proceed:
-// migration commits per segment, and a backup superseding a recipe
-// mid-move wins (the migration rolls that segment back).
-func (r *Remote) Rebalance(ctx context.Context) (MigrationResult, error) {
-	var res MigrationResult
-	r.memberOp.Lock()
-	defer r.memberOp.Unlock()
-	if err := migrate.GuardNoPending(ctx, r.clusterMeta); err != nil {
-		return res, err
-	}
-	e, members, err := r.engine(ctx)
-	if err != nil {
-		return res, err
-	}
-	moved, err := e.Rebalance(ctx, members)
-	return toMigrationResult(moved), err
-}
-
-// KillNode implements Backend: the node leaves the membership without a
-// drain — the hard-crash path, taken when the node's server is already
-// gone (or about to be). The shrunken epoch commits on the director,
-// the registry drops the node and its connections close; nothing
-// migrates. The default backup stream is retired without a flush —
-// flushing through a dead node cannot succeed, and kill semantics mean
-// its unflushed tail is lost. With RemoteConfig.Replicas ≥ 2 every
-// completed backup keeps restoring through failover reads; run Repair
-// to restore R=2 and release strays.
-func (r *Remote) KillNode(ctx context.Context, id int) error {
-	r.memberOp.Lock()
-	defer r.memberOp.Unlock()
-	if err := r.dropNode(ctx, id); err != nil {
-		return err
-	}
-	// Retire the default stream (it may hold connections to the dead
-	// node); the next one-shot verb re-dials against the new epoch.
-	r.mu.Lock()
-	if r.def != nil {
-		_ = r.def.close()
-		r.def = nil
-	}
-	r.mu.Unlock()
-	return nil
-}
-
-// Repair implements Backend: the anti-entropy pass after a crash —
-// settle pending transactions, promote replicas of dead primaries,
-// re-replicate under-replicated runs, reconcile per-node reference
-// counts against the recipe catalog. Quiesce backups, deletes and
-// membership changes first.
-func (r *Remote) Repair(ctx context.Context) (RepairResult, error) {
-	r.memberOp.Lock()
-	defer r.memberOp.Unlock()
-	e, members, err := r.engine(ctx)
-	if err != nil {
-		return RepairResult{}, err
-	}
-	res, err := e.Repair(ctx, members)
-	return toRepairResult(res), err
-}
-
-// RecoverMigrations settles migration transactions left pending in the
-// director's MEMBERS journal by a crash: per-node reference counts
-// reconcile against the recipe catalog, converging every backup to
-// old-or-new placement with zero leaked references. Quiesce backups
-// first.
-func (r *Remote) RecoverMigrations(ctx context.Context) error {
-	r.memberOp.Lock()
-	defer r.memberOp.Unlock()
-	e, _, err := r.engine(ctx)
-	if err != nil {
-		return err
-	}
-	return e.Recover(ctx)
-}
-
-// setMigrateFault installs the migration crash-injection hook (tests).
-func (r *Remote) setMigrateFault(fn migrate.Fault) { r.migrateFault = fn }
 
 // BackupStats returns the default backup stream's session counters
 // (zero before the first one-shot Backup) plus the restore counters of
 // this backend's Restore and RestoreTenant calls.
 func (r *Remote) BackupStats() SessionStats {
-	r.mu.Lock()
-	c := r.def
-	r.mu.Unlock()
 	var st SessionStats
-	if c != nil {
-		st = toSessionStats(c.Stats())
+	if def := r.defaultIfOpen(); def != nil {
+		st = toSessionStats(def.Stats())
 	}
 	st.RestoredBytes = r.restoredBytes.Load()
 	st.RestoreRPCs = r.readBatches.Load()
@@ -810,41 +436,21 @@ func (r *Remote) BackupStats() SessionStats {
 // across its node connections — bids, queries and stores, plus the
 // per-node flush — the prototype-side Fig. 7 overhead accounting.
 func (r *Remote) RPCMessages() int64 {
-	r.mu.Lock()
-	c := r.def
-	r.mu.Unlock()
+	def := r.defaultIfOpen()
+	r.sessMu.Lock()
+	c, _ := r.sessions[def].(*conns)
+	r.sessMu.Unlock()
 	if c == nil {
 		return 0
 	}
-	var n int64
-	for _, conn := range c.conns {
-		n += conn.Calls()
-	}
-	return n
+	return c.calls()
 }
 
 // Close releases the default stream's connections, the registry's
 // control connections and the director connection (when dialed),
 // propagating the first failure.
 func (r *Remote) Close() error {
-	r.mu.Lock()
-	c := r.def
-	r.def = nil
-	r.mu.Unlock()
-	var first error
-	if c != nil {
-		first = c.close()
-	}
-	r.reg.Lock()
-	for _, n := range r.reg.nodes {
-		if n.conn != nil {
-			if err := n.conn.Close(); first == nil {
-				first = err
-			}
-			n.conn = nil
-		}
-	}
-	r.reg.Unlock()
+	first := r.plane.close()
 	if r.remoteMeta != nil {
 		if err := r.remoteMeta.Close(); first == nil {
 			first = err

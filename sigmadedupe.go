@@ -28,8 +28,7 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sync"
-	"sync/atomic"
+	"maps"
 	"time"
 
 	"sigmadedupe/internal/chunker"
@@ -149,41 +148,22 @@ type ClusterStats struct {
 }
 
 // Cluster is the simulated inline deduplication cluster, one of the two
-// Backend implementations. The one-shot Backup/Restore/Delete verbs run
-// on an implicit default stream (single-goroutine, like a real backup
-// stream); concurrent streams go through NewSession.
+// Backend deployments: the one backend (plane) over in-process nodes and
+// an in-RAM director. The one-shot Backup/Restore/Delete verbs run on an
+// implicit default stream (single-goroutine, like a real backup stream);
+// concurrent streams go through NewSession.
 type Cluster struct {
 	plane
-	cfg       ClusterConfig
-	inner     *cluster.Cluster
-	exact     *cluster.ExactTracker
-	algorithm fingerprint.Algorithm
-
-	// sched is the weighted-fair ingest scheduler shared by every
-	// session (nil when IngestCapacityBytes is 0); it reads tenant
-	// weights from the director's registry.
-	sched *tenant.Scheduler
-
-	// def is the default session backing the one-shot Backup verb.
-	def *ingest.Session
-
-	// live holds the open sessions and routed the folded counters of the
-	// closed ones: SimStats and Stats sum the sessions' counters.
-	sessMu   sync.Mutex
-	live     map[*ingest.Session]struct{}
-	routed   simCounters
-	sessions atomic.Int64 // names sessions opened without one
-}
-
-// simCounters are the session counters the cluster-wide stats sum.
-type simCounters struct {
-	logicalBytes, superChunks, lookups int64
-}
-
-func (a *simCounters) add(st ingest.Stats) {
-	a.logicalBytes += st.LogicalBytes
-	a.superChunks += st.SuperChunks
-	a.lookups += st.PreRoutingMsgs + st.AfterRoutingMsgs
+	cfg ClusterConfig
+	// inner is the simulated hardware — node template, router, director —
+	// and the trace feed behind the Extreme Binning whole-file path.
+	inner *cluster.Cluster
+	exact *cluster.ExactTracker
+	// shared resolves a node through the current snapshot's shared
+	// handles: one joined since an item's pin resolves, a killed one does
+	// not — it fails loudly instead of accepting writes through a stale
+	// snapshot.
+	shared func(id int) (migrate.Node, bool)
 }
 
 // NewCluster builds a simulated cluster. Backups fed through Backup or a
@@ -197,12 +177,38 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.ChunkSize <= 0 {
 		cfg.ChunkSize = 4096
 	}
-	inner, err := cluster.New(cluster.Config{
+	if cfg.Scheme == 0 {
+		cfg.Scheme = SchemeSigma
+	}
+	c := &Cluster{cfg: cfg, exact: cluster.NewExactTracker()}
+	c.shared = func(id int) (migrate.Node, bool) { return c.cur.Load().resolve(id) }
+	c.plane = plane{
+		t:         c,
+		scheme:    cfg.Scheme,
+		payloads:  cfg.KeepPayloads || cfg.Dir != "",
+		replicas:  cfg.Replicas,
+		name:      "client0", // the trace feed's default stream: one-shot backups keep their container attribution
+		algorithm: cfg.Fingerprint.internal(),
+		defaults: sessionConfig{
+			chunk:          ChunkSpec{Method: ChunkFixed, Size: cfg.ChunkSize},
+			superChunkSize: cfg.SuperChunkSize,
+			handprintK:     cfg.HandprintSize,
+		},
+		ahead:    ingest.DefaultInflight,
+		sessions: make(map[*ingest.Session]io.Closer),
+	}
+	if cfg.Replicas >= 2 {
+		// Replication runs on the migration engine and needs what it needs.
+		if err := c.elasticGuard(true); err != nil {
+			return nil, fmt.Errorf("sigmadedupe: Replicas=%d: %w", cfg.Replicas, err)
+		}
+	}
+	var err error
+	c.inner, err = cluster.New(cluster.Config{
 		N:              cfg.Nodes,
 		Scheme:         cfg.Scheme.internal(),
 		HandprintK:     cfg.HandprintSize,
 		SuperChunkSize: cfg.SuperChunkSize,
-		Replicas:       cfg.Replicas,
 		Node: node.Config{
 			Dir:              cfg.Dir,
 			KeepPayloads:     cfg.KeepPayloads,
@@ -213,148 +219,93 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	dir, transport := inner.Director(), inner.Node
-	c := &Cluster{
-		plane: plane{
-			meta:    dir,
-			tenants: dir,
-			live: func(context.Context) ([]int, func(int) (migrate.Node, bool), error) {
-				return inner.Membership().Nodes, transport, nil
-			},
-			ahead: ingest.DefaultInflight,
-		},
-		cfg:       cfg,
-		inner:     inner,
-		exact:     cluster.NewExactTracker(),
-		algorithm: cfg.Fingerprint.internal(),
-		live:      make(map[*ingest.Session]struct{}),
-	}
+	dir := c.inner.Director()
+	c.meta, c.tenants, c.clusterMeta = dir, dir, dir
 	if cfg.Scheme == SchemeExtremeBinning {
-		// EB's bin stores bypass the refcounted chunk index, so an existing
-		// backup must not masquerade as ErrNotFound — the operations are
-		// unsupported, full stop.
-		c.recipeless = fmt.Errorf("sigmadedupe: Restore and Delete are not supported for Extreme Binning (no recipe tracking)")
+		// EB's bin stores bypass the refcounted chunk index and its routing
+		// needs whole files, so an existing backup must not masquerade as
+		// ErrNotFound — the operations are unsupported, full stop.
+		c.recipeless = fmt.Errorf("sigmadedupe: Restore, Delete and streaming sessions are not supported for Extreme Binning (file-level routing, no recipe tracking); use Backup")
+		c.feed = func() ingest.Stats {
+			st := c.inner.Stats()
+			return ingest.Stats{LogicalBytes: st.LogicalBytes, SuperChunks: st.SuperChunks,
+				PreRoutingMsgs: st.PreRoutingMsgs, AfterRoutingMsgs: st.AfterRoutingMsgs}
+		}
 	}
 	if cfg.IngestCapacityBytes > 0 {
 		c.sched = tenant.NewScheduler(cfg.IngestCapacityBytes, dir.Registry().Weight)
 	}
-	// The default session shares the trace feed's default stream name, so
-	// one-shot backups keep their container attribution.
-	def := c.sessionDefaults()
-	def.name = "client0"
-	if c.def, err = c.openSession(context.Background(), def); err != nil {
+	// The simulator commits its epochs in its director like the prototype.
+	nodes := make(map[int]*member, cfg.Nodes)
+	for id, n := range c.inner.View().Nodes {
+		nodes[id] = localMember(n)
+	}
+	c.nextID = cfg.Nodes
+	if err := c.setMembers(context.Background(), nodes); err != nil {
 		return nil, err
 	}
 	return c, nil
 }
 
-// sessionDefaults derives the cluster's default session configuration.
-func (c *Cluster) sessionDefaults() sessionConfig {
-	return sessionConfig{
-		chunk:          ChunkSpec{Method: ChunkFixed, Size: c.cfg.ChunkSize},
-		superChunkSize: c.cfg.SuperChunkSize,
-	}
+// localMember wraps an in-process node as a registry member, born open.
+func localMember(n *node.Node) *member {
+	return &member{id: n.ID(), local: n, node: migrate.Local(n)}
 }
 
-// openSession opens an ingest session over the in-process node transport
-// and the cluster's director, with the simulator's three seams: epochs
-// pinned through the grace-period protocol, R=2 replicated in hand per
-// routed run, and every chunk shown to the exact-dedup tracker.
-func (c *Cluster) openSession(ctx context.Context, cfg sessionConfig) (*ingest.Session, error) {
-	icfg := cfg.ingest(c.algorithm)
+// join implements transport: a fresh in-process node.
+func (c *Cluster) join(id int, addr string, _ map[int]*member) (*member, error) {
+	if addr != "" {
+		return nil, fmt.Errorf("sigmadedupe: the simulator creates nodes in process; addr must be empty")
+	}
+	n, err := c.inner.NewNode(id)
+	if err != nil {
+		return nil, err
+	}
+	return localMember(n), nil
+}
+
+// open implements transport; in-process handles are born open.
+func (c *Cluster) open(_ context.Context, m *member) (migrate.Node, error) { return m.node, nil }
+
+// committed implements transport: the snapshot's router view is the
+// in-process one — bids, chunk-sample bids and summary probes are direct
+// calls — built once and shared by every item pinned to the snapshot,
+// and the trace feed follows the node set.
+func (c *Cluster) committed(e *epoch) {
+	v := &cluster.View{Members: e.members, Nodes: make(map[int]*node.Node, len(e.nodes))}
+	for id, m := range e.nodes {
+		v.Nodes[id] = m.local
+	}
+	e.view = func() router.View { return v }
+	c.inner.SetView(v)
+}
+
+// wire implements transport: sessions share the registry's handles, R=2
+// replicates in hand per routed run, and every chunk is shown to the
+// exact-dedup tracker.
+func (c *Cluster) wire(_ context.Context, _ sessionConfig, icfg *ingest.Config) (io.Closer, error) {
 	icfg.Router = c.inner.Router()
-	icfg.Scheduler = c.sched
-	icfg.KeepPayloads = c.cfg.KeepPayloads || c.cfg.Dir != ""
 	icfg.Pin = func(context.Context) (ingest.Epoch, error) {
-		view, release := c.inner.Pin()
-		return ingest.Epoch{View: func() router.View { return view }, Node: c.inner.Node, Release: release}, nil
+		e := c.pin()
+		return ingest.Epoch{View: e.view, Node: c.shared, Release: e.release}, nil
 	}
 	icfg.Observe = c.exact.Add
-	if c.cfg.Replicas >= 2 {
-		icfg.Replicate.Run = c.inner.ReplicateRun
+	if c.replicas >= 2 {
+		icfg.Replicate.Run = c.replicateRun
 	}
-	s, err := ingest.New(ctx, icfg, c.inner.Director())
-	if err != nil {
-		return nil, err
-	}
-	c.sessMu.Lock()
-	c.live[s] = struct{}{}
-	c.sessMu.Unlock()
-	return s, nil
+	return nil, nil
 }
 
-// closeSession settles a session and folds its counters into the totals.
-func (c *Cluster) closeSession(s *ingest.Session) error {
-	s.Close()
-	c.sessMu.Lock()
-	defer c.sessMu.Unlock()
-	if _, ok := c.live[s]; ok {
-		delete(c.live, s)
-		c.routed.add(s.Stats())
-	}
-	return nil
-}
-
-// counters sums the sessions' counters, open and closed, with the trace
-// feed's (Extreme Binning's whole-file path).
-func (c *Cluster) counters() simCounters {
-	c.sessMu.Lock()
-	total := c.routed
-	for s := range c.live {
-		total.add(s.Stats())
-	}
-	c.sessMu.Unlock()
-	st := c.inner.Stats()
-	total.logicalBytes += st.LogicalBytes
-	total.superChunks += st.SuperChunks
-	total.lookups += st.TotalMsgs()
-	return total
-}
-
-// NewSession opens an explicit backup stream on the simulator: the same
-// ingest session the prototype runs — its own partitioner
-// (WithSuperChunkSize), fingerprint worker pool (WithWorkers), in-flight
-// super-chunk window (WithInflightSuperChunks) and stats — over the
-// in-process nodes. Tenant admission runs on the director, as on the
-// prototype: an unknown tenant fails with ErrNotFound, one at or over
-// quota with ErrQuotaExceeded. Not supported for SchemeExtremeBinning,
-// whose file-level routing needs whole files.
-func (c *Cluster) NewSession(ctx context.Context, opts ...SessionOption) (*Session, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if c.cfg.Scheme == SchemeExtremeBinning {
-		return nil, fmt.Errorf("sigmadedupe: streaming sessions are not supported for Extreme Binning (file-level routing needs the whole file); use Backup")
-	}
-	cfg, err := resolveSessionConfig(c.sessionDefaults(), opts)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.name == "" {
-		cfg.name = fmt.Sprintf("session%d", c.sessions.Add(1))
-	}
-	s, err := c.openSession(ctx, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &Session{impl: s, close: func() error { return c.closeSession(s) }}, nil
-}
-
-// Backup chunks and deduplicates one named stream into the cluster,
-// reading r incrementally: completed super-chunks route while the stream
-// is still being read, so memory stays bounded by the pending
-// super-chunk regardless of stream size. Under SchemeExtremeBinning the
+// Backup chunks and deduplicates one named stream into the cluster on
+// the default session (see plane.Backup). Under SchemeExtremeBinning the
 // stream is buffered whole instead — file-level routing needs the whole
 // file's representative fingerprint; that is the scheme's nature, not an
 // implementation shortcut.
-//
-// A failed backup leaves the catalog untouched: the name keeps pointing
-// at its previous generation (if any) and nothing is stranded.
 func (c *Cluster) Backup(ctx context.Context, name string, r io.Reader) error {
 	if c.cfg.Scheme == SchemeExtremeBinning {
 		return c.backupBuffered(ctx, name, r)
 	}
-	return c.def.Backup(ctx, name, r)
+	return c.plane.Backup(ctx, name, r)
 }
 
 // backupBuffered is the whole-file path for Extreme Binning.
@@ -364,6 +315,10 @@ func (c *Cluster) backupBuffered(ctx context.Context, name string, r io.Reader) 
 	}
 	if err := ctx.Err(); err != nil {
 		return &BackupError{Name: name, Stage: "chunk", Err: err}
+	}
+	def, err := c.defaultSession(ctx)
+	if err != nil {
+		return err
 	}
 	ck, err := chunker.NewFixed(r, c.cfg.ChunkSize)
 	if err != nil {
@@ -390,8 +345,87 @@ func (c *Cluster) backupBuffered(ctx context.Context, name string, r io.Reader) 
 	if err := c.inner.BackupItem(1, refs); err != nil {
 		return &BackupError{Name: name, Stage: "store", Err: err}
 	}
-	return c.inner.Director().PutRecipe(ctx, c.def.ID(), name, entries)
+	return c.inner.Director().PutRecipe(ctx, def.ID(), name, entries)
 }
+
+// replicateRun is the simulator's R=2 write strategy (the Run of an
+// ingest session's Replication): it gives one just-routed run — the
+// super-chunk in hand and the recipe entries of the uncommitted item at
+// path just made for it, routed within members — its second copy under
+// the engine's journaled transaction. The primary's side of the
+// transport reads the payloads from hand, so its open container need
+// not seal to be read back. A failure fails the backup, so no committed
+// item is ever left without a replica while two members are live.
+func (c *Cluster) replicateRun(ctx context.Context, members core.Membership, path string, sc *core.SuperChunk, run []director.ChunkEntry) error {
+	primary := int(run[0].Node)
+	e, _, err := c.engine(ctx)
+	if err != nil {
+		return err
+	}
+	nodes := e.Nodes
+	e.Catalog = runCatalog{e.Catalog, run}
+	e.Nodes = func(id int) (migrate.Node, bool) {
+		n, ok := nodes(id)
+		w := writePath{Node: n}
+		if id == primary {
+			w.inHand = sc
+		}
+		return w, ok
+	}
+	_, err = e.ReplicateRecipe(ctx, director.Recipe{Path: path, Chunks: run}, members)
+	return err
+}
+
+// runCatalog is the catalog as write-path replication sees it: the
+// director journals the transaction, but the "recipe" is only the run
+// just appended to the stream's pending entries, which nobody else can
+// see until the item commits — so the engine's rewrite is an
+// unconditional copy that costs the run, not the whole item.
+// Transactions it journals carry run-relative segment positions;
+// recovery goes by their endpoints and fingerprints only.
+type runCatalog struct {
+	migrate.Catalog
+	run []director.ChunkEntry
+}
+
+func (k runCatalog) ReplaceRecipe(_ context.Context, _ string, _, _ uint64, chunks []director.ChunkEntry) error {
+	copy(k.run, chunks)
+	return nil
+}
+
+// writePath is the node transport of write-path replication. Reads of a
+// run's primary come from the super-chunk in hand, and the commit is
+// deferred: replicas land in the migrate stream's open container and
+// seal at Flush together with the primaries' — the director they are
+// attributed in lives in this process's RAM, so sealing per run would
+// buy no crash safety, only one small container per run.
+type writePath struct {
+	migrate.Node
+	inHand *core.SuperChunk
+}
+
+func (w writePath) MigrateRead(ctx context.Context, fps []fingerprint.Fingerprint) ([][]byte, error) {
+	if w.inHand == nil {
+		return w.Node.MigrateRead(ctx, fps)
+	}
+	// The engine asks for a contiguous stretch of the run, in run order.
+	chunks := w.inHand.Chunks
+	out := make([][]byte, len(fps))
+	at := 0
+	for i, fp := range fps {
+		for at < len(chunks) && chunks[at].FP != fp {
+			at++
+		}
+		if at == len(chunks) {
+			return nil, fmt.Errorf("sigmadedupe: chunk %s is not in the run in hand: %w", fp.Short(), ErrNotFound)
+		}
+		out[i] = chunks[at].Data
+		at++
+	}
+	return out, nil
+}
+
+func (writePath) MigrateCommit(context.Context, string) error { return nil }
 
 // GCResult summarizes one compaction pass across the cluster.
 type GCResult struct {
@@ -427,136 +461,55 @@ func (c *Cluster) GCStats() GCStats {
 }
 
 // Flush completes the default backup stream (settles its in-flight
-// items and seals containers). Explicit sessions flush themselves.
+// items and seals containers) and the trace feed's. Explicit sessions
+// flush themselves.
 func (c *Cluster) Flush(ctx context.Context) error {
-	if err := c.def.Flush(ctx); err != nil {
+	if err := c.plane.Flush(ctx); err != nil {
 		return err
 	}
-	return c.inner.Flush() // the trace feed's default stream (Extreme Binning)
+	return c.inner.Flush() // Extreme Binning's default stream
 }
 
 // Close shuts every node down, releasing durable manifests. A durable
 // cluster directory can be re-opened later.
-func (c *Cluster) Close() error {
-	c.def.Close()
-	return c.inner.Close()
-}
-
-// AddNode implements Backend: a fresh in-process node joins the next
-// membership epoch and its ID is returned. addr must be empty on the
-// simulator. Requires the Sigma scheme (the baselines are fixed-cluster
-// experiment modes).
-func (c *Cluster) AddNode(ctx context.Context, addr string) (int, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	if addr != "" {
-		return 0, fmt.Errorf("sigmadedupe: the simulator creates nodes in process; addr must be empty")
-	}
-	return c.inner.AddNode()
-}
-
-// RemoveNode implements Backend: every super-chunk on the node migrates
-// to a surviving member under the journaled commit protocol, the
-// membership epoch advances without the node, and the emptied node is
-// closed. Pre-existing backups restore byte-identically afterwards.
-// Quiesce backup sessions first.
-func (c *Cluster) RemoveNode(ctx context.Context, id int) (MigrationResult, error) {
-	// Settle the default stream first: a one-shot backup still committing
-	// holds its epoch pin, and the drain reads sealed containers.
-	if err := c.Flush(ctx); err != nil {
-		return MigrationResult{}, err
-	}
-	res, err := c.inner.RemoveNode(ctx, id)
-	return toMigrationResult(res), err
-}
-
-// Rebalance implements Backend: super-chunk segments move from members
-// above the cluster's mean usage onto underloaded rendezvous owners —
-// typically a node AddNode just joined.
-func (c *Cluster) Rebalance(ctx context.Context) (MigrationResult, error) {
-	res, err := c.inner.Rebalance(ctx)
-	return toMigrationResult(res), err
-}
-
-// KillNode implements Backend: the node leaves the membership without a
-// drain — the hard-crash path. Its data is gone; with
-// ClusterConfig.Replicas ≥ 2 every backup keeps restoring through
-// failover reads, and Repair restores R=2.
-func (c *Cluster) KillNode(ctx context.Context, id int) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return c.inner.KillNode(id)
-}
-
-// Repair implements Backend: the simulator's anti-entropy pass —
-// promote replicas of dead primaries, re-replicate under-replicated
-// runs, reconcile reference counts against the recipe catalog. Quiesce
-// backups first.
-func (c *Cluster) Repair(ctx context.Context) (RepairResult, error) {
-	res, err := c.inner.Repair(ctx)
-	return toRepairResult(res), err
-}
+func (c *Cluster) Close() error { return c.plane.close() }
 
 // FailoverReads counts restore reads served by a replica after the
 // primary's node was killed.
 func (c *Cluster) FailoverReads() int64 { return c.failoverReads.Load() }
 
-// toRepairResult converts the repair engine's summary to the public
-// shape (shared by both backends).
-func toRepairResult(res migrate.RepairResult) RepairResult {
-	return RepairResult{
-		PromotedChunks:     res.Promoted,
-		RereplicatedChunks: res.Rereplicated,
-		Bytes:              res.Bytes,
-		ReleasedRefs:       res.ReleasedRefs,
-	}
-}
-
 // RecoverMigrations settles migration transactions left pending by a
-// crash mid-migration: reference counts reconcile against the recipe
-// catalog, converging every backup to old-or-new placement with zero
-// leaked references. Quiesce backups first.
+// crash mid-migration (see plane.RecoverMigrations).
 func (c *Cluster) RecoverMigrations() error {
-	return c.inner.RecoverMigrations(context.Background())
-}
-
-// setMigrateFault installs the migration crash-injection hook (tests).
-func (c *Cluster) setMigrateFault(fn migrate.Fault) { c.inner.SetMigrateFault(fn) }
-
-// toMigrationResult converts the engine's migration summary to the
-// public shape (shared by both backends).
-func toMigrationResult(res migrate.Result) MigrationResult {
-	return MigrationResult{
-		Backups:     res.Backups,
-		SuperChunks: res.Segments,
-		Chunks:      res.Chunks,
-		Bytes:       res.Bytes,
-	}
+	return c.plane.RecoverMigrations(context.Background())
 }
 
 // RestartNode stops node i and re-opens it from its durable directory
 // (requires ClusterConfig.Dir). Quiesce backups first.
-func (c *Cluster) RestartNode(i int) error { return c.inner.RestartNode(i) }
+func (c *Cluster) RestartNode(i int) error {
+	c.memberOp.Lock()
+	defer c.memberOp.Unlock()
+	if err := c.inner.RestartNode(i); err != nil {
+		return err
+	}
+	// The member list and epoch number are unchanged — only the snapshot
+	// refreshes, to hold the restarted node object, not the closed one — so
+	// routing behavior (candidate widths are epoch-driven) is identical.
+	cur := c.cur.Load()
+	nodes := maps.Clone(cur.nodes)
+	nodes[i] = localMember(c.inner.View().Nodes[i])
+	c.commit(cur.members, nodes)
+	return nil
+}
 
 // Restart bounces every node: a full cluster stop/restart/restore cycle.
-func (c *Cluster) Restart() error { return c.inner.Restart() }
-
-// Stats implements Backend: the deployment-independent counters.
-func (c *Cluster) Stats(ctx context.Context) (BackendStats, error) {
-	if err := ctx.Err(); err != nil {
-		return BackendStats{}, err
+func (c *Cluster) Restart() error {
+	for id := range c.cur.Load().nodes {
+		if err := c.RestartNode(id); err != nil {
+			return err
+		}
 	}
-	logical, physical := c.counters().logicalBytes, c.inner.PhysicalBytes()
-	return BackendStats{
-		LogicalBytes:  logical,
-		PhysicalBytes: physical,
-		DedupRatio:    metrics.DedupRatio(logical, physical),
-		Backups:       len(c.inner.Director().Files()),
-		Nodes:         c.inner.N(),
-		StorageSkew:   c.inner.Skew(),
-	}, nil
+	return nil
 }
 
 // SimStats returns the simulator-specific effectiveness metrics of the
@@ -564,7 +517,8 @@ func (c *Cluster) Stats(ctx context.Context) (BackendStats, error) {
 // skew and fingerprint-lookup message counts (Stats serves the
 // Backend-portable snapshot).
 func (c *Cluster) SimStats() ClusterStats {
-	st, usage, exact := c.counters(), c.inner.UsageVector(), c.exact.Physical()
+	usage, _ := c.usage(context.Background()) // in-process nodes cannot fail it
+	st, exact := c.counters(), c.exact.Physical()
 	var physical int64
 	for _, u := range usage {
 		physical += u
