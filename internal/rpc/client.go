@@ -3,7 +3,6 @@ package rpc
 import (
 	"bufio"
 	"context"
-	"encoding/binary"
 	"fmt"
 	"net"
 	"sync"
@@ -32,16 +31,9 @@ type Client struct {
 	bw    *bufio.Writer
 	calls atomic.Int64
 
-	// Vectored-send scratch, guarded by wmu. The net.Buffers header must
-	// live on the Client: WriteTo takes its address, and a stack-declared
-	// header escapes — one heap allocation per call. vecback keeps the
-	// backing array across calls (WriteTo consumes the header by
-	// reslicing it forward).
-	vecs    net.Buffers
-	vecback [][]byte
-
-	wmu    sync.Mutex // serializes frame writes
-	mu     sync.Mutex // guards pending/nextID/err/chfree
+	wmu    sync.Mutex     // serializes frame writes
+	vec    wire.VecWriter // vectored-send scratch, guarded by wmu
+	mu     sync.Mutex     // guards pending/nextID/err/chfree
 	nextID uint64
 	pend   map[uint64]chan Response
 	chfree []chan Response // recycled response channels (empty, never closed)
@@ -241,16 +233,13 @@ func (c *Client) Call(ctx context.Context, req Request) (Response, error) {
 	// write the frame under wmu and release the buffer. Payload-heavy
 	// frames (super-chunk stores) are sent vectored: the length prefix
 	// and metadata go into one small scratch buffer and the chunk
-	// payloads are handed to writev in place, so the bulk bytes cross
-	// user space exactly once (into the kernel) instead of twice.
-	payload := requestPayloadSize(&req)
+	// payloads are handed to writev in place (wire.VecWriter).
+	payload := payloadSize(req.Chunks)
 	var body []byte
 	vectored := payload >= vectoredMin
 	if vectored {
-		body = wire.GetBuf(4 + requestSize(&req) - payload)[:0]
-		body = append(body, 0, 0, 0, 0)
+		body = append(wire.GetBuf(4 + requestSize(&req) - payload)[:0], 0, 0, 0, 0)
 		body = appendRequestMeta(body, &req)
-		binary.LittleEndian.PutUint32(body[:4], uint32(len(body)-4+payload))
 	} else {
 		body = appendRequest(wire.GetBuf(requestSize(&req))[:0], &req)
 	}
@@ -276,22 +265,9 @@ func (c *Client) Call(ctx context.Context, req Request) (Response, error) {
 	}
 	var err error
 	if vectored {
-		// Assemble the iovec list under wmu in the reusable scratch.
 		// c.bw is always flushed between frames, so the vectored frame
 		// can go straight to the socket without reordering.
-		vb := append(c.vecback[:0], body)
-		for i := range req.Chunks {
-			if len(req.Chunks[i].Data) > 0 {
-				vb = append(vb, req.Chunks[i].Data)
-			}
-		}
-		c.vecback = vb
-		c.vecs = net.Buffers(vb)
-		_, err = c.vecs.WriteTo(c.conn)
-		c.vecs = nil
-		for i := range vb {
-			vb[i] = nil // drop payload references until the next send
-		}
+		err = writeVectored(&c.vec, c.conn, body, req.Chunks, nil)
 	} else {
 		err = wire.WriteFrame(c.bw, body)
 		if err == nil {

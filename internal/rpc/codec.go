@@ -2,6 +2,7 @@ package rpc
 
 import (
 	"fmt"
+	"io"
 
 	"sigmadedupe/internal/fingerprint"
 	"sigmadedupe/internal/node"
@@ -23,11 +24,23 @@ const (
 // maxFrame bounds any single message on the node protocol.
 const maxFrame = wire.DefaultMaxFrame
 
-// vectoredMin is the total-payload threshold above which the client
-// sends a request frame with writev instead of copying payloads into the
-// encode scratch. Below it the copy is cheaper than the extra iovec
-// bookkeeping.
+// vectoredMin is the total-payload threshold above which a frame, request
+// or response, is sent with writev (writeVectored) instead of copying the
+// payloads into the encode scratch. Below it the copy is cheaper than the
+// extra iovec bookkeeping.
 const vectoredMin = 64 << 10
+
+// writeVectored sends head ‖ chunks' payloads ‖ tail as one frame straight
+// to conn, the payloads in place; head begins with the four spare bytes
+// of the length prefix. The caller holds the connection's write lock.
+func writeVectored(v *wire.VecWriter, conn io.Writer, head []byte, chunks []ChunkWire, tail []byte) error {
+	v.Add(head)
+	for i := range chunks {
+		v.Add(chunks[i].Data)
+	}
+	v.Add(tail)
+	return v.Write(conn)
+}
 
 // ackEligible reports whether op's successful response carries no data
 // beyond the ID, making it safe to acknowledge via a batched-ack frame.
@@ -46,36 +59,29 @@ func requestSize(req *Request) int {
 		4 + len(req.Handprint)*fingerprint.Size +
 		4 + len(req.Counts)*8 +
 		4 + len(req.Chunks)*(fingerprint.Size+8)
-	for i := range req.Chunks {
-		n += len(req.Chunks[i].Data)
-	}
-	return n
+	return n + payloadSize(req.Chunks)
 }
 
-// requestPayloadSize returns the total chunk payload bytes of req — the
-// frame suffix that the vectored send path hands to writev in place.
-func requestPayloadSize(req *Request) int {
+// payloadSize returns the total chunk payload bytes of a chunk list — the
+// part of a frame that the vectored send path hands to writev in place.
+func payloadSize(chunks []ChunkWire) int {
 	n := 0
-	for i := range req.Chunks {
-		n += len(req.Chunks[i].Data)
+	for i := range chunks {
+		n += len(chunks[i].Data)
 	}
 	return n
 }
 
 // appendRequest encodes req (kind byte included) onto b.
 func appendRequest(b []byte, req *Request) []byte {
-	b = appendRequestMeta(b, req)
-	for i := range req.Chunks {
-		b = append(b, req.Chunks[i].Data...)
-	}
-	return b
+	return appendPayloads(appendRequestMeta(b, req), req.Chunks)
 }
 
 // appendRequestMeta encodes everything of req except the chunk payload
 // bytes. Because the chunk-list layout puts all payloads at the frame
 // tail, appendRequestMeta(b, req) followed by the concatenated payloads
 // is byte-identical to appendRequest(b, req) — the invariant the
-// client's vectored send relies on.
+// vectored send relies on.
 func appendRequestMeta(b []byte, req *Request) []byte {
 	b = wire.AppendU8(b, frameRequest)
 	b = wire.AppendU64(b, req.ID)
@@ -130,14 +136,18 @@ func responseSize(resp *Response) int {
 		4 + len(resp.Chunks)*(fingerprint.Size+8) +
 		8*8 + 9*8 + 4 + len(resp.GC.LastCompactErr) + 6*8 + // Stats, GC, Compacted
 		4 + len(resp.Idx)*4
-	for i := range resp.Chunks {
-		n += len(resp.Chunks[i].Data)
-	}
-	return n
+	return n + payloadSize(resp.Chunks)
 }
 
-// appendResponse encodes resp (kind byte included) onto b.
+// appendResponse encodes resp (kind byte included) onto b: head ‖
+// payloads ‖ tail, the pieces a vectored reply sends without joining them.
 func appendResponse(b []byte, resp *Response) []byte {
+	b = appendPayloads(appendResponseHead(b, resp), resp.Chunks)
+	return appendResponseTail(b, resp)
+}
+
+// appendResponseHead encodes resp up to and including the chunk headers.
+func appendResponseHead(b []byte, resp *Response) []byte {
 	b = wire.AppendU8(b, frameResponse)
 	b = wire.AppendU64(b, resp.ID)
 	b = wire.AppendString(b, resp.Err)
@@ -148,7 +158,11 @@ func appendResponse(b []byte, resp *Response) []byte {
 		b = wire.AppendBool(b, d)
 	}
 	b = appendCounts(b, resp.Counts)
-	b = appendChunks(b, resp.Chunks)
+	return appendChunksMeta(b, resp.Chunks)
+}
+
+// appendResponseTail encodes what follows the chunk payloads: Stats … Idx.
+func appendResponseTail(b []byte, resp *Response) []byte {
 	b = wire.AppendI64(b, resp.Stats.LogicalBytes)
 	b = wire.AppendI64(b, resp.Stats.PhysicalBytes)
 	b = wire.AppendI64(b, resp.Stats.LogicalChunks)
@@ -311,23 +325,24 @@ func decodeCounts(r *wire.Reader) []int64 {
 // Headers-before-payloads lets the decoder alias every payload as a
 // sub-slice of the frame with no per-chunk framing overhead. A payload
 // length of zero means Data == nil (fingerprint-only chunk).
-func appendChunks(b []byte, chunks []ChunkWire) []byte {
-	b = appendChunksMeta(b, chunks)
-	for i := range chunks {
-		b = append(b, chunks[i].Data...)
-	}
-	return b
-}
-
+//
 // appendChunksMeta encodes the chunk count and fixed headers only; the
-// payload concatenation that completes the layout is appended by the
-// caller (inline by appendChunks, via writev by the vectored sender).
+// payload concatenation that completes the layout is added by the caller
+// (inline by appendPayloads, via writev by writeVectored).
 func appendChunksMeta(b []byte, chunks []ChunkWire) []byte {
 	b = wire.AppendU32(b, uint32(len(chunks)))
 	for i := range chunks {
 		b = append(b, chunks[i].FP[:]...)
 		b = wire.AppendU32(b, uint32(chunks[i].Size))
 		b = wire.AppendU32(b, uint32(len(chunks[i].Data)))
+	}
+	return b
+}
+
+// appendPayloads appends every chunk's payload bytes, in order.
+func appendPayloads(b []byte, chunks []ChunkWire) []byte {
+	for i := range chunks {
+		b = append(b, chunks[i].Data...)
 	}
 	return b
 }

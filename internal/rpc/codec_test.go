@@ -137,11 +137,48 @@ func TestAcksRoundTrip(t *testing.T) {
 	}
 }
 
-// TestVectoredEncodingInvariant pins the contract the client's writev
-// path depends on: meta-then-concatenated-payloads is byte-identical to
-// the inline encoder, for payload-heavy, fingerprint-only and empty
-// chunk lists alike.
+// vectoredResponse is a reply's encoding as the vectored sender lays it
+// out: head, then each payload, then tail.
+func vectoredResponse(resp *Response) []byte {
+	b := appendResponseHead(nil, resp)
+	for i := range resp.Chunks {
+		b = append(b, resp.Chunks[i].Data...)
+	}
+	return appendResponseTail(b, resp)
+}
+
+// payloadReply is a payload-heavy ReadBatch reply: n chunks of size
+// bytes each, tagged in reverse request order.
+func payloadReply(n, size int) Response {
+	resp := Response{ID: 77, Chunks: make([]ChunkWire, n), Idx: make([]uint32, n)}
+	for i := range resp.Chunks {
+		data := bytes.Repeat([]byte{byte(i)}, size)
+		resp.Chunks[i] = ChunkWire{FP: testFP(byte(i)), Size: int32(size), Data: data}
+		resp.Idx[i] = uint32(n - 1 - i)
+	}
+	return resp
+}
+
+// TestVectoredEncodingInvariant pins the contract both writev paths
+// depend on: meta-then-concatenated-payloads (requests) and
+// head-payloads-tail (responses) are byte-identical to the inline
+// encoders, for payload-heavy, fingerprint-only and empty chunk lists
+// alike — which is what keeps old and new peers interoperable.
 func TestVectoredEncodingInvariant(t *testing.T) {
+	errored := sampleResponse()
+	errored.Chunks = nil
+	resps := []Response{
+		payloadReply(40, 4096),
+		sampleResponse(),
+		{ID: 3, Stats: sampleResponse().Stats, Usage: 5},
+		errored,
+	}
+	for i, resp := range resps {
+		if !bytes.Equal(appendResponse(nil, &resp), vectoredResponse(&resp)) {
+			t.Fatalf("response %d: vectored layout diverges from inline encoding", i)
+		}
+	}
+
 	reqs := []Request{
 		sampleRequest(),
 		{ID: 1, Op: OpFlush},
@@ -196,6 +233,8 @@ func FuzzFrame(f *testing.F) {
 	resp := sampleResponse()
 	f.Add(appendRequest(nil, &req))
 	f.Add(appendResponse(nil, &resp))
+	reply := payloadReply(3, 700)
+	f.Add(appendResponse(nil, &reply))
 	f.Add(appendAcks(nil, []uint64{1, 2, 3}))
 	f.Add(appendAcks(nil, nil))
 	empty := Request{ID: 9, Op: OpStats}
@@ -255,6 +294,9 @@ func FuzzFrame(f *testing.F) {
 				return
 			}
 			canon := appendResponse(nil, &msg)
+			if !bytes.Equal(vectoredResponse(&msg), canon) {
+				t.Fatal("vectored reply layout diverges from the canonical response")
+			}
 			again, err := decodeResponse(canon)
 			if err != nil {
 				t.Fatalf("re-decode of canonical response: %v", err)

@@ -3,7 +3,6 @@ package rpc
 import (
 	"context"
 	"errors"
-	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -15,37 +14,10 @@ import (
 
 func startServer(t *testing.T, cfg node.Config) (*Server, *Client) {
 	t.Helper()
-	n, err := node.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := NewServer(n, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
-	c, err := Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { c.Close() })
-	return srv, c
+	return startServerAt(t, "tcp", cfg)
 }
 
-func makeSC(seed int64, n int) *core.SuperChunk {
-	rng := rand.New(rand.NewSource(seed))
-	sc := &core.SuperChunk{}
-	for i := 0; i < n; i++ {
-		data := make([]byte, 4096)
-		rng.Read(data)
-		sc.Chunks = append(sc.Chunks, core.ChunkRef{
-			FP:   fingerprint.Sum(data),
-			Size: len(data),
-			Data: data,
-		})
-	}
-	return sc
-}
+func makeSC(seed int64, n int) *core.SuperChunk { return makeSizedSC(seed, n, 4096) }
 
 func TestBidQueryStoreCycle(t *testing.T) {
 	_, c := startServer(t, node.Config{KeepPayloads: true})

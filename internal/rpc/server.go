@@ -271,6 +271,7 @@ type respWriter struct {
 	bw      *bufio.Writer
 	conn    net.Conn
 	scratch []byte
+	vec     wire.VecWriter
 
 	amu  sync.Mutex // guards the pending ack batch
 	acks []uint64
@@ -290,8 +291,7 @@ func (w *respWriter) sendAck(id uint64) {
 
 // drainAcksLocked writes and flushes whatever acks have accumulated; a
 // concurrent sendAck whose ID was already drained finds the batch empty
-// and writes nothing. Write errors are ignored: the peer is gone and the
-// read loop will notice.
+// and writes nothing.
 func (w *respWriter) drainAcksLocked() {
 	w.amu.Lock()
 	ids := w.acks
@@ -301,27 +301,49 @@ func (w *respWriter) drainAcksLocked() {
 		return
 	}
 	w.scratch = appendAcks(w.scratch[:0], ids)
-	if wire.WriteFrame(w.bw, w.scratch) == nil {
-		_ = w.bw.Flush()
-	}
-	w.countLocked(len(ids))
+	w.sentLocked(len(ids), w.writeBufferedLocked())
 }
 
+// sendResponse writes one reply frame. A payload-heavy reply (ReadBatch,
+// MigrateRead) goes out vectored: its payloads are the slices
+// container.Manager.ReadChunks handed out — manager-owned memory that is
+// never modified once readable, and kept alive by these references even
+// when a compaction retires its container — so writev reads them in place.
 func (w *respWriter) sendResponse(resp *Response) {
 	w.mu.Lock()
+	defer w.mu.Unlock()
 	w.drainAcksLocked()
-	w.scratch = appendResponse(w.scratch[:0], resp)
-	if wire.WriteFrame(w.bw, w.scratch) == nil {
-		_ = w.bw.Flush()
+	if payloadSize(resp.Chunks) < vectoredMin {
+		w.scratch = appendResponse(w.scratch[:0], resp)
+		w.sentLocked(1, w.writeBufferedLocked())
+		return
 	}
-	w.countLocked(1)
-	w.mu.Unlock()
+	// w.bw is flushed after every frame: nothing can be reordered.
+	w.scratch = appendResponseHead(append(w.scratch[:0], 0, 0, 0, 0), resp)
+	head := len(w.scratch)
+	w.scratch = appendResponseTail(w.scratch, resp)
+	w.sentLocked(1, writeVectored(&w.vec, w.conn, w.scratch[:head], resp.Chunks, w.scratch[head:]))
 }
 
-// countLocked advances the answered-call counter and fires the
-// severAfter fault hook: die mid-conversation right after the n-th
-// response, stranding every other in-flight call on this connection.
-func (w *respWriter) countLocked(n int) {
+// writeBufferedLocked sends w.scratch as one frame through w.bw.
+func (w *respWriter) writeBufferedLocked() error {
+	if err := wire.WriteFrame(w.bw, w.scratch); err != nil {
+		return err
+	}
+	return w.bw.Flush()
+}
+
+// sentLocked accounts for n answered calls. A failed write severs the
+// connection: the frame may be half on the wire, where the next handler's
+// frame would be read as its remainder, and closing ends the read loop,
+// which cancels the running handlers and fails the client's pending calls.
+// Otherwise it fires the severAfter fault hook: die mid-conversation right
+// after the n-th response, stranding every other in-flight call.
+func (w *respWriter) sentLocked(n int, err error) {
+	if err != nil {
+		w.conn.Close()
+		return
+	}
 	if w.severAfter <= 0 {
 		return
 	}
@@ -375,9 +397,8 @@ func (s *Server) handle(ctx context.Context, req Request) Response {
 	case OpReadBatch:
 		// Batched restore: one container-aware sweep instead of a read per
 		// fingerprint. Payloads come back in the node's container read
-		// order; Idx tags each with its request position. The payload
-		// slices alias node-owned cache memory — safe, because the
-		// response writer copies them into its encode scratch.
+		// order; Idx tags each with its request position. The payloads
+		// alias node-owned memory and are sent uncopied (sendResponse).
 		fps := make([]fingerprint.Fingerprint, len(req.Chunks))
 		for i, ch := range req.Chunks {
 			fps[i] = ch.FP
@@ -437,6 +458,10 @@ func (s *Server) handle(ctx context.Context, req Request) Response {
 
 	default:
 		resp.Err = fmt.Sprintf("unknown op %d", int(req.Op))
+	}
+	if resp.Err != "" {
+		// An errored reply ships no payloads: the caller discards them.
+		resp.Chunks, resp.Idx = nil, nil
 	}
 	return resp
 }

@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net"
 	"sync"
 )
 
@@ -117,6 +118,48 @@ func WriteFrame(w io.Writer, body []byte) error {
 	}
 	PutBuf(hdr)
 	_, err := w.Write(body)
+	return err
+}
+
+// VecWriter sends frames whose body is head ‖ payloads ‖ tail with the
+// payload slices handed to writev in place, so bulk bytes cross user
+// space exactly once (into the kernel). Not safe for concurrent use. The
+// net.Buffers header lives here because WriteTo takes its address (a
+// stack header escapes: one allocation per frame) and consumes it by
+// reslicing; back keeps the backing array across frames.
+type VecWriter struct {
+	vecs net.Buffers
+	back [][]byte
+}
+
+// Add queues p as the next piece of the frame. The first piece must begin
+// with four spare bytes, which Write fills with the length prefix. Pieces
+// are not copied: they must stay unmodified until Write returns.
+func (v *VecWriter) Add(p []byte) {
+	if len(p) > 0 {
+		v.back = append(v.back, p)
+	}
+}
+
+// Write sends the queued pieces as one frame (writev when w is a socket)
+// and forgets them. On error the frame may be partly written: the caller
+// must close the connection rather than send another frame after it.
+func (v *VecWriter) Write(w io.Writer) error {
+	n := -4
+	for _, p := range v.back {
+		n += len(p)
+	}
+	var err error
+	if n > DefaultMaxFrame {
+		err = fmt.Errorf("%w: frame body %d > %d", ErrTooLarge, n, DefaultMaxFrame)
+	} else {
+		binary.LittleEndian.PutUint32(v.back[0], uint32(n))
+		v.vecs = net.Buffers(v.back)
+		_, err = v.vecs.WriteTo(w)
+		v.vecs = nil
+	}
+	clear(v.back) // drop the payload references until the next frame
+	v.back = v.back[:0]
 	return err
 }
 

@@ -5,6 +5,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"net"
+	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
 )
@@ -144,5 +147,94 @@ func TestReleasedBufferNeverAliasesHeldFrame(t *testing.T) {
 	PutBuf(held[8:])
 	if next := GetBuf(len(held)); sameArray(next, held[8:]) || sameArray(next, held) {
 		t.Fatal("a sub-slice release re-issued memory inside a held frame")
+	}
+}
+
+// TestVectoredWriter sends frames of more pieces than one writev takes
+// (1024 iovecs) over real sockets of both kinds: each must read back as
+// the concatenation of its pieces behind a correct length prefix, empty
+// pieces are skipped, and the writer is reusable — after a good frame,
+// after an oversized one (rejected before a byte is written) and after a
+// write that failed.
+func TestVectoredWriter(t *testing.T) {
+	for _, network := range []string{"tcp", "unix"} {
+		t.Run(network, func(t *testing.T) {
+			addr := "127.0.0.1:0"
+			if network == "unix" {
+				dir, err := os.MkdirTemp("", "sd")
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer os.RemoveAll(dir)
+				addr = filepath.Join(dir, "w.sock")
+			}
+			ln, err := net.Listen(network, addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ln.Close()
+			accepted := make(chan net.Conn, 1)
+			go func() {
+				c, err := ln.Accept()
+				if err != nil {
+					close(accepted)
+					return
+				}
+				accepted <- c
+			}()
+			out, err := net.Dial(network, ln.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer out.Close()
+			in := <-accepted
+			if in == nil {
+				t.Fatal("accept failed")
+			}
+			defer in.Close()
+
+			var v VecWriter
+			for round := 0; round < 2; round++ {
+				var want []byte
+				v.Add([]byte{0, 0, 0, 0, 'h', byte(round)})
+				want = append(want, 'h', byte(round))
+				for i := 0; i < 3000; i++ {
+					p := bytes.Repeat([]byte{byte(i)}, i%7*30) // some empty
+					v.Add(p)
+					want = append(want, p...)
+				}
+				v.Add([]byte("tail"))
+				want = append(want, "tail"...)
+				werr := make(chan error, 1)
+				go func() { werr <- v.Write(out) }()
+				got, err := ReadFrame(in, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := <-werr; err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Fatalf("round %d: frame differs from the concatenated pieces", round)
+				}
+				PutBuf(got)
+
+				v.Add(make([]byte, 4))
+				v.Add(make([]byte, DefaultMaxFrame+1))
+				if err := v.Write(out); !errors.Is(err, ErrTooLarge) {
+					t.Fatalf("oversized frame: %v, want ErrTooLarge", err)
+				}
+			}
+
+			out.Close()
+			v.Add(make([]byte, 4))
+			v.Add([]byte("lost"))
+			if err := v.Write(out); err == nil {
+				t.Fatal("write on a closed connection succeeded")
+			}
+			if len(v.back) != 0 {
+				t.Fatal("a failed write left pieces queued for the next frame")
+			}
+		})
 	}
 }
