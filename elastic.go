@@ -118,6 +118,14 @@ func (p *plane) RemoveNode(ctx context.Context, id int) (MigrationResult, error)
 	if err != nil {
 		return res, err
 	}
+	// An item the quiesce waited out may have stored its tail on the node
+	// after the Flush above: seal that too, the drain reads sealed
+	// containers.
+	if nd, ok := e.Nodes(id); ok {
+		if err := nd.Flush(ctx); err != nil {
+			return res, err
+		}
+	}
 	moved, err := e.Drain(ctx, id, members)
 	res = toMigrationResult(moved)
 	if err != nil {

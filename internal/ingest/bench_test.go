@@ -8,8 +8,10 @@ import (
 	"testing"
 	"time"
 
+	"sigmadedupe/internal/chunker"
 	"sigmadedupe/internal/core"
 	"sigmadedupe/internal/director"
+	"sigmadedupe/internal/fingerprint"
 	"sigmadedupe/internal/ingest"
 	"sigmadedupe/internal/migrate"
 	"sigmadedupe/internal/rpc"
@@ -61,27 +63,50 @@ func (discard) Query(context.Context, *core.SuperChunk) ([]bool, error)     { re
 func (discard) Store(context.Context, string, *core.SuperChunk, bool) error { return nil }
 func (discard) Flush(context.Context) error                                 { return nil }
 
+// hashStageRig is a session with the nodes taken out — every verb
+// answered by a discard transport — and size bytes of distinct chunks to
+// feed it, so a CPU profile of what runs on it is a profile of the client
+// stages: chunk → fingerprint → partition → window.
+func hashStageRig(t testing.TB, cfg ingest.Config, size int) (*ingest.Session, []byte) {
+	r := &rig{dir: director.New(), members: core.DenseMembership(1), byID: []migrate.Node{discard{}}}
+	var content []byte
+	if cfg.ChunkMethod == chunker.FastCDC {
+		content = randBytes(4, size) // cut points need real entropy
+	} else {
+		// At no set-up cost: zeros, each 4KB chunk opening with its offset.
+		content = make([]byte, size)
+		for off := 0; off < size; off += 4096 {
+			binary.LittleEndian.PutUint64(content[off:], uint64(off))
+		}
+	}
+	return r.session(t, cfg), content
+}
+
 // BenchmarkHashStage is the client-side cost of a backup with the nodes
-// taken out: 64MB of fixed 4KB chunks through chunk → SHA-1 → partition
-// → window, every verb answered by a discard transport. What is left
-// beside the hash is the per-chunk hand-off between the stages — the
-// number a batch-granular hand-off has to beat (ROADMAP item 5).
+// taken out, 64MB per iteration, in the two chunk specs the repository
+// benchmark runs: fixed 4KB / SHA-1 (incremental-*, sim-scaleout) and
+// FastCDC 8KB / SHA-256 (unique-cdc). What is left beside the chunker
+// and the hash is the hand-off between the stages; CHANGES.md (PR 30)
+// has both at -cpu 1,2 before and after the hand-off became a batch.
 func BenchmarkHashStage(b *testing.B) {
 	const size = 64 << 20
-	r := &rig{dir: director.New(), members: core.DenseMembership(1), byID: []migrate.Node{discard{}}}
-	// Distinct chunks at no set-up cost, so a CPU profile of the benchmark
-	// is a profile of the stages.
-	content := make([]byte, size)
-	for off := 0; off < size; off += 4096 {
-		binary.LittleEndian.PutUint64(content[off:], uint64(off))
-	}
-	s := r.session(b, ingest.Config{Name: "bench"})
-	b.SetBytes(size)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		mustBackup(b, s, fmt.Sprintf("/bench/%d", i), content)
-		mustFlush(b, s)
+	for _, c := range []struct {
+		name string
+		cfg  ingest.Config
+	}{
+		{"fixed4k-sha1", ingest.Config{Name: "bench"}},
+		{"fastcdc8k-sha256", ingest.Config{Name: "bench", ChunkMethod: chunker.FastCDC, ChunkSize: 8192, Algorithm: fingerprint.SHA256}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			s, content := hashStageRig(b, c.cfg, size)
+			b.SetBytes(size)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				mustBackup(b, s, fmt.Sprintf("/bench/%d", i), content)
+				mustFlush(b, s)
+			}
+		})
 	}
 }
 

@@ -5,44 +5,59 @@ import (
 	"sync/atomic"
 )
 
+// freeList is a stack of recycled slices: the chunk payload buffers of
+// bufPool, the batch slices of feed's piped stages. It keeps everything
+// it is given, which needs no cap: the population only grows when get
+// finds the stack empty, so free plus handed-out never exceeds the most
+// that were ever out at once — the window plus the hash stage (see
+// hashBatchBytes) — and a drained burst is there for the next one instead
+// of being re-allocated. A mutex-guarded stack, not a sync.Pool: Put into
+// a sync.Pool boxes the slice header, one heap allocation per released
+// chunk — exactly the per-chunk churn the pool exists to kill.
+type freeList[T any] struct {
+	mu   sync.Mutex
+	free [][]T
+}
+
+// get pops a slice, emptied; nil when there is none.
+func (l *freeList[T]) get() (b []T) {
+	l.mu.Lock()
+	if last := len(l.free) - 1; last >= 0 {
+		b, l.free[last] = l.free[last], nil
+		l.free = l.free[:last]
+	}
+	l.mu.Unlock()
+	return b
+}
+
+func (l *freeList[T]) put(b []T) {
+	l.mu.Lock()
+	l.free = append(l.free, b[:0])
+	l.mu.Unlock()
+}
+
 // bufPool recycles chunk payload buffers between the chunker (which
 // fills them) and apply (which runs after the super-chunk has left the
 // in-flight window and its payloads crossed the wire). With the pool in
-// place a backup's live chunk-buffer allocation is O(InflightSuperChunks)
-// regardless of stream length; the alloc/reuse counters are the
-// session's proof of that cliff (allocs plateau at roughly the window
-// size while reuses grow with the stream).
-//
-// The free list is a mutex-guarded stack, not a sync.Pool: Put into a
-// sync.Pool boxes the slice header, costing one heap allocation per
-// released chunk — exactly the per-chunk churn the pool exists to kill.
+// place a backup's live chunk-buffer allocation is the window plus the
+// hash stage regardless of stream length; the alloc/reuse counters are
+// the session's proof (allocs plateau there while reuses grow with the
+// stream).
 type bufPool struct {
-	mu     sync.Mutex
-	free   [][]byte
+	free   freeList[byte]
 	bufCap int          // capacity every pooled buffer is provisioned with
 	allocs atomic.Int64 // buffers newly made (pool miss)
 	reuses atomic.Int64 // buffers served from the pool
 }
 
-// bufPoolRetain bounds the free stack. The steady-state population is
-// the in-flight window's worth of chunks; anything beyond that is churn
-// from a draining burst and can go to the GC.
-const bufPoolRetain = 1024
-
 // alloc implements chunker.Allocator: a slice of length n, drawn from
 // the pool when possible.
 func (p *bufPool) alloc(n int) []byte {
 	if n <= p.bufCap {
-		p.mu.Lock()
-		if last := len(p.free) - 1; last >= 0 {
-			b := p.free[last]
-			p.free[last] = nil
-			p.free = p.free[:last]
-			p.mu.Unlock()
+		if b := p.free.get(); b != nil {
 			p.reuses.Add(1)
 			return b[:n]
 		}
-		p.mu.Unlock()
 	}
 	p.allocs.Add(1)
 	if n > p.bufCap {
@@ -54,12 +69,7 @@ func (p *bufPool) alloc(n int) []byte {
 // release returns a chunk buffer for reuse once nothing references it.
 // Buffers that lost their provisioned capacity are dropped for the GC.
 func (p *bufPool) release(b []byte) {
-	if cap(b) < p.bufCap {
-		return
+	if cap(b) >= p.bufCap {
+		p.free.put(b)
 	}
-	p.mu.Lock()
-	if len(p.free) < bufPoolRetain {
-		p.free = append(p.free, b[:0])
-	}
-	p.mu.Unlock()
 }

@@ -12,12 +12,13 @@
 // keep payloads.
 //
 // Every backup stream owns a concurrent pipeline: a worker pool
-// fingerprints chunks while the stream is still being read, and a
-// bounded window of super-chunks is routed, queried and stored
-// concurrently, so fingerprinting of super-chunk n+1 overlaps the
-// transfer of n and peak buffered payload is bounded by the window,
-// never by stream size. Results are applied in stream order on the
-// goroutine driving the session, so only the counters need a lock.
+// fingerprints chunks — a batch of hashBatchBytes at a time — while the
+// stream is still being read, and a bounded window of super-chunks is
+// routed, queried and stored concurrently, so fingerprinting of
+// super-chunk n+1 overlaps the transfer of n and peak buffered payload is
+// bounded by the window plus the hash stage, never by stream size.
+// Results are applied in stream order on the goroutine driving the
+// session, so only the counters need a lock.
 //
 // A backup item is a transaction. Its partial super-chunk is cut at the
 // item boundary and its recipe entries attach to the item. It commits —
@@ -132,8 +133,8 @@ type Stats struct {
 	// PeakBufferedBytes is the maximum payload bytes pinned by
 	// super-chunks in the window or awaiting in-order apply.
 	PeakBufferedBytes int64
-	// ChunkBufAllocs plateaus at roughly the window's chunk count while
-	// ChunkBufReuses grows with the stream.
+	// ChunkBufAllocs plateaus at the chunk count of the window plus the
+	// hash stage while ChunkBufReuses grows with the stream.
 	ChunkBufAllocs int64
 	ChunkBufReuses int64
 	// The Fig. 7 message accounting, summed over router.Decisions;
@@ -194,6 +195,8 @@ type Session struct {
 	id   uint64
 	part *core.Partitioner
 	bufs bufPool
+	// batches recycles the batch slices of feed's piped stages.
+	batches freeList[core.ChunkRef]
 	// mu guards st: the driving goroutine writes it, anyone may read it.
 	mu sync.Mutex
 	st Stats
@@ -309,10 +312,17 @@ func (s *Session) Stats() Stats {
 // backed up: the item was aborted, what it had stored released, and the
 // catalog still holds name's previous generation, if any.
 //
+// While r has more to give, what it has delivered is on the nodes except
+// for what the session holds until it fills or r ends: the partial chunk,
+// one batch of hashBatchBytes and one pending super-chunk (at most twice
+// SuperChunkSize). An io.Reader cannot say that it would block, so a
+// stalled r holds those back for as long as it stalls; nothing of an item
+// is visible before its commit in any case.
+//
 // Canceling ctx stops the chunking pipeline and the window's admission
 // and aborts the item's in-flight calls: Backup returns within about one
-// super-chunk of work. Cancellation after Backup returned does not reach
-// the item's tail.
+// super-chunk of work — once a Read in progress returns. Cancellation
+// after Backup returned does not reach the item's tail.
 func (s *Session) Backup(ctx context.Context, name string, r io.Reader) error {
 	if err := tenant.ValidateBackupName(name); err != nil {
 		return &sderr.BackupError{Name: name, Stage: "chunk", Err: err}
@@ -372,6 +382,18 @@ func (s *Session) begin(ctx context.Context, name string) (*item, error) {
 	return it, nil
 }
 
+// hashBatchBytes is what crosses a stage boundary of the piped path at
+// once: a run of consecutive chunks of at least this many bytes (EOF
+// hands over the partial run). A 4KB chunk hashes in 3µs, less than the
+// channel hand-offs that would move it alone. BenchmarkHashStage
+// (fixed4k-sha1, -cpu 2) at 16 / 64 / 128 / 512 / 1024 KB: 1060 / 1590 /
+// 1780 / 1730 / 1630 MB/s against 777 chunk by chunk — a plateau from 64
+// to 512KB, hence a constant. Produce and Map as written hold at most
+// 3·Depth + 4 batches (three queues of Depth = 2·Workers, one in each of
+// four hands): 2MB of payload at 2 workers, 24.5MB at 32, on top of the
+// window (TestMemoryPlateau).
+const hashBatchBytes = 128 << 10
+
 // feed runs the item's stream through chunker → fingerprint →
 // partitioner, handing completed super-chunks to the window, and cuts the
 // partial super-chunk at the item boundary.
@@ -385,12 +407,13 @@ func (s *Session) feed(it *item, ck chunker.Chunker) error {
 	// overlap. On a single-P runtime fingerprinting cannot overlap
 	// chunking at all, so the whole item stays inline (routing stays
 	// concurrent: super-chunks go to the same window). Selected from the
-	// input and the runtime, not from an option; the single-P case was
-	// kept on evidence: ten alternating pairs of GOMAXPROCS=1 bench/run.sh
-	// -workload incremental-ram, ingest_cpu_s_per_gb median 2.47 inline
-	// vs 3.09 piped, 10/10 pairs (CHANGES.md, PR 20).
+	// input and the runtime, not from an option; with batches the single-P
+	// case saves 4.6%, not PR 20's 25%: ten alternating pairs of
+	// GOMAXPROCS=1 bench/run.sh -workload incremental-ram,
+	// ingest_cpu_s_per_gb median 1.377 inline (quartile distance 0.060) vs
+	// 1.440 piped, 9/10 pairs (CHANGES.md, PR 30).
 	inline := runtime.GOMAXPROCS(0) == 1
-	for {
+	for cut := false; !cut || inline; {
 		if err := it.ctx.Err(); err != nil {
 			return chunkErr(err)
 		}
@@ -401,37 +424,51 @@ func (s *Session) feed(it *item, ck chunker.Chunker) error {
 		if err != nil {
 			return chunkErr(err)
 		}
-		cut, err := s.consume(it, s.fingerprint(chunk))
-		if err != nil {
+		if cut, err = s.consume(it, s.fingerprint(chunk.Data)); err != nil {
 			return err
 		}
-		if cut && !inline {
-			break
-		}
 	}
+	// Past that chunker, fingerprint workers and this goroutine's
+	// partitioner overlap, and nothing between them is per chunk: a batch
+	// slice is filled with payloads, fingerprinted in place by one worker
+	// (payloads still in its cache), consumed in stream order, recycled.
 	pc := pipeline.Config{Workers: s.cfg.Workers}.WithDefaults()
 	g := pipeline.NewGroupCtx(it.ctx)
-	raw := pipeline.Produce(g, pc.Depth, func(yield func(chunker.Chunk) bool) error {
+	raw := pipeline.Produce(g, pc.Depth, func(yield func([]core.ChunkRef) bool) error {
 		for {
-			chunk, err := ck.Next()
-			if err == io.EOF {
-				return nil
+			batch, size := s.batches.get(), 0
+			for size < hashBatchBytes {
+				chunk, err := ck.Next()
+				if err == io.EOF {
+					yield(batch)
+					return nil
+				}
+				if err != nil {
+					return chunkErr(err)
+				}
+				batch = append(batch, core.ChunkRef{Data: chunk.Data})
+				size += chunk.Len()
 			}
-			if err != nil {
-				return chunkErr(err)
-			}
-			if !yield(chunk) {
+			if !yield(batch) {
 				return nil
 			}
 		}
 	})
-	refs := pipeline.Map(g, raw, pc.Workers, pc.Depth,
-		func(ch chunker.Chunk) (core.ChunkRef, error) { return s.fingerprint(ch), nil })
-	for ref := range refs {
-		if _, err := s.consume(it, ref); err != nil {
-			g.Fail(err)
-			break
+	hashed := pipeline.Map(g, raw, pc.Workers, pc.Depth, func(batch []core.ChunkRef) ([]core.ChunkRef, error) {
+		for i := range batch {
+			batch[i] = s.fingerprint(batch[i].Data)
 		}
+		return batch, nil
+	})
+drive:
+	for batch := range hashed {
+		for _, ref := range batch {
+			if _, err := s.consume(it, ref); err != nil {
+				g.Fail(err)
+				break drive
+			}
+		}
+		s.batches.put(batch)
 	}
 	if err := g.Wait(); err != nil {
 		if err == it.ctx.Err() {
@@ -446,17 +483,17 @@ func (s *Session) feed(it *item, ck chunker.Chunker) error {
 // right after hashing so every downstream consumer — similarity index,
 // chunk index, handprints, recipes, restores — sees only the salted
 // value. Safe for concurrent use.
-func (s *Session) fingerprint(ch chunker.Chunk) core.ChunkRef {
-	fp := s.cfg.Algorithm.Sum(ch.Data)
+func (s *Session) fingerprint(data []byte) core.ChunkRef {
+	fp := s.cfg.Algorithm.Sum(data)
 	if s.salted {
 		for i := range fp {
 			fp[i] ^= s.salt[i%len(s.salt)]
 		}
 	}
-	ref := core.ChunkRef{FP: fp, Size: ch.Len(), Data: ch.Data}
+	ref := core.ChunkRef{FP: fp, Size: len(data), Data: data}
 	if !s.cfg.KeepPayloads {
 		ref.Data = nil
-		s.bufs.release(ch.Data)
+		s.bufs.release(data)
 	}
 	return ref
 }
