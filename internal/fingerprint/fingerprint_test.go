@@ -2,6 +2,7 @@ package fingerprint
 
 import (
 	"crypto/sha1"
+	"fmt"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -177,14 +178,51 @@ func benchSum4KB(b *testing.B, a Algorithm) {
 // BenchmarkSumSHA1_4KB reports each SHA-1 implementation this host can
 // run, so the kernel's gain is read off one session.
 func BenchmarkSumSHA1_4KB(b *testing.B) {
-	saved := sha1NI
-	defer func() { sha1NI = saved }()
 	for _, ni := range []bool{false, true} {
 		if ni && !haveSHANI {
 			continue
 		}
-		sha1NI = ni
+		restore := SetSHA1KernelsForTest(ni, false)
 		b.Run(SHA1Impl(), func(b *testing.B) { benchSum4KB(b, SHA1) })
+		restore()
+	}
+}
+
+// BenchmarkSumBatch hashes batches of 1 to 16 4KB chunks on the one-lane
+// SHA-NI kernel and on the 16-lane kernel alone (no hand-off of
+// stragglers, whatever the lane count), which shows the lane count where
+// the 16-lane pass starts to win: x16MinLanes.
+func BenchmarkSumBatch(b *testing.B) {
+	for _, k := range []struct {
+		name    string
+		ni, x16 bool
+	}{
+		{"sha-ni", true, false},
+		{"avx512x16", false, true},
+	} {
+		if k.ni && !haveSHANI || k.x16 && !haveAVX512 {
+			continue
+		}
+		restore := SetSHA1KernelsForTest(k.ni, k.x16)
+		for _, lanes := range []int{1, 4, 8, 16} {
+			bufs := make([][]byte, lanes)
+			for i := range bufs {
+				bufs[i] = make([]byte, 4096)
+				bufs[i][0] = byte(i)
+			}
+			out := make([]Fingerprint, lanes)
+			b.Run(fmt.Sprintf("%s/lanes=%d", k.name, lanes), func(b *testing.B) {
+				b.SetBytes(int64(lanes * 4096))
+				for b.Loop() {
+					if k.x16 {
+						sumX16(bufs, out)
+					} else {
+						SHA1.SumBatch(bufs, out)
+					}
+				}
+			})
+		}
+		restore()
 	}
 }
 

@@ -4,11 +4,6 @@
 
 package fingerprint
 
-import "encoding/binary"
-
-// cpuid executes CPUID with EAX=leaf, ECX=sub.
-func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
-
 // blockSHANI folds p, a positive whole number of 64-byte blocks, into h.
 //
 //go:noescape
@@ -26,25 +21,13 @@ var haveSHANI = func() bool {
 }()
 
 // sumSHANI is sha1.Sum on the kernel: whole blocks straight from data, then
-// the FIPS 180-4 padding — 0x80, zeros, the bit length big-endian in the
-// last eight bytes — in one or two blocks on the stack.
-func sumSHANI(data []byte) (out [Size]byte) {
-	h := [5]uint32{0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476, 0xC3D2E1F0}
-	whole := len(data) &^ 63
-	if whole > 0 {
+// the padded tail in one or two blocks on the stack.
+func sumSHANI(data []byte) Fingerprint {
+	h := sha1IV
+	if whole := len(data) &^ 63; whole > 0 {
 		blockSHANI(&h, data[:whole])
 	}
 	var tail [128]byte
-	n := copy(tail[:], data[whole:])
-	tail[n] = 0x80
-	end := 64
-	if n >= 56 {
-		end = 128
-	}
-	binary.BigEndian.PutUint64(tail[end-8:], uint64(len(data))<<3)
-	blockSHANI(&h, tail[:end])
-	for i, v := range h {
-		binary.BigEndian.PutUint32(out[4*i:], v)
-	}
-	return out
+	blockSHANI(&h, padTail(&tail, data))
+	return digest(&h)
 }

@@ -5,17 +5,6 @@
 
 #include "textflag.h"
 
-// func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
-TEXT ·cpuid(SB), NOSPLIT, $0-24
-	MOVL leaf+0(FP), AX
-	MOVL sub+4(FP), CX
-	CPUID
-	MOVL AX, eax+8(FP)
-	MOVL BX, ebx+12(FP)
-	MOVL CX, ecx+16(FP)
-	MOVL DX, edx+20(FP)
-	RET
-
 // Register plan of blockSHANI. The four message registers hold W[4i..4i+3]
 // of the schedule, rotating through the twenty four-round groups; the two
 // E registers alternate between "E for this group" and "ABCD before this

@@ -5,34 +5,35 @@ import (
 	"sync/atomic"
 )
 
-// freeList is a stack of recycled slices: the chunk payload buffers of
-// bufPool, the batch slices of feed's piped stages. It keeps everything
-// it is given, which needs no cap: the population only grows when get
-// finds the stack empty, so free plus handed-out never exceeds the most
-// that were ever out at once — the window plus the hash stage (see
-// hashBatchBytes) — and a drained burst is there for the next one instead
-// of being re-allocated. A mutex-guarded stack, not a sync.Pool: Put into
-// a sync.Pool boxes the slice header, one heap allocation per released
-// chunk — exactly the per-chunk churn the pool exists to kill.
+// freeList is a stack of recycled values: the chunk payload buffers of
+// bufPool, the batches of feed. It keeps everything it is given, which
+// needs no cap: the population only grows when get finds the stack empty,
+// so free plus handed-out never exceeds the most that were ever out at
+// once — the window plus the hash stage (see hashBatchBytes) — and a
+// drained burst is there for the next one instead of being re-allocated.
+// A mutex-guarded stack, not a sync.Pool: Put into a sync.Pool boxes a
+// slice header, one heap allocation per released chunk — exactly the
+// per-chunk churn the pool exists to kill.
 type freeList[T any] struct {
 	mu   sync.Mutex
-	free [][]T
+	free []T
 }
 
-// get pops a slice, emptied; nil when there is none.
-func (l *freeList[T]) get() (b []T) {
+// get pops a value; the zero value when there is none.
+func (l *freeList[T]) get() (v T) {
 	l.mu.Lock()
 	if last := len(l.free) - 1; last >= 0 {
-		b, l.free[last] = l.free[last], nil
+		var zero T
+		v, l.free[last] = l.free[last], zero
 		l.free = l.free[:last]
 	}
 	l.mu.Unlock()
-	return b
+	return v
 }
 
-func (l *freeList[T]) put(b []T) {
+func (l *freeList[T]) put(v T) {
 	l.mu.Lock()
-	l.free = append(l.free, b[:0])
+	l.free = append(l.free, v)
 	l.mu.Unlock()
 }
 
@@ -44,7 +45,7 @@ func (l *freeList[T]) put(b []T) {
 // the session's proof (allocs plateau there while reuses grow with the
 // stream).
 type bufPool struct {
-	free   freeList[byte]
+	free   freeList[[]byte]
 	bufCap int          // capacity every pooled buffer is provisioned with
 	allocs atomic.Int64 // buffers newly made (pool miss)
 	reuses atomic.Int64 // buffers served from the pool

@@ -36,6 +36,7 @@ import (
 	"io"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 
 	"sigmadedupe/internal/chunker"
@@ -195,8 +196,8 @@ type Session struct {
 	id   uint64
 	part *core.Partitioner
 	bufs bufPool
-	// batches recycles the batch slices of feed's piped stages.
-	batches freeList[core.ChunkRef]
+	// batches recycles what feed hands between its stages.
+	batches freeList[*batch]
 	// mu guards st: the driving goroutine writes it, anyone may read it.
 	mu sync.Mutex
 	st Stats
@@ -391,8 +392,41 @@ func (s *Session) begin(ctx context.Context, name string) (*item, error) {
 // to 512KB, hence a constant. Produce and Map as written hold at most
 // 3·Depth + 4 batches (three queues of Depth = 2·Workers, one in each of
 // four hands): 2MB of payload at 2 workers, 24.5MB at 32, on top of the
-// window (TestMemoryPlateau).
+// window (TestMemoryPlateau). With the 16-lane SHA-1 kernel a batch of
+// 4KB chunks is two full passes and the curve still rises — 64 / 128 /
+// 256KB: 3290 / 3650 / 3950 MB/s — but the hash stage's memory doubles
+// with the batch.
 const hashBatchBytes = 128 << 10
+
+// batch is what feed hands from stage to stage: a run of consecutive
+// chunk payloads, their fingerprints (the one Algorithm.SumBatch call's
+// output), then the chunk references consumed in stream order.
+type batch struct {
+	data [][]byte
+	fps  []fingerprint.Fingerprint
+	refs []core.ChunkRef
+}
+
+// fill reads the next run of chunks into a recycled batch: at least
+// hashBatchBytes, or up to the end of the stream, which eof reports.
+func (s *Session) fill(ck chunker.Chunker) (b *batch, eof bool, err error) {
+	if b = s.batches.get(); b == nil {
+		b = new(batch)
+	}
+	b.data = b.data[:0]
+	for size := 0; size < hashBatchBytes; {
+		chunk, err := ck.Next()
+		if err == io.EOF {
+			return b, true, nil
+		}
+		if err != nil {
+			return nil, false, err
+		}
+		b.data = append(b.data, chunk.Data)
+		size += chunk.Len()
+	}
+	return b, false, nil
+}
 
 // feed runs the item's stream through chunker → fingerprint →
 // partitioner, handing completed super-chunks to the window, and cuts the
@@ -417,58 +451,44 @@ func (s *Session) feed(it *item, ck chunker.Chunker) error {
 		if err := it.ctx.Err(); err != nil {
 			return chunkErr(err)
 		}
-		chunk, err := ck.Next()
-		if err == io.EOF {
-			return s.cut(it)
-		}
+		b, eof, err := s.fill(ck)
 		if err != nil {
 			return chunkErr(err)
 		}
-		if cut, err = s.consume(it, s.fingerprint(chunk.Data)); err != nil {
+		s.fingerprint(b)
+		if cut, err = s.consumeBatch(it, b); err != nil {
 			return err
+		}
+		if eof {
+			return s.cut(it)
 		}
 	}
 	// Past that chunker, fingerprint workers and this goroutine's
 	// partitioner overlap, and nothing between them is per chunk: a batch
-	// slice is filled with payloads, fingerprinted in place by one worker
-	// (payloads still in its cache), consumed in stream order, recycled.
+	// is filled with payloads, fingerprinted by one worker (payloads still
+	// in its cache), consumed in stream order, recycled.
 	pc := pipeline.Config{Workers: s.cfg.Workers}.WithDefaults()
 	g := pipeline.NewGroupCtx(it.ctx)
-	raw := pipeline.Produce(g, pc.Depth, func(yield func([]core.ChunkRef) bool) error {
+	raw := pipeline.Produce(g, pc.Depth, func(yield func(*batch) bool) error {
 		for {
-			batch, size := s.batches.get(), 0
-			for size < hashBatchBytes {
-				chunk, err := ck.Next()
-				if err == io.EOF {
-					yield(batch)
-					return nil
-				}
-				if err != nil {
-					return chunkErr(err)
-				}
-				batch = append(batch, core.ChunkRef{Data: chunk.Data})
-				size += chunk.Len()
+			b, eof, err := s.fill(ck)
+			if err != nil {
+				return chunkErr(err)
 			}
-			if !yield(batch) {
+			if !yield(b) || eof {
 				return nil
 			}
 		}
 	})
-	hashed := pipeline.Map(g, raw, pc.Workers, pc.Depth, func(batch []core.ChunkRef) ([]core.ChunkRef, error) {
-		for i := range batch {
-			batch[i] = s.fingerprint(batch[i].Data)
-		}
-		return batch, nil
+	hashed := pipeline.Map(g, raw, pc.Workers, pc.Depth, func(b *batch) (*batch, error) {
+		s.fingerprint(b)
+		return b, nil
 	})
-drive:
-	for batch := range hashed {
-		for _, ref := range batch {
-			if _, err := s.consume(it, ref); err != nil {
-				g.Fail(err)
-				break drive
-			}
+	for b := range hashed {
+		if _, err := s.consumeBatch(it, b); err != nil {
+			g.Fail(err)
+			break
 		}
-		s.batches.put(batch)
 	}
 	if err := g.Wait(); err != nil {
 		if err == it.ctx.Err() {
@@ -479,23 +499,28 @@ drive:
 	return s.cut(it)
 }
 
-// fingerprint hashes one chunk, folding in the tenant's domain salt
-// right after hashing so every downstream consumer — similarity index,
-// chunk index, handprints, recipes, restores — sees only the salted
-// value. Safe for concurrent use.
-func (s *Session) fingerprint(data []byte) core.ChunkRef {
-	fp := s.cfg.Algorithm.Sum(data)
-	if s.salted {
-		for i := range fp {
-			fp[i] ^= s.salt[i%len(s.salt)]
+// fingerprint hashes a batch in one call and makes its chunk references,
+// folding in the tenant's domain salt right after hashing so every
+// downstream consumer — similarity index, chunk index, handprints,
+// recipes, restores — sees only the salted value. Safe for concurrent use.
+func (s *Session) fingerprint(b *batch) {
+	b.fps = slices.Grow(b.fps[:0], len(b.data))[:len(b.data)]
+	s.cfg.Algorithm.SumBatch(b.data, b.fps)
+	b.refs = b.refs[:0]
+	for i, data := range b.data {
+		fp := b.fps[i]
+		if s.salted {
+			for i := range fp {
+				fp[i] ^= s.salt[i%len(s.salt)]
+			}
 		}
+		ref := core.ChunkRef{FP: fp, Size: len(data), Data: data}
+		if !s.cfg.KeepPayloads {
+			ref.Data = nil
+			s.bufs.release(data)
+		}
+		b.refs = append(b.refs, ref)
 	}
-	ref := core.ChunkRef{FP: fp, Size: len(data), Data: data}
-	if !s.cfg.KeepPayloads {
-		ref.Data = nil
-		s.bufs.release(data)
-	}
-	return ref
 }
 
 // consume feeds one fingerprinted chunk to the partitioner, on the
@@ -525,6 +550,20 @@ func (s *Session) consume(it *item, ref core.ChunkRef) (bool, error) {
 		return true, s.enqueue(it, sc)
 	}
 	return false, nil
+}
+
+// consumeBatch consumes a fingerprinted batch chunk by chunk and recycles
+// it; cut reports that one of its chunks completed a super-chunk.
+func (s *Session) consumeBatch(it *item, b *batch) (cut bool, err error) {
+	for _, ref := range b.refs {
+		c, err := s.consume(it, ref)
+		if err != nil {
+			return false, err
+		}
+		cut = cut || c
+	}
+	s.batches.put(b)
+	return cut, nil
 }
 
 func (s *Session) flushObserved() {
