@@ -346,7 +346,7 @@ func WithWorkers(n int) SessionOption {
 }
 
 // WithInflightSuperChunks bounds the window of super-chunks concurrently
-// in the route/query/store stage (default 4). Together with the
+// in the route/store stage (default 4). Together with the
 // super-chunk size this caps the session's peak buffered payload.
 func WithInflightSuperChunks(n int) SessionOption {
 	return func(c *sessionConfig) { c.inflight = n }

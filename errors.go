@@ -15,8 +15,10 @@ var (
 	// CRC mismatch, truncated file, bad journal record).
 	ErrCorrupt = sderr.ErrCorrupt
 	// ErrChunkVanished reports the query/store race losing its chunk: a
-	// chunk reported duplicate was deleted before the store landed.
-	// Retrying the backup resends the payload.
+	// chunk reported duplicate was deleted before the store landed. A
+	// backup cannot meet it — a node takes a chunk's reference with its
+	// duplicate verdict — only callers of the node's separate query and
+	// store can.
 	ErrChunkVanished = sderr.ErrChunkVanished
 	// ErrConflict reports an optimistic update losing its race — e.g. a
 	// super-chunk migration finding its backup superseded by a newer
@@ -31,7 +33,7 @@ var (
 )
 
 // BackupError is a failed backup operation, carrying the backup name and
-// the pipeline stage that failed ("chunk", "route", "query", "store",
+// the pipeline stage that failed ("chunk", "quota", "route", "store",
 // "finalize"). Recover it with errors.As; it unwraps to the underlying
 // cause (taxonomy sentinels, context.Canceled, transport errors).
 type BackupError = sderr.BackupError

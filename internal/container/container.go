@@ -513,6 +513,48 @@ func (m *Manager) Metadata(cid uint64) ([]ChunkMeta, error) {
 	return nil, fmt.Errorf("%w: container %d", ErrNotFound, cid)
 }
 
+// FingerprintsFrom returns the fingerprints of a container's metadata
+// section from position from on — the prefetch path's view, charged like
+// Metadata when it returns any. A refresh of a cached copy asks only for
+// what was appended since, instead of copying the whole section again.
+func (m *Manager) FingerprintsFrom(cid uint64, from int) ([]fingerprint.Fingerprint, error) {
+	fps := func(meta []ChunkMeta) []fingerprint.Fingerprint {
+		if from >= len(meta) {
+			return nil
+		}
+		out := make([]fingerprint.Fingerprint, len(meta)-from)
+		for i := range out {
+			out[i] = meta[from+i].FP
+		}
+		return out
+	}
+	m.mu.RLock()
+	c, sealedOK := m.sealed[cid]
+	s := m.openByCID[cid]
+	m.mu.RUnlock()
+	if !sealedOK && s != nil {
+		s.mu.Lock()
+		if s.c != nil && s.c.ID == cid {
+			out := fps(s.c.Meta)
+			s.mu.Unlock()
+			return out, nil
+		}
+		s.mu.Unlock()
+		// Sealed between our index lookup and taking the stream lock.
+		m.mu.RLock()
+		c, sealedOK = m.sealed[cid]
+		m.mu.RUnlock()
+	}
+	if !sealedOK {
+		return nil, fmt.Errorf("%w: container %d", ErrNotFound, cid)
+	}
+	out := fps(c.Meta)
+	if len(out) > 0 {
+		m.readIOs.Add(1)
+	}
+	return out, nil
+}
+
 func copyMeta(meta []ChunkMeta) []ChunkMeta {
 	out := make([]ChunkMeta, len(meta))
 	copy(out, meta)

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
@@ -482,6 +483,44 @@ func TestMetadataOpenContainerByCID(t *testing.T) {
 	reads, _, _ := m.Stats()
 	if reads != 0 {
 		t.Fatalf("open-container metadata charged %d read IOs, want 0", reads)
+	}
+}
+
+// TestFingerprintsFrom: the prefetch view of a container from a position
+// on — free for an open container, one read I/O for a sealed one unless
+// nothing is past the position, not found for an unknown one.
+func TestFingerprintsFrom(t *testing.T) {
+	m, _ := NewManager(WithCapacity(1 << 20))
+	rng := rand.New(rand.NewSource(15))
+	var want []fingerprint.Fingerprint
+	var cid uint64
+	for i := 0; i < 5; i++ {
+		_, fp := chunk(rng, 64)
+		loc, err := m.Append("s", fp, nil, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, cid = append(want, fp), loc.CID
+	}
+	for _, sealed := range []bool{false, true} {
+		if sealed {
+			m.Seal("s")
+		}
+		for from := 0; from <= 6; from++ {
+			got, err := m.FingerprintsFrom(cid, from)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tail := want[min(from, len(want)):]; !slices.Equal(got, tail) {
+				t.Fatalf("sealed=%v from %d: %d fingerprints, want %d", sealed, from, len(got), len(tail))
+			}
+		}
+	}
+	if reads, _, _ := m.Stats(); reads != 5 {
+		t.Fatalf("read IOs = %d, want 5 (the sealed reads that returned fingerprints)", reads)
+	}
+	if _, err := m.FingerprintsFrom(999, 0); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("unknown container: %v, want ErrNotFound", err)
 	}
 }
 

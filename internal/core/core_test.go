@@ -39,6 +39,50 @@ func TestNewHandprintSelectsSmallest(t *testing.T) {
 	}
 }
 
+// TestHandprintMatchesSortedReference: the bounded window — its prefix
+// rejection included — selects what sorting the distinct fingerprints
+// does, for NewHandprint and for a super-chunk's cached handprint alike,
+// even when many fingerprints share their 8-byte prefix.
+func TestHandprintMatchesSortedReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 200; trial++ {
+		in := fps(1+rng.Intn(300), int64(trial))
+		for i := range in {
+			switch rng.Intn(4) {
+			case 0:
+				copy(in[i][:8], in[rng.Intn(len(in))][:8]) // a shared prefix
+			case 1:
+				in[i] = in[rng.Intn(len(in))] // a duplicate
+			}
+		}
+		k := 1 + rng.Intn(12)
+		seen := make(map[fingerprint.Fingerprint]bool)
+		var want Handprint
+		for _, fp := range in {
+			if !seen[fp] {
+				seen[fp] = true
+				want = append(want, fp)
+			}
+		}
+		sort.Slice(want, func(i, j int) bool { return bytes.Compare(want[i][:], want[j][:]) < 0 })
+		want = want[:min(k, len(want))]
+		sc := &SuperChunk{}
+		for _, fp := range in {
+			sc.Chunks = append(sc.Chunks, ChunkRef{FP: fp})
+		}
+		for name, got := range map[string]Handprint{"NewHandprint": NewHandprint(in, k), "SuperChunk.Handprint": sc.Handprint(k)} {
+			if len(got) != len(want) {
+				t.Fatalf("trial %d %s: %d entries, want %d", trial, name, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("trial %d %s: entry %d differs from the sorted reference", trial, name, i)
+				}
+			}
+		}
+	}
+}
+
 func TestNewHandprintDeduplicates(t *testing.T) {
 	fp := fingerprint.Sum([]byte("dup"))
 	in := []fingerprint.Fingerprint{fp, fp, fp}

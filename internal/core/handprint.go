@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"sort"
 
 	"sigmadedupe/internal/fingerprint"
@@ -26,22 +27,53 @@ func NewHandprint(fps []fingerprint.Fingerprint, k int) Handprint {
 	if k <= 0 || len(fps) == 0 {
 		return Handprint{}
 	}
-	out := make(Handprint, 0, k)
-	for _, fp := range fps {
-		if len(out) == k && !fp.Less(out[k-1]) {
-			continue
-		}
-		i := sort.Search(len(out), func(j int) bool { return !out[j].Less(fp) })
-		if i < len(out) && out[i] == fp {
-			continue
-		}
-		if len(out) < k {
-			out = append(out, fingerprint.Fingerprint{})
-		}
-		copy(out[i+1:], out[i:])
-		out[i] = fp
+	w := newWindow(k)
+	for i := range fps {
+		w.offer(&fps[i])
 	}
-	return out
+	return w.hp
+}
+
+// window is the bounded insertion behind handprinting: the k (> 0)
+// smallest distinct fingerprints offered so far, sorted ascending. Once
+// it is full, limit is the 8-byte prefix of its largest entry, so the
+// rejection is one integer comparison.
+type window struct {
+	hp    Handprint
+	k     int
+	limit uint64
+}
+
+func newWindow(k int) window {
+	return window{hp: make(Handprint, 0, k), k: k, limit: math.MaxUint64}
+}
+
+func (w *window) offer(fp *fingerprint.Fingerprint) {
+	if fp.Uint64() <= w.limit {
+		w.insert(fp)
+	}
+}
+
+// insert places fp by a scan from the top: k is small, and most
+// fingerprints that pass offer's prefix test belong near it.
+func (w *window) insert(p *fingerprint.Fingerprint) {
+	fp, out := *p, w.hp
+	i := len(out)
+	for i > 0 && fp.Less(out[i-1]) {
+		i--
+	}
+	if i == w.k || (i > 0 && out[i-1] == fp) {
+		return // not among the k smallest, or already in
+	}
+	if len(out) < w.k {
+		out = append(out, fingerprint.Fingerprint{})
+	}
+	copy(out[i+1:], out[i:])
+	out[i] = fp
+	if len(out) == w.k {
+		w.limit = out[w.k-1].Uint64()
+	}
+	w.hp = out
 }
 
 // Contains reports whether fp is a representative fingerprint of the

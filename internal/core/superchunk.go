@@ -72,12 +72,20 @@ func (s *SuperChunk) Fingerprints() []fingerprint.Fingerprint {
 }
 
 // Handprint returns the k smallest chunk fingerprints of the super-chunk
-// (Algorithm 1 step 1). Results are cached per (super-chunk, k).
+// (Algorithm 1 step 1), as NewHandprint over its fingerprints does —
+// read in place. Results are cached per (super-chunk, k).
 func (s *SuperChunk) Handprint(k int) Handprint {
 	if s.hpSize == k && s.handprint != nil {
 		return s.handprint
 	}
-	hp := NewHandprint(s.Fingerprints(), k)
+	hp := Handprint{}
+	if k > 0 && len(s.Chunks) > 0 {
+		w := newWindow(k)
+		for i := range s.Chunks {
+			w.offer(&s.Chunks[i].FP)
+		}
+		hp = w.hp
+	}
 	s.handprint, s.hpSize = hp, k
 	return hp
 }

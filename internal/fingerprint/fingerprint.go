@@ -12,6 +12,7 @@ import (
 	"bytes"
 	"crypto/md5"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 )
@@ -111,14 +112,24 @@ func (f Fingerprint) Short() string {
 
 // Compare lexicographically compares two fingerprints, returning
 // -1, 0 or +1. The "k smallest fingerprints" of a handprint are defined by
-// this ordering.
+// this ordering. The 8-byte big-endian prefix decides all but a 2⁻⁶⁴
+// share of hashed pairs, so it is compared first, as one integer.
 func (f Fingerprint) Compare(other Fingerprint) int {
-	return bytes.Compare(f[:], other[:])
+	if a, b := f.Uint64(), other.Uint64(); a != b {
+		if a < b {
+			return -1
+		}
+		return 1
+	}
+	return bytes.Compare(f[8:], other[8:])
 }
 
 // Less reports whether f sorts before other.
 func (f Fingerprint) Less(other Fingerprint) bool {
-	return bytes.Compare(f[:], other[:]) < 0
+	if a, b := f.Uint64(), other.Uint64(); a != b {
+		return a < b
+	}
+	return bytes.Compare(f[8:], other[8:]) < 0
 }
 
 // IsZero reports whether the fingerprint is the all-zero value, which is
@@ -134,21 +145,13 @@ func (f Fingerprint) Mod(n int) int {
 	if n <= 0 {
 		return 0
 	}
-	var v uint64
-	for i := 0; i < 8; i++ {
-		v = v<<8 | uint64(f[i])
-	}
-	return int(v % uint64(n))
+	return int(f.Uint64() % uint64(n))
 }
 
 // Uint64 returns the leading 8 bytes as a big-endian integer. Useful for
 // cheap secondary hashing (Bloom filters, lock striping).
 func (f Fingerprint) Uint64() uint64 {
-	var v uint64
-	for i := 0; i < 8; i++ {
-		v = v<<8 | uint64(f[i])
-	}
-	return v
+	return binary.BigEndian.Uint64(f[:8])
 }
 
 // Parse decodes a hexadecimal fingerprint string.

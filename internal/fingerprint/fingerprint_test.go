@@ -1,6 +1,7 @@
 package fingerprint
 
 import (
+	"bytes"
 	"crypto/sha1"
 	"fmt"
 	"sort"
@@ -88,6 +89,21 @@ func TestCompareConsistency(t *testing.T) {
 	}
 	if a.Less(b) != (a.Compare(b) < 0) {
 		t.Error("Less disagrees with Compare")
+	}
+}
+
+// TestCompareIsByteOrder: deciding on the 8-byte prefix first is still
+// the lexicographic byte order — handprints and everything sorted by them
+// depend on it — including pairs whose prefixes tie and differ only in the
+// tail.
+func TestCompareIsByteOrder(t *testing.T) {
+	f := func(a, b Fingerprint, tieUpTo uint8) bool {
+		copy(b[:int(tieUpTo)%(Size+1)], a[:])
+		want := bytes.Compare(a[:], b[:])
+		return a.Compare(b) == want && b.Compare(a) == -want && a.Less(b) == (want < 0)
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -87,6 +87,47 @@ func (c *Cache) AddContainer(cid uint64, fps []fingerprint.Fingerprint) {
 	}
 }
 
+// Cached reports whether the container is cached and, if so, how many of
+// its fingerprints the entry holds — where a refresh of a growing open
+// container resumes (Extend). No LRU state or counter is touched.
+func (c *Cache) Cached(cid uint64) (n int, ok bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.byCID[cid]
+	if !ok {
+		return 0, false
+	}
+	return len(el.Value.(*entry).fps), true
+}
+
+// Extend refreshes a cached container that has grown since it was
+// cached: fps are its fingerprints from position from on (what Cached
+// reported), and only those beyond the entry's current length are added.
+// Counted as a prefetch, like the AddContainer refresh it replaces. It
+// reports false, doing nothing, when the container is no longer cached or
+// fps starts past the entry's end.
+func (c *Cache) Extend(cid uint64, from int, fps []fingerprint.Fingerprint) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.byCID[cid]
+	if !ok {
+		return false
+	}
+	e := el.Value.(*entry)
+	if from > len(e.fps) {
+		return false
+	}
+	c.prefetches++
+	c.ll.MoveToFront(el)
+	if skip := len(e.fps) - from; skip < len(fps) {
+		for _, fp := range fps[skip:] {
+			c.byFP[fp] = cid
+		}
+		e.fps = append(e.fps, fps[skip:]...)
+	}
+	return true
+}
+
 // evictLocked removes the LRU container and unindexes its fingerprints.
 func (c *Cache) evictLocked() {
 	el := c.ll.Back()
@@ -129,15 +170,6 @@ func (c *Cache) Lookup(fp fingerprint.Fingerprint) (uint64, bool) {
 // Contains is Lookup without the container ID.
 func (c *Cache) Contains(fp fingerprint.Fingerprint) bool {
 	_, ok := c.Lookup(fp)
-	return ok
-}
-
-// HasContainer reports whether the container is currently cached, without
-// touching LRU state or counters.
-func (c *Cache) HasContainer(cid uint64) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, ok := c.byCID[cid]
 	return ok
 }
 

@@ -19,6 +19,12 @@ func fps(seed int64, n int) []fingerprint.Fingerprint {
 	return out
 }
 
+// cached reports whether cid is in c.
+func cached(c *Cache, cid uint64) bool {
+	_, ok := c.Cached(cid)
+	return ok
+}
+
 func TestAddLookup(t *testing.T) {
 	c, err := New(4)
 	if err != nil {
@@ -43,10 +49,10 @@ func TestLRUEviction(t *testing.T) {
 	c.AddContainer(1, a)
 	c.AddContainer(2, b)
 	c.AddContainer(3, d) // evicts container 1
-	if c.HasContainer(1) {
+	if cached(c, 1) {
 		t.Fatal("container 1 should have been evicted")
 	}
-	if !c.HasContainer(2) || !c.HasContainer(3) {
+	if !cached(c, 2) || !cached(c, 3) {
 		t.Fatal("recent containers evicted")
 	}
 	if c.Contains(a[0]) {
@@ -65,10 +71,10 @@ func TestLookupRefreshesLRU(t *testing.T) {
 	c.AddContainer(2, b)
 	c.Lookup(a[0])       // touch container 1
 	c.AddContainer(3, d) // should evict container 2, not 1
-	if !c.HasContainer(1) {
+	if !cached(c, 1) {
 		t.Fatal("recently touched container evicted")
 	}
-	if c.HasContainer(2) {
+	if cached(c, 2) {
 		t.Fatal("LRU container survived")
 	}
 }
@@ -82,8 +88,44 @@ func TestReAddRefreshes(t *testing.T) {
 		t.Fatalf("Len = %d, want 2", c.Len())
 	}
 	c.AddContainer(3, fps(10, 2)) // evicts 2
-	if c.HasContainer(2) || !c.HasContainer(1) {
+	if cached(c, 2) || !cached(c, 1) {
 		t.Fatal("re-add did not refresh LRU position")
+	}
+}
+
+// TestExtendAddsOnlyTheTail: a growing open container is refreshed with
+// the fingerprints appended since it was cached — from where Cached says
+// the entry ends — and a stale or overlapping tail adds nothing twice.
+func TestExtendAddsOnlyTheTail(t *testing.T) {
+	c, _ := New(2)
+	all := fps(13, 10)
+	c.AddContainer(1, all[:4])
+	if n, ok := c.Cached(1); !ok || n != 4 {
+		t.Fatalf("Cached = (%d,%v), want (4,true)", n, ok)
+	}
+	if !c.Extend(1, 4, all[4:7]) {
+		t.Fatal("Extend of a cached container refused")
+	}
+	// A racing refresh that read from position 5 overlaps by two.
+	if !c.Extend(1, 5, all[5:10]) {
+		t.Fatal("overlapping Extend refused")
+	}
+	if n, _ := c.Cached(1); n != 10 {
+		t.Fatalf("entry holds %d fingerprints, want 10", n)
+	}
+	for _, fp := range all {
+		if cid, ok := c.Lookup(fp); !ok || cid != 1 {
+			t.Fatalf("Lookup = (%d,%v), want (1,true)", cid, ok)
+		}
+	}
+	if c.Extend(1, 11, fps(14, 1)) || c.Extend(2, 0, all) {
+		t.Fatal("Extend past the entry's end or of an uncached container accepted")
+	}
+	// An eviction removes every fingerprint the extensions added.
+	c.AddContainer(2, fps(15, 1))
+	c.AddContainer(3, fps(16, 1))
+	if _, ok := c.Cached(1); ok || c.Contains(all[9]) {
+		t.Fatal("evicted container's extended fingerprints still indexed")
 	}
 }
 
@@ -149,7 +191,7 @@ func TestConcurrentUse(t *testing.T) {
 				set := fps(int64(cid), 8)
 				c.AddContainer(cid, set)
 				c.Lookup(set[0])
-				c.HasContainer(cid)
+				cached(c, cid)
 			}
 		}(w)
 	}

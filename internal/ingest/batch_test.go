@@ -227,15 +227,15 @@ func (r *stalling) Read(p []byte) (int, error) {
 	}
 }
 
-// counting counts the bytes of the super-chunks handed to Store.
+// counting counts the bytes of the super-chunks handed to Dedup.
 type counting struct {
 	migrate.Node
 	stored *atomic.Int64
 }
 
-func (c counting) Store(ctx context.Context, stream string, sc *core.SuperChunk, withData bool) error {
+func (c counting) Dedup(ctx context.Context, stream string, sc *core.SuperChunk, hp core.Handprint, eager bool) ([]bool, error) {
 	c.stored.Add(sc.Size())
-	return c.Node.Store(ctx, stream, sc, withData)
+	return c.Node.Dedup(ctx, stream, sc, hp, eager)
 }
 
 // TestStalledReaderHoldsBackOneBatch pins the one thing a batch

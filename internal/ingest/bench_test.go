@@ -58,10 +58,13 @@ func BenchmarkIngestRemoteLatency(b *testing.B) { benchIngest(b, 2*time.Millisec
 // drops what it is sent.
 type discard struct{ migrate.Node }
 
-func (discard) Bid(context.Context, core.Handprint) (int, int64, error)     { return 0, 0, nil }
-func (discard) Query(context.Context, *core.SuperChunk) ([]bool, error)     { return nil, nil }
-func (discard) Store(context.Context, string, *core.SuperChunk, bool) error { return nil }
-func (discard) Flush(context.Context) error                                 { return nil }
+func (discard) Bid(context.Context, core.Handprint) (int, int64, error) { return 0, 0, nil }
+func (discard) Flush(context.Context) error                             { return nil }
+
+// Dedup reports no verdicts: every chunk counts as fresh.
+func (discard) Dedup(context.Context, string, *core.SuperChunk, core.Handprint, bool) ([]bool, error) {
+	return nil, nil
+}
 
 // hashStageRig is a session with the nodes taken out — every verb
 // answered by a discard transport — and size bytes of distinct chunks to

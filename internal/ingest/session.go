@@ -2,9 +2,9 @@
 // §3.1), written once for the simulator and the TCP prototype: tenant
 // admission, chunking into pooled buffers, fingerprinting, super-chunk
 // partitioning, similarity routing (Algorithm 1, through router.Router
-// over a router.View), the batched duplicate query at the winner, the
-// transfer of the unique chunks only, recipe attribution and the recipe
-// swap. A deployment supplies the node transport (migrate.Node:
+// over a router.View), one dedup pass at the winner — fingerprints first,
+// then the payloads of the chunks it lacks only — recipe attribution and
+// the recipe swap. A deployment supplies the node transport (migrate.Node:
 // *rpc.Client over the wire, migrate.Local in process), the director,
 // and three seams — how a membership epoch is pinned (Config.Pin), how
 // the second copy is written at R=2 (Config.Replicate) and who wants to
@@ -14,9 +14,9 @@
 // Every backup stream owns a concurrent pipeline: a worker pool
 // fingerprints chunks — a batch of hashBatchBytes at a time — while the
 // stream is still being read, and a bounded window of super-chunks is
-// routed, queried and stored concurrently, so fingerprinting of
-// super-chunk n+1 overlaps the transfer of n and peak buffered payload is
-// bounded by the window plus the hash stage, never by stream size.
+// routed and stored concurrently, so fingerprinting of super-chunk n+1
+// overlaps the transfer of n and peak buffered payload is bounded by the
+// window plus the hash stage, never by stream size.
 // Results are applied in stream order on the goroutine driving the
 // session, so only the counters need a lock.
 //
@@ -35,7 +35,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"runtime"
 	"slices"
 	"sync"
 
@@ -51,7 +50,7 @@ import (
 )
 
 // DefaultInflight is the default window of super-chunks a session keeps
-// in the route/query/store stage.
+// in the route/store stage.
 const DefaultInflight = 4
 
 // Epoch is one pinned membership epoch: what a backup item routes
@@ -105,7 +104,7 @@ type Config struct {
 	// Workers sizes the fingerprint worker pool (default GOMAXPROCS).
 	Workers int
 	// Inflight bounds the super-chunks concurrently in the
-	// route/query/store stage (default DefaultInflight).
+	// route/store stage (default DefaultInflight).
 	Inflight int
 	// Router places super-chunks (required).
 	Router router.Router
@@ -172,9 +171,9 @@ func (it *item) fail(err error) {
 	}
 }
 
-// routed is the outcome of the route/query/store stage for one
-// super-chunk. entries is set on errors too, so an abort releases what a
-// half-done route did store.
+// routed is the outcome of the route/store stage for one super-chunk.
+// entries is set on errors too, so an abort releases what a half-done
+// route did store.
 type routed struct {
 	it      *item
 	sc      *core.SuperChunk
@@ -196,6 +195,8 @@ type Session struct {
 	id   uint64
 	part *core.Partitioner
 	bufs bufPool
+	// spare is release's scratch run of buffers (driving goroutine only).
+	spare [][]byte
 	// batches recycles what feed hands between its stages.
 	batches freeList[*batch]
 	// mu guards st: the driving goroutine writes it, anyone may read it.
@@ -205,7 +206,7 @@ type Session struct {
 	// or awaiting apply; its high-water mark is st.PeakBufferedBytes.
 	buffered int64
 
-	// window is the counting semaphore of the route/query/store stage.
+	// window is the counting semaphore of the route/store stage.
 	window chan struct{}
 	// order holds, in stream order, the 1-slot result channel of every
 	// routed-but-not-yet-applied super-chunk.
@@ -272,11 +273,14 @@ func New(ctx context.Context, cfg Config, dir director.Metadata) (*Session, erro
 		return nil, fmt.Errorf("ingest: tenant %s: %w", cfg.Tenant, err)
 	}
 	s := &Session{
-		cfg:      cfg,
-		dir:      dir,
-		id:       id,
-		part:     part,
-		bufs:     bufPool{bufCap: chunker.MaxChunkSize(cfg.ChunkMethod, cfg.ChunkSize)},
+		cfg:  cfg,
+		dir:  dir,
+		id:   id,
+		part: part,
+		bufs: bufPool{
+			bufCap: chunker.MaxChunkSize(cfg.ChunkMethod, cfg.ChunkSize),
+			refill: max(hashBatchBytes/cfg.ChunkSize, 1),
+		},
 		window:   make(chan struct{}, cfg.Inflight),
 		storing:  make(map[fingerprint.Fingerprint]chan struct{}),
 		headroom: -1,
@@ -438,16 +442,13 @@ func (s *Session) feed(it *item, ck chunker.Chunker) error {
 	// An item that ends inside its first super-chunk — the bulk of a
 	// typical backup tree — is chunked and fingerprinted right here: the
 	// pipeline's goroutines and channels would cost more than they
-	// overlap. On a single-P runtime fingerprinting cannot overlap
-	// chunking at all, so the whole item stays inline (routing stays
-	// concurrent: super-chunks go to the same window). Selected from the
-	// input and the runtime, not from an option; with batches the single-P
-	// case saves 4.6%, not PR 20's 25%: ten alternating pairs of
-	// GOMAXPROCS=1 bench/run.sh -workload incremental-ram,
-	// ingest_cpu_s_per_gb median 1.377 inline (quartile distance 0.060) vs
-	// 1.440 piped, 9/10 pairs (CHANGES.md, PR 30).
-	inline := runtime.GOMAXPROCS(0) == 1
-	for cut := false; !cut || inline; {
+	// overlap. Selected from the input, not from an option. A single-P
+	// runtime, where fingerprinting cannot overlap chunking, takes the
+	// pipeline too now that buffers move in runs: ten alternating pairs
+	// of GOMAXPROCS=1 bench/run.sh -workload incremental-ram read
+	// ingest_cpu_s_per_gb 0.824 inline (quartile distance 0.084) vs 0.846
+	// piped, and rss_peak_mb 6 % lower piped (CHANGES.md).
+	for cut := false; !cut; {
 		if err := it.ctx.Err(); err != nil {
 			return chunkErr(err)
 		}
@@ -514,12 +515,14 @@ func (s *Session) fingerprint(b *batch) {
 				fp[i] ^= s.salt[i%len(s.salt)]
 			}
 		}
-		ref := core.ChunkRef{FP: fp, Size: len(data), Data: data}
-		if !s.cfg.KeepPayloads {
-			ref.Data = nil
-			s.bufs.release(data)
+		ref := core.ChunkRef{FP: fp, Size: len(data)}
+		if s.cfg.KeepPayloads {
+			ref.Data = data
 		}
 		b.refs = append(b.refs, ref)
+	}
+	if !s.cfg.KeepPayloads {
+		s.bufs.releaseAll(b.data)
 	}
 }
 
@@ -581,7 +584,7 @@ func (s *Session) cut(it *item) error {
 	return nil
 }
 
-// enqueue hands one super-chunk to the route/query/store stage: up to
+// enqueue hands one super-chunk to the route/store stage: up to
 // Inflight run at once, and results are applied in stream order as they
 // complete.
 //
@@ -643,13 +646,11 @@ func (s *Session) enqueue(it *item, sc *core.SuperChunk) error {
 }
 
 // route runs one super-chunk through the scheduler, the router and, per
-// assignment, the batched duplicate query and the store of what the
-// target lacks. It runs concurrently for several super-chunks and touches
-// only the transports, never session state. A query that races the
-// in-flight store of a neighboring super-chunk can miss a brand-new
-// duplicate — that costs bandwidth (the node re-checks on arrival),
-// never correctness. Bids racing the store of a look-alike super-chunk
-// would cost dedup; enqueue's ordering rule keeps those apart.
+// assignment, the target's one dedup pass: the duplicates' references
+// taken and only what the target lacks transferred. It runs concurrently
+// for several super-chunks and touches only the transports, never session
+// state. Bids racing the store of a look-alike super-chunk would cost
+// dedup; enqueue's ordering rule keeps those apart.
 func (s *Session) route(it *item, sc *core.SuperChunk) routed {
 	res := routed{it: it, sc: sc, entries: make([]director.ChunkEntry, len(sc.Chunks))}
 	for i, ch := range sc.Chunks {
@@ -671,43 +672,53 @@ func (s *Session) route(it *item, sc *core.SuperChunk) routed {
 	if v, ok := view.(interface{ Err() error }); ok && v.Err() != nil {
 		return fail("route", v.Err())
 	}
+	// The handprint the router bid with, cached on sc: the target of the
+	// whole super-chunk indexes it instead of computing its own.
+	var hp core.Handprint
+	if r, ok := s.cfg.Router.(*router.SigmaRouter); ok && r.K > 0 {
+		hp = sc.Handprint(r.K)
+	}
+	// When the bids all scored zero nothing resembles the super-chunk: its
+	// chunks are almost surely new, so their payloads go with the
+	// fingerprints — one round trip instead of two.
+	unlike := (res.dec.BidsSent > 0 || res.dec.SummaryChecks > 0) && res.dec.Resemblance == 0
 	for _, a := range res.dec.Assignments {
 		// target is what this assignment sends; at[i] is the super-chunk
 		// position of its i-th chunk.
-		target, at := sc, a.Chunks
+		target, at, thp := sc, a.Chunks, hp
 		if at != nil {
 			target = &core.SuperChunk{Chunks: make([]core.ChunkRef, len(at))}
 			for i, pos := range at {
 				target.Chunks[i] = sc.Chunks[pos]
 			}
+			thp = nil
 		}
 		nd, ok := it.epoch.Node(a.Node)
 		if !ok {
-			return fail("query", fmt.Errorf("node %d is not in the cluster: %w", a.Node, sderr.ErrNotFound))
+			return fail("store", fmt.Errorf("node %d is not in the cluster: %w", a.Node, sderr.ErrNotFound))
 		}
-		// Batched fingerprint query: learn which chunks are duplicates so
-		// their payloads never cross the network.
-		dup, err := nd.Query(it.ctx, target)
-		if err != nil {
-			return fail("query", fmt.Errorf("node %d: %w", a.Node, err))
-		}
-		send := &core.SuperChunk{Chunks: make([]core.ChunkRef, len(target.Chunks))}
-		for i, ch := range target.Chunks {
-			send.Chunks[i] = core.ChunkRef{FP: ch.FP, Size: ch.Size}
-			if i >= len(dup) || !dup[i] {
-				send.Chunks[i].Data = ch.Data
-				res.unique += int64(ch.Size)
-			}
-		}
-		if err := nd.Store(it.ctx, s.cfg.Name, send, s.cfg.KeepPayloads); err != nil {
-			return fail("store", fmt.Errorf("node %d: %w", a.Node, err))
-		}
+		// Without payloads there is nothing to spare by asking first.
+		eager := !s.cfg.KeepPayloads || (at == nil && unlike)
+		fresh, err := nd.Dedup(it.ctx, s.cfg.Name, target, thp, eager)
 		for i := range target.Chunks {
+			// On error only the chunks holding a reference are attributed,
+			// so the abort releases exactly those.
+			if err != nil && (i >= len(fresh) || fresh[i]) {
+				continue
+			}
 			pos := i
 			if at != nil {
 				pos = at[i]
 			}
 			res.entries[pos].Node = int32(a.Node)
+		}
+		if err != nil {
+			return fail("store", fmt.Errorf("node %d: %w", a.Node, err))
+		}
+		for i, ch := range target.Chunks {
+			if i >= len(fresh) || fresh[i] {
+				res.unique += int64(ch.Size)
+			}
 		}
 		// Only a whole-super-chunk assignment is a run of the recipe.
 		if s.cfg.Replicate.Run != nil && at == nil && len(sc.Chunks) > 0 {
@@ -728,13 +739,19 @@ func (s *Session) recycle(sc *core.SuperChunk) {
 	s.release(sc)
 }
 
+// release hands a super-chunk's payload buffers back to the pool in one
+// run.
 func (s *Session) release(sc *core.SuperChunk) {
+	bufs := s.spare[:0]
 	for i := range sc.Chunks {
 		if d := sc.Chunks[i].Data; d != nil {
 			sc.Chunks[i].Data = nil
-			s.bufs.release(d)
+			bufs = append(bufs, d)
 		}
 	}
+	s.bufs.releaseAll(bufs)
+	clear(bufs)
+	s.spare = bufs[:0]
 }
 
 // apply folds one route result into its item and the counters.
@@ -758,8 +775,8 @@ func (s *Session) apply(res routed) {
 	s.st.SummaryChecks += res.dec.SummaryChecks
 	s.st.SummaryHits += res.dec.SummaryHits
 	s.st.SummaryFalsePos += res.dec.SummaryFalsePos
-	// After-routing: the batched query carries one lookup per chunk to
-	// its target.
+	// After-routing: the dedup call carries one lookup per chunk to its
+	// target.
 	s.st.AfterRoutingMsgs += int64(len(res.sc.Chunks))
 	s.mu.Unlock()
 }

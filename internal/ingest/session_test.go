@@ -57,18 +57,11 @@ func (g gate) Bid(ctx context.Context, hp core.Handprint) (int, int64, error) {
 	return g.Node.Bid(ctx, hp)
 }
 
-func (g gate) Query(ctx context.Context, sc *core.SuperChunk) ([]bool, error) {
+func (g gate) Dedup(ctx context.Context, stream string, sc *core.SuperChunk, hp core.Handprint, eager bool) ([]bool, error) {
 	if err := g.wait(ctx); err != nil {
 		return nil, err
 	}
-	return g.Node.Query(ctx, sc)
-}
-
-func (g gate) Store(ctx context.Context, stream string, sc *core.SuperChunk, withData bool) error {
-	if err := g.wait(ctx); err != nil {
-		return err
-	}
-	return g.Node.Store(ctx, stream, sc, withData)
+	return g.Node.Dedup(ctx, stream, sc, hp, eager)
 }
 
 // rig is a small cluster reached through one transport.
@@ -249,7 +242,7 @@ func TestSourceDedupSavesBandwidth(t *testing.T) {
 	})
 }
 
-// slowFirstStore is a node transport that makes the cluster's first Store
+// slowFirstStore is a node transport that makes the cluster's first store
 // — the original's — slow, and grows that node by a filler super-chunk
 // first: by the time a copy bids, the node the original chose is no
 // longer the least loaded, so a copy that finds no resemblance anywhere
@@ -261,14 +254,14 @@ type slowFirstStore struct {
 	delay  time.Duration
 }
 
-func (f slowFirstStore) Store(ctx context.Context, stream string, sc *core.SuperChunk, withData bool) error {
+func (f slowFirstStore) Dedup(ctx context.Context, stream string, sc *core.SuperChunk, hp core.Handprint, eager bool) ([]bool, error) {
 	if f.first.CompareAndSwap(false, true) {
-		if err := f.Node.Store(ctx, "filler", f.filler, true); err != nil {
-			return err
+		if _, err := f.Node.Dedup(ctx, "filler", f.filler, nil, true); err != nil {
+			return nil, err
 		}
 		time.Sleep(f.delay)
 	}
-	return f.Node.Store(ctx, stream, sc, withData)
+	return f.Node.Dedup(ctx, stream, sc, hp, eager)
 }
 
 // TestCopyOnHeelsOfOriginalDedupes: a copy backed up while its original's

@@ -23,14 +23,16 @@ import (
 // the plain usage probe.
 type Node interface {
 	Bid(ctx context.Context, hp core.Handprint) (count int, usage int64, err error)
-	// Query is the batched duplicate check: per chunk of sc, whether the
-	// node already stores it.
-	Query(ctx context.Context, sc *core.SuperChunk) ([]bool, error)
-	// Store deduplicates and stores a routed (or migrated) super-chunk on
-	// the stream's open container — one reference per occurrence,
-	// similarity-index entries registered; withData says payloads travel
-	// (for the chunks that carry one).
-	Store(ctx context.Context, stream string, sc *core.SuperChunk, withData bool) error
+	// Dedup deduplicates and stores a routed (or migrated) super-chunk on
+	// the stream's open container in one node pass — one reference per
+	// occurrence, hp's similarity-index entries registered (nil hp: the
+	// node's own handprint). Over the wire the fingerprints go first and
+	// only the payloads of chunks the node lacks follow; with eager set
+	// they all travel in the one call. In process the payloads in hand are
+	// passed in the one call either way. fresh[i] reports that chunk i
+	// was not held before; on error, that it holds no reference from this
+	// call, so an abort releases exactly the others.
+	Dedup(ctx context.Context, stream string, sc *core.SuperChunk, hp core.Handprint, eager bool) (fresh []bool, err error)
 	// Flush seals the node's open containers.
 	Flush(ctx context.Context) error
 	// ReadBatch returns one payload per fingerprint, in request order, the
@@ -187,7 +189,7 @@ func (e *Engine) moveSegment(ctx context.Context, r director.Recipe, seg segment
 		sc.Chunks[i] = core.ChunkRef{FP: en.FP, Size: int(en.Size), Data: datas[i]}
 		bytes += int64(en.Size)
 	}
-	if err := dst.Store(ctx, Stream, sc, true); err != nil {
+	if _, err := dst.Dedup(ctx, Stream, sc, nil, true); err != nil {
 		return fail("write", to, err)
 	}
 	if err := e.faultAt(StageStored, r.Path); err != nil {

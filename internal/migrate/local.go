@@ -21,13 +21,12 @@ func (l local) Bid(_ context.Context, hp core.Handprint) (int, int64, error) {
 	return l.n.CountHandprintMatches(hp), l.n.StorageUsage(), nil
 }
 
-func (l local) Query(_ context.Context, sc *core.SuperChunk) ([]bool, error) {
-	return l.n.QuerySuperChunk(sc), nil
-}
-
-func (l local) Store(_ context.Context, stream string, sc *core.SuperChunk, _ bool) error {
-	_, err := l.n.StoreSuperChunk(stream, sc)
-	return err
+// Dedup hands the payloads in sc to the node in its one pass, eager or
+// not: in process there is no wire to spare them. A chunk the node lacks
+// and sc carries no payload for is treated as the wire's second call
+// treats it.
+func (l local) Dedup(_ context.Context, stream string, sc *core.SuperChunk, hp core.Handprint, _ bool) ([]bool, error) {
+	return l.n.Dedup(stream, sc, hp, true)
 }
 
 func (l local) Flush(context.Context) error { return l.n.Flush() }

@@ -160,9 +160,29 @@ func (n *Node) CountStoredChunks(fps []fingerprint.Fingerprint) int {
 	return n.eng.CountStoredChunks(fps)
 }
 
+// Dedup deduplicates one routed super-chunk arriving on the given stream
+// in a single node pass: every chunk the node holds gains its reference,
+// every chunk with a payload it lacks is appended, and hp — the handprint
+// the super-chunk was routed by, nil to compute it here — is indexed.
+// Without eager, a payload-less chunk the node lacks is reported missing
+// for StoreMissing to deliver. Concurrent streams dedupe in parallel; the
+// engine serializes only same-fingerprint races. fresh[i] reports that
+// chunk i was not held before; on error, that it holds no reference from
+// this call. See store.Engine.Dedup.
+func (n *Node) Dedup(stream string, sc *core.SuperChunk, hp core.Handprint, eager bool) (fresh []bool, err error) {
+	return n.eng.Dedup(stream, sc, hp, eager)
+}
+
+// StoreMissing delivers the payloads of the chunks a fingerprint-first
+// Dedup reported missing. See store.Engine.StoreMissing.
+func (n *Node) StoreMissing(stream string, sc *core.SuperChunk, hp core.Handprint) (fresh []bool, err error) {
+	return n.eng.StoreMissing(stream, sc, hp)
+}
+
 // StoreSuperChunk deduplicates and stores one routed super-chunk arriving
-// on the given stream. Concurrent streams dedupe in parallel; the engine
-// serializes only same-fingerprint races.
+// on the given stream, the payloads of its new chunks included — the same
+// pass as Dedup with eager set — for the simulator's trace feed, the
+// experiments and, with QuerySuperChunk, the benchmark's traced replay.
 func (n *Node) StoreSuperChunk(stream string, sc *core.SuperChunk) (StoreResult, error) {
 	return n.eng.StoreSuperChunk(stream, sc)
 }
@@ -177,7 +197,9 @@ func (n *Node) StoreFileInBin(stream string, binKey fingerprint.Fingerprint, sc 
 func (n *Node) NumBins() int { return n.eng.NumBins() }
 
 // QuerySuperChunk answers a source-dedup batched fingerprint query: for
-// each chunk of the super-chunk, report whether it is already stored.
+// each chunk of the super-chunk, report whether it is already stored,
+// taking no reference. Kept for the benchmark's traced replay until that
+// is deleted (ROADMAP item 7(c)); the ingest path asks Dedup.
 func (n *Node) QuerySuperChunk(sc *core.SuperChunk) []bool {
 	return n.eng.QuerySuperChunk(sc)
 }

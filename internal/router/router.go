@@ -138,6 +138,12 @@ type Decision struct {
 	// chunk-sample bids it also absorbs handprint/chunk-sample mismatch,
 	// since the summary sketches RFPs, not raw chunk fingerprints.
 	SummaryFalsePos int64
+	// Resemblance is the winner's bid — core.RouteDecision.Resemblance,
+	// the representative (or, for Stateful, sampled) fingerprints it
+	// already holds — for routers that bid; zero otherwise. A zero after
+	// bids means no node resembles the super-chunk: its chunks are almost
+	// surely new, and the session sends their payloads without asking.
+	Resemblance int
 }
 
 // Router routes super-chunks to deduplication nodes.
@@ -256,6 +262,7 @@ func (r *SigmaRouter) Route(sc *core.SuperChunk, v View) Decision {
 		}
 		sel := core.SelectTarget(cands, counts, usage)
 		d := all(sel.Node)
+		d.Resemblance = sel.Resemblance
 		d.BidsSent = int64(len(cands))
 		// The handprint is sent to each queried candidate.
 		d.PreRoutingMsgs = int64(len(cands) * len(hp))
@@ -307,6 +314,7 @@ func (r *SigmaRouter) Route(sc *core.SuperChunk, v View) Decision {
 	}
 	sel := core.SelectTarget(nodes, counts, usage)
 	d := all(sel.Node)
+	d.Resemblance = sel.Resemblance
 	d.BidsSent = int64(bidTo)
 	d.PreRoutingMsgs = int64(bidTo * len(hp))
 	d.SummaryChecks = int64(m.Len())
@@ -406,6 +414,7 @@ func (r *StatefulRouter) Route(sc *core.SuperChunk, v View) Decision {
 	}
 	sel := core.SelectTarget(cands, counts, usage)
 	d := all(sel.Node)
+	d.Resemblance = sel.Resemblance
 	for i := range sent {
 		if sent[i] {
 			d.BidsSent++

@@ -341,7 +341,9 @@ func (c *Client) Bid(ctx context.Context, hp core.Handprint) (count int, usage i
 	return resp.Count, resp.Usage, nil
 }
 
-// Query performs the batched duplicate check for a super-chunk.
+// Query performs the batched duplicate check for a super-chunk, taking
+// no reference. Kept with Store for the benchmark's traced replay (see
+// OpQuery); ingest stores through Dedup.
 func (c *Client) Query(ctx context.Context, sc *core.SuperChunk) ([]bool, error) {
 	resp, err := c.Call(ctx, Request{Op: OpQuery, Chunks: superChunkToWire(sc, false)})
 	if err != nil {
@@ -350,8 +352,60 @@ func (c *Client) Query(ctx context.Context, sc *core.SuperChunk) ([]bool, error)
 	return resp.Dup, nil
 }
 
+// Dedup stores a routed super-chunk on the node, fingerprints first: an
+// OpDedup round trip gives every chunk the node holds its reference and
+// reports the rest, then one OpDedupMissing round trip carries the
+// payloads of exactly those — none when the node holds everything. With
+// eager set the payloads ride in the first call and the second never
+// happens (unless a chunk has no payload to send). hp is the router's
+// handprint (nil: the node computes one).
+//
+// fresh[i] reports that chunk i was not held before. On error it reports
+// instead that chunk i holds no reference the call took — as far as the
+// replies tell: a call whose reply never arrived is counted as having
+// taken none, which can only strand references, never free one.
+func (c *Client) Dedup(ctx context.Context, stream string, sc *core.SuperChunk, hp core.Handprint, eager bool) ([]bool, error) {
+	resp, err := c.Call(ctx, Request{Op: OpDedup, Stream: stream, Handprint: hp, Chunks: superChunkToWire(sc, eager)})
+	fresh := make([]bool, len(sc.Chunks))
+	for i := range fresh {
+		fresh[i] = i >= len(resp.Dup) || !resp.Dup[i]
+	}
+	if err == nil && len(resp.Dup) != len(sc.Chunks) {
+		for i := range fresh {
+			fresh[i] = true
+		}
+		err = fmt.Errorf("rpc: dedup: got %d verdicts, want %d", len(resp.Dup), len(sc.Chunks))
+	}
+	if err != nil {
+		return fresh, err
+	}
+	var missing []ChunkWire
+	var at []int
+	for i, ch := range sc.Chunks {
+		if fresh[i] && (!eager || ch.Data == nil) {
+			missing = append(missing, ChunkWire{FP: ch.FP, Size: int32(ch.Size), Data: ch.Data})
+			at = append(at, i)
+		}
+	}
+	if len(missing) == 0 {
+		return fresh, nil
+	}
+	resp, err = c.Call(ctx, Request{Op: OpDedupMissing, Stream: stream, Handprint: hp, Chunks: missing})
+	if err != nil {
+		// Everything but the missing chunks holds its reference from the
+		// first call; of those, the ones the failed reply names.
+		unref := make([]bool, len(fresh))
+		for j, i := range at {
+			unref[i] = j >= len(resp.Dup) || !resp.Dup[j]
+		}
+		return unref, err
+	}
+	return fresh, nil
+}
+
 // Store sends a super-chunk (with payloads for chunks the server must
-// persist) to the target node.
+// persist) to the target node. Kept with Query for the benchmark's traced
+// replay.
 func (c *Client) Store(ctx context.Context, stream string, sc *core.SuperChunk, withData bool) error {
 	op := OpStoreRefs
 	if withData {

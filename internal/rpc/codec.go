@@ -46,7 +46,7 @@ func writeVectored(v *wire.VecWriter, conn io.Writer, head []byte, chunks []Chun
 // beyond the ID, making it safe to acknowledge via a batched-ack frame.
 func ackEligible(op Op) bool {
 	switch op {
-	case OpStore, OpStoreRefs, OpDecRef, OpFlush, OpMigrateCommit:
+	case OpStore, OpStoreRefs, OpDedupMissing, OpDecRef, OpFlush, OpMigrateCommit:
 		return true
 	}
 	return false

@@ -242,6 +242,10 @@ func FuzzFrame(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{frameRequest})
 	f.Add([]byte{0xFF, 0, 1, 2})
+	dreq, dreply, dmissing := dedupRequest(), dedupReply(), dedupMissingRequest()
+	f.Add(appendRequest(nil, &dreq))
+	f.Add(appendResponse(nil, &dreply))
+	f.Add(appendRequest(nil, &dmissing))
 
 	f.Fuzz(func(t *testing.T, body []byte) {
 		// Layer 1: the length-prefixed frame transport round-trips any

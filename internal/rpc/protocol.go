@@ -28,9 +28,13 @@ const (
 	// (Algorithm 1 step 2) plus current storage usage.
 	OpBid Op = iota + 1
 	// OpQuery asks, for each chunk fingerprint of a super-chunk, whether
-	// the chunk is already stored (source dedup batched query).
+	// the chunk is already stored, taking no reference. With OpStore and
+	// OpStoreRefs it is kept, wire bytes unchanged, for the benchmark's
+	// traced replay until that is deleted (ROADMAP item 7(c)); ingest
+	// speaks OpDedup.
 	OpQuery
-	// OpStore delivers the unique chunks of a routed super-chunk.
+	// OpStore delivers a routed super-chunk with payloads for the chunks
+	// an OpQuery found new.
 	OpStore
 	// OpStoreRefs delivers a fingerprint-only super-chunk (trace mode).
 	OpStoreRefs
@@ -69,6 +73,25 @@ const (
 	// with Response.Idx tagging each one with the index of the request
 	// chunk it answers.
 	OpReadBatch
+	// OpDedup is the ingest store of a routed super-chunk, fingerprints
+	// first: one node pass gives every chunk the node holds its reference
+	// (verdict and reference under one shard lock, so nothing the reply
+	// calls held can be collected before the payloads follow) and appends
+	// every chunk that came with a payload — all of them when the client
+	// sends eagerly, as it does for a super-chunk no node resembles.
+	// Handprint carries the router's handprint, which the node indexes
+	// instead of recomputing (empty: the node computes its own); one longer
+	// than store.MaxHandprint or not strictly ascending is refused as
+	// malformed. Response.Dup[i] reports chunk i held; on an error reply,
+	// that it holds a reference from this call.
+	OpDedup
+	// OpDedupMissing delivers, with payloads, the chunks an OpDedup reply
+	// reported missing — the second and last round trip of a super-chunk
+	// whose target lacks chunks — under the same Handprint. Acknowledged in
+	// the batched-ack frame; an error reply's Dup[i] reports which of its
+	// chunks hold a reference from this call. A node that predates these
+	// two ops answers "unknown op": clients and nodes upgrade together.
+	OpDedupMissing
 )
 
 // ChunkWire is one chunk on the wire: fingerprint, size and (for store
@@ -85,11 +108,12 @@ type Request struct {
 	Op     Op
 	Stream string
 	// Handprint carries representative fingerprints for OpBid and the
-	// similarity prefetch of OpQuery/OpStore.
+	// routed handprint of OpDedup/OpDedupMissing.
 	Handprint []fingerprint.Fingerprint
-	// Chunks carries the super-chunk membership for OpQuery (sizes and
-	// fingerprints only), the unique chunks for OpStore (with payloads),
-	// the fingerprints to fetch for OpReadBatch/OpMigrateRead, or the
+	// Chunks carries the super-chunk membership for OpQuery and OpDedup
+	// (sizes and fingerprints, payloads too when OpDedup is eager), the
+	// chunks to persist for OpStore and OpDedupMissing (with payloads), the
+	// fingerprints to fetch for OpReadBatch/OpMigrateRead, or the
 	// fingerprints losing references for OpDecRef.
 	Chunks []ChunkWire
 	// Counts carries per-fingerprint reference counts for OpDecRef
@@ -113,7 +137,9 @@ type Response struct {
 	Count int
 	// Usage is the node storage usage for OpBid.
 	Usage int64
-	// Dup holds per-chunk duplicate verdicts for OpQuery.
+	// Dup holds per-chunk duplicate verdicts for OpQuery and OpDedup; on
+	// an OpDedup or OpDedupMissing error reply, which chunks hold a
+	// reference the failed call took.
 	Dup []bool
 	// Chunks returns payloads for OpReadBatch and OpMigrateRead.
 	Chunks []ChunkWire

@@ -7,6 +7,7 @@ import (
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"sigmadedupe/internal/core"
@@ -83,7 +84,8 @@ func WithHandlerDelay(d time.Duration) ServerOption {
 // after writing its n-th response, emulating a server death mid-window:
 // every call still in flight on that connection loses its response and
 // must surface a connection error at the client promptly rather than
-// hang. Fault-injection hook for tests; zero disables.
+// hang, and no call is handled once that response is on its way.
+// Fault-injection hook for tests; zero disables.
 func WithSeverAfter(n int) ServerOption {
 	return func(s *Server) { s.severAfter = n }
 }
@@ -243,6 +245,9 @@ func (s *Server) handleRequest(connCtx context.Context, w *respWriter, req Reque
 	// The request's chunk payloads alias the frame; it goes back
 	// to the pool only after the handler is fully done with it.
 	defer wire.PutBuf(frame)
+	if w.severAfter > 0 && w.severing.Load() {
+		return // the emulated death came first: nothing after it is handled
+	}
 	ctx := connCtx
 	if req.TimeoutMS > 0 {
 		var cancel context.CancelFunc
@@ -278,6 +283,10 @@ type respWriter struct {
 
 	severAfter int
 	responses  int // answered calls, counted under mu
+	// severing is set before the severAfter-th response goes out, so a
+	// request the peer sends once it has that response is never handled —
+	// not even in the moment between the write and the close.
+	severing atomic.Bool
 }
 
 func (w *respWriter) sendAck(id uint64) {
@@ -313,6 +322,9 @@ func (w *respWriter) sendResponse(resp *Response) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.drainAcksLocked()
+	if w.severAfter > 0 && w.responses+1 >= w.severAfter {
+		w.severing.Store(true)
+	}
 	if payloadSize(resp.Chunks) < vectoredMin {
 		w.scratch = appendResponse(w.scratch[:0], resp)
 		w.sentLocked(1, w.writeBufferedLocked())
@@ -382,6 +394,26 @@ func (s *Server) handle(ctx context.Context, req Request) Response {
 		sc := wireToSuperChunk(req.Chunks)
 		if _, err := s.node.StoreSuperChunk(req.Stream, sc); err != nil {
 			resp.Err = sderr.Encode(err)
+		}
+
+	case OpDedup, OpDedupMissing:
+		sc := wireToSuperChunk(req.Chunks)
+		hp := core.Handprint(req.Handprint) // nil when empty: the node computes its own
+		var fresh []bool
+		var err error
+		if req.Op == OpDedup {
+			fresh, err = s.node.Dedup(req.Stream, sc, hp, false)
+		} else {
+			fresh, err = s.node.StoreMissing(req.Stream, sc, hp)
+		}
+		if err != nil {
+			resp.Err = sderr.Encode(err)
+		}
+		if req.Op == OpDedup || err != nil {
+			resp.Dup = make([]bool, len(fresh))
+			for i, f := range fresh {
+				resp.Dup[i] = !f
+			}
 		}
 
 	case OpMigrateRead:

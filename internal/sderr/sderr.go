@@ -31,7 +31,9 @@ var (
 	// CRC mismatch, truncated file, bad journal record).
 	ErrCorrupt = errors.New("corrupt data")
 	// ErrChunkVanished reports the query/store race losing its chunk: a
-	// chunk reported duplicate was deleted before the store landed.
+	// chunk reported duplicate was deleted before the store landed. Only a
+	// separate query followed by a store can meet it; ingest's store takes
+	// the reference with the verdict.
 	ErrChunkVanished = errors.New("chunk vanished between query and store")
 	// ErrNoSession reports an operation against an unknown backup session.
 	ErrNoSession = errors.New("unknown session")
@@ -45,11 +47,15 @@ var (
 	// session admission refused, or a stream cut off mid-backup once its
 	// logical bytes would push the tenant past the limit.
 	ErrQuotaExceeded = errors.New("tenant quota exceeded")
+	// ErrMalformed reports a request a node refuses on its content, not
+	// its encoding: a handprint longer than the node's bound or not in
+	// strictly ascending order.
+	ErrMalformed = errors.New("malformed request")
 )
 
 // BackupError is a failure of one backup operation, carrying the backup
 // name (the file path or stream name the failure is attributed to) and
-// the pipeline stage that failed ("chunk", "route", "query", "store",
+// the pipeline stage that failed ("chunk", "quota", "route", "store",
 // "finalize", ...). It wraps the underlying cause, so errors.Is/As see
 // through it to the taxonomy sentinels and to context.Canceled.
 type BackupError struct {
@@ -92,6 +98,7 @@ var wireCodes = []struct {
 	{"nosession", ErrNoSession},
 	{"conflict", ErrConflict},
 	{"quota", ErrQuotaExceeded},
+	{"malformed", ErrMalformed},
 	{"canceled", context.Canceled},
 	{"deadline", context.DeadlineExceeded},
 }

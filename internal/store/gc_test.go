@@ -22,6 +22,11 @@ func refsOf(sc *core.SuperChunk) ([]fingerprint.Fingerprint, []int64) {
 	return aggregateRefs(sc.Chunks)
 }
 
+// aggregateRefs folds a chunk list into (fp, count) pairs.
+func aggregateRefs(chunks []core.ChunkRef) ([]fingerprint.Fingerprint, []int64) {
+	return core.AggregateRefs((&core.SuperChunk{Chunks: chunks}).Fingerprints())
+}
+
 // TestRefcountLifecycle: storing takes references, deleting drops them,
 // re-storing resurrects, and the dead-byte ledger follows along.
 func TestRefcountLifecycle(t *testing.T) {

@@ -53,11 +53,13 @@ const numShards = 512
 // once more than half of its payload bytes are dead.
 const DefaultCompactThreshold = 0.5
 
-// ErrChunkVanished reports a store of a brand-new chunk without its
-// payload on a payload-keeping engine: the client's duplicate query raced
-// a deletion+compaction that collected the chunk in between. The backup
-// fails cleanly instead of storing an unrestorable chunk; retrying the
-// backup resends the payload. Wraps sderr.ErrChunkVanished.
+// ErrChunkVanished reports an eager store (StoreSuperChunk, StoreMissing,
+// Dedup with eager set) of a brand-new chunk without its payload on a
+// payload-keeping engine: a caller's QuerySuperChunk verdict raced a
+// deletion+compaction that collected the chunk in between. The store
+// fails cleanly instead of storing an unrestorable chunk. Dedup's
+// fingerprint-first pass cannot lose this race — its verdict is the
+// reference. Wraps sderr.ErrChunkVanished.
 var ErrChunkVanished = fmt.Errorf("store: %w", sderr.ErrChunkVanished)
 
 // Config parameterizes a storage engine.
@@ -376,119 +378,282 @@ func (e *Engine) prefetch(cids []uint64) {
 		return
 	}
 	for _, cid := range cids {
-		// Sealed containers are immutable, so a cached copy stays valid.
-		// Open containers keep growing and are re-read (from RAM, free).
-		if e.cache.HasContainer(cid) && e.containers.IsSealed(cid) {
-			continue
-		}
-		meta, err := e.containers.Metadata(cid)
+		// A refresh copies only what was appended since the cached copy:
+		// an open container keeps growing (read from RAM, free), and one
+		// cached while open may have sealed with more. A complete copy of
+		// a sealed container stays valid — it is immutable.
+		have, cached := e.cache.Cached(cid)
+		sealed := e.containers.IsSealed(cid)
+		fps, err := e.containers.FingerprintsFrom(cid, have)
 		if err != nil {
 			continue // container may have been lost; skip
 		}
-		fps := make([]fingerprint.Fingerprint, len(meta))
-		for i, m := range meta {
-			fps[i] = m.FP
+		if cached && sealed && len(fps) == 0 {
+			continue
 		}
-		e.cache.AddContainer(cid, fps)
+		if !cached {
+			e.cache.AddContainer(cid, fps)
+		} else if !e.cache.Extend(cid, have, fps) {
+			// Evicted since Cached looked: fetch the whole set again.
+			if fps, err = e.containers.FingerprintsFrom(cid, 0); err != nil {
+				continue
+			}
+			e.cache.AddContainer(cid, fps)
+		}
 		e.prefetches.Add(1)
 	}
 }
 
+// MaxHandprint bounds the handprint a caller may hand Dedup and
+// StoreMissing — far above any k the system configures (the sensitivity
+// study stops at 32), small enough that a hostile request cannot make the
+// node index an unbounded list.
+const MaxHandprint = 256
+
+// validHandprint checks a caller-supplied handprint: at most MaxHandprint
+// fingerprints in strictly ascending order, which the pass's prefix
+// filter and binary search rely on. Wraps sderr.ErrMalformed.
+func validHandprint(hp core.Handprint) error {
+	if len(hp) > MaxHandprint {
+		return fmt.Errorf("store: handprint of %d fingerprints exceeds %d: %w", len(hp), MaxHandprint, sderr.ErrMalformed)
+	}
+	for i := 1; i < len(hp); i++ {
+		if !hp[i-1].Less(hp[i]) {
+			return fmt.Errorf("store: handprint entry %d is not above entry %d: %w", i, i-1, sderr.ErrMalformed)
+		}
+	}
+	return nil
+}
+
+// passMode is what a store pass does with a chunk the engine lacks and
+// that carries no payload, and whether the pass presents the super-chunk.
+type passMode int
+
+const (
+	// passFirst is the fingerprint-first pass: such a chunk is reported
+	// missing and left untouched, for a passMissing call to deliver.
+	passFirst passMode = iota
+	// passEager: the payloads travel with the call, so such a chunk is
+	// stored without one on a metadata-only engine and fails with
+	// ErrChunkVanished on a payload-keeping one.
+	passEager
+	// passMissing delivers what a passFirst pass reported missing, under
+	// the eager rule; that pass already presented the super-chunk.
+	passMissing
+)
+
+// verdict is the outcome of one chunk's lookup-or-append.
+type verdict uint8
+
+const (
+	held     verdict = iota // the engine holds the chunk; a reference was taken
+	appended                // stored from this call's payload; a reference was taken
+	missing                 // lacking and payload-less in a passFirst pass; untouched
+)
+
+// Dedup deduplicates one routed super-chunk in a single pass: the
+// similarity-index prefetch, then every chunk's verdict and reference
+// under its fingerprint shard lock — a chunk the engine holds gains a
+// reference, a chunk with a payload it lacks is appended. hp is the
+// handprint the super-chunk was routed by, indexed as is (nil: computed
+// here with the configured k). With eager false a payload-less chunk the
+// engine lacks is reported missing instead — the fingerprint-first half
+// of the wire protocol — and StoreMissing delivers it.
+//
+// fresh[i] reports that chunk i was not held before: appended now, or
+// missing. On error fresh[i] reports instead that chunk i holds no
+// reference from this call, so an abort releases exactly the others.
+func (e *Engine) Dedup(stream string, sc *core.SuperChunk, hp core.Handprint, eager bool) (fresh []bool, err error) {
+	mode := passFirst
+	if eager {
+		mode = passEager
+	}
+	_, fresh, err = e.pass(stream, sc, hp, mode)
+	return fresh, err
+}
+
+// StoreMissing delivers, with their payloads, the chunks a fingerprint-
+// first Dedup of the same super-chunk reported missing — each is appended,
+// or deduplicated if another stream stored it in between. hp is the
+// handprint that Dedup was given. The super-chunk is not presented again:
+// Dedup counted it. fresh follows Dedup's contract.
+func (e *Engine) StoreMissing(stream string, sc *core.SuperChunk, hp core.Handprint) (fresh []bool, err error) {
+	_, fresh, err = e.pass(stream, sc, hp, passMissing)
+	return fresh, err
+}
+
 // StoreSuperChunk deduplicates and stores one routed super-chunk arriving
-// on the given stream: similarity-index lookup, container prefetch, then
-// per-chunk lookup-or-append under the chunk's fingerprint shard lock.
+// on the given stream with every payload it needs: Dedup with the eager
+// rule and the handprint computed here, reporting sizes — for callers
+// that store a super-chunk whole: the simulator's trace feed, the
+// experiments and, with QuerySuperChunk, the benchmark's traced replay.
 func (e *Engine) StoreSuperChunk(stream string, sc *core.SuperChunk) (Result, error) {
-	hp := sc.Handprint(e.cfg.HandprintSize)
+	res, _, err := e.pass(stream, sc, nil, passEager)
+	return res, err
+}
+
+// pass is the store path behind Dedup, StoreMissing and StoreSuperChunk:
+// similarity-index lookup and container prefetch, then per-chunk
+// lookup-or-append, then the handprint's index entries and the journal.
+// Whatever belongs to the whole super-chunk runs once: the handprint is
+// taken as given, the recency ticks are reserved as one block, and the
+// intra-super-chunk map exists only once something was appended.
+func (e *Engine) pass(stream string, sc *core.SuperChunk, hp core.Handprint, mode passMode) (res Result, fresh []bool, err error) {
+	// verdicts[:done] are the chunks decided; fresh is read off them.
+	verdicts := make([]verdict, len(sc.Chunks))
+	done := 0
+	freshOf := func() []bool {
+		fresh := make([]bool, len(sc.Chunks))
+		for i := range fresh {
+			if err != nil {
+				fresh[i] = i >= done || verdicts[i] == missing
+			} else {
+				fresh[i] = verdicts[i] != held
+			}
+		}
+		return fresh
+	}
+	if hp == nil {
+		hp = sc.Handprint(e.cfg.HandprintSize)
+	} else if err = validHandprint(hp); err != nil {
+		err = fmt.Errorf("store node %d: %w", e.cfg.NodeID, err)
+		return res, freshOf(), err
+	}
 
 	// Step 1–2: similarity index lookup and container prefetch.
 	e.prefetch(e.sim.LookupContainers(hp))
 
 	// Step 3–4: chunk-level dedup against cache, then disk index.
-	var res Result
-	// Chunks stored earlier in this same super-chunk (intra-super-chunk
+	// Chunks appended earlier in this same pass (intra-super-chunk
 	// duplicates) must be detected even in similarity-only mode.
-	local := make(map[fingerprint.Fingerprint]uint64, len(sc.Chunks))
-	// rfpCID records which container ends up holding each representative
-	// fingerprint so the handprint can be indexed afterwards.
-	rfpCID := make(map[fingerprint.Fingerprint]uint64, len(hp))
-
-	for _, ch := range sc.Chunks {
-		cid, dup, err := e.lookupOrAppend(stream, ch, local)
-		if err != nil {
-			return res, err
+	var local map[fingerprint.Fingerprint]uint64
+	// rfpCID[j] is the container holding hp[j] once a chunk found it
+	// (container IDs start at 1).
+	rfpCID := make([]uint64, len(hp))
+	// No fingerprint sorting after hp's last entry can be one of its
+	// entries: the prefix test rejects nearly every chunk without a search.
+	var hpMax uint64
+	if len(hp) > 0 {
+		hpMax = hp[len(hp)-1].Uint64()
+	}
+	var tick uint64
+	if e.gcEnabled() {
+		n := uint64(len(sc.Chunks))
+		tick = e.touchSeq.Add(n) - n
+	}
+	for i, ch := range sc.Chunks {
+		v, cid, lerr := e.lookupOrAppend(stream, ch, local, tick+uint64(i)+1, mode)
+		if lerr != nil {
+			err = lerr
+			break
 		}
-		if dup {
+		verdicts[i] = v
+		done++
+		switch v {
+		case held:
 			res.DupChunks++
 			res.DupBytes += int64(ch.Size)
-		} else {
+		case appended:
 			res.UniqueChunks++
 			res.UniqueBytes += int64(ch.Size)
+			if local == nil {
+				local = make(map[fingerprint.Fingerprint]uint64, len(sc.Chunks)-i)
+			}
+			local[ch.FP] = cid
+		case missing:
+			continue
 		}
-		if hp.Contains(ch.FP) {
-			rfpCID[ch.FP] = cid
+		if ch.FP.Uint64() <= hpMax {
+			if j := handprintIndex(hp, ch.FP); j >= 0 {
+				rfpCID[j] = cid
+			}
 		}
+	}
+
+	// Journal the chunk references this pass took (each chunk occurrence
+	// is one reference; intra-super-chunk duplicates count each time,
+	// mirroring the recipe entries a deletion will decref) — on error too:
+	// the caller's abort decrefs them, and replay must find what it drops.
+	if e.man != nil && e.gcEnabled() {
+		refs := make([]fingerprint.Fingerprint, 0, done)
+		for i, ch := range sc.Chunks[:done] {
+			if verdicts[i] != missing {
+				refs = append(refs, ch.FP)
+			}
+		}
+		if len(refs) > 0 {
+			refFPs, refNs := core.AggregateRefs(refs)
+			if jerr := e.man.bufferRefs(refFPs, refNs); jerr != nil && err == nil {
+				err = fmt.Errorf("store node %d: %w", e.cfg.NodeID, jerr)
+			}
+		}
+	}
+	if err != nil {
+		return res, freshOf(), err
 	}
 
 	// Index the handprint for future routing bids and prefetches, and
 	// journal the entries so recovery can rebuild the similarity index.
-	fps := make([]fingerprint.Fingerprint, 0, len(hp))
-	cids := make([]uint64, 0, len(hp))
-	for _, rfp := range hp {
-		if cid, ok := rfpCID[rfp]; ok {
+	var fps []fingerprint.Fingerprint
+	var cids []uint64
+	for j, rfp := range hp {
+		if cid := rfpCID[j]; cid != 0 {
 			e.sim.Insert(rfp, cid)
 			fps = append(fps, rfp)
 			cids = append(cids, cid)
 		}
 	}
 	if e.man != nil && len(fps) > 0 {
-		if err := e.man.bufferRFPs(fps, cids); err != nil {
-			return res, fmt.Errorf("store node %d: %w", e.cfg.NodeID, err)
-		}
-	}
-	// Journal the chunk references this super-chunk took (each chunk
-	// occurrence is one reference; intra-super-chunk duplicates count each
-	// time, mirroring the recipe entries a deletion will decref).
-	if e.man != nil && e.gcEnabled() {
-		refFPs, refNs := aggregateRefs(sc.Chunks)
-		if err := e.man.bufferRefs(refFPs, refNs); err != nil {
-			return res, fmt.Errorf("store node %d: %w", e.cfg.NodeID, err)
+		if err = e.man.bufferRFPs(fps, cids); err != nil {
+			err = fmt.Errorf("store node %d: %w", e.cfg.NodeID, err)
+			return res, freshOf(), err
 		}
 	}
 
-	e.noteSuperChunk(res, len(sc.Chunks))
-	return res, nil
+	e.superChunkDone(res, sc, mode)
+	return res, freshOf(), nil
 }
 
-// aggregateRefs folds a super-chunk's chunk list into (fp, count) pairs.
-func aggregateRefs(chunks []core.ChunkRef) ([]fingerprint.Fingerprint, []int64) {
-	fps := make([]fingerprint.Fingerprint, len(chunks))
-	for i, ch := range chunks {
-		fps[i] = ch.FP
+// handprintIndex is the position of fp in the sorted handprint hp, or -1.
+func handprintIndex(hp core.Handprint, fp fingerprint.Fingerprint) int {
+	j := sort.Search(len(hp), func(j int) bool { return !hp[j].Less(fp) })
+	if j < len(hp) && hp[j] == fp {
+		return j
 	}
-	return core.AggregateRefs(fps)
+	return -1
 }
 
 // lookupOrAppend is the transactional core of the store path: decide
 // whether fp is a duplicate and, when it is not, append it — atomically
 // with respect to every other store of the same fingerprint, by holding
-// that fingerprint's shard lock across the decision and the append.
-// Verdict order: intra-super-chunk map, fingerprint cache, then on-disk
-// chunk index (with container prefetch on hit, which is what preserves
-// locality for the following chunks).
-func (e *Engine) lookupOrAppend(stream string, ch core.ChunkRef, local map[fingerprint.Fingerprint]uint64) (uint64, bool, error) {
+// that fingerprint's shard lock across the decision and the reference or
+// the append. Verdict order: intra-super-chunk map, fingerprint cache,
+// then on-disk chunk index (with container prefetch on hit, which is what
+// preserves locality for the following chunks). local maps what this pass
+// appended so far (nil before its first append); tick is the recency
+// sequence number a reference taken here records.
+func (e *Engine) lookupOrAppend(stream string, ch core.ChunkRef, local map[fingerprint.Fingerprint]uint64, tick uint64, mode passMode) (verdict, uint64, error) {
 	gc := e.gcEnabled()
 	sh := e.shardFor(ch.FP)
 	if cid, ok := local[ch.FP]; ok {
 		if gc {
 			sh.mu.Lock()
 			sh.refs[ch.FP]++
-			sh.touch[ch.FP] = e.touchSeq.Add(1)
+			sh.touch[ch.FP] = tick
 			sh.mu.Unlock()
 		}
-		return cid, true, nil
+		return held, cid, nil
 	}
 	sh.mu.Lock()
-	defer sh.mu.Unlock()
+	v, cid, err := e.decideLocked(stream, ch, sh, tick, mode)
+	sh.mu.Unlock()
+	return v, cid, err
+}
+
+// decideLocked is lookupOrAppend past the intra-super-chunk map, under
+// the shard lock sh.
+func (e *Engine) decideLocked(stream string, ch core.ChunkRef, sh *shard, tick uint64, mode passMode) (verdict, uint64, error) {
+	gc := e.gcEnabled()
 	// A cache hit is only a trustworthy duplicate verdict while the chunk
 	// is referenced: once its refcount reaches zero the compactor may
 	// collect it at any moment, so the authoritative chunk index decides.
@@ -496,9 +661,9 @@ func (e *Engine) lookupOrAppend(stream string, ch core.ChunkRef, local map[finge
 		e.cacheHits.Add(1)
 		if gc {
 			sh.refs[ch.FP]++
-			sh.touch[ch.FP] = e.touchSeq.Add(1)
+			sh.touch[ch.FP] = tick
 		}
-		return cid, true, nil
+		return held, cid, nil
 	}
 	if e.cidx != nil {
 		if loc, ok := e.cidx.Lookup(ch.FP); ok {
@@ -509,7 +674,10 @@ func (e *Engine) lookupOrAppend(stream string, ch core.ChunkRef, local map[finge
 			if gc {
 				if sh.refs[ch.FP] == 0 {
 					// Resurrection: a dead chunk regains its first
-					// reference; its container copy is live again.
+					// reference; its container copy is live again. The
+					// verdict and the reference share this lock, so the
+					// compactor either saw the chunk dead and dropped its
+					// index entry first, or sees it live from now on.
 					e.gcMu.Lock()
 					if e.dead[loc.CID] > 0 {
 						e.dead[loc.CID] -= int64(loc.Length)
@@ -520,40 +688,50 @@ func (e *Engine) lookupOrAppend(stream string, ch core.ChunkRef, local map[finge
 					e.gcMu.Unlock()
 				}
 				sh.refs[ch.FP]++
-				sh.touch[ch.FP] = e.touchSeq.Add(1)
+				sh.touch[ch.FP] = tick
 			}
-			return loc.CID, true, nil
+			return held, loc.CID, nil
 		}
 	}
-	if ch.Data == nil && e.cfg.KeepPayloads {
-		// A payload-keeping engine received a brand-new chunk without its
-		// payload: the client's duplicate query raced a deletion+compaction
-		// that collected the chunk in between. Failing the store keeps the
-		// backup honest; storing a payload-less chunk would corrupt its
-		// restore. (Trace-driven engines, which never carry payloads, are
-		// exempt — they only ever measure dedup state.)
-		return 0, false, fmt.Errorf("store node %d: chunk %s: %w", e.cfg.NodeID, ch.FP.Short(), ErrChunkVanished)
+	if ch.Data == nil {
+		if mode == passFirst {
+			return missing, 0, nil
+		}
+		if e.cfg.KeepPayloads {
+			// A payload-keeping engine received a brand-new chunk without
+			// its payload: a caller that checked for duplicates with
+			// QuerySuperChunk raced a deletion+compaction that collected the
+			// chunk in between. Failing the store keeps the backup honest;
+			// storing a payload-less chunk would corrupt its restore.
+			// (Trace-driven engines, which never carry payloads, are exempt
+			// — they only ever measure dedup state.)
+			return missing, 0, fmt.Errorf("store node %d: chunk %s: %w", e.cfg.NodeID, ch.FP.Short(), ErrChunkVanished)
+		}
 	}
 	loc, err := e.containers.Append(stream, ch.FP, ch.Data, ch.Size)
 	if err != nil {
-		return 0, false, fmt.Errorf("store node %d: store chunk: %w", e.cfg.NodeID, err)
+		return missing, 0, fmt.Errorf("store node %d: store chunk: %w", e.cfg.NodeID, err)
 	}
 	if e.cidx != nil {
 		e.cidx.Insert(ch.FP, loc)
 	}
 	if gc {
 		sh.refs[ch.FP]++
-		sh.touch[ch.FP] = e.touchSeq.Add(1)
+		sh.touch[ch.FP] = tick
 	}
-	local[ch.FP] = loc.CID
-	return loc.CID, false, nil
+	return appended, loc.CID, nil
 }
 
-func (e *Engine) noteSuperChunk(res Result, chunks int) {
-	e.superChunks.Add(1)
-	e.logicalBytes.Add(res.UniqueBytes + res.DupBytes)
+// superChunkDone counts a completed pass. A passMissing pass adds only
+// what it appended: the passFirst pass before it presented the whole
+// super-chunk, missing chunks included.
+func (e *Engine) superChunkDone(res Result, sc *core.SuperChunk, mode passMode) {
+	if mode != passMissing {
+		e.superChunks.Add(1)
+		e.logicalBytes.Add(sc.Size())
+		e.logicalChunks.Add(int64(len(sc.Chunks)))
+	}
 	e.physicalBytes.Add(res.UniqueBytes)
-	e.logicalChunks.Add(int64(chunks))
 	e.uniqueChunks.Add(int64(res.UniqueChunks))
 }
 
@@ -594,7 +772,7 @@ func (e *Engine) StoreFileInBin(stream string, binKey fingerprint.Fingerprint, s
 		res.UniqueChunks++
 		res.UniqueBytes += int64(ch.Size)
 	}
-	e.noteSuperChunk(res, len(sc.Chunks))
+	e.superChunkDone(res, sc, passEager)
 	return res, nil
 }
 
@@ -608,7 +786,10 @@ func (e *Engine) NumBins() int {
 // QuerySuperChunk answers a source-dedup batched fingerprint query: for
 // each chunk of the super-chunk, report whether it is already stored. The
 // engine performs the same similarity-index prefetch as StoreSuperChunk
-// but mutates no dedup state.
+// but mutates no dedup state — so a verdict can go stale before the store
+// that acts on it. The ingest path uses Dedup, whose verdict is the
+// reference; this is kept for the benchmark's traced replay until it is
+// deleted (ROADMAP item 7(c)).
 func (e *Engine) QuerySuperChunk(sc *core.SuperChunk) []bool {
 	hp := sc.Handprint(e.cfg.HandprintSize)
 	e.prefetch(e.sim.LookupContainers(hp))

@@ -59,7 +59,7 @@ type RemoteConfig struct {
 	// single-copy behavior. Values above 2 are capped at 2.
 	Replicas int
 	// IngestCapacityBytes, when positive, bounds the payload bytes this
-	// backend's sessions keep in the route/query/store stage at once; the
+	// backend's sessions keep in the route/store stage at once; the
 	// weighted-fair scheduler splits that capacity between tenants by
 	// weight, so concurrent tenant sessions share ingest bandwidth
 	// proportionally instead of racing. 0 disables scheduling.
