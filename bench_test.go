@@ -45,41 +45,27 @@ func BenchmarkFig7Messages(b *testing.B)           { benchExperiment(b, "fig7") 
 func BenchmarkFig8EDR(b *testing.B)                { benchExperiment(b, "fig8") }
 func BenchmarkRAMModel(b *testing.B)               { benchExperiment(b, "ram") }
 
-// benchCluster runs one linux backup through a cluster configuration and
-// reports MB/s of logical data deduplicated.
+// benchCluster replays one linux backup through a cluster configuration
+// and reports MB/s of logical data deduplicated.
 func benchCluster(b *testing.B, cfg cluster.Config) {
 	b.Helper()
 	g, err := workload.ByName("linux", 0.25, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
-	items, err := workload.Collect(g)
-	if err != nil {
-		b.Fatal(err)
-	}
 	corpus := workload.NewCorpus(0)
 	var logical int64
-	refs := make([][]struct{}, 0) // silence unused pattern
-	_ = refs
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c, err := cluster.New(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
-		logical = 0
-		for _, it := range items {
-			r := corpus.ChunkRefs(it, false)
-			for _, ref := range r {
-				logical += int64(ref.Size)
-			}
-			if err := c.BackupItem(it.FileID, r); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if err := c.Flush(); err != nil {
+		st, err := c.Replay(context.Background(), map[string]cluster.Trace{"client0": cluster.Workload(g, corpus)}, nil)
+		if err != nil {
 			b.Fatal(err)
 		}
+		logical = st.LogicalBytes
 	}
 	b.SetBytes(logical)
 }
@@ -112,18 +98,6 @@ func BenchmarkAblationNoPrefetch(b *testing.B) {
 		N: 4, Scheme: router.Sigma,
 		Node: node.Config{DisablePrefetch: true},
 	})
-}
-
-// BenchmarkAblationContentBoundaries measures the default content-defined
-// super-chunk grid.
-func BenchmarkAblationContentBoundaries(b *testing.B) {
-	benchCluster(b, cluster.Config{N: 16, Scheme: router.Sigma})
-}
-
-// BenchmarkAblationFixedBoundaries measures fixed-size super-chunk
-// cutting, which scatters stable content after stream insertions.
-func BenchmarkAblationFixedBoundaries(b *testing.B) {
-	benchCluster(b, cluster.Config{N: 16, Scheme: router.Sigma, FixedBoundaries: true})
 }
 
 // BenchmarkPublicAPIBackup exercises the facade end to end.

@@ -1,12 +1,14 @@
 // Package cmd holds the end-to-end test over the built binaries: two
 // sigma-servers, a sigma-director and sigma-client driven through
-// backup → restore → delete → compact, plus one sigma-bench mode.
+// backup → restore → delete → compact, one sigma-bench mode, and a
+// sigma-tracegen gen → replay round trip.
 package cmd
 
 import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io/fs"
 	"math/rand"
 	"os"
@@ -147,6 +149,45 @@ func TestBinariesBackupRestoreDeleteCompact(t *testing.T) {
 	// Both references are gone, so compaction retires every container.
 	if out := mustClient("compact"); strings.Contains(out, " 0 retired") || strings.Contains(out, " 0 bytes reclaimed") {
 		t.Fatalf("compact after delete-all reclaimed nothing:\n%s", out)
+	}
+}
+
+// TestTracegenRoundTrip: a generated trace replays whole — every record,
+// under file-spanning and per-file routing alike — and a trace cut short
+// mid-record is an error, not a shorter replay.
+func TestTracegenRoundTrip(t *testing.T) {
+	tg := filepath.Join(buildBinaries(t, "sigma-tracegen"), "sigma-tracegen")
+	dir := t.TempDir()
+	trace := filepath.Join(dir, "linux.trace")
+	out, err := exec.Command(tg, "gen", "-workload", "linux", "-scale", "0.05", "-out", trace).CombinedOutput()
+	if err != nil {
+		t.Fatalf("gen: %v\n%s", err, out)
+	}
+	var records int64
+	if _, err := fmt.Sscanf(string(out), "wrote %d chunk records", &records); err != nil || records == 0 {
+		t.Fatalf("gen output %q: %v", out, err)
+	}
+	for _, scheme := range []string{"sigma", "eb"} {
+		out, err := exec.Command(tg, "replay", "-in", trace, "-nodes", "4", "-scheme", scheme).CombinedOutput()
+		if err != nil {
+			t.Fatalf("replay -scheme %s: %v\n%s", scheme, err, out)
+		}
+		if want := fmt.Sprintf("replayed %d chunks", records); !strings.Contains(string(out), want) {
+			t.Fatalf("replay -scheme %s: want %q in\n%s", scheme, want, out)
+		}
+	}
+
+	data, err := os.ReadFile(trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut := filepath.Join(dir, "cut.trace")
+	if err := os.WriteFile(cut, data[:len(data)-5], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, err = exec.Command(tg, "replay", "-in", cut, "-nodes", "4").CombinedOutput()
+	if err == nil || !strings.Contains(string(out), "trace: truncated record") {
+		t.Fatalf("replay of a truncated trace: err = %v, want a non-zero exit naming the truncated record:\n%s", err, out)
 	}
 }
 

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"strings"
@@ -135,18 +136,10 @@ func scaleoutRun(scheme router.Scheme, n int, sckb int64, cfg scaleoutConfig, co
 	}
 	exact := cluster.NewExactTracker()
 	start := time.Now()
-	err = g.Items(func(it workload.Item) error {
-		refs := corpus.ChunkRefs(it, false)
-		exact.Add(refs)
-		return c.BackupItem(it.FileID, refs)
-	})
+	st, err := c.Replay(context.Background(), map[string]cluster.Trace{"client0": cluster.Workload(g, corpus)}, exact.Add)
 	if err != nil {
 		return row, err
 	}
-	if err := c.Flush(); err != nil {
-		return row, err
-	}
-	st := c.Stats()
 	usage := c.UsageVector()
 	sc := st.SuperChunks
 	if sc == 0 {
@@ -158,8 +151,8 @@ func scaleoutRun(scheme router.Scheme, n int, sckb int64, cfg scaleoutConfig, co
 		SuperChunkKB: sckb,
 		LogicalMB:    float64(st.LogicalBytes) / (1 << 20),
 		PhysicalMB:   float64(c.PhysicalBytes()) / (1 << 20),
-		DedupRatio:   c.DedupRatio(),
-		NormalizedDR: c.NormalizedDR(exact.Physical()),
+		DedupRatio:   c.DedupRatio(st.LogicalBytes),
+		NormalizedDR: c.NormalizedDR(st.LogicalBytes, exact.Physical()),
 		SkewSigma:    metrics.Skew(usage),
 		SkewMaxMean:  metrics.MaxOverMean(usage),
 		SuperChunks:  st.SuperChunks,

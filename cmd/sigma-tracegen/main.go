@@ -1,6 +1,7 @@
 // Command sigma-tracegen captures a synthetic workload as a binary chunk
 // trace (internal/trace format), or replays a captured trace through a
-// simulated cluster — the trace-driven methodology of the paper's §4.4.
+// simulated cluster's ingest session under any of the five routing
+// schemes — the trace-driven methodology of the paper's §4.4.
 //
 // Usage:
 //
@@ -9,8 +10,10 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"sigmadedupe/internal/cluster"
@@ -122,46 +125,47 @@ func replay(args []string) error {
 	}
 	exact := cluster.NewExactTracker()
 
-	// Group consecutive records of the same file into one backup item.
-	var (
-		cur    uint64
-		refs   []core.ChunkRef
-		chunks int64
-	)
-	flush := func() error {
+	// Consecutive records of the same file are one file of the stream. A
+	// trace that ends anywhere but a record boundary is an error, not a
+	// shorter replay.
+	var chunks int64
+	tr := func(yield func(uint64, []core.ChunkRef) error) error {
+		var (
+			cur  uint64
+			refs []core.ChunkRef
+		)
+		for {
+			rec, err := r.Next()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				return err
+			}
+			chunks++
+			if rec.FileID != cur && len(refs) > 0 {
+				if err := yield(cur, refs); err != nil {
+					return err
+				}
+				refs = refs[:0]
+			}
+			cur = rec.FileID
+			refs = append(refs, rec.Ref())
+		}
 		if len(refs) == 0 {
 			return nil
 		}
-		exact.Add(refs)
-		err := c.BackupItem(cur, refs)
-		refs = nil
-		return err
+		return yield(cur, refs)
 	}
-	for {
-		rec, err := r.Next()
-		if err != nil {
-			break
-		}
-		chunks++
-		if rec.FileID != cur {
-			if err := flush(); err != nil {
-				return err
-			}
-			cur = rec.FileID
-		}
-		refs = append(refs, rec.Ref())
-	}
-	if err := flush(); err != nil {
-		return err
-	}
-	if err := c.Flush(); err != nil {
+	st, err := c.Replay(context.Background(), map[string]cluster.Trace{"client0": tr}, exact.Add)
+	if err != nil {
 		return err
 	}
 	fmt.Printf("replayed %d chunks through %d-node %s cluster\n", chunks, *nodes, c.Scheme())
-	fmt.Printf("  cluster DR:     %.2f\n", c.DedupRatio())
-	fmt.Printf("  normalized DR:  %.3f\n", c.NormalizedDR(exact.Physical()))
-	fmt.Printf("  effective DR:   %.3f (Eq. 7)\n", c.EDR(exact.Physical()))
+	fmt.Printf("  cluster DR:     %.2f\n", c.DedupRatio(st.LogicalBytes))
+	fmt.Printf("  normalized DR:  %.3f\n", c.NormalizedDR(st.LogicalBytes, exact.Physical()))
+	fmt.Printf("  effective DR:   %.3f (Eq. 7)\n", c.EDR(st.LogicalBytes, exact.Physical()))
 	fmt.Printf("  storage skew:   %.3f\n", c.Skew())
-	fmt.Printf("  fp-lookup msgs: %d\n", c.Stats().TotalMsgs())
+	fmt.Printf("  fp-lookup msgs: %d\n", st.PreRoutingMsgs+st.AfterRoutingMsgs)
 	return nil
 }

@@ -414,36 +414,28 @@ func TestStatsLogicalBytesCountSessionBytes(t *testing.T) {
 	})
 }
 
-// TestMembershipGuards: baselines and payload-less configurations refuse
-// membership changes loudly, and an R=2 configuration the engine cannot
-// serve is rejected at construction rather than silently keeping single
-// copies.
+// TestMembershipGuards: payload-less configurations refuse migration
+// loudly, and an R=2 configuration the engine cannot serve is rejected at
+// construction rather than silently keeping single copies.
 func TestMembershipGuards(t *testing.T) {
 	ctx := context.Background()
-	c, err := NewCluster(ClusterConfig{Nodes: 2, Scheme: SchemeStateless})
+	c, err := NewCluster(ClusterConfig{Nodes: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, err := c.AddNode(ctx, ""); err == nil {
-		t.Fatal("AddNode must require the Sigma scheme")
-	}
-	c2, err := NewCluster(ClusterConfig{Nodes: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c2.Close()
-	if _, err := c2.RemoveNode(ctx, 0); err == nil {
-		t.Fatal("RemoveNode without payloads must fail")
-	}
-	for name, cfg := range map[string]ClusterConfig{
-		"stateless scheme": {Nodes: 2, Scheme: SchemeStateless, Replicas: 2, KeepPayloads: true},
-		"no payloads":      {Nodes: 2, Replicas: 2},
+	for verb, err := range map[string]error{
+		"RemoveNode": func() error { _, err := c.RemoveNode(ctx, 0); return err }(),
+		"Rebalance":  func() error { _, err := c.Rebalance(ctx); return err }(),
+		"Repair":     func() error { _, err := c.Repair(ctx); return err }(),
 	} {
-		if c, err := NewCluster(cfg); err == nil {
-			c.Close()
-			t.Errorf("%s: NewCluster accepted Replicas=2", name)
+		if err == nil {
+			t.Errorf("%s without payloads must fail", verb)
 		}
+	}
+	if c, err := NewCluster(ClusterConfig{Nodes: 2, Replicas: 2}); err == nil {
+		c.Close()
+		t.Error("NewCluster accepted Replicas=2 without payloads")
 	}
 }
 

@@ -1,12 +1,14 @@
 package sigmadedupe
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
 	"time"
 
 	"sigmadedupe/internal/cluster"
+	"sigmadedupe/internal/core"
 	"sigmadedupe/internal/metrics"
 	"sigmadedupe/internal/router"
 	"sigmadedupe/internal/workload"
@@ -53,22 +55,16 @@ func runScaleoutCell(t *testing.T, scheme router.Scheme, n int, cfg workload.Lin
 		t.Fatal(err)
 	}
 	defer c.Close()
-	err = g.Items(func(it workload.Item) error {
-		return c.BackupItem(it.FileID, corpus.ChunkRefs(it, false))
-	})
+	st, err := c.Replay(context.Background(), map[string]cluster.Trace{"client0": cluster.Workload(g, corpus)}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	st := c.Stats()
 	sc := st.SuperChunks
 	if sc == 0 {
 		sc = 1
 	}
 	return scaleoutCell{
-		dr:          c.DedupRatio(),
+		dr:          c.DedupRatio(st.LogicalBytes),
 		maxMean:     metrics.MaxOverMean(c.UsageVector()),
 		bidsPerSC:   float64(st.BidsSent) / float64(sc),
 		checksPerSC: float64(st.SummaryChecks) / float64(sc),
@@ -141,12 +137,12 @@ func TestScaleoutRoutingProperties(t *testing.T) {
 	}
 }
 
-// TestScaleoutStatsRace ingests through 8 concurrent streams into a
-// 64-node cluster with bid summaries on while reader goroutines hammer
-// the stats surface (Stats, UsageVector, DedupRatio, skew metrics) the
-// scale-out sweep reads mid-run. Run under -race it audits the
-// lock-free epoch/stats paths the 64–128 node simulator depends on;
-// it is sized to stay short-mode friendly.
+// TestScaleoutStatsRace replays 8 concurrent streams into a 64-node
+// cluster with bid summaries on while reader goroutines hammer the usage
+// surface (UsageVector, PhysicalBytes, skew metrics) the scale-out sweep
+// reads mid-run. Run under -race it audits the lock-free epoch/usage
+// paths the 64–128 node simulator depends on; it is sized to stay
+// short-mode friendly.
 func TestScaleoutStatsRace(t *testing.T) {
 	corpus := workload.NewCorpus(0)
 	cfg := scaleoutLinuxConfig(1500)
@@ -156,17 +152,21 @@ func TestScaleoutStatsRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const nStreams = 8
-	streams := make(map[string][]cluster.Item, nStreams)
-	i := 0
-	err = g.Items(func(it workload.Item) error {
-		name := fmt.Sprintf("stream%d", i%nStreams)
-		streams[name] = append(streams[name], cluster.Item{FileID: it.FileID, Refs: corpus.ChunkRefs(it, false)})
-		i++
-		return nil
-	})
+	items, err := workload.Collect(g)
 	if err != nil {
 		t.Fatal(err)
+	}
+	const nStreams = 8
+	streams := make(map[string]cluster.Trace, nStreams)
+	for s := 0; s < nStreams; s++ {
+		streams[fmt.Sprintf("stream%d", s)] = func(yield func(uint64, []core.ChunkRef) error) error {
+			for i := s; i < len(items); i += nStreams {
+				if err := yield(items[i].FileID, corpus.ChunkRefs(items[i], false)); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
 	}
 	c, err := cluster.New(cluster.Config{
 		N:              64,
@@ -191,25 +191,20 @@ func TestScaleoutStatsRace(t *testing.T) {
 					return
 				default:
 				}
-				st := c.Stats()
-				_ = st.TotalMsgs()
 				u := c.UsageVector()
 				_ = metrics.Skew(u)
 				_ = metrics.MaxOverMean(u)
-				_ = c.DedupRatio()
+				_ = c.PhysicalBytes()
 				time.Sleep(time.Millisecond)
 			}
 		}()
 	}
-	if err := c.BackupItems(streams); err != nil {
+	st, err := c.Replay(context.Background(), streams, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
 	close(done)
 	wg.Wait()
-	if err := c.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	st := c.Stats()
 	if st.SuperChunks == 0 {
 		t.Fatal("no super-chunks routed")
 	}
@@ -219,7 +214,7 @@ func TestScaleoutStatsRace(t *testing.T) {
 	if st.BidsSent > st.SummaryHits {
 		t.Errorf("BidsSent = %d exceeds SummaryHits = %d: bids must come from summary-positive nodes", st.BidsSent, st.SummaryHits)
 	}
-	if dr := c.DedupRatio(); dr < 1 {
+	if dr := c.DedupRatio(st.LogicalBytes); dr < 1 {
 		t.Errorf("dedup ratio = %.3f, want >= 1", dr)
 	}
 }

@@ -9,15 +9,10 @@ import (
 	"sigmadedupe/internal/migrate"
 )
 
-// elasticGuard rejects membership operations on configurations that
-// cannot support them: only the Sigma scheme's similarity routing is
-// membership-aware, and migration copies payloads, so they must be
-// retained.
-func (p *plane) elasticGuard(needPayloads bool) error {
-	if p.scheme != SchemeSigma {
-		return fmt.Errorf("sigmadedupe: membership changes require the Sigma routing scheme (have %s)", p.scheme)
-	}
-	if needPayloads && !p.payloads {
+// elasticGuard rejects migration on configurations that cannot support
+// it: migration copies payloads, so they must be retained.
+func (p *plane) elasticGuard() error {
+	if !p.payloads {
 		return fmt.Errorf("sigmadedupe: migration requires payload-carrying nodes (KeepPayloads or a durable Dir)")
 	}
 	return nil
@@ -47,9 +42,6 @@ func (p *plane) setMigrateFault(fn migrate.Fault) { p.migrateFault = fn }
 // AddNode implements Backend. The director journals the new epoch
 // (fsynced when durable) before the registry applies it.
 func (p *plane) AddNode(ctx context.Context, addr string) (int, error) {
-	if err := p.elasticGuard(false); err != nil {
-		return 0, err
-	}
 	p.memberOp.Lock()
 	defer p.memberOp.Unlock()
 	cur := p.cur.Load()
@@ -85,7 +77,7 @@ func errNoNode(id int) error {
 // (this process) or still a member (a new one) — finishes the job.
 func (p *plane) RemoveNode(ctx context.Context, id int) (MigrationResult, error) {
 	var res MigrationResult
-	if err := p.elasticGuard(true); err != nil {
+	if err := p.elasticGuard(); err != nil {
 		return res, err
 	}
 	p.memberOp.Lock()
@@ -170,7 +162,7 @@ func withoutNode(nodes map[int]*member, id int) map[int]*member {
 // proceed: migration commits per segment, and a backup superseding a
 // recipe mid-move wins (the migration rolls that segment back).
 func (p *plane) Rebalance(ctx context.Context) (MigrationResult, error) {
-	if err := p.elasticGuard(true); err != nil {
+	if err := p.elasticGuard(); err != nil {
 		return MigrationResult{}, err
 	}
 	p.memberOp.Lock()
@@ -191,7 +183,7 @@ func (p *plane) Rebalance(ctx context.Context) (MigrationResult, error) {
 // fed through a session): recipes are the sole source of references it
 // reconciles against.
 func (p *plane) Repair(ctx context.Context) (RepairResult, error) {
-	if err := p.elasticGuard(true); err != nil {
+	if err := p.elasticGuard(); err != nil {
 		return RepairResult{}, err
 	}
 	p.memberOp.Lock()

@@ -1,12 +1,13 @@
-// Backupfarm: compare the four cluster data-routing schemes on the
-// paper's synthetic Linux-kernel backup workload — the scenario that
-// motivates Σ-Dedupe: many backup generations of an evolving source tree,
-// deduplicated across a 16-node cluster.
+// Backupfarm: the scenario that motivates Σ-Dedupe — many backup
+// generations of an evolving source tree (the paper's synthetic
+// Linux-kernel workload), deduplicated across a 16-node cluster.
 //
-// For each scheme it reports the cluster-wide dedup ratio, the normalized
-// effective dedup ratio (Eq. 7), storage skew, and fingerprint-lookup
-// message cost, reproducing the shape of the paper's Fig. 7/8 at one
-// cluster size.
+// It backs the tree up through the simulator Backend, which routes by
+// Σ-Dedupe's similarity bids, and reports the cluster-wide dedup ratio,
+// the normalized effective dedup ratio (Eq. 7), storage skew and
+// fingerprint-lookup message cost. The comparison with the baseline
+// routing schemes is the paper's Table 1, regenerated by RunExperiment
+// on the same workload.
 //
 // Run with: go run ./examples/backupfarm
 package main
@@ -16,6 +17,7 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"os"
 
 	"sigmadedupe"
 )
@@ -28,35 +30,25 @@ func main() {
 
 func run() error {
 	ctx := context.Background()
-	schemes := []sigmadedupe.Scheme{
-		sigmadedupe.SchemeSigma,
-		sigmadedupe.SchemeStateful,
-		sigmadedupe.SchemeStateless,
-		sigmadedupe.SchemeExtremeBinning,
+	c, err := sigmadedupe.NewCluster(sigmadedupe.ClusterConfig{Nodes: 16})
+	if err != nil {
+		return err
 	}
-	fmt.Println("scheme          DR     EDR    skew   fp-lookup msgs")
-	for _, scheme := range schemes {
-		c, err := sigmadedupe.NewCluster(sigmadedupe.ClusterConfig{
-			Nodes:  16,
-			Scheme: scheme,
-		})
-		if err != nil {
-			return err
-		}
-		err = sigmadedupe.WorkloadFiles("linux", 0.4, 0, func(path string, data []byte) error {
-			return c.Backup(ctx, path, bytes.NewReader(data))
-		})
-		if err != nil {
-			return err
-		}
-		if err := c.Flush(ctx); err != nil {
-			return err
-		}
-		st := c.SimStats()
-		fmt.Printf("%-14s  %.2f   %.3f  %.3f  %d\n",
-			scheme, st.DedupRatio, st.EffectiveDR, st.StorageSkew, st.FingerprintLookups)
+	defer c.Close()
+	err = sigmadedupe.WorkloadFiles("linux", 0.4, 0, func(path string, data []byte) error {
+		return c.Backup(ctx, path, bytes.NewReader(data))
+	})
+	if err != nil {
+		return err
 	}
-	fmt.Println("\nexpected shape: Stateful >= Sigma >> Stateless in EDR;")
-	fmt.Println("Stateful pays ~Nx the routing messages; Sigma stays within ~1.25x of Stateless.")
-	return nil
+	if err := c.Flush(ctx); err != nil {
+		return err
+	}
+	st := c.SimStats()
+	fmt.Println("Σ-Dedupe backend, 16 nodes:")
+	fmt.Printf("  DR %.2f   EDR %.3f   skew %.3f   fp-lookup msgs %d\n\n",
+		st.DedupRatio, st.EffectiveDR, st.StorageSkew, st.FingerprintLookups)
+	// The schemes side by side: trace replays through the same ingest
+	// session, one router each.
+	return sigmadedupe.RunExperiment("table1", sigmadedupe.ExperimentOptions{Scale: 0.8}, os.Stdout)
 }

@@ -24,7 +24,6 @@ func measure(k int, scSize int64) (sigmadedupe.ClusterStats, error) {
 	ctx := context.Background()
 	c, err := sigmadedupe.NewCluster(sigmadedupe.ClusterConfig{
 		Nodes:          16,
-		Scheme:         sigmadedupe.SchemeSigma,
 		HandprintSize:  k,
 		SuperChunkSize: scSize,
 	})

@@ -1,37 +1,21 @@
-// Package cluster implements the trace-driven cluster deduplication
-// simulator used for the paper's inter-node experiments (§4.4): N emulated
-// deduplication nodes, a routing scheme, and fingerprint-lookup message
-// accounting.
+// Package cluster is the simulated hardware of the paper's inter-node
+// experiments (§4.4): N emulated deduplication nodes — each a full
+// independent set of fingerprint lookup structures (similarity index,
+// fingerprint cache, chunk index, container store) — the in-RAM director,
+// and one routing scheme: the paper's Σ-Dedupe or one of the four
+// baselines it is evaluated against.
 //
-// As in the paper, each node is a full independent set of fingerprint
-// lookup structures (similarity index, fingerprint cache, chunk index,
-// container store), and the client-side pipeline partitions the backup
-// stream into super-chunks, routes each one, and "transfers" only unique
-// chunks. Message accounting follows Fig. 7: one message per chunk
-// fingerprint sent per contacted node, split into pre-routing messages
-// (the routing decision) and after-routing messages (the batched
-// fingerprint query at the target).
-//
-// The simulator is concurrent along the same axes as the prototype: each
-// backup stream owns a Stream with its own super-chunk partitioner and
-// its own stats shard, node stores are serialized by per-node locks (not
-// one global mutex), and BackupItems replays many trace streams in
-// parallel. The single-stream BackupItem path is unchanged and
-// deterministic.
-//
-// Named backups are fed by the public Backend through package ingest —
-// the same session the prototype runs — over the in-process node
-// transport, routing against a View of the members; their recipes, like
-// the tenant table, the membership epochs and the journal of open
-// migration transactions, live in the cluster's in-RAM director — the
-// same director.Director the prototype talks to — and everything that
-// reads them (restore, delete, compaction, migration, repair, membership
-// changes) is the backend's and package migrate's code over that
-// transport. What is left here is the simulated hardware — the node
-// objects and that director — trace driving and message counting.
+// Nothing here routes or stores. A trace replay (Replay) runs every
+// stream through an ingest.Session, the backup path both backends ship,
+// entering at its pre-fingerprinted door (BackupRefs) with the chosen
+// router; message accounting (Fig. 7) is the sessions' ingest.Stats. The
+// public simulator backend builds its nodes and director here and routes
+// by Σ only.
 package cluster
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"maps"
 	"path/filepath"
@@ -41,12 +25,14 @@ import (
 	"sigmadedupe/internal/core"
 	"sigmadedupe/internal/director"
 	"sigmadedupe/internal/fingerprint"
+	"sigmadedupe/internal/ingest"
 	"sigmadedupe/internal/metrics"
 	"sigmadedupe/internal/migrate"
 	"sigmadedupe/internal/node"
-	"sigmadedupe/internal/pipeline"
 	"sigmadedupe/internal/router"
 	"sigmadedupe/internal/sderr"
+	"sigmadedupe/internal/store"
+	"sigmadedupe/internal/workload"
 )
 
 // Config parameterizes a simulated cluster.
@@ -63,9 +49,6 @@ type Config struct {
 	// SampleRate is Stateful routing's fingerprint sampling denominator
 	// (default 32).
 	SampleRate int
-	// FixedBoundaries cuts super-chunks at exact byte counts instead of
-	// content-defined boundaries (ablation; see core.Partitioner).
-	FixedBoundaries bool
 	// IgnoreUsage disables Sigma routing's load discount (ablation).
 	IgnoreUsage bool
 	// BidSummaries routes bids through each node's compact Bloom summary
@@ -77,8 +60,8 @@ type Config struct {
 	// while sending only O(1) expected bid messages per super-chunk at
 	// 64–128 nodes, and keeps the rendezvous candidates as the
 	// least-loaded fallback pool. This both collapses fan-out cost and
-	// recovers dedup lost to candidate-set churn as N grows. Stats
-	// gains the summary counters.
+	// recovers dedup lost to candidate-set churn as N grows. The session
+	// counters gain the summary probes.
 	BidSummaries bool
 	// Node is the per-node configuration template; ID is overridden.
 	Node node.Config
@@ -103,75 +86,30 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Stats aggregates cluster-level counters.
-type Stats struct {
-	LogicalBytes     int64
-	SuperChunks      int64
-	Files            int64
-	PreRoutingMsgs   int64
-	AfterRoutingMsgs int64
-	// BidsSent counts nodes actually queried for a routing bid; with
-	// bid summaries on it is the summary-positive subset — divide by
-	// SuperChunks for the per-super-chunk fan-out the scale-out
-	// campaign tracks.
-	BidsSent int64
-	// SummaryChecks/SummaryHits/SummaryFalsePos are the bid-summary
-	// probe counters (zero unless Config.BidSummaries): probes made,
-	// probes that answered "may contain" (each became a bid), and hits
-	// whose bid then scored zero.
-	SummaryChecks   int64
-	SummaryHits     int64
-	SummaryFalsePos int64
-}
-
-// TotalMsgs returns the Fig. 7 metric: all fingerprint-lookup messages.
-func (s Stats) TotalMsgs() int64 { return s.PreRoutingMsgs + s.AfterRoutingMsgs }
-
-// shard is one stream's private stats slice. Each field is written only
-// by the owning stream's goroutine and read by Stats aggregation, so
-// plain atomics suffice — no lock is shared between streams.
-type shard struct {
-	logicalBytes     atomic.Int64
-	superChunks      atomic.Int64
-	files            atomic.Int64
-	preRoutingMsgs   atomic.Int64
-	afterRoutingMsgs atomic.Int64
-	bidsSent         atomic.Int64
-	summaryChecks    atomic.Int64
-	summaryHits      atomic.Int64
-	summaryFalsePos  atomic.Int64
-}
-
 // Cluster is a simulated deduplication cluster: the node objects, the
-// router, the in-RAM director and the trace feed. Its own member list is
-// fixed at cfg.N; the public simulator backend, which owns membership,
-// hands it every node set it commits (SetView).
+// router and the in-RAM director. Its own member list is fixed at cfg.N;
+// the public simulator backend, which owns membership, hands it every node
+// set it commits (SetView).
 type Cluster struct {
 	cfg Config
 	rt  router.Router
 
-	// view is the node set the feed routes over and the stats read. It is
-	// immutable and swapped whole, so bids, usage reads and stats take no
-	// lock: at 128 nodes × 64 streams that keeps the per-super-chunk bid
-	// fan-out off a shared mutex.
+	// view is the node set replays route over and the usage readers see.
+	// It is immutable and swapped whole, so bids, usage reads and stats
+	// take no lock: at 128 nodes × 64 streams that keeps the
+	// per-super-chunk bid fan-out off a shared mutex.
 	view atomic.Pointer[View]
 
 	// dir is the cluster's metadata plane: an in-RAM director holding the
-	// recipes of named backups, the tenant table, the membership epochs and
-	// the journal of open migration/replication transactions. It never
-	// fsyncs and lives exactly as long as the Cluster, so node restarts
-	// (RestartNode, Restart) keep it.
+	// recipes of named backups and replayed items, the tenant table, the
+	// membership epochs and the journal of open migration/replication
+	// transactions. It never fsyncs and lives exactly as long as the
+	// Cluster, so node restarts (RestartNode, Restart) keep it.
 	dir *director.Director
 
-	shardMu sync.Mutex
-	shards  []*shard
-	// base accumulates the counters of retired streams, so a long-lived
-	// cluster replaying many stream batches does not grow shards without
-	// bound.
-	base Stats
-
-	// def is the default stream backing the single-stream BackupItem API.
-	def *Stream
+	// items numbers replayed items, so no replay supersedes — and so
+	// releases — what an earlier one stored.
+	items atomic.Int64
 }
 
 // New builds a cluster of cfg.N nodes.
@@ -196,34 +134,7 @@ func New(cfg Config) (*Cluster, error) {
 		}
 	}
 	c.view.Store(&View{Members: core.DenseMembership(cfg.N), Nodes: nodes})
-	// The default stream keeps the seed's container naming ("client0") so
-	// single-stream results are bit-identical to the serial simulator.
-	def, err := c.Stream("client0")
-	if err != nil {
-		return nil, err
-	}
-	c.def = def
 	return c, nil
-}
-
-// Stream opens a named backup stream: its own super-chunk partitioner,
-// its own open containers on every node, and its own stats shard. A
-// Stream is single-goroutine (one backup stream = one pipeline), but
-// distinct Streams may run concurrently.
-func (c *Cluster) Stream(name string) (*Stream, error) {
-	var popts []core.PartitionerOption
-	if c.cfg.FixedBoundaries {
-		popts = append(popts, core.WithFixedBoundaries())
-	}
-	part, err := core.NewPartitioner(c.cfg.SuperChunkSize, fingerprint.SHA1, c.cfg.Node.KeepPayloads, popts...)
-	if err != nil {
-		return nil, err
-	}
-	s := &Stream{c: c, name: name, part: part, ctr: &shard{}}
-	c.shardMu.Lock()
-	c.shards = append(c.shards, s.ctr)
-	c.shardMu.Unlock()
-	return s, nil
 }
 
 // View is the in-process router view of one node set: bids and usage
@@ -285,11 +196,12 @@ func (c *Cluster) NewNode(id int) (*node.Node, error) {
 	return n, nil
 }
 
-// View returns the node set the feed currently routes over.
+// View returns the node set replays currently route over.
 func (c *Cluster) View() *View { return c.view.Load() }
 
 // SetView replaces the node set: the backend that owns membership calls
-// it with every set it commits, so the feed, the stats and Close follow.
+// it with every set it commits, so replays, the usage readers and Close
+// follow.
 func (c *Cluster) SetView(v *View) { c.view.Store(v) }
 
 // Director returns the cluster's metadata plane (see Cluster.dir).
@@ -311,244 +223,138 @@ func (c *Cluster) Node(id int) (migrate.Node, bool) {
 // Scheme returns the active routing scheme name.
 func (c *Cluster) Scheme() string { return c.rt.Name() }
 
-// BackupItem feeds one backup item (a file, or an anonymous trace segment
-// with fileID 0) into the cluster's default stream. Chunk references must
-// already be fingerprinted (trace-driven mode) — use
-// workload.Corpus.ChunkRefs. Not safe for concurrent use; concurrent
-// replay goes through per-stream handles (Stream) or BackupItems.
-func (c *Cluster) BackupItem(fileID uint64, refs []core.ChunkRef) error {
-	return c.def.BackupItem(fileID, refs)
+// Trace is one backup stream of a replay: it calls yield once per file,
+// in stream order, with the file's identity (0 when the trace carries no
+// file metadata) and its fingerprinted chunks. yield does not retain refs.
+type Trace func(yield func(fileID uint64, refs []core.ChunkRef) error) error
+
+// Workload is the trace of a generated dataset, fingerprinted through
+// corpus.
+func Workload(g workload.Generator, corpus *workload.Corpus) Trace {
+	return func(yield func(uint64, []core.ChunkRef) error) error {
+		return g.Items(func(it workload.Item) error { return yield(it.FileID, corpus.ChunkRefs(it, false)) })
+	}
 }
 
-// Item is one backup item of a trace stream: an optional file identity
-// plus its fingerprinted chunk references.
-type Item struct {
-	FileID uint64
-	Refs   []core.ChunkRef
-}
-
-// BackupItems replays multiple named backup streams concurrently, one
-// goroutine per stream, each with its own partitioner, stats shard and
-// open containers. Partial super-chunks are routed when a stream ends;
-// call Flush afterwards to seal node containers. The first stream error
-// cancels the replay.
-func (c *Cluster) BackupItems(streams map[string][]Item) error {
-	g := pipeline.NewGroup()
-	for name, items := range streams {
-		s, err := c.Stream(name)
-		if err != nil {
-			return err
-		}
-		items := items
-		g.Go(func() error {
-			// The goroutine is the shard's only writer, so folding it into
-			// the base totals on the way out is safe.
-			defer s.Close()
-			for _, it := range items {
-				select {
-				case <-g.Done():
-					return nil
-				default:
-				}
-				if err := s.BackupItem(it.FileID, it.Refs); err != nil {
-					return err
-				}
+// Replay runs every stream through its own ingest session — named by its
+// key, which attributes its containers on the nodes — concurrently, and
+// returns the sessions' summed counters once each has flushed. observe,
+// when set, sees every chunk (the ExactTracker's Add).
+//
+// A stream is one backup item, so its super-chunks span files as the
+// paper's trace feed does; under Extreme Binning, which routes whole
+// files, every file is an item of its own. Sessions keep one super-chunk
+// in flight, so a stream's n+1st is routed only once its nth is stored:
+// placement is sequential and deterministic. The first stream to fail
+// cancels the others.
+func (c *Cluster) Replay(ctx context.Context, streams map[string]Trace, observe func([]core.ChunkRef)) (ingest.Stats, error) {
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	var (
+		wg    sync.WaitGroup
+		mu    sync.Mutex
+		total ingest.Stats
+		first error
+	)
+	for name, tr := range streams {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			st, err := c.replay(ctx, name, tr, observe)
+			mu.Lock()
+			defer mu.Unlock()
+			total.LogicalBytes += st.LogicalBytes
+			total.TransferredBytes += st.TransferredBytes
+			total.SuperChunks += st.SuperChunks
+			total.Files += st.Files
+			total.PreRoutingMsgs += st.PreRoutingMsgs
+			total.AfterRoutingMsgs += st.AfterRoutingMsgs
+			total.BidsSent += st.BidsSent
+			total.SummaryChecks += st.SummaryChecks
+			total.SummaryHits += st.SummaryHits
+			total.SummaryFalsePos += st.SummaryFalsePos
+			if err != nil && first == nil {
+				first = err
+				cancel()
 			}
-			return s.Flush()
+		}()
+	}
+	wg.Wait()
+	return total, first
+}
+
+// replay is one stream of Replay.
+func (c *Cluster) replay(ctx context.Context, name string, tr Trace, observe func([]core.ChunkRef)) (ingest.Stats, error) {
+	nodeOf := c.Node
+	if c.cfg.Scheme == router.ExtremeBinning {
+		nodeOf = c.binNode
+	}
+	s, err := ingest.New(ctx, ingest.Config{
+		Name:           name,
+		SuperChunkSize: c.cfg.SuperChunkSize,
+		Inflight:       1,
+		Router:         c.rt,
+		KeepPayloads:   c.cfg.Node.KeepPayloads,
+		Observe:        observe,
+		Pin: func(context.Context) (ingest.Epoch, error) {
+			v := c.view.Load()
+			return ingest.Epoch{View: func() router.View { return v }, Node: nodeOf, Release: func() {}}, nil
+		},
+	}, c.dir)
+	if err != nil {
+		return ingest.Stats{}, err
+	}
+	defer s.Close()
+	item := func(feed func(yield func([]core.ChunkRef) error) error) error {
+		return s.BackupRefs(ctx, fmt.Sprintf("/%s/%d", name, c.items.Add(1)), feed)
+	}
+	if c.cfg.Scheme == router.ExtremeBinning {
+		err = tr(func(fileID uint64, refs []core.ChunkRef) error {
+			if fileID == 0 {
+				return errNoFiles
+			}
+			return item(func(yield func([]core.ChunkRef) error) error { return yield(refs) })
+		})
+	} else {
+		err = item(func(yield func([]core.ChunkRef) error) error {
+			return tr(func(_ uint64, refs []core.ChunkRef) error { return yield(refs) })
 		})
 	}
-	return g.Wait()
+	if err == nil {
+		err = s.Flush(ctx)
+	}
+	return s.Stats(), err
 }
 
-// liveNodes lists the members' nodes, ascending by ID — lock-free through
-// the view, so stats readers (UsageVector, Skew) never contend with
-// membership or ingest locks.
-func (c *Cluster) liveNodes() []*node.Node {
-	v := c.view.Load()
-	out := make([]*node.Node, 0, v.Members.Len())
-	for _, id := range v.Members.Nodes {
-		out = append(out, v.Nodes[id])
+var errNoFiles = errors.New("cluster: Extreme Binning routes files, and the trace carries no file identities")
+
+// binNode resolves a node to Extreme Binning's bin store: a super-chunk
+// dedups only against the bin of its file's representative fingerprint,
+// which bins hold without references.
+func (c *Cluster) binNode(id int) (migrate.Node, bool) {
+	n := c.view.Load().Nodes[id]
+	if n == nil {
+		return nil, false
 	}
-	return out
+	return binStore{migrate.Local(n), n.Engine()}, true
 }
 
-// Flush routes the default stream's partial super-chunk and seals all
-// node containers. Call at the end of a backup session, after every
-// explicitly opened Stream has been flushed.
-func (c *Cluster) Flush() error {
-	if err := c.def.Flush(); err != nil {
-		return err
-	}
-	for _, n := range c.liveNodes() {
-		if err := n.Flush(); err != nil {
-			return err
-		}
-	}
-	return nil
+type binStore struct {
+	migrate.Node
+	eng *store.Engine
 }
 
-// Stream is one backup stream of the simulator. Methods must not be
-// called concurrently on the same Stream; run one goroutine per Stream.
-// Call Close when the stream is finished so its stats shard folds into
-// the cluster totals.
-type Stream struct {
-	c    *Cluster
-	name string
-	part *core.Partitioner
-	ctr  *shard
-	// v is the view this stream routes against, re-read at every item
-	// boundary: a backup item never observes a torn member list.
-	v *View
-	// retired guards against double-folding; protected by c.shardMu.
-	retired bool
-}
-
-// Close retires the stream: its counters fold into the cluster's base
-// totals and its shard is released. The stream must not be used again.
-// Safe to call more than once.
-func (s *Stream) Close() { s.c.retire(s) }
-
-// BackupItem feeds one backup item into this stream's pipeline.
-func (s *Stream) BackupItem(fileID uint64, refs []core.ChunkRef) error {
-	s.ctr.files.Add(1)
-	s.v = s.c.view.Load()
-
-	fileScoped := s.c.cfg.Scheme == router.ExtremeBinning && fileID != 0
-	var fileMin fingerprint.Fingerprint
-	if fileScoped {
-		// Extreme Binning routes whole files by the file's minimum chunk
-		// fingerprint; super-chunks must not span files.
-		for i, r := range refs {
-			if i == 0 || r.FP.Less(fileMin) {
-				fileMin = r.FP
-			}
-		}
-	}
-	s.part.SetFileID(fileID)
-	for _, r := range refs {
-		s.ctr.logicalBytes.Add(int64(r.Size))
-		if sc := s.part.AddRef(r); sc != nil {
-			sc.FileMinFP = fileMin
-			if err := s.routeAndStore(sc); err != nil {
-				return err
-			}
-		}
-	}
-	if fileScoped {
-		if sc := s.part.Flush(); sc != nil {
-			sc.FileMinFP = fileMin
-			if err := s.routeAndStore(sc); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// Flush routes the stream's final partial super-chunk. It does not seal
-// node containers; Cluster.Flush does that once per session.
-func (s *Stream) Flush() error {
-	s.v = s.c.view.Load()
-	if sc := s.part.Flush(); sc != nil {
-		return s.routeAndStore(sc)
-	}
-	return nil
-}
-
-func (s *Stream) routeAndStore(sc *core.SuperChunk) error {
-	c := s.c
-	d := c.rt.Route(sc, s.v)
-	s.ctr.superChunks.Add(1)
-	s.ctr.preRoutingMsgs.Add(d.PreRoutingMsgs)
-	s.ctr.bidsSent.Add(d.BidsSent)
-	if d.SummaryChecks != 0 {
-		s.ctr.summaryChecks.Add(d.SummaryChecks)
-		s.ctr.summaryHits.Add(d.SummaryHits)
-		s.ctr.summaryFalsePos.Add(d.SummaryFalsePos)
-	}
-	for _, a := range d.Assignments {
-		target := sc
-		if a.Chunks != nil {
-			target = &core.SuperChunk{FileID: sc.FileID, FileMinFP: sc.FileMinFP}
-			for _, i := range a.Chunks {
-				target.Chunks = append(target.Chunks, sc.Chunks[i])
-			}
-		}
-		// After-routing: the batched fingerprint query carries one lookup
-		// per chunk to the target node. Stores serialize per node (inside
-		// node.Node); different nodes store in parallel, and routing bids
-		// read node state lock-free.
-		s.ctr.afterRoutingMsgs.Add(int64(len(target.Chunks)))
-		nd := s.v.Nodes[a.Node]
-		if nd == nil {
-			return fmt.Errorf("cluster: no node %d: %w", a.Node, sderr.ErrNotFound)
-		}
-		var err error
-		if c.cfg.Scheme == router.ExtremeBinning && !sc.FileMinFP.IsZero() {
-			// Extreme Binning dedups the file only against its bin.
-			_, err = nd.StoreFileInBin(s.name, sc.FileMinFP, target)
-		} else {
-			_, err = nd.StoreSuperChunk(s.name, target)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// retire folds a finished stream's shard into the base totals and drops
-// it from the live-shard list. Must only be called when no goroutine
-// will write the shard again.
-func (c *Cluster) retire(s *Stream) {
-	c.shardMu.Lock()
-	defer c.shardMu.Unlock()
-	if s.retired {
-		return
-	}
-	s.retired = true
-	c.base.LogicalBytes += s.ctr.logicalBytes.Load()
-	c.base.SuperChunks += s.ctr.superChunks.Load()
-	c.base.Files += s.ctr.files.Load()
-	c.base.PreRoutingMsgs += s.ctr.preRoutingMsgs.Load()
-	c.base.AfterRoutingMsgs += s.ctr.afterRoutingMsgs.Load()
-	c.base.BidsSent += s.ctr.bidsSent.Load()
-	c.base.SummaryChecks += s.ctr.summaryChecks.Load()
-	c.base.SummaryHits += s.ctr.summaryHits.Load()
-	c.base.SummaryFalsePos += s.ctr.summaryFalsePos.Load()
-	for i, sh := range c.shards {
-		if sh == s.ctr {
-			c.shards = append(c.shards[:i], c.shards[i+1:]...)
-			break
-		}
-	}
-}
-
-// Stats returns a snapshot of cluster counters: the retired-stream base
-// plus all live stream shards. The whole sum runs under shardMu so a
-// concurrent retire cannot double-count a shard mid-snapshot.
-func (c *Cluster) Stats() Stats {
-	c.shardMu.Lock()
-	defer c.shardMu.Unlock()
-	st := c.base
-	for _, sh := range c.shards {
-		st.LogicalBytes += sh.logicalBytes.Load()
-		st.SuperChunks += sh.superChunks.Load()
-		st.Files += sh.files.Load()
-		st.PreRoutingMsgs += sh.preRoutingMsgs.Load()
-		st.AfterRoutingMsgs += sh.afterRoutingMsgs.Load()
-		st.BidsSent += sh.bidsSent.Load()
-		st.SummaryChecks += sh.summaryChecks.Load()
-		st.SummaryHits += sh.summaryHits.Load()
-		st.SummaryFalsePos += sh.summaryFalsePos.Load()
-	}
-	return st
+// Dedup reports no fresh slice: every chunk counts as transferred, and
+// the bin took no reference an abort would have to release.
+func (b binStore) Dedup(_ context.Context, stream string, sc *core.SuperChunk, _ core.Handprint, _ bool) ([]bool, error) {
+	_, err := b.eng.StoreFileInBin(stream, sc.FileMinFP, sc)
+	return nil, err
 }
 
 // UsageVector returns per-node physical storage usage over the members,
 // ascending by node ID.
 func (c *Cluster) UsageVector() []int64 {
-	nodes := c.liveNodes()
+	nodes := c.Nodes()
 	out := make([]int64, len(nodes))
 	for i, n := range nodes {
 		out[i] = n.StorageUsage()
@@ -565,24 +371,25 @@ func (c *Cluster) PhysicalBytes() int64 {
 	return total
 }
 
-// DedupRatio returns the cluster-wide deduplication ratio (CDR).
-func (c *Cluster) DedupRatio() float64 {
-	return metrics.DedupRatio(c.Stats().LogicalBytes, c.PhysicalBytes())
+// DedupRatio returns the cluster-wide deduplication ratio (CDR) of
+// logical bytes replayed.
+func (c *Cluster) DedupRatio(logical int64) float64 {
+	return metrics.DedupRatio(logical, c.PhysicalBytes())
 }
 
 // Skew returns σ/α over node storage usage.
 func (c *Cluster) Skew() float64 { return metrics.Skew(c.UsageVector()) }
 
-// EDR returns the normalized effective deduplication ratio (Eq. 7) given
-// the exact single-node physical size of the same dataset.
-func (c *Cluster) EDR(exactPhysical int64) float64 {
-	return metrics.EDRFromBytes(c.Stats().LogicalBytes, c.UsageVector(), exactPhysical)
+// EDR returns the normalized effective deduplication ratio (Eq. 7) of
+// logical bytes replayed, given the exact single-node physical size of the
+// same dataset.
+func (c *Cluster) EDR(logical, exactPhysical int64) float64 {
+	return metrics.EDRFromBytes(logical, c.UsageVector(), exactPhysical)
 }
 
 // NormalizedDR returns CDR normalized to the exact single-node DR.
-func (c *Cluster) NormalizedDR(exactPhysical int64) float64 {
-	sdr := metrics.DedupRatio(c.Stats().LogicalBytes, exactPhysical)
-	return metrics.NormalizedDR(c.DedupRatio(), sdr)
+func (c *Cluster) NormalizedDR(logical, exactPhysical int64) float64 {
+	return metrics.NormalizedDR(c.DedupRatio(logical), metrics.DedupRatio(logical, exactPhysical))
 }
 
 // RestartNode stops node i — sealing its open containers and closing its
@@ -642,9 +449,16 @@ func (c *Cluster) Close() error {
 	return err
 }
 
-// Nodes exposes the members' nodes, ascending by ID (read-only use: stats
-// inspection).
-func (c *Cluster) Nodes() []*node.Node { return c.liveNodes() }
+// Nodes lists the members' nodes, ascending by ID — lock-free through the
+// view, so usage readers never contend with membership or ingest locks.
+func (c *Cluster) Nodes() []*node.Node {
+	v := c.view.Load()
+	out := make([]*node.Node, 0, v.Members.Len())
+	for _, id := range v.Members.Nodes {
+		out = append(out, v.Nodes[id])
+	}
+	return out
+}
 
 // exactShards is the stripe count of ExactTracker's seen-set: enough
 // that 64 concurrent trace streams rarely collide on a stripe lock.

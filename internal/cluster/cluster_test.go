@@ -1,22 +1,37 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"sigmadedupe/internal/core"
 	"sigmadedupe/internal/fingerprint"
+	"sigmadedupe/internal/ingest"
 	"sigmadedupe/internal/migrate"
 	"sigmadedupe/internal/node"
 	"sigmadedupe/internal/router"
 	"sigmadedupe/internal/workload"
 )
 
-// runWorkload backs up a generated dataset into a fresh cluster and
-// returns the cluster and the exact-dedup tracker.
-func runWorkload(t *testing.T, name string, cfg Config, scale float64) (*Cluster, *ExactTracker) {
+// replayOne replays tr as the single stream "client0".
+func replayOne(t *testing.T, c *Cluster, tr Trace, observe func([]core.ChunkRef)) ingest.Stats {
+	t.Helper()
+	st, err := c.Replay(context.Background(), map[string]Trace{"client0": tr}, observe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// runWorkload replays a generated dataset into a fresh cluster and
+// returns the cluster, the session counters and the exact-dedup tracker.
+func runWorkload(t *testing.T, name string, cfg Config, scale float64) (*Cluster, ingest.Stats, *ExactTracker) {
 	t.Helper()
 	g, err := workload.ByName(name, scale, 0)
 	if err != nil {
@@ -26,37 +41,57 @@ func runWorkload(t *testing.T, name string, cfg Config, scale float64) (*Cluster
 	if err != nil {
 		t.Fatal(err)
 	}
-	corpus := workload.NewCorpus(0)
 	exact := NewExactTracker()
-	err = g.Items(func(it workload.Item) error {
-		refs := corpus.ChunkRefs(it, false)
-		exact.Add(refs)
-		return c.BackupItem(it.FileID, refs)
-	})
+	return c, replayOne(t, c, Workload(g, workload.NewCorpus(0)), exact.Add), exact
+}
+
+// TestReplayGolden pins per-node usage and every message counter of one
+// seeded Linux trace, per scheme at 4 and 16 nodes with bid summaries on,
+// to what the simulator's own stream pipeline produced before replays ran
+// on ingest.Session (testdata/replay.golden, written at that commit).
+func TestReplayGolden(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "replay.golden"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Flush(); err != nil {
-		t.Fatal(err)
+	var got bytes.Buffer
+	corpus := workload.NewCorpus(0)
+	for _, s := range []router.Scheme{router.Sigma, router.Stateless, router.Stateful, router.ExtremeBinning, router.ChunkDHT} {
+		for _, n := range []int{4, 16} {
+			g, err := workload.ByName("linux", 0.2, 7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c, err := New(Config{N: n, Scheme: s, SuperChunkSize: 256 << 10, BidSummaries: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := replayOne(t, c, Workload(g, corpus), nil)
+			fmt.Fprintf(&got, "%s N=%d: logical=%d superchunks=%d pre=%d after=%d bids=%d checks=%d hits=%d falsepos=%d\n  usage=%v\n",
+				s, n, st.LogicalBytes, st.SuperChunks, st.PreRoutingMsgs, st.AfterRoutingMsgs,
+				st.BidsSent, st.SummaryChecks, st.SummaryHits, st.SummaryFalsePos, c.UsageVector())
+		}
 	}
-	return c, exact
+	if got.String() != string(want) {
+		t.Errorf("replay differs from testdata/replay.golden\ngot:\n%s\nwant:\n%s", got.String(), want)
+	}
 }
 
 func TestSingleNodeMatchesExactDedup(t *testing.T) {
-	c, exact := runWorkload(t, "linux", Config{N: 1, Scheme: router.Sigma}, 0.5)
+	c, st, exact := runWorkload(t, "linux", Config{N: 1, Scheme: router.Sigma}, 0.5)
 	if got, want := c.PhysicalBytes(), exact.Physical(); got != want {
 		t.Fatalf("single-node physical = %d, want exact %d", got, want)
 	}
-	if c.Stats().LogicalBytes != exact.Logical() {
+	if st.LogicalBytes != exact.Logical() {
 		t.Fatal("logical byte accounting mismatch")
 	}
-	if edr := c.EDR(exact.Physical()); edr < 0.999 || edr > 1.001 {
+	if edr := c.EDR(st.LogicalBytes, exact.Physical()); edr < 0.999 || edr > 1.001 {
 		t.Fatalf("single-node EDR = %v, want 1.0", edr)
 	}
 }
 
 func TestStatefulSingleNodeAlsoExact(t *testing.T) {
-	c, exact := runWorkload(t, "web", Config{N: 1, Scheme: router.Stateful}, 0.5)
+	c, _, exact := runWorkload(t, "web", Config{N: 1, Scheme: router.Stateful}, 0.5)
 	if got, want := c.PhysicalBytes(), exact.Physical(); got != want {
 		t.Fatalf("physical = %d, want %d", got, want)
 	}
@@ -66,13 +101,13 @@ func TestClusterConservation(t *testing.T) {
 	// Physical ≥ exact (information islands can only lose dedup) and
 	// physical ≤ logical, for every scheme.
 	for _, s := range []router.Scheme{router.Sigma, router.Stateless, router.Stateful, router.ExtremeBinning, router.ChunkDHT} {
-		c, exact := runWorkload(t, "linux", Config{N: 8, Scheme: s}, 0.4)
-		phys, logical := c.PhysicalBytes(), c.Stats().LogicalBytes
+		c, st, exact := runWorkload(t, "linux", Config{N: 8, Scheme: s}, 0.4)
+		phys := c.PhysicalBytes()
 		if phys < exact.Physical() {
 			t.Errorf("%v: cluster physical %d below exact minimum %d", s, phys, exact.Physical())
 		}
-		if phys > logical {
-			t.Errorf("%v: physical %d exceeds logical %d", s, phys, logical)
+		if phys > st.LogicalBytes {
+			t.Errorf("%v: physical %d exceeds logical %d", s, phys, st.LogicalBytes)
 		}
 	}
 }
@@ -84,9 +119,9 @@ func TestClusterConservation(t *testing.T) {
 // super-chunks; we keep the same decisions-per-node ratio).
 func TestSchemeOrderingOnLinux(t *testing.T) {
 	edr := func(s router.Scheme) float64 {
-		c, exact := runWorkload(t, "linux",
+		c, st, exact := runWorkload(t, "linux",
 			Config{N: 16, Scheme: s, SuperChunkSize: 128 << 10}, 0.6)
-		return c.EDR(exact.Physical())
+		return c.EDR(st.LogicalBytes, exact.Physical())
 	}
 	sigma := edr(router.Sigma)
 	stateless := edr(router.Stateless)
@@ -105,9 +140,8 @@ func TestSchemeOrderingOnLinux(t *testing.T) {
 // stays within 1.25x of stateless.
 func TestMessageScaling(t *testing.T) {
 	pre := func(s router.Scheme, n int) (preMsgs, total int64) {
-		c, _ := runWorkload(t, "linux", Config{N: n, Scheme: s}, 0.3)
-		st := c.Stats()
-		return st.PreRoutingMsgs, st.TotalMsgs()
+		_, st, _ := runWorkload(t, "linux", Config{N: n, Scheme: s}, 0.3)
+		return st.PreRoutingMsgs, st.PreRoutingMsgs + st.AfterRoutingMsgs
 	}
 	sigmaPre8, sigma8 := pre(router.Sigma, 8)
 	sigmaPre32, sigma32 := pre(router.Sigma, 32)
@@ -141,10 +175,10 @@ func TestMessageScaling(t *testing.T) {
 // TestSigmaBalance verifies Theorem 2 end-to-end: storage skew across
 // nodes stays small under sigma routing.
 func TestSigmaBalance(t *testing.T) {
-	c, _ := runWorkload(t, "linux",
+	c, _, _ := runWorkload(t, "linux",
 		Config{N: 8, Scheme: router.Sigma, SuperChunkSize: 128 << 10}, 1)
 	sg := c.Skew()
-	sl, _ := runWorkload(t, "linux",
+	sl, _, _ := runWorkload(t, "linux",
 		Config{N: 8, Scheme: router.Stateless, SuperChunkSize: 128 << 10}, 1)
 	t.Logf("skew: sigma=%.3f stateless=%.3f", sg, sl.Skew())
 	if sg > 0.5 {
@@ -159,8 +193,8 @@ func TestSigmaBalance(t *testing.T) {
 // file-level routing on few huge skewed files yields much worse balance
 // than sigma on the same workload.
 func TestEBSkewOnVM(t *testing.T) {
-	eb, _ := runWorkload(t, "vm", Config{N: 8, Scheme: router.ExtremeBinning}, 1)
-	sg, _ := runWorkload(t, "vm", Config{N: 8, Scheme: router.Sigma}, 1)
+	eb, _, _ := runWorkload(t, "vm", Config{N: 8, Scheme: router.ExtremeBinning}, 1)
+	sg, _, _ := runWorkload(t, "vm", Config{N: 8, Scheme: router.Sigma}, 1)
 	t.Logf("vm skew: eb=%.3f sigma=%.3f", eb.Skew(), sg.Skew())
 	if eb.Skew() <= sg.Skew() {
 		t.Fatalf("EB skew %.3f should exceed sigma skew %.3f on the VM workload", eb.Skew(), sg.Skew())
@@ -171,20 +205,8 @@ func TestEBSkewOnVM(t *testing.T) {
 // handprint detects more resemblance and cannot hurt cluster DR much.
 func TestEDRImprovesWithHandprintSize(t *testing.T) {
 	ndr := func(k int) float64 {
-		g, _ := workload.ByName("linux", 0.5, 0)
-		c, err := New(Config{N: 16, Scheme: router.Sigma, HandprintK: k})
-		if err != nil {
-			t.Fatal(err)
-		}
-		corpus := workload.NewCorpus(0)
-		exact := NewExactTracker()
-		g.Items(func(it workload.Item) error {
-			refs := corpus.ChunkRefs(it, false)
-			exact.Add(refs)
-			return c.BackupItem(it.FileID, refs)
-		})
-		c.Flush()
-		return c.NormalizedDR(exact.Physical())
+		c, st, exact := runWorkload(t, "linux", Config{N: 16, Scheme: router.Sigma, HandprintK: k}, 0.5)
+		return c.NormalizedDR(st.LogicalBytes, exact.Physical())
 	}
 	k1, k8 := ndr(1), ndr(8)
 	t.Logf("normalized DR: k=1→%.3f k=8→%.3f", k1, k8)
@@ -195,17 +217,26 @@ func TestEDRImprovesWithHandprintSize(t *testing.T) {
 
 func TestTraceWorkloadWithoutFiles(t *testing.T) {
 	// Mail trace has no file metadata; sigma and stateless must still work.
-	c, exact := runWorkload(t, "mail", Config{N: 4, Scheme: router.Sigma}, 0.5)
+	c, st, exact := runWorkload(t, "mail", Config{N: 4, Scheme: router.Sigma}, 0.5)
 	if c.PhysicalBytes() < exact.Physical() {
 		t.Fatal("impossible dedup on trace workload")
 	}
-	if c.Stats().Files == 0 {
-		t.Fatal("no items processed")
+	if st.Files != 1 || st.SuperChunks == 0 {
+		t.Fatalf("the trace should replay as one item: %+v", st)
+	}
+	// Extreme Binning routes files and refuses a trace without them.
+	g, _ := workload.ByName("mail", 0.1, 0)
+	eb, err := New(Config{N: 4, Scheme: router.ExtremeBinning})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eb.Replay(context.Background(), map[string]Trace{"client0": Workload(g, workload.NewCorpus(0))}, nil); !errors.Is(err, errNoFiles) {
+		t.Fatalf("EB replay of a file-less trace: %v, want %v", err, errNoFiles)
 	}
 }
 
 func TestDHTPerChunkPlacement(t *testing.T) {
-	c, exact := runWorkload(t, "web", Config{N: 8, Scheme: router.ChunkDHT}, 0.5)
+	c, _, exact := runWorkload(t, "web", Config{N: 8, Scheme: router.ChunkDHT}, 0.5)
 	// Chunk-level DHT achieves exact dedup (same fp always lands on the
 	// same node) at the cost of destroyed locality.
 	if c.PhysicalBytes() != exact.Physical() {
@@ -262,23 +293,14 @@ func TestClusterRestartPreservesDedupState(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		corpus := workload.NewCorpus(0)
-		err = g.Items(func(it workload.Item) error {
-			return c.BackupItem(it.FileID, corpus.ChunkRefs(it, false))
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := c.Flush(); err != nil {
-			t.Fatal(err)
-		}
+		replayOne(t, c, Workload(g, workload.NewCorpus(0)), nil)
 	}
 
-	control, _ := runWorkload(t, "linux", Config{N: 3, Scheme: router.Sigma}, 0.3)
+	control, _, _ := runWorkload(t, "linux", Config{N: 3, Scheme: router.Sigma}, 0.3)
 	replay(control)
 
 	dir := t.TempDir()
-	c, _ := runWorkload(t, "linux", Config{N: 3, Scheme: router.Sigma, Node: node.Config{Dir: dir}}, 0.3)
+	c, _, _ := runWorkload(t, "linux", Config{N: 3, Scheme: router.Sigma, Node: node.Config{Dir: dir}}, 0.3)
 	physical := c.PhysicalBytes()
 	if physical == 0 {
 		t.Fatal("nothing stored")
@@ -313,39 +335,33 @@ func TestRestartNodeRequiresDir(t *testing.T) {
 	}
 }
 
-// TestTrackedRecipesExactWithUntrackedItems: an anonymous trace item
-// fed before a named backup under the same stream name must not leak its
-// pending chunks into the backup's recipe, and deleting the backup must
-// leave the trace item's references alone.
+// TestTrackedRecipesExactWithUntrackedItems: a replayed trace and a named
+// backup under the same stream name keep separate recipes, and deleting
+// the backup leaves the trace's references alone.
 func TestTrackedRecipesExactWithUntrackedItems(t *testing.T) {
 	c, err := New(Config{N: 2, Node: node.Config{KeepPayloads: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	refsA := payloadRefs(70, 8) // anonymous trace segment
-	refsB := payloadRefs(71, 8) // tracked backup item
-	if err := c.BackupItem(0, refsA); err != nil {
-		t.Fatal(err)
-	}
+	refsA := payloadRefs(70, 8) // replayed trace segment
+	refsB := payloadRefs(71, 8) // named backup
+	replayOne(t, c, refsTrace(refsA), nil)
 	backupTracked(t, c, 7, refsB)
-	if err := c.Flush(); err != nil {
-		t.Fatal(err)
-	}
 	rec := recipeOf(t, c, 7)
 	want := make(map[string]bool, len(refsB))
 	for _, r := range refsB {
 		want[r.FP.String()] = true
 	}
 	if len(rec) != len(refsB) {
-		t.Fatalf("recipe holds %d chunks, want %d (untracked item leaked in?)", len(rec), len(refsB))
+		t.Fatalf("recipe holds %d chunks, want %d (replayed item leaked in?)", len(rec), len(refsB))
 	}
 	for _, e := range rec {
 		if !want[e.FP.String()] {
 			t.Fatalf("recipe 7 contains foreign chunk %s", e.FP.Short())
 		}
 	}
-	// Deleting item 7 must not touch the untracked item's chunks.
+	// Deleting item 7 must not touch the replayed item's chunks.
 	if err := migrate.Delete(context.Background(), c.Director(), c.Node, itemName(7)); err != nil {
 		t.Fatal(err)
 	}
@@ -357,9 +373,14 @@ func TestTrackedRecipesExactWithUntrackedItems(t *testing.T) {
 			}
 		}
 		if !alive {
-			t.Fatalf("untracked item's chunk %s lost its references to a foreign delete", r.FP.Short())
+			t.Fatalf("replayed item's chunk %s lost its references to a foreign delete", r.FP.Short())
 		}
 	}
+}
+
+// refsTrace is a one-file trace of refs.
+func refsTrace(refs []core.ChunkRef) Trace {
+	return func(yield func(uint64, []core.ChunkRef) error) error { return yield(1, refs) }
 }
 
 // payloadRefs builds n random fingerprinted 4KB chunk refs with payloads.

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -10,8 +11,8 @@ import (
 )
 
 // splitStreams carves a generated workload into n interleaved trace
-// streams, the shape BackupItems replays in parallel.
-func splitStreams(t *testing.T, name string, scale float64, n int) (map[string][]Item, *ExactTracker) {
+// streams, the shape Replay runs in parallel.
+func splitStreams(t *testing.T, name string, scale float64, n int) (map[string]Trace, *ExactTracker) {
 	t.Helper()
 	g, err := workload.ByName(name, scale, 0)
 	if err != nil {
@@ -23,29 +24,35 @@ func splitStreams(t *testing.T, name string, scale float64, n int) (map[string][
 	}
 	corpus := workload.NewCorpus(0)
 	exact := NewExactTracker()
-	streams := make(map[string][]Item, n)
+	files := make([][]workload.Item, n)
 	for i, it := range items {
-		refs := corpus.ChunkRefs(it, false)
-		exact.Add(refs)
-		key := fmt.Sprintf("stream%d", i%n)
-		streams[key] = append(streams[key], Item{FileID: it.FileID, Refs: refs})
+		exact.Add(corpus.ChunkRefs(it, false))
+		files[i%n] = append(files[i%n], it)
+	}
+	streams := make(map[string]Trace, n)
+	for i := range files {
+		streams[fmt.Sprintf("stream%d", i)] = func(yield func(uint64, []core.ChunkRef) error) error {
+			for _, it := range files[i] {
+				if err := yield(it.FileID, corpus.ChunkRefs(it, false)); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
 	}
 	return streams, exact
 }
 
-func TestBackupItemsMultiStream(t *testing.T) {
+func TestReplayMultiStream(t *testing.T) {
 	streams, exact := splitStreams(t, "linux", 0.4, 4)
 	c, err := New(Config{N: 8, Scheme: router.Sigma})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.BackupItems(streams); err != nil {
+	st, err := c.Replay(context.Background(), streams, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	st := c.Stats()
 	if st.LogicalBytes != exact.Logical() {
 		t.Fatalf("logical = %d, want %d (no bytes lost across streams)", st.LogicalBytes, exact.Logical())
 	}
@@ -65,13 +72,13 @@ func TestBackupItemsMultiStream(t *testing.T) {
 	if nodeLogical != st.LogicalBytes {
 		t.Fatalf("node logical sum %d != cluster logical %d", nodeLogical, st.LogicalBytes)
 	}
-	if st.Files == 0 || st.SuperChunks == 0 || st.TotalMsgs() == 0 {
+	if st.Files != 4 || st.SuperChunks == 0 || st.AfterRoutingMsgs == 0 {
 		t.Fatalf("missing counters: %+v", st)
 	}
 }
 
-// TestMultiStreamMatchesSingleStreamDedup checks the concurrency refactor
-// does not change what deduplication finds beyond stream-interleaving
+// TestMultiStreamMatchesSingleStreamDedup checks that concurrent streams
+// do not change what deduplication finds beyond stream-interleaving
 // effects: multi-stream physical size stays within a small factor of the
 // single-stream replay of the same data.
 func TestMultiStreamMatchesSingleStreamDedup(t *testing.T) {
@@ -82,24 +89,14 @@ func TestMultiStreamMatchesSingleStreamDedup(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
-		for _, it := range streams[fmt.Sprintf("stream%d", i)] {
-			if err := single.BackupItem(it.FileID, it.Refs); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if err := single.Flush(); err != nil {
-		t.Fatal(err)
+		replayOne(t, single, streams[fmt.Sprintf("stream%d", i)], nil)
 	}
 
 	multi, err := New(Config{N: 8, Scheme: router.Sigma})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := multi.BackupItems(streams); err != nil {
-		t.Fatal(err)
-	}
-	if err := multi.Flush(); err != nil {
+	if _, err := multi.Replay(context.Background(), streams, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -113,74 +110,49 @@ func TestMultiStreamMatchesSingleStreamDedup(t *testing.T) {
 	}
 }
 
-func TestRepeatedBackupItemsFoldsShards(t *testing.T) {
+// TestRepeatedReplaysKeepEarlierReferences: replays of the same stream
+// name on one cluster commit distinct items, so a later replay never
+// supersedes — and releases — what an earlier one stored.
+func TestRepeatedReplaysKeepEarlierReferences(t *testing.T) {
 	c, err := New(Config{N: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
+	refs := []core.ChunkRef{{FP: [20]byte{1}, Size: 100}, {FP: [20]byte{2}, Size: 50}}
 	for round := 0; round < 3; round++ {
-		streams := map[string][]Item{
-			fmt.Sprintf("a%d", round): {{FileID: 1, Refs: []core.ChunkRef{{FP: [20]byte{1, byte(round)}, Size: 100}}}},
-			fmt.Sprintf("b%d", round): {{FileID: 2, Refs: []core.ChunkRef{{FP: [20]byte{2, byte(round)}, Size: 50}}}},
-		}
-		if err := c.BackupItems(streams); err != nil {
-			t.Fatal(err)
+		if st := replayOne(t, c, refsTrace(refs), nil); st.Files != 1 || st.LogicalBytes != 150 {
+			t.Fatalf("round %d: %+v", round, st)
 		}
 	}
-	if err := c.Flush(); err != nil {
-		t.Fatal(err)
+	if got := len(c.Director().Files()); got != 3 {
+		t.Fatalf("director holds %d replayed items, want 3", got)
 	}
-	st := c.Stats()
-	if st.Files != 6 || st.LogicalBytes != 450 {
-		t.Fatalf("stats after 3 rounds = %+v", st)
-	}
-	// Finished BackupItems streams are folded into the base totals; only
-	// the default stream's shard stays live.
-	c.shardMu.Lock()
-	live := len(c.shards)
-	c.shardMu.Unlock()
-	if live != 1 {
-		t.Fatalf("live shards = %d, want 1 (default stream only)", live)
+	for _, r := range refs {
+		var refsHeld int64
+		for _, n := range c.Nodes() {
+			refsHeld += n.Engine().RefCount(r.FP)
+		}
+		if refsHeld != 3 {
+			t.Fatalf("chunk %s holds %d references, want one per replay", r.FP.Short(), refsHeld)
+		}
 	}
 }
 
+// TestStreamHandlesAreIndependent: each stream is a session of its own —
+// its partial super-chunk is cut at its own end, never merged with
+// another stream's.
 func TestStreamHandlesAreIndependent(t *testing.T) {
 	c, err := New(Config{N: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := c.Stream("a")
+	st, err := c.Replay(context.Background(), map[string]Trace{
+		"a": refsTrace([]core.ChunkRef{{FP: [20]byte{1}, Size: 100}}),
+		"b": refsTrace([]core.ChunkRef{{FP: [20]byte{2}, Size: 50}}),
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := c.Stream("b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Each stream's partial super-chunk stays private until its own Flush.
-	refs := []core.ChunkRef{{FP: [20]byte{1}, Size: 100}}
-	if err := a.BackupItem(1, refs); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.BackupItem(2, []core.ChunkRef{{FP: [20]byte{2}, Size: 50}}); err != nil {
-		t.Fatal(err)
-	}
-	if got := c.Stats().SuperChunks; got != 0 {
-		t.Fatalf("super-chunks routed before flush: %d", got)
-	}
-	if err := a.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if got := c.Stats().SuperChunks; got != 1 {
-		t.Fatalf("super-chunks after one stream flush = %d, want 1", got)
-	}
-	if err := b.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	st := c.Stats()
 	if st.Files != 2 || st.SuperChunks != 2 || st.LogicalBytes != 150 {
 		t.Fatalf("stats = %+v", st)
 	}

@@ -1,39 +1,49 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"sigmadedupe/internal/cluster"
+	"sigmadedupe/internal/ingest"
 	"sigmadedupe/internal/router"
 	"sigmadedupe/internal/workload"
 )
 
-// clusterRun drives one workload through one cluster configuration and
-// returns the cluster plus exact-dedup tracking.
-func clusterRun(wl string, scale float64, cfg cluster.Config) (*cluster.Cluster, *cluster.ExactTracker, error) {
+// run is one cluster configuration after replaying a workload: the
+// cluster, the session counters and the exact single-node physical size
+// of the same stream.
+type run struct {
+	c     *cluster.Cluster
+	st    ingest.Stats
+	exact int64
+}
+
+// clusterRun replays one workload as one stream ("client0") through one
+// cluster configuration.
+func clusterRun(wl string, scale float64, cfg cluster.Config) (run, error) {
 	g, err := workload.ByName(wl, scale, 0)
 	if err != nil {
-		return nil, nil, err
+		return run{}, err
 	}
 	c, err := cluster.New(cfg)
 	if err != nil {
-		return nil, nil, err
+		return run{}, err
 	}
-	corpus := workload.NewCorpus(0)
 	exact := cluster.NewExactTracker()
-	err = g.Items(func(it workload.Item) error {
-		refs := corpus.ChunkRefs(it, false)
-		exact.Add(refs)
-		return c.BackupItem(it.FileID, refs)
-	})
+	st, err := c.Replay(context.Background(),
+		map[string]cluster.Trace{"client0": cluster.Workload(g, workload.NewCorpus(0))}, exact.Add)
 	if err != nil {
-		return nil, nil, err
+		return run{}, err
 	}
-	if err := c.Flush(); err != nil {
-		return nil, nil, err
-	}
-	return c, exact, nil
+	return run{c, st, exact.Physical()}, nil
 }
+
+func (r run) normDR() float64 { return r.c.NormalizedDR(r.st.LogicalBytes, r.exact) }
+func (r run) edr() float64    { return r.c.EDR(r.st.LogicalBytes, r.exact) }
+
+// msgs is the Fig. 7 metric: all fingerprint-lookup messages.
+func (r run) msgs() int64 { return r.st.PreRoutingMsgs + r.st.AfterRoutingMsgs }
 
 // fig8Schemes are the four routing schemes of the paper's comparison.
 var fig8Schemes = []router.Scheme{
@@ -67,13 +77,13 @@ func Fig6(opts Options) (*Table, error) {
 	for _, k := range ks {
 		row := []string{fmt.Sprintf("%d", k)}
 		for _, n := range ns {
-			c, exact, err := clusterRun("linux", scale, cluster.Config{
+			r, err := clusterRun("linux", scale, cluster.Config{
 				N: n, Scheme: router.Sigma, HandprintK: k,
 			})
 			if err != nil {
 				return nil, err
 			}
-			row = append(row, f3(c.NormalizedDR(exact.Physical())))
+			row = append(row, f3(r.normDR()))
 		}
 		t.Rows = append(t.Rows, row)
 	}
@@ -103,16 +113,15 @@ func Fig7(opts Options) (*Table, error) {
 				continue
 			}
 			for _, n := range ns {
-				c, _, err := clusterRun(wl, scale, cluster.Config{N: n, Scheme: s})
+				r, err := clusterRun(wl, scale, cluster.Config{N: n, Scheme: s})
 				if err != nil {
 					return nil, err
 				}
-				st := c.Stats()
 				t.Rows = append(t.Rows, []string{
 					wl, s.String(), fmt.Sprintf("%d", n),
-					f3(float64(st.PreRoutingMsgs) / 1e6),
-					f3(float64(st.AfterRoutingMsgs) / 1e6),
-					f3(float64(st.TotalMsgs()) / 1e6),
+					f3(float64(r.st.PreRoutingMsgs) / 1e6),
+					f3(float64(r.st.AfterRoutingMsgs) / 1e6),
+					f3(float64(r.msgs()) / 1e6),
 				})
 			}
 		}
@@ -147,15 +156,13 @@ func Fig8(opts Options) (*Table, error) {
 				continue // traces carry no file metadata
 			}
 			for _, n := range ns {
-				c, exact, err := clusterRun(wl, scale, cluster.Config{N: n, Scheme: s})
+				r, err := clusterRun(wl, scale, cluster.Config{N: n, Scheme: s})
 				if err != nil {
 					return nil, err
 				}
 				t.Rows = append(t.Rows, []string{
 					wl, s.String(), fmt.Sprintf("%d", n),
-					f3(c.EDR(exact.Physical())),
-					f3(c.NormalizedDR(exact.Physical())),
-					f3(c.Skew()),
+					f3(r.edr()), f3(r.normDR()), f3(r.c.Skew()),
 				})
 			}
 		}
@@ -190,18 +197,16 @@ func Table1(opts Options) (*Table, error) {
 		{router.Sigma, "super-chunk"},
 	}
 	for _, sc := range schemes {
-		c, exact, err := clusterRun("linux", scale, cluster.Config{N: n, Scheme: sc.s})
+		r, err := clusterRun("linux", scale, cluster.Config{N: n, Scheme: sc.s})
 		if err != nil {
 			return nil, err
 		}
-		st := c.Stats()
-		msgsPerSC := float64(st.TotalMsgs()) / float64(st.SuperChunks)
 		t.Rows = append(t.Rows, []string{
 			sc.s.String(), sc.gran,
-			f3(c.NormalizedDR(exact.Physical())),
-			f3(c.Skew()),
-			f2(msgsPerSC),
-			f3(c.EDR(exact.Physical())),
+			f3(r.normDR()),
+			f3(r.c.Skew()),
+			f2(float64(r.msgs()) / float64(r.st.SuperChunks)),
+			f3(r.edr()),
 		})
 	}
 	t.Notes = append(t.Notes,

@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -38,6 +40,30 @@ func TestAllExperimentsRunQuick(t *testing.T) {
 			tab.Fprint(&buf)
 			if !strings.Contains(buf.String(), tab.Title) {
 				t.Fatal("Fprint lost the title")
+			}
+		})
+	}
+}
+
+// TestClusterFiguresGolden pins the trace-driven figures to
+// testdata/*.golden, written by the simulator's former private stream
+// pipeline: replaying through ingest.Session must repeat every digit of
+// every row.
+func TestClusterFiguresGolden(t *testing.T) {
+	for _, name := range []string{"fig6", "fig7", "fig8", "table1"} {
+		t.Run(name, func(t *testing.T) {
+			want, err := os.ReadFile(filepath.Join("testdata", name+".golden"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			tab, err := Run(name, quick)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got bytes.Buffer
+			tab.Fprint(&got)
+			if got.String() != string(want) {
+				t.Errorf("%s differs from testdata/%s.golden\ngot:\n%s\nwant:\n%s", name, name, got.String(), want)
 			}
 		})
 	}

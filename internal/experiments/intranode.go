@@ -314,7 +314,7 @@ func dedupEfficiency(stream []byte, method chunker.Method, chunkSize int) (float
 		return 0, 0, err
 	}
 	store := func(sc *core.SuperChunk) error {
-		_, err := n.StoreSuperChunk("s", sc)
+		_, err := n.Dedup("s", sc, nil, true)
 		return err
 	}
 	for {
@@ -395,14 +395,14 @@ func Fig5b(opts Options) (*Table, error) {
 			for _, it := range items {
 				for _, ref := range corpus.ChunkRefs(it, false) {
 					if sc := part.AddRef(ref); sc != nil {
-						if _, err := n.StoreSuperChunk("s", sc); err != nil {
+						if _, err := n.Dedup("s", sc, nil, true); err != nil {
 							return nil, err
 						}
 					}
 				}
 			}
 			if sc := part.Flush(); sc != nil {
-				if _, err := n.StoreSuperChunk("s", sc); err != nil {
+				if _, err := n.Dedup("s", sc, nil, true); err != nil {
 					return nil, err
 				}
 			}

@@ -9,7 +9,8 @@
 // and three seams — how a membership epoch is pinned (Config.Pin), how
 // the second copy is written at R=2 (Config.Replicate) and who wants to
 // see every presented chunk (Config.Observe) — plus whether the nodes
-// keep payloads.
+// keep payloads. A stream that arrives fingerprinted — the paper's trace
+// replays — enters through BackupRefs, past chunking and hashing.
 //
 // Every backup stream owns a concurrent pipeline: a worker pool
 // fingerprints chunks — a batch of hashBatchBytes at a time — while the
@@ -163,6 +164,9 @@ type item struct {
 	pending int  // routes submitted and not yet applied
 	done    bool // every chunk has been submitted
 	err     error
+	// refs marks an item fed by BackupRefs: its payloads are the caller's,
+	// never the buffer pool's.
+	refs bool
 }
 
 func (it *item) fail(err error) {
@@ -219,6 +223,10 @@ type Session struct {
 	// running Backup call is feeding, which only that call finishes.
 	open []*item
 	cur  *item
+	// fileMin is what enqueue stamps on a super-chunk as its FileMinFP:
+	// the minimum fingerprint of the BackupRefs file being consumed, zero
+	// on the reader path.
+	fileMin fingerprint.Fingerprint
 
 	observed []core.ChunkRef
 	// wrote is the work list of Replicate.AtFlush.
@@ -336,6 +344,47 @@ func (s *Session) Backup(ctx context.Context, name string, r io.Reader) error {
 	if err != nil {
 		return fmt.Errorf("ingest: %w", err)
 	}
+	return s.run(ctx, name, false, func(it *item) error { return s.feed(it, ck) })
+}
+
+// BackupRefs is Backup for a stream that arrives chunked and
+// fingerprinted — a trace replay. feed calls yield once per file of the
+// item, in stream order; the refs enter where Backup's fingerprinted
+// chunks do and take the same partitioner, window, router, dedup pass,
+// recipe commit and counters. Super-chunks may span the files of one item
+// and are cut at its end; each is stamped with the minimum fingerprint of
+// the file that completed it (core.SuperChunk.FileMinFP), which Extreme
+// Binning routes by. yield does not retain refs, and payloads they carry
+// stay the caller's. An error of feed's own aborts the item and is
+// returned as is.
+func (s *Session) BackupRefs(ctx context.Context, name string, feed func(yield func(refs []core.ChunkRef) error) error) error {
+	if err := tenant.ValidateBackupName(name); err != nil {
+		return &sderr.BackupError{Name: name, Stage: "chunk", Err: err}
+	}
+	return s.run(ctx, name, true, func(it *item) error {
+		defer func() { s.fileMin = fingerprint.Fingerprint{} }()
+		err := feed(func(refs []core.ChunkRef) error {
+			if err := it.ctx.Err(); err != nil {
+				return &sderr.BackupError{Name: name, Stage: "chunk", Err: err}
+			}
+			s.fileMin = (&core.SuperChunk{Chunks: refs}).MinFingerprint()
+			for _, ref := range refs {
+				if _, err := s.consume(it, ref); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			return err
+		}
+		return s.cut(it)
+	})
+}
+
+// run is one item of either door: feed hands its super-chunks to the
+// window; the item then commits or aborts as Backup describes.
+func (s *Session) run(ctx context.Context, name string, refs bool, feed func(*item) error) error {
 	// A trailing item that failed surfaces before this one starts.
 	if err := s.settle(ctx, math.MaxInt); err != nil {
 		return err
@@ -344,7 +393,8 @@ func (s *Session) Backup(ctx context.Context, name string, r io.Reader) error {
 	if err != nil {
 		return &sderr.BackupError{Name: name, Stage: "route", Err: err}
 	}
-	err = s.feed(it, ck)
+	it.refs = refs
+	err = feed(it)
 	s.flushObserved()
 	if err == nil {
 		it.done = true
@@ -598,6 +648,7 @@ func (s *Session) cut(it *item) error {
 // still, so the wait cannot deadlock; a nightly incremental's counterpart
 // left the window a generation ago, so there it never waits.
 func (s *Session) enqueue(it *item, sc *core.SuperChunk) error {
+	sc.FileMinFP = s.fileMin
 	s.buffered += sc.Size()
 	s.mu.Lock()
 	s.st.PeakBufferedBytes = max(s.st.PeakBufferedBytes, s.buffered)
@@ -617,7 +668,7 @@ func (s *Session) enqueue(it *item, sc *core.SuperChunk) error {
 		}
 	}
 	if err != nil {
-		s.recycle(sc) // never entered the window
+		s.recycle(it, sc) // never entered the window
 		if err == it.ctx.Err() {
 			err = &sderr.BackupError{Name: it.name, Stage: "route", Err: err}
 		}
@@ -731,12 +782,14 @@ func (s *Session) route(it *item, sc *core.SuperChunk) routed {
 }
 
 // recycle takes a super-chunk out of the buffered count and returns its
-// payload buffers to the pool. By now nothing references them: the node
-// copied what it stored, and the RPC layer finished with them before the
-// store returned.
-func (s *Session) recycle(sc *core.SuperChunk) {
+// payload buffers to the pool, unless they are a BackupRefs caller's. By
+// now nothing references them: the node copied what it stored, and the
+// RPC layer finished with them before the store returned.
+func (s *Session) recycle(it *item, sc *core.SuperChunk) {
 	s.buffered -= sc.Size()
-	s.release(sc)
+	if !it.refs {
+		s.release(sc)
+	}
 }
 
 // release hands a super-chunk's payload buffers back to the pool in one
@@ -756,7 +809,7 @@ func (s *Session) release(sc *core.SuperChunk) {
 
 // apply folds one route result into its item and the counters.
 func (s *Session) apply(res routed) {
-	s.recycle(res.sc)
+	s.recycle(res.it, res.sc)
 	if s.storing[res.rep] == res.stored { // not superseded by a later look-alike
 		delete(s.storing, res.rep)
 	}
@@ -876,7 +929,7 @@ func (s *Session) supersede(ctx context.Context, prev []director.ChunkEntry) err
 // queue — are drained without waiting on earlier items', and it aborts.
 func (s *Session) abandon(it *item, cause error) error {
 	it.fail(cause)
-	if sc := s.part.Flush(); sc != nil {
+	if sc := s.part.Flush(); sc != nil && !it.refs {
 		s.release(sc) // never counted as buffered
 	}
 	tail := len(s.order) - it.pending

@@ -115,14 +115,16 @@ func (r *rig) node(id int) (migrate.Node, bool) {
 	return r.byID[id], true
 }
 
-// session opens a session over the rig: Sigma routing, bids through the
-// transport-backed view.
+// session opens a session over the rig: Sigma routing unless cfg names a
+// router, bids through the transport-backed view.
 func (r *rig) session(t testing.TB, cfg ingest.Config) *ingest.Session {
 	t.Helper()
 	if cfg.Name == "" {
 		cfg.Name = "t"
 	}
-	cfg.Router = &router.SigmaRouter{K: core.DefaultHandprintSize}
+	if cfg.Router == nil {
+		cfg.Router = &router.SigmaRouter{K: core.DefaultHandprintSize}
+	}
 	cfg.KeepPayloads = true
 	cfg.Pin = func(ctx context.Context) (ingest.Epoch, error) {
 		view := func() router.View { return migrate.NewView(ctx, r.members, r.node) }

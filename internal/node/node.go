@@ -181,20 +181,12 @@ func (n *Node) StoreMissing(stream string, sc *core.SuperChunk, hp core.Handprin
 
 // StoreSuperChunk deduplicates and stores one routed super-chunk arriving
 // on the given stream, the payloads of its new chunks included — the same
-// pass as Dedup with eager set — for the simulator's trace feed, the
-// experiments and, with QuerySuperChunk, the benchmark's traced replay.
+// pass as Dedup with eager set — reporting sizes. Kept, with
+// QuerySuperChunk, for the benchmark's traced replay until that is
+// deleted (ROADMAP item 7(c)).
 func (n *Node) StoreSuperChunk(stream string, sc *core.SuperChunk) (StoreResult, error) {
 	return n.eng.StoreSuperChunk(stream, sc)
 }
-
-// StoreFileInBin implements Extreme Binning's bin-scoped approximate
-// deduplication (the EB baseline of the paper's Fig. 8 comparison).
-func (n *Node) StoreFileInBin(stream string, binKey fingerprint.Fingerprint, sc *core.SuperChunk) (StoreResult, error) {
-	return n.eng.StoreFileInBin(stream, binKey, sc)
-}
-
-// NumBins returns the number of Extreme Binning bins on this node.
-func (n *Node) NumBins() int { return n.eng.NumBins() }
 
 // QuerySuperChunk answers a source-dedup batched fingerprint query: for
 // each chunk of the super-chunk, report whether it is already stored,

@@ -386,13 +386,16 @@ func (s *Server) handle(ctx context.Context, req Request) Response {
 		resp.Count = s.node.CountHandprintMatches(core.Handprint(req.Handprint))
 		resp.Usage = s.node.StorageUsage()
 
+	// OpQuery and OpStore serve the benchmark's traced replay
+	// (Client.Query, Client.Store) until ROADMAP item 7(c) deletes it; a
+	// store is the eager one-pass dedup with the node's own handprint.
 	case OpQuery:
 		sc := wireToSuperChunk(req.Chunks)
 		resp.Dup = s.node.QuerySuperChunk(sc)
 
 	case OpStore, OpStoreRefs:
 		sc := wireToSuperChunk(req.Chunks)
-		if _, err := s.node.StoreSuperChunk(req.Stream, sc); err != nil {
+		if _, err := s.node.Dedup(req.Stream, sc, nil, true); err != nil {
 			resp.Err = sderr.Encode(err)
 		}
 

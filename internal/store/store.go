@@ -484,9 +484,8 @@ func (e *Engine) StoreMissing(stream string, sc *core.SuperChunk, hp core.Handpr
 
 // StoreSuperChunk deduplicates and stores one routed super-chunk arriving
 // on the given stream with every payload it needs: Dedup with the eager
-// rule and the handprint computed here, reporting sizes — for callers
-// that store a super-chunk whole: the simulator's trace feed, the
-// experiments and, with QuerySuperChunk, the benchmark's traced replay.
+// rule and the handprint computed here, reporting sizes — for the
+// benchmark's traced replay (with QuerySuperChunk) and tests.
 func (e *Engine) StoreSuperChunk(stream string, sc *core.SuperChunk) (Result, error) {
 	res, _, err := e.pass(stream, sc, nil, passEager)
 	return res, err
@@ -774,13 +773,6 @@ func (e *Engine) StoreFileInBin(stream string, binKey fingerprint.Fingerprint, s
 	}
 	e.superChunkDone(res, sc, passEager)
 	return res, nil
-}
-
-// NumBins returns the number of Extreme Binning bins.
-func (e *Engine) NumBins() int {
-	e.binsMu.Lock()
-	defer e.binsMu.Unlock()
-	return len(e.bins)
 }
 
 // QuerySuperChunk answers a source-dedup batched fingerprint query: for

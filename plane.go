@@ -32,9 +32,8 @@ type plane struct {
 	clusterMeta director.ClusterMeta
 	registry
 
-	// scheme, payloads and replicas say what the deployment can do:
-	// membership changes need Sigma routing, migration needs payloads.
-	scheme       Scheme
+	// payloads and replicas say what the deployment can do: migration
+	// needs payloads.
 	payloads     bool
 	replicas     int
 	migrateFault migrate.Fault
@@ -49,23 +48,17 @@ type plane struct {
 	sched     *tenant.Scheduler
 	// ahead is how many restore windows are fetched ahead of the writer.
 	ahead int
-	// recipeless, when set, is what Restore, Delete and NewSession fail
-	// with: the deployment keeps no restorable recipes (Extreme Binning).
-	recipeless error
 
 	// def is the default session behind the one-shot Backup verb, opened
 	// on first use.
 	defMu sync.Mutex
 	def   *ingest.Session
 	// sessions maps every open session to what its transport holds for
-	// it; folded sums the counters of the closed ones; feed, when set,
-	// reports what reached the nodes past the sessions (the simulator's
-	// Extreme Binning whole-file path); opened numbers the sessions opened
-	// without a name.
+	// it; folded sums the counters of the closed ones; opened numbers the
+	// sessions opened without a name.
 	sessMu   sync.Mutex
 	sessions map[*ingest.Session]io.Closer
 	folded   counters
-	feed     func() ingest.Stats
 	opened   atomic.Int64
 
 	restoredBytes, restoredChunks, readBatches, failoverReads atomic.Int64
@@ -128,17 +121,13 @@ func (p *plane) closeSession(s *ingest.Session) (err error) {
 	return err
 }
 
-// counters sums the sessions' counters, open and closed, with the
-// feed's.
+// counters sums the sessions' counters, open and closed.
 func (p *plane) counters() counters {
 	p.sessMu.Lock()
+	defer p.sessMu.Unlock()
 	total := p.folded
 	for s := range p.sessions {
 		total.add(s.Stats())
-	}
-	p.sessMu.Unlock()
-	if p.feed != nil {
-		total.add(p.feed())
 	}
 	return total
 }
@@ -152,9 +141,6 @@ func (p *plane) counters() counters {
 func (p *plane) NewSession(ctx context.Context, opts ...SessionOption) (*Session, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
-	}
-	if p.recipeless != nil {
-		return nil, p.recipeless
 	}
 	cfg, err := resolveSessionConfig(p.defaults, opts)
 	if err != nil {
@@ -279,9 +265,6 @@ func (p *plane) Stats(ctx context.Context) (BackendStats, error) {
 // resolve composes the recipe key of a tenant's backup name and
 // snapshots the node transport for one restore or delete.
 func (p *plane) resolve(ctx context.Context, tn, name string) (string, func(id int) (migrate.Node, bool), error) {
-	if p.recipeless != nil {
-		return "", nil, p.recipeless
-	}
 	if err := tenant.ValidateBackupName(name); err != nil {
 		return "", nil, fmt.Errorf("sigmadedupe: %w", err)
 	}

@@ -99,7 +99,6 @@ func NewRemote(ctx context.Context, cfg RemoteConfig) (*Remote, error) {
 	r := &Remote{}
 	r.plane = plane{
 		t:         r,
-		scheme:    SchemeSigma,
 		payloads:  true,
 		replicas:  cfg.Replicas,
 		name:      cfg.Name,

@@ -7,17 +7,18 @@
 //     Backup/Restore/Delete/Compact/Stats contract, with streaming
 //     Sessions whose peak buffered payload is bounded by the in-flight
 //     super-chunk window, never by stream size.
-//   - Simulator: a trace-driven deduplication cluster with the paper's
-//     similarity-based stateful routing (Algorithm 1) and the baseline
-//     schemes (EMC Stateless/Stateful, Extreme Binning, chunk-level DHT),
-//     with fingerprint-lookup message accounting.
+//   - Simulator: an in-process deduplication cluster with the paper's
+//     similarity-based stateful routing (Algorithm 1) and
+//     fingerprint-lookup message accounting.
 //   - Prototype: a real TCP client/server/director deployment
 //     (StartServer, NewRemote, NewDirector) performing source inline
 //     deduplication with batched, pipelined, cancelable RPC.
 //   - Workloads: seeded synthetic stand-ins for the paper's four
 //     evaluation datasets (Linux, VM, Mail, Web), calibrated to Table 2.
 //   - Experiments: regeneration of every table and figure of the paper's
-//     evaluation (RunExperiment).
+//     evaluation (RunExperiment) — trace replays through the same ingest
+//     session, with the baseline schemes (EMC Stateless/Stateful, Extreme
+//     Binning, chunk-level DHT) as the routers they compare.
 //
 // Errors are typed end to end: errors.Is(err, ErrNotFound) (and the rest
 // of the taxonomy in errors.go) holds across the TCP wire. See DESIGN.md
@@ -26,12 +27,12 @@ package sigmadedupe
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"maps"
 	"time"
 
-	"sigmadedupe/internal/chunker"
 	"sigmadedupe/internal/cluster"
 	"sigmadedupe/internal/container"
 	"sigmadedupe/internal/core"
@@ -49,46 +50,23 @@ import (
 	"sigmadedupe/internal/workload"
 )
 
-// Scheme selects a data-routing scheme for the cluster simulator.
+// Scheme names the routing of a simulated cluster. A Backend routes by
+// Σ-Dedupe's similarity bids only; the baselines the paper compares it
+// with (Stateless, Stateful, Extreme Binning, chunk-level DHT) run in the
+// experiments (RunExperiment, cmd/sigma-bench). The type stays so that
+// configurations naming SchemeSigma keep compiling.
 type Scheme int
 
-// Routing schemes, as compared in the paper's Table 1 and Fig. 7-8.
-const (
-	// SchemeSigma is the paper's similarity-based stateful routing.
-	SchemeSigma Scheme = iota + 1
-	// SchemeStateless is EMC's super-chunk DHT routing.
-	SchemeStateless
-	// SchemeStateful is EMC's 1-to-all stateful routing.
-	SchemeStateful
-	// SchemeExtremeBinning is file-similarity bin routing.
-	SchemeExtremeBinning
-	// SchemeChunkDHT is HYDRAstor-style per-chunk placement.
-	SchemeChunkDHT
-)
-
-// String returns the scheme name used in reports.
-func (s Scheme) String() string { return s.internal().String() }
-
-func (s Scheme) internal() router.Scheme {
-	switch s {
-	case SchemeStateless:
-		return router.Stateless
-	case SchemeStateful:
-		return router.Stateful
-	case SchemeExtremeBinning:
-		return router.ExtremeBinning
-	case SchemeChunkDHT:
-		return router.ChunkDHT
-	default:
-		return router.Sigma
-	}
-}
+// SchemeSigma is the paper's similarity-based stateful routing.
+const SchemeSigma Scheme = 1
 
 // ClusterConfig parameterizes a simulated deduplication cluster.
 type ClusterConfig struct {
 	// Nodes is the cluster size (default 1).
 	Nodes int
-	// Scheme is the routing scheme (default SchemeSigma).
+	// Scheme must be 0 or SchemeSigma, the one routing a Backend runs;
+	// NewCluster rejects anything else with errors.ErrUnsupported. Scheme
+	// comparisons run through RunExperiment or cmd/sigma-bench.
 	Scheme Scheme
 	// HandprintSize is k, the representative fingerprints per super-chunk
 	// (default 8, the paper's choice).
@@ -121,10 +99,9 @@ type ClusterConfig struct {
 	// Replicas ≥ 2 keeps a second copy of every super-chunk on the
 	// rendezvous replica owner (the second-highest similarity bid), so
 	// one node can crash without losing a byte: restores fail over to
-	// the replica and Repair re-establishes R=2. Requires SchemeSigma and
-	// KeepPayloads (or Dir) — NewCluster rejects anything else — and at
-	// least two nodes; 0 or 1 keeps the single-copy behavior. Values
-	// above 2 are capped at 2.
+	// the replica and Repair re-establishes R=2. Requires KeepPayloads (or
+	// Dir) — NewCluster rejects anything else — and at least two nodes; 0
+	// or 1 keeps the single-copy behavior. Values above 2 are capped at 2.
 	Replicas int
 	// IngestCapacityBytes, when positive, bounds the payload bytes
 	// concurrently inside the routing stage across all sessions; the
@@ -154,9 +131,7 @@ type ClusterStats struct {
 // concurrent streams go through NewSession.
 type Cluster struct {
 	plane
-	cfg ClusterConfig
-	// inner is the simulated hardware — node template, router, director —
-	// and the trace feed behind the Extreme Binning whole-file path.
+	// inner is the simulated hardware: node template, router, director.
 	inner *cluster.Cluster
 	exact *cluster.ExactTracker
 	// shared resolves a node through the current snapshot's shared
@@ -177,17 +152,17 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.ChunkSize <= 0 {
 		cfg.ChunkSize = 4096
 	}
-	if cfg.Scheme == 0 {
-		cfg.Scheme = SchemeSigma
+	if cfg.Scheme != 0 && cfg.Scheme != SchemeSigma {
+		return nil, fmt.Errorf("sigmadedupe: ClusterConfig.Scheme %d: a Backend routes by SchemeSigma only; compare schemes with RunExperiment: %w",
+			cfg.Scheme, errors.ErrUnsupported)
 	}
-	c := &Cluster{cfg: cfg, exact: cluster.NewExactTracker()}
+	c := &Cluster{exact: cluster.NewExactTracker()}
 	c.shared = func(id int) (migrate.Node, bool) { return c.cur.Load().resolve(id) }
 	c.plane = plane{
 		t:         c,
-		scheme:    cfg.Scheme,
 		payloads:  cfg.KeepPayloads || cfg.Dir != "",
 		replicas:  cfg.Replicas,
-		name:      "client0", // the trace feed's default stream: one-shot backups keep their container attribution
+		name:      "client0", // the experiments' stream name: one-shot backups keep their container attribution
 		algorithm: cfg.Fingerprint.internal(),
 		defaults: sessionConfig{
 			chunk:          ChunkSpec{Method: ChunkFixed, Size: cfg.ChunkSize},
@@ -199,14 +174,13 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	}
 	if cfg.Replicas >= 2 {
 		// Replication runs on the migration engine and needs what it needs.
-		if err := c.elasticGuard(true); err != nil {
+		if err := c.elasticGuard(); err != nil {
 			return nil, fmt.Errorf("sigmadedupe: Replicas=%d: %w", cfg.Replicas, err)
 		}
 	}
 	var err error
 	c.inner, err = cluster.New(cluster.Config{
 		N:              cfg.Nodes,
-		Scheme:         cfg.Scheme.internal(),
 		HandprintK:     cfg.HandprintSize,
 		SuperChunkSize: cfg.SuperChunkSize,
 		Node: node.Config{
@@ -221,17 +195,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	}
 	dir := c.inner.Director()
 	c.meta, c.tenants, c.clusterMeta = dir, dir, dir
-	if cfg.Scheme == SchemeExtremeBinning {
-		// EB's bin stores bypass the refcounted chunk index and its routing
-		// needs whole files, so an existing backup must not masquerade as
-		// ErrNotFound — the operations are unsupported, full stop.
-		c.recipeless = fmt.Errorf("sigmadedupe: Restore, Delete and streaming sessions are not supported for Extreme Binning (file-level routing, no recipe tracking); use Backup")
-		c.feed = func() ingest.Stats {
-			st := c.inner.Stats()
-			return ingest.Stats{LogicalBytes: st.LogicalBytes, SuperChunks: st.SuperChunks,
-				PreRoutingMsgs: st.PreRoutingMsgs, AfterRoutingMsgs: st.AfterRoutingMsgs}
-		}
-	}
 	if cfg.IngestCapacityBytes > 0 {
 		c.sched = tenant.NewScheduler(cfg.IngestCapacityBytes, dir.Registry().Weight)
 	}
@@ -270,7 +233,7 @@ func (c *Cluster) open(_ context.Context, m *member) (migrate.Node, error) { ret
 // committed implements transport: the snapshot's router view is the
 // in-process one — bids, chunk-sample bids and summary probes are direct
 // calls — built once and shared by every item pinned to the snapshot,
-// and the trace feed follows the node set.
+// and the simulated hardware follows the node set.
 func (c *Cluster) committed(e *epoch) {
 	v := &cluster.View{Members: e.members, Nodes: make(map[int]*node.Node, len(e.nodes))}
 	for id, m := range e.nodes {
@@ -294,58 +257,6 @@ func (c *Cluster) wire(_ context.Context, _ sessionConfig, icfg *ingest.Config) 
 		icfg.Replicate.Run = c.replicateRun
 	}
 	return nil, nil
-}
-
-// Backup chunks and deduplicates one named stream into the cluster on
-// the default session (see plane.Backup). Under SchemeExtremeBinning the
-// stream is buffered whole instead — file-level routing needs the whole
-// file's representative fingerprint; that is the scheme's nature, not an
-// implementation shortcut.
-func (c *Cluster) Backup(ctx context.Context, name string, r io.Reader) error {
-	if c.cfg.Scheme == SchemeExtremeBinning {
-		return c.backupBuffered(ctx, name, r)
-	}
-	return c.plane.Backup(ctx, name, r)
-}
-
-// backupBuffered is the whole-file path for Extreme Binning.
-func (c *Cluster) backupBuffered(ctx context.Context, name string, r io.Reader) error {
-	if err := tenant.ValidateBackupName(name); err != nil {
-		return &BackupError{Name: name, Stage: "chunk", Err: err}
-	}
-	if err := ctx.Err(); err != nil {
-		return &BackupError{Name: name, Stage: "chunk", Err: err}
-	}
-	def, err := c.defaultSession(ctx)
-	if err != nil {
-		return err
-	}
-	ck, err := chunker.NewFixed(r, c.cfg.ChunkSize)
-	if err != nil {
-		return err
-	}
-	chunks, err := chunker.SplitAll(ck)
-	if err != nil {
-		return &BackupError{Name: name, Stage: "chunk", Err: err}
-	}
-	// The name is cataloged for Stats and tenant accounting only: bin
-	// stores bypass the refcounted chunk index, so the entries address no
-	// node (-1) and Restore/Delete refuse the scheme outright.
-	refs := make([]core.ChunkRef, len(chunks))
-	entries := make([]director.ChunkEntry, len(chunks))
-	for i, ch := range chunks {
-		refs[i] = core.ChunkRef{FP: c.algorithm.Sum(ch.Data), Size: ch.Len()}
-		entries[i] = director.ChunkEntry{FP: refs[i].FP, Size: int32(ch.Len()), Node: -1, Replica: -1}
-		if c.cfg.KeepPayloads {
-			refs[i].Data = ch.Data
-		}
-	}
-	c.exact.Add(refs)
-	// Any non-zero item ID marks the item file-scoped for the router.
-	if err := c.inner.BackupItem(1, refs); err != nil {
-		return &BackupError{Name: name, Stage: "store", Err: err}
-	}
-	return c.inner.Director().PutRecipe(ctx, def.ID(), name, entries)
 }
 
 // replicateRun is the simulator's R=2 write strategy (the Run of an
@@ -458,16 +369,6 @@ type GCStats = store.GCStats
 func (c *Cluster) GCStats() GCStats {
 	st, _ := c.gcStats(context.Background()) // in-process nodes cannot fail it
 	return st
-}
-
-// Flush completes the default backup stream (settles its in-flight
-// items and seals containers) and the trace feed's. Explicit sessions
-// flush themselves.
-func (c *Cluster) Flush(ctx context.Context) error {
-	if err := c.plane.Flush(ctx); err != nil {
-		return err
-	}
-	return c.inner.Flush() // Extreme Binning's default stream
 }
 
 // Close shuts every node down, releasing durable manifests. A durable

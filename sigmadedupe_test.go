@@ -3,13 +3,14 @@ package sigmadedupe
 import (
 	"bytes"
 	"context"
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
 )
 
 func TestClusterFacadeEndToEnd(t *testing.T) {
-	c, err := NewCluster(ClusterConfig{Nodes: 4, Scheme: SchemeSigma, SuperChunkSize: 64 << 10})
+	c, err := NewCluster(ClusterConfig{Nodes: 4, SuperChunkSize: 64 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,21 +39,6 @@ func TestClusterFacadeEndToEnd(t *testing.T) {
 	}
 	if st.FingerprintLookups == 0 {
 		t.Fatal("no fingerprint lookups counted")
-	}
-}
-
-func TestSchemeNames(t *testing.T) {
-	names := map[Scheme]string{
-		SchemeSigma:          "SigmaDedupe",
-		SchemeStateless:      "Stateless",
-		SchemeStateful:       "Stateful",
-		SchemeExtremeBinning: "ExtremeBinning",
-		SchemeChunkDHT:       "ChunkDHT",
-	}
-	for s, want := range names {
-		if s.String() != want {
-			t.Errorf("%d.String() = %q, want %q", int(s), s.String(), want)
-		}
 	}
 }
 
@@ -144,32 +130,24 @@ func TestWorkloadFilesFacade(t *testing.T) {
 	}
 }
 
-// TestChunkDHTRestoresInStreamOrder: a scheme that splits one
-// super-chunk across nodes (chunk-level DHT) still records its recipe in
-// stream order — entries are attributed by chunk position, not in the
-// order the per-node assignments were stored — so the backup restores
-// byte-identically.
-func TestChunkDHTRestoresInStreamOrder(t *testing.T) {
-	ctx := context.Background()
-	c, err := NewCluster(ClusterConfig{Nodes: 4, Scheme: SchemeChunkDHT, KeepPayloads: true, SuperChunkSize: 64 << 10})
-	if err != nil {
-		t.Fatal(err)
+// TestNewClusterRejectsBaselineSchemes: a Backend routes by Σ only; any
+// other Scheme value is refused with a typed error instead of silently
+// routing by Σ.
+func TestNewClusterRejectsBaselineSchemes(t *testing.T) {
+	for _, s := range []Scheme{0, SchemeSigma} {
+		c, err := NewCluster(ClusterConfig{Nodes: 2, Scheme: s})
+		if err != nil {
+			t.Fatalf("Scheme %d: %v", s, err)
+		}
+		c.Close()
 	}
-	defer c.Close()
-	data := make([]byte, 300<<10)
-	rand.New(rand.NewSource(3)).Read(data)
-	if err := c.Backup(ctx, "/dht", bytes.NewReader(data)); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Flush(ctx); err != nil {
-		t.Fatal(err)
-	}
-	var out bytes.Buffer
-	if err := c.Restore(ctx, "/dht", &out); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(out.Bytes(), data) {
-		t.Fatalf("restored %d bytes differ from the %d backed up", out.Len(), len(data))
+	for _, s := range []Scheme{SchemeSigma + 1, SchemeSigma + 4, -1} {
+		if c, err := NewCluster(ClusterConfig{Nodes: 2, Scheme: s}); !errors.Is(err, errors.ErrUnsupported) {
+			if c != nil {
+				c.Close()
+			}
+			t.Errorf("Scheme %d: err = %v, want errors.ErrUnsupported", s, err)
+		}
 	}
 }
 
