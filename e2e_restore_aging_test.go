@@ -3,6 +3,7 @@ package sigmadedupe
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"fmt"
 	"path/filepath"
 	"testing"
@@ -128,4 +129,95 @@ func TestAgedRestoreFidelity(t *testing.T) {
 	be = connect(addrs)
 	defer be.Close()
 	verify(be, want, "after restart")
+}
+
+// TestAgedRestoreReadAmplification runs the incremental-disk benchmark's
+// shape — a 32MB image aged through 16 generations of 2% churn on four
+// durable nodes with 2MB read caches — restarts the nodes cold, restores
+// every generation, and requires the nodes to have read at most 1.25x
+// the restored bytes from their container files. An aged recipe leaves
+// dead chunks between the wanted ones; a batched read bridges only the
+// small holes, so the dead bytes it pays for stay a fraction of what it
+// writes (bridging 256KB holes read 1.4x here).
+func TestAgedRestoreReadAmplification(t *testing.T) {
+	const nodes, generations, imageBytes = 4, 16, 32 << 20
+	ctx := context.Background()
+	base := t.TempDir()
+	start := func(recover bool) []*Server {
+		t.Helper()
+		servers := make([]*Server, nodes)
+		for i := range servers {
+			srv, err := StartServer(ServerConfig{ID: i, Dir: filepath.Join(base, fmt.Sprint(i)),
+				Recover: recover, ReadCacheBytes: 2 << 20})
+			if err != nil {
+				t.Fatal(err)
+			}
+			servers[i] = srv
+		}
+		return servers
+	}
+	dir := NewDirector()
+	connect := func(servers []*Server) *Remote {
+		t.Helper()
+		addrs := make([]string, len(servers))
+		for i, s := range servers {
+			addrs[i] = s.Addr()
+		}
+		be, err := NewRemote(ctx, RemoteConfig{Name: "aged", Director: dir, Nodes: addrs,
+			Chunk: ChunkSpec{Method: ChunkFixed, Size: 4096}, Fingerprint: FingerprintSHA1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return be
+	}
+	closeAll := func(be *Remote, servers []*Server) {
+		t.Helper()
+		if err := be.Close(); err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range servers {
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	servers := start(false)
+	be := connect(servers)
+	aging := workload.NewAging(workload.AgingConfig{Seed: 7, Blocks: imageBytes / workload.BlockSize, ChurnPercent: 0.02})
+	digests := make([][sha256.Size]byte, generations)
+	for g := range digests {
+		image := workload.Materialize(aging.Next())
+		digests[g] = sha256.Sum256(image)
+		if err := be.Backup(ctx, fmt.Sprintf("/gen%02d", g), bytes.NewReader(image)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := be.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	closeAll(be, servers)
+
+	servers = start(true)
+	be = connect(servers)
+	defer closeAll(be, servers)
+	for g, want := range digests {
+		h := sha256.New()
+		if err := be.Restore(ctx, fmt.Sprintf("/gen%02d", g), h); err != nil {
+			t.Fatal(err)
+		}
+		if [sha256.Size]byte(h.Sum(nil)) != want {
+			t.Fatalf("generation %d restored corrupt", g)
+		}
+	}
+	restored := generations * imageBytes // each digest matched its image's
+	var read uint64
+	for _, s := range servers {
+		read += s.ReadCacheStats().ReadBytes
+	}
+	amp := float64(read) / float64(restored)
+	t.Logf("read %d bytes from container files to restore %d: %.2fx", read, restored, amp)
+	if amp > 1.25 {
+		t.Fatalf("read amplification %.2fx, want at most 1.25x", amp)
+	}
 }

@@ -16,6 +16,7 @@ package chunkindex
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"sigmadedupe/internal/bloom"
 	"sigmadedupe/internal/container"
@@ -27,15 +28,16 @@ import (
 const EntryBytes = 40
 
 // Index is the on-disk chunk fingerprint index with a Bloom-filter
-// front-end. Safe for concurrent use.
+// front-end. Safe for concurrent use; the counters are atomics because
+// Locate charges its disk read under the shared lock.
 type Index struct {
 	mu     sync.RWMutex
 	m      map[fingerprint.Fingerprint]container.Loc
 	filter *bloom.Filter
 
-	diskReads  uint64
-	bloomSkips uint64
-	falsePos   uint64
+	diskReads  atomic.Uint64
+	bloomSkips atomic.Uint64
+	falsePos   atomic.Uint64
 }
 
 // New creates an index expecting roughly n entries.
@@ -76,18 +78,33 @@ func (x *Index) Delete(fp fingerprint.Fingerprint) {
 
 // Lookup finds the stored location of fp. A negative Bloom-filter answer
 // short-circuits without disk access; otherwise one disk read is charged.
+// This is the dedup path's question — is fp stored at all?
 func (x *Index) Lookup(fp fingerprint.Fingerprint) (container.Loc, bool) {
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	if !x.filter.MayContain(fp) {
-		x.bloomSkips++
+		x.bloomSkips.Add(1)
 		return container.Loc{}, false
 	}
-	x.diskReads++
+	x.diskReads.Add(1)
 	loc, ok := x.m[fp]
 	if !ok {
-		x.falsePos++
+		x.falsePos.Add(1)
 	}
+	return loc, ok
+}
+
+// Locate finds the stored location of fp for a caller that knows fp is
+// stored — restore, migration and failover reads of recipe entries. It
+// charges the disk read like Lookup but skips the Bloom filter: a stored
+// key always passes it, so the probe would be a wasted cache miss. A miss
+// (the chunk was collected since the recipe named it) is the caller's
+// not-found, not a Bloom false positive.
+func (x *Index) Locate(fp fingerprint.Fingerprint) (container.Loc, bool) {
+	x.diskReads.Add(1)
+	x.mu.RLock()
+	loc, ok := x.m[fp]
+	x.mu.RUnlock()
 	return loc, ok
 }
 
@@ -111,9 +128,7 @@ func (x *Index) Len() int {
 // Stats reports the I/O-relevant counters: disk reads performed,
 // disk reads avoided by the Bloom filter, and Bloom false positives.
 func (x *Index) Stats() (diskReads, bloomSkips, falsePositives uint64) {
-	x.mu.RLock()
-	defer x.mu.RUnlock()
-	return x.diskReads, x.bloomSkips, x.falsePos
+	return x.diskReads.Load(), x.bloomSkips.Load(), x.falsePos.Load()
 }
 
 // RAMBytes returns the in-RAM footprint (the Bloom filter only; the table

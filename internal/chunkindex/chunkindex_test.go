@@ -73,6 +73,30 @@ func TestDiskReadChargedOnHit(t *testing.T) {
 	}
 }
 
+// TestLocateSkipsBloom: Locate answers from the table alone — an entry
+// the filter never learned is still found, which Lookup's probe would
+// have screened out — and charges one disk read per call, hit or miss,
+// without counting a Bloom skip or false positive.
+func TestLocateSkipsBloom(t *testing.T) {
+	x, _ := New(100)
+	fp := fingerprint.Sum([]byte("stored"))
+	x.m[fp] = container.Loc{CID: 9}
+	if _, ok := x.Lookup(fp); ok {
+		t.Fatal("Lookup found a key its Bloom filter never learned")
+	}
+	if loc, ok := x.Locate(fp); !ok || loc.CID != 9 {
+		t.Fatalf("Locate = (%+v,%v), want container 9", loc, ok)
+	}
+	if _, ok := x.Locate(fingerprint.Sum([]byte("collected"))); ok {
+		t.Fatal("Locate found an absent key")
+	}
+	diskReads, bloomSkips, falsePos := x.Stats()
+	if diskReads != 2 || bloomSkips != 1 || falsePos != 0 {
+		t.Fatalf("reads/skips/false positives = %d/%d/%d, want 2/1/0 (only Lookup probes the filter)",
+			diskReads, bloomSkips, falsePos)
+	}
+}
+
 func TestValidation(t *testing.T) {
 	if _, err := New(0); err == nil {
 		t.Fatal("New(0) should error")

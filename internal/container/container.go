@@ -49,10 +49,13 @@ const DefaultReadCacheBytes = 64 << 20
 const readAheadBytes = 1 << 20
 
 // readGapMax is the largest hole between two wanted chunks that a
-// batched read will bridge with one sequential disk read rather than
-// splitting into two. Reading 256KB of dead bytes is cheaper than a
-// second seek, and the dead bytes are not admitted twice.
-const readGapMax = 256 << 10
+// batched read bridges with one positioned read rather than splitting
+// into two. It assumes container files are page-cache or SSD resident,
+// where there is no seek to save: a bridged byte costs a zeroed
+// allocation, a copy out of the page cache and a slot in the region
+// cache, while a second read costs one syscall on the file the batch
+// already holds open. 16KB — a few chunks — is where the two meet.
+const readGapMax = 16 << 10
 
 // ChunkMeta is one entry of a container's metadata section.
 type ChunkMeta struct {
@@ -155,6 +158,7 @@ type Manager struct {
 	readIOs   atomic.Uint64
 	writeIOs  atomic.Uint64
 	diskLoads atomic.Uint64
+	readBytes atomic.Uint64 // payload bytes range reads took from spill files
 	bytes     atomic.Int64
 }
 
@@ -453,13 +457,17 @@ func (m *Manager) cacheDrop(cid uint64) {
 	delete(m.rcIx, cid)
 }
 
-// CacheStats reports the read-region cache counters.
+// CacheStats reports the read-region cache counters. ReadBytes is what
+// the misses read from spill files — the wanted bytes plus bridged gaps
+// and read-ahead — so ReadBytes over the bytes a restore wrote is its
+// read amplification.
 type CacheStats struct {
 	Hits      uint64
 	Misses    uint64
 	Evictions uint64
 	UsedBytes int64
 	Budget    int64
+	ReadBytes uint64
 }
 
 // ReadCacheStats snapshots the read-region cache counters.
@@ -473,6 +481,7 @@ func (m *Manager) ReadCacheStats() CacheStats {
 		Evictions: m.rcEvicts.Load(),
 		UsedBytes: used,
 		Budget:    m.cacheBudget,
+		ReadBytes: m.readBytes.Load(),
 	}
 }
 
@@ -580,21 +589,38 @@ func (m *Manager) sealedFor(cid uint64) (*Container, bool, error) {
 // and no decode).
 func dataStart(c *Container) int64 { return int64(20 + len(c.Meta)*28) }
 
-// readRange reads [off, end) of c's spilled payload with one positioned
-// read. Range reads skip the whole-file CRC check — integrity-critical
+// rangeReader reads payload ranges of one spilled container, opening
+// its file on the first read and keeping it open for the rest of a
+// batch. Range reads skip the whole-file CRC check — integrity-critical
 // paths (recovery, compaction) still go through Get/load, which verify.
-func (m *Manager) readRange(c *Container, off, end int) ([]byte, error) {
-	f, err := os.Open(m.path(c.ID))
-	if err != nil {
-		return nil, fmt.Errorf("container: read %d: %w", c.ID, err)
+type rangeReader struct {
+	m *Manager
+	c *Container
+	f *os.File
+}
+
+// read reads [off, end) of the payload with one positioned read.
+func (r *rangeReader) read(off, end int) ([]byte, error) {
+	if r.f == nil {
+		f, err := os.Open(r.m.path(r.c.ID))
+		if err != nil {
+			return nil, fmt.Errorf("container: read %d: %w", r.c.ID, err)
+		}
+		r.f = f
 	}
-	defer f.Close()
 	buf := make([]byte, end-off)
-	if _, err := f.ReadAt(buf, dataStart(c)+int64(off)); err != nil {
-		return nil, fmt.Errorf("container: read %d [%d:%d): %w", c.ID, off, end, err)
+	if _, err := r.f.ReadAt(buf, dataStart(r.c)+int64(off)); err != nil {
+		return nil, fmt.Errorf("container: read %d [%d:%d): %w", r.c.ID, off, end, err)
 	}
-	m.diskLoads.Add(1)
+	r.m.diskLoads.Add(1)
+	r.m.readBytes.Add(uint64(end - off))
 	return buf, nil
+}
+
+func (r *rangeReader) close() {
+	if r.f != nil {
+		r.f.Close()
+	}
 }
 
 // ReadChunk fetches one chunk payload by location. Only valid when
@@ -638,7 +664,9 @@ func (m *Manager) ReadChunk(loc Loc) ([]byte, error) {
 			aEnd = c.bytes
 		}
 	}
-	data, err := m.readRange(c, off, aEnd)
+	rr := rangeReader{m: m, c: c}
+	defer rr.close()
+	data, err := rr.read(off, aEnd)
 	if err != nil {
 		return nil, err
 	}
@@ -648,10 +676,10 @@ func (m *Manager) ReadChunk(loc Loc) ([]byte, error) {
 
 // ReadChunks fetches a batch of chunk payloads from one container, in
 // the given order. Locations must be sorted by offset; adjacent wants
-// separated by at most readGapMax are coalesced into a single sequential
-// disk read, so a restore batch costs one positioned read per fragmented
-// run instead of one per chunk. Returned slices alias manager-owned
-// memory exactly like ReadChunk's.
+// separated by at most readGapMax are coalesced into one run, served by
+// the region cache or by one positioned read of the container file,
+// which the batch opens once. Returned slices alias manager-owned memory
+// exactly like ReadChunk's.
 func (m *Manager) ReadChunks(cid uint64, locs []Loc) ([][]byte, error) {
 	if len(locs) == 0 {
 		return nil, nil
@@ -687,6 +715,8 @@ func (m *Manager) ReadChunks(cid uint64, locs []Loc) ([][]byte, error) {
 	}
 	// Coalesce the sorted wants into sequential runs and serve each run
 	// through the region cache with one disk read on miss.
+	rr := rangeReader{m: m, c: c}
+	defer rr.close()
 	for s := 0; s < len(locs); {
 		t := s
 		runEnd := int(locs[s].Offset) + int(locs[s].Length)
@@ -702,7 +732,7 @@ func (m *Manager) ReadChunks(cid uint64, locs []Loc) ([][]byte, error) {
 			m.rcHits.Add(1)
 		} else {
 			m.rcMisses.Add(1)
-			if data, err = m.readRange(c, runOff, runEnd); err != nil {
+			if data, err = rr.read(runOff, runEnd); err != nil {
 				return nil, err
 			}
 			m.cacheAdmit(cid, runOff, data)

@@ -426,6 +426,60 @@ func TestReadChunksCoalesce(t *testing.T) {
 	}
 }
 
+// TestReadChunksReadsWantedPlusBridgedGaps: a batched read takes from
+// the spill file exactly the wanted bytes plus the holes of at most
+// readGapMax it bridges — one positioned read per run — and a repeat of
+// the batch reads nothing.
+func TestReadChunksReadsWantedPlusBridgedGaps(t *testing.T) {
+	m, err := NewManager(WithCapacity(1<<20), WithDir(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(23))
+	var want []Loc
+	var datas [][]byte
+	add := func(n int) (Loc, []byte) {
+		data, fp := chunk(rng, n)
+		loc, err := m.Append("s", fp, data, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return loc, data
+	}
+	wantBytes, bridged, runs := 0, 0, 1
+	for i, gap := range []int{0, 1000, readGapMax, readGapMax + 1, 3 * readGapMax, 0, 4096} {
+		if i > 0 && gap > 0 {
+			add(gap) // a dead chunk exactly gap bytes long
+			if gap <= readGapMax {
+				bridged += gap
+			} else {
+				runs++
+			}
+		}
+		loc, data := add(2000 + rng.Intn(4000))
+		want, datas = append(want, loc), append(datas, data)
+		wantBytes += len(data)
+	}
+	if err := m.SealAll(); err != nil {
+		t.Fatal(err)
+	}
+	for pass := 0; pass < 2; pass++ {
+		got, err := m.ReadChunks(want[0].CID, want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if !bytes.Equal(got[i], datas[i]) {
+				t.Fatalf("pass %d: chunk %d differs", pass, i)
+			}
+		}
+		if st := m.ReadCacheStats(); st.ReadBytes != uint64(wantBytes+bridged) || m.DiskLoads() != uint64(runs) {
+			t.Fatalf("pass %d: read %d bytes in %d reads, want %d wanted + %d bridged in %d",
+				pass, st.ReadBytes, m.DiskLoads(), wantBytes, bridged, runs)
+		}
+	}
+}
+
 // TestGetUncached: Get is the compactor's non-caching read path — full
 // loads never populate the region cache and re-read the file every time.
 func TestGetUncached(t *testing.T) {

@@ -57,7 +57,6 @@ func (r *rig) engine(replicas int, fault Fault) *Engine {
 // chunks sit on the given nodes, sealed.
 func (r *rig) backup(path string, seed int64, placement ...int) {
 	r.t.Helper()
-	ctx := context.Background()
 	rng := rand.New(rand.NewSource(seed))
 	var entries []director.ChunkEntry
 	for _, id := range placement {
@@ -79,6 +78,14 @@ func (r *rig) backup(path string, seed int64, placement ...int) {
 			r.t.Fatal(err)
 		}
 	}
+	r.putRecipe(path, entries)
+}
+
+// putRecipe records entries — chunks already stored — as the backup
+// path, so a test can also shape a recipe rig.backup never writes.
+func (r *rig) putRecipe(path string, entries []director.ChunkEntry) {
+	r.t.Helper()
+	ctx := context.Background()
 	sess, err := r.dir.BeginSession(ctx, "w", "")
 	if err != nil {
 		r.t.Fatal(err)

@@ -5,9 +5,13 @@ import (
 	"context"
 	"errors"
 	"io"
+	"math"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 
+	"sigmadedupe/internal/director"
 	"sigmadedupe/internal/fingerprint"
 	"sigmadedupe/internal/rpc"
 	"sigmadedupe/internal/sderr"
@@ -89,7 +93,7 @@ func TestRestoreInlineAndPipelined(t *testing.T) {
 		name    string
 		window  int64
 		windows int64
-	}{{"inline", restoreWindowBytes, 1}, {"pipelined", runBytes, 8}} {
+	}{{"inline", int64(len(want)), 1}, {"pipelined", runBytes, 8}} {
 		t.Run(c.name, func(t *testing.T) {
 			smallWindows(t, c.window)
 			before, _ := r.dir.TenantStatus(ctx, "default")
@@ -116,6 +120,187 @@ func TestRestoreInlineAndPipelined(t *testing.T) {
 
 	if _, err := Restore(ctx, r.dir, r.nodesOf(), "/missing", 3, io.Discard); !errors.Is(err, sderr.ErrNotFound) {
 		t.Fatalf("restore of an unknown name = %v, want ErrNotFound", err)
+	}
+}
+
+// readLog records the batched reads a restore issues through the
+// transports it wraps: how many fingerprints were asked for, and every
+// batch returned, so a test can check that each was released.
+type readLog struct {
+	mu      sync.Mutex
+	asked   int
+	batches []*rpc.ChunkBatch
+}
+
+func (l *readLog) wrap(nodes func(int) (Node, bool)) func(int) (Node, bool) {
+	return func(id int) (Node, bool) {
+		n, ok := nodes(id)
+		return loggedNode{n, l}, ok
+	}
+}
+
+type loggedNode struct {
+	Node
+	log *readLog
+}
+
+func (n loggedNode) ReadBatch(ctx context.Context, fps []fingerprint.Fingerprint) (*rpc.ChunkBatch, error) {
+	b, err := n.Node.ReadBatch(ctx, fps)
+	n.log.mu.Lock()
+	defer n.log.mu.Unlock()
+	n.log.asked += len(fps)
+	if err == nil {
+		n.log.batches = append(n.log.batches, b)
+	}
+	return b, err
+}
+
+// TestRestoreWindowShapes restores recipes whose windows stress the
+// recycled per-window scratch — fingerprints repeating within and across
+// windows, and windows that one node holds whole between windows spread
+// over all three — over both transports, and requires byte-identical
+// output from no more reads than the recipe has entries.
+func TestRestoreWindowShapes(t *testing.T) {
+	ctx := context.Background()
+	r := newRig(t)
+	r.backup("/img", 31, 0, 1, 2, 0, 0, 0, 0, 1, 2)
+	rec, err := r.dir.GetRecipe(ctx, "/img")
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(k int) []director.ChunkEntry { return rec.Chunks[k*runChunks : (k+1)*runChunks] }
+	// Windows of a run and a half cut runs apart, so a fingerprint's
+	// repeats land both inside one window and in later ones.
+	var repeats []director.ChunkEntry
+	for _, k := range []int{0, 1, 0, 2, 0, 1, 1, 2, 0} {
+		repeats = append(repeats, run(k)...)
+	}
+	repeats = append(repeats, rec.Chunks[3], rec.Chunks[0], rec.Chunks[3])
+	r.putRecipe("/repeats", repeats)
+
+	for _, tr := range []struct {
+		name  string
+		nodes func(int) (Node, bool)
+	}{{"local", r.nodesOf()}, {"rpc", r.overTCP(0)}} {
+		for _, c := range []struct {
+			name, path string
+			window     int64
+		}{
+			{"repeats across windows", "/repeats", 3 * runChunks * 4096 / 2},
+			{"one node holds a window", "/img", 2 * runChunks * 4096},
+		} {
+			t.Run(tr.name+"/"+c.name, func(t *testing.T) {
+				smallWindows(t, c.window)
+				var out bytes.Buffer
+				var log readLog
+				st, err := Restore(ctx, r.dir, log.wrap(tr.nodes), c.path, 2, &out)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := r.want(c.path); !bytes.Equal(out.Bytes(), want) {
+					t.Fatalf("restore of %s disagrees with its recipe (%d bytes, want %d)", c.path, out.Len(), len(want))
+				}
+				if st.Bytes != int64(out.Len()) {
+					t.Fatalf("stats count %d bytes, wrote %d", st.Bytes, out.Len())
+				}
+				if log.asked > int(st.Chunks) {
+					t.Fatalf("asked the nodes for %d chunks to restore %d", log.asked, st.Chunks)
+				}
+			})
+		}
+	}
+}
+
+// TestRestoreAllocatesLittleOverRPC restores a backup of many default
+// windows over TCP and, after a warm-up restore, requires the process to
+// allocate only a small fraction of the restored bytes: reply frames
+// come back out of the wire pool and the per-window scratch is recycled.
+// What is left is per chunk — the codec's and the node's index slices,
+// about a tenth. The least of three restores counts, so a scheduling
+// hiccup that lets the pipeline outgrow the pool does not. Windows whose
+// per-node replies outgrow the pool's 1MB classes (the 8MB budget's)
+// allocate most reply frames afresh: about the restored bytes.
+func TestRestoreAllocatesLittleOverRPC(t *testing.T) {
+	r := newRig(t)
+	windows := 6
+	placement := make([]int, windows*int(restoreWindowBytes)/(runChunks*4096))
+	for i := range placement {
+		placement[i] = i % 3
+	}
+	r.backup("/img", 41, placement...)
+	wire := r.overTCP(0)
+	restore := func() int64 {
+		st, err := Restore(context.Background(), r.dir, wire, "/img", 4, io.Discard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.Bytes
+	}
+	restored := restore() // warm-up: fills the frame pool
+	allocated := uint64(math.MaxUint64)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		restore()
+		runtime.ReadMemStats(&after)
+		allocated = min(allocated, after.TotalAlloc-before.TotalAlloc)
+	}
+	t.Logf("restored %d bytes in %d-byte windows, allocated %d (%.1f%%)",
+		restored, restoreWindowBytes, allocated, 100*float64(allocated)/float64(restored))
+	if allocated > uint64(restored)/5 {
+		t.Fatalf("a warm restore of %d bytes allocated %d: more than a fifth", restored, allocated)
+	}
+}
+
+// stallThenFail is a restore consumer that takes its time over the first
+// write, so the pipeline fills behind it, and then fails.
+type stallThenFail struct{}
+
+func (stallThenFail) Write([]byte) (int, error) {
+	time.Sleep(50 * time.Millisecond)
+	return 0, errors.New("injected writer failure")
+}
+
+// TestRestoreReleasesUnwrittenWindows ends pipelined restores over TCP
+// with windows fetched but not yet written — the writer fails, or the
+// caller cancels — and requires every batch the nodes returned to have
+// been released (its frame back in the pool) by the time Restore
+// returns.
+func TestRestoreReleasesUnwrittenWindows(t *testing.T) {
+	r := newRig(t)
+	placement := make([]int, 48)
+	for i := range placement {
+		placement[i] = i % 3
+	}
+	r.backup("/img", 17, placement...)
+	smallWindows(t, runChunks*4096)
+	wire := r.overTCP(0)
+
+	for _, c := range []struct {
+		name string
+		w    func(cancel context.CancelFunc) io.Writer
+		want error
+	}{
+		{"writer fails", func(context.CancelFunc) io.Writer { return stallThenFail{} }, nil},
+		{"caller cancels", func(cancel context.CancelFunc) io.Writer { return cancelAfterWriter{cancel} }, context.Canceled},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var log readLog
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			_, err := Restore(ctx, r.dir, log.wrap(wire), "/img", 8, c.w(cancel))
+			if err == nil || c.want != nil && !errors.Is(err, c.want) {
+				t.Fatalf("restore = %v, want a failure (%v)", err, c.want)
+			}
+			if len(log.batches) < 2 {
+				t.Fatalf("only %d batches fetched: nothing was left in flight", len(log.batches))
+			}
+			for i, b := range log.batches {
+				if b.Data != nil {
+					t.Fatalf("batch %d of %d was never released", i, len(log.batches))
+				}
+			}
+		})
 	}
 }
 

@@ -25,11 +25,13 @@
 package store
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -833,7 +835,7 @@ func (e *Engine) ReadChunk(fp fingerprint.Fingerprint) ([]byte, error) {
 	var lastLoc container.Loc
 	stale := 0
 	for {
-		loc, ok := e.cidx.Lookup(fp)
+		loc, ok := e.cidx.Locate(fp)
 		if !ok {
 			return nil, fmt.Errorf("store node %d: chunk %s: %w", e.cfg.NodeID, fp.Short(), container.ErrNotFound)
 		}
@@ -863,13 +865,14 @@ func (e *Engine) ReadChunk(fp fingerprint.Fingerprint) ([]byte, error) {
 }
 
 // ReadChunkBatch fetches many chunk payloads in one call — the node side
-// of the batched restore path. The fingerprints are looked up in the
-// chunk index, grouped by container and sorted by offset, so each
-// container is read once, sequentially, no matter how the recipe
-// scattered its chunks. Results come back in container read order:
-// idx[i] is the position in fps that out[i] answers. A container moved
-// by a concurrent compaction mid-batch degrades those chunks to the
-// per-chunk retry of ReadChunk rather than failing the batch.
+// of the batched restore path. The fingerprints are located in the chunk
+// index (no Bloom probe: a recipe names stored chunks), grouped by
+// container and sorted by offset, so each container is read once,
+// sequentially, no matter how the recipe scattered its chunks. Results
+// come back in container read order: idx[i] is the position in fps that
+// out[i] answers. A container moved by a concurrent compaction mid-batch
+// degrades those chunks to the per-chunk retry of ReadChunk rather than
+// failing the batch.
 func (e *Engine) ReadChunkBatch(fps []fingerprint.Fingerprint) (out [][]byte, idx []int, err error) {
 	if e.cidx == nil {
 		return nil, nil, fmt.Errorf("store node %d: restore requires the chunk index", e.cfg.NodeID)
@@ -880,7 +883,7 @@ func (e *Engine) ReadChunkBatch(fps []fingerprint.Fingerprint) (out [][]byte, id
 	}
 	wants := make([]want, len(fps))
 	for i, fp := range fps {
-		loc, ok := e.cidx.Lookup(fp)
+		loc, ok := e.cidx.Locate(fp)
 		if !ok {
 			return nil, nil, fmt.Errorf("store node %d: chunk %s: %w", e.cfg.NodeID, fp.Short(), container.ErrNotFound)
 		}
@@ -889,23 +892,24 @@ func (e *Engine) ReadChunkBatch(fps []fingerprint.Fingerprint) (out [][]byte, id
 	if e.readRaceHook != nil {
 		e.readRaceHook()
 	}
-	sort.Slice(wants, func(a, b int) bool {
-		if wants[a].loc.CID != wants[b].loc.CID {
-			return wants[a].loc.CID < wants[b].loc.CID
+	slices.SortFunc(wants, func(a, b want) int {
+		if c := cmp.Compare(a.loc.CID, b.loc.CID); c != 0 {
+			return c
 		}
-		return wants[a].loc.Offset < wants[b].loc.Offset
+		return cmp.Compare(a.loc.Offset, b.loc.Offset)
 	})
 	out = make([][]byte, 0, len(wants))
 	idx = make([]int, 0, len(wants))
+	locs := make([]container.Loc, 0, len(wants)) // one container's share at a time
 	for s := 0; s < len(wants); {
 		cid := wants[s].loc.CID
 		t := s
 		for t < len(wants) && wants[t].loc.CID == cid {
 			t++
 		}
-		locs := make([]container.Loc, t-s)
+		locs = locs[:0]
 		for k := s; k < t; k++ {
-			locs[k-s] = wants[k].loc
+			locs = append(locs, wants[k].loc)
 		}
 		datas, rerr := e.containers.ReadChunks(cid, locs)
 		if rerr != nil {

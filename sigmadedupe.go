@@ -536,7 +536,8 @@ func (s *Server) GCStats() GCStats { return s.inner.Node().GCStats() }
 
 // ReadCacheStats reports a node's container read-region cache counters:
 // restore reads served from cached container ranges (Hits) versus disk
-// (Misses), ranges evicted under the byte budget, and current occupancy.
+// (Misses), ranges evicted under the byte budget, current occupancy,
+// and the bytes the misses read from container files (ReadBytes).
 type ReadCacheStats = container.CacheStats
 
 // ReadCacheStats snapshots the server node's read-region cache counters
