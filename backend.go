@@ -352,7 +352,8 @@ func WithInflightSuperChunks(n int) SessionOption {
 	return func(c *sessionConfig) { c.inflight = n }
 }
 
-// SessionStats summarizes one backup session.
+// SessionStats summarizes one backup session. At R=2 the ingest counters
+// describe the primary copy only; the replica's pass adds to none of them.
 type SessionStats struct {
 	// LogicalBytes is bytes presented for backup on this session.
 	LogicalBytes int64

@@ -497,9 +497,10 @@ func (r *failingReader) Read(p []byte) (int, error) {
 // is aborted as a whole, on both backends — the name still restores its
 // previous generation, nothing is stranded (the references its already
 // stored super-chunks took are released and reclaimable), the session
-// backs up again, and Flush ends the director session.
+// backs up again, and Flush ends the director session — at R=2 with the
+// replicas' references released like the primaries'.
 func TestFailedBackupLeavesTrackerUntouched(t *testing.T) {
-	eachBackend(t, 0, func(t *testing.T, be Backend) {
+	eachReplication(t, func(t *testing.T, be Backend) {
 		ctx := context.Background()
 		v1 := make([]byte, 100<<10)
 		rand.New(rand.NewSource(41)).Read(v1)

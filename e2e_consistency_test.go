@@ -105,6 +105,13 @@ func eachBackend(t *testing.T, replicas int, fn func(t *testing.T, be Backend)) 
 	eachBackendOf(t, 3, replicas, fn)
 }
 
+// eachReplication runs fn through eachBackend single-copy, then again at
+// R=2 under the subtest "R=2".
+func eachReplication(t *testing.T, fn func(t *testing.T, be Backend)) {
+	eachBackend(t, 0, fn)
+	t.Run("R=2", func(t *testing.T) { eachBackend(t, 2, fn) })
+}
+
 // eachBackendOf is eachBackend over nodes nodes.
 func eachBackendOf(t *testing.T, nodes, replicas int, fn func(t *testing.T, be Backend)) {
 	t.Run("simulator", func(t *testing.T) {
@@ -135,9 +142,10 @@ func eachBackendOf(t *testing.T, nodes, replicas int, fn func(t *testing.T, be B
 // its delete are one critical section each at the director, so every
 // generation's references are released exactly once: no decref ever
 // exceeds a chunk's references, the nodes end up holding exactly what
-// the surviving recipe implies, and deleting it leaves nothing alive.
+// the surviving recipe implies, and deleting it leaves nothing alive. At
+// R=2 the same holds for the replica references.
 func TestConcurrentRebackupVsDelete(t *testing.T) {
-	eachBackend(t, 0, func(t *testing.T, be Backend) {
+	eachReplication(t, func(t *testing.T, be Backend) {
 		ctx := context.Background()
 		const sessions, rounds = 4, 6
 		shared := gcRandBytes(700, 64<<10)

@@ -169,9 +169,10 @@ func TestSessionSeesAddNodeAtNextItem(t *testing.T) {
 // loses the item it has in flight — its next route to the dead node fails
 // with a typed error and the item aborts, releasing what it stored on the
 // survivors — and nothing else: its next item pins the shrunken
-// membership and succeeds.
+// membership and succeeds. At R=2 a route whose replica is the dead node
+// fails the same way.
 func TestKillNodeFailsOnlyItemInFlight(t *testing.T) {
-	eachBackend(t, 0, func(t *testing.T, be Backend) {
+	eachReplication(t, func(t *testing.T, be Backend) {
 		ctx := context.Background()
 		sess, err := be.NewSession(ctx, WithSessionName("doomed"))
 		if err != nil {
@@ -439,51 +440,58 @@ func TestMembershipGuards(t *testing.T) {
 	}
 }
 
-// TestWritePathReplicationSealsNothing pins the cost shape of the
-// simulator's R=2 ingest: every run is replicated from the payloads in
-// hand as it is routed — each recipe entry carries its replica the moment
-// the item commits — and neither primaries nor replicas seal a container
-// per item; containers fill and seal as under single-copy ingest.
-func TestWritePathReplicationSealsNothing(t *testing.T) {
-	ctx := context.Background()
-	c, err := NewCluster(ClusterConfig{Nodes: 4, SuperChunkSize: 32 << 10, Replicas: 2, KeepPayloads: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	const items, size = 40, 96 << 10 // 3 super-chunks each
-	for i := 0; i < items; i++ {
-		// Close settles the item without sealing; only Flush seals.
-		sess, err := c.NewSession(ctx, WithSessionName("client0"))
+// TestReplicaCommittedWithItemSealsNothing pins the cost shape of R=2
+// ingest on both backends: the second copy is written as each super-chunk
+// is routed, so every recipe entry names its replica the moment its item
+// commits; no container seals before Flush, which seals what single-copy
+// ingest would (one open container per stream per node), and no migration
+// transaction is journaled.
+func TestReplicaCommittedWithItemSealsNothing(t *testing.T) {
+	const nodes = 4
+	eachBackendOf(t, nodes, 2, func(t *testing.T, be Backend) {
+		ctx := context.Background()
+		p := planeOf(t, be)
+		// A window of one: item i has committed once Backup of item i+1 (two
+		// super-chunks at least) has returned.
+		sess, err := be.NewSession(ctx, WithSessionName("client0"), WithInflightSuperChunks(1))
 		if err != nil {
 			t.Fatal(err)
 		}
-		name := fmt.Sprintf("/item%d", i)
-		if err := sess.Backup(ctx, name, bytes.NewReader(gcRandBytes(int64(500+i), size))); err != nil {
-			t.Fatal(err)
-		}
-		sess.Close()
-		r, err := c.meta.GetRecipe(ctx, name)
-		if err != nil || len(r.Chunks) != size/4096 {
-			t.Fatalf("item %d: recipe has %d entries (%v), want %d", i, len(r.Chunks), err, size/4096)
-		}
-		for j, e := range r.Chunks {
-			if e.Replica < 0 || e.Replica == e.Node {
-				t.Fatalf("item %d entry %d: %+v, want a replica off its primary", i, j, e)
+		defer sess.Close()
+		const items, size = 40, 96 << 10 // ≥ 2 super-chunks each: the partitioner cuts at 64 KB
+		for i := 0; i < items; i++ {
+			if err := sess.Backup(ctx, fmt.Sprintf("/item%d", i), bytes.NewReader(gcRandBytes(int64(500+i), size))); err != nil {
+				t.Fatal(err)
+			}
+			if i == 0 {
+				continue
+			}
+			r, err := p.meta.GetRecipe(ctx, fmt.Sprintf("/item%d", i-1))
+			if err != nil || len(r.Chunks) != size/4096 {
+				t.Fatalf("item %d: recipe has %d entries (%v), want %d", i-1, len(r.Chunks), err, size/4096)
+			}
+			for j, e := range r.Chunks {
+				if e.Replica < 0 || e.Replica == e.Node {
+					t.Fatalf("item %d entry %d at its commit: %+v, want a replica off its primary", i-1, j, e)
+				}
 			}
 		}
-	}
-	sealed := 0
-	for _, n := range c.inner.Nodes() {
-		sealed += n.NumSealedContainers()
-	}
-	if sealed != 0 {
-		t.Fatalf("%d containers sealed by %d items (%d KB) before Flush, want 0", sealed, items, items*size>>10)
-	}
-	if got := c.inner.PhysicalBytes(); got != 2*items*size {
-		t.Fatalf("physical bytes %d, want %d (two copies)", got, 2*items*size)
-	}
-	if pending, err := c.clusterMeta.PendingMigrations(ctx); err != nil || len(pending) != 0 {
-		t.Fatalf("%d transactions (%v) left open by a clean ingest", len(pending), err)
-	}
+		if gc, err := gcStatsOf(ctx, be); err != nil || gc.Containers != 0 {
+			t.Fatalf("%d containers sealed (%v) by %d items (%d KB) before Flush, want 0", gc.Containers, err, items, items*size>>10)
+		}
+		if err := sess.Flush(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if gc, err := gcStatsOf(ctx, be); err != nil || gc.Containers > 2*nodes {
+			t.Fatalf("%d containers sealed (%v) by %d items (%d KB of two copies), want at most %d",
+				gc.Containers, err, items, 2*items*size>>10, 2*nodes)
+		}
+		if st, err := be.Stats(ctx); err != nil || st.PhysicalBytes != 2*items*size {
+			t.Fatalf("physical bytes %d (%v), want %d (two copies)", st.PhysicalBytes, err, 2*items*size)
+		}
+		if pending, err := p.clusterMeta.PendingMigrations(ctx); err != nil || len(pending) != 0 {
+			t.Fatalf("%d transactions (%v) left open by a clean ingest", len(pending), err)
+		}
+		assertCatalogConsistent(t, be)
+	})
 }

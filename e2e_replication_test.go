@@ -10,14 +10,15 @@ import (
 )
 
 // runKillScenario is the kill-a-node e2e, run unmodified against both
-// backends: backup two generations with R=2 replication on, hard-kill
-// one node (no drain — its data is gone), restore every backup
-// byte-identically through replica failover, repair back to R=2, and
-// prove zero leaked references by deleting everything and compacting to
-// zero live bytes. kill makes the victim actually dead before the
-// membership drops it (closing the TCP server on the prototype; nothing
-// on the simulator, where removal from the registry is death);
-// failoverReads reads the backend's failover counter.
+// backends and every choice of victim: back up with R=2 replication on
+// (the catalog accounts for both copies as soon as the backups are
+// flushed), hard-kill one node (no drain — its data is gone), restore
+// every backup byte-identically through replica failover, repair back to
+// R=2 (idempotently), and prove zero leaked references by deleting
+// everything and compacting to zero live bytes. kill makes the victim
+// actually dead before the membership drops it (closing the TCP server
+// on the prototype; nothing on the simulator, where removal from the
+// registry is death); failoverReads reads the backend's failover counter.
 func runKillScenario(t *testing.T, be Backend, victim int, kill func(), failoverReads func() int64) {
 	t.Helper()
 	ctx := context.Background()
@@ -48,6 +49,7 @@ func runKillScenario(t *testing.T, be Backend, victim int, kill func(), failover
 		}
 	}
 	restoreAll("before the crash")
+	assertCatalogConsistent(t, be)
 
 	// The crash: the node dies hard, then the membership drops it.
 	kill()
@@ -119,17 +121,26 @@ func runKillScenario(t *testing.T, be Backend, victim int, kill func(), failover
 	}
 }
 
+// eachVictim runs fn once per node of a 3-node cluster as the one to kill.
+func eachVictim(t *testing.T, fn func(t *testing.T, victim int)) {
+	for victim := 0; victim < 3; victim++ {
+		t.Run(fmt.Sprintf("victim=%d", victim), func(t *testing.T) { fn(t, victim) })
+	}
+}
+
 // TestKillNodeScenarioSimulator runs the kill-a-node e2e on the
 // in-process simulator with R=2 replication.
 func TestKillNodeScenarioSimulator(t *testing.T) {
-	c, err := NewCluster(ClusterConfig{
-		Nodes: 3, KeepPayloads: true, SuperChunkSize: 32 << 10, Replicas: 2,
+	eachVictim(t, func(t *testing.T, victim int) {
+		c, err := NewCluster(ClusterConfig{
+			Nodes: 3, KeepPayloads: true, SuperChunkSize: 32 << 10, Replicas: 2,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		runKillScenario(t, c, victim, func() {}, c.FailoverReads)
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	runKillScenario(t, c, 1, func() {}, c.FailoverReads)
 }
 
 // TestKillNodeScenarioRemote runs the identical scenario on the TCP
@@ -137,38 +148,75 @@ func TestKillNodeScenarioSimulator(t *testing.T) {
 // unreachable, exactly a crashed machine), then the membership drops it
 // and restores fail over over the wire.
 func TestKillNodeScenarioRemote(t *testing.T) {
-	const victim = 1
-	srvs := make([]*Server, 3)
-	addrs := make([]string, 3)
-	for i := range srvs {
-		srv, err := StartServer(ServerConfig{ID: i})
+	eachVictim(t, func(t *testing.T, victim int) {
+		srvs := make([]*Server, 3)
+		addrs := make([]string, 3)
+		for i := range srvs {
+			srv, err := StartServer(ServerConfig{ID: i})
+			if err != nil {
+				t.Fatal(err)
+			}
+			srvs[i] = srv
+			addrs[i] = srv.Addr()
+			if i != victim {
+				t.Cleanup(func() { srv.Close() })
+			}
+		}
+		be, err := NewRemote(context.Background(), RemoteConfig{
+			Name:           "kill",
+			Director:       NewDirector(),
+			Nodes:          addrs,
+			SuperChunkSize: 32 << 10,
+			Replicas:       2,
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		srvs[i] = srv
-		addrs[i] = srv.Addr()
-		if i != victim {
-			t.Cleanup(func() { srv.Close() })
-		}
-	}
-	be, err := NewRemote(context.Background(), RemoteConfig{
-		Name:           "kill",
-		Director:       NewDirector(),
-		Nodes:          addrs,
-		SuperChunkSize: 32 << 10,
-		Replicas:       2,
+		defer be.Close()
+		runKillScenario(t, be, victim,
+			func() {
+				if err := srvs[victim].Close(); err != nil {
+					t.Fatalf("killing server %d: %v", victim, err)
+				}
+			},
+			func() int64 { return be.BackupStats().FailoverReads })
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer be.Close()
-	runKillScenario(t, be, victim,
-		func() {
-			if err := srvs[victim].Close(); err != nil {
-				t.Fatalf("killing server %d: %v", victim, err)
+}
+
+// TestIdenticalReplicatedRebackupStoresNothing: at R=2 an unchanged
+// re-backup stores no byte on either backend. Its super-chunks bid equally
+// at the node holding the primary and at the one holding the replica;
+// whichever wins, the other is the runner-up and takes the second copy, so
+// no third node is written.
+func TestIdenticalReplicatedRebackupStoresNothing(t *testing.T) {
+	eachBackendOf(t, 4, 2, func(t *testing.T, be Backend) {
+		ctx := context.Background()
+		const items, size = 40, 96 << 10
+		generation := func(prefix string) int64 {
+			t.Helper()
+			for i := 0; i < items; i++ {
+				if err := be.Backup(ctx, fmt.Sprintf("%s/item%d", prefix, i), bytes.NewReader(gcRandBytes(int64(1200+i), size))); err != nil {
+					t.Fatal(err)
+				}
 			}
-		},
-		func() int64 { return be.BackupStats().FailoverReads })
+			if err := be.Flush(ctx); err != nil {
+				t.Fatal(err)
+			}
+			st, err := be.Stats(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return st.PhysicalBytes
+		}
+		if got := generation("/g0"); got != 2*items*size {
+			t.Fatalf("physical bytes after the first generation = %d, want %d (two copies)", got, 2*items*size)
+		}
+		if got := generation("/g1"); got != 2*items*size {
+			t.Fatalf("the identical re-backup stored %d new bytes (%.1f%% of its logical bytes)",
+				got-2*items*size, 100*float64(got-2*items*size)/(items*size))
+		}
+		assertCatalogConsistent(t, be)
+	})
 }
 
 // TestKillNodeDuringIngest hammers ingest on explicit sessions while a

@@ -485,6 +485,33 @@ func TestSelectTargetDeterministicTieBreak(t *testing.T) {
 	}
 }
 
+// TestSelectTargetSecond: the runner-up is what the same rule picks with
+// the winner taken out, among positive bids only — including the tie an
+// unchanged re-backup bids between the nodes holding primary and replica.
+func TestSelectTargetSecond(t *testing.T) {
+	for _, tc := range []struct {
+		name         string
+		counts       []int
+		usage        []int64
+		node, second int
+	}{
+		{"by score", []int{1, 5, 2}, []int64{100, 100, 100}, 7, 9},
+		{"tie goes to lower usage, then lower ID", []int{8, 8, 8}, []int64{300, 200, 200}, 7, 9},
+		{"one positive bid", []int{0, 4, 0}, []int64{100, 100, 100}, 7, -1},
+		{"no positive bid", []int{0, 0, 0}, []int64{500, 100, 900}, 7, -1},
+		{"weak runner-up on an overloaded node", []int{8, 0, 1}, []int64{100, 100, 1000}, 3, -1},
+		{"weak winner overridden, no other bid", []int{0, 0, 1}, []int64{100, 100, 1000}, 3, -1},
+	} {
+		d := SelectTarget([]int{3, 7, 9}, tc.counts, tc.usage)
+		if d.Node != tc.node || d.Second != tc.second {
+			t.Errorf("%s: node %d, second %d; want %d, %d", tc.name, d.Node, d.Second, tc.node, tc.second)
+		}
+	}
+	if d := SelectTarget(nil, nil, nil); d.Second != -1 {
+		t.Fatalf("empty candidates: second %d, want -1", d.Second)
+	}
+}
+
 func TestSkewRatio(t *testing.T) {
 	if s := SkewRatio([]int64{100, 100, 100}); s != 0 {
 		t.Fatalf("uniform usage skew = %v, want 0", s)

@@ -29,6 +29,9 @@ type RouteDecision struct {
 	Resemblance int
 	// Score is the usage-discounted value r_i/w_i the node won with.
 	Score float64
+	// Second is the runner-up: what the same rule picks with Node taken
+	// out, among positive bids only; -1 when there is none.
+	Second int
 }
 
 // SelectTarget implements steps 2–4 of Algorithm 1 (similarity-based
@@ -45,7 +48,7 @@ type RouteDecision struct {
 // uniformly distributed by the hash, and among them we fill valleys first.
 func SelectTarget(candidates []int, counts []int, usage []int64) RouteDecision {
 	if len(candidates) == 0 {
-		return RouteDecision{Node: -1}
+		return RouteDecision{Node: -1, Second: -1}
 	}
 	// Mean usage over the candidate set; +1 byte avoids division by zero
 	// on an empty cluster while preserving ordering.
@@ -55,44 +58,57 @@ func SelectTarget(candidates []int, counts []int, usage []int64) RouteDecision {
 	}
 	mean := total/float64(len(usage)) + 1
 
-	// Algorithm 1 step 4: among candidates with non-zero resemblance,
-	// maximize r_i/w_i. Zero-resemblance candidates score zero — they
-	// must never outbid a node that actually holds matching data, no
-	// matter how empty they are (otherwise sparsely filled large clusters
-	// would route similar data away from its home purely for balance).
+	best, score := strongestBid(candidates, counts, usage, mean, -1)
+	d := RouteDecision{Second: -1}
+	if best >= 0 {
+		d.Node, d.Resemblance, d.Score = candidates[best], counts[best], score
+	} else {
+		// Either no candidate has seen any of this super-chunk's
+		// representative fingerprints, or the only bids were weak ones from
+		// already-overloaded nodes (see the weak-bid override above): fall
+		// back to the least-loaded candidate. Candidates are uniformly
+		// distributed by the hash (Theorem 2), so filling valleys first
+		// approaches global balance.
+		for i, node := range candidates {
+			if best == -1 || usage[i] < usage[best] ||
+				(usage[i] == usage[best] && node < candidates[best]) {
+				best = i
+			}
+		}
+		d.Node = candidates[best]
+	}
+	if second, _ := strongestBid(candidates, counts, usage, mean, best); second >= 0 {
+		d.Second = candidates[second]
+	}
+	return d
+}
+
+// strongestBid is Algorithm 1 step 4 over the candidates but the one at
+// index skip: the positive bid maximizing r_i/w_i (ties: lower usage, then
+// lower ID) with its score, or -1 if there is none or it is a weak bid
+// from an overloaded node. Zero-resemblance candidates never outbid a
+// node holding matching data, however empty they are (else sparse large
+// clusters would route similar data away from its home for balance).
+func strongestBid(candidates, counts []int, usage []int64, mean float64, skip int) (int, float64) {
 	best := -1
 	var bestScore float64
-	var bestUsage int64
 	for i, node := range candidates {
-		if counts[i] == 0 {
+		if counts[i] == 0 || i == skip {
 			continue
 		}
 		w := (float64(usage[i]) + 1) / mean // relative storage usage
 		score := float64(counts[i]) / w
 		if best == -1 || score > bestScore ||
-			(score == bestScore && usage[i] < bestUsage) ||
-			(score == bestScore && usage[i] == bestUsage && node < candidates[best]) {
-			best, bestScore, bestUsage = i, score, usage[i]
+			(score == bestScore && usage[i] < usage[best]) ||
+			(score == bestScore && usage[i] == usage[best] && node < candidates[best]) {
+			best, bestScore = i, score
 		}
 	}
-	if best >= 0 && (counts[best] > weakBidMaxResemblance ||
-		float64(usage[best])+1 <= weakBidUsageSlack*mean) {
-		return RouteDecision{Node: candidates[best], Resemblance: counts[best], Score: bestScore}
+	if best >= 0 && counts[best] <= weakBidMaxResemblance &&
+		float64(usage[best])+1 > weakBidUsageSlack*mean {
+		return -1, 0
 	}
-	best = -1
-	// Either no candidate has seen any of this super-chunk's
-	// representative fingerprints, or the only bids were weak ones from
-	// already-overloaded nodes (see the weak-bid override above): fall
-	// back to the least-loaded candidate. Candidates are uniformly
-	// distributed by the hash (Theorem 2), so filling valleys first
-	// approaches global balance.
-	for i, node := range candidates {
-		if best == -1 || usage[i] < bestUsage ||
-			(usage[i] == bestUsage && node < candidates[best]) {
-			best, bestUsage = i, usage[i]
-		}
-	}
-	return RouteDecision{Node: candidates[best], Resemblance: 0, Score: 0}
+	return best, bestScore
 }
 
 // SkewRatio returns σ/α — the ratio of standard deviation to mean of

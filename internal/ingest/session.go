@@ -3,13 +3,14 @@
 // admission, chunking into pooled buffers, fingerprinting, super-chunk
 // partitioning, similarity routing (Algorithm 1, through router.Router
 // over a router.View), one dedup pass at the winner — fingerprints first,
-// then the payloads of the chunks it lacks only — recipe attribution and
-// the recipe swap. A deployment supplies the node transport (migrate.Node:
-// *rpc.Client over the wire, migrate.Local in process), the director,
-// and three seams — how a membership epoch is pinned (Config.Pin), how
-// the second copy is written at R=2 (Config.Replicate) and who wants to
-// see every presented chunk (Config.Observe) — plus whether the nodes
-// keep payloads. A stream that arrives fingerprinted — the paper's trace
+// then the payloads of the chunks it lacks only — and at R=2 a second one
+// at the replica, concurrently, then recipe attribution of both copies and
+// the recipe swap. A deployment supplies the node transport
+// (migrate.Node: *rpc.Client over the wire, migrate.Local in process),
+// the director, and two seams — how a membership epoch is pinned
+// (Config.Pin) and who wants to see every presented chunk
+// (Config.Observe) — plus its replica count and whether the nodes keep
+// payloads. A stream that arrives fingerprinted — the paper's trace
 // replays — enters through BackupRefs, past chunking and hashing.
 //
 // Every backup stream owns a concurrent pipeline: a worker pool
@@ -70,22 +71,6 @@ type Epoch struct {
 	Release func()
 }
 
-// Replication is the deployment's R=2 write strategy; at most one field
-// is set. Which one depends on where the director lives, not on taste:
-// a journaled transaction per super-chunk over TCP is two fsyncs per MB,
-// and sealing and reading back in process is several times slower than
-// copying the payloads already in hand.
-type Replication struct {
-	// Run gives one just-routed run — the super-chunk in hand and its
-	// recipe entries — its second copy before the item commits, filling
-	// in the entries' Replica. For a director in this process's RAM.
-	Run func(ctx context.Context, members core.Membership, path string, sc *core.SuperChunk, run []director.ChunkEntry) error
-	// AtFlush replicates the recipes committed since the last Flush, once
-	// the primaries' containers are sealed, deleting from wrote what it
-	// finished. For a journaled director.
-	AtFlush func(ctx context.Context, wrote map[string]struct{}) error
-}
-
 // Config parameterizes a session.
 type Config struct {
 	// Name is the backup stream's name: container attribution on the
@@ -118,14 +103,17 @@ type Config struct {
 	KeepPayloads bool
 	// Pin pins the membership epoch of one backup item (required).
 	Pin func(ctx context.Context) (Epoch, error)
-	// Replicate is the R=2 strategy; the zero value keeps single copies.
-	Replicate Replication
+	// Replicas ≥ 2 writes a second copy of every super-chunk routed whole,
+	// in a dedup pass beside the primary's committed in the same recipe (see
+	// route). 0 or 1 keeps single copies.
+	Replicas int
 	// Observe, when set, sees every presented chunk (payload-free, in
 	// batches) — the simulator's exact-dedup tracker.
 	Observe func([]core.ChunkRef)
 }
 
-// Stats are a session's counters.
+// Stats are a session's counters. At R=2 they describe the primary copy:
+// the replica's pass adds to none of them.
 type Stats struct {
 	LogicalBytes     int64 // bytes presented for backup
 	TransferredBytes int64 // payload bytes of chunks the target did not already hold
@@ -229,8 +217,6 @@ type Session struct {
 	fileMin fingerprint.Fingerprint
 
 	observed []core.ChunkRef
-	// wrote is the work list of Replicate.AtFlush.
-	wrote map[string]struct{}
 
 	// Tenant state resolved at admission: the fingerprint salt of an
 	// isolated dedup domain, and the live bytes the tenant may still add
@@ -298,9 +284,6 @@ func New(ctx context.Context, cfg Config, dir director.Metadata) (*Session, erro
 	}
 	if st.Info.Domain == tenant.DomainIsolated {
 		s.salt, s.salted = tenant.Salt(cfg.Tenant), true
-	}
-	if cfg.Replicate.AtFlush != nil {
-		s.wrote = make(map[string]struct{})
 	}
 	return s, nil
 }
@@ -697,11 +680,12 @@ func (s *Session) enqueue(it *item, sc *core.SuperChunk) error {
 }
 
 // route runs one super-chunk through the scheduler, the router and, per
-// assignment, the target's one dedup pass: the duplicates' references
-// taken and only what the target lacks transferred. It runs concurrently
-// for several super-chunks and touches only the transports, never session
-// state. Bids racing the store of a look-alike super-chunk would cost
-// dedup; enqueue's ordering rule keeps those apart.
+// assignment, the target's one dedup pass (at R=2 the replica's too): the
+// duplicates' references taken and only what the target lacks
+// transferred. It runs concurrently for several super-chunks and touches
+// only the transports, never session state. Bids racing the store of a
+// look-alike super-chunk would cost dedup; enqueue's ordering rule keeps
+// those apart.
 func (s *Session) route(it *item, sc *core.SuperChunk) routed {
 	res := routed{it: it, sc: sc, entries: make([]director.ChunkEntry, len(sc.Chunks))}
 	for i, ch := range sc.Chunks {
@@ -744,41 +728,83 @@ func (s *Session) route(it *item, sc *core.SuperChunk) routed {
 			}
 			thp = nil
 		}
-		nd, ok := it.epoch.Node(a.Node)
-		if !ok {
-			return fail("store", fmt.Errorf("node %d is not in the cluster: %w", a.Node, sderr.ErrNotFound))
+		// At R=2 a whole super-chunk also goes to a second node: the
+		// router's runner-up — in an unchanged re-backup whose bids tie, the
+		// node holding the copy the winner does not — or else the rendezvous
+		// replica owner of its first chunk. A one-node epoch has neither.
+		replica := -1
+		if s.cfg.Replicas >= 2 && at == nil && len(sc.Chunks) > 0 {
+			if replica = res.dec.Second; replica < 0 {
+				replica = view.Membership().ReplicaTarget(sc.Chunks[0].FP, a.Node)
+			}
+		}
+		nd, err := it.node(a.Node)
+		var rn migrate.Node
+		if err == nil && replica >= 0 {
+			rn, err = it.node(replica)
+		}
+		if err != nil {
+			return fail("store", err)
 		}
 		// Without payloads there is nothing to spare by asking first.
 		eager := !s.cfg.KeepPayloads || (at == nil && unlike)
+		// The replica's pass runs beside the primary's, on the stream that
+		// receives migrated segments; its node indexes its own handprint.
+		var replicated chan dedupResult
+		if rn != nil {
+			replicated = make(chan dedupResult, 1)
+			go func() {
+				fresh, err := rn.Dedup(it.ctx, migrate.Stream, sc, nil, eager)
+				replicated <- dedupResult{fresh, err}
+			}()
+		}
 		fresh, err := nd.Dedup(it.ctx, s.cfg.Name, target, thp, eager)
+		var rep dedupResult
+		if replicated != nil {
+			rep = <-replicated
+		}
+		// On error only the chunks holding a reference are attributed, so
+		// the abort releases exactly those.
+		holds := func(fresh []bool, err error, i int) bool { return err == nil || (i < len(fresh) && !fresh[i]) }
 		for i := range target.Chunks {
-			// On error only the chunks holding a reference are attributed,
-			// so the abort releases exactly those.
-			if err != nil && (i >= len(fresh) || fresh[i]) {
-				continue
-			}
 			pos := i
 			if at != nil {
 				pos = at[i]
 			}
-			res.entries[pos].Node = int32(a.Node)
+			if holds(fresh, err, i) {
+				res.entries[pos].Node = int32(a.Node)
+			}
+			if rn != nil && holds(rep.fresh, rep.err, i) {
+				res.entries[pos].Replica = int32(replica)
+			}
 		}
 		if err != nil {
 			return fail("store", fmt.Errorf("node %d: %w", a.Node, err))
+		}
+		if rep.err != nil {
+			return fail("store", fmt.Errorf("replica node %d: %w", replica, rep.err))
 		}
 		for i, ch := range target.Chunks {
 			if i >= len(fresh) || fresh[i] {
 				res.unique += int64(ch.Size)
 			}
 		}
-		// Only a whole-super-chunk assignment is a run of the recipe.
-		if s.cfg.Replicate.Run != nil && at == nil && len(sc.Chunks) > 0 {
-			if err := s.cfg.Replicate.Run(it.ctx, view.Membership(), it.key, sc, res.entries); err != nil {
-				return fail("store", err)
-			}
-		}
 	}
 	return res
+}
+
+// dedupResult is what one migrate.Node.Dedup call returned.
+type dedupResult struct {
+	fresh []bool
+	err   error
+}
+
+// node resolves a node of the item's epoch; one that left fails typed.
+func (it *item) node(id int) (migrate.Node, error) {
+	if nd, ok := it.epoch.Node(id); ok {
+		return nd, nil
+	}
+	return nil, fmt.Errorf("node %d is not in the cluster: %w", id, sderr.ErrNotFound)
 }
 
 // recycle takes a super-chunk out of the buffered count and returns its
@@ -890,9 +916,6 @@ func (s *Session) finish(it *item) error {
 		// strands references, never frees a chunk the new recipe needs.
 		prev, err := s.dir.SwapRecipe(it.ctx, s.id, it.key, it.entries)
 		if err == nil {
-			if s.wrote != nil {
-				s.wrote[it.key] = struct{}{}
-			}
 			if err := s.supersede(it.ctx, prev.Chunks); err != nil {
 				return fmt.Errorf("ingest: supersede %s: %w", it.name, err)
 			}
@@ -941,10 +964,10 @@ func (s *Session) abandon(it *item, cause error) error {
 	return s.finish(it)
 }
 
-// Flush settles every item, seals the nodes' open containers, runs the
-// flush-time replication pass, reports the transferred bytes to the
-// tenant's accounting and ends the director session. The session stays
-// usable; a later Flush ends it again.
+// Flush settles every item, seals the nodes' open containers — both
+// copies of what it committed are durable once it returns — reports the
+// transferred bytes to the tenant's accounting and ends the director
+// session. The session stays usable; a later Flush ends it again.
 func (s *Session) Flush(ctx context.Context) error {
 	if err := s.settle(ctx, 0); err != nil {
 		return err
@@ -961,12 +984,6 @@ func (s *Session) Flush(ctx context.Context) error {
 		}
 		if err := nd.Flush(ctx); err != nil {
 			return fmt.Errorf("ingest: flush node %d: %w", id, err)
-		}
-	}
-	// The replica of a chunk never becomes durable before the chunk.
-	if len(s.wrote) > 0 {
-		if err := s.cfg.Replicate.AtFlush(ctx, s.wrote); err != nil {
-			return err
 		}
 	}
 	if d := s.Stats().TransferredBytes - s.reported; d != 0 {

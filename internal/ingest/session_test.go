@@ -373,6 +373,63 @@ func TestFailedItemAbortsSessionStaysUsable(t *testing.T) {
 	})
 }
 
+// replicaFails is a node transport whose replica passes store and then
+// fail: every chunk holds a reference from the call that reports the error.
+type replicaFails struct{ migrate.Node }
+
+var errReplicaWrite = errors.New("injected: replica write failed")
+
+func (f replicaFails) Dedup(ctx context.Context, stream string, sc *core.SuperChunk, hp core.Handprint, eager bool) ([]bool, error) {
+	fresh, err := f.Node.Dedup(ctx, stream, sc, hp, eager)
+	if err != nil || stream != migrate.Stream {
+		return fresh, err
+	}
+	return make([]bool, len(sc.Chunks)), errReplicaWrite
+}
+
+// TestReplicaWriteFailureAbortsItem: at R=2 a super-chunk whose primary
+// pass succeeds and whose replica pass fails fails its item at the store
+// stage, and the abort releases the references of both copies, so no node
+// keeps anything of the item; what committed before still restores.
+func TestReplicaWriteFailureAbortsItem(t *testing.T) {
+	eachTransport(t, func(t *testing.T, transport string) {
+		ctx := context.Background()
+		r := newRig(t, transport, 3, rigOpt{})
+		s := r.session(t, ingest.Config{SuperChunkSize: 16 << 10, Replicas: 2})
+		ok := randBytes(70, 64<<10)
+		mustBackup(t, s, "/ok", ok)
+		mustFlush(t, s)
+		live := r.liveBytes()
+		if live != 2*int64(len(ok)) {
+			t.Fatalf("live bytes %d after one R=2 backup of %d bytes, want two copies", live, len(ok))
+		}
+
+		healthy := r.byID
+		r.byID = nil
+		for _, nd := range healthy {
+			r.byID = append(r.byID, replicaFails{nd})
+		}
+		err := s.Backup(ctx, "/half", bytes.NewReader(randBytes(71, 128<<10)))
+		if err == nil {
+			err = s.Flush(ctx) // the failure surfaced with the item's tail
+		}
+		var berr *sderr.BackupError
+		if !errors.Is(err, errReplicaWrite) || !errors.As(err, &berr) || berr.Name != "/half" || berr.Stage != "store" {
+			t.Fatalf("backup whose replica writes fail = %v, want a store-stage BackupError of /half", err)
+		}
+		if got := r.liveBytes(); got != live {
+			t.Fatalf("live bytes %d after the aborted backup, want %d: references stranded", got, live)
+		}
+		if _, err := r.dir.GetRecipe(ctx, "/half"); !errors.Is(err, director.ErrNoRecipe) {
+			t.Fatalf("aborted backup is in the catalog: %v", err)
+		}
+		r.byID = healthy
+		if !bytes.Equal(r.restore(t, "/ok"), ok) {
+			t.Fatal("the committed backup does not restore")
+		}
+	})
+}
+
 // TestTailOutlivesCallerContext: an item commits once its tail is
 // stored, even if the caller cancels the Backup call's context the
 // moment the call returns (the defer-cancel idiom).

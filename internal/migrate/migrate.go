@@ -1,7 +1,7 @@
 // Package migrate holds everything a deployment does to data it has
 // already stored, written once for the simulator and the TCP prototype:
-// the super-chunk migration engine behind online membership changes, R=2
-// replication and anti-entropy repair (this file, engine.go, repair.go),
+// the super-chunk migration engine behind online membership changes and
+// anti-entropy repair with re-replication (this file, engine.go, repair.go),
 // the windowed restore scheduler with replica failover (restore.go), and
 // backup deletion, compaction and the GC counters (reclaim.go). The
 // algorithms live here; a deployment supplies a Node transport per
@@ -78,8 +78,9 @@ type Fault func(stage Stage, path string) error
 const DefaultSegmentChunks = 1024
 
 // Stream is the node stream that receives migrated and replicated
-// segments: its container seals per transaction without disturbing the
-// open containers of concurrent backup streams.
+// segments, sealed per transaction without disturbing the open
+// containers of backup streams, and R=2 ingest's replica passes, sealed
+// by the node Flush that seals their primaries.
 const Stream = "\x00migrate"
 
 // Result summarizes the super-chunk migration behind one membership

@@ -11,13 +11,13 @@ import (
 	"sigmadedupe/internal/sderr"
 )
 
-// ReplicateRecipe gives every replica-less run of one recipe a second
-// copy on the rendezvous replica owner of the run's first fingerprint,
-// one journaled transaction per run (bounded at DefaultSegmentChunks,
-// so a huge backup replicates in bounded-memory units). The primaries'
-// containers must be sealed — the copy is read back off them. A recipe
-// superseded mid-pass (re-backup, delete) stops cleanly: the newer
-// generation wins.
+// ReplicateRecipe is Repair's re-replication (ingest writes replicas as
+// it routes): every replica-less run of one recipe gets a second copy on
+// the rendezvous replica owner of the run's first fingerprint, read back
+// off the sealed primary, one journaled transaction per run (bounded at
+// DefaultSegmentChunks, so a huge backup replicates in bounded-memory
+// units). A recipe superseded mid-pass (re-backup, delete) stops
+// cleanly: the newer generation wins.
 func (e *Engine) ReplicateRecipe(ctx context.Context, r director.Recipe, members core.Membership) (RepairResult, error) {
 	var res RepairResult
 	noReplica := func(en director.ChunkEntry) bool { return en.Replica < 0 }

@@ -144,6 +144,10 @@ type Decision struct {
 	// bids means no node resembles the super-chunk: its chunks are almost
 	// surely new, and the session sends their payloads without asking.
 	Resemblance int
+	// Second is the runner-up bidder — core.RouteDecision.Second — where
+	// an R=2 session writes the second copy; -1 when no other node bid
+	// positive or the router does not bid.
+	Second int
 }
 
 // Router routes super-chunks to deduplication nodes.
@@ -182,7 +186,7 @@ func New(s Scheme, k, sampleRate int) (Router, error) {
 
 // all is the Assignment shorthand for "whole super-chunk to one node".
 func all(node int) Decision {
-	return Decision{Assignments: []Assignment{{Node: node}}}
+	return Decision{Assignments: []Assignment{{Node: node}}, Second: -1}
 }
 
 // SigmaRouter is the paper's similarity-based stateful data routing
@@ -262,7 +266,7 @@ func (r *SigmaRouter) Route(sc *core.SuperChunk, v View) Decision {
 		}
 		sel := core.SelectTarget(cands, counts, usage)
 		d := all(sel.Node)
-		d.Resemblance = sel.Resemblance
+		d.Resemblance, d.Second = sel.Resemblance, sel.Second
 		d.BidsSent = int64(len(cands))
 		// The handprint is sent to each queried candidate.
 		d.PreRoutingMsgs = int64(len(cands) * len(hp))
@@ -314,7 +318,7 @@ func (r *SigmaRouter) Route(sc *core.SuperChunk, v View) Decision {
 	}
 	sel := core.SelectTarget(nodes, counts, usage)
 	d := all(sel.Node)
-	d.Resemblance = sel.Resemblance
+	d.Resemblance, d.Second = sel.Resemblance, sel.Second
 	d.BidsSent = int64(bidTo)
 	d.PreRoutingMsgs = int64(bidTo * len(hp))
 	d.SummaryChecks = int64(m.Len())
@@ -414,7 +418,7 @@ func (r *StatefulRouter) Route(sc *core.SuperChunk, v View) Decision {
 	}
 	sel := core.SelectTarget(cands, counts, usage)
 	d := all(sel.Node)
-	d.Resemblance = sel.Resemblance
+	d.Resemblance, d.Second = sel.Resemblance, sel.Second
 	for i := range sent {
 		if sent[i] {
 			d.BidsSent++
@@ -473,7 +477,7 @@ func (r *DHTRouter) Route(sc *core.SuperChunk, v View) Decision {
 		node := ch.FP.Mod(n)
 		groups[node] = append(groups[node], i)
 	}
-	d := Decision{Assignments: make([]Assignment, 0, len(groups))}
+	d := Decision{Assignments: make([]Assignment, 0, len(groups)), Second: -1}
 	for node := 0; node < n; node++ {
 		if idxs, ok := groups[node]; ok {
 			d.Assignments = append(d.Assignments, Assignment{Node: node, Chunks: idxs})

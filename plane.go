@@ -76,12 +76,14 @@ func (a *counters) add(st ingest.Stats) {
 }
 
 // openSession opens an ingest session over the director and the node
-// transport: what the options decided, the backend's hash, scheduler and
-// payload policy, and the transport's router, epoch pin and R=2 strategy.
+// transport: what the options decided, the backend's hash, scheduler,
+// payload policy and replica count, and the transport's router and epoch
+// pin.
 func (p *plane) openSession(ctx context.Context, cfg sessionConfig) (*ingest.Session, error) {
 	icfg := cfg.ingest(p.algorithm)
 	icfg.Scheduler = p.sched
 	icfg.KeepPayloads = p.payloads
+	icfg.Replicas = p.replicas
 	held, err := p.t.wire(ctx, cfg, &icfg)
 	if err != nil {
 		return nil, err

@@ -30,7 +30,7 @@ type transport interface {
 	// committed sees every snapshot before it becomes current.
 	committed(e *epoch)
 	// wire completes a session's ingest configuration — router, epoch
-	// pin, R=2 write strategy, observer — and returns what the session
+	// pin, observer — and returns what the session
 	// holds of its own, to be closed with it (nil for nothing).
 	wire(ctx context.Context, cfg sessionConfig, icfg *ingest.Config) (io.Closer, error)
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 
 	"sigmadedupe/internal/core"
@@ -50,11 +49,11 @@ type RemoteConfig struct {
 	// FingerprintSHA1; FingerprintSHA256 is faster on CPUs with SHA
 	// extensions). All of a backend's clients must agree on it.
 	Fingerprint FingerprintAlgorithm
-	// Replicas ≥ 2 keeps a second copy of every super-chunk run on the
-	// rendezvous replica owner: after each Flush the session's recipes
-	// are walked and every replica-less run is streamed to its replica
-	// under the journaled migration commit protocol. Restores fail over
-	// to the replica when the primary is unreachable; KillNode + Repair
+	// Replicas ≥ 2 keeps a second copy of every super-chunk: a dedup pass
+	// beside the primary's on a second node (the bids' runner-up, else the
+	// rendezvous replica owner), named in the item's recipe at commit and
+	// durable, like the primary, once Flush returns. Restores fail over to
+	// the replica when the primary is unreachable; KillNode + Repair
 	// survive a node crash without losing a byte. 0 or 1 keeps the
 	// single-copy behavior. Values above 2 are capped at 2.
 	Replicas int
@@ -343,8 +342,7 @@ func (c *conns) Close() (first error) {
 
 // wire implements transport: the session dials its own connections, to
 // the nodes of every snapshot an item of its pins (bids travel as Bid
-// calls, usage comes back on the reply), and R=2 replicates at Flush
-// under the director's journaled transactions.
+// calls, usage comes back on the reply).
 func (r *Remote) wire(ctx context.Context, cfg sessionConfig, icfg *ingest.Config) (io.Closer, error) {
 	rt, err := router.New(router.Sigma, cfg.handprintK, 0)
 	if err != nil {
@@ -370,43 +368,7 @@ func (r *Remote) wire(ctx context.Context, cfg sessionConfig, icfg *ingest.Confi
 			Release: e.release,
 		}, nil
 	}
-	if r.replicas >= 2 {
-		icfg.Replicate.AtFlush = func(ctx context.Context, wrote map[string]struct{}) error {
-			return r.replicateSession(ctx, wrote, c.node, cfg.handprintK)
-		}
-	}
 	return c, nil
-}
-
-// replicateSession is the Flush-time replication pass of one stream:
-// every recipe it committed since the last pass is mirrored onto the
-// rendezvous replica owners of its super-chunk runs, one journaled
-// transaction per run (see migrate.Engine.ReplicateRecipe), now that the
-// primaries' containers are sealed.
-func (r *Remote) replicateSession(ctx context.Context, wrote map[string]struct{},
-	nodes func(int) (migrate.Node, bool), handprintK int) error {
-	members := r.cur.Load().members
-	eng := &migrate.Engine{Catalog: r.clusterMeta, Nodes: nodes, HandprintK: handprintK}
-	paths := make([]string, 0, len(wrote))
-	for p := range wrote {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-	for _, p := range paths {
-		rec, err := r.meta.GetRecipe(ctx, p)
-		if err != nil {
-			if errors.Is(err, director.ErrNoRecipe) {
-				delete(wrote, p) // deleted since; nothing to replicate
-				continue
-			}
-			return fmt.Errorf("sigmadedupe: replicate %s: %w", p, err)
-		}
-		if _, err := eng.ReplicateRecipe(ctx, rec, members); err != nil {
-			return fmt.Errorf("sigmadedupe: replicate %s: %w", p, err)
-		}
-		delete(wrote, p)
-	}
-	return nil
 }
 
 // GCStats sums the garbage-collection counters of every live node over

@@ -35,10 +35,8 @@ import (
 
 	"sigmadedupe/internal/cluster"
 	"sigmadedupe/internal/container"
-	"sigmadedupe/internal/core"
 	"sigmadedupe/internal/director"
 	"sigmadedupe/internal/experiments"
-	"sigmadedupe/internal/fingerprint"
 	"sigmadedupe/internal/ingest"
 	"sigmadedupe/internal/metrics"
 	"sigmadedupe/internal/migrate"
@@ -96,12 +94,13 @@ type ClusterConfig struct {
 	// FingerprintSHA1; FingerprintSHA256 is faster on CPUs with SHA
 	// extensions).
 	Fingerprint FingerprintAlgorithm
-	// Replicas ≥ 2 keeps a second copy of every super-chunk on the
-	// rendezvous replica owner (the second-highest similarity bid), so
-	// one node can crash without losing a byte: restores fail over to
-	// the replica and Repair re-establishes R=2. Requires KeepPayloads (or
-	// Dir) — NewCluster rejects anything else — and at least two nodes; 0
-	// or 1 keeps the single-copy behavior. Values above 2 are capped at 2.
+	// Replicas ≥ 2 keeps a second copy of every super-chunk, written as it
+	// is routed (on the bids' runner-up, else the rendezvous replica
+	// owner) and named in its backup's recipe at commit, so one node can
+	// crash without losing a byte: restores fail over to the replica and
+	// Repair re-establishes R=2. Requires KeepPayloads (or Dir) —
+	// NewCluster rejects anything else — and at least two nodes; 0 or 1
+	// keeps the single-copy behavior. Values above 2 are capped at 2.
 	Replicas int
 	// IngestCapacityBytes, when positive, bounds the payload bytes
 	// concurrently inside the routing stage across all sessions; the
@@ -173,7 +172,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		sessions: make(map[*ingest.Session]io.Closer),
 	}
 	if cfg.Replicas >= 2 {
-		// Replication runs on the migration engine and needs what it needs.
+		// The replica is written from the payloads and Repair rewrites it.
 		if err := c.elasticGuard(); err != nil {
 			return nil, fmt.Errorf("sigmadedupe: Replicas=%d: %w", cfg.Replicas, err)
 		}
@@ -243,9 +242,8 @@ func (c *Cluster) committed(e *epoch) {
 	c.inner.SetView(v)
 }
 
-// wire implements transport: sessions share the registry's handles, R=2
-// replicates in hand per routed run, and every chunk is shown to the
-// exact-dedup tracker.
+// wire implements transport: sessions share the registry's handles and
+// every chunk is shown to the exact-dedup tracker.
 func (c *Cluster) wire(_ context.Context, _ sessionConfig, icfg *ingest.Config) (io.Closer, error) {
 	icfg.Router = c.inner.Router()
 	icfg.Pin = func(context.Context) (ingest.Epoch, error) {
@@ -253,90 +251,8 @@ func (c *Cluster) wire(_ context.Context, _ sessionConfig, icfg *ingest.Config) 
 		return ingest.Epoch{View: e.view, Node: c.shared, Release: e.release}, nil
 	}
 	icfg.Observe = c.exact.Add
-	if c.replicas >= 2 {
-		icfg.Replicate.Run = c.replicateRun
-	}
 	return nil, nil
 }
-
-// replicateRun is the simulator's R=2 write strategy (the Run of an
-// ingest session's Replication): it gives one just-routed run — the
-// super-chunk in hand and the recipe entries of the uncommitted item at
-// path just made for it, routed within members — its second copy under
-// the engine's journaled transaction. The primary's side of the
-// transport reads the payloads from hand, so its open container need
-// not seal to be read back. A failure fails the backup, so no committed
-// item is ever left without a replica while two members are live.
-func (c *Cluster) replicateRun(ctx context.Context, members core.Membership, path string, sc *core.SuperChunk, run []director.ChunkEntry) error {
-	primary := int(run[0].Node)
-	e, _, err := c.engine(ctx)
-	if err != nil {
-		return err
-	}
-	nodes := e.Nodes
-	e.Catalog = runCatalog{e.Catalog, run}
-	e.Nodes = func(id int) (migrate.Node, bool) {
-		n, ok := nodes(id)
-		w := writePath{Node: n}
-		if id == primary {
-			w.inHand = sc
-		}
-		return w, ok
-	}
-	_, err = e.ReplicateRecipe(ctx, director.Recipe{Path: path, Chunks: run}, members)
-	return err
-}
-
-// runCatalog is the catalog as write-path replication sees it: the
-// director journals the transaction, but the "recipe" is only the run
-// just appended to the stream's pending entries, which nobody else can
-// see until the item commits — so the engine's rewrite is an
-// unconditional copy that costs the run, not the whole item.
-// Transactions it journals carry run-relative segment positions;
-// recovery goes by their endpoints and fingerprints only.
-type runCatalog struct {
-	migrate.Catalog
-	run []director.ChunkEntry
-}
-
-func (k runCatalog) ReplaceRecipe(_ context.Context, _ string, _, _ uint64, chunks []director.ChunkEntry) error {
-	copy(k.run, chunks)
-	return nil
-}
-
-// writePath is the node transport of write-path replication. Reads of a
-// run's primary come from the super-chunk in hand, and the commit is
-// deferred: replicas land in the migrate stream's open container and
-// seal at Flush together with the primaries' — the director they are
-// attributed in lives in this process's RAM, so sealing per run would
-// buy no crash safety, only one small container per run.
-type writePath struct {
-	migrate.Node
-	inHand *core.SuperChunk
-}
-
-func (w writePath) MigrateRead(ctx context.Context, fps []fingerprint.Fingerprint) ([][]byte, error) {
-	if w.inHand == nil {
-		return w.Node.MigrateRead(ctx, fps)
-	}
-	// The engine asks for a contiguous stretch of the run, in run order.
-	chunks := w.inHand.Chunks
-	out := make([][]byte, len(fps))
-	at := 0
-	for i, fp := range fps {
-		for at < len(chunks) && chunks[at].FP != fp {
-			at++
-		}
-		if at == len(chunks) {
-			return nil, fmt.Errorf("sigmadedupe: chunk %s is not in the run in hand: %w", fp.Short(), ErrNotFound)
-		}
-		out[i] = chunks[at].Data
-		at++
-	}
-	return out, nil
-}
-
-func (writePath) MigrateCommit(context.Context, string) error { return nil }
 
 // GCResult summarizes one compaction pass across the cluster.
 type GCResult struct {
