@@ -8,8 +8,8 @@
 //
 // Recipes are first-class durable objects when the director is opened
 // with a directory (OpenAt): every PutRecipe and DeleteRecipe appends an
-// fsynced record to a JSON-lines journal, and a restarted director
-// replays it to recover the full recipe catalog. The recipe catalog is
+// fsynced record to a binary record log (journal.go), and a restarted
+// director replays it to recover the full recipe catalog. The recipe catalog is
 // what the deletion subsystem hangs off: deleting a backup removes its
 // recipe (journaled first — the commit point) and hands the recipe's
 // per-node chunk references back to the caller for decref, so nodes can
@@ -17,12 +17,8 @@
 package director
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -32,6 +28,7 @@ import (
 	"sigmadedupe/internal/fingerprint"
 	"sigmadedupe/internal/sderr"
 	"sigmadedupe/internal/tenant"
+	"sigmadedupe/internal/wire"
 )
 
 // ChunkEntry is one recipe element: a chunk fingerprint, its size, the
@@ -97,17 +94,19 @@ type Director struct {
 	nextID   uint64
 	sessions map[uint64]*Session
 	recipes  map[string]*Recipe // latest recipe per path
-	journal  *os.File           // nil for an in-RAM director
+
+	// The journals (RECIPES, MEMBERS, TENANTS; nil for an in-RAM
+	// director) and the buffer every record is encoded into, under mu.
+	recipeLog, memberLog, tenantLog *wire.Log
+	rec                             []byte
 
 	// Cluster membership and migration transactions (see membership.go).
 	members     MembershipInfo
 	nextMig     uint64
 	pendingMigs map[uint64]Migration
-	memJournal  *os.File // nil for an in-RAM director
 
 	// Tenant control plane: configuration, quotas, accounting.
-	tenants    *tenant.Registry
-	tenJournal *os.File // nil for an in-RAM director
+	tenants *tenant.Registry
 }
 
 // Errors returned by recipe and session lookups. Both wrap the
@@ -133,38 +132,6 @@ func normKey(path string) string {
 // durable director's directory.
 const TenantJournalName = "TENANTS"
 
-// recipeRecord is one line of the recipe journal. Tenant carries the
-// owning tenant's ID; a record written before multi-tenancy existed has
-// no "tenant" field and decodes as "", which replays into the default
-// tenant (Path then being the full user-visible backup name).
-type recipeRecord struct {
-	T       string      `json:"t"` // "put" or "del"
-	Tenant  string      `json:"tenant,omitempty"`
-	Path    string      `json:"path"`
-	Session uint64      `json:"session,omitempty"`
-	Gen     uint64      `json:"gen,omitempty"`
-	Chunks  []chunkJSON `json:"chunks,omitempty"`
-}
-
-// tenantRecord is one line of the tenant journal: a full upsert of one
-// tenant's configuration (last record per name wins on replay).
-type tenantRecord struct {
-	Name   string `json:"name"`
-	Domain string `json:"domain"`
-	Quota  int64  `json:"quota,omitempty"`
-	Weight int    `json:"weight,omitempty"`
-}
-
-type chunkJSON struct {
-	FP   string `json:"fp"`
-	Size int32  `json:"size"`
-	Node int32  `json:"node"`
-	// R journals the replica attribution shifted by one (R = Replica+1)
-	// so a journal written before replication existed — no "r" field,
-	// decodes as 0 — replays as Replica -1, never as "replica on node 0".
-	R int32 `json:"r,omitempty"`
-}
-
 // New creates an empty in-RAM director (recipes do not survive a
 // restart; use OpenAt for a durable one).
 func New() *Director {
@@ -187,44 +154,25 @@ func OpenAt(dir string) (*Director, error) {
 		return nil, fmt.Errorf("director: create dir: %w", err)
 	}
 	d := New()
-	path := filepath.Join(dir, JournalName)
-	raw, err := os.ReadFile(path)
-	if err != nil && !errors.Is(err, fs.ErrNotExist) {
-		return nil, fmt.Errorf("director: read journal: %w", err)
-	}
-	lines := bytes.Split(raw, []byte{'\n'})
-	for i, ln := range lines {
-		ln = bytes.TrimSpace(ln)
-		if len(ln) == 0 {
-			continue
+	n := 0
+	var err error
+	d.recipeLog, err = wire.OpenLog(filepath.Join(dir, JournalName), wire.LogRecipes, legacyRecipeLine, func(body []byte) error {
+		n++
+		rec, err := decodeRecipeRecord(body)
+		if err != nil {
+			return fmt.Errorf("record %d: %w", n, err)
 		}
-		var rec recipeRecord
-		if err := json.Unmarshal(ln, &rec); err != nil {
-			if i == len(lines)-1 {
-				break // torn tail write from a crash mid-append
-			}
-			return nil, fmt.Errorf("director: journal line %d: %w", i+1, err)
-		}
-		key := tenant.Key(rec.Tenant, rec.Path)
-		switch rec.T {
-		case "put":
-			chunks := make([]ChunkEntry, len(rec.Chunks))
-			for j, c := range rec.Chunks {
-				fp, err := fingerprint.Parse(c.FP)
-				if err != nil {
-					return nil, fmt.Errorf("director: journal line %d: %w", i+1, err)
-				}
-				chunks[j] = ChunkEntry{FP: fp, Size: c.Size, Node: c.Node, Replica: c.R - 1}
-			}
-			d.recipes[key] = &Recipe{Path: key, Session: rec.Session, Gen: rec.Gen, Chunks: chunks}
-			if rec.Session > d.nextID {
-				d.nextID = rec.Session
-			}
-		case "del":
+		key := tenant.Key(rec.tenant, rec.name)
+		if rec.kind == recDel {
 			delete(d.recipes, key)
-		default:
-			return nil, fmt.Errorf("director: journal line %d: unknown record type %q", i+1, rec.T)
+			return nil
 		}
+		d.recipes[key] = &Recipe{Path: key, Session: rec.session, Gen: rec.gen, Chunks: rec.chunks}
+		d.nextID = max(d.nextID, rec.session)
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("director: %w", err)
 	}
 	// Recompute per-tenant accounting from the recovered catalog: live
 	// bytes are exact; cumulative logical bytes restart from the live
@@ -233,13 +181,8 @@ func OpenAt(dir string) (*Director, error) {
 	for _, r := range d.recipes {
 		d.tenants.AccountPut(r.Tenant(), r.Size(), 0, true)
 	}
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("director: open journal: %w", err)
-	}
-	d.journal = f
 	if err := d.openMembers(dir); err != nil {
-		f.Close()
+		d.Close()
 		return nil, err
 	}
 	if err := d.openTenants(dir); err != nil {
@@ -249,104 +192,50 @@ func OpenAt(dir string) (*Director, error) {
 	return d, nil
 }
 
-// openTenants replays and reopens the TENANTS journal: one JSON upsert
-// per line, last record per tenant wins. Usage counters are preserved
+// openTenants replays and reopens the TENANTS journal: one upsert per
+// record, last record per tenant wins. Usage counters are preserved
 // across the replay (they were recomputed from the recipe catalog).
 func (d *Director) openTenants(dir string) error {
-	path := filepath.Join(dir, TenantJournalName)
-	raw, err := os.ReadFile(path)
-	if err != nil && !errors.Is(err, fs.ErrNotExist) {
-		return fmt.Errorf("director: read tenant journal: %w", err)
-	}
-	lines := bytes.Split(raw, []byte{'\n'})
-	for i, ln := range lines {
-		ln = bytes.TrimSpace(ln)
-		if len(ln) == 0 {
-			continue
+	n := 0
+	var err error
+	d.tenantLog, err = wire.OpenLog(filepath.Join(dir, TenantJournalName), wire.LogTenants, legacyTenantLine, func(body []byte) error {
+		n++
+		info, err := decodeTenantRecord(body)
+		if err == nil {
+			err = d.tenants.Create(info)
 		}
-		var rec tenantRecord
-		if err := json.Unmarshal(ln, &rec); err != nil {
-			if i == len(lines)-1 {
-				break // torn tail write from a crash mid-append
-			}
-			return fmt.Errorf("director: tenant journal line %d: %w", i+1, err)
+		if err != nil {
+			return fmt.Errorf("record %d: %w", n, err)
 		}
-		if err := d.tenants.Create(tenant.Info{
-			Name: rec.Name, Domain: rec.Domain, QuotaBytes: rec.Quota, Weight: rec.Weight,
-		}); err != nil {
-			return fmt.Errorf("director: tenant journal line %d: %w", i+1, err)
-		}
-	}
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
+		return nil
+	})
 	if err != nil {
-		return fmt.Errorf("director: open tenant journal: %w", err)
+		return fmt.Errorf("director: %w", err)
 	}
-	d.tenJournal = f
 	return nil
 }
 
 // appendTenantJournal writes one fsynced tenant upsert; caller holds
 // d.mu. A nil journal (in-RAM director) is a no-op.
 func (d *Director) appendTenantJournal(info tenant.Info) error {
-	if d.tenJournal == nil {
-		return nil
-	}
-	line, err := json.Marshal(tenantRecord{
-		Name: info.Name, Domain: info.Domain, Quota: info.QuotaBytes, Weight: info.Weight,
-	})
-	if err != nil {
-		return fmt.Errorf("director: encode tenant record: %w", err)
-	}
-	if _, err := d.tenJournal.Write(append(line, '\n')); err != nil {
-		return fmt.Errorf("director: tenant journal append: %w", err)
-	}
-	if err := d.tenJournal.Sync(); err != nil {
-		return fmt.Errorf("director: tenant journal sync: %w", err)
-	}
-	return nil
+	return d.writeRecord(d.tenantLog, func(b []byte) []byte { return appendTenant(b, info) })
 }
 
-// appendJournal writes one fsynced record; caller holds d.mu. A nil
-// journal (in-RAM director) is a no-op.
-func (d *Director) appendJournal(rec recipeRecord) error {
-	if d.journal == nil {
-		return nil
-	}
-	line, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("director: encode journal record: %w", err)
-	}
-	if _, err := d.journal.Write(append(line, '\n')); err != nil {
-		return fmt.Errorf("director: journal append: %w", err)
-	}
-	if err := d.journal.Sync(); err != nil {
-		return fmt.Errorf("director: journal sync: %w", err)
-	}
-	return nil
-}
-
-// Close releases the recipe and membership journals (durable
+// Close releases the recipe, membership and tenant journals (durable
 // directors). Safe on in-RAM directors.
 func (d *Director) Close() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	var err error
-	if d.journal != nil {
-		err = d.journal.Close()
-		d.journal = nil
-	}
-	if d.memJournal != nil {
-		if cerr := d.memJournal.Close(); err == nil {
+	for _, l := range []*wire.Log{d.recipeLog, d.memberLog, d.tenantLog} {
+		if l == nil {
+			continue
+		}
+		if cerr := l.Close(); err == nil {
 			err = cerr
 		}
-		d.memJournal = nil
 	}
-	if d.tenJournal != nil {
-		if cerr := d.tenJournal.Close(); err == nil {
-			err = cerr
-		}
-		d.tenJournal = nil
-	}
+	d.recipeLog, d.memberLog, d.tenantLog = nil, nil, nil
 	return err
 }
 
@@ -437,14 +326,8 @@ func (d *Director) SwapRecipe(ctx context.Context, session uint64, path string, 
 	if err := d.tenants.CheckPut(tn, size, prevSize); err != nil {
 		return Recipe{}, err
 	}
-	if d.journal != nil {
-		js := make([]chunkJSON, len(chunks))
-		for i, c := range chunks {
-			js[i] = chunkJSON{FP: c.FP.String(), Size: c.Size, Node: c.Node, R: c.Replica + 1}
-		}
-		if err := d.appendJournal(recipeRecord{T: "put", Tenant: tn, Path: name, Session: session, Gen: gen, Chunks: js}); err != nil {
-			return Recipe{}, err
-		}
+	if err := d.writeRecord(d.recipeLog, func(b []byte) []byte { return appendPut(b, tn, name, session, gen, chunks) }); err != nil {
+		return Recipe{}, err
 	}
 	s.Files = append(s.Files, path)
 	cp := make([]ChunkEntry, len(chunks))
@@ -472,7 +355,7 @@ func (d *Director) DeleteRecipe(ctx context.Context, path string) (Recipe, error
 		return Recipe{}, fmt.Errorf("%w: %s", ErrNoRecipe, path)
 	}
 	tn, name := tenant.SplitKey(path)
-	if err := d.appendJournal(recipeRecord{T: "del", Tenant: tn, Path: name}); err != nil {
+	if err := d.writeRecord(d.recipeLog, func(b []byte) []byte { return appendDel(b, tn, name) }); err != nil {
 		return Recipe{}, err
 	}
 	delete(d.recipes, path)

@@ -18,19 +18,15 @@
 package director
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"io/fs"
-	"os"
 	"path/filepath"
 	"sort"
 
 	"sigmadedupe/internal/fingerprint"
 	"sigmadedupe/internal/sderr"
 	"sigmadedupe/internal/tenant"
+	"sigmadedupe/internal/wire"
 )
 
 // MembersJournalName is the membership journal's file name under a
@@ -81,20 +77,6 @@ type Migration struct {
 // Wraps sderr.ErrConflict so the verdict survives the wire.
 var ErrRecipeConflict = fmt.Errorf("director: recipe changed since read: %w", sderr.ErrConflict)
 
-// memberRecord is one line of the MEMBERS journal.
-type memberRecord struct {
-	T     string     `json:"t"` // "epoch", "mig" or "migend"
-	Epoch uint64     `json:"epoch,omitempty"`
-	Nodes []NodeInfo `json:"nodes,omitempty"`
-	ID    uint64     `json:"id,omitempty"`
-	Path  string     `json:"path,omitempty"`
-	From  int32      `json:"from,omitempty"`
-	To    int32      `json:"to,omitempty"`
-	Start int        `json:"start,omitempty"`
-	Count int        `json:"count,omitempty"`
-	FPs   []string   `json:"fps,omitempty"`
-}
-
 // ClusterMeta is the membership/migration surface of the director, used
 // by the elastic-cluster backends. Both the in-process *Director and
 // the TCP Remote satisfy it.
@@ -137,73 +119,30 @@ var (
 // openMembers replays (and opens for append) the MEMBERS journal under
 // dir; called from OpenAt.
 func (d *Director) openMembers(dir string) error {
-	path := filepath.Join(dir, MembersJournalName)
-	raw, err := os.ReadFile(path)
-	if err != nil && !errors.Is(err, fs.ErrNotExist) {
-		return fmt.Errorf("director: read members journal: %w", err)
-	}
-	lines := bytes.Split(raw, []byte{'\n'})
-	for i, ln := range lines {
-		ln = bytes.TrimSpace(ln)
-		if len(ln) == 0 {
-			continue
+	n := 0
+	var err error
+	d.memberLog, err = wire.OpenLog(filepath.Join(dir, MembersJournalName), wire.LogMembers, legacyMemberLine, func(body []byte) error {
+		n++
+		rec, err := decodeMemberRecord(body)
+		if err != nil {
+			return fmt.Errorf("record %d: %w", n, err)
 		}
-		var rec memberRecord
-		if err := json.Unmarshal(ln, &rec); err != nil {
-			if i == len(lines)-1 {
-				break // torn tail write from a crash mid-append
-			}
-			return fmt.Errorf("director: members journal line %d: %w", i+1, err)
-		}
-		switch rec.T {
-		case "epoch":
-			d.members = MembershipInfo{Epoch: rec.Epoch, Nodes: rec.Nodes}
-		case "mig":
-			m := Migration{ID: rec.ID, Path: rec.Path, From: rec.From, To: rec.To,
-				Start: rec.Start, Count: rec.Count}
-			for _, hex := range rec.FPs {
-				fp, err := fingerprint.Parse(hex)
-				if err != nil {
-					return fmt.Errorf("director: members journal line %d: %w", i+1, err)
-				}
-				m.FPs = append(m.FPs, fp)
-			}
+		switch m := rec.mig; rec.kind {
+		case recEpoch:
+			d.members = rec.members
+		case recMig:
 			d.pendingMigs[m.ID] = m
-			if m.ID > d.nextMig {
-				d.nextMig = m.ID
+			d.nextMig = max(d.nextMig, m.ID)
+		case recMigEnd:
+			if _, ok := d.pendingMigs[m.ID]; !ok {
+				return fmt.Errorf("record %d: end of migration %d the journal never began", n, m.ID)
 			}
-		case "migend":
-			if _, ok := d.pendingMigs[rec.ID]; !ok {
-				return fmt.Errorf("director: members journal line %d: end of migration %d the journal never began", i+1, rec.ID)
-			}
-			delete(d.pendingMigs, rec.ID)
-		default:
-			return fmt.Errorf("director: members journal line %d: unknown record type %q", i+1, rec.T)
+			delete(d.pendingMigs, m.ID)
 		}
-	}
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("director: open members journal: %w", err)
-	}
-	d.memJournal = f
-	return nil
-}
-
-// appendMembers writes one fsynced MEMBERS record; caller holds d.mu. A
-// nil journal (in-RAM director) is a no-op.
-func (d *Director) appendMembers(rec memberRecord) error {
-	if d.memJournal == nil {
 		return nil
-	}
-	line, err := json.Marshal(rec)
+	})
 	if err != nil {
-		return fmt.Errorf("director: encode members record: %w", err)
-	}
-	if _, err := d.memJournal.Write(append(line, '\n')); err != nil {
-		return fmt.Errorf("director: members journal append: %w", err)
-	}
-	if err := d.memJournal.Sync(); err != nil {
-		return fmt.Errorf("director: members journal sync: %w", err)
+		return fmt.Errorf("director: %w", err)
 	}
 	return nil
 }
@@ -250,7 +189,7 @@ func (d *Director) SetMembers(ctx context.Context, ifEpoch uint64, nodes []NodeI
 	if !sameIDs(d.members.Nodes, sorted) {
 		next.Epoch++
 	}
-	if err := d.appendMembers(memberRecord{T: "epoch", Epoch: next.Epoch, Nodes: sorted}); err != nil {
+	if err := d.writeRecord(d.memberLog, func(b []byte) []byte { return appendEpoch(b, next.Epoch, sorted) }); err != nil {
 		return MembershipInfo{}, err
 	}
 	d.members = next
@@ -280,12 +219,7 @@ func (d *Director) BeginMigration(ctx context.Context, m Migration) (uint64, err
 	defer d.mu.Unlock()
 	d.nextMig++
 	m.ID = d.nextMig
-	rec := memberRecord{T: "mig", ID: m.ID, Path: m.Path, From: m.From, To: m.To,
-		Start: m.Start, Count: m.Count, FPs: make([]string, len(m.FPs))}
-	for i, fp := range m.FPs {
-		rec.FPs[i] = fp.String()
-	}
-	if err := d.appendMembers(rec); err != nil {
+	if err := d.writeRecord(d.memberLog, func(b []byte) []byte { return appendMig(b, &m) }); err != nil {
 		return 0, err
 	}
 	d.pendingMigs[m.ID] = m
@@ -302,7 +236,7 @@ func (d *Director) EndMigration(ctx context.Context, id uint64) error {
 	if _, ok := d.pendingMigs[id]; !ok {
 		return fmt.Errorf("director: no pending migration %d: %w", id, sderr.ErrNotFound)
 	}
-	if err := d.appendMembers(memberRecord{T: "migend", ID: id}); err != nil {
+	if err := d.writeRecord(d.memberLog, func(b []byte) []byte { return appendMigEnd(b, id) }); err != nil {
 		return err
 	}
 	delete(d.pendingMigs, id)
@@ -364,14 +298,8 @@ func (d *Director) ReplaceRecipe(ctx context.Context, path string, ifSession, if
 	}
 	gen := r.Gen + 1
 	tn, name := tenant.SplitKey(path)
-	if d.journal != nil {
-		js := make([]chunkJSON, len(chunks))
-		for i, c := range chunks {
-			js[i] = chunkJSON{FP: c.FP.String(), Size: c.Size, Node: c.Node, R: c.Replica + 1}
-		}
-		if err := d.appendJournal(recipeRecord{T: "put", Tenant: tn, Path: name, Session: r.Session, Gen: gen, Chunks: js}); err != nil {
-			return err
-		}
+	if err := d.writeRecord(d.recipeLog, func(b []byte) []byte { return appendPut(b, tn, name, r.Session, gen, chunks) }); err != nil {
+		return err
 	}
 	prevSize := r.Size()
 	cp := make([]ChunkEntry, len(chunks))

@@ -8,12 +8,14 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 
 	"sigmadedupe/internal/core"
 	"sigmadedupe/internal/fingerprint"
+	"sigmadedupe/internal/sderr"
 )
 
 // refsOf extracts the (fps, ns) decref batch for a super-chunk: every
@@ -423,7 +425,9 @@ func TestCompactCrashAtEveryStage(t *testing.T) {
 // TestOpenRejectsUnknownManifestRecords is the regression suite for
 // unknown-record handling: a retire of a container the journal never
 // sealed, a decref of chunk references the store never held, and a
-// record of an unknown type must each fail the open loudly.
+// record of an unknown type must each fail the open loudly; so must a
+// damaged record that a whole record follows (ErrCorrupt), while a torn
+// final record stays tolerated.
 func TestOpenRejectsUnknownManifestRecords(t *testing.T) {
 	newStore := func(t *testing.T) (string, Config) {
 		t.Helper()
@@ -442,30 +446,25 @@ func TestOpenRejectsUnknownManifestRecords(t *testing.T) {
 		}
 		return dir, cfg
 	}
-	appendLine := func(t *testing.T, dir, line string) {
-		t.Helper()
-		f, err := os.OpenFile(filepath.Join(dir, ManifestName), os.O_APPEND|os.O_WRONLY, 0o644)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// A trailing newline makes this a complete (non-torn) record.
-		if _, err := f.WriteString(line + "\n"); err != nil {
-			t.Fatal(err)
-		}
-		f.Close()
+	decref := func(fp fingerprint.Fingerprint, n int64) []byte {
+		return frameRecord(func(b []byte) []byte {
+			return appendEntries(b, recDecref, []fingerprint.Fingerprint{fp}, []int64{n})
+		})
+	}
+	retire := func(cid uint64) []byte {
+		return frameRecord(func(b []byte) []byte { return appendRetire(b, cid) })
 	}
 
 	t.Run("retire of unsealed container", func(t *testing.T) {
 		dir, cfg := newStore(t)
-		appendLine(t, dir, `{"t":"retire","cid":99}`)
+		appendManifest(t, dir, retire(99))
 		if _, err := Open(cfg); err == nil {
 			t.Fatal("Open must reject a retire record for a container the journal never sealed")
 		}
 	})
 	t.Run("decref of unknown chunk", func(t *testing.T) {
 		dir, cfg := newStore(t)
-		ghost := fingerprint.Sum([]byte("never stored"))
-		appendLine(t, dir, fmt.Sprintf(`{"t":"decref","fps":[%q],"ns":[1]}`, ghost.String()))
+		appendManifest(t, dir, decref(fingerprint.Sum([]byte("never stored")), 1))
 		if _, err := Open(cfg); err == nil {
 			t.Fatal("Open must reject a decref record for chunk references the store never held")
 		}
@@ -475,33 +474,41 @@ func TestOpenRejectsUnknownManifestRecords(t *testing.T) {
 		// Rebuild the same first chunk fingerprint the store holds once.
 		rng := rand.New(rand.NewSource(46))
 		sc := makeSC(rng, 4, true)
-		appendLine(t, dir, fmt.Sprintf(`{"t":"decref","fps":[%q],"ns":[2]}`, sc.Chunks[0].FP.String()))
+		appendManifest(t, dir, decref(sc.Chunks[0].FP, 2))
 		if _, err := Open(cfg); err == nil {
 			t.Fatal("Open must reject a decref that drops more references than the journal granted")
 		}
 	})
 	t.Run("unknown record type", func(t *testing.T) {
 		dir, cfg := newStore(t)
-		appendLine(t, dir, `{"t":"frobnicate","cid":1}`)
+		appendManifest(t, dir, frameRecord(func(b []byte) []byte { return append(b, 0x7f, 1) }))
 		if _, err := Open(cfg); err == nil {
 			t.Fatal("Open must reject a record of unknown type")
 		}
 	})
 	t.Run("torn unknown tail still tolerated", func(t *testing.T) {
 		dir, cfg := newStore(t)
-		f, err := os.OpenFile(filepath.Join(dir, ManifestName), os.O_APPEND|os.O_WRONLY, 0o644)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := f.WriteString(`{"t":"retire","ci`); err != nil {
-			t.Fatal(err)
-		}
-		f.Close()
+		rec := retire(99)
+		appendManifest(t, dir, rec[:len(rec)-1])
 		r, err := Open(cfg)
 		if err != nil {
 			t.Fatalf("torn tail must stay tolerated: %v", err)
 		}
 		r.Close()
+	})
+	t.Run("damaged record before a whole one", func(t *testing.T) {
+		dir, cfg := newStore(t)
+		rng := rand.New(rand.NewSource(46))
+		sc := makeSC(rng, 4, true)
+		// The first of two records loses a bit of its body: the open must
+		// fail on the damage, not cut the log there as if it were torn.
+		first := decref(sc.Chunks[1].FP, 1)
+		first[len(first)-1] ^= 0x40
+		appendManifest(t, dir, append(first, decref(sc.Chunks[2].FP, 1)...))
+		_, err := Open(cfg)
+		if !errors.Is(err, sderr.ErrCorrupt) {
+			t.Fatalf("Open over a damaged non-final record: err = %v, want ErrCorrupt", err)
+		}
 	})
 }
 
@@ -724,17 +731,33 @@ func TestOpenMigratesLegacyManifest(t *testing.T) {
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Rewrite the manifest as the pre-GC format: drop every ref record.
-	raw, err := os.ReadFile(filepath.Join(dir, ManifestName))
+	// Rewrite the manifest as the oldest format of all: JSON lines (the
+	// format before the record log) without a single ref record (the
+	// format before refcounting). Open converts the one and seeds the
+	// other.
+	m, recs, err := openManifest(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	m.close()
 	var legacy []byte
-	for _, ln := range bytes.Split(raw, []byte{'\n'}) {
-		if len(ln) == 0 || bytes.Contains(ln, []byte(`"t":"ref"`)) {
-			continue
+	list := func(n int, item func(i int) string) string {
+		q := make([]string, n)
+		for i := range q {
+			q[i] = item(i)
 		}
-		legacy = append(append(legacy, ln...), '\n')
+		return strings.Join(q, ",")
+	}
+	for _, r := range recs {
+		switch r.kind {
+		case recSeal:
+			legacy = fmt.Appendf(legacy, `{"t":"seal","cid":%d,"file":%q,"chunks":%d,"bytes":%d,"crc":%d}`+"\n",
+				r.cid, r.file, r.chunks, r.bytes, r.crc)
+		case recRFP:
+			legacy = fmt.Appendf(legacy, `{"t":"rfp","fps":[%s],"cids":[%s]}`+"\n",
+				list(len(r.fps), func(i int) string { return strconv.Quote(r.fps[i].String()) }),
+				list(len(r.vals), func(i int) string { return strconv.FormatUint(r.vals[i], 10) }))
+		}
 	}
 	if err := os.WriteFile(filepath.Join(dir, ManifestName), legacy, 0o644); err != nil {
 		t.Fatal(err)

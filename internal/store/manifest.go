@@ -1,11 +1,12 @@
 // Manifest: the append-only journal that makes a storage engine
-// restartable. Each line is one JSON record; five record types exist:
+// restartable — a record log (internal/wire) whose bodies are one of five
+// binary records, fingerprints raw and counts as uvarints:
 //
-//	{"t":"seal","cid":7,"file":"container-00000007.bin","chunks":128,"bytes":4194304,"crc":3735928559}
-//	{"t":"rfp","fps":["<40-hex>",...],"cids":[7,...]}
-//	{"t":"ref","fps":["<40-hex>",...],"ns":[2,...]}
-//	{"t":"decref","fps":["<40-hex>",...],"ns":[1,...]}
-//	{"t":"retire","cid":7}
+//	seal:   1 | cid uvarint | file string | chunks uvarint | bytes uvarint | crc u32
+//	rfp:    2 | n uvarint | n × (fp [20] | cid uvarint)
+//	ref:    3 | n uvarint | n × (fp [20] | count uvarint)
+//	decref: 4 | n uvarint | n × (fp [20] | count uvarint)
+//	retire: 5 | cid uvarint
 //
 // A "seal" record commits a spilled container (written and fsynced before
 // the record lands, so a record always names a complete file). An "rfp"
@@ -16,17 +17,19 @@
 // decrements of a backup deletion — together they make the per-chunk
 // refcounts, and with them the per-container live ratios, recoverable. A
 // "retire" record commits a compaction: the named container's surviving
-// chunks live in a later-sealed container, and its file is dead.
+// chunks live in a later-sealed container, and its file is dead. A
+// manifest written as JSON lines (one {"t":"seal",...} object per record,
+// fingerprints as hex) is converted once on open (legacy.go).
 //
 // Recovery replays seal records first (rebuilding the chunk index and
 // container directory from container metadata, CRC-verified, skipping
 // retired containers), then rfp records in order, then ref/decref records
-// in journal order. A torn final line — a crash mid-append — is ignored;
-// torn or corrupt earlier lines fail the open, and so do records of an
-// unknown type or retire/decref records referencing containers or chunk
-// references the journal never introduced: a manifest that claims to
-// delete state this store never had is corrupt, and restoring from it
-// silently could hand the compactor live chunks.
+// in journal order. A torn final record — a crash mid-append — is cut off
+// (the record log's rule); damaged earlier records fail the open, and so
+// do records of an unknown type or retire/decref records referencing
+// containers or chunk references the journal never introduced: a manifest
+// that claims to delete state this store never had is corrupt, and
+// restoring from it silently could hand the compactor live chunks.
 //
 // Durability classes: seal, retire and decref records are fsynced (they
 // commit container data, container death, and backup deletion
@@ -40,103 +43,168 @@
 package store
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"io/fs"
 	"os"
 	"path/filepath"
 	"sync"
 
 	"sigmadedupe/internal/container"
 	"sigmadedupe/internal/fingerprint"
+	"sigmadedupe/internal/wire"
 )
 
 // ManifestName is the manifest's file name under the engine's Dir.
 const ManifestName = "MANIFEST"
 
-// record is one manifest line.
+// Manifest record types: the first byte of a record body.
+const (
+	recSeal   byte = 1
+	recRFP    byte = 2
+	recRef    byte = 3
+	recDecref byte = 4
+	recRetire byte = 5
+)
+
+// record is one decoded manifest record.
 type record struct {
-	T      string   `json:"t"`
-	CID    uint64   `json:"cid,omitempty"`
-	File   string   `json:"file,omitempty"`
-	Chunks int      `json:"chunks,omitempty"`
-	Bytes  int64    `json:"bytes,omitempty"`
-	CRC    uint32   `json:"crc,omitempty"`
-	FPs    []string `json:"fps,omitempty"`
-	CIDs   []uint64 `json:"cids,omitempty"`
-	Ns     []int64  `json:"ns,omitempty"`
+	kind   byte
+	cid    uint64 // seal, retire
+	file   string // seal
+	chunks int
+	bytes  int64
+	crc    uint32
+	fps    []fingerprint.Fingerprint // rfp, ref, decref
+	vals   []uint64                  // rfp: container IDs; ref, decref: counts
 }
 
-// manifest is the open append handle. Appends are serialized by mu;
-// seal, retire and decref records are fsynced (they commit data, a
-// container's death, and a deletion respectively), rfp and ref records
-// are not (rfp loss only degrades the recovered similarity index; ref
-// loss can only over-count, see the package comment). rfp/ref records
-// are additionally buffered in RAM and written in batches, so the per-
-// super-chunk store path never touches the file: it takes only the short
-// buffer lock, keeping the sharded store path off one global file write.
+// manifest is the open append handle. seal, retire and decref records are
+// fsynced (they commit data, a container's death, and a deletion
+// respectively), rfp and ref records are not (rfp loss only degrades the
+// recovered similarity index; ref loss can only over-count, see the
+// package comment). rfp/ref records are encoded, framed, into one RAM
+// buffer under the short bufMu and written in batches, so the per-super-
+// chunk store path never touches the file.
 type manifest struct {
-	mu sync.Mutex
-	f  *os.File
+	log *wire.Log
+
+	// mu orders writes: a batch taken from buf is on disk before any
+	// record written after it, so a decref never precedes its refs.
+	mu    sync.Mutex
+	spare []byte // the array of the last batch written, for reuse
 
 	bufMu sync.Mutex
-	buf   []record
+	buf   []byte // framed rfp/ref records not yet written
 }
 
-// bufFlushThreshold bounds the RAM held by buffered rfp/ref records
-// before an inline batch write.
-const bufFlushThreshold = 1024
+// bufFlushThreshold bounds the bytes of buffered rfp/ref records before
+// an inline batch write.
+const bufFlushThreshold = 1 << 20
 
-func openManifest(dir string) (*manifest, error) {
+// openManifest opens (creating) the manifest under dir and returns its
+// decoded records.
+func openManifest(dir string) (*manifest, []record, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("manifest: create dir: %w", err)
+		return nil, nil, fmt.Errorf("manifest: create dir: %w", err)
 	}
-	f, err := os.OpenFile(filepath.Join(dir, ManifestName), os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
+	var recs []record
+	log, err := wire.OpenLog(filepath.Join(dir, ManifestName), wire.LogManifest, legacyManifestLine,
+		func(body []byte) error {
+			r, err := decodeRecord(body)
+			if err != nil {
+				return fmt.Errorf("record %d: %w", len(recs)+1, err)
+			}
+			recs = append(recs, r)
+			return nil
+		})
 	if err != nil {
-		return nil, fmt.Errorf("manifest: open: %w", err)
+		return nil, nil, fmt.Errorf("manifest: %w", err)
 	}
-	return &manifest{f: f}, nil
+	return &manifest{log: log}, recs, nil
 }
 
-func (m *manifest) append(rec record, sync bool) error {
-	line, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("manifest: encode: %w", err)
+func appendSeal(b []byte, rec container.SealRecord) []byte {
+	b = append(b, recSeal)
+	b = wire.AppendUvarint(b, rec.CID)
+	b = wire.AppendString(b, rec.File)
+	b = wire.AppendUvarint(b, uint64(rec.Chunks))
+	b = wire.AppendUvarint(b, uint64(rec.Bytes))
+	return wire.AppendU32(b, rec.CRC)
+}
+
+func appendRetire(b []byte, cid uint64) []byte {
+	return wire.AppendUvarint(append(b, recRetire), cid)
+}
+
+// appendEntries encodes an rfp, ref or decref record: one value per
+// fingerprint.
+func appendEntries[V int64 | uint64](b []byte, kind byte, fps []fingerprint.Fingerprint, vals []V) []byte {
+	b = append(b, kind)
+	b = wire.AppendUvarint(b, uint64(len(fps)))
+	for i := range fps {
+		b = append(b, fps[i][:]...)
+		b = wire.AppendUvarint(b, uint64(vals[i]))
 	}
+	return b
+}
+
+// decodeRecord parses one record body; an unknown type is an error.
+func decodeRecord(body []byte) (record, error) {
+	r := wire.NewReader(body)
+	rec := record{kind: r.U8()}
+	switch rec.kind {
+	case recSeal:
+		rec.cid = r.Uvarint()
+		rec.file = r.String()
+		rec.chunks = int(r.Uvarint())
+		rec.bytes = int64(r.Uvarint())
+		rec.crc = r.U32()
+	case recRetire:
+		rec.cid = r.Uvarint()
+	case recRFP, recRef, recDecref:
+		// An entry is a fingerprint plus at least one varint byte.
+		n := r.UvarintCount(fingerprint.Size + 1)
+		rec.fps = make([]fingerprint.Fingerprint, n)
+		rec.vals = make([]uint64, n)
+		for i := 0; i < n; i++ {
+			copy(rec.fps[i][:], r.Raw(fingerprint.Size))
+			rec.vals[i] = r.Uvarint()
+		}
+	default:
+		return rec, fmt.Errorf("unknown record type %d", rec.kind)
+	}
+	if err := r.Done(); err != nil {
+		return rec, err
+	}
+	return rec, nil
+}
+
+// write drains the buffered rfp/ref records — followed, when enc is set,
+// by one record it encodes — in a single write, and fsyncs when sync is
+// set. A synced record is the commit point of a seal, retire or decref,
+// and makes the records ahead of it durable too.
+func (m *manifest) write(enc func(b []byte) []byte, sync bool) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.f == nil {
-		return errors.New("manifest: closed")
+	m.bufMu.Lock()
+	batch := m.buf
+	m.buf, m.spare = m.spare[:0], nil
+	m.bufMu.Unlock()
+	if enc != nil {
+		start := len(batch)
+		batch = enc(wire.BeginRecord(batch))
+		wire.EndRecord(batch, start)
 	}
-	if _, err := m.f.Write(append(line, '\n')); err != nil {
-		return fmt.Errorf("manifest: append: %w", err)
-	}
-	if sync {
-		if err := m.f.Sync(); err != nil {
-			return fmt.Errorf("manifest: sync: %w", err)
-		}
+	err := m.log.Write(batch, sync)
+	m.spare = batch[:0]
+	if err != nil {
+		return fmt.Errorf("manifest: %w", err)
 	}
 	return nil
 }
 
 func (m *manifest) appendSeal(rec container.SealRecord) error {
-	// Drain buffered rfp/ref records first so the journal stays roughly
-	// in insertion order (replay is multi-pass and order-tolerant
-	// regardless) and the seal's fsync makes them durable too.
-	if err := m.flushBuffered(); err != nil {
-		return err
-	}
-	return m.append(record{
-		T:      "seal",
-		CID:    rec.CID,
-		File:   rec.File,
-		Chunks: rec.Chunks,
-		Bytes:  rec.Bytes,
-		CRC:    rec.CRC,
-	}, true)
+	return m.write(func(b []byte) []byte { return appendSeal(b, rec) }, true)
 }
 
 // appendRetire journals (fsynced) that a compacted container is dead: its
@@ -144,43 +212,33 @@ func (m *manifest) appendSeal(rec container.SealRecord) error {
 // removed. Replay must see any seal records for the survivors' new home
 // before this, which the compactor guarantees by sealing first.
 func (m *manifest) appendRetire(cid uint64) error {
-	if err := m.flushBuffered(); err != nil {
-		return err
-	}
-	return m.append(record{T: "retire", CID: cid}, true)
+	return m.write(func(b []byte) []byte { return appendRetire(b, cid) }, true)
 }
 
 // appendDecref journals (fsynced) the reference decrements of one backup
 // deletion — the deletion's commit point.
 func (m *manifest) appendDecref(fps []fingerprint.Fingerprint, ns []int64) error {
-	if err := m.flushBuffered(); err != nil {
-		return err
-	}
-	return m.append(record{T: "decref", FPs: hexFPs(fps), Ns: ns}, true)
-}
-
-func hexFPs(fps []fingerprint.Fingerprint) []string {
-	hexes := make([]string, len(fps))
-	for i, fp := range fps {
-		hexes[i] = fp.String()
-	}
-	return hexes
+	return m.write(func(b []byte) []byte { return appendEntries(b, recDecref, fps, ns) }, true)
 }
 
 // bufferRFPs queues one super-chunk's similarity-index entries. No file
-// I/O happens here — the hot store path only appends to a slice.
+// I/O happens here — the hot store path only appends to a buffer.
 func (m *manifest) bufferRFPs(fps []fingerprint.Fingerprint, cids []uint64) error {
-	return m.buffer(record{T: "rfp", FPs: hexFPs(fps), CIDs: cids})
+	return bufferEntries(m, recRFP, fps, cids)
 }
 
 // bufferRefs queues one super-chunk's chunk-reference increments.
 func (m *manifest) bufferRefs(fps []fingerprint.Fingerprint, ns []int64) error {
-	return m.buffer(record{T: "ref", FPs: hexFPs(fps), Ns: ns})
+	return bufferEntries(m, recRef, fps, ns)
 }
 
-func (m *manifest) buffer(rec record) error {
+// bufferEntries encodes one rfp or ref record, framed, onto the buffer and
+// writes the buffer out once it passes bufFlushThreshold.
+func bufferEntries[V int64 | uint64](m *manifest, kind byte, fps []fingerprint.Fingerprint, vals []V) error {
 	m.bufMu.Lock()
-	m.buf = append(m.buf, rec)
+	start := len(m.buf)
+	m.buf = appendEntries(wire.BeginRecord(m.buf), kind, fps, vals)
+	wire.EndRecord(m.buf, start)
 	full := len(m.buf) >= bufFlushThreshold
 	m.bufMu.Unlock()
 	if full {
@@ -190,97 +248,19 @@ func (m *manifest) buffer(rec record) error {
 }
 
 // flushBuffered writes all buffered rfp/ref records as one batch.
-func (m *manifest) flushBuffered() error {
-	m.bufMu.Lock()
-	batch := m.buf
-	m.buf = nil
-	m.bufMu.Unlock()
-	if len(batch) == 0 {
-		return nil
-	}
-	var lines []byte
-	for _, rec := range batch {
-		line, err := json.Marshal(rec)
-		if err != nil {
-			return fmt.Errorf("manifest: encode: %w", err)
-		}
-		lines = append(lines, line...)
-		lines = append(lines, '\n')
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.f == nil {
-		return errors.New("manifest: closed")
-	}
-	if _, err := m.f.Write(lines); err != nil {
-		return fmt.Errorf("manifest: append: %w", err)
-	}
-	return nil
-}
+func (m *manifest) flushBuffered() error { return m.write(nil, false) }
 
 // sync drains buffered records and fsyncs the manifest, making every
 // journaled fact durable (Flush's commit point for refcounts on backups
 // that seal no container).
-func (m *manifest) sync() error {
-	if err := m.flushBuffered(); err != nil {
-		return err
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.f == nil {
-		return errors.New("manifest: closed")
-	}
-	if err := m.f.Sync(); err != nil {
-		return fmt.Errorf("manifest: sync: %w", err)
-	}
-	return nil
-}
+func (m *manifest) sync() error { return m.write(nil, true) }
 
 func (m *manifest) close() error {
-	err := m.flushBuffered()
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.f == nil {
-		return err
-	}
-	if serr := m.f.Sync(); err == nil {
-		err = serr
-	}
-	if cerr := m.f.Close(); err == nil {
+	err := m.sync()
+	if cerr := m.log.Close(); err == nil {
 		err = cerr
 	}
-	m.f = nil
 	return err
-}
-
-// readManifest parses the manifest under dir. A missing manifest yields
-// no records (fresh store). A torn final line is ignored; a malformed
-// earlier line is an error.
-func readManifest(dir string) ([]record, error) {
-	raw, err := os.ReadFile(filepath.Join(dir, ManifestName))
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("manifest: read: %w", err)
-	}
-	lines := bytes.Split(raw, []byte{'\n'})
-	var recs []record
-	for i, ln := range lines {
-		ln = bytes.TrimSpace(ln)
-		if len(ln) == 0 {
-			continue
-		}
-		var r record
-		if err := json.Unmarshal(ln, &r); err != nil {
-			if i == len(lines)-1 {
-				break // torn tail write from a crash mid-append
-			}
-			return nil, fmt.Errorf("manifest: line %d: %w", i+1, err)
-		}
-		recs = append(recs, r)
-	}
-	return recs, nil
 }
 
 // replay rebuilds engine state from manifest records: the retired set is
@@ -294,24 +274,22 @@ func readManifest(dir string) ([]record, error) {
 // containers re-derives per-container dead bytes so the compactor's
 // live-ratio scan resumes where it left off.
 func (e *Engine) replay(recs []record) error {
-	// Pass 1: validate record types in journal order; collect retires.
+	// Pass 1 (record types were validated by decodeRecord): collect
+	// retires in journal order.
 	sealed := make(map[uint64]bool)
 	retired := make(map[uint64]bool)
 	for i, r := range recs {
-		switch r.T {
-		case "seal":
-			sealed[r.CID] = true
-		case "retire":
-			if !sealed[r.CID] {
-				return fmt.Errorf("manifest: record %d: retire of container %d the journal never sealed", i+1, r.CID)
+		switch r.kind {
+		case recSeal:
+			sealed[r.cid] = true
+		case recRetire:
+			if !sealed[r.cid] {
+				return fmt.Errorf("manifest: record %d: retire of container %d the journal never sealed", i+1, r.cid)
 			}
-			if retired[r.CID] {
-				return fmt.Errorf("manifest: record %d: container %d retired twice", i+1, r.CID)
+			if retired[r.cid] {
+				return fmt.Errorf("manifest: record %d: container %d retired twice", i+1, r.cid)
 			}
-			retired[r.CID] = true
-		case "rfp", "ref", "decref":
-		default:
-			return fmt.Errorf("manifest: record %d: unknown record type %q", i+1, r.T)
+			retired[r.cid] = true
 		}
 	}
 
@@ -320,33 +298,33 @@ func (e *Engine) replay(recs []record) error {
 	// file removal is deleted here).
 	var adopted []*container.Container
 	for _, r := range recs {
-		if r.T != "seal" {
+		if r.kind != recSeal {
 			continue
 		}
-		if retired[r.CID] {
-			e.containers.AdvanceID(r.CID) // never re-allocate a journaled ID
-			if r.File != "" {
-				_ = os.Remove(filepath.Join(e.cfg.Dir, r.File))
+		if retired[r.cid] {
+			e.containers.AdvanceID(r.cid) // never re-allocate a journaled ID
+			if r.file != "" {
+				_ = os.Remove(filepath.Join(e.cfg.Dir, r.file))
 			}
 			continue
 		}
-		raw, err := os.ReadFile(filepath.Join(e.cfg.Dir, r.File))
+		raw, err := os.ReadFile(filepath.Join(e.cfg.Dir, r.file))
 		if err != nil {
-			return fmt.Errorf("recover container %d: %w", r.CID, err)
+			return fmt.Errorf("recover container %d: %w", r.cid, err)
 		}
 		c, err := container.DecodeMeta(raw)
 		if err != nil {
-			return fmt.Errorf("recover container %d (%s): %w", r.CID, r.File, err)
+			return fmt.Errorf("recover container %d (%s): %w", r.cid, r.file, err)
 		}
-		if c.ID != r.CID {
+		if c.ID != r.cid {
 			return fmt.Errorf("recover container %d (%s): %w: file holds container %d",
-				r.CID, r.File, container.ErrCorrupt, c.ID)
+				r.cid, r.file, container.ErrCorrupt, c.ID)
 		}
 		// Cross-check the journaled CRC: a self-consistent but substituted
 		// container file must not pass recovery.
-		if got := binary.BigEndian.Uint32(raw[len(raw)-4:]); got != r.CRC {
+		if got := binary.BigEndian.Uint32(raw[len(raw)-4:]); got != r.crc {
 			return fmt.Errorf("recover container %d (%s): %w: file CRC %08x, manifest committed %08x",
-				r.CID, r.File, container.ErrCorrupt, got, r.CRC)
+				r.cid, r.file, container.ErrCorrupt, got, r.crc)
 		}
 		if e.cidx != nil {
 			for _, cm := range c.Meta {
@@ -363,18 +341,14 @@ func (e *Engine) replay(recs []record) error {
 
 	// Pass 3: similarity index.
 	for _, r := range recs {
-		if r.T != "rfp" || len(r.FPs) != len(r.CIDs) {
+		if r.kind != recRFP {
 			continue
 		}
-		for i, hex := range r.FPs {
-			if !e.containers.IsSealed(r.CIDs[i]) {
+		for i, fp := range r.fps {
+			if !e.containers.IsSealed(r.vals[i]) {
 				continue // pointed at a container lost with the crash
 			}
-			fp, err := fingerprint.Parse(hex)
-			if err != nil {
-				return fmt.Errorf("recover similarity entry: %w", err)
-			}
-			e.sim.Insert(fp, r.CIDs[i])
+			e.sim.Insert(fp, r.vals[i])
 		}
 	}
 
@@ -393,7 +367,7 @@ func (e *Engine) replay(recs []record) error {
 	// once — later sessions see the seeded ref records like any others.
 	hasRefRecords := false
 	for _, r := range recs {
-		if r.T == "ref" || r.T == "decref" {
+		if r.kind == recRef || r.kind == recDecref {
 			hasRefRecords = true
 			break
 		}
@@ -422,23 +396,16 @@ func (e *Engine) replay(recs []record) error {
 		}
 	}
 	for i, r := range recs {
-		if r.T != "ref" && r.T != "decref" {
+		if r.kind != recRef && r.kind != recDecref {
 			continue
 		}
-		for j, hex := range r.FPs {
-			fp, err := fingerprint.Parse(hex)
-			if err != nil {
-				return fmt.Errorf("recover refcount entry: %w", err)
-			}
-			n := int64(1)
-			if j < len(r.Ns) {
-				n = r.Ns[j]
-			}
+		for j, fp := range r.fps {
+			n := int64(r.vals[j])
 			if n <= 0 {
 				return fmt.Errorf("manifest: record %d: non-positive refcount delta %d for %s", i+1, n, fp.Short())
 			}
 			sh := e.shardFor(fp)
-			if r.T == "ref" {
+			if r.kind == recRef {
 				sh.refs[fp] += n
 				continue
 			}

@@ -308,7 +308,7 @@ func New(cfg Config) (*Engine, error) {
 				cfg.NodeID, cfg.Dir)
 		}
 	}
-	e, err := create(cfg)
+	e, _, err := create(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -318,22 +318,23 @@ func New(cfg Config) (*Engine, error) {
 
 // create builds an engine over cfg.Dir without the prior-state guard and
 // without starting the background compactor (Open starts it only after
-// replay).
-func create(cfg Config) (*Engine, error) {
+// replay), returning the manifest's records for replay.
+func create(cfg Config) (*Engine, []record, error) {
 	cfg = cfg.withDefaults()
 	e, err := newEngine(cfg)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
+	var recs []record
 	if cfg.Dir != "" {
-		if e.man, err = openManifest(cfg.Dir); err != nil {
-			return nil, fmt.Errorf("store node %d: %w", cfg.NodeID, err)
+		if e.man, recs, err = openManifest(cfg.Dir); err != nil {
+			return nil, nil, fmt.Errorf("store node %d: %w", cfg.NodeID, err)
 		}
 	}
 	if e.containers, err = container.NewManager(e.managerOpts()...); err != nil {
-		return nil, fmt.Errorf("store node %d: %w", cfg.NodeID, err)
+		return nil, nil, fmt.Errorf("store node %d: %w", cfg.NodeID, err)
 	}
-	return e, nil
+	return e, recs, nil
 }
 
 // Open recovers a durable storage engine from cfg.Dir by replaying its
@@ -346,14 +347,9 @@ func Open(cfg Config) (*Engine, error) {
 	if cfg.Dir == "" {
 		return nil, errors.New("store: Open requires a durable Dir")
 	}
-	eng, err := create(cfg)
+	eng, recs, err := create(cfg)
 	if err != nil {
 		return nil, err
-	}
-	recs, err := readManifest(cfg.Dir)
-	if err != nil {
-		eng.man.close()
-		return nil, fmt.Errorf("store node %d: %w", cfg.NodeID, err)
 	}
 	if err := eng.replay(recs); err != nil {
 		eng.man.close()

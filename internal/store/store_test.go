@@ -2,17 +2,20 @@ package store
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 
 	"sigmadedupe/internal/container"
 	"sigmadedupe/internal/core"
 	"sigmadedupe/internal/fingerprint"
+	"sigmadedupe/internal/wire"
 )
 
 // makeSC builds a super-chunk from n random 4KB chunks.
@@ -258,7 +261,7 @@ func TestOpenDetectsCorruption(t *testing.T) {
 }
 
 // TestOpenToleratesTornManifestTail emulates a crash mid-append: a
-// partial final manifest line must be ignored, not fail the open.
+// partial final manifest record must be ignored, not fail the open.
 func TestOpenToleratesTornManifestTail(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{Dir: dir, KeepPayloads: true}
@@ -275,14 +278,10 @@ func TestOpenToleratesTornManifestTail(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	f, err := os.OpenFile(filepath.Join(dir, ManifestName), os.O_APPEND|os.O_WRONLY, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString(`{"t":"seal","cid":99,"fi`); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+	seal := frameRecord(func(b []byte) []byte {
+		return appendSeal(b, container.SealRecord{CID: 99, File: "container-00000099.bin", Chunks: 1, Bytes: 1})
+	})
+	appendManifest(t, dir, seal[:len(seal)-5])
 
 	r, err := Open(cfg)
 	if err != nil {
@@ -404,5 +403,57 @@ func TestOpenDetectsSubstitutedContainer(t *testing.T) {
 	}
 	if _, err := Open(cfg); !errors.Is(err, container.ErrCorrupt) {
 		t.Fatalf("Open with substituted container: err = %v, want ErrCorrupt", err)
+	}
+}
+
+// frameRecord frames one manifest record encoded by enc.
+func frameRecord(enc func(b []byte) []byte) []byte {
+	b := enc(wire.BeginRecord(nil))
+	wire.EndRecord(b, 0)
+	return b
+}
+
+// appendManifest appends raw bytes to the manifest under dir.
+func appendManifest(t *testing.T, dir string, raw []byte) {
+	t.Helper()
+	f, err := os.OpenFile(filepath.Join(dir, ManifestName), os.O_APPEND|os.O_WRONLY, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.Write(raw); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestManifestRecordGolden pins one framed encoding per manifest record
+// type, and decodes each body back.
+func TestManifestRecordGolden(t *testing.T) {
+	fp := fingerprint.Sum([]byte("golden"))
+	fps := []fingerprint.Fingerprint{fp}
+	seal := container.SealRecord{CID: 7, File: "container-00000007.bin", Chunks: 128, Bytes: 4 << 20, CRC: 0xdeadbeef}
+	for _, tc := range []struct {
+		want string
+		enc  func(b []byte) []byte
+		rec  record
+	}{
+		{"26000000ad9ed8cd010716000000636f6e7461696e65722d30303030303030372e62696e800180808002efbeadde", func(b []byte) []byte { return appendSeal(b, seal) },
+			record{kind: recSeal, cid: 7, file: seal.File, chunks: 128, bytes: 4 << 20, crc: 0xdeadbeef}},
+		{"1700000015d61e170201ec30adc79e734900430e4174cf0a36c2d0c4227207", func(b []byte) []byte { return appendEntries(b, recRFP, fps, []uint64{7}) },
+			record{kind: recRFP, fps: fps, vals: []uint64{7}}},
+		{"18000000575e0a010301ec30adc79e734900430e4174cf0a36c2d0c42272ac02", func(b []byte) []byte { return appendEntries(b, recRef, fps, []int64{300}) },
+			record{kind: recRef, fps: fps, vals: []uint64{300}}},
+		{"170000009c67bb080401ec30adc79e734900430e4174cf0a36c2d0c4227201", func(b []byte) []byte { return appendEntries(b, recDecref, fps, []int64{1}) },
+			record{kind: recDecref, fps: fps, vals: []uint64{1}}},
+		{"0200000092ea83780507", func(b []byte) []byte { return appendRetire(b, 7) }, record{kind: recRetire, cid: 7}},
+	} {
+		frame := frameRecord(tc.enc)
+		if got := hex.EncodeToString(frame); got != tc.want {
+			t.Errorf("record type %d: encoding %s, want %s (manifest format changed)", tc.rec.kind, got, tc.want)
+		}
+		// The body follows the 8-byte frame header (length, CRC).
+		if got, err := decodeRecord(frame[8:]); err != nil || !reflect.DeepEqual(got, tc.rec) {
+			t.Errorf("record type %d decodes to %+v, %v; want %+v", tc.rec.kind, got, err, tc.rec)
+		}
 	}
 }

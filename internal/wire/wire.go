@@ -22,6 +22,10 @@
 // call PutBuf exactly once when done with it AND with every sub-slice a
 // zero-copy decoder handed out of it (see internal/rpc for the rules on
 // the node path).
+//
+// The package also owns the record log (log.go): the CRC-framed file
+// format of the durable journals, built on the same Append*/Reader
+// primitives.
 package wire
 
 import (
@@ -309,6 +313,10 @@ func AppendF64(b []byte, v float64) []byte {
 	return binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
 }
 
+// AppendUvarint appends v as a base-128 varint: one byte below 128, the
+// width of choice for counts and small IDs in journal records.
+func AppendUvarint(b []byte, v uint64) []byte { return binary.AppendUvarint(b, v) }
+
 // AppendBool appends a bool as one byte (0 or 1).
 func AppendBool(b []byte, v bool) []byte {
 	if v {
@@ -441,19 +449,41 @@ func (r *Reader) Raw(n int) []byte { return r.take(n) }
 // least elemSize bytes each could still fit in the unread remainder —
 // the guard that keeps a bit-flipped count from provoking a huge
 // allocation before truncation is detected.
-func (r *Reader) Count(elemSize int) int {
-	n := r.U32()
+func (r *Reader) Count(elemSize int) int { return r.count(uint64(r.U32()), elemSize) }
+
+// UvarintCount reads a varint element count, validated like Count.
+func (r *Reader) UvarintCount(elemSize int) int { return r.count(r.Uvarint(), elemSize) }
+
+func (r *Reader) count(n uint64, elemSize int) int {
 	if r.err != nil {
 		return 0
 	}
 	if elemSize < 1 {
 		elemSize = 1
 	}
-	if int64(n)*int64(elemSize) > int64(r.Len()) {
+	if n > uint64(r.Len()/elemSize) {
 		r.fail(fmt.Errorf("%w: count %d x %dB > remaining %d", ErrMalformed, n, elemSize, r.Len()))
 		return 0
 	}
 	return int(n)
+}
+
+// Uvarint reads a base-128 varint (AppendUvarint).
+func (r *Reader) Uvarint() uint64 {
+	if r.err != nil {
+		return 0
+	}
+	v, n := binary.Uvarint(r.b[r.off:])
+	switch {
+	case n == 0:
+		r.fail(fmt.Errorf("%w: varint", ErrTruncated))
+		return 0
+	case n < 0:
+		r.fail(fmt.Errorf("%w: varint overflows 64 bits", ErrMalformed))
+		return 0
+	}
+	r.off += n
+	return v
 }
 
 // Done verifies the body was consumed exactly: a sticky error wins,
