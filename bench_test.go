@@ -61,7 +61,7 @@ func benchCluster(b *testing.B, cfg cluster.Config) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		st, err := c.Replay(context.Background(), map[string]cluster.Trace{"client0": cluster.Workload(g, corpus)}, nil)
+		st, err := c.Replay(context.Background(), map[string]cluster.Trace{"client0": cluster.Workload(g, corpus)})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -134,9 +134,8 @@ func scaleoutRun(scheme router.Scheme, n int, sckb int64, cfg scaleoutConfig, co
 	if err != nil {
 		return row, err
 	}
-	exact := cluster.NewExactTracker()
 	start := time.Now()
-	st, err := c.Replay(context.Background(), map[string]cluster.Trace{"client0": cluster.Workload(g, corpus)}, exact.Add)
+	st, err := c.Replay(context.Background(), map[string]cluster.Trace{"client0": cluster.Workload(g, corpus)})
 	if err != nil {
 		return row, err
 	}
@@ -152,7 +151,7 @@ func scaleoutRun(scheme router.Scheme, n int, sckb int64, cfg scaleoutConfig, co
 		LogicalMB:    float64(st.LogicalBytes) / (1 << 20),
 		PhysicalMB:   float64(c.PhysicalBytes()) / (1 << 20),
 		DedupRatio:   c.DedupRatio(st.LogicalBytes),
-		NormalizedDR: c.NormalizedDR(st.LogicalBytes, exact.Physical()),
+		NormalizedDR: c.NormalizedDR(),
 		SkewSigma:    metrics.Skew(usage),
 		SkewMaxMean:  metrics.MaxOverMean(usage),
 		SuperChunks:  st.SuperChunks,

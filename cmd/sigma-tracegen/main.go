@@ -123,7 +123,6 @@ func replay(args []string) error {
 	if err != nil {
 		return err
 	}
-	exact := cluster.NewExactTracker()
 
 	// Consecutive records of the same file are one file of the stream. A
 	// trace that ends anywhere but a record boundary is an error, not a
@@ -157,14 +156,14 @@ func replay(args []string) error {
 		}
 		return yield(cur, refs)
 	}
-	st, err := c.Replay(context.Background(), map[string]cluster.Trace{"client0": tr}, exact.Add)
+	st, err := c.Replay(context.Background(), map[string]cluster.Trace{"client0": tr})
 	if err != nil {
 		return err
 	}
 	fmt.Printf("replayed %d chunks through %d-node %s cluster\n", chunks, *nodes, c.Scheme())
 	fmt.Printf("  cluster DR:     %.2f\n", c.DedupRatio(st.LogicalBytes))
-	fmt.Printf("  normalized DR:  %.3f\n", c.NormalizedDR(st.LogicalBytes, exact.Physical()))
-	fmt.Printf("  effective DR:   %.3f (Eq. 7)\n", c.EDR(st.LogicalBytes, exact.Physical()))
+	fmt.Printf("  normalized DR:  %.3f\n", c.NormalizedDR())
+	fmt.Printf("  effective DR:   %.3f (Eq. 7)\n", c.EDR())
 	fmt.Printf("  storage skew:   %.3f\n", c.Skew())
 	fmt.Printf("  fp-lookup msgs: %d\n", st.PreRoutingMsgs+st.AfterRoutingMsgs)
 	return nil

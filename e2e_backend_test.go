@@ -577,7 +577,7 @@ func TestFailedBackupLeavesTrackerUntouched(t *testing.T) {
 		var session uint64
 		switch b := be.(type) {
 		case *Cluster:
-			dir, session = b.inner.Director(), b.def.ID()
+			dir, session = b.meta.(*Director), b.def.ID()
 		case *Remote:
 			dir, session = b.localMeta, b.def.ID()
 		}

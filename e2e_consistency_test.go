@@ -8,7 +8,6 @@ import (
 	"sync"
 	"testing"
 
-	"sigmadedupe/internal/director"
 	"sigmadedupe/internal/fingerprint"
 )
 
@@ -21,17 +20,16 @@ import (
 func assertCatalogConsistent(t *testing.T, be Backend) {
 	t.Helper()
 	ctx := context.Background()
-	var cat director.ClusterMeta
 	var p *plane
 	switch b := be.(type) {
 	case *Cluster:
-		cat, p = b.inner.Director(), &b.plane
+		p = &b.plane
 	case *Remote:
-		cat, p = b.clusterMeta, &b.plane
+		p = &b.plane
 	default:
 		t.Fatalf("unknown backend %T", be)
 	}
-	recipes, err := cat.Recipes(ctx)
+	recipes, err := p.clusterMeta.Recipes(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}

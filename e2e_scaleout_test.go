@@ -55,7 +55,7 @@ func runScaleoutCell(t *testing.T, scheme router.Scheme, n int, cfg workload.Lin
 		t.Fatal(err)
 	}
 	defer c.Close()
-	st, err := c.Replay(context.Background(), map[string]cluster.Trace{"client0": cluster.Workload(g, corpus)}, nil)
+	st, err := c.Replay(context.Background(), map[string]cluster.Trace{"client0": cluster.Workload(g, corpus)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestScaleoutStatsRace(t *testing.T) {
 			}
 		}()
 	}
-	st, err := c.Replay(context.Background(), streams, nil)
+	st, err := c.Replay(context.Background(), streams)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,23 +1,23 @@
-// Package cluster is the simulated hardware of the paper's inter-node
-// experiments (§4.4): N emulated deduplication nodes — each a full
-// independent set of fingerprint lookup structures (similarity index,
-// fingerprint cache, chunk index, container store) — the in-RAM director,
-// and one routing scheme: the paper's Σ-Dedupe or one of the four
-// baselines it is evaluated against.
+// Package cluster is the replay rig of the paper's inter-node experiments
+// (§4.4): N emulated deduplication nodes — each a full independent set of
+// fingerprint lookup structures (similarity index, fingerprint cache,
+// chunk index, container store) — the in-RAM director, and one routing
+// scheme: the paper's Σ-Dedupe or one of the four baselines it is
+// evaluated against.
 //
 // Nothing here routes or stores. A trace replay (Replay) runs every
 // stream through an ingest.Session, the backup path both backends ship,
 // entering at its pre-fingerprinted door (BackupRefs) with the chosen
-// router; message accounting (Fig. 7) is the sessions' ingest.Stats. The
-// public simulator backend builds its nodes and director here and routes
-// by Σ only.
+// router; message accounting (Fig. 7) is the sessions' ingest.Stats and
+// the exact-dedup baseline of the normalized ratios is the director's
+// catalog. The public simulator backend shares only the per-node
+// configuration rule (NewNode) and the in-process router view (View).
 package cluster
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"maps"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -30,7 +30,6 @@ import (
 	"sigmadedupe/internal/migrate"
 	"sigmadedupe/internal/node"
 	"sigmadedupe/internal/router"
-	"sigmadedupe/internal/sderr"
 	"sigmadedupe/internal/store"
 	"sigmadedupe/internal/workload"
 )
@@ -87,24 +86,19 @@ func (c Config) withDefaults() Config {
 }
 
 // Cluster is a simulated deduplication cluster: the node objects, the
-// router and the in-RAM director. Its own member list is fixed at cfg.N;
-// the public simulator backend, which owns membership, hands it every node
-// set it commits (SetView).
+// router and the in-RAM director. Its member list is fixed at cfg.N.
 type Cluster struct {
 	cfg Config
 	rt  router.Router
 
 	// view is the node set replays route over and the usage readers see.
-	// It is immutable and swapped whole, so bids, usage reads and stats
-	// take no lock: at 128 nodes × 64 streams that keeps the
-	// per-super-chunk bid fan-out off a shared mutex.
-	view atomic.Pointer[View]
+	// It never changes, so bids, usage reads and stats take no lock: at
+	// 128 nodes × 64 streams that keeps the per-super-chunk bid fan-out
+	// off a shared mutex.
+	view *View
 
 	// dir is the cluster's metadata plane: an in-RAM director holding the
-	// recipes of named backups and replayed items, the tenant table, the
-	// membership epochs and the journal of open migration/replication
-	// transactions. It never fsyncs and lives exactly as long as the
-	// Cluster, so node restarts (RestartNode, Restart) keep it.
+	// recipes of replayed items. It never fsyncs.
 	dir *director.Director
 
 	// items numbers replayed items, so no replay supersedes — and so
@@ -126,15 +120,15 @@ func New(cfg Config) (*Cluster, error) {
 	case *router.StatefulRouter:
 		r.UseSummaries = cfg.BidSummaries
 	}
-	c := &Cluster{cfg: cfg, rt: rt, dir: director.New()}
+	tmpl := cfg.Node
+	tmpl.HandprintSize = cfg.HandprintK
 	nodes := make(map[int]*node.Node, cfg.N)
 	for i := 0; i < cfg.N; i++ {
-		if nodes[i], err = c.NewNode(i); err != nil {
+		if nodes[i], err = NewNode(tmpl, i); err != nil {
 			return nil, err
 		}
 	}
-	c.view.Store(&View{Members: core.DenseMembership(cfg.N), Nodes: nodes})
-	return c, nil
+	return &Cluster{cfg: cfg, rt: rt, dir: director.New(), view: &View{Members: core.DenseMembership(cfg.N), Nodes: nodes}}, nil
 }
 
 // View is the in-process router view of one node set: bids and usage
@@ -179,30 +173,24 @@ func (v *View) SummaryMayContain(nodeID int, hp core.Handprint) bool {
 	return v.Nodes[nodeID].SummaryMayContain(hp)
 }
 
-// NewNode builds one node from the cluster template. Each durable node
-// owns a subdirectory so container files and manifests never collide and
-// a node restarts independently.
-func (c *Cluster) NewNode(id int) (*node.Node, error) {
-	ncfg := c.cfg.Node
-	ncfg.ID = id
-	ncfg.HandprintSize = c.cfg.HandprintK
-	if ncfg.Dir != "" {
-		ncfg.Dir = filepath.Join(ncfg.Dir, fmt.Sprintf("node%02d", id))
+// NewNode builds member id of a cluster from the per-node template tmpl:
+// ID is overridden, and a durable node owns subdirectory nodeNN of
+// tmpl.Dir, so container files and manifests never collide and a node
+// restarts independently.
+func NewNode(tmpl node.Config, id int) (*node.Node, error) {
+	tmpl.ID = id
+	if tmpl.Dir != "" {
+		tmpl.Dir = filepath.Join(tmpl.Dir, fmt.Sprintf("node%02d", id))
 	}
-	n, err := node.New(ncfg)
+	n, err := node.New(tmpl)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: %w", err)
 	}
 	return n, nil
 }
 
-// View returns the node set replays currently route over.
-func (c *Cluster) View() *View { return c.view.Load() }
-
-// SetView replaces the node set: the backend that owns membership calls
-// it with every set it commits, so replays, the usage readers and Close
-// follow.
-func (c *Cluster) SetView(v *View) { c.view.Store(v) }
+// View returns the node set replays route over.
+func (c *Cluster) View() *View { return c.view }
 
 // Director returns the cluster's metadata plane (see Cluster.dir).
 func (c *Cluster) Director() *director.Director { return c.dir }
@@ -210,10 +198,10 @@ func (c *Cluster) Director() *director.Director { return c.dir }
 // Router returns the cluster's routing scheme instance.
 func (c *Cluster) Router() router.Router { return c.rt }
 
-// Node resolves a node of the current view to its in-process transport
-// (the migrate.Engine.Nodes shape); false for a node outside it.
+// Node resolves a node of the view to its in-process transport (the
+// migrate.Engine.Nodes shape); false for a node outside it.
 func (c *Cluster) Node(id int) (migrate.Node, bool) {
-	n := c.view.Load().Nodes[id]
+	n := c.view.Nodes[id]
 	if n == nil {
 		return nil, false
 	}
@@ -238,8 +226,7 @@ func Workload(g workload.Generator, corpus *workload.Corpus) Trace {
 
 // Replay runs every stream through its own ingest session — named by its
 // key, which attributes its containers on the nodes — concurrently, and
-// returns the sessions' summed counters once each has flushed. observe,
-// when set, sees every chunk (the ExactTracker's Add).
+// returns the sessions' summed counters once each has flushed.
 //
 // A stream is one backup item, so its super-chunks span files as the
 // paper's trace feed does; under Extreme Binning, which routes whole
@@ -247,7 +234,7 @@ func Workload(g workload.Generator, corpus *workload.Corpus) Trace {
 // in flight, so a stream's n+1st is routed only once its nth is stored:
 // placement is sequential and deterministic. The first stream to fail
 // cancels the others.
-func (c *Cluster) Replay(ctx context.Context, streams map[string]Trace, observe func([]core.ChunkRef)) (ingest.Stats, error) {
+func (c *Cluster) Replay(ctx context.Context, streams map[string]Trace) (ingest.Stats, error) {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var (
@@ -260,7 +247,7 @@ func (c *Cluster) Replay(ctx context.Context, streams map[string]Trace, observe 
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			st, err := c.replay(ctx, name, tr, observe)
+			st, err := c.replay(ctx, name, tr)
 			mu.Lock()
 			defer mu.Unlock()
 			total.LogicalBytes += st.LogicalBytes
@@ -284,7 +271,7 @@ func (c *Cluster) Replay(ctx context.Context, streams map[string]Trace, observe 
 }
 
 // replay is one stream of Replay.
-func (c *Cluster) replay(ctx context.Context, name string, tr Trace, observe func([]core.ChunkRef)) (ingest.Stats, error) {
+func (c *Cluster) replay(ctx context.Context, name string, tr Trace) (ingest.Stats, error) {
 	nodeOf := c.Node
 	if c.cfg.Scheme == router.ExtremeBinning {
 		nodeOf = c.binNode
@@ -295,10 +282,8 @@ func (c *Cluster) replay(ctx context.Context, name string, tr Trace, observe fun
 		Inflight:       1,
 		Router:         c.rt,
 		KeepPayloads:   c.cfg.Node.KeepPayloads,
-		Observe:        observe,
 		Pin: func(context.Context) (ingest.Epoch, error) {
-			v := c.view.Load()
-			return ingest.Epoch{View: func() router.View { return v }, Node: nodeOf, Release: func() {}}, nil
+			return ingest.Epoch{View: func() router.View { return c.view }, Node: nodeOf, Release: func() {}}, nil
 		},
 	}, c.dir)
 	if err != nil {
@@ -332,7 +317,7 @@ var errNoFiles = errors.New("cluster: Extreme Binning routes files, and the trac
 // dedups only against the bin of its file's representative fingerprint,
 // which bins hold without references.
 func (c *Cluster) binNode(id int) (migrate.Node, bool) {
-	n := c.view.Load().Nodes[id]
+	n := c.view.Nodes[id]
 	if n == nil {
 		return nil, false
 	}
@@ -380,68 +365,24 @@ func (c *Cluster) DedupRatio(logical int64) float64 {
 // Skew returns σ/α over node storage usage.
 func (c *Cluster) Skew() float64 { return metrics.Skew(c.UsageVector()) }
 
-// EDR returns the normalized effective deduplication ratio (Eq. 7) of
-// logical bytes replayed, given the exact single-node physical size of the
-// same dataset.
-func (c *Cluster) EDR(logical, exactPhysical int64) float64 {
-	return metrics.EDRFromBytes(logical, c.UsageVector(), exactPhysical)
+// NormalizedDR returns the cluster DR normalized to exact single-node
+// dedup of the same data (CDR/SDR, where the logical bytes cancel): the
+// bytes of the live catalog's distinct fingerprints over the bytes
+// stored.
+func (c *Cluster) NormalizedDR() float64 {
+	recipes, _ := c.dir.Recipes(context.Background()) // an in-RAM director cannot fail it
+	return metrics.DedupRatio(director.UniqueBytes(recipes), c.PhysicalBytes())
 }
 
-// NormalizedDR returns CDR normalized to the exact single-node DR.
-func (c *Cluster) NormalizedDR(logical, exactPhysical int64) float64 {
-	return metrics.NormalizedDR(c.DedupRatio(logical), metrics.DedupRatio(logical, exactPhysical))
-}
+// EDR returns the normalized effective deduplication ratio (Eq. 7):
+// NormalizedDR × α/(α+σ) over node storage usage.
+func (c *Cluster) EDR() float64 { return c.NormalizedDR() / (1 + c.Skew()) }
 
-// RestartNode stops node i — sealing its open containers and closing its
-// manifest — and re-opens it from its durable directory, replaying the
-// manifest to restore the chunk index, similarity index and container
-// directory. The node must have been configured with a durable Dir. The
-// view is swapped for one referencing the restarted node object, not the
-// closed one; the member list is unchanged, so routing behavior is
-// identical. Not safe to call while backups are in flight; quiesce
-// streams first.
-func (c *Cluster) RestartNode(i int) error {
-	v := c.view.Load()
-	nd := v.Nodes[i]
-	if nd == nil {
-		return fmt.Errorf("cluster: no node %d: %w", i, sderr.ErrNotFound)
-	}
-	ncfg := nd.Config()
-	if ncfg.Dir == "" {
-		return fmt.Errorf("cluster: node %d has no durable dir to restart from", i)
-	}
-	if err := nd.Close(); err != nil {
-		return fmt.Errorf("cluster: stop node %d: %w", i, err)
-	}
-	ncfg.Recover = true
-	n, err := node.New(ncfg)
-	if err != nil {
-		return fmt.Errorf("cluster: restart node %d: %w", i, err)
-	}
-	nodes := maps.Clone(v.Nodes)
-	nodes[i] = n
-	c.view.Store(&View{Members: v.Members, Nodes: nodes})
-	return nil
-}
-
-// Restart bounces every live node in turn: a full cluster
-// stop/restart/restore cycle against durable storage. Same quiescence
-// requirement as RestartNode.
-func (c *Cluster) Restart() error {
-	for _, id := range c.view.Load().Members.Nodes {
-		if err := c.RestartNode(id); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Close shuts every node of the view down, sealing open containers and
-// releasing durable manifests. Durable nodes can be re-opened by a future
-// cluster with Node.Recover set. The cluster must not be used afterwards.
+// Close shuts every node down, sealing open containers and releasing
+// durable manifests. The cluster must not be used afterwards.
 func (c *Cluster) Close() error {
 	var err error
-	for _, n := range c.view.Load().Nodes {
+	for _, n := range c.view.Nodes {
 		if cerr := n.Close(); err == nil {
 			err = cerr
 		}
@@ -449,78 +390,11 @@ func (c *Cluster) Close() error {
 	return err
 }
 
-// Nodes lists the members' nodes, ascending by ID — lock-free through the
-// view, so usage readers never contend with membership or ingest locks.
+// Nodes lists the members' nodes, ascending by ID.
 func (c *Cluster) Nodes() []*node.Node {
-	v := c.view.Load()
-	out := make([]*node.Node, 0, v.Members.Len())
-	for _, id := range v.Members.Nodes {
-		out = append(out, v.Nodes[id])
+	out := make([]*node.Node, 0, c.view.Members.Len())
+	for _, id := range c.view.Members.Nodes {
+		out = append(out, c.view.Nodes[id])
 	}
 	return out
-}
-
-// exactShards is the stripe count of ExactTracker's seen-set: enough
-// that 64 concurrent trace streams rarely collide on a stripe lock.
-const exactShards = 64
-
-// ExactTracker computes the exact single-node deduplication physical size
-// of a stream (the SDR denominator of the paper's normalized metrics).
-// The seen-set is lock-striped by fingerprint and the byte counters are
-// atomics, so concurrent streams account without sharing one mutex —
-// the tracker sits on every chunk of every stream in the multi-stream
-// sweeps.
-type ExactTracker struct {
-	shards  [exactShards]exactShard
-	logical atomic.Int64
-	unique  atomic.Int64
-}
-
-type exactShard struct {
-	mu   sync.Mutex
-	seen map[fingerprint.Fingerprint]struct{}
-	// pad to a cache line so adjacent stripe locks don't false-share.
-	_ [24]byte
-}
-
-// NewExactTracker returns an empty tracker.
-func NewExactTracker() *ExactTracker {
-	e := &ExactTracker{}
-	for i := range e.shards {
-		e.shards[i].seen = make(map[fingerprint.Fingerprint]struct{})
-	}
-	return e
-}
-
-// Add accounts a stream of chunk references.
-func (e *ExactTracker) Add(refs []core.ChunkRef) {
-	for _, r := range refs {
-		e.AddRef(r)
-	}
-}
-
-// AddRef accounts a single chunk reference (streaming feed).
-func (e *ExactTracker) AddRef(r core.ChunkRef) {
-	e.logical.Add(int64(r.Size))
-	sh := &e.shards[r.FP.Uint64()%exactShards]
-	sh.mu.Lock()
-	_, ok := sh.seen[r.FP]
-	if !ok {
-		sh.seen[r.FP] = struct{}{}
-	}
-	sh.mu.Unlock()
-	if !ok {
-		e.unique.Add(int64(r.Size))
-	}
-}
-
-// Physical returns the exact-dedup physical size.
-func (e *ExactTracker) Physical() int64 { return e.unique.Load() }
-
-// Logical returns the logical size accounted.
-func (e *ExactTracker) Logical() int64 { return e.logical.Load() }
-
-// SDR returns the exact single-node deduplication ratio.
-func (e *ExactTracker) SDR() float64 {
-	return metrics.DedupRatio(e.Logical(), e.Physical())
 }

@@ -20,18 +20,42 @@ import (
 )
 
 // replayOne replays tr as the single stream "client0".
-func replayOne(t *testing.T, c *Cluster, tr Trace, observe func([]core.ChunkRef)) ingest.Stats {
+func replayOne(t *testing.T, c *Cluster, tr Trace) ingest.Stats {
 	t.Helper()
-	st, err := c.Replay(context.Background(), map[string]Trace{"client0": tr}, observe)
+	st, err := c.Replay(context.Background(), map[string]Trace{"client0": tr})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return st
 }
 
+// exactDedup is the tests' own reference for what exact single-node
+// deduplication of a trace keeps: the logical bytes of every chunk it
+// yields and the bytes of its distinct fingerprints. Not safe for
+// concurrent use.
+type exactDedup struct {
+	seen              map[fingerprint.Fingerprint]bool
+	logical, physical int64
+}
+
+func newExactDedup() *exactDedup {
+	return &exactDedup{seen: make(map[fingerprint.Fingerprint]bool)}
+}
+
+func (e *exactDedup) add(refs []core.ChunkRef) {
+	for _, r := range refs {
+		e.logical += int64(r.Size)
+		if !e.seen[r.FP] {
+			e.seen[r.FP] = true
+			e.physical += int64(r.Size)
+		}
+	}
+}
+
 // runWorkload replays a generated dataset into a fresh cluster and
-// returns the cluster, the session counters and the exact-dedup tracker.
-func runWorkload(t *testing.T, name string, cfg Config, scale float64) (*Cluster, ingest.Stats, *ExactTracker) {
+// returns the cluster, the session counters and the exact-dedup reference
+// of the chunks the trace yielded.
+func runWorkload(t *testing.T, name string, cfg Config, scale float64) (*Cluster, ingest.Stats, *exactDedup) {
 	t.Helper()
 	g, err := workload.ByName(name, scale, 0)
 	if err != nil {
@@ -41,8 +65,14 @@ func runWorkload(t *testing.T, name string, cfg Config, scale float64) (*Cluster
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact := NewExactTracker()
-	return c, replayOne(t, c, Workload(g, workload.NewCorpus(0)), exact.Add), exact
+	exact, tr := newExactDedup(), Workload(g, workload.NewCorpus(0))
+	st := replayOne(t, c, func(yield func(uint64, []core.ChunkRef) error) error {
+		return tr(func(fileID uint64, refs []core.ChunkRef) error {
+			exact.add(refs)
+			return yield(fileID, refs)
+		})
+	})
+	return c, st, exact
 }
 
 // TestReplayGolden pins per-node usage and every message counter of one
@@ -66,7 +96,7 @@ func TestReplayGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			st := replayOne(t, c, Workload(g, corpus), nil)
+			st := replayOne(t, c, Workload(g, corpus))
 			fmt.Fprintf(&got, "%s N=%d: logical=%d superchunks=%d pre=%d after=%d bids=%d checks=%d hits=%d falsepos=%d\n  usage=%v\n",
 				s, n, st.LogicalBytes, st.SuperChunks, st.PreRoutingMsgs, st.AfterRoutingMsgs,
 				st.BidsSent, st.SummaryChecks, st.SummaryHits, st.SummaryFalsePos, c.UsageVector())
@@ -79,35 +109,39 @@ func TestReplayGolden(t *testing.T) {
 
 func TestSingleNodeMatchesExactDedup(t *testing.T) {
 	c, st, exact := runWorkload(t, "linux", Config{N: 1, Scheme: router.Sigma}, 0.5)
-	if got, want := c.PhysicalBytes(), exact.Physical(); got != want {
+	if got, want := c.PhysicalBytes(), exact.physical; got != want {
 		t.Fatalf("single-node physical = %d, want exact %d", got, want)
 	}
-	if st.LogicalBytes != exact.Logical() {
+	if st.LogicalBytes != exact.logical {
 		t.Fatal("logical byte accounting mismatch")
 	}
-	if edr := c.EDR(st.LogicalBytes, exact.Physical()); edr < 0.999 || edr > 1.001 {
+	if edr := c.EDR(); edr < 0.999 || edr > 1.001 {
 		t.Fatalf("single-node EDR = %v, want 1.0", edr)
 	}
 }
 
 func TestStatefulSingleNodeAlsoExact(t *testing.T) {
 	c, _, exact := runWorkload(t, "web", Config{N: 1, Scheme: router.Stateful}, 0.5)
-	if got, want := c.PhysicalBytes(), exact.Physical(); got != want {
+	if got, want := c.PhysicalBytes(), exact.physical; got != want {
 		t.Fatalf("physical = %d, want %d", got, want)
 	}
 }
 
 func TestClusterConservation(t *testing.T) {
 	// Physical ≥ exact (information islands can only lose dedup) and
-	// physical ≤ logical, for every scheme.
+	// physical ≤ logical, for every scheme; the normalized DR, whose exact
+	// baseline is the catalog's, is the reference's exact/physical.
 	for _, s := range []router.Scheme{router.Sigma, router.Stateless, router.Stateful, router.ExtremeBinning, router.ChunkDHT} {
 		c, st, exact := runWorkload(t, "linux", Config{N: 8, Scheme: s}, 0.4)
 		phys := c.PhysicalBytes()
-		if phys < exact.Physical() {
-			t.Errorf("%v: cluster physical %d below exact minimum %d", s, phys, exact.Physical())
+		if phys < exact.physical {
+			t.Errorf("%v: cluster physical %d below exact minimum %d", s, phys, exact.physical)
 		}
 		if phys > st.LogicalBytes {
 			t.Errorf("%v: physical %d exceeds logical %d", s, phys, st.LogicalBytes)
+		}
+		if got, want := c.NormalizedDR(), float64(exact.physical)/float64(phys); got != want {
+			t.Errorf("%v: normalized DR %v, want %v", s, got, want)
 		}
 	}
 }
@@ -119,9 +153,9 @@ func TestClusterConservation(t *testing.T) {
 // super-chunks; we keep the same decisions-per-node ratio).
 func TestSchemeOrderingOnLinux(t *testing.T) {
 	edr := func(s router.Scheme) float64 {
-		c, st, exact := runWorkload(t, "linux",
+		c, _, _ := runWorkload(t, "linux",
 			Config{N: 16, Scheme: s, SuperChunkSize: 128 << 10}, 0.6)
-		return c.EDR(st.LogicalBytes, exact.Physical())
+		return c.EDR()
 	}
 	sigma := edr(router.Sigma)
 	stateless := edr(router.Stateless)
@@ -205,8 +239,8 @@ func TestEBSkewOnVM(t *testing.T) {
 // handprint detects more resemblance and cannot hurt cluster DR much.
 func TestEDRImprovesWithHandprintSize(t *testing.T) {
 	ndr := func(k int) float64 {
-		c, st, exact := runWorkload(t, "linux", Config{N: 16, Scheme: router.Sigma, HandprintK: k}, 0.5)
-		return c.NormalizedDR(st.LogicalBytes, exact.Physical())
+		c, _, exact := runWorkload(t, "linux", Config{N: 16, Scheme: router.Sigma, HandprintK: k}, 0.5)
+		return float64(exact.physical) / float64(c.PhysicalBytes())
 	}
 	k1, k8 := ndr(1), ndr(8)
 	t.Logf("normalized DR: k=1→%.3f k=8→%.3f", k1, k8)
@@ -218,7 +252,7 @@ func TestEDRImprovesWithHandprintSize(t *testing.T) {
 func TestTraceWorkloadWithoutFiles(t *testing.T) {
 	// Mail trace has no file metadata; sigma and stateless must still work.
 	c, st, exact := runWorkload(t, "mail", Config{N: 4, Scheme: router.Sigma}, 0.5)
-	if c.PhysicalBytes() < exact.Physical() {
+	if c.PhysicalBytes() < exact.physical {
 		t.Fatal("impossible dedup on trace workload")
 	}
 	if st.Files != 1 || st.SuperChunks == 0 {
@@ -230,7 +264,7 @@ func TestTraceWorkloadWithoutFiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eb.Replay(context.Background(), map[string]Trace{"client0": Workload(g, workload.NewCorpus(0))}, nil); !errors.Is(err, errNoFiles) {
+	if _, err := eb.Replay(context.Background(), map[string]Trace{"client0": Workload(g, workload.NewCorpus(0))}); !errors.Is(err, errNoFiles) {
 		t.Fatalf("EB replay of a file-less trace: %v, want %v", err, errNoFiles)
 	}
 }
@@ -239,8 +273,8 @@ func TestDHTPerChunkPlacement(t *testing.T) {
 	c, _, exact := runWorkload(t, "web", Config{N: 8, Scheme: router.ChunkDHT}, 0.5)
 	// Chunk-level DHT achieves exact dedup (same fp always lands on the
 	// same node) at the cost of destroyed locality.
-	if c.PhysicalBytes() != exact.Physical() {
-		t.Fatalf("DHT physical = %d, want exact %d", c.PhysicalBytes(), exact.Physical())
+	if c.PhysicalBytes() != exact.physical {
+		t.Fatalf("DHT physical = %d, want exact %d", c.PhysicalBytes(), exact.physical)
 	}
 }
 
@@ -254,22 +288,6 @@ func TestConfigDefaults(t *testing.T) {
 	}
 }
 
-func TestExactTracker(t *testing.T) {
-	e := NewExactTracker()
-	refs := []core.ChunkRef{
-		{FP: [20]byte{1}, Size: 100},
-		{FP: [20]byte{1}, Size: 100},
-		{FP: [20]byte{2}, Size: 50},
-	}
-	e.Add(refs)
-	if e.Logical() != 250 || e.Physical() != 150 {
-		t.Fatalf("tracker = (%d,%d), want (250,150)", e.Logical(), e.Physical())
-	}
-	if sdr := e.SDR(); sdr < 1.66 || sdr > 1.67 {
-		t.Fatalf("SDR = %v", sdr)
-	}
-}
-
 func TestUsageVectorLength(t *testing.T) {
 	c, _ := New(Config{N: 5})
 	if len(c.UsageVector()) != 5 {
@@ -277,61 +295,6 @@ func TestUsageVectorLength(t *testing.T) {
 	}
 	if c.Scheme() != "SigmaDedupe" {
 		t.Fatalf("scheme = %q", c.Scheme())
-	}
-}
-
-// TestClusterRestartPreservesDedupState bounces every node of a durable
-// cluster and replays the same dataset. The restarted cluster must end
-// with exactly the physical bytes of a control cluster that never
-// restarted: recovery has rebuilt the chunk indexes, similarity indexes
-// and usage vector faithfully enough that routing and dedup verdicts are
-// indistinguishable from uninterrupted operation.
-func TestClusterRestartPreservesDedupState(t *testing.T) {
-	replay := func(c *Cluster) {
-		t.Helper()
-		g, err := workload.ByName("linux", 0.3, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		replayOne(t, c, Workload(g, workload.NewCorpus(0)), nil)
-	}
-
-	control, _, _ := runWorkload(t, "linux", Config{N: 3, Scheme: router.Sigma}, 0.3)
-	replay(control)
-
-	dir := t.TempDir()
-	c, _, _ := runWorkload(t, "linux", Config{N: 3, Scheme: router.Sigma, Node: node.Config{Dir: dir}}, 0.3)
-	physical := c.PhysicalBytes()
-	if physical == 0 {
-		t.Fatal("nothing stored")
-	}
-	if err := c.Restart(); err != nil {
-		t.Fatal(err)
-	}
-	if got := c.PhysicalBytes(); got != physical {
-		t.Fatalf("physical after restart = %d, want %d", got, physical)
-	}
-	replay(c)
-
-	if got, want := c.PhysicalBytes(), control.PhysicalBytes(); got != want {
-		t.Fatalf("restarted cluster replay physical = %d, control (no restart) = %d", got, want)
-	}
-	if got, want := c.UsageVector(), control.UsageVector(); fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("restarted usage vector %v, control %v", got, want)
-	}
-}
-
-// TestRestartNodeRequiresDir: bouncing a RAM-only node is rejected.
-func TestRestartNodeRequiresDir(t *testing.T) {
-	c, err := New(Config{N: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.RestartNode(0); err == nil {
-		t.Fatal("RestartNode without a durable dir should fail")
-	}
-	if err := c.RestartNode(5); err == nil {
-		t.Fatal("RestartNode out of range should fail")
 	}
 }
 
@@ -346,7 +309,7 @@ func TestTrackedRecipesExactWithUntrackedItems(t *testing.T) {
 	defer c.Close()
 	refsA := payloadRefs(70, 8) // replayed trace segment
 	refsB := payloadRefs(71, 8) // named backup
-	replayOne(t, c, refsTrace(refsA), nil)
+	replayOne(t, c, refsTrace(refsA))
 	backupTracked(t, c, 7, refsB)
 	rec := recipeOf(t, c, 7)
 	want := make(map[string]bool, len(refsB))

@@ -12,7 +12,7 @@ import (
 
 // splitStreams carves a generated workload into n interleaved trace
 // streams, the shape Replay runs in parallel.
-func splitStreams(t *testing.T, name string, scale float64, n int) (map[string]Trace, *ExactTracker) {
+func splitStreams(t *testing.T, name string, scale float64, n int) (map[string]Trace, *exactDedup) {
 	t.Helper()
 	g, err := workload.ByName(name, scale, 0)
 	if err != nil {
@@ -23,10 +23,10 @@ func splitStreams(t *testing.T, name string, scale float64, n int) (map[string]T
 		t.Fatal(err)
 	}
 	corpus := workload.NewCorpus(0)
-	exact := NewExactTracker()
+	exact := newExactDedup()
 	files := make([][]workload.Item, n)
 	for i, it := range items {
-		exact.Add(corpus.ChunkRefs(it, false))
+		exact.add(corpus.ChunkRefs(it, false))
 		files[i%n] = append(files[i%n], it)
 	}
 	streams := make(map[string]Trace, n)
@@ -49,16 +49,16 @@ func TestReplayMultiStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := c.Replay(context.Background(), streams, nil)
+	st, err := c.Replay(context.Background(), streams)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.LogicalBytes != exact.Logical() {
-		t.Fatalf("logical = %d, want %d (no bytes lost across streams)", st.LogicalBytes, exact.Logical())
+	if st.LogicalBytes != exact.logical {
+		t.Fatalf("logical = %d, want %d (no bytes lost across streams)", st.LogicalBytes, exact.logical)
 	}
 	phys := c.PhysicalBytes()
-	if phys < exact.Physical() {
-		t.Fatalf("physical %d below exact minimum %d", phys, exact.Physical())
+	if phys < exact.physical {
+		t.Fatalf("physical %d below exact minimum %d", phys, exact.physical)
 	}
 	if phys > st.LogicalBytes {
 		t.Fatalf("physical %d exceeds logical %d", phys, st.LogicalBytes)
@@ -89,21 +89,21 @@ func TestMultiStreamMatchesSingleStreamDedup(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
-		replayOne(t, single, streams[fmt.Sprintf("stream%d", i)], nil)
+		replayOne(t, single, streams[fmt.Sprintf("stream%d", i)])
 	}
 
 	multi, err := New(Config{N: 8, Scheme: router.Sigma})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := multi.Replay(context.Background(), streams, nil); err != nil {
+	if _, err := multi.Replay(context.Background(), streams); err != nil {
 		t.Fatal(err)
 	}
 
 	sp, mp := single.PhysicalBytes(), multi.PhysicalBytes()
-	t.Logf("physical: single=%d multi=%d exact=%d", sp, mp, exact.Physical())
-	if mp < exact.Physical() {
-		t.Fatalf("multi-stream physical %d below exact %d", mp, exact.Physical())
+	t.Logf("physical: single=%d multi=%d exact=%d", sp, mp, exact.physical)
+	if mp < exact.physical {
+		t.Fatalf("multi-stream physical %d below exact %d", mp, exact.physical)
 	}
 	if float64(mp) > 1.25*float64(sp) {
 		t.Fatalf("multi-stream physical %d more than 25%% above single-stream %d", mp, sp)
@@ -120,7 +120,7 @@ func TestRepeatedReplaysKeepEarlierReferences(t *testing.T) {
 	}
 	refs := []core.ChunkRef{{FP: [20]byte{1}, Size: 100}, {FP: [20]byte{2}, Size: 50}}
 	for round := 0; round < 3; round++ {
-		if st := replayOne(t, c, refsTrace(refs), nil); st.Files != 1 || st.LogicalBytes != 150 {
+		if st := replayOne(t, c, refsTrace(refs)); st.Files != 1 || st.LogicalBytes != 150 {
 			t.Fatalf("round %d: %+v", round, st)
 		}
 	}
@@ -149,7 +149,7 @@ func TestStreamHandlesAreIndependent(t *testing.T) {
 	st, err := c.Replay(context.Background(), map[string]Trace{
 		"a": refsTrace([]core.ChunkRef{{FP: [20]byte{1}, Size: 100}}),
 		"b": refsTrace([]core.ChunkRef{{FP: [20]byte{2}, Size: 50}}),
-	}, nil)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -77,6 +77,26 @@ func (r Recipe) Size() int64 {
 	return n
 }
 
+// UniqueBytes is the physical size of recipes under exact single-node
+// deduplication: the bytes of their distinct fingerprints. A replica is
+// the same chunk again and counts once; an isolated tenant's salted
+// fingerprints are distinct from everyone else's. Over a catalog snapshot
+// (ClusterMeta.Recipes) it is the denominator of the paper's normalized
+// dedup ratios, for live data only.
+func UniqueBytes(recipes []Recipe) int64 {
+	seen := make(map[fingerprint.Fingerprint]struct{})
+	var n int64
+	for _, r := range recipes {
+		for _, c := range r.Chunks {
+			if _, ok := seen[c.FP]; !ok {
+				seen[c.FP] = struct{}{}
+				n += int64(c.Size)
+			}
+		}
+	}
+	return n
+}
+
 // Session groups the files of one backup run of one client.
 type Session struct {
 	ID       uint64

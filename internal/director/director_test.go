@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"sigmadedupe/internal/fingerprint"
+	"sigmadedupe/internal/tenant"
 )
 
 func TestSessionLifecycle(t *testing.T) {
@@ -63,6 +64,70 @@ func TestRecipeRoundTrip(t *testing.T) {
 	}
 	if err := d.PutRecipe(context.Background(), 77, "/x", nil); !errors.Is(err, ErrNoSession) {
 		t.Fatalf("PutRecipe bad session err = %v", err)
+	}
+}
+
+// TestUniqueBytes: the exact-dedup size of a catalog counts every
+// distinct fingerprint of its live recipes once — a duplicate within or
+// across recipes and an R=2 entry's replica add nothing, a superseded or
+// deleted generation counts nothing — and isolated tenants' salted
+// fingerprints of the same content count once per tenant.
+func TestUniqueBytes(t *testing.T) {
+	ctx := context.Background()
+	fp := func(s string) fingerprint.Fingerprint { return fingerprint.Sum([]byte(s)) }
+	a, b, c, gone := fp("a"), fp("b"), fp("c"), fp("superseded")
+	d := New()
+	for _, tn := range []string{"t1", "t2"} {
+		if err := d.CreateTenant(ctx, tenant.Info{Name: tn, Domain: tenant.DomainIsolated}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	put := func(tn, name string, chunks ...ChunkEntry) {
+		t.Helper()
+		s, err := d.BeginSession(ctx, "c", tn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.SwapRecipe(ctx, s, tenant.Key(tn, name), chunks); err != nil {
+			t.Fatal(err)
+		}
+	}
+	unique := func() int64 {
+		t.Helper()
+		recipes, err := d.Recipes(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return UniqueBytes(recipes)
+	}
+
+	put("", "/f", ChunkEntry{FP: a, Size: 100, Replica: -1}, ChunkEntry{FP: a, Size: 100, Replica: -1},
+		ChunkEntry{FP: b, Size: 10, Node: 1, Replica: 2})
+	put("", "/g", ChunkEntry{FP: b, Size: 10, Replica: -1}, ChunkEntry{FP: gone, Size: 1000, Replica: -1})
+	put("", "/g", ChunkEntry{FP: b, Size: 10, Replica: -1}) // supersedes gone
+	put("", "/h", ChunkEntry{FP: c, Size: 7, Replica: -1})
+	if got := unique(); got != 117 {
+		t.Fatalf("unique bytes = %d, want 117 (a + b + c)", got)
+	}
+	if _, err := d.DeleteRecipe(ctx, "/h"); err != nil {
+		t.Fatal(err)
+	}
+	if got := unique(); got != 110 {
+		t.Fatalf("unique bytes after delete = %d, want 110 (a + b)", got)
+	}
+
+	// The same content under two isolated tenants: two salted fingerprints.
+	salted := func(tn string, fp fingerprint.Fingerprint) fingerprint.Fingerprint {
+		salt := tenant.Salt(tn)
+		for i := range fp {
+			fp[i] ^= salt[i%len(salt)]
+		}
+		return fp
+	}
+	put("t1", "/f", ChunkEntry{FP: salted("t1", a), Size: 100, Replica: -1})
+	put("t2", "/f", ChunkEntry{FP: salted("t2", a), Size: 100, Replica: -1})
+	if got := unique(); got != 310 {
+		t.Fatalf("unique bytes with two isolated tenants = %d, want 310", got)
 	}
 }
 

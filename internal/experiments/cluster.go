@@ -11,12 +11,10 @@ import (
 )
 
 // run is one cluster configuration after replaying a workload: the
-// cluster, the session counters and the exact single-node physical size
-// of the same stream.
+// cluster and the session counters.
 type run struct {
-	c     *cluster.Cluster
-	st    ingest.Stats
-	exact int64
+	c  *cluster.Cluster
+	st ingest.Stats
 }
 
 // clusterRun replays one workload as one stream ("client0") through one
@@ -30,17 +28,13 @@ func clusterRun(wl string, scale float64, cfg cluster.Config) (run, error) {
 	if err != nil {
 		return run{}, err
 	}
-	exact := cluster.NewExactTracker()
 	st, err := c.Replay(context.Background(),
-		map[string]cluster.Trace{"client0": cluster.Workload(g, workload.NewCorpus(0))}, exact.Add)
+		map[string]cluster.Trace{"client0": cluster.Workload(g, workload.NewCorpus(0))})
 	if err != nil {
 		return run{}, err
 	}
-	return run{c, st, exact.Physical()}, nil
+	return run{c, st}, nil
 }
-
-func (r run) normDR() float64 { return r.c.NormalizedDR(r.st.LogicalBytes, r.exact) }
-func (r run) edr() float64    { return r.c.EDR(r.st.LogicalBytes, r.exact) }
 
 // msgs is the Fig. 7 metric: all fingerprint-lookup messages.
 func (r run) msgs() int64 { return r.st.PreRoutingMsgs + r.st.AfterRoutingMsgs }
@@ -83,7 +77,7 @@ func Fig6(opts Options) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			row = append(row, f3(r.normDR()))
+			row = append(row, f3(r.c.NormalizedDR()))
 		}
 		t.Rows = append(t.Rows, row)
 	}
@@ -162,7 +156,7 @@ func Fig8(opts Options) (*Table, error) {
 				}
 				t.Rows = append(t.Rows, []string{
 					wl, s.String(), fmt.Sprintf("%d", n),
-					f3(r.edr()), f3(r.normDR()), f3(r.c.Skew()),
+					f3(r.c.EDR()), f3(r.c.NormalizedDR()), f3(r.c.Skew()),
 				})
 			}
 		}
@@ -203,10 +197,10 @@ func Table1(opts Options) (*Table, error) {
 		}
 		t.Rows = append(t.Rows, []string{
 			sc.s.String(), sc.gran,
-			f3(r.normDR()),
+			f3(r.c.NormalizedDR()),
 			f3(r.c.Skew()),
 			f2(float64(r.msgs()) / float64(r.st.SuperChunks)),
-			f3(r.edr()),
+			f3(r.c.EDR()),
 		})
 	}
 	t.Notes = append(t.Notes,

@@ -7,10 +7,9 @@
 // at the replica, concurrently, then recipe attribution of both copies and
 // the recipe swap. A deployment supplies the node transport
 // (migrate.Node: *rpc.Client over the wire, migrate.Local in process),
-// the director, and two seams — how a membership epoch is pinned
-// (Config.Pin) and who wants to see every presented chunk
-// (Config.Observe) — plus its replica count and whether the nodes keep
-// payloads. A stream that arrives fingerprinted — the paper's trace
+// the director, its router and one seam — how a membership epoch is
+// pinned (Config.Pin) — plus its replica count and whether the nodes
+// keep payloads. A stream that arrives fingerprinted — the paper's trace
 // replays — enters through BackupRefs, past chunking and hashing.
 //
 // Every backup stream owns a concurrent pipeline: a worker pool
@@ -107,9 +106,6 @@ type Config struct {
 	// in a dedup pass beside the primary's committed in the same recipe (see
 	// route). 0 or 1 keeps single copies.
 	Replicas int
-	// Observe, when set, sees every presented chunk (payload-free, in
-	// batches) — the simulator's exact-dedup tracker.
-	Observe func([]core.ChunkRef)
 }
 
 // Stats are a session's counters. At R=2 they describe the primary copy:
@@ -216,8 +212,6 @@ type Session struct {
 	// on the reader path.
 	fileMin fingerprint.Fingerprint
 
-	observed []core.ChunkRef
-
 	// Tenant state resolved at admission: the fingerprint salt of an
 	// isolated dedup domain, and the live bytes the tenant may still add
 	// before quota (-1 = unlimited) for the soft mid-stream check.
@@ -227,10 +221,6 @@ type Session struct {
 	// reported is the transferred bytes already accounted to the director.
 	reported int64
 }
-
-// observeBatch bounds the deferred Observe batch, so concurrent sessions
-// reach a shared observer once per few thousand chunks.
-const observeBatch = 4096
 
 // New opens a backup session with the director: the hard quota check
 // runs here, and the tenant's domain and headroom come back for the
@@ -378,7 +368,6 @@ func (s *Session) run(ctx context.Context, name string, refs bool, feed func(*it
 	}
 	it.refs = refs
 	err = feed(it)
-	s.flushObserved()
 	if err == nil {
 		it.done = true
 		// Apply what has completed, but do not wait for the tail.
@@ -571,12 +560,6 @@ func (s *Session) consume(it *item, ref core.ChunkRef) (bool, error) {
 	s.st.LogicalBytes += int64(ref.Size)
 	logical := s.st.LogicalBytes
 	s.mu.Unlock()
-	if s.cfg.Observe != nil {
-		s.observed = append(s.observed, core.ChunkRef{FP: ref.FP, Size: ref.Size})
-		if len(s.observed) >= observeBatch {
-			s.flushObserved()
-		}
-	}
 	if s.headroom >= 0 && logical > s.headroom {
 		return false, &sderr.BackupError{Name: it.name, Stage: "quota", Err: fmt.Errorf(
 			"tenant %s: session bytes %d exceed quota headroom %d: %w",
@@ -600,13 +583,6 @@ func (s *Session) consumeBatch(it *item, b *batch) (cut bool, err error) {
 	}
 	s.batches.put(b)
 	return cut, nil
-}
-
-func (s *Session) flushObserved() {
-	if len(s.observed) > 0 {
-		s.cfg.Observe(s.observed)
-		s.observed = s.observed[:0]
-	}
 }
 
 // cut routes the partial super-chunk at the item boundary.

@@ -12,6 +12,7 @@ import (
 	"sigmadedupe/internal/ingest"
 	"sigmadedupe/internal/metrics"
 	"sigmadedupe/internal/migrate"
+	"sigmadedupe/internal/router"
 	"sigmadedupe/internal/tenant"
 )
 
@@ -76,15 +77,20 @@ func (a *counters) add(st ingest.Stats) {
 }
 
 // openSession opens an ingest session over the director and the node
-// transport: what the options decided, the backend's hash, scheduler,
-// payload policy and replica count, and the transport's router and epoch
-// pin.
+// transport: what the options decided, the Σ-Dedupe router at the
+// session's handprint size, the backend's hash, scheduler, payload policy
+// and replica count, and the transport's epoch pin.
 func (p *plane) openSession(ctx context.Context, cfg sessionConfig) (*ingest.Session, error) {
 	icfg := cfg.ingest(p.algorithm)
+	rt, err := router.New(router.Sigma, cfg.handprintK, 0)
+	if err != nil {
+		return nil, err
+	}
+	icfg.Router = rt
 	icfg.Scheduler = p.sched
 	icfg.KeepPayloads = p.payloads
 	icfg.Replicas = p.replicas
-	held, err := p.t.wire(ctx, cfg, &icfg)
+	held, err := p.t.wire(ctx, &icfg)
 	if err != nil {
 		return nil, err
 	}

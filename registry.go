@@ -29,10 +29,10 @@ type transport interface {
 	open(ctx context.Context, m *member) (migrate.Node, error)
 	// committed sees every snapshot before it becomes current.
 	committed(e *epoch)
-	// wire completes a session's ingest configuration — router, epoch
-	// pin, observer — and returns what the session
-	// holds of its own, to be closed with it (nil for nothing).
-	wire(ctx context.Context, cfg sessionConfig, icfg *ingest.Config) (io.Closer, error)
+	// wire completes a session's ingest configuration with its epoch pin
+	// and returns what the session holds of its own, to be closed with it
+	// (nil for nothing).
+	wire(ctx context.Context, icfg *ingest.Config) (io.Closer, error)
 }
 
 // member is one node of the registry: its stable cluster ID and the

@@ -343,11 +343,7 @@ func (c *conns) Close() (first error) {
 // wire implements transport: the session dials its own connections, to
 // the nodes of every snapshot an item of its pins (bids travel as Bid
 // calls, usage comes back on the reply).
-func (r *Remote) wire(ctx context.Context, cfg sessionConfig, icfg *ingest.Config) (io.Closer, error) {
-	rt, err := router.New(router.Sigma, cfg.handprintK, 0)
-	if err != nil {
-		return nil, err
-	}
+func (r *Remote) wire(ctx context.Context, icfg *ingest.Config) (io.Closer, error) {
 	// A session whose node cannot be dialed fails to open instead of
 	// failing at its first item.
 	c := &conns{r: r, byNode: make(map[*member]*rpc.Client)}
@@ -355,7 +351,6 @@ func (r *Remote) wire(ctx context.Context, cfg sessionConfig, icfg *ingest.Confi
 		c.Close()
 		return nil, err
 	}
-	icfg.Router = rt
 	icfg.Pin = func(ctx context.Context) (ingest.Epoch, error) {
 		e := r.pin()
 		if err := c.dial(ctx, e); err != nil {

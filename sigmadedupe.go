@@ -117,7 +117,7 @@ type ClusterStats struct {
 	PhysicalBytes      int64
 	SuperChunks        int64
 	DedupRatio         float64
-	NormalizedDR       float64 // vs exact single-node dedup
+	NormalizedDR       float64 // exact-dedup bytes of the live catalog / PhysicalBytes
 	EffectiveDR        float64 // Eq. 7: normalized DR x balance penalty
 	StorageSkew        float64 // sigma/alpha over node usage
 	FingerprintLookups int64   // total fingerprint-lookup messages
@@ -130,9 +130,8 @@ type ClusterStats struct {
 // concurrent streams go through NewSession.
 type Cluster struct {
 	plane
-	// inner is the simulated hardware: node template, router, director.
-	inner *cluster.Cluster
-	exact *cluster.ExactTracker
+	// node is the per-node configuration template (cluster.NewNode).
+	node node.Config
 	// shared resolves a node through the current snapshot's shared
 	// handles: one joined since an item's pin resolves, a killed one does
 	// not — it fails loudly instead of accepting writes through a stale
@@ -155,7 +154,13 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		return nil, fmt.Errorf("sigmadedupe: ClusterConfig.Scheme %d: a Backend routes by SchemeSigma only; compare schemes with RunExperiment: %w",
 			cfg.Scheme, errors.ErrUnsupported)
 	}
-	c := &Cluster{exact: cluster.NewExactTracker()}
+	c := &Cluster{node: node.Config{
+		HandprintSize:    cfg.HandprintSize,
+		Dir:              cfg.Dir,
+		KeepPayloads:     cfg.KeepPayloads,
+		CompactEvery:     cfg.CompactEvery,
+		CompactThreshold: cfg.CompactThreshold,
+	}}
 	c.shared = func(id int) (migrate.Node, bool) { return c.cur.Load().resolve(id) }
 	c.plane = plane{
 		t:         c,
@@ -177,30 +182,21 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 			return nil, fmt.Errorf("sigmadedupe: Replicas=%d: %w", cfg.Replicas, err)
 		}
 	}
-	var err error
-	c.inner, err = cluster.New(cluster.Config{
-		N:              cfg.Nodes,
-		HandprintK:     cfg.HandprintSize,
-		SuperChunkSize: cfg.SuperChunkSize,
-		Node: node.Config{
-			Dir:              cfg.Dir,
-			KeepPayloads:     cfg.KeepPayloads,
-			CompactEvery:     cfg.CompactEvery,
-			CompactThreshold: cfg.CompactThreshold,
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-	dir := c.inner.Director()
+	// The in-RAM director never fsyncs and lives as long as the Cluster,
+	// so node restarts keep it.
+	dir := director.New()
 	c.meta, c.tenants, c.clusterMeta = dir, dir, dir
 	if cfg.IngestCapacityBytes > 0 {
 		c.sched = tenant.NewScheduler(cfg.IngestCapacityBytes, dir.Registry().Weight)
 	}
 	// The simulator commits its epochs in its director like the prototype.
 	nodes := make(map[int]*member, cfg.Nodes)
-	for id, n := range c.inner.View().Nodes {
-		nodes[id] = localMember(n)
+	for id := range cfg.Nodes {
+		m, err := c.join(id, "", nil)
+		if err != nil {
+			return nil, err
+		}
+		nodes[id] = m
 	}
 	c.nextID = cfg.Nodes
 	if err := c.setMembers(context.Background(), nodes); err != nil {
@@ -219,7 +215,7 @@ func (c *Cluster) join(id int, addr string, _ map[int]*member) (*member, error) 
 	if addr != "" {
 		return nil, fmt.Errorf("sigmadedupe: the simulator creates nodes in process; addr must be empty")
 	}
-	n, err := c.inner.NewNode(id)
+	n, err := cluster.NewNode(c.node, id)
 	if err != nil {
 		return nil, err
 	}
@@ -231,26 +227,21 @@ func (c *Cluster) open(_ context.Context, m *member) (migrate.Node, error) { ret
 
 // committed implements transport: the snapshot's router view is the
 // in-process one — bids, chunk-sample bids and summary probes are direct
-// calls — built once and shared by every item pinned to the snapshot,
-// and the simulated hardware follows the node set.
+// calls — built once and shared by every item pinned to the snapshot.
 func (c *Cluster) committed(e *epoch) {
 	v := &cluster.View{Members: e.members, Nodes: make(map[int]*node.Node, len(e.nodes))}
 	for id, m := range e.nodes {
 		v.Nodes[id] = m.local
 	}
 	e.view = func() router.View { return v }
-	c.inner.SetView(v)
 }
 
-// wire implements transport: sessions share the registry's handles and
-// every chunk is shown to the exact-dedup tracker.
-func (c *Cluster) wire(_ context.Context, _ sessionConfig, icfg *ingest.Config) (io.Closer, error) {
-	icfg.Router = c.inner.Router()
+// wire implements transport: sessions share the registry's handles.
+func (c *Cluster) wire(_ context.Context, icfg *ingest.Config) (io.Closer, error) {
 	icfg.Pin = func(context.Context) (ingest.Epoch, error) {
 		e := c.pin()
 		return ingest.Epoch{View: e.view, Node: c.shared, Release: e.release}, nil
 	}
-	icfg.Observe = c.exact.Add
 	return nil, nil
 }
 
@@ -301,20 +292,35 @@ func (c *Cluster) RecoverMigrations() error {
 	return c.plane.RecoverMigrations(context.Background())
 }
 
-// RestartNode stops node i and re-opens it from its durable directory
-// (requires ClusterConfig.Dir). Quiesce backups first.
+// RestartNode stops node i — sealing its open containers and closing its
+// manifest — and re-opens it from its durable directory (requires
+// ClusterConfig.Dir), replaying the manifest to restore its chunk index,
+// similarity index and container directory. Quiesce backups first.
 func (c *Cluster) RestartNode(i int) error {
 	c.memberOp.Lock()
 	defer c.memberOp.Unlock()
-	if err := c.inner.RestartNode(i); err != nil {
-		return err
+	cur := c.cur.Load()
+	m := cur.nodes[i]
+	if m == nil {
+		return fmt.Errorf("sigmadedupe: no node %d: %w", i, ErrNotFound)
+	}
+	ncfg := m.local.Config()
+	if ncfg.Dir == "" {
+		return fmt.Errorf("sigmadedupe: node %d has no durable dir to restart from", i)
+	}
+	if err := m.local.Close(); err != nil {
+		return fmt.Errorf("sigmadedupe: stop node %d: %w", i, err)
+	}
+	ncfg.Recover = true
+	n, err := node.New(ncfg)
+	if err != nil {
+		return fmt.Errorf("sigmadedupe: restart node %d: %w", i, err)
 	}
 	// The member list and epoch number are unchanged — only the snapshot
 	// refreshes, to hold the restarted node object, not the closed one — so
 	// routing behavior (candidate widths are epoch-driven) is identical.
-	cur := c.cur.Load()
 	nodes := maps.Clone(cur.nodes)
-	nodes[i] = localMember(c.inner.View().Nodes[i])
+	nodes[i] = localMember(n)
 	c.commit(cur.members, nodes)
 	return nil
 }
@@ -332,10 +338,15 @@ func (c *Cluster) Restart() error {
 // SimStats returns the simulator-specific effectiveness metrics of the
 // paper's evaluation: normalized and effective dedup ratios, storage
 // skew and fingerprint-lookup message counts (Stats serves the
-// Backend-portable snapshot).
+// Backend-portable snapshot). The exact single-node baseline of the
+// normalized ratios is the live catalog's, walked once per call: what was
+// deleted, superseded or aborted is in neither it nor (once compacted) the
+// stored bytes.
 func (c *Cluster) SimStats() ClusterStats {
-	usage, _ := c.usage(context.Background()) // in-process nodes cannot fail it
-	st, exact := c.counters(), c.exact.Physical()
+	ctx := context.Background()
+	usage, _ := c.usage(ctx)                 // in-process nodes cannot fail it
+	recipes, _ := c.clusterMeta.Recipes(ctx) // nor can the in-RAM director
+	st, exact := c.counters(), director.UniqueBytes(recipes)
 	var physical int64
 	for _, u := range usage {
 		physical += u

@@ -4,42 +4,115 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
 )
 
+// TestClusterFacadeEndToEnd drives the simulator's one-shot verbs and
+// reads SimStats. Normalized DR compares exact dedup of the live catalog
+// with the bytes stored, so it stays ≤ 1 whatever left the catalog — a
+// delete, a superseded generation, a cancelled backup — and for unique
+// data it is 1 once compaction has reclaimed the dead space.
 func TestClusterFacadeEndToEnd(t *testing.T) {
-	c, err := NewCluster(ClusterConfig{Nodes: 4, SuperChunkSize: 64 << 10})
-	if err != nil {
-		t.Fatal(err)
+	ctx := context.Background()
+	random := func(seed int64, n int) []byte {
+		data := make([]byte, n)
+		rand.New(rand.NewSource(seed)).Read(data)
+		return data
 	}
-	rng := rand.New(rand.NewSource(1))
-	content := make([]byte, 256<<10)
-	rng.Read(content)
+	backup := func(t *testing.T, c *Cluster, name string, data []byte) {
+		t.Helper()
+		if err := c.Backup(ctx, name, bytes.NewReader(data)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		// logical is what the sessions were handed (0: unchecked — a
+		// cancelled read drops its last batch); unique says the live
+		// catalog holds no chunk twice.
+		logical int64
+		unique  bool
+		run     func(t *testing.T, c *Cluster)
+	}{
+		{"duplicate copy", 512 << 10, false, func(t *testing.T, c *Cluster) {
+			content := random(1, 256<<10)
+			backup(t, c, "/a", content)
+			backup(t, c, "/a-again", content)
+		}},
+		{"delete", 8 << 20, true, func(t *testing.T, c *Cluster) {
+			backup(t, c, "/a", random(2, 4<<20))
+			backup(t, c, "/b", random(3, 4<<20))
+			if err := c.Flush(ctx); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Delete(ctx, "/a"); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"superseding re-backup", 8 << 20, true, func(t *testing.T, c *Cluster) {
+			backup(t, c, "/a", random(4, 4<<20))
+			backup(t, c, "/a", random(5, 4<<20))
+		}},
+		{"cancelled backup", 0, true, func(t *testing.T, c *Cluster) {
+			backup(t, c, "/a", random(6, 4<<20))
+			cctx, cancel := context.WithCancel(ctx)
+			defer cancel()
+			r := cancelAtEOF{bytes.NewReader(random(7, 3<<20)), cancel}
+			if err := c.Backup(cctx, "/b", r); err == nil {
+				t.Fatal("cancelled backup succeeded")
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := NewCluster(ClusterConfig{Nodes: 4, KeepPayloads: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			tc.run(t, c)
+			if err := c.Flush(ctx); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.Compact(ctx, 0.999); err != nil {
+				t.Fatal(err)
+			}
+			st := c.SimStats()
+			if tc.logical != 0 && st.LogicalBytes != tc.logical {
+				t.Fatalf("logical = %d, want %d", st.LogicalBytes, tc.logical)
+			}
+			if !tc.unique && st.DedupRatio < 1.5 {
+				t.Fatalf("dedup ratio = %v, want ~2 for duplicated content", st.DedupRatio)
+			}
+			if st.NormalizedDR <= 0 || st.NormalizedDR > 1.001 || st.EffectiveDR > 1.001 {
+				t.Fatalf("normalized DR = %v, effective DR = %v: out of range", st.NormalizedDR, st.EffectiveDR)
+			}
+			if tc.unique && math.Abs(st.NormalizedDR-1) > 0.001 {
+				t.Fatalf("normalized DR = %v, want 1 for unique data after compaction", st.NormalizedDR)
+			}
+			if st.FingerprintLookups == 0 {
+				t.Fatal("no fingerprint lookups counted")
+			}
+		})
+	}
+}
 
-	if err := c.Backup(context.Background(), "/a", bytes.NewReader(content)); err != nil {
-		t.Fatal(err)
+// cancelAtEOF delivers r, then cancels the backup reading it.
+type cancelAtEOF struct {
+	r      io.Reader
+	cancel context.CancelFunc
+}
+
+func (c cancelAtEOF) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	if err == io.EOF {
+		c.cancel()
+		err = context.Canceled
 	}
-	if err := c.Backup(context.Background(), "/a-again", bytes.NewReader(content)); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Flush(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	st := c.SimStats()
-	if st.LogicalBytes != 512<<10 {
-		t.Fatalf("logical = %d", st.LogicalBytes)
-	}
-	if st.DedupRatio < 1.5 {
-		t.Fatalf("dedup ratio = %v, want ~2 for duplicated content", st.DedupRatio)
-	}
-	if st.NormalizedDR <= 0 || st.NormalizedDR > 1.001 {
-		t.Fatalf("normalized DR = %v out of range", st.NormalizedDR)
-	}
-	if st.FingerprintLookups == 0 {
-		t.Fatal("no fingerprint lookups counted")
-	}
+	return n, err
 }
 
 func TestPrototypeFacadeBackupRestore(t *testing.T) {
