@@ -1,5 +1,5 @@
 // Command sigma-tracegen captures a synthetic workload as a binary chunk
-// trace (internal/trace format), or replays a captured trace through a
+// trace (the format in trace.go), or replays a captured trace through a
 // simulated cluster's ingest session under any of the five routing
 // schemes — the trace-driven methodology of the paper's §4.4.
 //
@@ -19,7 +19,6 @@ import (
 	"sigmadedupe/internal/cluster"
 	"sigmadedupe/internal/core"
 	"sigmadedupe/internal/router"
-	"sigmadedupe/internal/trace"
 	"sigmadedupe/internal/workload"
 )
 
@@ -65,7 +64,7 @@ func gen(args []string) error {
 		return err
 	}
 	defer f.Close()
-	w, err := trace.NewWriter(f)
+	w, err := newTraceWriter(f)
 	if err != nil {
 		return err
 	}
@@ -74,8 +73,8 @@ func gen(args []string) error {
 	err = g.Items(func(it workload.Item) error {
 		for _, ref := range corpus.ChunkRefs(it, false) {
 			logical += int64(ref.Size)
-			rec := trace.Record{FP: ref.FP, Size: uint32(ref.Size), FileID: it.FileID}
-			if err := w.Write(rec); err != nil {
+			rec := traceRecord{FP: ref.FP, Size: uint32(ref.Size), FileID: it.FileID}
+			if err := w.write(rec); err != nil {
 				return err
 			}
 		}
@@ -84,10 +83,10 @@ func gen(args []string) error {
 	if err != nil {
 		return err
 	}
-	if err := w.Flush(); err != nil {
+	if err := w.flush(); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %d chunk records (%d MB logical) to %s\n", w.Count(), logical>>20, *out)
+	fmt.Printf("wrote %d chunk records (%d MB logical) to %s\n", w.count(), logical>>20, *out)
 	return nil
 }
 
@@ -113,7 +112,7 @@ func replay(args []string) error {
 		return err
 	}
 	defer f.Close()
-	r, err := trace.NewReader(f)
+	r, err := newTraceReader(f)
 	if err != nil {
 		return err
 	}
@@ -134,7 +133,7 @@ func replay(args []string) error {
 			refs []core.ChunkRef
 		)
 		for {
-			rec, err := r.Next()
+			rec, err := r.next()
 			if err == io.EOF {
 				break
 			}
@@ -149,7 +148,7 @@ func replay(args []string) error {
 				refs = refs[:0]
 			}
 			cur = rec.FileID
-			refs = append(refs, rec.Ref())
+			refs = append(refs, rec.ref())
 		}
 		if len(refs) == 0 {
 			return nil

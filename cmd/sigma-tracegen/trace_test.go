@@ -1,4 +1,4 @@
-package trace
+package main
 
 import (
 	"bytes"
@@ -12,32 +12,32 @@ import (
 
 func TestRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	w, err := NewWriter(&buf)
+	w, err := newTraceWriter(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs := []Record{
+	recs := []traceRecord{
 		{FP: fingerprint.Sum([]byte("a")), Size: 4096, FileID: 1},
 		{FP: fingerprint.Sum([]byte("b")), Size: 123, FileID: 0},
 		{FP: fingerprint.Sum([]byte("c")), Size: 1 << 20, FileID: 99},
 	}
 	for _, rec := range recs {
-		if err := w.Write(rec); err != nil {
+		if err := w.write(rec); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if w.Count() != 3 {
-		t.Fatalf("Count = %d", w.Count())
+	if w.count() != 3 {
+		t.Fatalf("count = %d", w.count())
 	}
-	if err := w.Flush(); err != nil {
+	if err := w.flush(); err != nil {
 		t.Fatal(err)
 	}
 
-	r, err := NewReader(bytes.NewReader(buf.Bytes()))
+	r, err := newTraceReader(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadAll(r)
+	got, err := readAll(r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,31 +49,31 @@ func TestRoundTrip(t *testing.T) {
 			t.Fatalf("record %d = %+v, want %+v", i, got[i], recs[i])
 		}
 	}
-	if got[0].Ref().Size != 4096 {
+	if got[0].ref().Size != 4096 {
 		t.Fatal("Ref conversion broken")
 	}
 }
 
 func TestBadHeader(t *testing.T) {
-	if _, err := NewReader(bytes.NewReader([]byte("XXXX----"))); !errors.Is(err, ErrBadHeader) {
-		t.Fatalf("err = %v, want ErrBadHeader", err)
+	if _, err := newTraceReader(bytes.NewReader([]byte("XXXX----"))); !errors.Is(err, errBadHeader) {
+		t.Fatalf("err = %v, want errBadHeader", err)
 	}
-	if _, err := NewReader(bytes.NewReader(nil)); !errors.Is(err, ErrBadHeader) {
-		t.Fatalf("empty stream err = %v, want ErrBadHeader", err)
+	if _, err := newTraceReader(bytes.NewReader(nil)); !errors.Is(err, errBadHeader) {
+		t.Fatalf("empty stream err = %v, want errBadHeader", err)
 	}
 }
 
 func TestTruncatedRecord(t *testing.T) {
 	var buf bytes.Buffer
-	w, _ := NewWriter(&buf)
-	w.Write(Record{Size: 1})
-	w.Flush()
+	w, _ := newTraceWriter(&buf)
+	w.write(traceRecord{Size: 1})
+	w.flush()
 	raw := buf.Bytes()[:buf.Len()-5] // cut mid-record
-	r, err := NewReader(bytes.NewReader(raw))
+	r, err := newTraceReader(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Next(); err == nil || err == io.EOF {
+	if _, err := r.next(); err == nil || err == io.EOF {
 		t.Fatalf("truncated record err = %v, want explicit error", err)
 	}
 }
@@ -87,12 +87,12 @@ func TestCaptureWorkload(t *testing.T) {
 	}
 	corpus := workload.NewCorpus(0)
 	var buf bytes.Buffer
-	w, _ := NewWriter(&buf)
+	w, _ := newTraceWriter(&buf)
 	var logical int64
 	err = g.Items(func(it workload.Item) error {
 		for _, ref := range corpus.ChunkRefs(it, false) {
 			logical += int64(ref.Size)
-			if err := w.Write(Record{FP: ref.FP, Size: uint32(ref.Size), FileID: it.FileID}); err != nil {
+			if err := w.write(traceRecord{FP: ref.FP, Size: uint32(ref.Size), FileID: it.FileID}); err != nil {
 				return err
 			}
 		}
@@ -101,10 +101,10 @@ func TestCaptureWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.Flush()
+	w.flush()
 
-	r, _ := NewReader(bytes.NewReader(buf.Bytes()))
-	recs, err := ReadAll(r)
+	r, _ := newTraceReader(bytes.NewReader(buf.Bytes()))
+	recs, err := readAll(r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,5 +119,20 @@ func TestCaptureWorkload(t *testing.T) {
 	}
 	if len(uniq) == 0 || len(uniq) >= len(recs) {
 		t.Fatalf("trace lost dedup structure: %d unique of %d", len(uniq), len(recs))
+	}
+}
+
+// readAll drains r.
+func readAll(r *traceReader) ([]traceRecord, error) {
+	var out []traceRecord
+	for {
+		rec, err := r.next()
+		if err == io.EOF {
+			return out, nil
+		}
+		if err != nil {
+			return out, err
+		}
+		out = append(out, rec)
 	}
 }

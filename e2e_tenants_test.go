@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"sigmadedupe/internal/director"
+	"sigmadedupe/internal/tenant"
 )
 
 // tenantBlob returns n deterministic pseudo-random (incompressible,
@@ -302,17 +303,18 @@ func TestTenantIsolationBlocksCrossDedup(t *testing.T) {
 	}
 }
 
-// TestMetricsEndpoint drives the metrics/admin HTTP API against a live
-// simulator: gauges must match Backend.Stats and the tenant table, the
-// admin verbs round-trip, and the error taxonomy maps onto HTTP codes.
+// TestMetricsEndpoint drives the metrics/admin HTTP API against both
+// backends: gauges must match Backend.Stats and the tenant table, the GC
+// block must be served, the admin verbs round-trip, and the error
+// taxonomy maps onto HTTP codes.
 func TestMetricsEndpoint(t *testing.T) {
+	eachBackendOf(t, 2, 0, testMetricsEndpoint)
+}
+
+func testMetricsEndpoint(t *testing.T, c Backend) {
 	ctx := context.Background()
-	c, err := NewCluster(ClusterConfig{Nodes: 2, KeepPayloads: true, SuperChunkSize: 32 << 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if err := c.CreateTenant(ctx, TenantConfig{Name: "acme", QuotaBytes: 1 << 30}); err != nil {
+	admin := c.(TenantAdmin)
+	if err := admin.CreateTenant(ctx, TenantConfig{Name: "acme", QuotaBytes: 1 << 30}); err != nil {
 		t.Fatal(err)
 	}
 	if err := tenantBackup(ctx, c, "acme", "img", tenantBlob(9, 96<<10)); err != nil {
@@ -366,6 +368,10 @@ func TestMetricsEndpoint(t *testing.T) {
 			DedupRatio    float64 `json:"dedup_ratio"`
 			Backups       int     `json:"backups"`
 			Nodes         int     `json:"nodes"`
+			GC            *struct {
+				StoredBytes int64
+				LiveBytes   int64
+			} `json:"gc"`
 		} `json:"cluster"`
 		Tenants []struct {
 			Name      string `json:"name"`
@@ -383,6 +389,9 @@ func TestMetricsEndpoint(t *testing.T) {
 	if rep.Cluster.LogicalBytes != st.LogicalBytes || rep.Cluster.PhysicalBytes != st.PhysicalBytes ||
 		rep.Cluster.Backups != st.Backups || rep.Cluster.Nodes != st.Nodes {
 		t.Fatalf("/metrics cluster gauges %+v disagree with Stats %+v", rep.Cluster, st)
+	}
+	if g := rep.Cluster.GC; g == nil || g.StoredBytes != st.PhysicalBytes || g.LiveBytes != st.PhysicalBytes {
+		t.Fatalf("/metrics gc block = %+v, want stored = live = %d", g, st.PhysicalBytes)
 	}
 	found := false
 	for _, tn := range rep.Tenants {
@@ -439,7 +448,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 
 	// The scheduler weight the endpoint set is what the data path uses.
-	ws, err := c.Tenants(ctx)
+	ws, err := admin.Tenants(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -448,4 +457,56 @@ func TestMetricsEndpoint(t *testing.T) {
 			t.Fatalf("endpoint weight not visible to backend: %+v", s.TenantConfig)
 		}
 	}
+}
+
+// TestSchedulerWeighsTenantsCreatedElsewhere: the fair-share scheduler
+// weighs a tenant by the director's record even when the tenant was
+// created before the backend opened — by another client, or before a
+// durable director restarted — and a weight set through the backend
+// applies to a session that is already open.
+func TestSchedulerWeighsTenantsCreatedElsewhere(t *testing.T) {
+	ctx := context.Background()
+	heavy := tenant.Info{Name: "heavy", Weight: 4}
+	check := func(t *testing.T, p *plane) {
+		sess, err := p.NewSession(ctx, WithTenant("heavy"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sess.Close()
+		if w := p.weight("heavy"); w != 4 {
+			t.Fatalf("weight of a tenant created on the director = %d, want 4", w)
+		}
+		if err := p.SetTenantWeight(ctx, "heavy", 2); err != nil {
+			t.Fatal(err)
+		}
+		if w := p.weight("heavy"); w != 2 {
+			t.Fatalf("weight after SetTenantWeight = %d, want 2", w)
+		}
+		if w := p.weight("ghost"); w != 1 {
+			t.Fatalf("weight of an unknown tenant = %d, want 1", w)
+		}
+	}
+	t.Run("simulator", func(t *testing.T) {
+		c, err := NewCluster(ClusterConfig{Nodes: 2, IngestCapacityBytes: 1 << 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		if err := c.tenants.CreateTenant(ctx, heavy); err != nil {
+			t.Fatal(err)
+		}
+		check(t, &c.plane)
+	})
+	t.Run("remote", func(t *testing.T) {
+		dir := NewDirector()
+		if err := dir.CreateTenant(ctx, heavy); err != nil {
+			t.Fatal(err)
+		}
+		r, err := NewRemote(ctx, RemoteConfig{Director: dir, Nodes: startServers(t, 2), IngestCapacityBytes: 1 << 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		check(t, &r.plane)
+	})
 }

@@ -519,6 +519,5 @@ func (d *Director) AccountTransfer(ctx context.Context, name string, stored, res
 	return nil
 }
 
-// Registry exposes the tenant registry (weight lookups for the
-// scheduler, headroom for soft quota checks on the in-process backend).
+// Registry exposes the tenant registry.
 func (d *Director) Registry() *tenant.Registry { return d.tenants }

@@ -37,8 +37,6 @@ type Config struct {
 	CacheContainers int
 	// ContainerCapacity is the container payload capacity in bytes.
 	ContainerCapacity int
-	// ExpectedChunks sizes the on-disk chunk index Bloom filter.
-	ExpectedChunks int
 	// DisableChunkIndex turns off the traditional chunk index, leaving
 	// only similarity-index + cache dedup (approximate; Fig. 5b mode).
 	DisableChunkIndex bool
@@ -74,7 +72,6 @@ func (c Config) storeConfig() store.Config {
 		SimIndexLocks:     c.SimIndexLocks,
 		CacheContainers:   c.CacheContainers,
 		ContainerCapacity: c.ContainerCapacity,
-		ExpectedChunks:    c.ExpectedChunks,
 		DisableChunkIndex: c.DisableChunkIndex,
 		DisablePrefetch:   c.DisablePrefetch,
 		KeepPayloads:      c.KeepPayloads,
@@ -121,7 +118,6 @@ func New(cfg Config) (*Node, error) {
 	cfg.SimIndexLocks = eff.SimIndexLocks
 	cfg.CacheContainers = eff.CacheContainers
 	cfg.ContainerCapacity = eff.ContainerCapacity
-	cfg.ExpectedChunks = eff.ExpectedChunks
 	cfg.ReadCacheBytes = eff.ReadCacheBytes
 	cfg.CompactThreshold = eff.CompactThreshold
 	return &Node{cfg: cfg, eng: eng}, nil

@@ -196,7 +196,7 @@ func (e *Engine) compactContainer(cid uint64) (copied int64, err error) {
 		oldLoc := container.Loc{CID: cid, Offset: cm.Offset, Length: cm.Length}
 		sh := e.shardFor(cm.FP)
 		sh.mu.Lock()
-		curLoc, ok := e.cidx.Peek(cm.FP)
+		curLoc, ok := e.cidx.peek(cm.FP)
 		if !ok || curLoc != oldLoc {
 			// This copy is a stale duplicate of a chunk that already lives
 			// elsewhere (a prior compaction crash): nothing to do, it dies
@@ -205,7 +205,7 @@ func (e *Engine) compactContainer(cid uint64) (copied int64, err error) {
 			continue
 		}
 		if sh.refs[cm.FP] <= 0 {
-			e.cidx.Delete(cm.FP)
+			e.cidx.delete(cm.FP)
 			sh.mu.Unlock()
 			continue
 		}
@@ -256,7 +256,7 @@ func (e *Engine) compactContainer(cid uint64) (copied int64, err error) {
 	for _, sv := range survivors {
 		sh := e.shardFor(sv.fp)
 		sh.mu.Lock()
-		curLoc, ok := e.cidx.Peek(sv.fp)
+		curLoc, ok := e.cidx.peek(sv.fp)
 		if !ok || curLoc != sv.oldLoc {
 			sh.mu.Unlock()
 			continue
@@ -264,7 +264,7 @@ func (e *Engine) compactContainer(cid uint64) (copied int64, err error) {
 		if sh.refs[sv.fp] <= 0 {
 			// Died between the verdict and the copy: same treatment as in
 			// phase 1a — drop the entry, the payload dies with the container.
-			e.cidx.Delete(sv.fp)
+			e.cidx.delete(sv.fp)
 			sh.mu.Unlock()
 			continue
 		}
@@ -298,14 +298,14 @@ func (e *Engine) compactContainer(cid uint64) (copied int64, err error) {
 	for _, mv := range moves {
 		sh := e.shardFor(mv.fp)
 		sh.mu.Lock()
-		if cur, ok := e.cidx.Peek(mv.fp); ok && cur == mv.oldLoc {
+		if cur, ok := e.cidx.peek(mv.fp); ok && cur == mv.oldLoc {
 			if sh.refs[mv.fp] > 0 {
-				e.cidx.Insert(mv.fp, mv.newLoc)
+				e.cidx.insert(mv.fp, mv.newLoc)
 			} else {
 				// Died between the copy and now: the old copy goes with the
 				// retire below; the new copy becomes dead weight in the new
 				// container, found by a later scan.
-				e.cidx.Delete(mv.fp)
+				e.cidx.delete(mv.fp)
 				e.gcMu.Lock()
 				e.dead[mv.newLoc.CID] += int64(mv.newLoc.Length)
 				e.gcMu.Unlock()

@@ -1,13 +1,4 @@
-// Package fpcache implements the chunk-fingerprint cache (paper §3.3): an
-// LRU cache, at container granularity, of the chunk fingerprints of
-// recently accessed containers.
-//
-// When a representative fingerprint matches in the similarity index, the
-// whole fingerprint set of the mapped container is prefetched here, so the
-// subsequent chunk-by-chunk duplicate test for the super-chunk is served
-// from RAM. The cache is a doubly-linked list indexed by a hash table, with
-// LRU replacement, exactly as described in the paper.
-package fpcache
+package store
 
 import (
 	"container/list"
@@ -17,15 +8,23 @@ import (
 	"sigmadedupe/internal/fingerprint"
 )
 
-// entry is one cached container's fingerprint set.
-type entry struct {
+// fpEntry is one cached container's fingerprint set.
+type fpEntry struct {
 	cid uint64
 	fps []fingerprint.Fingerprint
 }
 
-// Cache is a container-granularity LRU of chunk fingerprints. Safe for
+// fpCache is the chunk-fingerprint cache (paper §3.3): an LRU cache, at
+// container granularity, of the chunk fingerprints of recently accessed
+// containers.
+//
+// When a representative fingerprint matches in the similarity index, the
+// whole fingerprint set of the mapped container is prefetched here, so the
+// subsequent chunk-by-chunk duplicate test for the super-chunk is served
+// from RAM. The cache is a doubly-linked list indexed by a hash table, with
+// LRU replacement, exactly as described in the paper. It is safe for
 // concurrent use by multiple deduplication streams.
-type Cache struct {
+type fpCache struct {
 	mu       sync.Mutex
 	capacity int // max containers
 	ll       *list.List
@@ -34,18 +33,16 @@ type Cache struct {
 	// recently prefetched with.
 	byFP map[fingerprint.Fingerprint]uint64
 
-	hits       uint64
-	misses     uint64
-	evictions  uint64
-	prefetches uint64
+	hits   uint64
+	misses uint64
 }
 
-// New creates a cache holding at most capacity containers.
-func New(capacity int) (*Cache, error) {
+// newFPCache creates a cache holding at most capacity containers.
+func newFPCache(capacity int) (*fpCache, error) {
 	if capacity <= 0 {
-		return nil, fmt.Errorf("fpcache: capacity %d must be positive", capacity)
+		return nil, fmt.Errorf("fingerprint cache: capacity %d must be positive", capacity)
 	}
-	return &Cache{
+	return &fpCache{
 		capacity: capacity,
 		ll:       list.New(),
 		byCID:    make(map[uint64]*list.Element),
@@ -53,19 +50,18 @@ func New(capacity int) (*Cache, error) {
 	}, nil
 }
 
-// AddContainer prefetches a container's fingerprints into the cache,
+// addContainer prefetches a container's fingerprints into the cache,
 // evicting the least-recently-used container if needed. Re-adding a cached
 // container refreshes its LRU position.
-func (c *Cache) AddContainer(cid uint64, fps []fingerprint.Fingerprint) {
+func (c *fpCache) addContainer(cid uint64, fps []fingerprint.Fingerprint) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.prefetches++
 	if el, ok := c.byCID[cid]; ok {
 		// Refresh LRU position and, when a newer fingerprint set is
 		// supplied (an open container that has grown since the last
 		// prefetch), merge the new fingerprints into the entry.
 		c.ll.MoveToFront(el)
-		if e, isEntry := el.Value.(*entry); isEntry && len(fps) > len(e.fps) {
+		if e, isEntry := el.Value.(*fpEntry); isEntry && len(fps) > len(e.fps) {
 			for _, fp := range fps[len(e.fps):] {
 				c.byFP[fp] = cid
 			}
@@ -80,44 +76,42 @@ func (c *Cache) AddContainer(cid uint64, fps []fingerprint.Fingerprint) {
 	}
 	cp := make([]fingerprint.Fingerprint, len(fps))
 	copy(cp, fps)
-	el := c.ll.PushFront(&entry{cid: cid, fps: cp})
+	el := c.ll.PushFront(&fpEntry{cid: cid, fps: cp})
 	c.byCID[cid] = el
 	for _, fp := range cp {
 		c.byFP[fp] = cid
 	}
 }
 
-// Cached reports whether the container is cached and, if so, how many of
+// cached reports whether the container is cached and, if so, how many of
 // its fingerprints the entry holds — where a refresh of a growing open
-// container resumes (Extend). No LRU state or counter is touched.
-func (c *Cache) Cached(cid uint64) (n int, ok bool) {
+// container resumes (extend). No LRU state or counter is touched.
+func (c *fpCache) cached(cid uint64) (n int, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.byCID[cid]
 	if !ok {
 		return 0, false
 	}
-	return len(el.Value.(*entry).fps), true
+	return len(el.Value.(*fpEntry).fps), true
 }
 
-// Extend refreshes a cached container that has grown since it was
-// cached: fps are its fingerprints from position from on (what Cached
+// extend refreshes a cached container that has grown since it was
+// cached: fps are its fingerprints from position from on (what cached
 // reported), and only those beyond the entry's current length are added.
-// Counted as a prefetch, like the AddContainer refresh it replaces. It
-// reports false, doing nothing, when the container is no longer cached or
+// It reports false, doing nothing, when the container is no longer cached or
 // fps starts past the entry's end.
-func (c *Cache) Extend(cid uint64, from int, fps []fingerprint.Fingerprint) bool {
+func (c *fpCache) extend(cid uint64, from int, fps []fingerprint.Fingerprint) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.byCID[cid]
 	if !ok {
 		return false
 	}
-	e := el.Value.(*entry)
+	e := el.Value.(*fpEntry)
 	if from > len(e.fps) {
 		return false
 	}
-	c.prefetches++
 	c.ll.MoveToFront(el)
 	if skip := len(e.fps) - from; skip < len(fps) {
 		for _, fp := range fps[skip:] {
@@ -129,12 +123,12 @@ func (c *Cache) Extend(cid uint64, from int, fps []fingerprint.Fingerprint) bool
 }
 
 // evictLocked removes the LRU container and unindexes its fingerprints.
-func (c *Cache) evictLocked() {
+func (c *fpCache) evictLocked() {
 	el := c.ll.Back()
 	if el == nil {
 		return
 	}
-	e, ok := el.Value.(*entry)
+	e, ok := el.Value.(*fpEntry)
 	if !ok {
 		return
 	}
@@ -147,12 +141,11 @@ func (c *Cache) evictLocked() {
 			delete(c.byFP, fp)
 		}
 	}
-	c.evictions++
 }
 
-// Lookup reports whether fp is cached and, if so, which container holds
+// lookup reports whether fp is cached and, if so, which container holds
 // it, refreshing that container's LRU position.
-func (c *Cache) Lookup(fp fingerprint.Fingerprint) (uint64, bool) {
+func (c *fpCache) lookup(fp fingerprint.Fingerprint) (uint64, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	cid, ok := c.byFP[fp]
@@ -167,28 +160,8 @@ func (c *Cache) Lookup(fp fingerprint.Fingerprint) (uint64, bool) {
 	return cid, true
 }
 
-// Contains is Lookup without the container ID.
-func (c *Cache) Contains(fp fingerprint.Fingerprint) bool {
-	_, ok := c.Lookup(fp)
-	return ok
-}
-
-// Len returns the number of cached containers.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}
-
-// Stats returns cumulative counters.
-func (c *Cache) Stats() (hits, misses, evictions, prefetches uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses, c.evictions, c.prefetches
-}
-
-// HitRate returns hits/(hits+misses), or 0 before any lookups.
-func (c *Cache) HitRate() float64 {
+// hitRate returns hits/(hits+misses), or 0 before any lookups.
+func (c *fpCache) hitRate() float64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	total := c.hits + c.misses

@@ -328,7 +328,7 @@ func (e *Engine) replay(recs []record) error {
 		}
 		if e.cidx != nil {
 			for _, cm := range c.Meta {
-				e.cidx.Insert(cm.FP, container.Loc{CID: c.ID, Offset: cm.Offset, Length: cm.Length})
+				e.cidx.insert(cm.FP, container.Loc{CID: c.ID, Offset: cm.Offset, Length: cm.Length})
 			}
 		}
 		e.uniqueChunks.Add(int64(len(c.Meta)))
@@ -376,7 +376,7 @@ func (e *Engine) replay(recs []record) error {
 		for _, c := range adopted {
 			var fps []fingerprint.Fingerprint
 			for _, cm := range c.Meta {
-				if loc, ok := e.cidx.Peek(cm.FP); ok && loc.CID == c.ID {
+				if loc, ok := e.cidx.peek(cm.FP); ok && loc.CID == c.ID {
 					e.shardFor(cm.FP).refs[cm.FP] = 1
 					fps = append(fps, cm.FP)
 				}
@@ -427,7 +427,7 @@ func (e *Engine) replay(recs []record) error {
 	for i := range e.shards {
 		sh := &e.shards[i]
 		for fp := range sh.refs {
-			if _, ok := e.cidx.Peek(fp); !ok {
+			if _, ok := e.cidx.peek(fp); !ok {
 				delete(sh.refs, fp)
 			}
 		}
@@ -441,7 +441,7 @@ func (e *Engine) replay(recs []record) error {
 		var dead int64
 		for _, cm := range c.Meta {
 			sh := e.shardFor(cm.FP)
-			loc, ok := e.cidx.Peek(cm.FP)
+			loc, ok := e.cidx.peek(cm.FP)
 			if sh.refs[cm.FP] == 0 || !ok || loc.CID != c.ID {
 				dead += int64(cm.Length)
 			}

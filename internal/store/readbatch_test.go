@@ -193,7 +193,7 @@ func TestCompactOrdersSurvivorsByRecency(t *testing.T) {
 	if err := e.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	oldCID, ok := e.cidx.Lookup(sc.Chunks[0].FP)
+	oldCID, ok := e.cidx.lookup(sc.Chunks[0].FP)
 	if !ok {
 		t.Fatal("stored chunk missing from the chunk index")
 	}
@@ -225,7 +225,7 @@ func TestCompactOrdersSurvivorsByRecency(t *testing.T) {
 	var lastOffset int64 = -1
 	var newCID uint64
 	for n, i := range wantOrder {
-		loc, ok := e.cidx.Lookup(sc.Chunks[i].FP)
+		loc, ok := e.cidx.lookup(sc.Chunks[i].FP)
 		if !ok {
 			t.Fatalf("survivor %d lost from the chunk index", i)
 		}

@@ -37,11 +37,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"sigmadedupe/internal/chunkindex"
 	"sigmadedupe/internal/container"
 	"sigmadedupe/internal/core"
 	"sigmadedupe/internal/fingerprint"
-	"sigmadedupe/internal/fpcache"
 	"sigmadedupe/internal/sderr"
 	"sigmadedupe/internal/simindex"
 )
@@ -49,6 +47,9 @@ import (
 // numShards is the fingerprint lock-stripe count of the lookup-or-append
 // path (a power of two: shardFor masks with numShards-1).
 const numShards = 512
+
+// expectedChunks sizes the chunk index's Bloom filter.
+const expectedChunks = 1 << 20
 
 // DefaultCompactThreshold is the live-ratio floor below which the
 // compactor rewrites a sealed container: at 0.5, a container is rewritten
@@ -77,8 +78,6 @@ type Config struct {
 	CacheContainers int
 	// ContainerCapacity is the container payload capacity in bytes.
 	ContainerCapacity int
-	// ExpectedChunks sizes the on-disk chunk index Bloom filter.
-	ExpectedChunks int
 	// DisableChunkIndex turns off the traditional chunk index, leaving
 	// only similarity-index + cache dedup (approximate; Fig. 5b mode).
 	DisableChunkIndex bool
@@ -115,9 +114,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ContainerCapacity <= 0 {
 		c.ContainerCapacity = container.DefaultCapacity
-	}
-	if c.ExpectedChunks <= 0 {
-		c.ExpectedChunks = 1 << 20
 	}
 	if c.ReadCacheBytes <= 0 {
 		c.ReadCacheBytes = container.DefaultReadCacheBytes
@@ -181,8 +177,8 @@ type shard struct {
 type Engine struct {
 	cfg        Config
 	sim        *simindex.Index
-	cache      *fpcache.Cache
-	cidx       *chunkindex.Index // nil when disabled
+	cache      *fpCache
+	cidx       *chunkIndex // nil when disabled
 	containers *container.Manager
 	man        *manifest // nil when not durable
 
@@ -247,13 +243,13 @@ func newEngine(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store node %d: %w", cfg.NodeID, err)
 	}
-	cache, err := fpcache.New(cfg.CacheContainers)
+	cache, err := newFPCache(cfg.CacheContainers)
 	if err != nil {
 		return nil, fmt.Errorf("store node %d: %w", cfg.NodeID, err)
 	}
-	var cidx *chunkindex.Index
+	var cidx *chunkIndex
 	if !cfg.DisableChunkIndex {
-		cidx, err = chunkindex.New(cfg.ExpectedChunks)
+		cidx, err = newChunkIndex(expectedChunks)
 		if err != nil {
 			return nil, fmt.Errorf("store node %d: %w", cfg.NodeID, err)
 		}
@@ -380,7 +376,7 @@ func (e *Engine) prefetch(cids []uint64) {
 		// an open container keeps growing (read from RAM, free), and one
 		// cached while open may have sealed with more. A complete copy of
 		// a sealed container stays valid — it is immutable.
-		have, cached := e.cache.Cached(cid)
+		have, cached := e.cache.cached(cid)
 		sealed := e.containers.IsSealed(cid)
 		fps, err := e.containers.FingerprintsFrom(cid, have)
 		if err != nil {
@@ -390,13 +386,13 @@ func (e *Engine) prefetch(cids []uint64) {
 			continue
 		}
 		if !cached {
-			e.cache.AddContainer(cid, fps)
-		} else if !e.cache.Extend(cid, have, fps) {
+			e.cache.addContainer(cid, fps)
+		} else if !e.cache.extend(cid, have, fps) {
 			// Evicted since Cached looked: fetch the whole set again.
 			if fps, err = e.containers.FingerprintsFrom(cid, 0); err != nil {
 				continue
 			}
-			e.cache.AddContainer(cid, fps)
+			e.cache.addContainer(cid, fps)
 		}
 		e.prefetches.Add(1)
 	}
@@ -654,7 +650,7 @@ func (e *Engine) decideLocked(stream string, ch core.ChunkRef, sh *shard, tick u
 	// A cache hit is only a trustworthy duplicate verdict while the chunk
 	// is referenced: once its refcount reaches zero the compactor may
 	// collect it at any moment, so the authoritative chunk index decides.
-	if cid, ok := e.cache.Lookup(ch.FP); ok && (!gc || sh.refs[ch.FP] > 0) {
+	if cid, ok := e.cache.lookup(ch.FP); ok && (!gc || sh.refs[ch.FP] > 0) {
 		e.cacheHits.Add(1)
 		if gc {
 			sh.refs[ch.FP]++
@@ -663,7 +659,7 @@ func (e *Engine) decideLocked(stream string, ch core.ChunkRef, sh *shard, tick u
 		return held, cid, nil
 	}
 	if e.cidx != nil {
-		if loc, ok := e.cidx.Lookup(ch.FP); ok {
+		if loc, ok := e.cidx.lookup(ch.FP); ok {
 			e.diskIndexHits.Add(1)
 			// DDFS-style: a disk-index hit prefetches the whole container
 			// so the stream's following chunks hit the cache.
@@ -710,7 +706,7 @@ func (e *Engine) decideLocked(stream string, ch core.ChunkRef, sh *shard, tick u
 		return missing, 0, fmt.Errorf("store node %d: store chunk: %w", e.cfg.NodeID, err)
 	}
 	if e.cidx != nil {
-		e.cidx.Insert(ch.FP, loc)
+		e.cidx.insert(ch.FP, loc)
 	}
 	if gc {
 		sh.refs[ch.FP]++
@@ -786,10 +782,10 @@ func (e *Engine) QuerySuperChunk(sc *core.SuperChunk) []bool {
 	out := make([]bool, len(sc.Chunks))
 	for i, ch := range sc.Chunks {
 		dup := false
-		if _, ok := e.cache.Lookup(ch.FP); ok {
+		if _, ok := e.cache.lookup(ch.FP); ok {
 			dup = true
 		} else if e.cidx != nil {
-			if _, ok := e.cidx.Lookup(ch.FP); ok {
+			if _, ok := e.cidx.lookup(ch.FP); ok {
 				dup = true
 			}
 		}
@@ -831,7 +827,7 @@ func (e *Engine) ReadChunk(fp fingerprint.Fingerprint) ([]byte, error) {
 	var lastLoc container.Loc
 	stale := 0
 	for {
-		loc, ok := e.cidx.Locate(fp)
+		loc, ok := e.cidx.locate(fp)
 		if !ok {
 			return nil, fmt.Errorf("store node %d: chunk %s: %w", e.cfg.NodeID, fp.Short(), container.ErrNotFound)
 		}
@@ -879,7 +875,7 @@ func (e *Engine) ReadChunkBatch(fps []fingerprint.Fingerprint) (out [][]byte, id
 	}
 	wants := make([]want, len(fps))
 	for i, fp := range fps {
-		loc, ok := e.cidx.Locate(fp)
+		loc, ok := e.cidx.locate(fp)
 		if !ok {
 			return nil, nil, fmt.Errorf("store node %d: chunk %s: %w", e.cfg.NodeID, fp.Short(), container.ErrNotFound)
 		}
@@ -968,7 +964,7 @@ func (e *Engine) CountStoredChunks(fps []fingerprint.Fingerprint) int {
 	}
 	count := 0
 	for _, fp := range fps {
-		if _, ok := e.cidx.Lookup(fp); ok {
+		if _, ok := e.cidx.lookup(fp); ok {
 			count++
 		}
 	}
@@ -982,7 +978,7 @@ func (e *Engine) StorageUsage() int64 { return e.containers.StoredBytes() }
 func (e *Engine) SimIndexSize() int { return e.sim.Len() }
 
 // CacheHitRate returns the chunk-fingerprint cache hit rate.
-func (e *Engine) CacheHitRate() float64 { return e.cache.HitRate() }
+func (e *Engine) CacheHitRate() float64 { return e.cache.hitRate() }
 
 // DiskIndexStats returns the chunk index disk-I/O counters (zeroes when
 // the index is disabled).
@@ -990,7 +986,7 @@ func (e *Engine) DiskIndexStats() (diskReads, bloomSkips uint64) {
 	if e.cidx == nil {
 		return 0, 0
 	}
-	r, s, _ := e.cidx.Stats()
+	r, s, _ := e.cidx.stats()
 	return r, s
 }
 
@@ -1103,7 +1099,7 @@ func (e *Engine) DecRef(fps []fingerprint.Fingerprint, ns []int64) error {
 		if sh.refs[fp] <= 0 {
 			delete(sh.refs, fp)
 			delete(sh.touch, fp)
-			if loc, ok := e.cidx.Peek(fp); ok {
+			if loc, ok := e.cidx.peek(fp); ok {
 				e.gcMu.Lock()
 				e.dead[loc.CID] += int64(loc.Length)
 				e.gcMu.Unlock()

@@ -6,10 +6,10 @@ import (
 	"sync"
 )
 
-// WeightFunc resolves a tenant's current fair-share weight; Registry
-// implements it. It is consulted when a request is tagged (at Acquire),
-// so weight changes apply to subsequent super-chunks of a running
-// session. It is called with the scheduler lock held and must not block.
+// WeightFunc resolves a tenant's current fair-share weight. It is
+// consulted when a request is tagged (at Acquire), so weight changes
+// apply to subsequent super-chunks of a running session. It is called
+// with the scheduler lock held and must not block.
 type WeightFunc func(tenant string) int
 
 // Scheduler is a weighted-fair byte-token scheduler sitting in front of

@@ -267,17 +267,6 @@ func (r *Registry) SetWeight(name string, weight int) error {
 	return nil
 }
 
-// Weight implements the scheduler's weight lookup. Unknown tenants get
-// weight 1.
-func (r *Registry) Weight(name string) int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if t, ok := r.tenants[name]; ok {
-		return t.Weight
-	}
-	return 1
-}
-
 // GetUsage returns a tenant's current accounting.
 func (r *Registry) GetUsage(name string) Usage {
 	r.mu.Lock()

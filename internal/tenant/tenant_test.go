@@ -175,17 +175,14 @@ func TestRegistryWeightAndTransfer(t *testing.T) {
 	if err := r.Create(Info{Name: "acme"}); err != nil {
 		t.Fatal(err)
 	}
-	if w := r.Weight("acme"); w != 1 {
-		t.Errorf("default weight = %d", w)
-	}
-	if w := r.Weight("ghost"); w != 1 {
-		t.Errorf("unknown tenant weight = %d, want 1", w)
+	if info, _ := r.Get("acme"); info.Weight != 1 {
+		t.Errorf("default weight = %d", info.Weight)
 	}
 	if err := r.SetWeight("acme", 4); err != nil {
 		t.Fatal(err)
 	}
-	if w := r.Weight("acme"); w != 4 {
-		t.Errorf("weight = %d, want 4", w)
+	if info, _ := r.Get("acme"); info.Weight != 4 {
+		t.Errorf("weight = %d, want 4", info.Weight)
 	}
 	if err := r.SetWeight("acme", 0); err == nil {
 		t.Error("weight 0 accepted")

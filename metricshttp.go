@@ -79,11 +79,6 @@ type metricsReport struct {
 	Tenants []tenantMetrics `json:"tenants"`
 }
 
-// gcSource lets backends with GC counters include them in /metrics.
-type gcSource interface {
-	GCStats() GCStats
-}
-
 func toTenantMetrics(st TenantStatus) tenantMetrics {
 	return tenantMetrics{
 		Name:          st.Name,
@@ -113,9 +108,11 @@ func ServeMetrics(addr string, b Backend) (*MetricsServer, error) {
 	if !ok {
 		return nil, fmt.Errorf("sigmadedupe: backend %T does not implement TenantAdmin", b)
 	}
-	var gc gcSource
-	if g, ok := b.(interface{ GCStats() GCStats }); ok {
-		gc = g
+	var gc func(context.Context) (GCStats, error)
+	if p, ok := b.(interface {
+		gcStats(context.Context) (GCStats, error)
+	}); ok {
+		gc = p.gcStats
 	}
 	return serveMetrics(addr, tenantAdminSource{admin}, b, gc)
 }
@@ -167,7 +164,9 @@ func (s directorSource) Stats(ctx context.Context) (BackendStats, error) {
 	return BackendStats{Backups: len(s.d.Files())}, nil
 }
 
-func serveMetrics(addr string, src tenantSource, stats statsSource, gc gcSource) (*MetricsServer, error) {
+// serveMetrics serves src's tenant table, stats' gauges (nil: none) and
+// gc's counters (nil: none).
+func serveMetrics(addr string, src tenantSource, stats statsSource, gc func(context.Context) (GCStats, error)) (*MetricsServer, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
@@ -190,7 +189,11 @@ func serveMetrics(addr string, src tenantSource, stats statsSource, gc gcSource)
 				StorageSkew:   st.StorageSkew,
 			}
 			if gc != nil {
-				g := gc.GCStats()
+				g, err := gc(r.Context())
+				if err != nil {
+					writeHTTPError(w, err)
+					return
+				}
 				report.Cluster.GC = &g
 			}
 		}

@@ -47,6 +47,10 @@ type plane struct {
 	algorithm fingerprint.Algorithm
 	defaults  sessionConfig
 	sched     *tenant.Scheduler
+	// weights is the scheduler's weight source (weight): tenant name →
+	// weight, as each session's admission read of its tenant and every
+	// weight mutation through this backend last saw it.
+	weights sync.Map
 	// ahead is how many restore windows are fetched ahead of the writer.
 	ahead int
 
@@ -94,7 +98,7 @@ func (p *plane) openSession(ctx context.Context, cfg sessionConfig) (*ingest.Ses
 	if err != nil {
 		return nil, err
 	}
-	s, err := ingest.New(ctx, icfg, p.meta)
+	s, err := ingest.New(ctx, icfg, weighing{p.meta, p})
 	if err != nil {
 		if held != nil {
 			held.Close()
@@ -105,6 +109,34 @@ func (p *plane) openSession(ctx context.Context, cfg sessionConfig) (*ingest.Ses
 	p.sessions[s] = held
 	p.sessMu.Unlock()
 	return s, nil
+}
+
+// weighing is the director as a session sees it: the session's
+// admission read of its tenant also refreshes the tenant's weight, so the
+// scheduler weighs a tenant created elsewhere — by another client, or
+// before a durable director restarted — without a round trip of its own.
+type weighing struct {
+	director.Metadata
+	p *plane
+}
+
+// TenantStatus implements director.Metadata.
+func (w weighing) TenantStatus(ctx context.Context, name string) (director.TenantStatus, error) {
+	st, err := w.Metadata.TenantStatus(ctx, name)
+	if err == nil {
+		w.p.weights.Store(name, st.Info.Weight)
+	}
+	return st, err
+}
+
+// weight is the scheduler's weight lookup. The scheduler calls it under
+// its mutex, so it answers from the cache and never blocks on the
+// director. Unknown tenants weigh 1.
+func (p *plane) weight(tn string) int {
+	if w, ok := p.weights.Load(tn); ok {
+		return w.(int)
+	}
+	return 1
 }
 
 // closeSession releases a session and folds its counters into the
@@ -352,7 +384,11 @@ func (p *plane) gcStats(ctx context.Context) (GCStats, error) {
 // journals, when durable) the tenant — idempotent; re-creating with the
 // same domain updates quota and weight, a different domain conflicts.
 func (p *plane) CreateTenant(ctx context.Context, cfg TenantConfig) error {
-	return p.tenants.CreateTenant(ctx, toTenantInfo(cfg))
+	if err := p.tenants.CreateTenant(ctx, toTenantInfo(cfg)); err != nil {
+		return err
+	}
+	p.weights.Store(cfg.Name, max(cfg.Weight, 1))
+	return nil
 }
 
 // Tenants implements TenantAdmin: the director's tenant table with
@@ -374,9 +410,14 @@ func (p *plane) SetTenantQuota(ctx context.Context, tn string, quota int64) erro
 	return p.tenants.SetTenantQuota(ctx, tn, quota)
 }
 
-// SetTenantWeight implements TenantAdmin.
+// SetTenantWeight implements TenantAdmin. The new weight applies to the
+// next super-chunk of every open session of the tenant.
 func (p *plane) SetTenantWeight(ctx context.Context, tn string, weight int) error {
-	return p.tenants.SetTenantWeight(ctx, tn, weight)
+	if err := p.tenants.SetTenantWeight(ctx, tn, weight); err != nil {
+		return err
+	}
+	p.weights.Store(tn, weight)
+	return nil
 }
 
 // toTenantInfo converts the public tenant configuration to the control

@@ -77,12 +77,6 @@ type Remote struct {
 	plane
 	localMeta  *Director
 	remoteMeta *director.Remote
-
-	// weights caches tenant weights for the scheduler's lock-held lookups
-	// — primed at session creation and on every tenant mutation through
-	// this backend, so the scheduler never blocks on a director round
-	// trip.
-	weights sync.Map // tenant name → int weight
 }
 
 // NewRemote connects a Remote backend. ctx bounds the director dial;
@@ -116,7 +110,7 @@ func NewRemote(ctx context.Context, cfg RemoteConfig) (*Remote, error) {
 		r.ahead = ingest.DefaultInflight
 	}
 	if cfg.IngestCapacityBytes > 0 {
-		r.sched = tenant.NewScheduler(cfg.IngestCapacityBytes, r.tenantWeight)
+		r.sched = tenant.NewScheduler(cfg.IngestCapacityBytes, r.weight)
 	}
 	switch {
 	case cfg.Director != nil && cfg.DirectorAddr != "":
@@ -221,47 +215,6 @@ func (r *Remote) open(ctx context.Context, m *member) (migrate.Node, error) {
 // committed implements transport; a snapshot's views are built per
 // routing decision, over the deciding session's connections.
 func (r *Remote) committed(*epoch) {}
-
-// tenantWeight is the scheduler's weight lookup, served from the local
-// cache (the scheduler calls it under its mutex, so it must never block
-// on a director round trip). Unknown tenants weigh 1.
-func (r *Remote) tenantWeight(name string) int {
-	if w, ok := r.weights.Load(name); ok {
-		return w.(int)
-	}
-	return 1
-}
-
-// CreateTenant implements TenantAdmin, keeping the scheduler's weight
-// cache current with what this backend commits.
-func (r *Remote) CreateTenant(ctx context.Context, cfg TenantConfig) error {
-	if err := r.plane.CreateTenant(ctx, cfg); err != nil {
-		return err
-	}
-	r.weights.Store(cfg.Name, max(cfg.Weight, 1))
-	return nil
-}
-
-// SetTenantWeight implements TenantAdmin (see CreateTenant).
-func (r *Remote) SetTenantWeight(ctx context.Context, tn string, weight int) error {
-	if err := r.plane.SetTenantWeight(ctx, tn, weight); err != nil {
-		return err
-	}
-	r.weights.Store(tn, weight)
-	return nil
-}
-
-// primeWeight refreshes the scheduler's weight cache for one tenant from
-// the director (best effort; a miss just means weight 1 until the next
-// session or mutation).
-func (r *Remote) primeWeight(ctx context.Context, name string) {
-	if r.sched == nil || name == "" {
-		return
-	}
-	if st, err := r.tenants.TenantStatus(ctx, name); err == nil {
-		r.weights.Store(name, st.Info.Weight)
-	}
-}
 
 // conns are the connections one session dialed: one per node it has
 // pinned, so a session's transfers neither queue behind another's nor

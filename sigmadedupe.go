@@ -187,7 +187,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	dir := director.New()
 	c.meta, c.tenants, c.clusterMeta = dir, dir, dir
 	if cfg.IngestCapacityBytes > 0 {
-		c.sched = tenant.NewScheduler(cfg.IngestCapacityBytes, dir.Registry().Weight)
+		c.sched = tenant.NewScheduler(cfg.IngestCapacityBytes, c.weight)
 	}
 	// The simulator commits its epochs in its director like the prototype.
 	nodes := make(map[int]*member, cfg.Nodes)
