@@ -14,6 +14,7 @@ import (
 
 	"sigmadedupe"
 	"sigmadedupe/internal/director"
+	"sigmadedupe/internal/rpc"
 )
 
 // The tenants bench exercises the multi-tenant control plane end to end:
@@ -268,7 +269,7 @@ func tenantsWireQuota(cfg tenantsConfig) (midStream, admission bool, err error) 
 		defer srv.Close()
 		addrs[i] = srv.Addr()
 	}
-	svc, err := director.Serve(director.New(), "127.0.0.1:0")
+	svc, err := rpc.NewDirectorServer(director.New(), "127.0.0.1:0")
 	if err != nil {
 		return false, false, err
 	}

@@ -16,6 +16,7 @@ import (
 
 	"sigmadedupe"
 	"sigmadedupe/internal/director"
+	"sigmadedupe/internal/rpc"
 )
 
 func main() {
@@ -31,7 +32,7 @@ func run() error {
 	flag.Parse()
 
 	d := director.New()
-	svc, err := director.Serve(d, *addr)
+	svc, err := rpc.NewDirectorServer(d, *addr)
 	if err != nil {
 		return err
 	}

@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"sigmadedupe/internal/director"
 	"sigmadedupe/internal/fingerprint"
 	"sigmadedupe/internal/node"
 	"sigmadedupe/internal/rpc"
@@ -278,16 +277,22 @@ func TestCancelMidBackupSimulator(t *testing.T) {
 	}
 }
 
-// TestTypedErrorsSurviveTCPWire round-trips the taxonomy through both
-// wire protocols: the director service (recipe lookups) and the node RPC
-// (chunk reads). errors.Is must hold on the client side of each.
+// TestTypedErrorsSurviveTCPWire round-trips the taxonomy through the call
+// layer under both protocols: director verbs (recipe lookups) and node
+// verbs (chunk reads), and a peer that is down. errors.Is must hold on
+// the client side of each.
 func TestTypedErrorsSurviveTCPWire(t *testing.T) {
 	ctx := context.Background()
-	addrs := startServers(t, 1)
+	srv, err := StartServer(ServerConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	addrs := []string{srv.Addr()}
 
 	// A real TCP director, so recipe errors cross a wire too.
 	d := NewDirector()
-	svc, err := director.Serve(d, "127.0.0.1:0")
+	svc, err := rpc.NewDirectorServer(d, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,6 +349,24 @@ func TestTypedErrorsSurviveTCPWire(t *testing.T) {
 	var out bytes.Buffer
 	if err := be.Restore(ctx, "/wire", &out); err != nil || !bytes.Equal(out.Bytes(), data) {
 		t.Fatalf("round trip over TCP director failed: %v", err)
+	}
+
+	// A peer that is down is typed too: with the only node server
+	// stopped, restore and compaction fail ErrUnavailable; with the
+	// director stopped, so does any call that needs it.
+	srv.Close()
+	if err := be.Restore(ctx, "/wire", io.Discard); !errors.Is(err, ErrUnavailable) {
+		t.Fatalf("restore with the node down = %v, want ErrUnavailable", err)
+	}
+	if _, err := be.Compact(ctx, 0.5); !errors.Is(err, ErrUnavailable) {
+		t.Fatalf("compact with the node down = %v, want ErrUnavailable", err)
+	}
+	svc.Close()
+	if _, err := be.Tenants(ctx); !errors.Is(err, ErrUnavailable) {
+		t.Fatalf("director call with the director down = %v, want ErrUnavailable", err)
+	}
+	if err := be.Restore(ctx, "/wire", io.Discard); !errors.Is(err, ErrUnavailable) {
+		t.Fatalf("restore with the director down = %v, want ErrUnavailable", err)
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 	"net/http"
 	"testing"
 
-	"sigmadedupe/internal/director"
+	"sigmadedupe/internal/rpc"
 	"sigmadedupe/internal/tenant"
 )
 
@@ -217,7 +217,7 @@ func TestTenantScenarioSimulator(t *testing.T) {
 func TestTenantScenarioRemote(t *testing.T) {
 	addrs := startServers(t, 2)
 	d := NewDirector()
-	svc, err := director.Serve(d, "127.0.0.1:0")
+	svc, err := rpc.NewDirectorServer(d, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}

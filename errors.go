@@ -11,6 +11,11 @@ var (
 	// ErrNotFound reports a missing object: an unknown backup name, an
 	// absent recipe, a chunk or container a node does not hold.
 	ErrNotFound = sderr.ErrNotFound
+	// ErrUnavailable reports a node or director that cannot be reached
+	// over the wire: down, restarting, or its connection broke mid-call.
+	// Transient — the next call redials — and a call it failed is never
+	// retried for you (a backup may have been partly stored).
+	ErrUnavailable = sderr.ErrUnavailable
 	// ErrCorrupt reports data that failed an integrity check (container
 	// CRC mismatch, truncated file, bad journal record).
 	ErrCorrupt = sderr.ErrCorrupt

@@ -31,6 +31,39 @@ import (
 	"sigmadedupe/internal/wire"
 )
 
+// Metadata is the director API surface used by backup clients. Both the
+// in-process *Director and the TCP client (rpc.DialDirector) satisfy it.
+// Recipe paths are composite tenant keys (tenant.Key); BeginSession is
+// the hard quota-admission point and TenantStatus feeds the client's soft
+// mid-stream quota check.
+type Metadata interface {
+	BeginSession(ctx context.Context, client, tenantName string) (uint64, error)
+	EndSession(ctx context.Context, id uint64) error
+	// SwapRecipe installs a path's recipe and returns the generation it
+	// superseded (Gen 0: none) — atomically, so the caller releases the
+	// old generation's chunk references exactly once.
+	SwapRecipe(ctx context.Context, session uint64, path string, chunks []ChunkEntry) (Recipe, error)
+	GetRecipe(ctx context.Context, path string) (Recipe, error)
+	DeleteRecipe(ctx context.Context, path string) (Recipe, error)
+	TenantStatus(ctx context.Context, name string) (TenantStatus, error)
+	AccountTransfer(ctx context.Context, name string, stored, restored int64) error
+}
+
+// TenantAdmin is the tenant CRUD surface. Both the in-process *Director
+// and the TCP client satisfy it.
+type TenantAdmin interface {
+	CreateTenant(ctx context.Context, info tenant.Info) error
+	Tenants(ctx context.Context) ([]TenantStatus, error)
+	TenantStatus(ctx context.Context, name string) (TenantStatus, error)
+	SetTenantQuota(ctx context.Context, name string, quota int64) error
+	SetTenantWeight(ctx context.Context, name string, weight int) error
+}
+
+var (
+	_ Metadata    = (*Director)(nil)
+	_ TenantAdmin = (*Director)(nil)
+)
+
 // ChunkEntry is one recipe element: a chunk fingerprint, its size, the
 // deduplication node holding it, and the node holding its replica under
 // R=2 placement (-1 when the entry has none — node 0 is a valid replica

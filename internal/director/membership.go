@@ -79,7 +79,7 @@ var ErrRecipeConflict = fmt.Errorf("director: recipe changed since read: %w", sd
 
 // ClusterMeta is the membership/migration surface of the director, used
 // by the elastic-cluster backends. Both the in-process *Director and
-// the TCP Remote satisfy it.
+// the TCP client (rpc.DialDirector) satisfy it.
 type ClusterMeta interface {
 	// Members returns the current membership epoch.
 	Members(ctx context.Context) (MembershipInfo, error)
@@ -111,10 +111,7 @@ type ClusterMeta interface {
 	ReplaceRecipe(ctx context.Context, path string, ifSession, ifGen uint64, chunks []ChunkEntry) error
 }
 
-var (
-	_ ClusterMeta = (*Director)(nil)
-	_ ClusterMeta = (*Remote)(nil)
-)
+var _ ClusterMeta = (*Director)(nil)
 
 // openMembers replays (and opens for append) the MEMBERS journal under
 // dir; called from OpenAt.

@@ -108,54 +108,3 @@ func TestReplaceRecipeConflict(t *testing.T) {
 		t.Fatalf("missing-path replace = %v, want ErrConflict", err)
 	}
 }
-
-// TestMembershipOverTCP drives the new ClusterMeta ops through the
-// director service wire.
-func TestMembershipOverTCP(t *testing.T) {
-	ctx := context.Background()
-	d := New()
-	svc, err := Serve(d, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc.Close()
-	r, err := DialRemote(svc.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-
-	m, err := r.SetMembers(ctx, 0, []NodeInfo{{ID: 0, Addr: "x"}})
-	if err != nil || m.Epoch != 1 {
-		t.Fatalf("SetMembers over TCP = %+v (%v)", m, err)
-	}
-	if m, err = r.Members(ctx); err != nil || len(m.Nodes) != 1 || m.Nodes[0].Addr != "x" {
-		t.Fatalf("Members over TCP = %+v (%v)", m, err)
-	}
-	id, err := r.BeginMigration(ctx, Migration{Path: "/w", From: 0, To: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pend, err := r.PendingMigrations(ctx)
-	if err != nil || len(pend) != 1 || pend[0].Path != "/w" {
-		t.Fatalf("PendingMigrations over TCP = %+v (%v)", pend, err)
-	}
-	if err := r.EndMigration(ctx, id); err != nil {
-		t.Fatal(err)
-	}
-
-	s, _ := d.BeginSession(ctx, "c", "")
-	if err := d.PutRecipe(ctx, s, "/f", []ChunkEntry{{Size: 1, Node: 0}}); err != nil {
-		t.Fatal(err)
-	}
-	recipes, err := r.Recipes(ctx)
-	if err != nil || len(recipes) != 1 || recipes[0].Path != "/f" {
-		t.Fatalf("Recipes over TCP = %+v (%v)", recipes, err)
-	}
-	if err := r.ReplaceRecipe(ctx, "/f", s+9, 1, nil); !errors.Is(err, sderr.ErrConflict) {
-		t.Fatalf("conflict must survive the wire, got %v", err)
-	}
-	if err := r.ReplaceRecipe(ctx, "/f", s, 1, []ChunkEntry{{Size: 1, Node: 2}}); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -278,17 +278,19 @@ func TestRestoreReleasesUnwrittenWindows(t *testing.T) {
 
 	for _, c := range []struct {
 		name string
-		w    func(cancel context.CancelFunc) io.Writer
+		w    func(log *readLog, cancel context.CancelFunc) io.Writer
 		want error
 	}{
-		{"writer fails", func(context.CancelFunc) io.Writer { return stallThenFail{} }, nil},
-		{"caller cancels", func(cancel context.CancelFunc) io.Writer { return cancelAfterWriter{cancel} }, context.Canceled},
+		{"writer fails", func(*readLog, context.CancelFunc) io.Writer { return stallThenFail{} }, nil},
+		{"caller cancels", func(log *readLog, cancel context.CancelFunc) io.Writer {
+			return cancelAfterBatches{log, 2, cancel}
+		}, context.Canceled},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			var log readLog
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
-			_, err := Restore(ctx, r.dir, log.wrap(wire), "/img", 8, c.w(cancel))
+			_, err := Restore(ctx, r.dir, log.wrap(wire), "/img", 8, c.w(&log, cancel))
 			if err == nil || c.want != nil && !errors.Is(err, c.want) {
 				t.Fatalf("restore = %v, want a failure (%v)", err, c.want)
 			}
@@ -343,6 +345,25 @@ type cancelAfterWriter struct {
 
 func (w cancelAfterWriter) Write(p []byte) (int, error) {
 	w.cancel()
+	return len(p), nil
+}
+
+// cancelAfterBatches cancels a context at the first Write after log has
+// recorded n fetched batches, then keeps accepting bytes: a consumer that
+// goes away with reads in flight, whatever the fetch timing.
+type cancelAfterBatches struct {
+	log    *readLog
+	n      int
+	cancel context.CancelFunc
+}
+
+func (w cancelAfterBatches) Write(p []byte) (int, error) {
+	w.log.mu.Lock()
+	fetched := len(w.log.batches)
+	w.log.mu.Unlock()
+	if fetched >= w.n {
+		w.cancel()
+	}
 	return len(p), nil
 }
 

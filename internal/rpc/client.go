@@ -17,7 +17,8 @@ import (
 	"sigmadedupe/internal/wire"
 )
 
-// Client is a pipelined connection to one deduplication server. Multiple
+// Client is a pipelined, self-healing connection to one server: a
+// deduplication node (Dial) or the director (DialDirector). Multiple
 // goroutines may issue calls concurrently; requests are matched to
 // responses by ID, so many calls can be in flight at once — the paper's
 // batched asynchronous RPC design.
@@ -26,44 +27,72 @@ import (
 // wire (the server bounds its handler with it), and cancellation
 // abandons the wait immediately — the response, if it ever arrives, is
 // discarded by the read loop.
+//
+// A connection whose read loop ended, or whose send failed part-way, is
+// closed and redialed by the next call. One dial runs at a time; after a
+// failed one, calls fail fast with sderr.ErrUnavailable for redialBackoff.
+// A call that reached the wire is never retried: a Dedup, DecRef or
+// SwapRecipe the server may have applied must not run twice. A seal
+// (Flush, MigrateCommit) answers for the client's stores since the last
+// seal, so after a connection that carried unsealed ones is lost, the
+// next seal fails with sderr.ErrUnavailable instead: a restarted peer may
+// have lost them.
 type Client struct {
-	conn  net.Conn
-	bw    *bufio.Writer
-	calls atomic.Int64
+	addr   string
+	proto  byte
+	calls  atomic.Int64
+	nextID atomic.Uint64  // client-wide: no ID is reused across connections
+	loops  sync.WaitGroup // the connections' read loops
 
-	wmu    sync.Mutex     // serializes frame writes
-	vec    wire.VecWriter // vectored-send scratch, guarded by wmu
-	mu     sync.Mutex     // guards pending/nextID/err/chfree
-	nextID uint64
-	pend   map[uint64]chan Response
-	chfree []chan Response // recycled response channels (empty, never closed)
-	err    error
-	done   chan struct{}
+	mu      sync.Mutex // guards everything below and every conn's pend/err
+	cn      *conn      // the live connection; nil until (re)dialed
+	closed  bool
+	chfree  []chan []byte // recycled reply channels (empty, never closed)
+	dialing chan struct{} // closed when the running dial ends
+	retryAt time.Time     // no redial before this, after a failed one
+	dialErr error
+	lost    bool // a dropped connection carried unsealed stores
 }
 
-// getChanLocked pops a recycled response channel (or makes one). Caller
+// conn is one dialed connection of a Client.
+type conn struct {
+	nc   net.Conn
+	wmu  sync.Mutex     // serializes frame writes
+	vec  wire.VecWriter // vectored-send scratch, guarded by wmu
+	pend map[uint64]chan []byte
+	err  error // why the connection broke
+	// stored counts the store-class calls registered; sealed, how many of
+	// them a successful seal covers.
+	stored, sealed uint64
+}
+
+// redialBackoff is how long a failed dial keeps a Client from dialing
+// again: the bound on dial attempts at a peer that is down.
+const redialBackoff = 100 * time.Millisecond
+
+// getChanLocked pops a recycled reply channel (or makes one). Caller
 // holds c.mu.
-func (c *Client) getChanLocked() chan Response {
+func (c *Client) getChanLocked() chan []byte {
 	if last := len(c.chfree) - 1; last >= 0 {
 		ch := c.chfree[last]
 		c.chfree[last] = nil
 		c.chfree = c.chfree[:last]
 		return ch
 	}
-	return make(chan Response, 1)
+	return make(chan []byte, 1)
 }
 
-// putChanLocked recycles a response channel. Only channels proven empty
-// and unclosed may come back: either the call received its response, or
+// putChanLocked recycles a reply channel. Only channels proven empty
+// and unclosed may come back: either the call received its reply, or
 // the pending entry was still registered (so no sender existed). Caller
 // holds c.mu.
-func (c *Client) putChanLocked(ch chan Response) {
+func (c *Client) putChanLocked(ch chan []byte) {
 	if len(c.chfree) < 64 {
 		c.chfree = append(c.chfree, ch)
 	}
 }
 
-// Calls returns how many requests this connection has issued — the RPC
+// Calls returns how many requests this client has issued — the RPC
 // message count of the session (observability for the Fig. 7-style
 // overhead accounting on the prototype path).
 func (c *Client) Calls() int64 { return c.calls.Load() }
@@ -76,181 +105,262 @@ func Dial(addr string) (*Client, error) {
 // DialContext connects to a deduplication server, honoring ctx for the
 // dial itself (deadline and cancellation).
 func DialContext(ctx context.Context, addr string) (*Client, error) {
-	network, address := splitAddr(addr)
-	var d net.Dialer
-	conn, err := d.DialContext(ctx, network, address)
-	if err != nil {
-		return nil, fmt.Errorf("rpc: dial %s: %w", addr, err)
+	return dialClient(ctx, addr, wire.ProtoNode)
+}
+
+func dialClient(ctx context.Context, addr string, proto byte) (*Client, error) {
+	c := &Client{addr: addr, proto: proto}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if err := c.redialLocked(ctx); err != nil {
+		return nil, err
 	}
-	tuneConn(conn)
-	// Exchange the version/protocol handshake before any frame, bounded
-	// by the dial context's deadline.
-	if dl, ok := ctx.Deadline(); ok {
-		conn.SetDeadline(dl)
-	}
-	if err := wire.WriteHandshake(conn, wire.ProtoNode); err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("rpc: handshake %s: %w", addr, err)
-	}
-	if _, err := wire.ReadHandshake(conn, wire.ProtoNode); err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("rpc: handshake %s: %w", addr, err)
-	}
-	conn.SetDeadline(time.Time{})
-	c := &Client{
-		conn: conn,
-		bw:   bufio.NewWriterSize(conn, 256<<10),
-		pend: make(map[uint64]chan Response),
-		done: make(chan struct{}),
-	}
-	go c.readLoop()
 	return c, nil
 }
 
-// Close tears down the connection; outstanding calls fail.
-func (c *Client) Close() error {
-	err := c.conn.Close()
-	<-c.done
+// dialConn dials addr and exchanges the version/protocol handshake,
+// bounded by ctx. Every failure wraps sderr.ErrUnavailable.
+func dialConn(ctx context.Context, addr string, proto byte) (*conn, error) {
+	network, address := splitAddr(addr)
+	var d net.Dialer
+	nc, err := d.DialContext(ctx, network, address)
+	if err != nil {
+		return nil, fmt.Errorf("rpc: dial %s: %w: %w", addr, sderr.ErrUnavailable, err)
+	}
+	tuneConn(nc)
+	if dl, ok := ctx.Deadline(); ok {
+		nc.SetDeadline(dl)
+	}
+	if err = wire.WriteHandshake(nc, proto); err == nil {
+		_, err = wire.ReadHandshake(nc, proto)
+	}
+	if err != nil {
+		nc.Close()
+		return nil, fmt.Errorf("rpc: handshake %s: %w: %w", addr, sderr.ErrUnavailable, err)
+	}
+	nc.SetDeadline(time.Time{})
+	return &conn{nc: nc, pend: make(map[uint64]chan []byte)}, nil
+}
+
+// Close tears down the connection and waits for its read loop;
+// outstanding calls fail, and so does every later one.
+func (c *Client) Close() (err error) {
+	c.mu.Lock()
+	cn := c.cn
+	c.cn, c.closed = nil, true
+	c.mu.Unlock()
+	if cn != nil {
+		err = cn.nc.Close()
+	}
+	c.loops.Wait()
 	return err
 }
 
-func (c *Client) readLoop() {
-	defer close(c.done)
-	br := bufio.NewReaderSize(c.conn, 256<<10)
+// register makes the call id pending on the live connection, dialing one
+// first if there is none, and returns the connection's store count: the
+// stores a seal covers.
+func (c *Client) register(ctx context.Context, id uint64, op Op) (*conn, chan []byte, uint64, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.lost && op.seals() {
+		c.lost = false
+		return nil, nil, 0, fmt.Errorf("rpc: %s: %w: lost a connection with unsealed stores", c.addr, sderr.ErrUnavailable)
+	}
+	for c.cn == nil {
+		if c.closed {
+			return nil, nil, 0, fmt.Errorf("rpc: %s: %w", c.addr, net.ErrClosed)
+		}
+		if err := c.redialLocked(ctx); err != nil {
+			return nil, nil, 0, err
+		}
+	}
+	if op.stores() {
+		c.cn.stored++
+	}
+	ch := c.getChanLocked()
+	c.cn.pend[id] = ch
+	return c.cn, ch, c.cn.stored, nil
+}
+
+// redialLocked waits for the running dial, or runs one unless a failed
+// dial's backoff has not passed yet. Caller holds c.mu, which is released
+// while dialing or waiting.
+func (c *Client) redialLocked(ctx context.Context) error {
+	if wait := c.dialing; wait != nil {
+		c.mu.Unlock()
+		select {
+		case <-wait:
+		case <-ctx.Done():
+		}
+		c.mu.Lock()
+		return ctx.Err()
+	}
+	if time.Now().Before(c.retryAt) {
+		return c.dialErr
+	}
+	done := make(chan struct{})
+	c.dialing = done
+	c.mu.Unlock()
+	cn, err := dialConn(ctx, c.addr, c.proto)
+	c.mu.Lock()
+	c.dialing = nil
+	close(done)
+	switch {
+	case err != nil && ctx.Err() == nil:
+		// The peer is down: fail fast until the backoff passes.
+		c.retryAt, c.dialErr = time.Now().Add(redialBackoff), err
+	case err == nil && c.closed:
+		cn.nc.Close()
+	case err == nil:
+		c.cn = cn
+		c.loops.Add(1)
+		go c.readLoop(cn)
+	}
+	return err
+}
+
+// drop retires a broken connection: it is closed, its pending calls fail,
+// and the next call redials.
+func (c *Client) drop(cn *conn, err error) {
+	c.mu.Lock()
+	if cn.err == nil {
+		cn.err = fmt.Errorf("rpc: connection lost: %w: %w", sderr.ErrUnavailable, err)
+	}
+	if c.cn == cn {
+		c.cn = nil
+	}
+	c.lost = c.lost || cn.stored > cn.sealed
+	for id, ch := range cn.pend {
+		close(ch)
+		delete(cn.pend, id)
+	}
+	c.mu.Unlock()
+	cn.nc.Close()
+}
+
+func (c *Client) readLoop(cn *conn) {
+	defer c.loops.Done()
+	br := bufio.NewReaderSize(cn.nc, 256<<10)
 	for {
 		body, err := wire.ReadFrame(br, maxFrame)
 		if err == nil {
-			err = c.dispatchFrame(body)
+			err = c.dispatchFrame(cn, body)
 		}
 		if err != nil {
-			c.mu.Lock()
-			c.err = fmt.Errorf("rpc: connection lost: %w", err)
-			for id, ch := range c.pend {
-				close(ch)
-				delete(c.pend, id)
-			}
-			c.mu.Unlock()
+			c.drop(cn, err)
 			return
 		}
 	}
 }
 
-// dispatchFrame decodes one inbound frame and delivers it to the waiting
-// call(s). Payload-free frames release the pooled buffer here; a
-// payload-carrying response instead transfers frame ownership to the
-// waiting call (Response.frame), so restore payloads are consumed as
-// zero-copy aliases of the receive buffer and the buffer returns to the
-// pool only after the caller is done with them (ReleaseFrame).
-func (c *Client) dispatchFrame(body []byte) error {
-	if len(body) == 0 {
-		wire.PutBuf(body)
-		return fmt.Errorf("%w: empty frame", wire.ErrMalformed)
-	}
-	switch body[0] {
+// dispatchFrame hands a response frame, undecoded, to the call its ID
+// names (which then owns the pooled buffer), and each ID of a batched-ack
+// frame a nil frame. A frame nobody waits for goes back to the pool.
+func (c *Client) dispatchFrame(cn *conn, body []byte) error {
+	r := wire.NewReader(body)
+	switch kind := r.U8(); kind {
 	case frameResponse:
-		resp, err := decodeResponse(body)
-		if err != nil {
+		id := r.U64()
+		if err := r.Err(); err != nil {
 			wire.PutBuf(body)
 			return err
 		}
-		carries := false
-		for i := range resp.Chunks {
-			if resp.Chunks[i].Data != nil {
-				carries = true
-				break
-			}
-		}
-		if carries {
-			resp.frame = body
-			if !c.deliver(resp) {
-				// Abandoned call: nobody will ever release the frame.
-				wire.PutBuf(body)
-			}
-		} else {
-			wire.PutBuf(body)
-			c.deliver(resp)
+		if !c.deliver(cn, id, body) {
+			wire.PutBuf(body) // abandoned call
 		}
 		return nil
 	case frameAcks:
-		defer wire.PutBuf(body)
 		ids, err := decodeAcks(body)
-		if err != nil {
-			return err
-		}
+		wire.PutBuf(body)
 		for _, id := range ids {
-			c.deliver(Response{ID: id})
+			c.deliver(cn, id, nil)
 		}
-		return nil
+		return err
 	default:
 		wire.PutBuf(body)
-		return fmt.Errorf("%w: unknown frame kind %d", wire.ErrMalformed, body[0])
+		return fmt.Errorf("%w: unknown frame kind %d", wire.ErrMalformed, kind)
 	}
 }
 
-// deliver hands resp to its waiting call, reporting whether a call was
-// still registered to receive it.
-func (c *Client) deliver(resp Response) bool {
+// deliver hands a reply frame to its waiting call, reporting whether a
+// call was still registered to receive it.
+func (c *Client) deliver(cn *conn, id uint64, frame []byte) bool {
 	c.mu.Lock()
-	ch, ok := c.pend[resp.ID]
+	ch, ok := cn.pend[id]
 	if ok {
-		delete(c.pend, resp.ID)
+		delete(cn.pend, id)
 	}
 	c.mu.Unlock()
 	if ok {
-		ch <- resp
+		ch <- frame
 	}
 	return ok
 }
 
-// Call issues one request and waits for its response. A context deadline
-// is carried to the server as the request's time budget; cancellation
-// deregisters the pending call and returns ctx.Err() without waiting for
-// the (now unwanted) response.
-func (c *Client) Call(ctx context.Context, req Request) (Response, error) {
-	if err := ctx.Err(); err != nil {
-		return Response{}, err
-	}
+// wireTimeout is ctx's remaining deadline in milliseconds (0: none), the
+// request header's time budget.
+func wireTimeout(ctx context.Context) int64 {
 	if dl, ok := ctx.Deadline(); ok {
-		ms := time.Until(dl).Milliseconds()
-		if ms < 1 {
-			ms = 1
+		return max(time.Until(dl).Milliseconds(), 1)
+	}
+	return 0
+}
+
+// roundTrip is the one call path, node and director alike: it sends the
+// request frame — body, which starts with the four spare bytes of the
+// length prefix, then payloads in place — returns body to the pool, and
+// waits for the reply frame the caller then owns (nil for a batched ack).
+// Cancellation abandons the wait at once.
+func (c *Client) roundTrip(ctx context.Context, id uint64, op Op, body []byte, payloads []ChunkWire) ([]byte, error) {
+	cn, ch, stored, err := c.register(ctx, id, op)
+	if err == nil {
+		err = c.send(ctx, cn, body, payloads)
+		if err != nil {
+			c.abandon(cn, id, ch)
 		}
-		req.TimeoutMS = ms
 	}
-	c.mu.Lock()
-	if c.err != nil {
-		err := c.err
-		c.mu.Unlock()
-		return Response{}, err
+	wire.PutBuf(body)
+	if err != nil {
+		if cerr := ctx.Err(); cerr != nil {
+			return nil, fmt.Errorf("rpc: send canceled: %w", cerr)
+		}
+		return nil, err
 	}
-	ch := c.getChanLocked()
-	c.nextID++
-	req.ID = c.nextID
-	c.pend[req.ID] = ch
-	c.mu.Unlock()
+	// Count only requests that actually reached the wire, so Calls()
+	// reflects real message traffic even on failing connections.
+	c.calls.Add(1)
+	select {
+	case frame, ok := <-ch:
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		if !ok {
+			return nil, cn.err
+		}
+		// The read loop sent exactly one value and the entry left pend
+		// before the send, so ch is empty and unclosed: recyclable.
+		c.putChanLocked(ch)
+		if op.seals() && replyOK(frame) {
+			cn.sealed = max(cn.sealed, stored)
+		}
+		return frame, nil
+	case <-ctx.Done():
+		c.abandon(cn, id, ch) // a late response is dropped by the read loop
+		return nil, ctx.Err()
+	}
+}
 
-	// Encode outside the write lock into a pooled scratch buffer, then
-	// write the frame under wmu and release the buffer. Payload-heavy
-	// frames (super-chunk stores) are sent vectored: the length prefix
-	// and metadata go into one small scratch buffer and the chunk
-	// payloads are handed to writev in place (wire.VecWriter).
-	payload := payloadSize(req.Chunks)
-	var body []byte
-	vectored := payload >= vectoredMin
-	if vectored {
-		body = append(wire.GetBuf(4 + requestSize(&req) - payload)[:0], 0, 0, 0, 0)
-		body = appendRequestMeta(body, &req)
-	} else {
-		body = appendRequest(wire.GetBuf(requestSize(&req))[:0], &req)
+// send writes one request frame. The write goes straight to the socket
+// and can block when the peer stops reading (send buffer full); a watcher
+// turns ctx cancellation into a write deadline so the write unblocks.
+// Any failed write may have left part of the frame on the stream, where
+// the server would read the next frame as its remainder, so it drops the
+// connection: the next call redials.
+func (c *Client) send(ctx context.Context, cn *conn, body []byte, payloads []ChunkWire) error {
+	cn.wmu.Lock()
+	defer cn.wmu.Unlock()
+	if err := ctx.Err(); err != nil {
+		return err // nothing written: the stream is intact
 	}
-
-	c.wmu.Lock()
-	// The frame write goes straight to the socket and can block when the
-	// peer stops reading (send buffer full). A watcher turns ctx
-	// cancellation into a write deadline so the write unblocks; a
-	// partially written frame corrupts the stream framing, so the failed
-	// connection is simply surfaced as a send error (cancel-mid-write
-	// cannot preserve the stream).
 	var watchStop, watchDone chan struct{}
 	if ctx.Done() != nil {
 		watchStop, watchDone = make(chan struct{}), make(chan struct{})
@@ -258,77 +368,75 @@ func (c *Client) Call(ctx context.Context, req Request) (Response, error) {
 			defer close(watchDone)
 			select {
 			case <-ctx.Done():
-				c.conn.SetWriteDeadline(time.Unix(1, 0))
+				cn.nc.SetWriteDeadline(time.Unix(1, 0))
 			case <-watchStop:
 			}
 		}()
 	}
-	var err error
-	if vectored {
-		// c.bw is always flushed between frames, so the vectored frame
-		// can go straight to the socket without reordering.
-		err = writeVectored(&c.vec, c.conn, body, req.Chunks, nil)
-	} else {
-		err = wire.WriteFrame(c.bw, body)
-		if err == nil {
-			err = c.bw.Flush()
-		}
-	}
+	err := writeVectored(&cn.vec, cn.nc, body, payloads, nil)
 	if watchStop != nil {
 		close(watchStop)
 		<-watchDone // joined: no stale deadline can land after the reset
-		c.conn.SetWriteDeadline(time.Time{})
+		cn.nc.SetWriteDeadline(time.Time{})
 	}
-	c.wmu.Unlock()
-	wire.PutBuf(body)
 	if err != nil {
-		c.abandon(req.ID, ch)
-		if cerr := ctx.Err(); cerr != nil {
-			return Response{}, fmt.Errorf("rpc: send canceled: %w", cerr)
-		}
-		return Response{}, fmt.Errorf("rpc: send: %w", err)
+		c.drop(cn, err)
+		return fmt.Errorf("rpc: send: %w: %w", sderr.ErrUnavailable, err)
 	}
-	// Count only requests that actually reached the wire, so Calls()
-	// reflects real message traffic even on failing connections.
-	c.calls.Add(1)
-	select {
-	case resp, ok := <-ch:
-		if !ok {
-			c.mu.Lock()
-			err := c.err
-			c.mu.Unlock()
-			return Response{}, err
-		}
-		// The read loop sent exactly one value and the entry left pend
-		// before the send, so ch is empty and unclosed: recyclable.
-		c.mu.Lock()
-		c.putChanLocked(ch)
-		c.mu.Unlock()
-		if resp.Err != "" {
-			return resp, fmt.Errorf("rpc: remote: %w", sderr.Decode(resp.Err))
-		}
-		return resp, nil
-	case <-ctx.Done():
-		// Abandon the call: deregister so a late response is dropped by
-		// the read loop instead of leaking the slot.
-		c.abandon(req.ID, ch)
-		return Response{}, ctx.Err()
-	}
+	return nil
 }
 
-// abandon deregisters a call that will never be waited on. The channel
-// is recycled only if the pending entry was still present — proof the
-// read loop had not claimed it, so nothing was or will be sent on it.
-// If the entry is gone, the read loop owns the channel (a response may
-// be in flight into its buffer, or it was closed by connection failure)
-// and it is simply dropped.
-func (c *Client) abandon(id uint64, ch chan Response) {
+// abandon deregisters a call that will never be waited on. Its channel is
+// recycled only if the entry was still pending (nothing was or will be
+// sent on it); otherwise a reply may be in flight into it, or it was
+// closed with the connection, and it is dropped.
+func (c *Client) abandon(cn *conn, id uint64, ch chan []byte) {
 	c.mu.Lock()
-	if _, ok := c.pend[id]; ok {
-		delete(c.pend, id)
+	if _, ok := cn.pend[id]; ok {
+		delete(cn.pend, id)
 		c.putChanLocked(ch)
 	}
 	c.mu.Unlock()
+}
+
+// Call issues one node request and waits for its response (roundTrip).
+// Payload-heavy frames (super-chunk stores) are sent vectored: the length
+// prefix and metadata go into one small scratch buffer and the chunk
+// payloads are handed to writev in place (wire.VecWriter).
+func (c *Client) Call(ctx context.Context, req Request) (Response, error) {
+	req.ID, req.TimeoutMS = c.nextID.Add(1), wireTimeout(ctx)
+	var payloads []ChunkWire
+	size := requestSize(&req)
+	if payload := payloadSize(req.Chunks); payload >= vectoredMin {
+		size, payloads = size-payload, req.Chunks
+	}
+	body := append(wire.GetBuf(4 + size)[:0], 0, 0, 0, 0)
+	if payloads != nil {
+		body = appendRequestMeta(body, &req)
+	} else {
+		body = appendRequest(body, &req)
+	}
+	frame, err := c.roundTrip(ctx, req.ID, req.Op, body, payloads)
+	if err != nil || frame == nil {
+		return Response{ID: req.ID}, err
+	}
+	resp, err := decodeResponse(frame)
+	if err != nil {
+		wire.PutBuf(frame)
+		return Response{}, err
+	}
+	if payloadSize(resp.Chunks) > 0 {
+		// Restore payloads are consumed as zero-copy aliases of the receive
+		// buffer, which returns to the pool only once the caller is done
+		// with them (ReleaseFrame).
+		resp.frame = frame
+	} else {
+		wire.PutBuf(frame)
+	}
+	if resp.Err != "" {
+		return resp, fmt.Errorf("rpc: remote: %w", sderr.Decode(resp.Err))
+	}
+	return resp, nil
 }
 
 // Bid sends a handprint and returns the node's similarity match count and
@@ -442,11 +550,7 @@ func (b *ChunkBatch) Release() {
 // The caller bounds total batch bytes well below the frame limit (the
 // restore scheduler windows by recipe sizes).
 func (c *Client) ReadBatch(ctx context.Context, fps []fingerprint.Fingerprint) (*ChunkBatch, error) {
-	chunks := make([]ChunkWire, len(fps))
-	for i, fp := range fps {
-		chunks[i] = ChunkWire{FP: fp}
-	}
-	resp, err := c.Call(ctx, Request{Op: OpReadBatch, Chunks: chunks})
+	resp, err := c.Call(ctx, Request{Op: OpReadBatch, Chunks: fpsToWire(fps)})
 	if err != nil {
 		resp.ReleaseFrame()
 		return nil, err
@@ -481,11 +585,7 @@ func (c *Client) Flush(ctx context.Context) error {
 // DecRef releases backup references on the server's chunks: fps[i] loses
 // ns[i] references (one batch per node of a deleted backup's recipe).
 func (c *Client) DecRef(ctx context.Context, fps []fingerprint.Fingerprint, ns []int64) error {
-	chunks := make([]ChunkWire, len(fps))
-	for i, fp := range fps {
-		chunks[i] = ChunkWire{FP: fp}
-	}
-	_, err := c.Call(ctx, Request{Op: OpDecRef, Chunks: chunks, Counts: ns})
+	_, err := c.Call(ctx, Request{Op: OpDecRef, Chunks: fpsToWire(fps), Counts: ns})
 	return err
 }
 
@@ -493,11 +593,7 @@ func (c *Client) DecRef(ctx context.Context, fps []fingerprint.Fingerprint, ns [
 // source side of a super-chunk migration. The response carries one
 // payload per requested fingerprint, in order.
 func (c *Client) MigrateRead(ctx context.Context, fps []fingerprint.Fingerprint) ([][]byte, error) {
-	chunks := make([]ChunkWire, len(fps))
-	for i, fp := range fps {
-		chunks[i] = ChunkWire{FP: fp}
-	}
-	resp, err := c.Call(ctx, Request{Op: OpMigrateRead, Chunks: chunks})
+	resp, err := c.Call(ctx, Request{Op: OpMigrateRead, Chunks: fpsToWire(fps)})
 	defer resp.ReleaseFrame()
 	if err != nil {
 		return nil, err
@@ -524,11 +620,7 @@ func (c *Client) MigrateCommit(ctx context.Context, stream string) error {
 // RefCounts fetches the node's current reference count for each chunk
 // fingerprint (migration recovery's reconciliation probe).
 func (c *Client) RefCounts(ctx context.Context, fps []fingerprint.Fingerprint) ([]int64, error) {
-	chunks := make([]ChunkWire, len(fps))
-	for i, fp := range fps {
-		chunks[i] = ChunkWire{FP: fp}
-	}
-	resp, err := c.Call(ctx, Request{Op: OpRefCounts, Chunks: chunks})
+	resp, err := c.Call(ctx, Request{Op: OpRefCounts, Chunks: fpsToWire(fps)})
 	if err != nil {
 		return nil, err
 	}
@@ -577,4 +669,13 @@ func superChunkToWire(sc *core.SuperChunk, withData bool) []ChunkWire {
 		out[i] = w
 	}
 	return out
+}
+
+// fpsToWire is a fingerprint-only chunk list.
+func fpsToWire(fps []fingerprint.Fingerprint) []ChunkWire {
+	chunks := make([]ChunkWire, len(fps))
+	for i, fp := range fps {
+		chunks[i] = ChunkWire{FP: fp}
+	}
+	return chunks
 }

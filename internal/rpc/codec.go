@@ -10,7 +10,7 @@ import (
 	"sigmadedupe/internal/wire"
 )
 
-// Frame kinds on the node protocol. A batched-ack frame carries only
+// Frame kinds of the call layer. A batched-ack frame carries only
 // request IDs: it acknowledges ack-eligible verbs (stores, decrefs,
 // flushes) whose response would otherwise be an empty Response, letting
 // the server coalesce the whole in-flight super-chunk window into one
@@ -21,7 +21,7 @@ const (
 	frameAcks     byte = 3
 )
 
-// maxFrame bounds any single message on the node protocol.
+// maxFrame bounds any single message of the call layer.
 const maxFrame = wire.DefaultMaxFrame
 
 // vectoredMin is the total-payload threshold above which a frame, request
@@ -42,15 +42,35 @@ func writeVectored(v *wire.VecWriter, conn io.Writer, head []byte, chunks []Chun
 	return v.Write(conn)
 }
 
-// ackEligible reports whether op's successful response carries no data
-// beyond the ID, making it safe to acknowledge via a batched-ack frame.
-func ackEligible(op Op) bool {
-	switch op {
-	case OpStore, OpStoreRefs, OpDedupMissing, OpDecRef, OpFlush, OpMigrateCommit:
-		return true
-	}
-	return false
+// appendRequestHeader encodes the header every request frame starts
+// with, node or director: kind | ID | op | timeoutMS.
+func appendRequestHeader(b []byte, id uint64, op Op, timeoutMS int64) []byte {
+	b = wire.AppendU8(b, frameRequest)
+	b = wire.AppendU64(b, id)
+	b = wire.AppendU8(b, byte(op))
+	return wire.AppendI64(b, timeoutMS)
 }
+
+// decodeRequestHeader reads that header.
+func decodeRequestHeader(r *wire.Reader) (id uint64, op Op, timeoutMS int64, err error) {
+	if k := r.U8(); k != frameRequest {
+		return 0, 0, 0, fmt.Errorf("%w: request frame kind %d", wire.ErrMalformed, k)
+	}
+	return r.U64(), Op(r.U8()), r.I64(), r.Err()
+}
+
+// appendResponseHeader encodes the header every response frame starts
+// with: kind | ID | err.
+func appendResponseHeader(b []byte, id uint64, err string) []byte {
+	b = wire.AppendU8(b, frameResponse)
+	b = wire.AppendU64(b, id)
+	return wire.AppendString(b, err)
+}
+
+// ackEligible reports whether op's successful response carries no data
+// beyond the ID, making it safe to acknowledge via a batched-ack frame:
+// every store but OpDedup (its reply carries verdicts), and the seals.
+func ackEligible(op Op) bool { return op.stores() && op != OpDedup || op.seals() }
 
 // requestSize returns a capacity hint for encoding req.
 func requestSize(req *Request) int {
@@ -83,17 +103,11 @@ func appendRequest(b []byte, req *Request) []byte {
 // is byte-identical to appendRequest(b, req) — the invariant the
 // vectored send relies on.
 func appendRequestMeta(b []byte, req *Request) []byte {
-	b = wire.AppendU8(b, frameRequest)
-	b = wire.AppendU64(b, req.ID)
-	b = wire.AppendU8(b, byte(req.Op))
-	b = wire.AppendI64(b, req.TimeoutMS)
+	b = appendRequestHeader(b, req.ID, req.Op, req.TimeoutMS)
 	b = wire.AppendF64(b, req.Threshold)
 	b = wire.AppendString(b, req.Stream)
-	b = wire.AppendU32(b, uint32(len(req.Handprint)))
-	for i := range req.Handprint {
-		b = append(b, req.Handprint[i][:]...)
-	}
-	b = appendCounts(b, req.Counts)
+	b = appendList(b, req.Handprint, func(b []byte, fp fingerprint.Fingerprint) []byte { return append(b, fp[:]...) })
+	b = appendList(b, req.Counts, wire.AppendI64)
 	b = appendChunksMeta(b, req.Chunks)
 	return b
 }
@@ -103,22 +117,18 @@ func appendRequestMeta(b []byte, req *Request) []byte {
 // returns the frame to the pool only after the handler completes).
 func decodeRequest(body []byte) (Request, error) {
 	r := wire.NewReader(body)
-	if k := r.U8(); k != frameRequest {
-		return Request{}, fmt.Errorf("%w: request frame kind %d", wire.ErrMalformed, k)
-	}
 	var req Request
-	req.ID = r.U64()
-	req.Op = Op(r.U8())
-	req.TimeoutMS = r.I64()
+	var err error
+	if req.ID, req.Op, req.TimeoutMS, err = decodeRequestHeader(r); err != nil {
+		return Request{}, err
+	}
 	req.Threshold = r.F64()
 	req.Stream = r.String()
-	if n := r.Count(fingerprint.Size); n > 0 {
-		req.Handprint = make([]fingerprint.Fingerprint, n)
-		for i := 0; i < n; i++ {
-			copy(req.Handprint[i][:], r.Raw(fingerprint.Size))
-		}
-	}
-	req.Counts = decodeCounts(r)
+	req.Handprint = decodeList(r, fingerprint.Size, func() (fp fingerprint.Fingerprint) {
+		copy(fp[:], r.Raw(fingerprint.Size))
+		return fp
+	})
+	req.Counts = decodeList(r, 8, r.I64)
 	req.Chunks = decodeChunks(r)
 	if err := r.Done(); err != nil {
 		return Request{}, fmt.Errorf("rpc: decode request: %w", err)
@@ -148,16 +158,11 @@ func appendResponse(b []byte, resp *Response) []byte {
 
 // appendResponseHead encodes resp up to and including the chunk headers.
 func appendResponseHead(b []byte, resp *Response) []byte {
-	b = wire.AppendU8(b, frameResponse)
-	b = wire.AppendU64(b, resp.ID)
-	b = wire.AppendString(b, resp.Err)
+	b = appendResponseHeader(b, resp.ID, resp.Err)
 	b = wire.AppendI64(b, int64(resp.Count))
 	b = wire.AppendI64(b, resp.Usage)
-	b = wire.AppendU32(b, uint32(len(resp.Dup)))
-	for _, d := range resp.Dup {
-		b = wire.AppendBool(b, d)
-	}
-	b = appendCounts(b, resp.Counts)
+	b = appendList(b, resp.Dup, wire.AppendBool)
+	b = appendList(b, resp.Counts, wire.AppendI64)
 	return appendChunksMeta(b, resp.Chunks)
 }
 
@@ -187,11 +192,18 @@ func appendResponseTail(b []byte, resp *Response) []byte {
 	b = wire.AppendI64(b, resp.Compacted.CopiedBytes)
 	b = wire.AppendI64(b, resp.Compacted.ReclaimedBytes)
 	b = wire.AppendI64(b, int64(resp.Compacted.SkippedNoPayload))
-	b = wire.AppendU32(b, uint32(len(resp.Idx)))
-	for _, ix := range resp.Idx {
-		b = wire.AppendU32(b, ix)
+	return appendList(b, resp.Idx, wire.AppendU32)
+}
+
+// replyOK reports whether a reply frame carries no error.
+func replyOK(frame []byte) bool {
+	if frame == nil {
+		return true // a batched ack
 	}
-	return b
+	r := wire.NewReader(frame)
+	r.U8() // kind and ID: the read loop matched them
+	r.U64()
+	return r.String() == "" && r.Err() == nil
 }
 
 // decodeResponse decodes a response frame body. Chunk payloads ALIAS
@@ -206,13 +218,8 @@ func decodeResponse(body []byte) (Response, error) {
 	resp.Err = r.String()
 	resp.Count = int(r.I64())
 	resp.Usage = r.I64()
-	if n := r.Count(1); n > 0 {
-		resp.Dup = make([]bool, n)
-		for i := 0; i < n; i++ {
-			resp.Dup[i] = r.Bool()
-		}
-	}
-	resp.Counts = decodeCounts(r)
+	resp.Dup = decodeList(r, 1, r.Bool)
+	resp.Counts = decodeList(r, 8, r.I64)
 	resp.Chunks = decodeChunks(r)
 	resp.Stats = node.Stats{
 		LogicalBytes:  r.I64(),
@@ -244,12 +251,7 @@ func decodeResponse(body []byte) (Response, error) {
 		ReclaimedBytes:   r.I64(),
 		SkippedNoPayload: int(r.I64()),
 	}
-	if n := r.Count(4); n > 0 {
-		resp.Idx = make([]uint32, n)
-		for i := 0; i < n; i++ {
-			resp.Idx[i] = r.U32()
-		}
-	}
+	resp.Idx = decodeList(r, 4, r.U32)
 	if err := r.Done(); err != nil {
 		return Response{}, fmt.Errorf("rpc: decode response: %w", err)
 	}
@@ -270,12 +272,7 @@ func (r *Response) ReleaseFrame() {
 
 // appendAcks encodes a batched-ack frame for the given request IDs.
 func appendAcks(b []byte, ids []uint64) []byte {
-	b = wire.AppendU8(b, frameAcks)
-	b = wire.AppendU32(b, uint32(len(ids)))
-	for _, id := range ids {
-		b = wire.AppendU64(b, id)
-	}
-	return b
+	return appendList(wire.AppendU8(b, frameAcks), ids, wire.AppendU64)
 }
 
 // decodeAcks decodes a batched-ack frame body into request IDs.
@@ -284,38 +281,32 @@ func decodeAcks(body []byte) ([]uint64, error) {
 	if k := r.U8(); k != frameAcks {
 		return nil, fmt.Errorf("%w: ack frame kind %d", wire.ErrMalformed, k)
 	}
-	n := r.Count(8)
-	var ids []uint64
-	if n > 0 {
-		ids = make([]uint64, n)
-		for i := 0; i < n; i++ {
-			ids[i] = r.U64()
-		}
-	}
+	ids := decodeList(r, 8, r.U64)
 	if err := r.Done(); err != nil {
 		return nil, fmt.Errorf("rpc: decode acks: %w", err)
 	}
 	return ids, nil
 }
 
-// appendCounts encodes a u32-prefixed []int64.
-func appendCounts(b []byte, counts []int64) []byte {
-	b = wire.AppendU32(b, uint32(len(counts)))
-	for _, c := range counts {
-		b = wire.AppendI64(b, c)
+// appendList encodes a u32-counted list, each element with put.
+func appendList[T any](b []byte, v []T, put func([]byte, T) []byte) []byte {
+	b = wire.AppendU32(b, uint32(len(v)))
+	for _, e := range v {
+		b = put(b, e)
 	}
 	return b
 }
 
-// decodeCounts decodes a u32-prefixed []int64 (nil when empty).
-func decodeCounts(r *wire.Reader) []int64 {
-	n := r.Count(8)
+// decodeList decodes a u32-counted list whose elements take at least min
+// bytes each on the wire (nil when empty).
+func decodeList[T any](r *wire.Reader, min int, get func() T) []T {
+	n := r.Count(min)
 	if n == 0 {
 		return nil
 	}
-	out := make([]int64, n)
-	for i := 0; i < n; i++ {
-		out[i] = r.I64()
+	out := make([]T, n)
+	for i := range out {
+		out[i] = get()
 	}
 	return out
 }

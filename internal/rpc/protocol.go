@@ -1,16 +1,21 @@
-// Package rpc implements the wire protocol of the Σ-Dedupe prototype: a
-// batched, pipelined request/response protocol over TCP, mirroring the
-// paper's event-driven client design ("an asynchronous RPC implementation
-// via message passing over TCP streams; all RPC requests are batched in
-// order to minimize the round-trip overheads", §4.1).
+// Package rpc is the one call layer of the Σ-Dedupe prototype: the
+// deduplication nodes' verbs (NewServer, Dial) and the director's
+// metadata verbs (NewDirectorServer, DialDirector) travel on it alike. It
+// mirrors the paper's event-driven client design ("an asynchronous RPC
+// implementation via message passing over TCP streams; all RPC requests
+// are batched in order to minimize the round-trip overheads", §4.1).
 //
-// Messages are length-prefixed binary frames (see internal/wire): fixed
-// little-endian field layouts, chunk payloads carried as raw ranges the
-// server hands to the store without re-copying, and empty-success
-// responses for store-class verbs coalesced into batched ack frames.
-// Every request carries a client-chosen ID; responses may arrive out of
-// order, so a client can keep many requests in flight (pipelining) and
-// match responses by ID.
+// Messages are length-prefixed binary frames (internal/wire) after a
+// handshake naming the protocol, wire.ProtoNode or wire.ProtoDirector. A
+// request starts kind | ID | op | timeoutMS, a response kind | ID | err.
+// IDs are client-chosen, so responses may arrive out of order and many
+// calls share one connection; the caller's remaining deadline bounds the
+// server's handler context, and a cancelled call is abandoned, its late
+// response dropped. Chunk payloads travel as raw ranges the server hands
+// to the store without re-copying, and empty-success responses of
+// store-class verbs coalesce into batched ack frames. A connection that
+// breaks, or whose send is torn, is redialed by the next call; a seal
+// (OpFlush, OpMigrateCommit) after losing unsealed stores fails (Client).
 package rpc
 
 import (
@@ -19,7 +24,7 @@ import (
 	"sigmadedupe/internal/store"
 )
 
-// Op enumerates request types understood by a deduplication server.
+// Op enumerates request types: the node verbs below, the director's from 32.
 type Op int
 
 // Deduplication server operations.
@@ -56,7 +61,7 @@ const (
 	// OpMigrateRead streams a batch of chunk payloads off a migration
 	// source node (container contents, fingerprint-addressed).
 	OpMigrateRead
-	// Op 13 was the migration write verb; a migrated super-chunk is stored
+	// Op 12 was the migration write verb; a migrated super-chunk is stored
 	// with OpStore, which it duplicated. Reserved like op 5.
 	_
 	// OpMigrateCommit makes everything a migration wrote to the node
@@ -94,6 +99,14 @@ const (
 	OpDedupMissing
 )
 
+// stores reports whether op writes what only a later seal makes durable.
+func (op Op) stores() bool {
+	return op == OpStore || op == OpStoreRefs || op == OpDecRef || op == OpDedup || op == OpDedupMissing
+}
+
+// seals reports whether op makes the stores before it durable.
+func (op Op) seals() bool { return op == OpFlush || op == OpMigrateCommit }
+
 // ChunkWire is one chunk on the wire: fingerprint, size and (for store
 // and restore operations) payload.
 type ChunkWire struct {
@@ -122,10 +135,9 @@ type Request struct {
 	// Threshold is the live-ratio floor for OpCompact (≤0 selects the
 	// node's configured threshold).
 	Threshold float64
-	// TimeoutMS is the caller's remaining context deadline in
-	// milliseconds at send time (0 = none). The server bounds the
-	// handler's context with it, so a call the client has already given
-	// up on does not keep burning server work.
+	// TimeoutMS is the caller's remaining deadline in milliseconds at
+	// send time (0 = none): it bounds the server handler's context, so a
+	// call the client gave up on stops burning server work.
 	TimeoutMS int64
 }
 

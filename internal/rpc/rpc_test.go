@@ -1,15 +1,21 @@
 package rpc
 
 import (
+	"bufio"
 	"context"
 	"errors"
+	"net"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"sigmadedupe/internal/core"
 	"sigmadedupe/internal/fingerprint"
 	"sigmadedupe/internal/node"
+	"sigmadedupe/internal/sderr"
+	"sigmadedupe/internal/wire"
 )
 
 func startServer(t *testing.T, cfg node.Config) (*Server, *Client) {
@@ -320,5 +326,157 @@ func TestWireDeadlinePropagatesToServer(t *testing.T) {
 	// context after the delay): super-chunk counters stay zero.
 	if st := nd.Stats(); st.SuperChunks != 0 {
 		t.Fatalf("server did work for an expired call: %+v", st)
+	}
+}
+
+// TestTornSendClosesConnection: a send the caller's deadline cuts off
+// part-way leaves a torn frame on the stream. The connection must close
+// with it, so the next call redials instead of going out behind the torn
+// frame, where the server would read it as the frame's remainder (and,
+// with the peer still not reading, block behind it until its deadline).
+func TestTornSendClosesConnection(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A raw peer: the first connection stops reading after the handshake;
+	// later ones answer every request with an empty success.
+	var accepted atomic.Int32
+	var mu sync.Mutex
+	var peers []net.Conn
+	t.Cleanup(func() {
+		ln.Close()
+		mu.Lock()
+		defer mu.Unlock()
+		for _, nc := range peers {
+			nc.Close()
+		}
+	})
+	go func() {
+		for {
+			nc, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			peers = append(peers, nc)
+			mu.Unlock()
+			br := bufio.NewReader(nc)
+			if _, err := wire.ReadHandshake(br, wire.ProtoNode); err != nil {
+				return
+			}
+			wire.WriteHandshake(nc, wire.ProtoNode)
+			if accepted.Add(1) == 1 {
+				continue
+			}
+			go func() {
+				for {
+					body, err := wire.ReadFrame(br, maxFrame)
+					if err != nil {
+						return
+					}
+					req, err := decodeRequest(body)
+					wire.PutBuf(body)
+					if err != nil || wire.WriteFrame(nc, appendResponse(nil, &Response{ID: req.ID})) != nil {
+						return
+					}
+				}
+			}()
+		}
+	}()
+	c, err := Dial(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+
+	// 16 MB against a peer that reads nothing: the socket buffers take a
+	// few frames, and the deadline cuts the send that blocks part-way.
+	payload := make([]byte, 1<<20)
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	var wg sync.WaitGroup
+	for i := 0; i < 16; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := c.Call(ctx, Request{Op: OpDedupMissing, Chunks: []ChunkWire{{Size: 1 << 20, Data: payload}}}); err == nil {
+				t.Error("a call to a peer that never answers succeeded")
+			}
+		}()
+	}
+	wg.Wait()
+	cancel()
+	ctx, cancel = context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	start := time.Now()
+	// The stores went down with the connection, unsealed: the first seal
+	// says so at once, and the next is answered over a redialed connection.
+	if err := c.Flush(ctx); !errors.Is(err, sderr.ErrUnavailable) {
+		t.Fatalf("flush after a torn send = %v (after %v), want ErrUnavailable", err, time.Since(start))
+	}
+	if err := c.Flush(ctx); err != nil {
+		t.Fatalf("flush after a torn send: %v (after %v)", err, time.Since(start))
+	}
+	if n := accepted.Load(); n != 2 {
+		t.Fatalf("peer accepted %d connections, want 2 (one redial)", n)
+	}
+}
+
+// TestLostStoresFailNextSeal: a seal answers for the client's stores
+// since the last seal. Once the connection that carried unsealed ones is
+// lost — its peer restarted, with nothing of them — the next Flush or
+// MigrateCommit fails with ErrUnavailable instead of reporting them
+// durable, and the one after is answered. Stores sealed before the loss
+// fail nothing.
+func TestLostStoresFailNextSeal(t *testing.T) {
+	ctx := context.Background()
+	srv, c := startServer(t, node.Config{})
+	addr := srv.Addr()
+	restart := func() {
+		t.Helper()
+		srv.Close()
+		n, err := node.New(node.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if srv, err = NewServer(n, addr); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { srv.Close() })
+		for { // until the client has seen its connection end
+			c.mu.Lock()
+			gone := c.cn == nil
+			c.mu.Unlock()
+			if gone {
+				return
+			}
+			runtime.Gosched()
+		}
+	}
+	if err := c.Store(ctx, "s", makeSC(1, 4), true); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	restart()
+	if err := c.Flush(ctx); err != nil {
+		t.Fatalf("flush after losing only sealed stores: %v", err)
+	}
+	seals := map[string]func() error{
+		"Flush":         func() error { return c.Flush(ctx) },
+		"MigrateCommit": func() error { return c.MigrateCommit(ctx, "m") },
+	}
+	for name, seal := range seals {
+		if err := c.Store(ctx, "s", makeSC(2, 4), true); err != nil {
+			t.Fatal(err)
+		}
+		restart()
+		if err := seal(); !errors.Is(err, sderr.ErrUnavailable) {
+			t.Fatalf("%s after losing unsealed stores = %v, want ErrUnavailable", name, err)
+		}
+		if err := seal(); err != nil {
+			t.Fatalf("%s after the failed one: %v", name, err)
+		}
 	}
 }

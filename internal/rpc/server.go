@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"sigmadedupe/internal/core"
+	"sigmadedupe/internal/director"
 	"sigmadedupe/internal/fingerprint"
 	"sigmadedupe/internal/node"
 	"sigmadedupe/internal/sderr"
@@ -44,8 +45,9 @@ func splitAddr(addr string) (network, address string) {
 	return "tcp", addr
 }
 
-// Server exposes one deduplication node over TCP. Each accepted
-// connection gets a reader goroutine; requests on a connection are served
+// Server exposes one deduplication node (NewServer) or the director
+// (NewDirectorServer) over TCP or a Unix socket. Each accepted connection
+// gets a reader goroutine; requests on a connection are served
 // concurrently and responses are serialized by a per-connection writer
 // lock, so a pipelined client sees maximal parallelism.
 //
@@ -56,6 +58,7 @@ func splitAddr(addr string) (network, address string) {
 // stops working for calls nobody is waiting on.
 type Server struct {
 	node       *node.Node
+	dir        *director.Director
 	ln         net.Listener
 	delay      time.Duration
 	severAfter int
@@ -80,12 +83,13 @@ func WithHandlerDelay(d time.Duration) ServerOption {
 	return func(s *Server) { s.delay = d }
 }
 
-// WithSeverAfter makes the server hard-close each connection immediately
-// after writing its n-th response, emulating a server death mid-window:
-// every call still in flight on that connection loses its response and
-// must surface a connection error at the client promptly rather than
-// hang, and no call is handled once that response is on its way.
-// Fault-injection hook for tests; zero disables.
+// WithSeverAfter makes the server die right after a connection's n-th
+// response: that connection, every other one and the listener close at
+// once, emulating a server death mid-window. Every call still in flight
+// loses its response and must surface a connection error at the client
+// promptly rather than hang, no call is handled once that response is on
+// its way, and a redial is refused. Fault-injection hook for tests; zero
+// disables.
 func WithSeverAfter(n int) ServerOption {
 	return func(s *Server) { s.severAfter = n }
 }
@@ -93,14 +97,23 @@ func WithSeverAfter(n int) ServerOption {
 // NewServer wraps a deduplication node and listens on addr
 // (e.g. "127.0.0.1:0"). The returned server is already accepting.
 func NewServer(n *node.Node, addr string, opts ...ServerOption) (*Server, error) {
+	return listen(&Server{node: n}, addr, opts)
+}
+
+// NewDirectorServer serves the director's metadata verbs on addr, on the
+// same call layer as the nodes' (DialDirector is its client).
+func NewDirectorServer(d *director.Director, addr string, opts ...ServerOption) (*Server, error) {
+	return listen(&Server{dir: d}, addr, opts)
+}
+
+func listen(s *Server, addr string, opts []ServerOption) (*Server, error) {
 	network, address := splitAddr(addr)
 	ln, err := net.Listen(network, address)
 	if err != nil {
 		return nil, fmt.Errorf("rpc: listen %s: %w", addr, err)
 	}
-	base, cancel := context.WithCancel(context.Background())
-	s := &Server{node: n, ln: ln, conns: make(map[net.Conn]struct{}),
-		base: base, baseCancel: cancel}
+	s.ln, s.conns = ln, make(map[net.Conn]struct{})
+	s.base, s.baseCancel = context.WithCancel(context.Background())
 	for _, o := range opts {
 		o(s)
 	}
@@ -119,26 +132,23 @@ func (s *Server) Addr() string {
 	return a.String()
 }
 
-// Node returns the wrapped deduplication node (for stats inspection).
+// Node returns the wrapped deduplication node (for stats inspection; nil
+// on a director server).
 func (s *Server) Node() *node.Node { return s.node }
 
 // Close stops accepting, closes all connections (canceling every
 // in-flight call's context), and waits for handler goroutines to drain.
 func (s *Server) Close() error {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
+	closed := s.closed
 	s.closed = true
-	for c := range s.conns {
-		c.Close()
-	}
 	s.mu.Unlock()
-	s.baseCancel()
-	err := s.ln.Close()
-	s.wg.Wait()
-	return err
+	if !closed {
+		s.die()
+		s.baseCancel()
+		s.wg.Wait()
+	}
+	return nil
 }
 
 func (s *Server) acceptLoop() {
@@ -181,10 +191,14 @@ func (s *Server) serveConn(conn net.Conn) {
 	// passes the read straight through into the frame buffer — one copy
 	// of the bulk path instead of two.
 	br := bufio.NewReaderSize(conn, 64<<10)
-	if _, err := wire.ReadHandshake(br, wire.ProtoNode); err != nil {
+	proto := wire.ProtoNode
+	if s.dir != nil {
+		proto = wire.ProtoDirector
+	}
+	if _, err := wire.ReadHandshake(br, proto); err != nil {
 		return
 	}
-	if err := wire.WriteHandshake(conn, wire.ProtoNode); err != nil {
+	if err := wire.WriteHandshake(conn, proto); err != nil {
 		return
 	}
 	// Batched acks coalesce empty-success responses for the in-flight
@@ -195,6 +209,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		bw:         bufio.NewWriterSize(conn, 256<<10),
 		conn:       conn,
 		severAfter: s.severAfter,
+		die:        s.die,
 	}
 	// A fixed worker pool handles requests instead of one goroutine per
 	// request: the per-request spawn (goroutine + closure) was a top
@@ -202,7 +217,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	// client's in-flight window, so request overlap is preserved; a full
 	// queue simply backpressures the read loop, which the window already
 	// bounds.
-	work := make(chan connWork, 2*connWorkers)
+	work := make(chan []byte, 2*connWorkers)
 	var handlers sync.WaitGroup
 	handlers.Add(connWorkers)
 	defer handlers.Wait()
@@ -210,50 +225,45 @@ func (s *Server) serveConn(conn net.Conn) {
 	for i := 0; i < connWorkers; i++ {
 		go func() {
 			defer handlers.Done()
-			for cw := range work {
-				s.handleRequest(connCtx, w, cw.req, cw.frame)
+			for frame := range work {
+				s.handleRequest(connCtx, w, frame)
 			}
 		}()
 	}
 	for {
 		body, err := wire.ReadFrame(br, maxFrame)
 		if err != nil {
-			// Clean close, peer death, or a connection-level decode
-			// error: drop the connection either way.
+			// Clean close, peer death, or a handler that closed the
+			// connection on a frame it could not decode.
 			return
 		}
-		req, err := decodeRequest(body)
-		if err != nil {
-			wire.PutBuf(body)
-			return
-		}
-		work <- connWork{req: req, frame: body}
+		work <- body
 	}
 }
 
 // connWorkers is the per-connection handler concurrency.
 const connWorkers = 8
 
-// connWork is one decoded request plus the pooled frame its chunk
-// payloads alias.
-type connWork struct {
-	req   Request
-	frame []byte
-}
-
-func (s *Server) handleRequest(connCtx context.Context, w *respWriter, req Request, frame []byte) {
+// handleRequest decodes and answers one request frame; a peer that sends
+// one that does not decode loses the connection.
+func (s *Server) handleRequest(connCtx context.Context, w *respWriter, frame []byte) {
 	// The request's chunk payloads alias the frame; it goes back
 	// to the pool only after the handler is fully done with it.
 	defer wire.PutBuf(frame)
 	if w.severAfter > 0 && w.severing.Load() {
 		return // the emulated death came first: nothing after it is handled
 	}
-	ctx := connCtx
-	if req.TimeoutMS > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(connCtx, time.Duration(req.TimeoutMS)*time.Millisecond)
-		defer cancel()
+	if s.dir != nil {
+		s.handleDirector(connCtx, w, frame)
+		return
 	}
+	req, err := decodeRequest(frame)
+	if err != nil {
+		w.conn.Close()
+		return
+	}
+	ctx, cancel := s.callContext(connCtx, req.TimeoutMS)
+	defer cancel()
 	resp := s.handle(ctx, req)
 	if connCtx.Err() != nil {
 		// The connection is gone; nobody can read this response.
@@ -264,6 +274,22 @@ func (s *Server) handleRequest(connCtx context.Context, w *respWriter, req Reque
 	} else {
 		w.sendResponse(&resp)
 	}
+}
+
+// callContext is a handler's context: the connection's, bounded by the
+// request's wire deadline, after the WithHandlerDelay latency.
+func (s *Server) callContext(connCtx context.Context, timeoutMS int64) (context.Context, context.CancelFunc) {
+	ctx, cancel := connCtx, context.CancelFunc(func() {})
+	if timeoutMS > 0 {
+		ctx, cancel = context.WithTimeout(connCtx, time.Duration(timeoutMS)*time.Millisecond)
+	}
+	if s.delay > 0 {
+		select {
+		case <-time.After(s.delay):
+		case <-ctx.Done():
+		}
+	}
+	return ctx, cancel
 }
 
 // respWriter serializes response frames on one connection and coalesces
@@ -282,6 +308,7 @@ type respWriter struct {
 	acks []uint64
 
 	severAfter int
+	die        func()
 	responses  int // answered calls, counted under mu
 	// severing is set before the severAfter-th response goes out, so a
 	// request the peer sends once it has that response is never handled —
@@ -310,7 +337,7 @@ func (w *respWriter) drainAcksLocked() {
 		return
 	}
 	w.scratch = appendAcks(w.scratch[:0], ids)
-	w.sentLocked(len(ids), w.writeBufferedLocked())
+	w.sentLocked(len(ids), w.writeBufferedLocked(w.scratch))
 }
 
 // sendResponse writes one reply frame. A payload-heavy reply (ReadBatch,
@@ -321,13 +348,10 @@ func (w *respWriter) drainAcksLocked() {
 func (w *respWriter) sendResponse(resp *Response) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.drainAcksLocked()
-	if w.severAfter > 0 && w.responses+1 >= w.severAfter {
-		w.severing.Store(true)
-	}
+	w.beginLocked()
 	if payloadSize(resp.Chunks) < vectoredMin {
 		w.scratch = appendResponse(w.scratch[:0], resp)
-		w.sentLocked(1, w.writeBufferedLocked())
+		w.sentLocked(1, w.writeBufferedLocked(w.scratch))
 		return
 	}
 	// w.bw is flushed after every frame: nothing can be reordered.
@@ -337,9 +361,26 @@ func (w *respWriter) sendResponse(resp *Response) {
 	w.sentLocked(1, writeVectored(&w.vec, w.conn, w.scratch[:head], resp.Chunks, w.scratch[head:]))
 }
 
-// writeBufferedLocked sends w.scratch as one frame through w.bw.
-func (w *respWriter) writeBufferedLocked() error {
-	if err := wire.WriteFrame(w.bw, w.scratch); err != nil {
+// sendFrame writes one encoded reply frame (the director's).
+func (w *respWriter) sendFrame(body []byte) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.beginLocked()
+	w.sentLocked(1, w.writeBufferedLocked(body))
+}
+
+// beginLocked precedes a reply: acks already due go first, and the
+// severAfter-th reply marks the connection as dying.
+func (w *respWriter) beginLocked() {
+	w.drainAcksLocked()
+	if w.severAfter > 0 && w.responses+1 >= w.severAfter {
+		w.severing.Store(true)
+	}
+}
+
+// writeBufferedLocked sends body as one frame through w.bw.
+func (w *respWriter) writeBufferedLocked(body []byte) error {
+	if err := wire.WriteFrame(w.bw, body); err != nil {
 		return err
 	}
 	return w.bw.Flush()
@@ -362,7 +403,18 @@ func (w *respWriter) sentLocked(n int, err error) {
 	before := w.responses
 	w.responses += n
 	if before < w.severAfter && w.responses >= w.severAfter {
-		w.conn.Close()
+		w.die()
+	}
+}
+
+// die closes the listener and every connection: Close's first step, and
+// the whole of the WithSeverAfter death.
+func (s *Server) die() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.ln.Close()
+	for c := range s.conns {
+		c.Close()
 	}
 }
 
@@ -370,12 +422,6 @@ func (w *respWriter) sentLocked(n int, err error) {
 // context is already dead (severed connection, expired wire deadline) is
 // answered with the context error instead of doing the work.
 func (s *Server) handle(ctx context.Context, req Request) Response {
-	if s.delay > 0 {
-		select {
-		case <-time.After(s.delay):
-		case <-ctx.Done():
-		}
-	}
 	resp := Response{ID: req.ID}
 	if err := ctx.Err(); err != nil {
 		resp.Err = sderr.Encode(err)
@@ -434,10 +480,7 @@ func (s *Server) handle(ctx context.Context, req Request) Response {
 		// fingerprint. Payloads come back in the node's container read
 		// order; Idx tags each with its request position. The payloads
 		// alias node-owned memory and are sent uncopied (sendResponse).
-		fps := make([]fingerprint.Fingerprint, len(req.Chunks))
-		for i, ch := range req.Chunks {
-			fps[i] = ch.FP
-		}
+		fps := wireFPs(req.Chunks)
 		datas, idxs, err := s.node.ReadChunkBatch(fps)
 		if err != nil {
 			resp.Err = sderr.Encode(err)
@@ -461,22 +504,14 @@ func (s *Server) handle(ctx context.Context, req Request) Response {
 		}
 
 	case OpRefCounts:
-		fps := make([]fingerprint.Fingerprint, len(req.Chunks))
-		for i, ch := range req.Chunks {
-			fps[i] = ch.FP
-		}
-		resp.Counts = s.node.RefCounts(fps)
+		resp.Counts = s.node.RefCounts(wireFPs(req.Chunks))
 
 	case OpStats:
 		resp.Stats = s.node.Stats()
 		resp.Usage = s.node.StorageUsage()
 
 	case OpDecRef:
-		fps := make([]fingerprint.Fingerprint, len(req.Chunks))
-		for i, ch := range req.Chunks {
-			fps[i] = ch.FP
-		}
-		if err := s.node.DecRef(fps, req.Counts); err != nil {
+		if err := s.node.DecRef(wireFPs(req.Chunks), req.Counts); err != nil {
 			resp.Err = sderr.Encode(err)
 		}
 
@@ -507,4 +542,13 @@ func wireToSuperChunk(chunks []ChunkWire) *core.SuperChunk {
 		sc.Chunks[i] = core.ChunkRef{FP: ch.FP, Size: int(ch.Size), Data: ch.Data}
 	}
 	return sc
+}
+
+// wireFPs is the fingerprints of a chunk list.
+func wireFPs(chunks []ChunkWire) []fingerprint.Fingerprint {
+	fps := make([]fingerprint.Fingerprint, len(chunks))
+	for i, ch := range chunks {
+		fps[i] = ch.FP
+	}
+	return fps
 }

@@ -2,7 +2,7 @@
 // the sentinel errors every layer dispatches on, the structured
 // BackupError carrying backup provenance, and the wire codec that lets
 // typed errors survive the string-only error field of the binary RPC
-// protocols (node RPC and director service alike).
+// protocol (node and director verbs alike).
 //
 // Internal packages wrap these sentinels (container.ErrNotFound wraps
 // ErrNotFound, store.ErrChunkVanished wraps ErrChunkVanished, ...), the
@@ -51,6 +51,11 @@ var (
 	// its encoding: a handprint longer than the node's bound or not in
 	// strictly ascending order.
 	ErrMalformed = errors.New("malformed request")
+	// ErrUnavailable reports a peer that cannot be reached: its dial or
+	// handshake failed, a redial is backing off, or the connection broke
+	// with the call in flight (which may or may not have run; it is never
+	// retried). Transient: a later call redials.
+	ErrUnavailable = errors.New("peer unavailable")
 )
 
 // BackupError is a failure of one backup operation, carrying the backup
@@ -99,6 +104,7 @@ var wireCodes = []struct {
 	{"conflict", ErrConflict},
 	{"quota", ErrQuotaExceeded},
 	{"malformed", ErrMalformed},
+	{"unavailable", ErrUnavailable},
 	{"canceled", context.Canceled},
 	{"deadline", context.DeadlineExceeded},
 }

@@ -15,10 +15,11 @@ func TestWireRoundTripPreservesSentinels(t *testing.T) {
 		fmt.Errorf("%w: 42", ErrNoSession),
 		fmt.Errorf("handler: %w", context.Canceled),
 		fmt.Errorf("handler: %w", context.DeadlineExceeded),
+		fmt.Errorf("rpc: dial n3: %w: connection refused", ErrUnavailable),
 	}
 	sentinels := []error{
 		ErrNotFound, ErrChunkVanished, ErrCorrupt, ErrNoSession,
-		context.Canceled, context.DeadlineExceeded,
+		context.Canceled, context.DeadlineExceeded, ErrUnavailable,
 	}
 	for i, err := range cases {
 		got := Decode(Encode(err))

@@ -1,11 +1,10 @@
-// Package wire is the length-prefixed binary frame layer shared by the
-// node RPC protocol (internal/rpc) and the director metadata service
-// (internal/director). It replaces the original gob encoding, which paid
-// for reflection and per-stream type metadata on every message; here every
-// field has a fixed little-endian layout, chunk payloads are carried as
-// raw byte ranges that decoders can alias without copying, and frame
-// buffers come from size-classed sync.Pools so a steady-state connection
-// allocates nothing per message.
+// Package wire is the length-prefixed binary frame layer under the call
+// layer (internal/rpc), node and director verbs alike. It replaces the
+// original gob encoding, which paid for reflection and per-stream type
+// metadata on every message; here every field has a fixed little-endian
+// layout, chunk payloads are carried as raw byte ranges that decoders can
+// alias without copying, and frame buffers come from size-classed
+// sync.Pools so a steady-state connection allocates nothing per message.
 //
 // Stream layout:
 //
@@ -46,7 +45,7 @@ const Version = 1
 // a confusing decode failure.
 const (
 	ProtoNode     byte = 1 // internal/rpc node verbs
-	ProtoDirector byte = 2 // internal/director metadata service
+	ProtoDirector byte = 3 // internal/rpc director verbs (2 was their retired serial protocol)
 )
 
 // DefaultMaxFrame bounds a single frame body. It must exceed the largest

@@ -25,7 +25,7 @@ type RemoteConfig struct {
 	// Director is an in-process metadata service. Exactly one of
 	// Director and DirectorAddr must be set.
 	Director *Director
-	// DirectorAddr is the TCP address of a remote director service.
+	// DirectorAddr is the address of a director server (sigma-director).
 	DirectorAddr string
 	// Nodes lists the deduplication server addresses.
 	Nodes []string
@@ -76,7 +76,7 @@ type RemoteConfig struct {
 type Remote struct {
 	plane
 	localMeta  *Director
-	remoteMeta *director.Remote
+	remoteMeta *rpc.Client
 }
 
 // NewRemote connects a Remote backend. ctx bounds the director dial;
@@ -118,7 +118,7 @@ func NewRemote(ctx context.Context, cfg RemoteConfig) (*Remote, error) {
 	case cfg.Director != nil:
 		r.meta, r.localMeta, r.clusterMeta, r.tenants = cfg.Director, cfg.Director, cfg.Director, cfg.Director
 	case cfg.DirectorAddr != "":
-		rem, err := director.DialRemoteContext(ctx, cfg.DirectorAddr)
+		rem, err := rpc.DialDirector(ctx, cfg.DirectorAddr)
 		if err != nil {
 			return nil, err
 		}
