@@ -472,21 +472,26 @@ func runKill(mb, nNodes int) (*killReport, error) {
 	ctx := context.Background()
 	srvs := make([]*sigmadedupe.Server, nNodes)
 	addrs := make([]string, nNodes)
-	const victim = 1
+	victim := -1 // the server killed below is closed there
+	defer func() {
+		for i, srv := range srvs {
+			if srv != nil && i != victim {
+				srv.Close()
+			}
+		}
+	}()
 	for i := range addrs {
 		srv, err := sigmadedupe.StartServer(sigmadedupe.ServerConfig{ID: i})
 		if err != nil {
 			return nil, err
 		}
-		if i != victim {
-			defer srv.Close()
-		}
 		srvs[i] = srv
 		addrs[i] = srv.Addr()
 	}
+	dir := sigmadedupe.NewDirector()
 	be, err := sigmadedupe.NewRemote(ctx, sigmadedupe.RemoteConfig{
 		Name:           "kill-bench",
-		Director:       sigmadedupe.NewDirector(),
+		Director:       dir,
 		Nodes:          addrs,
 		SuperChunkSize: 256 << 10,
 		Replicas:       2,
@@ -526,6 +531,17 @@ func runKill(mb, nNodes int) (*killReport, error) {
 	}
 
 	// The crash: the victim's server dies, then the membership drops it.
+	// The victim holds the primary copy of the first chunk restored, so
+	// the degraded pass fails over at least once however placement fell
+	// (at two nodes every primary can land on one of them).
+	first, err := dir.GetRecipe(ctx, names[0])
+	if err != nil {
+		return nil, err
+	}
+	if len(first.Chunks) == 0 {
+		return nil, fmt.Errorf("recipe %s is empty", names[0])
+	}
+	victim = int(first.Chunks[0].Node)
 	if err := srvs[victim].Close(); err != nil {
 		return nil, err
 	}

@@ -33,7 +33,6 @@ func run() error {
 	dir := flag.String("dir", "", "durable directory: containers + recovery manifest (empty = RAM only)")
 	recover := flag.Bool("recover", false, "re-open durable state from -dir (restart after shutdown or crash)")
 	handprint := flag.Int("handprint", 8, "handprint size k")
-	locks := flag.Int("locks", 1024, "similarity-index lock stripes")
 	flag.Parse()
 
 	if *recover && *dir == "" {
@@ -42,7 +41,6 @@ func run() error {
 	n, err := node.New(node.Config{
 		ID:            *id,
 		HandprintSize: *handprint,
-		SimIndexLocks: *locks,
 		KeepPayloads:  true,
 		Dir:           *dir,
 		Recover:       *recover,

@@ -91,18 +91,32 @@ type Option func(*options)
 
 type options struct {
 	alloc Allocator
+	// unused takes back a buffer drawn from alloc that no chunk carries.
+	unused func([]byte)
 }
 
 // WithAllocator makes the chunker draw chunk payload buffers from alloc
 // instead of the heap. Buffers are requested at the method's maximum
 // chunk size (see MaxChunkSize) or, for fixed chunking, the chunk size;
-// ownership passes to the consumer with the returned Chunk.
-func WithAllocator(a Allocator) Option {
-	return func(o *options) { o.alloc = a }
+// ownership passes to the consumer with the returned Chunk. A chunker
+// must draw a buffer before it can tell that the stream has ended, so
+// the one it draws at the end holds nothing; if unused is given, that
+// buffer (and one drawn before a read error) goes back through
+// unused[0] instead of to the garbage collector.
+func WithAllocator(alloc Allocator, unused ...func([]byte)) Option {
+	return func(o *options) {
+		o.alloc = alloc
+		if len(unused) > 0 {
+			o.unused = unused[0]
+		}
+	}
 }
 
 func applyOptions(opts []Option) options {
-	o := options{alloc: func(n int) []byte { return make([]byte, n) }}
+	o := options{
+		alloc:  func(n int) []byte { return make([]byte, n) },
+		unused: func([]byte) {},
+	}
 	for _, fn := range opts {
 		fn(&o)
 	}
@@ -167,7 +181,7 @@ type FixedChunker struct {
 	size   int
 	offset int64
 	done   bool
-	alloc  Allocator
+	options
 }
 
 var _ Chunker = (*FixedChunker)(nil)
@@ -177,7 +191,7 @@ func NewFixed(r io.Reader, size int, opts ...Option) (*FixedChunker, error) {
 	if size <= 0 {
 		return nil, fmt.Errorf("%w: fixed chunk size %d", ErrInvalidConfig, size)
 	}
-	return &FixedChunker{r: r, size: size, alloc: applyOptions(opts).alloc}, nil
+	return &FixedChunker{r: r, size: size, options: applyOptions(opts)}, nil
 }
 
 // Next implements Chunker.
@@ -189,6 +203,7 @@ func (f *FixedChunker) Next() (Chunk, error) {
 	n, err := io.ReadFull(f.r, buf)
 	if n == 0 {
 		f.done = true
+		f.unused(buf)
 		if err == io.EOF || err == io.ErrUnexpectedEOF || err == nil {
 			return Chunk{}, io.EOF
 		}
@@ -199,6 +214,7 @@ func (f *FixedChunker) Next() (Chunk, error) {
 		err = nil
 	}
 	if err != nil {
+		f.unused(buf)
 		return Chunk{}, err
 	}
 	ch := Chunk{Data: buf[:n], Offset: f.offset}

@@ -87,7 +87,7 @@ type RabinChunker struct {
 	offset     int64
 	exhausted  bool
 	windowSize int
-	alloc      Allocator
+	options
 }
 
 var _ Chunker = (*RabinChunker)(nil)
@@ -109,11 +109,11 @@ func NewRabin(r io.Reader, min, avg, max int, opts ...Option) (*RabinChunker, er
 		return nil, fmt.Errorf("%w: CDC bounds min=%d avg=%d max=%d", ErrInvalidConfig, min, avg, max)
 	}
 	return &RabinChunker{
-		r:     bufio.NewReaderSize(r, 1<<16),
-		min:   min,
-		max:   max,
-		mask:  uint64(avg - 1),
-		alloc: applyOptions(opts).alloc,
+		r:       bufio.NewReaderSize(r, 1<<16),
+		min:     min,
+		max:     max,
+		mask:    uint64(avg - 1),
+		options: applyOptions(opts),
 	}, nil
 }
 
@@ -130,11 +130,13 @@ func (rc *RabinChunker) Next() (Chunk, error) {
 		if err == io.EOF {
 			rc.exhausted = true
 			if len(buf) == 0 {
+				rc.unused(buf)
 				return Chunk{}, io.EOF
 			}
 			return rc.emit(buf), nil
 		}
 		if err != nil {
+			rc.unused(buf)
 			return Chunk{}, fmt.Errorf("cdc read: %w", err)
 		}
 		// Slide the window: remove the contribution of the byte that

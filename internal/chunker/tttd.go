@@ -48,7 +48,7 @@ type TTTDChunker struct {
 	window    [rabinWindow]byte
 	offset    int64
 	exhausted bool
-	alloc     Allocator
+	options
 }
 
 var _ Chunker = (*TTTDChunker)(nil)
@@ -59,7 +59,7 @@ func NewTTTD(r io.Reader, cfg TTTDConfig, opts ...Option) (*TTTDChunker, error) 
 		return nil, err
 	}
 	return &TTTDChunker{r: bufio.NewReaderSize(r, 1<<16), cfg: cfg,
-		alloc: applyOptions(opts).alloc}, nil
+		options: applyOptions(opts)}, nil
 }
 
 // Next implements Chunker.
@@ -80,11 +80,13 @@ func (tc *TTTDChunker) Next() (Chunk, error) {
 		if err == io.EOF {
 			tc.exhausted = true
 			if len(buf) == 0 {
+				tc.unused(buf)
 				return Chunk{}, io.EOF
 			}
 			return tc.emit(buf, len(buf)), nil
 		}
 		if err != nil {
+			tc.unused(buf)
 			return Chunk{}, fmt.Errorf("tttd read: %w", err)
 		}
 		idx := len(buf) % rabinWindow

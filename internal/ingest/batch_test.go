@@ -384,6 +384,32 @@ func TestMemoryPlateau(t *testing.T) {
 	}
 }
 
+// TestOneChunkItemsReuseBuffers: a chunker draws a buffer before it can
+// see the end of its stream, so every item ends on a buffer it did not
+// fill. That buffer must go back to the session's pool: over 2,000
+// one-chunk items the session allocates no more chunk buffers than the
+// first 200 needed, instead of one more per item.
+func TestOneChunkItemsReuseBuffers(t *testing.T) {
+	r := &rig{dir: director.New(), members: core.DenseMembership(1), byID: []migrate.Node{discard{}}}
+	s := r.session(t, ingest.Config{})
+	data := make([]byte, 4096)
+	var warm int64
+	for i := 0; i < 2000; i++ {
+		data[0], data[1] = byte(i), byte(i>>8)
+		if err := s.Backup(context.Background(), fmt.Sprintf("/item%d", i), bytes.NewReader(data)); err != nil {
+			t.Fatal(err)
+		}
+		if i == 199 {
+			mustFlush(t, s)
+			warm = s.Stats().ChunkBufAllocs
+		}
+	}
+	mustFlush(t, s)
+	if got := s.Stats().ChunkBufAllocs; got > warm {
+		t.Fatalf("chunk buffers allocated: %d after 200 one-chunk items, %d after 2000; want a plateau", warm, got)
+	}
+}
+
 // TestHashStageAllocsPerChunk pins the work count of the hand-off —
 // heap allocations per chunk through chunk → SHA-1 → partition → window
 // over BenchmarkHashStage's rig — where go test ./... sees it: 2.1 when

@@ -101,6 +101,15 @@ func (p *bufPool) alloc(n int) []byte {
 	return make([]byte, n, p.bufCap)
 }
 
+// unused takes back a buffer alloc handed out that the chunker did not
+// fill — the one drawn at the end of every stream — onto the chunker's
+// stock, so a stream of one-chunk items does not make a buffer per item.
+func (p *bufPool) unused(b []byte) {
+	if cap(b) >= p.bufCap {
+		p.stock = append(p.stock, b)
+	}
+}
+
 // releaseAll returns chunk buffers for reuse, under one lock, once
 // nothing references them; bufs is overwritten. Buffers that lost their
 // provisioned capacity are dropped for the GC.

@@ -313,7 +313,7 @@ func (s *Session) Backup(ctx context.Context, name string, r io.Reader) error {
 	if err := tenant.ValidateBackupName(name); err != nil {
 		return &sderr.BackupError{Name: name, Stage: "chunk", Err: err}
 	}
-	ck, err := chunker.New(s.cfg.ChunkMethod, r, s.cfg.ChunkSize, chunker.WithAllocator(s.bufs.alloc))
+	ck, err := chunker.New(s.cfg.ChunkMethod, r, s.cfg.ChunkSize, chunker.WithAllocator(s.bufs.alloc, s.bufs.unused))
 	if err != nil {
 		return fmt.Errorf("ingest: %w", err)
 	}

@@ -30,8 +30,6 @@ type Config struct {
 	// HandprintSize is k, the number of representative fingerprints
 	// per super-chunk. Defaults to core.DefaultHandprintSize.
 	HandprintSize int
-	// SimIndexLocks is the similarity-index lock-stripe count (Fig. 4b).
-	SimIndexLocks int
 	// CacheContainers is the chunk-fingerprint cache capacity in
 	// containers.
 	CacheContainers int
@@ -69,7 +67,6 @@ func (c Config) storeConfig() store.Config {
 	return store.Config{
 		NodeID:            c.ID,
 		HandprintSize:     c.HandprintSize,
-		SimIndexLocks:     c.SimIndexLocks,
 		CacheContainers:   c.CacheContainers,
 		ContainerCapacity: c.ContainerCapacity,
 		DisableChunkIndex: c.DisableChunkIndex,
@@ -115,7 +112,6 @@ func New(cfg Config) (*Node, error) {
 	// identical node.
 	eff := eng.Config()
 	cfg.HandprintSize = eff.HandprintSize
-	cfg.SimIndexLocks = eff.SimIndexLocks
 	cfg.CacheContainers = eff.CacheContainers
 	cfg.ContainerCapacity = eff.ContainerCapacity
 	cfg.ReadCacheBytes = eff.ReadCacheBytes

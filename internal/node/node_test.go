@@ -269,7 +269,7 @@ func TestConfigDefaults(t *testing.T) {
 	if cfg.HandprintSize != core.DefaultHandprintSize {
 		t.Fatalf("default k = %d", cfg.HandprintSize)
 	}
-	if cfg.SimIndexLocks <= 0 || cfg.CacheContainers <= 0 || cfg.ContainerCapacity <= 0 {
+	if cfg.CacheContainers <= 0 || cfg.ContainerCapacity <= 0 {
 		t.Fatal("defaults must be positive")
 	}
 	if cfg.ReadCacheBytes <= 0 {

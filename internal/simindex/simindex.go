@@ -41,9 +41,9 @@ type Index struct {
 
 	// summary is the node's bid summary: a Bloom sketch of every RFP in
 	// the index, maintained incrementally on Insert and rebuilt (doubled)
-	// from a full stripe enumeration when it outgrows its capacity.
-	// Routers consult it to skip candidates that cannot bid — see
-	// SummaryMayContainAny.
+	// from a full stripe enumeration when it outgrows its capacity. A
+	// bid consults it before walking the stripes, and routers to skip
+	// candidates that cannot bid — see SummaryMayContainAny.
 	summary *bloom.Summary
 }
 

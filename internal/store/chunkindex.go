@@ -1,7 +1,7 @@
 package store
 
 import (
-	"fmt"
+	"maps"
 	"sync"
 	"sync/atomic"
 
@@ -25,46 +25,49 @@ import (
 // by how rarely this index is consulted. It is safe for concurrent use;
 // the counters are atomics because locate charges its disk read under
 // the shared lock.
+//
+// The filter is sized by what the index holds, not by a capacity fixed
+// in advance: it starts at bloom.DefaultSummaryCapacity keys and doubles
+// whenever it outgrows its size, refilled from the map under mu, so a
+// node holding a few hundred chunks pays kilobytes, not megabytes.
 type chunkIndex struct {
 	mu     sync.RWMutex
 	m      map[fingerprint.Fingerprint]container.Loc
-	filter *bloom.Filter
+	filter bloom.Growable
 
 	diskReads  atomic.Uint64
 	bloomSkips atomic.Uint64
 	falsePos   atomic.Uint64
 }
 
-// newChunkIndex creates an index expecting roughly n entries.
-func newChunkIndex(n int) (*chunkIndex, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("chunk index: expected entries %d must be positive", n)
-	}
-	f, err := bloom.New(n, 0.01)
+func newChunkIndex() *chunkIndex {
+	f, err := bloom.NewGrowable(bloom.DefaultSummaryCapacity, 0.01)
 	if err != nil {
-		return nil, fmt.Errorf("chunk index: %w", err)
+		panic(err) // constant arguments: only a bug can fail them
 	}
-	// The map grows on demand: n only sizes the Bloom filter. Large
-	// clusters instantiate many indexes, and preallocating every map for
-	// its worst case would waste gigabytes.
-	return &chunkIndex{
-		m:      make(map[fingerprint.Fingerprint]container.Loc),
-		filter: f,
-	}, nil
+	return &chunkIndex{m: make(map[fingerprint.Fingerprint]container.Loc), filter: f}
 }
 
-// insert records the location of a newly stored unique chunk.
+// insert records the location of a stored chunk. Only a key new to the
+// map feeds the filter, so a compaction's relocation does not count
+// toward the next doubling.
 func (x *chunkIndex) insert(fp fingerprint.Fingerprint, loc container.Loc) {
 	x.mu.Lock()
+	defer x.mu.Unlock()
+	n := len(x.m)
 	x.m[fp] = loc
-	x.filter.Add(fp)
-	x.mu.Unlock()
+	if len(x.m) > n && x.filter.Add(fp) {
+		// Overfull: double and refill from the map. The only error is a
+		// non-positive capacity, which doubling a positive one cannot give.
+		_ = x.filter.Rebuild(2*x.filter.Capacity(), maps.Keys(x.m))
+	}
 }
 
 // delete removes fp from the index (garbage collection: the chunk's last
 // reference is gone and its container copy is being retired). The Bloom
-// filter cannot unlearn fp; subsequent lookups of it cost one false-
-// positive disk read, which is the standard DDFS tradeoff.
+// filter cannot unlearn fp until its next doubling refills it from the
+// map; until then lookups of fp cost one false-positive disk read, which
+// is the standard DDFS tradeoff.
 func (x *chunkIndex) delete(fp fingerprint.Fingerprint) {
 	x.mu.Lock()
 	delete(x.m, fp)

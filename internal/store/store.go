@@ -29,8 +29,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"sort"
 	"sync"
@@ -44,12 +46,20 @@ import (
 	"sigmadedupe/internal/simindex"
 )
 
-// numShards is the fingerprint lock-stripe count of the lookup-or-append
-// path (a power of two: shardFor masks with numShards-1).
-const numShards = 512
+// stripesPerProc sizes the engine's two lock-stripe sets — the
+// similarity index's and the lookup-or-append path's shards — as a
+// multiple of GOMAXPROCS. Stripes spread concurrent lock acquisitions,
+// and GOMAXPROCS bounds how many run at once; more stripes than that
+// only add cold lock lines to every bid and every engine's set-up
+// (ROADMAP item 12 has the sweep behind the multiple).
+const stripesPerProc = 4
 
-// expectedChunks sizes the chunk index's Bloom filter.
-const expectedChunks = 1 << 20
+// lockStripes returns the stripe count of one engine: stripesPerProc ×
+// GOMAXPROCS, rounded up to a power of two so a fingerprint masks onto
+// its stripe.
+func lockStripes() int {
+	return 1 << bits.Len(uint(stripesPerProc*runtime.GOMAXPROCS(0)-1))
+}
 
 // DefaultCompactThreshold is the live-ratio floor below which the
 // compactor rewrites a sealed container: at 0.5, a container is rewritten
@@ -71,8 +81,6 @@ type Config struct {
 	NodeID int
 	// HandprintSize is k, the representative fingerprints per super-chunk.
 	HandprintSize int
-	// SimIndexLocks is the similarity-index lock-stripe count (Fig. 4b).
-	SimIndexLocks int
 	// CacheContainers is the chunk-fingerprint cache capacity in
 	// containers.
 	CacheContainers int
@@ -105,9 +113,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.HandprintSize <= 0 {
 		c.HandprintSize = core.DefaultHandprintSize
-	}
-	if c.SimIndexLocks <= 0 {
-		c.SimIndexLocks = 1024
 	}
 	if c.CacheContainers <= 0 {
 		c.CacheContainers = 256
@@ -182,7 +187,8 @@ type Engine struct {
 	containers *container.Manager
 	man        *manifest // nil when not durable
 
-	shards [numShards]shard
+	shards    []shard
+	shardMask uint64
 
 	// touchSeq is the engine-wide recency clock behind shard.touch.
 	touchSeq atomic.Uint64
@@ -239,7 +245,8 @@ type Engine struct {
 
 // newEngine builds the index structures (no container manager yet).
 func newEngine(cfg Config) (*Engine, error) {
-	sim, err := simindex.New(cfg.SimIndexLocks)
+	stripes := lockStripes()
+	sim, err := simindex.New(stripes)
 	if err != nil {
 		return nil, fmt.Errorf("store node %d: %w", cfg.NodeID, err)
 	}
@@ -249,17 +256,16 @@ func newEngine(cfg Config) (*Engine, error) {
 	}
 	var cidx *chunkIndex
 	if !cfg.DisableChunkIndex {
-		cidx, err = newChunkIndex(expectedChunks)
-		if err != nil {
-			return nil, fmt.Errorf("store node %d: %w", cfg.NodeID, err)
-		}
+		cidx = newChunkIndex()
 	}
 	e := &Engine{
-		cfg:   cfg,
-		sim:   sim,
-		cache: cache,
-		cidx:  cidx,
-		dead:  make(map[uint64]int64),
+		cfg:       cfg,
+		sim:       sim,
+		cache:     cache,
+		cidx:      cidx,
+		shards:    make([]shard, stripes),
+		shardMask: uint64(stripes - 1),
+		dead:      make(map[uint64]int64),
 	}
 	for i := range e.shards {
 		e.shards[i].refs = make(map[fingerprint.Fingerprint]int64)
@@ -362,7 +368,7 @@ func (e *Engine) Config() Config { return e.cfg }
 func (e *Engine) Manager() *container.Manager { return e.containers }
 
 func (e *Engine) shardFor(fp fingerprint.Fingerprint) *shard {
-	return &e.shards[fp.Uint64()&(numShards-1)]
+	return &e.shards[fp.Uint64()&e.shardMask]
 }
 
 // prefetch pulls the fingerprint sets of the named containers into the
@@ -937,8 +943,16 @@ func (e *Engine) ReadCacheStats() container.CacheStats {
 }
 
 // CountHandprintMatches reports how many representative fingerprints of
-// hp are present in the similarity index (routing bid, Algorithm 1).
+// hp are present in the similarity index (routing bid, Algorithm 1). The
+// bid summary answers first: it has no false negatives, so a handprint
+// it rules out scores zero without touching a stripe — most bids at a
+// wide cluster's nodes, which hold none of a given super-chunk. A
+// concurrent Insert is visible to the summary just after its stripe, a
+// window CountMatches alone already has.
 func (e *Engine) CountHandprintMatches(hp core.Handprint) int {
+	if !e.sim.SummaryMayContainAny(hp) {
+		return 0
+	}
 	return e.sim.CountMatches(hp)
 }
 

@@ -457,3 +457,68 @@ func TestManifestRecordGolden(t *testing.T) {
 		}
 	}
 }
+
+// TestSummaryFirstBidsEqualCountMatches: a bid answered from the bid
+// summary first scores exactly what walking the similarity index does,
+// for handprints mixing stored and never-stored representatives, while
+// another goroutine keeps inserting (and regrowing the summary).
+func TestSummaryFirstBidsEqualCountMatches(t *testing.T) {
+	e, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	randFP := func() fingerprint.Fingerprint {
+		var b [16]byte
+		rng.Read(b[:])
+		return fingerprint.Sum(b[:])
+	}
+	stored := make([]fingerprint.Fingerprint, 3000)
+	for i := range stored {
+		stored[i] = randFP()
+		e.sim.Insert(stored[i], uint64(i))
+	}
+	absent := make([]fingerprint.Fingerprint, 3000)
+	for i := range absent {
+		absent[i] = randFP()
+	}
+	late := make([]fingerprint.Fingerprint, 20000) // crosses two summary doublings
+	for i := range late {
+		late[i] = randFP()
+	}
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i, fp := range late {
+			e.sim.Insert(fp, uint64(i))
+		}
+	}()
+	zero := 0
+	for round := 0; round < 4000; round++ {
+		hp := make(core.Handprint, 8)
+		for j := range hp {
+			if rng.Intn(4) == 0 {
+				hp[j] = stored[rng.Intn(len(stored))]
+			} else {
+				hp[j] = absent[rng.Intn(len(absent))]
+			}
+		}
+		got, want := e.CountHandprintMatches(hp), e.sim.CountMatches(hp)
+		if got != want {
+			t.Fatalf("round %d: summary-first bid %d, index walk %d", round, got, want)
+		}
+		if got == 0 {
+			zero++
+		}
+	}
+	<-done
+	if zero == 0 {
+		t.Fatal("no zero bid in 4000 rounds: the summary's short cut never ran")
+	}
+	for _, fp := range late {
+		if got := e.CountHandprintMatches(core.Handprint{fp}); got != 1 {
+			t.Fatal("an inserted representative bids zero after its Insert returned")
+		}
+	}
+}
