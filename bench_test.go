@@ -5,11 +5,7 @@ import (
 	"io"
 	"testing"
 
-	"sigmadedupe/internal/cluster"
 	"sigmadedupe/internal/experiments"
-	"sigmadedupe/internal/node"
-	"sigmadedupe/internal/router"
-	"sigmadedupe/internal/workload"
 )
 
 // Benchmarks regenerating each of the paper's tables and figures at
@@ -44,61 +40,6 @@ func BenchmarkFig6HandprintSize(b *testing.B)      { benchExperiment(b, "fig6") 
 func BenchmarkFig7Messages(b *testing.B)           { benchExperiment(b, "fig7") }
 func BenchmarkFig8EDR(b *testing.B)                { benchExperiment(b, "fig8") }
 func BenchmarkRAMModel(b *testing.B)               { benchExperiment(b, "ram") }
-
-// benchCluster replays one linux backup through a cluster configuration
-// and reports MB/s of logical data deduplicated.
-func benchCluster(b *testing.B, cfg cluster.Config) {
-	b.Helper()
-	g, err := workload.ByName("linux", 0.25, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	corpus := workload.NewCorpus(0)
-	var logical int64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c, err := cluster.New(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		st, err := c.Replay(context.Background(), map[string]cluster.Trace{"client0": cluster.Workload(g, corpus)})
-		if err != nil {
-			b.Fatal(err)
-		}
-		logical = st.LogicalBytes
-	}
-	b.SetBytes(logical)
-}
-
-// Ablation benches: the design choices DESIGN.md calls out.
-
-// BenchmarkAblationUsageDiscount measures Sigma routing with the
-// Algorithm 1 load discount enabled (the default).
-func BenchmarkAblationUsageDiscount(b *testing.B) {
-	benchCluster(b, cluster.Config{N: 16, Scheme: router.Sigma})
-}
-
-// BenchmarkAblationNoDiscount measures Sigma routing on raw resemblance
-// only; compare storage skew via cmd/sigma-bench ablation.
-func BenchmarkAblationNoDiscount(b *testing.B) {
-	benchCluster(b, cluster.Config{N: 16, Scheme: router.Sigma, IgnoreUsage: true})
-}
-
-// BenchmarkAblationWithPrefetch measures the default locality-preserved
-// caching path (container prefetch primes the fingerprint cache).
-func BenchmarkAblationWithPrefetch(b *testing.B) {
-	benchCluster(b, cluster.Config{N: 4, Scheme: router.Sigma})
-}
-
-// BenchmarkAblationNoPrefetch disables container prefetch: every
-// duplicate verdict falls through to the on-disk chunk index, the
-// bottleneck the similarity index + cache design exists to avoid.
-func BenchmarkAblationNoPrefetch(b *testing.B) {
-	benchCluster(b, cluster.Config{
-		N: 4, Scheme: router.Sigma,
-		Node: node.Config{DisablePrefetch: true},
-	})
-}
 
 // BenchmarkPublicAPIBackup exercises the facade end to end.
 func BenchmarkPublicAPIBackup(b *testing.B) {

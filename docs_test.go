@@ -14,6 +14,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -187,8 +188,10 @@ func docSection(text, name string) (string, int) {
 }
 
 // docTree is what the tree declares: the sets the classes resolve
-// against.
+// against, and the parsed files arch_test.go checks.
 type docTree struct {
+	root       string
+	files      []srcFile
 	pkgs       map[string][]string        // package and directory name → directories
 	top        map[string]map[string]bool // directory → top-level names
 	members    map[string]map[string]bool // type name → its methods and fields
@@ -209,9 +212,42 @@ var flagDefiners = map[string]bool{
 	"Func": true, "BoolFunc": true, "TextVar": true,
 }
 
+// srcFile is one parsed Go file of a tree.
+type srcFile struct {
+	path  string // slash-separated, relative to the tree's root
+	dir   string
+	test  bool
+	lines int
+	f     *ast.File
+}
+
+// repoTree is the repository parsed once and shared by every test that
+// reads it.
+var repoTree struct {
+	once sync.Once
+	tr   *docTree
+	err  error
+}
+
 func loadDocTree(t *testing.T) *docTree {
 	t.Helper()
+	repoTree.once.Do(func() {
+		repoTree.tr, repoTree.err = parseTree(".")
+		if repoTree.err == nil {
+			repoTree.err = repoTree.tr.addBenchmarkMetrics("BENCHMARK.json")
+		}
+	})
+	if repoTree.err != nil {
+		t.Fatal(repoTree.err)
+	}
+	return repoTree.tr
+}
+
+// parseTree parses every Go file under root, skipping hidden, testdata
+// and out directories.
+func parseTree(root string) (*docTree, error) {
 	tr := &docTree{
+		root:       root,
 		pkgs:       map[string][]string{},
 		top:        map[string]map[string]bool{},
 		members:    map[string]map[string]bool{},
@@ -223,12 +259,12 @@ func loadDocTree(t *testing.T) *docTree {
 		std:        map[string]map[string]bool{},
 		lineCounts: map[string]int{},
 	}
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
 		if d.IsDir() {
-			if name := d.Name(); path != "." && (strings.HasPrefix(name, ".") || name == "testdata" || name == "out") {
+			if name := d.Name(); path != root && (strings.HasPrefix(name, ".") || name == "testdata" || name == "out") {
 				return filepath.SkipDir
 			}
 			return nil
@@ -236,31 +272,46 @@ func loadDocTree(t *testing.T) *docTree {
 		if !strings.HasSuffix(path, ".go") {
 			return nil
 		}
-		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+		fset := token.NewFileSet()
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
 		if err != nil {
 			return err
 		}
-		tr.addFile(filepath.ToSlash(path), f)
+		rel, err := filepath.Rel(root, path)
+		if err != nil {
+			return err
+		}
+		sf := srcFile{
+			path:  filepath.ToSlash(rel),
+			dir:   filepath.ToSlash(filepath.Dir(rel)),
+			test:  strings.HasSuffix(rel, "_test.go"),
+			lines: fset.File(f.Pos()).LineCount(),
+			f:     f,
+		}
+		tr.files = append(tr.files, sf)
+		tr.addFile(sf.path, f)
 		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	return tr, err
+}
+
+// addBenchmarkMetrics records the metric names a BENCHMARK.json declares.
+func (tr *docTree) addBenchmarkMetrics(path string) error {
 	var bm struct {
 		EndToEnd []struct{ Name string } `json:"end_to_end"`
 		PerLayer []struct{ Name string } `json:"per_layer"`
 	}
-	raw, err := os.ReadFile("BENCHMARK.json")
+	raw, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatal(err)
+		return err
 	}
 	if err := json.Unmarshal(raw, &bm); err != nil {
-		t.Fatal(err)
+		return err
 	}
 	for _, m := range append(bm.EndToEnd, bm.PerLayer...) {
 		tr.metrics[m.Name] = true
 	}
-	return tr
+	return nil
 }
 
 // addFile records one parsed file's declarations, flags and metrics.

@@ -325,7 +325,7 @@ func TestTypedErrorsSurviveTCPWire(t *testing.T) {
 	}
 
 	// Node RPC wire: reading a chunk no node holds.
-	rc, err := rpc.Dial(addrs[0])
+	rc, err := rpc.DialContext(context.Background(), addrs[0])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,7 @@ import (
 	"sigmadedupe/internal/fingerprint"
 )
 
-// Filter is a cache-line-blocked Bloom filter over chunk fingerprints
+// filter is a cache-line-blocked Bloom filter over chunk fingerprints
 // (Putze, Sanders & Singler, "Cache-, Hash- and Space-Efficient Bloom
 // Filters", WEA'07): each key selects one 512-bit block and all k probe
 // bits land inside it, so an Add or MayContain touches a single cache
@@ -25,7 +25,7 @@ import (
 // compensates for by oversizing the bit array ~25% over the classic
 // formula. It is NOT safe for concurrent mutation; callers serialize
 // access (the chunk index wraps it in its own lock).
-type Filter struct {
+type filter struct {
 	bits    []uint64
 	nblocks uint64 // number of 512-bit (8-word) blocks
 	m       uint64 // number of bits (nblocks * 512)
@@ -36,9 +36,9 @@ type Filter struct {
 // blockBits is the block size: one 64-byte cache line.
 const blockBits = 512
 
-// New creates a Bloom filter sized for n expected entries at the given
+// newFilter creates a Bloom filter sized for n expected entries at the given
 // target false-positive rate.
-func New(n int, fpRate float64) (*Filter, error) {
+func newFilter(n int, fpRate float64) (*filter, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("bloom: expected entries %d must be positive", n)
 	}
@@ -54,7 +54,7 @@ func New(n int, fpRate float64) (*Filter, error) {
 	// then round up to whole cache-line blocks.
 	m := uint64(math.Ceil(ideal * 5 / 4))
 	nblocks := (m + blockBits - 1) / blockBits
-	return &Filter{
+	return &filter{
 		bits:    make([]uint64, nblocks*(blockBits/64)),
 		nblocks: nblocks,
 		m:       nblocks * blockBits,
@@ -83,7 +83,7 @@ func reduce(x, n uint64) uint64 {
 }
 
 // Add inserts the fingerprint.
-func (f *Filter) Add(fp fingerprint.Fingerprint) {
+func (f *filter) Add(fp fingerprint.Fingerprint) {
 	h1, h2 := probeSeeds(fp)
 	b := f.bits[reduce(h1, f.nblocks)*(blockBits/64):][:blockBits/64]
 	for i := 0; i < f.k; i++ {
@@ -96,7 +96,7 @@ func (f *Filter) Add(fp fingerprint.Fingerprint) {
 
 // MayContain reports whether the fingerprint may have been added. False
 // means definitely absent; true may be a false positive.
-func (f *Filter) MayContain(fp fingerprint.Fingerprint) bool {
+func (f *filter) MayContain(fp fingerprint.Fingerprint) bool {
 	h1, h2 := probeSeeds(fp)
 	b := f.bits[reduce(h1, f.nblocks)*(blockBits/64):][:blockBits/64]
 	for i := 0; i < f.k; i++ {
@@ -110,15 +110,7 @@ func (f *Filter) MayContain(fp fingerprint.Fingerprint) bool {
 }
 
 // SizeBytes returns the filter's bit-array footprint.
-func (f *Filter) SizeBytes() int { return len(f.bits) * 8 }
+func (f *filter) SizeBytes() int { return len(f.bits) * 8 }
 
 // Inserts returns the number of Add calls.
-func (f *Filter) Inserts() uint64 { return f.inserts }
-
-// EstimatedFPRate returns the theoretical false-positive rate at the
-// current fill level, (1 - e^{-kn/m})^k — a slight underestimate for the
-// blocked layout, whose uneven per-block load adds a small tail.
-func (f *Filter) EstimatedFPRate() float64 {
-	n := float64(f.inserts)
-	return math.Pow(1-math.Exp(-float64(f.k)*n/float64(f.m)), float64(f.k))
-}
+func (f *filter) Inserts() uint64 { return f.inserts }

@@ -2,7 +2,6 @@ package bloom
 
 import (
 	"fmt"
-	"math"
 	"sync"
 
 	"sigmadedupe/internal/fingerprint"
@@ -17,9 +16,9 @@ import (
 const (
 	// DefaultSummaryCapacity is the initial key capacity of a Growable.
 	DefaultSummaryCapacity = 1 << 12
-	// DefaultSummaryFPRate is the target false-positive rate a Growable
+	// defaultSummaryFPRate is the target false-positive rate a Growable
 	// is sized for at capacity.
-	DefaultSummaryFPRate = 0.01
+	defaultSummaryFPRate = 0.01
 )
 
 // Growable is a Bloom filter sized by what it holds: it starts small and
@@ -30,7 +29,7 @@ const (
 // safe for concurrent use: Summary wraps one in its own lock, and the
 // chunk index keeps one under the lock that guards its map.
 type Growable struct {
-	f        *Filter
+	f        *filter
 	capacity int
 	fpRate   float64
 	rebuilds uint64
@@ -44,12 +43,12 @@ func NewGrowable(capacity int, fpRate float64) (Growable, error) {
 		capacity = DefaultSummaryCapacity
 	}
 	if fpRate <= 0 {
-		fpRate = DefaultSummaryFPRate
+		fpRate = defaultSummaryFPRate
 	}
 	if fpRate >= 1 {
 		return Growable{}, fmt.Errorf("bloom: growable false-positive rate %v must be in (0,1)", fpRate)
 	}
-	f, err := New(capacity, fpRate)
+	f, err := newFilter(capacity, fpRate)
 	if err != nil {
 		return Growable{}, err
 	}
@@ -80,7 +79,7 @@ func (g *Growable) Rebuild(capacity int, source func(yield func(fp fingerprint.F
 	if g.capacity >= capacity {
 		return nil
 	}
-	f, err := New(capacity, g.fpRate)
+	f, err := newFilter(capacity, g.fpRate)
 	if err != nil {
 		return err
 	}
@@ -180,13 +179,6 @@ func (s *Summary) Capacity() int {
 	return s.g.Capacity()
 }
 
-// Inserts returns the number of keys fed to the current filter.
-func (s *Summary) Inserts() uint64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.g.Inserts()
-}
-
 // Rebuilds returns how many growth rebuilds the summary has absorbed.
 func (s *Summary) Rebuilds() uint64 {
 	s.mu.RLock()
@@ -199,19 +191,4 @@ func (s *Summary) SizeBytes() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.g.f.SizeBytes()
-}
-
-// EstimatedFPRate returns the theoretical false-positive rate of the
-// current filter at its current fill.
-func (s *Summary) EstimatedFPRate() float64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.g.f.EstimatedFPRate()
-}
-
-// SummaryBitsPerKey returns the summary RAM cost in bits per key at the
-// given target false-positive rate, including the blocked layout's 25%
-// oversizing — the figure the scale-out methodology doc quotes.
-func SummaryBitsPerKey(fpRate float64) float64 {
-	return -math.Log(fpRate) / (math.Ln2 * math.Ln2) * 5 / 4
 }

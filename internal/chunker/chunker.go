@@ -3,15 +3,15 @@
 //
 // Four algorithms are provided:
 //
-//   - FixedChunker: static chunking (SC) at a constant size. Negligible CPU
+//   - fixedChunker: static chunking (SC) at a constant size. Negligible CPU
 //     cost; the paper selects SC with 4KB chunks for its main experiments
 //     (§4.3, Fig. 5a).
-//   - RabinChunker: content-defined chunking (CDC) using a rolling Rabin
+//   - rabinChunker: content-defined chunking (CDC) using a rolling Rabin
 //     hash over a 64-byte window, Cumulus-style, with min/avg/max bounds.
-//   - TTTDChunker: the Two-Threshold Two-Divisor variant of CDC used in the
+//   - tttdChunker: the Two-Threshold Two-Divisor variant of CDC used in the
 //     paper's super-chunk resemblance analysis (§2.2), with 1KB minimum,
 //     2KB minor mean, 4KB major mean and 32KB maximum by default.
-//   - FastCDCChunker: FastCDC (Xia et al., USENIX ATC'16 / TPDS'20) with
+//   - fastCDCChunker: FastCDC (Xia et al., USENIX ATC'16 / TPDS'20) with
 //     a seeded gear hash and normalized chunking — an order of magnitude
 //     cheaper per byte than Rabin, recommended when content-defined
 //     boundaries are wanted on the hot path.
@@ -78,32 +78,28 @@ func (m Method) String() string {
 	}
 }
 
-// ErrInvalidConfig reports chunker construction with nonsensical bounds.
-var ErrInvalidConfig = errors.New("chunker: invalid configuration")
+// errInvalidConfig reports chunker construction with nonsensical bounds.
+var errInvalidConfig = errors.New("chunker: invalid configuration")
 
-// Allocator supplies chunk payload buffers: it must return a slice of
-// length n (capacity may exceed it). Plugging in a pool-backed allocator
-// bounds the backup path's live allocation; the default is plain make.
-type Allocator func(n int) []byte
-
-// Option configures a chunker at construction.
-type Option func(*options)
+// option configures a chunker at construction.
+type option func(*options)
 
 type options struct {
-	alloc Allocator
+	alloc func(n int) []byte
 	// unused takes back a buffer drawn from alloc that no chunk carries.
 	unused func([]byte)
 }
 
 // WithAllocator makes the chunker draw chunk payload buffers from alloc
-// instead of the heap. Buffers are requested at the method's maximum
+// instead of the heap; alloc must return a slice of length n (capacity
+// may exceed it), and the default is plain make. Buffers are requested at the method's maximum
 // chunk size (see MaxChunkSize) or, for fixed chunking, the chunk size;
 // ownership passes to the consumer with the returned Chunk. A chunker
 // must draw a buffer before it can tell that the stream has ended, so
 // the one it draws at the end holds nothing; if unused is given, that
 // buffer (and one drawn before a read error) goes back through
 // unused[0] instead of to the garbage collector.
-func WithAllocator(alloc Allocator, unused ...func([]byte)) Option {
+func WithAllocator(alloc func(n int) []byte, unused ...func([]byte)) option {
 	return func(o *options) {
 		o.alloc = alloc
 		if len(unused) > 0 {
@@ -112,7 +108,7 @@ func WithAllocator(alloc Allocator, unused ...func([]byte)) Option {
 	}
 }
 
-func applyOptions(opts []Option) options {
+func applyOptions(opts []option) options {
 	o := options{
 		alloc:  func(n int) []byte { return make([]byte, n) },
 		unused: func([]byte) {},
@@ -139,22 +135,22 @@ func MaxChunkSize(m Method, size int) int {
 // New constructs a chunker of the given method reading from r. size is the
 // fixed size for SC or the target average for CDC/FastCDC; TTTD ignores
 // size and uses its standard thresholds.
-func New(m Method, r io.Reader, size int, opts ...Option) (Chunker, error) {
+func New(m Method, r io.Reader, size int, opts ...option) (Chunker, error) {
 	switch m {
 	case Fixed:
-		return NewFixed(r, size, opts...)
+		return newFixed(r, size, opts...)
 	case Rabin:
 		return NewRabin(r, size/4, size, size*4, opts...)
 	case TTTD:
 		return NewTTTD(r, DefaultTTTDConfig(), opts...)
 	case FastCDC:
-		cfg := DefaultFastCDCConfig()
+		cfg := defaultFastCDCConfig()
 		if size > 0 {
 			cfg.Min, cfg.Avg, cfg.Max = size/4, size, size*4
 		}
-		return NewFastCDC(r, cfg, opts...)
+		return newFastCDC(r, cfg, opts...)
 	default:
-		return nil, fmt.Errorf("%w: unknown method %d", ErrInvalidConfig, int(m))
+		return nil, fmt.Errorf("%w: unknown method %d", errInvalidConfig, int(m))
 	}
 }
 
@@ -174,9 +170,9 @@ func SplitAll(c Chunker) ([]Chunk, error) {
 	}
 }
 
-// FixedChunker slices the stream into constant-size chunks (static
+// fixedChunker slices the stream into constant-size chunks (static
 // chunking). The final chunk may be shorter.
-type FixedChunker struct {
+type fixedChunker struct {
 	r      io.Reader
 	size   int
 	offset int64
@@ -184,18 +180,18 @@ type FixedChunker struct {
 	options
 }
 
-var _ Chunker = (*FixedChunker)(nil)
+var _ Chunker = (*fixedChunker)(nil)
 
-// NewFixed returns a FixedChunker producing size-byte chunks.
-func NewFixed(r io.Reader, size int, opts ...Option) (*FixedChunker, error) {
+// newFixed returns a fixedChunker producing size-byte chunks.
+func newFixed(r io.Reader, size int, opts ...option) (*fixedChunker, error) {
 	if size <= 0 {
-		return nil, fmt.Errorf("%w: fixed chunk size %d", ErrInvalidConfig, size)
+		return nil, fmt.Errorf("%w: fixed chunk size %d", errInvalidConfig, size)
 	}
-	return &FixedChunker{r: r, size: size, options: applyOptions(opts)}, nil
+	return &fixedChunker{r: r, size: size, options: applyOptions(opts)}, nil
 }
 
 // Next implements Chunker.
-func (f *FixedChunker) Next() (Chunk, error) {
+func (f *fixedChunker) Next() (Chunk, error) {
 	if f.done {
 		return Chunk{}, io.EOF
 	}

@@ -39,7 +39,7 @@ func checkOffsets(t *testing.T, chunks []Chunk) {
 
 func TestFixedChunkerExactMultiple(t *testing.T) {
 	data := randomBytes(1, 4096*4)
-	c, err := NewFixed(bytes.NewReader(data), 4096)
+	c, err := newFixed(bytes.NewReader(data), 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestFixedChunkerExactMultiple(t *testing.T) {
 
 func TestFixedChunkerTail(t *testing.T) {
 	data := randomBytes(2, 10000)
-	c, _ := NewFixed(bytes.NewReader(data), 4096)
+	c, _ := newFixed(bytes.NewReader(data), 4096)
 	chunks, err := SplitAll(c)
 	if err != nil {
 		t.Fatal(err)
@@ -80,7 +80,7 @@ func TestFixedChunkerTail(t *testing.T) {
 }
 
 func TestFixedChunkerEmpty(t *testing.T) {
-	c, _ := NewFixed(bytes.NewReader(nil), 4096)
+	c, _ := newFixed(bytes.NewReader(nil), 4096)
 	chunks, err := SplitAll(c)
 	if err != nil {
 		t.Fatal(err)
@@ -95,8 +95,8 @@ func TestFixedChunkerEmpty(t *testing.T) {
 
 func TestFixedChunkerInvalidSize(t *testing.T) {
 	for _, size := range []int{0, -1} {
-		if _, err := NewFixed(bytes.NewReader(nil), size); err == nil {
-			t.Errorf("NewFixed(size=%d) succeeded, want error", size)
+		if _, err := newFixed(bytes.NewReader(nil), size); err == nil {
+			t.Errorf("newFixed(size=%d) succeeded, want error", size)
 		}
 	}
 }
@@ -263,14 +263,14 @@ func TestTTTDBounds(t *testing.T) {
 func TestTTTDConfigValidate(t *testing.T) {
 	tests := []struct {
 		name string
-		cfg  TTTDConfig
+		cfg  tttdConfig
 		ok   bool
 	}{
 		{"default", DefaultTTTDConfig(), true},
-		{"zero min", TTTDConfig{0, 2048, 4096, 32768}, false},
-		{"min >= minor", TTTDConfig{2048, 2048, 4096, 32768}, false},
-		{"major >= max", TTTDConfig{1024, 2048, 32768, 32768}, false},
-		{"minor == major ok", TTTDConfig{1024, 4096, 4096, 32768}, true},
+		{"zero min", tttdConfig{0, 2048, 4096, 32768}, false},
+		{"min >= minor", tttdConfig{2048, 2048, 4096, 32768}, false},
+		{"major >= max", tttdConfig{1024, 2048, 32768, 32768}, false},
+		{"minor == major ok", tttdConfig{1024, 4096, 4096, 32768}, true},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -351,7 +351,7 @@ func BenchmarkFixed4KB(b *testing.B) {
 	b.SetBytes(int64(len(data)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c, _ := NewFixed(bytes.NewReader(data), 4096)
+		c, _ := newFixed(bytes.NewReader(data), 4096)
 		if _, err := SplitAll(c); err != nil {
 			b.Fatal(err)
 		}

@@ -5,10 +5,10 @@ import (
 	"io"
 )
 
-// FastCDCConfig parameterizes the FastCDC-2020 algorithm (Xia et al.,
+// fastCDCConfig parameterizes the FastCDC-2020 algorithm (Xia et al.,
 // "FastCDC: a Fast and Efficient Content-Defined Chunking Approach for
 // Data Deduplication", USENIX ATC'16; journal version IEEE TPDS 2020).
-type FastCDCConfig struct {
+type fastCDCConfig struct {
 	Min int // minimum chunk size; cut-point search skips these bytes
 	Avg int // target average chunk size (the normal point); power of two
 	Max int // maximum chunk size (hard cut)
@@ -23,30 +23,30 @@ type FastCDCConfig struct {
 	Seed uint64
 }
 
-// DefaultGearSeed is the gear-table seed used when none is given; fixed
+// defaultGearSeed is the gear-table seed used when none is given; fixed
 // so that chunk boundaries are stable across processes and versions.
-const DefaultGearSeed uint64 = 0x5345454447454152 // "SEEDGEAR"
+const defaultGearSeed uint64 = 0x5345454447454152 // "SEEDGEAR"
 
-// DefaultFastCDCConfig returns 2KB/8KB/64KB bounds with normalization
+// defaultFastCDCConfig returns 2KB/8KB/64KB bounds with normalization
 // level 2 — the configuration evaluated in the FastCDC paper.
-func DefaultFastCDCConfig() FastCDCConfig {
-	return FastCDCConfig{Min: 2 << 10, Avg: 8 << 10, Max: 64 << 10, Normalization: 2}
+func defaultFastCDCConfig() fastCDCConfig {
+	return fastCDCConfig{Min: 2 << 10, Avg: 8 << 10, Max: 64 << 10, Normalization: 2}
 }
 
 // Validate checks bounds and normalization level.
-func (c FastCDCConfig) Validate() error {
+func (c fastCDCConfig) Validate() error {
 	if c.Avg <= 0 || c.Avg&(c.Avg-1) != 0 {
-		return fmt.Errorf("%w: FastCDC average %d must be a positive power of two", ErrInvalidConfig, c.Avg)
+		return fmt.Errorf("%w: FastCDC average %d must be a positive power of two", errInvalidConfig, c.Avg)
 	}
 	if c.Min <= 0 || c.Max <= 0 || c.Min > c.Avg || c.Avg > c.Max {
-		return fmt.Errorf("%w: FastCDC bounds min=%d avg=%d max=%d", ErrInvalidConfig, c.Min, c.Avg, c.Max)
+		return fmt.Errorf("%w: FastCDC bounds min=%d avg=%d max=%d", errInvalidConfig, c.Min, c.Avg, c.Max)
 	}
 	bits := 0
 	for 1<<bits < c.Avg {
 		bits++
 	}
 	if c.Normalization < 0 || c.Normalization >= bits {
-		return fmt.Errorf("%w: FastCDC normalization %d out of range for avg %d", ErrInvalidConfig, c.Normalization, c.Avg)
+		return fmt.Errorf("%w: FastCDC normalization %d out of range for avg %d", errInvalidConfig, c.Normalization, c.Avg)
 	}
 	return nil
 }
@@ -98,13 +98,13 @@ func fastCDCMasks(avg, norm int, seed uint64) (maskS, maskL uint64) {
 	return pick(bits + norm), pick(bits - norm)
 }
 
-// FastCDCChunker implements FastCDC-2020: a gear rolling hash (one shift
+// fastCDCChunker implements FastCDC-2020: a gear rolling hash (one shift
 // and one add per byte, no byte-removal step) with normalized chunking.
 // It buffers up to Max bytes internally and copies each chunk out through
 // the allocator, so emitted chunks never alias the work buffer.
-type FastCDCChunker struct {
+type fastCDCChunker struct {
 	r      io.Reader
-	cfg    FastCDCConfig
+	cfg    fastCDCConfig
 	gear   [256]uint64
 	maskS  uint64 // stricter mask, before the normal point
 	maskL  uint64 // looser mask, after the normal point
@@ -113,23 +113,23 @@ type FastCDCChunker struct {
 	filled int // end of valid bytes in buf
 	offset int64
 	rerr   error // deferred read error (io.EOF when drained)
-	alloc  Allocator
+	alloc  func(n int) []byte
 }
 
-var _ Chunker = (*FastCDCChunker)(nil)
+var _ Chunker = (*fastCDCChunker)(nil)
 
-// NewFastCDC returns a FastCDC chunker with the given configuration
-// (zero-value Seed selects DefaultGearSeed).
-func NewFastCDC(r io.Reader, cfg FastCDCConfig, opts ...Option) (*FastCDCChunker, error) {
+// newFastCDC returns a FastCDC chunker with the given configuration
+// (zero-value Seed selects defaultGearSeed).
+func newFastCDC(r io.Reader, cfg fastCDCConfig, opts ...option) (*fastCDCChunker, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	seed := cfg.Seed
 	if seed == 0 {
-		seed = DefaultGearSeed
+		seed = defaultGearSeed
 	}
 	maskS, maskL := fastCDCMasks(cfg.Avg, cfg.Normalization, seed)
-	return &FastCDCChunker{
+	return &fastCDCChunker{
 		r:     r,
 		cfg:   cfg,
 		gear:  gearTable(seed),
@@ -142,7 +142,7 @@ func NewFastCDC(r io.Reader, cfg FastCDCConfig, opts ...Option) (*FastCDCChunker
 
 // fill slides unconsumed bytes to the front and reads until Max bytes
 // are buffered or the reader is exhausted.
-func (fc *FastCDCChunker) fill() {
+func (fc *fastCDCChunker) fill() {
 	if fc.pos > 0 {
 		copy(fc.buf, fc.buf[fc.pos:fc.filled])
 		fc.filled -= fc.pos
@@ -158,7 +158,7 @@ func (fc *FastCDCChunker) fill() {
 }
 
 // Next implements Chunker.
-func (fc *FastCDCChunker) Next() (Chunk, error) {
+func (fc *fastCDCChunker) Next() (Chunk, error) {
 	if fc.filled-fc.pos < fc.cfg.Max && fc.rerr == nil {
 		fc.fill()
 	}
@@ -186,7 +186,7 @@ func (fc *FastCDCChunker) Next() (Chunk, error) {
 // cutpoint runs the normalized-chunking scan of the paper (Algorithm 2):
 // skip Min bytes, use the stricter mask until the normal point (Avg),
 // then the looser mask until Max, falling back to a hard cut.
-func (fc *FastCDCChunker) cutpoint(src []byte) int {
+func (fc *fastCDCChunker) cutpoint(src []byte) int {
 	n := len(src)
 	if n <= fc.cfg.Min {
 		return n

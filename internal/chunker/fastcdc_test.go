@@ -16,15 +16,15 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files from the cur
 func TestFastCDCReassembly(t *testing.T) {
 	data := randomBytes(31, 1<<20)
 	chunks := splitBoth(t, func() (Chunker, error) {
-		return NewFastCDC(bytes.NewReader(data), DefaultFastCDCConfig())
+		return newFastCDC(bytes.NewReader(data), defaultFastCDCConfig())
 	})
 	checkReassembly(t, data, chunks)
 }
 
 func TestFastCDCBounds(t *testing.T) {
 	data := randomBytes(32, 2<<20)
-	cfg := DefaultFastCDCConfig()
-	chunks := splitBoth(t, func() (Chunker, error) { return NewFastCDC(bytes.NewReader(data), cfg) })
+	cfg := defaultFastCDCConfig()
+	chunks := splitBoth(t, func() (Chunker, error) { return newFastCDC(bytes.NewReader(data), cfg) })
 	checkReassembly(t, data, chunks)
 	checkBounds(t, chunks, cfg.Min, cfg.Max)
 	if len(chunks) < 8 {
@@ -37,8 +37,8 @@ func TestFastCDCBounds(t *testing.T) {
 // data (the paper's NC2 squeezes the distribution toward Avg).
 func TestFastCDCAverageSize(t *testing.T) {
 	data := randomBytes(33, 8<<20)
-	cfg := DefaultFastCDCConfig()
-	chunks := splitBoth(t, func() (Chunker, error) { return NewFastCDC(bytes.NewReader(data), cfg) })
+	cfg := defaultFastCDCConfig()
+	chunks := splitBoth(t, func() (Chunker, error) { return newFastCDC(bytes.NewReader(data), cfg) })
 	avg := float64(len(data)) / float64(len(chunks))
 	if avg < float64(cfg.Avg)/2 || avg > float64(cfg.Avg)*2 {
 		t.Fatalf("mean chunk size %.0f, want within 2x of %d", avg, cfg.Avg)
@@ -51,9 +51,9 @@ func TestFastCDCAverageSize(t *testing.T) {
 func TestFastCDCNormalization(t *testing.T) {
 	data := randomBytes(34, 8<<20)
 	spread := func(norm int) float64 {
-		cfg := DefaultFastCDCConfig()
+		cfg := defaultFastCDCConfig()
 		cfg.Normalization = norm
-		c, err := NewFastCDC(bytes.NewReader(data), cfg)
+		c, err := newFastCDC(bytes.NewReader(data), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,9 +79,9 @@ func TestFastCDCNormalization(t *testing.T) {
 // boundaries re-synchronize; fixed chunking would shift every one).
 func TestFastCDCShiftResistance(t *testing.T) {
 	data := randomBytes(35, 1<<20)
-	cfg := DefaultFastCDCConfig()
+	cfg := defaultFastCDCConfig()
 	cuts := func(input []byte) map[string]struct{} {
-		c, err := NewFastCDC(bytes.NewReader(input), cfg)
+		c, err := newFastCDC(bytes.NewReader(input), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,7 +109,7 @@ func TestFastCDCShiftResistance(t *testing.T) {
 }
 
 func TestFastCDCConfigValidate(t *testing.T) {
-	bad := []FastCDCConfig{
+	bad := []fastCDCConfig{
 		{Min: 0, Avg: 8192, Max: 65536},
 		{Min: 2048, Avg: 8191, Max: 65536},  // avg not a power of two
 		{Min: 16384, Avg: 8192, Max: 65536}, // min > avg
@@ -122,7 +122,7 @@ func TestFastCDCConfigValidate(t *testing.T) {
 			t.Fatalf("config %d (%+v) validated, want error", i, cfg)
 		}
 	}
-	if err := DefaultFastCDCConfig().Validate(); err != nil {
+	if err := defaultFastCDCConfig().Validate(); err != nil {
 		t.Fatalf("default config invalid: %v", err)
 	}
 }
@@ -131,11 +131,11 @@ func TestFastCDCConfigValidate(t *testing.T) {
 // cut points (peers of one dedup domain must share the seed).
 func TestFastCDCSeedDivergence(t *testing.T) {
 	data := randomBytes(36, 1<<20)
-	cfg := DefaultFastCDCConfig()
+	cfg := defaultFastCDCConfig()
 	offsets := func(seed uint64) []int64 {
 		c := cfg
 		c.Seed = seed
-		ck, err := NewFastCDC(bytes.NewReader(data), c)
+		ck, err := newFastCDC(bytes.NewReader(data), c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,7 +173,7 @@ func TestFastCDCSeedDivergence(t *testing.T) {
 // format break.
 func TestFastCDCGoldenCutPoints(t *testing.T) {
 	data := randomBytes(1234, 512<<10)
-	c, err := NewFastCDC(bytes.NewReader(data), DefaultFastCDCConfig())
+	c, err := newFastCDC(bytes.NewReader(data), defaultFastCDCConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func BenchmarkFastCDC(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c, _ := NewFastCDC(bytes.NewReader(data), DefaultFastCDCConfig())
+		c, _ := newFastCDC(bytes.NewReader(data), defaultFastCDCConfig())
 		if _, err := SplitAll(c); err != nil {
 			b.Fatal(err)
 		}

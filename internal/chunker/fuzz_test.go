@@ -10,15 +10,15 @@ import (
 // fuzzTTTD is a scaled-down TTTD configuration so that fuzz-sized inputs
 // (bytes to a few KB) actually exercise the main-divisor, backup-divisor
 // and hard-cut paths instead of always returning one terminal chunk.
-func fuzzTTTD() TTTDConfig {
-	return TTTDConfig{Min: 64, MinorMean: 128, MajorMean: 256, Max: 512}
+func fuzzTTTD() tttdConfig {
+	return tttdConfig{Min: 64, MinorMean: 128, MajorMean: 256, Max: 512}
 }
 
 // fuzzFastCDC is the matching scaled-down FastCDC configuration: small
 // inputs hit the stricter-mask, looser-mask and hard-cut regions of
 // Algorithm 2 rather than always terminating early.
-func fuzzFastCDC() FastCDCConfig {
-	return FastCDCConfig{Min: 64, Avg: 128, Max: 512, Normalization: 2}
+func fuzzFastCDC() fastCDCConfig {
+	return fastCDCConfig{Min: 64, Avg: 128, Max: 512, Normalization: 2}
 }
 
 // splitBoth runs a fresh chunker twice over the same input and checks
@@ -107,7 +107,7 @@ func FuzzChunkers(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, sizeHint uint16) {
 		// Fixed: every chunk exactly size bytes, except a shorter last.
 		size := 1 + int(sizeHint)%4096
-		fixed := splitBoth(t, func() (Chunker, error) { return NewFixed(bytes.NewReader(data), size) })
+		fixed := splitBoth(t, func() (Chunker, error) { return newFixed(bytes.NewReader(data), size) })
 		checkReassembly(t, data, fixed)
 		checkBounds(t, fixed, size, size)
 		for i, ch := range fixed {
@@ -131,7 +131,7 @@ func FuzzChunkers(f *testing.F) {
 
 		// FastCDC with fuzz-scaled bounds.
 		fcfg := fuzzFastCDC()
-		fc := splitBoth(t, func() (Chunker, error) { return NewFastCDC(bytes.NewReader(data), fcfg) })
+		fc := splitBoth(t, func() (Chunker, error) { return newFastCDC(bytes.NewReader(data), fcfg) })
 		checkReassembly(t, data, fc)
 		checkBounds(t, fc, fcfg.Min, fcfg.Max)
 	})
@@ -148,7 +148,7 @@ func TestChunkerPropertiesOnRandomInputs(t *testing.T) {
 		rng.Read(data)
 		for _, hint := range []uint16{1, 64, 512, 4095} {
 			size := 1 + int(hint)%4096
-			fixed := splitBoth(t, func() (Chunker, error) { return NewFixed(bytes.NewReader(data), size) })
+			fixed := splitBoth(t, func() (Chunker, error) { return newFixed(bytes.NewReader(data), size) })
 			checkReassembly(t, data, fixed)
 			checkBounds(t, fixed, size, size)
 
@@ -163,7 +163,7 @@ func TestChunkerPropertiesOnRandomInputs(t *testing.T) {
 			checkBounds(t, tttd, cfg.Min, cfg.Max)
 
 			fcfg := fuzzFastCDC()
-			fc := splitBoth(t, func() (Chunker, error) { return NewFastCDC(bytes.NewReader(data), fcfg) })
+			fc := splitBoth(t, func() (Chunker, error) { return newFastCDC(bytes.NewReader(data), fcfg) })
 			checkReassembly(t, data, fc)
 			checkBounds(t, fc, fcfg.Min, fcfg.Max)
 		}
@@ -189,10 +189,10 @@ func TestTTTDDefaultConfigBounds(t *testing.T) {
 func TestChunkersDrainAfterEOF(t *testing.T) {
 	data := bytes.Repeat([]byte("x"), 300)
 	mks := map[string]func() (Chunker, error){
-		"fixed":   func() (Chunker, error) { return NewFixed(bytes.NewReader(data), 128) },
+		"fixed":   func() (Chunker, error) { return newFixed(bytes.NewReader(data), 128) },
 		"rabin":   func() (Chunker, error) { return NewRabin(bytes.NewReader(data), 0, 64, 0) },
 		"tttd":    func() (Chunker, error) { return NewTTTD(bytes.NewReader(data), fuzzTTTD()) },
-		"fastcdc": func() (Chunker, error) { return NewFastCDC(bytes.NewReader(data), fuzzFastCDC()) },
+		"fastcdc": func() (Chunker, error) { return newFastCDC(bytes.NewReader(data), fuzzFastCDC()) },
 	}
 	for name, mk := range mks {
 		c, err := mk()

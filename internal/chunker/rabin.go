@@ -75,10 +75,10 @@ func appendByteRabin(h uint64, b byte, t *rabinTables) uint64 {
 // construction so concurrent use is safe.
 var _rabinTables = newRabinTables()
 
-// RabinChunker performs content-defined chunking with a rolling Rabin hash.
+// rabinChunker performs content-defined chunking with a rolling Rabin hash.
 // A cut point is declared when the low bits of the window hash match a
 // fixed pattern; the number of masked bits sets the average chunk size.
-type RabinChunker struct {
+type rabinChunker struct {
 	r          *bufio.Reader
 	min        int
 	max        int
@@ -90,14 +90,14 @@ type RabinChunker struct {
 	options
 }
 
-var _ Chunker = (*RabinChunker)(nil)
+var _ Chunker = (*rabinChunker)(nil)
 
 // NewRabin returns a CDC chunker with the given minimum, average and
 // maximum chunk sizes. avg must be a power of two; min defaults to avg/4
 // and max to avg*4 when non-positive.
-func NewRabin(r io.Reader, min, avg, max int, opts ...Option) (*RabinChunker, error) {
+func NewRabin(r io.Reader, min, avg, max int, opts ...option) (*rabinChunker, error) {
 	if avg <= 0 || avg&(avg-1) != 0 {
-		return nil, fmt.Errorf("%w: CDC average %d must be a positive power of two", ErrInvalidConfig, avg)
+		return nil, fmt.Errorf("%w: CDC average %d must be a positive power of two", errInvalidConfig, avg)
 	}
 	if min <= 0 {
 		min = avg / 4
@@ -106,9 +106,9 @@ func NewRabin(r io.Reader, min, avg, max int, opts ...Option) (*RabinChunker, er
 		max = avg * 4
 	}
 	if min > avg || avg > max {
-		return nil, fmt.Errorf("%w: CDC bounds min=%d avg=%d max=%d", ErrInvalidConfig, min, avg, max)
+		return nil, fmt.Errorf("%w: CDC bounds min=%d avg=%d max=%d", errInvalidConfig, min, avg, max)
 	}
-	return &RabinChunker{
+	return &rabinChunker{
 		r:       bufio.NewReaderSize(r, 1<<16),
 		min:     min,
 		max:     max,
@@ -118,7 +118,7 @@ func NewRabin(r io.Reader, min, avg, max int, opts ...Option) (*RabinChunker, er
 }
 
 // Next implements Chunker.
-func (rc *RabinChunker) Next() (Chunk, error) {
+func (rc *rabinChunker) Next() (Chunk, error) {
 	if rc.exhausted {
 		return Chunk{}, io.EOF
 	}
@@ -161,7 +161,7 @@ func (rc *RabinChunker) Next() (Chunk, error) {
 	}
 }
 
-func (rc *RabinChunker) emit(buf []byte) Chunk {
+func (rc *rabinChunker) emit(buf []byte) Chunk {
 	ch := Chunk{Data: buf, Offset: rc.offset}
 	rc.offset += int64(len(buf))
 	return ch

@@ -7,10 +7,10 @@ import (
 	"io"
 )
 
-// TTTDConfig parameterizes the Two-Threshold Two-Divisor algorithm
+// tttdConfig parameterizes the Two-Threshold Two-Divisor algorithm
 // (Eshghi & Tang, HP TR 2005). The paper's resemblance analysis (§2.2) uses
 // 1KB minimum, 2KB minor mean, 4KB major mean and 32KB maximum.
-type TTTDConfig struct {
+type tttdConfig struct {
 	Min int // minimum chunk size (lower threshold)
 	// MinorMean sets the backup divisor D' = MinorMean; a backup cut is
 	// remembered whenever hash mod D' == D'-1.
@@ -23,47 +23,47 @@ type TTTDConfig struct {
 
 // DefaultTTTDConfig returns the paper's TTTD parameters:
 // 1KB / 2KB / 4KB / 32KB.
-func DefaultTTTDConfig() TTTDConfig {
-	return TTTDConfig{Min: 1 << 10, MinorMean: 2 << 10, MajorMean: 4 << 10, Max: 32 << 10}
+func DefaultTTTDConfig() tttdConfig {
+	return tttdConfig{Min: 1 << 10, MinorMean: 2 << 10, MajorMean: 4 << 10, Max: 32 << 10}
 }
 
 // Validate checks threshold ordering.
-func (c TTTDConfig) Validate() error {
+func (c tttdConfig) Validate() error {
 	if c.Min <= 0 || c.MinorMean <= 0 || c.MajorMean <= 0 || c.Max <= 0 {
-		return fmt.Errorf("%w: TTTD thresholds must be positive: %+v", ErrInvalidConfig, c)
+		return fmt.Errorf("%w: TTTD thresholds must be positive: %+v", errInvalidConfig, c)
 	}
 	if !(c.Min < c.MinorMean && c.MinorMean <= c.MajorMean && c.MajorMean < c.Max) {
-		return fmt.Errorf("%w: TTTD thresholds must satisfy min < minor <= major < max: %+v", ErrInvalidConfig, c)
+		return fmt.Errorf("%w: TTTD thresholds must satisfy min < minor <= major < max: %+v", errInvalidConfig, c)
 	}
 	return nil
 }
 
-// TTTDChunker implements TTTD content-defined chunking. Relative to basic
+// tttdChunker implements TTTD content-defined chunking. Relative to basic
 // CDC it bounds the chunk-size distribution tightly: when no main-divisor
 // cut appears before Max, it falls back to the most recent backup-divisor
 // cut, and only then to a hard cut at Max.
-type TTTDChunker struct {
+type tttdChunker struct {
 	r         *bufio.Reader
-	cfg       TTTDConfig
+	cfg       tttdConfig
 	window    [rabinWindow]byte
 	offset    int64
 	exhausted bool
 	options
 }
 
-var _ Chunker = (*TTTDChunker)(nil)
+var _ Chunker = (*tttdChunker)(nil)
 
 // NewTTTD returns a TTTD chunker with the given thresholds.
-func NewTTTD(r io.Reader, cfg TTTDConfig, opts ...Option) (*TTTDChunker, error) {
+func NewTTTD(r io.Reader, cfg tttdConfig, opts ...option) (*tttdChunker, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &TTTDChunker{r: bufio.NewReaderSize(r, 1<<16), cfg: cfg,
+	return &tttdChunker{r: bufio.NewReaderSize(r, 1<<16), cfg: cfg,
 		options: applyOptions(opts)}, nil
 }
 
 // Next implements Chunker.
-func (tc *TTTDChunker) Next() (Chunk, error) {
+func (tc *tttdChunker) Next() (Chunk, error) {
 	if tc.exhausted {
 		return Chunk{}, io.EOF
 	}
@@ -119,7 +119,7 @@ func (tc *TTTDChunker) Next() (Chunk, error) {
 }
 
 // emit cuts buf at n bytes, pushing back any tail for the next chunk.
-func (tc *TTTDChunker) emit(buf []byte, n int) Chunk {
+func (tc *tttdChunker) emit(buf []byte, n int) Chunk {
 	if n < len(buf) {
 		// Unread the tail so the next chunk starts at the backup cut.
 		// bufio cannot unread multiple bytes, so prepend via MultiReader.

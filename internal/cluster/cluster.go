@@ -48,8 +48,6 @@ type Config struct {
 	// SampleRate is Stateful routing's fingerprint sampling denominator
 	// (default 32).
 	SampleRate int
-	// IgnoreUsage disables Sigma routing's load discount (ablation).
-	IgnoreUsage bool
 	// BidSummaries routes bids through each node's compact Bloom summary
 	// of its similarity index (Sigma and Stateful schemes). Summaries
 	// are cheap enough to probe for every live node, so Sigma upgrades
@@ -115,7 +113,6 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	switch r := rt.(type) {
 	case *router.SigmaRouter:
-		r.IgnoreUsage = cfg.IgnoreUsage
 		r.UseSummaries = cfg.BidSummaries
 	case *router.StatefulRouter:
 		r.UseSummaries = cfg.BidSummaries
@@ -194,9 +191,6 @@ func (c *Cluster) View() *View { return c.view }
 
 // Director returns the cluster's metadata plane (see Cluster.dir).
 func (c *Cluster) Director() *director.Director { return c.dir }
-
-// Router returns the cluster's routing scheme instance.
-func (c *Cluster) Router() router.Router { return c.rt }
 
 // Node resolves a node of the view to its in-process transport (the
 // migrate.Engine.Nodes shape); false for a node outside it.

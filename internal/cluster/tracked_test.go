@@ -19,7 +19,7 @@ import (
 func backupTracked(t *testing.T, c *Cluster, id int, refs []core.ChunkRef) {
 	t.Helper()
 	s, err := ingest.New(context.Background(), ingest.Config{
-		Name: "client0", SuperChunkSize: c.cfg.SuperChunkSize, Router: c.Router(), KeepPayloads: true,
+		Name: "client0", SuperChunkSize: c.cfg.SuperChunkSize, Router: c.rt, KeepPayloads: true,
 		Pin: func(context.Context) (ingest.Epoch, error) {
 			return ingest.Epoch{View: func() router.View { return c.View() }, Node: c.Node, Release: func() {}}, nil
 		},

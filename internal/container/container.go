@@ -86,15 +86,6 @@ func (c *Container) Len() int { return len(c.Meta) }
 // Bytes returns the payload size in bytes.
 func (c *Container) Bytes() int { return c.bytes }
 
-// Fingerprints returns the fingerprints of the metadata section in order.
-func (c *Container) Fingerprints() []fingerprint.Fingerprint {
-	out := make([]fingerprint.Fingerprint, len(c.Meta))
-	for i, m := range c.Meta {
-		out[i] = m.FP
-	}
-	return out
-}
-
 // ErrNotFound reports a missing container or chunk. It wraps the
 // system-wide sderr.ErrNotFound, so callers may dispatch on either.
 var ErrNotFound = fmt.Errorf("container: %w", sderr.ErrNotFound)
@@ -803,8 +794,8 @@ func (m *Manager) Retire(cid uint64) error {
 	return nil
 }
 
-// SealedInfo describes one sealed container for GC scans.
-type SealedInfo struct {
+// sealedInfo describes one sealed container for GC scans.
+type sealedInfo struct {
 	CID    uint64
 	Bytes  int64
 	Chunks int
@@ -814,11 +805,11 @@ type SealedInfo struct {
 // SealedContainers snapshots the sealed-container directory (CID, payload
 // size, chunk count, disk residency), sorted by CID. The compactor uses it
 // to pick low-live-ratio rewrite candidates.
-func (m *Manager) SealedContainers() []SealedInfo {
+func (m *Manager) SealedContainers() []sealedInfo {
 	m.mu.RLock()
-	out := make([]SealedInfo, 0, len(m.sealed))
+	out := make([]sealedInfo, 0, len(m.sealed))
 	for cid, c := range m.sealed {
-		out = append(out, SealedInfo{CID: cid, Bytes: int64(c.bytes), Chunks: len(c.Meta), OnDisk: m.onDisk[cid]})
+		out = append(out, sealedInfo{CID: cid, Bytes: int64(c.bytes), Chunks: len(c.Meta), OnDisk: m.onDisk[cid]})
 	}
 	m.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].CID < out[j].CID })
@@ -893,7 +884,7 @@ func (m *Manager) load(cid uint64) (*Container, error) {
 		return nil, fmt.Errorf("container: load %d: %w", cid, err)
 	}
 	m.diskLoads.Add(1)
-	c, err := Decode(raw)
+	c, err := decodeContainer(raw)
 	if err != nil {
 		return nil, fmt.Errorf("container: load %d: %w", cid, err)
 	}
@@ -921,8 +912,8 @@ func Encode(c *Container) []byte {
 	return binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
 }
 
-// Decode parses a serialized container, verifying its CRC32 footer.
-func Decode(raw []byte) (*Container, error) { return decode(raw, true) }
+// decodeContainer parses a serialized container, verifying its CRC32 footer.
+func decodeContainer(raw []byte) (*Container, error) { return decode(raw, true) }
 
 // DecodeMeta parses and CRC-verifies a serialized container without
 // retaining its payload — the recovery path's decode, where metadata is

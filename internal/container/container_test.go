@@ -156,12 +156,11 @@ func TestFingerprintsOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := c.Fingerprints()
-	if len(got) != len(want) {
-		t.Fatalf("got %d fingerprints, want %d", len(got), len(want))
+	if len(c.Meta) != len(want) {
+		t.Fatalf("got %d fingerprints, want %d", len(c.Meta), len(want))
 	}
 	for i := range want {
-		if got[i] != want[i] {
+		if c.Meta[i].FP != want[i] {
 			t.Fatalf("fingerprint %d out of order", i)
 		}
 	}
@@ -222,18 +221,18 @@ func TestDiskSpillRoundTrip(t *testing.T) {
 }
 
 func TestDecodeErrors(t *testing.T) {
-	if _, err := Decode([]byte("short")); err == nil {
+	if _, err := decodeContainer([]byte("short")); err == nil {
 		t.Fatal("short input should fail")
 	}
 	bad := make([]byte, 24)
 	copy(bad, "XXXX")
-	if _, err := Decode(bad); err == nil {
+	if _, err := decodeContainer(bad); err == nil {
 		t.Fatal("bad magic should fail")
 	}
 	truncated := make([]byte, 20)
 	copy(truncated, "SDC1")
 	truncated[15] = 4 // claims 4 meta entries with no bytes
-	if _, err := Decode(truncated); !errors.Is(err, ErrCorrupt) {
+	if _, err := decodeContainer(truncated); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("truncated header: err = %v, want ErrCorrupt", err)
 	}
 
@@ -241,7 +240,7 @@ func TestDecodeErrors(t *testing.T) {
 	c := &Container{ID: 7, Meta: []ChunkMeta{{FP: fingerprint.Sum([]byte("a")), Offset: 0, Length: 3}}}
 	c.Data = []byte("abc")
 	good := Encode(c)
-	if _, err := Decode(good[:len(good)-6]); !errors.Is(err, ErrCorrupt) {
+	if _, err := decodeContainer(good[:len(good)-6]); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("truncated body: err = %v, want ErrCorrupt", err)
 	}
 }
@@ -257,7 +256,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		off += uint32(len(data))
 	}
 	c.bytes = len(c.Data)
-	got, err := Decode(Encode(c))
+	got, err := decodeContainer(Encode(c))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +273,7 @@ func TestDecodeDetectsCRCCorruption(t *testing.T) {
 	for _, pos := range []int{5, 30, len(raw) / 2, len(raw) - 2} {
 		bad := append([]byte(nil), raw...)
 		bad[pos] ^= 0x01
-		if _, err := Decode(bad); !errors.Is(err, ErrCorrupt) {
+		if _, err := decodeContainer(bad); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("flip at %d: err = %v, want ErrCorrupt", pos, err)
 		}
 	}

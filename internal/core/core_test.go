@@ -10,6 +10,7 @@ import (
 
 	"sigmadedupe/internal/chunker"
 	"sigmadedupe/internal/fingerprint"
+	"sigmadedupe/internal/metrics"
 )
 
 func fps(n int, seed int64) []fingerprint.Fingerprint {
@@ -104,37 +105,6 @@ func TestNewHandprintEdgeCases(t *testing.T) {
 	}
 }
 
-func TestHandprintContains(t *testing.T) {
-	all := fps(50, 4)
-	hp := NewHandprint(all, 16)
-	for _, fp := range hp {
-		if !hp.Contains(fp) {
-			t.Fatalf("Contains(%s) = false for member", fp.Short())
-		}
-	}
-	if hp.Contains(fingerprint.Sum([]byte("absent"))) {
-		t.Fatal("Contains reports absent fingerprint")
-	}
-}
-
-func TestIntersectSymmetric(t *testing.T) {
-	f := func(seedA, seedB int64) bool {
-		a := NewHandprint(fps(32, seedA), 8)
-		b := NewHandprint(fps(32, seedB), 8)
-		return a.Intersect(b) == b.Intersect(a)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestIntersectSelf(t *testing.T) {
-	hp := NewHandprint(fps(64, 5), 8)
-	if got := hp.Intersect(hp); got != len(hp) {
-		t.Fatalf("self intersection = %d, want %d", got, len(hp))
-	}
-}
-
 func TestResemblanceIdentical(t *testing.T) {
 	a := fps(128, 6)
 	if r := Resemblance(a, a); r != 1 {
@@ -208,35 +178,15 @@ func TestEstimateEdgeCases(t *testing.T) {
 	}
 }
 
-func TestDetectionProbability(t *testing.T) {
-	// Eq. 5: 1-(1-r)^k ≥ r, monotone in k.
-	for _, r := range []float64{0, 0.1, 0.3, 0.5, 0.9, 1} {
-		prev := 0.0
-		for _, k := range []int{1, 2, 4, 8, 16} {
-			p := DetectionProbability(r, k)
-			if p < r-1e-12 {
-				t.Fatalf("P(detect r=%v,k=%d)=%v below r", r, k, p)
-			}
-			if p+1e-12 < prev {
-				t.Fatalf("P not monotone in k at r=%v k=%d", r, k)
-			}
-			prev = p
-		}
-	}
-	if DetectionProbability(-1, 4) != 0 {
-		t.Error("negative r should clamp to 0")
-	}
-	if DetectionProbability(2, 4) != 1 {
-		t.Error("r>1 should clamp to 1")
-	}
-}
-
+// TestCandidateNodesRangeAndDedup: Algorithm 1 step 1 maps each
+// representative fingerprint to a node; the candidate set names only
+// members, each once, and at epoch 1 at most one per fingerprint.
 func TestCandidateNodesRangeAndDedup(t *testing.T) {
 	f := func(seed int64, nRaw uint8) bool {
 		n := int(nRaw%64) + 1
 		hp := NewHandprint(fps(32, seed), 8)
-		cands := hp.CandidateNodes(n)
-		if len(cands) > len(hp) || len(cands) > n {
+		cands := DenseMembership(n).Candidates(hp, uint64(seed))
+		if len(cands) == 0 || len(cands) > len(hp) || len(cands) > n {
 			return false
 		}
 		seen := map[int]bool{}
@@ -251,19 +201,23 @@ func TestCandidateNodesRangeAndDedup(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
 	}
-	if got := Handprint(nil).CandidateNodes(0); got != nil {
-		t.Error("CandidateNodes(0) should be nil")
+	if got := DenseMembership(0).Candidates(NewHandprint(fps(8, 1), 4), 0); got != nil {
+		t.Error("an empty membership should have no candidates")
 	}
 }
 
+// TestPartitionerGroupsBySize feeds whole chunks through Add: every
+// non-final super-chunk stays within the 2× target cap, and the
+// super-chunks partition the input exactly.
 func TestPartitionerGroupsBySize(t *testing.T) {
-	p, err := NewPartitioner(16<<10, fingerprint.SHA1, false, WithFixedBoundaries())
+	const target, n = 16 << 10, 400
+	p, err := NewPartitioner(target, fingerprint.SHA1, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(20))
 	var scs []*SuperChunk
-	for i := 0; i < 20; i++ {
+	for i := 0; i < n; i++ {
 		data := make([]byte, 4096)
 		rng.Read(data)
 		if sc := p.Add(chunker.Chunk{Data: data}); sc != nil {
@@ -273,16 +227,20 @@ func TestPartitionerGroupsBySize(t *testing.T) {
 	if sc := p.Flush(); sc != nil {
 		scs = append(scs, sc)
 	}
-	if len(scs) != 5 {
-		t.Fatalf("got %d super-chunks, want 5 (20 x 4KB at 16KB target)", len(scs))
+	if len(scs) < 2 {
+		t.Fatalf("got %d super-chunks from %d chunks at a %d-byte target", len(scs), n, target)
 	}
+	var total int64
+	chunks := 0
 	for i, sc := range scs {
-		if sc.Size() != 16<<10 {
-			t.Errorf("super-chunk %d size = %d, want %d", i, sc.Size(), 16<<10)
+		if i < len(scs)-1 && sc.Size() > 2*target {
+			t.Errorf("super-chunk %d is %d bytes, over the 2x target cap", i, sc.Size())
 		}
-		if len(sc.Chunks) != 4 {
-			t.Errorf("super-chunk %d has %d chunks, want 4", i, len(sc.Chunks))
-		}
+		total += sc.Size()
+		chunks += len(sc.Chunks)
+	}
+	if total != n*4096 || chunks != n {
+		t.Fatalf("super-chunks hold %d bytes in %d chunks, want %d in %d", total, chunks, n*4096, n)
 	}
 }
 
@@ -301,18 +259,17 @@ func TestPartitionerFlushPartial(t *testing.T) {
 }
 
 func TestPartitionerKeepData(t *testing.T) {
-	p, _ := NewPartitioner(4, fingerprint.SHA1, true, WithFixedBoundaries())
-	sc := p.Add(chunker.Chunk{Data: []byte("keepme")})
-	if sc == nil {
-		t.Fatal("expected emission")
+	add := func(keep bool, data string) *SuperChunk {
+		p, _ := NewPartitioner(1<<20, fingerprint.SHA1, keep)
+		if sc := p.Add(chunker.Chunk{Data: []byte(data)}); sc != nil {
+			return sc
+		}
+		return p.Flush()
 	}
-	if !bytes.Equal(sc.Chunks[0].Data, []byte("keepme")) {
+	if sc := add(true, "keepme"); !bytes.Equal(sc.Chunks[0].Data, []byte("keepme")) {
 		t.Fatal("payload not retained with keepData=true")
 	}
-
-	p2, _ := NewPartitioner(4, fingerprint.SHA1, false, WithFixedBoundaries())
-	sc2 := p2.Add(chunker.Chunk{Data: []byte("dropme")})
-	if sc2.Chunks[0].Data != nil {
+	if sc := add(false, "dropme"); sc.Chunks[0].Data != nil {
 		t.Fatal("payload retained with keepData=false")
 	}
 }
@@ -394,15 +351,15 @@ func TestPartitionerInvalid(t *testing.T) {
 }
 
 func TestPartitionerFileID(t *testing.T) {
-	p, _ := NewPartitioner(4, fingerprint.SHA1, false, WithFixedBoundaries())
+	p, _ := NewPartitioner(1<<20, fingerprint.SHA1, false)
 	p.SetFileID(42)
-	sc := p.Add(chunker.Chunk{Data: []byte("abcd")})
-	if sc == nil || sc.FileID != 42 {
+	p.Add(chunker.Chunk{Data: []byte("abcd")})
+	if sc := p.Flush(); sc == nil || sc.FileID != 42 {
 		t.Fatalf("FileID not propagated: %+v", sc)
 	}
 	// FileID persists across emissions until changed.
-	sc2 := p.Add(chunker.Chunk{Data: []byte("efgh")})
-	if sc2 == nil || sc2.FileID != 42 {
+	p.Add(chunker.Chunk{Data: []byte("efgh")})
+	if sc := p.Flush(); sc == nil || sc.FileID != 42 {
 		t.Fatal("FileID should persist")
 	}
 }
@@ -512,27 +469,12 @@ func TestSelectTargetSecond(t *testing.T) {
 	}
 }
 
-func TestSkewRatio(t *testing.T) {
-	if s := SkewRatio([]int64{100, 100, 100}); s != 0 {
-		t.Fatalf("uniform usage skew = %v, want 0", s)
-	}
-	if s := SkewRatio(nil); s != 0 {
-		t.Fatalf("nil usage skew = %v, want 0", s)
-	}
-	if s := SkewRatio([]int64{0, 0}); s != 0 {
-		t.Fatalf("zero usage skew = %v, want 0", s)
-	}
-	s := SkewRatio([]int64{0, 200})
-	if math.Abs(s-1) > 1e-9 { // σ=100, α=100
-		t.Fatalf("skew = %v, want 1", s)
-	}
-}
-
 // TestTheorem2GlobalBalance: routing many random super-chunks with
 // Algorithm 1 (zero prior resemblance) should approach uniform storage.
 func TestTheorem2GlobalBalance(t *testing.T) {
 	const n = 16
 	usage := make([]int64, n)
+	members := DenseMembership(n)
 	rng := rand.New(rand.NewSource(23))
 	buf := make([]byte, 16)
 	for i := 0; i < 4000; i++ {
@@ -542,7 +484,7 @@ func TestTheorem2GlobalBalance(t *testing.T) {
 			raw[j] = fingerprint.Sum(buf)
 		}
 		hp := NewHandprint(raw, 8)
-		cands := hp.CandidateNodes(n)
+		cands := members.Candidates(hp, uint64(i))
 		counts := make([]int, len(cands))
 		candUsage := make([]int64, len(cands))
 		for j, c := range cands {
@@ -551,7 +493,7 @@ func TestTheorem2GlobalBalance(t *testing.T) {
 		d := SelectTarget(cands, counts, candUsage)
 		usage[d.Node] += 1 << 20
 	}
-	if s := SkewRatio(usage); s > 0.05 {
+	if s := metrics.Skew(usage); s > 0.05 {
 		t.Fatalf("storage skew %v > 0.05; Theorem 2 balance violated", s)
 	}
 }

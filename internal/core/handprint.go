@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"sort"
 
 	"sigmadedupe/internal/fingerprint"
 )
@@ -74,53 +73,6 @@ func (w *window) insert(p *fingerprint.Fingerprint) {
 		w.limit = out[w.k-1].Uint64()
 	}
 	w.hp = out
-}
-
-// Contains reports whether fp is a representative fingerprint of the
-// handprint, using binary search over the sorted representation.
-func (h Handprint) Contains(fp fingerprint.Fingerprint) bool {
-	i := sort.Search(len(h), func(i int) bool { return !h[i].Less(fp) })
-	return i < len(h) && h[i] == fp
-}
-
-// Intersect returns the number of representative fingerprints shared with
-// other. Both handprints are sorted, so this is a linear merge.
-func (h Handprint) Intersect(other Handprint) int {
-	i, j, n := 0, 0, 0
-	for i < len(h) && j < len(other) {
-		switch h[i].Compare(other[j]) {
-		case -1:
-			i++
-		case 1:
-			j++
-		default:
-			n++
-			i++
-			j++
-		}
-	}
-	return n
-}
-
-// CandidateNodes maps each representative fingerprint to a node ID in
-// [0, n) by modulo placement (Algorithm 1 step 1). The returned slice is
-// deduplicated: a node appears once even when several representative
-// fingerprints map to it.
-func (h Handprint) CandidateNodes(n int) []int {
-	if n <= 0 {
-		return nil
-	}
-	seen := make(map[int]struct{}, len(h))
-	out := make([]int, 0, len(h))
-	for _, fp := range h {
-		id := fp.Mod(n)
-		if _, ok := seen[id]; ok {
-			continue
-		}
-		seen[id] = struct{}{}
-		out = append(out, id)
-	}
-	return out
 }
 
 // Resemblance computes the exact Jaccard resemblance (Eq. 1) between two
@@ -198,21 +150,4 @@ func (h Handprint) Estimate(other Handprint) float64 {
 		inUnion++
 	}
 	return float64(shared) / float64(inUnion)
-}
-
-// DetectionProbability returns the lower bound from Eq. (5): the
-// probability that two super-chunks with true resemblance r share at least
-// one of k representative fingerprints, 1-(1-r)^k.
-func DetectionProbability(r float64, k int) float64 {
-	if r < 0 {
-		r = 0
-	}
-	if r > 1 {
-		r = 1
-	}
-	p := 1.0
-	for i := 0; i < k; i++ {
-		p *= 1 - r
-	}
-	return 1 - p
 }

@@ -87,18 +87,13 @@ func (m Membership) Without(id int) Membership {
 	return Membership{Epoch: m.Epoch, Nodes: out, keys: nodeKeys(out)}
 }
 
-// rendezvousWeight is the HRW score of (fp, node): a splitmix64 finalizer
-// over the fingerprint's 64-bit prefix mixed with the node ID. Any fixed
+// mixWeight is the HRW score of (fp, node): a splitmix64 finalizer over
+// the fingerprint's 64-bit prefix mixed with the node's cached key
+// ((node+1) × the golden-ratio constant, see nodeKeys). Any fixed
 // avalanche mix works; this one is allocation-free and stable across
-// processes, which the on-disk recipe/placement state requires.
-func rendezvousWeight(fp fingerprint.Fingerprint, node int) uint64 {
-	return mixWeight(fp.Uint64(), (uint64(node)+1)*0x9E3779B97F4A7C15)
-}
-
-// mixWeight is the shared finalizer of rendezvousWeight, split so the
-// ranking loops can hoist the fingerprint prefix and use the cached
-// per-node key: the inner loop is xor + 3 multiply-shift rounds, nothing
-// recomputed per node.
+// processes, which the on-disk recipe/placement state requires. The
+// ranking loops hoist the fingerprint prefix: the inner loop is xor + 3
+// multiply-shift rounds, nothing recomputed per node.
 func mixWeight(fp64, nodeKey uint64) uint64 {
 	x := fp64 ^ nodeKey
 	x ^= x >> 30

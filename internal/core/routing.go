@@ -1,7 +1,5 @@
 package core
 
-import "math"
-
 // Weak-bid balance override: a candidate whose bid matched at most
 // weakBidMaxResemblance representative fingerprints and whose storage
 // usage already exceeds weakBidUsageSlack × the candidate-set mean loses
@@ -20,8 +18,8 @@ const (
 	weakBidUsageSlack     = 1.05
 )
 
-// RouteDecision is the outcome of Algorithm 1 for one super-chunk.
-type RouteDecision struct {
+// routeDecision is the outcome of Algorithm 1 for one super-chunk.
+type routeDecision struct {
 	// Node is the selected target node ID.
 	Node int
 	// Resemblance is the raw representative-fingerprint match count r_i
@@ -46,9 +44,9 @@ type RouteDecision struct {
 // reports zero resemblance the least-loaded candidate is chosen, which is
 // what yields near-global load balance (Theorem 2): candidates are
 // uniformly distributed by the hash, and among them we fill valleys first.
-func SelectTarget(candidates []int, counts []int, usage []int64) RouteDecision {
+func SelectTarget(candidates []int, counts []int, usage []int64) routeDecision {
 	if len(candidates) == 0 {
-		return RouteDecision{Node: -1, Second: -1}
+		return routeDecision{Node: -1, Second: -1}
 	}
 	// Mean usage over the candidate set; +1 byte avoids division by zero
 	// on an empty cluster while preserving ordering.
@@ -59,7 +57,7 @@ func SelectTarget(candidates []int, counts []int, usage []int64) RouteDecision {
 	mean := total/float64(len(usage)) + 1
 
 	best, score := strongestBid(candidates, counts, usage, mean, -1)
-	d := RouteDecision{Second: -1}
+	d := routeDecision{Second: -1}
 	if best >= 0 {
 		d.Node, d.Resemblance, d.Score = candidates[best], counts[best], score
 	} else {
@@ -109,27 +107,4 @@ func strongestBid(candidates, counts []int, usage []int64, mean float64, skip in
 		return -1, 0
 	}
 	return best, bestScore
-}
-
-// SkewRatio returns σ/α — the ratio of standard deviation to mean of
-// per-node physical storage usage — the imbalance term in the paper's
-// normalized effective deduplication ratio (Eq. 7).
-func SkewRatio(usage []int64) float64 {
-	if len(usage) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, u := range usage {
-		sum += float64(u)
-	}
-	mean := sum / float64(len(usage))
-	if mean == 0 {
-		return 0
-	}
-	var ss float64
-	for _, u := range usage {
-		d := float64(u) - mean
-		ss += d * d
-	}
-	return math.Sqrt(ss/float64(len(usage))) / mean
 }

@@ -132,30 +132,20 @@ func (s *SuperChunk) MinFingerprint() fingerprint.Fingerprint {
 // or deletions upstream therefore shift the grid only locally — the
 // boundaries realign, exactly like CDC at coarse granularity — which is
 // essential for super-chunk routing to re-find similar data across backup
-// generations. Fixed-size cutting is available for ablation.
+// generations.
 type Partitioner struct {
 	target  int64
 	algo    fingerprint.Algorithm
 	pending SuperChunk
 	size    int64
 	keep    bool
-	fixed   bool
 	divisor uint64
-}
-
-// PartitionerOption configures a Partitioner.
-type PartitionerOption func(*Partitioner)
-
-// WithFixedBoundaries cuts super-chunks at exact byte counts instead of
-// content-defined boundaries (ablation mode).
-func WithFixedBoundaries() PartitionerOption {
-	return func(p *Partitioner) { p.fixed = true }
 }
 
 // NewPartitioner returns a Partitioner emitting super-chunks of roughly
 // target bytes (the final super-chunk of a stream may be smaller).
 // keepData controls whether chunk payloads are retained on ChunkRefs.
-func NewPartitioner(target int64, algo fingerprint.Algorithm, keepData bool, opts ...PartitionerOption) (*Partitioner, error) {
+func NewPartitioner(target int64, algo fingerprint.Algorithm, keepData bool) (*Partitioner, error) {
 	if target <= 0 {
 		return nil, fmt.Errorf("superchunk target size %d must be positive", target)
 	}
@@ -170,9 +160,6 @@ func NewPartitioner(target int64, algo fingerprint.Algorithm, keepData bool, opt
 		d = 2
 	}
 	p.divisor = d
-	for _, o := range opts {
-		o(p)
-	}
 	return p, nil
 }
 
@@ -191,12 +178,6 @@ func (p *Partitioner) Add(ch chunker.Chunk) *SuperChunk {
 func (p *Partitioner) AddRef(ref ChunkRef) *SuperChunk {
 	p.pending.Chunks = append(p.pending.Chunks, ref)
 	p.size += int64(ref.Size)
-	if p.fixed {
-		if p.size >= p.target {
-			return p.flush()
-		}
-		return nil
-	}
 	// Content-defined boundary: cut whenever the chunk fingerprint hits
 	// the divisor condition (expected super-chunk size = target), with a
 	// hard cap at 2x target. There is deliberately no minimum size: a

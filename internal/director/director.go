@@ -130,8 +130,8 @@ func UniqueBytes(recipes []Recipe) int64 {
 	return n
 }
 
-// Session groups the files of one backup run of one client.
-type Session struct {
+// backupSession groups the files of one backup run of one client.
+type backupSession struct {
 	ID       uint64
 	Client   string
 	Tenant   string
@@ -145,7 +145,7 @@ type Director struct {
 	mu       sync.Mutex
 	now      func() time.Time
 	nextID   uint64
-	sessions map[uint64]*Session
+	sessions map[uint64]*backupSession
 	recipes  map[string]*Recipe // latest recipe per path
 
 	// The journals (RECIPES, MEMBERS, TENANTS; nil for an in-RAM
@@ -190,7 +190,7 @@ const TenantJournalName = "TENANTS"
 func New() *Director {
 	return &Director{
 		now:         time.Now,
-		sessions:    make(map[uint64]*Session),
+		sessions:    make(map[uint64]*backupSession),
 		recipes:     make(map[string]*Recipe),
 		pendingMigs: make(map[uint64]Migration),
 		tenants:     tenant.NewRegistry(),
@@ -309,7 +309,7 @@ func (d *Director) BeginSession(ctx context.Context, client, tenantName string) 
 		return 0, err
 	}
 	d.nextID++
-	d.sessions[d.nextID] = &Session{
+	d.sessions[d.nextID] = &backupSession{
 		ID:      d.nextID,
 		Client:  client,
 		Tenant:  tenantName,
@@ -431,12 +431,12 @@ func (d *Director) GetRecipe(ctx context.Context, path string) (Recipe, error) {
 }
 
 // GetSession returns a session snapshot.
-func (d *Director) GetSession(id uint64) (Session, error) {
+func (d *Director) GetSession(id uint64) (backupSession, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	s, ok := d.sessions[id]
 	if !ok {
-		return Session{}, fmt.Errorf("%w: %d", ErrNoSession, id)
+		return backupSession{}, fmt.Errorf("%w: %d", ErrNoSession, id)
 	}
 	return *s, nil
 }

@@ -9,7 +9,7 @@ import (
 )
 
 // The director's journals were JSON lines before they were record logs.
-// These wire.LegacyLine converters turn each line into the body of the
+// These wire legacyLine converters turn each line into the body of the
 // equivalent record when a journal is opened and rewritten once.
 
 // legacyRecipeLine converts one RECIPES line:

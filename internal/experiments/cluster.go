@@ -44,11 +44,11 @@ var fig8Schemes = []router.Scheme{
 	router.Sigma, router.Stateful, router.Stateless, router.ExtremeBinning,
 }
 
-// Fig6 reproduces the handprint-size sensitivity of cluster dedup
+// fig6 reproduces the handprint-size sensitivity of cluster dedup
 // (Fig. 6): cluster deduplication ratio, normalized to single-node exact
 // dedup, as a function of the handprint size for several cluster sizes,
 // on the Linux workload with 1MB super-chunks.
-func Fig6(opts Options) (*Table, error) {
+func fig6(opts Options) (*Table, error) {
 	ks := []int{1, 2, 4, 8, 16, 32, 64}
 	ns := []int{4, 16, 64, 128}
 	if opts.Quick {
@@ -86,10 +86,10 @@ func Fig6(opts Options) (*Table, error) {
 	return t, nil
 }
 
-// Fig7 reproduces the system-overhead experiment (Fig. 7): the total
+// fig7 reproduces the system-overhead experiment (Fig. 7): the total
 // number of fingerprint-lookup messages as a function of the cluster
 // size, for the four schemes, on the Linux and VM datasets.
-func Fig7(opts Options) (*Table, error) {
+func fig7(opts Options) (*Table, error) {
 	ns := []int{1, 2, 4, 8, 16, 32, 64, 128}
 	if opts.Quick {
 		ns = []int{4, 32}
@@ -126,12 +126,12 @@ func Fig7(opts Options) (*Table, error) {
 	return t, nil
 }
 
-// Fig8 reproduces the headline cluster-effectiveness comparison (Fig. 8):
+// fig8 reproduces the headline cluster-effectiveness comparison (Fig. 8):
 // normalized effective deduplication ratio (Eq. 7) as a function of the
 // cluster size for the four routing schemes on all four workloads.
 // Extreme Binning cannot run on the mail and web traces (no file
 // metadata), matching the paper.
-func Fig8(opts Options) (*Table, error) {
+func fig8(opts Options) (*Table, error) {
 	ns := []int{1, 2, 4, 8, 16, 32, 64, 128}
 	if opts.Quick {
 		ns = []int{4, 32}
@@ -168,10 +168,10 @@ func Fig8(opts Options) (*Table, error) {
 	return t, nil
 }
 
-// Table1 regenerates the paper's Table 1 as measured numbers at N=32:
+// table1 regenerates the paper's Table 1 as measured numbers at N=32:
 // deduplication ratio class, throughput proxy, data skew, and
 // communication overhead per scheme, plus chunk-level DHT (HYDRAstor).
-func Table1(opts Options) (*Table, error) {
+func table1(opts Options) (*Table, error) {
 	scale := 0.5 * opts.scale()
 	const n = 32
 
@@ -209,10 +209,10 @@ func Table1(opts Options) (*Table, error) {
 	return t, nil
 }
 
-// Table2 regenerates the workload-characteristics table (Table 2):
+// table2 regenerates the workload-characteristics table (Table 2):
 // dataset size and deduplication ratio under 4KB static chunking, for the
 // four synthetic stand-ins.
-func Table2(opts Options) (*Table, error) {
+func table2(opts Options) (*Table, error) {
 	t := &Table{
 		Name:    "table2",
 		Title:   "Workload characteristics (4KB static chunking)",

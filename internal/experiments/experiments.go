@@ -85,22 +85,22 @@ func (t *Table) Fprint(w io.Writer) {
 	fmt.Fprintln(w)
 }
 
-// Func runs one experiment.
-type Func func(Options) (*Table, error)
+// figFunc runs one experiment.
+type figFunc func(Options) (*Table, error)
 
 // registry maps experiment names to implementations.
-var registry = map[string]Func{
-	"table1": Table1,
-	"table2": Table2,
-	"fig1":   Fig1,
-	"fig4a":  Fig4a,
-	"fig4b":  Fig4b,
-	"fig5a":  Fig5a,
-	"fig5b":  Fig5b,
-	"fig6":   Fig6,
-	"fig7":   Fig7,
-	"fig8":   Fig8,
-	"ram":    RAM,
+var registry = map[string]figFunc{
+	"table1": table1,
+	"table2": table2,
+	"fig1":   fig1,
+	"fig4a":  fig4a,
+	"fig4b":  fig4b,
+	"fig5a":  fig5a,
+	"fig5b":  fig5b,
+	"fig6":   fig6,
+	"fig7":   fig7,
+	"fig8":   fig8,
+	"ram":    ramTable,
 }
 
 // Names lists available experiments in a stable order.

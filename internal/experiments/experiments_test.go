@@ -92,7 +92,7 @@ func TestNamesComplete(t *testing.T) {
 // the largest k is closer to the real resemblance than the k=1 estimate
 // for low-similarity pairs, and all estimates are probabilities.
 func TestFig1Shape(t *testing.T) {
-	tab, err := Fig1(quick)
+	tab, err := fig1(quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestFig1Shape(t *testing.T) {
 // TestFig5bShape: normalized DR decreases (weakly) as the sampling rate
 // coarsens, at fixed super-chunk size.
 func TestFig5bShape(t *testing.T) {
-	tab, err := Fig5b(quick)
+	tab, err := fig5b(quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestFig5bShape(t *testing.T) {
 
 // TestTable2Calibration: measured DRs stay within the calibration bands.
 func TestTable2Calibration(t *testing.T) {
-	tab, err := Table2(Options{Scale: 1})
+	tab, err := table2(Options{Scale: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestTable2Calibration(t *testing.T) {
 // TestRAMShape: the similarity index is the smallest structure and is
 // exactly 1/32 of the full chunk index.
 func TestRAMShape(t *testing.T) {
-	tab, err := RAM(quick)
+	tab, err := ramTable(quick)
 	if err != nil {
 		t.Fatal(err)
 	}

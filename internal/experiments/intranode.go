@@ -16,11 +16,11 @@ import (
 	"sigmadedupe/internal/workload"
 )
 
-// Fig1 reproduces the handprint resemblance-detection experiment (§2.2,
+// fig1 reproduces the handprint resemblance-detection experiment (§2.2,
 // Fig. 1): four pair-wise "files" of differing true similarity are TTTD-
 // chunked, and the sketch estimate is compared with the real Jaccard
 // resemblance as the handprint size grows from 1 to 128.
-func Fig1(opts Options) (*Table, error) {
+func fig1(opts Options) (*Table, error) {
 	// Super-chunk material: 8MB per file, as in the paper. Pairs are
 	// built by swapping a controlled fraction of blocks, targeting the
 	// similarity classes the paper's file pairs exhibit.
@@ -103,10 +103,10 @@ func Fig1(opts Options) (*Table, error) {
 	return t, nil
 }
 
-// Fig4a reproduces the client-side throughput experiment (Fig. 4a):
+// fig4a reproduces the client-side throughput experiment (Fig. 4a):
 // Rabin-CDC chunking, SHA-1 and MD5 fingerprinting throughput as a
 // function of the number of parallel data streams.
-func Fig4a(opts Options) (*Table, error) {
+func fig4a(opts Options) (*Table, error) {
 	streams := []int{1, 2, 4, 8, 16}
 	if opts.Quick {
 		streams = []int{1, 4}
@@ -180,10 +180,10 @@ func Fig4a(opts Options) (*Table, error) {
 	return t, nil
 }
 
-// Fig4b reproduces the parallel similarity-index lookup experiment
+// fig4b reproduces the parallel similarity-index lookup experiment
 // (Fig. 4b): lookup throughput (million ops/s) for multiple data streams
 // as a function of the lock-stripe count.
-func Fig4b(opts Options) (*Table, error) {
+func fig4b(opts Options) (*Table, error) {
 	locks := []int{1, 4, 16, 64, 256, 1024, 4096, 8192}
 	streams := []int{1, 4, 8, 16}
 	if opts.Quick {
@@ -246,11 +246,11 @@ func Fig4b(opts Options) (*Table, error) {
 	return t, nil
 }
 
-// Fig5a reproduces the single-node deduplication-efficiency experiment
+// fig5a reproduces the single-node deduplication-efficiency experiment
 // (Fig. 5a): bytes saved per second as a function of chunk size, for
 // static chunking (SC) and content-defined chunking (CDC), on the Linux
 // and VM workloads held in RAM.
-func Fig5a(opts Options) (*Table, error) {
+func fig5a(opts Options) (*Table, error) {
 	chunkSizes := []int{1 << 10, 2 << 10, 4 << 10, 8 << 10, 16 << 10, 32 << 10}
 	if opts.Quick {
 		chunkSizes = []int{4 << 10, 16 << 10}
@@ -338,11 +338,11 @@ func dedupEfficiency(stream []byte, method chunker.Method, chunkSize int) (float
 	return st.DedupRatio(), metrics.BytesSavedPerSecond(st.LogicalBytes, st.PhysicalBytes, elapsed), nil
 }
 
-// Fig5b reproduces the sampling-rate sensitivity experiment (Fig. 5b):
+// fig5b reproduces the sampling-rate sensitivity experiment (Fig. 5b):
 // deduplication ratio of similarity-index-only dedup (no traditional
 // chunk index), normalized to exact dedup, as a function of the
 // handprint-sampling rate and the super-chunk size, on the Linux workload.
-func Fig5b(opts Options) (*Table, error) {
+func fig5b(opts Options) (*Table, error) {
 	scSizes := []int64{512 << 10, 1 << 20, 2 << 20, 4 << 20, 8 << 20, 16 << 20}
 	rates := []int{4, 16, 64, 512, 4096} // sampling denominators
 	if opts.Quick {

@@ -6,11 +6,11 @@ import (
 	"sigmadedupe/internal/metrics"
 )
 
-// RAM regenerates the first-order RAM-usage comparison of §4.3: for 100TB
+// ramTable regenerates the first-order RAM-usage comparison of §4.3: for 100TB
 // of unique data at 4KB chunks, 64KB average files and 40B index entries,
 // DDFS's Bloom filter, Extreme Binning's file index and Σ-Dedupe's
 // similarity index footprints.
-func RAM(Options) (*Table, error) {
+func ramTable(Options) (*Table, error) {
 	m := metrics.DefaultRAMModel()
 	gb := func(b int64) string { return fmt.Sprintf("%.1f", float64(b)/1e9) }
 	t := &Table{

@@ -213,7 +213,7 @@ func TestSeverBetweenTheTwoCalls(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close() })
-	conn, err := rpc.Dial(srv.Addr())
+	conn, err := rpc.DialContext(context.Background(), srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,7 +47,11 @@ func files(refs []core.ChunkRef, sizes ...int) func(yield func([]core.ChunkRef) 
 func TestChunkDHTRestoresInStreamOrder(t *testing.T) {
 	eachTransport(t, func(t *testing.T, transport string) {
 		r := newRig(t, transport, 4, rigOpt{})
-		s := r.session(t, ingest.Config{SuperChunkSize: 64 << 10, Router: &router.DHTRouter{}})
+		dht, err := router.New(router.ChunkDHT, 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := r.session(t, ingest.Config{SuperChunkSize: 64 << 10, Router: dht})
 		data := randBytes(3, 300<<10)
 		if err := s.BackupRefs(context.Background(), "/refs", files(refsOf(data), 10, 30)); err != nil {
 			t.Fatal(err)

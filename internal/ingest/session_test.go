@@ -94,7 +94,7 @@ func newRig(t testing.TB, transport string, n int, opt rigOpt) *rig {
 				t.Fatal(err)
 			}
 			t.Cleanup(func() { srv.Close() })
-			conn, err := rpc.Dial(srv.Addr())
+			conn, err := rpc.DialContext(context.Background(), srv.Addr())
 			if err != nil {
 				t.Fatal(err)
 			}

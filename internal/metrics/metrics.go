@@ -85,10 +85,10 @@ func MaxOverMean(usage []int64) float64 {
 	return float64(max) / mean
 }
 
-// NEDR is the normalized effective deduplication ratio of Eq. (7):
+// nedr is the normalized effective deduplication ratio of Eq. (7):
 // (CDR/SDR) × α/(α+σ). It folds cluster-wide capacity saving and storage
 // balance into one utility number.
-func NEDR(cdr, sdr float64, usage []int64) float64 {
+func nedr(cdr, sdr float64, usage []int64) float64 {
 	return NormalizedDR(cdr, sdr) * 1 / (1 + Skew(usage))
 }
 
@@ -102,12 +102,12 @@ func EDRFromBytes(logical int64, usage []int64, exactPhysical int64) float64 {
 	}
 	cdr := DedupRatio(logical, physical)
 	sdr := DedupRatio(logical, exactPhysical)
-	return NEDR(cdr, sdr, usage)
+	return nedr(cdr, sdr, usage)
 }
 
-// RAMModel is the first-order RAM-usage estimate of §4.3 for a dataset of
+// ramModel is the first-order RAM-usage estimate of §4.3 for a dataset of
 // UniqueBytes unique data.
-type RAMModel struct {
+type ramModel struct {
 	UniqueBytes   int64 // physical unique data size
 	AvgChunkSize  int64 // bytes (paper: 4KB)
 	AvgFileSize   int64 // bytes (paper: 64KB)
@@ -118,8 +118,8 @@ type RAMModel struct {
 
 // DefaultRAMModel returns the paper's §4.3 parameters: 100TB unique data,
 // 4KB chunks, 64KB files, 40B entries, 1MB super-chunks, handprint 8.
-func DefaultRAMModel() RAMModel {
-	return RAMModel{
+func DefaultRAMModel() ramModel {
+	return ramModel{
 		UniqueBytes:   100 << 40,
 		AvgChunkSize:  4 << 10,
 		AvgFileSize:   64 << 10,
@@ -131,7 +131,7 @@ func DefaultRAMModel() RAMModel {
 
 // DDFSBloomBytes estimates DDFS's Bloom-filter RAM: ~4 bits (0.5 bytes)
 // per unique chunk, which reproduces the paper's 50GB at 100TB/4KB.
-func (m RAMModel) DDFSBloomBytes() int64 {
+func (m ramModel) DDFSBloomBytes() int64 {
 	chunks := m.UniqueBytes / m.AvgChunkSize
 	return chunks / 2
 }
@@ -139,7 +139,7 @@ func (m RAMModel) DDFSBloomBytes() int64 {
 // ExtremeBinningBytes estimates Extreme Binning's in-RAM file index: one
 // entry per file — representative chunk ID + whole-file hash + pointer,
 // which the paper accounts as 62.5GB for 100TB of 64KB files (40B/file).
-func (m RAMModel) ExtremeBinningBytes() int64 {
+func (m ramModel) ExtremeBinningBytes() int64 {
 	files := m.UniqueBytes / m.AvgFileSize
 	return files * m.IndexEntry
 }
@@ -147,13 +147,13 @@ func (m RAMModel) ExtremeBinningBytes() int64 {
 // SigmaSimilarityIndexBytes estimates Σ-Dedupe's similarity index: one
 // entry per representative fingerprint, HandprintSize per super-chunk
 // (32GB for the paper's parameters — 1/32 of a full chunk index).
-func (m RAMModel) SigmaSimilarityIndexBytes() int64 {
+func (m ramModel) SigmaSimilarityIndexBytes() int64 {
 	superChunks := m.UniqueBytes / m.SuperChunk
 	return superChunks * m.HandprintSize * m.IndexEntry
 }
 
 // FullChunkIndexBytes is the RAM a complete in-memory chunk index would
 // need (the baseline the similarity index divides by 32).
-func (m RAMModel) FullChunkIndexBytes() int64 {
+func (m ramModel) FullChunkIndexBytes() int64 {
 	return m.UniqueBytes / m.AvgChunkSize * m.IndexEntry
 }

@@ -70,8 +70,8 @@ func TestSkew(t *testing.T) {
 }
 
 func TestNEDRPenalizesImbalance(t *testing.T) {
-	balanced := NEDR(8, 10, []int64{100, 100})
-	skewed := NEDR(8, 10, []int64{10, 190})
+	balanced := nedr(8, 10, []int64{100, 100})
+	skewed := nedr(8, 10, []int64{10, 190})
 	if balanced != 0.8 {
 		t.Fatalf("balanced NEDR = %v, want 0.8", balanced)
 	}

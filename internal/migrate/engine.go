@@ -53,10 +53,10 @@ type Node interface {
 	GCStats(ctx context.Context) (store.GCStats, int64, error)
 }
 
-// Catalog is the recipe and transaction metadata the engine runs
+// catalog is the recipe and transaction metadata the engine runs
 // against — the five director.ClusterMeta methods it uses, so the
 // director (in process or over TCP) satisfies it as is.
-type Catalog interface {
+type catalog interface {
 	// Recipes snapshots the whole catalog; the engine owns the copies.
 	Recipes(ctx context.Context) ([]director.Recipe, error)
 	// ReplaceRecipe rewrites one recipe iff it is still the session and
@@ -75,7 +75,7 @@ type Catalog interface {
 // for concurrent use as far as the Catalog and Nodes it is given are;
 // Recover and Repair additionally need backups quiesced.
 type Engine struct {
-	Catalog Catalog
+	Catalog catalog
 	// Nodes resolves a node's stable cluster ID to its transport, false
 	// when the node is gone. It must cover every node an operation
 	// touches — including one being drained, which may already have left
@@ -97,7 +97,7 @@ type Engine struct {
 // an in-flight, not-yet-committed backup would read as surplus and be
 // released — so the operator quiesces and recovers explicitly rather
 // than having a routine membership change do it under live traffic.
-func GuardNoPending(ctx context.Context, cat Catalog) error {
+func GuardNoPending(ctx context.Context, cat catalog) error {
 	pending, err := cat.PendingMigrations(ctx)
 	if err == nil && len(pending) > 0 {
 		err = fmt.Errorf("migrate: %d migration transactions left pending by a crash; quiesce backups and run RecoverMigrations first", len(pending))

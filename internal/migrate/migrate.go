@@ -73,9 +73,9 @@ const (
 // emulating a crash at that point.
 type Fault func(stage Stage, path string) error
 
-// DefaultSegmentChunks bounds one migration segment so a huge backup
+// defaultSegmentChunks bounds one migration segment so a huge backup
 // moves in bounded-memory super-chunk-sized units.
-const DefaultSegmentChunks = 1024
+const defaultSegmentChunks = 1024
 
 // Stream is the node stream that receives migrated and replicated
 // segments, sealed per transaction without disturbing the open
@@ -118,7 +118,7 @@ type segment struct {
 
 // nextRun finds, at or after index at, the first maximal run of
 // consecutive chunks on one node that all satisfy want, cut at
-// DefaultSegmentChunks. Such runs are the original routing's
+// defaultSegmentChunks. Such runs are the original routing's
 // super-chunk granularity — the minimal movable units of a drain
 // (want: placed on the departing node), a rebalance (want: anything)
 // and a re-replication (want: no replica yet).
@@ -128,7 +128,7 @@ func nextRun(chunks []director.ChunkEntry, at int, want func(director.ChunkEntry
 			continue
 		}
 		end := i + 1
-		for end < len(chunks) && end-i < DefaultSegmentChunks &&
+		for end < len(chunks) && end-i < defaultSegmentChunks &&
 			chunks[end].Node == chunks[i].Node && want(chunks[end]) {
 			end++
 		}

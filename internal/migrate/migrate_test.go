@@ -57,9 +57,9 @@ func TestNextRun(t *testing.T) {
 }
 
 func TestNextRunSplitsAtMax(t *testing.T) {
-	const n = 2*DefaultSegmentChunks + 10
+	const n = 2*defaultSegmentChunks + 10
 	segs := runs(make([]int32, n), func(director.ChunkEntry) bool { return true })
-	if len(segs) != 3 || segs[0].count != DefaultSegmentChunks || segs[2].count != 10 {
+	if len(segs) != 3 || segs[0].count != defaultSegmentChunks || segs[2].count != 10 {
 		t.Fatalf("max-chunk split wrong: %+v", segs)
 	}
 	total := 0

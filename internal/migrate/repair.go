@@ -15,7 +15,7 @@ import (
 // it routes): every replica-less run of one recipe gets a second copy on
 // the rendezvous replica owner of the run's first fingerprint, read back
 // off the sealed primary, one journaled transaction per run (bounded at
-// DefaultSegmentChunks, so a huge backup replicates in bounded-memory
+// defaultSegmentChunks, so a huge backup replicates in bounded-memory
 // units). A recipe superseded mid-pass (re-backup, delete) stops
 // cleanly: the newer generation wins.
 func (e *Engine) ReplicateRecipe(ctx context.Context, r director.Recipe, members core.Membership) (RepairResult, error) {

@@ -24,8 +24,8 @@ import (
 // can force many windows.
 var restoreWindowBytes int64 = 2 << 20
 
-// RestoreStats counts what one Restore did.
-type RestoreStats struct {
+// restoreStats counts what one Restore did.
+type restoreStats struct {
 	Bytes         int64 // payload bytes written
 	Chunks        int64 // chunk payloads written, each straight out of its batch
 	ReadBatches   int64 // batched reads issued: one per node touched per window
@@ -70,7 +70,7 @@ type fetched struct {
 	byNode   map[int32]*nodeReq
 	slots    []slot
 	replicas []*rpc.ChunkBatch
-	st       RestoreStats
+	st       restoreStats
 	wg       sync.WaitGroup
 }
 
@@ -114,7 +114,7 @@ type restorer struct {
 	nodes func(id int) (Node, bool)
 	name  string
 	w     io.Writer
-	st    RestoreStats
+	st    restoreStats
 
 	mu   sync.Mutex
 	free []*fetched // written windows, ready for the next fetch
@@ -156,10 +156,10 @@ func (r *restorer) recycle(f *fetched) {
 // before Restore returns. The restored bytes are accounted to the key's
 // tenant (best effort: a failed gauge update must not fail a restore
 // that delivered every byte).
-func Restore(ctx context.Context, meta director.Metadata, nodes func(id int) (Node, bool), key string, ahead int, w io.Writer) (RestoreStats, error) {
+func Restore(ctx context.Context, meta director.Metadata, nodes func(id int) (Node, bool), key string, ahead int, w io.Writer) (restoreStats, error) {
 	recipe, err := meta.GetRecipe(ctx, key)
 	if err != nil {
-		return RestoreStats{}, err
+		return restoreStats{}, err
 	}
 	entries := recipe.Chunks
 	r := &restorer{ctx: ctx, nodes: nodes, name: recipe.Name(), w: w}
@@ -247,7 +247,7 @@ func (r *restorer) read(nr *nodeReq) {
 // of failed nodes over to their replicas.
 func (r *restorer) fetch(win window) (*fetched, error) {
 	f := r.scratch()
-	f.window, f.st, f.slots = win, RestoreStats{}, f.slots[:0]
+	f.window, f.st, f.slots = win, restoreStats{}, f.slots[:0]
 	var nr *nodeReq
 	for i, e := range win.entries {
 		if nr == nil || nr.id != e.Node {

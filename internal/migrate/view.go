@@ -11,12 +11,12 @@ import (
 	"sigmadedupe/internal/sderr"
 )
 
-// View is a router.View over node transports for one routing decision
+// view is a router.View over node transports for one routing decision
 // within one membership: bids go out through Node.Bid under the view's
 // context, a node's usage is what its bid reply reported, and the first
 // bid that fails is kept for the caller (Err) while scoring zero. Not
 // safe for concurrent use; build one per decision.
-type View struct {
+type view struct {
 	ctx     context.Context
 	members core.Membership
 	nodes   func(id int) (Node, bool)
@@ -29,20 +29,20 @@ type bid struct {
 	usage int64
 }
 
-var _ router.View = (*View)(nil)
+var _ router.View = (*view)(nil)
 
 // NewView builds a view of members whose bids run under ctx.
-func NewView(ctx context.Context, members core.Membership, nodes func(id int) (Node, bool)) *View {
-	return &View{ctx: ctx, members: members, nodes: nodes}
+func NewView(ctx context.Context, members core.Membership, nodes func(id int) (Node, bool)) *view {
+	return &view{ctx: ctx, members: members, nodes: nodes}
 }
 
 // N implements router.View.
-func (v *View) N() int { return v.members.Len() }
+func (v *view) N() int { return v.members.Len() }
 
 // Membership implements router.View.
-func (v *View) Membership() core.Membership { return v.members }
+func (v *view) Membership() core.Membership { return v.members }
 
-func (v *View) ask(id int, hp core.Handprint) (bid, error) {
+func (v *view) ask(id int, hp core.Handprint) (bid, error) {
 	nd, ok := v.nodes(id)
 	if !ok {
 		return bid{}, fmt.Errorf("bid node %d: not in the cluster: %w", id, sderr.ErrNotFound)
@@ -58,7 +58,7 @@ func (v *View) ask(id int, hp core.Handprint) (bid, error) {
 // asks every rendezvous candidate of hp at once — over a network a
 // decision then costs one round trip, not one per candidate — and the
 // router's further questions are answered from those replies.
-func (v *View) BidHandprint(id int, hp core.Handprint) int {
+func (v *view) BidHandprint(id int, hp core.Handprint) int {
 	if v.bids == nil {
 		cands := v.members.Candidates(hp, 0)
 		replies, errs := make([]bid, len(cands)), make([]error, len(cands))
@@ -91,10 +91,10 @@ func (v *View) BidHandprint(id int, hp core.Handprint) int {
 
 // BidChunks implements router.View; the transport has no chunk-sample
 // bid, and the Sigma router never asks for one.
-func (v *View) BidChunks(int, []fingerprint.Fingerprint) int { return 0 }
+func (v *view) BidChunks(int, []fingerprint.Fingerprint) int { return 0 }
 
 // Usage implements router.View.
-func (v *View) Usage(id int) int64 { return v.bids[id].usage }
+func (v *view) Usage(id int) int64 { return v.bids[id].usage }
 
 // Err returns the first bid failure, if any.
-func (v *View) Err() error { return v.err }
+func (v *view) Err() error { return v.err }

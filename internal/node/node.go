@@ -38,10 +38,6 @@ type Config struct {
 	// DisableChunkIndex turns off the traditional chunk index, leaving
 	// only similarity-index + cache dedup (approximate; Fig. 5b mode).
 	DisableChunkIndex bool
-	// DisablePrefetch turns off container-granularity cache prefetch
-	// (ablation: without locality-preserved caching every duplicate
-	// verdict falls through to the on-disk chunk index).
-	DisablePrefetch bool
 	// KeepPayloads retains chunk payloads for restore support.
 	KeepPayloads bool
 	// Dir, when set, makes the node durable: sealed containers spill to
@@ -59,7 +55,7 @@ type Config struct {
 	// CompactThreshold. Zero leaves compaction manual (Compact).
 	CompactEvery time.Duration
 	// CompactThreshold is the live-ratio floor below which a container is
-	// rewritten (default store.DefaultCompactThreshold).
+	// rewritten (default store's defaultCompactThreshold).
 	CompactThreshold float64
 }
 
@@ -70,7 +66,6 @@ func (c Config) storeConfig() store.Config {
 		CacheContainers:   c.CacheContainers,
 		ContainerCapacity: c.ContainerCapacity,
 		DisableChunkIndex: c.DisableChunkIndex,
-		DisablePrefetch:   c.DisablePrefetch,
 		KeepPayloads:      c.KeepPayloads,
 		Dir:               c.Dir,
 		ReadCacheBytes:    c.ReadCacheBytes,
@@ -81,9 +76,6 @@ func (c Config) storeConfig() store.Config {
 
 // Stats aggregates a node's deduplication counters.
 type Stats = store.Stats
-
-// StoreResult describes the outcome of storing one super-chunk.
-type StoreResult = store.Result
 
 // Node is one deduplication server. All methods are safe for concurrent
 // use by multiple backup streams.
@@ -176,7 +168,7 @@ func (n *Node) StoreMissing(stream string, sc *core.SuperChunk, hp core.Handprin
 // pass as Dedup with eager set — reporting sizes. Kept, with
 // QuerySuperChunk, for the benchmark's traced replay until that is
 // deleted (ROADMAP item 7(c)).
-func (n *Node) StoreSuperChunk(stream string, sc *core.SuperChunk) (StoreResult, error) {
+func (n *Node) StoreSuperChunk(stream string, sc *core.SuperChunk) (store.Result, error) {
 	return n.eng.StoreSuperChunk(stream, sc)
 }
 

@@ -29,9 +29,9 @@ import (
 	"sync"
 )
 
-// DefaultWorkers returns the default fingerprint-pool size: one worker
+// defaultWorkers returns the default fingerprint-pool size: one worker
 // per available CPU.
-func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
+func defaultWorkers() int { return runtime.GOMAXPROCS(0) }
 
 // Config carries the concurrency knobs of the fingerprint stage.
 type Config struct {
@@ -44,7 +44,7 @@ type Config struct {
 // WithDefaults fills zero fields with their defaults.
 func (c Config) WithDefaults() Config {
 	if c.Workers <= 0 {
-		c.Workers = DefaultWorkers()
+		c.Workers = defaultWorkers()
 	}
 	if c.Depth <= 0 {
 		c.Depth = 2 * c.Workers
@@ -52,12 +52,12 @@ func (c Config) WithDefaults() Config {
 	return c
 }
 
-// Group runs the goroutines of one pipeline with first-error semantics:
+// group runs the goroutines of one pipeline with first-error semantics:
 // the first goroutine to return a non-nil error (or an explicit Fail)
 // records the error and cancels the group; Wait blocks for all goroutines
-// and returns that first error. A zero Group is not usable; call NewGroup
+// and returns that first error. A zero Group is not usable; call newGroup
 // or NewGroupCtx.
-type Group struct {
+type group struct {
 	done chan struct{}
 	// stop is closed by the first Wait to retire the context watcher of a
 	// group that completed cleanly (done never closes on success).
@@ -69,17 +69,17 @@ type Group struct {
 	err error
 }
 
-// NewGroup returns an empty running group with no external cancellation.
-func NewGroup() *Group {
-	return &Group{done: make(chan struct{}), stop: make(chan struct{})}
+// newGroup returns an empty running group with no external cancellation.
+func newGroup() *group {
+	return &group{done: make(chan struct{}), stop: make(chan struct{})}
 }
 
 // NewGroupCtx returns a group bound to ctx: when ctx is canceled the
 // group fails with ctx.Err(), so every stage selecting on Done unblocks
 // and Wait reports the cancellation. This is how a caller's
 // context.Context reaches every goroutine of a backup pipeline.
-func NewGroupCtx(ctx context.Context) *Group {
-	g := NewGroup()
+func NewGroupCtx(ctx context.Context) *group {
+	g := newGroup()
 	if ctx != nil && ctx.Done() != nil {
 		go func() {
 			select {
@@ -95,11 +95,11 @@ func NewGroupCtx(ctx context.Context) *Group {
 
 // Done returns a channel closed when the group is cancelled. Stage loops
 // select on it so a failure anywhere unblocks every channel send/receive.
-func (g *Group) Done() <-chan struct{} { return g.done }
+func (g *group) Done() <-chan struct{} { return g.done }
 
 // Fail records err as the group error (first failure wins) and cancels
 // the group. A nil err is ignored.
-func (g *Group) Fail(err error) {
+func (g *group) Fail(err error) {
 	if err == nil {
 		return
 	}
@@ -112,7 +112,7 @@ func (g *Group) Fail(err error) {
 }
 
 // Go runs fn in a new goroutine; a non-nil return cancels the group.
-func (g *Group) Go(fn func() error) {
+func (g *group) Go(fn func() error) {
 	g.wg.Add(1)
 	go func() {
 		defer g.wg.Done()
@@ -121,7 +121,7 @@ func (g *Group) Go(fn func() error) {
 }
 
 // Err returns the group error so far (nil while healthy).
-func (g *Group) Err() error {
+func (g *group) Err() error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return g.err
@@ -129,7 +129,7 @@ func (g *Group) Err() error {
 
 // Wait blocks until every goroutine started with Go has returned, then
 // reports the first error (nil on clean completion).
-func (g *Group) Wait() error {
+func (g *group) Wait() error {
 	g.wg.Wait()
 	g.stopOnce.Do(func() { close(g.stop) })
 	return g.Err()
@@ -145,9 +145,9 @@ func (g *Group) Wait() error {
 // learns the cause from Group.Wait.
 //
 // fn must be safe for concurrent use. An fn error cancels the group.
-func Map[I, O any](g *Group, in <-chan I, workers, window int, fn func(I) (O, error)) <-chan O {
+func Map[I, O any](g *group, in <-chan I, workers, window int, fn func(I) (O, error)) <-chan O {
 	if workers <= 0 {
-		workers = DefaultWorkers()
+		workers = defaultWorkers()
 	}
 	if window < workers {
 		window = workers
@@ -230,7 +230,7 @@ func Map[I, O any](g *Group, in <-chan I, workers, window int, fn func(I) (O, er
 // the yield function it is handed. yield returns false when the group is
 // cancelled and the producer should stop. The channel is closed when gen
 // returns; a non-nil gen error cancels the group.
-func Produce[T any](g *Group, depth int, gen func(yield func(T) bool) error) <-chan T {
+func Produce[T any](g *group, depth int, gen func(yield func(T) bool) error) <-chan T {
 	if depth < 1 {
 		depth = 1
 	}

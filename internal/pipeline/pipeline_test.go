@@ -41,7 +41,7 @@ func TestGroupCtxCleanCompletion(t *testing.T) {
 }
 
 func TestMapPreservesOrder(t *testing.T) {
-	g := NewGroup()
+	g := newGroup()
 	in := Produce(g, 8, func(yield func(int) bool) error {
 		for i := 0; i < 1000; i++ {
 			if !yield(i) {
@@ -75,7 +75,7 @@ func TestMapPreservesOrder(t *testing.T) {
 }
 
 func TestMapPropagatesFirstError(t *testing.T) {
-	g := NewGroup()
+	g := newGroup()
 	boom := errors.New("boom")
 	in := Produce(g, 4, func(yield func(int) bool) error {
 		for i := 0; ; i++ { // unbounded: only cancellation stops it
@@ -100,7 +100,7 @@ func TestMapPropagatesFirstError(t *testing.T) {
 func TestMapConsumerAbandonViaFail(t *testing.T) {
 	// A consumer that stops reading mid-stream must be able to unblock the
 	// whole pipeline by failing the group.
-	g := NewGroup()
+	g := newGroup()
 	in := Produce(g, 2, func(yield func(int) bool) error {
 		for i := 0; ; i++ {
 			if !yield(i) {
@@ -124,7 +124,7 @@ func TestMapConsumerAbandonViaFail(t *testing.T) {
 }
 
 func TestProducerErrorCancels(t *testing.T) {
-	g := NewGroup()
+	g := newGroup()
 	bad := errors.New("read error")
 	in := Produce(g, 2, func(yield func(int) bool) error {
 		yield(1)
@@ -139,7 +139,7 @@ func TestProducerErrorCancels(t *testing.T) {
 }
 
 func TestMapBoundedConcurrency(t *testing.T) {
-	g := NewGroup()
+	g := newGroup()
 	in := Produce(g, 64, func(yield func(int) bool) error {
 		for i := 0; i < 200; i++ {
 			if !yield(i) {
@@ -172,7 +172,7 @@ func TestMapBoundedConcurrency(t *testing.T) {
 }
 
 func TestGroupFirstErrorWins(t *testing.T) {
-	g := NewGroup()
+	g := newGroup()
 	first := errors.New("first")
 	g.Fail(first)
 	g.Fail(errors.New("second"))

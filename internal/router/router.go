@@ -104,16 +104,16 @@ type SummaryView interface {
 	SummaryMayContain(nodeID int, hp core.Handprint) bool
 }
 
-// Assignment sends the chunks with the given indexes (nil = all chunks of
+// assignment sends the chunks with the given indexes (nil = all chunks of
 // the super-chunk) to Node.
-type Assignment struct {
+type assignment struct {
 	Node   int
 	Chunks []int
 }
 
 // Decision is a routing outcome plus its message cost.
 type Decision struct {
-	Assignments []Assignment
+	Assignments []assignment
 	// PreRoutingMsgs counts fingerprint-lookup messages exchanged to make
 	// the decision (Fig. 7's overhead metric; one message per fingerprint
 	// per contacted node, matching the paper's accounting where Σ-Dedupe's
@@ -138,13 +138,13 @@ type Decision struct {
 	// chunk-sample bids it also absorbs handprint/chunk-sample mismatch,
 	// since the summary sketches RFPs, not raw chunk fingerprints.
 	SummaryFalsePos int64
-	// Resemblance is the winner's bid — core.RouteDecision.Resemblance,
+	// Resemblance is the winner's bid — core's routeDecision.Resemblance,
 	// the representative (or, for Stateful, sampled) fingerprints it
 	// already holds — for routers that bid; zero otherwise. A zero after
 	// bids means no node resembles the super-chunk: its chunks are almost
 	// surely new, and the session sends their payloads without asking.
 	Resemblance int
-	// Second is the runner-up bidder — core.RouteDecision.Second — where
+	// Second is the runner-up bidder — core's routeDecision.Second — where
 	// an R=2 session writes the second copy; -1 when no other node bid
 	// positive or the router does not bid.
 	Second int
@@ -172,21 +172,21 @@ func New(s Scheme, k, sampleRate int) (Router, error) {
 	case Sigma:
 		return &SigmaRouter{K: k}, nil
 	case Stateless:
-		return &StatelessRouter{}, nil
+		return &statelessRouter{}, nil
 	case Stateful:
 		return &StatefulRouter{SampleRate: sampleRate}, nil
 	case ExtremeBinning:
-		return &EBRouter{}, nil
+		return &ebRouter{}, nil
 	case ChunkDHT:
-		return &DHTRouter{}, nil
+		return &dhtRouter{}, nil
 	default:
 		return nil, fmt.Errorf("router: unknown scheme %d", int(s))
 	}
 }
 
-// all is the Assignment shorthand for "whole super-chunk to one node".
+// all is the assignment shorthand for "whole super-chunk to one node".
 func all(node int) Decision {
-	return Decision{Assignments: []Assignment{{Node: node}}, Second: -1}
+	return Decision{Assignments: []assignment{{Node: node}}, Second: -1}
 }
 
 // SigmaRouter is the paper's similarity-based stateful data routing
@@ -196,9 +196,6 @@ func all(node int) Decision {
 type SigmaRouter struct {
 	// K is the handprint size (number of representative fingerprints).
 	K int
-	// IgnoreUsage disables the storage-usage discount of Algorithm 1
-	// step 3 (ablation: raw resemblance wins regardless of load).
-	IgnoreUsage bool
 	// UseSummaries routes through the view's bid summaries (when it
 	// implements SummaryView): every live node's compact summary is
 	// probed locally — summaries are tiny and replicated to the router,
@@ -260,9 +257,7 @@ func (r *SigmaRouter) Route(sc *core.SuperChunk, v View) Decision {
 		usage := make([]int64, len(cands))
 		for i, c := range cands {
 			counts[i] = v.BidHandprint(c, hp)
-			if !r.IgnoreUsage {
-				usage[i] = v.Usage(c)
-			}
+			usage[i] = v.Usage(c)
 		}
 		sel := core.SelectTarget(cands, counts, usage)
 		d := all(sel.Node)
@@ -311,10 +306,8 @@ func (r *SigmaRouter) Route(sc *core.SuperChunk, v View) Decision {
 	for i := 0; i < bidTo; i++ {
 		counts[i] = v.BidHandprint(nodes[i], hp)
 	}
-	if !r.IgnoreUsage {
-		for i := range nodes {
-			usage[i] = v.Usage(nodes[i])
-		}
+	for i := range nodes {
+		usage[i] = v.Usage(nodes[i])
 	}
 	sel := core.SelectTarget(nodes, counts, usage)
 	d := all(sel.Node)
@@ -331,20 +324,20 @@ func (r *SigmaRouter) Route(sc *core.SuperChunk, v View) Decision {
 	return d
 }
 
-// StatelessRouter is EMC's super-chunk stateless routing: a pure DHT
+// statelessRouter is EMC's super-chunk stateless routing: a pure DHT
 // placement of the whole super-chunk by its representative (minimum)
 // fingerprint. No pre-routing communication. Like the EB and ChunkDHT
 // baselines it is a fixed-cluster scheme (mod-N placement over a dense
 // 0..N-1 node set); only the Sigma scheme supports elastic membership.
-type StatelessRouter struct{}
+type statelessRouter struct{}
 
-var _ Router = (*StatelessRouter)(nil)
+var _ Router = (*statelessRouter)(nil)
 
 // Name implements Router.
-func (r *StatelessRouter) Name() string { return Stateless.String() }
+func (r *statelessRouter) Name() string { return Stateless.String() }
 
 // Route implements Router.
-func (r *StatelessRouter) Route(sc *core.SuperChunk, v View) Decision {
+func (r *statelessRouter) Route(sc *core.SuperChunk, v View) Decision {
 	return all(sc.MinFingerprint().Mod(v.N()))
 }
 
@@ -437,21 +430,21 @@ func (r *StatefulRouter) Route(sc *core.SuperChunk, v View) Decision {
 	return d
 }
 
-// EBRouter is Extreme Binning's file-level similarity routing: all chunks
+// ebRouter is Extreme Binning's file-level similarity routing: all chunks
 // of a file follow the file's minimum chunk fingerprint (its
 // representative) to one node. The cluster driver guarantees super-chunks
 // never span files when this router is active, and routes every
 // super-chunk of a file by the file-wide representative carried on the
 // super-chunk. Stateless: no pre-routing messages.
-type EBRouter struct{}
+type ebRouter struct{}
 
-var _ Router = (*EBRouter)(nil)
+var _ Router = (*ebRouter)(nil)
 
 // Name implements Router.
-func (r *EBRouter) Name() string { return ExtremeBinning.String() }
+func (r *ebRouter) Name() string { return ExtremeBinning.String() }
 
 // Route implements Router.
-func (r *EBRouter) Route(sc *core.SuperChunk, v View) Decision {
+func (r *ebRouter) Route(sc *core.SuperChunk, v View) Decision {
 	rep := sc.FileMinFP
 	if rep.IsZero() {
 		rep = sc.MinFingerprint()
@@ -459,28 +452,28 @@ func (r *EBRouter) Route(sc *core.SuperChunk, v View) Decision {
 	return all(rep.Mod(v.N()))
 }
 
-// DHTRouter is HYDRAstor-style chunk-level placement: each chunk goes to
+// dhtRouter is HYDRAstor-style chunk-level placement: each chunk goes to
 // the node its own fingerprint hashes to. Locality is destroyed but no
 // state is consulted.
-type DHTRouter struct{}
+type dhtRouter struct{}
 
-var _ Router = (*DHTRouter)(nil)
+var _ Router = (*dhtRouter)(nil)
 
 // Name implements Router.
-func (r *DHTRouter) Name() string { return ChunkDHT.String() }
+func (r *dhtRouter) Name() string { return ChunkDHT.String() }
 
 // Route implements Router.
-func (r *DHTRouter) Route(sc *core.SuperChunk, v View) Decision {
+func (r *dhtRouter) Route(sc *core.SuperChunk, v View) Decision {
 	n := v.N()
 	groups := make(map[int][]int)
 	for i, ch := range sc.Chunks {
 		node := ch.FP.Mod(n)
 		groups[node] = append(groups[node], i)
 	}
-	d := Decision{Assignments: make([]Assignment, 0, len(groups)), Second: -1}
+	d := Decision{Assignments: make([]assignment, 0, len(groups)), Second: -1}
 	for node := 0; node < n; node++ {
 		if idxs, ok := groups[node]; ok {
-			d.Assignments = append(d.Assignments, Assignment{Node: node, Chunks: idxs})
+			d.Assignments = append(d.Assignments, assignment{Node: node, Chunks: idxs})
 		}
 	}
 	return d

@@ -148,7 +148,7 @@ func TestSigmaEmptySuperChunk(t *testing.T) {
 func TestStatelessDeterministicPlacement(t *testing.T) {
 	sc := makeSC(3, 32)
 	v := &fakeView{n: 8}
-	r := &StatelessRouter{}
+	r := &statelessRouter{}
 	d1 := r.Route(sc, v)
 	d2 := r.Route(sc, v)
 	if d1.Assignments[0].Node != d2.Assignments[0].Node {
@@ -221,7 +221,7 @@ func TestEBRoutesByFileRepresentative(t *testing.T) {
 	a.FileMinFP = rep
 	b.FileMinFP = rep
 	v := &fakeView{n: 64}
-	r := &EBRouter{}
+	r := &ebRouter{}
 	da := r.Route(a, v)
 	db := r.Route(b, v)
 	if da.Assignments[0].Node != db.Assignments[0].Node {
@@ -235,7 +235,7 @@ func TestEBRoutesByFileRepresentative(t *testing.T) {
 func TestEBFallsBackWithoutFileInfo(t *testing.T) {
 	sc := makeSC(9, 16)
 	v := &fakeView{n: 8}
-	r := &EBRouter{}
+	r := &ebRouter{}
 	d := r.Route(sc, v)
 	want := sc.MinFingerprint().Mod(8)
 	if d.Assignments[0].Node != want {
@@ -246,7 +246,7 @@ func TestEBFallsBackWithoutFileInfo(t *testing.T) {
 func TestDHTSplitsAcrossNodes(t *testing.T) {
 	sc := makeSC(10, 256)
 	v := &fakeView{n: 8}
-	r := &DHTRouter{}
+	r := &dhtRouter{}
 	d := r.Route(sc, v)
 	if len(d.Assignments) < 2 {
 		t.Fatalf("DHT should scatter a 256-chunk super-chunk across nodes, got %d assignments", len(d.Assignments))

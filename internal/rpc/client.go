@@ -97,11 +97,6 @@ func (c *Client) putChanLocked(ch chan []byte) {
 // overhead accounting on the prototype path).
 func (c *Client) Calls() int64 { return c.calls.Load() }
 
-// Dial connects to a deduplication server.
-func Dial(addr string) (*Client, error) {
-	return DialContext(context.Background(), addr)
-}
-
 // DialContext connects to a deduplication server, honoring ctx for the
 // dial itself (deadline and cancellation).
 func DialContext(ctx context.Context, addr string) (*Client, error) {
@@ -159,7 +154,7 @@ func (c *Client) Close() (err error) {
 // register makes the call id pending on the live connection, dialing one
 // first if there is none, and returns the connection's store count: the
 // stores a seal covers.
-func (c *Client) register(ctx context.Context, id uint64, op Op) (*conn, chan []byte, uint64, error) {
+func (c *Client) register(ctx context.Context, id uint64, op opcode) (*conn, chan []byte, uint64, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.lost && op.seals() {
@@ -311,7 +306,7 @@ func wireTimeout(ctx context.Context) int64 {
 // length prefix, then payloads in place — returns body to the pool, and
 // waits for the reply frame the caller then owns (nil for a batched ack).
 // Cancellation abandons the wait at once.
-func (c *Client) roundTrip(ctx context.Context, id uint64, op Op, body []byte, payloads []ChunkWire) ([]byte, error) {
+func (c *Client) roundTrip(ctx context.Context, id uint64, op opcode, body []byte, payloads []ChunkWire) ([]byte, error) {
 	cn, ch, stored, err := c.register(ctx, id, op)
 	if err == nil {
 		err = c.send(ctx, cn, body, payloads)
@@ -403,7 +398,7 @@ func (c *Client) abandon(cn *conn, id uint64, ch chan []byte) {
 // Payload-heavy frames (super-chunk stores) are sent vectored: the length
 // prefix and metadata go into one small scratch buffer and the chunk
 // payloads are handed to writev in place (wire.VecWriter).
-func (c *Client) Call(ctx context.Context, req Request) (Response, error) {
+func (c *Client) Call(ctx context.Context, req Request) (response, error) {
 	req.ID, req.TimeoutMS = c.nextID.Add(1), wireTimeout(ctx)
 	var payloads []ChunkWire
 	size := requestSize(&req)
@@ -418,12 +413,12 @@ func (c *Client) Call(ctx context.Context, req Request) (Response, error) {
 	}
 	frame, err := c.roundTrip(ctx, req.ID, req.Op, body, payloads)
 	if err != nil || frame == nil {
-		return Response{ID: req.ID}, err
+		return response{ID: req.ID}, err
 	}
 	resp, err := decodeResponse(frame)
 	if err != nil {
 		wire.PutBuf(frame)
-		return Response{}, err
+		return response{}, err
 	}
 	if payloadSize(resp.Chunks) > 0 {
 		// Restore payloads are consumed as zero-copy aliases of the receive
@@ -442,7 +437,7 @@ func (c *Client) Call(ctx context.Context, req Request) (Response, error) {
 // Bid sends a handprint and returns the node's similarity match count and
 // storage usage (Algorithm 1 step 2).
 func (c *Client) Bid(ctx context.Context, hp core.Handprint) (count int, usage int64, err error) {
-	resp, err := c.Call(ctx, Request{Op: OpBid, Handprint: hp})
+	resp, err := c.Call(ctx, Request{Op: opBid, Handprint: hp})
 	if err != nil {
 		return 0, 0, err
 	}
@@ -451,9 +446,9 @@ func (c *Client) Bid(ctx context.Context, hp core.Handprint) (count int, usage i
 
 // Query performs the batched duplicate check for a super-chunk, taking
 // no reference. Kept with Store for the benchmark's traced replay (see
-// OpQuery); ingest stores through Dedup.
+// opQuery); ingest stores through Dedup.
 func (c *Client) Query(ctx context.Context, sc *core.SuperChunk) ([]bool, error) {
-	resp, err := c.Call(ctx, Request{Op: OpQuery, Chunks: superChunkToWire(sc, false)})
+	resp, err := c.Call(ctx, Request{Op: opQuery, Chunks: superChunkToWire(sc, false)})
 	if err != nil {
 		return nil, err
 	}
@@ -462,7 +457,7 @@ func (c *Client) Query(ctx context.Context, sc *core.SuperChunk) ([]bool, error)
 
 // Dedup stores a routed super-chunk on the node, fingerprints first: an
 // OpDedup round trip gives every chunk the node holds its reference and
-// reports the rest, then one OpDedupMissing round trip carries the
+// reports the rest, then one opDedupMissing round trip carries the
 // payloads of exactly those — none when the node holds everything. With
 // eager set the payloads ride in the first call and the second never
 // happens (unless a chunk has no payload to send). hp is the router's
@@ -498,7 +493,7 @@ func (c *Client) Dedup(ctx context.Context, stream string, sc *core.SuperChunk, 
 	if len(missing) == 0 {
 		return fresh, nil
 	}
-	resp, err = c.Call(ctx, Request{Op: OpDedupMissing, Stream: stream, Handprint: hp, Chunks: missing})
+	resp, err = c.Call(ctx, Request{Op: opDedupMissing, Stream: stream, Handprint: hp, Chunks: missing})
 	if err != nil {
 		// Everything but the missing chunks holds its reference from the
 		// first call; of those, the ones the failed reply names.
@@ -515,9 +510,9 @@ func (c *Client) Dedup(ctx context.Context, stream string, sc *core.SuperChunk, 
 // persist) to the target node. Kept with Query for the benchmark's traced
 // replay.
 func (c *Client) Store(ctx context.Context, stream string, sc *core.SuperChunk, withData bool) error {
-	op := OpStoreRefs
+	op := opStoreRefs
 	if withData {
-		op = OpStore
+		op = opStore
 	}
 	_, err := c.Call(ctx, Request{Op: op, Stream: stream, Chunks: superChunkToWire(sc, withData)})
 	return err
@@ -550,7 +545,7 @@ func (b *ChunkBatch) Release() {
 // The caller bounds total batch bytes well below the frame limit (the
 // restore scheduler windows by recipe sizes).
 func (c *Client) ReadBatch(ctx context.Context, fps []fingerprint.Fingerprint) (*ChunkBatch, error) {
-	resp, err := c.Call(ctx, Request{Op: OpReadBatch, Chunks: fpsToWire(fps)})
+	resp, err := c.Call(ctx, Request{Op: opReadBatch, Chunks: fpsToWire(fps)})
 	if err != nil {
 		resp.ReleaseFrame()
 		return nil, err
@@ -578,14 +573,14 @@ func (c *Client) ReadBatch(ctx context.Context, fps []fingerprint.Fingerprint) (
 
 // Flush seals the server's open containers.
 func (c *Client) Flush(ctx context.Context) error {
-	_, err := c.Call(ctx, Request{Op: OpFlush})
+	_, err := c.Call(ctx, Request{Op: opFlush})
 	return err
 }
 
 // DecRef releases backup references on the server's chunks: fps[i] loses
 // ns[i] references (one batch per node of a deleted backup's recipe).
 func (c *Client) DecRef(ctx context.Context, fps []fingerprint.Fingerprint, ns []int64) error {
-	_, err := c.Call(ctx, Request{Op: OpDecRef, Chunks: fpsToWire(fps), Counts: ns})
+	_, err := c.Call(ctx, Request{Op: opDecRef, Chunks: fpsToWire(fps), Counts: ns})
 	return err
 }
 
@@ -593,7 +588,7 @@ func (c *Client) DecRef(ctx context.Context, fps []fingerprint.Fingerprint, ns [
 // source side of a super-chunk migration. The response carries one
 // payload per requested fingerprint, in order.
 func (c *Client) MigrateRead(ctx context.Context, fps []fingerprint.Fingerprint) ([][]byte, error) {
-	resp, err := c.Call(ctx, Request{Op: OpMigrateRead, Chunks: fpsToWire(fps)})
+	resp, err := c.Call(ctx, Request{Op: opMigrateRead, Chunks: fpsToWire(fps)})
 	defer resp.ReleaseFrame()
 	if err != nil {
 		return nil, err
@@ -613,14 +608,14 @@ func (c *Client) MigrateRead(ctx context.Context, fps []fingerprint.Fingerprint)
 // commit that must land before the recipe repoints at the node.
 // Concurrent backup streams' open containers are left undisturbed.
 func (c *Client) MigrateCommit(ctx context.Context, stream string) error {
-	_, err := c.Call(ctx, Request{Op: OpMigrateCommit, Stream: stream})
+	_, err := c.Call(ctx, Request{Op: opMigrateCommit, Stream: stream})
 	return err
 }
 
 // RefCounts fetches the node's current reference count for each chunk
 // fingerprint (migration recovery's reconciliation probe).
 func (c *Client) RefCounts(ctx context.Context, fps []fingerprint.Fingerprint) ([]int64, error) {
-	resp, err := c.Call(ctx, Request{Op: OpRefCounts, Chunks: fpsToWire(fps)})
+	resp, err := c.Call(ctx, Request{Op: opRefCounts, Chunks: fpsToWire(fps)})
 	if err != nil {
 		return nil, err
 	}
@@ -633,7 +628,7 @@ func (c *Client) RefCounts(ctx context.Context, fps []fingerprint.Fingerprint) (
 // Compact runs one compaction scan on the server (≤0 threshold selects
 // the server's configured live-ratio floor).
 func (c *Client) Compact(ctx context.Context, threshold float64) (store.CompactResult, error) {
-	resp, err := c.Call(ctx, Request{Op: OpCompact, Threshold: threshold})
+	resp, err := c.Call(ctx, Request{Op: opCompact, Threshold: threshold})
 	if err != nil {
 		return store.CompactResult{}, err
 	}
@@ -643,7 +638,7 @@ func (c *Client) Compact(ctx context.Context, threshold float64) (store.CompactR
 // GCStats fetches the server's deletion/compaction counters and storage
 // usage.
 func (c *Client) GCStats(ctx context.Context) (store.GCStats, int64, error) {
-	resp, err := c.Call(ctx, Request{Op: OpGCStats})
+	resp, err := c.Call(ctx, Request{Op: opGCStats})
 	if err != nil {
 		return store.GCStats{}, 0, err
 	}
@@ -652,7 +647,7 @@ func (c *Client) GCStats(ctx context.Context) (store.GCStats, int64, error) {
 
 // Stats fetches node statistics and storage usage.
 func (c *Client) Stats(ctx context.Context) (node.Stats, int64, error) {
-	resp, err := c.Call(ctx, Request{Op: OpStats})
+	resp, err := c.Call(ctx, Request{Op: opStats})
 	if err != nil {
 		return node.Stats{}, 0, err
 	}

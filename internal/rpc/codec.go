@@ -44,7 +44,7 @@ func writeVectored(v *wire.VecWriter, conn io.Writer, head []byte, chunks []Chun
 
 // appendRequestHeader encodes the header every request frame starts
 // with, node or director: kind | ID | op | timeoutMS.
-func appendRequestHeader(b []byte, id uint64, op Op, timeoutMS int64) []byte {
+func appendRequestHeader(b []byte, id uint64, op opcode, timeoutMS int64) []byte {
 	b = wire.AppendU8(b, frameRequest)
 	b = wire.AppendU64(b, id)
 	b = wire.AppendU8(b, byte(op))
@@ -52,11 +52,11 @@ func appendRequestHeader(b []byte, id uint64, op Op, timeoutMS int64) []byte {
 }
 
 // decodeRequestHeader reads that header.
-func decodeRequestHeader(r *wire.Reader) (id uint64, op Op, timeoutMS int64, err error) {
+func decodeRequestHeader(r *wire.Reader) (id uint64, op opcode, timeoutMS int64, err error) {
 	if k := r.U8(); k != frameRequest {
 		return 0, 0, 0, fmt.Errorf("%w: request frame kind %d", wire.ErrMalformed, k)
 	}
-	return r.U64(), Op(r.U8()), r.I64(), r.Err()
+	return r.U64(), opcode(r.U8()), r.I64(), r.Err()
 }
 
 // appendResponseHeader encodes the header every response frame starts
@@ -70,7 +70,7 @@ func appendResponseHeader(b []byte, id uint64, err string) []byte {
 // ackEligible reports whether op's successful response carries no data
 // beyond the ID, making it safe to acknowledge via a batched-ack frame:
 // every store but OpDedup (its reply carries verdicts), and the seals.
-func ackEligible(op Op) bool { return op.stores() && op != OpDedup || op.seals() }
+func ackEligible(op opcode) bool { return op.stores() && op != OpDedup || op.seals() }
 
 // requestSize returns a capacity hint for encoding req.
 func requestSize(req *Request) int {
@@ -136,28 +136,15 @@ func decodeRequest(body []byte) (Request, error) {
 	return req, nil
 }
 
-// responseSize returns a capacity hint for encoding resp.
-func responseSize(resp *Response) int {
-	n := 1 + 8 + // kind, ID
-		4 + len(resp.Err) +
-		8 + 8 + // Count, Usage
-		4 + len(resp.Dup) +
-		4 + len(resp.Counts)*8 +
-		4 + len(resp.Chunks)*(fingerprint.Size+8) +
-		8*8 + 9*8 + 4 + len(resp.GC.LastCompactErr) + 6*8 + // Stats, GC, Compacted
-		4 + len(resp.Idx)*4
-	return n + payloadSize(resp.Chunks)
-}
-
 // appendResponse encodes resp (kind byte included) onto b: head ‖
 // payloads ‖ tail, the pieces a vectored reply sends without joining them.
-func appendResponse(b []byte, resp *Response) []byte {
+func appendResponse(b []byte, resp *response) []byte {
 	b = appendPayloads(appendResponseHead(b, resp), resp.Chunks)
 	return appendResponseTail(b, resp)
 }
 
 // appendResponseHead encodes resp up to and including the chunk headers.
-func appendResponseHead(b []byte, resp *Response) []byte {
+func appendResponseHead(b []byte, resp *response) []byte {
 	b = appendResponseHeader(b, resp.ID, resp.Err)
 	b = wire.AppendI64(b, int64(resp.Count))
 	b = wire.AppendI64(b, resp.Usage)
@@ -167,7 +154,7 @@ func appendResponseHead(b []byte, resp *Response) []byte {
 }
 
 // appendResponseTail encodes what follows the chunk payloads: Stats … Idx.
-func appendResponseTail(b []byte, resp *Response) []byte {
+func appendResponseTail(b []byte, resp *response) []byte {
 	b = wire.AppendI64(b, resp.Stats.LogicalBytes)
 	b = wire.AppendI64(b, resp.Stats.PhysicalBytes)
 	b = wire.AppendI64(b, resp.Stats.LogicalChunks)
@@ -208,12 +195,12 @@ func replyOK(frame []byte) bool {
 
 // decodeResponse decodes a response frame body. Chunk payloads ALIAS
 // body; the client copies them before releasing the frame.
-func decodeResponse(body []byte) (Response, error) {
+func decodeResponse(body []byte) (response, error) {
 	r := wire.NewReader(body)
 	if k := r.U8(); k != frameResponse {
-		return Response{}, fmt.Errorf("%w: response frame kind %d", wire.ErrMalformed, k)
+		return response{}, fmt.Errorf("%w: response frame kind %d", wire.ErrMalformed, k)
 	}
-	var resp Response
+	var resp response
 	resp.ID = r.U64()
 	resp.Err = r.String()
 	resp.Count = int(r.I64())
@@ -253,7 +240,7 @@ func decodeResponse(body []byte) (Response, error) {
 	}
 	resp.Idx = decodeList(r, 4, r.U32)
 	if err := r.Done(); err != nil {
-		return Response{}, fmt.Errorf("rpc: decode response: %w", err)
+		return response{}, fmt.Errorf("rpc: decode response: %w", err)
 	}
 	return resp, nil
 }
@@ -262,7 +249,7 @@ func decodeResponse(body []byte) (Response, error) {
 // ownership of (payload-carrying responses on the client side) — callers
 // that alias Chunks' Data must invoke it exactly once, after the data has
 // been consumed or copied. A no-op on responses without a frame.
-func (r *Response) ReleaseFrame() {
+func (r *response) ReleaseFrame() {
 	if r.frame != nil {
 		wire.PutBuf(r.frame)
 		r.frame = nil

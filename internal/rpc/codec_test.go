@@ -23,7 +23,7 @@ func testFP(seed byte) fingerprint.Fingerprint {
 func sampleRequest() Request {
 	return Request{
 		ID:        42,
-		Op:        OpStore,
+		Op:        opStore,
 		Stream:    "client-a/backup-7",
 		Handprint: []fingerprint.Fingerprint{testFP(1), testFP(2), testFP(3)},
 		Chunks: []ChunkWire{
@@ -37,8 +37,8 @@ func sampleRequest() Request {
 	}
 }
 
-func sampleResponse() Response {
-	return Response{
+func sampleResponse() response {
+	return response{
 		ID:     42,
 		Err:    "node 3: not found",
 		Count:  17,
@@ -104,9 +104,6 @@ func TestRequestRoundTrip(t *testing.T) {
 func TestResponseRoundTrip(t *testing.T) {
 	resp := sampleResponse()
 	enc := appendResponse(nil, &resp)
-	if want := responseSize(&resp); len(enc) != want {
-		t.Errorf("responseSize hint %d, encoded %d bytes", want, len(enc))
-	}
 	got, err := decodeResponse(enc)
 	if err != nil {
 		t.Fatal(err)
@@ -139,7 +136,7 @@ func TestAcksRoundTrip(t *testing.T) {
 
 // vectoredResponse is a reply's encoding as the vectored sender lays it
 // out: head, then each payload, then tail.
-func vectoredResponse(resp *Response) []byte {
+func vectoredResponse(resp *response) []byte {
 	b := appendResponseHead(nil, resp)
 	for i := range resp.Chunks {
 		b = append(b, resp.Chunks[i].Data...)
@@ -149,8 +146,8 @@ func vectoredResponse(resp *Response) []byte {
 
 // payloadReply is a payload-heavy ReadBatch reply: n chunks of size
 // bytes each, tagged in reverse request order.
-func payloadReply(n, size int) Response {
-	resp := Response{ID: 77, Chunks: make([]ChunkWire, n), Idx: make([]uint32, n)}
+func payloadReply(n, size int) response {
+	resp := response{ID: 77, Chunks: make([]ChunkWire, n), Idx: make([]uint32, n)}
 	for i := range resp.Chunks {
 		data := bytes.Repeat([]byte{byte(i)}, size)
 		resp.Chunks[i] = ChunkWire{FP: testFP(byte(i)), Size: int32(size), Data: data}
@@ -167,7 +164,7 @@ func payloadReply(n, size int) Response {
 func TestVectoredEncodingInvariant(t *testing.T) {
 	errored := sampleResponse()
 	errored.Chunks = nil
-	resps := []Response{
+	resps := []response{
 		payloadReply(40, 4096),
 		sampleResponse(),
 		{ID: 3, Stats: sampleResponse().Stats, Usage: 5},
@@ -181,8 +178,8 @@ func TestVectoredEncodingInvariant(t *testing.T) {
 
 	reqs := []Request{
 		sampleRequest(),
-		{ID: 1, Op: OpFlush},
-		{ID: 2, Op: OpQuery, Chunks: []ChunkWire{{FP: testFP(9), Size: 8}}},
+		{ID: 1, Op: opFlush},
+		{ID: 2, Op: opQuery, Chunks: []ChunkWire{{FP: testFP(9), Size: 8}}},
 	}
 	for i, req := range reqs {
 		inline := appendRequest(nil, &req)
@@ -237,7 +234,7 @@ func FuzzFrame(f *testing.F) {
 	f.Add(appendResponse(nil, &reply))
 	f.Add(appendAcks(nil, []uint64{1, 2, 3}))
 	f.Add(appendAcks(nil, nil))
-	empty := Request{ID: 9, Op: OpStats}
+	empty := Request{ID: 9, Op: opStats}
 	f.Add(appendRequest(nil, &empty))
 	f.Add([]byte{})
 	f.Add([]byte{frameRequest})
@@ -356,8 +353,8 @@ func BenchmarkCodecDecodeRequest(b *testing.B) {
 
 func BenchmarkCodecEncodeResponse(b *testing.B) {
 	resp := sampleResponse()
-	buf := make([]byte, 0, responseSize(&resp))
-	b.SetBytes(int64(responseSize(&resp)))
+	buf := appendResponse(nil, &resp)
+	b.SetBytes(int64(len(buf)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -28,14 +28,14 @@ func dedupRequest() Request {
 	}
 }
 
-func dedupReply() Response { return Response{ID: 43, Dup: []bool{true, false, true}} }
+func dedupReply() response { return response{ID: 43, Dup: []bool{true, false, true}} }
 
 // dedupMissingRequest is the second round trip: the payload of the chunk
 // the reply calls missing.
 func dedupMissingRequest() Request {
 	return Request{
 		ID:        44,
-		Op:        OpDedupMissing,
+		Op:        opDedupMissing,
 		Stream:    "client-a/backup-7",
 		Handprint: []fingerprint.Fingerprint{testFP(1), testFP(2)},
 		Chunks:    []ChunkWire{{FP: testFP(2), Size: 9, Data: []byte("new chunk")}},
@@ -61,8 +61,8 @@ func TestDedupFrameGolden(t *testing.T) {
 			t.Errorf("%s: encoding digest %s, want %s (wire format changed)", tc.name, got, tc.want)
 		}
 	}
-	if OpDedup != 16 || OpDedupMissing != 17 {
-		t.Fatalf("op numbers %d, %d: want 16, 17", OpDedup, OpDedupMissing)
+	if OpDedup != 16 || opDedupMissing != 17 {
+		t.Fatalf("op numbers %d, %d: want 16, 17", OpDedup, opDedupMissing)
 	}
 }
 

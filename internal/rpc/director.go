@@ -31,7 +31,7 @@ var (
 // numbered from 32, apart from the node's, so a verb sent to the wrong
 // kind of server is answered "unknown op"; a number, once given, stays.
 type dirVerb[A, R any] struct {
-	op     Op
+	op     opcode
 	args   func(*coder, *A)
 	result func(*coder, *R)
 	run    func(*director.Director, context.Context, A) (R, error)
@@ -43,10 +43,10 @@ type dirHandler interface {
 }
 
 // dirVerbs finds a verb's server half by op.
-var dirVerbs = map[Op]dirHandler{}
+var dirVerbs = map[opcode]dirHandler{}
 
 // verb declares a director op and registers its server half.
-func verb[A, R any](op Op, args func(*coder, *A), result func(*coder, *R), run func(*director.Director, context.Context, A) (R, error)) dirVerb[A, R] {
+func verb[A, R any](op opcode, args func(*coder, *A), result func(*coder, *R), run func(*director.Director, context.Context, A) (R, error)) dirVerb[A, R] {
 	v := dirVerb[A, R]{op, args, result, run}
 	dirVerbs[op] = v
 	return v

@@ -133,7 +133,7 @@ func TestServerCloseUnblocksClient(t *testing.T) {
 
 func TestMultipleClients(t *testing.T) {
 	srv, c1 := startServer(t, node.Config{})
-	c2, err := Dial(srv.Addr())
+	c2, err := DialContext(context.Background(), srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestSeverMidWindowFailsAllInflightCalls(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close() })
-	c, err := Dial(srv.Addr())
+	c, err := DialContext(context.Background(), srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +251,7 @@ func TestCancelMidWindowAbortsInflightCalls(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close() })
-	c, err := Dial(srv.Addr())
+	c, err := DialContext(context.Background(), srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +310,7 @@ func TestWireDeadlinePropagatesToServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close() })
-	c, err := Dial(srv.Addr())
+	c, err := DialContext(context.Background(), srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,14 +377,14 @@ func TestTornSendClosesConnection(t *testing.T) {
 					}
 					req, err := decodeRequest(body)
 					wire.PutBuf(body)
-					if err != nil || wire.WriteFrame(nc, appendResponse(nil, &Response{ID: req.ID})) != nil {
+					if err != nil || wire.WriteFrame(nc, appendResponse(nil, &response{ID: req.ID})) != nil {
 						return
 					}
 				}
 			}()
 		}
 	}()
-	c, err := Dial(ln.Addr().String())
+	c, err := DialContext(context.Background(), ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,7 +399,7 @@ func TestTornSendClosesConnection(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := c.Call(ctx, Request{Op: OpDedupMissing, Chunks: []ChunkWire{{Size: 1 << 20, Data: payload}}}); err == nil {
+			if _, err := c.Call(ctx, Request{Op: opDedupMissing, Chunks: []ChunkWire{{Size: 1 << 20, Data: payload}}}); err == nil {
 				t.Error("a call to a peer that never answers succeeded")
 			}
 		}()

@@ -345,7 +345,7 @@ func (w *respWriter) drainAcksLocked() {
 // container.Manager.ReadChunks handed out — manager-owned memory that is
 // never modified once readable, and kept alive by these references even
 // when a compaction retires its container — so writev reads them in place.
-func (w *respWriter) sendResponse(resp *Response) {
+func (w *respWriter) sendResponse(resp *response) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.beginLocked()
@@ -421,31 +421,31 @@ func (s *Server) die() {
 // handle dispatches one request against the node under ctx: a call whose
 // context is already dead (severed connection, expired wire deadline) is
 // answered with the context error instead of doing the work.
-func (s *Server) handle(ctx context.Context, req Request) Response {
-	resp := Response{ID: req.ID}
+func (s *Server) handle(ctx context.Context, req Request) response {
+	resp := response{ID: req.ID}
 	if err := ctx.Err(); err != nil {
 		resp.Err = sderr.Encode(err)
 		return resp
 	}
 	switch req.Op {
-	case OpBid:
+	case opBid:
 		resp.Count = s.node.CountHandprintMatches(core.Handprint(req.Handprint))
 		resp.Usage = s.node.StorageUsage()
 
-	// OpQuery and OpStore serve the benchmark's traced replay
+	// opQuery and opStore serve the benchmark's traced replay
 	// (Client.Query, Client.Store) until ROADMAP item 7(c) deletes it; a
 	// store is the eager one-pass dedup with the node's own handprint.
-	case OpQuery:
+	case opQuery:
 		sc := wireToSuperChunk(req.Chunks)
 		resp.Dup = s.node.QuerySuperChunk(sc)
 
-	case OpStore, OpStoreRefs:
+	case opStore, opStoreRefs:
 		sc := wireToSuperChunk(req.Chunks)
 		if _, err := s.node.Dedup(req.Stream, sc, nil, true); err != nil {
 			resp.Err = sderr.Encode(err)
 		}
 
-	case OpDedup, OpDedupMissing:
+	case OpDedup, opDedupMissing:
 		sc := wireToSuperChunk(req.Chunks)
 		hp := core.Handprint(req.Handprint) // nil when empty: the node computes its own
 		var fresh []bool
@@ -465,7 +465,7 @@ func (s *Server) handle(ctx context.Context, req Request) Response {
 			}
 		}
 
-	case OpMigrateRead:
+	case opMigrateRead:
 		for _, ch := range req.Chunks {
 			data, err := s.node.ReadChunk(ch.FP)
 			if err != nil {
@@ -475,7 +475,7 @@ func (s *Server) handle(ctx context.Context, req Request) Response {
 			resp.Chunks = append(resp.Chunks, ChunkWire{FP: ch.FP, Size: int32(len(data)), Data: data})
 		}
 
-	case OpReadBatch:
+	case opReadBatch:
 		// Batched restore: one container-aware sweep instead of a read per
 		// fingerprint. Payloads come back in the node's container read
 		// order; Idx tags each with its request position. The payloads
@@ -493,36 +493,36 @@ func (s *Server) handle(ctx context.Context, req Request) Response {
 			resp.Idx[i] = uint32(idxs[i])
 		}
 
-	case OpFlush:
+	case opFlush:
 		if err := s.node.Flush(); err != nil {
 			resp.Err = sderr.Encode(err)
 		}
 
-	case OpMigrateCommit:
+	case opMigrateCommit:
 		if err := s.node.SealStream(req.Stream); err != nil {
 			resp.Err = sderr.Encode(err)
 		}
 
-	case OpRefCounts:
+	case opRefCounts:
 		resp.Counts = s.node.RefCounts(wireFPs(req.Chunks))
 
-	case OpStats:
+	case opStats:
 		resp.Stats = s.node.Stats()
 		resp.Usage = s.node.StorageUsage()
 
-	case OpDecRef:
+	case opDecRef:
 		if err := s.node.DecRef(wireFPs(req.Chunks), req.Counts); err != nil {
 			resp.Err = sderr.Encode(err)
 		}
 
-	case OpCompact:
+	case opCompact:
 		res, err := s.node.Compact(ctx, req.Threshold)
 		if err != nil {
 			resp.Err = sderr.Encode(err)
 		}
 		resp.Compacted = res
 
-	case OpGCStats:
+	case opGCStats:
 		resp.GC = s.node.GCStats()
 		resp.Usage = s.node.StorageUsage()
 

@@ -41,7 +41,7 @@ func startServerAt(t testing.TB, network string, cfg node.Config) (*Server, *Cli
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close() })
-	c, err := Dial(srv.Addr())
+	c, err := DialContext(context.Background(), srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestMigrateReadErroredReplyShipsNoPayloads(t *testing.T) {
 	if _, err := wire.ReadHandshake(conn, wire.ProtoNode); err != nil {
 		t.Fatal(err)
 	}
-	req := Request{ID: 1, Op: OpMigrateRead, Chunks: make([]ChunkWire, len(fps))}
+	req := Request{ID: 1, Op: opMigrateRead, Chunks: make([]ChunkWire, len(fps))}
 	for i, fp := range fps {
 		req.Chunks[i].FP = fp
 	}
@@ -303,7 +303,7 @@ func severingProxy(t *testing.T, server string, budget int64) string {
 func TestVectoredReplyWriteErrorSeversConnection(t *testing.T) {
 	const calls, replyBytes = 8, 1 << 20
 	run := func(t *testing.T, srv *Server, dialAddr string) {
-		seed, err := Dial(srv.Addr())
+		seed, err := DialContext(context.Background(), srv.Addr())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -312,7 +312,7 @@ func TestVectoredReplyWriteErrorSeversConnection(t *testing.T) {
 		seed.Close()
 		fps, want := fpsOf(sc)
 
-		c, err := Dial(dialAddr)
+		c, err := DialContext(context.Background(), dialAddr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -442,7 +442,7 @@ func TestRestoreAliasingUnderAppendAndCompact(t *testing.T) {
 			stop := make(chan struct{})
 			var bg sync.WaitGroup
 			background := func(f func(c *Client, round int64) error) {
-				bc, err := Dial(srv.Addr())
+				bc, err := DialContext(context.Background(), srv.Addr())
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -5,7 +5,7 @@
 // protocol (node and director verbs alike).
 //
 // Internal packages wrap these sentinels (container.ErrNotFound wraps
-// ErrNotFound, store.ErrChunkVanished wraps ErrChunkVanished, ...), the
+// ErrNotFound, store's errChunkVanished wraps ErrChunkVanished, ...), the
 // public sigmadedupe package re-exports them, and the RPC layers encode
 // with Encode and rehydrate with Decode, so errors.Is/As hold across
 // process boundaries: a restore of a missing chunk on a remote node

@@ -26,9 +26,9 @@ import (
 	"sigmadedupe/internal/fingerprint"
 )
 
-// EntryBytes is the paper's accounting figure for one index entry
+// entryBytes is the paper's accounting figure for one index entry
 // (fingerprint + container ID + overhead), used in RAM-usage estimates.
-const EntryBytes = 40
+const entryBytes = 40
 
 // Index is a striped-lock similarity index. The zero value is not usable;
 // construct with New.
@@ -195,7 +195,7 @@ func (x *Index) Len() int {
 }
 
 // SizeBytes estimates RAM usage at the paper's 40-bytes-per-entry rate.
-func (x *Index) SizeBytes() int64 { return int64(x.Len()) * EntryBytes }
+func (x *Index) SizeBytes() int64 { return int64(x.Len()) * entryBytes }
 
 // Stats reports cumulative lookup and hit counters.
 func (x *Index) Stats() (lookups, hits uint64) {

@@ -119,8 +119,8 @@ func TestSizeBytes(t *testing.T) {
 	for i, fp := range randFPs(4, 25) {
 		x.Insert(fp, uint64(i))
 	}
-	if got := x.SizeBytes(); got != 25*EntryBytes {
-		t.Fatalf("SizeBytes = %d, want %d", got, 25*EntryBytes)
+	if got := x.SizeBytes(); got != 25*entryBytes {
+		t.Fatalf("SizeBytes = %d, want %d", got, 25*entryBytes)
 	}
 }
 

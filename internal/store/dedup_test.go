@@ -341,7 +341,7 @@ func TestDedupTwoCallSixteenStreams(t *testing.T) {
 // TestDedupVerdicts pins the contract of one pass: held chunks gain a
 // reference and report not fresh; a payload-less chunk the engine lacks
 // is reported missing and left alone unless the pass is eager, where it
-// fails with ErrChunkVanished; StoreMissing delivers what was missing
+// fails with errChunkVanished; StoreMissing delivers what was missing
 // without presenting the super-chunk again.
 func TestDedupVerdicts(t *testing.T) {
 	e, err := New(Config{KeepPayloads: true})
@@ -371,7 +371,7 @@ func TestDedupVerdicts(t *testing.T) {
 			t.Fatalf("chunk %d holds %d references, want %d", i, got, want)
 		}
 	}
-	if _, err := e.Dedup("s", fingerprintsOnly(added), nil, true); !errors.Is(err, ErrChunkVanished) {
+	if _, err := e.Dedup("s", fingerprintsOnly(added), nil, true); !errors.Is(err, errChunkVanished) {
 		t.Fatalf("eager payload-less new chunk: %v, want ErrChunkVanished", err)
 	}
 	if _, err := e.StoreMissing("s", cloneSC(added), sc.Handprint(e.Config().HandprintSize)); err != nil {
@@ -434,7 +434,7 @@ func TestDedupRefusesMalformedHandprint(t *testing.T) {
 	defer e.Close()
 	sc := makeSC(rand.New(rand.NewSource(65)), 4, true)
 	hp := sc.Handprint(4)
-	long := make(core.Handprint, MaxHandprint+1)
+	long := make(core.Handprint, maxHandprint+1)
 	for i := range long {
 		long[i][0], long[i][1] = byte(i>>8), byte(i)
 	}

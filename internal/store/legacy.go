@@ -29,7 +29,7 @@ type legacyRecord struct {
 }
 
 // legacyManifestLine converts one JSON manifest line into the body of the
-// equivalent record (a wire.LegacyLine). A missing count is 1, as the JSON
+// equivalent record (a wire legacyLine). A missing count is 1, as the JSON
 // replay read it; an rfp record whose lists disagree in length converts to
 // nothing, as the JSON replay skipped it.
 func legacyManifestLine(b, line []byte) ([]byte, error) {

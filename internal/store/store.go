@@ -61,19 +61,19 @@ func lockStripes() int {
 	return 1 << bits.Len(uint(stripesPerProc*runtime.GOMAXPROCS(0)-1))
 }
 
-// DefaultCompactThreshold is the live-ratio floor below which the
+// defaultCompactThreshold is the live-ratio floor below which the
 // compactor rewrites a sealed container: at 0.5, a container is rewritten
 // once more than half of its payload bytes are dead.
-const DefaultCompactThreshold = 0.5
+const defaultCompactThreshold = 0.5
 
-// ErrChunkVanished reports an eager store (StoreSuperChunk, StoreMissing,
+// errChunkVanished reports an eager store (StoreSuperChunk, StoreMissing,
 // Dedup with eager set) of a brand-new chunk without its payload on a
 // payload-keeping engine: a caller's QuerySuperChunk verdict raced a
 // deletion+compaction that collected the chunk in between. The store
 // fails cleanly instead of storing an unrestorable chunk. Dedup's
 // fingerprint-first pass cannot lose this race — its verdict is the
 // reference. Wraps sderr.ErrChunkVanished.
-var ErrChunkVanished = fmt.Errorf("store: %w", sderr.ErrChunkVanished)
+var errChunkVanished = fmt.Errorf("store: %w", sderr.ErrChunkVanished)
 
 // Config parameterizes a storage engine.
 type Config struct {
@@ -89,8 +89,6 @@ type Config struct {
 	// DisableChunkIndex turns off the traditional chunk index, leaving
 	// only similarity-index + cache dedup (approximate; Fig. 5b mode).
 	DisableChunkIndex bool
-	// DisablePrefetch turns off container-granularity cache prefetch.
-	DisablePrefetch bool
 	// KeepPayloads retains chunk payloads for restore support.
 	KeepPayloads bool
 	// Dir, when set, makes the engine durable: sealed containers are
@@ -106,7 +104,7 @@ type Config struct {
 	// (Compact).
 	CompactEvery time.Duration
 	// CompactThreshold is the live-ratio floor below which a sealed
-	// container is rewritten (default DefaultCompactThreshold).
+	// container is rewritten (default defaultCompactThreshold).
 	CompactThreshold float64
 }
 
@@ -124,7 +122,7 @@ func (c Config) withDefaults() Config {
 		c.ReadCacheBytes = container.DefaultReadCacheBytes
 	}
 	if c.CompactThreshold <= 0 || c.CompactThreshold >= 1 {
-		c.CompactThreshold = DefaultCompactThreshold
+		c.CompactThreshold = defaultCompactThreshold
 	}
 	return c
 }
@@ -374,9 +372,6 @@ func (e *Engine) shardFor(fp fingerprint.Fingerprint) *shard {
 // prefetch pulls the fingerprint sets of the named containers into the
 // chunk-fingerprint cache.
 func (e *Engine) prefetch(cids []uint64) {
-	if e.cfg.DisablePrefetch {
-		return
-	}
 	for _, cid := range cids {
 		// A refresh copies only what was appended since the cached copy:
 		// an open container keeps growing (read from RAM, free), and one
@@ -404,18 +399,18 @@ func (e *Engine) prefetch(cids []uint64) {
 	}
 }
 
-// MaxHandprint bounds the handprint a caller may hand Dedup and
+// maxHandprint bounds the handprint a caller may hand Dedup and
 // StoreMissing — far above any k the system configures (the sensitivity
 // study stops at 32), small enough that a hostile request cannot make the
 // node index an unbounded list.
-const MaxHandprint = 256
+const maxHandprint = 256
 
-// validHandprint checks a caller-supplied handprint: at most MaxHandprint
+// validHandprint checks a caller-supplied handprint: at most maxHandprint
 // fingerprints in strictly ascending order, which the pass's prefix
 // filter and binary search rely on. Wraps sderr.ErrMalformed.
 func validHandprint(hp core.Handprint) error {
-	if len(hp) > MaxHandprint {
-		return fmt.Errorf("store: handprint of %d fingerprints exceeds %d: %w", len(hp), MaxHandprint, sderr.ErrMalformed)
+	if len(hp) > maxHandprint {
+		return fmt.Errorf("store: handprint of %d fingerprints exceeds %d: %w", len(hp), maxHandprint, sderr.ErrMalformed)
 	}
 	for i := 1; i < len(hp); i++ {
 		if !hp[i-1].Less(hp[i]) {
@@ -435,7 +430,7 @@ const (
 	passFirst passMode = iota
 	// passEager: the payloads travel with the call, so such a chunk is
 	// stored without one on a metadata-only engine and fails with
-	// ErrChunkVanished on a payload-keeping one.
+	// errChunkVanished on a payload-keeping one.
 	passEager
 	// passMissing delivers what a passFirst pass reported missing, under
 	// the eager rule; that pass already presented the super-chunk.
@@ -704,7 +699,7 @@ func (e *Engine) decideLocked(stream string, ch core.ChunkRef, sh *shard, tick u
 			// storing a payload-less chunk would corrupt its restore.
 			// (Trace-driven engines, which never carry payloads, are exempt
 			// — they only ever measure dedup state.)
-			return missing, 0, fmt.Errorf("store node %d: chunk %s: %w", e.cfg.NodeID, ch.FP.Short(), ErrChunkVanished)
+			return missing, 0, fmt.Errorf("store node %d: chunk %s: %w", e.cfg.NodeID, ch.FP.Short(), errChunkVanished)
 		}
 	}
 	loc, err := e.containers.Append(stream, ch.FP, ch.Data, ch.Size)

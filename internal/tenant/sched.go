@@ -6,11 +6,11 @@ import (
 	"sync"
 )
 
-// WeightFunc resolves a tenant's current fair-share weight. It is
+// weightFunc resolves a tenant's current fair-share weight. It is
 // consulted when a request is tagged (at Acquire), so weight changes
 // apply to subsequent super-chunks of a running session. It is called
 // with the scheduler lock held and must not block.
-type WeightFunc func(tenant string) int
+type weightFunc func(tenant string) int
 
 // Scheduler is a weighted-fair byte-token scheduler sitting in front of
 // the in-flight super-chunk window. Concurrent sessions Acquire before
@@ -29,7 +29,7 @@ type WeightFunc func(tenant string) int
 // both backends create one unconditionally, so single-tenant paths pay
 // only an uncontended mutex.
 type Scheduler struct {
-	weight WeightFunc
+	weight weightFunc
 
 	mu       sync.Mutex
 	capacity int64
@@ -84,7 +84,7 @@ func (q *waitQueue) Pop() any {
 // NewScheduler builds a scheduler with the given in-flight byte budget
 // (<= 0 disables throttling) and weight source (nil means weight 1 for
 // everyone).
-func NewScheduler(capacityBytes int64, weight WeightFunc) *Scheduler {
+func NewScheduler(capacityBytes int64, weight weightFunc) *Scheduler {
 	if weight == nil {
 		weight = func(string) int { return 1 }
 	}
@@ -185,11 +185,4 @@ func (s *Scheduler) release(bytes int64) {
 	for _, w := range grants {
 		close(w.ready)
 	}
-}
-
-// InFlight reports the currently granted in-flight bytes.
-func (s *Scheduler) InFlight() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.inflight
 }

@@ -136,7 +136,7 @@ func TestSchedulerOversizedGrantNoDeadlock(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("oversized acquire deadlocked")
 	}
-	if got := s.InFlight(); got != 0 {
+	if got := inflightBytes(s); got != 0 {
 		t.Errorf("InFlight after release = %d", got)
 	}
 }
@@ -166,7 +166,14 @@ func TestSchedulerContextCancel(t *testing.T) {
 		t.Fatal(err)
 	}
 	release2()
-	if got := s.InFlight(); got != 0 {
+	if got := inflightBytes(s); got != 0 {
 		t.Errorf("InFlight = %d, want 0", got)
 	}
+}
+
+// inflightBytes reads the scheduler's granted in-flight bytes.
+func inflightBytes(s *Scheduler) int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.inflight
 }

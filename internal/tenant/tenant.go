@@ -36,7 +36,7 @@ const (
 
 // Info is the durable configuration of one tenant.
 type Info struct {
-	// Name identifies the tenant. Validated by ValidateName.
+	// Name identifies the tenant. Validated by validateName.
 	Name string
 	// Domain is DomainShared or DomainIsolated; fixed at creation.
 	Domain string
@@ -76,10 +76,10 @@ func (u Usage) DedupRatio() float64 {
 	return float64(u.LogicalBytes) / float64(u.StoredBytes)
 }
 
-// ValidateName checks a tenant name: 1–64 bytes of letters, digits,
+// validateName checks a tenant name: 1–64 bytes of letters, digits,
 // '-', '_' or '.'. The restriction (no '/', no separators, no controls)
 // is what keeps composite tenant+name recipe keys unambiguous.
-func ValidateName(name string) error {
+func validateName(name string) error {
 	if name == "" || len(name) > 64 {
 		return fmt.Errorf("tenant name %q: must be 1-64 characters", name)
 	}
@@ -168,7 +168,7 @@ func NewRegistry() *Registry {
 // domain is fixed at creation — flipping it would corrupt the dedup
 // index keying).
 func (r *Registry) Create(info Info) error {
-	if err := ValidateName(info.Name); err != nil {
+	if err := validateName(info.Name); err != nil {
 		return err
 	}
 	switch info.Domain {
@@ -293,23 +293,6 @@ func (r *Registry) Admit(name string) error {
 			name, u.LiveBytes, t.QuotaBytes, sderr.ErrQuotaExceeded)
 	}
 	return nil
-}
-
-// Headroom returns how many more live bytes the tenant may add before
-// hitting quota (math.MaxInt64-ish when unlimited), for the client's
-// soft mid-stream check.
-func (r *Registry) Headroom(name string) int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	t, ok := r.tenants[name]
-	if !ok || t.QuotaBytes <= 0 {
-		return 1<<63 - 1
-	}
-	u := r.usage[name]
-	if h := t.QuotaBytes - u.LiveBytes; h > 0 {
-		return h
-	}
-	return 0
 }
 
 // AccountPut records a finished backup of size bytes that superseded a

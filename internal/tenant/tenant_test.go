@@ -10,13 +10,13 @@ import (
 
 func TestValidateName(t *testing.T) {
 	for _, name := range []string{"a", "acme", "Acme-2.prod_eu", strings.Repeat("x", 64)} {
-		if err := ValidateName(name); err != nil {
-			t.Errorf("ValidateName(%q) = %v, want nil", name, err)
+		if err := validateName(name); err != nil {
+			t.Errorf("validateName(%q) = %v, want nil", name, err)
 		}
 	}
 	for _, name := range []string{"", strings.Repeat("x", 65), "a/b", "a b", "a\x00b", "ümlaut"} {
-		if err := ValidateName(name); err == nil {
-			t.Errorf("ValidateName(%q) = nil, want error", name)
+		if err := validateName(name); err == nil {
+			t.Errorf("validateName(%q) = nil, want error", name)
 		}
 	}
 }
@@ -129,12 +129,9 @@ func TestRegistryQuota(t *testing.T) {
 	if err := r.Create(Info{Name: "capped", QuotaBytes: 1000}); err != nil {
 		t.Fatal(err)
 	}
-	// Under quota: admitted, headroom reported.
+	// Under quota: admitted.
 	if err := r.Admit("capped"); err != nil {
 		t.Fatal(err)
-	}
-	if h := r.Headroom("capped"); h != 1000 {
-		t.Errorf("Headroom = %d, want 1000", h)
 	}
 	// CheckPut beyond quota fails typed; within passes.
 	if err := r.CheckPut("capped", 1001, 0); !errors.Is(err, sderr.ErrQuotaExceeded) {
@@ -147,9 +144,6 @@ func TestRegistryQuota(t *testing.T) {
 	r.AccountPut("capped", 1000, 0, true)
 	if err := r.Admit("capped"); !errors.Is(err, sderr.ErrQuotaExceeded) {
 		t.Errorf("Admit at quota = %v", err)
-	}
-	if h := r.Headroom("capped"); h != 0 {
-		t.Errorf("Headroom at quota = %d", h)
 	}
 	// Superseding a same-size backup stays within quota (prevSize credit).
 	if err := r.CheckPut("capped", 1000, 1000); err != nil {

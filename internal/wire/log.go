@@ -115,10 +115,10 @@ func scanRecords(raw []byte, fn func(body []byte) error) (int, error) {
 	return off, nil
 }
 
-// LegacyLine converts one line of a JSON-lines journal into the body of
+// legacyLine converts one line of a JSON-lines journal into the body of
 // the equivalent record, appended to b. A line with no counterpart
 // returns b unchanged.
-type LegacyLine func(b, line []byte) ([]byte, error)
+type legacyLine func(b, line []byte) ([]byte, error)
 
 // Log is an open record log. Write is safe for concurrent use; records
 // land in the order their Write calls take the log's lock.
@@ -136,7 +136,7 @@ type Log struct {
 // final line that fails to convert is a torn tail and dropped) and the
 // file is rewritten once as a record log — temp file, fsync, rename,
 // directory fsync — before anything is replayed or appended.
-func OpenLog(path string, kind byte, legacy LegacyLine, replay func(body []byte) error) (*Log, error) {
+func OpenLog(path string, kind byte, legacy legacyLine, replay func(body []byte) error) (*Log, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return nil, fmt.Errorf("read %s: %w", filepath.Base(path), err)
@@ -183,7 +183,7 @@ func OpenLog(path string, kind byte, legacy LegacyLine, replay func(body []byte)
 
 // convertLegacy rewrites a JSON-lines journal as a record log and returns
 // the new file's bytes.
-func convertLegacy(path string, raw, head []byte, legacy LegacyLine) ([]byte, error) {
+func convertLegacy(path string, raw, head []byte, legacy legacyLine) ([]byte, error) {
 	out := append([]byte(nil), head...)
 	lines := bytes.Split(raw, []byte{'\n'})
 	for i, ln := range lines {

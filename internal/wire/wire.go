@@ -14,7 +14,7 @@
 // The first body byte is a protocol-specific frame kind. The handshake is
 // exchanged once per connection — client writes first, server validates
 // and echoes its own — and the version byte is how the format evolves:
-// a peer speaking an unknown version is rejected with ErrHandshake before
+// a peer speaking an unknown version is rejected with errHandshake before
 // any frame is interpreted.
 //
 // Buffer ownership: ReadFrame returns a pooled buffer; the caller must
@@ -37,8 +37,8 @@ import (
 	"sync"
 )
 
-// Version is the current wire format version, carried in the handshake.
-const Version = 1
+// wireVersion is the current wire format version, carried in the handshake.
+const wireVersion = 1
 
 // Protocol identifiers carried in the handshake's proto byte, so that a
 // client dialing the wrong port fails fast with a typed error instead of
@@ -61,21 +61,21 @@ var magic = [4]byte{'S', 'D', 'W', 'P'}
 var (
 	// ErrTruncated: the stream or frame ended before a complete value.
 	ErrTruncated = errors.New("wire: truncated")
-	// ErrTooLarge: a length prefix exceeds the frame or element budget.
-	ErrTooLarge = errors.New("wire: length exceeds limit")
+	// errTooLarge: a length prefix exceeds the frame or element budget.
+	errTooLarge = errors.New("wire: length exceeds limit")
 	// ErrMalformed: structurally invalid content (bad kind, trailing
 	// bytes, impossible element count).
 	ErrMalformed = errors.New("wire: malformed message")
-	// ErrHandshake: the peer's handshake has the wrong magic, version,
+	// errHandshake: the peer's handshake has the wrong magic, version,
 	// or protocol byte.
-	ErrHandshake = errors.New("wire: handshake mismatch")
+	errHandshake = errors.New("wire: handshake mismatch")
 )
 
 // WriteHandshake sends the 8-byte connection preamble for proto.
 func WriteHandshake(w io.Writer, proto byte) error {
 	var h [8]byte
 	copy(h[:4], magic[:])
-	h[4] = Version
+	h[4] = wireVersion
 	h[5] = proto
 	_, err := w.Write(h[:])
 	return err
@@ -83,23 +83,23 @@ func WriteHandshake(w io.Writer, proto byte) error {
 
 // ReadHandshake consumes and validates the peer's preamble, requiring the
 // given protocol byte. It returns the peer's version (currently always
-// Version; a higher one is rejected so old peers never misparse frames).
+// wireVersion; a higher one is rejected so old peers never misparse frames).
 func ReadHandshake(r io.Reader, proto byte) (byte, error) {
 	var h [8]byte
 	if _, err := io.ReadFull(r, h[:]); err != nil {
 		if err == io.ErrUnexpectedEOF || err == io.EOF {
-			return 0, fmt.Errorf("%w: short preamble", ErrHandshake)
+			return 0, fmt.Errorf("%w: short preamble", errHandshake)
 		}
 		return 0, err
 	}
 	if [4]byte(h[:4]) != magic {
-		return 0, fmt.Errorf("%w: bad magic %q", ErrHandshake, h[:4])
+		return 0, fmt.Errorf("%w: bad magic %q", errHandshake, h[:4])
 	}
-	if h[4] != Version {
-		return 0, fmt.Errorf("%w: peer version %d, want %d", ErrHandshake, h[4], Version)
+	if h[4] != wireVersion {
+		return 0, fmt.Errorf("%w: peer version %d, want %d", errHandshake, h[4], wireVersion)
 	}
 	if h[5] != proto {
-		return 0, fmt.Errorf("%w: peer protocol %d, want %d", ErrHandshake, h[5], proto)
+		return 0, fmt.Errorf("%w: peer protocol %d, want %d", errHandshake, h[5], proto)
 	}
 	return h[4], nil
 }
@@ -108,7 +108,7 @@ func ReadHandshake(r io.Reader, proto byte) (byte, error) {
 // for flushing if w is buffered.
 func WriteFrame(w io.Writer, body []byte) error {
 	if len(body) > DefaultMaxFrame {
-		return fmt.Errorf("%w: frame body %d > %d", ErrTooLarge, len(body), DefaultMaxFrame)
+		return fmt.Errorf("%w: frame body %d > %d", errTooLarge, len(body), DefaultMaxFrame)
 	}
 	// The 4-byte prefix goes through a pooled buffer: a stack array
 	// passed to an io.Writer escapes, costing one heap allocation per
@@ -154,7 +154,7 @@ func (v *VecWriter) Write(w io.Writer) error {
 	}
 	var err error
 	if n > DefaultMaxFrame {
-		err = fmt.Errorf("%w: frame body %d > %d", ErrTooLarge, n, DefaultMaxFrame)
+		err = fmt.Errorf("%w: frame body %d > %d", errTooLarge, n, DefaultMaxFrame)
 	} else {
 		binary.LittleEndian.PutUint32(v.back[0], uint32(n))
 		v.vecs = net.Buffers(v.back)
@@ -188,7 +188,7 @@ func ReadFrame(r io.Reader, max int) ([]byte, error) {
 	n := binary.LittleEndian.Uint32(hdr)
 	PutBuf(hdr)
 	if n > uint32(max) {
-		return nil, fmt.Errorf("%w: frame body %d > %d", ErrTooLarge, n, max)
+		return nil, fmt.Errorf("%w: frame body %d > %d", errTooLarge, n, max)
 	}
 	body := GetBuf(int(n))
 	if _, err := io.ReadFull(r, body); err != nil {
@@ -322,12 +322,6 @@ func AppendBool(b []byte, v bool) []byte {
 		return append(b, 1)
 	}
 	return append(b, 0)
-}
-
-// AppendBytes appends a u32 length prefix followed by the bytes.
-func AppendBytes(b, v []byte) []byte {
-	b = AppendU32(b, uint32(len(v)))
-	return append(b, v...)
 }
 
 // AppendString appends a u32 length prefix followed by the string bytes.

@@ -18,35 +18,35 @@ func preamble(version, proto byte) []byte {
 }
 
 // TestHandshakeSkewRejectedTyped: a peer on another format version or
-// dialing the other service's port is refused with ErrHandshake before
+// dialing the other service's port is refused with errHandshake before
 // any frame is interpreted; so is anything that is not a preamble.
 func TestHandshakeSkewRejectedTyped(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WriteHandshake(&buf, ProtoNode); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(buf.Bytes(), preamble(Version, ProtoNode)) {
+	if !bytes.Equal(buf.Bytes(), preamble(wireVersion, ProtoNode)) {
 		t.Fatalf("preamble = %x", buf.Bytes())
 	}
-	if v, err := ReadHandshake(&buf, ProtoNode); err != nil || v != Version {
+	if v, err := ReadHandshake(&buf, ProtoNode); err != nil || v != wireVersion {
 		t.Fatalf("matching handshake = %d, %v", v, err)
 	}
 	for name, in := range map[string][]byte{
-		"newer version":  preamble(Version+1, ProtoNode),
-		"older version":  preamble(Version-1, ProtoNode),
-		"wrong protocol": preamble(Version, ProtoDirector),
-		"bad magic":      append([]byte("HTTP"), Version, ProtoNode, 0, 0),
-		"short preamble": preamble(Version, ProtoNode)[:5],
+		"newer version":  preamble(wireVersion+1, ProtoNode),
+		"older version":  preamble(wireVersion-1, ProtoNode),
+		"wrong protocol": preamble(wireVersion, ProtoDirector),
+		"bad magic":      append([]byte("HTTP"), wireVersion, ProtoNode, 0, 0),
+		"short preamble": preamble(wireVersion, ProtoNode)[:5],
 		"empty stream":   nil,
 	} {
-		if _, err := ReadHandshake(bytes.NewReader(in), ProtoNode); !errors.Is(err, ErrHandshake) {
-			t.Errorf("%s: err = %v, want ErrHandshake", name, err)
+		if _, err := ReadHandshake(bytes.NewReader(in), ProtoNode); !errors.Is(err, errHandshake) {
+			t.Errorf("%s: err = %v, want errHandshake", name, err)
 		}
 	}
 }
 
 // TestOversizedLengthPrefixRejectedBeforeAllocation: a length prefix
-// above the frame cap fails with ErrTooLarge as soon as the header is
+// above the frame cap fails with errTooLarge as soon as the header is
 // read — the promised body is neither allocated nor waited for.
 func TestOversizedLengthPrefixRejectedBeforeAllocation(t *testing.T) {
 	for _, c := range []struct {
@@ -67,8 +67,8 @@ func TestOversizedLengthPrefixRejectedBeforeAllocation(t *testing.T) {
 		runtime.ReadMemStats(&before)
 		_, err := ReadFrame(r, c.max)
 		runtime.ReadMemStats(&after)
-		if c.wantLarge != errors.Is(err, ErrTooLarge) {
-			t.Errorf("%s: err = %v, ErrTooLarge wanted: %v", c.name, err, c.wantLarge)
+		if c.wantLarge != errors.Is(err, errTooLarge) {
+			t.Errorf("%s: err = %v, errTooLarge wanted: %v", c.name, err, c.wantLarge)
 		}
 		if !c.wantLarge && !errors.Is(err, ErrTruncated) {
 			t.Errorf("%s: an admissible prefix with no body = %v, want ErrTruncated", c.name, err)
@@ -221,8 +221,8 @@ func TestVectoredWriter(t *testing.T) {
 
 				v.Add(make([]byte, 4))
 				v.Add(make([]byte, DefaultMaxFrame+1))
-				if err := v.Write(out); !errors.Is(err, ErrTooLarge) {
-					t.Fatalf("oversized frame: %v, want ErrTooLarge", err)
+				if err := v.Write(out); !errors.Is(err, errTooLarge) {
+					t.Fatalf("oversized frame: %v, want errTooLarge", err)
 				}
 			}
 

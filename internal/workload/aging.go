@@ -31,7 +31,7 @@ func (c AgingConfig) withDefaults() AgingConfig {
 	return c
 }
 
-// Aging produces the generational backup stream of the aging harness:
+// aging produces the generational backup stream of the aging harness:
 // Next returns generation g of the image, where generation 0 is all
 // fresh blocks and every later generation rewrites a small random subset
 // of block positions in place. Old generations' surviving blocks dedup
@@ -39,7 +39,7 @@ func (c AgingConfig) withDefaults() AgingConfig {
 // in new ones, so the image's chunk sequence scatters across ever more
 // containers as it ages — the fragmentation a restore-path benchmark
 // must feel. Deterministic for a given config.
-type Aging struct {
+type aging struct {
 	cfg    AgingConfig
 	rng    *rand.Rand
 	blocks []uint64
@@ -48,21 +48,21 @@ type Aging struct {
 }
 
 // NewAging builds an aging stream from cfg (zero fields take defaults).
-func NewAging(cfg AgingConfig) *Aging {
+func NewAging(cfg AgingConfig) *aging {
 	cfg = cfg.withDefaults()
-	return &Aging{
+	return &aging{
 		cfg: cfg,
 		rng: rand.New(rand.NewSource(cfg.Seed)),
 	}
 }
 
 // Generation returns how many generations Next has produced.
-func (a *Aging) Generation() int { return a.gen }
+func (a *aging) Generation() int { return a.gen }
 
 // Next produces the next generation of the image. The returned Item
 // shares no state with the Aging stream; its name carries the generation
 // number ("gen0007").
-func (a *Aging) Next() Item {
+func (a *aging) Next() Item {
 	if a.blocks == nil {
 		a.blocks = make([]uint64, a.cfg.Blocks)
 		for i := range a.blocks {
@@ -88,7 +88,7 @@ func (a *Aging) Next() Item {
 
 // fresh hands out a block seed never used by this stream. Seeds are
 // offset by the config seed so different streams produce disjoint data.
-func (a *Aging) fresh() uint64 {
+func (a *aging) fresh() uint64 {
 	a.next++
 	return uint64(a.cfg.Seed)*0x1000193 + a.next
 }

@@ -73,15 +73,15 @@ func DefaultLinuxConfig() LinuxConfig {
 	}
 }
 
-// Linux generates the versioned-source-tree workload.
-type Linux struct {
+// linux generates the versioned-source-tree workload.
+type linux struct {
 	cfg LinuxConfig
 }
 
-var _ Generator = (*Linux)(nil)
+var _ Generator = (*linux)(nil)
 
 // NewLinux validates cfg and returns the generator.
-func NewLinux(cfg LinuxConfig) (*Linux, error) {
+func NewLinux(cfg LinuxConfig) (*linux, error) {
 	if cfg.Versions < 1 || cfg.Files < 1 {
 		return nil, fmt.Errorf("workload: linux needs versions and files >= 1, got %+v", cfg)
 	}
@@ -96,18 +96,18 @@ func NewLinux(cfg LinuxConfig) (*Linux, error) {
 			return nil, fmt.Errorf("workload: linux rates must be in [0,1]: %+v", cfg)
 		}
 	}
-	return &Linux{cfg: cfg}, nil
+	return &linux{cfg: cfg}, nil
 }
 
 // Name implements Generator.
-func (l *Linux) Name() string { return "linux" }
+func (l *linux) Name() string { return "linux" }
 
 // HasFileInfo implements Generator.
-func (l *Linux) HasFileInfo() bool { return true }
+func (l *linux) HasFileInfo() bool { return true }
 
 // Items implements Generator: it emits every file of every version, in
 // stable tree order, evolving the tree between versions.
-func (l *Linux) Items(yield func(Item) error) error {
+func (l *linux) Items(yield func(Item) error) error {
 	cfg := l.cfg
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	seeds := newSeedStream(cfg.Seed+1, 1)
@@ -160,7 +160,7 @@ func (l *Linux) Items(yield func(Item) error) error {
 // evolve produces the next version of the tree. Patch releases apply
 // light scattered edits; series jumps rewrite most of the tree and grow
 // it by runs of new files inserted at random positions (new directories).
-func (l *Linux) evolve(tree [][]uint64, rng *rand.Rand, newBlock func() uint64, newFile func() []uint64, seriesJump bool) [][]uint64 {
+func (l *linux) evolve(tree [][]uint64, rng *rand.Rand, newBlock func() uint64, newFile func() []uint64, seriesJump bool) [][]uint64 {
 	cfg := l.cfg
 
 	touched, churn := cfg.TouchedFraction, cfg.BlockChurn

@@ -5,7 +5,7 @@ import (
 	"math/rand"
 )
 
-// TraceConfig parameterizes the block-trace stand-ins for the FIU mail and
+// traceConfig parameterizes the block-trace stand-ins for the FIU mail and
 // web server traces (paper Table 2). Traces have no file metadata — items
 // carry FileID 0 — which is why the paper cannot run Extreme Binning on
 // them, a restriction this reproduction preserves.
@@ -15,7 +15,7 @@ import (
 // replays a contiguous run from earlier in the stream (strong locality —
 // rewrites of the same mailboxes / site content — which is exactly what
 // locality-preserved caching exploits).
-type TraceConfig struct {
+type traceConfig struct {
 	Name string
 	Seed int64
 	// Segments is the number of items emitted; each segment carries
@@ -30,9 +30,9 @@ type TraceConfig struct {
 	MeanRunBlocks int
 }
 
-// DefaultMailConfig yields a high-duplication trace, DR ≈ 10.5.
-func DefaultMailConfig() TraceConfig {
-	return TraceConfig{
+// defaultMailConfig yields a high-duplication trace, DR ≈ 10.5.
+func defaultMailConfig() traceConfig {
+	return traceConfig{
 		Name:             "mail",
 		Seed:             3,
 		Segments:         96,
@@ -42,9 +42,9 @@ func DefaultMailConfig() TraceConfig {
 	}
 }
 
-// DefaultWebConfig yields a low-duplication trace, DR ≈ 1.9.
-func DefaultWebConfig() TraceConfig {
-	return TraceConfig{
+// defaultWebConfig yields a low-duplication trace, DR ≈ 1.9.
+func defaultWebConfig() traceConfig {
+	return traceConfig{
 		Name:             "web",
 		Seed:             4,
 		Segments:         48,
@@ -54,15 +54,15 @@ func DefaultWebConfig() TraceConfig {
 	}
 }
 
-// Trace generates a file-less block trace with run locality.
-type Trace struct {
-	cfg TraceConfig
+// trace generates a file-less block trace with run locality.
+type trace struct {
+	cfg traceConfig
 }
 
-var _ Generator = (*Trace)(nil)
+var _ Generator = (*trace)(nil)
 
-// NewTrace validates cfg and returns the generator.
-func NewTrace(cfg TraceConfig) (*Trace, error) {
+// newTrace validates cfg and returns the generator.
+func newTrace(cfg traceConfig) (*trace, error) {
 	if cfg.Segments < 1 || cfg.SegmentBlocks < 1 || cfg.MeanRunBlocks < 1 {
 		return nil, fmt.Errorf("workload: trace counts must be >= 1: %+v", cfg)
 	}
@@ -72,17 +72,17 @@ func NewTrace(cfg TraceConfig) (*Trace, error) {
 	if cfg.Name == "" {
 		cfg.Name = "trace"
 	}
-	return &Trace{cfg: cfg}, nil
+	return &trace{cfg: cfg}, nil
 }
 
 // Name implements Generator.
-func (t *Trace) Name() string { return t.cfg.Name }
+func (t *trace) Name() string { return t.cfg.Name }
 
 // HasFileInfo implements Generator: traces carry no file metadata.
-func (t *Trace) HasFileInfo() bool { return false }
+func (t *trace) HasFileInfo() bool { return false }
 
 // Items implements Generator.
-func (t *Trace) Items(yield func(Item) error) error {
+func (t *trace) Items(yield func(Item) error) error {
 	cfg := t.cfg
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	seeds := newSeedStream(cfg.Seed+1, 3)

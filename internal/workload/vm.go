@@ -5,12 +5,12 @@ import (
 	"math/rand"
 )
 
-// VMConfig parameterizes the VM-backup stand-in: a handful of very large
+// vmConfig parameterizes the VM-backup stand-in: a handful of very large
 // disk-image files, backed up in two consecutive fulls (paper Table 2:
 // DR 4.34 CDC / 4.11 SC). The skewed file-size distribution — a few huge
 // files — is the property that defeats Extreme Binning's file-level
 // routing in Fig. 8 and must be preserved.
-type VMConfig struct {
+type vmConfig struct {
 	Seed int64
 	// Images is the number of VM disk images (the paper backs up 8 VMs:
 	// 3 Windows, 5 Linux).
@@ -29,9 +29,9 @@ type VMConfig struct {
 	Churn float64
 }
 
-// DefaultVMConfig yields ~260MB logical with DR ≈ 4.3 at 4KB chunks.
-func DefaultVMConfig() VMConfig {
-	return VMConfig{
+// defaultVMConfig yields ~260MB logical with DR ≈ 4.3 at 4KB chunks.
+func defaultVMConfig() vmConfig {
+	return vmConfig{
 		Seed:           2,
 		Images:         8,
 		ImageBlocks:    2048, // 8MB mean image
@@ -42,34 +42,34 @@ func DefaultVMConfig() VMConfig {
 	}
 }
 
-// VM generates the virtual-machine full-backup workload.
-type VM struct {
-	cfg VMConfig
+// vm generates the virtual-machine full-backup workload.
+type vm struct {
+	cfg vmConfig
 }
 
-var _ Generator = (*VM)(nil)
+var _ Generator = (*vm)(nil)
 
-// NewVM validates cfg and returns the generator.
-func NewVM(cfg VMConfig) (*VM, error) {
+// newVM validates cfg and returns the generator.
+func newVM(cfg vmConfig) (*vm, error) {
 	if cfg.Images < 1 || cfg.ImageBlocks < 1 || cfg.Fulls < 1 || cfg.PoolBlocks < 1 {
 		return nil, fmt.Errorf("workload: vm counts must be >= 1: %+v", cfg)
 	}
 	if cfg.SharedFraction < 0 || cfg.SharedFraction > 1 || cfg.Churn < 0 || cfg.Churn > 1 {
 		return nil, fmt.Errorf("workload: vm fractions must be in [0,1]: %+v", cfg)
 	}
-	return &VM{cfg: cfg}, nil
+	return &vm{cfg: cfg}, nil
 }
 
 // Name implements Generator.
-func (v *VM) Name() string { return "vm" }
+func (v *vm) Name() string { return "vm" }
 
 // HasFileInfo implements Generator.
-func (v *VM) HasFileInfo() bool { return true }
+func (v *vm) HasFileInfo() bool { return true }
 
 // Items implements Generator: Fulls passes over Images disk images; each
 // image is one large file whose blocks mix pool blocks and private blocks,
 // with Churn of blocks rewritten between fulls.
-func (v *VM) Items(yield func(Item) error) error {
+func (v *vm) Items(yield func(Item) error) error {
 	cfg := v.cfg
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	seeds := newSeedStream(cfg.Seed+1, 2)

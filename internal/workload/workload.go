@@ -59,9 +59,9 @@ type Generator interface {
 	Items(yield func(Item) error) error
 }
 
-// BlockData expands a block seed into its 4KB payload using a splitmix64
+// blockData expands a block seed into its 4KB payload using a splitmix64
 // keystream. Equal seeds always produce equal bytes.
-func BlockData(seed uint64) []byte {
+func blockData(seed uint64) []byte {
 	out := make([]byte, BlockSize)
 	FillBlock(seed, out)
 	return out
@@ -116,7 +116,7 @@ func (c *Corpus) Fingerprint(seed uint64) fingerprint.Fingerprint {
 	if ok {
 		return fp
 	}
-	fp = c.algo.Sum(BlockData(seed))
+	fp = c.algo.Sum(blockData(seed))
 	c.mu.Lock()
 	c.memo[seed] = fp
 	c.mu.Unlock()
@@ -130,7 +130,7 @@ func (c *Corpus) ChunkRefs(it Item, keepData bool) []core.ChunkRef {
 	for i, s := range it.Blocks {
 		ref := core.ChunkRef{FP: c.Fingerprint(s), Size: BlockSize}
 		if keepData {
-			ref.Data = BlockData(s)
+			ref.Data = blockData(s)
 		}
 		out[i] = ref
 	}
@@ -183,20 +183,20 @@ func ByName(name string, scale float64, seed int64) (Generator, error) {
 		cfg.Files = max(20, int(float64(cfg.Files)*clampScale(scale)))
 		return NewLinux(cfg)
 	case "vm":
-		cfg := DefaultVMConfig()
+		cfg := defaultVMConfig()
 		cfg.Seed = seed
 		cfg.ImageBlocks = max(64, int(float64(cfg.ImageBlocks)*clampScale(scale)))
-		return NewVM(cfg)
+		return newVM(cfg)
 	case "mail":
-		cfg := DefaultMailConfig()
+		cfg := defaultMailConfig()
 		cfg.Seed = seed
 		cfg.Segments = max(4, int(float64(cfg.Segments)*clampScale(scale)))
-		return NewTrace(cfg)
+		return newTrace(cfg)
 	case "web":
-		cfg := DefaultWebConfig()
+		cfg := defaultWebConfig()
 		cfg.Seed = seed
 		cfg.Segments = max(4, int(float64(cfg.Segments)*clampScale(scale)))
-		return NewTrace(cfg)
+		return newTrace(cfg)
 	default:
 		return nil, fmt.Errorf("workload: unknown dataset %q", name)
 	}

@@ -22,12 +22,12 @@ func dedupRatio(t *testing.T, g Generator) float64 {
 }
 
 func TestBlockDataDeterministic(t *testing.T) {
-	a := BlockData(42)
-	b := BlockData(42)
+	a := blockData(42)
+	b := blockData(42)
 	if !bytes.Equal(a, b) {
 		t.Fatal("same seed must produce identical block content")
 	}
-	c := BlockData(43)
+	c := blockData(43)
 	if bytes.Equal(a, c) {
 		t.Fatal("different seeds must produce different content")
 	}
@@ -42,17 +42,17 @@ func TestMaterializeConcatenatesBlocks(t *testing.T) {
 	if int64(len(data)) != it.Size() {
 		t.Fatalf("materialized %d bytes, want %d", len(data), it.Size())
 	}
-	if !bytes.Equal(data[:BlockSize], BlockData(1)) {
+	if !bytes.Equal(data[:BlockSize], blockData(1)) {
 		t.Fatal("first block mismatch")
 	}
-	if !bytes.Equal(data[2*BlockSize:], BlockData(3)) {
+	if !bytes.Equal(data[2*BlockSize:], blockData(3)) {
 		t.Fatal("last block mismatch")
 	}
 }
 
 func TestCorpusFingerprintMatchesDirectHash(t *testing.T) {
 	c := NewCorpus(fingerprint.SHA1)
-	want := fingerprint.Sum(BlockData(7))
+	want := fingerprint.Sum(blockData(7))
 	if got := c.Fingerprint(7); got != want {
 		t.Fatalf("corpus fp = %s, want %s", got, want)
 	}
@@ -73,7 +73,7 @@ func TestCorpusChunkRefs(t *testing.T) {
 		t.Fatal("keepData=false must not materialize payloads")
 	}
 	refs = c.ChunkRefs(it, true)
-	if !bytes.Equal(refs[0].Data, BlockData(1)) {
+	if !bytes.Equal(refs[0].Data, blockData(1)) {
 		t.Fatal("keepData=true payload mismatch")
 	}
 	if refs[0].Size != BlockSize {
@@ -174,7 +174,7 @@ func TestFileWorkloadsHaveDistinctFileIDs(t *testing.T) {
 // have a skewed size distribution (largest ≫ smallest), while Linux files
 // are uniformly small.
 func TestVMSkewedFileSizes(t *testing.T) {
-	g, _ := NewVM(DefaultVMConfig())
+	g, _ := newVM(defaultVMConfig())
 	items, _ := Collect(g)
 	var min, max int64 = 1 << 62, 0
 	for _, it := range items {
@@ -216,13 +216,13 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := NewLinux(LinuxConfig{Versions: 1, Files: 1, MinBlocks: 3, MaxBlocks: 2}); err == nil {
 		t.Fatal("linux: inverted block bounds should error")
 	}
-	if _, err := NewVM(VMConfig{Images: 0, ImageBlocks: 1, Fulls: 1, PoolBlocks: 1}); err == nil {
+	if _, err := newVM(vmConfig{Images: 0, ImageBlocks: 1, Fulls: 1, PoolBlocks: 1}); err == nil {
 		t.Fatal("vm: zero images should error")
 	}
-	if _, err := NewVM(VMConfig{Images: 1, ImageBlocks: 1, Fulls: 1, PoolBlocks: 1, Churn: 2}); err == nil {
+	if _, err := newVM(vmConfig{Images: 1, ImageBlocks: 1, Fulls: 1, PoolBlocks: 1, Churn: 2}); err == nil {
 		t.Fatal("vm: churn > 1 should error")
 	}
-	if _, err := NewTrace(TraceConfig{Segments: 1, SegmentBlocks: 1, MeanRunBlocks: 1, FreshProbability: 0}); err == nil {
+	if _, err := newTrace(traceConfig{Segments: 1, SegmentBlocks: 1, MeanRunBlocks: 1, FreshProbability: 0}); err == nil {
 		t.Fatal("trace: zero fresh probability should error")
 	}
 }

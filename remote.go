@@ -40,9 +40,9 @@ type RemoteConfig struct {
 	// Workers sizes the chunk-fingerprint worker pool of the ingest
 	// pipeline (default GOMAXPROCS).
 	Workers int
-	// InflightSuperChunks bounds the window of asynchronous Store RPCs a
-	// stream keeps in flight, so fingerprinting of super-chunk n+1
-	// overlaps the network transfer of n (default 4). Together with
+	// InflightSuperChunks bounds the routed super-chunks a stream keeps
+	// in flight (bids and Dedup RPCs), so fingerprinting of super-chunk
+	// n+1 overlaps the network transfer of n (default 4). Together with
 	// SuperChunkSize this caps a stream's peak buffered payload.
 	InflightSuperChunks int
 	// Fingerprint selects the chunk fingerprint hash (default
@@ -342,7 +342,7 @@ func (r *Remote) BackupStats() SessionStats {
 }
 
 // RPCMessages returns the RPC requests the default stream has issued
-// across its node connections — bids, queries and stores, plus the
+// across its node connections — bids, Dedup and DedupMissing, plus the
 // per-node flush — the prototype-side Fig. 7 overhead accounting.
 func (r *Remote) RPCMessages() int64 {
 	def := r.defaultIfOpen()
