@@ -109,9 +109,6 @@ var repoArch = archRules{
 		"rpc.ServerOption":                  "test seam: server fault injection",
 		"rpc.WithHandlerDelay":              "test seam: emulated node service latency",
 		"rpc.WithSeverAfter":                "test seam: connection severed mid-window",
-		"rpc.Request":                       "test seam: ingest tests send a raw Dedup",
-		"rpc.OpDedup":                       "test seam: ingest tests send a raw Dedup",
-		"rpc.ChunkWire":                     "test seam: ingest tests send a raw Dedup",
 		"fingerprint.SetSHA1KernelsForTest": "test seam: kernels off and on against crypto/sha1",
 		"tenant.DomainShared":               "wire value: director tests send it",
 		"workload.LinuxConfig":              "test seam: the scale-out gate sizes its own tree",
@@ -129,7 +126,7 @@ var repoArch = archRules{
 		archCountRootLoC:  2636,
 		archCountCISteps:  14,
 		archCountStats:    8,
-		archCountExcepted: 31,
+		archCountExcepted: 28,
 	},
 }
 

@@ -637,3 +637,73 @@ func TestDocsResolve(t *testing.T) {
 			len(bad), strings.Join(bad, "\n"))
 	}
 }
+
+// docVerbRow is a row of DESIGN.md's verb table: | op | `verb` | classes |.
+var docVerbRow = regexp.MustCompile("(?m)^\\s*\\| (\\d+) \\| `(\\w+)` \\| ([^|]*) \\|$")
+
+// TestDocsVerbTable compares DESIGN.md's verb table with the verbs
+// internal/rpc declares: every node verb a row with its op and class
+// bits, and no class bits on a director verb (op 32 and up).
+func TestDocsVerbTable(t *testing.T) {
+	tr := loadDocTree(t)
+	var code []string
+	for _, sf := range tr.files {
+		if sf.dir != "internal/rpc" || sf.test {
+			continue
+		}
+		for _, decl := range sf.f.Decls {
+			gd, ok := decl.(*ast.GenDecl)
+			if !ok || gd.Tok != token.VAR {
+				continue
+			}
+			for _, spec := range gd.Specs {
+				vs := spec.(*ast.ValueSpec)
+				if len(vs.Values) != 1 {
+					continue
+				}
+				call, ok := vs.Values[0].(*ast.CallExpr)
+				if !ok {
+					continue
+				}
+				if fn, ok := call.Fun.(*ast.Ident); !ok || fn.Name != "declare" {
+					continue
+				}
+				op, _ := strconv.Atoi(call.Args[0].(*ast.BasicLit).Value)
+				var classes []string
+				ast.Inspect(call.Args[1], func(n ast.Node) bool {
+					if id, ok := n.(*ast.Ident); ok {
+						classes = append(classes, id.Name)
+					}
+					return true
+				})
+				if op >= 32 {
+					if len(classes) > 0 {
+						t.Errorf("director verb %s has class bits %v", vs.Names[0].Name, classes)
+					}
+					continue
+				}
+				slices.Sort(classes)
+				code = append(code, strconv.Itoa(op)+" "+vs.Names[0].Name+" "+strings.Join(classes, " "))
+			}
+		}
+	}
+	raw, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc []string
+	for _, m := range docVerbRow.FindAllStringSubmatch(string(raw), -1) {
+		var classes []string
+		for _, tok := range docTokens("DESIGN.md", m[3], 1) {
+			classes = append(classes, tok.text)
+		}
+		slices.Sort(classes)
+		doc = append(doc, m[1]+" "+m[2]+" "+strings.Join(classes, " "))
+	}
+	slices.Sort(code)
+	slices.Sort(doc)
+	if len(code) == 0 || !slices.Equal(code, doc) {
+		t.Errorf("DESIGN.md's verb table (op verb classes):\n%s\ninternal/rpc declares:\n%s",
+			strings.Join(doc, "\n"), strings.Join(code, "\n"))
+	}
+}

@@ -103,7 +103,8 @@ func (f firstCallOnly) Dedup(ctx context.Context, stream string, sc *core.SuperC
 	return fresh, nil
 }
 
-// firstOver is the first round trip alone, in process or on the wire.
+// firstOver is the first round trip alone, in process or on the wire,
+// where the second round trip goes out without the payloads.
 func firstOver(nd *node.Node, conn *rpc.Client) func(context.Context, string, *core.SuperChunk, core.Handprint) ([]bool, error) {
 	return func(ctx context.Context, stream string, sc *core.SuperChunk, hp core.Handprint) ([]bool, error) {
 		fps := &core.SuperChunk{Chunks: make([]core.ChunkRef, len(sc.Chunks))}
@@ -113,16 +114,9 @@ func firstOver(nd *node.Node, conn *rpc.Client) func(context.Context, string, *c
 		if conn == nil {
 			return nd.Dedup(stream, fps, hp, false)
 		}
-		req := rpc.Request{Op: rpc.OpDedup, Stream: stream, Handprint: hp}
-		for _, ch := range fps.Chunks {
-			req.Chunks = append(req.Chunks, rpc.ChunkWire{FP: ch.FP, Size: int32(ch.Size)})
-		}
-		resp, err := conn.Call(ctx, req)
-		fresh := make([]bool, len(sc.Chunks))
-		for i := range fresh {
-			fresh[i] = i >= len(resp.Dup) || !resp.Dup[i]
-		}
-		return fresh, err
+		// The client's payload call carries no payloads for the missing
+		// chunks: the node refuses it without taking a reference.
+		return conn.Dedup(ctx, stream, fps, hp, false)
 	}
 }
 

@@ -39,8 +39,6 @@ type Node interface {
 	// node reading each container once; the caller Releases the batch
 	// once the payloads are written out.
 	ReadBatch(ctx context.Context, fps []fingerprint.Fingerprint) (*rpc.ChunkBatch, error)
-	// MigrateRead returns one payload per fingerprint, in order.
-	MigrateRead(ctx context.Context, fps []fingerprint.Fingerprint) ([][]byte, error)
 	// MigrateCommit makes the stream's writes durable (container sealed,
 	// manifest fsynced).
 	MigrateCommit(ctx context.Context, stream string) error
@@ -172,24 +170,24 @@ func (e *Engine) moveSegment(ctx context.Context, r director.Recipe, seg segment
 		return r, 0, err
 	}
 
-	datas, err := src.MigrateRead(ctx, fps)
+	// The payloads alias the batch until the target has them.
+	batch, err := src.ReadBatch(ctx, fps)
 	if err != nil {
 		return fail("read", from, err)
 	}
-	if len(datas) != len(fps) {
-		return fail("read", from, fmt.Errorf("got %d payloads, want %d", len(datas), len(fps)))
-	}
 	if err := e.faultAt(StageRead, r.Path); err != nil {
+		batch.Release()
 		return r, 0, err
 	}
-
 	sc := &core.SuperChunk{Chunks: make([]core.ChunkRef, len(entries))}
 	var bytes int64
 	for i, en := range entries {
-		sc.Chunks[i] = core.ChunkRef{FP: en.FP, Size: int(en.Size), Data: datas[i]}
+		sc.Chunks[i] = core.ChunkRef{FP: en.FP, Size: int(en.Size), Data: batch.Data[i]}
 		bytes += int64(en.Size)
 	}
-	if _, err := dst.Dedup(ctx, Stream, sc, nil, true); err != nil {
+	_, err = dst.Dedup(ctx, Stream, sc, nil, true)
+	batch.Release()
+	if err != nil {
 		return fail("write", to, err)
 	}
 	if err := e.faultAt(StageStored, r.Path); err != nil {

@@ -47,18 +47,6 @@ func (l local) ReadBatch(_ context.Context, fps []fingerprint.Fingerprint) (*rpc
 	return b, nil
 }
 
-func (l local) MigrateRead(_ context.Context, fps []fingerprint.Fingerprint) ([][]byte, error) {
-	out := make([][]byte, len(fps))
-	for i, fp := range fps {
-		data, err := l.n.ReadChunk(fp)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = data
-	}
-	return out, nil
-}
-
 func (l local) MigrateCommit(_ context.Context, stream string) error {
 	return l.n.SealStream(stream)
 }

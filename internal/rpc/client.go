@@ -10,15 +10,12 @@ import (
 	"time"
 
 	"sigmadedupe/internal/core"
-	"sigmadedupe/internal/fingerprint"
-	"sigmadedupe/internal/node"
 	"sigmadedupe/internal/sderr"
-	"sigmadedupe/internal/store"
 	"sigmadedupe/internal/wire"
 )
 
 // Client is a pipelined, self-healing connection to one server: a
-// deduplication node (Dial) or the director (DialDirector). Multiple
+// deduplication node (DialContext) or the director (DialDirector). Multiple
 // goroutines may issue calls concurrently; requests are matched to
 // responses by ID, so many calls can be in flight at once — the paper's
 // batched asynchronous RPC design.
@@ -154,10 +151,10 @@ func (c *Client) Close() (err error) {
 // register makes the call id pending on the live connection, dialing one
 // first if there is none, and returns the connection's store count: the
 // stores a seal covers.
-func (c *Client) register(ctx context.Context, id uint64, op opcode) (*conn, chan []byte, uint64, error) {
+func (c *Client) register(ctx context.Context, id uint64, cl class) (*conn, chan []byte, uint64, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.lost && op.seals() {
+	if c.lost && cl&seals != 0 {
 		c.lost = false
 		return nil, nil, 0, fmt.Errorf("rpc: %s: %w: lost a connection with unsealed stores", c.addr, sderr.ErrUnavailable)
 	}
@@ -169,7 +166,7 @@ func (c *Client) register(ctx context.Context, id uint64, op opcode) (*conn, cha
 			return nil, nil, 0, err
 		}
 	}
-	if op.stores() {
+	if cl&stores != 0 {
 		c.cn.stored++
 	}
 	ch := c.getChanLocked()
@@ -306,8 +303,8 @@ func wireTimeout(ctx context.Context) int64 {
 // length prefix, then payloads in place — returns body to the pool, and
 // waits for the reply frame the caller then owns (nil for a batched ack).
 // Cancellation abandons the wait at once.
-func (c *Client) roundTrip(ctx context.Context, id uint64, op opcode, body []byte, payloads []ChunkWire) ([]byte, error) {
-	cn, ch, stored, err := c.register(ctx, id, op)
+func (c *Client) roundTrip(ctx context.Context, id uint64, cl class, body []byte, payloads []core.ChunkRef) ([]byte, error) {
+	cn, ch, stored, err := c.register(ctx, id, cl)
 	if err == nil {
 		err = c.send(ctx, cn, body, payloads)
 		if err != nil {
@@ -334,7 +331,7 @@ func (c *Client) roundTrip(ctx context.Context, id uint64, op opcode, body []byt
 		// The read loop sent exactly one value and the entry left pend
 		// before the send, so ch is empty and unclosed: recyclable.
 		c.putChanLocked(ch)
-		if op.seals() && replyOK(frame) {
+		if cl&seals != 0 && replyOK(frame) {
 			cn.sealed = max(cn.sealed, stored)
 		}
 		return frame, nil
@@ -350,7 +347,7 @@ func (c *Client) roundTrip(ctx context.Context, id uint64, op opcode, body []byt
 // Any failed write may have left part of the frame on the stream, where
 // the server would read the next frame as its remainder, so it drops the
 // connection: the next call redials.
-func (c *Client) send(ctx context.Context, cn *conn, body []byte, payloads []ChunkWire) error {
+func (c *Client) send(ctx context.Context, cn *conn, body []byte, payloads []core.ChunkRef) error {
 	cn.wmu.Lock()
 	defer cn.wmu.Unlock()
 	if err := ctx.Err(); err != nil {
@@ -368,7 +365,7 @@ func (c *Client) send(ctx context.Context, cn *conn, body []byte, payloads []Chu
 			}
 		}()
 	}
-	err := writeVectored(&cn.vec, cn.nc, body, payloads, nil)
+	err := writeVectored(&cn.vec, cn.nc, body, payloads)
 	if watchStop != nil {
 		close(watchStop)
 		<-watchDone // joined: no stale deadline can land after the reset
@@ -392,285 +389,4 @@ func (c *Client) abandon(cn *conn, id uint64, ch chan []byte) {
 		c.putChanLocked(ch)
 	}
 	c.mu.Unlock()
-}
-
-// Call issues one node request and waits for its response (roundTrip).
-// Payload-heavy frames (super-chunk stores) are sent vectored: the length
-// prefix and metadata go into one small scratch buffer and the chunk
-// payloads are handed to writev in place (wire.VecWriter).
-func (c *Client) Call(ctx context.Context, req Request) (response, error) {
-	req.ID, req.TimeoutMS = c.nextID.Add(1), wireTimeout(ctx)
-	var payloads []ChunkWire
-	size := requestSize(&req)
-	if payload := payloadSize(req.Chunks); payload >= vectoredMin {
-		size, payloads = size-payload, req.Chunks
-	}
-	body := append(wire.GetBuf(4 + size)[:0], 0, 0, 0, 0)
-	if payloads != nil {
-		body = appendRequestMeta(body, &req)
-	} else {
-		body = appendRequest(body, &req)
-	}
-	frame, err := c.roundTrip(ctx, req.ID, req.Op, body, payloads)
-	if err != nil || frame == nil {
-		return response{ID: req.ID}, err
-	}
-	resp, err := decodeResponse(frame)
-	if err != nil {
-		wire.PutBuf(frame)
-		return response{}, err
-	}
-	if payloadSize(resp.Chunks) > 0 {
-		// Restore payloads are consumed as zero-copy aliases of the receive
-		// buffer, which returns to the pool only once the caller is done
-		// with them (ReleaseFrame).
-		resp.frame = frame
-	} else {
-		wire.PutBuf(frame)
-	}
-	if resp.Err != "" {
-		return resp, fmt.Errorf("rpc: remote: %w", sderr.Decode(resp.Err))
-	}
-	return resp, nil
-}
-
-// Bid sends a handprint and returns the node's similarity match count and
-// storage usage (Algorithm 1 step 2).
-func (c *Client) Bid(ctx context.Context, hp core.Handprint) (count int, usage int64, err error) {
-	resp, err := c.Call(ctx, Request{Op: opBid, Handprint: hp})
-	if err != nil {
-		return 0, 0, err
-	}
-	return resp.Count, resp.Usage, nil
-}
-
-// Query performs the batched duplicate check for a super-chunk, taking
-// no reference. Kept with Store for the benchmark's traced replay (see
-// opQuery); ingest stores through Dedup.
-func (c *Client) Query(ctx context.Context, sc *core.SuperChunk) ([]bool, error) {
-	resp, err := c.Call(ctx, Request{Op: opQuery, Chunks: superChunkToWire(sc, false)})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Dup, nil
-}
-
-// Dedup stores a routed super-chunk on the node, fingerprints first: an
-// OpDedup round trip gives every chunk the node holds its reference and
-// reports the rest, then one opDedupMissing round trip carries the
-// payloads of exactly those — none when the node holds everything. With
-// eager set the payloads ride in the first call and the second never
-// happens (unless a chunk has no payload to send). hp is the router's
-// handprint (nil: the node computes one).
-//
-// fresh[i] reports that chunk i was not held before. On error it reports
-// instead that chunk i holds no reference the call took — as far as the
-// replies tell: a call whose reply never arrived is counted as having
-// taken none, which can only strand references, never free one.
-func (c *Client) Dedup(ctx context.Context, stream string, sc *core.SuperChunk, hp core.Handprint, eager bool) ([]bool, error) {
-	resp, err := c.Call(ctx, Request{Op: OpDedup, Stream: stream, Handprint: hp, Chunks: superChunkToWire(sc, eager)})
-	fresh := make([]bool, len(sc.Chunks))
-	for i := range fresh {
-		fresh[i] = i >= len(resp.Dup) || !resp.Dup[i]
-	}
-	if err == nil && len(resp.Dup) != len(sc.Chunks) {
-		for i := range fresh {
-			fresh[i] = true
-		}
-		err = fmt.Errorf("rpc: dedup: got %d verdicts, want %d", len(resp.Dup), len(sc.Chunks))
-	}
-	if err != nil {
-		return fresh, err
-	}
-	var missing []ChunkWire
-	var at []int
-	for i, ch := range sc.Chunks {
-		if fresh[i] && (!eager || ch.Data == nil) {
-			missing = append(missing, ChunkWire{FP: ch.FP, Size: int32(ch.Size), Data: ch.Data})
-			at = append(at, i)
-		}
-	}
-	if len(missing) == 0 {
-		return fresh, nil
-	}
-	resp, err = c.Call(ctx, Request{Op: opDedupMissing, Stream: stream, Handprint: hp, Chunks: missing})
-	if err != nil {
-		// Everything but the missing chunks holds its reference from the
-		// first call; of those, the ones the failed reply names.
-		unref := make([]bool, len(fresh))
-		for j, i := range at {
-			unref[i] = j >= len(resp.Dup) || !resp.Dup[j]
-		}
-		return unref, err
-	}
-	return fresh, nil
-}
-
-// Store sends a super-chunk (with payloads for chunks the server must
-// persist) to the target node. Kept with Query for the benchmark's traced
-// replay.
-func (c *Client) Store(ctx context.Context, stream string, sc *core.SuperChunk, withData bool) error {
-	op := opStoreRefs
-	if withData {
-		op = opStore
-	}
-	_, err := c.Call(ctx, Request{Op: op, Stream: stream, Chunks: superChunkToWire(sc, withData)})
-	return err
-}
-
-// ChunkBatch is the result of one ReadBatch call: Data[i] is the payload
-// of the i-th requested fingerprint. The payloads alias the pooled
-// receive frame — the caller must invoke Release exactly once, after the
-// data has been written out, to recycle the buffer.
-type ChunkBatch struct {
-	Data  [][]byte
-	Bytes int64 // total payload bytes
-	frame []byte
-}
-
-// Release returns the batch's receive frame to the buffer pool. The
-// Data slices are invalid afterwards. Safe to call more than once.
-func (b *ChunkBatch) Release() {
-	if b.frame != nil {
-		wire.PutBuf(b.frame)
-		b.frame = nil
-		b.Data = nil
-	}
-}
-
-// ReadBatch fetches a batch of chunk payloads in one round trip — the
-// client side of the batched restore path. The server reads each
-// involved container once, sequentially; the response's read-order
-// payloads are scattered back into request order here via Response.Idx.
-// The caller bounds total batch bytes well below the frame limit (the
-// restore scheduler windows by recipe sizes).
-func (c *Client) ReadBatch(ctx context.Context, fps []fingerprint.Fingerprint) (*ChunkBatch, error) {
-	resp, err := c.Call(ctx, Request{Op: opReadBatch, Chunks: fpsToWire(fps)})
-	if err != nil {
-		resp.ReleaseFrame()
-		return nil, err
-	}
-	if len(resp.Chunks) != len(fps) || len(resp.Idx) != len(resp.Chunks) {
-		resp.ReleaseFrame()
-		return nil, fmt.Errorf("rpc: read batch: got %d payloads, %d tags, want %d",
-			len(resp.Chunks), len(resp.Idx), len(fps))
-	}
-	out := make([][]byte, len(fps))
-	var total int64
-	for i := range resp.Chunks {
-		j := int(resp.Idx[i])
-		if j >= len(out) || out[j] != nil {
-			resp.ReleaseFrame()
-			return nil, fmt.Errorf("rpc: read batch: bad request-index tag %d", j)
-		}
-		out[j] = resp.Chunks[i].Data
-		total += int64(len(resp.Chunks[i].Data))
-	}
-	b := &ChunkBatch{Data: out, Bytes: total, frame: resp.frame}
-	resp.frame = nil // ownership moved to the batch
-	return b, nil
-}
-
-// Flush seals the server's open containers.
-func (c *Client) Flush(ctx context.Context) error {
-	_, err := c.Call(ctx, Request{Op: opFlush})
-	return err
-}
-
-// DecRef releases backup references on the server's chunks: fps[i] loses
-// ns[i] references (one batch per node of a deleted backup's recipe).
-func (c *Client) DecRef(ctx context.Context, fps []fingerprint.Fingerprint, ns []int64) error {
-	_, err := c.Call(ctx, Request{Op: opDecRef, Chunks: fpsToWire(fps), Counts: ns})
-	return err
-}
-
-// MigrateRead fetches a batch of chunk payloads by fingerprint — the
-// source side of a super-chunk migration. The response carries one
-// payload per requested fingerprint, in order.
-func (c *Client) MigrateRead(ctx context.Context, fps []fingerprint.Fingerprint) ([][]byte, error) {
-	resp, err := c.Call(ctx, Request{Op: opMigrateRead, Chunks: fpsToWire(fps)})
-	defer resp.ReleaseFrame()
-	if err != nil {
-		return nil, err
-	}
-	if len(resp.Chunks) != len(fps) {
-		return nil, fmt.Errorf("rpc: migrate read: got %d payloads, want %d", len(resp.Chunks), len(fps))
-	}
-	out := make([][]byte, len(resp.Chunks))
-	for i, ch := range resp.Chunks {
-		out[i] = append([]byte(nil), ch.Data...)
-	}
-	return out, nil
-}
-
-// MigrateCommit makes the migration stream's writes durable on the
-// node (its container sealed, manifest fsynced): the target-side
-// commit that must land before the recipe repoints at the node.
-// Concurrent backup streams' open containers are left undisturbed.
-func (c *Client) MigrateCommit(ctx context.Context, stream string) error {
-	_, err := c.Call(ctx, Request{Op: opMigrateCommit, Stream: stream})
-	return err
-}
-
-// RefCounts fetches the node's current reference count for each chunk
-// fingerprint (migration recovery's reconciliation probe).
-func (c *Client) RefCounts(ctx context.Context, fps []fingerprint.Fingerprint) ([]int64, error) {
-	resp, err := c.Call(ctx, Request{Op: opRefCounts, Chunks: fpsToWire(fps)})
-	if err != nil {
-		return nil, err
-	}
-	if len(resp.Counts) != len(fps) {
-		return nil, fmt.Errorf("rpc: ref counts: got %d counts, want %d", len(resp.Counts), len(fps))
-	}
-	return resp.Counts, nil
-}
-
-// Compact runs one compaction scan on the server (≤0 threshold selects
-// the server's configured live-ratio floor).
-func (c *Client) Compact(ctx context.Context, threshold float64) (store.CompactResult, error) {
-	resp, err := c.Call(ctx, Request{Op: opCompact, Threshold: threshold})
-	if err != nil {
-		return store.CompactResult{}, err
-	}
-	return resp.Compacted, nil
-}
-
-// GCStats fetches the server's deletion/compaction counters and storage
-// usage.
-func (c *Client) GCStats(ctx context.Context) (store.GCStats, int64, error) {
-	resp, err := c.Call(ctx, Request{Op: opGCStats})
-	if err != nil {
-		return store.GCStats{}, 0, err
-	}
-	return resp.GC, resp.Usage, nil
-}
-
-// Stats fetches node statistics and storage usage.
-func (c *Client) Stats(ctx context.Context) (node.Stats, int64, error) {
-	resp, err := c.Call(ctx, Request{Op: opStats})
-	if err != nil {
-		return node.Stats{}, 0, err
-	}
-	return resp.Stats, resp.Usage, nil
-}
-
-func superChunkToWire(sc *core.SuperChunk, withData bool) []ChunkWire {
-	out := make([]ChunkWire, len(sc.Chunks))
-	for i, ch := range sc.Chunks {
-		w := ChunkWire{FP: ch.FP, Size: int32(ch.Size)}
-		if withData {
-			w.Data = ch.Data
-		}
-		out[i] = w
-	}
-	return out
-}
-
-// fpsToWire is a fingerprint-only chunk list.
-func fpsToWire(fps []fingerprint.Fingerprint) []ChunkWire {
-	chunks := make([]ChunkWire, len(fps))
-	for i, fp := range fps {
-		chunks[i] = ChunkWire{FP: fp}
-	}
-	return chunks
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"sigmadedupe/internal/core"
 	"sigmadedupe/internal/fingerprint"
 	"sigmadedupe/internal/node"
 	"sigmadedupe/internal/store"
@@ -11,10 +12,9 @@ import (
 )
 
 // Frame kinds of the call layer. A batched-ack frame carries only
-// request IDs: it acknowledges ack-eligible verbs (stores, decrefs,
-// flushes) whose response would otherwise be an empty Response, letting
-// the server coalesce the whole in-flight super-chunk window into one
-// frame and one flush.
+// request IDs: it acknowledges ack-eligible verbs whose reply would
+// otherwise be empty, letting the server coalesce the whole in-flight
+// super-chunk window into one frame and one flush.
 const (
 	frameRequest  byte = 1
 	frameResponse byte = 2
@@ -25,25 +25,24 @@ const (
 const maxFrame = wire.DefaultMaxFrame
 
 // vectoredMin is the total-payload threshold above which a frame, request
-// or response, is sent with writev (writeVectored) instead of copying the
-// payloads into the encode scratch. Below it the copy is cheaper than the
+// or reply, is sent with writev (writeVectored) instead of copying the
+// payloads into the encode buffer. Below it the copy is cheaper than the
 // extra iovec bookkeeping.
 const vectoredMin = 64 << 10
 
-// writeVectored sends head ‖ chunks' payloads ‖ tail as one frame straight
-// to conn, the payloads in place; head begins with the four spare bytes
-// of the length prefix. The caller holds the connection's write lock.
-func writeVectored(v *wire.VecWriter, conn io.Writer, head []byte, chunks []ChunkWire, tail []byte) error {
+// writeVectored sends head ‖ chunks' payloads as one frame straight to
+// conn, the payloads in place; head begins with the four spare bytes of
+// the length prefix. The caller holds the connection's write lock.
+func writeVectored(v *wire.VecWriter, conn io.Writer, head []byte, chunks []core.ChunkRef) error {
 	v.Add(head)
 	for i := range chunks {
 		v.Add(chunks[i].Data)
 	}
-	v.Add(tail)
 	return v.Write(conn)
 }
 
 // appendRequestHeader encodes the header every request frame starts
-// with, node or director: kind | ID | op | timeoutMS.
+// with: kind | ID | op | timeoutMS.
 func appendRequestHeader(b []byte, id uint64, op opcode, timeoutMS int64) []byte {
 	b = wire.AppendU8(b, frameRequest)
 	b = wire.AppendU64(b, id)
@@ -59,127 +58,12 @@ func decodeRequestHeader(r *wire.Reader) (id uint64, op opcode, timeoutMS int64,
 	return r.U64(), opcode(r.U8()), r.I64(), r.Err()
 }
 
-// appendResponseHeader encodes the header every response frame starts
-// with: kind | ID | err.
+// appendResponseHeader encodes the header every reply frame starts with:
+// kind | ID | err.
 func appendResponseHeader(b []byte, id uint64, err string) []byte {
 	b = wire.AppendU8(b, frameResponse)
 	b = wire.AppendU64(b, id)
 	return wire.AppendString(b, err)
-}
-
-// ackEligible reports whether op's successful response carries no data
-// beyond the ID, making it safe to acknowledge via a batched-ack frame:
-// every store but OpDedup (its reply carries verdicts), and the seals.
-func ackEligible(op opcode) bool { return op.stores() && op != OpDedup || op.seals() }
-
-// requestSize returns a capacity hint for encoding req.
-func requestSize(req *Request) int {
-	n := 1 + 8 + 1 + 8 + 8 + // kind, ID, Op, TimeoutMS, Threshold
-		4 + len(req.Stream) +
-		4 + len(req.Handprint)*fingerprint.Size +
-		4 + len(req.Counts)*8 +
-		4 + len(req.Chunks)*(fingerprint.Size+8)
-	return n + payloadSize(req.Chunks)
-}
-
-// payloadSize returns the total chunk payload bytes of a chunk list — the
-// part of a frame that the vectored send path hands to writev in place.
-func payloadSize(chunks []ChunkWire) int {
-	n := 0
-	for i := range chunks {
-		n += len(chunks[i].Data)
-	}
-	return n
-}
-
-// appendRequest encodes req (kind byte included) onto b.
-func appendRequest(b []byte, req *Request) []byte {
-	return appendPayloads(appendRequestMeta(b, req), req.Chunks)
-}
-
-// appendRequestMeta encodes everything of req except the chunk payload
-// bytes. Because the chunk-list layout puts all payloads at the frame
-// tail, appendRequestMeta(b, req) followed by the concatenated payloads
-// is byte-identical to appendRequest(b, req) — the invariant the
-// vectored send relies on.
-func appendRequestMeta(b []byte, req *Request) []byte {
-	b = appendRequestHeader(b, req.ID, req.Op, req.TimeoutMS)
-	b = wire.AppendF64(b, req.Threshold)
-	b = wire.AppendString(b, req.Stream)
-	b = appendList(b, req.Handprint, func(b []byte, fp fingerprint.Fingerprint) []byte { return append(b, fp[:]...) })
-	b = appendList(b, req.Counts, wire.AppendI64)
-	b = appendChunksMeta(b, req.Chunks)
-	return b
-}
-
-// decodeRequest decodes a request frame body. Chunk payloads ALIAS body:
-// the caller owns body until it is done with the request (the server
-// returns the frame to the pool only after the handler completes).
-func decodeRequest(body []byte) (Request, error) {
-	r := wire.NewReader(body)
-	var req Request
-	var err error
-	if req.ID, req.Op, req.TimeoutMS, err = decodeRequestHeader(r); err != nil {
-		return Request{}, err
-	}
-	req.Threshold = r.F64()
-	req.Stream = r.String()
-	req.Handprint = decodeList(r, fingerprint.Size, func() (fp fingerprint.Fingerprint) {
-		copy(fp[:], r.Raw(fingerprint.Size))
-		return fp
-	})
-	req.Counts = decodeList(r, 8, r.I64)
-	req.Chunks = decodeChunks(r)
-	if err := r.Done(); err != nil {
-		return Request{}, fmt.Errorf("rpc: decode request: %w", err)
-	}
-	return req, nil
-}
-
-// appendResponse encodes resp (kind byte included) onto b: head ‖
-// payloads ‖ tail, the pieces a vectored reply sends without joining them.
-func appendResponse(b []byte, resp *response) []byte {
-	b = appendPayloads(appendResponseHead(b, resp), resp.Chunks)
-	return appendResponseTail(b, resp)
-}
-
-// appendResponseHead encodes resp up to and including the chunk headers.
-func appendResponseHead(b []byte, resp *response) []byte {
-	b = appendResponseHeader(b, resp.ID, resp.Err)
-	b = wire.AppendI64(b, int64(resp.Count))
-	b = wire.AppendI64(b, resp.Usage)
-	b = appendList(b, resp.Dup, wire.AppendBool)
-	b = appendList(b, resp.Counts, wire.AppendI64)
-	return appendChunksMeta(b, resp.Chunks)
-}
-
-// appendResponseTail encodes what follows the chunk payloads: Stats … Idx.
-func appendResponseTail(b []byte, resp *response) []byte {
-	b = wire.AppendI64(b, resp.Stats.LogicalBytes)
-	b = wire.AppendI64(b, resp.Stats.PhysicalBytes)
-	b = wire.AppendI64(b, resp.Stats.LogicalChunks)
-	b = wire.AppendI64(b, resp.Stats.UniqueChunks)
-	b = wire.AppendI64(b, resp.Stats.SuperChunks)
-	b = wire.AppendU64(b, resp.Stats.CacheHits)
-	b = wire.AppendU64(b, resp.Stats.DiskIndexHits)
-	b = wire.AppendU64(b, resp.Stats.Prefetches)
-	b = wire.AppendI64(b, resp.GC.StoredBytes)
-	b = wire.AppendI64(b, resp.GC.DeadBytes)
-	b = wire.AppendI64(b, resp.GC.LiveBytes)
-	b = wire.AppendI64(b, int64(resp.GC.Containers))
-	b = wire.AppendI64(b, resp.GC.RetiredContainers)
-	b = wire.AppendI64(b, resp.GC.ReclaimedBytes)
-	b = wire.AppendI64(b, resp.GC.CopiedBytes)
-	b = wire.AppendI64(b, resp.GC.CompactRuns)
-	b = wire.AppendI64(b, resp.GC.CompactErrors)
-	b = wire.AppendString(b, resp.GC.LastCompactErr)
-	b = wire.AppendI64(b, int64(resp.Compacted.Scanned))
-	b = wire.AppendI64(b, int64(resp.Compacted.Rewritten))
-	b = wire.AppendI64(b, int64(resp.Compacted.Retired))
-	b = wire.AppendI64(b, resp.Compacted.CopiedBytes)
-	b = wire.AppendI64(b, resp.Compacted.ReclaimedBytes)
-	b = wire.AppendI64(b, int64(resp.Compacted.SkippedNoPayload))
-	return appendList(b, resp.Idx, wire.AppendU32)
 }
 
 // replyOK reports whether a reply frame carries no error.
@@ -193,73 +77,11 @@ func replyOK(frame []byte) bool {
 	return r.String() == "" && r.Err() == nil
 }
 
-// decodeResponse decodes a response frame body. Chunk payloads ALIAS
-// body; the client copies them before releasing the frame.
-func decodeResponse(body []byte) (response, error) {
-	r := wire.NewReader(body)
-	if k := r.U8(); k != frameResponse {
-		return response{}, fmt.Errorf("%w: response frame kind %d", wire.ErrMalformed, k)
-	}
-	var resp response
-	resp.ID = r.U64()
-	resp.Err = r.String()
-	resp.Count = int(r.I64())
-	resp.Usage = r.I64()
-	resp.Dup = decodeList(r, 1, r.Bool)
-	resp.Counts = decodeList(r, 8, r.I64)
-	resp.Chunks = decodeChunks(r)
-	resp.Stats = node.Stats{
-		LogicalBytes:  r.I64(),
-		PhysicalBytes: r.I64(),
-		LogicalChunks: r.I64(),
-		UniqueChunks:  r.I64(),
-		SuperChunks:   r.I64(),
-		CacheHits:     r.U64(),
-		DiskIndexHits: r.U64(),
-		Prefetches:    r.U64(),
-	}
-	resp.GC = store.GCStats{
-		StoredBytes:       r.I64(),
-		DeadBytes:         r.I64(),
-		LiveBytes:         r.I64(),
-		Containers:        int(r.I64()),
-		RetiredContainers: r.I64(),
-		ReclaimedBytes:    r.I64(),
-		CopiedBytes:       r.I64(),
-		CompactRuns:       r.I64(),
-		CompactErrors:     r.I64(),
-		LastCompactErr:    r.String(),
-	}
-	resp.Compacted = store.CompactResult{
-		Scanned:          int(r.I64()),
-		Rewritten:        int(r.I64()),
-		Retired:          int(r.I64()),
-		CopiedBytes:      r.I64(),
-		ReclaimedBytes:   r.I64(),
-		SkippedNoPayload: int(r.I64()),
-	}
-	resp.Idx = decodeList(r, 4, r.U32)
-	if err := r.Done(); err != nil {
-		return response{}, fmt.Errorf("rpc: decode response: %w", err)
-	}
-	return resp, nil
-}
-
-// ReleaseFrame returns the pooled receive frame this response took
-// ownership of (payload-carrying responses on the client side) — callers
-// that alias Chunks' Data must invoke it exactly once, after the data has
-// been consumed or copied. A no-op on responses without a frame.
-func (r *response) ReleaseFrame() {
-	if r.frame != nil {
-		wire.PutBuf(r.frame)
-		r.frame = nil
-		r.Chunks = nil // aliases are invalid once the frame is pooled
-	}
-}
-
 // appendAcks encodes a batched-ack frame for the given request IDs.
 func appendAcks(b []byte, ids []uint64) []byte {
-	return appendList(wire.AppendU8(b, frameAcks), ids, wire.AppendU64)
+	x := coder{b: wire.AppendU8(b, frameAcks)}
+	list(&x, &ids, 8, x.u64)
+	return x.b
 }
 
 // decodeAcks decodes a batched-ack frame body into request IDs.
@@ -268,70 +90,138 @@ func decodeAcks(body []byte) ([]uint64, error) {
 	if k := r.U8(); k != frameAcks {
 		return nil, fmt.Errorf("%w: ack frame kind %d", wire.ErrMalformed, k)
 	}
-	ids := decodeList(r, 8, r.U64)
+	var ids []uint64
+	x := coder{r: r}
+	list(&x, &ids, 8, x.u64)
 	if err := r.Done(); err != nil {
 		return nil, fmt.Errorf("rpc: decode acks: %w", err)
 	}
 	return ids, nil
 }
 
-// appendList encodes a u32-counted list, each element with put.
-func appendList[T any](b []byte, v []T, put func([]byte, T) []byte) []byte {
-	b = wire.AppendU32(b, uint32(len(v)))
-	for _, e := range v {
-		b = put(b, e)
-	}
-	return b
+// coder walks a message's fields in wire order: with r set it decodes
+// into them, otherwise it appends them to b. One walk per message keeps
+// the two directions from drifting apart. A chunk list's payloads are
+// not appended but kept in payloads: the list is a message's last field,
+// so b ‖ payloads is the whole message (frame), and a large one goes to
+// writev in place.
+type coder struct {
+	b        []byte
+	r        *wire.Reader
+	payloads []core.ChunkRef
+	err      error // content the reader cannot see is wrong (a forged chunk size)
 }
 
-// decodeList decodes a u32-counted list whose elements take at least min
-// bytes each on the wire (nil when empty).
-func decodeList[T any](r *wire.Reader, min int, get func() T) []T {
-	n := r.Count(min)
+// grow makes room for n more bytes, trading a pooled buffer for a larger
+// one instead of letting append allocate outside the pools.
+func (x *coder) grow(n int) {
+	if cap(x.b)-len(x.b) < n {
+		b := append(wire.GetBuf(len(x.b) + n)[:0], x.b...)
+		wire.PutBuf(x.b)
+		x.b = b
+	}
+}
+
+// frame finishes an encoded message: payloads under vectoredMin join b,
+// larger ones are returned for writeVectored.
+func (x *coder) frame() (body []byte, payloads []core.ChunkRef) {
+	n := payloadSize(x.payloads)
+	if n >= vectoredMin {
+		return x.b, x.payloads
+	}
+	x.grow(n)
+	for i := range x.payloads {
+		x.b = append(x.b, x.payloads[i].Data...)
+	}
+	return x.b, nil
+}
+
+// done is the decoder's verdict: the body consumed exactly, every value
+// in it plausible.
+func (x *coder) done() error {
+	if err := x.r.Done(); err != nil {
+		return err
+	}
+	return x.err
+}
+
+func walk[T any](x *coder, v *T, put func([]byte, T) []byte, get func() T) {
+	if x.r != nil {
+		*v = get()
+	} else {
+		x.b = put(x.b, *v)
+	}
+}
+
+func (x *coder) u32(v *uint32)  { walk(x, v, wire.AppendU32, x.r.U32) }
+func (x *coder) u64(v *uint64)  { walk(x, v, wire.AppendU64, x.r.U64) }
+func (x *coder) i64(v *int64)   { walk(x, v, wire.AppendI64, x.r.I64) }
+func (x *coder) f64(v *float64) { walk(x, v, wire.AppendF64, x.r.F64) }
+func (x *coder) flag(v *bool)   { walk(x, v, wire.AppendBool, x.r.Bool) }
+func (x *coder) str(v *string)  { walk(x, v, wire.AppendString, x.r.String) }
+
+func (x *coder) i32(v *int32) { u := uint32(*v); x.u32(&u); *v = int32(u) }
+func (x *coder) int(v *int)   { n := int64(*v); x.i64(&n); *v = int(n) }
+
+func (x *coder) fp(v *fingerprint.Fingerprint) {
+	if x.r != nil {
+		copy(v[:], x.r.Raw(fingerprint.Size))
+	} else {
+		x.b = append(x.b, v[:]...)
+	}
+}
+
+// list walks a u32-counted list whose elements take at least min bytes
+// on the wire (the bound that keeps a corrupt count from allocating).
+func list[T any](x *coder, v *[]T, min int, each func(*T)) {
+	if x.r == nil {
+		x.grow(4 + len(*v)*min)
+		x.b = wire.AppendU32(x.b, uint32(len(*v)))
+	} else if n := x.r.Count(min); n > 0 {
+		*v = make([]T, n)
+	} else {
+		*v = nil
+	}
+	for i := range *v {
+		each(&(*v)[i])
+	}
+}
+
+func (x *coder) fps(v *[]fingerprint.Fingerprint) { list(x, v, fingerprint.Size, x.fp) }
+func (x *coder) flags(v *[]bool)                  { list(x, v, 1, x.flag) }
+func (x *coder) i64s(v *[]int64)                  { list(x, v, 8, x.i64) }
+
+// chunkHeader is a chunk list's fixed bytes per chunk: fingerprint, size
+// and payload length.
+const chunkHeader = fingerprint.Size + 8
+
+// chunks walks a chunk list: u32 count, then the fixed per-chunk headers,
+// then all payloads concatenated — so the decoder aliases every payload
+// in the frame with no per-chunk framing, and the encoder leaves them to
+// frame. A payload length of zero means Data == nil (fingerprint-only
+// chunk). A chunk whose size is negative, or disagrees with the length
+// of the payload it came with, is refused (err): the node would account
+// its size while storing its payload.
+func (x *coder) chunks(v *[]core.ChunkRef) {
+	if x.r == nil {
+		x.grow(4 + len(*v)*chunkHeader)
+		x.b = wire.AppendU32(x.b, uint32(len(*v)))
+		for i := range *v {
+			ch := &(*v)[i]
+			x.b = append(x.b, ch.FP[:]...)
+			x.b = wire.AppendU32(x.b, uint32(ch.Size))
+			x.b = wire.AppendU32(x.b, uint32(len(ch.Data)))
+		}
+		x.payloads = *v
+		return
+	}
+	r := x.r
+	n := r.Count(chunkHeader)
 	if n == 0 {
-		return nil
+		*v = nil
+		return
 	}
-	out := make([]T, n)
-	for i := range out {
-		out[i] = get()
-	}
-	return out
-}
-
-// Chunk list layout: u32 count, then per-chunk fixed headers
-// (fingerprint, size, payload length), then all payloads concatenated.
-// Headers-before-payloads lets the decoder alias every payload as a
-// sub-slice of the frame with no per-chunk framing overhead. A payload
-// length of zero means Data == nil (fingerprint-only chunk).
-//
-// appendChunksMeta encodes the chunk count and fixed headers only; the
-// payload concatenation that completes the layout is added by the caller
-// (inline by appendPayloads, via writev by writeVectored).
-func appendChunksMeta(b []byte, chunks []ChunkWire) []byte {
-	b = wire.AppendU32(b, uint32(len(chunks)))
-	for i := range chunks {
-		b = append(b, chunks[i].FP[:]...)
-		b = wire.AppendU32(b, uint32(chunks[i].Size))
-		b = wire.AppendU32(b, uint32(len(chunks[i].Data)))
-	}
-	return b
-}
-
-// appendPayloads appends every chunk's payload bytes, in order.
-func appendPayloads(b []byte, chunks []ChunkWire) []byte {
-	for i := range chunks {
-		b = append(b, chunks[i].Data...)
-	}
-	return b
-}
-
-// decodeChunks decodes a chunk list; Data slices alias the frame body.
-func decodeChunks(r *wire.Reader) []ChunkWire {
-	n := r.Count(fingerprint.Size + 8)
-	if n == 0 {
-		return nil
-	}
-	out := make([]ChunkWire, n)
+	out := make([]core.ChunkRef, n)
 	// Payload lengths are needed across the two passes; a stack buffer
 	// covers any realistic super-chunk without a second heap allocation.
 	var stack [512]uint32
@@ -342,14 +232,58 @@ func decodeChunks(r *wire.Reader) []ChunkWire {
 	dlens = dlens[:n]
 	for i := 0; i < n; i++ {
 		copy(out[i].FP[:], r.Raw(fingerprint.Size))
-		out[i].Size = int32(r.U32())
+		out[i].Size = int(int32(r.U32()))
 		dlens[i] = r.U32()
+		if size := out[i].Size; (size < 0 || dlens[i] != 0 && int64(dlens[i]) != int64(size)) && x.err == nil {
+			x.err = fmt.Errorf("chunk %d: size %d with a %d-byte payload", i, size, dlens[i])
+		}
 	}
 	for i := 0; i < n; i++ {
-		if dlens[i] == 0 {
-			continue
+		if dlens[i] != 0 {
+			out[i].Data = r.Raw(int(dlens[i]))
 		}
-		out[i].Data = r.Raw(int(dlens[i]))
 	}
-	return out
+	*v = out
+}
+
+// payloadSize returns the total payload bytes of a chunk list.
+func payloadSize(chunks []core.ChunkRef) int {
+	n := 0
+	for i := range chunks {
+		n += len(chunks[i].Data)
+	}
+	return n
+}
+
+func (x *coder) nodeStats(v *node.Stats) {
+	x.i64(&v.LogicalBytes)
+	x.i64(&v.PhysicalBytes)
+	x.i64(&v.LogicalChunks)
+	x.i64(&v.UniqueChunks)
+	x.i64(&v.SuperChunks)
+	x.u64(&v.CacheHits)
+	x.u64(&v.DiskIndexHits)
+	x.u64(&v.Prefetches)
+}
+
+func (x *coder) gcStats(v *store.GCStats) {
+	x.i64(&v.StoredBytes)
+	x.i64(&v.DeadBytes)
+	x.i64(&v.LiveBytes)
+	x.int(&v.Containers)
+	x.i64(&v.RetiredContainers)
+	x.i64(&v.ReclaimedBytes)
+	x.i64(&v.CopiedBytes)
+	x.i64(&v.CompactRuns)
+	x.i64(&v.CompactErrors)
+	x.str(&v.LastCompactErr)
+}
+
+func (x *coder) compacted(v *store.CompactResult) {
+	x.int(&v.Scanned)
+	x.int(&v.Rewritten)
+	x.int(&v.Retired)
+	x.i64(&v.CopiedBytes)
+	x.i64(&v.ReclaimedBytes)
+	x.int(&v.SkippedNoPayload)
 }

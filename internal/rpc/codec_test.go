@@ -6,9 +6,8 @@ import (
 	"fmt"
 	"testing"
 
+	"sigmadedupe/internal/core"
 	"sigmadedupe/internal/fingerprint"
-	"sigmadedupe/internal/node"
-	"sigmadedupe/internal/store"
 	"sigmadedupe/internal/wire"
 )
 
@@ -20,99 +19,37 @@ func testFP(seed byte) fingerprint.Fingerprint {
 	return fp
 }
 
-func sampleRequest() Request {
-	return Request{
-		ID:        42,
-		Op:        opStore,
-		Stream:    "client-a/backup-7",
-		Handprint: []fingerprint.Fingerprint{testFP(1), testFP(2), testFP(3)},
-		Chunks: []ChunkWire{
-			{FP: testFP(10), Size: 5, Data: []byte("hello")},
-			{FP: testFP(11), Size: 9}, // fingerprint-only: no payload
-			{FP: testFP(12), Size: 3, Data: []byte{0, 1, 2}},
-		},
-		Counts:    []int64{1, -3, 1 << 40},
-		Threshold: 0.75,
-		TimeoutMS: 1500,
-	}
-}
-
-func sampleResponse() response {
-	return response{
-		ID:     42,
-		Err:    "node 3: not found",
-		Count:  17,
-		Usage:  9 << 30,
-		Dup:    []bool{true, false, true},
-		Chunks: []ChunkWire{{FP: testFP(20), Size: 4, Data: []byte("data")}},
-		Counts: []int64{2, 2, 5},
-		Stats: node.Stats{
-			LogicalBytes:  100,
-			PhysicalBytes: 60,
-			LogicalChunks: 25,
-			UniqueChunks:  15,
-			SuperChunks:   2,
-			CacheHits:     7,
-			DiskIndexHits: 3,
-			Prefetches:    1,
-		},
-		GC: store.GCStats{
-			StoredBytes:       1000,
-			DeadBytes:         200,
-			LiveBytes:         800,
-			Containers:        4,
-			RetiredContainers: 1,
-			ReclaimedBytes:    150,
-			CopiedBytes:       50,
-			CompactRuns:       2,
-		},
-		Compacted: store.CompactResult{
-			Scanned:          4,
-			Rewritten:        1,
-			Retired:          1,
-			CopiedBytes:      50,
-			ReclaimedBytes:   150,
-			SkippedNoPayload: 1,
-		},
-	}
-}
-
+// TestRequestRoundTrip: every verb's sample argument survives encode →
+// decode, and re-encoding the decoded frame reproduces it byte for byte
+// (encoding is a pure function of the message, so byte equality is
+// semantic equality).
 func TestRequestRoundTrip(t *testing.T) {
-	req := sampleRequest()
-	enc := appendRequest(nil, &req)
-	if want := requestSize(&req); len(enc) != want {
-		t.Errorf("requestSize hint %d, encoded %d bytes", want, len(enc))
-	}
-	got, err := decodeRequest(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Canonical comparison: re-encoding the decoded value must reproduce
-	// the original bytes exactly (encoding is a pure function of the
-	// message, so byte equality == semantic equality).
-	if re := appendRequest(nil, &got); !bytes.Equal(re, enc) {
-		t.Fatal("request did not survive the round trip")
-	}
-	if got.Stream != req.Stream || got.Op != req.Op || got.ID != req.ID {
-		t.Fatalf("decoded header mismatch: %+v", got)
-	}
-	if got.Chunks[1].Data != nil {
-		t.Fatal("fingerprint-only chunk decoded with non-nil Data")
+	for _, s := range samples {
+		if err := s.roundTrip(); err != nil {
+			t.Fatalf("op %d: %v", s.op, err)
+		}
+		r := wire.NewReader(s.request)
+		if _, _, _, err := decodeRequestHeader(r); err != nil {
+			t.Fatal(err)
+		}
+		arg := s.request[len(s.request)-r.Len():]
+		if re, err := s.args(r); err != nil || !bytes.Equal(re, arg) {
+			t.Fatalf("op %d: argument is not a fixed point (%v)", s.op, err)
+		}
 	}
 }
 
+// TestResponseRoundTrip is TestRequestRoundTrip for every verb's result.
 func TestResponseRoundTrip(t *testing.T) {
-	resp := sampleResponse()
-	enc := appendResponse(nil, &resp)
-	got, err := decodeResponse(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if re := appendResponse(nil, &got); !bytes.Equal(re, enc) {
-		t.Fatal("response did not survive the round trip")
-	}
-	if got.Stats != resp.Stats || got.GC != resp.GC || got.Compacted != resp.Compacted {
-		t.Fatalf("stats blocks mismatch: %+v", got)
+	for _, s := range samples {
+		r := wire.NewReader(s.reply)
+		r.U8()
+		r.U64()
+		r.Bytes() // the error
+		res := s.reply[len(s.reply)-r.Len():]
+		if re, err := s.result(r); err != nil || !bytes.Equal(re, res) {
+			t.Fatalf("op %d: result is not a fixed point (%v)", s.op, err)
+		}
 	}
 }
 
@@ -134,116 +71,125 @@ func TestAcksRoundTrip(t *testing.T) {
 	}
 }
 
-// vectoredResponse is a reply's encoding as the vectored sender lays it
-// out: head, then each payload, then tail.
-func vectoredResponse(resp *response) []byte {
-	b := appendResponseHead(nil, resp)
-	for i := range resp.Chunks {
-		b = append(b, resp.Chunks[i].Data...)
+// payloadChunks is n chunks of size bytes each.
+func payloadChunks(n, size int) []core.ChunkRef {
+	chunks := make([]core.ChunkRef, n)
+	for i := range chunks {
+		chunks[i] = core.ChunkRef{FP: testFP(byte(i)), Size: size, Data: bytes.Repeat([]byte{byte(i)}, size)}
 	}
-	return appendResponseTail(b, resp)
+	return chunks
 }
 
-// payloadReply is a payload-heavy ReadBatch reply: n chunks of size
-// bytes each, tagged in reverse request order.
-func payloadReply(n, size int) response {
-	resp := response{ID: 77, Chunks: make([]ChunkWire, n), Idx: make([]uint32, n)}
-	for i := range resp.Chunks {
-		data := bytes.Repeat([]byte{byte(i)}, size)
-		resp.Chunks[i] = ChunkWire{FP: testFP(byte(i)), Size: int32(size), Data: data}
-		resp.Idx[i] = uint32(n - 1 - i)
-	}
-	return resp
-}
-
-// TestVectoredEncodingInvariant pins the contract both writev paths
-// depend on: meta-then-concatenated-payloads (requests) and
-// head-payloads-tail (responses) are byte-identical to the inline
-// encoders, for payload-heavy, fingerprint-only and empty chunk lists
-// alike — which is what keeps old and new peers interoperable.
+// TestVectoredEncodingInvariant pins the contract the writev path
+// depends on, for every payload-bearing verb's walks: the chunk list is
+// the message's last field, so the encoded head followed by the payloads
+// is the message (whole), which the samples' round trips decode; a
+// message under vectoredMin leaves frame with the payloads joined, a
+// larger one with them apart, and writeVectored puts the length prefix
+// and exactly those bytes on the wire.
 func TestVectoredEncodingInvariant(t *testing.T) {
-	errored := sampleResponse()
-	errored.Chunks = nil
-	resps := []response{
-		payloadReply(40, 4096),
-		sampleResponse(),
-		{ID: 3, Stats: sampleResponse().Stats, Usage: 5},
-		errored,
+	big := scArgs{"s", nil, payloadChunks(40, 4096)}
+	bigReply := readReply{make([]uint32, 40), big.chunks}
+	msgs := []func(*coder){
+		func(x *coder) { storeChunks.args(x, &big) },
+		func(x *coder) { dedup.args(x, &big) },
+		func(x *coder) { dedupMissing.args(x, &big) },
+		func(x *coder) { readBatch.result(x, &bigReply) },
 	}
-	for i, resp := range resps {
-		if !bytes.Equal(appendResponse(nil, &resp), vectoredResponse(&resp)) {
-			t.Fatalf("response %d: vectored layout diverges from inline encoding", i)
+	for _, s := range samples {
+		if s.class&payloads != 0 {
+			msgs = append(msgs, s.walks[:]...)
 		}
 	}
-
-	reqs := []Request{
-		sampleRequest(),
-		{ID: 1, Op: opFlush},
-		{ID: 2, Op: opQuery, Chunks: []ChunkWire{{FP: testFP(9), Size: 8}}},
-	}
-	for i, req := range reqs {
-		inline := appendRequest(nil, &req)
-		vectored := appendRequestMeta(nil, &req)
-		for j := range req.Chunks {
-			vectored = append(vectored, req.Chunks[j].Data...)
-		}
-		if !bytes.Equal(inline, vectored) {
-			t.Fatalf("request %d: vectored layout diverges from inline encoding", i)
+	var v wire.VecWriter
+	var buf bytes.Buffer
+	for i, walk := range msgs {
+		for round := 0; round < 2; round++ { // twice: the writer's scratch is reused
+			x := coder{b: make([]byte, 4)}
+			walk(&x)
+			want := whole(&x)[4:]
+			body, pays := x.frame()
+			if big := payloadSize(x.payloads) >= vectoredMin; big != (pays != nil) {
+				t.Fatalf("message %d: %d payload bytes, sent apart: %v", i, payloadSize(x.payloads), pays != nil)
+			}
+			if err := writeVectored(&v, &buf, body, pays); err != nil {
+				t.Fatal(err)
+			}
+			got, err := wire.ReadFrame(&buf, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if buf.Len() != 0 || !bytes.Equal(got, want) {
+				t.Fatalf("message %d: the vectored frame is not the length prefix plus the message", i)
+			}
 		}
 	}
 }
 
 // TestDecodeTypedErrors: corrupt frames must fail with the wire
-// package's sentinel errors so callers can errors.Is them — including
-// after a TCP hop, where Call re-wraps but preserves the chain.
+// package's sentinel errors so callers can errors.Is them.
 func TestDecodeTypedErrors(t *testing.T) {
-	req := sampleRequest()
-	enc := appendRequest(nil, &req)
-
-	if _, err := decodeRequest(enc[:len(enc)-3]); !errors.Is(err, wire.ErrTruncated) && !errors.Is(err, wire.ErrMalformed) {
-		t.Fatalf("truncated request: %v, want ErrTruncated or ErrMalformed", err)
+	for _, s := range samples {
+		r := wire.NewReader(s.request)
+		if _, _, _, err := decodeRequestHeader(r); err != nil {
+			t.Fatal(err)
+		}
+		arg := s.request[len(s.request)-r.Len():]
+		if len(arg) > 0 {
+			if _, err := s.args(wire.NewReader(arg[:len(arg)-1])); !errors.Is(err, wire.ErrTruncated) && !errors.Is(err, wire.ErrMalformed) {
+				t.Fatalf("op %d, truncated argument: %v, want ErrTruncated or ErrMalformed", s.op, err)
+			}
+		}
+		if _, err := s.args(wire.NewReader(append(append([]byte{}, arg...), 0xFF))); !errors.Is(err, wire.ErrMalformed) {
+			t.Fatalf("op %d, trailing byte: %v, want ErrMalformed", s.op, err)
+		}
 	}
-	if _, err := decodeRequest(append(append([]byte{}, enc...), 0xFF)); !errors.Is(err, wire.ErrMalformed) {
-		t.Fatalf("trailing byte: %v, want ErrMalformed", err)
-	}
-	if _, err := decodeRequest([]byte{frameResponse}); !errors.Is(err, wire.ErrMalformed) {
+	if _, _, _, err := decodeRequestHeader(wire.NewReader([]byte{frameResponse})); !errors.Is(err, wire.ErrMalformed) {
 		t.Fatalf("wrong kind: %v, want ErrMalformed", err)
 	}
 	if _, err := decodeAcks([]byte{frameAcks, 0xFF, 0xFF, 0xFF, 0xFF}); !errors.Is(err, wire.ErrMalformed) {
 		t.Fatalf("absurd ack count: %v, want ErrMalformed", err)
 	}
-	resp := sampleResponse()
-	renc := appendResponse(nil, &resp)
-	if _, err := decodeResponse(renc[:12]); !errors.Is(err, wire.ErrTruncated) && !errors.Is(err, wire.ErrMalformed) {
-		t.Fatalf("truncated response: %v, want ErrTruncated or ErrMalformed", err)
+	huge := wire.AppendU32(nil, 0x7FFFFFFF) // a chunk count no body holds
+	if _, err := recode((*coder).chunks)(wire.NewReader(huge)); !errors.Is(err, wire.ErrMalformed) {
+		t.Fatalf("absurd chunk count: %v, want ErrMalformed", err)
 	}
 }
 
-// FuzzFrame fuzzes the node-protocol frame decoders end to end: for an
-// arbitrary body, decoding must never panic, and any body that decodes
-// successfully must re-encode to a canonical byte string that decodes to
-// the same message (encode∘decode is idempotent). The frame is also
-// pushed through wire.WriteFrame/ReadFrame to fuzz the length-prefix
-// layer together with the payload layer.
+// FuzzFrame fuzzes the frame decoders end to end: for an arbitrary body,
+// decoding must never panic, and a request whose argument, or a reply
+// whose result under any verb's walk, decodes must re-encode to a
+// canonical byte string that decodes to the same message (encode∘decode
+// is idempotent). The frame is also pushed through wire.WriteFrame and
+// ReadFrame to fuzz the length-prefix layer with the payload layer.
 func FuzzFrame(f *testing.F) {
-	req := sampleRequest()
-	resp := sampleResponse()
-	f.Add(appendRequest(nil, &req))
-	f.Add(appendResponse(nil, &resp))
-	reply := payloadReply(3, 700)
-	f.Add(appendResponse(nil, &reply))
+	for _, s := range samples {
+		f.Add(s.request)
+		f.Add(s.reply)
+	}
 	f.Add(appendAcks(nil, []uint64{1, 2, 3}))
 	f.Add(appendAcks(nil, nil))
-	empty := Request{ID: 9, Op: opStats}
-	f.Add(appendRequest(nil, &empty))
 	f.Add([]byte{})
 	f.Add([]byte{frameRequest})
 	f.Add([]byte{0xFF, 0, 1, 2})
-	dreq, dreply, dmissing := dedupRequest(), dedupReply(), dedupMissingRequest()
-	f.Add(appendRequest(nil, &dreq))
-	f.Add(appendResponse(nil, &dreply))
-	f.Add(appendRequest(nil, &dmissing))
 
+	byOp := map[opcode]sample{}
+	for _, s := range samples {
+		byOp[s.op] = s
+	}
+	fixedPoint := func(t *testing.T, what string, recode func(*wire.Reader) ([]byte, error), body []byte) {
+		canon, err := recode(wire.NewReader(body))
+		if err != nil {
+			return
+		}
+		again, err := recode(wire.NewReader(canon))
+		if err != nil {
+			t.Fatalf("%s: re-decode of the canonical form: %v", what, err)
+		}
+		if !bytes.Equal(again, canon) {
+			t.Fatalf("%s: the canonical form is not a fixed point", what)
+		}
+	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		// Layer 1: the length-prefixed frame transport round-trips any
 		// body below the cap and rejects nothing it wrote itself.
@@ -270,40 +216,29 @@ func FuzzFrame(f *testing.F) {
 			}
 		}
 
-		// Layer 2: payload decoders, dispatched on the kind byte exactly
-		// like the client and server read loops.
+		// Layer 2: the walks, dispatched on the kind byte like the client
+		// and server read loops; a reply names no op, so every verb's
+		// result walk tries it.
 		if len(body) == 0 {
 			return
 		}
+		r := wire.NewReader(body)
 		switch body[0] {
 		case frameRequest:
-			msg, err := decodeRequest(body)
-			if err != nil {
-				return
-			}
-			canon := appendRequest(nil, &msg)
-			again, err := decodeRequest(canon)
-			if err != nil {
-				t.Fatalf("re-decode of canonical request: %v", err)
-			}
-			if !bytes.Equal(appendRequest(nil, &again), canon) {
-				t.Fatal("request canonical form is not a fixed point")
+			if _, op, _, err := decodeRequestHeader(r); err == nil {
+				if s, ok := byOp[op]; ok {
+					fixedPoint(t, fmt.Sprintf("op %d argument", op), s.args, body[len(body)-r.Len():])
+				}
 			}
 		case frameResponse:
-			msg, err := decodeResponse(body)
-			if err != nil {
+			r.U8()
+			r.U64()
+			r.Bytes() // the error
+			if r.Err() != nil {
 				return
 			}
-			canon := appendResponse(nil, &msg)
-			if !bytes.Equal(vectoredResponse(&msg), canon) {
-				t.Fatal("vectored reply layout diverges from the canonical response")
-			}
-			again, err := decodeResponse(canon)
-			if err != nil {
-				t.Fatalf("re-decode of canonical response: %v", err)
-			}
-			if !bytes.Equal(appendResponse(nil, &again), canon) {
-				t.Fatal("response canonical form is not a fixed point")
+			for _, s := range samples {
+				fixedPoint(t, fmt.Sprintf("op %d result", s.op), s.result, body[len(body)-r.Len():])
 			}
 		case frameAcks:
 			ids, err := decodeAcks(body)
@@ -322,54 +257,77 @@ func FuzzFrame(f *testing.F) {
 	})
 }
 
+// benchArgs is a Dedup argument with one 4 KB payload among three chunks
+// under a three-fingerprint handprint.
+func benchArgs() scArgs {
+	return scArgs{"client-a/backup-7", []fingerprint.Fingerprint{testFP(1), testFP(2), testFP(3)}, []core.ChunkRef{
+		{FP: testFP(10), Size: 4096, Data: bytes.Repeat([]byte("x"), 4096)},
+		{FP: testFP(11), Size: 9},
+		{FP: testFP(12), Size: 3, Data: []byte{0, 1, 2}},
+	}}
+}
+
 func BenchmarkCodecEncodeRequest(b *testing.B) {
-	req := sampleRequest()
-	// Pad one chunk to a realistic 4KB payload.
-	req.Chunks[0].Data = bytes.Repeat([]byte("x"), 4096)
-	req.Chunks[0].Size = 4096
-	buf := make([]byte, 0, requestSize(&req))
-	b.SetBytes(int64(requestSize(&req)))
+	a := benchArgs()
+	x := coder{b: make([]byte, 0, 8192)}
 	b.ReportAllocs()
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf = appendRequest(buf[:0], &req)
+		x.b = appendRequestHeader(x.b[:0], 42, dedup.op, 1500)
+		dedup.args(&x, &a)
+		x.frame()
 	}
+	b.SetBytes(int64(len(x.b)))
 }
 
 func BenchmarkCodecDecodeRequest(b *testing.B) {
-	req := sampleRequest()
-	req.Chunks[0].Data = bytes.Repeat([]byte("x"), 4096)
-	req.Chunks[0].Size = 4096
-	enc := appendRequest(nil, &req)
+	a := benchArgs()
+	x := coder{b: appendRequestHeader(nil, 42, dedup.op, 1500)}
+	dedup.args(&x, &a)
+	enc := whole(&x)
 	b.SetBytes(int64(len(enc)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := decodeRequest(enc); err != nil {
+		r := wire.NewReader(enc)
+		decodeRequestHeader(r)
+		var got scArgs
+		d := coder{r: r}
+		dedup.args(&d, &got)
+		if err := d.done(); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
+// The reply benchmarks walk a Dedup reply of 256 verdicts, the ingest
+// path's one reply with a body.
 func BenchmarkCodecEncodeResponse(b *testing.B) {
-	resp := sampleResponse()
-	buf := appendResponse(nil, &resp)
-	b.SetBytes(int64(len(buf)))
+	dup := make([]bool, 256)
+	x := coder{b: make([]byte, 0, 1024)}
 	b.ReportAllocs()
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf = appendResponse(buf[:0], &resp)
+		x.b = appendResponseHeader(x.b[:0], 42, "")
+		dedup.result(&x, &dup)
 	}
+	b.SetBytes(int64(len(x.b)))
 }
 
 func BenchmarkCodecDecodeResponse(b *testing.B) {
-	resp := sampleResponse()
-	enc := appendResponse(nil, &resp)
-	b.SetBytes(int64(len(enc)))
+	dup := make([]bool, 256)
+	x := coder{b: appendResponseHeader(nil, 42, "")}
+	dedup.result(&x, &dup)
+	b.SetBytes(int64(len(x.b)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := decodeResponse(enc); err != nil {
+		r := wire.NewReader(x.b)
+		r.U8()
+		r.U64()
+		r.Bytes() // the error
+		var got []bool
+		d := coder{r: r}
+		dedup.result(&d, &got)
+		if err := d.done(); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -2,69 +2,14 @@ package rpc
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"errors"
 	"reflect"
 	"testing"
 
 	"sigmadedupe/internal/core"
-	"sigmadedupe/internal/fingerprint"
 	"sigmadedupe/internal/node"
 	"sigmadedupe/internal/sderr"
 )
-
-// dedupRequest and dedupReply are an OpDedup exchange as the client and
-// server encode it: the fingerprints of three chunks under the routed
-// handprint, and the verdicts.
-func dedupRequest() Request {
-	return Request{
-		ID:        43,
-		Op:        OpDedup,
-		Stream:    "client-a/backup-7",
-		Handprint: []fingerprint.Fingerprint{testFP(1), testFP(2)},
-		Chunks:    []ChunkWire{{FP: testFP(1), Size: 5}, {FP: testFP(2), Size: 9}, {FP: testFP(12), Size: 3}},
-		TimeoutMS: 1500,
-	}
-}
-
-func dedupReply() response { return response{ID: 43, Dup: []bool{true, false, true}} }
-
-// dedupMissingRequest is the second round trip: the payload of the chunk
-// the reply calls missing.
-func dedupMissingRequest() Request {
-	return Request{
-		ID:        44,
-		Op:        opDedupMissing,
-		Stream:    "client-a/backup-7",
-		Handprint: []fingerprint.Fingerprint{testFP(1), testFP(2)},
-		Chunks:    []ChunkWire{{FP: testFP(2), Size: 9, Data: []byte("new chunk")}},
-		TimeoutMS: 1500,
-	}
-}
-
-// TestDedupFrameGolden pins the encodings of the two dedup ops beside the
-// version-1 digests of TestVectoredFrameGolden, which adding them left
-// unchanged: the ops reuse the one request/response layout.
-func TestDedupFrameGolden(t *testing.T) {
-	req, reply, rest := dedupRequest(), dedupReply(), dedupMissingRequest()
-	for _, tc := range []struct {
-		name, want string
-		enc        []byte
-	}{
-		{"dedup request", "387f410d6594214923258e89f52eaf8ce64330a88bbfb6fcbe2386325a94fef2", appendRequest(nil, &req)},
-		{"dedup reply", "ca0b9d815f4bd624551522e1a4859d32d5b6525b3ed5a1b955a0e6e68410678c", appendResponse(nil, &reply)},
-		{"dedup-missing request", "ff674589bc856fc78cbd8ad966c2bae8f427f9c3d5bc479ddc75a4986190a3d1", appendRequest(nil, &rest)},
-	} {
-		sum := sha256.Sum256(tc.enc)
-		if got := hex.EncodeToString(sum[:]); got != tc.want {
-			t.Errorf("%s: encoding digest %s, want %s (wire format changed)", tc.name, got, tc.want)
-		}
-	}
-	if OpDedup != 16 || opDedupMissing != 17 {
-		t.Fatalf("op numbers %d, %d: want 16, 17", OpDedup, opDedupMissing)
-	}
-}
 
 // refsOn reads a node's reference counts over a second connection.
 func refsOn(t *testing.T, srv *Server, sc *core.SuperChunk) []int64 {
@@ -171,5 +116,52 @@ func TestDedupMissingFailureReportsReferences(t *testing.T) {
 	}
 	if got, want := refsOn(t, srv, sc), []int64{2, 1, 0, 0, 2}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("references %v, want %v", got, want)
+	}
+}
+
+// TestDedupRefusesForgedChunkSizes: a chunk whose size is negative, or
+// disagrees with the payload it came with, is refused the way a bad
+// handprint is — typed, no reference taken, no byte accounted — and the
+// connection stays.
+func TestDedupRefusesForgedChunkSizes(t *testing.T) {
+	srv, c := startServer(t, node.Config{KeepPayloads: true})
+	ctx := context.Background()
+	c.mu.Lock()
+	cn := c.cn
+	c.mu.Unlock()
+	// Without payloads only a negative size is a forgery: the first call
+	// of a fingerprint-only store cannot check a size against a payload.
+	for _, tc := range []struct {
+		name  string
+		size  int
+		eager bool
+	}{{"negative", -1, true}, {"negative, fingerprints first", -1, false}, {"not the payload's", 100, true}} {
+		sc := makeSC(28, 4)
+		for i := range sc.Chunks {
+			sc.Chunks[i].Size = tc.size
+		}
+		fresh, err := c.Dedup(ctx, "s", sc, nil, tc.eager)
+		if !errors.Is(err, sderr.ErrMalformed) {
+			t.Fatalf("%s size: %v, want ErrMalformed", tc.name, err)
+		}
+		for i, f := range fresh {
+			if !f {
+				t.Fatalf("%s size: chunk %d reported referenced by a refused call", tc.name, i)
+			}
+		}
+		if refs := refsOn(t, srv, sc); !reflect.DeepEqual(refs, []int64{0, 0, 0, 0}) {
+			t.Fatalf("%s size: references %v after a refused call", tc.name, refs)
+		}
+	}
+	if st := srv.Node().Stats(); st.LogicalBytes != 0 || st.PhysicalBytes != 0 || srv.Node().StorageUsage() != 0 {
+		t.Fatalf("refused calls were accounted: %+v, usage %d", st, srv.Node().StorageUsage())
+	}
+	if _, err := c.Dedup(ctx, "s", makeSC(28, 4), nil, true); err != nil {
+		t.Fatalf("store after the refusals: %v", err)
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.cn != cn {
+		t.Fatal("a refused call cost the connection")
 	}
 }

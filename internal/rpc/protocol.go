@@ -1,5 +1,5 @@
 // Package rpc is the one call layer of the Σ-Dedupe prototype: the
-// deduplication nodes' verbs (NewServer, Dial) and the director's
+// deduplication nodes' verbs (NewServer, DialContext) and the director's
 // metadata verbs (NewDirectorServer, DialDirector) travel on it alike. It
 // mirrors the paper's event-driven client design ("an asynchronous RPC
 // implementation via message passing over TCP streams; all RPC requests
@@ -7,170 +7,150 @@
 //
 // Messages are length-prefixed binary frames (internal/wire) after a
 // handshake naming the protocol, wire.ProtoNode or wire.ProtoDirector. A
-// request starts kind | ID | op | timeoutMS, a response kind | ID | err.
-// IDs are client-chosen, so responses may arrive out of order and many
-// calls share one connection; the caller's remaining deadline bounds the
-// server's handler context, and a cancelled call is abandoned, its late
-// response dropped. Chunk payloads travel as raw ranges the server hands
-// to the store without re-copying, and empty-success responses of
-// store-class verbs coalesce into batched ack frames. A connection that
+// request is kind | ID | op | timeoutMS ‖ argument, a reply kind | ID |
+// err ‖ result, each walked by its verb's declaration (verb). IDs are
+// client-chosen, so replies may arrive out of order and many calls share
+// one connection; the caller's remaining deadline bounds the server's
+// handler context, and a cancelled call is abandoned, its late reply
+// dropped. Chunk payloads travel as raw ranges at the frame tail that the
+// server hands to the store without re-copying, and empty successes of
+// ack-eligible verbs coalesce into batched ack frames. A connection that
 // breaks, or whose send is torn, is redialed by the next call; a seal
-// (opFlush, opMigrateCommit) after losing unsealed stores fails (Client).
+// after losing unsealed stores fails (Client).
 package rpc
 
 import (
-	"sigmadedupe/internal/fingerprint"
-	"sigmadedupe/internal/node"
-	"sigmadedupe/internal/store"
+	"context"
+	"fmt"
+
+	"sigmadedupe/internal/sderr"
+	"sigmadedupe/internal/wire"
 )
 
-// opcode enumerates request types: the node verbs below, the director's from 32.
+// opcode numbers a verb: the node's below 32, the director's from 32, so
+// a verb sent to the wrong kind of server is refused as unknown. A number,
+// once given, stays: retired node ops 4, 5, 11 and 12 are reserved.
 type opcode int
 
-// Deduplication server operations.
+// class is a verb's set of class bits.
+type class uint8
+
 const (
-	// opBid asks for the similarity-index match count of a handprint
-	// (Algorithm 1 step 2) plus current storage usage.
-	opBid opcode = iota + 1
-	// opQuery asks, for each chunk fingerprint of a super-chunk, whether
-	// the chunk is already stored, taking no reference. With opStore and
-	// opStoreRefs it is kept, wire bytes unchanged, for the benchmark's
-	// traced replay until that is deleted (ROADMAP item 7(c)); ingest
-	// speaks OpDedup.
-	opQuery
-	// opStore delivers a routed super-chunk with payloads for the chunks
-	// an opQuery found new.
-	opStore
-	// opStoreRefs delivers a fingerprint-only super-chunk (trace mode).
-	opStoreRefs
-	// Opcode 5 was the single-chunk read verb, retired for opReadBatch. The
-	// slot stays reserved so the later ops keep their wire numbers and a
-	// stale peer sending it gets "unknown op", not another verb.
-	_
-	// opFlush seals open containers.
-	opFlush
-	// opStats fetches node statistics.
-	opStats
-	// opDecRef releases backup references on chunks (backup deletion: one
-	// batch per node, grouped from the deleted recipe).
-	opDecRef
-	// opCompact runs one compaction scan on the node.
-	opCompact
-	// opGCStats fetches the node's deletion/compaction counters.
-	opGCStats
-	// opMigrateRead streams a batch of chunk payloads off a migration
-	// source node (container contents, fingerprint-addressed).
-	opMigrateRead
-	// Opcode 12 was the migration write verb; a migrated super-chunk is stored
-	// with opStore, which it duplicated. Reserved like op 5.
-	_
-	// opMigrateCommit makes everything a migration wrote to the node
-	// durable (containers sealed, manifest fsynced) — the target-side
-	// commit that must land before the recipe may be repointed.
-	opMigrateCommit
-	// opRefCounts fetches the node's current reference count per chunk
-	// fingerprint (migration recovery's reconciliation probe).
-	opRefCounts
-	// opReadBatch fetches a batch of chunk payloads in one round trip
-	// (batched restore). The node groups the requested fingerprints by
-	// container via its chunk index and reads each container once,
-	// sequentially; the response returns payloads in that read order,
-	// with Response.Idx tagging each one with the index of the request
-	// chunk it answers.
-	opReadBatch
-	// OpDedup is the ingest store of a routed super-chunk, fingerprints
-	// first: one node pass gives every chunk the node holds its reference
-	// (verdict and reference under one shard lock, so nothing the reply
-	// calls held can be collected before the payloads follow) and appends
-	// every chunk that came with a payload — all of them when the client
-	// sends eagerly, as it does for a super-chunk no node resembles.
-	// Handprint carries the router's handprint, which the node indexes
-	// instead of recomputing (empty: the node computes its own); one longer
-	// than store's maxHandprint or not strictly ascending is refused as
-	// malformed. Response.Dup[i] reports chunk i held; on an error reply,
-	// that it holds a reference from this call.
-	OpDedup
-	// opDedupMissing delivers, with payloads, the chunks an OpDedup reply
-	// reported missing — the second and last round trip of a super-chunk
-	// whose target lacks chunks — under the same Handprint. Acknowledged in
-	// the batched-ack frame; an error reply's Dup[i] reports which of its
-	// chunks hold a reference from this call. A node that predates these
-	// two ops answers "unknown op": clients and nodes upgrade together.
-	opDedupMissing
+	// stores: writes what only a later seal makes durable (the client
+	// counts them for its lost-store accounting).
+	stores class = 1 << iota
+	// seals: makes the client's stores before it durable.
+	seals
+	// acked: an empty success is answered in the batched-ack frame.
+	acked
+	// payloads: the argument or the result ends in a chunk list whose
+	// payloads ride at the frame tail — sent with writev from vectoredMin,
+	// aliased in the receive frame.
+	payloads
 )
 
-// stores reports whether op writes what only a later seal makes durable.
-func (op opcode) stores() bool {
-	return op == opStore || op == opStoreRefs || op == opDecRef || op == OpDedup || op == opDedupMissing
+// verb is one op, served by S (*node.Node or *director.Director), with
+// argument A and result R: how each walks the wire — one walk both
+// encodes and decodes, so the two sides cannot drift apart (coder) — its
+// class bits, and the handler. Its Client method calls it; the server
+// finds it by op.
+type verb[S, A, R any] struct {
+	op     opcode
+	class  class
+	args   func(*coder, *A)
+	result func(*coder, *R)
+	run    func(S, context.Context, A) (R, error)
 }
 
-// seals reports whether op makes the stores before it durable.
-func (op opcode) seals() bool { return op == opFlush || op == opMigrateCommit }
-
-// ChunkWire is one chunk on the wire: fingerprint, size and (for store
-// and restore operations) payload.
-type ChunkWire struct {
-	FP   fingerprint.Fingerprint
-	Size int32
-	Data []byte
+// entry is a verb's server half.
+type entry struct {
+	class class
+	serve func(ctx context.Context, target any, r *wire.Reader) (result func(*coder), err error)
 }
 
-// Request is the single envelope for all deduplication server operations.
-type Request struct {
-	ID     uint64
-	Op     opcode
-	Stream string
-	// Handprint carries representative fingerprints for opBid and the
-	// routed handprint of OpDedup/opDedupMissing.
-	Handprint []fingerprint.Fingerprint
-	// Chunks carries the super-chunk membership for opQuery and OpDedup
-	// (sizes and fingerprints, payloads too when OpDedup is eager), the
-	// chunks to persist for opStore and opDedupMissing (with payloads), the
-	// fingerprints to fetch for opReadBatch/opMigrateRead, or the
-	// fingerprints losing references for opDecRef.
-	Chunks []ChunkWire
-	// Counts carries per-fingerprint reference counts for opDecRef
-	// (parallel to Chunks).
-	Counts []int64
-	// Threshold is the live-ratio floor for opCompact (≤0 selects the
-	// node's configured threshold).
-	Threshold float64
-	// TimeoutMS is the caller's remaining deadline in milliseconds at
-	// send time (0 = none): it bounds the server handler's context, so a
-	// call the client gave up on stops burning server work.
-	TimeoutMS int64
+// verbs finds a verb's server half by op.
+var verbs = map[opcode]entry{}
+
+// declare declares an op and registers its server half.
+func declare[S, A, R any](op opcode, cl class, args func(*coder, *A), result func(*coder, *R), run func(S, context.Context, A) (R, error)) verb[S, A, R] {
+	v := verb[S, A, R]{op, cl, args, result, run}
+	verbs[op] = entry{cl, v.serve}
+	return v
 }
 
-// response is the single envelope for all server replies.
-type response struct {
-	ID  uint64
-	Err string
-	// Count is the similarity bid for opBid.
-	Count int
-	// Usage is the node storage usage for opBid.
-	Usage int64
-	// Dup holds per-chunk duplicate verdicts for opQuery and OpDedup; on
-	// an OpDedup or opDedupMissing error reply, which chunks hold a
-	// reference the failed call took.
-	Dup []bool
-	// Chunks returns payloads for opReadBatch and opMigrateRead.
-	Chunks []ChunkWire
-	// Counts carries per-fingerprint reference counts for opRefCounts
-	// (parallel to the request's Chunks).
-	Counts []int64
-	// Stats is populated for opStats.
-	Stats node.Stats
-	// GC is populated for opGCStats.
-	GC store.GCStats
-	// Compacted is populated for opCompact.
-	Compacted store.CompactResult
-	// Idx tags each entry of Chunks with the index of the request chunk
-	// it answers. Populated for opReadBatch, whose payloads come back in
-	// container read order rather than request order.
-	Idx []uint32
+// serve decodes the argument from r, runs the verb on target and returns
+// the walk that encodes its result. A target of the other protocol does
+// not serve the op.
+func (v verb[S, A, R]) serve(ctx context.Context, target any, r *wire.Reader) (func(*coder), error) {
+	t, ok := target.(S)
+	if !ok {
+		return nil, unknownOp(v.op)
+	}
+	var a A
+	x := coder{r: r}
+	v.args(&x, &a)
+	if err := x.done(); err != nil {
+		return nil, fmt.Errorf("%w: op %d: %w", sderr.ErrMalformed, v.op, err)
+	}
+	res, err := v.run(t, ctx, a)
+	return func(x *coder) { v.result(x, &res) }, err
+}
 
-	// frame, when non-nil, is the pooled receive buffer that Chunks'
-	// payloads alias (client side only; never encoded). Whoever consumes
-	// the response must call ReleaseFrame exactly once.
-	frame []byte
+// unknownOp is the reply to an op the server does not serve.
+func unknownOp(op opcode) error { return fmt.Errorf("%w: unknown op %d", sderr.ErrMalformed, int(op)) }
+
+// call makes the call v with argument a: the Client side of every verb.
+func call[S, A, R any](c *Client, ctx context.Context, v verb[S, A, R], a A) (R, error) {
+	res, frame, err := exchange(c, ctx, v, a)
+	wire.PutBuf(frame)
+	return res, err
+}
+
+// exchange is call returning the reply frame, which the caller then owns
+// (nil for a batched ack): a payload-bearing result aliases it. A reply
+// carries the verb's result whenever the verb ran, so an error reply may
+// carry a partial one (Dedup's references).
+func exchange[S, A, R any](c *Client, ctx context.Context, v verb[S, A, R], a A) (res R, frame []byte, err error) {
+	id := c.nextID.Add(1)
+	x := coder{b: appendRequestHeader(append(wire.GetBuf(1 << 10)[:0], 0, 0, 0, 0), id, v.op, wireTimeout(ctx))}
+	v.args(&x, &a)
+	body, payloads := x.frame()
+	if frame, err = c.roundTrip(ctx, id, v.class, body, payloads); err != nil || frame == nil {
+		return res, nil, err
+	}
+	r := wire.NewReader(frame)
+	r.U8() // kind and ID: the read loop matched them
+	r.U64()
+	msg := r.String()
+	if msg != "" && r.Len() == 0 {
+		return res, frame, c.remoteError(msg) // the verb never ran
+	}
+	d := coder{r: r}
+	v.result(&d, &res)
+	derr := d.done()
+	switch {
+	case msg != "":
+		if derr != nil {
+			var zero R
+			res = zero
+		}
+		return res, frame, c.remoteError(msg)
+	case derr != nil:
+		wire.PutBuf(frame)
+		return res, nil, fmt.Errorf("rpc: decode reply to op %d: %w", v.op, derr)
+	}
+	return res, frame, nil
+}
+
+// none walks the empty argument or result.
+func none(*coder, *struct{}) {}
+
+// noArg adapts a method that takes no argument.
+func noArg[S, R any](f func(S, context.Context) (R, error)) func(S, context.Context, struct{}) (R, error) {
+	return func(s S, ctx context.Context, _ struct{}) (R, error) { return f(s, ctx) }
+}
+
+// noResult adapts a method that returns only an error.
+func noResult[S, A any](f func(S, context.Context, A) error) func(S, context.Context, A) (struct{}, error) {
+	return func(s S, ctx context.Context, a A) (struct{}, error) { return struct{}{}, f(s, ctx, a) }
 }

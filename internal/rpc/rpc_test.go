@@ -375,9 +375,9 @@ func TestTornSendClosesConnection(t *testing.T) {
 					if err != nil {
 						return
 					}
-					req, err := decodeRequest(body)
+					id, _, _, err := decodeRequestHeader(wire.NewReader(body))
 					wire.PutBuf(body)
-					if err != nil || wire.WriteFrame(nc, appendResponse(nil, &response{ID: req.ID})) != nil {
+					if err != nil || wire.WriteFrame(nc, appendResponseHeader(nil, id, "")) != nil {
 						return
 					}
 				}
@@ -399,7 +399,7 @@ func TestTornSendClosesConnection(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := c.Call(ctx, Request{Op: opDedupMissing, Chunks: []ChunkWire{{Size: 1 << 20, Data: payload}}}); err == nil {
+			if _, err := call(c, ctx, dedupMissing, scArgs{chunks: []core.ChunkRef{{Size: 1 << 20, Data: payload}}}); err == nil {
 				t.Error("a call to a peer that never answers succeeded")
 			}
 		}()

@@ -10,9 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"sigmadedupe/internal/core"
 	"sigmadedupe/internal/director"
-	"sigmadedupe/internal/fingerprint"
 	"sigmadedupe/internal/node"
 	"sigmadedupe/internal/sderr"
 	"sigmadedupe/internal/wire"
@@ -54,11 +52,11 @@ func splitAddr(addr string) (network, address string) {
 // Every connection owns a context that is canceled the moment the
 // connection is severed (peer gone, or server closing), and every call
 // runs under a child of it bounded by the client's wire deadline
-// (Request.TimeoutMS). Handlers observe that context, so the server
-// stops working for calls nobody is waiting on.
+// (the request header's timeoutMS). Handlers observe that context, so
+// the server stops working for calls nobody is waiting on.
 type Server struct {
-	node       *node.Node
-	dir        *director.Director
+	target     any  // *node.Node or *director.Director: what the verbs run on
+	proto      byte // the handshake's protocol
 	ln         net.Listener
 	delay      time.Duration
 	severAfter int
@@ -97,13 +95,13 @@ func WithSeverAfter(n int) ServerOption {
 // NewServer wraps a deduplication node and listens on addr
 // (e.g. "127.0.0.1:0"). The returned server is already accepting.
 func NewServer(n *node.Node, addr string, opts ...ServerOption) (*Server, error) {
-	return listen(&Server{node: n}, addr, opts)
+	return listen(&Server{target: n, proto: wire.ProtoNode}, addr, opts)
 }
 
 // NewDirectorServer serves the director's metadata verbs on addr, on the
 // same call layer as the nodes' (DialDirector is its client).
 func NewDirectorServer(d *director.Director, addr string, opts ...ServerOption) (*Server, error) {
-	return listen(&Server{dir: d}, addr, opts)
+	return listen(&Server{target: d, proto: wire.ProtoDirector}, addr, opts)
 }
 
 func listen(s *Server, addr string, opts []ServerOption) (*Server, error) {
@@ -134,7 +132,10 @@ func (s *Server) Addr() string {
 
 // Node returns the wrapped deduplication node (for stats inspection; nil
 // on a director server).
-func (s *Server) Node() *node.Node { return s.node }
+func (s *Server) Node() *node.Node {
+	n, _ := s.target.(*node.Node)
+	return n
+}
 
 // Close stops accepting, closes all connections (canceling every
 // in-flight call's context), and waits for handler goroutines to drain.
@@ -191,14 +192,10 @@ func (s *Server) serveConn(conn net.Conn) {
 	// passes the read straight through into the frame buffer — one copy
 	// of the bulk path instead of two.
 	br := bufio.NewReaderSize(conn, 64<<10)
-	proto := wire.ProtoNode
-	if s.dir != nil {
-		proto = wire.ProtoDirector
-	}
-	if _, err := wire.ReadHandshake(br, proto); err != nil {
+	if _, err := wire.ReadHandshake(br, s.proto); err != nil {
 		return
 	}
-	if err := wire.WriteHandshake(conn, proto); err != nil {
+	if err := wire.WriteHandshake(conn, s.proto); err != nil {
 		return
 	}
 	// Batched acks coalesce empty-success responses for the in-flight
@@ -244,35 +241,42 @@ func (s *Server) serveConn(conn net.Conn) {
 // connWorkers is the per-connection handler concurrency.
 const connWorkers = 8
 
-// handleRequest decodes and answers one request frame; a peer that sends
-// one that does not decode loses the connection.
+// handleRequest answers one request frame, node or director: the verb
+// its op names decodes the argument and runs under the call's context. A
+// frame whose header does not decode loses the peer its connection; an
+// unknown op or an argument that does not decode is answered malformed.
 func (s *Server) handleRequest(connCtx context.Context, w *respWriter, frame []byte) {
-	// The request's chunk payloads alias the frame; it goes back
-	// to the pool only after the handler is fully done with it.
+	// The argument's chunk payloads alias the frame; it goes back to the
+	// pool only after the handler is fully done with it.
 	defer wire.PutBuf(frame)
 	if w.severAfter > 0 && w.severing.Load() {
 		return // the emulated death came first: nothing after it is handled
 	}
-	if s.dir != nil {
-		s.handleDirector(connCtx, w, frame)
-		return
-	}
-	req, err := decodeRequest(frame)
+	r := wire.NewReader(frame)
+	id, op, timeoutMS, err := decodeRequestHeader(r)
 	if err != nil {
 		w.conn.Close()
 		return
 	}
-	ctx, cancel := s.callContext(connCtx, req.TimeoutMS)
+	ctx, cancel := s.callContext(connCtx, timeoutMS)
 	defer cancel()
-	resp := s.handle(ctx, req)
-	if connCtx.Err() != nil {
-		// The connection is gone; nobody can read this response.
-		return
+	e, known := verbs[op]
+	var result func(*coder)
+	switch {
+	case ctx.Err() != nil:
+		err = ctx.Err()
+	case !known:
+		err = unknownOp(op)
+	default:
+		result, err = e.serve(ctx, s.target, r)
 	}
-	if w.severAfter == 0 && resp.Err == "" && ackEligible(req.Op) {
-		w.sendAck(resp.ID)
+	if connCtx.Err() != nil {
+		return // the connection is gone; nobody can read the reply
+	}
+	if err == nil && e.class&acked != 0 && w.severAfter == 0 {
+		w.sendAck(id)
 	} else {
-		w.sendResponse(&resp)
+		w.sendReply(id, err, result)
 	}
 }
 
@@ -340,33 +344,28 @@ func (w *respWriter) drainAcksLocked() {
 	w.sentLocked(len(ids), w.writeBufferedLocked(w.scratch))
 }
 
-// sendResponse writes one reply frame. A payload-heavy reply (ReadBatch,
-// MigrateRead) goes out vectored: its payloads are the slices
-// container.Manager.ReadChunks handed out — manager-owned memory that is
-// never modified once readable, and kept alive by these references even
-// when a compaction retires its container — so writev reads them in place.
-func (w *respWriter) sendResponse(resp *response) {
+// sendReply writes one reply frame: the result walk, when the verb ran.
+// A payload-heavy result (ReadBatch) goes out vectored: its payloads are
+// the slices container.Manager.ReadChunks handed out — manager-owned
+// memory that is never modified once readable, and kept alive by these
+// references even when a compaction retires its container — so writev
+// reads them in place.
+func (w *respWriter) sendReply(id uint64, err error, result func(*coder)) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.beginLocked()
-	if payloadSize(resp.Chunks) < vectoredMin {
-		w.scratch = appendResponse(w.scratch[:0], resp)
-		w.sentLocked(1, w.writeBufferedLocked(w.scratch))
+	x := coder{b: appendResponseHeader(append(w.scratch[:0], 0, 0, 0, 0), id, sderr.Encode(err))}
+	if result != nil {
+		result(&x)
+	}
+	body, payloads := x.frame()
+	w.scratch = body
+	if payloads == nil {
+		w.sentLocked(1, w.writeBufferedLocked(body[4:]))
 		return
 	}
 	// w.bw is flushed after every frame: nothing can be reordered.
-	w.scratch = appendResponseHead(append(w.scratch[:0], 0, 0, 0, 0), resp)
-	head := len(w.scratch)
-	w.scratch = appendResponseTail(w.scratch, resp)
-	w.sentLocked(1, writeVectored(&w.vec, w.conn, w.scratch[:head], resp.Chunks, w.scratch[head:]))
-}
-
-// sendFrame writes one encoded reply frame (the director's).
-func (w *respWriter) sendFrame(body []byte) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.beginLocked()
-	w.sentLocked(1, w.writeBufferedLocked(body))
+	w.sentLocked(1, writeVectored(&w.vec, w.conn, body, payloads))
 }
 
 // beginLocked precedes a reply: acks already due go first, and the
@@ -416,139 +415,4 @@ func (s *Server) die() {
 	for c := range s.conns {
 		c.Close()
 	}
-}
-
-// handle dispatches one request against the node under ctx: a call whose
-// context is already dead (severed connection, expired wire deadline) is
-// answered with the context error instead of doing the work.
-func (s *Server) handle(ctx context.Context, req Request) response {
-	resp := response{ID: req.ID}
-	if err := ctx.Err(); err != nil {
-		resp.Err = sderr.Encode(err)
-		return resp
-	}
-	switch req.Op {
-	case opBid:
-		resp.Count = s.node.CountHandprintMatches(core.Handprint(req.Handprint))
-		resp.Usage = s.node.StorageUsage()
-
-	// opQuery and opStore serve the benchmark's traced replay
-	// (Client.Query, Client.Store) until ROADMAP item 7(c) deletes it; a
-	// store is the eager one-pass dedup with the node's own handprint.
-	case opQuery:
-		sc := wireToSuperChunk(req.Chunks)
-		resp.Dup = s.node.QuerySuperChunk(sc)
-
-	case opStore, opStoreRefs:
-		sc := wireToSuperChunk(req.Chunks)
-		if _, err := s.node.Dedup(req.Stream, sc, nil, true); err != nil {
-			resp.Err = sderr.Encode(err)
-		}
-
-	case OpDedup, opDedupMissing:
-		sc := wireToSuperChunk(req.Chunks)
-		hp := core.Handprint(req.Handprint) // nil when empty: the node computes its own
-		var fresh []bool
-		var err error
-		if req.Op == OpDedup {
-			fresh, err = s.node.Dedup(req.Stream, sc, hp, false)
-		} else {
-			fresh, err = s.node.StoreMissing(req.Stream, sc, hp)
-		}
-		if err != nil {
-			resp.Err = sderr.Encode(err)
-		}
-		if req.Op == OpDedup || err != nil {
-			resp.Dup = make([]bool, len(fresh))
-			for i, f := range fresh {
-				resp.Dup[i] = !f
-			}
-		}
-
-	case opMigrateRead:
-		for _, ch := range req.Chunks {
-			data, err := s.node.ReadChunk(ch.FP)
-			if err != nil {
-				resp.Err = sderr.Encode(err)
-				break
-			}
-			resp.Chunks = append(resp.Chunks, ChunkWire{FP: ch.FP, Size: int32(len(data)), Data: data})
-		}
-
-	case opReadBatch:
-		// Batched restore: one container-aware sweep instead of a read per
-		// fingerprint. Payloads come back in the node's container read
-		// order; Idx tags each with its request position. The payloads
-		// alias node-owned memory and are sent uncopied (sendResponse).
-		fps := wireFPs(req.Chunks)
-		datas, idxs, err := s.node.ReadChunkBatch(fps)
-		if err != nil {
-			resp.Err = sderr.Encode(err)
-			break
-		}
-		resp.Chunks = make([]ChunkWire, len(datas))
-		resp.Idx = make([]uint32, len(datas))
-		for i, data := range datas {
-			resp.Chunks[i] = ChunkWire{FP: fps[idxs[i]], Size: int32(len(data)), Data: data}
-			resp.Idx[i] = uint32(idxs[i])
-		}
-
-	case opFlush:
-		if err := s.node.Flush(); err != nil {
-			resp.Err = sderr.Encode(err)
-		}
-
-	case opMigrateCommit:
-		if err := s.node.SealStream(req.Stream); err != nil {
-			resp.Err = sderr.Encode(err)
-		}
-
-	case opRefCounts:
-		resp.Counts = s.node.RefCounts(wireFPs(req.Chunks))
-
-	case opStats:
-		resp.Stats = s.node.Stats()
-		resp.Usage = s.node.StorageUsage()
-
-	case opDecRef:
-		if err := s.node.DecRef(wireFPs(req.Chunks), req.Counts); err != nil {
-			resp.Err = sderr.Encode(err)
-		}
-
-	case opCompact:
-		res, err := s.node.Compact(ctx, req.Threshold)
-		if err != nil {
-			resp.Err = sderr.Encode(err)
-		}
-		resp.Compacted = res
-
-	case opGCStats:
-		resp.GC = s.node.GCStats()
-		resp.Usage = s.node.StorageUsage()
-
-	default:
-		resp.Err = fmt.Sprintf("unknown op %d", int(req.Op))
-	}
-	if resp.Err != "" {
-		// An errored reply ships no payloads: the caller discards them.
-		resp.Chunks, resp.Idx = nil, nil
-	}
-	return resp
-}
-
-func wireToSuperChunk(chunks []ChunkWire) *core.SuperChunk {
-	sc := &core.SuperChunk{Chunks: make([]core.ChunkRef, len(chunks))}
-	for i, ch := range chunks {
-		sc.Chunks[i] = core.ChunkRef{FP: ch.FP, Size: int(ch.Size), Data: ch.Data}
-	}
-	return sc
-}
-
-// wireFPs is the fingerprints of a chunk list.
-func wireFPs(chunks []ChunkWire) []fingerprint.Fingerprint {
-	fps := make([]fingerprint.Fingerprint, len(chunks))
-	for i, ch := range chunks {
-		fps[i] = ch.FP
-	}
-	return fps
 }

@@ -3,8 +3,6 @@ package rpc
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
@@ -95,56 +93,6 @@ func fpsOf(scs ...*core.SuperChunk) (fps []fingerprint.Fingerprint, want [][]byt
 	return fps, want
 }
 
-// TestVectoredFrameGolden pins wire format version 1 from the outside:
-// the digests below were taken from appendResponse/appendRequest at the
-// commit before the vectored reply existed, so a peer built from that
-// commit reads what this one writes. The frame the vectored writer
-// produces must be the length prefix plus exactly those bytes.
-func TestVectoredFrameGolden(t *testing.T) {
-	digest := func(b []byte) string {
-		sum := sha256.Sum256(b)
-		return hex.EncodeToString(sum[:])
-	}
-	reply, sample, req := payloadReply(40, 4096), sampleResponse(), sampleRequest()
-	for _, tc := range []struct {
-		name, want string
-		enc        []byte
-	}{
-		{"payload reply", "6fc39bb14ff1238a8744bad8e132fcc5225e11e1e077b4eb016af2bd87c33fb6", appendResponse(nil, &reply)},
-		{"sample reply", "15dcd106d2ecd71ff187871cf8def1b937e843618f321ff04897b0da9270c197", appendResponse(nil, &sample)},
-		{"sample request", "ae9f067cba09b3e768f7b204b6ffb2dceebfbc404131ab9a408042f35118bd49", appendRequest(nil, &req)},
-	} {
-		if got := digest(tc.enc); got != tc.want {
-			t.Errorf("%s: encoding digest %s, want %s (wire format changed)", tc.name, got, tc.want)
-		}
-	}
-
-	var v wire.VecWriter
-	var buf bytes.Buffer
-	for i := 0; i < 2; i++ { // twice: the writer's scratch is reused
-		scratch := appendResponseHead(make([]byte, 4), &reply)
-		head := len(scratch)
-		scratch = appendResponseTail(scratch, &reply)
-		if err := writeVectored(&v, &buf, scratch[:head], reply.Chunks, scratch[head:]); err != nil {
-			t.Fatal(err)
-		}
-		body, err := wire.ReadFrame(&buf, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if buf.Len() != 0 || !bytes.Equal(body, appendResponse(nil, &reply)) {
-			t.Fatal("vectored frame is not the length prefix plus appendResponse")
-		}
-		got, err := decodeResponse(body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got.Chunks) != len(reply.Chunks) || !bytes.Equal(got.Chunks[39].Data, reply.Chunks[39].Data) || got.Idx[0] != 39 {
-			t.Fatal("vectored frame decoded to a different reply")
-		}
-	}
-}
-
 // TestVectoredReplyReadBatch restores through Client.ReadBatch a reply of
 // more payloads than one writev takes (1024 iovecs), over both socket
 // kinds, next to a reply small enough to take the buffered path.
@@ -173,50 +121,39 @@ func TestVectoredReplyReadBatch(t *testing.T) {
 	}
 }
 
-// TestMigrateReadErroredReplyShipsNoPayloads: a read that fails part-way
+// TestReadBatchErroredReplyShipsNoPayloads: a read that fails part-way
 // answers with the typed error alone, not with the payloads gathered
 // before the failure.
-func TestMigrateReadErroredReplyShipsNoPayloads(t *testing.T) {
+func TestReadBatchErroredReplyShipsNoPayloads(t *testing.T) {
 	srv, c := startServerAt(t, "tcp", node.Config{KeepPayloads: true})
 	sc := makeSC(3, 32) // 128 KB: past vectoredMin had it been sent
 	storeSealed(t, c, sc)
 	fps, _ := fpsOf(sc)
 	fps = append(fps, fingerprint.Sum([]byte("never stored")))
 
-	if _, err := c.MigrateRead(context.Background(), fps); !errors.Is(err, sderr.ErrNotFound) {
-		t.Fatalf("MigrateRead with a missing chunk: %v, want ErrNotFound", err)
+	if _, err := c.ReadBatch(context.Background(), fps); !errors.Is(err, sderr.ErrNotFound) {
+		t.Fatalf("ReadBatch with a missing chunk: %v, want ErrNotFound", err)
 	}
 
-	conn, err := net.Dial("tcp", srv.Addr())
+	conn, br := rawDial(t, srv.Addr(), wire.ProtoNode)
+	x := coder{b: appendRequestHeader(nil, 1, readBatch.op, 0)}
+	x.fps(&fps)
+	if err := wire.WriteFrame(conn, x.b); err != nil {
+		t.Fatal(err)
+	}
+	body, err := wire.ReadFrame(br, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(10 * time.Second))
-	if err := wire.WriteHandshake(conn, wire.ProtoNode); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := wire.ReadHandshake(conn, wire.ProtoNode); err != nil {
-		t.Fatal(err)
-	}
-	req := Request{ID: 1, Op: opMigrateRead, Chunks: make([]ChunkWire, len(fps))}
-	for i, fp := range fps {
-		req.Chunks[i].FP = fp
-	}
-	if err := wire.WriteFrame(conn, appendRequest(nil, &req)); err != nil {
-		t.Fatal(err)
-	}
-	body, err := wire.ReadFrame(conn, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := decodeResponse(body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Err == "" || len(resp.Chunks) != 0 || len(body) >= 1024 {
-		t.Fatalf("errored reply: err %q, %d chunks, %d bytes; want an error, no chunks, under 1 KB",
-			resp.Err, len(resp.Chunks), len(body))
+	r := wire.NewReader(body)
+	r.U8()
+	r.U64()
+	msg := r.String()
+	var rep readReply
+	readBatch.result(&coder{r: r}, &rep)
+	if msg == "" || r.Err() != nil || len(rep.chunks) != 0 || len(body) >= 1024 {
+		t.Fatalf("errored reply: err %q (decode %v), %d chunks, %d bytes; want an error, no chunks, under 1 KB",
+			msg, r.Err(), len(rep.chunks), len(body))
 	}
 }
 
@@ -383,7 +320,7 @@ func TestVectoredReplyWriteErrorSeversConnection(t *testing.T) {
 		// NewServer's body with the listener wrapped; the budget lets the
 		// seeding connection's acks and the first replies through.
 		base, cancel := context.WithCancel(context.Background())
-		srv := &Server{node: nd, ln: failListener{ln, 2*replyBytes + replyBytes/2},
+		srv := &Server{target: nd, proto: wire.ProtoNode, ln: failListener{ln, 2*replyBytes + replyBytes/2},
 			conns: make(map[net.Conn]struct{}), base: base, baseCancel: cancel}
 		srv.wg.Add(1)
 		go srv.acceptLoop()

@@ -44,7 +44,7 @@ const wireVersion = 1
 // client dialing the wrong port fails fast with a typed error instead of
 // a confusing decode failure.
 const (
-	ProtoNode     byte = 1 // internal/rpc node verbs
+	ProtoNode     byte = 4 // internal/rpc node verbs (1 was their union-envelope protocol)
 	ProtoDirector byte = 3 // internal/rpc director verbs (2 was their retired serial protocol)
 )
 
