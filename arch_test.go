@@ -124,7 +124,7 @@ var repoArch = archRules{
 	counts: map[string]int{
 		archCountPackages: 21,
 		archCountRootLoC:  2636,
-		archCountCISteps:  14,
+		archCountCISteps:  12,
 		archCountStats:    8,
 		archCountExcepted: 28,
 	},

@@ -27,7 +27,9 @@ import (
 type Backend interface {
 	// Backup deduplicates one named stream into the cluster, reading r
 	// incrementally: peak buffered payload is bounded by the in-flight
-	// window, never by stream size.
+	// window, never by stream size. The backup may still be committing
+	// when Backup returns; Flush (or a later Backup) settles it and
+	// reports its failure, if any — as Session.Backup.
 	Backup(ctx context.Context, name string, r io.Reader) error
 	// Restore streams a backed-up name to w. A name never backed up (or
 	// deleted) fails with ErrNotFound.
@@ -217,6 +219,14 @@ type BackendStats struct {
 	// StorageSkew is σ/α over per-node storage usage (0 = perfectly
 	// balanced).
 	StorageSkew float64
+	// RestoredBytes is payload bytes streamed back by Restore and
+	// RestoreTenant calls, and RestoreRPCs the batched reads issued to
+	// serve them: one per node touched per restore window.
+	RestoredBytes int64
+	RestoreRPCs   int64
+	// FailoverReads counts restored chunks read from their replica after
+	// the primary's node failed (Replicas ≥ 2 deployments only).
+	FailoverReads int64
 }
 
 // ChunkMethod identifies a chunking algorithm for backup streams.
@@ -375,21 +385,9 @@ type SessionStats struct {
 	// allocation is O(InflightSuperChunks), not O(stream).
 	ChunkBufAllocs int64
 	// ChunkBufReuses counts chunk buffers recycled through the pool; it
-	// grows with the stream while ChunkBufAllocs stays flat. Restore
-	// contributes too: the prototype's batched restore writes chunks
-	// straight out of recycled RPC receive frames (one reuse per chunk),
-	// while the per-chunk path copies each payload (one alloc per chunk).
+	// grows with the stream while ChunkBufAllocs stays flat. Restores
+	// are counted in BackendStats, not here.
 	ChunkBufReuses int64
-	// RestoredBytes is payload bytes streamed back by Restore calls on
-	// this session's stream, and RestoreRPCs the read RPCs issued to
-	// serve them — one per chunk on the per-chunk path, one per node
-	// touched per window on the batched path. (Prototype only: the
-	// simulator restores in process.)
-	RestoredBytes int64
-	RestoreRPCs   int64
-	// FailoverReads counts restore reads served by a chunk's replica
-	// after its primary failed (Replicas ≥ 2 deployments only).
-	FailoverReads int64
 }
 
 // BandwidthSaving returns the fraction of payload bytes source dedup

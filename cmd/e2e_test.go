@@ -1,6 +1,6 @@
 // Package cmd holds the end-to-end test over the built binaries: two
 // sigma-servers, a sigma-director and sigma-client driven through
-// backup → restore → delete → compact, one sigma-bench mode, and a
+// backup → restore → delete → compact, the sigma-bench figure runner, and a
 // sigma-tracegen gen → replay round trip.
 package cmd
 
@@ -191,6 +191,9 @@ func TestTracegenRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSigmaBenchListsAndRunsModes: the listing names every experiment,
+// an unknown name exits non-zero with the listing on stderr, and -json
+// prints one table object per experiment.
 func TestSigmaBenchListsAndRunsModes(t *testing.T) {
 	bench := filepath.Join(buildBinaries(t, "sigma-bench"), "sigma-bench")
 
@@ -198,34 +201,36 @@ func TestSigmaBenchListsAndRunsModes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"table1", "fig7", "rebalance", "kill", "tenants", "scaleout", "all"} {
+	for _, name := range []string{"fig1", "fig4a", "fig4b", "fig5a", "fig5b", "fig6", "fig7", "fig8",
+		"fig-ext", "ram", "table1", "table2", "all"} {
 		if !strings.Contains(string(listing), name) {
 			t.Errorf("listing omits %q:\n%s", name, listing)
 		}
 	}
 	// A retired mode is unknown: the list on stderr, a non-zero exit.
 	var stderr bytes.Buffer
-	unknown := exec.Command(bench, "-mode", "ingest")
+	unknown := exec.Command(bench, "scaleout")
 	unknown.Stderr = &stderr
 	if err := unknown.Run(); err == nil {
-		t.Error("unknown -mode exited zero")
+		t.Error("unknown experiment exited zero")
 	}
 	if !strings.Contains(stderr.String(), strings.TrimSpace(string(listing))) {
-		t.Errorf("unknown -mode did not print the listing:\n%s", stderr.String())
+		t.Errorf("unknown experiment did not print the listing:\n%s", stderr.String())
 	}
 
-	out, err := exec.Command(bench, "-json", "-mb", "2", "-nodes", "2", "-mode", "kill").Output()
+	out, err := exec.Command(bench, "-json", "-quick", "-scale", "0.1", "fig-ext").Output()
 	if err != nil {
-		t.Fatalf("kill mode: %v", err)
+		t.Fatalf("fig-ext: %v", err)
 	}
 	var rep struct {
-		Experiment    string `json:"experiment"`
-		FailoverReads int64  `json:"failover_reads"`
+		Experiment string     `json:"experiment"`
+		Headers    []string   `json:"headers"`
+		Rows       [][]string `json:"rows"`
 	}
 	if err := json.Unmarshal(out, &rep); err != nil {
-		t.Fatalf("kill mode output is not one JSON object: %v\n%s", err, out)
+		t.Fatalf("fig-ext output is not one JSON object: %v\n%s", err, out)
 	}
-	if rep.Experiment != "kill" || rep.FailoverReads == 0 {
-		t.Fatalf("kill report = %+v", rep)
+	if rep.Experiment != "fig-ext" || len(rep.Rows) == 0 || len(rep.Rows[0]) != len(rep.Headers) {
+		t.Fatalf("fig-ext report = %+v", rep)
 	}
 }

@@ -415,6 +415,35 @@ func TestStatsLogicalBytesCountSessionBytes(t *testing.T) {
 	})
 }
 
+// TestStatsCountRestores: the restore counters are backend-wide, on both
+// constructors: after two restores RestoredBytes is their sizes' sum and
+// at least one batched read served them.
+func TestStatsCountRestores(t *testing.T) {
+	eachBackend(t, 0, func(t *testing.T, be Backend) {
+		ctx := context.Background()
+		sizes := []int{96 << 10, 40<<10 + 123}
+		for i, size := range sizes {
+			if err := be.Backup(ctx, fmt.Sprintf("/restored/file%d", i), bytes.NewReader(gcRandBytes(int64(80+i), size))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := be.Flush(ctx); err != nil {
+			t.Fatal(err)
+		}
+		for i, size := range sizes {
+			mustRestore(t, be, fmt.Sprintf("/restored/file%d", i), gcRandBytes(int64(80+i), size))
+		}
+		st, err := be.Stats(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := int64(sizes[0] + sizes[1]); st.RestoredBytes != want || st.RestoreRPCs < 1 || st.FailoverReads != 0 {
+			t.Fatalf("restore counters = %d bytes, %d RPCs, %d failovers; want %d bytes, >= 1 RPC, no failover",
+				st.RestoredBytes, st.RestoreRPCs, st.FailoverReads, want)
+		}
+	})
+}
+
 // TestMembershipGuards: payload-less configurations refuse migration
 // loudly, and an R=2 configuration the engine cannot serve is rejected at
 // construction rather than silently keeping single copies.

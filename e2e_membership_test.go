@@ -130,6 +130,79 @@ func runMembershipScenario(t *testing.T, be Backend, nodes int, addAddr func() s
 	}
 }
 
+// TestRebalanceUnderIngest is the elastic cycle on both backends: a
+// generation lands on three nodes, a fourth joins, and Rebalance spreads
+// existing super-chunks onto it while a session ingests a second
+// generation. Where a super-chunk lands depends on how its bids race the
+// migration, so only placement-independent outcomes are asserted: both
+// calls succeed, the pass moved something, every backup of both
+// generations restores byte-identically, and the nodes hold exactly what
+// the catalog implies.
+func TestRebalanceUnderIngest(t *testing.T) {
+	eachBackend(t, 0, func(t *testing.T, be Backend) {
+		ctx := context.Background()
+		const files, size = 8, 128 << 10
+		content := make(map[string][]byte)
+		for gen := 1; gen <= 2; gen++ {
+			for i := 0; i < files; i++ {
+				content[fmt.Sprintf("/gen%d/file%d", gen, i)] = gcRandBytes(int64(4000+100*gen+i), size)
+			}
+		}
+		for i := 0; i < files; i++ {
+			name := fmt.Sprintf("/gen1/file%d", i)
+			if err := be.Backup(ctx, name, bytes.NewReader(content[name])); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := be.Flush(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := be.AddNode(ctx, joinAddr(t, be, 3)); err != nil {
+			t.Fatal(err)
+		}
+
+		sess, err := be.NewSession(ctx, WithSessionName("gen2"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sess.Close()
+		type outcome struct {
+			res MigrationResult
+			err error
+		}
+		rebalanced := make(chan outcome, 1)
+		go func() {
+			res, err := be.Rebalance(ctx)
+			rebalanced <- outcome{res, err}
+		}()
+		var ingestErr error
+		for i := 0; i < files && ingestErr == nil; i++ {
+			name := fmt.Sprintf("/gen2/file%d", i)
+			ingestErr = sess.Backup(ctx, name, bytes.NewReader(content[name]))
+		}
+		if ingestErr == nil {
+			ingestErr = sess.Flush(ctx)
+		}
+		mig := <-rebalanced
+		if ingestErr != nil {
+			t.Fatalf("ingest during Rebalance: %v", ingestErr)
+		}
+		if mig.err != nil {
+			t.Fatalf("Rebalance during ingest: %v", mig.err)
+		}
+		if mig.res.SuperChunks == 0 {
+			t.Fatalf("Rebalance onto an empty node moved nothing: %+v", mig.res)
+		}
+		if err := be.Flush(ctx); err != nil {
+			t.Fatal(err)
+		}
+		for name, data := range content {
+			mustRestore(t, be, name, data)
+		}
+		assertCatalogConsistent(t, be)
+	})
+}
+
 // gcStatsOf reads GCStats from either backend implementation.
 func gcStatsOf(ctx context.Context, be Backend) (GCStats, error) {
 	switch b := be.(type) {

@@ -18,10 +18,18 @@ import (
 // everything and compacting to zero live bytes. kill makes the victim
 // actually dead before the membership drops it (closing the TCP server
 // on the prototype; nothing on the simulator, where removal from the
-// registry is death); failoverReads reads the backend's failover counter.
-func runKillScenario(t *testing.T, be Backend, victim int, kill func(), failoverReads func() int64) {
+// registry is death).
+func runKillScenario(t *testing.T, be Backend, victim int, kill func()) {
 	t.Helper()
 	ctx := context.Background()
+	failoverReads := func() int64 {
+		t.Helper()
+		st, err := be.Stats(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.FailoverReads
+	}
 	content := make(map[string][]byte)
 	for i := 0; i < 6; i++ {
 		rng := rand.New(rand.NewSource(int64(90 + i)))
@@ -139,7 +147,7 @@ func TestKillNodeScenarioSimulator(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer c.Close()
-		runKillScenario(t, c, victim, func() {}, c.FailoverReads)
+		runKillScenario(t, c, victim, func() {})
 	})
 }
 
@@ -173,13 +181,11 @@ func TestKillNodeScenarioRemote(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer be.Close()
-		runKillScenario(t, be, victim,
-			func() {
-				if err := srvs[victim].Close(); err != nil {
-					t.Fatalf("killing server %d: %v", victim, err)
-				}
-			},
-			func() int64 { return be.BackupStats().FailoverReads })
+		runKillScenario(t, be, victim, func() {
+			if err := srvs[victim].Close(); err != nil {
+				t.Fatalf("killing server %d: %v", victim, err)
+			}
+		})
 	})
 }
 

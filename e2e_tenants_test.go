@@ -5,9 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
+	"sync"
 	"testing"
 
 	"sigmadedupe/internal/rpc"
@@ -233,6 +235,146 @@ func TestTenantScenarioRemote(t *testing.T) {
 	}
 	defer be.Close()
 	runTenantScenario(t, be)
+}
+
+// TestConcurrentTenantSessions runs 64 sessions of 8 tenants — mixed
+// weights, shared and isolated domains — at once through a
+// capacity-bound fair-share scheduler, on both backends. Every session
+// of tenant i backs up the same blobs as every other tenant's. Nothing
+// is asserted on throughput shares; what must hold is that every backup
+// commits and restores byte-identically, each tenant's LiveBytes is the
+// sum of its backups, and a blob one shared tenant stored costs another
+// shared tenant no transfer but an isolated tenant a full copy.
+func TestConcurrentTenantSessions(t *testing.T) {
+	const (
+		tenants, perTenant = 8, 8
+		size               = 96 << 10
+		capacity           = 128 << 10 // two scheduler quanta: the queue decides who ingests
+	)
+	run := func(t *testing.T, be Backend) {
+		ctx := context.Background()
+		admin := be.(TenantAdmin)
+		name := func(i int) string { return fmt.Sprintf("t%d", i) }
+		isolated := func(i int) bool { return i%2 == 1 }
+		for i := 0; i < tenants; i++ {
+			cfg := TenantConfig{Name: name(i), Weight: 1 + i%3}
+			if isolated(i) {
+				cfg.Domain = TenantIsolated
+			}
+			if err := admin.CreateTenant(ctx, cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		blob := func(j int) []byte { return tenantBlob(int64(600+j), size) }
+		ref := tenantBlob(699, size) // first stored by t0 alone
+
+		// Every session is open before the first backup starts.
+		sessions := make([]*Session, tenants*perTenant)
+		for k := range sessions {
+			sess, err := be.NewSession(ctx, WithTenant(name(k/perTenant)), WithSuperChunkSize(32<<10))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sessions[k] = sess
+		}
+		var wg sync.WaitGroup
+		for k, sess := range sessions {
+			i, j := k/perTenant, k%perTenant
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				defer sess.Close()
+				err := sess.Backup(ctx, fmt.Sprintf("s%d", j), bytes.NewReader(blob(j)))
+				if err == nil && k == 0 {
+					err = sess.Backup(ctx, "ref", bytes.NewReader(ref))
+				}
+				if err == nil {
+					err = sess.Flush(ctx)
+				}
+				if err != nil {
+					t.Errorf("tenant %s session %d: %v", name(i), j, err)
+				}
+			}()
+		}
+		wg.Wait()
+		if t.Failed() {
+			return
+		}
+		if err := be.Flush(ctx); err != nil {
+			t.Fatal(err)
+		}
+
+		// ref is in the shared domain now: the other shared tenants store
+		// it for free, each isolated tenant pays for a copy of its own.
+		for i := 1; i < tenants; i++ {
+			sess, err := be.NewSession(ctx, WithTenant(name(i)), WithSuperChunkSize(32<<10))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sess.Backup(ctx, "ref", bytes.NewReader(ref)); err != nil {
+				t.Fatal(err)
+			}
+			if err := sess.Flush(ctx); err != nil {
+				t.Fatal(err)
+			}
+			got, want := sess.Stats().TransferredBytes, int64(0)
+			if isolated(i) {
+				want = size
+			}
+			if got != want {
+				t.Errorf("tenant %s (isolated %v) transferred %d bytes of a blob t0 stored, want %d", name(i), isolated(i), got, want)
+			}
+			sess.Close()
+		}
+		if err := be.Flush(ctx); err != nil {
+			t.Fatal(err)
+		}
+
+		for i := 0; i < tenants; i++ {
+			for j := 0; j <= perTenant; j++ {
+				item, want := fmt.Sprintf("s%d", j), blob(j)
+				if j == perTenant {
+					item, want = "ref", ref
+				}
+				var out bytes.Buffer
+				if err := admin.RestoreTenant(ctx, name(i), item, &out); err != nil || !bytes.Equal(out.Bytes(), want) {
+					t.Fatalf("tenant %s %s: restored %d bytes (err %v), want the %d backed up", name(i), item, out.Len(), err, len(want))
+				}
+			}
+		}
+		sts, err := admin.Tenants(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, st := range sts {
+			if st.Name == tenant.Default {
+				continue
+			}
+			if want := int64((perTenant + 1) * size); st.Usage.LiveBytes != want {
+				t.Errorf("tenant %s LiveBytes = %d, want %d", st.Name, st.Usage.LiveBytes, want)
+			}
+		}
+		assertCatalogConsistent(t, be)
+	}
+	t.Run("simulator", func(t *testing.T) {
+		c, err := NewCluster(ClusterConfig{Nodes: 3, KeepPayloads: true, SuperChunkSize: 32 << 10, IngestCapacityBytes: capacity})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		run(t, c)
+	})
+	t.Run("remote", func(t *testing.T) {
+		be, err := NewRemote(context.Background(), RemoteConfig{
+			Name: "tenants", Director: NewDirector(), Nodes: startServers(t, 3),
+			SuperChunkSize: 32 << 10, IngestCapacityBytes: capacity,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer be.Close()
+		run(t, be)
+	})
 }
 
 // TestTenantIsolationBlocksCrossDedup: identical data stored by two

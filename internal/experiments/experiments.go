@@ -12,6 +12,7 @@
 //	fig6    — cluster DR (normalized) vs handprint size (Fig. 6)
 //	fig7    — fingerprint-lookup messages vs cluster size (Fig. 7)
 //	fig8    — EDR vs cluster size on four workloads (Fig. 8)
+//	fig-ext — dedup, balance and bid fan-out at 4–128 nodes (extends Figs. 7–8)
 //	ram     — §4.3 RAM-usage model (DDFS vs Extreme Binning vs Σ-Dedupe)
 //
 // Absolute magnitudes depend on the host; the reproduction targets are the
@@ -90,17 +91,18 @@ type figFunc func(Options) (*Table, error)
 
 // registry maps experiment names to implementations.
 var registry = map[string]figFunc{
-	"table1": table1,
-	"table2": table2,
-	"fig1":   fig1,
-	"fig4a":  fig4a,
-	"fig4b":  fig4b,
-	"fig5a":  fig5a,
-	"fig5b":  fig5b,
-	"fig6":   fig6,
-	"fig7":   fig7,
-	"fig8":   fig8,
-	"ram":    ramTable,
+	"table1":  table1,
+	"table2":  table2,
+	"fig1":    fig1,
+	"fig4a":   fig4a,
+	"fig4b":   fig4b,
+	"fig5a":   fig5a,
+	"fig5b":   fig5b,
+	"fig6":    fig6,
+	"fig7":    fig7,
+	"fig8":    fig8,
+	"fig-ext": figExt,
+	"ram":     ramTable,
 }
 
 // Names lists available experiments in a stable order.
@@ -123,6 +125,7 @@ func Run(name string, opts Options) (*Table, error) {
 	return fn(opts)
 }
 
+func f1(v float64) string  { return fmt.Sprintf("%.1f", v) }
 func f2(v float64) string  { return fmt.Sprintf("%.2f", v) }
 func f3(v float64) string  { return fmt.Sprintf("%.3f", v) }
 func mbs(v float64) string { return fmt.Sprintf("%.1f", v/(1<<20)) }

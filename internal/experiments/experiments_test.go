@@ -48,9 +48,10 @@ func TestAllExperimentsRunQuick(t *testing.T) {
 // TestClusterFiguresGolden pins the trace-driven figures to
 // testdata/*.golden, written by the simulator's former private stream
 // pipeline: replaying through ingest.Session must repeat every digit of
-// every row.
+// every row. fig-ext's golden repeats, cell for cell, the rows of the
+// sigma-bench scale-out mode it replaced.
 func TestClusterFiguresGolden(t *testing.T) {
-	for _, name := range []string{"fig6", "fig7", "fig8", "table1"} {
+	for _, name := range []string{"fig6", "fig7", "fig8", "fig-ext", "table1"} {
 		t.Run(name, func(t *testing.T) {
 			want, err := os.ReadFile(filepath.Join("testdata", name+".golden"))
 			if err != nil {
@@ -76,7 +77,7 @@ func TestRunUnknown(t *testing.T) {
 }
 
 func TestNamesComplete(t *testing.T) {
-	want := []string{"fig1", "fig4a", "fig4b", "fig5a", "fig5b", "fig6", "fig7", "fig8", "ram", "table1", "table2"}
+	want := []string{"fig-ext", "fig1", "fig4a", "fig4b", "fig5a", "fig5b", "fig6", "fig7", "fig8", "ram", "table1", "table2"}
 	got := Names()
 	if len(got) != len(want) {
 		t.Fatalf("Names() = %v", got)

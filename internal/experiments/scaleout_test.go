@@ -1,4 +1,4 @@
-package sigmadedupe
+package experiments
 
 import (
 	"context"
@@ -30,50 +30,10 @@ func scaleoutLinuxConfig(files int) workload.LinuxConfig {
 	return cfg
 }
 
-// scaleoutCell replays the workload through one fresh cluster and
-// returns the row metrics the properties assert on.
-type scaleoutCell struct {
-	dr          float64
-	maxMean     float64
-	bidsPerSC   float64
-	checksPerSC float64
-}
-
-func runScaleoutCell(t *testing.T, scheme router.Scheme, n int, cfg workload.LinuxConfig, corpus *workload.Corpus) scaleoutCell {
-	t.Helper()
-	g, err := workload.NewLinux(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := cluster.New(cluster.Config{
-		N:              n,
-		Scheme:         scheme,
-		SuperChunkSize: 256 << 10,
-		BidSummaries:   true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	st, err := c.Replay(context.Background(), map[string]cluster.Trace{"client0": cluster.Workload(g, corpus)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc := st.SuperChunks
-	if sc == 0 {
-		sc = 1
-	}
-	return scaleoutCell{
-		dr:          c.DedupRatio(st.LogicalBytes),
-		maxMean:     metrics.MaxOverMean(c.UsageVector()),
-		bidsPerSC:   float64(st.BidsSent) / float64(sc),
-		checksPerSC: float64(st.SummaryChecks) / float64(sc),
-	}
-}
-
 // TestScaleoutRoutingProperties is the scale-out acceptance gate,
-// table-driven over routing schemes. For Sigma it enforces the
-// campaign's three properties at 128 nodes on the calibrated workload:
+// table-driven over routing schemes, on fig-ext's cell. For Sigma it
+// enforces the campaign's three properties at 128 nodes on the
+// calibrated workload:
 //
 //   - balance: max/mean node bytes ≤ 1.2;
 //   - dedup retention: DR at 128 nodes within 5% of the 4-node run of
@@ -112,23 +72,32 @@ func TestScaleoutRoutingProperties(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.scheme.String(), func(t *testing.T) {
-			cfg := scaleoutLinuxConfig(tc.files)
-			base := runScaleoutCell(t, tc.scheme, 4, cfg, corpus)
-			wide := runScaleoutCell(t, tc.scheme, 128, cfg, corpus)
+			g, err := workload.NewLinux(scaleoutLinuxConfig(tc.files))
+			if err != nil {
+				t.Fatal(err)
+			}
+			base, err := replayCell(g, corpus, tc.scheme, 4, 256)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wide, err := replayCell(g, corpus, tc.scheme, 128, 256)
+			if err != nil {
+				t.Fatal(err)
+			}
 			retention := wide.dr / base.dr
 			t.Logf("%s: DR 4→128 nodes %.3f→%.3f (retention %.4f), max/mean %.3f→%.3f, bids/SC %.2f, checks/SC %.0f",
-				tc.scheme, base.dr, wide.dr, retention, base.maxMean, wide.maxMean, wide.bidsPerSC, wide.checksPerSC)
+				tc.scheme, base.dr, wide.dr, retention, base.maxMean, wide.maxMean, wide.bids, wide.checks)
 			if tc.maxMean > 0 && wide.maxMean > tc.maxMean {
 				t.Errorf("128-node max/mean node bytes = %.3f, want <= %.2f", wide.maxMean, tc.maxMean)
 			}
 			if tc.minRetention > 0 && retention < tc.minRetention {
 				t.Errorf("dedup retention DR(128)/DR(4) = %.4f, want >= %.2f", retention, tc.minRetention)
 			}
-			if tc.maxBids > 0 && wide.bidsPerSC > tc.maxBids {
-				t.Errorf("128-node bids/super-chunk = %.2f, want <= %.1f (O(1) fan-out)", wide.bidsPerSC, tc.maxBids)
+			if tc.maxBids > 0 && wide.bids > tc.maxBids {
+				t.Errorf("128-node bids/super-chunk = %.2f, want <= %.1f (O(1) fan-out)", wide.bids, tc.maxBids)
 			}
-			if tc.maxBids > 0 && wide.checksPerSC != 128 {
-				t.Errorf("128-node summary checks/super-chunk = %.2f, want exactly N = 128", wide.checksPerSC)
+			if tc.maxBids > 0 && wide.checks != 128 {
+				t.Errorf("128-node summary checks/super-chunk = %.2f, want exactly N = 128", wide.checks)
 			}
 			if base.dr < 1 || wide.dr < 1 {
 				t.Errorf("dedup ratio below 1: base %.3f wide %.3f", base.dr, wide.dr)
@@ -139,10 +108,9 @@ func TestScaleoutRoutingProperties(t *testing.T) {
 
 // TestScaleoutStatsRace replays 8 concurrent streams into a 64-node
 // cluster with bid summaries on while reader goroutines hammer the usage
-// surface (UsageVector, PhysicalBytes, skew metrics) the scale-out sweep
-// reads mid-run. Run under -race it audits the lock-free epoch/usage
-// paths the 64–128 node simulator depends on; it is sized to stay
-// short-mode friendly.
+// surface (UsageVector, PhysicalBytes, skew metrics) fig-ext reads.
+// Run under -race it audits the lock-free epoch/usage paths the 64–128
+// node simulator depends on; it is sized to stay short-mode friendly.
 func TestScaleoutStatsRace(t *testing.T) {
 	corpus := workload.NewCorpus(0)
 	cfg := scaleoutLinuxConfig(1500)

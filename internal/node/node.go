@@ -74,9 +74,6 @@ func (c Config) storeConfig() store.Config {
 	}
 }
 
-// Stats aggregates a node's deduplication counters.
-type Stats = store.Stats
-
 // Node is one deduplication server. All methods are safe for concurrent
 // use by multiple backup streams.
 type Node struct {
@@ -243,7 +240,7 @@ func (n *Node) SealStream(stream string) error { return n.eng.SealStream(stream)
 func (n *Node) Close() error { return n.eng.Close() }
 
 // Stats returns a snapshot of the node's counters.
-func (n *Node) Stats() Stats { return n.eng.Stats() }
+func (n *Node) Stats() store.Stats { return n.eng.Stats() }
 
 // NumSealedContainers returns the node's sealed-container count.
 func (n *Node) NumSealedContainers() int { return n.eng.Manager().NumSealed() }

@@ -8,6 +8,7 @@ import (
 
 	"sigmadedupe/internal/core"
 	"sigmadedupe/internal/fingerprint"
+	"sigmadedupe/internal/store"
 )
 
 // makeSC builds a super-chunk from n random 4KB chunks.
@@ -278,7 +279,7 @@ func TestConfigDefaults(t *testing.T) {
 }
 
 func TestDedupRatioEmpty(t *testing.T) {
-	var s Stats
+	var s store.Stats
 	if s.DedupRatio() != 0 {
 		t.Fatal("empty stats dedup ratio should be 0")
 	}

@@ -6,7 +6,6 @@ import (
 
 	"sigmadedupe/internal/core"
 	"sigmadedupe/internal/fingerprint"
-	"sigmadedupe/internal/node"
 	"sigmadedupe/internal/store"
 	"sigmadedupe/internal/wire"
 )
@@ -253,17 +252,6 @@ func payloadSize(chunks []core.ChunkRef) int {
 		n += len(chunks[i].Data)
 	}
 	return n
-}
-
-func (x *coder) nodeStats(v *node.Stats) {
-	x.i64(&v.LogicalBytes)
-	x.i64(&v.PhysicalBytes)
-	x.i64(&v.LogicalChunks)
-	x.i64(&v.UniqueChunks)
-	x.i64(&v.SuperChunks)
-	x.u64(&v.CacheHits)
-	x.u64(&v.DiskIndexHits)
-	x.u64(&v.Prefetches)
 }
 
 func (x *coder) gcStats(v *store.GCStats) {

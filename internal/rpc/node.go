@@ -341,20 +341,3 @@ func (c *Client) GCStats(ctx context.Context) (store.GCStats, int64, error) {
 	r, err := call(c, ctx, gcStats, struct{}{})
 	return r.gc, r.usage, err
 }
-
-type statsReply struct {
-	stats node.Stats
-	usage int64
-}
-
-// stats fetches node statistics and storage usage.
-var stats = declare(7, 0, none, func(x *coder, r *statsReply) { x.nodeStats(&r.stats); x.i64(&r.usage) },
-	func(n *node.Node, _ context.Context, _ struct{}) (statsReply, error) {
-		return statsReply{n.Stats(), n.StorageUsage()}, nil
-	})
-
-// Stats fetches node statistics and storage usage.
-func (c *Client) Stats(ctx context.Context) (node.Stats, int64, error) {
-	r, err := call(c, ctx, stats, struct{}{})
-	return r.stats, r.usage, err
-}

@@ -29,7 +29,7 @@ import (
 
 // opcode numbers a verb: the node's below 32, the director's from 32, so
 // a verb sent to the wrong kind of server is refused as unknown. A number,
-// once given, stays: retired node ops 4, 5, 11 and 12 are reserved.
+// once given, stays: retired node ops 4, 5, 7, 11 and 12 are reserved.
 type opcode int
 
 // class is a verb's set of class bits.

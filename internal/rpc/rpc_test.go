@@ -73,26 +73,8 @@ func TestBidQueryStoreCycle(t *testing.T) {
 	}
 }
 
-func TestStatsOverWire(t *testing.T) {
-	_, c := startServer(t, node.Config{})
-	sc := makeSC(3, 8)
-	if err := c.Store(context.Background(), "s", sc, false); err != nil {
-		t.Fatal(err)
-	}
-	stats, usage, err := c.Stats(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.SuperChunks != 1 || stats.UniqueChunks != 8 {
-		t.Fatalf("stats = %+v", stats)
-	}
-	if usage != 8*4096 {
-		t.Fatalf("usage = %d", usage)
-	}
-}
-
 func TestPipelinedConcurrentCalls(t *testing.T) {
-	_, c := startServer(t, node.Config{})
+	srv, c := startServer(t, node.Config{})
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -112,11 +94,7 @@ func TestPipelinedConcurrentCalls(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	stats, _, err := c.Stats(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.SuperChunks != 160 {
+	if stats := srv.Node().Stats(); stats.SuperChunks != 160 {
 		t.Fatalf("SuperChunks = %d, want 160", stats.SuperChunks)
 	}
 }

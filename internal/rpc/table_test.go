@@ -139,8 +139,6 @@ var samples = func() []sample {
 			{FP: testFP(12), Size: 3, Data: []byte{0, 1, 2}},
 		}}, none),
 		sampleOf(flush, none, none),
-		sampleOf(stats, none, statsReply{node.Stats{LogicalBytes: 100, PhysicalBytes: 60, LogicalChunks: 25, UniqueChunks: 15,
-			SuperChunks: 2, CacheHits: 7, DiskIndexHits: 3, Prefetches: 1}, 5}),
 		sampleOf(decRef, decRefArgs{hp, []int64{1, -3, 1 << 40}}, none),
 		sampleOf(compact, 0.75, store.CompactResult{Scanned: 4, Rewritten: 1, Retired: 1, CopiedBytes: 50,
 			ReclaimedBytes: 150, SkippedNoPayload: 1}),
@@ -214,10 +212,10 @@ func TestVerbTable(t *testing.T) {
 	if len(verbs) != len(samples) {
 		t.Fatalf("%d verbs registered, %d have a sample", len(verbs), len(samples))
 	}
-	if nodeVerbs != 13 || len(samples)-nodeVerbs != 18 {
-		t.Fatalf("%d node and %d director verbs, want 13 and 18", nodeVerbs, len(samples)-nodeVerbs)
+	if nodeVerbs != 12 || len(samples)-nodeVerbs != 18 {
+		t.Fatalf("%d node and %d director verbs, want 12 and 18", nodeVerbs, len(samples)-nodeVerbs)
 	}
-	for _, op := range []opcode{4, 5, 11, 12} {
+	for _, op := range []opcode{4, 5, 7, 11, 12} {
 		if _, ok := verbs[op]; ok {
 			t.Fatalf("reserved op %d is reused", op)
 		}
@@ -241,8 +239,6 @@ func TestVerbFrameGolden(t *testing.T) {
 			"b7470717432ec0f021683f4078d5b7b4e303f62ac36fe43064b6ec9fccd0db1e"},
 		6: {"bb8f9886a3931c94df9b7a9761994c1e2c7d3c052b66b7da5dc2048e414ad819",
 			"b7470717432ec0f021683f4078d5b7b4e303f62ac36fe43064b6ec9fccd0db1e"},
-		7: {"abe8942e6754927de8d85580a9860fd49d740b9e843de3314161c9a1e08b64fa",
-			"09db250f2013ca65aa66aeb4f7e02f4b38c5d07e8d0094c0d00fcc473640e19c"},
 		8: {"85b4f011af3c9bf61ccd601bec9e27dcb8348e8d3c21f41b27b3da767523157c",
 			"b7470717432ec0f021683f4078d5b7b4e303f62ac36fe43064b6ec9fccd0db1e"},
 		9: {"df88da1c483479bc95576c08469bfee90a45f7de5211d4b39ec23f96688e57da",
@@ -374,12 +370,12 @@ func TestUnknownOpIsMalformed(t *testing.T) {
 		listed  opcode // a verb whose argument starts with a count
 		ok      opcode // a verb that takes no argument
 	}{
-		{"node", nsrv, wire.ProtoNode, beginSession.op, bid.op, stats.op},
+		{"node", nsrv, wire.ProtoNode, beginSession.op, bid.op, gcStats.op},
 		{"director", dsrv, wire.ProtoDirector, bid.op, getRecipe.op, members.op},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			conn, br := rawDial(t, tc.srv.Addr(), tc.proto)
-			for i, op := range []opcode{4, 5, 11, 12, 200, tc.foreign} {
+			for i, op := range []opcode{4, 5, 7, 11, 12, 200, tc.foreign} {
 				if err := rawCall(t, conn, br, uint64(i), op, nil); !errors.Is(err, sderr.ErrMalformed) {
 					t.Fatalf("op %d: %v, want ErrMalformed", op, err)
 				}

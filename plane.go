@@ -66,7 +66,7 @@ type plane struct {
 	folded   counters
 	opened   atomic.Int64
 
-	restoredBytes, restoredChunks, readBatches, failoverReads atomic.Int64
+	restoredBytes, readBatches, failoverReads atomic.Int64
 }
 
 // counters are the session counters the backend-wide stats sum.
@@ -287,9 +287,12 @@ func (p *plane) Stats(ctx context.Context) (BackendStats, error) {
 		return BackendStats{}, err
 	}
 	st := BackendStats{
-		LogicalBytes: p.counters().logicalBytes,
-		Nodes:        len(usage),
-		StorageSkew:  metrics.Skew(usage),
+		LogicalBytes:  p.counters().logicalBytes,
+		Nodes:         len(usage),
+		StorageSkew:   metrics.Skew(usage),
+		RestoredBytes: p.restoredBytes.Load(),
+		RestoreRPCs:   p.readBatches.Load(),
+		FailoverReads: p.failoverReads.Load(),
 	}
 	for _, u := range usage {
 		st.PhysicalBytes += u
@@ -329,7 +332,6 @@ func (p *plane) RestoreTenant(ctx context.Context, tn, name string, w io.Writer)
 	}
 	st, err := migrate.Restore(ctx, p.meta, nodes, key, p.ahead, w)
 	p.restoredBytes.Add(st.Bytes)
-	p.restoredChunks.Add(st.Chunks)
 	p.readBatches.Add(st.ReadBatches)
 	p.failoverReads.Add(st.FailoverReads)
 	return err

@@ -325,20 +325,12 @@ func (r *Remote) wire(ctx context.Context, icfg *ingest.Config) (io.Closer, erro
 func (r *Remote) GCStats(ctx context.Context) (GCStats, error) { return r.gcStats(ctx) }
 
 // BackupStats returns the default backup stream's session counters
-// (zero before the first one-shot Backup) plus the restore counters of
-// this backend's Restore and RestoreTenant calls.
+// (zero before the first one-shot Backup).
 func (r *Remote) BackupStats() SessionStats {
-	var st SessionStats
 	if def := r.defaultIfOpen(); def != nil {
-		st = toSessionStats(def.Stats())
+		return toSessionStats(def.Stats())
 	}
-	st.RestoredBytes = r.restoredBytes.Load()
-	st.RestoreRPCs = r.readBatches.Load()
-	st.FailoverReads = r.failoverReads.Load()
-	// Restored payloads are written straight out of the recycled receive
-	// frames: one buffer reuse per chunk delivered.
-	st.ChunkBufReuses += r.restoredChunks.Load()
-	return st
+	return SessionStats{}
 }
 
 // RPCMessages returns the RPC requests the default stream has issued

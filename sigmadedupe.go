@@ -282,10 +282,6 @@ func (c *Cluster) GCStats() GCStats {
 // cluster directory can be re-opened later.
 func (c *Cluster) Close() error { return c.plane.close() }
 
-// FailoverReads counts restore reads served by a replica after the
-// primary's node was killed.
-func (c *Cluster) FailoverReads() int64 { return c.failoverReads.Load() }
-
 // RecoverMigrations settles migration transactions left pending by a
 // crash mid-migration (see plane.RecoverMigrations).
 func (c *Cluster) RecoverMigrations() error {

@@ -173,7 +173,7 @@ func TestRunExperimentFacade(t *testing.T) {
 	if err := RunExperiment("nope", ExperimentOptions{}, &buf); err == nil {
 		t.Fatal("unknown experiment should error")
 	}
-	if len(ExperimentNames()) != 11 {
+	if len(ExperimentNames()) != 12 {
 		t.Fatalf("ExperimentNames = %v", ExperimentNames())
 	}
 }
