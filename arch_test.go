@@ -109,7 +109,7 @@ var repoArch = archRules{
 		"rpc.ServerOption":                  "test seam: server fault injection",
 		"rpc.WithHandlerDelay":              "test seam: emulated node service latency",
 		"rpc.WithSeverAfter":                "test seam: connection severed mid-window",
-		"fingerprint.SetSHA1KernelsForTest": "test seam: kernels off and on against crypto/sha1",
+		"fingerprint.SetHashKernelsForTest": "test seam: kernels off and on against the standard library",
 		"tenant.DomainShared":               "wire value: director tests send it",
 		"workload.LinuxConfig":              "test seam: the scale-out gate sizes its own tree",
 		"workload.DefaultLinuxConfig":       "test seam: the scale-out gate sizes its own tree",

@@ -58,7 +58,7 @@ func run() error {
 		return err
 	}
 	fmt.Printf("sigma-server: node %d listening on %s\n", *id, srv.Addr())
-	fmt.Printf("sigma-server: SHA-1 implementation %s\n", fingerprint.SHA1Impl())
+	fmt.Printf("sigma-server: SHA-1 implementation %s, SHA-256 %s\n", fingerprint.SHA1.Impl(), fingerprint.SHA256.Impl())
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

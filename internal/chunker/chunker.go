@@ -88,6 +88,8 @@ type options struct {
 	alloc func(n int) []byte
 	// unused takes back a buffer drawn from alloc that no chunk carries.
 	unused func([]byte)
+	// pooled says alloc is the caller's (WithAllocator), not make.
+	pooled bool
 }
 
 // WithAllocator makes the chunker draw chunk payload buffers from alloc
@@ -101,7 +103,7 @@ type options struct {
 // unused[0] instead of to the garbage collector.
 func WithAllocator(alloc func(n int) []byte, unused ...func([]byte)) option {
 	return func(o *options) {
-		o.alloc = alloc
+		o.alloc, o.pooled = alloc, true
 		if len(unused) > 0 {
 			o.unused = unused[0]
 		}

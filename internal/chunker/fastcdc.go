@@ -1,6 +1,7 @@
 package chunker
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 )
@@ -98,22 +99,38 @@ func fastCDCMasks(avg, norm int, seed uint64) (maskS, maskL uint64) {
 	return pick(bits + norm), pick(bits - norm)
 }
 
+// fastCDCStep is how much the chunker asks its reader for at a time,
+// past the minimum chunk size, which it reads in the same request: the
+// bytes read past a cut are carried into the next chunk's buffer, so the
+// step bounds that copy, and each step is one Read. BenchmarkFastCDC
+// pooled at 2 / 4 / 8KB steps read 800-950 / 905-940 / 905-980 MB/s,
+// even within the host's noise.
+const fastCDCStep = 4 << 10
+
 // fastCDCChunker implements FastCDC-2020: a gear rolling hash (one shift
-// and one add per byte, no byte-removal step) with normalized chunking.
-// It buffers up to Max bytes internally and copies each chunk out through
-// the allocator, so emitted chunks never alias the work buffer.
+// and one add per byte, no byte-removal step) with normalized chunking,
+// rolled two bytes per step. It reads straight into the buffer a chunk
+// is handed out in, a step at a time, and scans the bytes as they arrive;
+// only the bytes read past a cut (less than a step) are copied, into the
+// next chunk's buffer. Without an allocator it reads into a work buffer
+// of its own and copies each chunk out at its size instead: a heap buffer
+// of Max bytes per chunk would hold four times the payload.
 type fastCDCChunker struct {
-	r      io.Reader
-	cfg    fastCDCConfig
-	gear   [256]uint64
-	maskS  uint64 // stricter mask, before the normal point
-	maskL  uint64 // looser mask, after the normal point
-	buf    []byte
-	pos    int // start of unconsumed bytes in buf
-	filled int // end of valid bytes in buf
-	offset int64
-	rerr   error // deferred read error (io.EOF when drained)
-	alloc  func(n int) []byte
+	r   io.Reader
+	cfg fastCDCConfig
+	// gear is the gear table; gear2 is gear shifted left by one, and
+	// maskS2 and maskL2 are the masks shifted likewise: after the first
+	// byte of a step the hash is held one bit up, and since no mask has
+	// bit 63 (fastCDCMasks draws from [16, 62)) h<<1 & mask<<1 == 0
+	// exactly when h & mask == 0.
+	gear, gear2   [256]uint64
+	maskS, maskS2 uint64 // stricter mask, before the normal point
+	maskL, maskL2 uint64 // looser mask, after the normal point
+	carry         []byte // bytes read past the last cut
+	work          []byte // the buffer every chunk is read into; nil when pooled
+	offset        int64
+	rerr          error // the reader's error (io.EOF when drained)
+	options
 }
 
 var _ Chunker = (*fastCDCChunker)(nil)
@@ -128,86 +145,122 @@ func newFastCDC(r io.Reader, cfg fastCDCConfig, opts ...option) (*fastCDCChunker
 	if seed == 0 {
 		seed = defaultGearSeed
 	}
-	maskS, maskL := fastCDCMasks(cfg.Avg, cfg.Normalization, seed)
-	return &fastCDCChunker{
-		r:     r,
-		cfg:   cfg,
-		gear:  gearTable(seed),
-		maskS: maskS,
-		maskL: maskL,
-		buf:   make([]byte, max(cfg.Max, 64<<10)),
-		alloc: applyOptions(opts).alloc,
-	}, nil
+	fc := &fastCDCChunker{
+		r:       r,
+		cfg:     cfg,
+		gear:    gearTable(seed),
+		carry:   make([]byte, 0, fastCDCStep),
+		options: applyOptions(opts),
+	}
+	if !fc.pooled {
+		fc.work = make([]byte, cfg.Max)
+	}
+	for i, g := range fc.gear {
+		fc.gear2[i] = g << 1
+	}
+	fc.maskS, fc.maskL = fastCDCMasks(cfg.Avg, cfg.Normalization, seed)
+	fc.maskS2, fc.maskL2 = fc.maskS<<1, fc.maskL<<1
+	return fc, nil
 }
 
-// fill slides unconsumed bytes to the front and reads until Max bytes
-// are buffered or the reader is exhausted.
-func (fc *fastCDCChunker) fill() {
-	if fc.pos > 0 {
-		copy(fc.buf, fc.buf[fc.pos:fc.filled])
-		fc.filled -= fc.pos
-		fc.pos = 0
+// Next implements Chunker. A read error surfaces once no cut can be found
+// in the bytes read before it; a chunk is never cut short by one.
+func (fc *fastCDCChunker) Next() (Chunk, error) {
+	if len(fc.carry) == 0 && fc.rerr != nil {
+		return Chunk{}, fc.err()
 	}
-	for fc.rerr == nil && fc.filled < fc.cfg.Max {
-		n, err := fc.r.Read(fc.buf[fc.filled:])
-		fc.filled += n
+	buf := fc.work
+	if buf == nil {
+		buf = fc.alloc(fc.cfg.Max)
+	}
+	filled := copy(buf, fc.carry)
+	fc.carry = fc.carry[:0]
+	// Bytes before Min are never hashed; scanned is where the search
+	// stands, h the hash of buf[Min:scanned].
+	scanned, h := fc.cfg.Min, uint64(0)
+	for {
+		if filled > scanned {
+			var cut int
+			if cut, h = fc.scan(buf, scanned, filled, h); cut > 0 {
+				return fc.emit(buf, cut, filled), nil
+			}
+			scanned = filled
+		}
+		if filled == fc.cfg.Max {
+			return fc.emit(buf, filled, filled), nil
+		}
+		if fc.rerr != nil {
+			break
+		}
+		n, err := fc.r.Read(buf[filled:min(fc.cfg.Max, max(filled, fc.cfg.Min)+fastCDCStep)])
+		filled += n
 		if err != nil {
 			fc.rerr = err
 		}
 	}
+	if fc.rerr == io.EOF && filled > 0 {
+		return fc.emit(buf, filled, filled), nil
+	}
+	// Nothing left, or a read error with a partial chunk: surface it
+	// rather than emit a chunk that silently truncates the stream.
+	fc.unused(buf)
+	return Chunk{}, fc.err()
 }
 
-// Next implements Chunker.
-func (fc *fastCDCChunker) Next() (Chunk, error) {
-	if fc.filled-fc.pos < fc.cfg.Max && fc.rerr == nil {
-		fc.fill()
+func (fc *fastCDCChunker) err() error {
+	if fc.rerr == io.EOF {
+		return io.EOF
 	}
-	n := fc.filled - fc.pos
-	if n == 0 {
-		if fc.rerr != nil && fc.rerr != io.EOF {
-			return Chunk{}, fmt.Errorf("fastcdc read: %w", fc.rerr)
-		}
-		return Chunk{}, io.EOF
+	return fmt.Errorf("fastcdc read: %w", fc.rerr)
+}
+
+// emit hands out buf[:cut] and keeps buf[cut:filled] for the next chunk.
+func (fc *fastCDCChunker) emit(buf []byte, cut, filled int) Chunk {
+	fc.carry = append(fc.carry, buf[cut:filled]...)
+	ch := Chunk{Data: buf[:cut], Offset: fc.offset}
+	if fc.work != nil {
+		ch.Data = bytes.Clone(ch.Data)
 	}
-	if fc.rerr != nil && fc.rerr != io.EOF && n < fc.cfg.Max {
-		// A real read error with a partial buffer: surface it rather
-		// than emit a chunk that silently truncates the stream.
-		return Chunk{}, fmt.Errorf("fastcdc read: %w", fc.rerr)
-	}
-	cut := fc.cutpoint(fc.buf[fc.pos : fc.pos+min(n, fc.cfg.Max)])
-	out := fc.alloc(cut)[:cut]
-	copy(out, fc.buf[fc.pos:fc.pos+cut])
-	ch := Chunk{Data: out, Offset: fc.offset}
-	fc.pos += cut
 	fc.offset += int64(cut)
-	return ch, nil
+	return ch
 }
 
-// cutpoint runs the normalized-chunking scan of the paper (Algorithm 2):
-// skip Min bytes, use the stricter mask until the normal point (Avg),
-// then the looser mask until Max, falling back to a hard cut.
-func (fc *fastCDCChunker) cutpoint(src []byte) int {
-	n := len(src)
-	if n <= fc.cfg.Min {
-		return n
+// scan continues the normalized-chunking search of the paper (Algorithm
+// 2) over buf[from:to], from ≥ Min, with h the hash of buf[Min:from]: the
+// stricter mask until the normal point (Avg), then the looser one. It
+// returns the cut — the end of the chunk — or 0, and the hash.
+func (fc *fastCDCChunker) scan(buf []byte, from, to int, h uint64) (int, uint64) {
+	if normal := min(fc.cfg.Avg, to); from < normal {
+		var cut int
+		if cut, h = fc.roll(buf[:normal], from, h, fc.maskS, fc.maskS2); cut > 0 {
+			return cut, h
+		}
+		from = normal
 	}
-	var h uint64
-	i := fc.cfg.Min
-	normal := fc.cfg.Avg
-	if normal > n {
-		normal = n
-	}
-	for ; i < normal; i++ {
-		h = (h << 1) + fc.gear[src[i]]
-		if h&fc.maskS == 0 {
-			return i + 1
+	return fc.roll(buf[:to], from, h, fc.maskL, fc.maskL2)
+}
+
+// roll runs the gear hash over src[i:], two bytes a step, and returns the
+// first position after which h&mask == 0, or 0. A step's hash is
+// h<<2 + (gear2[a] + gear[b]): one shift and one add on the chain from
+// step to step, with the first byte's check beside it (FastCDC-2020's
+// rolling two bytes; BenchmarkFastCDC pooled 940 → 1140 MB/s against
+// adding the bytes one after the other).
+func (fc *fastCDCChunker) roll(src []byte, i int, h, mask, mask2 uint64) (int, uint64) {
+	for ; i+1 < len(src); i += 2 {
+		g2, g := fc.gear2[src[i]], fc.gear[src[i+1]]
+		hs := h << 2
+		if (hs+g2)&mask2 == 0 {
+			return i + 1, h
+		}
+		if h = hs + (g2 + g); h&mask == 0 {
+			return i + 2, h
 		}
 	}
-	for ; i < n; i++ {
-		h = (h << 1) + fc.gear[src[i]]
-		if h&fc.maskL == 0 {
-			return i + 1
+	if i < len(src) {
+		if h = h<<1 + fc.gear[src[i]]; h&mask == 0 {
+			return i + 1, h
 		}
 	}
-	return n
+	return 0, h
 }

@@ -38,10 +38,12 @@ type Algorithm int
 // code, which is what runs without the extensions) and MD5 at 579 MB/s.
 // The host drifts by a fifth between sessions (earlier ones read 1257 /
 // 1307 / 664 / 597 and 1178 / 1086 / 552 / 538); the ratios hold. In
-// batches SHA-1 pulls ahead: SumBatch runs sixteen chunks per pass on the
-// AVX-512 kernel of sha1x16_amd64.s, 5350 MB/s at sixteen 4KB chunks in
-// the same session (BenchmarkSumBatch), ×3.8 the one-lane kernel; at four
-// chunks the two break even. SHA-256 and MD5 have no batch kernel.
+// batches both SHAs run sixteen chunks per pass on AVX-512 kernels
+// (BenchmarkSumBatch, sixteen 4KB chunks): SHA-1 on sha1x16_amd64.s at
+// 5350 MB/s, ×3.8 its one-lane kernel, even with it at four chunks;
+// SHA-256 on sha256x16_amd64.s at 2556 MB/s, ×1.9 crypto/sha256 in the
+// same session (about twice SHA-1's vector ops per block), even with it
+// at eight. MD5 has no batch kernel.
 const (
 	SHA1 Algorithm = iota + 1
 	MD5
@@ -79,18 +81,21 @@ func (a Algorithm) Sum(data []byte) Fingerprint {
 }
 
 // SumBatch computes out[i] = a.Sum(bufs[i]) for every buffer; out must be
-// at least as long as bufs. SHA-1 on a CPU with AVX-512 hashes up to
-// sixteen buffers per pass (sha1x16_amd64.go); everything else loops over
-// Sum. Safe for concurrent use.
+// at least as long as bufs. SHA-1 and SHA-256 on a CPU with AVX-512 hash
+// up to sixteen buffers per pass (x16_amd64.go) once a batch holds enough
+// of them to pay; everything else loops over Sum. Safe for concurrent use.
 func (a Algorithm) SumBatch(bufs [][]byte, out []Fingerprint) {
 	out = out[:len(bufs)]
-	switch a {
-	case MD5, SHA256:
-		for i, b := range bufs {
-			out[i] = a.Sum(b)
-		}
-	default:
-		sumSHA1Batch(bufs, out)
+	minLanes := x16MinLanes
+	if a == SHA256 {
+		minLanes = x16MinLanesSHA256
+	}
+	if a != MD5 && x16 && len(bufs) >= minLanes {
+		sumX16(a, bufs, out)
+		return
+	}
+	for i, b := range bufs {
+		out[i] = a.Sum(b)
 	}
 }
 

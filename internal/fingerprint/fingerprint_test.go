@@ -198,29 +198,35 @@ func BenchmarkSumSHA1_4KB(b *testing.B) {
 		if ni && !haveSHANI {
 			continue
 		}
-		restore := SetSHA1KernelsForTest(ni, false)
-		b.Run(SHA1Impl(), func(b *testing.B) { benchSum4KB(b, SHA1) })
+		restore := SetHashKernelsForTest(ni, false)
+		b.Run(SHA1.Impl(), func(b *testing.B) { benchSum4KB(b, SHA1) })
 		restore()
 	}
 }
 
 // BenchmarkSumBatch hashes batches of 1 to 16 4KB chunks on the one-lane
-// SHA-NI kernel and on the 16-lane kernel alone (no hand-off of
-// stragglers, whatever the lane count), which shows the lane count where
-// the 16-lane pass starts to win: x16MinLanes.
+// path (SHA-NI for SHA-1, crypto/sha256 for SHA-256) and on the 16-lane
+// kernel alone (no hand-off of stragglers, whatever the lane count),
+// which shows the lane count where the 16-lane pass starts to win:
+// x16MinLanes, x16MinLanesSHA256.
 func BenchmarkSumBatch(b *testing.B) {
 	for _, k := range []struct {
-		name    string
-		ni, x16 bool
+		name  string
+		a     Algorithm
+		one   bool
+		x16   bool
+		lanes []int
 	}{
-		{"sha-ni", true, false},
-		{"avx512x16", false, true},
+		{"sha-ni", SHA1, true, false, []int{1, 4, 8, 16}},
+		{"avx512x16", SHA1, false, true, []int{1, 4, 8, 16}},
+		{"sha256-stdlib", SHA256, true, false, []int{1, 16}},
+		{"sha256-avx512x16", SHA256, false, true, []int{1, 4, 8, 9, 16}},
 	} {
-		if k.ni && !haveSHANI || k.x16 && !haveAVX512 {
+		if k.a == SHA1 && k.one && !haveSHANI || k.x16 && !haveAVX512 {
 			continue
 		}
-		restore := SetSHA1KernelsForTest(k.ni, k.x16)
-		for _, lanes := range []int{1, 4, 8, 16} {
+		restore := SetHashKernelsForTest(k.one, k.x16)
+		for _, lanes := range k.lanes {
 			bufs := make([][]byte, lanes)
 			for i := range bufs {
 				bufs[i] = make([]byte, 4096)
@@ -231,9 +237,9 @@ func BenchmarkSumBatch(b *testing.B) {
 				b.SetBytes(int64(lanes * 4096))
 				for b.Loop() {
 					if k.x16 {
-						sumX16(bufs, out)
+						sumX16(k.a, bufs, out)
 					} else {
-						SHA1.SumBatch(bufs, out)
+						k.a.SumBatch(bufs, out)
 					}
 				}
 			})

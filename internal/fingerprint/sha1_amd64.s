@@ -1,5 +1,5 @@
 // Delete when go.mod reaches 1.25: that release's crypto/sha1 ships the
-// same SHA-extensions kernel (see sha1.go).
+// same SHA-extensions kernel (see kernels.go).
 
 //go:build amd64 && !purego
 

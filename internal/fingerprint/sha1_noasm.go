@@ -1,4 +1,4 @@
-// Delete when go.mod reaches 1.25 (see sha1.go).
+// Delete when go.mod reaches 1.25 (see kernels.go).
 
 //go:build !amd64 || purego
 

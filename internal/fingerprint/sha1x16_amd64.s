@@ -1,10 +1,11 @@
 // The 16-lane SHA-1 block function and the CPU feature probes. Unlike the
 // one-lane kernel in sha1_amd64.s this file does not expire with go 1.25:
-// crypto/sha1 hashes one message at a time (see sha1.go).
+// crypto/sha1 hashes one message at a time (see kernels.go).
 
 //go:build amd64 && !purego
 
 #include "textflag.h"
+#include "x16_amd64.h"
 
 // func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
@@ -54,38 +55,6 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 #define W14 Z30
 #define W15 Z31
 
-// LOADROW reads lane i's 64-byte block into z with its words big-endian.
-#define LOADROW(i, z) \
-	MOVQ      (i*8)(SI), R8; \
-	VMOVDQU32 (R8)(CX*1), z; \
-	VPSHUFB   bswap32<>(SB), z, z
-
-// GROUP4 is the first half of the 16x16 word transpose, for the rows of
-// four lanes: afterwards the m-th register holds, in 128-bit chunk k,
-// word 4k+m of the four lanes.
-#define GROUP4(r0, r1, r2, r3) \
-	VPUNPCKLDQ  r1, r0, Z0; \
-	VPUNPCKHDQ  r1, r0, Z1; \
-	VPUNPCKLDQ  r3, r2, Z2; \
-	VPUNPCKHDQ  r3, r2, Z3; \
-	VPUNPCKLQDQ Z2, Z0, r0; \
-	VPUNPCKHQDQ Z2, Z0, r1; \
-	VPUNPCKLQDQ Z3, Z1, r2; \
-	VPUNPCKHQDQ Z3, Z1, r3
-
-// CROSS4 is the second half: a 4x4 transpose of 128-bit chunks across the
-// m-th registers of the four groups, leaving W[m], W[m+4], W[m+8] and
-// W[m+12] of all sixteen lanes in the registers they came from.
-#define CROSS4(u0, u1, u2, u3) \
-	VSHUFI32X4 $0x44, u1, u0, Z0; \
-	VSHUFI32X4 $0xee, u1, u0, Z1; \
-	VSHUFI32X4 $0x44, u3, u2, Z2; \
-	VSHUFI32X4 $0xee, u3, u2, Z3; \
-	VSHUFI32X4 $0x88, Z2, Z0, u0; \
-	VSHUFI32X4 $0xdd, Z2, Z0, u1; \
-	VSHUFI32X4 $0x88, Z3, Z1, u2; \
-	VSHUFI32X4 $0xdd, Z3, Z1, u3
-
 // ROUND is one round on every lane: e += rol5(a) + f(b, c, d) + K + w and
 // b = rol30(b); the caller renames a-e instead of moving them. f is the
 // VPTERNLOGD truth table over (b, c, d): Ch 0xca, Parity 0x96, Maj 0xe8.
@@ -120,30 +89,7 @@ TEXT ·blockX16(SB), NOSPLIT, $0-24
 loop:
 	// Lane i's block into Wi, then transposed: Wj holds word j of every
 	// lane.
-	LOADROW(0, W0)
-	LOADROW(1, W1)
-	LOADROW(2, W2)
-	LOADROW(3, W3)
-	LOADROW(4, W4)
-	LOADROW(5, W5)
-	LOADROW(6, W6)
-	LOADROW(7, W7)
-	LOADROW(8, W8)
-	LOADROW(9, W9)
-	LOADROW(10, W10)
-	LOADROW(11, W11)
-	LOADROW(12, W12)
-	LOADROW(13, W13)
-	LOADROW(14, W14)
-	LOADROW(15, W15)
-	GROUP4(W0, W1, W2, W3)
-	GROUP4(W4, W5, W6, W7)
-	GROUP4(W8, W9, W10, W11)
-	GROUP4(W12, W13, W14, W15)
-	CROSS4(W0, W4, W8, W12)
-	CROSS4(W1, W5, W9, W13)
-	CROSS4(W2, W6, W10, W14)
-	CROSS4(W3, W7, W11, W15)
+	LOADX16
 
 	VMOVDQU32 (0*64)(DI), RA
 	VMOVDQU32 (1*64)(DI), RB
@@ -260,14 +206,3 @@ DATA k<>+4(SB)/4, $0x6ed9eba1
 DATA k<>+8(SB)/4, $0x8f1bbcdc
 DATA k<>+12(SB)/4, $0xca62c1d6
 GLOBL k<>(SB), RODATA|NOPTR, $16
-
-// VPSHUFB mask reversing the bytes of every 32-bit word.
-DATA bswap32<>+0(SB)/8, $0x0405060700010203
-DATA bswap32<>+8(SB)/8, $0x0c0d0e0f08090a0b
-DATA bswap32<>+16(SB)/8, $0x0405060700010203
-DATA bswap32<>+24(SB)/8, $0x0c0d0e0f08090a0b
-DATA bswap32<>+32(SB)/8, $0x0405060700010203
-DATA bswap32<>+40(SB)/8, $0x0c0d0e0f08090a0b
-DATA bswap32<>+48(SB)/8, $0x0405060700010203
-DATA bswap32<>+56(SB)/8, $0x0c0d0e0f08090a0b
-GLOBL bswap32<>(SB), RODATA|NOPTR, $64

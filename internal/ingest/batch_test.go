@@ -39,8 +39,8 @@ func (s *shortReads) Read(p []byte) (int, error) {
 // TestSerialReference is the differential of the batched stages against
 // a serial reference that shares no code with the session
 // (chunker.SplitAll + Algorithm.Sum): whatever the worker count, the
-// chunk spec, the SHA-1 kernel that hashes a batch (16 lanes or one; with
-// FastCDC the lanes run unequal lengths), the way the reader slices its
+// chunk spec, the kernel that hashes a batch (16 lanes or one, SHA-1 and
+// SHA-256; with FastCDC the lanes run unequal lengths), the way the reader slices its
 // bytes and wherever the item ends relative to a chunk, a batch and a
 // super-chunk, the recipe is the reference's (fingerprint, size) sequence
 // in stream order and the item restores byte-identical.
@@ -157,13 +157,9 @@ func TestSerialReference(t *testing.T) {
 		}
 		for _, workers := range []int{1, 2, 8} {
 			t.Run(fmt.Sprintf("%s/workers=%d", spec.name, workers), func(t *testing.T) {
-				if spec.algo != fingerprint.SHA1 {
-					sweep(t, workers)
-					return
-				}
 				for _, x16 := range []bool{false, true} {
-					restore := fingerprint.SetSHA1KernelsForTest(true, x16)
-					t.Run(fingerprint.SHA1Impl(), func(t *testing.T) { sweep(t, workers) })
+					restore := fingerprint.SetHashKernelsForTest(true, x16)
+					t.Run(spec.algo.Impl(), func(t *testing.T) { sweep(t, workers) })
 					restore()
 				}
 			})
@@ -388,25 +384,38 @@ func TestMemoryPlateau(t *testing.T) {
 // see the end of its stream, so every item ends on a buffer it did not
 // fill. That buffer must go back to the session's pool: over 2,000
 // one-chunk items the session allocates no more chunk buffers than the
-// first 200 needed, instead of one more per item.
+// first 200 needed, instead of one more per item. FastCDC draws its
+// buffer before reading a byte, as fixed chunking does: an item of
+// zeros as long as its largest chunk ends on a hard cut, with the end of
+// the stream still unseen.
 func TestOneChunkItemsReuseBuffers(t *testing.T) {
-	r := &rig{dir: director.New(), members: core.DenseMembership(1), byID: []migrate.Node{discard{}}}
-	s := r.session(t, ingest.Config{})
-	data := make([]byte, 4096)
-	var warm int64
-	for i := 0; i < 2000; i++ {
-		data[0], data[1] = byte(i), byte(i>>8)
-		if err := s.Backup(context.Background(), fmt.Sprintf("/item%d", i), bytes.NewReader(data)); err != nil {
-			t.Fatal(err)
-		}
-		if i == 199 {
+	for _, c := range []struct {
+		cfg  ingest.Config
+		size int
+	}{
+		{ingest.Config{ChunkMethod: chunker.Fixed}, 4096},
+		{ingest.Config{ChunkMethod: chunker.FastCDC, ChunkSize: 8192}, chunker.MaxChunkSize(chunker.FastCDC, 8192)},
+	} {
+		t.Run(c.cfg.ChunkMethod.String(), func(t *testing.T) {
+			r := &rig{dir: director.New(), members: core.DenseMembership(1), byID: []migrate.Node{discard{}}}
+			s := r.session(t, c.cfg)
+			data := make([]byte, c.size)
+			var warm int64
+			for i := 0; i < 2000; i++ {
+				data[0], data[1] = byte(i), byte(i>>8)
+				if err := s.Backup(context.Background(), fmt.Sprintf("/item%d", i), bytes.NewReader(data)); err != nil {
+					t.Fatal(err)
+				}
+				if i == 199 {
+					mustFlush(t, s)
+					warm = s.Stats().ChunkBufAllocs
+				}
+			}
 			mustFlush(t, s)
-			warm = s.Stats().ChunkBufAllocs
-		}
-	}
-	mustFlush(t, s)
-	if got := s.Stats().ChunkBufAllocs; got > warm {
-		t.Fatalf("chunk buffers allocated: %d after 200 one-chunk items, %d after 2000; want a plateau", warm, got)
+			if got := s.Stats().ChunkBufAllocs; got > warm {
+				t.Fatalf("chunk buffers allocated: %d after 200 one-chunk items, %d after 2000; want a plateau", warm, got)
+			}
+		})
 	}
 }
 

@@ -36,6 +36,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"runtime/pprof"
 	"slices"
 	"sync"
 
@@ -53,6 +54,21 @@ import (
 // DefaultInflight is the default window of super-chunks a session keeps
 // in the route/store stage.
 const DefaultInflight = 4
+
+// The runtime/pprof labels the stages run under, phase=ingest and stage:
+// chunk (reading and chunking), hash, commit (the driving goroutine's
+// stream-order work: partitioning, window admission, applying results,
+// recipe swaps), route (scheduler, router and bids of one super-chunk)
+// and dedup (its dedup passes). One context per label set, built once:
+// labelling a goroutine allocates nothing. A CPU profile of the whole
+// process then splits by stage (go tool pprof -tagfocus stage=hash).
+var (
+	chunkLabels  = pprof.WithLabels(context.Background(), pprof.Labels("phase", "ingest", "stage", "chunk"))
+	hashLabels   = pprof.WithLabels(context.Background(), pprof.Labels("phase", "ingest", "stage", "hash"))
+	commitLabels = pprof.WithLabels(context.Background(), pprof.Labels("phase", "ingest", "stage", "commit"))
+	routeLabels  = pprof.WithLabels(context.Background(), pprof.Labels("phase", "ingest", "stage", "route"))
+	dedupLabels  = pprof.WithLabels(context.Background(), pprof.Labels("phase", "ingest", "stage", "dedup"))
+)
 
 // Epoch is one pinned membership epoch: what a backup item routes
 // against and stores through.
@@ -358,6 +374,8 @@ func (s *Session) BackupRefs(ctx context.Context, name string, feed func(yield f
 // run is one item of either door: feed hands its super-chunks to the
 // window; the item then commits or aborts as Backup describes.
 func (s *Session) run(ctx context.Context, name string, refs bool, feed func(*item) error) error {
+	pprof.SetGoroutineLabels(commitLabels)
+	defer pprof.SetGoroutineLabels(ctx) // the caller's, if ctx carries any
 	// A trailing item that failed surfaces before this one starts.
 	if err := s.settle(ctx, math.MaxInt); err != nil {
 		return err
@@ -433,14 +451,27 @@ type batch struct {
 	refs []core.ChunkRef
 }
 
+// hashBatchChunks is the fewest chunks a batch closes with: two lane
+// sets of the 16-lane kernels. A pass costs the same with one lane busy
+// as with sixteen, and 128KB of FastCDC 8KB chunks is ≈ 14 of them,
+// which leaves lanes idle at the batch's tail: SHA-256 over 5.7-12.5KB
+// lengths hashes ×1.5 the one-lane rate in batches of 14 and ×1.8 in
+// batches of 32 (BenchmarkHashStage fastcdc8k-sha256 -cpu 1 read ≈ 560 /
+// 540 / 590 / 600 MB/s at 1 / 16 / 32 / 48, inside the host's noise past
+// 16). Such batches grow to ≈ 300KB, so the hash stage's 3·Depth + 4
+// batches hold ≈ 4.8MB at 2 workers. Fixed 4KB chunks reach both bounds
+// at once, and EOF still closes a small item's batch.
+const hashBatchChunks = 32
+
 // fill reads the next run of chunks into a recycled batch: at least
-// hashBatchBytes, or up to the end of the stream, which eof reports.
+// hashBatchBytes and hashBatchChunks, or up to the end of the stream,
+// which eof reports.
 func (s *Session) fill(ck chunker.Chunker) (b *batch, eof bool, err error) {
 	if b = s.batches.get(); b == nil {
 		b = new(batch)
 	}
 	b.data = b.data[:0]
-	for size := 0; size < hashBatchBytes; {
+	for size := 0; size < hashBatchBytes || len(b.data) < hashBatchChunks; {
 		chunk, err := ck.Next()
 		if err == io.EOF {
 			return b, true, nil
@@ -474,11 +505,14 @@ func (s *Session) feed(it *item, ck chunker.Chunker) error {
 		if err := it.ctx.Err(); err != nil {
 			return chunkErr(err)
 		}
+		pprof.SetGoroutineLabels(chunkLabels)
 		b, eof, err := s.fill(ck)
 		if err != nil {
 			return chunkErr(err)
 		}
+		pprof.SetGoroutineLabels(hashLabels)
 		s.fingerprint(b)
+		pprof.SetGoroutineLabels(commitLabels)
 		if cut, err = s.consumeBatch(it, b); err != nil {
 			return err
 		}
@@ -489,10 +523,13 @@ func (s *Session) feed(it *item, ck chunker.Chunker) error {
 	// Past that chunker, fingerprint workers and this goroutine's
 	// partitioner overlap, and nothing between them is per chunk: a batch
 	// is filled with payloads, fingerprinted by one worker (payloads still
-	// in its cache), consumed in stream order, recycled.
+	// in its cache), consumed in stream order, recycled. The stages'
+	// goroutines inherit the labels they start under.
 	pc := pipeline.Config{Workers: s.cfg.Workers}.WithDefaults()
 	g := pipeline.NewGroupCtx(it.ctx)
+	pprof.SetGoroutineLabels(hashLabels)
 	raw := pipeline.Produce(g, pc.Depth, func(yield func(*batch) bool) error {
+		pprof.SetGoroutineLabels(chunkLabels)
 		for {
 			b, eof, err := s.fill(ck)
 			if err != nil {
@@ -507,6 +544,7 @@ func (s *Session) feed(it *item, ck chunker.Chunker) error {
 		s.fingerprint(b)
 		return b, nil
 	})
+	pprof.SetGoroutineLabels(commitLabels)
 	for b := range hashed {
 		if _, err := s.consumeBatch(it, b); err != nil {
 			g.Fail(err)
@@ -640,6 +678,7 @@ func (s *Session) enqueue(it *item, sc *core.SuperChunk) error {
 	earlier := s.storing[rep]
 	s.storing[rep] = stored
 	go func() {
+		pprof.SetGoroutineLabels(routeLabels)
 		defer func() { <-s.window }()
 		if earlier != nil {
 			select {
@@ -693,6 +732,7 @@ func (s *Session) route(it *item, sc *core.SuperChunk) routed {
 	// chunks are almost surely new, so their payloads go with the
 	// fingerprints — one round trip instead of two.
 	unlike := (res.dec.BidsSent > 0 || res.dec.SummaryChecks > 0) && res.dec.Resemblance == 0
+	pprof.SetGoroutineLabels(dedupLabels)
 	for _, a := range res.dec.Assignments {
 		// target is what this assignment sends; at[i] is the super-chunk
 		// position of its i-th chunk.
@@ -945,6 +985,8 @@ func (s *Session) abandon(it *item, cause error) error {
 // transferred bytes to the tenant's accounting and ends the director
 // session. The session stays usable; a later Flush ends it again.
 func (s *Session) Flush(ctx context.Context) error {
+	pprof.SetGoroutineLabels(commitLabels)
+	defer pprof.SetGoroutineLabels(ctx)
 	if err := s.settle(ctx, 0); err != nil {
 		return err
 	}

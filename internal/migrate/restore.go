@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"runtime/pprof"
 	"sync"
 
 	"sigmadedupe/internal/director"
@@ -142,6 +143,15 @@ func (r *restorer) recycle(f *fetched) {
 	r.mu.Unlock()
 }
 
+// The runtime/pprof labels a restore runs under, phase=restore and stage
+// read (fetching a window's batches, and its per-node reads) or write
+// (writing in stream order, on the caller's goroutine): one context per
+// label set, built once, so labelling allocates nothing.
+var (
+	readLabels  = pprof.WithLabels(context.Background(), pprof.Labels("phase", "restore", "stage", "read"))
+	writeLabels = pprof.WithLabels(context.Background(), pprof.Labels("phase", "restore", "stage", "write"))
+)
+
 // Restore streams the backup recorded under key to w — the one restore
 // path of both deployments. The recipe is cut into byte-bounded windows,
 // each fetched with one ReadBatch per node it touches (repeated
@@ -157,6 +167,8 @@ func (r *restorer) recycle(f *fetched) {
 // tenant (best effort: a failed gauge update must not fail a restore
 // that delivered every byte).
 func Restore(ctx context.Context, meta director.Metadata, nodes func(id int) (Node, bool), key string, ahead int, w io.Writer) (restoreStats, error) {
+	pprof.SetGoroutineLabels(writeLabels)
+	defer pprof.SetGoroutineLabels(ctx) // the caller's, if ctx carries any
 	recipe, err := meta.GetRecipe(ctx, key)
 	if err != nil {
 		return restoreStats{}, err
@@ -217,6 +229,7 @@ func cutWindow(entries []director.ChunkEntry, start int) int {
 // write writes one fetched window in stream order (on the goroutine
 // that called Restore) and recycles it.
 func (r *restorer) write(f *fetched) error {
+	pprof.SetGoroutineLabels(writeLabels)
 	defer r.recycle(f)
 	for _, s := range f.slots {
 		d := f.reqs[s.req].data[s.i]
@@ -246,6 +259,7 @@ func (r *restorer) read(nr *nodeReq) {
 // goroutine, any others' concurrently beside it — and fails the shares
 // of failed nodes over to their replicas.
 func (r *restorer) fetch(win window) (*fetched, error) {
+	pprof.SetGoroutineLabels(readLabels)
 	f := r.scratch()
 	f.window, f.st, f.slots = win, restoreStats{}, f.slots[:0]
 	var nr *nodeReq

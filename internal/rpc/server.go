@@ -5,6 +5,8 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"runtime/pprof"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -62,6 +64,9 @@ type Server struct {
 	severAfter int
 	base       context.Context
 	baseCancel context.CancelFunc
+	// labels are the runtime/pprof labels each verb's handler runs
+	// under, built once per server (opLabels).
+	labels map[opcode]context.Context
 
 	mu     sync.Mutex
 	conns  map[net.Conn]struct{}
@@ -112,6 +117,10 @@ func listen(s *Server, addr string, opts []ServerOption) (*Server, error) {
 	}
 	s.ln, s.conns = ln, make(map[net.Conn]struct{})
 	s.base, s.baseCancel = context.WithCancel(context.Background())
+	s.labels = make(map[opcode]context.Context, len(verbs))
+	for op := range verbs {
+		s.labels[op] = opLabels(s.base, op)
+	}
 	for _, o := range opts {
 		o(s)
 	}
@@ -258,9 +267,12 @@ func (s *Server) handleRequest(connCtx context.Context, w *respWriter, frame []b
 		w.conn.Close()
 		return
 	}
+	if labels, ok := s.labels[op]; ok {
+		pprof.SetGoroutineLabels(labels)
+	}
+	e, known := verbs[op]
 	ctx, cancel := s.callContext(connCtx, timeoutMS)
 	defer cancel()
-	e, known := verbs[op]
 	var result func(*coder)
 	switch {
 	case ctx.Err() != nil:
@@ -278,6 +290,32 @@ func (s *Server) handleRequest(connCtx context.Context, w *respWriter, frame []b
 	} else {
 		w.sendReply(id, err, result)
 	}
+}
+
+// opStages are the phase and stage of the verbs the ingest and restore
+// paths call, as the client's stages are labelled (internal/ingest,
+// internal/migrate's Restore).
+var opStages = map[opcode][2]string{
+	1:  {"ingest", "route"},  // bid
+	2:  {"ingest", "dedup"},  // query
+	3:  {"ingest", "dedup"},  // storeChunks
+	16: {"ingest", "dedup"},  // dedup
+	17: {"ingest", "dedup"},  // dedupMissing
+	6:  {"ingest", "commit"}, // flush
+	34: {"ingest", "commit"}, // swapRecipe
+	15: {"restore", "read"},  // readBatch
+	35: {"restore", "read"},  // getRecipe
+}
+
+// opLabels is the labelled context a handler of op runs under: op=<op>,
+// and phase and stage where opStages has them. Built once per verb and
+// server, so labelling a handler worker allocates nothing.
+func opLabels(base context.Context, op opcode) context.Context {
+	labels := []string{"op", strconv.Itoa(int(op))}
+	if ps, ok := opStages[op]; ok {
+		labels = append(labels, "phase", ps[0], "stage", ps[1])
+	}
+	return pprof.WithLabels(base, pprof.Labels(labels...))
 }
 
 // callContext is a handler's context: the connection's, bounded by the

@@ -25,7 +25,7 @@ import (
 // constructs it over its in-RAM director and in-process nodes, Remote
 // over a director that may be a TCP hop away and nodes over the wire;
 // what they add is the transport interface and their own extras
-// (SimStats, Restart; BackupStats, RPCMessages).
+// (SimStats, Restart; RPCMessages).
 type plane struct {
 	t           transport
 	meta        director.Metadata

@@ -324,15 +324,6 @@ func (r *Remote) wire(ctx context.Context, icfg *ingest.Config) (io.Closer, erro
 // after the snapshot, never in the middle of it.
 func (r *Remote) GCStats(ctx context.Context) (GCStats, error) { return r.gcStats(ctx) }
 
-// BackupStats returns the default backup stream's session counters
-// (zero before the first one-shot Backup).
-func (r *Remote) BackupStats() SessionStats {
-	if def := r.defaultIfOpen(); def != nil {
-		return toSessionStats(def.Stats())
-	}
-	return SessionStats{}
-}
-
 // RPCMessages returns the RPC requests the default stream has issued
 // across its node connections — bids, Dedup and DedupMissing, plus the
 // per-node flush — the prototype-side Fig. 7 overhead accounting.

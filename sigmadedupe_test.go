@@ -138,16 +138,21 @@ func TestPrototypeFacadeBackupRestore(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	content := make([]byte, 200<<10)
 	rng.Read(content)
-	if err := bc.Backup(ctx, "/doc", bytes.NewReader(content)); err != nil {
+	sess, err := bc.NewSession(ctx)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := bc.Backup(ctx, "/doc-copy", bytes.NewReader(content)); err != nil {
+	defer sess.Close()
+	if err := sess.Backup(ctx, "/doc", bytes.NewReader(content)); err != nil {
 		t.Fatal(err)
 	}
-	if err := bc.Flush(ctx); err != nil {
+	if err := sess.Backup(ctx, "/doc-copy", bytes.NewReader(content)); err != nil {
 		t.Fatal(err)
 	}
-	if saving := bc.BackupStats().BandwidthSaving(); saving < 0.4 {
+	if err := sess.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if saving := sess.Stats().BandwidthSaving(); saving < 0.4 {
 		t.Fatalf("bandwidth saving = %v, want >= 0.4", saving)
 	}
 	var out bytes.Buffer
