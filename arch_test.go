@@ -19,7 +19,9 @@ import (
 //
 //	(a) imports: each internal/ package (and the root) imports only the
 //	    internal/ packages its table entry lists; bench/'s internal/
-//	    imports are a ratchet that may only shrink.
+//	    imports are a ratchet that may only shrink, and the shims only
+//	    bench/ compiles against have no other importer, cmd/ and
+//	    examples/ included.
 //	(b) surface: an exported internal/ top-level name that no other
 //	    package's non-test code names, and a top-level internal/
 //	    declaration that no non-test code names at all, fail unless
@@ -33,6 +35,7 @@ type archRules struct {
 	module       string
 	imports      map[string][]string // importer directory → the internal/ directories it may import
 	benchImports []string            // bench/'s internal/ imports
+	benchOnly    []string            // the internal/ packages no importer but bench/ may import
 	exceptions   map[string]string   // "pkg.Name" → why it stays with no user outside (or at all)
 	ctxPackages  []string            // package directories
 	ctxRoots     map[string]string   // "pkg.Func" or "pkg.Type.Method" → why it starts a context
@@ -52,27 +55,27 @@ var repoArch = archRules{
 	imports: map[string][]string{
 		".": {"internal/chunker", "internal/cluster", "internal/container", "internal/core", "internal/director",
 			"internal/experiments", // ROADMAP 8(e) moves the figures out of the root package
-			"internal/fingerprint", "internal/ingest", "internal/metrics", "internal/migrate", "internal/node",
+			"internal/fingerprint", "internal/ingest", "internal/metrics", "internal/migrate",
 			"internal/router", "internal/rpc", "internal/sderr", "internal/store", "internal/tenant", "internal/workload"},
 		"internal/bloom":   {"internal/fingerprint"},
 		"internal/chunker": {},
 		"internal/cluster": {"internal/core", "internal/director", "internal/fingerprint", "internal/ingest", "internal/metrics",
-			"internal/migrate", "internal/node", "internal/router", "internal/store", "internal/workload"},
+			"internal/migrate", "internal/router", "internal/store", "internal/workload"},
 		"internal/container": {"internal/fingerprint", "internal/sderr"},
 		"internal/core":      {"internal/chunker", "internal/fingerprint"},
 		"internal/director":  {"internal/fingerprint", "internal/sderr", "internal/tenant", "internal/wire"},
 		"internal/experiments": {"internal/chunker", "internal/cluster", "internal/core", "internal/fingerprint", "internal/ingest",
-			"internal/metrics", "internal/node", "internal/router", "internal/simindex", "internal/workload"},
+			"internal/metrics", "internal/router", "internal/simindex", "internal/store", "internal/workload"},
 		"internal/fingerprint": {},
 		"internal/ingest": {"internal/chunker", "internal/core", "internal/director", "internal/fingerprint", "internal/migrate",
 			"internal/pipeline", "internal/router", "internal/sderr", "internal/tenant"},
 		"internal/metrics": {},
-		"internal/migrate": {"internal/core", "internal/director", "internal/fingerprint", "internal/node", "internal/pipeline",
+		"internal/migrate": {"internal/core", "internal/director", "internal/fingerprint", "internal/pipeline",
 			"internal/router", "internal/rpc", "internal/sderr", "internal/store", "internal/tenant"},
-		"internal/node":     {"internal/container", "internal/core", "internal/fingerprint", "internal/store"},
+		"internal/node":     {"internal/store"}, // bench/ compiles against it; ROADMAP 17(b) deletes it
 		"internal/pipeline": {},
 		"internal/router":   {"internal/core", "internal/fingerprint"},
-		"internal/rpc": {"internal/core", "internal/director", "internal/fingerprint", "internal/node", "internal/sderr",
+		"internal/rpc": {"internal/core", "internal/director", "internal/fingerprint", "internal/sderr",
 			"internal/store", "internal/tenant", "internal/wire"},
 		"internal/sderr":    {},
 		"internal/simindex": {"internal/bloom", "internal/fingerprint"},
@@ -85,6 +88,7 @@ var repoArch = archRules{
 	// ROADMAP 17: bench/ is to import only the public surface.
 	benchImports: []string{"internal/chunker", "internal/core", "internal/director", "internal/fingerprint",
 		"internal/node", "internal/router", "internal/rpc", "internal/workload"},
+	benchOnly: []string{"internal/node"},
 	exceptions: map[string]string{
 		"container.ChunkMeta":               "format: store tests build containers to corrupt",
 		"container.Encode":                  "format: store tests write containers to corrupt",
@@ -115,15 +119,15 @@ var repoArch = archRules{
 		"workload.DefaultLinuxConfig":       "test seam: the scale-out gate sizes its own tree",
 		"workload.NewLinux":                 "test seam: the scale-out gate sizes its own tree",
 	},
-	ctxPackages: []string{"internal/rpc", "internal/node", "internal/store", "internal/container",
+	ctxPackages: []string{"internal/rpc", "internal/store", "internal/container",
 		"internal/simindex", "internal/director", "internal/tenant", "internal/wire"},
 	ctxRoots: map[string]string{
-		"rpc.listen":                  "the server's base context, cancelled by Close",
+		"rpc.serve":                   "the server's base context, cancelled by Close",
 		"store.Engine.startCompactor": "the background compactor, stopped by Close",
 	},
 	counts: map[string]int{
 		archCountPackages: 21,
-		archCountRootLoC:  2636,
+		archCountRootLoC:  2614,
 		archCountCISteps:  12,
 		archCountStats:    8,
 		archCountExcepted: 28,
@@ -235,6 +239,8 @@ func archImports(tr *docTree, r archRules) []string {
 				if !slices.Contains(r.benchImports, to) {
 					bad = append(bad, from+" imports "+to+": bench/ may only shrink its internal/ imports")
 				}
+			case slices.Contains(r.benchOnly, to):
+				bad = append(bad, from+" imports "+to+", which only bench/ may import")
 			case listed || from == "." || strings.HasPrefix(from, "internal/"):
 				if !slices.Contains(allowed, to) {
 					bad = append(bad, from+" imports "+to+", which its table entry does not list")

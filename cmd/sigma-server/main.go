@@ -15,9 +15,8 @@ import (
 	"os/signal"
 	"syscall"
 
+	"sigmadedupe"
 	"sigmadedupe/internal/fingerprint"
-	"sigmadedupe/internal/node"
-	"sigmadedupe/internal/rpc"
 )
 
 func main() {
@@ -38,24 +37,18 @@ func run() error {
 	if *recover && *dir == "" {
 		return fmt.Errorf("-recover requires -dir")
 	}
-	n, err := node.New(node.Config{
+	srv, err := sigmadedupe.StartServer(sigmadedupe.ServerConfig{
 		ID:            *id,
-		HandprintSize: *handprint,
-		KeepPayloads:  true,
+		Addr:          *addr,
 		Dir:           *dir,
 		Recover:       *recover,
+		HandprintSize: *handprint,
 	})
 	if err != nil {
 		return err
 	}
 	if *recover {
-		st := n.Stats()
-		fmt.Printf("sigma-server: node %d recovered %d chunks (%d MB) from %s\n",
-			*id, st.UniqueChunks, st.PhysicalBytes>>20, *dir)
-	}
-	srv, err := rpc.NewServer(n, *addr)
-	if err != nil {
-		return err
+		fmt.Printf("sigma-server: node %d recovered %d MB from %s\n", *id, srv.StorageUsage()>>20, *dir)
 	}
 	fmt.Printf("sigma-server: node %d listening on %s\n", *id, srv.Addr())
 	fmt.Printf("sigma-server: SHA-1 implementation %s, SHA-256 %s\n", fingerprint.SHA1.Impl(), fingerprint.SHA256.Impl())
@@ -64,10 +57,11 @@ func run() error {
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
 	fmt.Println("sigma-server: shutting down")
-	if err := n.Close(); err != nil { // seals containers; durable state complete
+	// Close stops the listener and drains the handlers before it seals the
+	// containers, so durable state is complete once it returns.
+	if err := srv.Close(); err != nil {
 		return err
 	}
-	st := n.Stats()
-	fmt.Printf("sigma-server: stored %d unique chunks, DR %.2f\n", st.UniqueChunks, st.DedupRatio())
-	return srv.Close()
+	fmt.Printf("sigma-server: stored %d MB, DR %.2f\n", srv.StorageUsage()>>20, srv.DedupRatio())
+	return nil
 }

@@ -12,8 +12,8 @@ import (
 	"time"
 
 	"sigmadedupe/internal/fingerprint"
-	"sigmadedupe/internal/node"
 	"sigmadedupe/internal/rpc"
+	"sigmadedupe/internal/store"
 )
 
 // startServers brings up n facade servers on loopback.
@@ -172,7 +172,7 @@ func (r *endlessReader) Read(p []byte) (int, error) {
 func TestCancelMidBackupStopsPromptly(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 
-	nd, err := node.New(node.Config{ID: 0, KeepPayloads: true})
+	nd, err := store.New(store.Config{ID: 0, KeepPayloads: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,6 @@ import (
 	"sigmadedupe/internal/core"
 	"sigmadedupe/internal/director"
 	"sigmadedupe/internal/fingerprint"
-	"sigmadedupe/internal/node"
 	"sigmadedupe/internal/rpc"
 	"sigmadedupe/internal/store"
 	"sigmadedupe/internal/tenant"
@@ -83,7 +82,8 @@ func TestTornJournalTailSurvivesTwoRestarts(t *testing.T) {
 				must(t, err)
 				must(t, e.Close())
 				// The torn record: one decref, the journal's last.
-				e, err = store.Open(cfg)
+				cfg.Recover = true
+				e, err = store.New(cfg)
 				must(t, err)
 				sc := journalSC(1)
 				fps, ns := core.AggregateRefs([]fingerprint.Fingerprint{sc.Chunks[0].FP})
@@ -91,14 +91,14 @@ func TestTornJournalTailSurvivesTwoRestarts(t *testing.T) {
 				must(t, e.Close())
 			},
 			then: func(t *testing.T, dir string) {
-				e, err := store.Open(store.Config{Dir: dir, KeepPayloads: true})
+				e, err := store.New(store.Config{Dir: dir, KeepPayloads: true, Recover: true})
 				must(t, err)
 				_, err = e.StoreSuperChunk("s", journalSC(2))
 				must(t, err)
 				must(t, e.Close())
 			},
 			check: func(t *testing.T, dir string) {
-				e, err := store.Open(store.Config{Dir: dir, KeepPayloads: true})
+				e, err := store.New(store.Config{Dir: dir, KeepPayloads: true, Recover: true})
 				must(t, err)
 				defer e.Close()
 				for _, ch := range journalSC(1).Chunks {
@@ -260,7 +260,7 @@ func TestLegacyJournalFixtureOpens(t *testing.T) {
 
 	// open recovers the director and both nodes and checks the replayed
 	// state against the fixture's.
-	open := func(t *testing.T) (*director.Director, []*node.Node) {
+	open := func(t *testing.T) (*director.Director, []*store.Engine) {
 		t.Helper()
 		meta, err := director.OpenAt(filepath.Join(root, "director"))
 		if err != nil {
@@ -275,9 +275,9 @@ func TestLegacyJournalFixtureOpens(t *testing.T) {
 			t.Fatalf("director replayed %d recipes, epoch %d, pending %+v, tenants %+v; want %d, %d, %+v, %+v",
 				len(recipes), members.Epoch, pending, tenants, want.Recipes, want.Epoch, want.Pending, want.Tenants)
 		}
-		var nodes []*node.Node
+		var nodes []*store.Engine
 		for i, refs := range want.Refs {
-			n, err := node.New(node.Config{ID: i, KeepPayloads: true, Dir: nodeDir(i), ContainerCapacity: 4 << 10, Recover: true})
+			n, err := store.New(store.Config{ID: i, KeepPayloads: true, Dir: nodeDir(i), ContainerCapacity: 4 << 10, Recover: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -286,7 +286,7 @@ func TestLegacyJournalFixtureOpens(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got := n.Engine().RefCount(fp); got != wantN {
+				if got := n.RefCount(fp); got != wantN {
 					t.Errorf("node %d chunk %s: RefCount %d, want %d", i, h[:8], got, wantN)
 				}
 			}

@@ -287,7 +287,7 @@ func TestCompactionCrashFidelity(t *testing.T) {
 		store.StageCopied, store.StageSealed, store.StageIndexed, store.StageRetired,
 	} {
 		for i, s := range servers {
-			s.inner.Node().Engine().SetCompactFault(func(st store.CompactStage, cid uint64) error {
+			s.inner.Node().SetCompactFault(func(st store.CompactStage, cid uint64) error {
 				if st == stage {
 					return boom
 				}
@@ -336,7 +336,7 @@ func TestCompactionCrashFidelity(t *testing.T) {
 
 	// Convergence: a clean compaction pass reclaims the doomed space.
 	for _, s := range servers {
-		s.inner.Node().Engine().SetCompactFault(nil)
+		s.inner.Node().SetCompactFault(nil)
 		if _, err := s.Compact(ctx, 0.99); err != nil {
 			t.Fatal(err)
 		}

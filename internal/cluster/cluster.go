@@ -28,7 +28,6 @@ import (
 	"sigmadedupe/internal/ingest"
 	"sigmadedupe/internal/metrics"
 	"sigmadedupe/internal/migrate"
-	"sigmadedupe/internal/node"
 	"sigmadedupe/internal/router"
 	"sigmadedupe/internal/store"
 	"sigmadedupe/internal/workload"
@@ -61,7 +60,7 @@ type Config struct {
 	// counters gain the summary probes.
 	BidSummaries bool
 	// Node is the per-node configuration template; ID is overridden.
-	Node node.Config
+	Node store.Config
 }
 
 func (c Config) withDefaults() Config {
@@ -119,7 +118,7 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	tmpl := cfg.Node
 	tmpl.HandprintSize = cfg.HandprintK
-	nodes := make(map[int]*node.Node, cfg.N)
+	nodes := make(map[int]*store.Engine, cfg.N)
 	for i := 0; i < cfg.N; i++ {
 		if nodes[i], err = NewNode(tmpl, i); err != nil {
 			return nil, err
@@ -137,7 +136,7 @@ func New(cfg Config) (*Cluster, error) {
 // decision takes no lock at all.
 type View struct {
 	Members core.Membership
-	Nodes   map[int]*node.Node
+	Nodes   map[int]*store.Engine
 }
 
 var (
@@ -174,12 +173,12 @@ func (v *View) SummaryMayContain(nodeID int, hp core.Handprint) bool {
 // ID is overridden, and a durable node owns subdirectory nodeNN of
 // tmpl.Dir, so container files and manifests never collide and a node
 // restarts independently.
-func NewNode(tmpl node.Config, id int) (*node.Node, error) {
+func NewNode(tmpl store.Config, id int) (*store.Engine, error) {
 	tmpl.ID = id
 	if tmpl.Dir != "" {
 		tmpl.Dir = filepath.Join(tmpl.Dir, fmt.Sprintf("node%02d", id))
 	}
-	n, err := node.New(tmpl)
+	n, err := store.New(tmpl)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: %w", err)
 	}
@@ -315,7 +314,7 @@ func (c *Cluster) binNode(id int) (migrate.Node, bool) {
 	if n == nil {
 		return nil, false
 	}
-	return binStore{migrate.Local(n), n.Engine()}, true
+	return binStore{migrate.Local(n), n}, true
 }
 
 type binStore struct {
@@ -385,8 +384,8 @@ func (c *Cluster) Close() error {
 }
 
 // Nodes lists the members' nodes, ascending by ID.
-func (c *Cluster) Nodes() []*node.Node {
-	out := make([]*node.Node, 0, c.view.Members.Len())
+func (c *Cluster) Nodes() []*store.Engine {
+	out := make([]*store.Engine, 0, c.view.Members.Len())
 	for _, id := range c.view.Members.Nodes {
 		out = append(out, c.view.Nodes[id])
 	}

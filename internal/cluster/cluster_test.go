@@ -14,8 +14,8 @@ import (
 	"sigmadedupe/internal/fingerprint"
 	"sigmadedupe/internal/ingest"
 	"sigmadedupe/internal/migrate"
-	"sigmadedupe/internal/node"
 	"sigmadedupe/internal/router"
+	"sigmadedupe/internal/store"
 	"sigmadedupe/internal/workload"
 )
 
@@ -302,7 +302,7 @@ func TestUsageVectorLength(t *testing.T) {
 // backup under the same stream name keep separate recipes, and deleting
 // the backup leaves the trace's references alone.
 func TestTrackedRecipesExactWithUntrackedItems(t *testing.T) {
-	c, err := New(Config{N: 2, Node: node.Config{KeepPayloads: true}})
+	c, err := New(Config{N: 2, Node: store.Config{KeepPayloads: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +331,7 @@ func TestTrackedRecipesExactWithUntrackedItems(t *testing.T) {
 	for _, r := range refsA {
 		alive := false
 		for _, n := range c.Nodes() {
-			if n.Engine().RefCount(r.FP) > 0 {
+			if n.RefCount(r.FP) > 0 {
 				alive = true
 			}
 		}

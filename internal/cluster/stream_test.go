@@ -130,7 +130,7 @@ func TestRepeatedReplaysKeepEarlierReferences(t *testing.T) {
 	for _, r := range refs {
 		var refsHeld int64
 		for _, n := range c.Nodes() {
-			refsHeld += n.Engine().RefCount(r.FP)
+			refsHeld += n.RefCount(r.FP)
 		}
 		if refsHeld != 3 {
 			t.Fatalf("chunk %s holds %d references, want one per replay", r.FP.Short(), refsHeld)

@@ -11,8 +11,8 @@ import (
 	"sigmadedupe/internal/core"
 	"sigmadedupe/internal/fingerprint"
 	"sigmadedupe/internal/metrics"
-	"sigmadedupe/internal/node"
 	"sigmadedupe/internal/simindex"
+	"sigmadedupe/internal/store"
 	"sigmadedupe/internal/workload"
 )
 
@@ -300,7 +300,7 @@ func fig5a(opts Options) (*Table, error) {
 // dedupEfficiency runs the in-RAM single-node dedup pipeline and returns
 // (DR, bytes saved per second).
 func dedupEfficiency(stream []byte, method chunker.Method, chunkSize int) (float64, float64, error) {
-	n, err := node.New(node.Config{})
+	n, err := store.New(store.Config{})
 	if err != nil {
 		return 0, 0, err
 	}
@@ -380,7 +380,7 @@ func fig5b(opts Options) (*Table, error) {
 			if k < 1 {
 				k = 1
 			}
-			n, err := node.New(node.Config{
+			n, err := store.New(store.Config{
 				DisableChunkIndex: true,
 				HandprintSize:     k,
 				CacheContainers:   1024,

@@ -383,12 +383,21 @@ func TestMemoryPlateau(t *testing.T) {
 // TestOneChunkItemsReuseBuffers: a chunker draws a buffer before it can
 // see the end of its stream, so every item ends on a buffer it did not
 // fill. That buffer must go back to the session's pool: over 2,000
-// one-chunk items the session allocates no more chunk buffers than the
-// first 200 needed, instead of one more per item. FastCDC draws its
+// one-chunk items the session allocates no more chunk buffers than it
+// can ever hold at once, instead of one more per item. FastCDC draws its
 // buffer before reading a byte, as fixed chunking does: an item of
 // zeros as long as its largest chunk ends on a hard cut, with the end of
 // the stream still unseen.
+//
+// The bound is the session's own sizes, not a measured plateau: the pool
+// allocates only when the chunker's stock and the free list are both
+// empty, so every buffer it ever made was out at once with the new one.
+// Out are the super-chunks in the window or awaiting in-order apply —
+// at most 2·Inflight, one chunk each here — plus the item's chunk and the
+// buffer drawn past its end. Scheduling decides how close a run comes to
+// the bound (the race detector's comes closest), not whether it holds.
 func TestOneChunkItemsReuseBuffers(t *testing.T) {
+	const bound = 2*ingest.DefaultInflight + 2
 	for _, c := range []struct {
 		cfg  ingest.Config
 		size int
@@ -400,20 +409,15 @@ func TestOneChunkItemsReuseBuffers(t *testing.T) {
 			r := &rig{dir: director.New(), members: core.DenseMembership(1), byID: []migrate.Node{discard{}}}
 			s := r.session(t, c.cfg)
 			data := make([]byte, c.size)
-			var warm int64
 			for i := 0; i < 2000; i++ {
 				data[0], data[1] = byte(i), byte(i>>8)
 				if err := s.Backup(context.Background(), fmt.Sprintf("/item%d", i), bytes.NewReader(data)); err != nil {
 					t.Fatal(err)
 				}
-				if i == 199 {
-					mustFlush(t, s)
-					warm = s.Stats().ChunkBufAllocs
-				}
 			}
 			mustFlush(t, s)
-			if got := s.Stats().ChunkBufAllocs; got > warm {
-				t.Fatalf("chunk buffers allocated: %d after 200 one-chunk items, %d after 2000; want a plateau", warm, got)
+			if got := s.Stats().ChunkBufAllocs; got > bound {
+				t.Fatalf("%d chunk buffers allocated over 2000 one-chunk items, bound %d (2·Inflight super-chunks + 2)", got, bound)
 			}
 		})
 	}

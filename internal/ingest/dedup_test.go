@@ -12,9 +12,9 @@ import (
 	"sigmadedupe/internal/fingerprint"
 	"sigmadedupe/internal/ingest"
 	"sigmadedupe/internal/migrate"
-	"sigmadedupe/internal/node"
 	"sigmadedupe/internal/rpc"
 	"sigmadedupe/internal/sderr"
+	"sigmadedupe/internal/store"
 )
 
 // assertCatalogConsistent checks that the nodes hold exactly what the
@@ -105,7 +105,7 @@ func (f firstCallOnly) Dedup(ctx context.Context, stream string, sc *core.SuperC
 
 // firstOver is the first round trip alone, in process or on the wire,
 // where the second round trip goes out without the payloads.
-func firstOver(nd *node.Node, conn *rpc.Client) func(context.Context, string, *core.SuperChunk, core.Handprint) ([]bool, error) {
+func firstOver(nd *store.Engine, conn *rpc.Client) func(context.Context, string, *core.SuperChunk, core.Handprint) ([]bool, error) {
 	return func(ctx context.Context, stream string, sc *core.SuperChunk, hp core.Handprint) ([]bool, error) {
 		fps := &core.SuperChunk{Chunks: make([]core.ChunkRef, len(sc.Chunks))}
 		for i, ch := range sc.Chunks {

@@ -15,10 +15,10 @@ import (
 	"sigmadedupe/internal/fingerprint"
 	"sigmadedupe/internal/ingest"
 	"sigmadedupe/internal/migrate"
-	"sigmadedupe/internal/node"
 	"sigmadedupe/internal/router"
 	"sigmadedupe/internal/rpc"
 	"sigmadedupe/internal/sderr"
+	"sigmadedupe/internal/store"
 	"sigmadedupe/internal/tenant"
 )
 
@@ -67,7 +67,7 @@ func (g gate) Dedup(ctx context.Context, stream string, sc *core.SuperChunk, hp 
 // rig is a small cluster reached through one transport.
 type rig struct {
 	dir     *director.Director
-	nodes   []*node.Node
+	nodes   []*store.Engine
 	down    []*atomic.Bool
 	members core.Membership
 	byID    []migrate.Node
@@ -82,7 +82,7 @@ func newRig(t testing.TB, transport string, n int, opt rigOpt) *rig {
 	t.Helper()
 	r := &rig{dir: director.New(), members: core.DenseMembership(n)}
 	for i := 0; i < n; i++ {
-		nd, err := node.New(node.Config{ID: i, KeepPayloads: true})
+		nd, err := store.New(store.Config{ID: i, KeepPayloads: true})
 		if err != nil {
 			t.Fatal(err)
 		}

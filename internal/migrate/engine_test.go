@@ -11,14 +11,14 @@ import (
 	"sigmadedupe/internal/core"
 	"sigmadedupe/internal/director"
 	"sigmadedupe/internal/fingerprint"
-	"sigmadedupe/internal/node"
+	"sigmadedupe/internal/store"
 )
 
 // rig is a three-node in-process deployment: Local node transports and
 // an in-RAM director as the catalog.
 type rig struct {
 	t       *testing.T
-	nodes   map[int]*node.Node
+	nodes   map[int]*store.Engine
 	dir     *director.Director
 	members core.Membership
 	content map[fingerprint.Fingerprint][]byte
@@ -28,10 +28,10 @@ const runChunks = 8 // chunks per placed run in rig.backup
 
 func newRig(t *testing.T) *rig {
 	t.Helper()
-	r := &rig{t: t, nodes: make(map[int]*node.Node), dir: director.New(),
+	r := &rig{t: t, nodes: make(map[int]*store.Engine), dir: director.New(),
 		members: core.DenseMembership(3), content: make(map[fingerprint.Fingerprint][]byte)}
 	for _, id := range r.members.Nodes {
-		n, err := node.New(node.Config{ID: id, KeepPayloads: true})
+		n, err := store.New(store.Config{ID: id, KeepPayloads: true})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,17 +5,16 @@ import (
 
 	"sigmadedupe/internal/core"
 	"sigmadedupe/internal/fingerprint"
-	"sigmadedupe/internal/node"
 	"sigmadedupe/internal/rpc"
 	"sigmadedupe/internal/store"
 )
 
 // Local is the in-process Node transport: direct calls into a
-// *node.Node, the same ones the RPC server makes on the wire verbs'
+// *store.Engine, the same ones the RPC server makes on the wire verbs'
 // behalf.
-func Local(n *node.Node) Node { return local{n} }
+func Local(n *store.Engine) Node { return local{n} }
 
-type local struct{ n *node.Node }
+type local struct{ n *store.Engine }
 
 func (l local) Bid(_ context.Context, hp core.Handprint) (int, int64, error) {
 	return l.n.CountHandprintMatches(hp), l.n.StorageUsage(), nil

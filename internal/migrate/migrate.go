@@ -6,7 +6,7 @@
 // backup deletion, compaction and the GC counters (reclaim.go). The
 // algorithms live here; a deployment supplies a Node transport per
 // deduplication node (*rpc.Client over the wire, Local over an
-// in-process *node.Node) and the director as metadata — its Catalog of
+// in-process *store.Engine) and the director as metadata — its Catalog of
 // recipes and journaled transactions for the engine, its
 // director.Metadata for the read and reclaim verbs — in process, over
 // TCP, or the simulator's in-RAM one.

@@ -7,8 +7,8 @@ import (
 	"testing"
 
 	"sigmadedupe/internal/core"
-	"sigmadedupe/internal/node"
 	"sigmadedupe/internal/sderr"
+	"sigmadedupe/internal/store"
 )
 
 // refsOn reads a node's reference counts over a second connection.
@@ -24,7 +24,7 @@ func refsOn(t *testing.T, srv *Server, sc *core.SuperChunk) []int64 {
 func TestDedupRoundTrips(t *testing.T) {
 	for _, network := range []string{"tcp", "unix"} {
 		t.Run(network, func(t *testing.T) {
-			srv, c := startServerAt(t, network, node.Config{KeepPayloads: true})
+			srv, c := startServerAt(t, network, store.Config{KeepPayloads: true})
 			ctx := context.Background()
 			old, added := makeSC(21, 12), makeSC(22, 4)
 			calls := c.Calls()
@@ -77,7 +77,7 @@ func TestDedupRoundTrips(t *testing.T) {
 // asked to index and refuses a bad one with a typed error that survives
 // the wire, taking no reference.
 func TestDedupRefusesMalformedHandprint(t *testing.T) {
-	srv, c := startServer(t, node.Config{KeepPayloads: true})
+	srv, c := startServer(t, store.Config{KeepPayloads: true})
 	sc := makeSC(23, 6)
 	hp := sc.Handprint(8)
 	fresh, err := c.Dedup(context.Background(), "s", sc, core.Handprint{hp[2], hp[1]}, true)
@@ -99,7 +99,7 @@ func TestDedupRefusesMalformedHandprint(t *testing.T) {
 // the chunks that hold one — the first call's duplicates and the missing
 // chunks appended before the failure.
 func TestDedupMissingFailureReportsReferences(t *testing.T) {
-	srv, c := startServer(t, node.Config{KeepPayloads: true, ContainerCapacity: 8192})
+	srv, c := startServer(t, store.Config{KeepPayloads: true, ContainerCapacity: 8192})
 	ctx := context.Background()
 	old := makeSC(24, 2)
 	if _, err := c.Dedup(ctx, "s", old, nil, true); err != nil {
@@ -124,7 +124,7 @@ func TestDedupMissingFailureReportsReferences(t *testing.T) {
 // handprint is — typed, no reference taken, no byte accounted — and the
 // connection stays.
 func TestDedupRefusesForgedChunkSizes(t *testing.T) {
-	srv, c := startServer(t, node.Config{KeepPayloads: true})
+	srv, c := startServer(t, store.Config{KeepPayloads: true})
 	ctx := context.Background()
 	c.mu.Lock()
 	cn := c.cn

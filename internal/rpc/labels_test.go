@@ -9,7 +9,7 @@ import (
 	"time"
 
 	"sigmadedupe/internal/fingerprint"
-	"sigmadedupe/internal/node"
+	"sigmadedupe/internal/store"
 )
 
 // TestHandlersRunUnderVerbLabels: a handler worker runs under its verb's
@@ -18,7 +18,7 @@ import (
 // way the client's stages do. The handler delay holds the two calls in
 // their handlers while the goroutine profile is read.
 func TestHandlersRunUnderVerbLabels(t *testing.T) {
-	nd, err := node.New(node.Config{KeepPayloads: true})
+	nd, err := store.New(store.Config{KeepPayloads: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 
 	"sigmadedupe/internal/core"
 	"sigmadedupe/internal/fingerprint"
-	"sigmadedupe/internal/node"
 	"sigmadedupe/internal/store"
 	"sigmadedupe/internal/wire"
 )
@@ -22,7 +21,7 @@ type bidReply struct {
 // (Algorithm 1 step 2) plus current storage usage.
 var bid = declare(1, 0, (*coder).fps,
 	func(x *coder, r *bidReply) { x.int(&r.count); x.i64(&r.usage) },
-	func(n *node.Node, _ context.Context, hp []fingerprint.Fingerprint) (bidReply, error) {
+	func(n *store.Engine, _ context.Context, hp []fingerprint.Fingerprint) (bidReply, error) {
 		return bidReply{n.CountHandprintMatches(hp), n.StorageUsage()}, nil
 	})
 
@@ -38,7 +37,7 @@ func (c *Client) Bid(ctx context.Context, hp core.Handprint) (count int, usage i
 // benchmark's traced replay until that is deleted (ROADMAP item 7(c));
 // ingest speaks dedup.
 var query = declare(2, 0, (*coder).chunks, (*coder).flags,
-	func(n *node.Node, _ context.Context, chunks []core.ChunkRef) ([]bool, error) {
+	func(n *store.Engine, _ context.Context, chunks []core.ChunkRef) ([]bool, error) {
 		return n.QuerySuperChunk(&core.SuperChunk{Chunks: chunks}), nil
 	})
 
@@ -65,7 +64,7 @@ func (a scArgs) sc() *core.SuperChunk { return &core.SuperChunk{Chunks: a.chunks
 // storeChunks is the eager one-pass dedup of a super-chunk, with the
 // payloads of the chunks a query found new, or with none (trace mode).
 var storeChunks = declare(3, stores|acked|payloads, (*coder).scArgs, none,
-	func(n *node.Node, _ context.Context, a scArgs) (struct{}, error) {
+	func(n *store.Engine, _ context.Context, a scArgs) (struct{}, error) {
 		_, err := n.Dedup(a.stream, a.sc(), a.hp, true)
 		return struct{}{}, err
 	})
@@ -100,7 +99,7 @@ func held(fresh []bool, err error) ([]bool, error) {
 // does for a super-chunk no node resembles. A handprint longer than
 // store's maxHandprint or not strictly ascending is refused as malformed.
 var dedup = declare(16, stores|payloads, (*coder).scArgs, (*coder).flags,
-	func(n *node.Node, _ context.Context, a scArgs) ([]bool, error) {
+	func(n *store.Engine, _ context.Context, a scArgs) ([]bool, error) {
 		return held(n.Dedup(a.stream, a.sc(), a.hp, false))
 	})
 
@@ -108,7 +107,7 @@ var dedup = declare(16, stores|payloads, (*coder).scArgs, (*coder).flags,
 // missing — the second and last round trip of a super-chunk whose target
 // lacks chunks — under the same handprint.
 var dedupMissing = declare(17, stores|acked|payloads, (*coder).scArgs, (*coder).flags,
-	func(n *node.Node, _ context.Context, a scArgs) ([]bool, error) {
+	func(n *store.Engine, _ context.Context, a scArgs) ([]bool, error) {
 		return held(n.StoreMissing(a.stream, a.sc(), a.hp))
 	})
 
@@ -190,7 +189,7 @@ type readReply struct {
 // uncopied.
 var readBatch = declare(15, payloads, (*coder).fps,
 	func(x *coder, r *readReply) { list(x, &r.idx, 4, x.u32); x.chunks(&r.chunks) },
-	func(n *node.Node, _ context.Context, fps []fingerprint.Fingerprint) (readReply, error) {
+	func(n *store.Engine, _ context.Context, fps []fingerprint.Fingerprint) (readReply, error) {
 		datas, idxs, err := n.ReadChunkBatch(fps)
 		if err != nil {
 			return readReply{}, err // an errored reply ships no payloads
@@ -253,7 +252,7 @@ func (c *Client) ReadBatch(ctx context.Context, fps []fingerprint.Fingerprint) (
 
 // flush seals the node's open containers.
 var flush = declare(6, seals|acked, none, none,
-	func(n *node.Node, _ context.Context, _ struct{}) (struct{}, error) { return struct{}{}, n.Flush() })
+	func(n *store.Engine, _ context.Context, _ struct{}) (struct{}, error) { return struct{}{}, n.Flush() })
 
 // Flush seals the server's open containers.
 func (c *Client) Flush(ctx context.Context) error {
@@ -265,7 +264,7 @@ func (c *Client) Flush(ctx context.Context) error {
 // stream durable (containers sealed, manifest fsynced) — the target-side
 // commit that must land before the recipe may be repointed.
 var migrateCommit = declare(13, seals|acked, (*coder).str, none,
-	func(n *node.Node, _ context.Context, stream string) (struct{}, error) {
+	func(n *store.Engine, _ context.Context, stream string) (struct{}, error) {
 		return struct{}{}, n.SealStream(stream)
 	})
 
@@ -286,7 +285,7 @@ type decRefArgs struct {
 // decRef releases backup references on chunks (backup deletion: one batch
 // per node, grouped from the deleted recipe).
 var decRef = declare(8, stores|acked, func(x *coder, a *decRefArgs) { x.fps(&a.fps); x.i64s(&a.counts) }, none,
-	func(n *node.Node, _ context.Context, a decRefArgs) (struct{}, error) {
+	func(n *store.Engine, _ context.Context, a decRefArgs) (struct{}, error) {
 		return struct{}{}, n.DecRef(a.fps, a.counts)
 	})
 
@@ -300,7 +299,7 @@ func (c *Client) DecRef(ctx context.Context, fps []fingerprint.Fingerprint, ns [
 // refCounts fetches the node's current reference count per chunk
 // fingerprint (migration recovery's reconciliation probe).
 var refCounts = declare(14, 0, (*coder).fps, (*coder).i64s,
-	func(n *node.Node, _ context.Context, fps []fingerprint.Fingerprint) ([]int64, error) {
+	func(n *store.Engine, _ context.Context, fps []fingerprint.Fingerprint) ([]int64, error) {
 		return n.RefCounts(fps), nil
 	})
 
@@ -316,7 +315,7 @@ func (c *Client) RefCounts(ctx context.Context, fps []fingerprint.Fingerprint) (
 
 // compact runs one compaction scan on the node (≤0 threshold selects its
 // configured live-ratio floor).
-var compact = declare(9, 0, (*coder).f64, (*coder).compacted, (*node.Node).Compact)
+var compact = declare(9, 0, (*coder).f64, (*coder).compacted, (*store.Engine).Compact)
 
 // Compact runs one compaction scan on the server (≤0 threshold selects
 // the server's configured live-ratio floor).
@@ -331,7 +330,7 @@ type gcReply struct {
 
 // gcStats fetches the node's deletion/compaction counters and usage.
 var gcStats = declare(10, 0, none, func(x *coder, r *gcReply) { x.gcStats(&r.gc); x.i64(&r.usage) },
-	func(n *node.Node, _ context.Context, _ struct{}) (gcReply, error) {
+	func(n *store.Engine, _ context.Context, _ struct{}) (gcReply, error) {
 		return gcReply{n.GCStats(), n.StorageUsage()}, nil
 	})
 

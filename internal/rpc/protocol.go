@@ -49,7 +49,7 @@ const (
 	payloads
 )
 
-// verb is one op, served by S (*node.Node or *director.Director), with
+// verb is one op, served by S (*store.Engine or *director.Director), with
 // argument A and result R: how each walks the wire — one walk both
 // encodes and decodes, so the two sides cannot drift apart (coder) — its
 // class bits, and the handler. Its Client method calls it; the server

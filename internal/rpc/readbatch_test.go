@@ -7,7 +7,7 @@ import (
 
 	"sigmadedupe/internal/core"
 	"sigmadedupe/internal/fingerprint"
-	"sigmadedupe/internal/node"
+	"sigmadedupe/internal/store"
 )
 
 // TestReadBatchRoundTrip stores several super-chunks into separate
@@ -16,7 +16,7 @@ import (
 // reversed, and repeated — the batch must come back in request order
 // regardless of the disk layout the server grouped the reads by.
 func TestReadBatchRoundTrip(t *testing.T) {
-	_, c := startServer(t, node.Config{KeepPayloads: true})
+	_, c := startServer(t, store.Config{KeepPayloads: true})
 	ctx := context.Background()
 
 	// Three super-chunks with a Flush between each, so the chunks land in
@@ -71,7 +71,7 @@ func TestReadBatchRoundTrip(t *testing.T) {
 // TestReadBatchMissingChunk verifies one unknown fingerprint fails the
 // whole batch: a restore must never silently substitute data.
 func TestReadBatchMissingChunk(t *testing.T) {
-	_, c := startServer(t, node.Config{KeepPayloads: true})
+	_, c := startServer(t, store.Config{KeepPayloads: true})
 	ctx := context.Background()
 	sc := makeSC(4, 4)
 	if err := c.Store(ctx, "s", sc, true); err != nil {
@@ -101,7 +101,7 @@ func TestReadBatchMissingChunk(t *testing.T) {
 
 // TestReadBatchEmpty covers the degenerate zero-fingerprint batch.
 func TestReadBatchEmpty(t *testing.T) {
-	_, c := startServer(t, node.Config{KeepPayloads: true})
+	_, c := startServer(t, store.Config{KeepPayloads: true})
 	batch, err := c.ReadBatch(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)

@@ -13,12 +13,12 @@ import (
 
 	"sigmadedupe/internal/core"
 	"sigmadedupe/internal/fingerprint"
-	"sigmadedupe/internal/node"
 	"sigmadedupe/internal/sderr"
+	"sigmadedupe/internal/store"
 	"sigmadedupe/internal/wire"
 )
 
-func startServer(t *testing.T, cfg node.Config) (*Server, *Client) {
+func startServer(t *testing.T, cfg store.Config) (*Server, *Client) {
 	t.Helper()
 	return startServerAt(t, "tcp", cfg)
 }
@@ -26,7 +26,7 @@ func startServer(t *testing.T, cfg node.Config) (*Server, *Client) {
 func makeSC(seed int64, n int) *core.SuperChunk { return makeSizedSC(seed, n, 4096) }
 
 func TestBidQueryStoreCycle(t *testing.T) {
-	_, c := startServer(t, node.Config{KeepPayloads: true})
+	_, c := startServer(t, store.Config{KeepPayloads: true})
 	sc := makeSC(1, 16)
 	hp := sc.Handprint(8)
 
@@ -74,7 +74,7 @@ func TestBidQueryStoreCycle(t *testing.T) {
 }
 
 func TestPipelinedConcurrentCalls(t *testing.T) {
-	srv, c := startServer(t, node.Config{})
+	srv, c := startServer(t, store.Config{})
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -100,7 +100,7 @@ func TestPipelinedConcurrentCalls(t *testing.T) {
 }
 
 func TestServerCloseUnblocksClient(t *testing.T) {
-	srv, c := startServer(t, node.Config{})
+	srv, c := startServer(t, store.Config{})
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestServerCloseUnblocksClient(t *testing.T) {
 }
 
 func TestMultipleClients(t *testing.T) {
-	srv, c1 := startServer(t, node.Config{})
+	srv, c1 := startServer(t, store.Config{})
 	c2, err := DialContext(context.Background(), srv.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -139,7 +139,7 @@ func TestMultipleClients(t *testing.T) {
 func TestSeverMidWindowFailsAllInflightCalls(t *testing.T) {
 	const calls = 32
 	const survive = 5
-	nd, err := node.New(node.Config{})
+	nd, err := store.New(store.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestSeverMidWindowFailsAllInflightCalls(t *testing.T) {
 }
 
 func TestRemoteErrorPropagates(t *testing.T) {
-	_, c := startServer(t, node.Config{}) // no payloads: restore unsupported
+	_, c := startServer(t, store.Config{}) // no payloads: restore unsupported
 	sc := makeSC(5, 2)
 	if err := c.Store(context.Background(), "s", sc, false); err != nil {
 		t.Fatal(err)
@@ -220,7 +220,7 @@ func TestRemoteErrorPropagates(t *testing.T) {
 // its response — and the connection must remain usable for fresh calls.
 func TestCancelMidWindowAbortsInflightCalls(t *testing.T) {
 	const calls = 24
-	nd, err := node.New(node.Config{})
+	nd, err := store.New(store.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +279,7 @@ func TestCancelMidWindowAbortsInflightCalls(t *testing.T) {
 // wire and the server answers with a deadline error instead of doing the
 // work once the budget is spent.
 func TestWireDeadlinePropagatesToServer(t *testing.T) {
-	nd, err := node.New(node.Config{})
+	nd, err := store.New(store.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,12 +408,12 @@ func TestTornSendClosesConnection(t *testing.T) {
 // fail nothing.
 func TestLostStoresFailNextSeal(t *testing.T) {
 	ctx := context.Background()
-	srv, c := startServer(t, node.Config{})
+	srv, c := startServer(t, store.Config{})
 	addr := srv.Addr()
 	restart := func() {
 		t.Helper()
 		srv.Close()
-		n, err := node.New(node.Config{})
+		n, err := store.New(store.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}

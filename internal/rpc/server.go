@@ -13,8 +13,8 @@ import (
 	"time"
 
 	"sigmadedupe/internal/director"
-	"sigmadedupe/internal/node"
 	"sigmadedupe/internal/sderr"
+	"sigmadedupe/internal/store"
 	"sigmadedupe/internal/wire"
 )
 
@@ -57,7 +57,7 @@ func splitAddr(addr string) (network, address string) {
 // (the request header's timeoutMS). Handlers observe that context, so
 // the server stops working for calls nobody is waiting on.
 type Server struct {
-	target     any  // *node.Node or *director.Director: what the verbs run on
+	target     any  // *store.Engine or *director.Director: what the verbs run on
 	proto      byte // the handshake's protocol
 	ln         net.Listener
 	delay      time.Duration
@@ -99,7 +99,7 @@ func WithSeverAfter(n int) ServerOption {
 
 // NewServer wraps a deduplication node and listens on addr
 // (e.g. "127.0.0.1:0"). The returned server is already accepting.
-func NewServer(n *node.Node, addr string, opts ...ServerOption) (*Server, error) {
+func NewServer(n *store.Engine, addr string, opts ...ServerOption) (*Server, error) {
 	return listen(&Server{target: n, proto: wire.ProtoNode}, addr, opts)
 }
 
@@ -115,6 +115,11 @@ func listen(s *Server, addr string, opts []ServerOption) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("rpc: listen %s: %w", addr, err)
 	}
+	return serve(s, ln, opts), nil
+}
+
+// serve starts s accepting on ln.
+func serve(s *Server, ln net.Listener, opts []ServerOption) *Server {
 	s.ln, s.conns = ln, make(map[net.Conn]struct{})
 	s.base, s.baseCancel = context.WithCancel(context.Background())
 	s.labels = make(map[opcode]context.Context, len(verbs))
@@ -126,7 +131,7 @@ func listen(s *Server, addr string, opts []ServerOption) (*Server, error) {
 	}
 	s.wg.Add(1)
 	go s.acceptLoop()
-	return s, nil
+	return s
 }
 
 // Addr returns the server's bound address, in the form Dial accepts
@@ -141,8 +146,8 @@ func (s *Server) Addr() string {
 
 // Node returns the wrapped deduplication node (for stats inspection; nil
 // on a director server).
-func (s *Server) Node() *node.Node {
-	n, _ := s.target.(*node.Node)
+func (s *Server) Node() *store.Engine {
+	n, _ := s.target.(*store.Engine)
 	return n
 }
 

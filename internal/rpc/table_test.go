@@ -16,7 +16,6 @@ import (
 	"sigmadedupe/internal/core"
 	"sigmadedupe/internal/director"
 	"sigmadedupe/internal/fingerprint"
-	"sigmadedupe/internal/node"
 	"sigmadedupe/internal/sderr"
 	"sigmadedupe/internal/store"
 	"sigmadedupe/internal/tenant"
@@ -48,7 +47,7 @@ const sampleID, sampleTimeout = 42, 1500
 
 // sampleOf encodes verb v's sample argument a and result r.
 func sampleOf[S, A, R any](v verb[S, A, R], a A, r R) sample {
-	_, isNode := any(*new(S)).(*node.Node)
+	_, isNode := any(*new(S)).(*store.Engine)
 	s := sample{op: v.op, class: v.class, node: isNode, args: recode(v.args), result: recode(v.result)}
 	x := coder{b: appendRequestHeader(nil, sampleID, v.op, sampleTimeout)}
 	v.args(&x, &a)
@@ -348,7 +347,7 @@ func rawCall(t *testing.T, conn net.Conn, br *bufio.Reader, id uint64, op opcode
 // argument that does not decode are answered with a typed ErrMalformed,
 // and the connection stays usable.
 func TestUnknownOpIsMalformed(t *testing.T) {
-	nd, err := node.New(node.Config{})
+	nd, err := store.New(store.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,16 +17,16 @@ import (
 
 	"sigmadedupe/internal/core"
 	"sigmadedupe/internal/fingerprint"
-	"sigmadedupe/internal/node"
 	"sigmadedupe/internal/sderr"
+	"sigmadedupe/internal/store"
 	"sigmadedupe/internal/wire"
 )
 
 // startServerAt is startServer on a chosen address form: "tcp" listens on
 // loopback TCP, "unix" on a socket in the test's temporary directory.
-func startServerAt(t testing.TB, network string, cfg node.Config) (*Server, *Client) {
+func startServerAt(t testing.TB, network string, cfg store.Config) (*Server, *Client) {
 	t.Helper()
-	n, err := node.New(cfg)
+	n, err := store.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func fpsOf(scs ...*core.SuperChunk) (fps []fingerprint.Fingerprint, want [][]byt
 func TestVectoredReplyReadBatch(t *testing.T) {
 	for _, network := range []string{"tcp", "unix"} {
 		t.Run(network, func(t *testing.T) {
-			_, c := startServerAt(t, network, node.Config{KeepPayloads: true})
+			_, c := startServerAt(t, network, store.Config{KeepPayloads: true})
 			big := makeSizedSC(1, 1500, 200) // 300 KB in 1500 payloads
 			small := makeSizedSC(2, 4, 200)
 			storeSealed(t, c, big)
@@ -125,7 +125,7 @@ func TestVectoredReplyReadBatch(t *testing.T) {
 // answers with the typed error alone, not with the payloads gathered
 // before the failure.
 func TestReadBatchErroredReplyShipsNoPayloads(t *testing.T) {
-	srv, c := startServerAt(t, "tcp", node.Config{KeepPayloads: true})
+	srv, c := startServerAt(t, "tcp", store.Config{KeepPayloads: true})
 	sc := makeSC(3, 32) // 128 KB: past vectoredMin had it been sent
 	storeSealed(t, c, sc)
 	fps, _ := fpsOf(sc)
@@ -309,7 +309,7 @@ func TestVectoredReplyWriteErrorSeversConnection(t *testing.T) {
 	}
 
 	t.Run("write fails, reads stay open", func(t *testing.T) {
-		nd, err := node.New(node.Config{KeepPayloads: true})
+		nd, err := store.New(store.Config{KeepPayloads: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -317,19 +317,15 @@ func TestVectoredReplyWriteErrorSeversConnection(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// NewServer's body with the listener wrapped; the budget lets the
-		// seeding connection's acks and the first replies through.
-		base, cancel := context.WithCancel(context.Background())
-		srv := &Server{target: nd, proto: wire.ProtoNode, ln: failListener{ln, 2*replyBytes + replyBytes/2},
-			conns: make(map[net.Conn]struct{}), base: base, baseCancel: cancel}
-		srv.wg.Add(1)
-		go srv.acceptLoop()
+		// NewServer with the listener wrapped; the budget lets the seeding
+		// connection's acks and the first replies through.
+		srv := serve(&Server{target: nd, proto: wire.ProtoNode}, failListener{ln, 2*replyBytes + replyBytes/2}, nil)
 		t.Cleanup(func() { srv.Close() })
 		run(t, srv, srv.Addr())
 	})
 
 	t.Run("peer stops reading and closes mid-reply", func(t *testing.T) {
-		srv, _ := startServerAt(t, "unix", node.Config{KeepPayloads: true})
+		srv, _ := startServerAt(t, "unix", store.Config{KeepPayloads: true})
 		run(t, srv, severingProxy(t, srv.Addr(), replyBytes+replyBytes/2))
 	})
 }
@@ -343,14 +339,14 @@ func TestVectoredReplyWriteErrorSeversConnection(t *testing.T) {
 func TestRestoreAliasingUnderAppendAndCompact(t *testing.T) {
 	for _, tc := range []struct {
 		name string
-		cfg  func(dir string) node.Config
+		cfg  func(dir string) store.Config
 	}{
-		{"ram", func(string) node.Config { return node.Config{KeepPayloads: true} }},
-		{"durable", func(dir string) node.Config { return node.Config{KeepPayloads: true, Dir: dir} }},
+		{"ram", func(string) store.Config { return store.Config{KeepPayloads: true} }},
+		{"durable", func(dir string) store.Config { return store.Config{KeepPayloads: true, Dir: dir} }},
 		// ReadCacheBytes 0 selects the default budget; 1 byte admits no
 		// region, so every read is a fresh buffer nothing else retains.
-		{"durable, no read cache", func(dir string) node.Config {
-			return node.Config{KeepPayloads: true, Dir: dir, ReadCacheBytes: 1}
+		{"durable, no read cache", func(dir string) store.Config {
+			return store.Config{KeepPayloads: true, Dir: dir, ReadCacheBytes: 1}
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -464,7 +460,7 @@ func BenchmarkReadBatchReply(b *testing.B) {
 	for _, network := range []string{"tcp", "unix"} {
 		for _, size := range []int{8192, 4096} {
 			b.Run(fmt.Sprintf("%s/%dKB", network, size>>10), func(b *testing.B) {
-				_, c := startServerAt(b, network, node.Config{KeepPayloads: true})
+				_, c := startServerAt(b, network, store.Config{KeepPayloads: true})
 				sc := makeSizedSC(11, (2<<20)/size, size)
 				storeSealed(b, c, sc)
 				fps, _ := fpsOf(sc)

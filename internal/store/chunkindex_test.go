@@ -263,7 +263,7 @@ func TestOpenSizesChunkIndexByReplay(t *testing.T) {
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
-	r, err := Open(cfg)
+	r, err := reopen(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -118,7 +118,7 @@ type CompactResult struct {
 func (e *Engine) Compact(ctx context.Context, minLive float64) (CompactResult, error) {
 	var res CompactResult
 	if !e.gcEnabled() {
-		return res, fmt.Errorf("store node %d: compaction requires the chunk index", e.cfg.NodeID)
+		return res, fmt.Errorf("store node %d: compaction requires the chunk index", e.cfg.ID)
 	}
 	if minLive <= 0 {
 		minLive = e.cfg.CompactThreshold
@@ -171,7 +171,7 @@ func (e *Engine) Compact(ctx context.Context, minLive float64) (CompactResult, e
 func (e *Engine) compactContainer(cid uint64) (copied int64, err error) {
 	meta, err := e.containers.Metadata(cid)
 	if err != nil {
-		return 0, fmt.Errorf("store node %d: compact container %d: %w", e.cfg.NodeID, cid, err)
+		return 0, fmt.Errorf("store node %d: compact container %d: %w", e.cfg.ID, cid, err)
 	}
 	var totalBytes int64
 	for _, cm := range meta {
@@ -220,16 +220,16 @@ func (e *Engine) compactContainer(cid uint64) (copied int64, err error) {
 	var old *container.Container
 	if len(survivors) > 0 {
 		if e.cfg.Dir != "" && !e.cfg.KeepPayloads {
-			return copied, fmt.Errorf("store node %d: compact container %d: %w", e.cfg.NodeID, cid, errNoPayload)
+			return copied, fmt.Errorf("store node %d: compact container %d: %w", e.cfg.ID, cid, errNoPayload)
 		}
 		// One full, CRC-verified load through the non-caching read path
 		// (container.Manager.Get): a background rewrite must not evict
 		// restore's region-cache working set.
 		if old, err = e.containers.Get(cid); err != nil {
-			return copied, fmt.Errorf("store node %d: compact container %d: %w", e.cfg.NodeID, cid, err)
+			return copied, fmt.Errorf("store node %d: compact container %d: %w", e.cfg.ID, cid, err)
 		}
 		if old.Data == nil {
-			return copied, fmt.Errorf("store node %d: compact container %d: %w", e.cfg.NodeID, cid, errNoPayload)
+			return copied, fmt.Errorf("store node %d: compact container %d: %w", e.cfg.ID, cid, errNoPayload)
 		}
 	}
 
@@ -273,7 +273,7 @@ func (e *Engine) compactContainer(cid uint64) (copied int64, err error) {
 		newLoc, aerr := e.containers.Append(compactStream, sv.fp, data, int(cm.Length))
 		sh.mu.Unlock()
 		if aerr != nil {
-			return copied, fmt.Errorf("store node %d: compact container %d: %w", e.cfg.NodeID, cid, aerr)
+			return copied, fmt.Errorf("store node %d: compact container %d: %w", e.cfg.ID, cid, aerr)
 		}
 		moves = append(moves, move{fp: sv.fp, oldLoc: sv.oldLoc, newLoc: newLoc})
 		copied += int64(cm.Length)
@@ -286,7 +286,7 @@ func (e *Engine) compactContainer(cid uint64) (copied int64, err error) {
 	// journaled before any index points at it.
 	if len(moves) > 0 {
 		if err := e.containers.Seal(compactStream); err != nil {
-			return copied, fmt.Errorf("store node %d: compact container %d: %w", e.cfg.NodeID, cid, err)
+			return copied, fmt.Errorf("store node %d: compact container %d: %w", e.cfg.ID, cid, err)
 		}
 	}
 	if err := e.faultAt(StageSealed, cid); err != nil {
@@ -320,14 +320,14 @@ func (e *Engine) compactContainer(cid uint64) (copied int64, err error) {
 	// Phase 4: commit the old container's death, then physically drop it.
 	if e.man != nil {
 		if err := e.man.appendRetire(cid); err != nil {
-			return copied, fmt.Errorf("store node %d: compact container %d: %w", e.cfg.NodeID, cid, err)
+			return copied, fmt.Errorf("store node %d: compact container %d: %w", e.cfg.ID, cid, err)
 		}
 	}
 	if err := e.faultAt(StageRetired, cid); err != nil {
 		return copied, err
 	}
 	if err := e.containers.Retire(cid); err != nil {
-		return copied, fmt.Errorf("store node %d: compact container %d: %w", e.cfg.NodeID, cid, err)
+		return copied, fmt.Errorf("store node %d: compact container %d: %w", e.cfg.ID, cid, err)
 	}
 	e.gcMu.Lock()
 	delete(e.dead, cid)

@@ -71,7 +71,7 @@ var storePaths = map[string]storePath{
 type engineState struct {
 	Refs  map[fingerprint.Fingerprint]int64
 	Sim   map[fingerprint.Fingerprint]uint64
-	Stats Stats
+	Stats engineStats
 	GC    GCStats
 }
 
@@ -217,7 +217,7 @@ func TestDedupPassDifferential(t *testing.T) {
 						if err := e.Close(); err != nil {
 							t.Fatal(err)
 						}
-						r, err := Open(cfg)
+						r, err := reopen(cfg)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -256,7 +256,7 @@ func TestDedupPassDifferential(t *testing.T) {
 					}
 					if durable {
 						// Recovery restarts the session counters.
-						recovered.Stats, wantRecovered.Stats = Stats{}, Stats{}
+						recovered.Stats, wantRecovered.Stats = engineStats{}, engineStats{}
 						if !reflect.DeepEqual(recovered, wantRecovered) {
 							t.Fatalf("%s and %s recover different state", name, wantName)
 						}
@@ -502,7 +502,7 @@ func TestDedupErrorReportsReferences(t *testing.T) {
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
-	r, err := Open(cfg)
+	r, err := reopen(cfg)
 	if err != nil {
 		t.Fatalf("recovery after the released failed pass: %v", err)
 	}

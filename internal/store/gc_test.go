@@ -314,7 +314,7 @@ func TestGCSurvivesReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r, err := Open(cfg)
+	r, err := reopen(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +335,7 @@ func TestGCSurvivesReopen(t *testing.T) {
 	}
 
 	// And once more: the retire records replay cleanly.
-	r2, err := Open(cfg)
+	r2, err := reopen(cfg)
 	if err != nil {
 		t.Fatalf("open after compaction: %v", err)
 	}
@@ -390,7 +390,7 @@ func TestCompactCrashAtEveryStage(t *testing.T) {
 			}
 			// Crash: abandon e without Close.
 
-			r, err := Open(cfg)
+			r, err := reopen(cfg)
 			if err != nil {
 				t.Fatalf("open after crash at %s: %v", stage, err)
 			}
@@ -458,14 +458,14 @@ func TestOpenRejectsUnknownManifestRecords(t *testing.T) {
 	t.Run("retire of unsealed container", func(t *testing.T) {
 		dir, cfg := newStore(t)
 		appendManifest(t, dir, retire(99))
-		if _, err := Open(cfg); err == nil {
+		if _, err := reopen(cfg); err == nil {
 			t.Fatal("Open must reject a retire record for a container the journal never sealed")
 		}
 	})
 	t.Run("decref of unknown chunk", func(t *testing.T) {
 		dir, cfg := newStore(t)
 		appendManifest(t, dir, decref(fingerprint.Sum([]byte("never stored")), 1))
-		if _, err := Open(cfg); err == nil {
+		if _, err := reopen(cfg); err == nil {
 			t.Fatal("Open must reject a decref record for chunk references the store never held")
 		}
 	})
@@ -475,14 +475,14 @@ func TestOpenRejectsUnknownManifestRecords(t *testing.T) {
 		rng := rand.New(rand.NewSource(46))
 		sc := makeSC(rng, 4, true)
 		appendManifest(t, dir, decref(sc.Chunks[0].FP, 2))
-		if _, err := Open(cfg); err == nil {
+		if _, err := reopen(cfg); err == nil {
 			t.Fatal("Open must reject a decref that drops more references than the journal granted")
 		}
 	})
 	t.Run("unknown record type", func(t *testing.T) {
 		dir, cfg := newStore(t)
 		appendManifest(t, dir, frameRecord(func(b []byte) []byte { return append(b, 0x7f, 1) }))
-		if _, err := Open(cfg); err == nil {
+		if _, err := reopen(cfg); err == nil {
 			t.Fatal("Open must reject a record of unknown type")
 		}
 	})
@@ -490,7 +490,7 @@ func TestOpenRejectsUnknownManifestRecords(t *testing.T) {
 		dir, cfg := newStore(t)
 		rec := retire(99)
 		appendManifest(t, dir, rec[:len(rec)-1])
-		r, err := Open(cfg)
+		r, err := reopen(cfg)
 		if err != nil {
 			t.Fatalf("torn tail must stay tolerated: %v", err)
 		}
@@ -505,7 +505,7 @@ func TestOpenRejectsUnknownManifestRecords(t *testing.T) {
 		first := decref(sc.Chunks[1].FP, 1)
 		first[len(first)-1] ^= 0x40
 		appendManifest(t, dir, append(first, decref(sc.Chunks[2].FP, 1)...))
-		_, err := Open(cfg)
+		_, err := reopen(cfg)
 		if !errors.Is(err, sderr.ErrCorrupt) {
 			t.Fatalf("Open over a damaged non-final record: err = %v, want ErrCorrupt", err)
 		}
@@ -763,7 +763,7 @@ func TestOpenMigratesLegacyManifest(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r, err := Open(cfg)
+	r, err := reopen(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -787,7 +787,7 @@ func TestOpenMigratesLegacyManifest(t *testing.T) {
 	}
 	// The migration journaled the seeded refs: a second open replays them
 	// as ordinary records and deletion works normally from here on.
-	r2, err := Open(cfg)
+	r2, err := reopen(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,4 +1,4 @@
-package node
+package store
 
 import (
 	"bytes"
@@ -8,30 +8,10 @@ import (
 
 	"sigmadedupe/internal/core"
 	"sigmadedupe/internal/fingerprint"
-	"sigmadedupe/internal/store"
 )
 
-// makeSC builds a super-chunk from n random 4KB chunks.
-func makeSC(rng *rand.Rand, n int, keep bool) *core.SuperChunk {
-	sc := &core.SuperChunk{}
-	for i := 0; i < n; i++ {
-		data := make([]byte, 4096)
-		rng.Read(data)
-		ref := core.ChunkRef{FP: fingerprint.Sum(data), Size: len(data)}
-		if keep {
-			ref.Data = data
-		}
-		sc.Chunks = append(sc.Chunks, ref)
-	}
-	return sc
-}
-
-// cloneSC duplicates a super-chunk so handprint caching is not shared.
-func cloneSC(sc *core.SuperChunk) *core.SuperChunk {
-	out := &core.SuperChunk{FileID: sc.FileID}
-	out.Chunks = append(out.Chunks, sc.Chunks...)
-	return out
-}
+// The engine as one deduplication node: its dedup verdicts, restore,
+// routing bids and defaults.
 
 func TestStoreUniqueThenDuplicate(t *testing.T) {
 	n, err := New(Config{ID: 1})
@@ -279,7 +259,7 @@ func TestConfigDefaults(t *testing.T) {
 }
 
 func TestDedupRatioEmpty(t *testing.T) {
-	var s store.Stats
+	var s engineStats
 	if s.DedupRatio() != 0 {
 		t.Fatal("empty stats dedup ratio should be 0")
 	}

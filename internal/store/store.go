@@ -1,5 +1,5 @@
-// Package store implements the per-node storage engine of a Σ-Dedupe
-// deduplication server: the similarity index, chunk-fingerprint cache,
+// Package store implements a Σ-Dedupe deduplication server node, the
+// per-node storage engine: the similarity index, chunk-fingerprint cache,
 // on-disk chunk index and container manager composed behind a single
 // transactional "lookup-or-append super-chunk" API (paper §3.3, Fig. 3).
 //
@@ -16,12 +16,12 @@
 // Durability. With a Dir configured the engine is a restartable store:
 // sealed containers are spilled in the CRC32-protected SDC1 format and
 // journaled in an append-only manifest together with the representative-
-// fingerprint entries of the similarity index. Open replays the manifest,
-// reading each container file once (CRC-verified) and retaining only its
-// metadata, to rebuild the chunk index, similarity index and container
-// directory — a full stop/restart/restore lifecycle. Chunks in
-// containers not yet sealed at shutdown are not durable; Flush (or
-// Close) seals everything.
+// fingerprint entries of the similarity index. New with Config.Recover
+// replays the manifest, reading each container file once (CRC-verified)
+// and retaining only its metadata, to rebuild the chunk index, similarity
+// index and container directory — a full stop/restart/restore lifecycle.
+// Chunks in containers not yet sealed at shutdown are not durable; Flush
+// (or Close) seals everything.
 package store
 
 import (
@@ -77,8 +77,8 @@ var errChunkVanished = fmt.Errorf("store: %w", sderr.ErrChunkVanished)
 
 // Config parameterizes a storage engine.
 type Config struct {
-	// NodeID identifies the owning node in error messages.
-	NodeID int
+	// ID is the node's cluster identity; error messages name it.
+	ID int
 	// HandprintSize is k, the representative fingerprints per super-chunk.
 	HandprintSize int
 	// CacheContainers is the chunk-fingerprint cache capacity in
@@ -106,6 +106,9 @@ type Config struct {
 	// CompactThreshold is the live-ratio floor below which a sealed
 	// container is rewritten (default defaultCompactThreshold).
 	CompactThreshold float64
+	// Recover re-opens the engine from Dir, replaying the manifest to
+	// restore its pre-shutdown state. Requires Dir.
+	Recover bool
 }
 
 func (c Config) withDefaults() Config {
@@ -127,8 +130,8 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Stats is a snapshot of the engine's deduplication counters.
-type Stats struct {
+// engineStats is a snapshot of the engine's deduplication counters.
+type engineStats struct {
 	LogicalBytes  int64  // bytes presented for backup
 	PhysicalBytes int64  // unique bytes actually stored
 	LogicalChunks int64  // chunks presented
@@ -141,15 +144,15 @@ type Stats struct {
 
 // DedupRatio returns logical/physical (∞-free: returns 0 when nothing is
 // stored).
-func (s Stats) DedupRatio() float64 {
+func (s engineStats) DedupRatio() float64 {
 	if s.PhysicalBytes == 0 {
 		return 0
 	}
 	return float64(s.LogicalBytes) / float64(s.PhysicalBytes)
 }
 
-// Result describes the outcome of storing one super-chunk.
-type Result struct {
+// result describes the outcome of storing one super-chunk.
+type result struct {
 	UniqueChunks int
 	DupChunks    int
 	UniqueBytes  int64
@@ -246,11 +249,11 @@ func newEngine(cfg Config) (*Engine, error) {
 	stripes := lockStripes()
 	sim, err := simindex.New(stripes)
 	if err != nil {
-		return nil, fmt.Errorf("store node %d: %w", cfg.NodeID, err)
+		return nil, fmt.Errorf("store node %d: %w", cfg.ID, err)
 	}
 	cache, err := newFPCache(cfg.CacheContainers)
 	if err != nil {
-		return nil, fmt.Errorf("store node %d: %w", cfg.NodeID, err)
+		return nil, fmt.Errorf("store node %d: %w", cfg.ID, err)
 	}
 	var cidx *chunkIndex
 	if !cfg.DisableChunkIndex {
@@ -295,68 +298,53 @@ func (e *Engine) managerOpts() []container.Option {
 	return opts
 }
 
-// New creates a fresh storage engine. With cfg.Dir set the engine is
-// durable from the first seal. A Dir that already holds durable state is
-// refused: silently starting fresh would re-allocate container IDs from
-// 1 and overwrite the previous session's files — use Open to recover, or
-// remove the directory to discard it.
+// New creates a storage engine. With cfg.Dir set the engine is durable
+// from the first seal.
+//
+// With cfg.Recover set, New re-opens the engine from cfg.Dir by replaying
+// its manifest: sealed containers are re-read (metadata and CRC verified)
+// to rebuild the chunk index and container directory, and journaled
+// representative-fingerprint entries rebuild the similarity index. A
+// container failing its CRC32 check aborts the open with an error
+// wrapping container.ErrCorrupt. An empty or absent manifest yields a
+// fresh engine.
+//
+// Without Recover, a Dir that already holds durable state is refused:
+// silently starting fresh would re-allocate container IDs from 1 and
+// overwrite the previous session's files — recover it, or remove the
+// directory to discard it.
 func New(cfg Config) (*Engine, error) {
-	if cfg.Dir != "" {
+	switch {
+	case cfg.Recover && cfg.Dir == "":
+		return nil, fmt.Errorf("store node %d: Recover requires a durable Dir", cfg.ID)
+	case !cfg.Recover && cfg.Dir != "":
 		if fi, err := os.Stat(filepath.Join(cfg.Dir, ManifestName)); err == nil && fi.Size() > 0 {
 			return nil, fmt.Errorf(
 				"store node %d: %s already holds durable state; open with Recover or remove the directory",
-				cfg.NodeID, cfg.Dir)
+				cfg.ID, cfg.Dir)
 		}
 	}
-	e, _, err := create(cfg)
-	if err != nil {
-		return nil, err
-	}
-	e.startCompactor()
-	return e, nil
-}
-
-// create builds an engine over cfg.Dir without the prior-state guard and
-// without starting the background compactor (Open starts it only after
-// replay), returning the manifest's records for replay.
-func create(cfg Config) (*Engine, []record, error) {
 	cfg = cfg.withDefaults()
 	e, err := newEngine(cfg)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	var recs []record
 	if cfg.Dir != "" {
 		if e.man, recs, err = openManifest(cfg.Dir); err != nil {
-			return nil, nil, fmt.Errorf("store node %d: %w", cfg.NodeID, err)
+			return nil, fmt.Errorf("store node %d: %w", cfg.ID, err)
 		}
 	}
 	if e.containers, err = container.NewManager(e.managerOpts()...); err != nil {
-		return nil, nil, fmt.Errorf("store node %d: %w", cfg.NodeID, err)
+		return nil, fmt.Errorf("store node %d: %w", cfg.ID, err)
 	}
-	return e, recs, nil
-}
-
-// Open recovers a durable storage engine from cfg.Dir by replaying its
-// manifest: sealed containers are re-read (metadata and CRC verified) to
-// rebuild the chunk index and container directory, and journaled
-// representative-fingerprint entries rebuild the similarity index. A
-// container failing its CRC32 check aborts the open with an error wrapping
-// container.ErrCorrupt. An empty or absent manifest yields a fresh engine.
-func Open(cfg Config) (*Engine, error) {
-	if cfg.Dir == "" {
-		return nil, errors.New("store: Open requires a durable Dir")
+	// The background compactor starts only after replay.
+	if err := e.replay(recs); err != nil {
+		e.man.close()
+		return nil, fmt.Errorf("store node %d: %w", cfg.ID, err)
 	}
-	eng, recs, err := create(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := eng.replay(recs); err != nil {
-		eng.man.close()
-		return nil, fmt.Errorf("store node %d: %w", cfg.NodeID, err)
-	}
-	eng.startCompactor()
-	return eng, nil
+	e.startCompactor()
+	return e, nil
 }
 
 // Config returns the engine's effective configuration.
@@ -364,6 +352,13 @@ func (e *Engine) Config() Config { return e.cfg }
 
 // Manager exposes the container manager (stats inspection and tests).
 func (e *Engine) Manager() *container.Manager { return e.containers }
+
+// NumSealedContainers returns the engine's sealed-container count.
+func (e *Engine) NumSealedContainers() int { return e.containers.NumSealed() }
+
+// Engine returns e itself. bench/ compiles against it through the
+// internal/node alias; ROADMAP 17(b) deletes it.
+func (e *Engine) Engine() *Engine { return e }
 
 func (e *Engine) shardFor(fp fingerprint.Fingerprint) *shard {
 	return &e.shards[fp.Uint64()&e.shardMask]
@@ -481,7 +476,7 @@ func (e *Engine) StoreMissing(stream string, sc *core.SuperChunk, hp core.Handpr
 // on the given stream with every payload it needs: Dedup with the eager
 // rule and the handprint computed here, reporting sizes — for the
 // benchmark's traced replay (with QuerySuperChunk) and tests.
-func (e *Engine) StoreSuperChunk(stream string, sc *core.SuperChunk) (Result, error) {
+func (e *Engine) StoreSuperChunk(stream string, sc *core.SuperChunk) (result, error) {
 	res, _, err := e.pass(stream, sc, nil, passEager)
 	return res, err
 }
@@ -492,7 +487,7 @@ func (e *Engine) StoreSuperChunk(stream string, sc *core.SuperChunk) (Result, er
 // Whatever belongs to the whole super-chunk runs once: the handprint is
 // taken as given, the recency ticks are reserved as one block, and the
 // intra-super-chunk map exists only once something was appended.
-func (e *Engine) pass(stream string, sc *core.SuperChunk, hp core.Handprint, mode passMode) (res Result, fresh []bool, err error) {
+func (e *Engine) pass(stream string, sc *core.SuperChunk, hp core.Handprint, mode passMode) (res result, fresh []bool, err error) {
 	// verdicts[:done] are the chunks decided; fresh is read off them.
 	verdicts := make([]verdict, len(sc.Chunks))
 	done := 0
@@ -510,7 +505,7 @@ func (e *Engine) pass(stream string, sc *core.SuperChunk, hp core.Handprint, mod
 	if hp == nil {
 		hp = sc.Handprint(e.cfg.HandprintSize)
 	} else if err = validHandprint(hp); err != nil {
-		err = fmt.Errorf("store node %d: %w", e.cfg.NodeID, err)
+		err = fmt.Errorf("store node %d: %w", e.cfg.ID, err)
 		return res, freshOf(), err
 	}
 
@@ -578,7 +573,7 @@ func (e *Engine) pass(stream string, sc *core.SuperChunk, hp core.Handprint, mod
 		if len(refs) > 0 {
 			refFPs, refNs := core.AggregateRefs(refs)
 			if jerr := e.man.bufferRefs(refFPs, refNs); jerr != nil && err == nil {
-				err = fmt.Errorf("store node %d: %w", e.cfg.NodeID, jerr)
+				err = fmt.Errorf("store node %d: %w", e.cfg.ID, jerr)
 			}
 		}
 	}
@@ -599,7 +594,7 @@ func (e *Engine) pass(stream string, sc *core.SuperChunk, hp core.Handprint, mod
 	}
 	if e.man != nil && len(fps) > 0 {
 		if err = e.man.bufferRFPs(fps, cids); err != nil {
-			err = fmt.Errorf("store node %d: %w", e.cfg.NodeID, err)
+			err = fmt.Errorf("store node %d: %w", e.cfg.ID, err)
 			return res, freshOf(), err
 		}
 	}
@@ -699,12 +694,12 @@ func (e *Engine) decideLocked(stream string, ch core.ChunkRef, sh *shard, tick u
 			// storing a payload-less chunk would corrupt its restore.
 			// (Trace-driven engines, which never carry payloads, are exempt
 			// — they only ever measure dedup state.)
-			return missing, 0, fmt.Errorf("store node %d: chunk %s: %w", e.cfg.NodeID, ch.FP.Short(), errChunkVanished)
+			return missing, 0, fmt.Errorf("store node %d: chunk %s: %w", e.cfg.ID, ch.FP.Short(), errChunkVanished)
 		}
 	}
 	loc, err := e.containers.Append(stream, ch.FP, ch.Data, ch.Size)
 	if err != nil {
-		return missing, 0, fmt.Errorf("store node %d: store chunk: %w", e.cfg.NodeID, err)
+		return missing, 0, fmt.Errorf("store node %d: store chunk: %w", e.cfg.ID, err)
 	}
 	if e.cidx != nil {
 		e.cidx.insert(ch.FP, loc)
@@ -719,7 +714,7 @@ func (e *Engine) decideLocked(stream string, ch core.ChunkRef, sh *shard, tick u
 // superChunkDone counts a completed pass. A passMissing pass adds only
 // what it appended: the passFirst pass before it presented the whole
 // super-chunk, missing chunks included.
-func (e *Engine) superChunkDone(res Result, sc *core.SuperChunk, mode passMode) {
+func (e *Engine) superChunkDone(res result, sc *core.SuperChunk, mode passMode) {
 	if mode != passMissing {
 		e.superChunks.Add(1)
 		e.logicalBytes.Add(sc.Size())
@@ -735,7 +730,7 @@ func (e *Engine) superChunkDone(res Result, sc *core.SuperChunk, mode passMode) 
 // representative (minimum) fingerprint — not against the engine's full
 // chunk index. Duplicates that live in other bins are missed; that
 // approximation is EB's defining tradeoff (paper Fig. 8).
-func (e *Engine) StoreFileInBin(stream string, binKey fingerprint.Fingerprint, sc *core.SuperChunk) (Result, error) {
+func (e *Engine) StoreFileInBin(stream string, binKey fingerprint.Fingerprint, sc *core.SuperChunk) (result, error) {
 	e.binsMu.Lock()
 	if e.bins == nil {
 		e.bins = make(map[fingerprint.Fingerprint]map[fingerprint.Fingerprint]struct{})
@@ -747,7 +742,7 @@ func (e *Engine) StoreFileInBin(stream string, binKey fingerprint.Fingerprint, s
 	}
 	e.binsMu.Unlock()
 
-	var res Result
+	var res result
 	for _, ch := range sc.Chunks {
 		e.binsMu.Lock()
 		_, dup := bin[ch.FP]
@@ -761,7 +756,7 @@ func (e *Engine) StoreFileInBin(stream string, binKey fingerprint.Fingerprint, s
 			continue
 		}
 		if _, err := e.containers.Append(stream, ch.FP, ch.Data, ch.Size); err != nil {
-			return res, fmt.Errorf("store node %d: store bin chunk: %w", e.cfg.NodeID, err)
+			return res, fmt.Errorf("store node %d: store bin chunk: %w", e.cfg.ID, err)
 		}
 		res.UniqueChunks++
 		res.UniqueBytes += int64(ch.Size)
@@ -822,7 +817,7 @@ const maxStaleLocReads = 2
 // terminates with the compactor's last rewrite.
 func (e *Engine) ReadChunk(fp fingerprint.Fingerprint) ([]byte, error) {
 	if e.cidx == nil {
-		return nil, fmt.Errorf("store node %d: restore requires the chunk index", e.cfg.NodeID)
+		return nil, fmt.Errorf("store node %d: restore requires the chunk index", e.cfg.ID)
 	}
 	var lastErr error
 	var lastLoc container.Loc
@@ -830,13 +825,13 @@ func (e *Engine) ReadChunk(fp fingerprint.Fingerprint) ([]byte, error) {
 	for {
 		loc, ok := e.cidx.locate(fp)
 		if !ok {
-			return nil, fmt.Errorf("store node %d: chunk %s: %w", e.cfg.NodeID, fp.Short(), container.ErrNotFound)
+			return nil, fmt.Errorf("store node %d: chunk %s: %w", e.cfg.ID, fp.Short(), container.ErrNotFound)
 		}
 		if lastErr != nil {
 			if loc == lastLoc {
 				stale++
 				if stale >= maxStaleLocReads {
-					return nil, fmt.Errorf("store node %d: %w", e.cfg.NodeID, lastErr)
+					return nil, fmt.Errorf("store node %d: %w", e.cfg.ID, lastErr)
 				}
 			} else {
 				stale = 0
@@ -851,7 +846,7 @@ func (e *Engine) ReadChunk(fp fingerprint.Fingerprint) ([]byte, error) {
 			return data, nil
 		}
 		if !errors.Is(err, container.ErrNotFound) && !errors.Is(err, os.ErrNotExist) {
-			return nil, fmt.Errorf("store node %d: %w", e.cfg.NodeID, err)
+			return nil, fmt.Errorf("store node %d: %w", e.cfg.ID, err)
 		}
 		lastErr = err
 	}
@@ -868,7 +863,7 @@ func (e *Engine) ReadChunk(fp fingerprint.Fingerprint) ([]byte, error) {
 // failing the batch.
 func (e *Engine) ReadChunkBatch(fps []fingerprint.Fingerprint) (out [][]byte, idx []int, err error) {
 	if e.cidx == nil {
-		return nil, nil, fmt.Errorf("store node %d: restore requires the chunk index", e.cfg.NodeID)
+		return nil, nil, fmt.Errorf("store node %d: restore requires the chunk index", e.cfg.ID)
 	}
 	type want struct {
 		loc container.Loc
@@ -878,7 +873,7 @@ func (e *Engine) ReadChunkBatch(fps []fingerprint.Fingerprint) (out [][]byte, id
 	for i, fp := range fps {
 		loc, ok := e.cidx.locate(fp)
 		if !ok {
-			return nil, nil, fmt.Errorf("store node %d: chunk %s: %w", e.cfg.NodeID, fp.Short(), container.ErrNotFound)
+			return nil, nil, fmt.Errorf("store node %d: chunk %s: %w", e.cfg.ID, fp.Short(), container.ErrNotFound)
 		}
 		wants[i] = want{loc, i}
 	}
@@ -907,7 +902,7 @@ func (e *Engine) ReadChunkBatch(fps []fingerprint.Fingerprint) (out [][]byte, id
 		datas, rerr := e.containers.ReadChunks(cid, locs)
 		if rerr != nil {
 			if !errors.Is(rerr, container.ErrNotFound) && !errors.Is(rerr, os.ErrNotExist) {
-				return nil, nil, fmt.Errorf("store node %d: %w", e.cfg.NodeID, rerr)
+				return nil, nil, fmt.Errorf("store node %d: %w", e.cfg.ID, rerr)
 			}
 			// The container vanished under us (compaction retired it):
 			// fall back to per-chunk reads, which re-resolve through the
@@ -1003,8 +998,8 @@ func (e *Engine) DiskIndexStats() (diskReads, bloomSkips uint64) {
 // session counters (logical bytes/chunks, cache and index hits) restart
 // from zero while PhysicalBytes and UniqueChunks reflect the restored
 // containers.
-func (e *Engine) Stats() Stats {
-	return Stats{
+func (e *Engine) Stats() engineStats {
+	return engineStats{
 		LogicalBytes:  e.logicalBytes.Load(),
 		PhysicalBytes: e.physicalBytes.Load(),
 		LogicalChunks: e.logicalChunks.Load(),
@@ -1047,7 +1042,7 @@ func (e *Engine) SealStream(stream string) error {
 }
 
 // Close stops the background compactor, flushes the engine and releases
-// the manifest. A closed durable engine can be reopened with Open.
+// the manifest. A closed durable engine can be reopened with Config.Recover.
 func (e *Engine) Close() error {
 	e.stopCompactor()
 	err := e.Flush()
@@ -1073,10 +1068,10 @@ func (e *Engine) Close() error {
 // would eventually free live chunks.
 func (e *Engine) DecRef(fps []fingerprint.Fingerprint, ns []int64) error {
 	if !e.gcEnabled() {
-		return fmt.Errorf("store node %d: deletion requires the chunk index", e.cfg.NodeID)
+		return fmt.Errorf("store node %d: deletion requires the chunk index", e.cfg.ID)
 	}
 	if len(ns) != len(fps) {
-		return fmt.Errorf("store node %d: decref: %d fingerprints, %d counts", e.cfg.NodeID, len(fps), len(ns))
+		return fmt.Errorf("store node %d: decref: %d fingerprints, %d counts", e.cfg.ID, len(fps), len(ns))
 	}
 	e.decrefMu.Lock()
 	defer e.decrefMu.Unlock()
@@ -1085,7 +1080,7 @@ func (e *Engine) DecRef(fps []fingerprint.Fingerprint, ns []int64) error {
 	// batch that validates here cannot under-run when applied below.
 	for i, fp := range fps {
 		if ns[i] <= 0 {
-			return fmt.Errorf("store node %d: decref: non-positive count %d for %s", e.cfg.NodeID, ns[i], fp.Short())
+			return fmt.Errorf("store node %d: decref: non-positive count %d for %s", e.cfg.ID, ns[i], fp.Short())
 		}
 		sh := e.shardFor(fp)
 		sh.mu.Lock()
@@ -1093,12 +1088,12 @@ func (e *Engine) DecRef(fps []fingerprint.Fingerprint, ns []int64) error {
 		sh.mu.Unlock()
 		if have < ns[i] {
 			return fmt.Errorf("store node %d: decref: chunk %s has %d references, asked to drop %d",
-				e.cfg.NodeID, fp.Short(), have, ns[i])
+				e.cfg.ID, fp.Short(), have, ns[i])
 		}
 	}
 	if e.man != nil {
 		if err := e.man.appendDecref(fps, ns); err != nil {
-			return fmt.Errorf("store node %d: %w", e.cfg.NodeID, err)
+			return fmt.Errorf("store node %d: %w", e.cfg.ID, err)
 		}
 	}
 	for i, fp := range fps {
@@ -1170,4 +1165,15 @@ func (e *Engine) RefCount(fp fingerprint.Fingerprint) int64 {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	return sh.refs[fp]
+}
+
+// RefCounts reports the current reference count of each chunk — the
+// migration recovery probe: reconciliation compares these against the
+// recipe-derived expected counts and releases exactly the surplus.
+func (e *Engine) RefCounts(fps []fingerprint.Fingerprint) []int64 {
+	out := make([]int64, len(fps))
+	for i, fp := range fps {
+		out[i] = e.RefCount(fp)
+	}
+	return out
 }

@@ -33,6 +33,12 @@ func makeSC(rng *rand.Rand, n int, keep bool) *core.SuperChunk {
 	return sc
 }
 
+// reopen recovers an engine from cfg.Dir (New with Recover set).
+func reopen(cfg Config) (*Engine, error) {
+	cfg.Recover = true
+	return New(cfg)
+}
+
 func cloneSC(sc *core.SuperChunk) *core.SuperChunk {
 	out := &core.SuperChunk{FileID: sc.FileID}
 	out.Chunks = append(out.Chunks, sc.Chunks...)
@@ -141,7 +147,7 @@ func TestDurableOpenRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r, err := Open(cfg)
+	r, err := reopen(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +202,7 @@ func TestRecoveredEngineContinues(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r1, err := Open(cfg)
+	r1, err := reopen(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +214,7 @@ func TestRecoveredEngineContinues(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r2, err := Open(cfg)
+	r2, err := reopen(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +261,7 @@ func TestOpenDetectsCorruption(t *testing.T) {
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(cfg); !errors.Is(err, container.ErrCorrupt) {
+	if _, err := reopen(cfg); !errors.Is(err, container.ErrCorrupt) {
 		t.Fatalf("Open on corrupted container: err = %v, want ErrCorrupt", err)
 	}
 }
@@ -283,7 +289,7 @@ func TestOpenToleratesTornManifestTail(t *testing.T) {
 	})
 	appendManifest(t, dir, seal[:len(seal)-5])
 
-	r, err := Open(cfg)
+	r, err := reopen(cfg)
 	if err != nil {
 		t.Fatalf("Open with torn manifest tail: %v", err)
 	}
@@ -297,7 +303,7 @@ func TestOpenToleratesTornManifestTail(t *testing.T) {
 // yields a working empty engine (first boot of a durable node).
 func TestOpenEmptyDirIsFresh(t *testing.T) {
 	cfg := Config{Dir: t.TempDir(), KeepPayloads: true}
-	e, err := Open(cfg)
+	e, err := reopen(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,10 +317,10 @@ func TestOpenEmptyDirIsFresh(t *testing.T) {
 	}
 }
 
-// TestOpenRequiresDir: Open without a durable directory is an error.
+// TestOpenRequiresDir: recovery without a durable directory is an error.
 func TestOpenRequiresDir(t *testing.T) {
-	if _, err := Open(Config{}); err == nil {
-		t.Fatal("Open without Dir should fail")
+	if _, err := New(Config{Recover: true}); err == nil {
+		t.Fatal("Recover without Dir should fail")
 	}
 }
 
@@ -335,7 +341,7 @@ func TestUnsealedDataNotRecovered(t *testing.T) {
 	}
 	// Simulated crash: no Flush, no Close. The manifest holds rfp records
 	// pointing at a container that was never sealed.
-	r, err := Open(cfg)
+	r, err := reopen(cfg)
 	if err != nil {
 		t.Fatalf("Open after crash with unsealed container: %v", err)
 	}
@@ -367,7 +373,7 @@ func TestNewRefusesExistingDurableState(t *testing.T) {
 	if _, err := New(cfg); err == nil {
 		t.Fatal("New over existing durable state should be refused (would overwrite containers)")
 	}
-	r, err := Open(cfg)
+	r, err := reopen(cfg)
 	if err != nil {
 		t.Fatalf("Open over the same state: %v", err)
 	}
@@ -401,7 +407,7 @@ func TestOpenDetectsSubstitutedContainer(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, container.FileName(1)), container.Encode(forged), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(cfg); !errors.Is(err, container.ErrCorrupt) {
+	if _, err := reopen(cfg); !errors.Is(err, container.ErrCorrupt) {
 		t.Fatalf("Open with substituted container: err = %v, want ErrCorrupt", err)
 	}
 }

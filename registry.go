@@ -12,8 +12,8 @@ import (
 	"sigmadedupe/internal/director"
 	"sigmadedupe/internal/ingest"
 	"sigmadedupe/internal/migrate"
-	"sigmadedupe/internal/node"
 	"sigmadedupe/internal/router"
+	"sigmadedupe/internal/store"
 )
 
 // transport is what differs between the two deployments of the one
@@ -40,8 +40,8 @@ type transport interface {
 // migration) reaches it through.
 type member struct {
 	id    int
-	addr  string     // prototype: dial address
-	local *node.Node // simulator: the node behind the handle
+	addr  string        // prototype: dial address
+	local *store.Engine // simulator: the node behind the handle
 	// mu guards node until it is open (nil before).
 	mu   sync.Mutex
 	node migrate.Node

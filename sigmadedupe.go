@@ -40,7 +40,6 @@ import (
 	"sigmadedupe/internal/ingest"
 	"sigmadedupe/internal/metrics"
 	"sigmadedupe/internal/migrate"
-	"sigmadedupe/internal/node"
 	"sigmadedupe/internal/router"
 	"sigmadedupe/internal/rpc"
 	"sigmadedupe/internal/store"
@@ -131,7 +130,7 @@ type ClusterStats struct {
 type Cluster struct {
 	plane
 	// node is the per-node configuration template (cluster.NewNode).
-	node node.Config
+	node store.Config
 	// shared resolves a node through the current snapshot's shared
 	// handles: one joined since an item's pin resolves, a killed one does
 	// not — it fails loudly instead of accepting writes through a stale
@@ -154,7 +153,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		return nil, fmt.Errorf("sigmadedupe: ClusterConfig.Scheme %d: a Backend routes by SchemeSigma only; compare schemes with RunExperiment: %w",
 			cfg.Scheme, errors.ErrUnsupported)
 	}
-	c := &Cluster{node: node.Config{
+	c := &Cluster{node: store.Config{
 		HandprintSize:    cfg.HandprintSize,
 		Dir:              cfg.Dir,
 		KeepPayloads:     cfg.KeepPayloads,
@@ -206,8 +205,8 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 }
 
 // localMember wraps an in-process node as a registry member, born open.
-func localMember(n *node.Node) *member {
-	return &member{id: n.ID(), local: n, node: migrate.Local(n)}
+func localMember(n *store.Engine) *member {
+	return &member{id: n.Config().ID, local: n, node: migrate.Local(n)}
 }
 
 // join implements transport: a fresh in-process node.
@@ -229,7 +228,7 @@ func (c *Cluster) open(_ context.Context, m *member) (migrate.Node, error) { ret
 // in-process one — bids, chunk-sample bids and summary probes are direct
 // calls — built once and shared by every item pinned to the snapshot.
 func (c *Cluster) committed(e *epoch) {
-	v := &cluster.View{Members: e.members, Nodes: make(map[int]*node.Node, len(e.nodes))}
+	v := &cluster.View{Members: e.members, Nodes: make(map[int]*store.Engine, len(e.nodes))}
 	for id, m := range e.nodes {
 		v.Nodes[id] = m.local
 	}
@@ -308,7 +307,7 @@ func (c *Cluster) RestartNode(i int) error {
 		return fmt.Errorf("sigmadedupe: stop node %d: %w", i, err)
 	}
 	ncfg.Recover = true
-	n, err := node.New(ncfg)
+	n, err := store.New(ncfg)
 	if err != nil {
 		return fmt.Errorf("sigmadedupe: restart node %d: %w", i, err)
 	}
@@ -400,7 +399,7 @@ type ServerConfig struct {
 
 // StartServer launches a deduplication server node.
 func StartServer(cfg ServerConfig) (*Server, error) {
-	ncfg := node.Config{
+	ncfg := store.Config{
 		ID:               cfg.ID,
 		HandprintSize:    cfg.HandprintSize,
 		KeepPayloads:     true,
@@ -410,7 +409,7 @@ func StartServer(cfg ServerConfig) (*Server, error) {
 		CompactThreshold: cfg.CompactThreshold,
 		ReadCacheBytes:   cfg.ReadCacheBytes,
 	}
-	n, err := node.New(ncfg)
+	n, err := store.New(ncfg)
 	if err != nil {
 		return nil, err
 	}
