@@ -28,8 +28,8 @@ type Backend interface {
 	// Backup deduplicates one named stream into the cluster, reading r
 	// incrementally: peak buffered payload is bounded by the in-flight
 	// window, never by stream size. The backup may still be committing
-	// when Backup returns; Flush (or a later Backup) settles it and
-	// reports its failure, if any — as Session.Backup.
+	// when Backup returns; Flush (or later Backups) settle it and report
+	// its failure, if any — as Session.Backup.
 	Backup(ctx context.Context, name string, r io.Reader) error
 	// Restore streams a backed-up name to w. A name never backed up (or
 	// deleted) fails with ErrNotFound.
@@ -62,8 +62,8 @@ type Backend interface {
 	// commits a membership epoch without it. All pre-existing backups
 	// restore byte-identically afterwards. Open sessions need not close:
 	// new items route to the survivors at once and items in flight are
-	// waited out, but an item its session left unsettled (no later
-	// Backup, Flush or Close) fails the call after a grace period. An
+	// waited out, but an item its session left unsettled (no Flush, Close
+	// or Backups that settle it) fails the call after a grace period. An
 	// unknown ID fails with ErrNotFound.
 	RemoveNode(ctx context.Context, id int) (MigrationResult, error)
 	// Rebalance migrates super-chunk segments from members above the
@@ -412,9 +412,9 @@ type Session struct {
 
 // Backup chunks, fingerprints, routes and dedup-stores one named stream,
 // reading r incrementally with memory bounded by the in-flight window.
-// The backup may still be committing when Backup returns; Flush (or a
-// later Backup) settles it and reports its failure, if any. A Backup
-// that itself returns an error left the name as it was — nothing
+// It may return with the backup still committing, or (a small one) not
+// yet hashed; Flush (or later Backups) settle it and report its failure.
+// A Backup that itself returns an error left the name as it was — nothing
 // stranded — and the session usable. Canceling ctx aborts within about
 // one super-chunk of work.
 func (s *Session) Backup(ctx context.Context, name string, r io.Reader) error {

@@ -239,17 +239,33 @@ func (c counting) Dedup(ctx context.Context, stream string, sc *core.SuperChunk,
 // chunks of the unfilled batch wait client-side with the pending
 // super-chunk — everything before them has reached the nodes. EOF then
 // delivers the rest and the item commits; a cancel returns promptly and
-// leaves nothing behind.
+// leaves nothing behind. When small items wait in the carry ahead of the
+// stalled one, what is held back is bounded by the carry plus one batch
+// and the pending super-chunk, and a cancel leaves the carried items to
+// commit.
 func TestStalledReaderHoldsBackOneBatch(t *testing.T) {
 	const scSize = 32 << 10
-	for _, ending := range []string{"eof", "cancel"} {
-		t.Run(ending, func(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		carried int // small items backed up before the stalled one
+	}{{"eof", 0}, {"cancel", 0}, {"eof-after-carry", 5}, {"cancel-after-carry", 5}} {
+		t.Run(c.name, func(t *testing.T) {
 			r := newRig(t, "local", 2, rigOpt{})
 			stored := new(atomic.Int64)
 			for i, nd := range r.byID {
 				r.byID[i] = counting{nd, stored}
 			}
 			s := r.session(t, ingest.Config{SuperChunkSize: scSize})
+			small := make([][]byte, c.carried) // 3 chunks each: short of a batch together
+			carry := int64(0)
+			for i := range small {
+				small[i] = randBytes(int64(60+i), 3*4096)
+				mustBackup(t, s, fmt.Sprintf("/small%d", i), small[i])
+				carry += int64(len(small[i]))
+			}
+			if got := stored.Load(); got != 0 {
+				t.Fatalf("%d bytes of carried items stored before the carry filled, want 0", got)
+			}
 			data := randBytes(88, 250*4096)
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
@@ -259,16 +275,18 @@ func TestStalledReaderHoldsBackOneBatch(t *testing.T) {
 
 			// Fingerprinted and partitioned: all but less than one batch.
 			// Stored: that, less a pending super-chunk (cut by content, at
-			// most twice its nominal size).
+			// most twice its nominal size); and at most the carry ahead of it.
+			delivered := carry + int64(len(data))
 			deadline := time.Now().Add(10 * time.Second)
 			for {
 				logical := s.Stats().LogicalBytes
-				if held := int64(len(data)) - logical; held < ingest.HashBatchBytes && logical-stored.Load() <= 2*scSize {
+				if held := delivered - logical; held < ingest.HashBatchBytes &&
+					logical-stored.Load() <= 2*scSize && delivered-stored.Load() <= carry+ingest.HashBatchBytes+2*scSize {
 					break
 				}
 				if time.Now().After(deadline) {
-					t.Fatalf("reader stalled after %d bytes: %d past the hash stage, %d stored; want all but one batch (%d) hashed and all but a pending super-chunk of that stored",
-						len(data), logical, stored.Load(), ingest.HashBatchBytes)
+					t.Fatalf("reader stalled after %d bytes (%d of them carried): %d past the hash stage, %d stored; want all but one batch (%d) hashed and all but a pending super-chunk of that stored",
+						delivered, carry, logical, stored.Load(), ingest.HashBatchBytes)
 				}
 				time.Sleep(time.Millisecond)
 			}
@@ -278,7 +296,7 @@ func TestStalledReaderHoldsBackOneBatch(t *testing.T) {
 			default:
 			}
 
-			if ending == "eof" {
+			if c.name == "eof" || c.name == "eof-after-carry" {
 				close(src.release)
 				if err := <-result; err != nil {
 					t.Fatal(err)
@@ -287,26 +305,34 @@ func TestStalledReaderHoldsBackOneBatch(t *testing.T) {
 				if !bytes.Equal(r.restore(t, "/stalled"), data) {
 					t.Fatal("the item does not restore after its reader resumed with EOF")
 				}
-				return
+			} else {
+				canceledAt := time.Now()
+				cancel()
+				if err := <-result; !errors.Is(err, context.Canceled) {
+					t.Fatalf("canceled backup = %v, want context.Canceled in the chain", err)
+				}
+				if elapsed := time.Since(canceledAt); elapsed > 2*time.Second {
+					t.Fatalf("backup took %v to honor cancellation", elapsed)
+				}
+				if _, err := r.dir.GetRecipe(context.Background(), "/stalled"); !errors.Is(err, director.ErrNoRecipe) {
+					t.Fatalf("canceled backup is in the catalog: %v", err)
+				}
+				if c.carried > 0 {
+					mustFlush(t, s) // the carried items commit
+				}
+				if live := r.liveBytes(); live != carry {
+					t.Fatalf("%d live bytes after the canceled backup, want %d (the carried items)", live, carry)
+				}
+				mustBackup(t, s, "/after", data)
+				mustFlush(t, s)
+				if !bytes.Equal(r.restore(t, "/after"), data) {
+					t.Fatal("backup after a canceled one does not restore")
+				}
 			}
-			canceledAt := time.Now()
-			cancel()
-			if err := <-result; !errors.Is(err, context.Canceled) {
-				t.Fatalf("canceled backup = %v, want context.Canceled in the chain", err)
-			}
-			if elapsed := time.Since(canceledAt); elapsed > 2*time.Second {
-				t.Fatalf("backup took %v to honor cancellation", elapsed)
-			}
-			if _, err := r.dir.GetRecipe(context.Background(), "/stalled"); !errors.Is(err, director.ErrNoRecipe) {
-				t.Fatalf("canceled backup is in the catalog: %v", err)
-			}
-			if live := r.liveBytes(); live != 0 {
-				t.Fatalf("%d live bytes after the canceled backup, want 0", live)
-			}
-			mustBackup(t, s, "/after", data)
-			mustFlush(t, s)
-			if !bytes.Equal(r.restore(t, "/after"), data) {
-				t.Fatal("backup after a canceled one does not restore")
+			for i, data := range small {
+				if !bytes.Equal(r.restore(t, fmt.Sprintf("/small%d", i)), data) {
+					t.Fatalf("carried item %d does not restore", i)
+				}
 			}
 		})
 	}
@@ -393,11 +419,14 @@ func TestMemoryPlateau(t *testing.T) {
 // allocates only when the chunker's stock and the free list are both
 // empty, so every buffer it ever made was out at once with the new one.
 // Out are the super-chunks in the window or awaiting in-order apply —
-// at most 2·Inflight, one chunk each here — plus the item's chunk and the
-// buffer drawn past its end. Scheduling decides how close a run comes to
-// the bound (the race detector's comes closest), not whether it holds.
+// at most 2·Inflight, one chunk each here — the carry, which drains once
+// it holds hashBatchChunks one-chunk items and so holds at most one fewer
+// when an item starts, and that item's chunk and the buffer drawn past
+// its end: 2·Inflight + hashBatchChunks + 1. Scheduling decides how close
+// a run comes to the bound (with the nodes taken out, every run reaches
+// it), not whether it holds.
 func TestOneChunkItemsReuseBuffers(t *testing.T) {
-	const bound = 2*ingest.DefaultInflight + 2
+	const bound = 2*ingest.DefaultInflight + ingest.HashBatchChunks + 1
 	for _, c := range []struct {
 		cfg  ingest.Config
 		size int
@@ -417,7 +446,7 @@ func TestOneChunkItemsReuseBuffers(t *testing.T) {
 			}
 			mustFlush(t, s)
 			if got := s.Stats().ChunkBufAllocs; got > bound {
-				t.Fatalf("%d chunk buffers allocated over 2000 one-chunk items, bound %d (2·Inflight super-chunks + 2)", got, bound)
+				t.Fatalf("%d chunk buffers allocated over 2000 one-chunk items, bound %d (2·Inflight super-chunks + the carry + 2)", got, bound)
 			}
 		})
 	}

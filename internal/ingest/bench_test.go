@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -15,6 +16,7 @@ import (
 	"sigmadedupe/internal/ingest"
 	"sigmadedupe/internal/migrate"
 	"sigmadedupe/internal/rpc"
+	"sigmadedupe/internal/workload"
 )
 
 // benchIngest backs up size bytes of fresh pseudo-random content per
@@ -91,26 +93,51 @@ func hashStageRig(t testing.TB, cfg ingest.Config, size int) (*ingest.Session, [
 // FastCDC 8KB / SHA-256 (unique-cdc). What is left beside the chunker
 // and the hash is the hand-off between the stages; CHANGES.md (PR 30)
 // has both at -cpu 1,2 before and after the hand-off became a batch.
+// smallfiles-sha1 cuts the same 64MB into the items sim-scaleout backs
+// up — 1-12 chunks of 4KB, uniformly, as the linux generator draws file
+// sizes — one Backup each: the path where the carry fills the lanes.
 func BenchmarkHashStage(b *testing.B) {
 	const size = 64 << 20
 	for _, c := range []struct {
-		name string
-		cfg  ingest.Config
+		name  string
+		cfg   ingest.Config
+		items bool
 	}{
-		{"fixed4k-sha1", ingest.Config{Name: "bench"}},
-		{"fastcdc8k-sha256", ingest.Config{Name: "bench", ChunkMethod: chunker.FastCDC, ChunkSize: 8192, Algorithm: fingerprint.SHA256}},
+		{"fixed4k-sha1", ingest.Config{Name: "bench"}, false},
+		{"fastcdc8k-sha256", ingest.Config{Name: "bench", ChunkMethod: chunker.FastCDC, ChunkSize: 8192, Algorithm: fingerprint.SHA256}, false},
+		{"smallfiles-sha1", ingest.Config{Name: "bench"}, true},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			s, content := hashStageRig(b, c.cfg, size)
+			items := [][]byte{content}
+			if c.items {
+				items = linuxItems(content)
+			}
 			b.SetBytes(size)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				mustBackup(b, s, fmt.Sprintf("/bench/%d", i), content)
+				for j, item := range items {
+					mustBackup(b, s, fmt.Sprintf("/bench/%d/%d", i, j), item)
+				}
 				mustFlush(b, s)
 			}
 		})
 	}
+}
+
+// linuxItems cuts content into consecutive items of MinBlocks to
+// MaxBlocks 4KB chunks of the linux generator's default tree, drawn
+// uniformly as it draws them.
+func linuxItems(content []byte) [][]byte {
+	cfg := workload.DefaultLinuxConfig()
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	var items [][]byte
+	for len(content) > 0 {
+		n := min(len(content), (cfg.MinBlocks+rng.Intn(cfg.MaxBlocks-cfg.MinBlocks+1))*4096)
+		items, content = append(items, content[:n]), content[n:]
+	}
+	return items
 }
 
 // BenchmarkRestore backs 8MB up once, then restores it repeatedly

@@ -1,5 +1,8 @@
 package ingest
 
-// HashBatchBytes lets the tests place item sizes and memory bounds
-// against the hand-off unit.
-const HashBatchBytes = hashBatchBytes
+// HashBatchBytes and HashBatchChunks let the tests place item sizes and
+// memory bounds against the hand-off unit.
+const (
+	HashBatchBytes  = hashBatchBytes
+	HashBatchChunks = hashBatchChunks
+)

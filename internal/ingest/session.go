@@ -25,14 +25,16 @@
 // item boundary and its recipe entries attach to the item. It commits —
 // recipe swapped in, the superseded generation released — once all of
 // its super-chunks are stored, which may trail Backup's return by at
-// most the window (one item's tail overlaps the next item's head); Flush
-// settles everything. An item that fails is aborted: its in-flight
-// super-chunks are drained, what they stored is released, the catalog is
-// untouched, and the session stays usable.
+// most the window (one item's tail overlaps the next item's head) or, for
+// a small item waiting in the carry (see feed), until the carry drains;
+// Flush settles everything. An item that fails is aborted on its own: its
+// in-flight super-chunks are drained, what they stored is released, the
+// catalog is untouched, and the session stays usable.
 package ingest
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -227,6 +229,21 @@ type Session struct {
 	// the minimum fingerprint of the BackupRefs file being consumed, zero
 	// on the reader path.
 	fileMin fingerprint.Fingerprint
+	// carry is the open hash batch that small items share (see feed): the
+	// chunks of the items in carried, in stream order, carryBytes of
+	// payload. Once drain has hashed it, hashed is set and carry.refs[next:]
+	// are the chunks not yet consumed; carried[0] may be part-way through,
+	// and waiting is a super-chunk of it that the window has not admitted.
+	// A drain its caller's ctx stopped resumes from there.
+	carry      *batch
+	carried    []carried
+	carryBytes int
+	hashed     bool
+	next       int
+	waiting    *core.SuperChunk
+	// failed holds the errors of items that finished while a later call
+	// ran, which the next call, or Flush, returns.
+	failed error
 
 	// Tenant state resolved at admission: the fingerprint salt of an
 	// isolated dedup domain, and the live bytes the tenant may still add
@@ -308,23 +325,29 @@ func (s *Session) Stats() Stats {
 }
 
 // Backup chunks, fingerprints, routes and dedup-stores one named stream.
-// It may return while the item's tail super-chunks are still in flight;
-// a later call or Flush commits the item, or aborts it and returns its
-// error. Whenever Backup itself returns an error, name has not been
+// It may return while the item's tail super-chunks are still in flight,
+// or — an item that ends inside its first batch — before it is hashed: it
+// waits in the carry, the hash batch small items share, until that fills
+// to a batch, a larger item or a BackupRefs call comes, or Flush or Close.
+// A later call or Flush commits the item, or aborts it; the next call to
+// start, or Flush, returns its error, and an item's failure never aborts
+// another. Whenever Backup itself returns an error, name has not been
 // backed up: the item was aborted, what it had stored released, and the
 // catalog still holds name's previous generation, if any.
 //
 // While r has more to give, what it has delivered is on the nodes except
 // for what the session holds until it fills or r ends: the partial chunk,
-// one batch of hashBatchBytes and one pending super-chunk (at most twice
-// SuperChunkSize). An io.Reader cannot say that it would block, so a
-// stalled r holds those back for as long as it stalls; nothing of an item
-// is visible before its commit in any case.
+// one batch of hashBatchBytes (with the carry, while r is inside its
+// first) and one pending super-chunk (at most twice SuperChunkSize). An
+// io.Reader cannot say that it would block, so a stalled r holds those
+// back for as long as it stalls; nothing of an item is visible before its
+// commit in any case.
 //
-// Canceling ctx stops the chunking pipeline and the window's admission
-// and aborts the item's in-flight calls: Backup returns within about one
-// super-chunk of work — once a Read in progress returns. Cancellation
-// after Backup returned does not reach the item's tail.
+// Canceling ctx stops the chunking pipeline and the window's admission —
+// a drain of the carry's items included, which leaves the rest of them
+// carried — and aborts the item's in-flight calls: Backup returns within
+// about one super-chunk of work, once a Read in progress returns.
+// Cancellation after Backup returned does not reach the item's tail.
 func (s *Session) Backup(ctx context.Context, name string, r io.Reader) error {
 	if err := tenant.ValidateBackupName(name); err != nil {
 		return &sderr.BackupError{Name: name, Stage: "chunk", Err: err}
@@ -351,10 +374,21 @@ func (s *Session) BackupRefs(ctx context.Context, name string, feed func(yield f
 		return &sderr.BackupError{Name: name, Stage: "chunk", Err: err}
 	}
 	return s.run(ctx, name, true, func(it *item) error {
+		// The carried items come first in stream order.
+		if _, err := s.drain(it.ctx); err != nil {
+			return &sderr.BackupError{Name: name, Stage: "route", Err: err}
+		}
 		defer func() { s.fileMin = fingerprint.Fingerprint{} }()
 		err := feed(func(refs []core.ChunkRef) error {
 			if err := it.ctx.Err(); err != nil {
 				return &sderr.BackupError{Name: name, Stage: "chunk", Err: err}
+			}
+			size := 0
+			for _, ref := range refs {
+				size += ref.Size
+			}
+			if err := s.account(it, size); err != nil {
+				return err
 			}
 			s.fileMin = (&core.SuperChunk{Chunks: refs}).MinFingerprint()
 			for _, ref := range refs {
@@ -378,6 +412,9 @@ func (s *Session) run(ctx context.Context, name string, refs bool, feed func(*it
 	defer pprof.SetGoroutineLabels(ctx) // the caller's, if ctx carries any
 	// A trailing item that failed surfaces before this one starts.
 	if err := s.settle(ctx, math.MaxInt); err != nil {
+		return err
+	}
+	if err := s.takeFailed(); err != nil {
 		return err
 	}
 	it, err := s.begin(ctx, name)
@@ -407,6 +444,9 @@ func (s *Session) run(ctx context.Context, name string, refs bool, feed func(*it
 
 // begin pins an epoch and opens the item.
 func (s *Session) begin(ctx context.Context, name string) (*item, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err // the item's context would learn it only asynchronously
+	}
 	it := &item{name: name, key: tenant.Key(s.cfg.Tenant, name), ctx: ctx, detach: func() {}}
 	if ctx.Done() != nil {
 		ictx, cancel := context.WithCancel(context.WithoutCancel(ctx))
@@ -460,29 +500,66 @@ type batch struct {
 // 540 / 590 / 600 MB/s at 1 / 16 / 32 / 48, inside the host's noise past
 // 16). Such batches grow to ≈ 300KB, so the hash stage's 3·Depth + 4
 // batches hold ≈ 4.8MB at 2 workers. Fixed 4KB chunks reach both bounds
-// at once, and EOF still closes a small item's batch.
+// at once. The carry (feed) holds small items to the same rule, so their
+// passes run as full as a large item's.
 const hashBatchChunks = 32
 
-// fill reads the next run of chunks into a recycled batch: at least
-// hashBatchBytes and hashBatchChunks, or up to the end of the stream,
-// which eof reports.
-func (s *Session) fill(ck chunker.Chunker) (b *batch, eof bool, err error) {
-	if b = s.batches.get(); b == nil {
+// carried is one item in the carry: its n chunks not yet consumed, size
+// bytes in all, follow the previous item's; eof says they are all of it
+// and its partial super-chunk is still to cut; cut that one of its chunks
+// completed a super-chunk.
+type carried struct {
+	it       *item
+	n        int
+	size     int
+	eof, cut bool
+}
+
+// newBatch returns an empty recycled batch.
+func (s *Session) newBatch() *batch {
+	b := s.batches.get()
+	if b == nil {
 		b = new(batch)
 	}
 	b.data = b.data[:0]
-	for size := 0; size < hashBatchBytes || len(b.data) < hashBatchChunks; {
+	return b
+}
+
+// fill appends the next run of chunks to b — at least hashBatchBytes and
+// hashBatchChunks, or up to the end of the stream, which eof reports —
+// and returns the run's payload bytes.
+func (s *Session) fill(ck chunker.Chunker, b *batch) (size int, eof bool, err error) {
+	for n := 0; size < hashBatchBytes || n < hashBatchChunks; n++ {
 		chunk, err := ck.Next()
 		if err == io.EOF {
-			return b, true, nil
+			return size, true, nil
 		}
 		if err != nil {
-			return nil, false, err
+			return size, false, err
 		}
 		b.data = append(b.data, chunk.Data)
 		size += chunk.Len()
 	}
-	return b, false, nil
+	return size, false, nil
+}
+
+// account adds an item's freshly chunked bytes to the logical bytes and
+// runs the soft quota check: once the session's logical bytes exceed the
+// headroom captured at admission the item fails with the typed quota
+// error, long before the director's hard check at the recipe swap would
+// refuse the whole backup. It runs at chunk time, so an item bound for
+// the carry fails its own Backup.
+func (s *Session) account(it *item, size int) error {
+	s.mu.Lock()
+	s.st.LogicalBytes += int64(size)
+	logical := s.st.LogicalBytes
+	s.mu.Unlock()
+	if s.headroom >= 0 && logical > s.headroom {
+		return &sderr.BackupError{Name: it.name, Stage: "quota", Err: fmt.Errorf(
+			"tenant %s: session bytes %d exceed quota headroom %d: %w",
+			s.cfg.Tenant, logical, s.headroom, sderr.ErrQuotaExceeded)}
+	}
+	return nil
 }
 
 // feed runs the item's stream through chunker → fingerprint →
@@ -492,23 +569,81 @@ func (s *Session) feed(it *item, ck chunker.Chunker) error {
 	chunkErr := func(err error) error {
 		return &sderr.BackupError{Name: it.name, Stage: "chunk", Err: err}
 	}
-	// An item that ends inside its first super-chunk — the bulk of a
-	// typical backup tree — is chunked and fingerprinted right here: the
-	// pipeline's goroutines and channels would cost more than they
-	// overlap. Selected from the input, not from an option. A single-P
-	// runtime, where fingerprinting cannot overlap chunking, takes the
-	// pipeline too now that buffers move in runs: ten alternating pairs
-	// of GOMAXPROCS=1 bench/run.sh -workload incremental-ram read
-	// ingest_cpu_s_per_gb 0.824 inline (quartile distance 0.084) vs 0.846
-	// piped, and rss_peak_mb 6 % lower piped (CHANGES.md).
-	for cut := false; !cut; {
+	routeErr := func(err error) error {
+		return &sderr.BackupError{Name: it.name, Stage: "route", Err: err}
+	}
+	if err := it.ctx.Err(); err != nil {
+		return chunkErr(err)
+	}
+	if s.hashed { // a drain that a canceled call left part-done
+		if _, err := s.drain(it.ctx); err != nil {
+			return routeErr(err)
+		}
+	}
+	// The item's first run joins the carry, the hash batch small items
+	// share. An item that ends inside it — the bulk of a typical backup
+	// tree, 1-12 chunks on sim-scaleout — does not hash alone, which would
+	// leave most of a 16-lane pass idle: it waits there, as a tail in
+	// flight would, until the carry fills to a batch (hashBatchBytes and
+	// hashBatchChunks), a larger item or BackupRefs needs the partitioner,
+	// or Flush or Close; then drain hashes the carry in one SumBatch call
+	// and consumes its items in stream order. Selected from the input, not
+	// from an option.
+	if s.carry == nil {
+		s.carry = s.newBatch()
+	}
+	b, from := s.carry, len(s.carry.data)
+	pprof.SetGoroutineLabels(chunkLabels)
+	size, eof, err := s.fill(ck, b)
+	pprof.SetGoroutineLabels(commitLabels)
+	if err != nil {
+		err = chunkErr(err)
+	} else {
+		err = s.account(it, size)
+	}
+	if err != nil {
+		s.truncateCarry(from)
+		return err
+	}
+	it.pending++ // until drain has consumed it
+	s.carried = append(s.carried, carried{it: it, n: len(b.data) - from, size: size, eof: eof})
+	s.carryBytes += size
+	if eof {
+		if s.carryBytes >= hashBatchBytes && len(b.data) >= hashBatchChunks {
+			if _, err := s.drain(it.ctx); err != nil {
+				return routeErr(err)
+			}
+		}
+		return nil
+	}
+	cut, err := s.drain(it.ctx)
+	if err != nil {
+		return routeErr(err)
+	}
+	if it.err != nil {
+		return it.err
+	}
+	// An item that ends inside its first super-chunk is chunked and
+	// fingerprinted right here: the pipeline's goroutines and channels
+	// would cost more than they overlap. A single-P runtime, where
+	// fingerprinting cannot overlap chunking, takes the pipeline too now
+	// that buffers move in runs: ten alternating pairs of GOMAXPROCS=1
+	// bench/run.sh -workload incremental-ram read ingest_cpu_s_per_gb
+	// 0.824 inline (quartile distance 0.084) vs 0.846 piped, and
+	// rss_peak_mb 6 % lower piped (CHANGES.md).
+	for !cut {
 		if err := it.ctx.Err(); err != nil {
 			return chunkErr(err)
 		}
+		b := s.newBatch()
 		pprof.SetGoroutineLabels(chunkLabels)
-		b, eof, err := s.fill(ck)
+		size, eof, err := s.fill(ck, b)
+		pprof.SetGoroutineLabels(commitLabels)
 		if err != nil {
 			return chunkErr(err)
+		}
+		if err := s.account(it, size); err != nil {
+			return err
 		}
 		pprof.SetGoroutineLabels(hashLabels)
 		s.fingerprint(b)
@@ -531,9 +666,13 @@ func (s *Session) feed(it *item, ck chunker.Chunker) error {
 	raw := pipeline.Produce(g, pc.Depth, func(yield func(*batch) bool) error {
 		pprof.SetGoroutineLabels(chunkLabels)
 		for {
-			b, eof, err := s.fill(ck)
+			b := s.newBatch()
+			size, eof, err := s.fill(ck, b)
 			if err != nil {
 				return chunkErr(err)
+			}
+			if err := s.account(it, size); err != nil {
+				return err
 			}
 			if !yield(b) || eof {
 				return nil
@@ -558,6 +697,110 @@ func (s *Session) feed(it *item, ck chunker.Chunker) error {
 		return err
 	}
 	return s.cut(it)
+}
+
+// drain hashes the carry in one SumBatch call and consumes its items in
+// stream order, cutting each that ended in it, on the driving goroutine.
+// The window admits their super-chunks under ctx, the caller's, while
+// their routes run under their own item's context, so a later call's
+// cancellation does not reach them: a drain that ctx stops returns its
+// error and leaves the rest of the carry for the next one. An item that
+// fails — one of its routes did — drops its chunks not yet routed and
+// aborts once its routes are in, as a tail's would; the items after it
+// carry on. drain reports whether the last item's chunks completed a
+// super-chunk.
+func (s *Session) drain(ctx context.Context) (cut bool, err error) {
+	if len(s.carried) == 0 {
+		return false, nil
+	}
+	b := s.carry
+	if !s.hashed {
+		pprof.SetGoroutineLabels(hashLabels)
+		s.fingerprint(b)
+		pprof.SetGoroutineLabels(commitLabels)
+		s.hashed = true
+	}
+	for len(s.carried) > 0 {
+		c := &s.carried[0]
+		switch {
+		case s.waiting != nil:
+			if err := s.admit(ctx, c.it); err == nil {
+				s.submit(c.it, s.waiting)
+			} else if err := ctx.Err(); err != nil {
+				return false, err
+			} else {
+				s.recycle(c.it, s.waiting) // its item failed
+			}
+			s.waiting = nil
+		case c.n > 0:
+			ref := b.refs[s.next : s.next+1]
+			s.next++
+			c.n--
+			if c.it.err != nil {
+				s.release(ref)
+			} else if sc := s.part.AddRef(ref[0]); sc != nil {
+				s.buffer(sc)
+				s.waiting, c.cut = sc, true
+			}
+		case c.eof:
+			c.eof = false
+			if sc := s.part.Flush(); sc != nil && c.it.err != nil {
+				s.release(sc.Chunks) // never counted as buffered
+			} else if sc != nil {
+				s.buffer(sc)
+				s.waiting = sc
+			}
+		default:
+			cut = c.cut
+			c.it.pending--
+			s.carried = slices.Delete(s.carried, 0, 1)
+		}
+	}
+	s.endCarry()
+	return cut, nil
+}
+
+// uncarry takes the running Backup's item back out of the carry when it
+// fails before drain has consumed it: its chunks not yet consumed are
+// dropped, and the super-chunk of it awaiting the window.
+func (s *Session) uncarry(it *item) {
+	last := len(s.carried) - 1
+	if last < 0 || s.carried[last].it != it {
+		return
+	}
+	c, b := s.carried[last], s.carry
+	if last == 0 && s.waiting != nil {
+		s.recycle(it, s.waiting)
+		s.waiting = nil
+	}
+	from := len(b.data) - c.n
+	if s.hashed {
+		s.release(b.refs[from:])
+		b.data, b.refs = b.data[:from], b.refs[:from]
+	} else {
+		s.truncateCarry(from)
+	}
+	s.carried[last] = carried{}
+	s.carried, s.carryBytes = s.carried[:last], s.carryBytes-c.size
+	it.pending--
+	if last == 0 {
+		s.endCarry()
+	}
+}
+
+// endCarry recycles the carry's batch once no item is left in it.
+func (s *Session) endCarry() {
+	s.batches.put(s.carry)
+	s.carry, s.carryBytes, s.hashed, s.next = nil, 0, false, 0
+}
+
+// truncateCarry drops the carry's chunks from index from on, unhashed,
+// and returns their buffers to the pool.
+func (s *Session) truncateCarry(from int) {
+	b := s.carry
+	s.bufs.releaseAll(b.data[from:])
+	clear(b.data[from:])
+	b.data = b.data[:from]
 }
 
 // fingerprint hashes a batch in one call and makes its chunk references,
@@ -588,21 +831,8 @@ func (s *Session) fingerprint(b *batch) {
 
 // consume feeds one fingerprinted chunk to the partitioner, on the
 // driving goroutine: super-chunk boundaries depend on stream order. It
-// reports whether the chunk completed a super-chunk. The soft quota
-// check lives here: once the session's logical bytes exceed the headroom
-// captured at admission the stream fails with the typed quota error,
-// long before the director's hard check at the recipe swap would refuse
-// the whole backup.
+// reports whether the chunk completed a super-chunk.
 func (s *Session) consume(it *item, ref core.ChunkRef) (bool, error) {
-	s.mu.Lock()
-	s.st.LogicalBytes += int64(ref.Size)
-	logical := s.st.LogicalBytes
-	s.mu.Unlock()
-	if s.headroom >= 0 && logical > s.headroom {
-		return false, &sderr.BackupError{Name: it.name, Stage: "quota", Err: fmt.Errorf(
-			"tenant %s: session bytes %d exceed quota headroom %d: %w",
-			s.cfg.Tenant, logical, s.headroom, sderr.ErrQuotaExceeded)}
-	}
 	if sc := s.part.AddRef(ref); sc != nil {
 		return true, s.enqueue(it, sc)
 	}
@@ -645,32 +875,49 @@ func (s *Session) cut(it *item) error {
 // still, so the wait cannot deadlock; a nightly incremental's counterpart
 // left the window a generation ago, so there it never waits.
 func (s *Session) enqueue(it *item, sc *core.SuperChunk) error {
-	sc.FileMinFP = s.fileMin
-	s.buffered += sc.Size()
-	s.mu.Lock()
-	s.st.PeakBufferedBytes = max(s.st.PeakBufferedBytes, s.buffered)
-	s.mu.Unlock()
-	// Bound the queue of completed-but-unapplied results (each pins its
-	// super-chunk's payloads) to twice the window. Applying them may
-	// reveal that one of this item's earlier super-chunks failed.
-	err := s.settle(it.ctx, 2*s.cfg.Inflight-1)
-	if err == nil {
-		err = it.err
-	}
-	if err == nil {
-		select {
-		case s.window <- struct{}{}:
-		case <-it.ctx.Done():
-			err = it.ctx.Err()
-		}
-	}
-	if err != nil {
+	s.buffer(sc)
+	if err := s.admit(it.ctx, it); err != nil {
 		s.recycle(it, sc) // never entered the window
 		if err == it.ctx.Err() {
 			err = &sderr.BackupError{Name: it.name, Stage: "route", Err: err}
 		}
 		return err
 	}
+	s.submit(it, sc)
+	return nil
+}
+
+// buffer counts a super-chunk the partitioner cut as buffered.
+func (s *Session) buffer(sc *core.SuperChunk) {
+	sc.FileMinFP = s.fileMin
+	s.buffered += sc.Size()
+	s.mu.Lock()
+	s.st.PeakBufferedBytes = max(s.st.PeakBufferedBytes, s.buffered)
+	s.mu.Unlock()
+}
+
+// admit waits, under ctx, until the window takes one more super-chunk
+// of item it. It bounds the queue of completed-but-unapplied results
+// (each pins its super-chunk's payloads) to twice the window; applying
+// them may reveal that an earlier super-chunk of the item failed, whose
+// error it returns.
+func (s *Session) admit(ctx context.Context, it *item) error {
+	if err := s.settle(ctx, 2*s.cfg.Inflight-1); err != nil {
+		return err
+	}
+	if it.err != nil {
+		return it.err
+	}
+	select {
+	case s.window <- struct{}{}:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+// submit starts the route of a super-chunk the window admitted.
+func (s *Session) submit(it *item, sc *core.SuperChunk) {
 	slot := make(chan routed, 1)
 	it.pending++
 	s.order = append(s.order, slot)
@@ -691,7 +938,6 @@ func (s *Session) enqueue(it *item, sc *core.SuperChunk) error {
 		close(stored)
 		slot <- res
 	}()
-	return nil
 }
 
 // route runs one super-chunk through the scheduler, the router and, per
@@ -830,17 +1076,16 @@ func (it *item) node(id int) (migrate.Node, error) {
 func (s *Session) recycle(it *item, sc *core.SuperChunk) {
 	s.buffered -= sc.Size()
 	if !it.refs {
-		s.release(sc)
+		s.release(sc.Chunks)
 	}
 }
 
-// release hands a super-chunk's payload buffers back to the pool in one
-// run.
-func (s *Session) release(sc *core.SuperChunk) {
+// release hands chunks' payload buffers back to the pool in one run.
+func (s *Session) release(chunks []core.ChunkRef) {
 	bufs := s.spare[:0]
-	for i := range sc.Chunks {
-		if d := sc.Chunks[i].Data; d != nil {
-			sc.Chunks[i].Data = nil
+	for i := range chunks {
+		if d := chunks[i].Data; d != nil {
+			chunks[i].Data = nil
 			bufs = append(bufs, d)
 		}
 	}
@@ -879,8 +1124,10 @@ func (s *Session) apply(res routed) {
 // settle applies queued route results in stream order — blocking (under
 // ctx) while more than max remain queued, then taking whatever else has
 // completed — and finishes, oldest first, every item this completes
-// except the one a running Backup is feeding. It returns the first error
-// of an item it finished.
+// except the one a running Backup is feeding. It returns only ctx's
+// error: an item it finished that failed is held for takeFailed, so the
+// call that happens to settle it — a later item being fed, or a drain on
+// behalf of carried items — never takes on another item's error.
 func (s *Session) settle(ctx context.Context, max int) error {
 	for len(s.order) > 0 {
 		var res routed
@@ -888,7 +1135,8 @@ func (s *Session) settle(ctx context.Context, max int) error {
 		case res = <-s.order[0]:
 		default:
 			if len(s.order) <= max {
-				return s.finishReady()
+				s.finishReady()
+				return nil
 			}
 			select {
 			case res = <-s.order[0]:
@@ -899,20 +1147,30 @@ func (s *Session) settle(ctx context.Context, max int) error {
 		s.order = s.order[1:]
 		s.apply(res)
 	}
-	return s.finishReady()
+	s.finishReady()
+	return nil
 }
 
-func (s *Session) finishReady() (err error) {
+func (s *Session) finishReady() {
 	for len(s.open) > 0 {
 		it := s.open[0]
 		if it == s.cur || !it.done || it.pending > 0 {
 			break
 		}
 		s.open = s.open[1:]
-		if ferr := s.finish(it); err == nil {
-			err = ferr
+		if err := s.finish(it); err != nil && s.failed == nil {
+			s.failed = err
+		} else if err != nil {
+			s.failed = errors.Join(s.failed, err)
 		}
 	}
+}
+
+// takeFailed returns, once, the errors of the items settle aborted, each
+// item's own, in stream order.
+func (s *Session) takeFailed() error {
+	err := s.failed
+	s.failed = nil
 	return err
 }
 
@@ -964,12 +1222,17 @@ func (s *Session) supersede(ctx context.Context, prev []director.ChunkEntry) err
 }
 
 // abandon fails the item the running Backup was feeding: its buffered
-// chunks are dropped, its own in-flight super-chunks — the tail of the
-// queue — are drained without waiting on earlier items', and it aborts.
+// chunks (in the carry or the partitioner) are dropped, its own in-flight
+// super-chunks — the tail of the queue — are drained without waiting on
+// earlier items', and it aborts. While earlier items remain carried, the
+// partitioner holds theirs.
 func (s *Session) abandon(it *item, cause error) error {
 	it.fail(cause)
-	if sc := s.part.Flush(); sc != nil && !it.refs {
-		s.release(sc) // never counted as buffered
+	s.uncarry(it)
+	if len(s.carried) == 0 {
+		if sc := s.part.Flush(); sc != nil && !it.refs {
+			s.release(sc.Chunks) // never counted as buffered
+		}
 	}
 	tail := len(s.order) - it.pending
 	for _, slot := range s.order[tail:] {
@@ -983,11 +1246,20 @@ func (s *Session) abandon(it *item, cause error) error {
 // Flush settles every item, seals the nodes' open containers — both
 // copies of what it committed are durable once it returns — reports the
 // transferred bytes to the tenant's accounting and ends the director
-// session. The session stays usable; a later Flush ends it again.
+// session. It returns the errors of the items that aborted since the last
+// call. Canceling ctx stops it waiting — for the window, while it drains
+// the carry, or for routes in flight — and leaves the rest for later. The
+// session stays usable; a later Flush ends it again.
 func (s *Session) Flush(ctx context.Context) error {
 	pprof.SetGoroutineLabels(commitLabels)
 	defer pprof.SetGoroutineLabels(ctx)
+	if _, err := s.drain(ctx); err != nil {
+		return err
+	}
 	if err := s.settle(ctx, 0); err != nil {
+		return err
+	}
+	if err := s.takeFailed(); err != nil {
 		return err
 	}
 	epoch, err := s.cfg.Pin(ctx)
@@ -1013,11 +1285,15 @@ func (s *Session) Flush(ctx context.Context) error {
 	return s.dir.EndSession(ctx, s.id)
 }
 
-// Close settles what is still in flight — items whose super-chunks all
-// arrived commit, the rest abort — and drops every pin. Call Flush first
-// to complete a backup. A deployment whose transports can wedge closes
-// them before calling Close: that fails the pending calls, so the wait
-// here is prompt.
+// Close settles what is still in flight — the carry is drained, items
+// whose super-chunks all arrived commit, the rest abort — and drops every
+// pin. Call Flush first to complete a backup. A deployment whose
+// transports can wedge closes them before calling Close: that fails the
+// pending calls, so the wait here is prompt.
 func (s *Session) Close() {
+	pprof.SetGoroutineLabels(commitLabels)
+	defer pprof.SetGoroutineLabels(context.Background())
+	_, _ = s.drain(context.Background())
 	_ = s.settle(context.Background(), 0)
+	s.failed = nil
 }

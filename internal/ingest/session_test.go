@@ -119,6 +119,12 @@ func (r *rig) node(id int) (migrate.Node, bool) {
 // router, bids through the transport-backed view.
 func (r *rig) session(t testing.TB, cfg ingest.Config) *ingest.Session {
 	t.Helper()
+	return r.sessionOver(t, cfg, r.dir)
+}
+
+// sessionOver is session with dir in front of the rig's director.
+func (r *rig) sessionOver(t testing.TB, cfg ingest.Config, dir director.Metadata) *ingest.Session {
+	t.Helper()
 	if cfg.Name == "" {
 		cfg.Name = "t"
 	}
@@ -130,7 +136,7 @@ func (r *rig) session(t testing.TB, cfg ingest.Config) *ingest.Session {
 		view := func() router.View { return migrate.NewView(ctx, r.members, r.node) }
 		return ingest.Epoch{View: view, Node: r.node, Release: func() {}}, nil
 	}
-	s, err := ingest.New(context.Background(), cfg, r.dir)
+	s, err := ingest.New(context.Background(), cfg, dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime/pprof"
 
 	"sigmadedupe/internal/core"
 	"sigmadedupe/internal/director"
@@ -12,6 +13,16 @@ import (
 	"sigmadedupe/internal/rpc"
 	"sigmadedupe/internal/sderr"
 	"sigmadedupe/internal/store"
+)
+
+// The runtime/pprof labels the fan-outs run under, phase=migrate (Drain,
+// Rebalance, Recover, Repair) and phase=reclaim (Delete, Compact), as the
+// ingest and restore stages are labelled; the server side labels the
+// verbs they call the same way (internal/rpc). One context per label
+// set, built once: labelling a goroutine allocates nothing.
+var (
+	migrateLabels = pprof.WithLabels(context.Background(), pprof.Labels("phase", "migrate"))
+	reclaimLabels = pprof.WithLabels(context.Background(), pprof.Labels("phase", "reclaim"))
 )
 
 // Node is the transport to one deduplication node — the one interface
@@ -273,6 +284,8 @@ func (e *Engine) moveSegment(ctx context.Context, r director.Recipe, seg segment
 // backups pinned to an older epoch) are rescanned for a few passes,
 // then the drain fails.
 func (e *Engine) Drain(ctx context.Context, id int, members core.Membership) (res Result, err error) {
+	pprof.SetGoroutineLabels(migrateLabels)
+	defer pprof.SetGoroutineLabels(ctx) // the caller's, if ctx carries any
 	if err := e.StripReplicas(ctx, id); err != nil {
 		return res, err
 	}
@@ -364,6 +377,8 @@ func (e *Engine) pickTarget(ctx context.Context, entries []director.ChunkEntry, 
 // pass; the usage snapshot is maintained as segments move so it cannot
 // overshoot the balance point.
 func (e *Engine) Rebalance(ctx context.Context, members core.Membership) (Result, error) {
+	pprof.SetGoroutineLabels(migrateLabels)
+	defer pprof.SetGoroutineLabels(ctx) // the caller's, if ctx carries any
 	var res Result
 	if members.Len() < 2 {
 		return res, nil
@@ -440,6 +455,13 @@ func (e *Engine) Rebalance(ctx context.Context, members core.Membership) (Result
 // other migrations (an in-flight backup's uncommitted references would
 // read as surplus).
 func (e *Engine) Recover(ctx context.Context) error {
+	pprof.SetGoroutineLabels(migrateLabels)
+	defer pprof.SetGoroutineLabels(ctx) // the caller's, if ctx carries any
+	return e.settlePending(ctx)
+}
+
+// settlePending is Recover under the caller's labels.
+func (e *Engine) settlePending(ctx context.Context) error {
 	pending, err := e.Catalog.PendingMigrations(ctx)
 	if err != nil {
 		return err

@@ -3,6 +3,7 @@ package migrate
 import (
 	"context"
 	"fmt"
+	"runtime/pprof"
 
 	"sigmadedupe/internal/core"
 	"sigmadedupe/internal/director"
@@ -17,6 +18,8 @@ import (
 // references (space), never free a chunk another backup needs. The
 // freed chunks stay dead container space until compaction.
 func Delete(ctx context.Context, meta director.Metadata, nodes func(id int) (Node, bool), key string) error {
+	pprof.SetGoroutineLabels(reclaimLabels)
+	defer pprof.SetGoroutineLabels(ctx) // the caller's, if ctx carries any
 	recipe, err := meta.DeleteRecipe(ctx, key)
 	if err != nil {
 		return err
@@ -58,6 +61,8 @@ func Release(ctx context.Context, nodes func(id int) (Node, bool), entries []dir
 // results. A canceled ctx stops between nodes and, inside a node,
 // between containers.
 func Compact(ctx context.Context, members []int, nodes func(id int) (Node, bool), threshold float64) (store.CompactResult, error) {
+	pprof.SetGoroutineLabels(reclaimLabels)
+	defer pprof.SetGoroutineLabels(ctx) // the caller's, if ctx carries any
 	var total store.CompactResult
 	for _, id := range members {
 		nd, ok := nodes(id)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime/pprof"
 
 	"sigmadedupe/internal/core"
 	"sigmadedupe/internal/director"
@@ -128,11 +129,13 @@ func (e *Engine) StripReplicas(ctx context.Context, id int) error {
 // membership changes first, and the catalog must be the sole source of
 // references. Fails if any chunk lost both of its copies.
 func (e *Engine) Repair(ctx context.Context, members core.Membership) (RepairResult, error) {
+	pprof.SetGoroutineLabels(migrateLabels)
+	defer pprof.SetGoroutineLabels(ctx) // the caller's, if ctx carries any
 	var res RepairResult
 
 	// Phase 0: surplus from half-done transactions is gone before counts
 	// are compared.
-	if err := e.Recover(ctx); err != nil {
+	if err := e.settlePending(ctx); err != nil {
 		return res, err
 	}
 

@@ -299,7 +299,8 @@ func (s *Server) handleRequest(connCtx context.Context, w *respWriter, frame []b
 
 // opStages are the phase and stage of the verbs the ingest and restore
 // paths call, as the client's stages are labelled (internal/ingest,
-// internal/migrate's Restore).
+// internal/migrate's Restore), and the phase of those the reclaim and
+// migrate fan-outs call (internal/migrate, which labels them alike).
 var opStages = map[opcode][2]string{
 	1:  {"ingest", "route"},  // bid
 	2:  {"ingest", "dedup"},  // query
@@ -310,6 +311,15 @@ var opStages = map[opcode][2]string{
 	34: {"ingest", "commit"}, // swapRecipe
 	15: {"restore", "read"},  // readBatch
 	35: {"restore", "read"},  // getRecipe
+	8:  {"reclaim"},          // decRef
+	9:  {"reclaim"},          // compact
+	36: {"reclaim"},          // deleteRecipe
+	13: {"migrate"},          // migrateCommit
+	14: {"migrate"},          // refCounts
+	39: {"migrate"},          // beginMigration
+	40: {"migrate"},          // endMigration
+	41: {"migrate"},          // pendingMigrations
+	43: {"migrate"},          // replaceRecipe
 }
 
 // opLabels is the labelled context a handler of op runs under: op=<op>,
@@ -318,7 +328,10 @@ var opStages = map[opcode][2]string{
 func opLabels(base context.Context, op opcode) context.Context {
 	labels := []string{"op", strconv.Itoa(int(op))}
 	if ps, ok := opStages[op]; ok {
-		labels = append(labels, "phase", ps[0], "stage", ps[1])
+		labels = append(labels, "phase", ps[0])
+		if ps[1] != "" {
+			labels = append(labels, "stage", ps[1])
+		}
 	}
 	return pprof.WithLabels(base, pprof.Labels(labels...))
 }

@@ -37,6 +37,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime/pprof"
 	"sort"
 	"time"
 
@@ -350,6 +351,11 @@ func (e *Engine) startCompactor() {
 	e.compactWG.Add(1)
 	go func() {
 		defer e.compactWG.Done()
+		// The loop runs under phase=reclaim, as the cluster's compaction
+		// fan-out (internal/migrate) and the node's compact verb
+		// (internal/rpc) do.
+		ctx := pprof.WithLabels(ctx, pprof.Labels("phase", "reclaim"))
+		pprof.SetGoroutineLabels(ctx)
 		ticker := time.NewTicker(e.cfg.CompactEvery)
 		defer ticker.Stop()
 		for {

@@ -8,10 +8,12 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime/pprof"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"sigmadedupe/internal/core"
 	"sigmadedupe/internal/fingerprint"
@@ -801,5 +803,30 @@ func TestOpenMigratesLegacyManifest(t *testing.T) {
 	}
 	if res, err := r2.Compact(context.Background(), 0.99); err != nil || res.Retired == 0 {
 		t.Fatalf("compaction after migrated deletion retired %d (err %v), want > 0", res.Retired, err)
+	}
+}
+
+// TestBackgroundCompactorRunsUnderReclaimLabel: the background
+// compaction loop runs under phase=reclaim, as the cluster's compaction
+// fan-out does, so a node's profile shows where compaction spent.
+func TestBackgroundCompactorRunsUnderReclaimLabel(t *testing.T) {
+	e, err := New(Config{CompactEvery: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		var buf bytes.Buffer
+		if err := pprof.Lookup("goroutine").WriteTo(&buf, 1); err != nil {
+			t.Fatal(err)
+		}
+		for _, rec := range strings.Split(buf.String(), "\n\n") {
+			if strings.Contains(rec, "store.(*Engine).startCompactor.func") && strings.Contains(rec, `# labels: {"phase":"reclaim"}`) {
+				return
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no compactor goroutine under phase=reclaim:\n%s", buf.String())
+		}
 	}
 }

@@ -270,9 +270,10 @@ func (m *manifest) close() error {
 // chunk index (later seals of a compacted chunk's new home overwrite the
 // old location, exactly as the compactor did online), then rfp records
 // rebuild the similarity index, then ref/decref records in journal order
-// rebuild the chunk refcounts, and finally a sweep over the adopted
-// containers re-derives per-container dead bytes so the compactor's
-// live-ratio scan resumes where it left off.
+// rebuild the chunk refcounts, then a sweep over the adopted containers
+// re-derives per-container dead bytes so the compactor's live-ratio scan
+// resumes where it left off, and finally the refcounts seed the logical
+// counters.
 func (e *Engine) replay(recs []record) error {
 	// Pass 1 (record types were validated by decodeRecord): collect
 	// retires in journal order.
@@ -450,5 +451,20 @@ func (e *Engine) replay(recs []record) error {
 			e.dead[c.ID] = dead
 		}
 	}
+	// Pass 7: the logical counters. Every chunk occurrence a pass presented
+	// took one reference and every release dropped the references its
+	// recipe held, so the live chunks' refcounts times their lengths are
+	// the logical bytes of the backups the node still holds.
+	var logicalBytes, logicalChunks int64
+	for i := range e.shards {
+		for fp, n := range e.shards[i].refs {
+			if loc, ok := e.cidx.peek(fp); ok {
+				logicalBytes += n * int64(loc.Length)
+				logicalChunks += n
+			}
+		}
+	}
+	e.logicalBytes.Store(logicalBytes)
+	e.logicalChunks.Store(logicalChunks)
 	return nil
 }

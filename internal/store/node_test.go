@@ -283,3 +283,57 @@ func TestPrefetchAblation(t *testing.T) {
 		t.Fatalf("with prefetch: cache hits = %d, want most of 64", with.CacheHits)
 	}
 }
+
+// TestRecoverKeepsDedupRatio: a restarted node reports the dedup ratio of
+// the backups it holds, not 0 — replay seeds the logical counters from
+// the chunk references it rebuilds. Without deletes they come back
+// exactly (a duplicate generation and an intra-super-chunk repeat
+// included); after one, they are what the live backups present, over
+// physical bytes that still hold the dead copies until compaction.
+func TestRecoverKeepsDedupRatio(t *testing.T) {
+	cfg := Config{Dir: t.TempDir(), KeepPayloads: true}
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(7))
+	a, b := makeSC(rng, 32, true), makeSC(rng, 16, true)
+	repeat := makeSC(rng, 8, true)
+	repeat.Chunks = append(repeat.Chunks, repeat.Chunks[:3]...)
+	for _, sc := range []*core.SuperChunk{a, cloneSC(a), b, repeat} {
+		if _, err := e.StoreSuperChunk("s", sc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	before := e.Stats()
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if e, err = reopen(cfg); err != nil {
+		t.Fatal(err)
+	}
+	after := e.Stats()
+	if after.LogicalBytes != before.LogicalBytes || after.LogicalChunks != before.LogicalChunks || after.DedupRatio() != before.DedupRatio() {
+		t.Fatalf("after recovery: %d logical bytes, %d chunks, DR %.3f; before: %d, %d, %.3f",
+			after.LogicalBytes, after.LogicalChunks, after.DedupRatio(), before.LogicalBytes, before.LogicalChunks, before.DedupRatio())
+	}
+
+	fps, ns := refsOf(b)
+	if err := e.DecRef(fps, ns); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if e, err = reopen(cfg); err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	st := e.Stats()
+	if want := before.LogicalBytes - b.Size(); st.LogicalBytes != want || st.DedupRatio() <= 0 {
+		t.Fatalf("after a delete and recovery: %d logical bytes, DR %.3f; want %d and > 0", st.LogicalBytes, st.DedupRatio(), want)
+	}
+}

@@ -994,10 +994,11 @@ func (e *Engine) DiskIndexStats() (diskReads, bloomSkips uint64) {
 	return r, s
 }
 
-// Stats returns a snapshot of the engine's counters. After a recovery the
-// session counters (logical bytes/chunks, cache and index hits) restart
-// from zero while PhysicalBytes and UniqueChunks reflect the restored
-// containers.
+// Stats returns a snapshot of the engine's counters. After a recovery
+// PhysicalBytes and UniqueChunks reflect the restored containers and the
+// logical bytes and chunks those of the backups they hold (their chunk
+// references, with GC enabled), while the cache and index hits restart
+// from zero.
 func (e *Engine) Stats() engineStats {
 	return engineStats{
 		LogicalBytes:  e.logicalBytes.Load(),

@@ -142,9 +142,9 @@ func (p *plane) pin() *epoch {
 
 // quiesce blocks until no backup item is pinned to a snapshot older than
 // the current one — a membership change's grace period. An item whose
-// session went idle without settling it (no further Backup, Flush or
-// Close) fails the wait after a bounded delay rather than hanging
-// forever. Caller holds memberOp.
+// session went idle without settling it (no Flush or Close, nor Backups
+// enough to settle it) fails the wait after a bounded delay rather than
+// hanging forever. Caller holds memberOp.
 func (p *plane) quiesce(ctx context.Context) error {
 	cur := p.cur.Load()
 	deadline := time.Now().Add(10 * time.Second)
