@@ -128,7 +128,7 @@ var repoArch = archRules{
 	counts: map[string]int{
 		archCountPackages: 21,
 		archCountRootLoC:  2614,
-		archCountCISteps:  12,
+		archCountCISteps:  11,
 		archCountStats:    8,
 		archCountExcepted: 28,
 	},

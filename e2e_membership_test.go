@@ -142,11 +142,18 @@ func TestRebalanceUnderIngest(t *testing.T) {
 	eachBackend(t, 0, func(t *testing.T, be Backend) {
 		ctx := context.Background()
 		const files, size = 8, 128 << 10
+		// The second generation is the first with one 4 KB block per file
+		// rewritten, a nightly incremental: what it adds to the joined node
+		// before Rebalance reads the usage it balances against is a few
+		// blocks, however far the ingest it races has got, so the node is
+		// still the underloaded one it joined as.
 		content := make(map[string][]byte)
-		for gen := 1; gen <= 2; gen++ {
-			for i := 0; i < files; i++ {
-				content[fmt.Sprintf("/gen%d/file%d", gen, i)] = gcRandBytes(int64(4000+100*gen+i), size)
-			}
+		for i := 0; i < files; i++ {
+			gen1 := gcRandBytes(int64(4100+i), size)
+			gen2 := append([]byte(nil), gen1...)
+			copy(gen2[(i%4)*32<<10:], gcRandBytes(int64(4200+i), 4<<10))
+			content[fmt.Sprintf("/gen1/file%d", i)] = gen1
+			content[fmt.Sprintf("/gen2/file%d", i)] = gen2
 		}
 		for i := 0; i < files; i++ {
 			name := fmt.Sprintf("/gen1/file%d", i)

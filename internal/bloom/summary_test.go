@@ -161,10 +161,13 @@ func TestSummaryConcurrentAddQuery(t *testing.T) {
 				index = append(index, fp)
 				srcMu.Unlock()
 				if s.Add(fp) {
-					srcMu.Lock()
-					snapshot := append([]fingerprint.Fingerprint(nil), index...)
-					srcMu.Unlock()
+					// The copy is taken inside the source callback, under the
+					// rebuild, as the product's rebuilders enumerate: a key
+					// another writer adds before then is in it.
 					s.Rebuild(2*s.Capacity(), func(yield func(fingerprint.Fingerprint) bool) {
+						srcMu.Lock()
+						snapshot := append([]fingerprint.Fingerprint(nil), index...)
+						srcMu.Unlock()
 						for _, fp := range snapshot {
 							if !yield(fp) {
 								return

@@ -561,13 +561,33 @@ func copyMeta(meta []ChunkMeta) []ChunkMeta {
 	return out
 }
 
-// sealedFor resolves loc's sealed container, reporting whether its
-// payload lives on disk.
-func (m *Manager) sealedFor(cid uint64) (*Container, bool, error) {
+// readable resolves cid for a payload read, reporting whether its payload
+// lives on disk. A container still open is read too, as Metadata reads
+// it: under its stream lock, as a container whose payload is what has
+// been appended so far — an alias of the open container's memory, which
+// stays valid after the seal, since an open container's payload is
+// allocated at capacity and never reallocated, and appends only write
+// past what was read.
+func (m *Manager) readable(cid uint64) (*Container, bool, error) {
 	m.mu.RLock()
 	c, ok := m.sealed[cid]
 	disk := m.onDisk[cid]
+	s := m.openByCID[cid]
 	m.mu.RUnlock()
+	if !ok && s != nil {
+		s.mu.Lock()
+		if s.c != nil && s.c.ID == cid {
+			open := &Container{ID: cid, Data: s.c.Data, bytes: s.c.bytes}
+			s.mu.Unlock()
+			return open, false, nil
+		}
+		s.mu.Unlock()
+		// Sealed between the index lookup and taking the stream lock.
+		m.mu.RLock()
+		c, ok = m.sealed[cid]
+		disk = m.onDisk[cid]
+		m.mu.RUnlock()
+	}
 	if !ok {
 		return nil, false, fmt.Errorf("%w: container %d", ErrNotFound, cid)
 	}
@@ -614,12 +634,13 @@ func (r *rangeReader) close() {
 	}
 }
 
-// ReadChunk fetches one chunk payload by location. Only valid when
-// payloads are retained (in memory or on disk). The returned slice
-// aliases manager-owned memory (the resident payload or a cached region)
-// and must not be modified; callers that need ownership copy it.
+// ReadChunk fetches one chunk payload by location, from a sealed
+// container or an open one. Only valid when payloads are retained (in
+// memory or on disk). The returned slice aliases manager-owned memory
+// (the resident payload, an open container's, or a cached region) and
+// must not be modified; callers that need ownership copy it.
 func (m *Manager) ReadChunk(loc Loc) ([]byte, error) {
-	c, disk, err := m.sealedFor(loc.CID)
+	c, disk, err := m.readable(loc.CID)
 	if err != nil {
 		return nil, err
 	}
@@ -669,13 +690,14 @@ func (m *Manager) ReadChunk(loc Loc) ([]byte, error) {
 // the given order. Locations must be sorted by offset; adjacent wants
 // separated by at most readGapMax are coalesced into one run, served by
 // the region cache or by one positioned read of the container file,
-// which the batch opens once. Returned slices alias manager-owned memory
-// exactly like ReadChunk's.
+// which the batch opens once. An open container is read as ReadChunk
+// reads it. Returned slices alias manager-owned memory exactly like
+// ReadChunk's.
 func (m *Manager) ReadChunks(cid uint64, locs []Loc) ([][]byte, error) {
 	if len(locs) == 0 {
 		return nil, nil
 	}
-	c, disk, err := m.sealedFor(cid)
+	c, disk, err := m.readable(cid)
 	if err != nil {
 		return nil, err
 	}

@@ -641,3 +641,51 @@ func TestConcurrentAppend(t *testing.T) {
 		t.Fatalf("StoredBytes = %d, want %d", got, streams*perStream*512)
 	}
 }
+
+// TestReadOpenContainer: ReadChunk and ReadChunks serve a container that
+// is still open, in memory and in a spilling manager alike, and what
+// they returned stays intact while the container grows and seals.
+func TestReadOpenContainer(t *testing.T) {
+	for _, opt := range []Option{WithPayloads(), WithDir(t.TempDir())} {
+		m, err := NewManager(WithCapacity(1<<16), opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(15))
+		var datas [][]byte
+		var locs []Loc
+		for i := 0; i < 4; i++ {
+			data, fp := chunk(rng, 4096)
+			loc, err := m.Append("s", fp, data, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			datas, locs = append(datas, data), append(locs, loc)
+		}
+		one, err := m.ReadChunk(locs[1])
+		if err != nil || !bytes.Equal(one, datas[1]) {
+			t.Fatalf("ReadChunk of an open container: %v, equal %v", err, bytes.Equal(one, datas[1]))
+		}
+		all, err := m.ReadChunks(locs[0].CID, locs)
+		if err != nil {
+			t.Fatalf("ReadChunks of an open container: %v", err)
+		}
+		for i := 0; i < 8; i++ { // grow the container, then seal it
+			data, fp := chunk(rng, 4096)
+			if _, err := m.Append("s", fp, data, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := m.Seal("s"); err != nil {
+			t.Fatal(err)
+		}
+		for i, got := range all {
+			if !bytes.Equal(got, datas[i]) {
+				t.Fatalf("chunk %d read while open changed after appends and the seal", i)
+			}
+		}
+		if !bytes.Equal(one, datas[1]) {
+			t.Fatal("ReadChunk's result changed after appends and the seal")
+		}
+	}
+}

@@ -12,27 +12,42 @@
 // keep payloads. A stream that arrives fingerprinted — the paper's trace
 // replays — enters through BackupRefs, past chunking and hashing.
 //
-// Every backup stream owns a concurrent pipeline: a worker pool
-// fingerprints chunks — a batch of hashBatchBytes at a time — while the
-// stream is still being read, and a bounded window of super-chunks is
-// routed and stored concurrently, so fingerprinting of super-chunk n+1
-// overlaps the transfer of n and peak buffered payload is bounded by the
-// window plus the hash stage, never by stream size.
-// Results are applied in stream order on the goroutine driving the
-// session, so only the counters need a lock.
+// A session is one stream of chunks, and a backup item is a run of it
+// that ends at the item's mark. The session's reader worker chunks the
+// running Backup's input into the open hash batch. A batch closes once it
+// holds hashBatchBytes and hashBatchChunks, whichever items its chunks
+// belong to, when an item ends in it before its first chunk, or in Flush
+// and Close, and a hash worker fingerprints it in one SumBatch call; a
+// BackupRefs file enters as a batch hashed already. The calling goroutine
+// consumes the batches in stream order: the partitioner cuts
+// super-chunks, and an item's partial one at its mark, and Inflight route
+// workers — the window — route and store them concurrently. Chunking of
+// batch n+1 overlaps hashing of batch n and the transfer of earlier
+// super-chunks, and peak buffered payload is bounded by the window plus
+// the hash stage, never by stream size. Results are applied in stream
+// order on the calling goroutine, so only the counters need a lock. A
+// worker starts when work arrives and exits once idle for idleWorker: a
+// session nobody calls leaves no goroutine behind.
 //
-// A backup item is a transaction. Its partial super-chunk is cut at the
-// item boundary and its recipe entries attach to the item. It commits —
-// recipe swapped in, the superseded generation released — once all of
-// its super-chunks are stored, which may trail Backup's return by at
-// most the window (one item's tail overlaps the next item's head) or, for
-// a small item waiting in the carry (see feed), until the carry drains;
-// Flush settles everything. An item that fails is aborted on its own: its
-// in-flight super-chunks are drained, what they stored is released, the
-// catalog is untouched, and the session stays usable.
+// One context rule: every wait of a method, window admission included,
+// runs under the ctx it was called with, and a route runs under its
+// item's, which follows the Backup call's ctx while the call runs and is
+// cut loose when it returns, so an item's tail outlives a caller that
+// cancels on return.
+//
+// A backup item is a transaction. Its recipe entries attach to the item,
+// and it commits — recipe swapped in, the superseded generation released
+// — once the super-chunk holding its last chunk is applied. That may trail
+// Backup's return: the item's last chunks wait in the open batch until it
+// closes, its last super-chunks in the window. Flush settles everything.
+// An item that fails is aborted on its own: its chunks not yet hashed
+// leave the tail of the stream, those hashed are released as they are
+// consumed, its in-flight super-chunks are drained, what they stored is
+// released, the catalog is untouched, and the session stays usable.
 package ingest
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -41,6 +56,8 @@ import (
 	"runtime/pprof"
 	"slices"
 	"sync"
+	"sync/atomic"
+	"time"
 
 	"sigmadedupe/internal/chunker"
 	"sigmadedupe/internal/core"
@@ -58,12 +75,13 @@ import (
 const DefaultInflight = 4
 
 // The runtime/pprof labels the stages run under, phase=ingest and stage:
-// chunk (reading and chunking), hash, commit (the driving goroutine's
-// stream-order work: partitioning, window admission, applying results,
-// recipe swaps), route (scheduler, router and bids of one super-chunk)
-// and dedup (its dedup passes). One context per label set, built once:
-// labelling a goroutine allocates nothing. A CPU profile of the whole
-// process then splits by stage (go tool pprof -tagfocus stage=hash).
+// chunk (the reader worker), hash (the hash workers), commit (the calling
+// goroutine's stream-order work: partitioning, window admission, applying
+// results, recipe swaps), route (scheduler, router and bids of one
+// super-chunk) and dedup (its dedup passes). One context per label set,
+// built once: labelling a goroutine allocates nothing. A CPU profile of
+// the whole process then splits by stage (go tool pprof -tagfocus
+// stage=hash).
 var (
 	chunkLabels  = pprof.WithLabels(context.Background(), pprof.Labels("phase", "ingest", "stage", "chunk"))
 	hashLabels   = pprof.WithLabels(context.Background(), pprof.Labels("phase", "ingest", "stage", "hash"))
@@ -163,18 +181,12 @@ type item struct {
 	// entries accumulate in stream order as routes are applied; an entry
 	// whose Node is -1 was never stored.
 	entries []director.ChunkEntry
-	pending int  // routes submitted and not yet applied
-	done    bool // every chunk has been submitted
+	pending int  // super-chunks submitted and not yet applied
+	done    bool // its mark is consumed: every super-chunk submitted
 	err     error
 	// refs marks an item fed by BackupRefs: its payloads are the caller's,
 	// never the buffer pool's.
 	refs bool
-}
-
-func (it *item) fail(err error) {
-	if it.err == nil {
-		it.err = err
-	}
 }
 
 // routed is the outcome of the route/store stage for one super-chunk.
@@ -201,46 +213,41 @@ type Session struct {
 	id   uint64
 	part *core.Partitioner
 	bufs bufPool
-	// spare is release's scratch run of buffers (driving goroutine only).
+	// spare is release's scratch run of buffers (calling goroutine only).
 	spare [][]byte
-	// batches recycles what feed hands between its stages.
+	// batches recycles the hash batches.
 	batches freeList[*batch]
-	// mu guards st: the driving goroutine writes it, anyone may read it.
+	// mu guards st: the calling goroutine writes it, anyone may read it.
 	mu sync.Mutex
 	st Stats
 	// buffered is the payload bytes pinned by super-chunks in the window
 	// or awaiting apply; its high-water mark is st.PeakBufferedBytes.
 	buffered int64
 
-	// window is the counting semaphore of the route/store stage.
-	window chan struct{}
+	// filling is the open hash batch: the reader worker's while a fill
+	// runs, the calling goroutine's otherwise. stream holds the closed
+	// batches the calling goroutine has taken and not yet consumed, oldest
+	// first; stream[0] may be part-way consumed.
+	filling *batch
+	stream  []*batch
+	// The session's workers: one reader, Workers hashers, Inflight
+	// routers. filled carries the fills' outcomes from the reader, as many
+	// as the hash stage holds: the reader runs that far ahead.
+	reader, hashers, routers *workers
+	filled                   chan filled
+	// halt stops the reader at its next fill once the caller has failed.
+	halt atomic.Bool
 	// order holds, in stream order, the 1-slot result channel of every
-	// routed-but-not-yet-applied super-chunk.
+	// submitted-but-not-yet-applied super-chunk.
 	order []chan routed
 	// storing maps the representative (smallest) fingerprint of every
 	// such super-chunk to the channel closed once its route has returned
-	// — what a later look-alike waits on before it bids (see enqueue).
+	// — what a later look-alike waits on before it bids (see submit).
 	storing map[fingerprint.Fingerprint]chan struct{}
 	// open lists the unfinished items, oldest first; cur is the one the
-	// running Backup call is feeding, which only that call finishes.
+	// running call is feeding, which only that call finishes.
 	open []*item
 	cur  *item
-	// fileMin is what enqueue stamps on a super-chunk as its FileMinFP:
-	// the minimum fingerprint of the BackupRefs file being consumed, zero
-	// on the reader path.
-	fileMin fingerprint.Fingerprint
-	// carry is the open hash batch that small items share (see feed): the
-	// chunks of the items in carried, in stream order, carryBytes of
-	// payload. Once drain has hashed it, hashed is set and carry.refs[next:]
-	// are the chunks not yet consumed; carried[0] may be part-way through,
-	// and waiting is a super-chunk of it that the window has not admitted.
-	// A drain its caller's ctx stopped resumes from there.
-	carry      *batch
-	carried    []carried
-	carryBytes int
-	hashed     bool
-	next       int
-	waiting    *core.SuperChunk
 	// failed holds the errors of items that finished while a later call
 	// ran, which the next call, or Flush, returns.
 	failed error
@@ -259,24 +266,12 @@ type Session struct {
 // runs here, and the tenant's domain and headroom come back for the
 // salt and the soft mid-stream check.
 func New(ctx context.Context, cfg Config, dir director.Metadata) (*Session, error) {
-	if cfg.Tenant == "" {
-		cfg.Tenant = tenant.Default
-	}
-	if cfg.ChunkMethod == 0 {
-		cfg.ChunkMethod = chunker.Fixed
-	}
-	if cfg.ChunkSize <= 0 {
-		cfg.ChunkSize = 4096
-	}
-	if cfg.SuperChunkSize <= 0 {
-		cfg.SuperChunkSize = core.DefaultSuperChunkSize
-	}
-	if cfg.Algorithm == 0 {
-		cfg.Algorithm = fingerprint.SHA1
-	}
-	if cfg.Inflight <= 0 {
-		cfg.Inflight = DefaultInflight
-	}
+	cfg.Tenant = cmp.Or(cfg.Tenant, tenant.Default)
+	cfg.ChunkMethod = cmp.Or(cfg.ChunkMethod, chunker.Fixed)
+	cfg.ChunkSize = cmp.Or(max(cfg.ChunkSize, 0), 4096)
+	cfg.SuperChunkSize = cmp.Or(max(cfg.SuperChunkSize, 0), core.DefaultSuperChunkSize)
+	cfg.Algorithm = cmp.Or(cfg.Algorithm, fingerprint.SHA1)
+	cfg.Inflight = cmp.Or(max(cfg.Inflight, 0), DefaultInflight)
 	part, err := core.NewPartitioner(cfg.SuperChunkSize, cfg.Algorithm, cfg.KeepPayloads)
 	if err != nil {
 		return nil, err
@@ -289,6 +284,8 @@ func New(ctx context.Context, cfg Config, dir director.Metadata) (*Session, erro
 	if err != nil {
 		return nil, fmt.Errorf("ingest: tenant %s: %w", cfg.Tenant, err)
 	}
+	pc := pipeline.Config{Workers: cfg.Workers}.WithDefaults()
+	depth := 3*pc.Depth + 2 // batches the reader may run ahead (see hashBatchBytes)
 	s := &Session{
 		cfg:  cfg,
 		dir:  dir,
@@ -298,10 +295,16 @@ func New(ctx context.Context, cfg Config, dir director.Metadata) (*Session, erro
 			bufCap: chunker.MaxChunkSize(cfg.ChunkMethod, cfg.ChunkSize),
 			refill: max(hashBatchBytes/cfg.ChunkSize, 1),
 		},
-		window:   make(chan struct{}, cfg.Inflight),
+		// Each queue holds what may wait for a worker: the hash stage's
+		// batches, the window's super-chunks; a full one only blocks.
+		reader:   newWorkers(1, 1, chunkLabels),
+		hashers:  newWorkers(pc.Workers, depth+3, hashLabels),
+		routers:  newWorkers(cfg.Inflight, 2*cfg.Inflight, routeLabels),
+		filled:   make(chan filled, depth),
 		storing:  make(map[fingerprint.Fingerprint]chan struct{}),
 		headroom: -1,
 	}
+	s.filling = s.newBatch()
 	if st.Info.QuotaBytes > 0 {
 		s.headroom = max(st.Info.QuotaBytes-st.Usage.LiveBytes, 0)
 	}
@@ -325,60 +328,62 @@ func (s *Session) Stats() Stats {
 }
 
 // Backup chunks, fingerprints, routes and dedup-stores one named stream.
-// It may return while the item's tail super-chunks are still in flight,
-// or — an item that ends inside its first batch — before it is hashed: it
-// waits in the carry, the hash batch small items share, until that fills
-// to a batch, a larger item or a BackupRefs call comes, or Flush or Close.
-// A later call or Flush commits the item, or aborts it; the next call to
-// start, or Flush, returns its error, and an item's failure never aborts
-// another. Whenever Backup itself returns an error, name has not been
-// backed up: the item was aborted, what it had stored released, and the
-// catalog still holds name's previous generation, if any.
+// It returns once r has ended and every hash batch the item closed is
+// consumed, which may be before the item is committed: its last chunks
+// may wait in the open batch until later items or Flush close it, and
+// its last super-chunks in the window. A later call or Flush commits the
+// item, or aborts it; the next call to start, or Flush, returns its
+// error, and an item's failure never aborts another. Whenever Backup
+// itself returns an error, name has not been backed up: the item was
+// aborted, what it had stored released, and the catalog still holds
+// name's previous generation, if any.
 //
 // While r has more to give, what it has delivered is on the nodes except
 // for what the session holds until it fills or r ends: the partial chunk,
-// one batch of hashBatchBytes (with the carry, while r is inside its
-// first) and one pending super-chunk (at most twice SuperChunkSize). An
-// io.Reader cannot say that it would block, so a stalled r holds those
-// back for as long as it stalls; nothing of an item is visible before its
-// commit in any case.
+// the open batch (short of hashBatchBytes or hashBatchChunks) and one
+// pending super-chunk (at most twice SuperChunkSize). An io.Reader cannot
+// say that it would block, so a stalled r holds those back for as long
+// as it stalls; nothing of an item is visible before its commit in any
+// case.
 //
-// Canceling ctx stops the chunking pipeline and the window's admission —
-// a drain of the carry's items included, which leaves the rest of them
-// carried — and aborts the item's in-flight calls: Backup returns within
+// Canceling ctx stops the reading and the window's admission — of the
+// earlier items' super-chunks too, which stay in the stream for the next
+// call — and aborts the item's in-flight calls: Backup returns within
 // about one super-chunk of work, once a Read in progress returns.
 // Cancellation after Backup returned does not reach the item's tail.
 func (s *Session) Backup(ctx context.Context, name string, r io.Reader) error {
-	if err := tenant.ValidateBackupName(name); err != nil {
-		return &sderr.BackupError{Name: name, Stage: "chunk", Err: err}
-	}
 	ck, err := chunker.New(s.cfg.ChunkMethod, r, s.cfg.ChunkSize, chunker.WithAllocator(s.bufs.alloc, s.bufs.unused))
 	if err != nil {
 		return fmt.Errorf("ingest: %w", err)
 	}
-	return s.run(ctx, name, false, func(it *item) error { return s.feed(it, ck) })
+	return s.run(ctx, name, false, func(it *item) error { return s.feed(ctx, it, ck) })
 }
 
 // BackupRefs is Backup for a stream that arrives chunked and
 // fingerprinted — a trace replay. feed calls yield once per file of the
-// item, in stream order; the refs enter where Backup's fingerprinted
-// chunks do and take the same partitioner, window, router, dedup pass,
-// recipe commit and counters. Super-chunks may span the files of one item
-// and are cut at its end; each is stamped with the minimum fingerprint of
-// the file that completed it (core.SuperChunk.FileMinFP), which Extreme
-// Binning routes by. yield does not retain refs, and payloads they carry
-// stay the caller's. An error of feed's own aborts the item and is
-// returned as is.
+// item, in stream order; the refs join the stream past the hash stage,
+// after the items before them, and take the same partitioner, window,
+// router, dedup pass, recipe commit and counters. Super-chunks may span
+// the files of one item and are cut at its end; each is stamped with the
+// minimum fingerprint of the file that completed it
+// (core.SuperChunk.FileMinFP), which Extreme Binning routes by. yield
+// does not retain refs, and payloads they carry stay the caller's. An
+// error of feed's own aborts the item and is returned as is.
 func (s *Session) BackupRefs(ctx context.Context, name string, feed func(yield func(refs []core.ChunkRef) error) error) error {
-	if err := tenant.ValidateBackupName(name); err != nil {
-		return &sderr.BackupError{Name: name, Stage: "chunk", Err: err}
-	}
 	return s.run(ctx, name, true, func(it *item) error {
-		// The carried items come first in stream order.
-		if _, err := s.drain(it.ctx); err != nil {
-			return &sderr.BackupError{Name: name, Stage: "route", Err: err}
+		// Each file is a batch closed into the stream, hashed already, and
+		// consumed before yield returns.
+		var min fingerprint.Fingerprint
+		pass := func(refs []core.ChunkRef, eof bool) error {
+			b := s.newBatch()
+			b.refs, b.fileMin, b.hashed = append(b.refs[:0], refs...), min, make(chan struct{})
+			b.marks = append(b.marks, mark{it: it, end: len(refs), eof: eof})
+			close(b.hashed)
+			if err := s.drain(ctx, b); err != nil {
+				return &sderr.BackupError{Name: name, Stage: "route", Err: err}
+			}
+			return it.err
 		}
-		defer func() { s.fileMin = fingerprint.Fingerprint{} }()
 		err := feed(func(refs []core.ChunkRef) error {
 			if err := it.ctx.Err(); err != nil {
 				return &sderr.BackupError{Name: name, Stage: "chunk", Err: err}
@@ -390,24 +395,23 @@ func (s *Session) BackupRefs(ctx context.Context, name string, feed func(yield f
 			if err := s.account(it, size); err != nil {
 				return err
 			}
-			s.fileMin = (&core.SuperChunk{Chunks: refs}).MinFingerprint()
-			for _, ref := range refs {
-				if _, err := s.consume(it, ref); err != nil {
-					return err
-				}
-			}
-			return nil
+			min = (&core.SuperChunk{Chunks: refs}).MinFingerprint()
+			return pass(refs, false)
 		})
 		if err != nil {
 			return err
 		}
-		return s.cut(it)
+		return pass(nil, true)
 	})
 }
 
-// run is one item of either door: feed hands its super-chunks to the
-// window; the item then commits or aborts as Backup describes.
+// run is one item of either door: it opens the item — name checked, an
+// epoch pinned — and feed hands its chunks to the stream; the item then
+// commits or aborts as Backup describes.
 func (s *Session) run(ctx context.Context, name string, refs bool, feed func(*item) error) error {
+	if err := tenant.ValidateBackupName(name); err != nil {
+		return &sderr.BackupError{Name: name, Stage: "chunk", Err: err}
+	}
 	pprof.SetGoroutineLabels(commitLabels)
 	defer pprof.SetGoroutineLabels(ctx) // the caller's, if ctx carries any
 	// A trailing item that failed surfaces before this one starts.
@@ -417,24 +421,33 @@ func (s *Session) run(ctx context.Context, name string, refs bool, feed func(*it
 	if err := s.takeFailed(); err != nil {
 		return err
 	}
-	it, err := s.begin(ctx, name)
-	if err != nil {
+	if err := ctx.Err(); err != nil { // the item's context would learn it only asynchronously
 		return &sderr.BackupError{Name: name, Stage: "route", Err: err}
 	}
-	it.refs = refs
-	err = feed(it)
-	if err == nil {
-		it.done = true
+	it := &item{name: name, key: tenant.Key(s.cfg.Tenant, name), ctx: ctx, detach: func() {}, refs: refs}
+	if ctx.Done() != nil {
+		ictx, cancel := context.WithCancel(context.WithoutCancel(ctx))
+		stop := context.AfterFunc(ctx, cancel)
+		it.ctx, it.detach = ictx, func() { stop() }
+	}
+	var err error
+	if it.epoch, err = s.cfg.Pin(it.ctx); err != nil {
+		it.detach()
+		return &sderr.BackupError{Name: name, Stage: "route", Err: err}
+	}
+	s.open, s.cur = append(s.open, it), it
+	s.mu.Lock()
+	s.st.Files++
+	s.mu.Unlock()
+	if err = feed(it); err == nil {
 		// Apply what has completed, but do not wait for the tail.
-		if err = s.settle(ctx, math.MaxInt); err == nil {
-			err = it.err
-		}
+		err = cmp.Or(s.settle(ctx, math.MaxInt), it.err)
 	}
 	s.cur = nil
 	if err != nil {
 		return s.abandon(it, err)
 	}
-	if it.pending == 0 && s.open[0] == it {
+	if it.done && it.pending == 0 && s.open[0] == it {
 		s.open = s.open[:0]
 		return s.finish(it)
 	}
@@ -442,54 +455,19 @@ func (s *Session) run(ctx context.Context, name string, refs bool, feed func(*it
 	return nil
 }
 
-// begin pins an epoch and opens the item.
-func (s *Session) begin(ctx context.Context, name string) (*item, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err // the item's context would learn it only asynchronously
-	}
-	it := &item{name: name, key: tenant.Key(s.cfg.Tenant, name), ctx: ctx, detach: func() {}}
-	if ctx.Done() != nil {
-		ictx, cancel := context.WithCancel(context.WithoutCancel(ctx))
-		stop := context.AfterFunc(ctx, cancel)
-		it.ctx, it.detach = ictx, func() { stop() }
-	}
-	epoch, err := s.cfg.Pin(it.ctx)
-	if err != nil {
-		it.detach()
-		return nil, err
-	}
-	it.epoch = epoch
-	s.open = append(s.open, it)
-	s.cur = it
-	s.mu.Lock()
-	s.st.Files++
-	s.mu.Unlock()
-	return it, nil
-}
-
-// hashBatchBytes is what crosses a stage boundary of the piped path at
-// once: a run of consecutive chunks of at least this many bytes (EOF
-// hands over the partial run). A 4KB chunk hashes in 3µs, less than the
+// hashBatchBytes is the least a hash batch closes with, what crosses a
+// stage boundary at once. A 4KB chunk hashes in 3µs, less than the
 // channel hand-offs that would move it alone. BenchmarkHashStage
 // (fixed4k-sha1, -cpu 2) at 16 / 64 / 128 / 512 / 1024 KB: 1060 / 1590 /
 // 1780 / 1730 / 1630 MB/s against 777 chunk by chunk — a plateau from 64
-// to 512KB, hence a constant. Produce and Map as written hold at most
-// 3·Depth + 4 batches (three queues of Depth = 2·Workers, one in each of
-// four hands): 2MB of payload at 2 workers, 24.5MB at 32, on top of the
-// window (TestMemoryPlateau). With the 16-lane SHA-1 kernel a batch of
-// 4KB chunks is two full passes and the curve still rises — 64 / 128 /
-// 256KB: 3290 / 3650 / 3950 MB/s — but the hash stage's memory doubles
-// with the batch.
+// to 512KB, hence a constant. The batches the reader has handed over (at
+// most depth), the one being consumed and the one it fills hold at most
+// depth + 2 = 3·Depth + 4 batches (Depth = 2·Workers): 2MB of payload at 2 workers, 24.5MB at 32, on top
+// of the window (TestMemoryPlateau). With the 16-lane SHA-1 kernel a
+// batch of 4KB chunks is two full passes and the curve still rises — 64 /
+// 128 / 256KB: 3290 / 3650 / 3950 MB/s — but the hash stage's memory
+// doubles with the batch.
 const hashBatchBytes = 128 << 10
-
-// batch is what feed hands from stage to stage: a run of consecutive
-// chunk payloads, their fingerprints (the one Algorithm.SumBatch call's
-// output), then the chunk references consumed in stream order.
-type batch struct {
-	data [][]byte
-	fps  []fingerprint.Fingerprint
-	refs []core.ChunkRef
-}
 
 // hashBatchChunks is the fewest chunks a batch closes with: two lane
 // sets of the 16-lane kernels. A pass costs the same with one lane busy
@@ -498,57 +476,100 @@ type batch struct {
 // lengths hashes ×1.5 the one-lane rate in batches of 14 and ×1.8 in
 // batches of 32 (BenchmarkHashStage fastcdc8k-sha256 -cpu 1 read ≈ 560 /
 // 540 / 590 / 600 MB/s at 1 / 16 / 32 / 48, inside the host's noise past
-// 16). Such batches grow to ≈ 300KB, so the hash stage's 3·Depth + 4
-// batches hold ≈ 4.8MB at 2 workers. Fixed 4KB chunks reach both bounds
-// at once. The carry (feed) holds small items to the same rule, so their
-// passes run as full as a large item's.
+// 16). Such batches grow to ≈ 300KB. Fixed 4KB chunks reach both bounds
+// at once. Small items share batches, so their passes run as full as a
+// large item's.
 const hashBatchChunks = 32
 
-// carried is one item in the carry: its n chunks not yet consumed, size
-// bytes in all, follow the previous item's; eof says they are all of it
-// and its partial super-chunk is still to cut; cut that one of its chunks
-// completed a super-chunk.
-type carried struct {
-	it       *item
-	n        int
-	size     int
-	eof, cut bool
+// batch is a run of consecutive chunks of the stream: their payloads,
+// their fingerprints (the one Algorithm.SumBatch call's output), then
+// their references.
+type batch struct {
+	data [][]byte
+	size int // payload bytes
+	fps  []fingerprint.Fingerprint
+	refs []core.ChunkRef
+	// marks split the chunks among items, in stream order: chunks
+	// [previous mark's end, end) are it's, and eof says its last is the
+	// item's last.
+	marks []mark
+	// hashed is closed once refs are made. fileMin is the minimum
+	// fingerprint of a BackupRefs file, which its super-chunks are stamped
+	// with (core.SuperChunk.FileMinFP); zero on the reader path.
+	hashed  chan struct{}
+	fileMin fingerprint.Fingerprint
+	// next and mark are the consumer's cursor: chunks and marks consumed.
+	next, mark int
+}
+
+type mark struct {
+	it  *item
+	end int
+	eof bool
 }
 
 // newBatch returns an empty recycled batch.
 func (s *Session) newBatch() *batch {
 	b := s.batches.get()
 	if b == nil {
-		b = new(batch)
+		return new(batch)
 	}
-	b.data = b.data[:0]
+	clear(b.marks)
+	clear(b.refs)
+	*b = batch{data: b.data[:0], fps: b.fps, refs: b.refs, marks: b.marks[:0]}
 	return b
 }
 
-// fill appends the next run of chunks to b — at least hashBatchBytes and
-// hashBatchChunks, or up to the end of the stream, which eof reports —
-// and returns the run's payload bytes.
-func (s *Session) fill(ck chunker.Chunker, b *batch) (size int, eof bool, err error) {
-	for n := 0; size < hashBatchBytes || n < hashBatchChunks; n++ {
-		chunk, err := ck.Next()
-		if err == io.EOF {
-			return size, true, nil
-		}
-		if err != nil {
-			return size, false, err
-		}
-		b.data = append(b.data, chunk.Data)
-		size += chunk.Len()
+// filled is the outcome of one fill: the batch it closed, if any, whether
+// the item's input ended, or the error that failed the item.
+type filled struct {
+	closed *batch
+	eof    bool
+	err    error
+}
+
+// fill appends the item's next chunks to the open batch, on the reader
+// worker or, for the item's first fill, the calling goroutine, until the
+// batch closes or the input ends, and accounts them.
+func (s *Session) fill(it *item, ck chunker.Chunker) (f filled) {
+	if s.halt.Load() {
+		return filled{eof: true} // the caller failed: the reader ends as at the input's end
 	}
-	return size, false, nil
+	if err := it.ctx.Err(); err != nil {
+		f.err = &sderr.BackupError{Name: it.name, Stage: "chunk", Err: err}
+		return f
+	}
+	b, size := s.filling, 0
+	for full := false; !full && !f.eof; {
+		chunk, err := ck.Next()
+		if err != nil && err != io.EOF {
+			f.err = &sderr.BackupError{Name: it.name, Stage: "chunk", Err: err}
+			return f
+		}
+		if f.eof = err == io.EOF; !f.eof {
+			b.data = append(b.data, chunk.Data)
+			b.size += chunk.Len()
+			size += chunk.Len()
+		}
+		// A batch the item ended in before its first chunk holds only
+		// marks: nothing to wait for.
+		if full = b.size >= hashBatchBytes && len(b.data) >= hashBatchChunks; full || f.eof {
+			b.marks = append(b.marks, mark{it: it, end: len(b.data), eof: f.eof})
+		}
+		if full || f.eof && len(b.data) == 0 {
+			f.closed, s.filling = b, s.newBatch()
+		}
+	}
+	f.err = s.account(it, size)
+	return f
 }
 
 // account adds an item's freshly chunked bytes to the logical bytes and
 // runs the soft quota check: once the session's logical bytes exceed the
 // headroom captured at admission the item fails with the typed quota
 // error, long before the director's hard check at the recipe swap would
-// refuse the whole backup. It runs at chunk time, so an item bound for
-// the carry fails its own Backup.
+// refuse the whole backup. It runs at chunk time, so an item that ends in
+// the open batch fails its own Backup.
 func (s *Session) account(it *item, size int) error {
 	s.mu.Lock()
 	s.st.LogicalBytes += int64(size)
@@ -562,251 +583,126 @@ func (s *Session) account(it *item, size int) error {
 	return nil
 }
 
-// feed runs the item's stream through chunker → fingerprint →
-// partitioner, handing completed super-chunks to the window, and cuts the
-// partial super-chunk at the item boundary.
-func (s *Session) feed(it *item, ck chunker.Chunker) error {
-	chunkErr := func(err error) error {
-		return &sderr.BackupError{Name: it.name, Stage: "chunk", Err: err}
-	}
-	routeErr := func(err error) error {
-		return &sderr.BackupError{Name: it.name, Stage: "route", Err: err}
-	}
-	if err := it.ctx.Err(); err != nil {
-		return chunkErr(err)
-	}
-	if s.hashed { // a drain that a canceled call left part-done
-		if _, err := s.drain(it.ctx); err != nil {
-			return routeErr(err)
+// feed runs the item's input through the reader worker into the stream
+// and consumes the batches it closes, oldest first, as they are hashed:
+// the reader starts each one's hash and runs up to depth batches ahead,
+// so chunking, hashing and partitioning overlap. It returns once the
+// input has ended and the stream before the open batch is consumed, or on
+// the first error, once the reader has stopped.
+func (s *Session) feed(ctx context.Context, it *item, ck chunker.Chunker) error {
+	s.halt.Store(false)
+	read := func() (more bool) {
+		f := s.fill(it, ck)
+		if f.closed != nil {
+			s.hash(f.closed)
 		}
+		s.filled <- f
+		return !f.eof && f.err == nil
 	}
-	// The item's first run joins the carry, the hash batch small items
-	// share. An item that ends inside it — the bulk of a typical backup
-	// tree, 1-12 chunks on sim-scaleout — does not hash alone, which would
-	// leave most of a 16-lane pass idle: it waits there, as a tail in
-	// flight would, until the carry fills to a batch (hashBatchBytes and
-	// hashBatchChunks), a larger item or BackupRefs needs the partitioner,
-	// or Flush or Close; then drain hashes the carry in one SumBatch call
-	// and consumes its items in stream order. Selected from the input, not
-	// from an option.
-	if s.carry == nil {
-		s.carry = s.newBatch()
-	}
-	b, from := s.carry, len(s.carry.data)
+	// The first fill runs on the calling goroutine, which has no batch of
+	// this item to consume yet, so an item that ends in it — most small
+	// files — costs no hand-off to the reader.
 	pprof.SetGoroutineLabels(chunkLabels)
-	size, eof, err := s.fill(ck, b)
+	more := read()
 	pprof.SetGoroutineLabels(commitLabels)
-	if err != nil {
-		err = chunkErr(err)
-	} else {
-		err = s.account(it, size)
-	}
-	if err != nil {
-		s.truncateCarry(from)
-		return err
-	}
-	it.pending++ // until drain has consumed it
-	s.carried = append(s.carried, carried{it: it, n: len(b.data) - from, size: size, eof: eof})
-	s.carryBytes += size
-	if eof {
-		if s.carryBytes >= hashBatchBytes && len(b.data) >= hashBatchChunks {
-			if _, err := s.drain(it.ctx); err != nil {
-				return routeErr(err)
+	if more {
+		s.reader.do(func() {
+			for read() {
 			}
-		}
-		return nil
+		})
 	}
-	cut, err := s.drain(it.ctx)
-	if err != nil {
-		return routeErr(err)
-	}
-	if it.err != nil {
-		return it.err
-	}
-	// An item that ends inside its first super-chunk is chunked and
-	// fingerprinted right here: the pipeline's goroutines and channels
-	// would cost more than they overlap. A single-P runtime, where
-	// fingerprinting cannot overlap chunking, takes the pipeline too now
-	// that buffers move in runs: ten alternating pairs of GOMAXPROCS=1
-	// bench/run.sh -workload incremental-ram read ingest_cpu_s_per_gb
-	// 0.824 inline (quartile distance 0.084) vs 0.846 piped, and
-	// rss_peak_mb 6 % lower piped (CHANGES.md).
-	for !cut {
-		if err := it.ctx.Err(); err != nil {
-			return chunkErr(err)
-		}
-		b := s.newBatch()
-		pprof.SetGoroutineLabels(chunkLabels)
-		size, eof, err := s.fill(ck, b)
-		pprof.SetGoroutineLabels(commitLabels)
-		if err != nil {
-			return chunkErr(err)
-		}
-		if err := s.account(it, size); err != nil {
-			return err
-		}
-		pprof.SetGoroutineLabels(hashLabels)
-		s.fingerprint(b)
-		pprof.SetGoroutineLabels(commitLabels)
-		if cut, err = s.consumeBatch(it, b); err != nil {
-			return err
-		}
-		if eof {
-			return s.cut(it)
-		}
-	}
-	// Past that chunker, fingerprint workers and this goroutine's
-	// partitioner overlap, and nothing between them is per chunk: a batch
-	// is filled with payloads, fingerprinted by one worker (payloads still
-	// in its cache), consumed in stream order, recycled. The stages'
-	// goroutines inherit the labels they start under.
-	pc := pipeline.Config{Workers: s.cfg.Workers}.WithDefaults()
-	g := pipeline.NewGroupCtx(it.ctx)
-	pprof.SetGoroutineLabels(hashLabels)
-	raw := pipeline.Produce(g, pc.Depth, func(yield func(*batch) bool) error {
-		pprof.SetGoroutineLabels(chunkLabels)
-		for {
-			b := s.newBatch()
-			size, eof, err := s.fill(ck, b)
-			if err != nil {
-				return chunkErr(err)
-			}
-			if err := s.account(it, size); err != nil {
-				return err
-			}
-			if !yield(b) || eof {
-				return nil
-			}
-		}
-	})
-	hashed := pipeline.Map(g, raw, pc.Workers, pc.Depth, func(b *batch) (*batch, error) {
-		s.fingerprint(b)
-		return b, nil
-	})
-	pprof.SetGoroutineLabels(commitLabels)
-	for b := range hashed {
-		if _, err := s.consumeBatch(it, b); err != nil {
-			g.Fail(err)
-			break
-		}
-	}
-	if err := g.Wait(); err != nil {
-		if err == it.ctx.Err() {
-			err = chunkErr(err)
-		}
-		return err
-	}
-	return s.cut(it)
-}
-
-// drain hashes the carry in one SumBatch call and consumes its items in
-// stream order, cutting each that ended in it, on the driving goroutine.
-// The window admits their super-chunks under ctx, the caller's, while
-// their routes run under their own item's context, so a later call's
-// cancellation does not reach them: a drain that ctx stops returns its
-// error and leaves the rest of the carry for the next one. An item that
-// fails — one of its routes did — drops its chunks not yet routed and
-// aborts once its routes are in, as a tail's would; the items after it
-// carry on. drain reports whether the last item's chunks completed a
-// super-chunk.
-func (s *Session) drain(ctx context.Context) (cut bool, err error) {
-	if len(s.carried) == 0 {
-		return false, nil
-	}
-	b := s.carry
-	if !s.hashed {
-		pprof.SetGoroutineLabels(hashLabels)
-		s.fingerprint(b)
-		pprof.SetGoroutineLabels(commitLabels)
-		s.hashed = true
-	}
-	for len(s.carried) > 0 {
-		c := &s.carried[0]
+	var err error
+	for reading := true; ; {
 		switch {
-		case s.waiting != nil:
-			if err := s.admit(ctx, c.it); err == nil {
-				s.submit(c.it, s.waiting)
-			} else if err := ctx.Err(); err != nil {
-				return false, err
+		case err == nil && len(s.stream) > 0:
+			<-s.stream[0].hashed
+			if e := s.consume(ctx); e != nil {
+				err = &sderr.BackupError{Name: it.name, Stage: "route", Err: e}
 			} else {
-				s.recycle(c.it, s.waiting) // its item failed
+				err = it.err
 			}
-			s.waiting = nil
-		case c.n > 0:
-			ref := b.refs[s.next : s.next+1]
-			s.next++
-			c.n--
-			if c.it.err != nil {
-				s.release(ref)
-			} else if sc := s.part.AddRef(ref[0]); sc != nil {
-				s.buffer(sc)
-				s.waiting, c.cut = sc, true
+			s.halt.Store(err != nil)
+		case reading:
+			f := <-s.filled
+			if f.closed != nil {
+				s.stream = append(s.stream, f.closed)
 			}
-		case c.eof:
-			c.eof = false
-			if sc := s.part.Flush(); sc != nil && c.it.err != nil {
-				s.release(sc.Chunks) // never counted as buffered
-			} else if sc != nil {
-				s.buffer(sc)
-				s.waiting = sc
-			}
+			reading, err = !f.eof && f.err == nil, cmp.Or(err, f.err)
 		default:
-			cut = c.cut
-			c.it.pending--
-			s.carried = slices.Delete(s.carried, 0, 1)
+			return err
 		}
 	}
-	s.endCarry()
-	return cut, nil
 }
 
-// uncarry takes the running Backup's item back out of the carry when it
-// fails before drain has consumed it: its chunks not yet consumed are
-// dropped, and the super-chunk of it awaiting the window.
-func (s *Session) uncarry(it *item) {
-	last := len(s.carried) - 1
-	if last < 0 || s.carried[last].it != it {
-		return
-	}
-	c, b := s.carried[last], s.carry
-	if last == 0 && s.waiting != nil {
-		s.recycle(it, s.waiting)
-		s.waiting = nil
-	}
-	from := len(b.data) - c.n
-	if s.hashed {
-		s.release(b.refs[from:])
-		b.data, b.refs = b.data[:from], b.refs[:from]
-	} else {
-		s.truncateCarry(from)
-	}
-	s.carried[last] = carried{}
-	s.carried, s.carryBytes = s.carried[:last], s.carryBytes-c.size
-	it.pending--
-	if last == 0 {
-		s.endCarry()
-	}
+// hash starts a closed batch's fingerprinting on a hash worker.
+func (s *Session) hash(b *batch) {
+	b.hashed = make(chan struct{})
+	s.hashers.do(func() { s.fingerprint(b) })
 }
 
-// endCarry recycles the carry's batch once no item is left in it.
-func (s *Session) endCarry() {
-	s.batches.put(s.carry)
-	s.carry, s.carryBytes, s.hashed, s.next = nil, 0, false, 0
+// drain closes the open batch into the stream, then next, and consumes
+// the whole stream, under ctx. A drain ctx stops leaves the rest for the
+// next one.
+func (s *Session) drain(ctx context.Context, next ...*batch) error {
+	if len(s.filling.marks) > 0 {
+		s.hash(s.filling)
+		s.stream = append(s.stream, s.filling)
+		s.filling = s.newBatch()
+	}
+	s.stream = append(s.stream, next...)
+	for len(s.stream) > 0 {
+		select {
+		case <-s.stream[0].hashed:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+		if err := s.consume(ctx); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
-// truncateCarry drops the carry's chunks from index from on, unhashed,
-// and returns their buffers to the pool.
-func (s *Session) truncateCarry(from int) {
-	b := s.carry
-	s.bufs.releaseAll(b.data[from:])
-	clear(b.data[from:])
-	b.data = b.data[:from]
+// consume feeds the stream's first batch, hashed, to the partitioner from
+// its cursor, on the calling goroutine: super-chunk boundaries depend on
+// stream order. Each super-chunk cut goes to the window, and an item's
+// partial one is cut at its mark. A chunk of a failed item is released
+// instead. A consume that ctx stops keeps its cursor.
+func (s *Session) consume(ctx context.Context) error {
+	b := s.stream[0]
+	for b.mark < len(b.marks) {
+		// Window admission: at most 2·Inflight super-chunks submitted and
+		// not yet applied, each pinning its payloads, of which Inflight
+		// route at once. Applying results may fail an item, whose chunks
+		// are then released.
+		if err := s.settle(ctx, 2*s.cfg.Inflight-1); err != nil {
+			return err
+		}
+		m := b.marks[b.mark]
+		if b.next == m.end {
+			if b.mark++; m.eof {
+				m.it.done = true
+				s.submit(m.it, s.part.Flush(), b.fileMin)
+			}
+			continue
+		}
+		ref := b.refs[b.next : b.next+1]
+		if b.next++; m.it.err != nil {
+			s.release(m.it, ref)
+		} else {
+			s.submit(m.it, s.part.AddRef(ref[0]), b.fileMin)
+		}
+	}
+	s.stream = slices.Delete(s.stream, 0, 1)
+	s.batches.put(b)
+	return nil
 }
 
-// fingerprint hashes a batch in one call and makes its chunk references,
-// folding in the tenant's domain salt right after hashing so every
-// downstream consumer — similarity index, chunk index, handprints,
-// recipes, restores — sees only the salted value. Safe for concurrent use.
+// fingerprint hashes a batch in one call, makes its chunk references and
+// closes hashed, folding in the tenant's domain salt right after hashing
+// so every downstream consumer — similarity index, chunk index,
+// handprints, recipes, restores — sees only the salted value. Safe for
+// concurrent use.
 func (s *Session) fingerprint(b *batch) {
 	b.fps = slices.Grow(b.fps[:0], len(b.data))[:len(b.data)]
 	s.cfg.Algorithm.SumBatch(b.data, b.fps)
@@ -827,43 +723,12 @@ func (s *Session) fingerprint(b *batch) {
 	if !s.cfg.KeepPayloads {
 		s.bufs.releaseAll(b.data)
 	}
+	close(b.hashed)
 }
 
-// consume feeds one fingerprinted chunk to the partitioner, on the
-// driving goroutine: super-chunk boundaries depend on stream order. It
-// reports whether the chunk completed a super-chunk.
-func (s *Session) consume(it *item, ref core.ChunkRef) (bool, error) {
-	if sc := s.part.AddRef(ref); sc != nil {
-		return true, s.enqueue(it, sc)
-	}
-	return false, nil
-}
-
-// consumeBatch consumes a fingerprinted batch chunk by chunk and recycles
-// it; cut reports that one of its chunks completed a super-chunk.
-func (s *Session) consumeBatch(it *item, b *batch) (cut bool, err error) {
-	for _, ref := range b.refs {
-		c, err := s.consume(it, ref)
-		if err != nil {
-			return false, err
-		}
-		cut = cut || c
-	}
-	s.batches.put(b)
-	return cut, nil
-}
-
-// cut routes the partial super-chunk at the item boundary.
-func (s *Session) cut(it *item) error {
-	if sc := s.part.Flush(); sc != nil {
-		return s.enqueue(it, sc)
-	}
-	return nil
-}
-
-// enqueue hands one super-chunk to the route/store stage: up to
-// Inflight run at once, and results are applied in stream order as they
-// complete.
+// submit hands a super-chunk the partitioner cut, if any, to the route
+// workers; results are applied in stream order as they complete. One of
+// a failed item is dropped instead, never counted as buffered.
 //
 // One ordering rule holds inside the window: a super-chunk whose
 // representative fingerprint equals that of an earlier one still in
@@ -871,62 +736,28 @@ func (s *Session) cut(it *item) error {
 // after the earlier one has been stored. Bidding any sooner it would find
 // the nodes as empty as the original did, may well land elsewhere, and
 // the stream would be stored twice: a dedup loss, not just bandwidth. The
-// earlier one already holds its window slot and waits only on ones older
-// still, so the wait cannot deadlock; a nightly incremental's counterpart
-// left the window a generation ago, so there it never waits.
-func (s *Session) enqueue(it *item, sc *core.SuperChunk) error {
-	s.buffer(sc)
-	if err := s.admit(it.ctx, it); err != nil {
-		s.recycle(it, sc) // never entered the window
-		if err == it.ctx.Err() {
-			err = &sderr.BackupError{Name: it.name, Stage: "route", Err: err}
-		}
-		return err
+// earlier one was queued first, so a worker holds it and it waits only on
+// ones older still: the wait cannot deadlock. A nightly incremental's
+// counterpart left the window a generation ago, so there it never waits.
+func (s *Session) submit(it *item, sc *core.SuperChunk, fileMin fingerprint.Fingerprint) {
+	if sc == nil {
+		return
+	} else if it.err != nil {
+		s.release(it, sc.Chunks)
+		return
 	}
-	s.submit(it, sc)
-	return nil
-}
-
-// buffer counts a super-chunk the partitioner cut as buffered.
-func (s *Session) buffer(sc *core.SuperChunk) {
-	sc.FileMinFP = s.fileMin
+	sc.FileMinFP = fileMin
 	s.buffered += sc.Size()
 	s.mu.Lock()
 	s.st.PeakBufferedBytes = max(s.st.PeakBufferedBytes, s.buffered)
 	s.mu.Unlock()
-}
-
-// admit waits, under ctx, until the window takes one more super-chunk
-// of item it. It bounds the queue of completed-but-unapplied results
-// (each pins its super-chunk's payloads) to twice the window; applying
-// them may reveal that an earlier super-chunk of the item failed, whose
-// error it returns.
-func (s *Session) admit(ctx context.Context, it *item) error {
-	if err := s.settle(ctx, 2*s.cfg.Inflight-1); err != nil {
-		return err
-	}
-	if it.err != nil {
-		return it.err
-	}
-	select {
-	case s.window <- struct{}{}:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-// submit starts the route of a super-chunk the window admitted.
-func (s *Session) submit(it *item, sc *core.SuperChunk) {
 	slot := make(chan routed, 1)
 	it.pending++
 	s.order = append(s.order, slot)
 	rep, stored := sc.MinFingerprint(), make(chan struct{})
 	earlier := s.storing[rep]
 	s.storing[rep] = stored
-	go func() {
-		pprof.SetGoroutineLabels(routeLabels)
-		defer func() { <-s.window }()
+	s.routers.do(func() {
 		if earlier != nil {
 			select {
 			case <-earlier:
@@ -937,7 +768,7 @@ func (s *Session) submit(it *item, sc *core.SuperChunk) {
 		res.rep, res.stored = rep, stored
 		close(stored)
 		slot <- res
-	}()
+	})
 }
 
 // route runs one super-chunk through the scheduler, the router and, per
@@ -945,7 +776,7 @@ func (s *Session) submit(it *item, sc *core.SuperChunk) {
 // duplicates' references taken and only what the target lacks
 // transferred. It runs concurrently for several super-chunks and touches
 // only the transports, never session state. Bids racing the store of a
-// look-alike super-chunk would cost dedup; enqueue's ordering rule keeps
+// look-alike super-chunk would cost dedup; submit's ordering rule keeps
 // those apart.
 func (s *Session) route(it *item, sc *core.SuperChunk) routed {
 	res := routed{it: it, sc: sc, entries: make([]director.ChunkEntry, len(sc.Chunks))}
@@ -1012,23 +843,24 @@ func (s *Session) route(it *item, sc *core.SuperChunk) routed {
 		eager := !s.cfg.KeepPayloads || (at == nil && unlike)
 		// The replica's pass runs beside the primary's, on the stream that
 		// receives migrated segments; its node indexes its own handprint.
-		var replicated chan dedupResult
+		var rep struct {
+			fresh []bool
+			err   error
+			sync.WaitGroup
+		}
 		if rn != nil {
-			replicated = make(chan dedupResult, 1)
+			rep.Add(1)
 			go func() {
-				fresh, err := rn.Dedup(it.ctx, migrate.Stream, sc, nil, eager)
-				replicated <- dedupResult{fresh, err}
+				defer rep.Done()
+				rep.fresh, rep.err = rn.Dedup(it.ctx, migrate.Stream, sc, nil, eager)
 			}()
 		}
 		fresh, err := nd.Dedup(it.ctx, s.cfg.Name, target, thp, eager)
-		var rep dedupResult
-		if replicated != nil {
-			rep = <-replicated
-		}
+		rep.Wait()
 		// On error only the chunks holding a reference are attributed, so
 		// the abort releases exactly those.
 		holds := func(fresh []bool, err error, i int) bool { return err == nil || (i < len(fresh) && !fresh[i]) }
-		for i := range target.Chunks {
+		for i, ch := range target.Chunks {
 			pos := i
 			if at != nil {
 				pos = at[i]
@@ -1039,6 +871,9 @@ func (s *Session) route(it *item, sc *core.SuperChunk) routed {
 			if rn != nil && holds(rep.fresh, rep.err, i) {
 				res.entries[pos].Replica = int32(replica)
 			}
+			if i >= len(fresh) || fresh[i] {
+				res.unique += int64(ch.Size) // read only when the route succeeds
+			}
 		}
 		if err != nil {
 			return fail("store", fmt.Errorf("node %d: %w", a.Node, err))
@@ -1046,19 +881,8 @@ func (s *Session) route(it *item, sc *core.SuperChunk) routed {
 		if rep.err != nil {
 			return fail("store", fmt.Errorf("replica node %d: %w", replica, rep.err))
 		}
-		for i, ch := range target.Chunks {
-			if i >= len(fresh) || fresh[i] {
-				res.unique += int64(ch.Size)
-			}
-		}
 	}
 	return res
-}
-
-// dedupResult is what one migrate.Node.Dedup call returned.
-type dedupResult struct {
-	fresh []bool
-	err   error
 }
 
 // node resolves a node of the item's epoch; one that left fails typed.
@@ -1069,19 +893,12 @@ func (it *item) node(id int) (migrate.Node, error) {
 	return nil, fmt.Errorf("node %d is not in the cluster: %w", id, sderr.ErrNotFound)
 }
 
-// recycle takes a super-chunk out of the buffered count and returns its
-// payload buffers to the pool, unless they are a BackupRefs caller's. By
-// now nothing references them: the node copied what it stored, and the
-// RPC layer finished with them before the store returned.
-func (s *Session) recycle(it *item, sc *core.SuperChunk) {
-	s.buffered -= sc.Size()
-	if !it.refs {
-		s.release(sc.Chunks)
+// release hands chunks' payload buffers back to the pool in one run,
+// unless they are a BackupRefs caller's.
+func (s *Session) release(it *item, chunks []core.ChunkRef) {
+	if it.refs {
+		return
 	}
-}
-
-// release hands chunks' payload buffers back to the pool in one run.
-func (s *Session) release(chunks []core.ChunkRef) {
 	bufs := s.spare[:0]
 	for i := range chunks {
 		if d := chunks[i].Data; d != nil {
@@ -1096,15 +913,19 @@ func (s *Session) release(chunks []core.ChunkRef) {
 
 // apply folds one route result into its item and the counters.
 func (s *Session) apply(res routed) {
-	s.recycle(res.it, res.sc)
+	// The super-chunk leaves the buffered count, and its payload buffers go
+	// back to the pool unless they are a BackupRefs caller's. By now nothing
+	// references them: the node copied what it stored, and the RPC layer
+	// finished with them before the store returned.
+	it := res.it
+	s.buffered -= res.sc.Size()
+	s.release(it, res.sc.Chunks)
 	if s.storing[res.rep] == res.stored { // not superseded by a later look-alike
 		delete(s.storing, res.rep)
 	}
-	it := res.it
 	it.pending--
 	it.entries = append(it.entries, res.entries...)
-	if res.err != nil {
-		it.fail(res.err)
+	if it.err = cmp.Or(it.err, res.err); res.err != nil {
 		return
 	}
 	s.mu.Lock()
@@ -1126,37 +947,23 @@ func (s *Session) apply(res routed) {
 // completed — and finishes, oldest first, every item this completes
 // except the one a running Backup is feeding. It returns only ctx's
 // error: an item it finished that failed is held for takeFailed, so the
-// call that happens to settle it — a later item being fed, or a drain on
-// behalf of carried items — never takes on another item's error.
+// call that happens to settle it — a later item, or a Flush — never takes
+// on another item's error.
 func (s *Session) settle(ctx context.Context, max int) error {
-	for len(s.order) > 0 {
-		var res routed
+	// A slot holding its result is ready: only this goroutine receives.
+	for len(s.order) > max || len(s.order) > 0 && len(s.order[0]) > 0 {
 		select {
-		case res = <-s.order[0]:
-		default:
-			if len(s.order) <= max {
-				s.finishReady()
-				return nil
-			}
-			select {
-			case res = <-s.order[0]:
-			case <-ctx.Done():
+		case res := <-s.order[0]:
+			s.order = s.order[1:]
+			s.apply(res)
+		case <-ctx.Done():
+			if len(s.order[0]) == 0 {
 				return ctx.Err()
 			}
 		}
-		s.order = s.order[1:]
-		s.apply(res)
 	}
-	s.finishReady()
-	return nil
-}
-
-func (s *Session) finishReady() {
-	for len(s.open) > 0 {
+	for len(s.open) > 0 && s.open[0] != s.cur && s.open[0].done && s.open[0].pending == 0 {
 		it := s.open[0]
-		if it == s.cur || !it.done || it.pending > 0 {
-			break
-		}
 		s.open = s.open[1:]
 		if err := s.finish(it); err != nil && s.failed == nil {
 			s.failed = err
@@ -1164,13 +971,13 @@ func (s *Session) finishReady() {
 			s.failed = errors.Join(s.failed, err)
 		}
 	}
+	return nil
 }
 
 // takeFailed returns, once, the errors of the items settle aborted, each
 // item's own, in stream order.
-func (s *Session) takeFailed() error {
-	err := s.failed
-	s.failed = nil
+func (s *Session) takeFailed() (err error) {
+	err, s.failed = s.failed, nil
 	return err
 }
 
@@ -1221,19 +1028,28 @@ func (s *Session) supersede(ctx context.Context, prev []director.ChunkEntry) err
 	return migrate.Release(ctx, epoch.Node, prev)
 }
 
-// abandon fails the item the running Backup was feeding: its buffered
-// chunks (in the carry or the partitioner) are dropped, its own in-flight
-// super-chunks — the tail of the queue — are drained without waiting on
-// earlier items', and it aborts. While earlier items remain carried, the
-// partitioner holds theirs.
+// abandon fails the item the running call was feeding: its chunks not yet
+// hashed leave the tail of the stream, which marks its end there so the
+// consumer releases its hashed ones; its own in-flight super-chunks — the
+// tail of the queue — are drained without waiting on earlier items'; and
+// it aborts.
 func (s *Session) abandon(it *item, cause error) error {
-	it.fail(cause)
-	s.uncarry(it)
-	if len(s.carried) == 0 {
-		if sc := s.part.Flush(); sc != nil && !it.refs {
-			s.release(sc.Chunks) // never counted as buffered
-		}
+	it.err = cmp.Or(it.err, cause)
+	b := s.filling
+	for n := len(b.marks); n > 0 && b.marks[n-1].it == it; n-- {
+		b.marks = b.marks[:n-1]
 	}
+	from := 0
+	if n := len(b.marks); n > 0 {
+		from = b.marks[n-1].end
+	}
+	for _, d := range b.data[from:] {
+		b.size -= len(d)
+	}
+	s.bufs.releaseAll(b.data[from:])
+	clear(b.data[from:])
+	b.data = b.data[:from]
+	b.marks = append(b.marks, mark{it: it, end: from, eof: true})
 	tail := len(s.order) - it.pending
 	for _, slot := range s.order[tail:] {
 		s.apply(<-slot)
@@ -1247,13 +1063,13 @@ func (s *Session) abandon(it *item, cause error) error {
 // copies of what it committed are durable once it returns — reports the
 // transferred bytes to the tenant's accounting and ends the director
 // session. It returns the errors of the items that aborted since the last
-// call. Canceling ctx stops it waiting — for the window, while it drains
-// the carry, or for routes in flight — and leaves the rest for later. The
-// session stays usable; a later Flush ends it again.
+// call. Canceling ctx stops it waiting — for the hash stage, the window
+// or routes in flight — and leaves the rest for later. The session stays
+// usable; a later Flush ends it again.
 func (s *Session) Flush(ctx context.Context) error {
 	pprof.SetGoroutineLabels(commitLabels)
 	defer pprof.SetGoroutineLabels(ctx)
-	if _, err := s.drain(ctx); err != nil {
+	if err := s.drain(ctx); err != nil {
 		return err
 	}
 	if err := s.settle(ctx, 0); err != nil {
@@ -1285,15 +1101,65 @@ func (s *Session) Flush(ctx context.Context) error {
 	return s.dir.EndSession(ctx, s.id)
 }
 
-// Close settles what is still in flight — the carry is drained, items
-// whose super-chunks all arrived commit, the rest abort — and drops every
-// pin. Call Flush first to complete a backup. A deployment whose
-// transports can wedge closes them before calling Close: that fails the
-// pending calls, so the wait here is prompt.
+// Close settles what is still in the stream and in flight — items whose
+// super-chunks all arrive commit, the rest abort — and drops every pin.
+// Call Flush first to complete a backup. A deployment whose transports
+// can wedge closes them before calling Close: that fails the pending
+// calls, so the wait here is prompt.
 func (s *Session) Close() {
 	pprof.SetGoroutineLabels(commitLabels)
 	defer pprof.SetGoroutineLabels(context.Background())
-	_, _ = s.drain(context.Background())
+	_ = s.drain(context.Background())
 	_ = s.settle(context.Background(), 0)
 	s.failed = nil
+}
+
+// idleWorker is how long a worker waits for its next task before it
+// exits.
+const idleWorker = 500 * time.Millisecond
+
+// workers runs tasks on up to n goroutines, oldest first, under labels. A
+// worker starts when a task finds fewer than n and exits once idle for
+// idleWorker, so its stack grows once per burst of work rather than once
+// per task, and a session nobody calls leaves no goroutine behind.
+type workers struct {
+	tasks  chan func()
+	live   chan struct{} // a token per running worker
+	labels context.Context
+}
+
+// newWorkers returns workers for up to n goroutines and queued tasks.
+func newWorkers(n, queued int, labels context.Context) *workers {
+	return &workers{tasks: make(chan func(), queued), live: make(chan struct{}, n), labels: labels}
+}
+
+// do queues task, blocking while the queue is full.
+func (w *workers) do(task func()) {
+	w.tasks <- task
+	select {
+	case w.live <- struct{}{}:
+		go w.work()
+	default:
+	}
+}
+
+func (w *workers) work() {
+	for idle := time.NewTimer(idleWorker); ; idle.Reset(idleWorker) {
+		select {
+		case task := <-w.tasks:
+			pprof.SetGoroutineLabels(w.labels)
+			task()
+		case <-idle.C:
+			// A task queued before the token is back may have found every
+			// worker live: it is this worker's if no other takes it.
+			if <-w.live; len(w.tasks) == 0 {
+				return
+			}
+			select {
+			case w.live <- struct{}{}:
+			default:
+				return
+			}
+		}
+	}
 }
